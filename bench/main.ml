@@ -1357,10 +1357,10 @@ let micro_hotpath () =
   in
   hot_report ~name:"seq-grant" ns words;
   (* engine dispatch: drain-only over a prefilled queue, the exact
-     peek/pop sequence of the run loop — [next_time] refills the wheel
-     band, then the lane/heap split pop. Must report 0.000 (the
-     capacity covers the first cycle's wheel-bucket dump, so the heap
-     never grows inside the measured region). *)
+     peek/pop sequence of the run loop — [next_time_into], then the
+     lane/heap split pop. Must report 0.000 (the capacity covers all
+     4096 pushes, so the heap never grows, and a pop only moves
+     scalars). *)
   let noop () = () in
   let q = Sim.Eventq.create ~capacity:4096 () in
   let cycles = 100 and n = 4096 in
@@ -1589,16 +1589,27 @@ let micro () =
   micro_bechamel ()
 
 (* ------------------------------------------------------------------ *)
-(* Scale-up: sharded engine + aggregate client population             *)
+(* Scale-up: aggregate client population                              *)
 (* ------------------------------------------------------------------ *)
 
 module Population = Tango_harness.Load.Population
 
+let run_population ~seed cfg =
+  let pop = Population.create cfg in
+  let (r, vend, events), perf =
+    Report.with_perf (fun () ->
+        Sim.Engine.run ~seed (fun () ->
+            Population.start pop;
+            let r = Population.await pop in
+            (r, Sim.Engine.now (), Sim.Engine.events_dispatched ())))
+  in
+  (r, vend, events, perf)
+
 (* Everything a same-seed rerun must reproduce exactly: the population
-   accounting, the latency distribution, the per-shard event/message
-   counts, and the window count. Full [%.17g] precision so a single
-   ulp of divergence fails the comparison. *)
-let pop_digest (r : Population.result) ~stats ~windows =
+   accounting, the latency distribution and the event count. Full
+   [%.17g] precision so a single ulp of divergence fails the
+   comparison. *)
+let pop_digest (r : Population.result) ~events =
   let b = Buffer.create 256 in
   let rep = r.Population.pop_report in
   Printf.bprintf b "issued=%d completed=%d dropped=%d inflight=%d samples=%d" r.Population.pop_issued
@@ -1607,34 +1618,8 @@ let pop_digest (r : Population.result) ~stats ~windows =
   Printf.bprintf b " thr=%.17g mean=%.17g p50=%.17g p99=%.17g" rep.Tango_harness.Load.throughput
     rep.Tango_harness.Load.latency_mean_us rep.Tango_harness.Load.latency_p50_us
     rep.Tango_harness.Load.latency_p99_us;
-  Printf.bprintf b " windows=%d" windows;
-  Array.iter
-    (fun s ->
-      Printf.bprintf b " s%d:%d/%d/%d" s.Sim.Engine.sh_shard s.Sim.Engine.sh_events
-        s.Sim.Engine.sh_msgs_out s.Sim.Engine.sh_msgs_in)
-    stats;
+  Printf.bprintf b " events=%d" events;
   Buffer.contents b
-
-(* [mode] `Plain uses [Engine.run] (the legacy entry point); `Sharded
-   uses [run_sharded] — with [shards = 1] the two must be
-   byte-identical, the single-shard determinism gate. *)
-let run_population ~mode ~shards ~seed cfg =
-  let pop = Population.create ~shards cfg in
-  let body () =
-    Population.shard_init pop ~shard:0;
-    let r = Population.await pop in
-    (r, Sim.Engine.now ())
-  in
-  let (r, vend), perf =
-    Report.with_perf (fun () ->
-        match mode with
-        | `Plain -> Sim.Engine.run ~seed body
-        | `Sharded ->
-            Sim.Engine.run_sharded ~seed ~shards ~lookahead:cfg.Population.link_us
-              ~init:(fun ~shard -> Population.shard_init pop ~shard)
-              body)
-  in
-  (r, vend, Sim.Engine.last_shard_stats (), Sim.Engine.last_windows (), perf)
 
 (* The baseline the population model replaces: one fiber per client,
    same open-loop arrival statistics, the same pure-delay op (link out,
@@ -1670,7 +1655,7 @@ let run_fiber_clients ~seed cfg =
           (!completed, !windowed, Sim.Engine.events_dispatched ())))
 
 let scale_up () =
-  section "Scale-up: sharded engine, aggregate client population";
+  section "Scale-up: aggregate client population";
   let seed = 17 in
   let base =
     {
@@ -1687,103 +1672,62 @@ let scale_up () =
       seed;
     }
   in
-  (* Determinism gates, in-process: plain [run] vs single-shard
-     [run_sharded] must match byte for byte, and a multi-domain run
-     must reproduce itself under a same-seed rerun. *)
+  (* Determinism gate, in-process: a same-seed rerun must match byte
+     for byte. *)
   let det_cfg = { base with clients = 20_000; stations = 16 } in
-  let digest_of mode shards =
-    let r, _, stats, windows, _ = run_population ~mode ~shards ~seed det_cfg in
-    pop_digest r ~stats ~windows
+  let digest () =
+    let r, _, events, _ = run_population ~seed det_cfg in
+    pop_digest r ~events
   in
-  let d_plain = digest_of `Plain 1 in
-  let d_s1 = digest_of `Sharded 1 in
-  let d_s4a = digest_of `Sharded 4 in
-  let d_s4b = digest_of `Sharded 4 in
-  let single_ok = d_plain = d_s1 and multi_ok = d_s4a = d_s4b in
-  row "%-24s single-shard=%b multi-domain=%b" "determinism" single_ok multi_ok;
-  if not (single_ok && multi_ok) then begin
-    if not single_ok then
-      Printf.eprintf "single-shard mismatch:\n  plain: %s\n  s1:    %s\n" d_plain d_s1;
-    if not multi_ok then
-      Printf.eprintf "multi-domain mismatch:\n  run1: %s\n  run2: %s\n" d_s4a d_s4b;
+  let d1 = digest () in
+  let d2 = digest () in
+  row "%-24s two-run=%b" "determinism" (d1 = d2);
+  if d1 <> d2 then begin
+    Printf.eprintf "same-seed mismatch:\n  run1: %s\n  run2: %s\n" d1 d2;
     exit 1
   end;
   (* Aggregate population vs fiber-per-client at 5·10^4 clients: same
      arrival statistics, same op; the wall-clock ratio is the win of
      array-state clients over one resumable continuation each. Station
      capacity (64 × 16 slots vs ~25 mean in-flight) makes queueing
-     negligible, matching the fiber variant's pure-delay op. *)
+     negligible, matching the fiber variant's pure-delay op. Each side
+     starts from a collected heap, so neither pays for the garbage of
+     the run before it. *)
   let cmp_cfg = { base with clients = 50_000; station_slots = 16 } in
-  let (f_done, f_win, f_events), f_perf = run_fiber_clients ~seed cmp_cfg in
-  let p_r, _, p_stats, _, p_perf = run_population ~mode:`Plain ~shards:1 ~seed cmp_cfg in
-  let p_events = Array.fold_left (fun a s -> a + s.Sim.Engine.sh_events) 0 p_stats in
+  Gc.full_major ();
+  let (f_done, _, f_events), f_perf = run_fiber_clients ~seed cmp_cfg in
+  Gc.full_major ();
+  let p_r, _, p_events, p_perf = run_population ~seed cmp_cfg in
   let speedup = f_perf.Report.wall_s /. p_perf.Report.wall_s in
   row "%-24s %8.3f wall-s %9d events %8d ops  (fibers)" "population-vs-fibers" f_perf.Report.wall_s
     f_events f_done;
   row "%-24s %8.3f wall-s %9d events %8d ops  (population)  speedup %.2fx" ""
     p_perf.Report.wall_s p_events p_r.Population.pop_completed speedup;
-  ignore f_win;
-  (* Domain-count sweep at 10^5 modeled clients. *)
-  let sweep_clients = 100_000 in
-  let sweep_cfg = { base with clients = sweep_clients } in
-  let sweep = [ 1; 2; 4; 8 ] in
-  let results =
-    List.map
-      (fun shards ->
-        let r, vend, stats, windows, perf =
-          run_population ~mode:`Sharded ~shards ~seed sweep_cfg
-        in
-        let events = Array.fold_left (fun a s -> a + s.Sim.Engine.sh_events) 0 stats in
-        let msgs = Array.fold_left (fun a s -> a + s.Sim.Engine.sh_msgs_in) 0 stats in
-        let stall = Array.fold_left (fun a s -> a +. s.Sim.Engine.sh_stall_s) 0. stats in
-        let rate = float_of_int events /. perf.Report.wall_s in
-        row "%-24s %8.3f wall-s %9d events %10.0f events/wall-s %6d windows stall %.3fs"
-          (Printf.sprintf "domains=%d" shards)
-          perf.Report.wall_s events rate windows stall;
-        Report.add_scenario
-          ~name:(Printf.sprintf "scale-up/domains-%d" shards)
-          ~seed
-          ~params:
-            [
-              ("clients", string_of_int sweep_clients);
-              ("shards", string_of_int shards);
-              ("lookahead_us", string_of_float sweep_cfg.Population.link_us);
-              ( "per_shard_events",
-                String.concat ","
-                  (Array.to_list
-                     (Array.map (fun s -> string_of_int s.Sim.Engine.sh_events) stats)) );
-            ]
-          ~summary:
-            [
-              ("shards", float_of_int shards);
-              ("clients", float_of_int sweep_clients);
-              ("events", float_of_int events);
-              ("events_per_wall_s", rate);
-              ("throughput", r.Population.pop_report.Tango_harness.Load.throughput);
-              ("p99_us", r.Population.pop_report.Tango_harness.Load.latency_p99_us);
-              ("completed", float_of_int r.Population.pop_completed);
-              ("dropped", float_of_int r.Population.pop_dropped);
-              ("windows", float_of_int windows);
-              ("merge_stall_s", stall);
-              ("msgs_delivered", float_of_int msgs);
-            ]
-          ~perf ~virtual_end_us:vend ~metrics_json:(Sim.Metrics.to_json ()) ();
-        (shards, rate))
-      sweep
-  in
-  let base_rate = List.assoc 1 results in
-  let best_rate = List.fold_left (fun a (_, r) -> Float.max a r) 0. results in
-  Report.add_scenario ~name:"scale-up" ~seed
-    ~params:[ ("sweep", String.concat "," (List.map string_of_int sweep)) ]
+  (* One run at 10^5 modeled clients. *)
+  let clients = 100_000 in
+  let r, vend, events, perf = run_population ~seed { base with clients } in
+  let rate = float_of_int events /. perf.Report.wall_s in
+  row "%-24s %8.3f wall-s %9d events %10.0f events/wall-s" "clients=100000" perf.Report.wall_s
+    events rate;
+  Report.add_scenario ~name:"scale-up/clients-100000" ~seed
+    ~params:[ ("clients", string_of_int clients) ]
     ~summary:
       [
-        ("clients", float_of_int sweep_clients);
+        ("clients", float_of_int clients);
+        ("events", float_of_int events);
+        ("events_per_wall_s", rate);
+        ("throughput", r.Population.pop_report.Tango_harness.Load.throughput);
+        ("p99_us", r.Population.pop_report.Tango_harness.Load.latency_p99_us);
+        ("completed", float_of_int r.Population.pop_completed);
+        ("dropped", float_of_int r.Population.pop_dropped);
+      ]
+    ~perf ~virtual_end_us:vend ~metrics_json:(Sim.Metrics.to_json ()) ();
+  Report.add_scenario ~name:"scale-up" ~seed
+    ~summary:
+      [
+        ("clients", float_of_int clients);
         ("determinism_ok", 1.);
         ("pop_speedup", speedup);
-        ("cores", float_of_int (Domain.recommended_domain_count ()));
-        ("events_per_wall_s_1d", base_rate);
-        ("events_per_wall_s_best", best_rate);
-        ("parallel_gain", best_rate /. base_rate);
       ]
     ~virtual_end_us:(base.Population.warmup_us +. base.Population.measure_us +. base.Population.drain_us)
     ~metrics_json:(Sim.Metrics.to_json ()) ()

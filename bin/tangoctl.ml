@@ -28,9 +28,9 @@ let read_file path =
 (* cluster-info                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let cluster_info servers shards =
+let cluster_info servers =
   Sim.Engine.run (fun () ->
-      let cluster = Corfu.Cluster.create ~servers ~shards () in
+      let cluster = Corfu.Cluster.create ~servers () in
       let proj = Corfu.Auxiliary.latest (Corfu.Cluster.auxiliary cluster) in
       say "CORFU deployment:";
       say "  storage servers : %d" (Corfu.Projection.num_servers proj);
@@ -77,33 +77,7 @@ let cluster_info servers shards =
       say "  ssd reads           : %d" (total "ssd.reads");
       say "  rpc failures        : %d" (total "client.rpc_failures");
       say "  rpc retries         : %d" (total "client.retries");
-      say "  recoveries          : %d" (total "cluster.recoveries");
-      say "";
-      say "engine shard placement (%d shard%s):" (Corfu.Cluster.shards cluster)
-        (if Corfu.Cluster.shards cluster = 1 then "" else "s");
-      let per_shard = Array.make (Corfu.Cluster.shards cluster) 0 in
-      Array.iter
-        (fun node ->
-          let name = Corfu.Storage_node.name node in
-          let sh = Corfu.Cluster.shard_of_host cluster name in
-          per_shard.(sh) <- per_shard.(sh) + 1)
-        (Corfu.Cluster.storage_nodes cluster);
-      Array.iteri (fun sh n -> say "  shard %d : %d storage node%s%s" sh n
-          (if n = 1 then "" else "s")
-          (if sh = 0 then " + sequencer, auxiliary, clients (control plane)" else "")) per_shard);
-  let stats = Sim.Engine.last_shard_stats () in
-  if Array.length stats > 0 then begin
-    say "";
-    say "engine run stats (%d shard%s, %d sync windows):" (Array.length stats)
-      (if Array.length stats = 1 then "" else "s")
-      (Sim.Engine.last_windows ());
-    Array.iter
-      (fun (s : Sim.Engine.shard_stat) ->
-        say "  shard %d : %8d events dispatched, %d msgs out, %d msgs in, %.3f s barrier stall"
-          s.Sim.Engine.sh_shard s.Sim.Engine.sh_events s.Sim.Engine.sh_msgs_out
-          s.Sim.Engine.sh_msgs_in s.Sim.Engine.sh_stall_s)
-      stats
-  end;
+      say "  recoveries          : %d" (total "cluster.recoveries"));
   `Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -772,15 +746,10 @@ let clients_arg =
 let ops_arg = Arg.(value & opt int 100 & info [ "ops" ] ~docv:"N" ~doc:"Transactions per client.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N" ~doc:"Engine shards to place the deployment across.")
-
 let cluster_info_cmd =
   Cmd.v
     (Cmd.info "cluster-info" ~doc:"Describe a simulated CORFU deployment and its calibration.")
-    Term.(ret (const cluster_info $ servers_arg $ shards_arg))
+    Term.(ret (const cluster_info $ servers_arg))
 
 let failover_cmd =
   Cmd.v

@@ -6,19 +6,12 @@
 #
 # Gates, from the aggregate "scale-up" scenario of the NEW reports:
 #   - determinism_ok   : must be 1 in every new report — the bench's
-#                        own single-shard-fidelity and multi-domain
-#                        two-run digest gates both passed.
+#                        own two-run same-seed digest gate passed.
 #   - clients          : must stay >= 100000 (the 10^5-client floor).
 #   - pop_speedup      : best across NEW must be >= 1.2 — the
 #                        aggregate population model must beat the
 #                        fiber-per-client build by a clear margin.
-#   - parallel_gain    : ONLY when the runner reports cores > 1, best
-#                        across NEW must be > 1.0 (events/wall-s at the
-#                        best domain count beats 1 domain). On a
-#                        single-core runner domains can only add
-#                        barrier overhead, so the gate is skipped —
-#                        determinism and the sweep still run.
-# And per scale-up/domains-N scenario present in the baseline:
+# And from the baseline's one scale-up/clients-* scenario:
 #   - completed        : within 10% of baseline (virtual-time results
 #                        are load-bearing; wall-clock ones are not).
 #
@@ -45,7 +38,7 @@ if [ "$det" != "1" ]; then
   echo "FAIL determinism_ok: expected 1 in every report, got $det" >&2
   fail=1
 else
-  echo "ok   determinism_ok          1 (single-shard fidelity + multi-domain two-run)"
+  echo "ok   determinism_ok          1 (same-seed two-run digest)"
 fi
 
 clients=$(jq -rs '[.[].scenarios[] | select(.name == "scale-up") | .summary.clients] | min' "$@")
@@ -64,33 +57,18 @@ else
   echo "ok   pop_speedup             ${speedup}x over fiber-per-client"
 fi
 
-cores=$(jq -rs '[.[].scenarios[] | select(.name == "scale-up") | .summary.cores] | max' "$@")
-if jq -ne --argjson c "$cores" '$c > 1' >/dev/null; then
-  gain=$(jq -rs '[.[].scenarios[] | select(.name == "scale-up") | .summary.parallel_gain] | max' "$@")
-  if ! jq -ne --argjson g "$gain" '$g > 1.0' >/dev/null; then
-    echo "FAIL parallel_gain: $gain <= 1.0 with $cores cores" >&2
-    fail=1
-  else
-    echo "ok   parallel_gain           ${gain}x ($cores cores)"
-  fi
+s=$(jq -r '.scenarios[] | select(.name | startswith("scale-up/clients-")) | .name' "$baseline")
+b_done=$(jq -r --arg n "$s" '.scenarios[] | select(.name == $n) | .summary.completed' "$baseline")
+n_done=$(jq -rs --arg n "$s" '[.[].scenarios[] | select(.name == $n) | .summary.completed] | min' "$@")
+if [ -z "$s" ] || [ "$n_done" = "null" ]; then
+  echo "FAIL ${s:-scale-up/clients-*}: scenario missing from baseline or new report" >&2
+  fail=1
+elif ! jq -ne --argjson new "$n_done" --argjson base "$b_done" \
+    '$new >= $base * 0.9 and $new <= $base * 1.1' >/dev/null; then
+  echo "FAIL $s: completed $n_done outside 10% of baseline $b_done" >&2
+  fail=1
 else
-  echo "skip parallel_gain           (single-core runner: domains only add barrier overhead)"
+  printf 'ok   %-24s %8s completed (baseline %s)\n' "$s" "$n_done" "$b_done"
 fi
-
-sweeps=$(jq -r '.scenarios[] | select(.name | startswith("scale-up/domains-")) | .name' "$baseline")
-for s in $sweeps; do
-  b_done=$(jq -r --arg n "$s" '.scenarios[] | select(.name == $n) | .summary.completed' "$baseline")
-  n_done=$(jq -rs --arg n "$s" '[.[].scenarios[] | select(.name == $n) | .summary.completed] | min' "$@")
-  if [ "$n_done" = "null" ]; then
-    echo "FAIL $s: scenario missing from new report" >&2
-    fail=1
-  elif ! jq -ne --argjson new "$n_done" --argjson base "$b_done" \
-      '$new >= $base * 0.9 and $new <= $base * 1.1' >/dev/null; then
-    echo "FAIL $s: completed $n_done outside 10% of baseline $b_done" >&2
-    fail=1
-  else
-    printf 'ok   %-24s %8s completed (baseline %s)\n' "$s" "$n_done" "$b_done"
-  fi
-done
 
 exit $fail

@@ -28,7 +28,6 @@ type t = {
   mutable nodes : Storage_node.t array;
   aux : Auxiliary.t;
   reconfig_host : Sim.Net.host;
-  nshards : int;  (* advisory host -> engine-shard placement *)
   mutable sequencer_count : int;
   mutable rebuild_scan : int;
   mutable spare_count : int;
@@ -129,8 +128,7 @@ let chains_of ~context ?(chain_length = 2) ?chains nodes =
       Array.init (count / chain_length)
         (fun set -> Array.init chain_length (fun i -> nodes.((set * chain_length) + i)))
 
-let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ?(shards = 1) ~servers () =
-  if shards < 1 then invalid_arg "Cluster.create: shards must be at least 1";
+let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ~servers () =
   let cluster_net =
     Sim.Net.create ~latency:params.net_latency_us ~bandwidth:params.nic_bandwidth
       ~jitter:params.net_jitter ()
@@ -151,7 +149,6 @@ let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ?(shards =
       nodes;
       aux;
       reconfig_host;
-      nshards = shards;
       sequencer_count = 1;
       rebuild_scan = 0;
       spare_count = 0;
@@ -169,24 +166,6 @@ let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ?(shards =
 
 let params t = t.p
 let net t = t.cluster_net
-let shards t = t.nshards
-
-(* Advisory placement: storage node [i] maps to shard [i mod shards];
-   every other host (sequencer, auxiliary, reconfig agent, clients)
-   stays on shard 0, where the corfu control and data planes — and the
-   process-global telemetry registries they feed — always execute. The
-   map steers co-location of modeled load (population stations) and
-   the cluster-info report; it does not move RPC execution off
-   shard 0. *)
-let shard_of_host t name =
-  if t.nshards = 1 then 0
-  else
-    match String.index_opt name '-' with
-    | Some i when String.sub name 0 i = "storage" -> (
-        match int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) with
-        | Some n when n >= 0 -> n mod t.nshards
-        | Some _ | None -> 0)
-    | Some _ | None -> 0
 let auxiliary t = t.aux
 let storage_nodes t = t.nodes
 let sequencer t = (Auxiliary.latest t.aux).Projection.sequencer

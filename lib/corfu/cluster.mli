@@ -8,21 +8,17 @@
 
 type t
 
-(** [create ?params ?chain_length ?chains ?shards ~servers ()] brings
+(** [create ?params ?chain_length ?chains ~servers ()] brings
     up the log with a single-segment (flat) projection. By default the
     servers split into uniform chains of [chain_length] (default 2);
     [~chains] gives explicit per-chain lengths instead, so any server
     count — including uneven chains — forms a valid segment.
-
-    [shards] (default 1) records the engine shard count this cluster
-    is deployed under; see {!shard_of_host} for the placement map.
     @raise Invalid_argument when the geometry does not cover exactly
     [servers] nodes; the message names the offending segment. *)
 val create :
   ?params:Sim.Params.t ->
   ?chain_length:int ->
   ?chains:int list ->
-  ?shards:int ->
   servers:int ->
   unit ->
   t
@@ -30,18 +26,6 @@ val create :
 val params : t -> Sim.Params.t
 val net : t -> Sim.Net.t
 
-(** Engine shard count this cluster was created for (1 = unsharded). *)
-val shards : t -> int
-
-(** [shard_of_host t name] is the advisory host → engine-shard
-    placement: storage node [i] maps to shard [i mod shards]; every
-    other host (sequencer, auxiliary, reconfig agent, clients) maps to
-    shard 0, where the corfu control/data planes — and the
-    process-global telemetry registries they feed — always execute.
-    The map steers co-location of modeled load (population stations)
-    and the [cluster-info] report; it does not move RPC execution off
-    shard 0. *)
-val shard_of_host : t -> string -> int
 val auxiliary : t -> Auxiliary.t
 
 (** Every storage node currently in the projection (all segments). *)

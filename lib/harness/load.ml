@@ -115,26 +115,9 @@ module Population = struct
       seed = 1;
     }
 
-  (* One driver's view: a contiguous block of modeled clients. All
-     fields are mutated only by the owning shard's events; shard 0
-     reads them after the completion signal (whose cross-shard
-     delivery provides the happens-before edge). *)
-  type driver = {
-    d_count : int;  (* clients in this block *)
-    d_out : int array;  (* per-client in-flight ops *)
-    d_rng : Sim.Rng.t;
-    mutable d_issued : int;
-    mutable d_dropped : int;
-    mutable d_completed : int;
-    mutable d_win_completed : int;  (* completions inside the window *)
-    d_lat : Sim.Stats.Series.t;  (* window latencies; frozen after m_end *)
-  }
-
   (* A modeled service station: [st_free.(i)] is the virtual time slot
-     [i] frees up. Mutated only by its owning shard. *)
+     [i] frees up. *)
   type station = { st_free : float array; st_rng : Sim.Rng.t }
-
-  type snapshot = { sn_issued : int; sn_dropped : int; sn_completed : int; sn_win : int }
 
   type result = {
     pop_report : report;
@@ -146,67 +129,60 @@ module Population = struct
 
   type t = {
     p_cfg : cfg;
-    p_shards : int;
-    p_drivers : driver array;  (* one per shard *)
+    p_out : int array;  (* per-client in-flight ops *)
+    p_rng : Sim.Rng.t;  (* the driver's arrival stream *)
     p_stations : station array;
-    p_snaps : snapshot array;  (* written by each shard at its deadline *)
-    mutable p_arrived : int;  (* shard-0 state *)
+    mutable p_issued : int;
+    mutable p_dropped : int;
+    mutable p_completed : int;
+    mutable p_win_completed : int;  (* completions inside the window *)
+    p_lat : Sim.Stats.Series.t;  (* window latencies; frozen after m_end *)
+    mutable p_result : result option;  (* set once the drain deadline passes *)
     mutable p_waiter : unit Sim.Engine.resumer option;
   }
 
-  let create ?(shards = 1) cfg =
-    if shards < 1 then invalid_arg "Population.create: shards must be at least 1";
-    if cfg.clients < shards then invalid_arg "Population.create: need at least one client per shard";
+  let create cfg =
+    if cfg.clients < 1 then invalid_arg "Population.create: need at least one client";
     if cfg.rate_per_client <= 0. then invalid_arg "Population.create: rate must be positive";
     if cfg.stations < 1 || cfg.station_slots < 1 then
       invalid_arg "Population.create: need at least one station and slot";
     if cfg.max_outstanding < 1 then
       invalid_arg "Population.create: max_outstanding must be at least 1";
-    let block = cfg.clients / shards and extra = cfg.clients mod shards in
     {
       p_cfg = cfg;
-      p_shards = shards;
-      p_drivers =
-        Array.init shards (fun k ->
-            {
-              d_count = (block + if k < extra then 1 else 0);
-              d_out = Array.make (block + if k < extra then 1 else 0) 0;
-              d_rng = Sim.Rng.create_stream cfg.seed ~stream:(101 + k);
-              d_issued = 0;
-              d_dropped = 0;
-              d_completed = 0;
-              d_win_completed = 0;
-              d_lat = Sim.Stats.Series.create ();
-            })
-        (* driver streams decorrelated from station streams below *);
+      p_out = Array.make cfg.clients 0;
+      (* driver and station streams are decorrelated *)
+      p_rng = Sim.Rng.create_stream cfg.seed ~stream:101;
       p_stations =
         Array.init cfg.stations (fun i ->
             {
               st_free = Array.make cfg.station_slots 0.;
               st_rng = Sim.Rng.create_stream cfg.seed ~stream:(100_001 + i);
             });
-      p_snaps = Array.make shards { sn_issued = 0; sn_dropped = 0; sn_completed = 0; sn_win = 0 };
-      p_arrived = 0;
+      p_issued = 0;
+      p_dropped = 0;
+      p_completed = 0;
+      p_win_completed = 0;
+      p_lat = Sim.Stats.Series.create ();
+      p_result = None;
       p_waiter = None;
     }
 
-  let station_shard p st = st mod p.p_shards
-
-  (* Runs on the client's shard when the modeled response lands. *)
-  let complete p ~shard ~client ~started =
-    let d = p.p_drivers.(shard) in
-    d.d_out.(client) <- d.d_out.(client) - 1;
-    d.d_completed <- d.d_completed + 1;
+  (* Runs when the modeled response lands back at the client. *)
+  let complete p ~client ~started =
+    p.p_out.(client) <- p.p_out.(client) - 1;
+    p.p_completed <- p.p_completed + 1;
     let now = Sim.Engine.now () in
     let m_start = p.p_cfg.warmup_us and m_end = p.p_cfg.warmup_us +. p.p_cfg.measure_us in
     if now >= m_start && now < m_end then begin
-      d.d_win_completed <- d.d_win_completed + 1;
-      Sim.Stats.Series.add d.d_lat (now -. started)
+      p.p_win_completed <- p.p_win_completed + 1;
+      Sim.Stats.Series.add p.p_lat (now -. started)
     end
 
-  (* Runs on the station's shard: queue for the least-loaded slot, pay
-     an exponential service time, send the response home. *)
-  let station_arrive p ~st ~shard ~client ~started =
+  (* Runs when a request reaches its station: queue for the
+     least-loaded slot, pay an exponential service time, send the
+     response home. *)
+  let station_arrive p ~st ~client ~started =
     let s = p.p_stations.(st) in
     let free = s.st_free in
     let best = ref 0 in
@@ -217,48 +193,54 @@ module Population = struct
     let start = if free.(!best) > now then free.(!best) else now in
     let fin = start +. Sim.Rng.exponential s.st_rng ~mean:p.p_cfg.service_us in
     free.(!best) <- fin;
-    Sim.Engine.post ~shard ~after:(fin -. now +. p.p_cfg.link_us) (fun () ->
-        complete p ~shard ~client ~started)
+    Sim.Engine.schedule ~after:(fin -. now +. p.p_cfg.link_us) (fun () ->
+        complete p ~client ~started)
 
-  let signal_done p shard =
-    let d = p.p_drivers.(shard) in
-    p.p_snaps.(shard) <-
-      {
-        sn_issued = d.d_issued;
-        sn_dropped = d.d_dropped;
-        sn_completed = d.d_completed;
-        sn_win = d.d_win_completed;
-      };
-    Sim.Engine.post ~shard:0 (fun () ->
-        p.p_arrived <- p.p_arrived + 1;
-        if p.p_arrived = p.p_shards then
-          match p.p_waiter with Some resume -> resume () | None -> ())
+  (* The counters as they stand at the drain deadline. *)
+  let snapshot p =
+    let seconds = p.p_cfg.measure_us /. 1e6 in
+    let lat pct =
+      if Sim.Stats.Series.count p.p_lat = 0 then 0. else Sim.Stats.Series.percentile p.p_lat pct
+    in
+    {
+      pop_report =
+        {
+          throughput = float_of_int p.p_win_completed /. seconds;
+          goodput = float_of_int p.p_win_completed /. seconds;
+          latency_mean_us = Sim.Stats.Series.mean p.p_lat;
+          latency_p50_us = lat 50.;
+          latency_p99_us = lat 99.;
+          samples = p.p_win_completed;
+        };
+      pop_issued = p.p_issued;
+      pop_completed = p.p_completed;
+      pop_dropped = p.p_dropped;
+      pop_inflight = p.p_issued - p.p_completed;
+    }
 
-  let shard_init p ~shard =
-    if shard < 0 || shard >= p.p_shards then invalid_arg "Population.shard_init: no such shard";
+  let start p =
     let cfg = p.p_cfg in
-    let d = p.p_drivers.(shard) in
     let gen_end = cfg.warmup_us +. cfg.measure_us in
     let deadline = gen_end +. cfg.drain_us in
-    (* One fiber drives the whole block: aggregate Poisson arrivals at
-       block-size × per-client rate, a uniform client pick per arrival
-       — statistically the superposition of per-client processes,
-       without a continuation per client. *)
-    let gap_mean = 1e6 /. (cfg.rate_per_client *. float_of_int d.d_count) in
+    (* One fiber drives every client: aggregate Poisson arrivals at
+       clients × per-client rate, a uniform client pick per arrival —
+       statistically the superposition of per-client processes, without
+       a continuation per client. *)
+    let gap_mean = 1e6 /. (cfg.rate_per_client *. float_of_int cfg.clients) in
     Sim.Engine.spawn (fun () ->
         let rec generate () =
-          Sim.Engine.sleep (Sim.Rng.exponential d.d_rng ~mean:gap_mean);
+          Sim.Engine.sleep (Sim.Rng.exponential p.p_rng ~mean:gap_mean);
           let now = Sim.Engine.now () in
           if now < gen_end then begin
-            let client = Sim.Rng.int d.d_rng d.d_count in
-            if d.d_out.(client) >= cfg.max_outstanding then d.d_dropped <- d.d_dropped + 1
+            let client = Sim.Rng.int p.p_rng cfg.clients in
+            if p.p_out.(client) >= cfg.max_outstanding then p.p_dropped <- p.p_dropped + 1
             else begin
-              d.d_out.(client) <- d.d_out.(client) + 1;
-              d.d_issued <- d.d_issued + 1;
-              let st = Sim.Rng.int d.d_rng cfg.stations in
+              p.p_out.(client) <- p.p_out.(client) + 1;
+              p.p_issued <- p.p_issued + 1;
+              let st = Sim.Rng.int p.p_rng cfg.stations in
               let started = now in
-              Sim.Engine.post ~shard:(station_shard p st) ~after:cfg.link_us (fun () ->
-                  station_arrive p ~st ~shard ~client ~started)
+              Sim.Engine.schedule ~after:cfg.link_us (fun () ->
+                  station_arrive p ~st ~client ~started)
             end;
             generate ()
           end
@@ -266,40 +248,17 @@ module Population = struct
         generate ();
         let now = Sim.Engine.now () in
         if deadline > now then Sim.Engine.sleep (deadline -. now);
-        signal_done p shard)
+        let r = snapshot p in
+        (* The hand-off is its own event so event counts stay
+           comparable with the committed scale-up baseline. *)
+        Sim.Engine.schedule ~after:0. (fun () ->
+            p.p_result <- Some r;
+            match p.p_waiter with Some resume -> resume () | None -> ()))
 
   let await p =
-    (if p.p_arrived < p.p_shards then
+    (if p.p_result = None then
        Sim.Engine.suspend (fun resume -> p.p_waiter <- Some resume));
-    let issued = ref 0 and dropped = ref 0 and completed = ref 0 and win = ref 0 in
-    Array.iter
-      (fun s ->
-        issued := !issued + s.sn_issued;
-        dropped := !dropped + s.sn_dropped;
-        completed := !completed + s.sn_completed;
-        win := !win + s.sn_win)
-      p.p_snaps;
-    let merged = Sim.Stats.Series.create () in
-    Array.iter (fun d -> Sim.Stats.Series.iter d.d_lat (Sim.Stats.Series.add merged)) p.p_drivers;
-    let seconds = p.p_cfg.measure_us /. 1e6 in
-    let lat pct =
-      if Sim.Stats.Series.count merged = 0 then 0. else Sim.Stats.Series.percentile merged pct
-    in
-    {
-      pop_report =
-        {
-          throughput = float_of_int !win /. seconds;
-          goodput = float_of_int !win /. seconds;
-          latency_mean_us = Sim.Stats.Series.mean merged;
-          latency_p50_us = lat 50.;
-          latency_p99_us = lat 99.;
-          samples = !win;
-        };
-      pop_issued = !issued;
-      pop_completed = !completed;
-      pop_dropped = !dropped;
-      pop_inflight = !issued - !completed;
-    }
+    match p.p_result with Some r -> r | None -> assert false
 end
 
 let measure_counter ?(warmup_us = 200_000.) ?(measure_us = 1_000_000.) get =

@@ -37,36 +37,26 @@ val open_loop :
   report
 
 (** Aggregate client-population model: open-loop load at 10⁴–10⁶
-    modeled clients without a fiber per client. One driver fiber per
-    engine shard produces the block's {e superposed} Poisson arrival
-    process (block-size × per-client rate) and tracks per-client
-    in-flight counts in plain int arrays; requests visit modeled
-    service stations (per-slot free-time arrays, exponential service)
-    and return a link delay later. Memory and event cost scale with
-    the arrival rate, not the client count.
-
-    Under {!Sim.Engine.run_sharded}, stations are placed round-robin
-    across shards and all client↔station traffic crosses via
-    {!Sim.Engine.post} at [link_us] — so the engine's lookahead must
-    be at most [link_us]. The whole model is deterministic: drivers
-    and stations draw from decorrelated {!Sim.Rng.create_stream}
+    modeled clients without a fiber per client. One driver fiber
+    produces the population's {e superposed} Poisson arrival process
+    (clients × per-client rate) and tracks per-client in-flight counts
+    in a plain int array; requests visit modeled service stations
+    (per-slot free-time arrays, exponential service) and return a link
+    delay later. Memory and event cost scale with the arrival rate,
+    not the client count. The whole model is deterministic: the driver
+    and every station draw from decorrelated {!Sim.Rng.create_stream}
     streams of [cfg.seed].
 
-    Usage (shard 0's driver starts from the main fiber; other shards
-    via [~init]):
+    Usage (from the main fiber):
     {[
-      let pop = Load.Population.create ~shards cfg in
-      Sim.Engine.run_sharded ~shards ~lookahead:cfg.link_us
-        ~init:(fun ~shard -> Load.Population.shard_init pop ~shard)
-        (fun () ->
-          Load.Population.shard_init pop ~shard:0;
+      let pop = Load.Population.create cfg in
+      Sim.Engine.run (fun () ->
+          Load.Population.start pop;
           Load.Population.await pop)
-    ]}
-    The same code runs unchanged (and byte-identically) under plain
-    {!Sim.Engine.run} with [shards = 1]. *)
+    ]} *)
 module Population : sig
   type cfg = {
-    clients : int;  (** total modeled clients across all shards *)
+    clients : int;  (** total modeled clients *)
     rate_per_client : float;  (** open-loop ops/s per client *)
     link_us : float;  (** one-way client↔station delay, µs *)
     service_us : float;  (** mean exponential service time, µs *)
@@ -76,7 +66,7 @@ module Population : sig
     warmup_us : float;  (** window start (absolute; population starts at t=0) *)
     measure_us : float;  (** window length *)
     drain_us : float;  (** grace after the window before snapshotting *)
-    seed : int;  (** RNG seed for drivers and stations *)
+    seed : int;  (** RNG seed for the driver and stations *)
   }
 
   (** Override with [{ default_cfg with ... }]. *)
@@ -92,21 +82,16 @@ module Population : sig
     pop_inflight : int;  (** [issued - completed] at the deadline *)
   }
 
-  (** [create ?shards cfg] preallocates every per-shard and per-station
-      structure — call it {e before} [Engine.run]/[run_sharded] so no
-      shard races the setup. [shards] (default 1) must match the run.
-      @raise Invalid_argument on a non-positive rate, fewer clients
-      than shards, or empty stations/slots. *)
-  val create : ?shards:int -> cfg -> t
+  (** [create cfg] preallocates the per-client and per-station state.
+      @raise Invalid_argument on no clients, a non-positive rate,
+      empty stations/slots or a [max_outstanding] below 1. *)
+  val create : cfg -> t
 
-  (** [shard_init t ~shard] spawns shard [shard]'s driver fiber. Call
-      once per shard: from the main fiber for shard 0, from
-      [run_sharded]'s [~init] for the rest. *)
-  val shard_init : t -> shard:int -> unit
+  (** [start t] spawns the driver fiber. Call once, inside a run. *)
+  val start : t -> unit
 
-  (** [await t] blocks the calling fiber (main, shard 0) until every
-      shard has hit its drain deadline, then merges the per-shard
-      windows into one result. *)
+  (** [await t] blocks the calling fiber until the driver has hit its
+      drain deadline, then returns the counters as they stood there. *)
   val await : t -> result
 end
 

@@ -1,36 +1,23 @@
-(* Banded event queue: the engine's dispatch structure, organised as
-   four time bands so every push and pop stays allocation-free and the
-   common operations stay O(1):
+(* The engine's dispatch structure: two bands, both allocation-free on
+   push and pop.
 
-     lane      events at the current clock — a FIFO ring (unchanged
-               from the flat-heap design; it absorbs resume/yield
-               storms, the bulk of timer-light workloads)
-     heap      the near band: a binary min-heap over parallel unboxed
-               arrays holding every pending event with time < wfloor
-     wheel     a calendar queue / timer wheel: [wheel_slots] buckets of
-               [wheel_g] µs covering [wfloor, wlimit); a push is an
-               O(1) append to its bucket
-     far       the far-future band: a second min-heap for everything
-               past the wheel horizon (measurement windows, timeouts,
-               think times)
+     lane      events at the current clock — a FIFO ring; it absorbs
+               resume/yield storms, the bulk of timer-light workloads
+     heap      every later event — a binary min-heap over parallel
+               unboxed arrays, ordered by (time, seq)
 
-   Order contract (unchanged): events dispatch in strict (time, seq)
-   order, exactly as a single heap would. The wheel and far band are
-   sound because every event they hold has time >= wfloor, every heap
-   event has time < wfloor, and lane entries carry push-time clocks
-   that never exceed the current dispatch time — so the global minimum
-   always sits in the lane or the heap. [refill] maintains that
-   invariant: when both are empty it advances the wheel window,
-   dumping one bucket at a time (and any far events that fall before
-   the advancing edge) into the heap, where (time, seq) heap order
-   restores the exact dispatch sequence.
+   Order contract: events dispatch in strict (time, seq) order, exactly
+   as a single heap would. Lane entries carry push-time clocks that
+   never exceed the current dispatch time and seqs from the same
+   monotonic counter, so the lane is itself sorted and the global
+   minimum is always the lane front or the heap top.
 
    No [option], no entry records: a push stores three scalars, a pop
    reads them back. [noop] is the sentinel thunk for empty slots so
    popped closures don't outlive their event. *)
 
 type t = {
-  (* near heap *)
+  (* heap *)
   mutable ht : float array;  (* times *)
   mutable hs : int array;  (* seqs *)
   mutable hk : (unit -> unit) array;  (* thunks *)
@@ -41,39 +28,18 @@ type t = {
   mutable lk : (unit -> unit) array;
   mutable lhead : int;
   mutable llen : int;
-  (* timer wheel *)
-  mutable wcur : int;  (* absolute bucket index at the window base *)
-  wfl : float array;  (* 2 slots: window [floor; limit) — a float-array
-                         store stays unboxed, unlike a mutable float
-                         field in this mixed record *)
-  mutable wcount : int;  (* events currently in the wheel *)
-  wbt : float array array;  (* per-slot times *)
-  wbs : int array array;  (* per-slot seqs *)
-  wbk : (unit -> unit) array array;  (* per-slot thunks *)
-  wblen : int array;
-  (* far-future heap *)
-  mutable ft : float array;
-  mutable fs : int array;
-  mutable fk : (unit -> unit) array;
-  mutable flen : int;
 }
-
-let wheel_slots = 256
-let wheel_mask = wheel_slots - 1
-
-(* 64 µs buckets cover a 16.4 ms window — wide enough that RPC-scale
-   delays land in the wheel while measurement sleeps overflow to the
-   far band. *)
-let wheel_g = 64.
 
 let noop () = ()
 
-let empty_f : float array = [||]
-let empty_i : int array = [||]
-let empty_k : (unit -> unit) array = [||]
-
+(* The lane's capacity stays a power of two so the index mask is a
+   [land]; the heap shares it as its initial size. *)
 let create ?(capacity = 256) () =
-  let cap = max 16 capacity in
+  let cap = ref 16 in
+  while !cap < capacity do
+    cap := 2 * !cap
+  done;
+  let cap = !cap in
   {
     ht = Array.make cap 0.;
     hs = Array.make cap 0;
@@ -84,25 +50,12 @@ let create ?(capacity = 256) () =
     lk = Array.make cap noop;
     lhead = 0;
     llen = 0;
-    wcur = 0;
-    wfl = [| 0.; wheel_g *. float_of_int wheel_slots |];
-    wcount = 0;
-    (* Buckets allocate lazily on first use: a queue that never pushes
-       past the near band costs three empty-array pointers per slot. *)
-    wbt = Array.make wheel_slots empty_f;
-    wbs = Array.make wheel_slots empty_i;
-    wbk = Array.make wheel_slots empty_k;
-    wblen = Array.make wheel_slots 0;
-    ft = Array.make cap 0.;
-    fs = Array.make cap 0;
-    fk = Array.make cap noop;
-    flen = 0;
   }
 
-let size q = q.hlen + q.llen + q.wcount + q.flen
-let is_empty q = q.hlen = 0 && q.llen = 0 && q.wcount = 0 && q.flen = 0
+let size q = q.hlen + q.llen
+let is_empty q = q.hlen = 0 && q.llen = 0
 
-(* -- near heap --------------------------------------------------------- *)
+(* -- heap -------------------------------------------------------------- *)
 
 let grow_heap q =
   let old = Array.length q.ht in
@@ -115,11 +68,9 @@ let grow_heap q =
   q.hs <- hs;
   q.hk <- hk
 
-(* Heap push: bubble the hole up instead of swapping, one write per
-   level plus the final triple store. Inlined into callers so the
-   [time] float never crosses a call boundary boxed — the bucket-dump
-   and far-migration loops must stay allocation-free. *)
-let[@inline always] heap_push q time seq thunk =
+(* Bubble the hole up instead of swapping: one write per level plus
+   the final triple store. *)
+let push q time seq thunk =
   if q.hlen = Array.length q.ht then grow_heap q;
   let ht = q.ht and hs = q.hs and hk = q.hk in
   let i = ref q.hlen in
@@ -183,163 +134,8 @@ let pop_heap q =
   end;
   thunk
 
-(* -- far heap: same shape, its own arrays ------------------------------ *)
+(* -- lane -------------------------------------------------------------- *)
 
-let grow_far q =
-  let old = Array.length q.ft in
-  let cap = 2 * old in
-  let ft = Array.make cap 0. and fs = Array.make cap 0 and fk = Array.make cap noop in
-  Array.blit q.ft 0 ft 0 q.flen;
-  Array.blit q.fs 0 fs 0 q.flen;
-  Array.blit q.fk 0 fk 0 q.flen;
-  q.ft <- ft;
-  q.fs <- fs;
-  q.fk <- fk
-
-let far_push q time seq thunk =
-  if q.flen = Array.length q.ft then grow_far q;
-  let ft = q.ft and fs = q.fs and fk = q.fk in
-  let i = ref q.flen in
-  q.flen <- q.flen + 1;
-  let stop = ref false in
-  while (not !stop) && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pt = Array.unsafe_get ft p in
-    if pt < time || (pt = time && Array.unsafe_get fs p < seq) then stop := true
-    else begin
-      Array.unsafe_set ft !i pt;
-      Array.unsafe_set fs !i (Array.unsafe_get fs p);
-      Array.unsafe_set fk !i (Array.unsafe_get fk p);
-      i := p
-    end
-  done;
-  Array.unsafe_set ft !i time;
-  Array.unsafe_set fs !i seq;
-  Array.unsafe_set fk !i thunk
-
-(* Pop the far minimum straight into the near heap — no intermediate
-   tuple, no allocation. *)
-let far_min_to_heap q =
-  let ft = q.ft and fs = q.fs and fk = q.fk in
-  heap_push q (Array.unsafe_get ft 0) (Array.unsafe_get fs 0) (Array.unsafe_get fk 0);
-  let len = q.flen - 1 in
-  q.flen <- len;
-  let time = Array.unsafe_get ft len in
-  let seq = Array.unsafe_get fs len in
-  let last = Array.unsafe_get fk len in
-  Array.unsafe_set fk len noop;
-  if len > 0 then begin
-    let i = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let l = (2 * !i) + 1 in
-      if l >= len then stop := true
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < len then begin
-            let ltm = Array.unsafe_get ft l and rtm = Array.unsafe_get ft r in
-            if rtm < ltm || (rtm = ltm && Array.unsafe_get fs r < Array.unsafe_get fs l) then r
-            else l
-          end
-          else l
-        in
-        let ct = Array.unsafe_get ft c in
-        if ct < time || (ct = time && Array.unsafe_get fs c < seq) then begin
-          Array.unsafe_set ft !i ct;
-          Array.unsafe_set fs !i (Array.unsafe_get fs c);
-          Array.unsafe_set fk !i (Array.unsafe_get fk c);
-          i := c
-        end
-        else stop := true
-      end
-    done;
-    Array.unsafe_set ft !i time;
-    Array.unsafe_set fs !i seq;
-    Array.unsafe_set fk !i last
-  end
-
-(* -- wheel ------------------------------------------------------------- *)
-
-let grow_bucket q slot =
-  let old = Array.length q.wbt.(slot) in
-  let cap = if old = 0 then 16 else 2 * old in
-  let bt = Array.make cap 0. and bs = Array.make cap 0 and bk = Array.make cap noop in
-  let n = q.wblen.(slot) in
-  Array.blit q.wbt.(slot) 0 bt 0 n;
-  Array.blit q.wbs.(slot) 0 bs 0 n;
-  Array.blit q.wbk.(slot) 0 bk 0 n;
-  q.wbt.(slot) <- bt;
-  q.wbs.(slot) <- bs;
-  q.wbk.(slot) <- bk
-
-let wheel_push q time seq thunk =
-  (* The bucket index is recovered from absolute time; clamping to
-     [wcur] guards the float-division round-off at the window base
-     (moving an event to an *earlier* bucket is always sound — the
-     near heap re-sorts — while a later bucket would dispatch late). *)
-  let b = int_of_float (time /. wheel_g) in
-  let b = if b < q.wcur then q.wcur else b in
-  let b = if b >= q.wcur + wheel_slots then q.wcur + wheel_slots - 1 else b in
-  let slot = b land wheel_mask in
-  let n = q.wblen.(slot) in
-  if n = Array.length q.wbt.(slot) then grow_bucket q slot;
-  Array.unsafe_set q.wbt.(slot) n time;
-  Array.unsafe_set q.wbs.(slot) n seq;
-  Array.unsafe_set q.wbk.(slot) n thunk;
-  q.wblen.(slot) <- n + 1;
-  q.wcount <- q.wcount + 1
-
-(* Advance the window one bucket: first drain far events that fall
-   before the advancing edge (they may predate wheel entries in the
-   bucket), then dump the bucket itself into the near heap. *)
-let advance_one q =
-  let edge = wheel_g *. float_of_int (q.wcur + 1) in
-  while q.flen > 0 && Array.unsafe_get q.ft 0 < edge do
-    far_min_to_heap q
-  done;
-  let slot = q.wcur land wheel_mask in
-  let n = q.wblen.(slot) in
-  if n > 0 then begin
-    let bt = q.wbt.(slot) and bs = q.wbs.(slot) and bk = q.wbk.(slot) in
-    for i = 0 to n - 1 do
-      heap_push q (Array.unsafe_get bt i) (Array.unsafe_get bs i) (Array.unsafe_get bk i)
-    done;
-    Array.fill bk 0 n noop;
-    q.wblen.(slot) <- 0;
-    q.wcount <- q.wcount - n
-  end;
-  q.wcur <- q.wcur + 1;
-  Array.unsafe_set q.wfl 0 (wheel_g *. float_of_int q.wcur);
-  Array.unsafe_set q.wfl 1 (wheel_g *. float_of_int (q.wcur + wheel_slots))
-
-(* Restore the dispatch invariant (near heap non-empty) by sliding the
-   wheel window forward. Caller guarantees there is something in the
-   wheel or the far band. An empty wheel jumps the window straight to
-   the far minimum instead of crawling bucket by bucket. *)
-let refill q =
-  while q.hlen = 0 do
-    if q.wcount = 0 then begin
-      let fmin = Array.unsafe_get q.ft 0 in
-      if fmin >= Array.unsafe_get q.wfl 1 then begin
-        let b = int_of_float (fmin /. wheel_g) in
-        let b = if b < q.wcur then q.wcur else b in
-        q.wcur <- b;
-        Array.unsafe_set q.wfl 0 (wheel_g *. float_of_int b);
-        Array.unsafe_set q.wfl 1 (wheel_g *. float_of_int (b + wheel_slots))
-      end
-    end;
-    advance_one q
-  done
-
-(* -- public push ------------------------------------------------------- *)
-
-let push q time seq thunk =
-  if time < Array.unsafe_get q.wfl 0 then heap_push q time seq thunk
-  else if time < Array.unsafe_get q.wfl 1 then wheel_push q time seq thunk
-  else far_push q time seq thunk
-
-(* Ring capacity stays a power of two so the index mask is a [land]. *)
 let grow_lane q =
   let old = Array.length q.lt in
   let cap = 2 * old in
@@ -368,36 +164,29 @@ let push_now q time seq thunk =
   Array.unsafe_set q.lk at thunk;
   q.llen <- q.llen + 1
 
+let pop_lane q =
+  let i = q.lhead in
+  let thunk = Array.unsafe_get q.lk i in
+  Array.unsafe_set q.lk i noop;
+  q.lhead <- (i + 1) land (Array.length q.lt - 1);
+  q.llen <- q.llen - 1;
+  thunk
+
 (* -- dispatch ---------------------------------------------------------- *)
 
-(* The near bands (lane + heap) are allowed to miss the global minimum
-   only while every wheel/far event provably sorts after the lane
-   front: wheel and far times are >= wfloor, so [wfloor > lane front]
-   certifies the lane. Otherwise — near heap empty, window not yet
-   past the lane front — slide the window until the heap can speak for
-   the wheel. In steady state the dumped bucket keeps wfloor just
-   ahead of the clock, so this almost never fires while the lane is
-   busy. *)
-let refill_needed q =
-  q.hlen = 0
-  && (q.wcount > 0 || q.flen > 0)
-  && (q.llen = 0 || Array.unsafe_get q.wfl 0 <= Array.unsafe_get q.lt q.lhead)
+(* True when the (time, seq)-minimum pending event sits in the lane. *)
+let next_is_lane q =
+  q.llen > 0
+  && (q.hlen = 0
+     ||
+     let lf = q.lhead in
+     let ht0 = Array.unsafe_get q.ht 0 and lt0 = Array.unsafe_get q.lt lf in
+     ht0 > lt0 || (ht0 = lt0 && Array.unsafe_get q.hs 0 > Array.unsafe_get q.ls lf))
 
-(* Time of the next event in dispatch order. Slides the wheel window
-   when needed — the one mutating accessor the dispatch loop calls;
-   after it returns, the next event is guaranteed to sit in the lane
-   or the near heap. *)
 let[@inline always] next_time_unboxed q =
-  if refill_needed q then refill q
-  else if q.hlen = 0 && q.llen = 0 then invalid_arg "Eventq.next_time: empty queue";
-  if q.llen = 0 then Array.unsafe_get q.ht 0
-  else if q.hlen = 0 then Array.unsafe_get q.lt q.lhead
-  else begin
-    let lf = q.lhead in
-    let ht0 = Array.unsafe_get q.ht 0 and lt0 = Array.unsafe_get q.lt lf in
-    if ht0 > lt0 || (ht0 = lt0 && Array.unsafe_get q.hs 0 > Array.unsafe_get q.ls lf) then lt0
-    else ht0
-  end
+  if next_is_lane q then Array.unsafe_get q.lt q.lhead
+  else if q.hlen > 0 then Array.unsafe_get q.ht 0
+  else invalid_arg "Eventq.next_time: empty queue"
 
 let next_time q = next_time_unboxed q
 
@@ -408,28 +197,9 @@ let next_time q = next_time_unboxed q
    store stays unboxed. *)
 let next_time_into q dst = Array.unsafe_set dst 0 (next_time_unboxed q)
 
-(* True when the (time, seq)-minimum pending event sits in the lane.
-   Meaningful only when the queue is non-empty and the near bands hold
-   the minimum — i.e. after {!next_time}. *)
-let next_is_lane q =
-  q.llen > 0
-  && (q.hlen = 0
-     ||
-     let lf = q.lhead in
-     let ht0 = Array.unsafe_get q.ht 0 and lt0 = Array.unsafe_get q.lt lf in
-     ht0 > lt0 || (ht0 = lt0 && Array.unsafe_get q.hs 0 > Array.unsafe_get q.ls lf))
-
-let pop_lane q =
-  let i = q.lhead in
-  let thunk = Array.unsafe_get q.lk i in
-  Array.unsafe_set q.lk i noop;
-  q.lhead <- (i + 1) land (Array.length q.lt - 1);
-  q.llen <- q.llen - 1;
-  thunk
-
 (* Convenience form for tests and benches; the engine's dispatch loop
-   calls next_time (which refills) and then the band-specific pop. *)
+   peeks with [next_time_into] and then calls the band-specific pop. *)
 let pop q =
-  if refill_needed q then refill q
-  else if q.hlen = 0 && q.llen = 0 then invalid_arg "Eventq.pop: empty queue";
-  if next_is_lane q then pop_lane q else pop_heap q
+  if next_is_lane q then pop_lane q
+  else if q.hlen > 0 then pop_heap q
+  else invalid_arg "Eventq.pop: empty queue"

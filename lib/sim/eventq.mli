@@ -1,26 +1,14 @@
-(** Banded, allocation-free event queue for the engine's dispatch
-    loop. Four time bands behind one abstract type:
+(** Allocation-free event queue for the engine's dispatch loop. Two
+    bands behind one abstract type:
 
     - an {e immediate lane} — a FIFO ring absorbing events scheduled
       at the current virtual time, which dominate resume/yield-heavy
-      workloads and bypass every priority structure;
-    - a {e near heap} — a binary min-heap over parallel unboxed arrays
-      (no [option] boxes, no entry records) holding events below the
-      wheel window;
-    - a {e timer wheel} — a 256-bucket calendar queue of 64 µs slots
-      covering a sliding ~16.4 ms window, making RPC-scale timer
-      pushes O(1);
-    - a {e far band} — a second min-heap for everything past the wheel
-      horizon (measurement windows, think times, timeouts).
+      workloads and bypass the heap;
+    - a {e heap} — a binary min-heap over parallel unboxed arrays (no
+      [option] boxes, no entry records) holding every later event.
 
-    Events dispatch in strict (time, seq) order, exactly as a single
-    heap would: wheel buckets and far events are migrated into the
-    near heap ({e refilled}) before they can become the minimum, and
-    the heap's (time, seq) order restores the exact dispatch sequence.
-    Refill happens inside {!next_time} and {!pop}; between a
-    {!next_time} and the matching {!pop_lane}/{!pop_heap} no
-    migration occurs, so the engine's split peek/pop dispatch remains
-    valid.
+    Events dispatch in strict (time, seq) order: the next event is
+    always the lane front or the heap top, whichever sorts first.
 
     The representation is abstract — dispatch call sites go through
     {!next_time}/{!next_is_lane} so the band structure can evolve
@@ -28,17 +16,19 @@
 
 type t
 
+(** [create ?capacity ()] preallocates both bands for [capacity]
+    events (default 256, rounded up to a power of two, at least 16);
+    either band doubles when it fills. *)
 val create : ?capacity:int -> unit -> t
 
-(** Pending events across all bands. *)
+(** Pending events across both bands. *)
 val size : t -> int
 
 val is_empty : t -> bool
 
-(** [push q time seq thunk] schedules at absolute [time]: O(1) into
-    the wheel for times inside the window, O(log n) into the near or
-    far heap otherwise. Allocation-free (amortised; growth doubles
-    the arrays). *)
+(** [push q time seq thunk] schedules at absolute [time]: O(log n)
+    into the heap. Allocation-free (amortised; growth doubles the
+    arrays). *)
 val push : t -> float -> int -> (unit -> unit) -> unit
 
 (** [push_now q time seq thunk] appends to the immediate lane: O(1),
@@ -47,10 +37,7 @@ val push : t -> float -> int -> (unit -> unit) -> unit
     counter as every other push — the engine's scheduling discipline. *)
 val push_now : t -> float -> int -> (unit -> unit) -> unit
 
-(** Time of the next event in dispatch order. May slide the wheel
-    window to restore the refill invariant; afterwards the next event
-    is guaranteed to sit in the lane or the near heap, so
-    {!next_is_lane} + {!pop_lane}/{!pop_heap} dispatch it.
+(** Time of the next event in dispatch order.
     @raise Invalid_argument on an empty queue. *)
 val next_time : t -> float
 
@@ -63,18 +50,16 @@ val next_time : t -> float
 val next_time_into : t -> float array -> unit
 
 (** Whether the (time, seq)-minimum pending event sits in the lane.
-    Meaningful only when the queue is non-empty and refilled — i.e.
-    after {!next_time}. *)
+    Meaningful only when the queue is non-empty. *)
 val next_is_lane : t -> bool
 
-(** Pop the lane front / near-heap top. Undefined on the respective
-    empty structure; callers gate on {!next_is_lane} after
-    {!next_time}. *)
+(** Pop the lane front / heap top. Undefined on the respective empty
+    structure; callers gate on {!next_is_lane}. *)
 val pop_lane : t -> unit -> unit
 
 val pop_heap : t -> unit -> unit
 
-(** [pop q] combines refill, the gate, and the pop — the convenience
-    form for tests and benches (the engine inlines the choice).
+(** [pop q] combines the gate and the pop — the convenience form for
+    tests and benches (the engine inlines the choice).
     @raise Invalid_argument on an empty queue. *)
 val pop : t -> unit -> unit

@@ -222,9 +222,3 @@ let send ?(req_bytes = 64) ~from svc req =
       end
 
 let one_way_delay t ~bytes = (2. *. float_of_int bytes *. t.byte_time) +. t.latency
-
-(* Jitter is a non-negative multiplicative perturbation (uniform in
-   [1, 1+jitter)), so the mean latency lower-bounds every propagation
-   delay on this fabric — the conservative lookahead window for
-   cross-shard synchronization. *)
-let lookahead t = t.latency

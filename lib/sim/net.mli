@@ -92,9 +92,3 @@ val send : ?req_bytes:int -> from:host -> ('req, unit) service -> 'req -> unit
     one hop, excluding queueing: serialization at both ends plus mean
     propagation latency. Useful for calibration printouts. *)
 val one_way_delay : t -> bytes:int -> float
-
-(** [lookahead t] is a sound conservative-synchronization window for
-    this fabric: no message propagates in less than the base latency
-    (jitter only lengthens delays), so sharded worlds linked by [t]
-    may pass [lookahead t] to {!Engine.run_sharded}. *)
-val lookahead : t -> float

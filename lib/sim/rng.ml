@@ -20,8 +20,7 @@ let split t = { state = int64 t }
 
 (* Stream [k] perturbs the seed by the mixed k-th multiple of the
    golden gamma — the same decorrelation step splitmix64 uses between
-   outputs. [mix 0L = 0L], so stream 0 is exactly [create seed]: the
-   single-shard world reproduces the unsharded stream bit-for-bit. *)
+   outputs. [mix 0L = 0L], so stream 0 is exactly [create seed]. *)
 let create_stream seed ~stream =
   { state = Int64.logxor (Int64.of_int seed) (mix (Int64.mul (Int64.of_int stream) golden_gamma)) }
 

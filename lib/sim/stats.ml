@@ -15,11 +15,6 @@ module Series = struct
 
   let count t = t.len
 
-  let iter t f =
-    for i = 0 to t.len - 1 do
-      f t.data.(i)
-    done
-
   let ensure_sorted t =
     if not t.sorted then begin
       let live = Array.sub t.data 0 t.len in

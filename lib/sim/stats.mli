@@ -11,10 +11,6 @@ module Series : sig
   val add : t -> float -> unit
   val count : t -> int
 
-  (** [iter t f] applies [f] to every sample in insertion order —
-      the merge hook for combining per-shard series. *)
-  val iter : t -> (float -> unit) -> unit
-
   val mean : t -> float
 
   (** [percentile t p] with [p] in [\[0,100\]]; 50.0 is the median.

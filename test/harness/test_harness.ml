@@ -154,17 +154,11 @@ let pop_cfg =
     seed = 9;
   }
 
-let run_population ?(shards = 1) cfg =
-  let pop = Load.Population.create ~shards cfg in
-  let body () =
-    Load.Population.shard_init pop ~shard:0;
-    Load.Population.await pop
-  in
-  if shards = 1 then Sim.Engine.run body
-  else
-    Sim.Engine.run_sharded ~shards ~lookahead:cfg.Load.Population.link_us
-      ~init:(fun ~shard -> Load.Population.shard_init pop ~shard)
-      body
+let run_population cfg =
+  let pop = Load.Population.create cfg in
+  Sim.Engine.run (fun () ->
+      Load.Population.start pop;
+      Load.Population.await pop)
 
 let test_population_conservation () =
   let r = run_population pop_cfg in
@@ -198,24 +192,14 @@ let test_population_deterministic () =
   let a = run_population pop_cfg and b = run_population pop_cfg in
   check_bool "same-seed population runs identical" true (a = b)
 
-let test_population_sharded () =
-  (* Two domains: conservation and determinism must survive the
-     cross-shard client↔station traffic. *)
-  let a = run_population ~shards:2 pop_cfg in
-  let b = run_population ~shards:2 pop_cfg in
-  let open Load.Population in
-  Alcotest.(check int) "sharded conservation" a.pop_issued (a.pop_completed + a.pop_inflight);
-  check_bool "sharded issued some load" true (a.pop_issued > 300);
-  check_bool "sharded same-seed runs identical" true (a = b)
-
 let test_population_invalid_cfg () =
   let open Load.Population in
   Alcotest.check_raises "bad rate"
     (Invalid_argument "Population.create: rate must be positive") (fun () ->
       ignore (create { pop_cfg with rate_per_client = 0. }));
-  Alcotest.check_raises "fewer clients than shards"
-    (Invalid_argument "Population.create: need at least one client per shard") (fun () ->
-      ignore (create ~shards:8 { pop_cfg with clients = 4 }));
+  Alcotest.check_raises "no clients"
+    (Invalid_argument "Population.create: need at least one client") (fun () ->
+      ignore (create { pop_cfg with clients = 0 }));
   Alcotest.check_raises "no stations"
     (Invalid_argument "Population.create: need at least one station and slot") (fun () ->
       ignore (create { pop_cfg with stations = 0 }))
@@ -913,8 +897,6 @@ let () =
           Alcotest.test_case "conservation" `Quick test_population_conservation;
           Alcotest.test_case "drops under tight cap" `Quick test_population_drops_under_cap;
           Alcotest.test_case "deterministic" `Quick test_population_deterministic;
-          Alcotest.test_case "sharded conservation and determinism" `Quick
-            test_population_sharded;
           Alcotest.test_case "rejects bad config" `Quick test_population_invalid_cfg;
         ] );
       ( "linearizability",

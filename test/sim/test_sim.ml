@@ -126,6 +126,15 @@ let test_determinism () =
   in
   check_float "same trace" (experiment ()) (experiment ())
 
+let test_spawn_past_raises () =
+  Engine.run (fun () ->
+      Engine.sleep 100.;
+      Alcotest.check_raises "past ~at rejected"
+        (Invalid_argument "Sim.Engine.spawn: ~at is in the past") (fun () ->
+          Engine.spawn ~at:50. (fun () -> ()));
+      (* The boundary case — exactly now — is fine. *)
+      Engine.spawn ~at:100. (fun () -> ()))
+
 (* ------------------------------------------------------------------ *)
 (* Ivar                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1206,28 +1215,33 @@ let eventq_nothing () = ()
 
 let test_eventq_heap_order () =
   (* Heap-only pushes in random order must pop in (time, seq) order,
-     matching a reference sort. *)
+     matching a reference sort: dense ties on a quarter-µs grid, and
+     times spread over [0, 10^6) µs pushed into a capacity-4 queue so
+     the heap grows while it fills. *)
+  let check ~name ~capacity entries =
+    let q = Eventq.create ~capacity () in
+    let popped = ref [] in
+    Array.iter
+      (fun (t, s) -> Eventq.push q t s (fun () -> popped := (t, s) :: !popped))
+      entries;
+    check_int (name ^ " size") (Array.length entries) (Eventq.size q);
+    while not (Eventq.is_empty q) do
+      (Eventq.pop q) ()
+    done;
+    let got = List.rev !popped in
+    let want =
+      Array.to_list entries
+      |> List.sort (fun (t1, s1) (t2, s2) ->
+             match compare t1 t2 with 0 -> compare s1 s2 | c -> c)
+    in
+    Alcotest.(check (list (pair (float 0.) int))) (name ^ " pops sorted") want got
+  in
   let rng = Random.State.make [| 7 |] in
-  let n = 500 in
-  let entries =
-    Array.init n (fun seq -> (float_of_int (Random.State.int rng 40) /. 4., seq))
-  in
-  let q = Eventq.create ~capacity:16 () in
-  let popped = ref [] in
-  Array.iter
-    (fun (t, s) -> Eventq.push q t s (fun () -> popped := (t, s) :: !popped))
-    entries;
-  check_int "size" n (Eventq.size q);
-  while not (Eventq.is_empty q) do
-    (Eventq.pop q) ()
-  done;
-  let got = List.rev !popped in
-  let want =
-    Array.to_list entries
-    |> List.sort (fun (t1, s1) (t2, s2) ->
-           match compare t1 t2 with 0 -> compare s1 s2 | c -> c)
-  in
-  Alcotest.(check (list (pair (float 0.) int))) "heap pops sorted" want got
+  check ~name:"dense" ~capacity:16
+    (Array.init 500 (fun seq -> (float_of_int (Random.State.int rng 40) /. 4., seq)));
+  let rng = Random.State.make [| 43 |] in
+  check ~name:"spread" ~capacity:4
+    (Array.init 800 (fun seq -> (float_of_int (Random.State.int rng 1_000_000), seq)))
 
 let test_eventq_lane_interleave () =
   (* Mimic the engine's discipline: lane pushes always carry the
@@ -1296,46 +1310,46 @@ let test_eventq_zero_alloc_drain () =
 
 let test_eventq_growth () =
   (* Push far past the initial capacity (heap and lane both grow, the
-     lane while wrapped) and check nothing is lost or reordered. *)
-  let q = Eventq.create ~capacity:16 () in
-  let hits = ref 0 in
-  (* Wrap the lane ring: push/pop a few to advance lhead first. *)
-  for s = 0 to 9 do
-    Eventq.push_now q 0. s (fun () -> incr hits)
-  done;
-  for _ = 0 to 9 do
-    (Eventq.pop q) ()
-  done;
-  for s = 10 to 200 do
-    Eventq.push_now q 0. s (fun () -> incr hits)
-  done;
-  for s = 201 to 400 do
-    Eventq.push q 1. s (fun () -> incr hits)
-  done;
-  let last_t = ref (-1.) in
-  while not (Eventq.is_empty q) do
-    let t = Eventq.next_time q in
-    check_bool "nondecreasing" true (t >= !last_t);
-    last_t := t;
-    (Eventq.pop q) ()
-  done;
-  check_int "all events ran" 401 !hits
+     lane while wrapped) and check nothing is lost or reordered. A
+     capacity that is not a power of two must work too. *)
+  List.iter
+    (fun capacity ->
+      let q = Eventq.create ~capacity () in
+      let hits = ref 0 in
+      (* Wrap the lane ring: push/pop a few to advance lhead first. *)
+      for s = 0 to 9 do
+        Eventq.push_now q 0. s (fun () -> incr hits)
+      done;
+      for _ = 0 to 9 do
+        (Eventq.pop q) ()
+      done;
+      for s = 10 to 200 do
+        Eventq.push_now q 0. s (fun () -> incr hits)
+      done;
+      for s = 201 to 400 do
+        Eventq.push q 1. s (fun () -> incr hits)
+      done;
+      let last_t = ref (-1.) in
+      while not (Eventq.is_empty q) do
+        let t = Eventq.next_time q in
+        check_bool "nondecreasing" true (t >= !last_t);
+        last_t := t;
+        (Eventq.pop q) ()
+      done;
+      check_int "all events ran" 401 !hits)
+    [ 16; 20 ]
 
 let test_eventq_band_ordering () =
-  (* Times spanning all four bands — lane (push_now), near heap, the
-     256-bucket wheel window and the far heap beyond it — must still
-     dispatch in global (time, seq) order. wheel granularity is 64 µs ×
-     256 slots, so the wheel window ends at 16384 µs from the floor:
-     [0, 60000) crosses it several times over as the floor advances. *)
+  (* Heap pushes spread over [0, 60000) µs, drained while lane pushes
+     at the current clock keep arriving, must dispatch in global time
+     order: same-time lane work never leapfrogs or lags the heap. *)
   let rng = Random.State.make [| 41 |] in
   let q = Eventq.create ~capacity:16 () in
   let n = 800 in
   let entries =
     Array.init n (fun seq -> (float_of_int (Random.State.int rng 600) *. 100., seq))
   in
-  Array.iter
-    (fun (t, s) -> Eventq.push q t s (fun () -> ()))
-    entries;
+  Array.iter (fun (t, s) -> Eventq.push q t s (fun () -> ())) entries;
   check_int "size" n (Eventq.size q);
   let got = ref [] in
   let clock = ref 0. in
@@ -1347,7 +1361,6 @@ let test_eventq_band_ordering () =
     clock := t;
     (Eventq.pop q) ();
     got := t :: !got;
-    (* Lane churn while draining: same-time work must not leapfrog. *)
     if !extra < 200 && Random.State.int rng 4 = 0 then begin
       incr extra;
       Eventq.push_now q !clock !seq (fun () -> ());
@@ -1357,9 +1370,9 @@ let test_eventq_band_ordering () =
   check_int "all dispatched" (n + !extra) (List.length !got)
 
 let test_eventq_far_band_growth () =
-  (* Everything lands beyond the wheel window (>= 16384 µs) in a
-     capacity-4 queue: the far heap must grow and refill must chase the
-     minimum across wheel jumps without losing or reordering events. *)
+  (* Far-future times (20000 µs and up) pushed into a capacity-4 queue:
+     the heap must grow many times over without losing or reordering
+     events. *)
   let rng = Random.State.make [| 43 |] in
   let q = Eventq.create ~capacity:4 () in
   let n = 300 in
@@ -1376,142 +1389,6 @@ let test_eventq_far_band_growth () =
     incr popped
   done;
   check_int "far band complete" n !popped
-
-(* ------------------------------------------------------------------ *)
-(* Sharded engine                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_spawn_past_raises () =
-  Sim.Engine.run (fun () ->
-      Sim.Engine.sleep 100.;
-      Alcotest.check_raises "past ~at rejected"
-        (Invalid_argument "Sim.Engine.spawn: ~at is in the past") (fun () ->
-          Sim.Engine.spawn ~at:50. (fun () -> ()));
-      (* The boundary case — exactly now — is fine. *)
-      Sim.Engine.spawn ~at:100. (fun () -> ()))
-
-(* A small cross-shard workload whose shard-0 trace digests the merge
-   order: shard 1 sleeps exponential gaps and posts (arrival time, i,
-   rng draw) home; shard 0 records them. Any nondeterminism in window
-   sizing, merge order or RNG streams changes the digest. *)
-let sharded_trace ~seed ~shards ~lookahead =
-  let trace = Buffer.create 256 in
-  let remaining = ref (20 * max 1 (shards - 1)) in
-  let waiter = ref None in
-  let record i v =
-    Buffer.add_string trace
-      (Printf.sprintf "%.17g %d %d;" (Sim.Engine.now ()) i v);
-    decr remaining;
-    if !remaining = 0 then match !waiter with Some k -> k () | None -> ()
-  in
-  let sender ~shard =
-    Sim.Engine.spawn (fun () ->
-        let rng = Sim.Engine.rng () in
-        for i = 1 to 20 do
-          Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:50.);
-          let v = Sim.Rng.int rng 1000 in
-          let tag = (shard * 100) + i in
-          Sim.Engine.post ~shard:0 (fun () -> record tag v)
-        done)
-  in
-  let main () =
-    if !remaining > 0 then Sim.Engine.suspend (fun k -> waiter := Some k);
-    Buffer.contents trace
-  in
-  if shards = 1 then begin
-    remaining := 20;
-    Sim.Engine.run_sharded ~seed ~shards:1 ~lookahead (fun () ->
-        sender ~shard:0;
-        main ())
-  end
-  else
-    Sim.Engine.run_sharded ~seed ~shards ~lookahead
-      ~init:(fun ~shard -> sender ~shard)
-      main
-
-let test_sharded_single_matches_plain () =
-  (* shards = 1 must be byte-identical to the plain engine. *)
-  let plain =
-    let trace = Buffer.create 256 in
-    Sim.Engine.run ~seed:5 (fun () ->
-        let rng = Sim.Engine.rng () in
-        for i = 1 to 20 do
-          Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:50.);
-          let v = Sim.Rng.int rng 1000 in
-          Sim.Engine.schedule ~after:0. (fun () ->
-              Buffer.add_string trace
-                (Printf.sprintf "%.17g %d %d;" (Sim.Engine.now ()) i v))
-        done;
-        Sim.Engine.sleep 10_000.;
-        Buffer.contents trace)
-  in
-  let sharded =
-    let trace = Buffer.create 256 in
-    Sim.Engine.run_sharded ~seed:5 ~shards:1 ~lookahead:0. (fun () ->
-        let rng = Sim.Engine.rng () in
-        for i = 1 to 20 do
-          Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:50.);
-          let v = Sim.Rng.int rng 1000 in
-          Sim.Engine.post ~shard:0 ~after:0. (fun () ->
-              Buffer.add_string trace
-                (Printf.sprintf "%.17g %d %d;" (Sim.Engine.now ()) i v))
-        done;
-        Sim.Engine.sleep 10_000.;
-        Buffer.contents trace)
-  in
-  Alcotest.(check string) "single-shard trace identical" plain sharded
-
-let test_sharded_deterministic () =
-  (* Two same-seed multi-domain runs must produce identical traces,
-     independent of OS scheduling of the worker domains. *)
-  let a = sharded_trace ~seed:11 ~shards:3 ~lookahead:10. in
-  let b = sharded_trace ~seed:11 ~shards:3 ~lookahead:10. in
-  check_bool "trace nonempty" true (String.length a > 0);
-  Alcotest.(check string) "same-seed runs identical" a b;
-  let c = sharded_trace ~seed:12 ~shards:3 ~lookahead:10. in
-  check_bool "different seed diverges" true (not (String.equal a c))
-
-let test_sharded_post_below_lookahead_raises () =
-  Alcotest.check_raises "below-lookahead cross-shard post rejected"
-    (Invalid_argument "Sim.Engine.post: cross-shard delay below the lookahead window")
-    (fun () ->
-      Sim.Engine.run_sharded ~shards:2 ~lookahead:10. (fun () ->
-          Sim.Engine.post ~shard:1 ~after:5. (fun () -> ())))
-
-let test_sharded_unknown_shard_raises () =
-  Alcotest.check_raises "unknown shard rejected"
-    (Invalid_argument "Sim.Engine.post: no such shard") (fun () ->
-      Sim.Engine.run_sharded ~shards:2 ~lookahead:10. (fun () ->
-          Sim.Engine.post ~shard:2 (fun () -> ())))
-
-let test_sharded_deadlock () =
-  (* Main suspends forever; every shard drains. The coordinator must
-     detect the global deadlock instead of spinning on empty windows. *)
-  Alcotest.check_raises "sharded deadlock detected" Sim.Engine.Deadlock (fun () ->
-      ignore
-        (Sim.Engine.run_sharded ~shards:2 ~lookahead:10. (fun () ->
-             Sim.Engine.suspend (fun (_ : unit Sim.Engine.resumer) -> ()))))
-
-let test_sharded_horizon () =
-  Alcotest.check_raises "sharded horizon enforced" (Sim.Engine.Horizon_reached 100.) (fun () ->
-      ignore
-        (Sim.Engine.run_sharded ~shards:2 ~lookahead:10. ~until:100. (fun () ->
-             let rec loop () =
-               Sim.Engine.sleep 30.;
-               loop ()
-             in
-             loop ())))
-
-let test_sharded_stats_populated () =
-  let (_ : string) = sharded_trace ~seed:7 ~shards:2 ~lookahead:10. in
-  let stats = Sim.Engine.last_shard_stats () in
-  check_int "one stat per shard" 2 (Array.length stats);
-  check_bool "windows ran" true (Sim.Engine.last_windows () > 0);
-  check_bool "shard 0 dispatched events" true (stats.(0).Sim.Engine.sh_events > 0);
-  check_bool "shard 1 sent messages" true (stats.(1).Sim.Engine.sh_msgs_out >= 20);
-  check_int "deliveries match sends"
-    (stats.(0).Sim.Engine.sh_msgs_out + stats.(1).Sim.Engine.sh_msgs_out)
-    (stats.(0).Sim.Engine.sh_msgs_in + stats.(1).Sim.Engine.sh_msgs_in)
 
 let () =
   Alcotest.run "sim"
@@ -1532,6 +1409,7 @@ let () =
           Alcotest.test_case "fiber ids unique" `Quick test_fiber_ids_unique;
           Alcotest.test_case "schedule thunk" `Quick test_schedule_thunk;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
+          Alcotest.test_case "spawn ~at past raises" `Quick test_spawn_past_raises;
         ] );
       ( "eventq",
         [
@@ -1543,20 +1421,6 @@ let () =
           Alcotest.test_case "growth preserves events" `Quick test_eventq_growth;
           Alcotest.test_case "band ordering across wheel/far" `Quick test_eventq_band_ordering;
           Alcotest.test_case "far band growth" `Quick test_eventq_far_band_growth;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "spawn ~at past raises" `Quick test_spawn_past_raises;
-          Alcotest.test_case "single shard matches plain run" `Quick
-            test_sharded_single_matches_plain;
-          Alcotest.test_case "multi-domain runs deterministic" `Quick test_sharded_deterministic;
-          Alcotest.test_case "post below lookahead raises" `Quick
-            test_sharded_post_below_lookahead_raises;
-          Alcotest.test_case "post to unknown shard raises" `Quick
-            test_sharded_unknown_shard_raises;
-          Alcotest.test_case "deadlock detected across shards" `Quick test_sharded_deadlock;
-          Alcotest.test_case "horizon enforced across shards" `Quick test_sharded_horizon;
-          Alcotest.test_case "shard stats populated" `Quick test_sharded_stats_populated;
         ] );
       ( "ivar",
         [
