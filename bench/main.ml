@@ -1405,7 +1405,11 @@ let micro_hotpath () =
      (flight events and window seals are virtually timestamped), so
      they run inside one engine run; the clock is frozen, which the
      aggregation treats as a zero-length window (rate 0). *)
-  let (fl_ns, fl_words), (ts_ns, ts_words), (slo_ns, slo_words), (sp_ns, sp_words) =
+  let ( (fl_ns, fl_words),
+        (ts_ns, ts_words),
+        (slo_ns, slo_words),
+        (sp_ns, sp_words),
+        (an_ns, an_words) ) =
     Sim.Engine.run ~seed:0 (fun () ->
         let flight_was = Sim.Flight.enabled () in
         Sim.Flight.set_enabled true;
@@ -1451,12 +1455,25 @@ let micro_hotpath () =
                   (fun () -> Sim.Metrics.incr work)
               else Sim.Metrics.incr work)
         in
-        (fl, ts, slo, sp))
+        (* announce-off: the guarded Append_acked call-site pattern
+           (corfu client) with no trace, flight or subscriber armed —
+           the branch must be the whole cost, 0.000 minor-words/op. *)
+        assert (not (Sim.Announce.active ()));
+        let streams = [ 7 ] in
+        let an =
+          hot_measure ~ops:200_000 (fun () ->
+              if Sim.Announce.active () then
+                Sim.Announce.emit
+                  (Sim.Announce.Append_acked { client = "bench"; offset = 1; streams }))
+        in
+        (fl, ts, slo, sp, an))
   in
   hot_report ~name:"flight.record" fl_ns fl_words;
   hot_report ~name:"timeseries.tick" ts_ns ts_words;
   hot_report ~name:"slo.eval" slo_ns slo_words;
-  hot_report ~name:"span-off" sp_ns sp_words
+  hot_report ~name:"span-off" sp_ns sp_words;
+  hot_report ~name:"announce-off" an_ns an_words;
+  if an_words >= 0.0005 then failwith "announce-off: the disarmed milestone path allocates"
 
 (* Whole-run wall-clock throughput: a fixed fig5-style closed loop,
    reported as simulation events (and appends) per second of real

@@ -248,10 +248,10 @@ let involved_hosted t (c : Record.commit) =
   in
   List.sort_uniq Int.compare oids |> List.filter_map (Hashtbl.find_opt t.objects)
 
-(* Spec-plane milestones (Sim.Announce): decision recorded, commit
-   writes applied, transaction boundaries. Every emission is guarded,
-   so runs without subscribed monitors pay one branch and allocate
-   nothing. *)
+(* Runtime milestones (Sim.Announce): decision recorded, commit writes
+   applied, commit parked, decision timeout, transaction boundaries.
+   Every emission is guarded, so runs with nothing armed pay one branch
+   and allocate nothing. *)
 let announce_host t = Sim.Net.host_name (Corfu.Client.host t.cl)
 
 let announce_decided t pos committed =
@@ -272,10 +272,6 @@ let eager_outcome_ref : (t -> int -> Record.commit -> bool option) ref =
    which may now be decidable. *)
 let rec resolve t target committed =
   if not (Hashtbl.mem t.decided target) then begin
-    Sim.Trace.f "tango" "%s resolves commit @%d -> %s"
-      (Sim.Net.host_name (Corfu.Client.host t.cl))
-      target
-      (if committed then "commit" else "abort");
     Hashtbl.replace t.decided target committed;
     announce_decided t target committed;
     match Hashtbl.find_opt t.undecided target with
@@ -340,9 +336,15 @@ and try_decide t cpos =
 (* Freeze all hosted involved objects at [cpos] and queue the commit
    point; every object is exactly at [cpos] when this is called. *)
 and park_commit t cpos (c : Record.commit) ~involved =
-  Sim.Trace.f "tango" "%s parks commit @%d (reads %d, writes %d)"
-    (Sim.Net.host_name (Corfu.Client.host t.cl))
-    cpos (List.length c.c_reads) (List.length c.c_writes);
+  if Sim.Announce.active () then
+    Sim.Announce.emit
+      (Sim.Announce.Commit_parked
+         {
+           client = announce_host t;
+           pos = cpos;
+           reads = List.length c.c_reads;
+           writes = List.length c.c_writes;
+         });
   Hashtbl.replace t.undecided cpos c;
   List.iter
     (fun ho ->
@@ -460,9 +462,9 @@ and spawn_decision_watchdog t cpos c =
   Sim.Engine.spawn (fun () ->
       Sim.Engine.sleep t.decision_timeout_us;
       if Hashtbl.mem t.undecided cpos then begin
-        Sim.Trace.f "tango" "%s decision timeout @%d: reconstructing from the log"
-          (Sim.Net.host_name (Corfu.Client.host t.cl))
-          cpos;
+        if Sim.Announce.active () then
+          Sim.Announce.emit
+            (Sim.Announce.Decision_timeout { client = announce_host t; pos = cpos });
         let committed = reconstruct_outcome t cpos c in
         Sim.Resource.acquire t.play_lock;
         Fun.protect

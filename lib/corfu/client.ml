@@ -83,8 +83,9 @@ let note_retry t = Sim.Metrics.incr t.retries
 let refresh t =
   t.proj <- Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
       (Auxiliary.latest_service t.aux) ();
-  Sim.Trace.f ~host:(Sim.Net.host_name t.client_host) "corfu" "adopted projection epoch %d"
-    t.proj.Projection.epoch
+  if Sim.Announce.active () then
+    Sim.Announce.emit
+      (Sim.Announce.Epoch_adopted { client = hname t; epoch = t.proj.Projection.epoch })
 
 (* ------------------------------------------------------------------ *)
 (* Chain replication, client-driven                                   *)
@@ -613,7 +614,8 @@ let fill_inner t off =
         let backoff = down_retry t backoff in
         attempt backoff
     | Ok head_resp -> (
-        Sim.Trace.f ~host:(Sim.Net.host_name t.client_host) "corfu" "filling hole at %d" off;
+        if Sim.Announce.active () then
+          Sim.Announce.emit (Sim.Announce.Hole_filled { client = hname t; offset = off });
         match head_resp with
         | Types.Write_ok | Types.Already_written Types.Junk ->
             let sealed, _ = write_rest Types.Junk 1 in

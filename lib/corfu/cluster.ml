@@ -391,8 +391,8 @@ let replace_sequencer t =
   if not failpoints.fp_skip_rebuild_scan then scan (tail - 1);
   t.rebuild_scan <- !scanned;
   Sim.Metrics.add (Sim.Metrics.counter "cluster.rebuild_scanned") !scanned;
-  Sim.Trace.f "reconfig" "epoch %d: tail %d rebuilt after scanning %d entries" epoch tail
-    !scanned;
+  if Sim.Announce.active () then
+    Sim.Announce.emit (Sim.Announce.Tail_rebuilt { epoch; tail; scanned = !scanned });
   (* 4. Fresh sequencer seeded with the reconstructed state. *)
   let name = Printf.sprintf "sequencer-%d" t.sequencer_count in
   t.sequencer_count <- t.sequencer_count + 1;
@@ -443,8 +443,6 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
     (* Already replaced by a concurrent recovery (the monitor and a
        scheduled fault-plan action can race to the same corpse): the
        cluster is in the state the caller wanted. *)
-    Sim.Trace.f ~host:(Storage_node.name dead) "reconfig"
-      "already out of the projection: replacement is a no-op";
     old_proj.Projection.epoch
   end
   else
@@ -454,8 +452,6 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
   @@ fun () ->
   let started = Sim.Engine.now () in
   announce_started "storage";
-  Sim.Trace.f ~host:(Storage_node.name dead) "reconfig"
-    "replacing a member of %d segment chain(s) at epoch %d" (List.length slots) epoch;
   (* 1. Seal the sequencer at the new epoch. It stays in the next
      projection — storage replacement does not lose allocation state —
      so this only forces every client through a projection refresh,
@@ -558,8 +554,8 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
           in
           match survivor with
           | None ->
-              Sim.Trace.f "reconfig" "set %d of segment %d has no surviving replica: spare holds no prefix"
-                s si
+              if Sim.Announce.active () then
+                Sim.Announce.emit (Sim.Announce.Prefix_lost { segment = si; set = s })
           | Some src ->
               let src_tail =
                 match Hashtbl.find_opt tails (Storage_node.name src) with
@@ -614,9 +610,6 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
       rec_copied_bytes = !copied_bytes;
     }
     :: t.recoveries;
-  Sim.Trace.f ~host:spare_name "reconfig"
-    "epoch %d installed: %s -> %s, copied %d cells (%d bytes) in %.0f us" epoch
-    (Storage_node.name dead) spare_name !copied_entries !copied_bytes (installed -. started);
   announce_installed "storage" epoch;
   epoch
 
@@ -715,8 +708,6 @@ let reseal_with_tail t ~kind ~started new_sets_of =
     }
   in
   t.scale_events <- event :: t.scale_events;
-  Sim.Trace.f "reconfig" "epoch %d: tail segment sealed at %d, %d -> %d servers, %d segments"
-    epoch boundary servers_before event.sc_servers_after event.sc_segments;
   announce_installed kind_name epoch;
   epoch
 
@@ -853,8 +844,6 @@ let retire_trimmed_segments t =
     in
     t.scale_events <- event :: t.scale_events;
     Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements");
-    Sim.Trace.f "reconfig" "epoch %d: retired %d segment(s) below %d, released [%s]" epoch
-      !retire event.sc_boundary (String.concat "; " released);
     announce_installed "retire" epoch;
     Some epoch
   end
@@ -891,7 +880,8 @@ let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10
           | node :: rest ->
               if probe epoch node || probe epoch node then scan rest
               else begin
-                Sim.Trace.f ~host:(Storage_node.name node) "monitor" "no response to two probes: declared dead";
+                if Sim.Announce.active () then
+                  Sim.Announce.emit (Sim.Announce.Node_dead { node = Storage_node.name node });
                 ignore (replace_storage_node t ~dead:node : Types.epoch)
               end
         in

@@ -63,7 +63,7 @@ type recorder = {
   mutable max_gap_us : float;
   mutable gap_at_us : float;
   mutable completions : int;
-  stall_threshold_us : float;  (* infinity = no flight trigger *)
+  stall_threshold_us : float;  (* infinity = never a stall *)
 }
 
 let recorder ?(stall_threshold_us = infinity) () =
@@ -81,8 +81,8 @@ let note r =
   if gap > r.max_gap_us then begin
     (* Snapshot only on a new worst gap past the threshold, so a long
        outage produces one flight capture, not one per completion. *)
-    if gap > r.stall_threshold_us && Sim.Flight.enabled () then begin
-      Sim.Flight.record ~host:"chaos" Sim.Flight.Fault ~name:"stall" ~value:gap;
+    if gap > r.stall_threshold_us then begin
+      if Sim.Announce.active () then Sim.Announce.emit (Sim.Announce.Chaos_stall { gap_us = gap });
       Sim.Flight.snapshot ~reason:"chaos-stall"
     end;
     r.max_gap_us <- gap;

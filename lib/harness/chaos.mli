@@ -41,10 +41,11 @@ val pp_incident : Format.formatter -> incident -> unit
 type recorder
 
 (** [recorder ?stall_threshold_us ()] starts tracking at the current
-    virtual time. When [stall_threshold_us] is given and the flight
-    recorder is enabled, a completion gap exceeding both the threshold
-    and the previous maximum triggers a {!Sim.Flight.snapshot} with
-    reason ["chaos-stall"] — at most one capture per new worst gap. *)
+    virtual time. When [stall_threshold_us] is given, a completion gap
+    exceeding both the threshold and the previous maximum is a stall:
+    it is announced as a {!Sim.Announce.Chaos_stall} milestone and
+    triggers a {!Sim.Flight.snapshot} with reason ["chaos-stall"] when
+    the flight recorder is armed — at most one per new worst gap. *)
 val recorder : ?stall_threshold_us:float -> unit -> recorder
 
 (** Call on every completed operation (any worker). *)

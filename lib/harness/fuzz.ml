@@ -177,6 +177,10 @@ let tail_members cluster =
    reconfigurations run in spawned fibers — serialized against the
    failure monitor by the cluster's reconfiguration lock. *)
 let custom_thunk cluster name () =
+  let skipped reason =
+    if Sim.Announce.active () then
+      Sim.Announce.emit (Sim.Announce.Action_skipped { action = name; reason })
+  in
   match String.split_on_char ' ' name with
   | [ "replace-sequencer" ] ->
       Sim.Engine.spawn (fun () -> ignore (Cluster.replace_sequencer cluster))
@@ -185,22 +189,22 @@ let custom_thunk cluster name () =
       Sim.Engine.spawn (fun () ->
           if (tail_members cluster + k) mod 2 = 0 then
             ignore (Cluster.scale_out cluster ~add_servers:k)
-          else Sim.Trace.f "fuzz" "scale-out %d skipped: odd tail geometry" k)
+          else skipped "odd tail geometry")
   | [ "scale-in"; k ] ->
       let k = int_of_string k in
       Sim.Engine.spawn (fun () ->
           let members = tail_members cluster in
           if members - k >= 2 && (members - k) mod 2 = 0 then
             ignore (Cluster.scale_in cluster ~remove_servers:k)
-          else Sim.Trace.f "fuzz" "scale-in %d skipped: tail has %d members" k members)
+          else skipped (Printf.sprintf "tail has %d members" members))
   | [ "ssd-fail"; node ] -> (
       match find_node cluster node with
       | Some n -> Sim.Resource.fail (Storage_node.ssd n)
-      | None -> Sim.Trace.f "fuzz" "ssd-fail %s skipped: node not in cluster" node)
+      | None -> skipped "node not in cluster")
   | [ "ssd-repair"; node ] -> (
       match find_node cluster node with
       | Some n -> if Sim.Resource.failed (Storage_node.ssd n) then Sim.Resource.repair (Storage_node.ssd n)
-      | None -> Sim.Trace.f "fuzz" "ssd-repair %s skipped: node not in cluster" node)
+      | None -> skipped "node not in cluster")
   | _ -> invalid_arg (Printf.sprintf "Fuzz: unknown custom fault action %S" name)
 
 let rebind cluster action =

@@ -108,7 +108,7 @@ type parsed = { p_version : int; p_tool : string; p_scenarios : parsed_scenario 
 let parse s =
   let doc = Jin.parse s in
   let p_version = Jin.to_int (Jin.member "schema_version" doc) in
-  if p_version < 1 || p_version > schema_version then
+  if p_version <> schema_version then
     raise (Jin.Parse_error (Printf.sprintf "Report.parse: unsupported schema_version %d" p_version));
   let p_tool = Jin.to_string (Jin.member "tool" doc) in
   let parse_perf v =
@@ -126,9 +126,7 @@ let parse s =
         (match Jin.member "summary" v with
         | Jin.Obj kvs -> List.map (fun (k, n) -> (k, Jin.to_float n)) kvs
         | _ -> raise (Jin.Parse_error "Report.parse: summary must be an object"));
-      (* v1 documents carry no "perf" member; v2 may omit it too. *)
       ps_perf = Option.map parse_perf (Jin.member_opt "perf" v);
-      (* v3 additions; absent from v1/v2 documents. *)
       ps_has_timeseries = Option.is_some (Jin.member_opt "timeseries" v);
       ps_alerts =
         Option.map (fun a -> List.length (Jin.to_list a)) (Jin.member_opt "alerts" v);

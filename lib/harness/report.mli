@@ -4,7 +4,7 @@
     [Engine.run] of a bench experiment — into one JSON document:
 
     {v
-    { "schema_version": 2,
+    { "schema_version": 3,
       "tool": "tango-bench",
       "scenarios": [
         { "name": "fig5", "seed": 42,
@@ -14,7 +14,8 @@
           "perf": { "wall_s": 0.8, "gc_minor_words": 1.2e7,
                     "gc_major_words": 3.4e5 },
           "metrics": { "counters": [...], "gauges": [...],
-                       "histograms": [...], "series": [...] } } ] }
+                       "histograms": [...], "series": [...] },
+          "timeseries": {...}, "alerts": [...] } ] }
     v}
 
     The embedded ["metrics"] object is {!Sim.Metrics.to_json} captured
@@ -33,8 +34,8 @@
     Version history: 1 = original; 2 = optional per-scenario ["perf"]
     object; 3 = optional per-scenario ["timeseries"] (windowed
     telemetry, {!Sim.Timeseries.to_json}) and ["alerts"] (SLO alert
-    transitions, {!Sim.Slo.alerts_json}) sections. Readers accept all
-    earlier versions (absent sections simply decode as absent). *)
+    transitions, {!Sim.Slo.alerts_json}) sections. {!parse} reads the
+    current version only. *)
 val schema_version : int
 
 (** Real-machine cost of one scenario run. *)
@@ -82,21 +83,21 @@ val clear : unit -> unit
     The read side covers what the regression tooling needs: scenario
     names, seeds, summaries, perf, and the presence/shape of the v3
     telemetry sections. Params and embedded metrics are skipped.
-    Accepts schema versions 1 through 3. *)
+    Accepts the current {!schema_version} only. *)
 
 type parsed_scenario = {
   ps_name : string;
   ps_seed : int;
   ps_summary : (string * float) list;
-  ps_perf : perf option;  (** always [None] in version-1 documents *)
-  ps_has_timeseries : bool;  (** a ["timeseries"] section is present (v3) *)
+  ps_perf : perf option;
+  ps_has_timeseries : bool;  (** a ["timeseries"] section is present *)
   ps_alerts : int option;
       (** number of alert transitions when an ["alerts"] section is
-          present (v3); [None] otherwise *)
+          present; [None] otherwise *)
 }
 
 type parsed = { p_version : int; p_tool : string; p_scenarios : parsed_scenario list }
 
-(** @raise Sim.Jin.Parse_error on malformed input or an unsupported
-    schema version. *)
+(** @raise Sim.Jin.Parse_error on malformed input or any
+    [schema_version] other than {!schema_version}. *)
 val parse : string -> parsed

@@ -75,13 +75,12 @@ let fire t spec ~time detail =
   if n < firings_cap then begin
     t.fired_counts <- (sname, n + 1) :: List.remove_assoc sname t.fired_counts;
     t.firings <- { sp_spec = sname; sp_time_us = time; sp_detail = detail } :: t.firings;
-    if Sim.Flight.enabled () then begin
-      Sim.Flight.record ~host:"spec" Sim.Flight.Alert ~name:sname ~value:time;
-      (* One snapshot per spec per run: the first firing captures the
-         interesting window; later firings of the same machine are
-         almost always the same wedge. *)
-      if n = 0 then Sim.Flight.snapshot ~reason:("spec:" ^ sname)
-    end
+    if Sim.Announce.active () then
+      Sim.Announce.emit (Sim.Announce.Spec_fired { spec = sname; detail });
+    (* One snapshot per spec per run: the first firing captures the
+       interesting window; later firings of the same machine are almost
+       always the same wedge. *)
+    if n = 0 && Sim.Flight.enabled () then Sim.Flight.snapshot ~reason:("spec:" ^ sname)
   end
 
 let suspended t = Hashtbl.length t.outstanding > 0
@@ -160,14 +159,14 @@ let on_event t (ev : Sim.Announce.event) =
             else close rest
       in
       close t.reconfigs
-  | Sim.Announce.Fault_injected { key } -> note_injected t key
-  | Sim.Announce.Fault_repaired { key } -> note_repaired t key
+  | Sim.Announce.Fault_injected { key; _ } -> note_injected t key
+  | Sim.Announce.Fault_repaired { key; _ } -> note_repaired t key
   | Sim.Announce.Custom_fault { name } -> (
       match classify_custom name with
       | Some (`Injected key) -> note_injected t key
       | Some (`Repaired key) -> note_repaired t key
       | None -> ())
-  | Sim.Announce.Offset_readable _ | Sim.Announce.Tx_begin _ | Sim.Announce.Tx_finish _ -> ()
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Deadline evaluation (checker fiber / drain)                        *)

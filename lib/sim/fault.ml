@@ -97,24 +97,21 @@ let apply t action =
   | Clear_edge (s, d) -> Hashtbl.remove t.edges (s, d)
   | Custom (_, run) -> run ());
   let what = label action in
-  if Announce.active () then
+  if Announce.active () then begin
+    let host = match host_of action with Some h -> h | None -> Announce.no_host in
     Announce.emit
       (match action with
-      | Crash h -> Announce.Fault_injected { key = "crash:" ^ h }
-      | Restart h -> Announce.Fault_repaired { key = "crash:" ^ h }
-      | Partition _ -> Announce.Fault_injected { key = "partition" }
-      | Heal -> Announce.Fault_repaired { key = "partition" }
+      | Crash h -> Fault_injected { key = "crash:" ^ h; host; detail = what }
+      | Restart h -> Fault_repaired { key = "crash:" ^ h; host; detail = what }
+      | Partition _ -> Fault_injected { key = "partition"; host; detail = what }
+      | Heal -> Fault_repaired { key = "partition"; host; detail = what }
       | Degrade { d_src; d_dst; _ } ->
-          Announce.Fault_injected { key = "edge:" ^ d_src ^ ">" ^ d_dst }
-      | Clear_edge (s, d) -> Announce.Fault_repaired { key = "edge:" ^ s ^ ">" ^ d }
-      | Custom (name, _) -> Announce.Custom_fault { name });
+          Fault_injected { key = "edge:" ^ d_src ^ ">" ^ d_dst; host; detail = what }
+      | Clear_edge (s, d) -> Fault_repaired { key = "edge:" ^ s ^ ">" ^ d; host; detail = what }
+      | Custom (name, _) -> Custom_fault { name })
+  end;
   Metrics.incr (Metrics.counter ?host:(host_of action) "fault.injected");
-  t.log <- { ev_time = Engine.now (); ev_label = what } :: t.log;
-  if Flight.enabled () then
-    Flight.record
-      ~host:(match host_of action with Some h -> h | None -> "fault-plane")
-      Flight.Fault ~name:what ~value:0.;
-  Trace.f ?host:(host_of action) "fault" "%s" what
+  t.log <- { ev_time = Engine.now (); ev_label = what } :: t.log
 
 let crash t h = apply t (Crash h)
 let restart t h = apply t (Restart h)

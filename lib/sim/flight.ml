@@ -1,15 +1,20 @@
 (* Incident flight recorder: a bounded per-host ring of recent
-   structured events (span closes, metric writes, fault-plane actions,
-   SLO alerts). Recording is one branch when disabled; when enabled it
+   structured events (span closes, metric writes, and every Announce
+   milestone). Recording is one branch when disabled; when enabled it
    writes into preallocated parallel arrays (no per-event record — a
    mixed record with mutable float fields would box every store).
    [snapshot] freezes the rings into JSON + Chrome-trace strings at
    incident time, because the rings keep rolling afterwards. *)
 
-type kind = Span_close | Metric | Fault | Alert | Note
+type kind = Span_close | Metric | Fault | Alert | Milestone
 
-let kind_code = function Span_close -> 0 | Metric -> 1 | Fault -> 2 | Alert -> 3 | Note -> 4
-let kind_name = function 0 -> "span" | 1 -> "metric" | 2 -> "fault" | 3 -> "alert" | _ -> "note"
+let kind_code = function Span_close -> 0 | Metric -> 1 | Fault -> 2 | Alert -> 3 | Milestone -> 4
+let kind_name = function
+  | 0 -> "span"
+  | 1 -> "metric"
+  | 2 -> "fault"
+  | 3 -> "alert"
+  | _ -> "milestone"
 
 type ring = {
   r_host : string;
@@ -37,14 +42,6 @@ let state () =
   let rc = Engine.run_count () in
   if !current.born <> rc then current := fresh ~born:rc;
   !current
-
-let reset () = current := fresh ~born:(Engine.run_count ())
-
-(* Sticky configuration, like the Span enabled flag: survives engine
-   resets so a harness can arm the recorder once for many runs. *)
-let enabled_flag = ref false
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
 
 let ring_cap = ref 256
 let max_snaps = ref 16
@@ -74,22 +71,57 @@ let new_ring st host =
   Hashtbl.replace st.rings host r;
   r
 
-let record ~host kind ~name ~value =
-  if !enabled_flag then begin
-    let st = state () in
-    let r =
-      match Hashtbl.find st.rings host with r -> r | exception Not_found -> new_ring st host
-    in
-    let i = r.head in
-    r.times.(i) <- Engine.now ();
-    r.values.(i) <- value;
-    r.kinds.(i) <- kind_code kind;
-    r.names.(i) <- name;
-    r.head <- (if i + 1 = Array.length r.times then 0 else i + 1);
-    r.total <- r.total + 1
-  end
+let push ~host kind ~name ~value =
+  let st = state () in
+  let r = match Hashtbl.find st.rings host with r -> r | exception Not_found -> new_ring st host in
+  let i = r.head in
+  r.times.(i) <- Engine.now ();
+  r.values.(i) <- value;
+  r.kinds.(i) <- kind_code kind;
+  r.names.(i) <- name;
+  r.head <- (if i + 1 = Array.length r.times then 0 else i + 1);
+  r.total <- r.total + 1
 
-let note ~host name = record ~host Note ~name ~value:0.
+(* The recorder's view of the milestone stream: a fault action keeps its
+   full label as the event name, an alert its spec or monitor name; any
+   other milestone is recorded under its tag with one telling number. *)
+let on_milestone (ev : Announce.event) =
+  let component, tag = Announce.classify ev in
+  let h = Announce.host ev in
+  let host = if String.equal h Announce.no_host then component else h in
+  match ev with
+  | Fault_injected { detail; _ } | Fault_repaired { detail; _ } ->
+      push ~host Fault ~name:detail ~value:0.
+  | Custom_fault { name } -> push ~host Fault ~name ~value:0.
+  | Chaos_stall { gap_us } -> push ~host Fault ~name:"stall" ~value:gap_us
+  | Spec_fired { spec; _ } -> push ~host Alert ~name:spec ~value:0.
+  | Slo_alert { monitor; burn_fast; _ } -> push ~host Alert ~name:monitor ~value:burn_fast
+  | _ ->
+      let v =
+        match ev with
+        | Append_acked { offset = v; _ }
+        | Offset_readable { offset = v; _ }
+        | Hole_filled { offset = v; _ }
+        | Commit_decided { pos = v; _ }
+        | Commit_applied { pos = v; _ }
+        | Commit_parked { pos = v; _ }
+        | Decision_timeout { pos = v; _ }
+        | Epoch_adopted { epoch = v; _ }
+        | Reconfig_installed { epoch = v; _ }
+        | Tail_rebuilt { tail = v; _ }
+        | Prefix_lost { segment = v; _ } ->
+            v
+        | _ -> 0
+      in
+      push ~host Milestone ~name:tag ~value:(float_of_int v)
+
+(* Sticky, like the Span enabled flag: survives engine resets so a
+   harness can arm the recorder once for many runs. *)
+let sink = Announce.sink on_milestone
+let set_enabled b = Announce.arm sink b
+let enabled () = sink.armed
+
+let record ~host kind ~name ~value = if sink.armed then push ~host kind ~name ~value
 
 let events_recorded () =
   Hashtbl.fold (fun _ r acc -> acc + r.total) (state ()).rings 0
@@ -184,7 +216,7 @@ let render_trace st ~reason ~time =
   Jout.obj [ ("traceEvents", Jout.arr (meta @ List.rev !events @ [ incident ])) ]
 
 let snapshot ~reason =
-  if !enabled_flag then begin
+  if sink.armed then begin
     let st = state () in
     if st.n_snaps < !max_snaps then begin
       (* Oracle checks run inside the engine, but terminal blame (a

@@ -1,18 +1,23 @@
 (** Incident flight recorder: the black box of the simulation.
 
-    Every instrumented subsystem streams its most recent structured
-    events — span closes ({!Span}), metric writes ({!Metrics}),
-    fault-plane actions ({!Fault}), SLO alert transitions ({!Slo}) —
-    into a bounded per-host ring. Nothing is retained beyond the ring:
-    the recorder answers "what were the last N things this host did
-    right before the incident", not "what happened over the whole run"
-    (that is {!Metrics} / {!Span} / {!Timeseries}).
+    Three inputs stream their most recent structured events into a
+    bounded per-host ring: span closes ({!Span}), metric writes
+    ({!Metrics}), and every milestone of the {!Announce} stream —
+    protocol milestones, fault-plane actions, spec firings, SLO alert
+    transitions and chaos stalls — which the recorder consumes as a
+    sticky sink, so a snapshot holds the same milestones the spec
+    machines saw. A milestone goes to its {!Announce.host}'s ring, or
+    to its component's ({!Announce.classify}) when it has none.
+    Nothing is retained beyond the ring: the recorder answers "what
+    were the last N things this host did right before the incident",
+    not "what happened over the whole run" (that is {!Metrics} /
+    {!Span} / {!Timeseries}).
 
     {!snapshot} freezes the rings into an incident-scoped JSON document
     and a Chrome [trace_event] timeline. It is called automatically
-    when an {!Slo} monitor fires, and by the harness when a chaos
-    stall or a fuzz oracle violation is detected — so every failure
-    artifact ships with its last-N-events context.
+    when an {!Slo} monitor fires, and by the harness when a spec fires,
+    a chaos stall or a fuzz oracle violation is detected — so every
+    failure artifact ships with its last-N-events context.
 
     Recording costs one branch when disabled and writes into
     preallocated parallel arrays when enabled (the PR 6 allocation
@@ -25,12 +30,12 @@
 type kind =
   | Span_close  (** a {!Span} closed; value = duration µs *)
   | Metric  (** a counter/gauge/histogram write; value = new value *)
-  | Fault  (** a {!Fault} action was applied *)
-  | Alert  (** an {!Slo} monitor transitioned; value = fast burn rate *)
-  | Note  (** free-form marker from a component or test *)
+  | Fault  (** a fault action or chaos stall; name = the action's label *)
+  | Alert  (** a spec firing, or an {!Slo} transition (value = fast burn rate) *)
+  | Milestone  (** any other {!Announce} event; name = its tag *)
 
-(** [set_enabled b] arms or disarms the recorder (sticky across engine
-    resets; default off). *)
+(** [set_enabled b] arms or disarms the recorder, including its
+    {!Announce} sink (sticky across engine resets; default off). *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool
@@ -45,9 +50,6 @@ val configure : ?cap:int -> ?snapshots:int -> unit -> unit
     called inside {!Engine.run} when enabled. [name] should be a
     preallocated string on hot paths. *)
 val record : host:string -> kind -> name:string -> value:float -> unit
-
-(** [note ~host name] = [record ~host Note ~name ~value:0.]. *)
-val note : host:string -> string -> unit
 
 (** Total events recorded this run across all hosts (including ones
     that have rolled out of their rings). *)
@@ -72,6 +74,3 @@ val snapshot_count : unit -> int
 (** [{"snapshots": [...]}] — every snapshot document of the run, the
     shape embedded in fuzz artifacts. *)
 val dump_json : unit -> string
-
-(** Clear the store immediately (tests). *)
-val reset : unit -> unit

@@ -45,12 +45,10 @@ type state = {
   mutable n : int;
   mutable alerts : alert list;  (* newest first *)
   mutable n_alerts : int;
-  mutable subs : (alert -> unit) array;
   mutable hooked : bool;
 }
 
-let fresh ~born =
-  { born; mons = [||]; n = 0; alerts = []; n_alerts = 0; subs = [||]; hooked = false }
+let fresh ~born = { born; mons = [||]; n = 0; alerts = []; n_alerts = 0; hooked = false }
 
 let current = ref (fresh ~born:0)
 
@@ -58,12 +56,6 @@ let state () =
   let rc = Engine.run_count () in
   if !current.born <> rc then current := fresh ~born:rc;
   !current
-
-let reset () = current := fresh ~born:(Engine.run_count ())
-
-let subscribe f =
-  let st = state () in
-  st.subs <- Array.append st.subs [| f |]
 
 let transition st m ~time ~firing ~bf ~bs ~v =
   m.m_firing <- firing;
@@ -81,11 +73,9 @@ let transition st m ~time ~firing ~bf ~bs ~v =
     st.alerts <- al :: st.alerts;
     st.n_alerts <- st.n_alerts + 1
   end;
-  if Flight.enabled () then begin
-    Flight.record ~host:"slo" Flight.Alert ~name:m.m_name ~value:bf;
-    if firing then Flight.snapshot ~reason:("slo:" ^ m.m_name)
-  end;
-  Array.iter (fun f -> f al) st.subs
+  if Announce.active () then
+    Announce.emit (Slo_alert { monitor = m.m_name; firing; burn_fast = bf });
+  if firing && Flight.enabled () then Flight.snapshot ~reason:("slo:" ^ m.m_name)
 
 let push st m ~time v =
   let bad =

@@ -12,10 +12,10 @@
     Alert transitions (fire and resolve) are appended to a
     deterministic, virtually-timestamped stream: alerts are stamped at
     the end of the window that caused the transition, so two same-seed
-    runs produce byte-identical {!alerts_json}. Firing also records
-    into {!Flight} and takes a flight snapshot when the recorder is
-    armed. {!subscribe} is the trigger interface the auto-scaling
-    controller fiber will consume.
+    runs produce byte-identical {!alerts_json}. Every transition is
+    also announced as an {!Announce.Slo_alert} milestone — the stream
+    listeners (the flight recorder among them) consume — and a firing
+    takes a flight snapshot when the recorder is armed.
 
     Evaluation is O(1) per window per monitor (a classification bit
     ring with incremental fast/slow counts) and runs on the
@@ -76,10 +76,3 @@ val alerts : unit -> alert list
 (** Canonical JSON array of {!alerts} — the report's [alerts] section.
     Byte-identical across two same-seed runs. *)
 val alerts_json : unit -> string
-
-(** [subscribe f] calls [f] on every alert transition, in subscription
-    order — the auto-scaling controller's trigger interface. *)
-val subscribe : (alert -> unit) -> unit
-
-(** Clear all monitors and alerts immediately (tests). *)
-val reset : unit -> unit

@@ -1,24 +1,15 @@
-(** Lightweight simulation tracing.
+(** Text rendering of the {!Announce} milestone stream.
 
-    Disabled by default; set the environment variable [TANGO_TRACE=1]
-    (or call {!set_enabled}) to print one line per event to stderr.
-    Every line carries the virtual timestamp, the emitting fiber's id,
-    and — when the caller passes [?host] — the simulated machine the
-    event belongs to, so injected faults and recovery steps are
-    attributable. *)
+    Trace is a sticky {!Announce} sink: while it is on, every milestone
+    prints one line to stderr, headed by the virtual timestamp, the
+    emitting fiber's id, the innermost {!Span} id when span tracing is
+    also on, the milestone's host and component — then its tag and
+    detail. Off by default; the environment variable [TANGO_TRACE=1]
+    turns it on for the whole process. *)
 
-val set_enabled : bool -> unit
-val enabled : unit -> bool
-
-(** [f ?host "component" fmt ...] logs one formatted line when
-    enabled. When {!Span} tracing is also on, the line carries the
-    calling fiber's innermost span id, tying text traces to the span
-    timeline. *)
-val f : ?host:string -> string -> ('a, Format.formatter, unit) format -> 'a
-
-(** [capture fn] runs [fn] with tracing force-enabled and redirected to
-    an in-memory buffer; returns [fn]'s result and the accumulated
-    trace text. Restores the previous tracing state afterwards. This is
-    the determinism probe: two same-seed runs must produce identical
-    capture strings. *)
+(** [capture fn] runs [fn] with the renderer on and redirected to an
+    in-memory buffer; returns [fn]'s result and the rendered stream.
+    Restores the previous state afterwards. This is the determinism
+    probe: two same-seed runs must produce identical capture
+    strings. *)
 val capture : (unit -> 'a) -> 'a * string

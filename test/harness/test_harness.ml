@@ -786,30 +786,23 @@ let test_report_v2_roundtrip () =
       Alcotest.(check (float 1e-9)) "wall" perf.R.wall_s q.R.wall_s);
   check_bool "perf omitted stays None" true (s2.R.ps_perf = None)
 
-let test_report_v1_decode () =
-  (* A canned schema-1 document (written before "perf" existed) must
-     still parse, with ps_perf = None. *)
+(* Only the current schema is read: older and future documents are
+   refused, not misread. *)
+let test_report_rejects_other_versions () =
   let module R = Tango_harness.Report in
-  let v1 =
-    {|{"schema_version": 1, "tool": "tango-bench", "scenarios": [
-        {"name": "fig5", "seed": 42, "params": {"servers": "6"},
-         "summary": {"appends_per_s": 12345.0, "p99_us": 800.5},
-         "virtual_end_us": 400000.0,
-         "metrics": {"counters": [], "gauges": []}}]}|}
-  in
-  let p = R.parse v1 in
-  Alcotest.(check int) "version" 1 p.R.p_version;
-  let s = List.hd p.R.p_scenarios in
-  Alcotest.(check string) "name" "fig5" s.R.ps_name;
-  Alcotest.(check int) "seed" 42 s.R.ps_seed;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "summary" [ ("appends_per_s", 12345.); ("p99_us", 800.5) ]
-    s.R.ps_summary;
-  check_bool "no perf in v1" true (s.R.ps_perf = None);
-  (* Unsupported versions are refused, not misread. *)
-  match R.parse {|{"schema_version": 99, "tool": "x", "scenarios": []}|} with
-  | _ -> Alcotest.fail "future schema must be rejected"
-  | exception Sim.Jin.Parse_error _ -> ()
+  List.iter
+    (fun v ->
+      let doc =
+        Printf.sprintf
+          {|{"schema_version": %d, "tool": "tango-bench", "scenarios": [
+              {"name": "fig5", "seed": 42, "params": {}, "summary": {"ops": 1.0},
+               "virtual_end_us": 10.0, "metrics": {}}]}|}
+          v
+      in
+      match R.parse doc with
+      | _ -> Alcotest.failf "schema_version %d must be rejected" v
+      | exception Sim.Jin.Parse_error _ -> ())
+    [ 1; 2; 99 ]
 
 let test_report_v3_telemetry_sections () =
   let module R = Tango_harness.Report in
@@ -829,17 +822,7 @@ let test_report_v3_telemetry_sections () =
   check_bool "timeseries section present" true s1.R.ps_has_timeseries;
   Alcotest.(check (option int)) "one alert" (Some 1) s1.R.ps_alerts;
   check_bool "plain scenario has no timeseries" false s2.R.ps_has_timeseries;
-  Alcotest.(check (option int)) "plain scenario has no alerts" None s2.R.ps_alerts;
-  (* v2 documents (no telemetry keys) still decode *)
-  let v2 =
-    {|{"schema_version": 2, "tool": "tango-bench", "scenarios": [
-        {"name": "fig5", "seed": 7, "params": {},
-         "summary": {"ops": 1.0}, "virtual_end_us": 10.0, "metrics": {}}]}|}
-  in
-  let p2 = R.parse v2 in
-  let s = List.hd p2.R.p_scenarios in
-  check_bool "v2 scenario: no timeseries" false s.R.ps_has_timeseries;
-  Alcotest.(check (option int)) "v2 scenario: no alerts" None s.R.ps_alerts
+  Alcotest.(check (option int)) "plain scenario has no alerts" None s2.R.ps_alerts
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: telemetry determinism end to end                        *)
@@ -874,6 +857,64 @@ let test_telemetry_determinism () =
   Alcotest.(check string) "timeseries byte-identical" ts1 ts2;
   Alcotest.(check string) "alert stream byte-identical" al1 al2;
   Alcotest.(check string) "flight dump byte-identical" fl1 fl2
+
+(* Flight plays back the stream the spec machines read: every milestone
+   a run's subscriber sees must sit in the flight rings (sized here so
+   none rolls over), and nothing else besides span closes and metric
+   writes. *)
+let test_flight_sees_every_milestone () =
+  Sim.Flight.set_enabled true;
+  Sim.Flight.configure ~cap:100_000 ();
+  Fun.protect ~finally:(fun () ->
+      Sim.Flight.set_enabled false;
+      Sim.Flight.configure ~cap:256 ())
+  @@ fun () ->
+  let seen = ref [] in
+  Sim.Engine.run ~seed:5 (fun () ->
+      Sim.Announce.subscribe (fun ev -> seen := ev :: !seen);
+      let cluster = Corfu.Cluster.create ~servers:4 () in
+      ignore (Chaos.install ~seed:3 ~plan:[ (20_000., Sim.Fault.Crash "storage-0") ] cluster);
+      Corfu.Cluster.start_failure_monitor cluster;
+      let c = Corfu.Cluster.new_client cluster ~name:"app" in
+      let append i =
+        ignore (Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string (string_of_int i)))
+      in
+      for i = 1 to 60 do
+        append i;
+        Sim.Engine.sleep 500.
+      done;
+      ignore (Corfu.Cluster.replace_sequencer cluster);
+      append 61;
+      Sim.Flight.snapshot ~reason:"end");
+  let str k v = Sim.Jin.to_string (Sim.Jin.member k v) in
+  let snap =
+    match Sim.Flight.snapshots () with [ s ] -> s.sn_json | _ -> Alcotest.fail "one snapshot"
+  in
+  let recorded =
+    Sim.Jin.to_list (Sim.Jin.member "hosts" (Sim.Jin.parse snap))
+    |> List.concat_map (fun h ->
+           Sim.Jin.to_list (Sim.Jin.member "events" h)
+           |> List.filter_map (fun e ->
+                  match str "kind" e with
+                  | "span" | "metric" -> None
+                  | _ -> Some (str "host" h, str "name" e)))
+  in
+  let expected =
+    List.rev_map
+      (fun (ev : Sim.Announce.event) ->
+        let h = Sim.Announce.host ev and component, tag = Sim.Announce.classify ev in
+        ( (if h = Sim.Announce.no_host then component else h),
+          match ev with Fault_injected { detail; _ } -> detail | _ -> tag ))
+      !seen
+  in
+  let saw p = List.exists p !seen in
+  check_bool "crash, reconfiguration and acks announced" true
+    (saw (function Fault_injected _ -> true | _ -> false)
+    && saw (function Reconfig_installed _ -> true | _ -> false)
+    && saw (function Append_acked _ -> true | _ -> false));
+  Alcotest.(check (list (pair string string)))
+    "flight holds exactly the announced milestones" (List.sort compare expected)
+    (List.sort compare recorded)
 
 let () =
   Alcotest.run "harness"
@@ -947,11 +988,15 @@ let () =
       ( "report",
         [
           Alcotest.test_case "v2 round-trip with perf" `Quick test_report_v2_roundtrip;
-          Alcotest.test_case "v1 documents still decode" `Quick test_report_v1_decode;
+          Alcotest.test_case "rejects other schema versions" `Quick
+            test_report_rejects_other_versions;
           Alcotest.test_case "v3 telemetry sections" `Quick test_report_v3_telemetry_sections;
         ] );
       ( "telemetry",
-        [ Alcotest.test_case "end-to-end determinism" `Quick test_telemetry_determinism ] );
+        [
+          Alcotest.test_case "end-to-end determinism" `Quick test_telemetry_determinism;
+          Alcotest.test_case "flight sees every milestone" `Quick test_flight_sees_every_milestone;
+        ] );
       ( "fault-plane",
         [
           Alcotest.test_case "linearizable across sequencer failover" `Quick

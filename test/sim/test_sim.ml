@@ -511,7 +511,7 @@ let test_fault_trace_deterministic () =
             for i = 1 to 40 do
               (match Net.call_r ~timeout_us:400. ~from:a echo i with
               | Ok _ -> incr got
-              | Error _ -> Trace.f ~host:"a" "test" "rpc %d lost" i);
+              | Error _ -> ());
               Engine.sleep 100.
             done;
             (!got, Engine.now ())))
@@ -520,6 +520,7 @@ let test_fault_trace_deterministic () =
   let r2, t2 = scenario () in
   check_bool "some rpcs lost" true (fst r1 < 40);
   check_bool "same result" true (r1 = r2);
+  check_bool "trace holds the fault milestones" true (t1 <> "");
   Alcotest.(check string) "byte-identical trace" t1 t2
 
 (* ------------------------------------------------------------------ *)
@@ -967,6 +968,28 @@ let test_slo_alerts_json_deterministic () =
   Alcotest.(check string) "alerts byte-identical" a1 a2
 
 (* ------------------------------------------------------------------ *)
+(* Announce                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* With nothing armed the guarded call-site pattern is one branch: the
+   milestone is never built. Measured against an empty loop, so the
+   boxed results of the [Gc.minor_words] probes cancel out. *)
+let test_announce_off_allocates_nothing () =
+  check_bool "nothing armed" false (Announce.active ());
+  let streams = [ 1 ] in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to 1_000 do
+      f i
+    done;
+    Gc.minor_words () -. w0
+  in
+  check_float "0 words per guarded emission" (words ignore)
+    (words (fun i ->
+         if Announce.active () then
+           Announce.emit (Announce.Append_acked { client = "c"; offset = i; streams })))
+
+(* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -985,7 +1008,7 @@ let with_flight_on f =
 
 let test_flight_disabled_is_noop () =
   Engine.run (fun () ->
-      Flight.record ~host:"n" Flight.Note ~name:"x" ~value:1.;
+      Flight.record ~host:"n" Flight.Metric ~name:"x" ~value:1.;
       Flight.snapshot ~reason:"r";
       check_int "nothing recorded" 0 (Flight.events_recorded ());
       check_int "no snapshot" 0 (Flight.snapshot_count ()))
@@ -995,7 +1018,7 @@ let test_flight_ring_overwrites_oldest () =
       Flight.configure ~cap:4 ();
       Engine.run (fun () ->
           for i = 1 to 10 do
-            Flight.record ~host:"n" Flight.Note ~name:"e" ~value:(float_of_int i)
+            Flight.record ~host:"n" Flight.Metric ~name:"e" ~value:(float_of_int i)
           done;
           check_int "all recorded" 10 (Flight.events_recorded ());
           Flight.snapshot ~reason:"test";
@@ -1012,7 +1035,7 @@ let test_flight_snapshot_budget () =
   with_flight_on (fun () ->
       Flight.configure ~snapshots:2 ();
       Engine.run (fun () ->
-          Flight.note ~host:"n" "x";
+          Flight.record ~host:"n" Flight.Metric ~name:"x" ~value:0.;
           for i = 1 to 5 do
             Flight.snapshot ~reason:(Printf.sprintf "s%d" i)
           done;
@@ -1501,6 +1524,11 @@ let () =
           Alcotest.test_case "below kind" `Quick test_slo_below_kind;
           Alcotest.test_case "evaluates from timeseries" `Quick test_slo_evaluates_from_timeseries;
           Alcotest.test_case "deterministic alert stream" `Quick test_slo_alerts_json_deterministic;
+        ] );
+      ( "announce",
+        [
+          Alcotest.test_case "off path allocates nothing" `Quick
+            test_announce_off_allocates_nothing;
         ] );
       ( "flight",
         [
