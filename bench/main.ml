@@ -1400,6 +1400,53 @@ let micro_hotpath () =
         Sim.Eventq.push q (float_of_int (!seq land 2047)) !seq noop)
   in
   hot_report ~name:"engine-sched" ns words;
+  (* stream playback: peek_next_offset + readnext per entry over a
+     stream whose members all sit in the client cache, at a fixed
+     prefetch window of 64 — the host cost playback pays per entry with
+     the I/O cut off. Each cycle attaches a fresh iterator and syncs it
+     from the cache (untimed), then times the playback. *)
+  let ns, words =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let params = { Sim.Params.default with prefetch_min = 64; prefetch_max = 64 } in
+        let k = params.Sim.Params.backpointer_k in
+        let cluster = Corfu.Cluster.create ~params ~servers:2 () in
+        let cl = Corfu.Cluster.new_client cluster ~name:"bench" in
+        let sid = 7 and n = 4096 in
+        (* members at every other offset, as when two streams interleave *)
+        for i = 0 to n - 1 do
+          let off = 2 * i in
+          let backptrs = List.filter (fun p -> p >= 0) (List.init k (fun j -> off - (2 * (j + 1)))) in
+          let headers =
+            Corfu.Stream_header.encode_block ~k ~current:off
+              [ { Corfu.Stream_header.stream = sid; backptrs } ]
+          in
+          Corfu.Client.cache_put cl off { Corfu.Types.headers; payload = Bytes.empty }
+        done;
+        let ptrs = List.init k (fun j -> 2 * (n - 1 - j)) in
+        let cycles = 50 in
+        let words = ref 0. and time = ref 0. in
+        for _ = 1 to cycles do
+          let s = Corfu.Stream.attach cl sid in
+          Corfu.Stream.sync_with s ~tail:(2 * n) ~ptrs;
+          let rec play () =
+            match Corfu.Stream.peek_next_offset s with
+            | None -> ()
+            | Some _ ->
+                ignore (Corfu.Stream.readnext s);
+                play ()
+          in
+          let w0 = Gc.minor_words () in
+          let t0 = Unix.gettimeofday () in
+          play ();
+          time := !time +. (Unix.gettimeofday () -. t0);
+          words := !words +. (Gc.minor_words () -. w0);
+          if Corfu.Stream.cache_misses s > 0 || Corfu.Stream.prefetch_window s <> 64 then
+            failwith "stream-playback: the kernel left the cached, window-64 path"
+        done;
+        let ops = float_of_int (cycles * n) in
+        (!time *. 1e9 /. ops, !words /. ops))
+  in
+  hot_report ~name:"stream-playback" ns words;
   (* telemetry-plane kernels: every recording path must hold the
      steady-state allocation discipline. They need the virtual clock
      (flight events and window seals are virtually timestamped), so

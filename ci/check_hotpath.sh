@@ -15,6 +15,8 @@
 #                        slack only covers amortised-growth rounding.
 # And for the whole-run scenario:
 #   - events-wall      : best events_per_wall_s must be >= baseline / 1.15.
+# A micro/* scenario in a NEW report with no baseline entry fails too:
+# a kernel added without a baseline would otherwise go ungated.
 #
 # Updating the baseline (after an intentional hot-path change): run
 #   dune build && ./_build/default/bench/main.exe micro --json BENCH_hotpath.json
@@ -37,6 +39,15 @@ baseline=$1
 shift
 
 fail=0
+
+unbaselined=$(jq -rn --slurpfile base "$baseline" '
+  ($base[0].scenarios | map(.name)) as $known
+  | [inputs | .scenarios[].name | select(startswith("micro/"))] | unique
+  | map(select(. as $n | $known | index($n) | not)) | .[]' "$@")
+for k in $unbaselined; do
+  echo "FAIL $k: kernel has no baseline entry in $baseline" >&2
+  fail=1
+done
 
 kernels=$(jq -r '.scenarios[] | select(.summary.ns_per_op != null) | .name' "$baseline")
 for k in $kernels; do

@@ -18,11 +18,19 @@ type pending_action =
   | Commit_point of { cpos : int; writes : Record.update list }
   | Apply_checkpoint of { base : int; data : bytes }
 
+module Key_tbl = Hashtbl.Make (String)
+
 type hosted = {
   oid : int;
   cb : callbacks;
   stream : Corfu.Stream.t;
   marked_needs_decision : bool;
+  (* Versions (log positions) of the last applied write: to any part of
+     the object, to the whole object (an unkeyed update), and per key.
+     -1 = never written. *)
+  mutable v_any : int;
+  mutable v_whole : int;
+  v_key : int Key_tbl.t;
   mutable blocked_on : int option;
   mutable gap_pending : bool;
       (* the stream skipped trimmed history and no checkpoint has
@@ -55,9 +63,6 @@ type t = {
   dispatch : Sim.Resource.t;
   play_lock : Sim.Resource.t;
   objects : (int, hosted) Hashtbl.t;
-  last_any : (int, int) Hashtbl.t;
-  last_key : (int * string, int) Hashtbl.t;
-  last_whole : (int, int) Hashtbl.t;
   processed : (int, unit) Hashtbl.t;
   decided : (int, bool) Hashtbl.t;
   undecided : (int, Record.commit) Hashtbl.t;
@@ -103,9 +108,6 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     dispatch = Sim.Resource.create ~name:(host_name ^ ".tango-dispatch") ~capacity:1 ();
     play_lock = Sim.Resource.create ~name:(host_name ^ ".tango-playback") ~capacity:1 ();
     objects = Hashtbl.create 16;
-    last_any = Hashtbl.create 64;
-    last_key = Hashtbl.create 256;
-    last_whole = Hashtbl.create 64;
     processed = Hashtbl.create 4096;
     decided = Hashtbl.create 256;
     undecided = Hashtbl.create 16;
@@ -150,6 +152,9 @@ let register t ~oid ?(needs_decision = false) cb =
       cb;
       stream = Corfu.Stream.attach t.cl oid;
       marked_needs_decision = needs_decision;
+      v_any = -1;
+      v_whole = -1;
+      v_key = Key_tbl.create 16;
       blocked_on = None;
       gap_pending = false;
       serve_read = None;
@@ -171,18 +176,22 @@ let hosted_list t = Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects []
 (* Versions                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let find_version tbl key = match Hashtbl.find_opt tbl key with Some v -> v | None -> -1
+let hosted_version ho key =
+  match key with
+  | None -> ho.v_any
+  | Some k -> (
+      match Key_tbl.find ho.v_key k with
+      | v -> max v ho.v_whole
+      | exception Not_found -> ho.v_whole)
 
 let version_of t ~oid ?key () =
-  match key with
-  | None -> find_version t.last_any oid
-  | Some k -> max (find_version t.last_key (oid, k)) (find_version t.last_whole oid)
+  match Hashtbl.find t.objects oid with
+  | ho -> hosted_version ho key
+  | exception Not_found -> -1
 
-let bump_version t oid key pos =
-  Hashtbl.replace t.last_any oid pos;
-  match key with
-  | None -> Hashtbl.replace t.last_whole oid pos
-  | Some k -> Hashtbl.replace t.last_key (oid, k) pos
+let bump_version ho key pos =
+  ho.v_any <- pos;
+  match key with None -> ho.v_whole <- pos | Some k -> Key_tbl.replace ho.v_key k pos
 
 (* ------------------------------------------------------------------ *)
 (* Applying records                                                   *)
@@ -194,7 +203,7 @@ let bump_version t oid key pos =
 let apply_now t ho pos (u : Record.update) =
   ho.cb.apply ~pos ~key:u.u_key u.u_data;
   List.iter (fun (cb : callbacks) -> cb.apply ~pos ~key:u.u_key u.u_data) ho.extra_views;
-  bump_version t ho.oid u.u_key pos;
+  bump_version ho u.u_key pos;
   t.stats_applied <- t.stats_applied + 1;
   Sim.Metrics.incr t.applied_c
 
@@ -222,10 +231,10 @@ let purge_below ho base =
    in which case the snapshot is the repair: records buffered since
    the gap that the snapshot covers (pos <= base) are discarded, the
    rest replay after it. Otherwise skip it — the view is ahead. *)
-let load_checkpoint_now t ho ~base data =
+let load_checkpoint_now ho ~base data =
   match ho.cb.load_checkpoint with
   | Some load ->
-      if ho.gap_pending || find_version t.last_any ho.oid < base then begin
+      if ho.gap_pending || ho.v_any < base then begin
         load data;
         List.iter
           (fun (cb : callbacks) ->
@@ -233,20 +242,43 @@ let load_checkpoint_now t ho ~base data =
           ho.extra_views;
         ho.gap_pending <- false;
         purge_below ho base;
-        if base >= 0 && find_version t.last_any ho.oid < base then
-          bump_version t ho.oid None base
+        if base >= 0 && ho.v_any < base then bump_version ho None base
       end
   | None -> ()
 
 let hosts_all_reads t (c : Record.commit) =
   List.for_all (fun (oid, _, _) -> Hashtbl.mem t.objects oid) c.c_reads
 
+(* Ascending, duplicate-free oid sets built by insertion: a commit
+   names a handful of objects, usually one, so the set is a short list
+   and a repeated oid returns the list unchanged without allocating. *)
+let rec insert_by_oid (oid_of : 'a -> int) x = function
+  | [] -> [ x ]
+  | y :: rest as l ->
+      if oid_of x < oid_of y then x :: l
+      else if oid_of x = oid_of y then l
+      else
+        let rest' = insert_by_oid oid_of x rest in
+        if rest' == rest then l else y :: rest'
+
+let add_oid oid acc = insert_by_oid Fun.id oid acc
+
+let read_oids (c : Record.commit) = List.fold_left (fun acc (oid, _, _) -> add_oid oid acc) [] c.c_reads
+
+let write_oids acc writes =
+  List.fold_left (fun acc (u : Record.update) -> add_oid u.u_oid acc) acc writes
+
+(* Streams that carry a transaction's coordination records. *)
+let involved_streams (c : Record.commit) = write_oids (read_oids c) c.c_writes
+
 let involved_hosted t (c : Record.commit) =
-  let oids =
-    List.map (fun (oid, _, _) -> oid) c.c_reads
-    @ List.map (fun (u : Record.update) -> u.u_oid) c.c_writes
+  let add acc oid =
+    match Hashtbl.find t.objects oid with
+    | ho -> insert_by_oid (fun ho -> ho.oid) ho acc
+    | exception Not_found -> acc
   in
-  List.sort_uniq Int.compare oids |> List.filter_map (Hashtbl.find_opt t.objects)
+  let acc = List.fold_left (fun acc (oid, _, _) -> add acc oid) [] c.c_reads in
+  List.fold_left (fun acc (u : Record.update) -> add acc u.u_oid) acc c.c_writes
 
 (* Runtime milestones (Sim.Announce): decision recorded, commit writes
    applied, commit parked, decision timeout, transaction boundaries.
@@ -299,7 +331,7 @@ and drain t ho =
         drain t ho
     | Apply_checkpoint { base; data } ->
         ignore (Queue.pop ho.waiting);
-        load_checkpoint_now t ho ~base data;
+        load_checkpoint_now ho ~base data;
         drain t ho
     | Commit_point { cpos; writes } -> (
         match Hashtbl.find_opt t.decided cpos with
@@ -362,12 +394,6 @@ and park_commit t cpos (c : Record.commit) ~involved =
    partial-decision records; once published verdicts cover the read
    set, any participant combines them into the final decision. --- *)
 
-(* Streams that carry a transaction's coordination records. *)
-and involved_streams (c : Record.commit) =
-  List.sort_uniq Int.compare
-    (List.map (fun (oid, _, _) -> oid) c.c_reads
-    @ List.map (fun (u : Record.update) -> u.u_oid) c.c_writes)
-
 (* Publish this client's verdicts for the read-set objects it hosts
    that are frozen exactly at [cpos] (their versions are then as of
    the commit position, so each verdict is deterministic). *)
@@ -375,27 +401,24 @@ and emit_partials t cpos =
   match Hashtbl.find_opt t.undecided cpos with
   | None -> ()
   | Some c ->
-      let read_oids =
-        List.sort_uniq Int.compare (List.map (fun (oid, _, _) -> oid) c.c_reads)
-      in
       let verdicts =
         List.filter_map
           (fun oid ->
-            match Hashtbl.find_opt t.objects oid with
-            | Some ho
+            match Hashtbl.find t.objects oid with
+            | ho
               when ho.blocked_on = Some cpos
                    && not (Hashtbl.mem t.partials_emitted (cpos, oid)) ->
                 Hashtbl.replace t.partials_emitted (cpos, oid) ();
                 let ok =
                   List.for_all
                     (fun (roid, key, recorded) ->
-                      roid <> oid || version_of t ~oid ?key () <= recorded)
+                      roid <> oid || hosted_version ho key <= recorded)
                     c.c_reads
                 in
                 if not ok then Sim.Metrics.incr t.conflicts_c;
                 Some (oid, ok)
-            | Some _ | None -> None)
-          read_oids
+            | _ | (exception Not_found) -> None)
+          (read_oids c)
       in
       if verdicts <> [] then begin
         note_partials t cpos verdicts;
@@ -429,11 +452,8 @@ and maybe_combine t cpos =
     in
     match (c_opt, Hashtbl.find_opt t.partials cpos) with
     | Some c, Some verdicts ->
-        let read_oids =
-          List.sort_uniq Int.compare (List.map (fun (oid, _, _) -> oid) c.c_reads)
-        in
-        if List.for_all (Hashtbl.mem verdicts) read_oids then begin
-          let final = List.for_all (Hashtbl.find verdicts) read_oids in
+        if List.for_all (fun (oid, _, _) -> Hashtbl.mem verdicts oid) c.c_reads then begin
+          let final = List.for_all (fun (oid, _, _) -> Hashtbl.find verdicts oid) c.c_reads in
           let publisher =
             Hashtbl.mem t.own_commits cpos
             || List.exists
@@ -470,9 +490,7 @@ and spawn_decision_watchdog t cpos c =
         Fun.protect
           ~finally:(fun () -> Sim.Resource.release t.play_lock)
           (fun () -> resolve t cpos committed);
-        let streams =
-          List.sort_uniq Int.compare (List.map (fun (u : Record.update) -> u.Record.u_oid) c.c_writes)
-        in
+        let streams = write_oids [] c.c_writes in
         ignore
           (Batcher.submit t.batcher ~streams
              (Record.Decision { d_target = cpos; d_committed = committed }))
@@ -575,7 +593,7 @@ let eager_outcome t pos (c : Record.commit) =
           | Some ho ->
               refresh_gap ho;
               if ho.gap_pending then None
-              else if version_of t ~oid ?key () > recorded then begin
+              else if hosted_version ho key > recorded then begin
                 Sim.Metrics.incr t.conflicts_c;
                 Some false
               end
@@ -688,7 +706,7 @@ let process_entry t off (entry : Corfu.Types.entry) =
                 if ho.blocked_on <> None then
                   Queue.add (pos, Apply_checkpoint { base = k_base; data = k_data }) ho.waiting
                 else begin
-                  load_checkpoint_now t ho ~base:k_base k_data;
+                  load_checkpoint_now ho ~base:k_base k_data;
                   (* records buffered during the gap and not covered by
                      the snapshot replay now *)
                   drain t ho
@@ -806,9 +824,13 @@ let query_helper t ~oid ?key ?upto () =
   | Some ctx ->
       charge_tx_op t;
       if upto <> None then invalid_arg "Runtime.query_helper: no historical reads in transactions";
-      if not (Hashtbl.mem t.objects oid) then
-        invalid_arg "Runtime.query_helper: remote reads in transactions are not supported (§4.1 D)";
-      ctx.tx_reads <- (oid, key, version_of t ~oid ?key ()) :: ctx.tx_reads
+      let ho =
+        match Hashtbl.find t.objects oid with
+        | ho -> ho
+        | exception Not_found ->
+            invalid_arg "Runtime.query_helper: remote reads in transactions are not supported (§4.1 D)"
+      in
+      ctx.tx_reads <- (oid, key, hosted_version ho key) :: ctx.tx_reads
   | None -> (
       charge_dispatch t;
       match Hashtbl.find_opt t.objects oid with
@@ -835,8 +857,8 @@ let remote_read_service t =
           (fun { rr_oid; rr_key } ->
             Sim.Resource.use t.dispatch t.dispatch_us;
             match Hashtbl.find_opt t.objects rr_oid with
-            | Some { serve_read = Some serve; _ } ->
-                Some (serve rr_key, version_of t ~oid:rr_oid ?key:rr_key ())
+            | Some ({ serve_read = Some serve; _ } as ho) ->
+                Some (serve rr_key, hosted_version ho rr_key)
             | Some _ | None -> None)
       in
       t.rr_service <- Some svc;
@@ -1021,9 +1043,7 @@ let end_tx ?(stale = false) t =
       end
   | reads, writes ->
       let collaborative = ctx.tx_remote_reads && reads <> [] in
-      let wstreams =
-        List.sort_uniq Int.compare (List.map (fun (u : Record.update) -> u.Record.u_oid) writes)
-      in
+      let wstreams = write_oids [] writes in
       let needs_decision =
         collaborative
         || List.exists
@@ -1037,8 +1057,7 @@ let end_tx ?(stale = false) t =
       (* Collaborative commits travel on the read streams too, so
          every read-set host can publish its partial verdict. *)
       let streams =
-        if collaborative then
-          List.sort_uniq Int.compare (wstreams @ List.map (fun (oid, _, _) -> oid) reads)
+        if collaborative then List.fold_left (fun acc (oid, _, _) -> add_oid oid acc) wstreams reads
         else wstreams
       in
       let cpos = Batcher.submit t.batcher ~streams (Record.Commit commit) in
@@ -1085,6 +1104,9 @@ let end_tx ?(stale = false) t =
           end
         end
       in
+      (* Every later reader of [own_commits] first checks [decided],
+         which now holds [cpos]. *)
+      Hashtbl.remove t.own_commits cpos;
       if needs_decision && not collaborative then
         ignore
           (Batcher.submit t.batcher ~streams:wstreams
@@ -1106,7 +1128,7 @@ let checkpoint t ~oid =
       | None -> invalid_arg "Runtime.checkpoint: object has no checkpoint callback"
       | Some snapshot ->
           let data = snapshot () in
-          let base = find_version t.last_any oid in
+          let base = ho.v_any in
           let pos =
             Batcher.submit t.batcher ~streams:[ oid ]
               (Record.Checkpoint { k_oid = oid; k_base = base; k_data = data })
@@ -1119,13 +1141,16 @@ let trim_below t off =
   let below_pos = off * Record.slots_per_entry in
   let prune tbl pred = Hashtbl.filter_map_inplace (fun k v -> if pred k then None else Some v) tbl in
   prune t.processed (fun o -> o < off);
-  prune t.decided (fun p -> p < below_pos)
+  prune t.decided (fun p -> p < below_pos);
+  prune t.partials (fun p -> p < below_pos);
+  prune t.partials_emitted (fun (p, _) -> p < below_pos)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let applied_records t = t.stats_applied
+let own_commits_held t = Hashtbl.length t.own_commits
 let commits t = t.stats_commits
 let aborts t = t.stats_aborts
 

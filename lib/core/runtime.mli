@@ -182,12 +182,18 @@ val trim_below : t -> Corfu.Types.offset -> unit
 (** {2 Introspection} *)
 
 (** Current version (position of last applied modification) of an
-    object or key; -1 if never modified. *)
+    object or key; -1 if never modified or not hosted. A key's version
+    is the later of its own last write and the object's last
+    whole-object (unkeyed) write. *)
 val version_of : t -> oid:int -> ?key:string -> unit -> int
 
 val applied_records : t -> int
 val commits : t -> int
 val aborts : t -> int
+
+(** Commit records this runtime generated whose transaction has not
+    finished yet; [end_tx] drops its entry once the outcome is known. *)
+val own_commits_held : t -> int
 
 (** Counters for the append pipeline and playback cache. *)
 type append_stats = {

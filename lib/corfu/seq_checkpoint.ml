@@ -41,8 +41,8 @@ let decode data =
   { snap_tail; snap_streams }
 
 let is_snapshot ~k ~current (entry : Types.entry) =
-  match Stream_header.decode_block ~k ~current entry.Types.headers with
-  | headers -> Stream_header.find headers stream_id <> None
+  match Stream_header.lookup ~k ~current entry.Types.headers stream_id with
+  | header -> header <> None
   | exception Invalid_argument _ -> false
 
 let merge ~above t ~k =

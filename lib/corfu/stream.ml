@@ -8,6 +8,7 @@ type t = {
   mutable sync_read_count : int;
   mutable trim_gap : bool;  (* reclaimed history was skipped *)
   mutable prefetch_window : int;  (* adapts between params bounds *)
+  mutable prefetched_to : int;  (* members below this index already had a prefetch issued *)
   mutable hit_run : int;  (* consecutive cache hits since last miss *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -24,6 +25,7 @@ let attach cl sid =
     sync_read_count = 0;
     trim_gap = false;
     prefetch_window = (Client.params cl).Sim.Params.prefetch_min;
+    prefetched_to = 0;
     hit_run = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -44,17 +46,28 @@ let clear_trim_gap t = t.trim_gap <- false
 let known_max t = if t.len > 0 then t.offsets.(t.len - 1) else -1
 
 let push_members t members =
-  (* [members] is the set of newly discovered offsets, any order. *)
-  let arr = Array.of_list members in
-  Array.sort Int.compare arr;
-  let n = Array.length arr in
+  (* [members] is the set of newly discovered offsets, any order; the
+     sync walk hands them over ascending, so the sort is usually
+     skipped. *)
+  let n = List.length members in
   if n > 0 then begin
     if t.len + n > Array.length t.offsets then begin
       let bigger = Array.make (max (2 * Array.length t.offsets) (t.len + n)) 0 in
       Array.blit t.offsets 0 bigger 0 t.len;
       t.offsets <- bigger
     end;
-    Array.blit arr 0 t.offsets t.len n;
+    let ascending = ref true in
+    List.iteri
+      (fun i off ->
+        let at = t.len + i in
+        if i > 0 && off < t.offsets.(at - 1) then ascending := false;
+        t.offsets.(at) <- off)
+      members;
+    if not !ascending then begin
+      let fresh = Array.sub t.offsets t.len n in
+      Array.sort Int.compare fresh;
+      Array.blit fresh 0 t.offsets t.len n
+    end;
     t.len <- t.len + n
   end
 
@@ -93,29 +106,36 @@ let resolve t off =
 
 (* Playback pipelining: before blocking on the entry at index [idx],
    launch fetches for the next window of member offsets so log reads
-   overlap instead of paying one round trip each. *)
+   overlap instead of paying one round trip each. The window slides
+   one member per call, so only the members past the high-water index
+   [prefetched_to] are new; the rest were issued by an earlier call. *)
 let prefetch_from t idx =
   let stop = min t.len (idx + t.prefetch_window) in
-  for i = idx to stop - 1 do
+  for i = max idx t.prefetched_to to stop - 1 do
     Client.prefetch t.cl t.offsets.(i)
-  done
+  done;
+  if stop > t.prefetched_to then t.prefetched_to <- stop
 
 let header_for t off entry =
   let k = (Client.params t.cl).Sim.Params.backpointer_k in
-  Stream_header.find (Stream_header.decode_block ~k ~current:off entry.Types.headers) t.sid
+  Stream_header.lookup ~k ~current:off entry.Types.headers t.sid
 
 (* Backward walk from the sequencer's last-K pointers down to what we
    already know. Strides K entries per read in the common case; junk
    degrades to a linear backward scan (§5, Failure Handling). *)
 let sync_with_inner t ~tail ~ptrs =
     let floor = known_max t in
-    let visited = Hashtbl.create 64 in
+    (* Every offset the walk registers lies below all earlier ones
+       (backpointers point down, the scan moves down), so [members]
+       comes out ascending and an offset below [lowest] is new without
+       a lookup; only pointers out of that order pay a list scan. *)
     let members = ref [] in
+    let lowest = ref max_int in
     let junk = ref [] in
     let note off =
-      if off > floor && not (Hashtbl.mem visited off) then begin
-        Hashtbl.replace visited off ();
+      if off > floor && not (off >= !lowest && List.mem off !members) then begin
         members := off :: !members;
+        if off < !lowest then lowest := off;
         true
       end
       else false
@@ -123,10 +143,8 @@ let sync_with_inner t ~tail ~ptrs =
     let rec walk ptrs =
       (* [ptrs]: member candidates, most recent first. Register all of
          them, then read only the oldest to continue the chain. *)
-      let fresh = List.filter note ptrs in
-      match List.rev fresh with
-      | [] -> ()
-      | oldest :: _ -> follow oldest
+      let oldest = List.fold_left (fun oldest p -> if note p then p else oldest) (-1) ptrs in
+      if oldest >= 0 then follow oldest
     and follow off =
       match resolve t off with
       | Client.Data e -> (
@@ -162,9 +180,14 @@ let sync_with_inner t ~tail ~ptrs =
     in
     walk ptrs;
     (* Filled holes were registered optimistically; drop them. *)
-    let junk_set = Hashtbl.create 8 in
-    List.iter (fun o -> Hashtbl.replace junk_set o ()) !junk;
-    let fresh = List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members in
+    let fresh =
+      match !junk with
+      | [] -> !members
+      | junk ->
+          let junk_set = Hashtbl.create 8 in
+          List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
+          List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members
+    in
     push_members t fresh;
     (* Start fetching the newly discovered entries right away so the
        upcoming playback finds them in the cache. *)

@@ -94,11 +94,29 @@ let encode_block ~k ~current headers =
   List.iteri (fun i h -> encode_header ~k ~current buf (1 + (i * header_size ~k)) h) headers;
   buf
 
-let decode_block ~k ~current buf =
+(* Validate a block and return its header count. *)
+let block_count ~k buf =
   check_k k;
   if Bytes.length buf < 1 then invalid_arg "Stream_header: empty block";
   let n = Bytes.get_uint8 buf 0 in
   if Bytes.length buf < block_size ~k ~streams:n then invalid_arg "Stream_header: truncated block";
+  n
+
+let decode_block ~k ~current buf =
+  let n = block_count ~k buf in
   List.init n (fun i -> decode_header ~k ~current buf (1 + (i * header_size ~k)))
 
 let find headers sid = List.find_opt (fun h -> h.stream = sid) headers
+
+let lookup ~k ~current buf sid =
+  let n = block_count ~k buf in
+  let size = header_size ~k in
+  (* Only the stream word of each header is read until [sid] matches. *)
+  let rec scan i =
+    if i >= n then None
+    else
+      let pos = 1 + (i * size) in
+      if get_u32 buf pos land max_stream_id = sid then Some (decode_header ~k ~current buf pos)
+      else scan (i + 1)
+  in
+  scan 0

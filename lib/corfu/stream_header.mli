@@ -43,6 +43,13 @@ val decode_block : k:int -> current:Types.offset -> bytes -> t list
 (** [find headers sid] returns the header for stream [sid], if any. *)
 val find : t list -> Types.stream_id -> t option
 
+(** [lookup ~k ~current block sid] is
+    [find (decode_block ~k ~current block) sid] without decoding the
+    other streams' headers: the stream-layer fast path, one header
+    decoded per entry.
+    @raise Invalid_argument on a malformed block. *)
+val lookup : k:int -> current:Types.offset -> bytes -> Types.stream_id -> t option
+
 (** [uses_absolute_format ~current header] reports which wire format
     {!encode_block} will pick, for tests and diagnostics. *)
 val uses_absolute_format : current:Types.offset -> t -> bool

@@ -14,18 +14,17 @@ let sample t rng =
 let key_name i = Printf.sprintf "k%08d" i
 let sample_key t rng = key_name (sample t rng)
 
+let rec mem_int (i : int) = function [] -> false | j :: rest -> j = i || mem_int i rest
+
 let distinct_keys t rng count =
   if count > population t then invalid_arg "Key_dist.distinct_keys: count exceeds population";
-  let seen = Hashtbl.create count in
-  let rec draw acc remaining =
+  (* A transaction draws a handful of keys: a list scan beats hashing. *)
+  let rec draw seen acc remaining =
     if remaining = 0 then acc
     else begin
       let i = sample t rng in
-      if Hashtbl.mem seen i then draw acc remaining
-      else begin
-        Hashtbl.replace seen i ();
-        draw (key_name i :: acc) (remaining - 1)
-      end
+      if mem_int i seen then draw seen acc remaining
+      else draw (i :: seen) (key_name i :: acc) (remaining - 1)
     end
   in
-  draw [] count
+  draw [] [] count

@@ -711,6 +711,64 @@ let test_checkpoint_and_replay () =
       let r2 = Reg.attach rt2 ~oid:1 in
       check_int "replay through checkpoint" 99 (Reg.read r2))
 
+let test_checkpoint_load_advances_version () =
+  (* A view that reaches the checkpoint through trimmed history loads
+     the snapshot, and its object version jumps to the snapshot base:
+     a transaction reading it must not see a stale version. *)
+  with_cluster (fun cluster ->
+      let rt1 = runtime ~batch_size:1 cluster "writer" in
+      let r1 = Reg.attach rt1 ~oid:1 in
+      for i = 1 to 5 do
+        Reg.write r1 i
+      done;
+      ignore (Reg.read r1);
+      let info = Runtime.checkpoint rt1 ~oid:1 in
+      check_int "base is the last applied write" (Runtime.version_of rt1 ~oid:1 ())
+        info.Runtime.ckpt_base;
+      Runtime.trim_below rt1 (Record.pos_offset info.Runtime.ckpt_pos);
+      let rt2 = runtime cluster "cold" in
+      let r2 = Reg.attach rt2 ~oid:1 in
+      check_int "never written" (-1) (Runtime.version_of rt2 ~oid:1 ());
+      check_int "state from the snapshot" 5 (Reg.read r2);
+      check_int "version advanced to the base" info.Runtime.ckpt_base
+        (Runtime.version_of rt2 ~oid:1 ()))
+
+let test_own_commits_released () =
+  (* The generator keeps each commit record only until its transaction
+     has an outcome; a long run must not accumulate them. *)
+  with_cluster (fun cluster ->
+      let rt1 = runtime cluster "app-1" in
+      let rt2 = runtime cluster "app-2" in
+      let r1 = Reg.attach rt1 ~oid:1 in
+      let r2 = Reg.attach rt2 ~oid:1 in
+      Reg.write r1 0;
+      let committed = ref 0 and aborted = ref 0 in
+      let worker rt r =
+        for _ = 1 to 500 do
+          Runtime.begin_tx rt;
+          let v = Reg.read r in
+          Reg.write r (v + 1);
+          match Runtime.end_tx rt with
+          | Runtime.Committed -> incr committed
+          | Runtime.Aborted -> incr aborted
+        done
+      in
+      let done1 = Sim.Ivar.create () and done2 = Sim.Ivar.create () in
+      Sim.Engine.spawn (fun () ->
+          worker rt1 r1;
+          Sim.Ivar.fill done1 ());
+      Sim.Engine.spawn (fun () ->
+          worker rt2 r2;
+          Sim.Ivar.fill done2 ());
+      Sim.Ivar.read done1;
+      Sim.Ivar.read done2;
+      check_int "1,000 transactions" 1000 (!committed + !aborted);
+      check_bool (Printf.sprintf "both outcomes (%d aborted)" !aborted) true
+        (!committed > 0 && !aborted > 0);
+      check_int "final value counts the commits" !committed (Reg.read r1);
+      check_int "generator 1 holds no commit records" 0 (Runtime.own_commits_held rt1);
+      check_int "generator 2 holds no commit records" 0 (Runtime.own_commits_held rt2))
+
 let test_directory_declare_and_race () =
   with_cluster (fun cluster ->
       let rt1 = runtime cluster "app-1" in
@@ -1013,12 +1071,15 @@ let () =
             test_tx_remote_write_abort_respected;
           Alcotest.test_case "remote read rejected" `Quick test_tx_remote_read_rejected;
           Alcotest.test_case "nested tx rejected" `Quick test_tx_nested_rejected;
+          Alcotest.test_case "own commit records released" `Quick test_own_commits_released;
           Alcotest.test_case "decision watchdog reconstructs" `Quick
             test_decision_watchdog_reconstructs;
         ] );
       ( "checkpoint-gc-directory",
         [
           Alcotest.test_case "checkpoint and replay" `Quick test_checkpoint_and_replay;
+          Alcotest.test_case "checkpoint load advances version" `Quick
+            test_checkpoint_load_advances_version;
           Alcotest.test_case "directory declare and race" `Quick test_directory_declare_and_race;
           Alcotest.test_case "directory gc" `Quick test_directory_gc;
           Alcotest.test_case "trim-gap repair" `Quick test_gc_trim_gap_repair;

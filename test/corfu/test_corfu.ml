@@ -88,6 +88,34 @@ let test_header_rejects_bad_k () =
   | _ -> Alcotest.fail "k=3 must be rejected"
   | exception Invalid_argument _ -> ()
 
+let prop_header_lookup_matches_find =
+  (* The single-header scan must agree with decoding the whole block,
+     in both wire formats, for present, repeated and absent ids. *)
+  QCheck.Test.make ~name:"header lookup = find (decode_block ...)" ~count:300
+    QCheck.(
+      triple (int_range 70_000 1_000_000)
+        (small_list (triple (int_range 0 12) bool (int_range 1 60_000)))
+        (int_range 0 15))
+    (fun (current, raw, probe) ->
+      let k = 4 in
+      let headers =
+        List.map
+          (fun (sid, far, spread) ->
+            (* [far] adds a pointer more than 64K entries back, which
+               forces the absolute format *)
+            let ptrs =
+              [ current - 1; current - spread - 1 ] @ if far then [ current - 70_000 ] else []
+            in
+            { Stream_header.stream = sid; backptrs = List.sort_uniq compare ptrs |> List.rev })
+          raw
+      in
+      let block = Stream_header.encode_block ~k ~current headers in
+      let decoded = Stream_header.decode_block ~k ~current block in
+      List.for_all
+        (fun sid ->
+          Stream_header.lookup ~k ~current block sid = Stream_header.find decoded sid)
+        (probe :: List.map (fun (h : Stream_header.t) -> h.stream) headers))
+
 let prop_header_roundtrip =
   QCheck.Test.make ~name:"header block roundtrip (relative and absolute)" ~count:300
     QCheck.(
@@ -739,6 +767,94 @@ let test_stream_junk_breaks_stride_then_scan () =
       Alcotest.(check (list string)) "all ten, no junk"
         (List.init 10 string_of_int)
         (List.map snd (drain sr)))
+
+(* Log reads served by every storage node so far. *)
+let storage_reads () =
+  let n = ref 0 in
+  Sim.Metrics.iter_handles
+    ~on_counter:(fun c ->
+      if Sim.Metrics.counter_name c = "ssd.reads" then n := !n + Sim.Metrics.counter_value c)
+    ~on_gauge:ignore ~on_hist:ignore;
+  !n
+
+let test_stream_playback_reads_each_member_once () =
+  (* A member is either cached by the sync walk or fetched once by
+     playback; prefetching the sliding window must never read one
+     twice, and must still overlap the fetches. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let n = 200 in
+      for i = 0 to n - 1 do
+        ignore (Client.append w ~streams:[ 5 ] (payload (string_of_int i)));
+        if i mod 3 = 0 then ignore (Client.append w ~streams:[ 6 ] (payload "other"))
+      done;
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let sr = Stream.attach r 5 in
+      let before = storage_reads () in
+      ignore (Stream.sync sr);
+      let walked = storage_reads () - before in
+      check_bool (Printf.sprintf "sync cached %d of %d members" walked n) true
+        (walked > 0 && walked < n);
+      let t0 = Sim.Engine.now () in
+      let got = drain sr in
+      let elapsed = Sim.Engine.now () -. t0 in
+      Alcotest.(check (list string)) "every member, in order" (List.init n string_of_int)
+        (List.map snd got);
+      (* let the last prefetch fibers settle before counting *)
+      Sim.Engine.sleep 10_000.;
+      check_int "one storage read per member" n (storage_reads () - before);
+      let t1 = Sim.Engine.now () in
+      ignore (Client.read r 0);
+      let one_read = Sim.Engine.now () -. t1 in
+      check_bool
+        (Printf.sprintf "playback pipelined: %.0f us for %d members, one read %.0f us" elapsed
+           (n - walked) one_read)
+        true
+        (elapsed < float_of_int (n - walked) *. one_read /. 4.))
+
+let test_stream_sync_with_unordered_pointers () =
+  (* Peek data normally lists pointers most recent first; a list out of
+     that order, with a repeat, must still yield each member once. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let s = Stream.attach w 4 in
+      let offs = List.init 12 (fun i -> Stream.append s (payload (string_of_int i))) in
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let sr = Stream.attach r 4 in
+      let newest = List.rev offs in
+      let nth = List.nth newest in
+      let ptrs = [ nth 2; nth 0; nth 3; nth 1; nth 0 ] in
+      Stream.sync_with sr ~tail:(List.hd newest + 1) ~ptrs;
+      Alcotest.(check (list string)) "every member once, in order" (List.init 12 string_of_int)
+        (List.map snd (drain sr)))
+
+let test_stream_playback_skips_junk_member () =
+  (* A hole filled after the walk passed it stays in the membership
+     list; playback must skip it and keep order. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let s = Stream.attach w 1 in
+      for i = 0 to 9 do
+        ignore (Stream.append s (payload (Printf.sprintf "a%d" i)))
+      done;
+      let resp =
+        Sim.Net.call ~from:(Client.host w)
+          (Sequencer.increment_service (Cluster.sequencer cluster))
+          { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
+      in
+      ignore (Client.fill w (alloc resp).Sequencer.base);
+      for i = 0 to 9 do
+        ignore (Stream.append s (payload (Printf.sprintf "b%d" i)))
+      done;
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let sr = Stream.attach r 1 in
+      ignore (Stream.sync sr);
+      check_int "junk slot is a member" 21 (Stream.pending sr);
+      Alcotest.(check (list string))
+        "junk skipped, order kept"
+        (List.init 10 (Printf.sprintf "a%d") @ List.init 10 (Printf.sprintf "b%d"))
+        (List.map snd (drain sr));
+      check_int "nothing left" 0 (Stream.pending sr))
 
 let prop_stream_isolation =
   (* The key invariant of §5: each stream delivers exactly its own
@@ -1673,6 +1789,12 @@ let () =
           Alcotest.test_case "hole filled and skipped" `Quick test_stream_hole_is_filled_and_skipped;
           Alcotest.test_case "junk breaks stride, scan recovers" `Quick
             test_stream_junk_breaks_stride_then_scan;
+          Alcotest.test_case "playback reads each member once" `Quick
+            test_stream_playback_reads_each_member_once;
+          Alcotest.test_case "playback skips a junk member" `Quick
+            test_stream_playback_skips_junk_member;
+          Alcotest.test_case "sync_with takes unordered pointers" `Quick
+            test_stream_sync_with_unordered_pointers;
         ] );
       ( "probing",
         [
@@ -1719,6 +1841,7 @@ let () =
         qcheck
           [
             prop_header_roundtrip;
+            prop_header_lookup_matches_find;
             prop_stream_isolation;
             prop_segment_mapping_roundtrip;
             prop_wire_roundtrip;

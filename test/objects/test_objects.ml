@@ -104,6 +104,33 @@ let test_map_basics () =
       Tango_map.remove m "k";
       check_bool "removed" false (Tango_map.mem m "k"))
 
+let test_map_coarse_put_conflicts () =
+  (* A whole-object write versions the map, not the key it names: a
+     concurrent transaction that read any key must abort, while a keyed
+     put of another key commutes with it. *)
+  with_cluster (fun cluster ->
+      let rt1 = runtime cluster "app-1" in
+      let rt2 = runtime cluster "app-2" in
+      let m1 = Tango_map.attach rt1 ~oid:1 in
+      let m2 = Tango_map.attach rt2 ~oid:1 in
+      Tango_map.put m1 "k" "0";
+      check_str_opt "replicated" (Some "0") (Tango_map.get m2 "k");
+      let read_k_then_write_x other_write =
+        Tango.Runtime.begin_tx rt1;
+        ignore (Tango_map.get m1 "k");
+        Tango_map.put m1 "x" "1";
+        other_write ();
+        Tango.Runtime.end_tx rt1
+      in
+      check_bool "keyed put of another key commutes" true
+        (read_k_then_write_x (fun () -> Tango_map.put m2 "other" "v")
+        = Tango.Runtime.Committed);
+      check_bool "coarse put aborts the keyed read" true
+        (read_k_then_write_x (fun () -> Tango_map.coarse_put m2 "other" "w")
+        = Tango.Runtime.Aborted);
+      check_str_opt "coarse put applied" (Some "w") (Tango_map.get m1 "other");
+      check_str_opt "read key untouched" (Some "0") (Tango_map.get m1 "k"))
+
 let test_map_indexed_mode () =
   (* The indexed map stores log positions and fetches values with
      random reads; results must be identical to the inline map. *)
@@ -754,6 +781,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_map_basics;
           Alcotest.test_case "indexed mode" `Quick test_map_indexed_mode;
+          Alcotest.test_case "coarse put conflicts" `Quick test_map_coarse_put_conflicts;
           Alcotest.test_case "transfer" `Quick test_map_transfer;
           Alcotest.test_case "remote transfer" `Quick test_map_transfer_remote;
         ] );

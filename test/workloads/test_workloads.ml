@@ -59,6 +59,35 @@ let test_distinct_keys () =
   | _ -> Alcotest.fail "over-population draw must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* Draw sequence and output order are part of every benchmark's
+   workload: these values were recorded before the draw loop lost its
+   hash table and must never change. *)
+let test_distinct_keys_pinned () =
+  let draws d seed count rounds =
+    let rng = Sim.Rng.create seed in
+    let sets = List.init rounds (fun _ -> Key_dist.distinct_keys d rng count) in
+    (sets, Key_dist.sample d rng)
+  in
+  let zipf_sets, zipf_next = draws (Key_dist.zipf ~n:8 ()) 42 6 3 in
+  Alcotest.(check (list (list string)))
+    "zipf n=8, seed 42"
+    [
+      [ "k00000001"; "k00000002"; "k00000004"; "k00000005"; "k00000000"; "k00000003" ];
+      [ "k00000004"; "k00000007"; "k00000003"; "k00000000"; "k00000002"; "k00000001" ];
+      [ "k00000000"; "k00000001"; "k00000002"; "k00000004"; "k00000003"; "k00000006" ];
+    ]
+    zipf_sets;
+  check_int "zipf rng position after the draws" 0 zipf_next;
+  let uniform_sets, uniform_next = draws (Key_dist.uniform ~n:10) 7 4 2 in
+  Alcotest.(check (list (list string)))
+    "uniform n=10, seed 7"
+    [
+      [ "k00000008"; "k00000000"; "k00000006"; "k00000001" ];
+      [ "k00000000"; "k00000005"; "k00000009"; "k00000006" ];
+    ]
+    uniform_sets;
+  check_int "uniform rng position after the draws" 9 uniform_next
+
 let prop_zipf_bounds =
   QCheck.Test.make ~name:"zipf samples stay in range" ~count:100
     QCheck.(pair (int_range 1 10_000) small_int)
@@ -84,6 +113,7 @@ let () =
           Alcotest.test_case "uniform flat" `Quick test_uniform_flat;
           Alcotest.test_case "key names" `Quick test_key_names;
           Alcotest.test_case "distinct keys" `Quick test_distinct_keys;
+          Alcotest.test_case "distinct keys pinned draws" `Quick test_distinct_keys_pinned;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_zipf_bounds ]);
     ]
