@@ -865,9 +865,10 @@ let chaos_crash () =
     [ 4; 8; 16; 32 ]
 
 (* The CI smoke scenario: a fixed fault plan (crash + a lossy, slow
-   client uplink) under a paced append load, checked for recovery,
-   durability of every acknowledged append, and byte-identical traces
-   across two runs. Exits nonzero on any violation. *)
+   client uplink + a sequencer replacement at 120 ms) under a paced
+   append load, checked for recovery, durability of every acknowledged
+   append, byte-identical traces across two runs and a bound on the
+   client's retry count. Exits nonzero on any violation. *)
 let chaos_scenario () =
   Sim.Trace.capture (fun () ->
       Sim.Engine.run ~seed:42 (fun () ->
@@ -888,6 +889,15 @@ let chaos_scenario () =
                         d_jitter_us = 100.;
                       } );
                   (80_000., Sim.Fault.Clear_edge ("smoke", "*"));
+                  (* a sequencer replacement seals the epoch while the
+                     client appends: the retry gate below counts how
+                     the client rides it out *)
+                  ( 120_000.,
+                    Sim.Fault.Custom
+                      ( "replace-sequencer",
+                        fun () ->
+                          Sim.Engine.spawn (fun () ->
+                              ignore (Corfu.Cluster.replace_sequencer cluster : Corfu.Types.epoch)) ) );
                 ]
               cluster
           in
@@ -914,27 +924,45 @@ let chaos_scenario () =
               !offs
           in
           let incs = Chaos.incidents fault cluster in
-          (readable, List.length incs, Corfu.Client.rpc_failures c, Sim.Engine.now ())))
+          ( readable,
+            List.length incs,
+            Corfu.Client.rpc_failures c,
+            Corfu.Client.retries c,
+            Sim.Engine.now () )))
+
+(* The smoke client's [client.retries] is exact and host-independent,
+   so it is gated like an allocation count: 2 when the bound was set,
+   which allows one extra timeout or seal. A client that polls a sealed
+   epoch instead of waiting at the auxiliary retries 56 times through
+   the sequencer replacement and trips it. *)
+let chaos_smoke_max_retries = 4
 
 let chaos_smoke () =
-  section "Chaos smoke: crash + degraded uplink, determinism and durability check";
+  section
+    "Chaos smoke: crash + degraded uplink + sequencer replacement, determinism, durability and \
+     retry-count check";
   let flight_was = Sim.Flight.enabled () in
   Sim.Flight.set_enabled true;
-  let (readable1, recoveries1, failures1, end1), trace1 = chaos_scenario () in
+  let (readable1, recoveries1, failures1, retries1, end1), trace1 = chaos_scenario () in
   let flight1 = Sim.Flight.dump_json () in
   let r2, trace2 = chaos_scenario () in
   let flight2 = Sim.Flight.dump_json () in
   Sim.Flight.set_enabled flight_was;
   row "200 appends: all readable=%b recoveries=%d failed-rpc=%d end=%.0fus" readable1 recoveries1
     failures1 end1;
-  let same_result = (readable1, recoveries1, failures1, end1) = r2 in
+  row "client.retries=%d (bound %d)" retries1 chaos_smoke_max_retries;
+  let same_result = (readable1, recoveries1, failures1, retries1, end1) = r2 in
   let same_trace = String.equal trace1 trace2 in
   let same_flight = String.equal flight1 flight2 in
   row "replay: same result=%b, byte-identical trace=%b (%d trace bytes)" same_result same_trace
     (String.length trace1);
   row "flight: %d snapshot(s), byte-identical across runs=%b" (Sim.Flight.snapshot_count ())
     same_flight;
-  if not (readable1 && recoveries1 >= 1 && same_result && same_trace && same_flight) then begin
+  if
+    not
+      (readable1 && recoveries1 >= 1 && same_result && same_trace && same_flight
+     && retries1 <= chaos_smoke_max_retries)
+  then begin
     (* Ship the black box with the failure: CI uploads this file. *)
     let oc = open_out "chaos-flight.json" in
     output_string oc flight2;

@@ -1,20 +1,76 @@
 type propose_result = Installed | Conflict of Projection.t
+type await_request = { at_least : Types.epoch; wait_us : float }
+
+(* A parked [await] caller. [w_done] guards the single resume: the
+   install and the deadline race for it, and the loser does nothing. *)
+type waiter = {
+  w_at_least : Types.epoch;
+  mutable w_done : bool;
+  w_resume : Projection.t Sim.Engine.resumer;
+}
 
 type t = {
   mutable views : Projection.t list;  (* newest first *)
-  latest_svc : (unit, Projection.t) Sim.Net.service;
+  mutable waiters : waiter list;  (* newest first *)
+  mutable listed : int;  (* length of [waiters] *)
+  mutable live : int;  (* waiters not yet settled *)
   propose_svc : (Projection.t, propose_result) Sim.Net.service;
+  await_svc : (await_request, Projection.t) Sim.Net.service;
 }
 
 let newest t = match t.views with v :: _ -> v | [] -> assert false
+
+let settle t w p =
+  if not w.w_done then begin
+    w.w_done <- true;
+    t.live <- t.live - 1;
+    w.w_resume p
+  end
+
+(* Wake, in arrival order, every parked caller the new view satisfies;
+   settled waiters (their deadline passed) are dropped on the way.
+   Dropping them at their deadlines instead would scan the list once
+   per timeout: quadratic when hundreds of appends wait out one
+   storage recovery. *)
+let wake t (p : Projection.t) =
+  if t.waiters <> [] then begin
+    let due, parked =
+      List.partition
+        (fun w -> w.w_done || w.w_at_least <= p.Projection.epoch)
+        (List.rev t.waiters)
+    in
+    t.waiters <- List.rev parked;
+    t.listed <- List.length parked;
+    List.iter (fun w -> settle t w p) due
+  end
 
 let handle_propose t (p : Projection.t) =
   let current = newest t in
   if p.Projection.epoch = current.Projection.epoch + 1 then begin
     t.views <- p :: t.views;
+    wake t p;
     Installed
   end
   else Conflict current
+
+(* A seal that never installs never calls [wake], so waiters settled by
+   their deadline are also swept here, once they outnumber the live
+   ones: amortised O(1) per call, and the list stays within twice the
+   callers actually parked. *)
+let handle_await t { at_least; wait_us } =
+  let current = newest t in
+  if current.Projection.epoch >= at_least then current
+  else
+    Sim.Engine.suspend (fun resume ->
+        if t.listed > 2 * t.live then begin
+          t.waiters <- List.filter (fun w -> not w.w_done) t.waiters;
+          t.listed <- t.live
+        end;
+        let w = { w_at_least = at_least; w_done = false; w_resume = resume } in
+        t.waiters <- w :: t.waiters;
+        t.listed <- t.listed + 1;
+        t.live <- t.live + 1;
+        Sim.Engine.schedule ~after:wait_us (fun () -> settle t w (newest t)))
 
 let create ~net ~initial =
   let aux_host = Sim.Net.add_host net "auxiliary" in
@@ -22,13 +78,17 @@ let create ~net ~initial =
     lazy
       {
         views = [ initial ];
-        latest_svc = Sim.Net.service aux_host ~name:"latest" (fun () -> newest (Lazy.force t));
+        waiters = [];
+        listed = 0;
+        live = 0;
         propose_svc =
           Sim.Net.service aux_host ~name:"propose" (fun p -> handle_propose (Lazy.force t) p);
+        await_svc =
+          Sim.Net.service aux_host ~name:"await" (fun r -> handle_await (Lazy.force t) r);
       }
   in
   Lazy.force t
 
-let latest_service t = t.latest_svc
 let propose_service t = t.propose_svc
+let await_service t = t.await_svc
 let latest t = newest t

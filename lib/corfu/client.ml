@@ -76,22 +76,41 @@ let params t = t.p
 let projection t = t.proj
 let hname t = Sim.Net.host_name t.client_host
 let rpc_failures t = Sim.Metrics.counter_value t.rpc_failures
+let retries t = Sim.Metrics.counter_value t.retries
 
 let note_failure t = Sim.Metrics.incr t.rpc_failures
 let note_retry t = Sim.Metrics.incr t.retries
 
-let refresh t =
-  t.proj <- Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-      (Auxiliary.latest_service t.aux) ();
+let adopt t proj =
+  t.proj <- proj;
   if Sim.Announce.active () then
     Sim.Announce.emit
       (Sim.Announce.Epoch_adopted { client = hname t; epoch = t.proj.Projection.epoch })
+
+let fetch_view t ~at_least ~wait_us =
+  adopt t
+    (Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+       (Auxiliary.await_service t.aux)
+       { Auxiliary.at_least; wait_us })
+
+let refresh t = fetch_view t ~at_least:0 ~wait_us:0.
+
+(* Every sealed reply names the epoch [e] that closed ours. The view
+   for [e] is installed only once the reconfiguration finishes, so
+   rather than poll the auxiliary until then, wait there for it. The
+   watch gives up after one RPC timeout and hands back the newest view
+   anyway; the caller's retry then meets the seal again and waits
+   again, so a reconfiguration that never installs costs one retry per
+   timeout, not a spin. *)
+let await_epoch t e =
+  note_retry t;
+  fetch_view t ~at_least:e ~wait_us:t.p.rpc_timeout_us
 
 (* ------------------------------------------------------------------ *)
 (* Chain replication, client-driven                                   *)
 (* ------------------------------------------------------------------ *)
 
-type chain_write = Chain_ok | Chain_lost of Types.cell | Chain_sealed | Chain_down
+type chain_write = Chain_ok | Chain_lost of Types.cell | Chain_sealed of Types.epoch | Chain_down
 
 (* Write [cell] through the chain for global offset [off], head first.
    A mid-chain write-once conflict is benign: it means a concurrent
@@ -134,7 +153,7 @@ let write_chain_inner t off cell =
           match (winner, cell) with
           | Types.Data stored, Types.Data mine when stored == mine -> go (i + 1)
           | _ -> if i = 0 then Chain_lost winner else go (i + 1))
-      | Ok (Types.Sealed_at _) -> Chain_sealed
+      | Ok (Types.Sealed_at e) -> Chain_sealed e
       | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
   in
   go 0
@@ -150,7 +169,8 @@ let write_chain t off cell =
   else write_chain_inner t off cell
 
 (* Back off, learn the current projection, and grow the next backoff:
-   the shared shape of every ride-through-reconfiguration retry. *)
+   the shared shape of every retry after a timeout or a dead replica
+   (sealed replies wait in {!await_epoch} instead). *)
 let down_retry t backoff =
   note_retry t;
   Sim.Engine.sleep backoff;
@@ -190,7 +210,9 @@ let probe_stale_grant t off entry =
       | Error _ ->
           note_failure t;
           go (down_retry t backoff)
-      | Ok (Types.Read_sealed _) -> go (down_retry t backoff)
+      | Ok (Types.Read_sealed e) ->
+          await_epoch t e;
+          go backoff
       | Ok (Types.Read_data e) when e == entry -> `Complete
       | Ok (Types.Read_data _ | Types.Read_junk | Types.Read_trimmed | Types.Read_unwritten) ->
           `Abandon
@@ -226,9 +248,8 @@ let rec append_inner t ~streams payload =
           { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = 1 })
   in
   match resp with
-  | Sequencer.Seq_sealed _ ->
-      note_retry t;
-      refresh t;
+  | Sequencer.Seq_sealed e ->
+      await_epoch t e;
       append_inner t ~streams payload
   | Sequencer.Seq_ok { base = off; stream_tails } ->
       let headers =
@@ -271,9 +292,8 @@ and append_at t ~seq ~streams ~payload off entry =
           (* Our offset was filled before we reached the head (we were
              slow past the hole timeout). Grab a fresh offset. *)
           append_inner t ~streams payload
-      | Chain_sealed ->
-          note_retry t;
-          refresh t;
+      | Chain_sealed e ->
+          await_epoch t e;
           attempt ~seq backoff
       | Chain_down ->
           let backoff = down_retry t backoff in
@@ -328,9 +348,8 @@ let rec reserve_into t g ~streams ~count =
           { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count })
   in
   match resp with
-  | Sequencer.Seq_sealed _ ->
-      note_retry t;
-      refresh t;
+  | Sequencer.Seq_sealed e ->
+      await_epoch t e;
       reserve_into t g ~streams ~count
   | Sequencer.Seq_ok { base; stream_tails } ->
       g.g_base <- base;
@@ -387,9 +406,8 @@ let write_granted_inner t g ~index payload =
              the sequencer issued but that carry no header as junk and
              scan backward. Land the payload at a fresh offset. *)
           append_inner t ~streams:g.g_streams payload
-      | Chain_sealed ->
-          note_retry t;
-          refresh t;
+      | Chain_sealed e ->
+          await_epoch t e;
           attempt ~seq backoff
       | Chain_down ->
           let backoff = down_retry t backoff in
@@ -457,8 +475,8 @@ let rec read t off =
       | Ok (Types.Read_data e) -> Data e
       | Ok Types.Read_junk -> Junk
       | Ok Types.Read_trimmed -> Trimmed
-      | Ok (Types.Read_sealed _) ->
-          refresh t;
+      | Ok (Types.Read_sealed e) ->
+          await_epoch t e;
           read t off
       | Ok Types.Read_unwritten -> (
           (* The replica may simply not have seen the write yet; the
@@ -476,8 +494,8 @@ let rec read t off =
             | Ok Types.Read_junk -> Junk
             | Ok Types.Read_trimmed -> Trimmed
             | Ok Types.Read_unwritten -> Unwritten
-            | Ok (Types.Read_sealed _) ->
-                refresh t;
+            | Ok (Types.Read_sealed e) ->
+                await_epoch t e;
                 read t off)
   in
   try_replica 0
@@ -495,9 +513,8 @@ let rec peek_streams t sids =
       { Sequencer.pepoch = t.proj.Projection.epoch; pstreams = sids }
   in
   match resp with
-  | Sequencer.Seq_sealed _ ->
-      note_retry t;
-      refresh t;
+  | Sequencer.Seq_sealed e ->
+      await_epoch t e;
       peek_streams t sids
   | Sequencer.Seq_ok { base; stream_tails } -> (base, stream_tails)
 
@@ -559,9 +576,8 @@ let append_probing t ~streams payload =
             record_probe guess);
         guess
     | Chain_lost _ -> attempt (guess + 1)
-    | Chain_sealed ->
-        note_retry t;
-        refresh t;
+    | Chain_sealed e ->
+        await_epoch t e;
         attempt guess
     | Chain_down ->
         note_retry t;
@@ -590,9 +606,9 @@ let fill_inner t off =
         (Storage_node.write_service set.(i))
         { Storage_node.wepoch = t.proj.Projection.epoch; woffset = loff; wcell = cell }
     in
-    (* Returns (hit a seal, replicas this fill actually wrote). An
-       unreachable mid-chain replica is skipped: the next fill (or the
-       recovery copy) completes it. *)
+    (* Returns (the epoch of a seal it hit, replicas this fill actually
+       wrote). An unreachable mid-chain replica is skipped: the next
+       fill (or the recovery copy) completes it. *)
     let write_rest cell i0 =
       let rec go i sealed repaired =
         if i >= Array.length set then (sealed, repaired)
@@ -603,10 +619,10 @@ let fill_inner t off =
               go (i + 1) sealed repaired
           | Ok Types.Write_ok -> go (i + 1) sealed (repaired + 1)
           | Ok (Types.Already_written _) -> go (i + 1) sealed repaired
-          | Ok (Types.Sealed_at _) -> go (i + 1) true repaired
+          | Ok (Types.Sealed_at e) -> go (i + 1) (Some e) repaired
           | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
       in
-      go i0 false 0
+      go i0 None 0
     in
     match wr Types.Junk 0 with
     | Error _ ->
@@ -617,27 +633,24 @@ let fill_inner t off =
         if Sim.Announce.active () then
           Sim.Announce.emit (Sim.Announce.Hole_filled { client = hname t; offset = off });
         match head_resp with
-        | Types.Write_ok | Types.Already_written Types.Junk ->
-            let sealed, _ = write_rest Types.Junk 1 in
-            if sealed then begin
-              refresh t;
-              attempt backoff
-            end
-            else Filled
-        | Types.Already_written (Types.Data e) ->
+        | Types.Write_ok | Types.Already_written Types.Junk -> (
+            match write_rest Types.Junk 1 with
+            | Some e, _ ->
+                await_epoch t e;
+                attempt backoff
+            | None, _ -> Filled)
+        | Types.Already_written (Types.Data e) -> (
             (* Data at the head: either a torn append to complete down
                the chain, or a fully replicated write we merely lost
                the race against. *)
-            let sealed, repaired = write_rest (Types.Data e) 1 in
-            if sealed then begin
-              refresh t;
-              attempt backoff
-            end
-            else if repaired > 0 then Fill_completed e
-            else Fill_lost e
+            match write_rest (Types.Data e) 1 with
+            | Some sealed, _ ->
+                await_epoch t sealed;
+                attempt backoff
+            | None, repaired -> if repaired > 0 then Fill_completed e else Fill_lost e)
         | Types.Already_written (Types.Trimmed | Types.Unwritten) -> Filled
-        | Types.Sealed_at _ ->
-            refresh t;
+        | Types.Sealed_at e ->
+            await_epoch t e;
             attempt backoff
         | Types.Out_of_space -> failwith "CORFU: log capacity exhausted")
   in
@@ -759,7 +772,14 @@ let prefix_trim t off =
 (* Entry cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let cached t off = Hashtbl.find_opt t.cache off
+(* Playback consults the cache here before {!read_shared}, so this is
+   where its hits are counted; its misses are counted by the fetch. *)
+let cached t off =
+  match Hashtbl.find_opt t.cache off with
+  | Some _ as hit ->
+      Sim.Metrics.incr t.cache_hits_c;
+      hit
+  | None -> None
 
 let cache_put t off e = cache_insert t off e
 

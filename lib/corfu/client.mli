@@ -2,8 +2,10 @@
     the clustered log (paper §2.2), with client-driven chain
     replication and epoch handling.
 
-    Each client caches a projection; any RPC answered with a sealed
-    error refreshes the cache from the auxiliary and retries. Appends
+    Each client caches a projection. Any RPC answered with a sealed
+    error names the sealing epoch; the client waits at the auxiliary
+    ({!Auxiliary.await_service}) for that epoch's view and retries.
+    Timeouts and dead replicas back off and refresh instead. Appends
     obtain an offset from the sequencer, then write the replica chain
     head-to-tail, so a torn append leaves a prefix of the chain
     written and is repaired by the first {!fill} (which completes data
@@ -27,7 +29,7 @@ val create : host:Sim.Net.host -> aux:Auxiliary.t -> params:Sim.Params.t -> t
 val host : t -> Sim.Net.host
 val params : t -> Sim.Params.t
 
-(** Current cached projection (refreshed on sealed errors). *)
+(** Current cached projection (replaced on sealed replies and timeouts). *)
 val projection : t -> Projection.t
 
 (** Force a refresh from the auxiliary. *)
@@ -163,6 +165,13 @@ val peek_streams : t -> Types.stream_id list -> Types.offset * (Types.stream_id 
     are transparent, so this is observability, not an error report. *)
 val rpc_failures : t -> int
 
+(** Retries since creation: one per sealed reply, one per backed-off
+    timeout or dead replica, and one per grant abandoned after a
+    sequencer replacement. Counted into [client.retries]. *)
+val retries : t -> int
+
+(** [cached t off] looks [off] up in the entry cache; a hit counts
+    toward the [client.cache_hits] counter. *)
 val cached : t -> Types.offset -> Types.entry option
 val cache_put : t -> Types.offset -> Types.entry -> unit
 val cache_drop_below : t -> Types.offset -> unit

@@ -30,7 +30,9 @@ let create ?(seed = 0) () =
     log = [];
   }
 
-let is_crashed t h = Hashtbl.mem t.crashed h
+(* Both checks run on every message; a quiet controller (nothing
+   crashed, no edge rules) must not hash a host name or build a key. *)
+let is_crashed t h = Hashtbl.length t.crashed > 0 && Hashtbl.mem t.crashed h
 
 (* Hosts absent from every component share one implicit component, so a
    partition plan only has to name the minority side. *)
@@ -45,15 +47,17 @@ let partitioned t a b =
   match t.components with [] -> false | _ -> component_of t a <> component_of t b
 
 let edge_rule t src dst =
-  match Hashtbl.find_opt t.edges (src, dst) with
-  | Some e -> Some e
-  | None -> (
-      match Hashtbl.find_opt t.edges (src, "*") with
-      | Some e -> Some e
-      | None -> (
-          match Hashtbl.find_opt t.edges ("*", dst) with
-          | Some e -> Some e
-          | None -> Hashtbl.find_opt t.edges ("*", "*")))
+  if Hashtbl.length t.edges = 0 then None
+  else
+    match Hashtbl.find_opt t.edges (src, dst) with
+    | Some e -> Some e
+    | None -> (
+        match Hashtbl.find_opt t.edges (src, "*") with
+        | Some e -> Some e
+        | None -> (
+            match Hashtbl.find_opt t.edges ("*", dst) with
+            | Some e -> Some e
+            | None -> Hashtbl.find_opt t.edges ("*", "*")))
 
 (* One verdict per message direction. The controller's own rng is drawn
    only when a matching edge rule needs randomness, so an installed but

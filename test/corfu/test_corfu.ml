@@ -812,6 +812,25 @@ let test_stream_playback_reads_each_member_once () =
         true
         (elapsed < float_of_int (n - walked) *. one_read /. 4.))
 
+let test_stream_playback_counts_cache_hits () =
+  (* A writer's own appends sit in its entry cache, so its playback is
+     all hits — and [client.cache_hits] must see every one of them. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let n = 40 in
+      for i = 0 to n - 1 do
+        ignore (Client.append w ~streams:[ 3 ] (payload (string_of_int i)))
+      done;
+      let s = Stream.attach w 3 in
+      ignore (Stream.sync s);
+      let hits = Sim.Metrics.counter ~host:"writer" "client.cache_hits" in
+      let before = Sim.Metrics.counter_value hits in
+      let stream_before = Stream.cache_hits s in
+      check_int "every member played back" n (List.length (drain s));
+      check_int "playback saw only hits" n (Stream.cache_hits s - stream_before);
+      check_int "client.cache_hits rose by the member count" n
+        (Sim.Metrics.counter_value hits - before))
+
 let test_stream_sync_with_unordered_pointers () =
   (* Peek data normally lists pointers most recent first; a list out of
      that order, with a repeat, must still yield each member once. *)
@@ -1706,6 +1725,221 @@ let test_seqcore_peek_and_seed () =
   Sequencer.Core.note_issue t 4 52;
   Alcotest.(check (list int)) "rotated ring" [ 52; 51 ] (Sequencer.Core.last_k t 4)
 
+(* ------------------------------------------------------------------ *)
+(* Epoch watch: sealed replies wait at the auxiliary                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Seal-and-hold, as a reconfiguration does between its seal and its
+   install: [seal] closes the current epoch, [install] publishes the
+   next view (same layout, same sequencer). *)
+let epoch_bump cluster =
+  let aux = Cluster.auxiliary cluster in
+  let agent = Sim.Net.add_host (Cluster.net cluster) "test-agent" in
+  let old = Auxiliary.latest aux in
+  let epoch = old.Projection.epoch + 1 in
+  let install () =
+    match
+      Sim.Net.call ~from:agent (Auxiliary.propose_service aux)
+        (Projection.v ~epoch ~segments:old.Projection.segments ~sequencer:old.Projection.sequencer)
+    with
+    | Auxiliary.Installed -> ()
+    | Auxiliary.Conflict _ -> Alcotest.fail "install conflicted"
+  in
+  (agent, epoch, install)
+
+(* Every Epoch_adopted milestone of this run, oldest first, with the
+   virtual time it happened at. *)
+let record_adoptions () =
+  let seen = ref [] in
+  Sim.Announce.subscribe (function
+    | Sim.Announce.Epoch_adopted { client; epoch } ->
+        seen := (client, epoch, Sim.Engine.now ()) :: !seen
+    | _ -> ());
+  fun client ->
+    List.rev (List.filter_map (fun (c, e, at) -> if c = client then Some (e, at) else None) !seen)
+
+(* One auxiliary round trip at the worst jitter, plus the wait of the
+   last of [queued] answers leaving the auxiliary's NIC together. *)
+let aux_round_trip ?(queued = 1) cluster =
+  let p = Cluster.params cluster in
+  (2. *. Sim.Net.one_way_delay (Cluster.net cluster) ~bytes:p.Sim.Params.rpc_bytes
+  *. (1. +. p.Sim.Params.net_jitter))
+  +. (float_of_int (queued - 1) *. float_of_int p.Sim.Params.rpc_bytes /. p.Sim.Params.nic_bandwidth)
+
+let test_sealed_appends_wait_for_install () =
+  with_cluster (fun cluster ->
+      let p = Cluster.params cluster in
+      let agent, epoch, install = epoch_bump cluster in
+      let adoptions = record_adoptions () in
+      ignore
+        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+          : Types.offset);
+      let k = 5 in
+      let clients =
+        Array.init k (fun i -> Cluster.new_client cluster ~name:(Printf.sprintf "w%d" i))
+      in
+      let done_at = Array.make k Float.nan in
+      let remaining = ref k in
+      let all_done = Sim.Ivar.create () in
+      Array.iteri
+        (fun i c ->
+          Sim.Engine.spawn (fun () ->
+              ignore (Client.append c ~streams:[ 1 ] (payload (string_of_int i)));
+              done_at.(i) <- Sim.Engine.now ();
+              decr remaining;
+              if !remaining = 0 then Sim.Ivar.fill all_done ()))
+        clients;
+      let hold_us = 120_000. in
+      Sim.Engine.sleep hold_us;
+      let installed_at = Sim.Engine.now () in
+      install ();
+      Sim.Ivar.read all_done;
+      let bound = int_of_float (Float.ceil (hold_us /. p.Sim.Params.rpc_timeout_us)) + 1 in
+      let fresh_append =
+        let t0 = Sim.Engine.now () in
+        ignore (Client.append clients.(0) ~streams:[ 1 ] (payload "after"));
+        Sim.Engine.now () -. t0
+      in
+      Array.iteri
+        (fun i c ->
+          let sealed = Client.retries c in
+          check_bool
+            (Printf.sprintf "client %d: %d sealed grants, bound %d" i sealed bound)
+            true
+            (sealed >= 1 && sealed <= bound);
+          (match List.filter (fun (e, _) -> e >= epoch) (adoptions (Sim.Net.host_name (Client.host c))) with
+          | (_, at) :: _ ->
+              check_bool
+                (Printf.sprintf "client %d adopted %.0f us after the install" i (at -. installed_at))
+                true
+                (at >= installed_at && at -. installed_at <= aux_round_trip ~queued:k cluster)
+          | [] -> Alcotest.fail "new epoch never adopted");
+          (* after adopting: a grant and a chain write, queued behind
+             the other k - 1 appends at worst *)
+          check_bool
+            (Printf.sprintf "client %d completed %.0f us after the install" i
+               (done_at.(i) -. installed_at))
+            true
+            (done_at.(i) -. installed_at
+            <= aux_round_trip ~queued:k cluster +. (float_of_int k *. fresh_append)))
+        clients)
+
+let test_sealed_wait_times_out () =
+  (* The seal is never followed by an install. The waiting client must
+     come back after each RPC timeout and retry; a watch that parked
+     for good would leave the main fiber below waiting on nothing. *)
+  with_cluster (fun cluster ->
+      let p = Cluster.params cluster in
+      let agent, epoch, _install = epoch_bump cluster in
+      let adoptions = record_adoptions () in
+      ignore
+        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+          : Types.offset);
+      let c = Cluster.new_client cluster ~name:"waiter" in
+      let name = Sim.Net.host_name (Client.host c) in
+      let returns = 3 in
+      let enough = Sim.Ivar.create () in
+      Sim.Announce.subscribe (function
+        | Sim.Announce.Epoch_adopted { client; _ }
+          when client = name
+               && List.length (adoptions name) = returns
+               && not (Sim.Ivar.is_filled enough) ->
+            Sim.Ivar.fill enough ()
+        | _ -> ());
+      Sim.Engine.spawn (fun () -> ignore (Client.append c ~streams:[ 1 ] (payload "x")));
+      Sim.Ivar.read enough;
+      let seen = adoptions name in
+      List.iter (fun (e, _) -> check_int "still the old epoch" (epoch - 1) e) seen;
+      let times = List.map snd seen in
+      List.iteri
+        (fun i at ->
+          if i > 0 then
+            check_bool "each wait lasts one RPC timeout" true
+              (at -. List.nth times (i - 1) >= p.Sim.Params.rpc_timeout_us))
+        times;
+      check_int "one sealed grant per wait" returns (Client.retries c))
+
+let test_await_wakes_in_arrival_order () =
+  let params = { Sim.Params.default with net_jitter = 0. } in
+  Sim.Engine.run ~seed:11 (fun () ->
+      let cluster = Cluster.create ~params ~servers:4 () in
+      let aux = Cluster.auxiliary cluster in
+      let _, epoch, install = epoch_bump cluster in
+      let order = ref [] in
+      let wait_us = 1_000_000. in
+      let spawn_waiter name ~arrive_us ~at_least =
+        let host = Sim.Net.add_host (Cluster.net cluster) name in
+        Sim.Engine.spawn ~at:arrive_us (fun () ->
+            let proj =
+              Sim.Net.call ~from:host (Auxiliary.await_service aux)
+                { Auxiliary.at_least; wait_us }
+            in
+            order := (name, proj.Projection.epoch, Sim.Engine.now ()) :: !order)
+      in
+      (* the host names sort against arrival order *)
+      spawn_waiter "d" ~arrive_us:0. ~at_least:epoch;
+      spawn_waiter "c" ~arrive_us:10. ~at_least:(epoch + 1);
+      spawn_waiter "b" ~arrive_us:20. ~at_least:epoch;
+      spawn_waiter "a" ~arrive_us:30. ~at_least:epoch;
+      spawn_waiter "now" ~arrive_us:40. ~at_least:(epoch - 1);
+      Sim.Engine.sleep 5_000.;
+      check_bool "a satisfied watch answers at once" true
+        (match !order with [ ("now", e, _) ] -> e = epoch - 1 | _ -> false);
+      install ();
+      Sim.Engine.sleep (wait_us +. 10_000.);
+      let got = List.rev_map (fun (n, e, _) -> (n, e)) !order in
+      Alcotest.(check (list (pair string int)))
+        "woken in arrival order; the later epoch only at its deadline"
+        [ ("now", epoch - 1); ("d", epoch); ("b", epoch); ("a", epoch); ("c", epoch) ]
+        got;
+      match !order with
+      | ("c", _, at) :: _ -> check_bool "deadline honoured" true (at >= 10. +. wait_us)
+      | _ -> Alcotest.fail "the unsatisfied watch never returned")
+
+let test_storage_seals_resolve_through_await () =
+  (* Storage nodes sealed ahead of the sequencer: the chain write meets
+     [Sealed_at], the read meets [Read_sealed]. Each must adopt the new
+     epoch once, when it installs, instead of refreshing in a loop. *)
+  with_cluster (fun cluster ->
+      let seal_storage agent epoch =
+        Array.iter
+          (fun node ->
+            ignore (Sim.Net.call ~from:agent (Storage_node.seal_service node) epoch : Types.offset))
+          (Cluster.storage_nodes cluster)
+      in
+      let adoptions = record_adoptions () in
+      let hold_us = 10_000. in
+      let held_sealed ~client ~op =
+        let agent, epoch, install = epoch_bump cluster in
+        seal_storage agent epoch;
+        let result = Sim.Ivar.create () in
+        Sim.Engine.spawn (fun () -> Sim.Ivar.fill result (op ()));
+        Sim.Engine.sleep hold_us;
+        let installed_at = Sim.Engine.now () in
+        let before = Client.retries client in
+        install ();
+        let r = Sim.Ivar.read result in
+        let name = Sim.Net.host_name (Client.host client) in
+        (match List.filter (fun (_, at) -> at > installed_at -. hold_us) (adoptions name) with
+        | [ (e, at) ] ->
+            check_int "adopted the sealing epoch" epoch e;
+            check_bool "adopted at the install" true
+              (at >= installed_at && at -. installed_at <= aux_round_trip cluster)
+        | seen ->
+            Alcotest.failf "expected one adoption while sealed, saw %d" (List.length seen));
+        check_int "no further retries after the wake" before (Client.retries client);
+        r
+      in
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let off = held_sealed ~client:w ~op:(fun () -> Client.append w ~streams:[ 1 ] (payload "v")) in
+      check_int "one sealed chain write" 1 (Client.retries w);
+      let r = Cluster.new_client cluster ~name:"reader" in
+      Client.refresh r;
+      (match held_sealed ~client:r ~op:(fun () -> Client.read r off) with
+      | Client.Data e -> check_string "read through the seal" "v" (payload_str e)
+      | _ -> Alcotest.fail "sealed read did not resolve to the data");
+      check_int "one sealed read" 1 (Client.retries r))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1795,6 +2029,8 @@ let () =
             test_stream_playback_skips_junk_member;
           Alcotest.test_case "sync_with takes unordered pointers" `Quick
             test_stream_sync_with_unordered_pointers;
+          Alcotest.test_case "playback counts cache hits" `Quick
+            test_stream_playback_counts_cache_hits;
         ] );
       ( "probing",
         [
@@ -1836,6 +2072,16 @@ let () =
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;
+        ] );
+      ( "epoch-watch",
+        [
+          Alcotest.test_case "sealed appends wait for the install" `Quick
+            test_sealed_appends_wait_for_install;
+          Alcotest.test_case "a seal that never installs" `Quick test_sealed_wait_times_out;
+          Alcotest.test_case "waiters wake in arrival order" `Quick
+            test_await_wakes_in_arrival_order;
+          Alcotest.test_case "storage seals resolve through the watch" `Quick
+            test_storage_seals_resolve_through_await;
         ] );
       ( "properties",
         qcheck
