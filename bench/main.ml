@@ -1475,6 +1475,59 @@ let micro_hotpath () =
         (!time *. 1e9 /. ops, !words /. ops))
   in
   hot_report ~name:"stream-playback" ns words;
+  (* concurrent stream sync: 16 fibers sync one stream at the same
+     instant against members another client wrote, so every walk
+     blocks on an uncached read while the others run — the overlap
+     the runtime's transaction and read fibers produce. Timed from the
+     spawn until all 16 return (engine, RPC and walk cost included),
+     reported per member discovered; a member registered twice fails
+     the kernel outright. *)
+  let fibers = 16 and per_cycle = 64 and cycles = 200 in
+  let ns, words, dups =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let cluster = Corfu.Cluster.create ~servers:2 () in
+        let w = Corfu.Cluster.new_client cluster ~name:"writer" in
+        let r = Corfu.Cluster.new_client cluster ~name:"reader" in
+        let sid = 7 in
+        let s = Corfu.Stream.attach r sid in
+        let words = ref 0. and time = ref 0. in
+        (* playback must deliver the members in strict log order *)
+        let last = ref (-1) and out_of_order = ref 0 in
+        for _ = 1 to cycles do
+          ignore
+            (Corfu.Client.append_range w ~streams:[ sid ]
+               (List.init per_cycle (fun _ -> Bytes.empty)));
+          let returned = Array.init fibers (fun _ -> Sim.Ivar.create ()) in
+          let w0 = Gc.minor_words () in
+          let t0 = Unix.gettimeofday () in
+          Array.iter
+            (fun iv ->
+              Sim.Engine.spawn (fun () ->
+                  ignore (Corfu.Stream.sync s);
+                  Sim.Ivar.fill iv ()))
+            returned;
+          Array.iter Sim.Ivar.read returned;
+          time := !time +. (Unix.gettimeofday () -. t0);
+          words := !words +. (Gc.minor_words () -. w0);
+          let rec play () =
+            match Corfu.Stream.readnext s with
+            | None -> ()
+            | Some (off, _) ->
+                if off <= !last then incr out_of_order;
+                last := off;
+                play ()
+          in
+          play ()
+        done;
+        let written = cycles * per_cycle in
+        let dups = Corfu.Stream.discovered s - written + !out_of_order in
+        let ops = float_of_int written in
+        (!time *. 1e9 /. ops, !words /. ops, dups))
+  in
+  hot_report ~name:"stream-sync-concurrent" ns words;
+  if dups <> 0 then
+    failwith
+      (Printf.sprintf "stream-sync-concurrent: %d duplicate or out-of-order stream members" dups);
   (* telemetry-plane kernels: every recording path must hold the
      steady-state allocation discipline. They need the virtual clock
      (flight events and window seals are virtually timestamped), so

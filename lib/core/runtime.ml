@@ -63,6 +63,10 @@ type t = {
   dispatch : Sim.Resource.t;
   play_lock : Sim.Resource.t;
   objects : (int, hosted) Hashtbl.t;
+  (* [objects] in its fold order, and their stream ids: what every
+     sync and playback sweep iterates, rebuilt by [register] *)
+  mutable hosted : hosted list;
+  mutable hosted_sids : int list;
   processed : (int, unit) Hashtbl.t;
   decided : (int, bool) Hashtbl.t;
   undecided : (int, Record.commit) Hashtbl.t;
@@ -108,6 +112,8 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     dispatch = Sim.Resource.create ~name:(host_name ^ ".tango-dispatch") ~capacity:1 ();
     play_lock = Sim.Resource.create ~name:(host_name ^ ".tango-playback") ~capacity:1 ();
     objects = Hashtbl.create 16;
+    hosted = [];
+    hosted_sids = [];
     processed = Hashtbl.create 4096;
     decided = Hashtbl.create 256;
     undecided = Hashtbl.create 16;
@@ -160,7 +166,9 @@ let register t ~oid ?(needs_decision = false) cb =
       serve_read = None;
       extra_views = [];
       waiting = Queue.create ();
-    }
+    };
+  t.hosted <- Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects [];
+  t.hosted_sids <- List.map (fun ho -> ho.oid) t.hosted
 
 let register_extra_view t ~oid cb =
   match Hashtbl.find_opt t.objects oid with
@@ -170,7 +178,6 @@ let register_extra_view t ~oid cb =
 let is_hosted t oid = Hashtbl.mem t.objects oid
 let hosted_oids t =
   Hashtbl.fold (fun oid _ acc -> oid :: acc) t.objects [] |> List.sort Int.compare
-let hosted_list t = Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects []
 
 (* ------------------------------------------------------------------ *)
 (* Versions                                                           *)
@@ -717,7 +724,7 @@ let process_entry t off (entry : Corfu.Types.entry) =
 (* Consume hosted streams merged by offset so records apply in global
    log order (see the .mli preamble). [upto] is exclusive. *)
 let play_merged t ~upto =
-  let hos = hosted_list t in
+  let hos = t.hosted in
   let rec loop () =
     let best =
       List.fold_left
@@ -745,13 +752,12 @@ let with_play_lock t f =
 (* One sequencer round trip refreshes membership of every hosted
    stream; returns the global tail. *)
 let sync_all t =
-  let hos = hosted_list t in
+  let hos = t.hosted in
   let tail =
     match hos with
     | [] -> Corfu.Client.check t.cl
     | _ ->
-        let sids = List.map (fun ho -> ho.oid) hos in
-        let tail, tails = Corfu.Client.peek_streams t.cl sids in
+        let tail, tails = Corfu.Client.peek_streams t.cl t.hosted_sids in
         List.iter
           (fun ho ->
             match List.assoc_opt ho.oid tails with

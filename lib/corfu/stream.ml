@@ -1,7 +1,7 @@
 type t = {
   cl : Client.t;
   sid : Types.stream_id;
-  mutable offsets : int array;  (* ascending member offsets *)
+  mutable offsets : int array;  (* member offsets, strictly ascending *)
   mutable len : int;
   mutable cursor : int;
   mutable horizon : Types.offset;  (* membership complete below this *)
@@ -45,30 +45,41 @@ let clear_trim_gap t = t.trim_gap <- false
 
 let known_max t = if t.len > 0 then t.offsets.(t.len - 1) else -1
 
+(* Append the walk's newly discovered [members] (any order; the sync
+   walk hands them over ascending, so the sort is usually skipped) and
+   start fetching them so the upcoming playback finds them cached.
+   Syncs of one stream run concurrently, each walk covering (its floor,
+   its tail] with its floor read from an earlier completed push; a
+   walk that finished first has therefore registered every member up
+   to the current [known_max], and anything at or below it is a
+   duplicate. Dropping those keeps [offsets] strictly ascending. *)
 let push_members t members =
-  (* [members] is the set of newly discovered offsets, any order; the
-     sync walk hands them over ascending, so the sort is usually
-     skipped. *)
-  let n = List.length members in
+  let floor = known_max t in
+  let n = List.fold_left (fun n off -> if off > floor then n + 1 else n) 0 members in
   if n > 0 then begin
     if t.len + n > Array.length t.offsets then begin
       let bigger = Array.make (max (2 * Array.length t.offsets) (t.len + n)) 0 in
       Array.blit t.offsets 0 bigger 0 t.len;
       t.offsets <- bigger
     end;
+    let start = t.len in
     let ascending = ref true in
-    List.iteri
-      (fun i off ->
-        let at = t.len + i in
-        if i > 0 && off < t.offsets.(at - 1) then ascending := false;
-        t.offsets.(at) <- off)
+    List.iter
+      (fun off ->
+        if off > floor then begin
+          if t.len > start && off < t.offsets.(t.len - 1) then ascending := false;
+          t.offsets.(t.len) <- off;
+          t.len <- t.len + 1
+        end)
       members;
     if not !ascending then begin
-      let fresh = Array.sub t.offsets t.len n in
+      let fresh = Array.sub t.offsets start n in
       Array.sort Int.compare fresh;
-      Array.blit fresh 0 t.offsets t.len n
+      Array.blit fresh 0 t.offsets start n
     end;
-    t.len <- t.len + n
+    for i = start to t.len - 1 do
+      Client.prefetch t.cl t.offsets.(i)
+    done
   end
 
 (* The prefetch window adapts to the observed cache miss rate: a miss
@@ -189,10 +200,8 @@ let sync_with_inner t ~tail ~ptrs =
           List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members
     in
     push_members t fresh;
-    (* Start fetching the newly discovered entries right away so the
-       upcoming playback finds them in the cache. *)
-    List.iter (Client.prefetch t.cl) fresh;
-    t.horizon <- tail
+    (* A walk for an older tail can finish after one for a newer tail. *)
+    if tail > t.horizon then t.horizon <- tail
 
 (* Tracing-disabled syncs must not build the span args (stream/tail
    stringification) or a body closure. *)

@@ -31,7 +31,9 @@ val append : t -> bytes -> Types.offset
     sequencer's current tail and returns that tail. The application
     must call it before relying on [readnext] for linearizable
     semantics (§5), and may call it periodically to amortize the
-    cost. *)
+    cost. Several fibers may sync one stream at once: each member is
+    still registered, prefetched and delivered once, in log order,
+    and the horizon never moves back. *)
 val sync : t -> Types.offset
 
 (** [sync_until t horizon] like {!sync} but only guarantees

@@ -847,6 +847,77 @@ let test_stream_sync_with_unordered_pointers () =
       Alcotest.(check (list string)) "every member once, in order" (List.init 12 string_of_int)
         (List.map snd (drain sr)))
 
+let test_stream_concurrent_syncs_register_each_member_once () =
+  (* Fibers syncing one stream at the same instant all walk from the
+     same floor, and each walk blocks on an uncached read; whichever
+     pushes second must not re-append what the first registered. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let k = (Client.params r).Sim.Params.backpointer_k in
+      let write i = Client.append w ~streams:[ 2 ] (payload (string_of_int i)) in
+      let first = List.init 5 write in
+      let sr = Stream.attach r 2 in
+      ignore (Stream.sync sr);
+      Alcotest.(check (list int)) "first batch" first (List.map fst (drain sr));
+      let fresh = List.init ((3 * k) + 1) (fun i -> write (5 + i)) in
+      let fibers = 4 in
+      let finished = ref 0 in
+      for _ = 1 to fibers do
+        Sim.Engine.spawn (fun () ->
+            ignore (Stream.sync sr);
+            incr finished)
+      done;
+      while !finished < fibers do
+        Sim.Engine.sleep 100.
+      done;
+      check_int "each member discovered once" (List.length first + List.length fresh)
+        (Stream.discovered sr);
+      let got = drain sr in
+      Alcotest.(check (list int)) "each new member played once, ascending" fresh (List.map fst got);
+      check_int "nothing pending" 0 (Stream.pending sr))
+
+let test_stream_slow_older_walk_keeps_horizon () =
+  (* A walk for an older tail that finishes after a walk for a newer
+     tail must not move the horizon back: a later [sync_until] below
+     the newer tail needs no sequencer round trip. *)
+  with_cluster (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let r = Cluster.new_client cluster ~name:"reader" in
+      let s = Stream.attach w 1 in
+      for i = 0 to 2 do
+        ignore (Stream.append s (payload (string_of_int i)))
+      done;
+      (* an offset granted on stream 1 and never written: reading it
+         blocks until the fill timeout *)
+      let resp =
+        Sim.Net.call ~from:(Client.host w)
+          (Sequencer.increment_service (Cluster.sequencer cluster))
+          { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
+      in
+      let hole = (alloc resp).Sequencer.base in
+      let newer = List.init 3 (fun i -> Stream.append s (payload (string_of_int (3 + i)))) in
+      let newer_tail = List.nth newer 2 + 1 in
+      let sr = Stream.attach r 1 in
+      let slow_done = ref false in
+      Sim.Engine.spawn (fun () ->
+          Stream.sync_with sr ~tail:(hole + 1) ~ptrs:[ hole ];
+          slow_done := true);
+      Sim.Engine.yield ();
+      Stream.sync_with sr ~tail:newer_tail ~ptrs:(List.rev newer);
+      check_bool "newer walk finished first" false !slow_done;
+      while not !slow_done do
+        Sim.Engine.sleep 1_000.
+      done;
+      let peeks = Sim.Metrics.counter ~host:"sequencer-0" "seq.peeks" in
+      let before = Sim.Metrics.counter_value peeks in
+      Stream.sync_until sr (newer_tail - 1);
+      check_int "no sequencer request below the newer tail" 0
+        (Sim.Metrics.counter_value peeks - before);
+      Alcotest.(check (list string)) "every member once, junk skipped"
+        (List.init 6 string_of_int)
+        (List.map snd (drain sr)))
+
 let test_stream_playback_skips_junk_member () =
   (* A hole filled after the walk passed it stays in the membership
      list; playback must skip it and keep order. *)
@@ -2029,6 +2100,10 @@ let () =
             test_stream_playback_skips_junk_member;
           Alcotest.test_case "sync_with takes unordered pointers" `Quick
             test_stream_sync_with_unordered_pointers;
+          Alcotest.test_case "concurrent syncs register each member once" `Quick
+            test_stream_concurrent_syncs_register_each_member_once;
+          Alcotest.test_case "slow older walk keeps the horizon" `Quick
+            test_stream_slow_older_walk_keeps_horizon;
           Alcotest.test_case "playback counts cache hits" `Quick
             test_stream_playback_counts_cache_hits;
         ] );
