@@ -1,10 +1,11 @@
 (* The evaluation harness: regenerates every figure and table of the
    paper's §6 on the simulated testbed, plus the ablations listed in
-   DESIGN.md §4 and a set of Bechamel micro-benchmarks.
+   DESIGN.md §4 and the hot-path kernels that ci/check_hotpath.sh
+   gates.
 
      dune exec bench/main.exe              # all experiments
      dune exec bench/main.exe fig9 fig10-mid
-     dune exec bench/main.exe micro        # bechamel micro-benches
+     dune exec bench/main.exe micro        # hot-path kernels + events-wall
 
    Set TANGO_BENCH_QUICK=1 for shorter measurement windows. *)
 
@@ -1254,10 +1255,9 @@ let scale_out_bench () =
 (* Hot-path kernels: ns/op and minor-words/op per kernel              *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled rather than bechamel because the regression gate needs
-   {e allocation counts}, and [Gc.minor_words] deltas over a fixed op
-   count are exactly reproducible — bechamel's adaptive sampling is
-   not. Each kernel is the data path of one hot layer with the I/O
+(* Hand-rolled because the regression gate needs {e allocation
+   counts}, and [Gc.minor_words] deltas over a fixed op count are
+   exactly reproducible, which adaptive sampling is not. Each kernel is the data path of one hot layer with the I/O
    boundary cut off; ops are sized so a run takes milliseconds. *)
 
 let hot_measure ~ops f =
@@ -1644,94 +1644,9 @@ let micro_events_wall () =
       ]
     ~perf ~virtual_end_us:virtual_us ~metrics_json:(Sim.Metrics.to_json ()) ()
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the hot code path of each experiment    *)
-(* ------------------------------------------------------------------ *)
-
-let micro_bechamel () =
-  let open Bechamel in
-  let payload =
-    Tango.Record.encode_payload
-      [
-        Tango.Record.Commit
-          {
-            Tango.Record.c_reads = [ (1, Some "k00000001", 42); (1, Some "k00000002", 43) ];
-            c_writes =
-              [ { Tango.Record.u_oid = 1; u_key = Some "k00000003"; u_data = Bytes.make 64 'x' } ];
-            c_needs_decision = false;
-          };
-      ]
-  in
-  let headers =
-    Corfu.Stream_header.encode_block ~k:4 ~current:100_000
-      [ { Corfu.Stream_header.stream = 7; backptrs = [ 99_999; 99_990; 99_900; 99_000 ] } ]
-  in
-  let zipf = Tango_workloads.Zipf.create ~n:1_000_000 () in
-  let zipf_rng = Sim.Rng.create 1 in
-  let tests =
-    [
-      (* fig2: the sequencer's per-request work, end to end *)
-      Test.make ~name:"fig2/sequencer-rpc-sim"
-        (Staged.stage (fun () ->
-             Sim.Engine.run (fun () ->
-                 let cluster = Corfu.Cluster.create ~servers:2 () in
-                 let c = Corfu.Cluster.new_client cluster ~name:"c" in
-                 ignore (Corfu.Client.check c))));
-      (* fig8: one append + one linearizable read, end to end *)
-      Test.make ~name:"fig8/register-write-read-sim"
-        (Staged.stage (fun () ->
-             Sim.Engine.run (fun () ->
-                 let cluster = Corfu.Cluster.create ~servers:2 () in
-                 let rt = new_runtime cluster "app" in
-                 let reg = Tango_register.attach rt ~oid:1 in
-                 Tango_register.write reg 1;
-                 ignore (Tango_register.read reg))));
-      (* fig9/fig10: commit-record decode, the per-tx byte work *)
-      Test.make ~name:"fig9/record-roundtrip"
-        (Staged.stage (fun () -> ignore (Tango.Record.decode_payload payload)));
-      (* §5 streams: header decode *)
-      Test.make ~name:"fig10/stream-header-roundtrip"
-        (Staged.stage (fun () ->
-             ignore (Corfu.Stream_header.decode_block ~k:4 ~current:100_000 headers)));
-      (* fig9 workload generation *)
-      Test.make ~name:"fig9/zipf-sample"
-        (Staged.stage (fun () -> ignore (Tango_workloads.Zipf.sample zipf zipf_rng)));
-      (* tbl-zk: one full zk create transaction in a mini-cluster *)
-      Test.make ~name:"tbl-zk/create-tx-sim"
-        (Staged.stage (fun () ->
-             Sim.Engine.run (fun () ->
-                 let cluster = Corfu.Cluster.create ~servers:2 () in
-                 let zk = Tango_zk.attach (new_runtime cluster "z") ~oid:1 in
-                 ignore (Tango_zk.create zk "/a" "x"))));
-    ]
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let benchmark test =
-    let quota = Time.second 0.25 in
-    Benchmark.all (Benchmark.cfg ~limit:500 ~quota ()) [ clock ] test
-  in
-  let analyze results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      clock results
-  in
-  section "Bechamel micro-benchmarks (ns per run)";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let a = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ est ] -> row "%-36s %12.0f ns/run" name est
-          | Some _ | None -> row "%-36s %12s" name "n/a")
-        a)
-    tests
-
 let micro () =
   micro_hotpath ();
-  micro_events_wall ();
-  micro_bechamel ()
+  micro_events_wall ()
 
 (* ------------------------------------------------------------------ *)
 (* Scale-up: aggregate client population                              *)

@@ -219,10 +219,40 @@ let probe_stale_grant t off entry =
   in
   go t.p.retry_sleep_us
 
-(* The sequencer round trip, wrapped in its span and latency
-   histogram; shared by single appends, range grants, and checks. *)
-let seq_grant t f =
-  Sim.Span.with_span ~host:(hname t) "sequencer.grant" @@ fun () -> Sim.Metrics.time t.grant_h f
+type seq_request = Grant of int | Peek
+
+(* Every sequencer request: a sealed reply waits for the sealing epoch
+   and retries against the new projection's sequencer. Each grant
+   attempt is one [sequencer.grant] span and latency observation; a
+   peek is one [check_tail] span around its attempt, wait and retry. *)
+let rec sequencer_request t req ~streams =
+  match req with
+  | Grant _ -> sequencer_attempt t req ~streams
+  | Peek ->
+      Sim.Span.with_span ~host:(hname t) "check_tail" @@ fun () ->
+      sequencer_attempt t Peek ~streams
+
+and sequencer_attempt t req ~streams =
+  let resp =
+    match req with
+    | Grant count ->
+        let increment () =
+          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+            (Sequencer.increment_service t.proj.Projection.sequencer)
+            { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
+        in
+        Sim.Span.with_span ~host:(hname t) "sequencer.grant" (fun () ->
+            Sim.Metrics.time t.grant_h increment)
+    | Peek ->
+        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+          (Sequencer.peek_service t.proj.Projection.sequencer)
+          { Sequencer.pepoch = t.proj.Projection.epoch; pstreams = streams }
+  in
+  match resp with
+  | Sequencer.Seq_sealed e ->
+      await_epoch t e;
+      sequencer_request t req ~streams
+  | Sequencer.Seq_ok a -> a
 
 let commit_marker t ~streams ~off f =
   Sim.Span.with_span ~host:(hname t) "commit" @@ fun () ->
@@ -240,38 +270,43 @@ let note_own_append t ~streams off =
       Hashtbl.replace t.probe_tails sid (take t.p.backpointer_k (off :: prev)))
     streams
 
-let rec append_inner t ~streams payload =
-  let resp =
-    seq_grant t (fun () ->
-        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-          (Sequencer.increment_service t.proj.Projection.sequencer)
-          { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = 1 })
-  in
-  match resp with
-  | Sequencer.Seq_sealed e ->
-      await_epoch t e;
-      append_inner t ~streams payload
-  | Sequencer.Seq_ok { base = off; stream_tails } ->
-      let headers =
-        Stream_header.encode_block ~k:t.p.backpointer_k ~current:off
-          (List.map
-             (fun (sid, ptrs) -> { Stream_header.stream = sid; backptrs = ptrs })
-             stream_tails)
-      in
-      let entry = { Types.headers; payload } in
-      append_at t ~seq:t.proj.Projection.sequencer ~streams ~payload off entry
+(* Backpointers for offset [off], the [index]th of a grant: the grant's
+   earlier offsets (all on every granted stream, newest first) followed
+   by the per-stream tails from before the grant, truncated to K. Keeps
+   every stream's chain exactly walkable even though the grant's
+   entries are written concurrently. [tails] lists the requested
+   streams in request order, so the first entry of a grant carries the
+   sequencer's pointers as they are. *)
+let grant_headers t ~tails ~index off =
+  let k = t.p.backpointer_k in
+  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
+  Stream_header.encode_block ~k ~current:off
+    (if index = 0 then
+       List.map (fun (sid, prior) -> { Stream_header.stream = sid; backptrs = prior }) tails
+     else
+       let earlier = List.init index (fun j -> off - 1 - j) in
+       List.map
+         (fun (sid, prior) -> { Stream_header.stream = sid; backptrs = take k (earlier @ prior) })
+         tails)
 
-(* Drive one entry's chain write to a decision. A sealed or unreachable
-   chain retries the {e same} offset under the refreshed projection —
-   as long as the sequencer that granted it ([seq]) is still the
-   projection's sequencer, the allocation is preserved and the offset
-   is still ours. Once a handoff replaced the sequencer, the grant's
-   fate is decided by {!probe_stale_grant}: complete a torn write the
-   rebuild scan saw, abandon an unwritten slot for a fresh offset.
-   Only a genuine loss of the slot (someone filled it) moves the
-   payload to a fresh offset; retrying with a fresh offset on seal, as
-   we used to, could commit the entry twice. *)
-and append_at t ~seq ~streams ~payload off entry =
+(* A one-entry grant, written by the shared driver. *)
+let rec append_inner t ~streams payload =
+  let a = sequencer_request t (Grant 1) ~streams in
+  write_at t ~seq:t.proj.Projection.sequencer ~streams ~tails:a.Sequencer.stream_tails ~index:0
+    a.Sequencer.base payload
+
+(* Drive one sequencer-granted entry's chain write to a decision. A
+   sealed or unreachable chain retries the {e same} offset under the
+   refreshed projection — as long as the sequencer that granted it
+   ([seq]) is still the projection's sequencer, the allocation is
+   preserved and the offset is still ours. Once a handoff replaced the
+   sequencer, the grant's fate is decided by {!probe_stale_grant}:
+   complete a torn write the rebuild scan saw, abandon an unwritten
+   slot for a fresh offset. Only a genuine loss of the slot (someone
+   filled it) moves the payload to a fresh offset; retrying with a
+   fresh offset on seal could commit the entry twice. *)
+and write_at t ~seq ~streams ~tails ~index off payload =
+  let entry = { Types.headers = grant_headers t ~tails ~index off; payload } in
   let rec attempt ~seq backoff =
     if t.proj.Projection.sequencer != seq then
       match probe_stale_grant t off entry with
@@ -290,7 +325,10 @@ and append_at t ~seq ~streams ~payload off entry =
           off
       | Chain_lost _ ->
           (* Our offset was filled before we reached the head (we were
-             slow past the hole timeout). Grab a fresh offset. *)
+             slow past the hole timeout). The junked slot breaks
+             nothing: stream readers treat offsets the sequencer issued
+             but that carry no header as junk and scan backward. Land
+             the payload at a fresh offset. *)
           append_inner t ~streams payload
       | Chain_sealed e ->
           await_epoch t e;
@@ -339,81 +377,23 @@ let blank_grant t =
 (* Fields are mutable so pooling callers (the batcher's drain loop) can
    refill one grant record per cycle instead of allocating one; the
    grant must not be refilled while writes against it are in flight. *)
-let rec reserve_into t g ~streams ~count =
+let reserve_into t g ~streams ~count =
   if count < 1 then invalid_arg "Client.reserve: count must be >= 1";
-  let resp =
-    seq_grant t (fun () ->
-        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-          (Sequencer.increment_service t.proj.Projection.sequencer)
-          { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count })
-  in
-  match resp with
-  | Sequencer.Seq_sealed e ->
-      await_epoch t e;
-      reserve_into t g ~streams ~count
-  | Sequencer.Seq_ok { base; stream_tails } ->
-      g.g_base <- base;
-      g.g_count <- count;
-      g.g_streams <- streams;
-      g.g_tails <- stream_tails;
-      g.g_seq <- t.proj.Projection.sequencer
+  let a = sequencer_request t (Grant count) ~streams in
+  g.g_base <- a.Sequencer.base;
+  g.g_count <- count;
+  g.g_streams <- streams;
+  g.g_tails <- a.Sequencer.stream_tails;
+  g.g_seq <- t.proj.Projection.sequencer
 
 let reserve t ~streams ~count =
   let g = blank_grant t in
   reserve_into t g ~streams ~count;
   g
 
-(* Backpointers for offset [g_base + index]: the grant's earlier
-   offsets (all on every granted stream, newest first) followed by the
-   per-stream tails from before the grant, truncated to K. Keeps every
-   stream's chain exactly walkable even though the grant's entries are
-   written concurrently. *)
-let grant_headers t g ~index off =
-  let k = t.p.backpointer_k in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  let earlier = List.init index (fun j -> off - 1 - j) in
-  Stream_header.encode_block ~k ~current:off
-    (List.map
-       (fun sid ->
-         let prior = match List.assoc_opt sid g.g_tails with Some l -> l | None -> [] in
-         { Stream_header.stream = sid; backptrs = take k (earlier @ prior) })
-       g.g_streams)
-
 let write_granted_inner t g ~index payload =
-  let off = g.g_base + index in
-  Sim.Metrics.time t.append_h
-  @@ fun () ->
-  let entry = { Types.headers = grant_headers t g ~index off; payload } in
-  let rec attempt ~seq backoff =
-    if t.proj.Projection.sequencer != seq then
-      (* The grant's sequencer was replaced mid-write; see
-         {!probe_stale_grant} for why the head replica decides. *)
-      match probe_stale_grant t off entry with
-      | `Complete -> attempt ~seq:t.proj.Projection.sequencer backoff
-      | `Abandon ->
-          note_retry t;
-          append_inner t ~streams:g.g_streams payload
-    else
-      match write_chain t off (Types.Data entry) with
-      | Chain_ok ->
-          commit_marker t ~streams:g.g_streams ~off (fun () ->
-              cache_insert t off entry;
-              note_own_append t ~streams:g.g_streams off);
-          off
-      | Chain_lost _ ->
-          (* The granted offset was filled (we blew the hole timeout).
-             The junked slot breaks nothing: stream readers treat offsets
-             the sequencer issued but that carry no header as junk and
-             scan backward. Land the payload at a fresh offset. *)
-          append_inner t ~streams:g.g_streams payload
-      | Chain_sealed e ->
-          await_epoch t e;
-          attempt ~seq backoff
-      | Chain_down ->
-          let backoff = down_retry t backoff in
-          attempt ~seq backoff
-  in
-  attempt ~seq:g.g_seq t.p.retry_sleep_us
+  Sim.Metrics.time t.append_h @@ fun () ->
+  write_at t ~seq:g.g_seq ~streams:g.g_streams ~tails:g.g_tails ~index (g.g_base + index) payload
 
 let write_granted t g ~index payload =
   if index < 0 || index >= g.g_count then invalid_arg "Client.write_granted: index out of range";
@@ -451,72 +431,61 @@ let append_range t ~streams payloads =
 (* Reads                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Walk the replicas starting from a random one; a dead replica is
+   skipped, and only when every member is unreachable do we wait for
+   reconfiguration to produce a live chain. Top-level recursion, not a
+   local closure: a read allocates only its result. *)
 let rec read t off =
   if Projection.locate t.proj off = Projection.Retired then Trimmed
   else
-  let set = Projection.replica_set t.proj off in
+    let set = Projection.replica_set t.proj off in
+    read_from t off set (Sim.Rng.int t.rng (Array.length set)) 0
+
+and read_from t off set start step =
   let n = Array.length set in
-  let start = Sim.Rng.int t.rng n in
-  (* Walk the replicas starting from a random one; a dead replica is
-     skipped, and only when every member is unreachable do we wait for
-     reconfiguration to produce a live chain. *)
-  let rec try_replica step =
-    if step >= n then begin
-      Sim.Engine.sleep t.p.retry_sleep_us;
-      refresh t;
+  if step >= n then begin
+    Sim.Engine.sleep t.p.retry_sleep_us;
+    refresh t;
+    read t off
+  end
+  else
+    let i = (start + step) mod n in
+    match read_replica t set.(i) off with
+    | Error _ ->
+        note_failure t;
+        read_from t off set start (step + 1)
+    | Ok r -> read_outcome t off set i r
+
+(* One replica's answer for [off], the [i]th member of [set]. *)
+and read_outcome t off set i = function
+  | Types.Read_data e -> Data e
+  | Types.Read_junk -> Junk
+  | Types.Read_trimmed -> Trimmed
+  | Types.Read_sealed e ->
+      await_epoch t e;
       read t off
-    end
-    else
-      let i = (start + step) mod n in
-      match read_replica t set.(i) off with
-      | Error _ ->
-          note_failure t;
-          try_replica (step + 1)
-      | Ok (Types.Read_data e) -> Data e
-      | Ok Types.Read_junk -> Junk
-      | Ok Types.Read_trimmed -> Trimmed
-      | Ok (Types.Read_sealed e) ->
-          await_epoch t e;
-          read t off
-      | Ok Types.Read_unwritten -> (
-          (* The replica may simply not have seen the write yet; the
-             chain tail is authoritative for committed entries. *)
-          if i = n - 1 then Unwritten
-          else
-            match read_replica t set.(n - 1) off with
-            | Error _ ->
-                (* Tail unreachable: report unwritten and let the
-                   caller's poll/fill policy sort it out after the
-                   chain is repaired. *)
-                note_failure t;
-                Unwritten
-            | Ok (Types.Read_data e) -> Data e
-            | Ok Types.Read_junk -> Junk
-            | Ok Types.Read_trimmed -> Trimmed
-            | Ok Types.Read_unwritten -> Unwritten
-            | Ok (Types.Read_sealed e) ->
-                await_epoch t e;
-                read t off)
-  in
-  try_replica 0
+  | Types.Read_unwritten -> (
+      (* The replica may simply not have seen the write yet; the chain
+         tail is authoritative for committed entries. *)
+      let tail = Array.length set - 1 in
+      if i = tail then Unwritten
+      else
+        match read_replica t set.(tail) off with
+        | Error _ ->
+            (* Tail unreachable: report unwritten and let the caller's
+               poll/fill policy sort it out after the chain is
+               repaired. *)
+            note_failure t;
+            Unwritten
+        | Ok r -> read_outcome t off set tail r)
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec peek_streams t sids =
-  Sim.Span.with_span ~host:(hname t) "check_tail"
-  @@ fun () ->
-  let resp =
-    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-      (Sequencer.peek_service t.proj.Projection.sequencer)
-      { Sequencer.pepoch = t.proj.Projection.epoch; pstreams = sids }
-  in
-  match resp with
-  | Sequencer.Seq_sealed e ->
-      await_epoch t e;
-      peek_streams t sids
-  | Sequencer.Seq_ok { base; stream_tails } -> (base, stream_tails)
+let peek_streams t sids =
+  let a = sequencer_request t Peek ~streams:sids in
+  (a.Sequencer.base, a.Sequencer.stream_tails)
 
 let check t = fst (peek_streams t [])
 
@@ -730,7 +699,7 @@ let trim t off =
         { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff })
     set
 
-let cache_drop_below_impl t off =
+let cache_drop_below t off =
   if off > t.cache_floor then begin
     t.cache_floor <- off;
     Hashtbl.filter_map_inplace (fun o e -> if o < off then None else Some e) t.cache
@@ -766,7 +735,7 @@ let prefix_trim t off =
           end)
         seg.Projection.seg_sets
   done;
-  cache_drop_below_impl t off
+  cache_drop_below t off
 
 (* ------------------------------------------------------------------ *)
 (* Entry cache                                                        *)
@@ -782,7 +751,3 @@ let cached t off =
   | None -> None
 
 let cache_put t off e = cache_insert t off e
-
-let cache_drop_below t off = cache_drop_below_impl t off
-
-let cache_size t = Hashtbl.length t.cache

@@ -174,5 +174,3 @@ val retries : t -> int
     toward the [client.cache_hits] counter. *)
 val cached : t -> Types.offset -> Types.entry option
 val cache_put : t -> Types.offset -> Types.entry -> unit
-val cache_drop_below : t -> Types.offset -> unit
-val cache_size : t -> int

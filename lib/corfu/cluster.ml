@@ -93,6 +93,14 @@ let with_reconfig t f =
   t.reconfig_busy <- true;
   Fun.protect ~finally:(fun () -> t.reconfig_busy <- false) f
 
+(* The last step of every reconfiguration: propose the new view. Only
+   one agent reconfigures at a time ({!with_reconfig}), so a conflict
+   is a bug in [op]. *)
+let install t ~op proj =
+  match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
+  | Auxiliary.Installed -> ()
+  | Auxiliary.Conflict _ -> failwith (op ^ ": concurrent reconfiguration")
+
 (* Group [nodes] into replica chains: uniform [chain_length] by
    default, or explicit per-chain lengths via [chains] — which is how
    a segment accepts any server count. *)
@@ -173,8 +181,6 @@ let sequencer t = (Auxiliary.latest t.aux).Projection.sequencer
 let new_client t ~name =
   let host = Sim.Net.add_host t.cluster_net name in
   Client.create ~host ~aux:t.aux ~params:t.p
-
-let client_on t host = Client.create ~host ~aux:t.aux ~params:t.p
 
 (* Raw read used during reconfiguration, bypassing the client library
    (which would chase the not-yet-installed projection). Always reads
@@ -401,14 +407,9 @@ let replace_sequencer t =
     Sequencer.create ~net:t.cluster_net ~name ~params:t.p ~initial_tail:tail ~initial_streams ()
   in
   (* 5. Install the new view: the same segment map under the new
-     sequencer. A single reconfiguration agent runs at a time in the
-     simulation, so a conflict is a bug. *)
-  let proj = Projection.v ~epoch ~segments:old_proj.Projection.segments ~sequencer in
-  (match
-     Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj
-   with
-  | Auxiliary.Installed -> ()
-  | Auxiliary.Conflict _ -> failwith "Cluster.replace_sequencer: concurrent reconfiguration");
+     sequencer. *)
+  install t ~op:"Cluster.replace_sequencer"
+    (Projection.v ~epoch ~segments:old_proj.Projection.segments ~sequencer);
   announce_installed "sequencer" epoch;
   epoch
 
@@ -593,10 +594,7 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
   in
   let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
   Sim.Span.with_span "recovery.install" (fun () ->
-      match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-      | Auxiliary.Installed -> ()
-      | Auxiliary.Conflict _ ->
-          failwith "Cluster.replace_storage_node: concurrent reconfiguration");
+      install t ~op:"Cluster.replace_storage_node" proj);
   Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries");
   let installed = Sim.Engine.now () in
   t.recoveries <-
@@ -618,6 +616,23 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
 (* ------------------------------------------------------------------ *)
 
 let scale_events t = List.rev t.scale_events
+
+(* Adopt an installed segment map's servers and log the change. *)
+let note_scaled t ~kind ~epoch ~boundary ~servers_before ~released ~started proj =
+  t.nodes <- Array.of_list (Projection.servers proj);
+  t.scale_events <-
+    {
+      sc_epoch = epoch;
+      sc_kind = kind;
+      sc_boundary = boundary;
+      sc_servers_before = servers_before;
+      sc_servers_after = Projection.num_servers proj;
+      sc_segments = Projection.num_segments proj;
+      sc_released = released;
+      sc_started_us = started;
+      sc_installed_us = Sim.Engine.now ();
+    }
+    :: t.scale_events
 
 (* Distinct members of the tail segment, in set order. *)
 let tail_members proj =
@@ -688,26 +703,8 @@ let reseal_with_tail t ~kind ~started new_sets_of =
   in
   let segments = Array.of_list (kept @ [ tail_seg ]) in
   let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
-  Sim.Span.with_span "scale.install" (fun () ->
-      match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-      | Auxiliary.Installed -> ()
-      | Auxiliary.Conflict _ -> failwith "Cluster.scale: concurrent reconfiguration");
-  t.nodes <- Array.of_list (Projection.servers proj);
-  let installed = Sim.Engine.now () in
-  let event =
-    {
-      sc_epoch = epoch;
-      sc_kind = kind;
-      sc_boundary = boundary;
-      sc_servers_before = servers_before;
-      sc_servers_after = Projection.num_servers proj;
-      sc_segments = Projection.num_segments proj;
-      sc_released = [];
-      sc_started_us = started;
-      sc_installed_us = installed;
-    }
-  in
-  t.scale_events <- event :: t.scale_events;
+  Sim.Span.with_span "scale.install" (fun () -> install t ~op:"Cluster.scale" proj);
+  note_scaled t ~kind ~epoch ~boundary ~servers_before ~released:[] ~started proj;
   announce_installed kind_name epoch;
   epoch
 
@@ -816,10 +813,7 @@ let retire_trimmed_segments t =
        and a stale client touching a retired offset gets Trimmed from
        the old nodes — the same answer the new map gives. *)
     let proj = Projection.v ~epoch ~segments:kept ~sequencer:old_proj.Projection.sequencer in
-    (match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-    | Auxiliary.Installed -> ()
-    | Auxiliary.Conflict _ ->
-        failwith "Cluster.retire_trimmed_segments: concurrent reconfiguration");
+    install t ~op:"Cluster.retire_trimmed_segments" proj;
     let survivors = Projection.servers proj in
     let released =
       List.filter_map
@@ -827,22 +821,8 @@ let retire_trimmed_segments t =
           if List.memq node survivors then None else Some (Storage_node.name node))
         (Projection.servers old_proj)
     in
-    t.nodes <- Array.of_list survivors;
-    let installed = Sim.Engine.now () in
-    let event =
-      {
-        sc_epoch = epoch;
-        sc_kind = Segments_retired;
-        sc_boundary = kept.(0).Projection.seg_base;
-        sc_servers_before = servers_before;
-        sc_servers_after = Projection.num_servers proj;
-        sc_segments = Projection.num_segments proj;
-        sc_released = released;
-        sc_started_us = started;
-        sc_installed_us = installed;
-      }
-    in
-    t.scale_events <- event :: t.scale_events;
+    note_scaled t ~kind:Segments_retired ~epoch ~boundary:kept.(0).Projection.seg_base
+      ~servers_before ~released ~started proj;
     Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements");
     announce_installed "retire" epoch;
     Some epoch

@@ -37,10 +37,6 @@ val sequencer : t -> Sequencer.t
     returns a log client bound to it. *)
 val new_client : t -> name:string -> Client.t
 
-(** [client_on t host] binds a log client to an existing host (so an
-    application server and its log client share NIC and CPU). *)
-val client_on : t -> Sim.Net.host -> Client.t
-
 (** [replace_sequencer t] runs the §5 reconfiguration: seal the old
     sequencer and every storage node at the next epoch, rebuild the
     tail and per-stream backpointer state by scanning the log

@@ -48,20 +48,9 @@ let incidents fault cluster =
            inc_rebuild_bytes = r.rec_copied_bytes;
          })
 
-let pp_incident ppf i =
-  Format.fprintf ppf
-    "%s -> %s (epoch %d): crash %.0fus, detected +%.0fus, recovered +%.0fus \
-     (window %.1fms), rebuilt %d entries / %d bytes"
-    i.inc_dead i.inc_spare i.inc_epoch i.inc_crashed_us
-    (i.inc_detected_us -. i.inc_crashed_us)
-    (i.inc_recovered_us -. i.inc_crashed_us)
-    (i.inc_unavailable_us /. 1_000.)
-    i.inc_rebuild_entries i.inc_rebuild_bytes
-
 type recorder = {
   mutable last_us : float;
   mutable max_gap_us : float;
-  mutable gap_at_us : float;
   mutable completions : int;
   stall_threshold_us : float;  (* infinity = never a stall *)
 }
@@ -70,7 +59,6 @@ let recorder ?(stall_threshold_us = infinity) () =
   {
     last_us = Sim.Engine.now ();
     max_gap_us = 0.;
-    gap_at_us = 0.;
     completions = 0;
     stall_threshold_us;
   }
@@ -85,12 +73,10 @@ let note r =
       if Sim.Announce.active () then Sim.Announce.emit (Sim.Announce.Chaos_stall { gap_us = gap });
       Sim.Flight.snapshot ~reason:"chaos-stall"
     end;
-    r.max_gap_us <- gap;
-    r.gap_at_us <- r.last_us
+    r.max_gap_us <- gap
   end;
   r.last_us <- now;
   r.completions <- r.completions + 1
 
 let max_gap_us r = r.max_gap_us
-let max_gap_start_us r = r.gap_at_us
 let completions r = r.completions

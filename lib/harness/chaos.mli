@@ -29,8 +29,6 @@ val install :
     with {!Corfu.Cluster.recoveries} by host name, oldest first. *)
 val incidents : Sim.Fault.t -> Corfu.Cluster.t -> incident list
 
-val pp_incident : Format.formatter -> incident -> unit
-
 (** {2 Completion recorder}
 
     Tracks the largest gap between consecutive operation completions
@@ -52,8 +50,5 @@ val recorder : ?stall_threshold_us:float -> unit -> recorder
 val note : recorder -> unit
 
 val max_gap_us : recorder -> float
-
-(** Virtual time at which the largest gap started. *)
-val max_gap_start_us : recorder -> float
 
 val completions : recorder -> int

@@ -7,10 +7,6 @@ type report = {
   samples : int;
 }
 
-let pp_report ppf r =
-  Fmt.pf ppf "%.0f ops/s (goodput %.0f), latency mean %.0f µs p50 %.0f µs p99 %.0f µs (%d samples)"
-    r.throughput r.goodput r.latency_mean_us r.latency_p50_us r.latency_p99_us r.samples
-
 type window = {
   mutable measuring : bool;
   latencies : Sim.Stats.Series.t;

@@ -15,8 +15,6 @@ type report = {
   samples : int;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** [closed_loop ~fibers op] spawns [fibers] fibers repeatedly
     invoking [op] (its [bool] result marks goodput) and measures for
     [measure_us] (default 1 s) after [warmup_us] (default 200 ms).

@@ -178,7 +178,6 @@ let time h f =
   Fun.protect ~finally:(fun () -> observe h (Engine.now () -. t0)) f
 
 let hist_count h = h.n
-let hist_mean h = if h.n = 0 then 0. else h.sum /. float_of_int h.n
 
 let hist_percentile h p =
   if Float.is_nan p || p < 0. || p > 100. then

@@ -68,7 +68,6 @@ val observe : histogram -> float -> unit
 val time : histogram -> (unit -> 'a) -> 'a
 
 val hist_count : histogram -> int
-val hist_mean : histogram -> float
 
 (** [hist_percentile h p] estimates the [p]-th percentile ([0..100])
     from the cumulative bucket counts. The estimate is the geometric

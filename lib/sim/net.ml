@@ -49,24 +49,47 @@ let add_host ?(cores = 8) t name =
 
 let host_name h = h.hname
 let host_cpu h = h.cpu
-let nic_in h = h.nic_in_r
-let nic_out h = h.nic_out_r
 
 let service shost ~name serve = { shost; sname = name; sspan = "rpc." ^ name; serve }
-let service_name svc = svc.sname
 
 let propagation h =
   let base = h.fabric_latency in
   if h.fabric_jitter = 0. then base
   else base *. (1. +. Rng.float (Engine.rng ()) h.fabric_jitter)
 
-let transfer ~(src : host) ~(dst : host) ~bytes =
-  let wire_time = float_of_int bytes *. src.byte_time in
-  Resource.use src.nic_out_r wire_time;
-  Engine.sleep (propagation src);
-  Resource.use dst.nic_in_r wire_time
-
 let crashed fault name = match fault with Some f -> Fault.is_crashed f name | None -> false
+
+(* A lost request or response. A constant exception rather than an
+   [option] result keeps the fault-free exchange allocation-free. *)
+exception Lost
+
+(* One message: the sender always pays serialization (the bytes leave
+   its NIC whether or not they arrive); an installed controller judges
+   the message; a receiver that died while it was in flight never
+   takes it off the wire. *)
+let hop fault ~(src : host) ~(dst : host) ~bytes =
+  let wire = float_of_int bytes *. src.byte_time in
+  Resource.use src.nic_out_r wire;
+  match fault with
+  | None ->
+      Engine.sleep (propagation src);
+      Resource.use dst.nic_in_r wire
+  | Some f ->
+      (match Fault.judge f ~src:src.hname ~dst:dst.hname with
+      | Fault.Drop -> raise Lost
+      | Fault.Deliver extra -> Engine.sleep (propagation src +. extra));
+      if Fault.is_crashed f dst.hname then raise Lost;
+      Resource.use dst.nic_in_r wire
+
+(* Request hop, service, response hop. A server that died while
+   serving takes the response with it. Raises [Lost], or whatever the
+   handler raises. *)
+let exchange fault ~req_bytes ~resp_bytes ~from svc req =
+  hop fault ~src:from ~dst:svc.shost ~bytes:req_bytes;
+  let resp = svc.serve req in
+  if crashed fault svc.shost.hname then raise Lost;
+  hop fault ~src:svc.shost ~dst:from ~bytes:resp_bytes;
+  resp
 
 (* A message that will never be answered: park the fiber forever. The
    run discards it when the main fiber finishes (or deadlocks if the
@@ -75,38 +98,10 @@ let crashed fault name = match fault with Some f -> Fault.is_crashed f name | No
 let park : unit -> 'a = fun () -> Engine.suspend (fun (_ : 'a Engine.resumer) -> ())
 
 let call_inner ~req_bytes ~resp_bytes ~from svc req =
-  match !(from.hfault) with
-  | None ->
-      if from == svc.shost then svc.serve req
-      else begin
-        transfer ~src:from ~dst:svc.shost ~bytes:req_bytes;
-        let resp = svc.serve req in
-        transfer ~src:svc.shost ~dst:from ~bytes:resp_bytes;
-        resp
-      end
-  | Some f ->
-      if Fault.is_crashed f from.hname then park ()
-      else if from == svc.shost then svc.serve req
-      else begin
-        (* The sender always pays serialization: the bytes leave the
-           NIC whether or not they arrive. *)
-        let wire = float_of_int req_bytes *. from.byte_time in
-        Resource.use from.nic_out_r wire;
-        (match Fault.judge f ~src:from.hname ~dst:svc.shost.hname with
-        | Fault.Drop -> park ()
-        | Fault.Deliver extra -> Engine.sleep (propagation from +. extra));
-        if Fault.is_crashed f svc.shost.hname then park ();
-        Resource.use svc.shost.nic_in_r wire;
-        let resp = svc.serve req in
-        if Fault.is_crashed f svc.shost.hname then park ();
-        let wire_r = float_of_int resp_bytes *. svc.shost.byte_time in
-        Resource.use svc.shost.nic_out_r wire_r;
-        (match Fault.judge f ~src:svc.shost.hname ~dst:from.hname with
-        | Fault.Drop -> park ()
-        | Fault.Deliver extra -> Engine.sleep (propagation svc.shost +. extra));
-        Resource.use from.nic_in_r wire_r;
-        resp
-      end
+  let fault = !(from.hfault) in
+  if crashed fault from.hname then park ()
+  else if from == svc.shost then svc.serve req
+  else try exchange fault ~req_bytes ~resp_bytes ~from svc req with Lost -> park ()
 
 (* Tracing-disabled calls must not allocate span args (or a body
    closure): branch before building either. *)
@@ -118,107 +113,46 @@ let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
       (fun () -> call_inner ~req_bytes ~resp_bytes ~from svc req)
   else call_inner ~req_bytes ~resp_bytes ~from svc req
 
-(* The result-typed RPC. Without an installed fault controller this is
-   exactly [call] (same fiber, same event sequence), so fault-free runs
-   stay byte-identical; with one, the exchange runs in a helper fiber
-   and the caller waits for first-of(response, timeout). *)
-let call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault f =
-      if crashed fault from.hname then Error Rpc_dead
-      else if from == svc.shost then begin
-        match svc.serve req with
-        | resp -> Ok resp
-        | exception Resource.Failed _ -> Error Rpc_dead
-      end
-      else
-        let span_parent = Span.current () in
-        Engine.suspend (fun resume ->
-            let settled = ref false in
-            let settle r =
-              if not !settled then begin
-                settled := true;
-                resume r
-              end
-            in
-            (match timeout_us with
-            | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
-            | None -> ());
-            Engine.spawn (fun () ->
-                Span.with_parent span_parent @@ fun () ->
-                try
-                  let wire = float_of_int req_bytes *. from.byte_time in
-                  Resource.use from.nic_out_r wire;
-                  match Fault.judge f ~src:from.hname ~dst:svc.shost.hname with
-                  | Fault.Drop -> ()
-                  | Fault.Deliver extra ->
-                      Engine.sleep (propagation from +. extra);
-                      if Fault.is_crashed f svc.shost.hname then ()
-                      else begin
-                        Resource.use svc.shost.nic_in_r wire;
-                        match svc.serve req with
-                        | exception Resource.Failed _ -> ()  (* no response: device gone *)
-                        | resp ->
-                            (* The host may have died while serving: the
-                               response is lost with it. *)
-                            if Fault.is_crashed f svc.shost.hname then ()
-                            else begin
-                              let wire_r = float_of_int resp_bytes *. svc.shost.byte_time in
-                              Resource.use svc.shost.nic_out_r wire_r;
-                              match Fault.judge f ~src:svc.shost.hname ~dst:from.hname with
-                              | Fault.Drop -> ()
-                              | Fault.Deliver extra ->
-                                  Engine.sleep (propagation svc.shost +. extra);
-                                  Resource.use from.nic_in_r wire_r;
-                                  settle (Ok resp)
-                            end
-                      end
-                with Resource.Failed _ -> ()))
+(* Under a fault controller the exchange runs in a helper fiber and the
+   caller waits for first-of(response, timeout). A lost exchange or a
+   failed device simply never settles. *)
+let call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault =
+  if crashed fault from.hname then Error Rpc_dead
+  else if from == svc.shost then begin
+    match svc.serve req with
+    | resp -> Ok resp
+    | exception Resource.Failed _ -> Error Rpc_dead
+  end
+  else
+    let span_parent = Span.current () in
+    Engine.suspend (fun resume ->
+        let settled = ref false in
+        let settle r =
+          if not !settled then begin
+            settled := true;
+            resume r
+          end
+        in
+        (match timeout_us with
+        | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
+        | None -> ());
+        Engine.spawn (fun () ->
+            Span.with_parent span_parent @@ fun () ->
+            match exchange fault ~req_bytes ~resp_bytes ~from svc req with
+            | resp -> settle (Ok resp)
+            | exception (Lost | Resource.Failed _) -> ()))
 
+(* Without an installed fault controller this is exactly [call] (same
+   fiber, same event sequence), so fault-free runs stay byte-identical. *)
 let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ?timeout_us ~from svc req =
-  let fault = !(from.hfault) in
-  match fault with
+  match !(from.hfault) with
   | None -> Ok (call ~req_bytes ~resp_bytes ~from svc req)
-  | Some f ->
+  | fault ->
       if Span.enabled () then
         Span.with_span ~host:from.hname
           ~args:[ ("dst", svc.shost.hname) ]
           svc.sspan
-          (fun () -> call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault f)
-      else call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault f
-
-let send ?(req_bytes = 64) ~from svc req =
-  let span_parent = Span.current () in
-  match !(from.hfault) with
-  | None ->
-      if from == svc.shost then
-        Engine.spawn (fun () -> Span.with_parent span_parent (fun () -> svc.serve req))
-      else begin
-        let wire_time = float_of_int req_bytes *. from.byte_time in
-        Resource.use from.nic_out_r wire_time;
-        Engine.spawn (fun () ->
-            Span.with_parent span_parent @@ fun () ->
-            Engine.sleep (propagation from);
-            Resource.use svc.shost.nic_in_r wire_time;
-            svc.serve req)
-      end
-  | Some f ->
-      if Fault.is_crashed f from.hname then ()
-      else if from == svc.shost then
-        Engine.spawn (fun () ->
-            Span.with_parent span_parent @@ fun () ->
-            try svc.serve req with Resource.Failed _ -> ())
-      else begin
-        let wire_time = float_of_int req_bytes *. from.byte_time in
-        Resource.use from.nic_out_r wire_time;
-        match Fault.judge f ~src:from.hname ~dst:svc.shost.hname with
-        | Fault.Drop -> ()
-        | Fault.Deliver extra ->
-            Engine.spawn (fun () ->
-                Span.with_parent span_parent @@ fun () ->
-                Engine.sleep (propagation from +. extra);
-                if not (Fault.is_crashed f svc.shost.hname) then begin
-                  Resource.use svc.shost.nic_in_r wire_time;
-                  try svc.serve req with Resource.Failed _ -> ()
-                end)
-      end
+          (fun () -> call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault)
+      else call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault
 
 let one_way_delay t ~bytes = (2. *. float_of_int bytes *. t.byte_time) +. t.latency

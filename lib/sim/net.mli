@@ -11,7 +11,9 @@
 
     A {!Fault.t} controller can be installed on the fabric; every
     message direction is then judged by it (crashes, partitions,
-    per-edge drop/delay). {!call_r} is the failure-aware RPC variant
+    per-edge drop/delay), and a message to or from a crashed host is
+    dropped. Both RPC primitives run the same exchange (request hop,
+    service, response hop); {!call_r} is the failure-aware variant
     returning a [result] instead of hanging. *)
 
 type t
@@ -29,8 +31,6 @@ val add_host : ?cores:int -> t -> string -> host
 
 val host_name : host -> string
 val host_cpu : host -> Resource.t
-val nic_in : host -> Resource.t
-val nic_out : host -> Resource.t
 
 type ('req, 'resp) service
 
@@ -38,10 +38,6 @@ type ('req, 'resp) service
     [host]. [serve] should model its own server-side costs (CPU, SSD)
     via {!Resource.use}. *)
 val service : host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
-
-(** [service_name svc] is the name the endpoint was registered under.
-    RPC spans are labelled ["rpc.<service_name>"]. *)
-val service_name : ('req, 'resp) service -> string
 
 (** [call ~from svc req] performs a blocking RPC. [req_bytes] and
     [resp_bytes] (default 64) size the two messages. Calls between a
@@ -82,11 +78,6 @@ val call_r :
 val install_fault : t -> Fault.t -> unit
 
 val fault : t -> Fault.t option
-
-(** [send ~from svc req] is a fire-and-forget cast: the caller pays
-    only its own serialization cost; delivery and handling happen in a
-    fresh fiber. *)
-val send : ?req_bytes:int -> from:host -> ('req, unit) service -> 'req -> unit
 
 (** [one_way_delay t ~bytes] is the modelled cost of moving [bytes]
     one hop, excluding queueing: serialization at both ends plus mean

@@ -68,7 +68,3 @@ let default =
        100 ms fill timeout. *)
     rpc_timeout_us = 50_000.;
   }
-
-let replica_sets_of_servers n =
-  if n < 2 || n mod 2 <> 0 then invalid_arg "Params.replica_sets_of_servers: need an even count";
-  n / 2

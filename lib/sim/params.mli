@@ -45,7 +45,3 @@ type t = {
 
 (** The paper-calibrated testbed. *)
 val default : t
-
-(** [replica_sets_of_servers n] is [n/2]: the paper always mirrors
-    across racks in sets of two. *)
-val replica_sets_of_servers : int -> int

@@ -39,7 +39,3 @@ val exponential : t -> mean:float -> float
 
 (** [shuffle t arr] shuffles [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [pick t arr] returns a uniformly random element.
-    @raise Invalid_argument on an empty array. *)
-val pick : t -> 'a array -> 'a

@@ -166,7 +166,6 @@ let feed m v =
   push (state ()) m ~time v
 
 let firing m = m.m_firing
-let monitor_name m = m.m_name
 
 let alerts () = List.rev (state ()).alerts
 

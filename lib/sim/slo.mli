@@ -59,7 +59,6 @@ val eval : unit -> unit
 val feed : monitor -> float -> unit
 
 val firing : monitor -> bool
-val monitor_name : monitor -> string
 
 type alert = {
   al_time : float;  (** virtual µs of the causing window's end *)

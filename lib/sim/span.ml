@@ -94,16 +94,6 @@ let with_parent parent f =
       f
   end
 
-let add_arg k v =
-  if !enabled_flag then begin
-    let st = state () in
-    match stack_of st (Engine.fiber_id ()) with
-    | [] -> ()
-    | top :: _ ->
-        let r = get st top in
-        r.sargs <- r.sargs @ [ (k, v) ]
-  end
-
 type view = {
   v_id : int;
   v_parent : int option;

@@ -47,10 +47,6 @@ val current : unit -> id option
     capture [current ()] before [Engine.spawn], apply inside. *)
 val with_parent : id option -> (unit -> 'a) -> 'a
 
-(** [add_arg k v] attaches an annotation to the calling fiber's
-    innermost open span (no-op if tracing is off or no span is open). *)
-val add_arg : string -> string -> unit
-
 type view = {
   v_id : int;
   v_parent : int option;

@@ -53,10 +53,6 @@ val track_counter : Metrics.counter -> unit
 val track_gauge : Metrics.gauge -> unit
 val track_histogram : Metrics.histogram -> unit
 
-(** Track every handle currently registered in {!Metrics} (sorted
-    order, deterministic; duplicates are ignored). *)
-val track_all_metrics : unit -> unit
-
 (** [probe ?host name fn] registers a derived watermark: [fn] is
     called on every sub-tick and must only read component state.
     Re-registering an existing probe name replaces its function (a

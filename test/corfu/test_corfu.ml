@@ -465,6 +465,42 @@ let test_client_append_read () =
       | _ -> Alcotest.fail "expected data");
       check_int "check" 2 (Client.check c))
 
+(* A single append is a one-entry grant written by the same driver: at
+   the same state, [append] and [reserve ~count:1] + [write_granted]
+   land the same offset at the same virtual time with byte-equal
+   headers, for one stream, several, and a repeated stream id. *)
+let test_client_append_is_one_entry_grant () =
+  let run ~streams ~granted =
+    with_cluster (fun cluster ->
+        let c = Cluster.new_client cluster ~name:"app" in
+        (* Some history, so the sequencer hands back nonempty tails. *)
+        for i = 0 to 6 do
+          ignore (Client.append c ~streams:[ 1 + (i mod 3) ] (payload (string_of_int i)))
+        done;
+        let off =
+          if granted then
+            let g = Client.reserve c ~streams ~count:1 in
+            Client.write_granted c g ~index:0 (payload "x")
+          else Client.append c ~streams (payload "x")
+        in
+        let finished = Sim.Engine.now () in
+        match Client.read c off with
+        | Client.Data e -> (off, finished, e.Types.headers)
+        | _ -> Alcotest.fail "appended entry unreadable")
+  in
+  List.iter
+    (fun streams ->
+      let off, finished, headers = run ~streams ~granted:false in
+      let g_off, g_finished, g_headers = run ~streams ~granted:true in
+      check_int "same offset" off g_off;
+      Alcotest.(check (float 0.)) "same completion time" finished g_finished;
+      check_bool "byte-equal headers" true (Bytes.equal headers g_headers);
+      let decoded = Stream_header.decode_block ~k:4 ~current:off headers in
+      check_int "one header per requested stream" (List.length streams) (List.length decoded);
+      check_bool "backpointers present" true
+        (List.for_all (fun h -> h.Stream_header.backptrs <> []) decoded))
+    [ [ 1 ]; [ 1; 2; 3 ]; [ 2; 2 ]; [ 3; 1; 3 ] ]
+
 let test_client_two_clients_interleave () =
   with_cluster (fun cluster ->
       let a = Cluster.new_client cluster ~name:"app-a" in
@@ -2069,6 +2105,8 @@ let () =
       ( "client",
         [
           Alcotest.test_case "append and read" `Quick test_client_append_read;
+          Alcotest.test_case "append is a one-entry grant" `Quick
+            test_client_append_is_one_entry_grant;
           Alcotest.test_case "two clients interleave" `Quick test_client_two_clients_interleave;
           Alcotest.test_case "slow check matches fast" `Quick test_client_check_slow_matches_fast;
           Alcotest.test_case "fill hole with junk" `Quick test_client_fill_hole;

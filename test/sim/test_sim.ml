@@ -63,9 +63,9 @@ let test_main_completion_stops_world () =
   (* A server fiber blocked forever must not prevent termination. *)
   let r =
     Engine.run (fun () ->
-        let mb = Mailbox.create () in
+        let iv : int Ivar.t = Ivar.create () in
         Engine.spawn (fun () ->
-            let (_ : int) = Mailbox.recv mb in
+            let (_ : int) = Ivar.read iv in
             ());
         Engine.sleep 1.;
         "done")
@@ -184,55 +184,6 @@ let test_ivar_peek () =
       Alcotest.(check (option int)) "peek empty" None (Ivar.peek iv);
       Ivar.fill iv 3;
       Alcotest.(check (option int)) "peek full" (Some 3) (Ivar.peek iv))
-
-(* ------------------------------------------------------------------ *)
-(* Mailbox                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_mailbox_fifo () =
-  Engine.run (fun () ->
-      let mb = Mailbox.create () in
-      Mailbox.send mb 1;
-      Mailbox.send mb 2;
-      Mailbox.send mb 3;
-      check_int "a" 1 (Mailbox.recv mb);
-      check_int "b" 2 (Mailbox.recv mb);
-      check_int "c" 3 (Mailbox.recv mb))
-
-let test_mailbox_blocking_recv () =
-  Engine.run (fun () ->
-      let mb = Mailbox.create () in
-      Engine.spawn (fun () ->
-          Engine.sleep 5.;
-          Mailbox.send mb 42);
-      let v = Mailbox.recv mb in
-      check_int "v" 42 v;
-      check_float "blocked until send" 5. (Engine.now ()))
-
-let test_mailbox_waiters_fifo () =
-  Engine.run (fun () ->
-      let mb = Mailbox.create () in
-      let log = ref [] in
-      for i = 1 to 3 do
-        Engine.spawn (fun () ->
-            let v = Mailbox.recv mb in
-            log := (i, v) :: !log)
-      done;
-      Engine.sleep 1.;
-      Mailbox.send mb 10;
-      Mailbox.send mb 20;
-      Mailbox.send mb 30;
-      Engine.sleep 1.;
-      Alcotest.(check (list (pair int int)))
-        "waiters served in order" [ (1, 10); (2, 20); (3, 30) ] (List.rev !log))
-
-let test_mailbox_try_recv () =
-  Engine.run (fun () ->
-      let mb = Mailbox.create () in
-      Alcotest.(check (option int)) "empty" None (Mailbox.try_recv mb);
-      Mailbox.send mb 7;
-      check_int "len" 1 (Mailbox.length mb);
-      Alcotest.(check (option int)) "some" (Some 7) (Mailbox.try_recv mb))
 
 (* ------------------------------------------------------------------ *)
 (* Resource                                                           *)
@@ -372,19 +323,6 @@ let test_net_server_saturation () =
   (* 20 ms at 10K/s is ~200 completions. *)
   check_bool "server-bound" true (count > 150 && count <= 210)
 
-let test_net_send_is_async () =
-  Engine.run (fun () ->
-      let net = make_net () in
-      let a = Net.add_host net "a" in
-      let b = Net.add_host net "b" in
-      let got = ref [] in
-      let svc = Net.service b ~name:"ingest" (fun v -> got := v :: !got) in
-      Net.send ~from:a svc 1;
-      let sent_at = Engine.now () in
-      check_bool "sender only pays serialization" true (sent_at < 2.);
-      Engine.sleep 100.;
-      Alcotest.(check (list int)) "delivered" [ 1 ] !got)
-
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +415,70 @@ let test_fault_call_r_paths () =
       (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
       | Error Net.Rpc_dead -> ()
       | _ -> Alcotest.fail "crashed caller fails fast"))
+
+(* The response hop drops a message whose receiver died in flight,
+   exactly like the request hop: a caller that crashes after the
+   server answered never sees the answer. With latency 50 µs the
+   response leaves the server at ~51.5 µs and lands at ~101.5 µs; the
+   caller crashes at 75 µs. *)
+let test_fault_crashed_caller_loses_response () =
+  Engine.run (fun () ->
+      let net = make_net () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      let f = Fault.create () in
+      Net.install_fault net f;
+      let served = ref 0 in
+      let echo =
+        Net.service b ~name:"echo" (fun x ->
+            incr served;
+            x + 1)
+      in
+      let got = ref None in
+      Engine.spawn (fun () -> got := Some (Net.call ~from:a echo 1));
+      Engine.schedule ~after:75. (fun () -> Fault.crash f "a");
+      Engine.sleep 1_000.;
+      check_int "request served" 1 !served;
+      Alcotest.(check (option int)) "call parks" None !got;
+      Fault.restart f "a";
+      let t0 = Engine.now () in
+      Engine.schedule ~after:75. (fun () -> Fault.crash f "a");
+      (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
+      | Error Net.Rpc_timeout -> ()
+      | Ok _ -> Alcotest.fail "response delivered to a crashed caller"
+      | Error Net.Rpc_dead -> Alcotest.fail "caller was alive when it called");
+      check_int "second request served" 2 !served;
+      check_float "timed out at the deadline" 1_000. (Engine.now () -. t0))
+
+(* An installed controller with no active faults changes nothing: [call]
+   spends the same virtual time and dispatches the same events as with
+   no controller, and [call_r] (which still runs its helper fiber) the
+   same virtual time. *)
+let test_fault_quiet_controller_is_free () =
+  let run ~install ~result =
+    Engine.run ~seed:3 (fun () ->
+        let net = make_net ~jitter:0.05 () in
+        let a = Net.add_host net "a" in
+        let b = Net.add_host net "b" in
+        if install then Net.install_fault net (Fault.create ());
+        let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
+        let e0 = Engine.events_dispatched () in
+        for i = 1 to 20 do
+          if result then
+            match Net.call_r ~timeout_us:1e6 ~from:a echo i with
+            | Ok r -> check_int "echo" (i + 1) r
+            | Error _ -> Alcotest.fail "quiet controller lost a call_r"
+          else check_int "echo" (i + 1) (Net.call ~from:a echo i)
+        done;
+        (Engine.now (), Engine.events_dispatched () - e0))
+  in
+  let t_bare, ev_bare = run ~install:false ~result:false in
+  let t_call, ev_call = run ~install:true ~result:false in
+  let t_call_r, _ = run ~install:true ~result:true in
+  check_bool "calls took time" true (t_bare > 2_000.);
+  check_float "call: same virtual time" t_bare t_call;
+  check_int "call: same events" ev_bare ev_call;
+  check_float "call_r: same virtual time" t_bare t_call_r
 
 let test_fault_schedule_is_virtual_time () =
   Engine.run (fun () ->
@@ -1453,13 +1455,6 @@ let () =
           Alcotest.test_case "double fill rejected" `Quick test_ivar_double_fill_rejected;
           Alcotest.test_case "peek and is_filled" `Quick test_ivar_peek;
         ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo order" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv;
-          Alcotest.test_case "waiters served fifo" `Quick test_mailbox_waiters_fifo;
-          Alcotest.test_case "try_recv and length" `Quick test_mailbox_try_recv;
-        ] );
       ( "resource",
         [
           Alcotest.test_case "capacity 1 serializes" `Quick test_resource_serializes;
@@ -1475,7 +1470,6 @@ let () =
           Alcotest.test_case "loopback free" `Quick test_net_loopback_is_free;
           Alcotest.test_case "bandwidth charged" `Quick test_net_bandwidth_charged;
           Alcotest.test_case "server saturation" `Quick test_net_server_saturation;
-          Alcotest.test_case "async send" `Quick test_net_send_is_async;
         ] );
       ( "fault",
         [
@@ -1484,6 +1478,9 @@ let () =
           Alcotest.test_case "edge delay observed" `Quick test_fault_edge_delay_observed;
           Alcotest.test_case "resource fail and repair" `Quick test_fault_resource_fail_repair;
           Alcotest.test_case "call_r timeout and dead paths" `Quick test_fault_call_r_paths;
+          Alcotest.test_case "crashed caller loses the response" `Quick
+            test_fault_crashed_caller_loses_response;
+          Alcotest.test_case "quiet controller is free" `Quick test_fault_quiet_controller_is_free;
           Alcotest.test_case "plan runs in virtual time" `Quick
             test_fault_schedule_is_virtual_time;
           Alcotest.test_case "trace deterministic across runs" `Quick
