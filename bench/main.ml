@@ -25,73 +25,7 @@ let measure_us = scale 300_000.
 let section title = Printf.printf "\n=== %s ===\n%!" title
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* ------------------------------------------------------------------ *)
-(* Measurement scaffolding for hand-rolled windows                    *)
-(* ------------------------------------------------------------------ *)
-
-module M = struct
-  type t = {
-    mutable on : bool;
-    mutable ops : int;
-    mutable good : int;
-    lat : Sim.Stats.Series.t;
-  }
-
-  let create () = { on = false; ops = 0; good = 0; lat = Sim.Stats.Series.create () }
-
-  let note t ~started ok =
-    if t.on then begin
-      t.ops <- t.ops + 1;
-      if ok then t.good <- t.good + 1;
-      Sim.Stats.Series.add t.lat (Sim.Engine.now () -. started)
-    end
-
-  (* Spawn a closed-loop worker. *)
-  let worker t op =
-    Sim.Engine.spawn (fun () ->
-        let rec loop () =
-          let started = Sim.Engine.now () in
-          let ok = op () in
-          note t ~started ok;
-          loop ()
-        in
-        loop ())
-
-  (* Spawn an open-loop generator at [rate]/s with an outstanding cap. *)
-  let generator ?(max_outstanding = 256) t ~rate op =
-    Sim.Engine.spawn (fun () ->
-        let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-        let outstanding = ref 0 in
-        let rec gen () =
-          Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:(1e6 /. rate));
-          if !outstanding < max_outstanding then begin
-            incr outstanding;
-            Sim.Engine.spawn (fun () ->
-                let started = Sim.Engine.now () in
-                let ok = op () in
-                decr outstanding;
-                note t ~started ok)
-          end;
-          gen ()
-        in
-        gen ())
-
-  (* Run the measurement window from the main fiber. *)
-  let window ?(warmup = warmup_us) ?(measure = measure_us) t =
-    Sim.Engine.sleep warmup;
-    t.on <- true;
-    Sim.Engine.sleep measure;
-    t.on <- false
-
-  let tput ?(measure = measure_us) t = float_of_int t.ops /. (measure /. 1e6)
-  let goodput ?(measure = measure_us) t = float_of_int t.good /. (measure /. 1e6)
-
-  let mean_ms t =
-    if Sim.Stats.Series.count t.lat = 0 then 0. else Sim.Stats.Series.mean t.lat /. 1e3
-
-  let p99_ms t =
-    if Sim.Stats.Series.count t.lat = 0 then 0. else Sim.Stats.Series.percentile t.lat 99. /. 1e3
-end
+module Load = Tango_harness.Load
 
 let new_runtime ?batch_size cluster name =
   Tango.Runtime.create ?batch_size (Corfu.Cluster.new_client cluster ~name)
@@ -104,14 +38,14 @@ let sequencer_rate ~clients ~batch =
   Sim.Engine.run ~seed:(100 + clients + batch) (fun () ->
       let cluster = Corfu.Cluster.create ~servers:2 () in
       let seq = Corfu.Cluster.sequencer cluster in
-      let m = M.create () in
+      let m = Load.window () in
       for i = 1 to clients do
         let client = Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "c%d" i) in
         let host = Corfu.Client.host client in
         (* a window of 2 outstanding requests per client, as a
            pipelined sequencer client would run *)
         for _ = 1 to 2 do
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               match
                 Sim.Net.call ~from:host
                   (Corfu.Sequencer.increment_service seq)
@@ -121,8 +55,8 @@ let sequencer_rate ~clients ~batch =
               | Corfu.Sequencer.Seq_sealed _ -> false)
         done
       done;
-      M.window m;
-      M.tput m *. float_of_int batch)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).throughput *. float_of_int batch)
 
 let fig2 () =
   section "Figure 2: sequencer throughput (Ks of requests/sec vs clients)";
@@ -141,15 +75,16 @@ let fig8_left_point ~ratio ~window_size =
       let rt = new_runtime cluster "app" in
       let reg = Tango_register.attach rt ~oid:1 in
       let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-      let m = M.create () in
+      let m = Load.window () in
       for _ = 1 to window_size do
-        M.worker m (fun () ->
+        Load.worker m (fun () ->
             if Sim.Rng.bool rng ratio then Tango_register.write reg 1
             else ignore (Tango_register.read reg);
             true)
       done;
-      M.window m;
-      (M.tput m, M.mean_ms m, M.p99_ms m))
+      Load.measure ~warmup_us ~measure_us [ m ];
+      let r = Load.report m in
+      (r.throughput, r.latency_mean_us /. 1e3, r.latency_p99_us /. 1e3))
 
 let fig8_left () =
   section "Figure 8 (Left): single view — latency vs throughput per write ratio";
@@ -174,24 +109,20 @@ let fig8_mid_point ~write_rate =
       let rt_r = new_runtime cluster "backup" in
       let reg_w = Tango_register.attach rt_w ~oid:1 in
       let reg_r = Tango_register.attach rt_r ~oid:1 in
-      let writes = M.create () in
-      let reads = M.create () in
+      let writes = Load.window () in
+      let reads = Load.window () in
       if write_rate > 0. then
-        M.generator writes ~rate:write_rate (fun () ->
+        Load.generator writes ~rate:write_rate (fun () ->
             Tango_register.write reg_w 1;
             true);
       for _ = 1 to 64 do
-        M.worker reads (fun () ->
+        Load.worker reads (fun () ->
             ignore (Tango_register.read reg_r);
             true)
       done;
-      Sim.Engine.sleep warmup_us;
-      reads.M.on <- true;
-      writes.M.on <- true;
-      Sim.Engine.sleep measure_us;
-      reads.M.on <- false;
-      writes.M.on <- false;
-      (M.tput reads, M.tput writes, M.mean_ms reads))
+      Load.measure ~warmup_us ~measure_us [ reads; writes ];
+      let r = Load.report reads in
+      (r.throughput, (Load.report writes).throughput, r.latency_mean_us /. 1e3))
 
 let fig8_mid () =
   section "Figure 8 (Middle): primary/backup — reads on one view, writes on the other";
@@ -211,20 +142,20 @@ let fig8_right_point ~servers ~readers =
       let cluster = Corfu.Cluster.create ~servers () in
       let rt_w = new_runtime cluster "writer" in
       let reg_w = Tango_register.attach rt_w ~oid:1 in
-      let writes = M.create () in
-      M.generator writes ~rate:10_000. (fun () ->
+      let writes = Load.window () in
+      Load.generator writes ~rate:10_000. (fun () ->
           Tango_register.write reg_w 1;
           true);
-      let reads = M.create () in
+      let reads = Load.window () in
       for i = 1 to readers do
         let rt = new_runtime cluster (Printf.sprintf "reader-%d" i) in
         let reg = Tango_register.attach rt ~oid:1 in
-        M.generator ~max_outstanding:64 reads ~rate:10_000. (fun () ->
+        Load.generator ~max_outstanding:64 reads ~rate:10_000. (fun () ->
             ignore (Tango_register.read reg);
             true)
       done;
-      M.window reads;
-      M.tput reads)
+      Load.measure ~warmup_us ~measure_us [ reads ];
+      (Load.report reads).throughput)
 
 let fig8_right () =
   section "Figure 8 (Right): read elasticity — N readers at 10K reads/s, 10K writes/s";
@@ -246,14 +177,14 @@ let fig8_window_point ~append_window =
       let cluster = Corfu.Cluster.create ~params ~servers:18 () in
       let rt = new_runtime cluster "writer" in
       let reg = Tango_register.attach rt ~oid:1 in
-      let m = M.create () in
+      let m = Load.window () in
       for _ = 1 to 64 do
-        M.worker m (fun () ->
+        Load.worker m (fun () ->
             Tango_register.write reg 1;
             true)
       done;
-      M.window m;
-      (M.tput m, Tango.Runtime.append_stats rt))
+      Load.measure ~warmup_us ~measure_us [ m ];
+      ((Load.report m).throughput, Tango.Runtime.append_stats rt))
 
 let fig8_window () =
   section "Figure 8 (window sweep): 64 closed-loop writers vs append window";
@@ -306,25 +237,20 @@ let fig5 () =
         Sim.Metrics.start_sampler ();
         Sim.Timeseries.start ();
         fig5_monitors ();
-        let w = M.create () in
-        let r = M.create () in
+        let w = Load.window () in
+        let r = Load.window () in
         for _ = 1 to writers do
-          M.worker w (fun () ->
+          Load.worker w (fun () ->
               Tango_register.write reg 1;
               true)
         done;
         for _ = 1 to readers do
-          M.worker r (fun () ->
+          Load.worker r (fun () ->
               ignore (Tango_register.read reg);
               true)
         done;
-        Sim.Engine.sleep warmup_us;
-        w.M.on <- true;
-        r.M.on <- true;
-        Sim.Engine.sleep measure_us;
-        w.M.on <- false;
-        r.M.on <- false;
-        (M.tput w, M.tput r, Sim.Engine.now ()))
+        Load.measure ~warmup_us ~measure_us [ w; r ];
+        ((Load.report w).throughput, (Load.report r).throughput, Sim.Engine.now ()))
   in
   let snap = Sim.Metrics.snapshot () in
   row "%10.1f Kappends/s  %10.1f Kreads/s" (appends_s /. 1e3) (reads_s /. 1e3);
@@ -375,17 +301,18 @@ let fig9_point ~nodes ~keys ~zipfian =
   Sim.Engine.run ~seed:(nodes + keys + if zipfian then 1 else 0) (fun () ->
       let cluster = Corfu.Cluster.create ~servers:18 () in
       let dist = if zipfian then Key_dist.zipf ~n:keys () else Key_dist.uniform ~n:keys in
-      let m = M.create () in
+      let m = Load.window () in
       for i = 1 to nodes do
         let rt = new_runtime cluster (Printf.sprintf "node-%d" i) in
         let map = Tango_map.attach rt ~oid:1 in
         let rng = Sim.Rng.split (Sim.Engine.rng ()) in
         for _ = 1 to 32 do
-          M.worker m (fun () -> map_tx rt map dist rng)
+          Load.worker m (fun () -> map_tx rt map dist rng)
         done
       done;
-      M.window m;
-      (M.tput m, M.goodput m))
+      Load.measure ~warmup_us ~measure_us [ m ];
+      let r = Load.report m in
+      (r.throughput, r.goodput))
 
 let fig9 () =
   section "Figure 9: fully replicated TangoMap — 3R+3W transactions";
@@ -412,17 +339,17 @@ let fig10_left_point ~servers ~clients =
   Sim.Engine.run ~seed:(servers + clients) (fun () ->
       let cluster = Corfu.Cluster.create ~servers () in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = M.create () in
+      let m = Load.window () in
       for i = 1 to clients do
         let rt = new_runtime cluster (Printf.sprintf "node-%d" i) in
         let map = Tango_map.attach rt ~oid:i in
         let rng = Sim.Rng.split (Sim.Engine.rng ()) in
         for _ = 1 to 24 do
-          M.worker m (fun () -> map_tx rt map dist rng)
+          Load.worker m (fun () -> map_tx rt map dist rng)
         done
       done;
-      M.window m;
-      M.tput m)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).throughput)
 
 let fig10_left () =
   section "Figure 10 (Left): one TangoMap per client — single-partition transactions";
@@ -442,14 +369,14 @@ let fig10_mid_tango ~clients ~cross_pct =
   Sim.Engine.run ~seed:(clients + cross_pct) (fun () ->
       let cluster = Corfu.Cluster.create ~servers:18 () in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = M.create () in
+      let m = Load.window () in
       let runtimes = Array.init clients (fun i -> new_runtime cluster (Printf.sprintf "n%d" i)) in
       let maps = Array.mapi (fun i rt -> Tango_map.attach rt ~oid:(i + 1)) runtimes in
       Array.iteri
         (fun i rt ->
           let map = maps.(i) in
           let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-          M.generator ~max_outstanding:64 m ~rate:12_000. (fun () ->
+          Load.generator ~max_outstanding:64 m ~rate:12_000. (fun () ->
               let cross = Sim.Rng.int rng 100 < cross_pct && clients > 1 in
               Tango.Runtime.begin_tx rt;
               List.iter (fun k -> ignore (Tango_map.get map k)) (Key_dist.distinct_keys dist rng 3);
@@ -466,8 +393,8 @@ let fig10_mid_tango ~clients ~cross_pct =
               | Tango.Runtime.Committed -> true
               | Tango.Runtime.Aborted -> false))
         runtimes;
-      M.window m;
-      M.goodput m)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).goodput)
 
 let fig10_mid_2pl ~clients ~cross_pct =
   Sim.Engine.run ~seed:(1000 + clients + cross_pct) (fun () ->
@@ -477,11 +404,11 @@ let fig10_mid_2pl ~clients ~cross_pct =
       let t = Tpl.create ~net in
       let nodes = Array.init clients (fun i -> Tpl.add_node t ~name:(Printf.sprintf "n%d" i)) in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = M.create () in
+      let m = Load.window () in
       Array.iteri
         (fun i me ->
           let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-          M.generator ~max_outstanding:64 m ~rate:12_000. (fun () ->
+          Load.generator ~max_outstanding:64 m ~rate:12_000. (fun () ->
               let cross = Sim.Rng.int rng 100 < cross_pct && clients > 1 in
               let reads =
                 List.map
@@ -505,8 +432,8 @@ let fig10_mid_2pl ~clients ~cross_pct =
               in
               Tpl.execute t ~from:me ~reads ~writes))
         nodes;
-      M.window m;
-      M.goodput m)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).goodput)
 
 let fig10_mid () =
   section "Figure 10 (Middle): % cross-partition transactions — Tango vs 2PL";
@@ -528,7 +455,7 @@ let fig10_right_point ~common_pct =
       let clients = 4 in
       let dist = Key_dist.uniform ~n:100_000 in
       let common_oid = 100 in
-      let m = M.create () in
+      let m = Load.window () in
       for i = 1 to clients do
         let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
         let priv = Tango_map.attach rt ~oid:i in
@@ -537,7 +464,7 @@ let fig10_right_point ~common_pct =
         let common = Tango_map.attach rt ~oid:common_oid ~needs_decision:true in
         let rng = Sim.Rng.split (Sim.Engine.rng ()) in
         for _ = 1 to 12 do
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               let shared = Sim.Rng.int rng 100 < common_pct in
               Tango.Runtime.begin_tx rt;
               List.iter (fun k -> ignore (Tango_map.get priv k)) (Key_dist.distinct_keys dist rng 2);
@@ -551,8 +478,9 @@ let fig10_right_point ~common_pct =
               | Tango.Runtime.Aborted -> false)
         done
       done;
-      M.window m;
-      (M.tput m, M.goodput m))
+      Load.measure ~warmup_us ~measure_us [ m ];
+      let r = Load.report m in
+      (r.throughput, r.goodput))
 
 let fig10_right () =
   section "Figure 10 (Right): 4 clients, private + shared TangoMap";
@@ -570,7 +498,7 @@ let fig10_right () =
 let tbl_zk_independent ~clients =
   Sim.Engine.run ~seed:31 (fun () ->
       let cluster = Corfu.Cluster.create ~servers:18 () in
-      let m = M.create () in
+      let m = Load.window () in
       for i = 1 to clients do
         let rt = new_runtime cluster (Printf.sprintf "zk-%d" i) in
         let zk = Tango_zk.attach rt ~oid:i in
@@ -586,17 +514,17 @@ let tbl_zk_independent ~clients =
           ignore f;
           let f = Printf.sprintf "/data/w%d" w in
           (match Tango_zk.create zk f "x" with Ok _ | Error _ -> ());
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               match Tango_zk.set_data zk f "y" with Ok () -> true | Error _ -> false)
         done
       done;
-      M.window m;
-      M.goodput m)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).goodput)
 
 let tbl_zk_moves ~clients =
   Sim.Engine.run ~seed:32 (fun () ->
       let cluster = Corfu.Cluster.create ~servers:18 () in
-      let m = M.create () in
+      let m = Load.window () in
       let zks =
         Array.init clients (fun i ->
             let rt = new_runtime cluster (Printf.sprintf "zk-%d" i) in
@@ -608,7 +536,7 @@ let tbl_zk_moves ~clients =
           let dst_oid = ((i + 1) mod clients) + 1 in
           let counter = ref 0 in
           for _ = 1 to 4 do
-            M.worker m (fun () ->
+            Load.worker m (fun () ->
                 (* create a fresh file locally, then move it atomically
                    to the neighbouring namespace *)
                 incr counter;
@@ -618,8 +546,8 @@ let tbl_zk_moves ~clients =
                 | Ok p -> Tango_zk.move zk ~dst_oid p)
           done)
         zks;
-      M.window m;
-      M.goodput m)
+      Load.measure ~warmup_us ~measure_us [ m ];
+      (Load.report m).goodput)
 
 let tbl_zk () =
   section "Section 6.3: TangoZK (ops within namespaces; moves across namespaces)";
@@ -633,19 +561,19 @@ let tbl_bk () =
   let rate =
     Sim.Engine.run ~seed:33 (fun () ->
         let cluster = Corfu.Cluster.create ~servers:18 () in
-        let m = M.create () in
+        let m = Load.window () in
         let payload = Bytes.make 3000 'x' in
         for i = 1 to 18 do
           let rt = new_runtime ~batch_size:1 cluster (Printf.sprintf "bk-%d" i) in
           let bk = Tango_bk.attach rt ~oid:i in
           let ledger = Tango_bk.create_ledger bk in
           for _ = 1 to 12 do
-            M.worker m (fun () ->
+            Load.worker m (fun () ->
                 match Tango_bk.add_entry bk ~ledger payload with Ok _ -> true | Error _ -> false)
           done
         done;
-        M.window m;
-        M.goodput m)
+        Load.measure ~warmup_us ~measure_us [ m ];
+        (Load.report m).goodput)
   in
   row "18 clients, one ledger each: %.1f Kwrites/s" (rate /. 1e3)
 
@@ -686,9 +614,9 @@ let ablation_decision () =
         let rt2 = new_runtime cluster "consumer" in
         let _remote_dst = Tango_map.attach rt2 ~oid:3 in
         Tango_map.put src "k" "v";
-        let m = M.create () in
+        let m = Load.window () in
         for _ = 1 to 4 do
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               Tango.Runtime.begin_tx rt;
               ignore (Tango_map.get src "k");
               let dst_oid = if remote then 3 else 2 in
@@ -697,8 +625,8 @@ let ablation_decision () =
               | Tango.Runtime.Committed -> true
               | Tango.Runtime.Aborted -> false)
         done;
-        M.window m;
-        M.mean_ms m)
+        Load.measure ~warmup_us ~measure_us [ m ];
+        (Load.report m).latency_mean_us /. 1e3)
   in
   row "local-write transaction:  %.2f ms" (latency false);
   row "remote-write transaction: %.2f ms (adds the decision-record phase)" (latency true);
@@ -722,9 +650,9 @@ let ablation_decision () =
               live ()
             in
             live ());
-        let m = M.create () in
+        let m = Load.window () in
         for _ = 1 to 4 do
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               Tango.Runtime.begin_tx rt_a;
               ignore (Tango_map.get src "local");
               ignore (Tango_map.get_remote rt_a ~oid:2 "k");
@@ -733,8 +661,8 @@ let ablation_decision () =
               | Tango.Runtime.Committed -> true
               | Tango.Runtime.Aborted -> false)
         done;
-        M.window m;
-        M.mean_ms m)
+        Load.measure ~warmup_us ~measure_us [ m ];
+        (Load.report m).latency_mean_us /. 1e3)
   in
   row "collaborative remote-read transaction: %.2f ms (partial + final decision records)"
     collab_latency
@@ -745,13 +673,13 @@ let ablation_versioning () =
     Sim.Engine.run ~seed:61 (fun () ->
         let cluster = Corfu.Cluster.create ~servers:18 () in
         let dist = Key_dist.uniform ~n:10_000 in
-        let m = M.create () in
+        let m = Load.window () in
         for i = 1 to 4 do
           let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
           let map = Tango_map.attach rt ~oid:1 in
           let rng = Sim.Rng.split (Sim.Engine.rng ()) in
           for _ = 1 to 8 do
-            M.worker m (fun () ->
+            Load.worker m (fun () ->
                 Tango.Runtime.begin_tx rt;
                 if fine then begin
                   List.iter
@@ -771,9 +699,10 @@ let ablation_versioning () =
                 | Tango.Runtime.Aborted -> false)
           done
         done;
-        M.window m;
-        let total = float_of_int m.M.ops in
-        if total = 0. then 0. else 100. *. float_of_int (m.M.ops - m.M.good) /. total)
+        Load.measure ~warmup_us ~measure_us [ m ];
+        let r = Load.report m in
+        if r.samples = 0 then 0.
+        else 100. *. float_of_int (r.samples - r.succeeded) /. float_of_int r.samples)
   in
   row "per-key versioning abort rate:    %5.1f %%" (abort_rate true);
   row "per-object versioning abort rate: %5.1f %%" (abort_rate false)
@@ -826,24 +755,24 @@ let chaos_crash_point ~workers =
       in
       Corfu.Cluster.start_failure_monitor cluster;
       let rec_ = Chaos.recorder () in
-      let m = M.create () in
+      let m = Load.window () in
       let clients =
         Array.init workers (fun i -> Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "w%d" i))
       in
       Array.iter
         (fun c ->
-          M.worker m (fun () ->
+          Load.worker m (fun () ->
               ignore (Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string "x"));
               Chaos.note rec_;
               true))
         clients;
-      M.window m;
+      Load.measure ~warmup_us ~measure_us [ m ];
       (* let the recovery finish before collecting incidents; the
          measurement window is already closed, so this only affects the
          audit, not the numbers *)
       Sim.Engine.sleep 300_000.;
       let failures = Array.fold_left (fun a c -> a + Corfu.Client.rpc_failures c) 0 clients in
-      (M.tput m, failures, Chaos.max_gap_us rec_, Chaos.incidents fault cluster))
+      ((Load.report m).throughput, failures, Chaos.max_gap_us rec_, Chaos.incidents fault cluster))
 
 let chaos_crash () =
   section "Chaos: crash a chain head mid-window, monitor-driven recovery (6 servers)";
@@ -1652,7 +1581,7 @@ let micro () =
 (* Scale-up: aggregate client population                              *)
 (* ------------------------------------------------------------------ *)
 
-module Population = Tango_harness.Load.Population
+module Population = Load.Population
 
 let run_population ~seed cfg =
   let pop = Population.create cfg in
@@ -1674,10 +1603,10 @@ let pop_digest (r : Population.result) ~events =
   let rep = r.Population.pop_report in
   Printf.bprintf b "issued=%d completed=%d dropped=%d inflight=%d samples=%d" r.Population.pop_issued
     r.Population.pop_completed r.Population.pop_dropped r.Population.pop_inflight
-    rep.Tango_harness.Load.samples;
-  Printf.bprintf b " thr=%.17g mean=%.17g p50=%.17g p99=%.17g" rep.Tango_harness.Load.throughput
-    rep.Tango_harness.Load.latency_mean_us rep.Tango_harness.Load.latency_p50_us
-    rep.Tango_harness.Load.latency_p99_us;
+    rep.Load.samples;
+  Printf.bprintf b " thr=%.17g mean=%.17g p50=%.17g p99=%.17g" rep.Load.throughput
+    rep.Load.latency_mean_us rep.Load.latency_p50_us
+    rep.Load.latency_p99_us;
   Printf.bprintf b " events=%d" events;
   Buffer.contents b
 
@@ -1776,8 +1705,8 @@ let scale_up () =
         ("clients", float_of_int clients);
         ("events", float_of_int events);
         ("events_per_wall_s", rate);
-        ("throughput", r.Population.pop_report.Tango_harness.Load.throughput);
-        ("p99_us", r.Population.pop_report.Tango_harness.Load.latency_p99_us);
+        ("throughput", r.Population.pop_report.Load.throughput);
+        ("p99_us", r.Population.pop_report.Load.latency_p99_us);
         ("completed", float_of_int r.Population.pop_completed);
         ("dropped", float_of_int r.Population.pop_dropped);
       ]

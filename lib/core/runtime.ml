@@ -25,6 +25,9 @@ type hosted = {
   cb : callbacks;
   stream : Corfu.Stream.t;
   marked_needs_decision : bool;
+  joined_at : int;
+      (* the playback frontier when the object registered: entries at
+         or below it reach the object through [catch_up] *)
   (* Versions (log positions) of the last applied write: to any part of
      the object, to the whole object (an unkeyed update), and per key.
      -1 = never written. *)
@@ -67,7 +70,10 @@ type t = {
      sync and playback sweep iterates, rebuilt by [register] *)
   mutable hosted : hosted list;
   mutable hosted_sids : int list;
-  processed : (int, unit) Hashtbl.t;
+  (* Highest log offset playback has handled. Merged playback hands
+     out offsets in ascending order, so an entry at or below it is a
+     duplicate — except for objects that joined after it. *)
+  mutable frontier : int;
   decided : (int, bool) Hashtbl.t;
   undecided : (int, Record.commit) Hashtbl.t;
   own_commits : (int, Record.commit) Hashtbl.t;
@@ -114,7 +120,7 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
     objects = Hashtbl.create 16;
     hosted = [];
     hosted_sids = [];
-    processed = Hashtbl.create 4096;
+    frontier = -1;
     decided = Hashtbl.create 256;
     undecided = Hashtbl.create 16;
     own_commits = Hashtbl.create 16;
@@ -150,25 +156,34 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
 
 let client t = t.cl
 
+let with_play_lock t f =
+  Sim.Resource.acquire t.play_lock;
+  Fun.protect ~finally:(fun () -> Sim.Resource.release t.play_lock) f
+
+(* Under the play lock: a playback round already running iterates the
+   hosted list it started with, so the join mark must not be taken
+   while that round can still move the frontier. *)
 let register t ~oid ?(needs_decision = false) cb =
-  if Hashtbl.mem t.objects oid then invalid_arg "Runtime.register: OID already hosted";
-  Hashtbl.replace t.objects oid
-    {
-      oid;
-      cb;
-      stream = Corfu.Stream.attach t.cl oid;
-      marked_needs_decision = needs_decision;
-      v_any = -1;
-      v_whole = -1;
-      v_key = Key_tbl.create 16;
-      blocked_on = None;
-      gap_pending = false;
-      serve_read = None;
-      extra_views = [];
-      waiting = Queue.create ();
-    };
-  t.hosted <- Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects [];
-  t.hosted_sids <- List.map (fun ho -> ho.oid) t.hosted
+  with_play_lock t (fun () ->
+      if Hashtbl.mem t.objects oid then invalid_arg "Runtime.register: OID already hosted";
+      Hashtbl.replace t.objects oid
+        {
+          oid;
+          cb;
+          stream = Corfu.Stream.attach t.cl oid;
+          marked_needs_decision = needs_decision;
+          joined_at = t.frontier;
+          v_any = -1;
+          v_whole = -1;
+          v_key = Key_tbl.create 16;
+          blocked_on = None;
+          gap_pending = false;
+          serve_read = None;
+          extra_views = [];
+          waiting = Queue.create ();
+        };
+      t.hosted <- Hashtbl.fold (fun _ ho acc -> ho :: acc) t.objects [];
+      t.hosted_sids <- List.map (fun ho -> ho.oid) t.hosted)
 
 let register_extra_view t ~oid cb =
   match Hashtbl.find_opt t.objects oid with
@@ -274,6 +289,27 @@ let read_oids (c : Record.commit) = List.fold_left (fun acc (oid, _, _) -> add_o
 
 let write_oids acc writes =
   List.fold_left (fun acc (u : Record.update) -> add_oid u.u_oid acc) acc writes
+
+(* Does [u] write [key] of object [oid]? An unkeyed write, or an
+   unkeyed read, covers every key. *)
+let writes_key oid key (u : Record.update) =
+  u.u_oid = oid
+  && match (u.u_key, key) with None, _ | _, None -> true | Some a, Some b -> String.equal a b
+
+(* Sync [s] and hand each newly delivered record to [f] with its
+   position, in log order. *)
+let scan_records s f =
+  ignore (Corfu.Stream.sync s);
+  let rec consume () =
+    match Corfu.Stream.readnext s with
+    | None -> ()
+    | Some (off, entry) ->
+        List.iteri
+          (fun slot r -> f (Record.pos ~offset:off ~slot) r)
+          (Record.decode_payload entry.Corfu.Types.payload);
+        consume ()
+  in
+  consume ()
 
 (* Streams that carry a transaction's coordination records. *)
 let involved_streams (c : Record.commit) = write_oids (read_oids c) c.c_writes
@@ -493,15 +529,16 @@ and spawn_decision_watchdog t cpos c =
           Sim.Announce.emit
             (Sim.Announce.Decision_timeout { client = announce_host t; pos = cpos });
         let committed = reconstruct_outcome t cpos c in
-        Sim.Resource.acquire t.play_lock;
-        Fun.protect
-          ~finally:(fun () -> Sim.Resource.release t.play_lock)
-          (fun () -> resolve t cpos committed);
-        let streams = write_oids [] c.c_writes in
-        ignore
-          (Batcher.submit t.batcher ~streams
-             (Record.Decision { d_target = cpos; d_committed = committed }))
+        with_play_lock t (fun () -> resolve t cpos committed);
+        append_decision t cpos c committed
       end)
+
+(* The decision record a generator (or a watchdog standing in for it)
+   owes the write streams' hosts. *)
+and append_decision t cpos (c : Record.commit) committed =
+  ignore
+    (Batcher.submit t.batcher ~streams:(write_oids [] c.c_writes)
+       (Record.Decision { d_target = cpos; d_committed = committed }))
 
 (* Deterministic replay of the read set's streams: did any read key
    change between its recorded version and the commit position? Inner
@@ -509,22 +546,11 @@ and spawn_decision_watchdog t cpos c =
    records in the log, previously known outcomes, or recursively. *)
 and reconstruct_outcome t cpos (c : Record.commit) =
   let memo = Hashtbl.create 8 in
-  let key_conflicts wkey rkey =
-    match (wkey, rkey) with None, _ | _, None -> true | Some a, Some b -> String.equal a b
-  in
-  let scan_records oid =
+  let history oid =
     (* Fresh stream walk over [oid]'s history; positions ascending. *)
-    let s = Corfu.Stream.attach t.cl oid in
-    ignore (Corfu.Stream.sync s);
-    let rec collect acc =
-      match Corfu.Stream.readnext s with
-      | None -> List.rev acc
-      | Some (off, entry) ->
-          let records = Record.decode_payload entry.Corfu.Types.payload in
-          let tagged = List.mapi (fun slot r -> (Record.pos ~offset:off ~slot, r)) records in
-          collect (List.rev_append tagged acc)
-    in
-    collect []
+    let acc = ref [] in
+    scan_records (Corfu.Stream.attach t.cl oid) (fun pos r -> acc := (pos, r) :: !acc);
+    List.rev !acc
   in
   let rec outcome_of pos (c : Record.commit) =
     match Hashtbl.find_opt t.decided pos with
@@ -541,7 +567,7 @@ and reconstruct_outcome t cpos (c : Record.commit) =
             Hashtbl.replace memo pos o;
             o)
   and modified_between oid key ~after ~before =
-    let records = scan_records oid in
+    let records = history oid in
     let decisions =
       List.filter_map
         (function
@@ -554,11 +580,9 @@ and reconstruct_outcome t cpos (c : Record.commit) =
         pos > after && pos < before
         &&
         match r with
-        | Record.Update u -> u.Record.u_oid = oid && key_conflicts u.Record.u_key key
+        | Record.Update u -> writes_key oid key u
         | Record.Commit inner ->
-            List.exists
-              (fun (u : Record.update) -> u.Record.u_oid = oid && key_conflicts u.Record.u_key key)
-              inner.Record.c_writes
+            List.exists (writes_key oid key) inner.Record.c_writes
             &&
             (match List.assoc_opt pos decisions with
             | Some committed -> committed
@@ -580,8 +604,19 @@ let deliver_update t pos (u : Record.update) =
       if ho.blocked_on <> None || ho.gap_pending then Queue.add (pos, Apply_update u) ho.waiting
       else apply_now t ho pos u
 
-let key_overlaps wkey rkey =
-  match (wkey, rkey) with None, _ | _, None -> true | Some a, Some b -> String.equal a b
+let apply_commit t pos (c : Record.commit) =
+  announce_applied t pos;
+  List.iter (deliver_update t pos) c.c_writes
+
+let deliver_checkpoint t ho pos ~base data =
+  refresh_gap ho;
+  if ho.blocked_on <> None then Queue.add (pos, Apply_checkpoint { base; data }) ho.waiting
+  else begin
+    load_checkpoint_now ho ~base data;
+    (* records buffered during the gap and not covered by the snapshot
+       replay now *)
+    drain t ho
+  end
 
 (* Can the commit at [pos] be decided right now, even though some read
    object is frozen behind an undecided commit? Its queued records are
@@ -612,17 +647,9 @@ let eager_outcome t pos (c : Record.commit) =
                   (fun (qpos, action) ->
                     if qpos > recorded && qpos < pos then
                       match action with
-                      | Apply_update u ->
-                          if u.Record.u_oid = oid && key_overlaps u.Record.u_key key then
-                            conflict := true
+                      | Apply_update u -> if writes_key oid key u then conflict := true
                       | Commit_point { cpos; writes } ->
-                          let touches =
-                            List.exists
-                              (fun (u : Record.update) ->
-                                u.Record.u_oid = oid && key_overlaps u.Record.u_key key)
-                              writes
-                          in
-                          if touches then begin
+                          if List.exists (writes_key oid key) writes then begin
                             match Hashtbl.find_opt t.decided cpos with
                             | Some true -> conflict := true
                             | Some false -> ()
@@ -648,11 +675,7 @@ let () = eager_outcome_ref := eager_outcome
    CPU). *)
 let handle_commit t pos ~involved (c : Record.commit) =
   match Hashtbl.find_opt t.decided pos with
-  | Some committed ->
-      if committed then begin
-        announce_applied t pos;
-        List.iter (deliver_update t pos) c.c_writes
-      end
+  | Some committed -> if committed then apply_commit t pos c
   | None -> (
       List.iter refresh_gap involved;
       (* Failpoint: apply the writes while the verdict is still
@@ -660,21 +683,14 @@ let handle_commit t pos ~involved (c : Record.commit) =
          on purpose so the ReadCommitted spec machine has a live
          sensitivity gate. The normal decision machinery still runs
          below, so the run proceeds (and later re-applies). *)
-      if Corfu.Cluster.failpoints.Corfu.Cluster.fp_blind_commit_apply then begin
-        announce_applied t pos;
-        List.iter (deliver_update t pos) c.c_writes
-      end;
+      if Corfu.Cluster.failpoints.Corfu.Cluster.fp_blind_commit_apply then apply_commit t pos c;
       match eager_outcome t pos c with
       | Some committed ->
           (* Merged-order playback guarantees every hosted view is at
              exactly [pos] (frozen queues included), so this decision
              matches the generator's. *)
-          Hashtbl.replace t.decided pos committed;
-          announce_decided t pos committed;
-          if committed then begin
-            announce_applied t pos;
-            List.iter (deliver_update t pos) c.c_writes
-          end;
+          resolve t pos committed;
+          if committed then apply_commit t pos c;
           (* If waiters elsewhere rely on a decision record and the
              generator cannot produce it (collaborative commits), any
              full-read-set host publishes — the verdict is the same
@@ -683,9 +699,50 @@ let handle_commit t pos ~involved (c : Record.commit) =
             publish_decision t pos c committed
       | None -> park_commit t pos c ~involved)
 
-let process_entry t off (entry : Corfu.Types.entry) =
-  if not (Hashtbl.mem t.processed off) then begin
-    Hashtbl.replace t.processed off ();
+(* Late registration: [ho] joined after playback handled [off], so the
+   entry's other records are history and only [ho]'s are delivered. A
+   commit's outcome comes from [decided] when this runtime saw the
+   commit, from the log's deterministic replay when it did not. *)
+let catch_up t ho off (entry : Corfu.Types.entry) =
+  let mine (u : Record.update) = u.u_oid = ho.oid in
+  List.iteri
+    (fun slot r ->
+      let pos = Record.pos ~offset:off ~slot in
+      match r with
+      | Record.Update u when mine u ->
+          charge_apply t;
+          deliver_update t pos u
+      | Record.Commit c when List.exists mine c.c_writes -> (
+          charge_apply t;
+          let apply () =
+            announce_applied t pos;
+            List.iter (fun u -> if mine u then deliver_update t pos u) c.c_writes
+          in
+          match Hashtbl.find_opt t.decided pos with
+          | Some committed -> if committed then apply ()
+          | None when Hashtbl.mem t.undecided pos ->
+              (* still parked: [ho] waits for the outcome like the
+                 objects that saw the commit live *)
+              Queue.add (pos, Commit_point { cpos = pos; writes = c.c_writes }) ho.waiting;
+              if ho.blocked_on = None then ho.blocked_on <- Some pos
+          | None ->
+              let committed = reconstruct_outcome t pos c in
+              resolve t pos committed;
+              if committed then apply ())
+      | Record.Checkpoint { k_oid; k_base; k_data } when k_oid = ho.oid ->
+          charge_apply t;
+          deliver_checkpoint t ho pos ~base:k_base k_data
+      | Record.Update _ | Record.Commit _ | Record.Checkpoint _ | Record.Decision _
+      | Record.Partial _ ->
+          ())
+    (Record.decode_payload entry.Corfu.Types.payload)
+
+let process_entry t ho off (entry : Corfu.Types.entry) =
+  if off <= t.frontier then begin
+    if off <= ho.joined_at then catch_up t ho off entry
+  end
+  else begin
+    t.frontier <- off;
     let records = Record.decode_payload entry.Corfu.Types.payload in
     List.iteri
       (fun slot r ->
@@ -709,15 +766,7 @@ let process_entry t off (entry : Corfu.Types.entry) =
             | None -> ()
             | Some ho ->
                 charge_apply t;
-                refresh_gap ho;
-                if ho.blocked_on <> None then
-                  Queue.add (pos, Apply_checkpoint { base = k_base; data = k_data }) ho.waiting
-                else begin
-                  load_checkpoint_now ho ~base:k_base k_data;
-                  (* records buffered during the gap and not covered by
-                     the snapshot replay now *)
-                  drain t ho
-                end))
+                deliver_checkpoint t ho pos ~base:k_base k_data))
       records
   end
 
@@ -739,15 +788,11 @@ let play_merged t ~upto =
     | None -> ()
     | Some (_, ho) ->
         (match Corfu.Stream.readnext ho.stream with
-        | Some (off, entry) -> process_entry t off entry
+        | Some (off, entry) -> process_entry t ho off entry
         | None -> ());
         loop ()
   in
   loop ()
-
-let with_play_lock t f =
-  Sim.Resource.acquire t.play_lock;
-  Fun.protect ~finally:(fun () -> Sim.Resource.release t.play_lock) f
 
 (* One sequencer round trip refreshes membership of every hosted
    stream; returns the global tail. *)
@@ -769,8 +814,18 @@ let sync_all t =
   if tail > t.known_tail then t.known_tail <- tail;
   tail
 
+(* Merged playback needs every played stream's membership complete
+   below [upto]. A round's [sync_all] covers the streams hosted when it
+   started; one registered since syncs here (a no-op for the rest). *)
+let rec sync_joined upto = function
+  | [] -> ()
+  | ho :: rest ->
+      Corfu.Stream.sync_until ho.stream upto;
+      sync_joined upto rest
+
 let play_to t upto =
   with_play_lock t (fun () ->
+      sync_joined upto t.hosted;
       (* Tracing-disabled playback must not build the span args. *)
       if Sim.Span.enabled () then
         Sim.Span.with_span
@@ -781,24 +836,25 @@ let play_to t upto =
       else Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto);
       if upto > t.played_upto then t.played_upto <- upto)
 
-let obj_settled ho = ho.blocked_on = None && Queue.is_empty ho.waiting
+(* One sequencer round trip, then playback to the tail (capped at
+   [upto]). *)
+let play_round ?upto t =
+  let tail = sync_all t in
+  play_to t (match upto with Some u -> min u tail | None -> tail)
 
-(* Bring [ho]'s view up to the log tail (bounded by [upto]) and wait
-   out any undecided commits freezing it. *)
-let linearizable_sync t ?upto ho =
-  let rec attempt backoff =
-    let tail = sync_all t in
-    let bound = match upto with Some u -> min u tail | None -> tail in
-    play_to t bound;
-    if obj_settled ho then ()
-    else begin
-      (* Frozen behind an undecided commit whose decision record lies
-         beyond [bound]; keep consuming until it resolves. *)
-      Sim.Engine.sleep backoff;
-      attempt (Float.min (2. *. backoff) t.retry_backoff_max_us)
-    end
+(* The one wait loop: back off, play a round, repeat until [settled ()]
+   — typically a decision record beyond the last round's tail. Callers
+   test [settled] first, so the common no-wait case builds no
+   closure. *)
+let play_until ?upto t settled =
+  let rec wait backoff =
+    Sim.Engine.sleep backoff;
+    play_round ?upto t;
+    if not (settled ()) then wait (Float.min (2. *. backoff) t.retry_backoff_max_us)
   in
-  attempt t.retry_sleep_us
+  wait t.retry_sleep_us
+
+let obj_settled ho = ho.blocked_on = None && Queue.is_empty ho.waiting
 
 (* ------------------------------------------------------------------ *)
 (* Public object-facing API                                           *)
@@ -840,7 +896,11 @@ let query_helper t ~oid ?key ?upto () =
   | None -> (
       charge_dispatch t;
       match Hashtbl.find_opt t.objects oid with
-      | Some ho -> linearizable_sync t ?upto ho
+      | Some ho ->
+          (* Linearizable: bring the view to the tail (bounded by
+             [upto]) and wait out undecided commits freezing it. *)
+          play_round ?upto t;
+          if not (obj_settled ho) then play_until ?upto t (fun () -> obj_settled ho)
       | None -> invalid_arg "Runtime.query_helper: object not hosted")
 
 (* ------------------------------------------------------------------ *)
@@ -918,8 +978,7 @@ let begin_tx t =
   if Hashtbl.mem t.txs fid then raise Nested_transaction;
   (* Refresh the local snapshot so reads record current versions;
      accessors inside the transaction then stay purely local (§3.2). *)
-  let tail = sync_all t in
-  play_to t tail;
+  play_round t;
   Hashtbl.replace t.txs fid
     { tx_reads = []; tx_writes = []; tx_remote_reads = false; tx_t0 = Sim.Engine.now () };
   if Sim.Announce.active () then
@@ -930,22 +989,12 @@ let abort_tx t =
   if not (Hashtbl.mem t.txs fid) then raise No_transaction;
   Hashtbl.remove t.txs fid
 
-let in_tx t = current_tx t <> None
-
 let check_reads t reads =
   List.for_all (fun (oid, key, recorded) -> version_of t ~oid ?key () <= recorded) reads
 
 let await_decided t pos =
-  let rec wait backoff =
-    match Hashtbl.find_opt t.decided pos with
-    | Some o -> o
-    | None ->
-        Sim.Engine.sleep backoff;
-        let tail = sync_all t in
-        play_to t tail;
-        wait (Float.min (2. *. backoff) t.retry_backoff_max_us)
-  in
-  wait t.retry_sleep_us
+  if not (Hashtbl.mem t.decided pos) then play_until t (fun () -> Hashtbl.mem t.decided pos);
+  Hashtbl.find t.decided pos
 
 let read_objects_settled t reads =
   List.for_all
@@ -969,25 +1018,15 @@ let await_decided_scanning t cpos (c : Record.commit) =
     match Hashtbl.find_opt t.decided cpos with
     | Some outcome -> outcome
     | None ->
-        ignore (Corfu.Stream.sync s);
-        let rec consume () =
-          match Corfu.Stream.readnext s with
-          | None -> ()
-          | Some (_, entry) ->
-              List.iter
-                (fun r ->
-                  match r with
-                  | Record.Partial { p_target; p_verdicts } when p_target = cpos ->
-                      note_partials t cpos p_verdicts
-                  | Record.Decision { d_target; d_committed } when d_target = cpos ->
-                      resolve t d_target d_committed
-                  | Record.Update _ | Record.Commit _ | Record.Decision _ | Record.Partial _
-                  | Record.Checkpoint _ ->
-                      ())
-                (Record.decode_payload entry.Corfu.Types.payload);
-              consume ()
-        in
-        consume ();
+        scan_records s (fun _ r ->
+            match r with
+            | Record.Partial { p_target; p_verdicts } when p_target = cpos ->
+                note_partials t cpos p_verdicts
+            | Record.Decision { d_target; d_committed } when d_target = cpos ->
+                resolve t d_target d_committed
+            | Record.Update _ | Record.Commit _ | Record.Decision _ | Record.Partial _
+            | Record.Checkpoint _ ->
+                ());
         if Hashtbl.mem t.decided cpos then loop backoff
         else if Sim.Engine.now () > deadline then begin
           let outcome = reconstruct_outcome t cpos c in
@@ -1033,16 +1072,9 @@ let end_tx ?(stale = false) t =
         finish (if ok then Committed else Aborted)
       end
       else begin
-        let rec settle backoff =
-          let tail = sync_all t in
-          play_to t tail;
-          if read_objects_settled t reads then ()
-          else begin
-            Sim.Engine.sleep backoff;
-            settle (Float.min (2. *. backoff) t.retry_backoff_max_us)
-          end
-        in
-        settle t.retry_sleep_us;
+        play_round t;
+        if not (read_objects_settled t reads) then
+          play_until t (fun () -> read_objects_settled t reads);
         let ok = check_reads t reads in
         if not ok then Sim.Metrics.incr t.conflicts_c;
         finish (if ok then Committed else Aborted)
@@ -1072,8 +1104,7 @@ let end_tx ?(stale = false) t =
       let committed =
         if reads = [] then begin
           (* Write-only: commits immediately, no playback (§3.2). *)
-          Hashtbl.replace t.decided cpos true;
-          announce_decided t cpos true;
+          resolve t cpos true;
           true
         end
         else if collaborative then begin
@@ -1085,27 +1116,21 @@ let end_tx ?(stale = false) t =
           else await_decided_scanning t cpos commit
         end
         else begin
-          let hosted_write = List.exists (Hashtbl.mem t.objects) wstreams in
-          ignore (sync_all t);
-          if hosted_write then begin
+          if List.exists (Hashtbl.mem t.objects) wstreams then begin
             (* Our own playback of the commit entry decides it. *)
-            play_to t (commit_off + 1);
+            play_round ~upto:(commit_off + 1) t;
             await_decided t cpos
           end
           else begin
             (* Remote-only writes: play to just before the commit
                point, then decide from local read versions — parking
                like a consumer if a read object is frozen. *)
-            play_to t commit_off;
+            play_round ~upto:commit_off t;
             with_play_lock t (fun () ->
-                match Hashtbl.find_opt t.decided cpos with
-                | Some _ -> ()
-                | None -> (
-                    match eager_outcome t cpos commit with
-                    | Some outcome ->
-                        Hashtbl.replace t.decided cpos outcome;
-                        announce_decided t cpos outcome
-                    | None -> park_commit t cpos commit ~involved:(involved_hosted t commit)));
+                if not (Hashtbl.mem t.decided cpos) then
+                  match eager_outcome t cpos commit with
+                  | Some outcome -> resolve t cpos outcome
+                  | None -> park_commit t cpos commit ~involved:(involved_hosted t commit));
             await_decided t cpos
           end
         end
@@ -1113,10 +1138,7 @@ let end_tx ?(stale = false) t =
       (* Every later reader of [own_commits] first checks [decided],
          which now holds [cpos]. *)
       Hashtbl.remove t.own_commits cpos;
-      if needs_decision && not collaborative then
-        ignore
-          (Batcher.submit t.batcher ~streams:wstreams
-             (Record.Decision { d_target = cpos; d_committed = committed }));
+      if needs_decision && not collaborative then append_decision t cpos commit committed;
       finish (if committed then Committed else Aborted)
 
 (* ------------------------------------------------------------------ *)
@@ -1146,7 +1168,6 @@ let trim_below t off =
   if off > t.trimmed_below then t.trimmed_below <- off;
   let below_pos = off * Record.slots_per_entry in
   let prune tbl pred = Hashtbl.filter_map_inplace (fun k v -> if pred k then None else Some v) tbl in
-  prune t.processed (fun o -> o < off);
   prune t.decided (fun p -> p < below_pos);
   prune t.partials (fun p -> p < below_pos);
   prune t.partials_emitted (fun (p, _) -> p < below_pos)

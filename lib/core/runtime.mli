@@ -17,6 +17,20 @@
     commit record at position [P] is evaluated, every hosted view is
     exactly at [P].
 
+    Because merged playback hands out offsets in ascending order, the
+    runtime remembers what it played as one offset, the {e frontier}
+    (the highest offset handled): an entry at or below it is a repeat
+    met on a second hosted stream. An object may register after
+    playback has started (declare, then attach). It records the
+    frontier it joined at, and its stream's entries at or below that
+    mark are {e caught up}: only its own records are delivered, in log
+    order. A commit among them takes the outcome this runtime decided
+    when it saw the commit, waits for it if the commit is still
+    undecided, and otherwise takes the outcome of the deterministic
+    replay of the read set's streams (the decision watchdog's
+    reconstruction, §4.1). The object thus ends with the same view as
+    one registered before playback began.
+
     {2 Transactions}
 
     {!begin_tx}/{!end_tx} bracket optimistic transactions (§3.2).
@@ -68,7 +82,10 @@ val client : t -> Corfu.Client.t
     OID. [needs_decision] marks objects that remote-write transactions
     may target on clients lacking the read set (§4.1's static
     marking); transactions writing such objects, or writing objects
-    this client does not host, get decision records. *)
+    this client does not host, get decision records. Registration may
+    happen at any time; it waits for a running playback round to
+    finish, and the object then catches up on its stream's history
+    (see the playback model). *)
 val register : t -> oid:int -> ?needs_decision:bool -> callbacks -> unit
 
 (** [register_extra_view t ~oid cb] attaches a {e second} in-memory
@@ -157,8 +174,6 @@ val end_tx : ?stale:bool -> t -> tx_status
 
 (** [abort_tx t] discards the current context without appending. *)
 val abort_tx : t -> unit
-
-val in_tx : t -> bool
 
 (** {2 Checkpoints and GC (§3.1 History, §3.2 Naming)} *)
 

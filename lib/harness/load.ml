@@ -5,17 +5,38 @@ type report = {
   latency_p50_us : float;
   latency_p99_us : float;
   samples : int;
+  succeeded : int;
 }
+
+let summarize lat ~completed ~succeeded ~measure_us =
+  let seconds = measure_us /. 1e6 in
+  let pct p = if Sim.Stats.Series.count lat = 0 then 0. else Sim.Stats.Series.percentile lat p in
+  {
+    throughput = float_of_int completed /. seconds;
+    goodput = float_of_int succeeded /. seconds;
+    latency_mean_us = Sim.Stats.Series.mean lat;
+    latency_p50_us = pct 50.;
+    latency_p99_us = pct 99.;
+    samples = completed;
+    succeeded;
+  }
 
 type window = {
   mutable measuring : bool;
   latencies : Sim.Stats.Series.t;
   mutable completed : int;
   mutable succeeded : int;
+  mutable measured_us : float;
 }
 
-let fresh_window () =
-  { measuring = false; latencies = Sim.Stats.Series.create (); completed = 0; succeeded = 0 }
+let window () =
+  {
+    measuring = false;
+    latencies = Sim.Stats.Series.create ();
+    completed = 0;
+    succeeded = 0;
+    measured_us = 0.;
+  }
 
 let record w ~started ok =
   if w.measuring then begin
@@ -24,48 +45,24 @@ let record w ~started ok =
     if ok then w.succeeded <- w.succeeded + 1
   end
 
-let finish w ~measure_us =
-  let seconds = measure_us /. 1e6 in
-  let lat p = if Sim.Stats.Series.count w.latencies = 0 then 0. else Sim.Stats.Series.percentile w.latencies p in
-  {
-    throughput = float_of_int w.completed /. seconds;
-    goodput = float_of_int w.succeeded /. seconds;
-    latency_mean_us = Sim.Stats.Series.mean w.latencies;
-    latency_p50_us = lat 50.;
-    latency_p99_us = lat 99.;
-    samples = w.completed;
-  }
+let worker w op =
+  Sim.Engine.spawn (fun () ->
+      let rec loop () =
+        let started = Sim.Engine.now () in
+        let ok = op () in
+        record w ~started ok;
+        loop ()
+      in
+      loop ())
 
-let run_window w ~warmup_us ~measure_us =
-  Sim.Engine.sleep warmup_us;
-  w.measuring <- true;
-  Sim.Engine.sleep measure_us;
-  w.measuring <- false;
-  finish w ~measure_us
-
-let closed_loop ?(warmup_us = 200_000.) ?(measure_us = 1_000_000.) ~fibers op =
-  if fibers < 1 then invalid_arg "Load.closed_loop: need at least one fiber";
-  let w = fresh_window () in
-  for _ = 1 to fibers do
-    Sim.Engine.spawn (fun () ->
-        let rec loop () =
-          let started = Sim.Engine.now () in
-          let ok = op () in
-          record w ~started ok;
-          loop ()
-        in
-        loop ())
-  done;
-  run_window w ~warmup_us ~measure_us
-
-let open_loop ?(warmup_us = 200_000.) ?(measure_us = 1_000_000.) ?(max_outstanding = 10_000)
-    ~rate op =
-  if rate <= 0. then invalid_arg "Load.open_loop: rate must be positive";
-  let w = fresh_window () in
-  let outstanding = ref 0 in
+let generator ?(max_outstanding = 256) w ~rate op =
+  if rate <= 0. then invalid_arg "Load.generator: rate must be positive";
   let mean_gap = 1e6 /. rate in
   Sim.Engine.spawn (fun () ->
+      (* split inside the fiber: the draw order of the engine's stream
+         is part of every figure's deterministic schedule *)
       let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+      let outstanding = ref 0 in
       let rec generate () =
         Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:mean_gap);
         if !outstanding < max_outstanding then begin
@@ -78,8 +75,20 @@ let open_loop ?(warmup_us = 200_000.) ?(measure_us = 1_000_000.) ?(max_outstandi
         end;
         generate ()
       in
-      generate ());
-  run_window w ~warmup_us ~measure_us
+      generate ())
+
+let measure ~warmup_us ~measure_us ws =
+  Sim.Engine.sleep warmup_us;
+  List.iter
+    (fun w ->
+      w.measuring <- true;
+      w.measured_us <- measure_us)
+    ws;
+  Sim.Engine.sleep measure_us;
+  List.iter (fun w -> w.measuring <- false) ws
+
+let report w =
+  summarize w.latencies ~completed:w.completed ~succeeded:w.succeeded ~measure_us:w.measured_us
 
 module Population = struct
   type cfg = {
@@ -194,20 +203,10 @@ module Population = struct
 
   (* The counters as they stand at the drain deadline. *)
   let snapshot p =
-    let seconds = p.p_cfg.measure_us /. 1e6 in
-    let lat pct =
-      if Sim.Stats.Series.count p.p_lat = 0 then 0. else Sim.Stats.Series.percentile p.p_lat pct
-    in
     {
       pop_report =
-        {
-          throughput = float_of_int p.p_win_completed /. seconds;
-          goodput = float_of_int p.p_win_completed /. seconds;
-          latency_mean_us = Sim.Stats.Series.mean p.p_lat;
-          latency_p50_us = lat 50.;
-          latency_p99_us = lat 99.;
-          samples = p.p_win_completed;
-        };
+        summarize p.p_lat ~completed:p.p_win_completed ~succeeded:p.p_win_completed
+          ~measure_us:p.p_cfg.measure_us;
       pop_issued = p.p_issued;
       pop_completed = p.p_completed;
       pop_dropped = p.p_dropped;
@@ -256,10 +255,3 @@ module Population = struct
        Sim.Engine.suspend (fun resume -> p.p_waiter <- Some resume));
     match p.p_result with Some r -> r | None -> assert false
 end
-
-let measure_counter ?(warmup_us = 200_000.) ?(measure_us = 1_000_000.) get =
-  Sim.Engine.sleep warmup_us;
-  let before = get () in
-  Sim.Engine.sleep measure_us;
-  let after = get () in
-  float_of_int (after - before) /. (measure_us /. 1e6)

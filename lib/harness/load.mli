@@ -1,10 +1,18 @@
 (** Load generation and measurement for the evaluation harness.
 
-    Mirrors the paper's methodology (§6): closed loops with a window
-    of outstanding operations per client for the latency/throughput
-    curves, and open loops with a target rate for the
-    fixed-write-load experiments. Warmup is excluded from
-    measurement. *)
+    Mirrors the paper's methodology (§6): closed-loop workers for the
+    latency/throughput curves, and open-loop generators with a target
+    rate for the fixed-write-load experiments. Operations report into a
+    {!window}; only completions while it is measuring count, so warmup
+    is excluded.
+
+    Usage (from the simulation's main fiber):
+    {[
+      let w = Load.window () in
+      for _ = 1 to 16 do Load.worker w op done;
+      Load.measure ~warmup_us ~measure_us [ w ];
+      (Load.report w).throughput
+    ]} *)
 
 type report = {
   throughput : float;  (** completed ops per second *)
@@ -12,27 +20,41 @@ type report = {
   latency_mean_us : float;
   latency_p50_us : float;
   latency_p99_us : float;
-  samples : int;
+  samples : int;  (** completed ops *)
+  succeeded : int;  (** of which successful *)
 }
 
-(** [closed_loop ~fibers op] spawns [fibers] fibers repeatedly
-    invoking [op] (its [bool] result marks goodput) and measures for
-    [measure_us] (default 1 s) after [warmup_us] (default 200 ms).
-    Call from the simulation's main fiber. *)
-val closed_loop :
-  ?warmup_us:float -> ?measure_us:float -> fibers:int -> (unit -> bool) -> report
+(** A measurement window: counts and latencies of the operations that
+    complete while it is measuring. *)
+type window
 
-(** [open_loop ~rate op] fires [op] at [rate] per second (Poisson
-    arrivals), each in its own fiber, capping in-flight ops at
-    [max_outstanding] (default 10_000; excess arrivals are dropped and
-    not counted). *)
-val open_loop :
-  ?warmup_us:float ->
-  ?measure_us:float ->
-  ?max_outstanding:int ->
-  rate:float ->
-  (unit -> bool) ->
-  report
+val window : unit -> window
+
+(** [record w ~started ok] counts one operation that started at
+    virtual time [started] and completes now, if [w] is measuring —
+    what {!worker} and {!generator} do for each [op]; drivers that
+    count inside the system call it directly. *)
+val record : window -> started:float -> bool -> unit
+
+(** [worker w op] spawns a closed-loop fiber invoking [op] back to back
+    (its [bool] result marks goodput). *)
+val worker : window -> (unit -> bool) -> unit
+
+(** [generator ?max_outstanding w ~rate op] spawns a fiber firing [op]
+    at [rate] per second (Poisson arrivals), each in its own fiber,
+    capping in-flight ops at [max_outstanding] (default 256; excess
+    arrivals are dropped and not counted). The arrival stream is split
+    from the engine's RNG inside that fiber.
+    @raise Invalid_argument if [rate] is not positive. *)
+val generator : ?max_outstanding:int -> window -> rate:float -> (unit -> bool) -> unit
+
+(** [measure ~warmup_us ~measure_us ws] sleeps through the warmup,
+    then measures every window in [ws] for [measure_us]. Call from the
+    simulation's main fiber. *)
+val measure : warmup_us:float -> measure_us:float -> window list -> unit
+
+(** The window's figures over its last {!measure}. *)
+val report : window -> report
 
 (** Aggregate client-population model: open-loop load at 10⁴–10⁶
     modeled clients without a fiber per client. One driver fiber
@@ -92,9 +114,3 @@ module Population : sig
       drain deadline, then returns the counters as they stood there. *)
   val await : t -> result
 end
-
-(** [measure_counter ~warmup_us ~measure_us get] samples a
-    monotonically increasing counter over the window and returns its
-    rate per second — for throughput that is counted inside the
-    system (e.g. records applied). *)
-val measure_counter : ?warmup_us:float -> ?measure_us:float -> (unit -> int) -> float

@@ -53,46 +53,4 @@ module Series = struct
     match percentile_opt t p with
     | Some v -> v
     | None -> invalid_arg "Series.percentile: empty series"
-
-  let min t = percentile t 0.
-  let max t = percentile t 100.
-
-  let stddev t =
-    if t.len < 2 then 0.
-    else begin
-      let m = mean t in
-      let sum = ref 0. in
-      for i = 0 to t.len - 1 do
-        let d = t.data.(i) -. m in
-        sum := !sum +. (d *. d)
-      done;
-      sqrt (!sum /. float_of_int (t.len - 1))
-    end
-end
-
-module Counter = struct
-  type t = { cname : string; mutable n : int }
-
-  let create ~name () = { cname = name; n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let count t = t.n
-  let name t = t.cname
-end
-
-module Meter = struct
-  type t = { mutable n : int; mutable since : float }
-
-  let create () = { n = 0; since = Engine.now () }
-  let mark t = t.n <- t.n + 1
-  let mark_n t n = t.n <- t.n + n
-  let count t = t.n
-
-  let reset t =
-    t.n <- 0;
-    t.since <- Engine.now ()
-
-  let rate t =
-    let elapsed_us = Engine.now () -. t.since in
-    if elapsed_us <= 0. then 0. else float_of_int t.n /. elapsed_us *. 1_000_000.
 end

@@ -663,6 +663,175 @@ let test_decision_watchdog_reconstructs () =
         (Map_obj.get sink "out");
       check_bool "waited for the timeout" true (Sim.Engine.now () -. started >= 20_000.))
 
+(* ------------------------------------------------------------------ *)
+(* Late registration: an object registered after playback has started *)
+(* still sees the history the runtime already played past.            *)
+(* ------------------------------------------------------------------ *)
+
+let test_late_registration_cross_object_tx () =
+  with_cluster (fun cluster ->
+      let w = runtime cluster "writer" in
+      let a = Reg.attach w ~oid:1 in
+      let b = Reg.attach w ~oid:2 in
+      Runtime.begin_tx w;
+      Reg.write a 9;
+      Reg.write b 9;
+      Alcotest.check check_status "tx commits" Runtime.Committed (Runtime.end_tx w);
+      let late = runtime cluster "late" in
+      let a' = Reg.attach late ~oid:1 in
+      check_int "object 1 played" 9 (Reg.read a');
+      let b' = Reg.attach late ~oid:2 in
+      check_int "object 2 sees the commit played before it joined" 9 (Reg.read b'))
+
+let test_late_registration_batched_writes () =
+  with_cluster (fun cluster ->
+      let w = runtime cluster "writer" in
+      let a = Reg.attach w ~oid:1 in
+      let b = Reg.attach w ~oid:2 in
+      Sim.Engine.spawn (fun () -> Reg.write a 9);
+      Reg.write b 9;
+      check_int "both writes share one entry"
+        (Record.pos_offset (Runtime.version_of w ~oid:1 ()))
+        (Record.pos_offset (Runtime.version_of w ~oid:2 ()));
+      let late = runtime cluster "late" in
+      let a' = Reg.attach late ~oid:1 in
+      check_int "object 1 played" 9 (Reg.read a');
+      let b' = Reg.attach late ~oid:2 in
+      check_int "object 2 gets its record from the shared entry" 9 (Reg.read b'))
+
+let test_late_registration_unseen_commit () =
+  (* The commit read object 1 and wrote only object 2, so it never
+     appeared on the stream the late runtime played; object 1 has been
+     written since. Deciding it against object 1's current version
+     would wrongly abort it. *)
+  with_cluster (fun cluster ->
+      let w = runtime cluster "writer" in
+      let a = Reg.attach w ~oid:1 in
+      let b = Reg.attach w ~oid:2 in
+      Reg.write a 1;
+      Runtime.begin_tx w;
+      ignore (Reg.read a);
+      Reg.write b 9;
+      Alcotest.check check_status "tx commits" Runtime.Committed (Runtime.end_tx w);
+      Reg.write a 5;
+      let late = runtime cluster "late" in
+      let a' = Reg.attach late ~oid:1 in
+      check_int "object 1 played" 5 (Reg.read a');
+      let b' = Reg.attach late ~oid:2 in
+      check_int "the commit keeps its original outcome" 9 (Reg.read b'))
+
+let test_late_registration_parked_commit () =
+  (* The consumer lacks the read set, so it parks the commit until a
+     decision arrives; none does (the generator crashed), and an object
+     registered meanwhile waits behind the same commit until the
+     watchdog reconstructs the outcome. *)
+  with_cluster (fun cluster ->
+      let gen = runtime ~decision_timeout_us:20_000. cluster "doomed" in
+      let consumer = runtime ~decision_timeout_us:20_000. cluster "consumer" in
+      let src = Map_obj.attach gen ~oid:1 in
+      let sink = Map_obj.attach consumer ~oid:2 in
+      Map_obj.put src "k" "v";
+      ignore (Map_obj.get src "k");
+      let write oid =
+        { Record.u_oid = oid; u_key = Some "out"; u_data = Map_obj.encode "out" "ok" }
+      in
+      let commit =
+        Record.Commit
+          {
+            Record.c_reads = [ (1, Some "k", Runtime.version_of gen ~oid:1 ~key:"k" ()) ];
+            c_writes = [ write 2; write 3 ];
+            c_needs_decision = true;
+          }
+      in
+      ignore
+        (Corfu.Client.append (Runtime.client gen) ~streams:[ 2; 3 ]
+           (Record.encode_payload [ commit ]));
+      let first = ref None in
+      Sim.Engine.spawn (fun () -> first := Some (Map_obj.get sink "out"));
+      Sim.Engine.sleep 5_000.;
+      check_bool "the commit is parked" true (!first = None);
+      let late = Map_obj.attach consumer ~oid:3 in
+      Alcotest.(check (option string)) "late object applies it after the decision" (Some "ok")
+        (Map_obj.get late "out");
+      Sim.Engine.sleep 5_000.;
+      check_bool "the parked object applies it too" true (!first = Some (Some "ok")))
+
+let test_late_registration_mid_round () =
+  (* A second fiber's playback round is under way when object 2
+     registers; the round plays object 1's stream only, so object 2's
+     entry between its two entries must still reach object 2. Sweep the
+     join time across the round. *)
+  let joins_mid_round d =
+    with_cluster (fun cluster ->
+        let w = runtime cluster "writer" in
+        let a = Reg.attach w ~oid:1 in
+        let b = Reg.attach w ~oid:2 in
+        Reg.write a 1;
+        Reg.write b 2;
+        Reg.write a 3;
+        let late = runtime cluster "late" in
+        let a' = Reg.attach late ~oid:1 in
+        Sim.Engine.spawn (fun () -> ignore (Reg.read a'));
+        Sim.Engine.sleep d;
+        let b' = Reg.attach late ~oid:2 in
+        Reg.read b')
+  in
+  List.iter
+    (fun d -> check_int (Printf.sprintf "joined at +%.0fus" d) 2 (joins_mid_round d))
+    (List.init 100 (fun i -> float_of_int (i * 20)))
+
+let prop_late_registration_converges =
+  (* A writer runs plain writes, concurrent (batched) writes and
+     transactions over three registers; a second runtime registers the
+     objects one by one at random points, playing in between. Its views
+     must end equal to a fresh runtime's. *)
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (1 -- 12) (triple (0 -- 3) (0 -- 2) (0 -- 2))) (list_repeat 3 (0 -- 12)))
+  in
+  QCheck.Test.make ~name:"late-registered objects converge" ~count:25 (QCheck.make gen)
+    (fun (ops, joins) ->
+      with_cluster (fun cluster ->
+          let w = runtime cluster "writer" in
+          let regs = Array.init 3 (fun i -> Reg.attach w ~oid:(i + 1)) in
+          let late = runtime cluster "late" in
+          let late_regs = Array.make 3 None in
+          let join_due step =
+            List.iteri
+              (fun i at ->
+                if at <= step && late_regs.(i) = None then
+                  late_regs.(i) <- Some (Reg.attach late ~oid:(i + 1)))
+              joins;
+            Array.iter (Option.iter (fun r -> ignore (Reg.read r))) late_regs
+          in
+          List.iteri
+            (fun step (kind, i, j) ->
+              join_due step;
+              let v = step + 1 in
+              match kind with
+              | 0 -> Reg.write regs.(i) v
+              | 1 ->
+                  Sim.Engine.spawn (fun () -> Reg.write regs.(i) v);
+                  Reg.write regs.(j) (-v);
+                  Sim.Engine.sleep 10_000.
+              | 2 ->
+                  Runtime.begin_tx w;
+                  Reg.write regs.(i) v;
+                  Reg.write regs.(j) (-v);
+                  ignore (Runtime.end_tx w)
+              | _ ->
+                  Runtime.begin_tx w;
+                  ignore (Reg.read regs.(i));
+                  Reg.write regs.(j) v;
+                  ignore (Runtime.end_tx w))
+            ops;
+          join_due max_int;
+          let fresh = runtime cluster "fresh" in
+          let fresh_regs = Array.init 3 (fun i -> Reg.attach fresh ~oid:(i + 1)) in
+          Array.for_all2
+            (fun l f -> match l with Some l -> Reg.read l = Reg.read f | None -> false)
+            late_regs fresh_regs))
+
 let prop_concurrent_counter_serializable =
   (* N clients transactionally increment one register; committed
      increments must be exactly the final value (lost-update freedom,
@@ -1075,6 +1244,18 @@ let () =
           Alcotest.test_case "decision watchdog reconstructs" `Quick
             test_decision_watchdog_reconstructs;
         ] );
+      ( "late-registration",
+        [
+          Alcotest.test_case "cross-object tx played before the join" `Quick
+            test_late_registration_cross_object_tx;
+          Alcotest.test_case "batched writes in one entry" `Quick
+            test_late_registration_batched_writes;
+          Alcotest.test_case "commit the runtime never saw" `Quick
+            test_late_registration_unseen_commit;
+          Alcotest.test_case "commit still parked" `Quick test_late_registration_parked_commit;
+          Alcotest.test_case "join during another fiber's round" `Quick
+            test_late_registration_mid_round;
+        ] );
       ( "checkpoint-gc-directory",
         [
           Alcotest.test_case "checkpoint and replay" `Quick test_checkpoint_and_replay;
@@ -1090,5 +1271,6 @@ let () =
             prop_record_roundtrip;
             prop_concurrent_counter_serializable;
             prop_directory_unique_oids;
+            prop_late_registration_converges;
           ] );
     ]

@@ -9,11 +9,24 @@ let check_bool = Alcotest.(check bool)
 let near ~tolerance expected actual =
   abs_float (actual -. expected) <= tolerance *. expected
 
+(* Run [setup w] on a fresh window, measure it and return its report. *)
+let measured ~warmup_us ~measure_us setup =
+  Sim.Engine.run (fun () ->
+      let w = Load.window () in
+      setup w;
+      Load.measure ~warmup_us ~measure_us [ w ];
+      Load.report w)
+
+let workers n w op =
+  for _ = 1 to n do
+    Load.worker w op
+  done
+
 let test_closed_loop_throughput () =
-  (* Each op takes exactly 100 µs; 4 fibers -> 40K ops/s. *)
+  (* Each op takes exactly 100 µs; 4 workers -> 40K ops/s. *)
   let r =
-    Sim.Engine.run (fun () ->
-        Load.closed_loop ~warmup_us:10_000. ~measure_us:100_000. ~fibers:4 (fun () ->
+    measured ~warmup_us:10_000. ~measure_us:100_000. (fun w ->
+        workers 4 w (fun () ->
             Sim.Engine.sleep 100.;
             true))
   in
@@ -24,25 +37,27 @@ let test_closed_loop_throughput () =
 let test_closed_loop_goodput () =
   let flip = ref false in
   let r =
-    Sim.Engine.run (fun () ->
-        Load.closed_loop ~warmup_us:1_000. ~measure_us:50_000. ~fibers:1 (fun () ->
+    measured ~warmup_us:1_000. ~measure_us:50_000. (fun w ->
+        Load.worker w (fun () ->
             Sim.Engine.sleep 50.;
             flip := not !flip;
             !flip))
   in
   check_bool "half the ops succeed" true
-    (near ~tolerance:0.05 (r.Load.throughput /. 2.) r.Load.goodput)
+    (near ~tolerance:0.05 (r.Load.throughput /. 2.) r.Load.goodput);
+  check_bool "succeeded counts the good ops" true
+    (abs (r.Load.samples - (2 * r.Load.succeeded)) <= 1)
 
 let test_closed_loop_warmup_excluded () =
   (* Ops get fast after warmup; the slow phase must not pollute the
      latency stats. *)
   let r =
-    Sim.Engine.run (fun () ->
+    measured ~warmup_us:60_000. ~measure_us:50_000. (fun w ->
         let slow = ref true in
         Sim.Engine.spawn (fun () ->
             Sim.Engine.sleep 50_000.;
             slow := false);
-        Load.closed_loop ~warmup_us:60_000. ~measure_us:50_000. ~fibers:1 (fun () ->
+        Load.worker w (fun () ->
             Sim.Engine.sleep (if !slow then 5_000. else 10.);
             true))
   in
@@ -50,8 +65,8 @@ let test_closed_loop_warmup_excluded () =
 
 let test_open_loop_rate () =
   let r =
-    Sim.Engine.run (fun () ->
-        Load.open_loop ~warmup_us:20_000. ~measure_us:200_000. ~rate:10_000. (fun () ->
+    measured ~warmup_us:20_000. ~measure_us:200_000. (fun w ->
+        Load.generator w ~rate:10_000. (fun () ->
             Sim.Engine.sleep 30.;
             true))
   in
@@ -62,9 +77,8 @@ let test_open_loop_outstanding_cap () =
      of spawning unboundedly. *)
   let spawned = ref 0 in
   let (_ : Load.report) =
-    Sim.Engine.run (fun () ->
-        Load.open_loop ~warmup_us:1_000. ~measure_us:30_000. ~max_outstanding:50 ~rate:100_000.
-          (fun () ->
+    measured ~warmup_us:1_000. ~measure_us:30_000. (fun w ->
+        Load.generator ~max_outstanding:50 w ~rate:100_000. (fun () ->
             incr spawned;
             Sim.Engine.sleep 10_000_000.;
             true))
@@ -72,14 +86,13 @@ let test_open_loop_outstanding_cap () =
   check_bool (Printf.sprintf "capped at 50, spawned %d" !spawned) true (!spawned <= 50)
 
 let test_open_loop_invalid_rate () =
+  let generate rate () =
+    Sim.Engine.run (fun () -> Load.generator (Load.window ()) ~rate (fun () -> true))
+  in
   Alcotest.check_raises "zero rate rejected"
-    (Invalid_argument "Load.open_loop: rate must be positive") (fun () ->
-      Sim.Engine.run (fun () ->
-          ignore (Load.open_loop ~rate:0. (fun () -> true))));
+    (Invalid_argument "Load.generator: rate must be positive") (generate 0.);
   Alcotest.check_raises "negative rate rejected"
-    (Invalid_argument "Load.open_loop: rate must be positive") (fun () ->
-      Sim.Engine.run (fun () ->
-          ignore (Load.open_loop ~rate:(-5.) (fun () -> true))))
+    (Invalid_argument "Load.generator: rate must be positive") (generate (-5.))
 
 let test_open_loop_rate_near_zero () =
   (* A trickle — mean gap 20 ms against a 2 s window. The loop must
@@ -87,8 +100,8 @@ let test_open_loop_rate_near_zero () =
      counted. *)
   let completions = ref 0 in
   let r =
-    Sim.Engine.run (fun () ->
-        Load.open_loop ~warmup_us:0. ~measure_us:2_000_000. ~rate:50. (fun () ->
+    measured ~warmup_us:0. ~measure_us:2_000_000. (fun w ->
+        Load.generator w ~rate:50. (fun () ->
             Sim.Engine.sleep 10.;
             incr completions;
             true))
@@ -104,9 +117,8 @@ let test_open_loop_saturated_cap () =
      fixed 50 ms service each, completions must pin at cap / service =
      200/s regardless of the offered 1M/s. *)
   let r =
-    Sim.Engine.run (fun () ->
-        Load.open_loop ~warmup_us:100_000. ~measure_us:500_000. ~max_outstanding:10
-          ~rate:1_000_000. (fun () ->
+    measured ~warmup_us:100_000. ~measure_us:500_000. (fun w ->
+        Load.generator ~max_outstanding:10 w ~rate:1_000_000. (fun () ->
             Sim.Engine.sleep 50_000.;
             true))
   in
@@ -124,8 +136,8 @@ let test_open_loop_window_boundary () =
   let in_window = ref 0 in
   let total = ref 0 in
   let r =
-    Sim.Engine.run (fun () ->
-        Load.open_loop ~warmup_us:warmup ~measure_us:measure ~rate:2_000. (fun () ->
+    measured ~warmup_us:warmup ~measure_us:measure (fun w ->
+        Load.generator w ~rate:2_000. (fun () ->
             Sim.Engine.sleep 10_000.;
             let t = Sim.Engine.now () in
             incr total;
@@ -205,24 +217,28 @@ let test_population_invalid_cfg () =
       ignore (create { pop_cfg with stations = 0 }))
 
 let test_measure_counter () =
-  let rate =
+  (* Events counted inside the system rather than by a worker: a fiber
+     records one completion every 100 µs, and the window rates the
+     ones inside it at 10K/s. *)
+  let r =
     Sim.Engine.run (fun () ->
-        let n = ref 0 in
+        let w = Load.window () in
         Sim.Engine.spawn (fun () ->
             let rec tick () =
               Sim.Engine.sleep 100.;
-              incr n;
+              Load.record w ~started:(Sim.Engine.now ()) true;
               tick ()
             in
             tick ());
-        Load.measure_counter ~warmup_us:5_000. ~measure_us:100_000. (fun () -> !n))
+        Load.measure ~warmup_us:5_000. ~measure_us:100_000. [ w ];
+        Load.report w)
   in
-  check_bool "10K/s" true (near ~tolerance:0.02 10_000. rate)
+  check_bool "10K/s" true (near ~tolerance:0.02 10_000. r.Load.throughput)
 
 let test_report_samples () =
   let r =
-    Sim.Engine.run (fun () ->
-        Load.closed_loop ~warmup_us:0. ~measure_us:10_000. ~fibers:2 (fun () ->
+    measured ~warmup_us:0. ~measure_us:10_000. (fun w ->
+        workers 2 w (fun () ->
             Sim.Engine.sleep 1_000.;
             true))
   in

@@ -534,8 +534,8 @@ let test_series_basics () =
   List.iter (Stats.Series.add s) [ 5.; 1.; 3.; 2.; 4. ];
   check_int "count" 5 (Stats.Series.count s);
   check_float "mean" 3. (Stats.Series.mean s);
-  check_float "p0" 1. (Stats.Series.min s);
-  check_float "p100" 5. (Stats.Series.max s);
+  check_float "p0" 1. (Stats.Series.percentile s 0.);
+  check_float "p100" 5. (Stats.Series.percentile s 100.);
   check_float "median" 3. (Stats.Series.percentile s 50.)
 
 let test_series_percentile_interpolates () =
@@ -549,7 +549,7 @@ let test_series_grows () =
     Stats.Series.add s (float_of_int i)
   done;
   check_int "count" 5000 (Stats.Series.count s);
-  check_float "max" 5000. (Stats.Series.max s)
+  check_float "max" 5000. (Stats.Series.percentile s 100.)
 
 let test_series_add_after_percentile () =
   let s = Stats.Series.create () in
@@ -557,15 +557,6 @@ let test_series_add_after_percentile () =
   ignore (Stats.Series.percentile s 50.);
   Stats.Series.add s 2.;
   check_float "median updated" 2. (Stats.Series.percentile s 50.)
-
-let test_meter_rate () =
-  Engine.run (fun () ->
-      let m = Stats.Meter.create () in
-      Stats.Meter.mark_n m 100;
-      Engine.sleep 1_000_000.;
-      check_float "100/s" 100. (Stats.Meter.rate m);
-      Stats.Meter.reset m;
-      check_int "reset" 0 (Stats.Meter.count m))
 
 let expect_invalid_arg what f =
   match f () with
@@ -587,14 +578,6 @@ let test_series_percentile_edges () =
   expect_invalid_arg "p > 100" (fun () -> Stats.Series.percentile s 101.);
   expect_invalid_arg "p < 0" (fun () -> Stats.Series.percentile_opt s (-1.));
   expect_invalid_arg "p nan" (fun () -> Stats.Series.percentile s Float.nan)
-
-let test_meter_zero_window () =
-  Engine.run (fun () ->
-      let m = Stats.Meter.create () in
-      Stats.Meter.mark_n m 5;
-      (* no virtual time has passed since create: rate must be 0, not
-         a division blow-up *)
-      check_float "zero-elapsed rate" 0. (Stats.Meter.rate m))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
@@ -1494,9 +1477,7 @@ let () =
           Alcotest.test_case "percentile interpolates" `Quick test_series_percentile_interpolates;
           Alcotest.test_case "series grows" `Quick test_series_grows;
           Alcotest.test_case "add after percentile" `Quick test_series_add_after_percentile;
-          Alcotest.test_case "meter rate" `Quick test_meter_rate;
           Alcotest.test_case "percentile edge cases" `Quick test_series_percentile_edges;
-          Alcotest.test_case "meter zero window" `Quick test_meter_zero_window;
         ] );
       ( "metrics",
         [
