@@ -732,7 +732,9 @@ let ablation_seqckpt () =
               Sim.Engine.sleep 400.
             done;
             ignore (Corfu.Cluster.replace_sequencer cluster);
-            Corfu.Cluster.last_rebuild_scan cluster)
+            match Corfu.Cluster.reconfigs cluster with
+            | [ { rc_change = Sequencer_replaced { scanned }; _ } ] -> scanned
+            | _ -> -1)
       in
       row "%10d %14d %18d" n (scan false) (scan true))
     [ 200; 500; 1000 ]
@@ -1075,8 +1077,8 @@ let scale_out_bench () =
         Sim.Engine.sleep phase_us;
         let after_count = !total - c1 in
         let boundary =
-          match Corfu.Cluster.scale_events cluster with
-          | [ e ] -> e.Corfu.Cluster.sc_boundary
+          match Corfu.Cluster.reconfigs cluster with
+          | [ { rc_change = Scaled_out { boundary }; _ } ] -> boundary
           | _ -> -1
         in
         (* the acceptance check: offsets granted before the
@@ -1098,9 +1100,12 @@ let scale_out_bench () =
         in
         let copied =
           List.fold_left
-            (fun a rc -> a + rc.Corfu.Cluster.rec_copied_entries)
+            (fun a (rc : Corfu.Cluster.reconfig) ->
+              match rc.rc_change with
+              | Storage_replaced { copied_entries; _ } -> a + copied_entries
+              | _ -> a)
             0
-            (Corfu.Cluster.recoveries cluster)
+            (Corfu.Cluster.reconfigs cluster)
         in
         let series =
           List.sort compare (Hashtbl.fold (fun b n acc -> (b, n) :: acc) buckets [])

@@ -484,11 +484,10 @@ let projection servers add_servers seed =
       say "";
       say "layout after scale-out to epoch %d (+%d servers, no data copied):" epoch add_servers;
       say "%s" (Format.asprintf "%a" Corfu.Projection.pp_layout (Corfu.Projection.layout proj));
-      (match Corfu.Cluster.scale_events cluster with
-      | [ e ] ->
-          say "sealed the old tail segment at offset %d; installed in %.0f us"
-            e.Corfu.Cluster.sc_boundary
-            (e.Corfu.Cluster.sc_installed_us -. e.Corfu.Cluster.sc_started_us)
+      (match Corfu.Cluster.reconfigs cluster with
+      | [ { rc_change = Scaled_out { boundary }; rc_started_us; rc_installed_us; _ } ] ->
+          say "sealed the old tail segment at offset %d; installed in %.0f us" boundary
+            (rc_installed_us -. rc_started_us)
       | _ -> ());
       say "";
       say "offsets resolve through the segment that wrote them:";

@@ -1,25 +1,20 @@
-type recovery = {
-  rec_epoch : Types.epoch;
-  rec_dead : string;
-  rec_spare : string;
-  rec_started_us : float;
-  rec_installed_us : float;
-  rec_copied_entries : int;
-  rec_copied_bytes : int;
-}
+type change =
+  | Sequencer_replaced of { scanned : int }
+  | Storage_replaced of {
+      dead : string;
+      spare : string;
+      copied_entries : int;
+      copied_bytes : int;
+    }
+  | Scaled_out of { boundary : Types.offset }
+  | Scaled_in of { boundary : Types.offset }
+  | Retired of { released : string list }
 
-type scale_kind = Scale_out | Scale_in | Segments_retired
-
-type scale_event = {
-  sc_epoch : Types.epoch;
-  sc_kind : scale_kind;
-  sc_boundary : Types.offset;
-  sc_servers_before : int;
-  sc_servers_after : int;
-  sc_segments : int;
-  sc_released : string list;
-  sc_started_us : float;
-  sc_installed_us : float;
+type reconfig = {
+  rc_epoch : Types.epoch;
+  rc_started_us : float;
+  rc_installed_us : float;
+  rc_change : change;
 }
 
 type t = {
@@ -29,11 +24,9 @@ type t = {
   aux : Auxiliary.t;
   reconfig_host : Sim.Net.host;
   mutable sequencer_count : int;
-  mutable rebuild_scan : int;
   mutable spare_count : int;
   mutable storage_count : int;  (* names the next provisioned storage-N *)
-  mutable recoveries : recovery list;  (* newest first *)
-  mutable scale_events : scale_event list;  (* newest first *)
+  mutable reconfigs : reconfig list;  (* newest first *)
   mutable reconfig_busy : bool;  (* cooperative reconfiguration mutex *)
 }
 
@@ -93,14 +86,6 @@ let with_reconfig t f =
   t.reconfig_busy <- true;
   Fun.protect ~finally:(fun () -> t.reconfig_busy <- false) f
 
-(* The last step of every reconfiguration: propose the new view. Only
-   one agent reconfigures at a time ({!with_reconfig}), so a conflict
-   is a bug in [op]. *)
-let install t ~op proj =
-  match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
-  | Auxiliary.Installed -> ()
-  | Auxiliary.Conflict _ -> failwith (op ^ ": concurrent reconfiguration")
-
 (* Group [nodes] into replica chains: uniform [chain_length] by
    default, or explicit per-chain lengths via [chains] — which is how
    a segment accepts any server count. *)
@@ -158,11 +143,9 @@ let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ~servers (
       aux;
       reconfig_host;
       sequencer_count = 1;
-      rebuild_scan = 0;
       spare_count = 0;
       storage_count = servers;
-      recoveries = [];
-      scale_events = [];
+      reconfigs = [];
       reconfig_busy = false;
     }
   in
@@ -182,6 +165,18 @@ let new_client t ~name =
   let host = Sim.Net.add_host t.cluster_net name in
   Client.create ~host ~aux:t.aux ~params:t.p
 
+(* Retry [rpc] every [retry_sleep_us] until it answers. Reconfiguration
+   uses this wherever skipping an unreachable node is unsound: the
+   rebuild scan's chain-head reads and the seal of every surviving
+   storage node. A node that is gone for good needs a membership
+   change, which is the failure monitor's job, not the caller's. *)
+let rec until_answered t rpc =
+  match rpc () with
+  | Ok v -> v
+  | Error _ ->
+      Sim.Engine.sleep t.p.retry_sleep_us;
+      until_answered t rpc
+
 (* Raw read used during reconfiguration, bypassing the client library
    (which would chase the not-yet-installed projection). Always reads
    the chain HEAD, and retries it until it answers: the stale-grant
@@ -189,31 +184,19 @@ let new_client t ~name =
    was seen by the rebuild scan, so falling back to another replica
    (which may lag a half-completed chain write) is not an option. A
    transiently unreachable head — crashed pending restart, or cut off
-   by a partition — just stalls the scan until it comes back; a head
-   that is gone for good needs a membership change, which is the
-   failure monitor's job, not the scan's. Found by the simulation
-   fuzzer: the old untimed RPC left a whole reconfiguration wedged
-   (lock held, epoch never published) when the scan hit a partitioned
-   head, because a dropped request blocks its caller forever. *)
+   by a partition — just stalls the scan until it comes back. Found by
+   the simulation fuzzer: the old untimed RPC left a whole
+   reconfiguration wedged (lock held, epoch never published) when the
+   scan hit a partitioned head, because a dropped request blocks its
+   caller forever. *)
 let raw_read t proj ~epoch off =
   let set = Projection.replica_set proj off in
   let loff = Projection.local_offset proj off in
-  let head = set.(0) in
-  let rec go () =
-    match
+  until_answered t (fun () ->
       Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
         ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-        (Storage_node.read_service head)
-        { Storage_node.repoch = epoch; roffset = loff }
-    with
-    | Ok outcome -> outcome
-    | Error _ ->
-        Sim.Engine.sleep t.p.retry_sleep_us;
-        go ()
-  in
-  go ()
-
-let last_rebuild_scan t = t.rebuild_scan
+        (Storage_node.read_service set.(0))
+        { Storage_node.repoch = epoch; roffset = loff })
 
 (* Raw chain write used by the checkpoint scribe (the snapshot's offset
    comes pre-reserved from the sequencer dump, so the normal append
@@ -283,17 +266,6 @@ let seal_storage ?dead t proj ~epoch =
     (fun node ->
       Sim.Metrics.incr (Sim.Metrics.counter "cluster.seals");
       let is_dead = match dead with Some d -> node == d | None -> false in
-      (* Failpoint (fuzzer sensitivity, DESIGN.md §9): collect the tail
-         without sealing, leaving stale-epoch clients able to keep
-         writing through the old view. *)
-      let service =
-        if failpoints.fp_skip_storage_seal then fun n ->
-          Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-            (Storage_node.tail_service n) ()
-        else fun n ->
-          Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-            (Storage_node.seal_service n) epoch
-      in
       if is_dead then begin
         match
           Sim.Net.call_r ~timeout_us:10_000. ~from:t.reconfig_host
@@ -303,133 +275,218 @@ let seal_storage ?dead t proj ~epoch =
         | Error _ -> ()
       end
       else
-        let rec go () =
-          match service node with
-          | Ok tail -> Hashtbl.replace tails (Storage_node.name node) tail
-          | Error _ ->
-              Sim.Engine.sleep t.p.retry_sleep_us;
-              go ()
+        (* Failpoint (fuzzer sensitivity, DESIGN.md §9): collect the
+           tail without sealing, leaving stale-epoch clients able to
+           keep writing through the old view. *)
+        let tail =
+          until_answered t (fun () ->
+              if failpoints.fp_skip_storage_seal then
+                Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                  (Storage_node.tail_service node) ()
+              else
+                Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                  (Storage_node.seal_service node) epoch)
         in
-        go ())
+        Hashtbl.replace tails (Storage_node.name node) tail)
     (Projection.servers proj);
   tails
 
-let replace_sequencer t =
+(* ------------------------------------------------------------------ *)
+(* The reconfiguration driver (§2.2, §5)                              *)
+(* ------------------------------------------------------------------ *)
+
+(* How an operation closes the old epoch, and the spans its seal and
+   install report under ([p ^ ".seal"], [p ^ ".install"]). *)
+type seal =
+  | Unsealed  (* segment retirement: no live offset changes its mapping *)
+  | Unspanned  (* sequencer failover: its operation span covers both *)
+  | Each_in of string * Storage_node.t
+      (* storage replacement: the sequencer and the storage nodes each
+         in their own seal span; the dead node gets one short try *)
+  | Both_in of string  (* scale-out/in: both seals in one span *)
+
+(* What closing the epoch reports to the operation's step: the old
+   sequencer's grant frontier — every offset below it was handed out
+   under the old epoch, including grants whose chain writes are still
+   in flight — and each answering storage node's local tail. *)
+type sealed = { frontier : Types.offset; tails : (string, Types.offset) Hashtbl.t }
+
+let in_phase seal suffix f =
+  match seal with
+  | Unsealed | Unspanned -> f ()
+  | Each_in (prefix, _) | Both_in prefix -> Sim.Span.with_span (prefix ^ suffix) f
+
+let close_epoch t seal proj ~epoch =
+  let sequencer () =
+    Sim.Net.call ~from:t.reconfig_host (Sequencer.seal_service proj.Projection.sequencer) epoch
+  in
+  match seal with
+  | Unsealed -> { frontier = -1; tails = Hashtbl.create 1 }
+  | Unspanned ->
+      let frontier = sequencer () in
+      { frontier; tails = seal_storage t proj ~epoch }
+  | Each_in (_, dead) ->
+      let frontier = in_phase seal ".seal" sequencer in
+      { frontier; tails = in_phase seal ".seal" (fun () -> seal_storage ~dead t proj ~epoch) }
+  | Both_in _ ->
+      in_phase seal ".seal" (fun () ->
+          let frontier = sequencer () in
+          { frontier; tails = seal_storage t proj ~epoch })
+
+(* The one epoch change every reconfiguration runs. Under the lock,
+   [plan] sees the current projection and either declines — [None]:
+   the cluster is already as the caller wants it, so nothing is
+   sealed, logged or announced — or returns the operation's own step.
+   Otherwise the driver opens the operation's span, announces the
+   start, closes the old epoch as [seal] says, lets the step build the
+   projection for [epoch + 1], adopts its members, proposes it, and
+   logs and announces the install. The step may not install anything
+   itself: one agent reconfigures at a time, so an install conflict
+   is a bug in the step. *)
+let reconfigure t ~kind ~span ~args ~seal plan =
   with_reconfig t
   @@ fun () ->
-  Sim.Span.with_span ~host:"reconfig-agent" "recovery.sequencer"
-  @@ fun () ->
-  Sim.Metrics.incr (Sim.Metrics.counter "cluster.seq_replacements");
-  announce_started "sequencer";
-  (* Failpoint: wedge the takeover right after it starts — the epoch
-     never installs, so ReconfigTermination's deadline fires. *)
-  if failpoints.fp_stall_reconfig then Sim.Engine.sleep 60_000_000.;
   let old_proj = Auxiliary.latest t.aux in
-  let epoch = old_proj.Projection.epoch + 1 in
-  (* 1. Seal the old sequencer so no stale backpointers escape. Its
-     answer is the grant frontier: every offset below it was handed
-     out under the old epoch, including grants whose chain writes are
-     still in flight (and therefore invisible to the storage tails
-     collected next). *)
-  let seal_tail =
-    Sim.Net.call ~from:t.reconfig_host (Sequencer.seal_service old_proj.Projection.sequencer) epoch
-  in
-  (* 2. Seal every storage node, collecting local tails; the tail
-     segment's chain heads carry the highest local tails. *)
-  let tails = seal_storage t old_proj ~epoch in
-  let tail_seg = Projection.tail_segment old_proj in
-  let locals =
-    Array.map
-      (fun chain ->
-        match Hashtbl.find_opt tails (Storage_node.name chain.(0)) with
-        | Some tl -> tl
-        | None -> -1)
-      tail_seg.Projection.seg_sets
-  in
-  let storage_tail = Projection.global_tail_from_locals old_proj locals in
-  (* The new sequencer must start past {e both} frontiers. Starting at
-     the storage tail alone re-grants every offset of an unexhausted
-     range grant (granted, not yet written) — two clients then hold
-     the same offset and one of them loses the write-once race on
-     every entry. Found by the simulation fuzzer; the grant holder's
-     unwritten slots simply resolve as holes and get filled. *)
-  let tail =
-    if failpoints.fp_forget_seal_tail then storage_tail else max storage_tail seal_tail
-  in
-  (* 3. Rebuild per-stream backpointer state by scanning backward,
-     stopping at the most recent sequencer checkpoint if one exists
-     (§5's proposed optimization, via the scribe) — or at the retired
-     boundary, below which everything was prefix-trimmed anyway. *)
-  let floor = (Projection.segment old_proj 0).Projection.seg_base in
-  let k = t.p.backpointer_k in
-  let streams : (Types.stream_id, Types.offset list) Hashtbl.t = Hashtbl.create 64 in
-  let scanned = ref 0 in
-  let note_headers off (e : Types.entry) =
-    List.iter
-      (fun (h : Stream_header.t) ->
-        let prev = match Hashtbl.find_opt streams h.stream with Some l -> l | None -> [] in
-        if List.length prev < k then Hashtbl.replace streams h.stream (prev @ [ off ]))
-      (Stream_header.decode_block ~k ~current:off e.Types.headers)
-  in
-  let rec scan off =
-    if off >= floor then begin
-      incr scanned;
-      match raw_read t old_proj ~epoch off with
-      | Types.Read_data e ->
-          if Seq_checkpoint.is_snapshot ~k ~current:off e then begin
-            let snapshot = Seq_checkpoint.decode e.Types.payload in
-            List.iter
-              (fun (sid, offs) -> Hashtbl.replace streams sid offs)
-              (Seq_checkpoint.merge ~above:streams snapshot ~k)
-          end
-          else begin
-            note_headers off e;
+  match plan old_proj with
+  | None -> None
+  | Some step ->
+      Sim.Span.with_span ~host:"reconfig-agent" ~args span
+      @@ fun () ->
+      let epoch = old_proj.Projection.epoch + 1 in
+      let started = Sim.Engine.now () in
+      announce_started kind;
+      (* Failpoint: wedge the takeover right after it starts — the
+         epoch never installs, so ReconfigTermination's deadline
+         fires. *)
+      if failpoints.fp_stall_reconfig && String.equal kind "sequencer" then
+        Sim.Engine.sleep 60_000_000.;
+      let proj, change = step ~epoch (close_epoch t seal old_proj ~epoch) in
+      t.nodes <- Array.of_list (Projection.servers proj);
+      in_phase seal ".install" (fun () ->
+          match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
+          | Auxiliary.Installed -> ()
+          | Auxiliary.Conflict _ -> failwith ("Cluster: concurrent reconfiguration during " ^ kind));
+      (match change with
+      | Storage_replaced _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries")
+      | Retired _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements")
+      | Sequencer_replaced _ | Scaled_out _ | Scaled_in _ -> ());
+      t.reconfigs <-
+        {
+          rc_epoch = epoch;
+          rc_started_us = started;
+          rc_installed_us = Sim.Engine.now ();
+          rc_change = change;
+        }
+        :: t.reconfigs;
+      announce_installed kind epoch;
+      Some epoch
+
+let reconfigs t = List.rev t.reconfigs
+
+let recoveries t =
+  List.filter
+    (fun r -> match r.rc_change with Storage_replaced _ -> true | _ -> false)
+    (reconfigs t)
+
+(* ------------------------------------------------------------------ *)
+(* Sequencer failover (§5)                                            *)
+(* ------------------------------------------------------------------ *)
+
+let replace_sequencer t =
+  let step old_proj ~epoch { frontier = seal_tail; tails } =
+    (* The tail segment's chain heads carry the highest local tails. *)
+    let tail_seg = Projection.tail_segment old_proj in
+    let locals =
+      Array.map
+        (fun chain ->
+          match Hashtbl.find_opt tails (Storage_node.name chain.(0)) with
+          | Some tl -> tl
+          | None -> -1)
+        tail_seg.Projection.seg_sets
+    in
+    let storage_tail = Projection.global_tail_from_locals old_proj locals in
+    (* The new sequencer must start past {e both} frontiers. Starting
+       at the storage tail alone re-grants every offset of an
+       unexhausted range grant (granted, not yet written) — two clients
+       then hold the same offset and one of them loses the write-once
+       race on every entry. Found by the simulation fuzzer; the grant
+       holder's unwritten slots simply resolve as holes and get
+       filled. *)
+    let tail =
+      if failpoints.fp_forget_seal_tail then storage_tail else max storage_tail seal_tail
+    in
+    (* Rebuild per-stream backpointer state by scanning backward,
+       stopping at the most recent sequencer checkpoint if one exists
+       (§5's proposed optimization, via the scribe) — or at the
+       retired boundary, below which everything was prefix-trimmed
+       anyway. *)
+    let floor = (Projection.segment old_proj 0).Projection.seg_base in
+    let k = t.p.backpointer_k in
+    let streams : (Types.stream_id, Types.offset list) Hashtbl.t = Hashtbl.create 64 in
+    let scanned = ref 0 in
+    let note_headers off (e : Types.entry) =
+      List.iter
+        (fun (h : Stream_header.t) ->
+          let prev = match Hashtbl.find_opt streams h.stream with Some l -> l | None -> [] in
+          if List.length prev < k then Hashtbl.replace streams h.stream (prev @ [ off ]))
+        (Stream_header.decode_block ~k ~current:off e.Types.headers)
+    in
+    let rec scan off =
+      if off >= floor then begin
+        incr scanned;
+        match raw_read t old_proj ~epoch off with
+        | Types.Read_data e ->
+            if Seq_checkpoint.is_snapshot ~k ~current:off e then begin
+              let snapshot = Seq_checkpoint.decode e.Types.payload in
+              List.iter
+                (fun (sid, offs) -> Hashtbl.replace streams sid offs)
+                (Seq_checkpoint.merge ~above:streams snapshot ~k)
+            end
+            else begin
+              note_headers off e;
+              scan (off - 1)
+            end
+        | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
             scan (off - 1)
-          end
-      | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
-          scan (off - 1)
-    end
+      end
+    in
+    (* Failpoint (fuzzer sensitivity, DESIGN.md §9): lose the rebuild —
+       the new sequencer comes up with the right tail but no backpointer
+       state, so entries appended after the handoff chain to nothing and
+       earlier stream history becomes unreachable to fresh readers. *)
+    if not failpoints.fp_skip_rebuild_scan then scan (tail - 1);
+    Sim.Metrics.add (Sim.Metrics.counter "cluster.rebuild_scanned") !scanned;
+    if Sim.Announce.active () then
+      Sim.Announce.emit (Sim.Announce.Tail_rebuilt { epoch; tail; scanned = !scanned });
+    (* A fresh sequencer seeded with the reconstructed state, over the
+       same segment map. *)
+    let name = Printf.sprintf "sequencer-%d" t.sequencer_count in
+    t.sequencer_count <- t.sequencer_count + 1;
+    let initial_streams = Hashtbl.fold (fun sid offs acc -> (sid, offs) :: acc) streams [] in
+    let sequencer =
+      Sequencer.create ~net:t.cluster_net ~name ~params:t.p ~initial_tail:tail ~initial_streams ()
+    in
+    ( Projection.v ~epoch ~segments:old_proj.Projection.segments ~sequencer,
+      Sequencer_replaced { scanned = !scanned } )
   in
-  (* Failpoint (fuzzer sensitivity, DESIGN.md §9): lose the rebuild —
-     the new sequencer comes up with the right tail but no backpointer
-     state, so entries appended after the handoff chain to nothing and
-     earlier stream history becomes unreachable to fresh readers. *)
-  if not failpoints.fp_skip_rebuild_scan then scan (tail - 1);
-  t.rebuild_scan <- !scanned;
-  Sim.Metrics.add (Sim.Metrics.counter "cluster.rebuild_scanned") !scanned;
-  if Sim.Announce.active () then
-    Sim.Announce.emit (Sim.Announce.Tail_rebuilt { epoch; tail; scanned = !scanned });
-  (* 4. Fresh sequencer seeded with the reconstructed state. *)
-  let name = Printf.sprintf "sequencer-%d" t.sequencer_count in
-  t.sequencer_count <- t.sequencer_count + 1;
-  let initial_streams = Hashtbl.fold (fun sid offs acc -> (sid, offs) :: acc) streams [] in
-  let sequencer =
-    Sequencer.create ~net:t.cluster_net ~name ~params:t.p ~initial_tail:tail ~initial_streams ()
-  in
-  (* 5. Install the new view: the same segment map under the new
-     sequencer. *)
-  install t ~op:"Cluster.replace_sequencer"
-    (Projection.v ~epoch ~segments:old_proj.Projection.segments ~sequencer);
-  announce_installed "sequencer" epoch;
-  epoch
+  Option.get
+    (reconfigure t ~kind:"sequencer" ~span:"recovery.sequencer" ~args:[] ~seal:Unspanned
+       (fun old_proj ->
+         Sim.Metrics.incr (Sim.Metrics.counter "cluster.seq_replacements");
+         Some (step old_proj)))
 
 (* ------------------------------------------------------------------ *)
 (* Storage-node replacement (§2.2 reconfiguration)                    *)
 (* ------------------------------------------------------------------ *)
 
-let recoveries t = List.rev t.recoveries
+(* Local offsets in flight while copying onto a spare, so the rebuild
+   is bounded by SSD bandwidth, not round trips. *)
+let copy_window = 16
 
-let replace_storage_node ?(copy_window = 16) t ~dead =
-  with_reconfig t
-  @@ fun () ->
-  (* Re-read under the lock: a queued replacement must see its
-     predecessor's projection, and the node it came to bury may
-     already be gone. *)
-  let old_proj = Auxiliary.latest t.aux in
-  let epoch = old_proj.Projection.epoch + 1 in
+let replace_storage_node t ~dead =
   (* The dead member may serve chains in several segments (scale-out
      reuses the old tail's nodes); collect every (segment, set) slot. *)
-  let slots =
+  let slots_of old_proj =
     let found = ref [] in
     Array.iteri
       (fun si seg ->
@@ -440,199 +497,154 @@ let replace_storage_node ?(copy_window = 16) t ~dead =
       old_proj.Projection.segments;
     List.rev !found
   in
-  if slots = [] then begin
-    (* Already replaced by a concurrent recovery (the monitor and a
-       scheduled fault-plan action can race to the same corpse): the
-       cluster is in the state the caller wanted. *)
-    old_proj.Projection.epoch
-  end
-  else
-  Sim.Span.with_span ~host:"reconfig-agent"
-    ~args:(if Sim.Span.enabled () then [ ("dead", Storage_node.name dead) ] else [])
-    "recovery"
-  @@ fun () ->
-  let started = Sim.Engine.now () in
-  announce_started "storage";
-  (* 1. Seal the sequencer at the new epoch. It stays in the next
-     projection — storage replacement does not lose allocation state —
-     so this only forces every client through a projection refresh,
-     closing the old epoch before the membership changes. *)
-  Sim.Span.with_span "recovery.seal" (fun () ->
-      ignore
-        (Sim.Net.call ~from:t.reconfig_host
-           (Sequencer.seal_service old_proj.Projection.sequencer)
-           epoch
-          : Types.offset));
-  (* 2. Seal every storage node, collecting each survivor's local
-     tail. *)
-  let tails = Sim.Span.with_span "recovery.seal" (fun () -> seal_storage ~dead t old_proj ~epoch) in
-  (* 3. Bring up the spare, pre-sealed at the new epoch. *)
-  let spare_name = Printf.sprintf "storage-spare-%d" t.spare_count in
-  t.spare_count <- t.spare_count + 1;
-  let spare = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
-  ignore (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service spare) epoch : Types.offset);
-  (* 4. Copy the surviving prefix onto the spare, per segment the dead
-     member served, [copy_window] local offsets in flight so the
-     rebuild is bounded by SSD bandwidth, not round trips. The
-     head-most survivor of each chain is authoritative: anything
-     acknowledged to a client reached it before the seal. Data present
-     only on the dead node (a torn append's head when the head died) is
-     unrecoverable, exactly like a replica loss on the real system —
-     the slot reads as unwritten and gets hole-filled. *)
-  let copied_entries = ref 0 in
-  let copied_bytes = ref 0 in
-  let copy_range ~src ~lo ~hi =
-    let copy_one loff =
-      match
-        Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-          ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
-          { Storage_node.repoch = epoch; roffset = loff }
-      with
-      | Error _ | Ok (Types.Read_sealed _) ->
-          () (* survivor unreachable: the next monitor round handles it *)
-      | Ok Types.Read_unwritten -> ()
-      | Ok Types.Read_trimmed ->
-          ignore
-            (Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-               (Storage_node.trim_service spare)
-               { Storage_node.repoch = epoch; roffset = loff }
-              : (unit, Sim.Net.rpc_error) result)
-      | Ok (Types.Read_data e) -> (
-          match
-            Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-              ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-              (Storage_node.write_service spare)
-              { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Data e }
-          with
-          | Ok Types.Write_ok ->
-              incr copied_entries;
-              copied_bytes := !copied_bytes + t.p.entry_bytes
-          | Ok _ | Error _ -> ())
-      | Ok Types.Read_junk -> (
-          match
-            Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-              ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-              (Storage_node.write_service spare)
-              { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Junk }
-          with
-          | Ok Types.Write_ok ->
-              incr copied_entries;
-              copied_bytes := !copied_bytes + t.p.rpc_bytes
-          | Ok _ | Error _ -> ())
+  let step old_proj slots ~epoch { tails; _ } =
+    (* Bring up the spare, pre-sealed at the new epoch. *)
+    let spare_name = Printf.sprintf "storage-spare-%d" t.spare_count in
+    t.spare_count <- t.spare_count + 1;
+    let spare = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
+    ignore (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service spare) epoch : Types.offset);
+    (* Copy the surviving prefix onto the spare, per segment the dead
+       member served, [copy_window] local offsets in flight. The
+       head-most survivor of each chain is authoritative: anything
+       acknowledged to a client reached it before the seal. Data
+       present only on the dead node (a torn append's head when the
+       head died) is unrecoverable, exactly like a replica loss on the
+       real system — the slot reads as unwritten and gets
+       hole-filled. *)
+    let copied_entries = ref 0 in
+    let copied_bytes = ref 0 in
+    let copy_range ~src ~lo ~hi =
+      let copy_one loff =
+        match
+          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+            ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
+            { Storage_node.repoch = epoch; roffset = loff }
+        with
+        | Error _ | Ok (Types.Read_sealed _) ->
+            () (* survivor unreachable: the next monitor round handles it *)
+        | Ok Types.Read_unwritten -> ()
+        | Ok Types.Read_trimmed ->
+            ignore
+              (Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                 (Storage_node.trim_service spare)
+                 { Storage_node.repoch = epoch; roffset = loff }
+                : (unit, Sim.Net.rpc_error) result)
+        | Ok (Types.Read_data e) -> (
+            match
+              Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+                ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                (Storage_node.write_service spare)
+                { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Data e }
+            with
+            | Ok Types.Write_ok ->
+                incr copied_entries;
+                copied_bytes := !copied_bytes + t.p.entry_bytes
+            | Ok _ | Error _ -> ())
+        | Ok Types.Read_junk -> (
+            match
+              Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+                ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                (Storage_node.write_service spare)
+                { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Junk }
+            with
+            | Ok Types.Write_ok ->
+                incr copied_entries;
+                copied_bytes := !copied_bytes + t.p.rpc_bytes
+            | Ok _ | Error _ -> ())
+      in
+      if hi >= lo then begin
+        let workers = min copy_window (hi - lo + 1) in
+        let remaining = ref workers in
+        let all_done = Sim.Ivar.create () in
+        let span_parent = Sim.Span.current () in
+        for w = 0 to workers - 1 do
+          Sim.Engine.spawn (fun () ->
+              Sim.Span.with_parent span_parent @@ fun () ->
+              let loff = ref (lo + w) in
+              while !loff <= hi do
+                copy_one !loff;
+                loff := !loff + workers
+              done;
+              decr remaining;
+              if !remaining = 0 then Sim.Ivar.fill all_done ())
+        done;
+        Sim.Ivar.read all_done
+      end
     in
-    if hi >= lo then begin
-      let workers = min copy_window (hi - lo + 1) in
-      let remaining = ref workers in
-      let all_done = Sim.Ivar.create () in
-      let span_parent = Sim.Span.current () in
-      for w = 0 to workers - 1 do
-        Sim.Engine.spawn (fun () ->
-            Sim.Span.with_parent span_parent @@ fun () ->
-            let loff = ref (lo + w) in
-            while !loff <= hi do
-              copy_one !loff;
-              loff := !loff + workers
-            done;
-            decr remaining;
-            if !remaining = 0 then Sim.Ivar.fill all_done ())
-      done;
-      Sim.Ivar.read all_done
-    end
-  in
-  Sim.Span.with_span "recovery.copy" (fun () ->
-      List.iter
-        (fun (si, s) ->
-          let seg = Projection.segment old_proj si in
-          let chain = seg.Projection.seg_sets.(s) in
-          let survivor =
-            let rec first i =
-              if i >= Array.length chain then None
-              else if chain.(i) != dead && Hashtbl.mem tails (Storage_node.name chain.(i)) then
-                Some chain.(i)
-              else first (i + 1)
+    Sim.Span.with_span "recovery.copy" (fun () ->
+        List.iter
+          (fun (si, s) ->
+            let seg = Projection.segment old_proj si in
+            let chain = seg.Projection.seg_sets.(s) in
+            let survivor =
+              let rec first i =
+                if i >= Array.length chain then None
+                else if chain.(i) != dead && Hashtbl.mem tails (Storage_node.name chain.(i)) then
+                  Some chain.(i)
+                else first (i + 1)
+              in
+              first 0
             in
-            first 0
-          in
-          match survivor with
-          | None ->
-              if Sim.Announce.active () then
-                Sim.Announce.emit (Sim.Announce.Prefix_lost { segment = si; set = s })
-          | Some src ->
-              let src_tail =
-                match Hashtbl.find_opt tails (Storage_node.name src) with
-                | Some tl -> tl
-                | None -> -1
-              in
-              let lo = seg.Projection.seg_local_base in
-              let hi =
-                match seg.Projection.seg_limit with
-                | None -> src_tail
-                | Some limit ->
-                    min src_tail
-                      (lo + Projection.seg_cells_below seg ~set:s ~rel:(limit - seg.Projection.seg_base) - 1)
-              in
-              copy_range ~src ~lo ~hi)
-        slots);
-  Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") !copied_entries;
-  (* 5. Substitute the spare into every chain slot the dead member
-     held and install the new view. A single reconfiguration agent
-     runs at a time, so a conflict is a bug. *)
-  (let slot = ref (-1) in
-   Array.iteri (fun j n -> if n == dead then slot := j) t.nodes;
-   if !slot >= 0 then t.nodes.(!slot) <- spare);
-  let segments =
-    Array.map
-      (fun seg ->
+            match survivor with
+            | None ->
+                if Sim.Announce.active () then
+                  Sim.Announce.emit (Sim.Announce.Prefix_lost { segment = si; set = s })
+            | Some src ->
+                let src_tail =
+                  match Hashtbl.find_opt tails (Storage_node.name src) with
+                  | Some tl -> tl
+                  | None -> -1
+                in
+                let lo = seg.Projection.seg_local_base in
+                let hi =
+                  match seg.Projection.seg_limit with
+                  | None -> src_tail
+                  | Some limit ->
+                      min src_tail
+                        (lo + Projection.seg_cells_below seg ~set:s ~rel:(limit - seg.Projection.seg_base) - 1)
+                in
+                copy_range ~src ~lo ~hi)
+          slots);
+    Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") !copied_entries;
+    (* Substitute the spare into every chain slot the dead member
+       held. The sequencer stays: storage replacement does not lose
+       allocation state. *)
+    let segments =
+      Array.map
+        (fun seg ->
+          {
+            seg with
+            Projection.seg_sets =
+              Array.map
+                (Array.map (fun node -> if node == dead then spare else node))
+                seg.Projection.seg_sets;
+          })
+        old_proj.Projection.segments
+    in
+    ( Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer,
+      Storage_replaced
         {
-          seg with
-          Projection.seg_sets =
-            Array.map
-              (Array.map (fun node -> if node == dead then spare else node))
-              seg.Projection.seg_sets;
-        })
-      old_proj.Projection.segments
+          dead = Storage_node.name dead;
+          spare = spare_name;
+          copied_entries = !copied_entries;
+          copied_bytes = !copied_bytes;
+        } )
   in
-  let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
-  Sim.Span.with_span "recovery.install" (fun () ->
-      install t ~op:"Cluster.replace_storage_node" proj);
-  Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries");
-  let installed = Sim.Engine.now () in
-  t.recoveries <-
-    {
-      rec_epoch = epoch;
-      rec_dead = Storage_node.name dead;
-      rec_spare = spare_name;
-      rec_started_us = started;
-      rec_installed_us = installed;
-      rec_copied_entries = !copied_entries;
-      rec_copied_bytes = !copied_bytes;
-    }
-    :: t.recoveries;
-  announce_installed "storage" epoch;
-  epoch
+  match
+    reconfigure t ~kind:"storage" ~span:"recovery"
+      ~args:[ ("dead", Storage_node.name dead) ]
+      ~seal:(Each_in ("recovery", dead))
+      (fun old_proj ->
+        (* Decline if [dead] is already gone: the monitor and a
+           scheduled fault-plan action can race to the same corpse. *)
+        match slots_of old_proj with [] -> None | slots -> Some (step old_proj slots))
+  with
+  | Some epoch -> epoch
+  | None -> (Auxiliary.latest t.aux).Projection.epoch
 
 (* ------------------------------------------------------------------ *)
 (* Online scale-out / scale-in (segment-map reconfiguration)          *)
 (* ------------------------------------------------------------------ *)
-
-let scale_events t = List.rev t.scale_events
-
-(* Adopt an installed segment map's servers and log the change. *)
-let note_scaled t ~kind ~epoch ~boundary ~servers_before ~released ~started proj =
-  t.nodes <- Array.of_list (Projection.servers proj);
-  t.scale_events <-
-    {
-      sc_epoch = epoch;
-      sc_kind = kind;
-      sc_boundary = boundary;
-      sc_servers_before = servers_before;
-      sc_servers_after = Projection.num_servers proj;
-      sc_segments = Projection.num_segments proj;
-      sc_released = released;
-      sc_started_us = started;
-      sc_installed_us = Sim.Engine.now ();
-    }
-    :: t.scale_events
 
 (* Distinct members of the tail segment, in set order. *)
 let tail_members proj =
@@ -656,44 +668,22 @@ let next_local_base segments ~seal_tail =
       max acc (seg.Projection.seg_local_base + Projection.seg_local_span seg ~span))
     0 segments
 
-(* The shared §2.2 core of scale_out/scale_in: seal the sequencer at
-   the new epoch — its tail is the boundary — seal every storage node
-   of every segment, bound the old tail segment at the boundary (drop
-   it if nothing was ever appended there), open a new unbounded tail
-   segment over [new_sets], and propose. No data moves: old offsets
-   keep resolving through the segment that wrote them. *)
-let reseal_with_tail t ~kind ~started new_sets_of =
-  let kind_name = match kind with Scale_in -> "scale-in" | _ -> "scale-out" in
-  announce_started kind_name;
-  let old_proj = Auxiliary.latest t.aux in
-  let epoch = old_proj.Projection.epoch + 1 in
-  let servers_before = Projection.num_servers old_proj in
-  let boundary =
-    Sim.Span.with_span "scale.seal" (fun () ->
-        let boundary =
-          Sim.Net.call ~from:t.reconfig_host
-            (Sequencer.seal_service old_proj.Projection.sequencer)
-            epoch
-        in
-        ignore (seal_storage t old_proj ~epoch : (string, Types.offset) Hashtbl.t);
-        boundary)
-  in
-  let new_sets = new_sets_of ~epoch in
+(* The shared §2.2 step of scale_out/scale_in, once the driver has
+   sealed everything: the sequencer's frontier is the boundary. Bound
+   the old tail segment there (drop it if nothing was ever appended
+   into it) and open a new unbounded tail segment over [new_sets]. No
+   data moves: old offsets keep resolving through the segment that
+   wrote them. *)
+let open_tail old_proj ~epoch ~boundary new_sets =
   let old_segments = old_proj.Projection.segments in
   let last = Array.length old_segments - 1 in
-  let kept =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i seg ->
-              if i < last then [ seg ]
-              else if boundary > seg.Projection.seg_base then
-                (* Bound the old tail at the seal point. *)
-                [ { seg with Projection.seg_limit = Some boundary } ]
-              else [ (* never appended into: drop the empty segment *) ])
-            old_segments))
+  let old_tail = old_segments.(last) in
+  let bounded =
+    if boundary > old_tail.Projection.seg_base then
+      [| { old_tail with Projection.seg_limit = Some boundary } |]
+    else [||]
   in
-  let tail_seg =
+  let new_tail =
     {
       Projection.seg_base = boundary;
       seg_limit = None;
@@ -701,72 +691,65 @@ let reseal_with_tail t ~kind ~started new_sets_of =
       seg_sets = new_sets;
     }
   in
-  let segments = Array.of_list (kept @ [ tail_seg ]) in
-  let proj = Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer in
-  Sim.Span.with_span "scale.install" (fun () -> install t ~op:"Cluster.scale" proj);
-  note_scaled t ~kind ~epoch ~boundary ~servers_before ~released:[] ~started proj;
-  announce_installed kind_name epoch;
-  epoch
+  Projection.v ~epoch
+    ~segments:(Array.concat [ Array.sub old_segments 0 last; bounded; [| new_tail |] ])
+    ~sequencer:old_proj.Projection.sequencer
 
-let scale_out ?chain_length ?chains t ~add_servers =
+let scale_out ?chains t ~add_servers =
   if add_servers < 1 then invalid_arg "Cluster.scale_out: add_servers must be at least 1";
-  with_reconfig t
-  @@ fun () ->
-  Sim.Span.with_span ~host:"reconfig-agent"
-    ~args:(if Sim.Span.enabled () then [ ("add", string_of_int add_servers) ] else [])
-    "scale.out"
-  @@ fun () ->
-  Sim.Metrics.incr (Sim.Metrics.counter "cluster.scale_outs");
-  let started = Sim.Engine.now () in
-  let old_proj = Auxiliary.latest t.aux in
-  let chain_length =
-    match chain_length with
-    | Some c -> c
-    | None -> Array.length (Projection.tail_segment old_proj).Projection.seg_sets.(0)
-  in
-  reseal_with_tail t ~kind:Scale_out ~started (fun ~epoch ->
-      (* Provision the new nodes pre-sealed at the new epoch, then
-         stripe the new tail segment over the enlarged set: the old
-         tail's nodes plus the fresh ones. *)
-      let fresh =
-        Array.init add_servers (fun _ ->
-            let name = Printf.sprintf "storage-%d" t.storage_count in
-            t.storage_count <- t.storage_count + 1;
-            let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
-            ignore
-              (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch
-                : Types.offset);
-            node)
-      in
-      let members = Array.append (tail_members old_proj) fresh in
-      chains_of ~context:"Cluster.scale_out" ~chain_length ?chains members)
+  Option.get
+    (reconfigure t ~kind:"scale-out" ~span:"scale.out"
+       ~args:[ ("add", string_of_int add_servers) ]
+       ~seal:(Both_in "scale")
+       (fun old_proj ->
+         Sim.Metrics.incr (Sim.Metrics.counter "cluster.scale_outs");
+         Some
+           (fun ~epoch { frontier = boundary; _ } ->
+             (* Provision the new nodes pre-sealed at the new epoch,
+                then stripe the new tail segment over the enlarged
+                set: the old tail's nodes plus the fresh ones. *)
+             let fresh =
+               Array.init add_servers (fun _ ->
+                   let name = Printf.sprintf "storage-%d" t.storage_count in
+                   t.storage_count <- t.storage_count + 1;
+                   let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
+                   ignore
+                     (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch
+                       : Types.offset);
+                   node)
+             in
+             let chain_length =
+               Array.length (Projection.tail_segment old_proj).Projection.seg_sets.(0)
+             in
+             let members = Array.append (tail_members old_proj) fresh in
+             ( open_tail old_proj ~epoch ~boundary
+                 (chains_of ~context:"Cluster.scale_out" ~chain_length ?chains members),
+               Scaled_out { boundary } ))))
 
-let scale_in ?chain_length ?chains t ~remove_servers =
-  with_reconfig t
-  @@ fun () ->
-  Sim.Span.with_span ~host:"reconfig-agent"
-    ~args:(if Sim.Span.enabled () then [ ("remove", string_of_int remove_servers) ] else [])
-    "scale.in"
-  @@ fun () ->
-  Sim.Metrics.incr (Sim.Metrics.counter "cluster.scale_ins");
-  let started = Sim.Engine.now () in
-  let old_proj = Auxiliary.latest t.aux in
-  let members = tail_members old_proj in
-  if remove_servers < 1 || remove_servers >= Array.length members then
-    invalid_arg "Cluster.scale_in: must remove at least one server and keep at least one";
-  let keep = Array.sub members 0 (Array.length members - remove_servers) in
-  let chain_length =
-    match chain_length with
-    | Some c -> c
-    | None ->
-        min (Array.length keep)
-          (Array.length (Projection.tail_segment old_proj).Projection.seg_sets.(0))
-  in
-  (* The removed nodes stay in the cluster as long as a bounded
-     segment still maps onto them; {!retire_trimmed_segments} releases
-     them once their data is prefix-trimmed away. *)
-  reseal_with_tail t ~kind:Scale_in ~started (fun ~epoch:_ ->
-      chains_of ~context:"Cluster.scale_in" ~chain_length ?chains keep)
+let scale_in t ~remove_servers =
+  Option.get
+    (reconfigure t ~kind:"scale-in" ~span:"scale.in"
+       ~args:[ ("remove", string_of_int remove_servers) ]
+       ~seal:(Both_in "scale")
+       (fun old_proj ->
+         (* Validate before counting: a rejected scale-in seals
+            nothing and is not a scale-in. *)
+         let members = tail_members old_proj in
+         if remove_servers < 1 || remove_servers >= Array.length members then
+           invalid_arg "Cluster.scale_in: must remove at least one server and keep at least one";
+         let keep = Array.sub members 0 (Array.length members - remove_servers) in
+         let chain_length =
+           min (Array.length keep)
+             (Array.length (Projection.tail_segment old_proj).Projection.seg_sets.(0))
+         in
+         let sets = chains_of ~context:"Cluster.scale_in" ~chain_length keep in
+         Sim.Metrics.incr (Sim.Metrics.counter "cluster.scale_ins");
+         (* The removed nodes stay in the cluster as long as a bounded
+            segment still maps onto them; {!retire_trimmed_segments}
+            releases them once their data is prefix-trimmed away. *)
+         Some
+           (fun ~epoch { frontier = boundary; _ } ->
+             (open_tail old_proj ~epoch ~boundary sets, Scaled_in { boundary }))))
 
 (* A bounded segment is disposable once every node of every chain has
    prefix-trimmed past the segment's local range. *)
@@ -788,51 +771,41 @@ let segment_fully_trimmed seg =
       !ok
 
 let retire_trimmed_segments t =
-  with_reconfig t
-  @@ fun () ->
-  let old_proj = Auxiliary.latest t.aux in
-  let segments = old_proj.Projection.segments in
-  (* Only a prefix of the map can retire: segments tile the offset
-     space, so dropping one from the middle would tear a hole. *)
-  let retire = ref 0 in
-  while
-    !retire < Array.length segments - 1 && segment_fully_trimmed segments.(!retire)
-  do
-    incr retire
-  done;
-  if !retire = 0 then None
-  else begin
-    Sim.Span.with_span ~host:"reconfig-agent" "scale.retire"
-    @@ fun () ->
-    announce_started "retire";
-    let started = Sim.Engine.now () in
-    let epoch = old_proj.Projection.epoch + 1 in
-    let servers_before = Projection.num_servers old_proj in
-    let kept = Array.sub segments !retire (Array.length segments - !retire) in
-    (* No seal needed: the mapping of every live offset is unchanged,
-       and a stale client touching a retired offset gets Trimmed from
-       the old nodes — the same answer the new map gives. *)
-    let proj = Projection.v ~epoch ~segments:kept ~sequencer:old_proj.Projection.sequencer in
-    install t ~op:"Cluster.retire_trimmed_segments" proj;
-    let survivors = Projection.servers proj in
-    let released =
-      List.filter_map
-        (fun node ->
-          if List.memq node survivors then None else Some (Storage_node.name node))
-        (Projection.servers old_proj)
-    in
-    note_scaled t ~kind:Segments_retired ~epoch ~boundary:kept.(0).Projection.seg_base
-      ~servers_before ~released ~started proj;
-    Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements");
-    announce_installed "retire" epoch;
-    Some epoch
-  end
+  reconfigure t ~kind:"retire" ~span:"scale.retire" ~args:[] ~seal:Unsealed (fun old_proj ->
+      let segments = old_proj.Projection.segments in
+      (* Only a prefix of the map can retire: segments tile the offset
+         space, so dropping one from the middle would tear a hole. *)
+      let retire = ref 0 in
+      while
+        !retire < Array.length segments - 1 && segment_fully_trimmed segments.(!retire)
+      do
+        incr retire
+      done;
+      if !retire = 0 then None
+      else
+        Some
+          (fun ~epoch _ ->
+            let kept = Array.sub segments !retire (Array.length segments - !retire) in
+            let proj =
+              Projection.v ~epoch ~segments:kept ~sequencer:old_proj.Projection.sequencer
+            in
+            let survivors = Projection.servers proj in
+            let released =
+              List.filter_map
+                (fun node ->
+                  if List.memq node survivors then None else Some (Storage_node.name node))
+                (Projection.servers old_proj)
+            in
+            (proj, Retired { released })))
 
 (* ------------------------------------------------------------------ *)
 (* Failure monitor                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let start_failure_monitor ?(probe_interval_us = 20_000.) ?(probe_timeout_us = 10_000.) t =
+let probe_interval_us = 20_000.
+let probe_timeout_us = 10_000.
+
+let start_failure_monitor t =
   Sim.Engine.spawn (fun () ->
       let probe epoch node =
         Sim.Metrics.incr (Sim.Metrics.counter "cluster.probes");

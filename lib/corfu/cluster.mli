@@ -54,20 +54,17 @@ val replace_sequencer : t -> Types.epoch
     append volume of one interval. *)
 val start_checkpoint_scribe : t -> interval_us:float -> unit
 
-(** Entries read by the most recent {!replace_sequencer} rebuild. *)
-val last_rebuild_scan : t -> int
-
 (** {2 Storage-node failure recovery (§2.2)} *)
 
 (** [replace_storage_node t ~dead] swaps a failed chain member for a
     freshly provisioned spare: seal the sequencer and every storage
     node at the next epoch (the sequencer survives — allocation state
     is not lost), copy the head-most surviving replica's prefix onto
-    the spare ([copy_window] cells in flight, default 16) for {e every}
-    segment the dead member served, substitute the spare into each of
-    the dead member's chain slots, and install the new projection.
-    Clients ride through on sealed errors and retry their in-flight
-    offsets under the new view. Returns the new epoch.
+    the spare (16 cells in flight) for {e every} segment the dead
+    member served, substitute the spare into each of the dead member's
+    chain slots, and install the new projection. Clients ride through
+    on sealed errors and retry their in-flight offsets under the new
+    view. Returns the new epoch.
 
     Data that reached {e only} the dead node (the head of a torn
     append) is unrecoverable and resolves as a hole, matching the
@@ -75,23 +72,9 @@ val last_rebuild_scan : t -> int
 
     If [dead] is no longer in the projection when the operation runs —
     a concurrent recovery (the failure monitor racing a scheduled
-    fault action) already replaced it — the call is a no-op and
-    returns the current epoch. *)
-val replace_storage_node : ?copy_window:int -> t -> dead:Storage_node.t -> Types.epoch
-
-(** One completed storage-node recovery, for availability reports. *)
-type recovery = {
-  rec_epoch : Types.epoch;
-  rec_dead : string;
-  rec_spare : string;
-  rec_started_us : float;  (** seal began *)
-  rec_installed_us : float;  (** new projection accepted *)
-  rec_copied_entries : int;  (** cells copied onto the spare *)
-  rec_copied_bytes : int;  (** rebuild volume *)
-}
-
-(** Completed recoveries, oldest first. *)
-val recoveries : t -> recovery list
+    fault action) already replaced it — the call is a no-op: it seals,
+    logs and announces nothing and returns the current epoch. *)
+val replace_storage_node : t -> dead:Storage_node.t -> Types.epoch
 
 (** {2 Online scale-out / scale-in (§2.2 segment reconfiguration)}
 
@@ -105,18 +88,18 @@ val recoveries : t -> recovery list
 
 (** [scale_out t ~add_servers] provisions [add_servers] fresh storage
     nodes (pre-sealed at the new epoch) and opens a new tail segment
-    striped over the old tail's nodes {e plus} the fresh ones —
-    [chain_length] (default: the old tail's head-chain length) or
-    explicit [~chains] set the new geometry. Returns the new epoch. *)
-val scale_out : ?chain_length:int -> ?chains:int list -> t -> add_servers:int -> Types.epoch
+    striped over the old tail's nodes {e plus} the fresh ones, in
+    chains as long as the old tail's head chain, or as explicit
+    [~chains] say. Returns the new epoch. *)
+val scale_out : ?chains:int list -> t -> add_servers:int -> Types.epoch
 
 (** [scale_in t ~remove_servers] opens a new tail segment over all but
     the last [remove_servers] of the old tail's members. The removed
     nodes keep serving the bounded segments that map onto them until
     {!retire_trimmed_segments} releases them.
     @raise Invalid_argument unless [0 < remove_servers <] the old
-    tail's member count. *)
-val scale_in : ?chain_length:int -> ?chains:int list -> t -> remove_servers:int -> Types.epoch
+    tail's member count; a rejected call seals and counts nothing. *)
+val scale_in : t -> remove_servers:int -> Types.epoch
 
 (** [retire_trimmed_segments t] drops every fully prefix-trimmed
     segment from the front of the map (contiguity allows only a prefix
@@ -124,28 +107,42 @@ val scale_in : ?chain_length:int -> ?chains:int list -> t -> remove_servers:int 
     sealing: live offsets keep their mapping, and a stale client
     touching a retired offset reads [Trimmed] from the old nodes — the
     same answer the new map gives. Returns the new epoch, or [None]
-    when the first segment is not yet fully trimmed. *)
+    (nothing logged or announced) when the first segment is not yet
+    fully trimmed. *)
 val retire_trimmed_segments : t -> Types.epoch option
 
-type scale_kind = Scale_out | Scale_in | Segments_retired
+(** {2 Reconfiguration log}
 
-(** One completed segment-map reconfiguration. *)
-type scale_event = {
-  sc_epoch : Types.epoch;
-  sc_kind : scale_kind;
-  sc_boundary : Types.offset;
-      (** seal point: first offset of the new tail segment (for
-          [Segments_retired], the new first live offset) *)
-  sc_servers_before : int;
-  sc_servers_after : int;
-  sc_segments : int;  (** segments in the installed map *)
-  sc_released : string list;  (** nodes dropped from the cluster *)
-  sc_started_us : float;
-  sc_installed_us : float;
+    Every installed epoch change appends one entry; a declined call
+    (see {!replace_storage_node}, {!retire_trimmed_segments}) appends
+    nothing. *)
+
+(** What one reconfiguration changed. *)
+type change =
+  | Sequencer_replaced of { scanned : int }  (** entries the rebuild scan read *)
+  | Storage_replaced of {
+      dead : string;
+      spare : string;
+      copied_entries : int;  (** cells copied onto the spare *)
+      copied_bytes : int;  (** rebuild volume *)
+    }
+  | Scaled_out of { boundary : Types.offset }
+      (** seal point: first offset of the new tail segment *)
+  | Scaled_in of { boundary : Types.offset }
+  | Retired of { released : string list }  (** nodes dropped from the cluster *)
+
+type reconfig = {
+  rc_epoch : Types.epoch;  (** the epoch it installed *)
+  rc_started_us : float;  (** announced, before the seal *)
+  rc_installed_us : float;  (** new projection accepted *)
+  rc_change : change;
 }
 
-(** Completed scale events, oldest first. *)
-val scale_events : t -> scale_event list
+(** Every completed reconfiguration, oldest first. *)
+val reconfigs : t -> reconfig list
+
+(** The {!Storage_replaced} entries of {!reconfigs}, oldest first. *)
+val recoveries : t -> reconfig list
 
 (** {2 Reconfiguration serialization and failpoints}
 
@@ -193,11 +190,10 @@ val reset_failpoints : unit -> unit
     @raise Invalid_argument on an unknown name. *)
 val enable_failpoint : string -> unit
 
-(** [start_failure_monitor t] spawns the detector fiber: every
-    [probe_interval_us] (default 20 ms) it probes each storage node of
-    the current projection (every segment) with a
-    [probe_timeout_us]-bounded read (default 10 ms); a member failing
-    two consecutive probes is declared dead and replaced via
+(** [start_failure_monitor t] spawns the detector fiber: every 20 ms
+    it probes each storage node of the current projection (every
+    segment) with a read bounded at 10 ms; a member failing two
+    consecutive probes is declared dead and replaced via
     {!replace_storage_node}. A sealed answer counts as alive, so the
     monitor never fires on reconfiguration itself. *)
-val start_failure_monitor : ?probe_interval_us:float -> ?probe_timeout_us:float -> t -> unit
+val start_failure_monitor : t -> unit

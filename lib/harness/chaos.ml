@@ -29,24 +29,28 @@ let incidents fault cluster =
         if e.Sim.Fault.ev_label = lbl && e.ev_time <= t0 then Some e.ev_time else acc)
       None evs
   in
-  Corfu.Cluster.recoveries cluster
-  |> List.map (fun (r : Corfu.Cluster.recovery) ->
-         let crashed =
-           match crash_before r.rec_dead r.rec_started_us with
-           | Some t -> t
-           | None -> r.rec_started_us
-         in
-         {
-           inc_epoch = r.rec_epoch;
-           inc_dead = r.rec_dead;
-           inc_spare = r.rec_spare;
-           inc_crashed_us = crashed;
-           inc_detected_us = r.rec_started_us;
-           inc_recovered_us = r.rec_installed_us;
-           inc_unavailable_us = r.rec_installed_us -. crashed;
-           inc_rebuild_entries = r.rec_copied_entries;
-           inc_rebuild_bytes = r.rec_copied_bytes;
-         })
+  Corfu.Cluster.reconfigs cluster
+  |> List.filter_map (fun (r : Corfu.Cluster.reconfig) ->
+         match r.rc_change with
+         | Storage_replaced { dead; spare; copied_entries; copied_bytes } ->
+             let crashed =
+               match crash_before dead r.rc_started_us with
+               | Some t -> t
+               | None -> r.rc_started_us
+             in
+             Some
+               {
+                 inc_epoch = r.rc_epoch;
+                 inc_dead = dead;
+                 inc_spare = spare;
+                 inc_crashed_us = crashed;
+                 inc_detected_us = r.rc_started_us;
+                 inc_recovered_us = r.rc_installed_us;
+                 inc_unavailable_us = r.rc_installed_us -. crashed;
+                 inc_rebuild_entries = copied_entries;
+                 inc_rebuild_bytes = copied_bytes;
+               }
+         | _ -> None)
 
 type recorder = {
   mutable last_us : float;

@@ -26,7 +26,8 @@ val install :
   ?seed:int -> ?plan:(float * Sim.Fault.action) list -> Corfu.Cluster.t -> Sim.Fault.t
 
 (** [incidents fault cluster] joins {!Sim.Fault.events} crash entries
-    with {!Corfu.Cluster.recoveries} by host name, oldest first. *)
+    with the storage replacements in {!Corfu.Cluster.reconfigs} by
+    host name, oldest first. *)
 val incidents : Sim.Fault.t -> Corfu.Cluster.t -> incident list
 
 (** {2 Completion recorder}

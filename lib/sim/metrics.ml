@@ -179,31 +179,6 @@ let time h f =
 
 let hist_count h = h.n
 
-let hist_percentile h p =
-  if Float.is_nan p || p < 0. || p > 100. then
-    invalid_arg "Metrics.hist_percentile: p must be in [0, 100]";
-  if h.n = 0 then 0.
-  else begin
-    let target = Stdlib.max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int h.n))) in
-    let cum = ref 0 in
-    let found = ref (n_buckets - 1) in
-    (try
-       for i = 0 to n_buckets - 1 do
-         cum := !cum + h.buckets.(i);
-         if !cum >= target then begin
-           found := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let est =
-      if !found = 0 then bucket_lo
-      else if !found > n_log then bucket_bound n_log
-      else sqrt (bucket_bound (!found - 1) *. bucket_bound !found)
-    in
-    Float.min h.vmax (Float.max h.vmin est)
-  end
-
 (* -- registry introspection (Timeseries support) ----------------------- *)
 
 let counter_name c = c.c_key.k_name
@@ -219,8 +194,8 @@ let hist_buckets_into h dst =
   Array.blit h.buckets 0 dst 0 n_buckets
 
 (* Percentile over a raw bucket-count array (a window delta of two
-   [hist_buckets_into] snapshots). Same estimator as [hist_percentile]
-   but with no observed min/max to clamp to; nan on an empty window. *)
+   [hist_buckets_into] snapshots), with no observed min/max to clamp
+   to; nan on an empty window. *)
 let buckets_percentile counts ~total p =
   if Float.is_nan p || p < 0. || p > 100. then
     invalid_arg "Metrics.buckets_percentile: p must be in [0, 100]";
@@ -244,6 +219,12 @@ let buckets_percentile counts ~total p =
     else if !found > n_log then bucket_bound n_log
     else sqrt (bucket_bound (!found - 1) *. bucket_bound !found)
   end
+
+(* The same estimate over the whole run, clamped to the exact observed
+   min/max; 0 on an empty histogram. *)
+let hist_percentile h p =
+  let est = buckets_percentile h.buckets ~total:h.n p in
+  if h.n = 0 then 0. else Float.min h.vmax (Float.max h.vmin est)
 
 let sorted_handles tbl key_of =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
@@ -352,22 +333,18 @@ type snapshot = {
   series : series_view list;
 }
 
-let sorted_values tbl key_of =
-  Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-  |> List.sort (fun a b -> compare (key_of a) (key_of b))
-
 let snapshot () =
   let st = state () in
   let counters =
-    sorted_values st.counters (fun c -> (c.c_key.k_name, c.c_key.k_host))
+    sorted_handles st.counters (fun c -> (c.c_key.k_name, c.c_key.k_host))
     |> List.map (fun c -> { c_name = c.c_key.k_name; c_host = c.c_key.k_host; c_value = c.c_n })
   in
   let gauges =
-    sorted_values st.gauges (fun g -> (g.g_key.k_name, g.g_key.k_host))
+    sorted_handles st.gauges (fun g -> (g.g_key.k_name, g.g_key.k_host))
     |> List.map (fun g -> { g_name = g.g_key.k_name; g_host = g.g_key.k_host; g_value = g.g_v })
   in
   let histograms =
-    sorted_values st.hists (fun h -> (h.h_key.k_name, h.h_key.k_host))
+    sorted_handles st.hists (fun h -> (h.h_key.k_name, h.h_key.k_host))
     |> List.map (fun h ->
            let buckets = ref [] in
            for i = n_buckets - 1 downto 0 do
@@ -390,7 +367,7 @@ let snapshot () =
            })
   in
   let series =
-    sorted_values st.series (fun s -> s.s_key)
+    sorted_handles st.series (fun s -> s.s_key)
     |> List.map (fun s ->
            { s_name = s.s_key; s_points = Array.init s.s_n (fun i -> (s.ts.(i), s.vs.(i))) })
   in

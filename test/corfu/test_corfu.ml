@@ -1239,13 +1239,10 @@ let test_scale_out_basic () =
       check_int "two segments" 2 (Projection.num_segments proj);
       check_int "servers doubled" 8 (Projection.num_servers proj);
       check_int "tail stripes wider" 4 (Projection.num_sets proj);
-      (match Cluster.scale_events cluster with
-      | [ e ] ->
-          check_bool "kind" true (e.Cluster.sc_kind = Cluster.Scale_out);
-          check_int "sealed at the old tail" 10 e.Cluster.sc_boundary;
-          check_int "before" 4 e.Cluster.sc_servers_before;
-          check_int "after" 8 e.Cluster.sc_servers_after
-      | l -> Alcotest.failf "expected one scale event, got %d" (List.length l));
+      (match Cluster.reconfigs cluster with
+      | [ { Cluster.rc_change = Cluster.Scaled_out { boundary }; _ } ] ->
+          check_int "sealed at the old tail" 10 boundary
+      | l -> Alcotest.failf "expected one scale-out, got %d reconfigurations" (List.length l));
       (* the writer rides the seal: its next append lands exactly at
          the boundary, in the new segment *)
       check_int "append resumes at the boundary" 10
@@ -1314,13 +1311,15 @@ let test_scale_in_and_retire () =
       let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
       check_int "one segment left" 1 (Projection.num_segments proj);
       check_int "removed nodes released" 4 (Projection.num_servers proj);
-      (match Cluster.scale_events cluster with
-      | [ _; retire ] ->
-          check_bool "retire event" true (retire.Cluster.sc_kind = Cluster.Segments_retired);
+      (match Cluster.reconfigs cluster with
+      | [
+       { Cluster.rc_change = Cluster.Scaled_in _; _ };
+       { Cluster.rc_change = Cluster.Retired { released }; _ };
+      ] ->
           Alcotest.(check (list string)) "released the scaled-in nodes"
             [ "storage-4"; "storage-5" ]
-            (List.sort compare retire.Cluster.sc_released)
-      | l -> Alcotest.failf "expected two scale events, got %d" (List.length l));
+            (List.sort compare released)
+      | l -> Alcotest.failf "expected a scale-in and a retirement, got %d" (List.length l));
       (* retired offsets read as trimmed; live ones still resolve *)
       let r = Cluster.new_client cluster ~name:"reader" in
       check_bool "retired offset is trimmed" true (Client.read r 0 = Client.Trimmed);
@@ -1355,7 +1354,8 @@ let test_scale_out_then_storage_failure () =
         | _ -> Alcotest.failf "offset %d lost after cross-segment replacement" i
       done;
       match Cluster.recoveries cluster with
-      | [ rc ] -> check_bool "copied both segments' slots" true (rc.Cluster.rec_copied_entries > 0)
+      | [ { Cluster.rc_change = Cluster.Storage_replaced { copied_entries; _ }; _ } ] ->
+          check_bool "copied both segments' slots" true (copied_entries > 0)
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
 
 let test_scale_determinism () =
@@ -1491,7 +1491,9 @@ let test_seq_checkpoint_bounds_rebuild () =
         ignore (Stream.sync s1);
         let first_stream = List.length (drain s1) in
         check_bool "stream intact after rebuild" true (first_stream >= 66);
-        Cluster.last_rebuild_scan cluster)
+        match Cluster.reconfigs cluster with
+        | [ { Cluster.rc_change = Cluster.Sequencer_replaced { scanned }; _ } ] -> scanned
+        | l -> Alcotest.failf "expected one failover, got %d reconfigurations" (List.length l))
   in
   let full = scan_length ~scribe:false in
   let bounded = scan_length ~scribe:true in
@@ -1556,11 +1558,18 @@ let test_recover_replace_storage_node () =
       (* the sequencer was retained: the tail resumes exactly *)
       check_int "tail resumes" 20 (Client.append w ~streams:[ 1 ] (payload "after"));
       match Cluster.recoveries cluster with
-      | [ r ] ->
-          check_string "dead node" "storage-0" r.Cluster.rec_dead;
+      | [
+       {
+         Cluster.rc_change = Cluster.Storage_replaced { dead; copied_entries; _ };
+         rc_started_us;
+         rc_installed_us;
+         _;
+       };
+      ] ->
+          check_string "dead node" "storage-0" dead;
           (* set 0 held the even offsets 0..18: ten local cells *)
-          check_int "copied the survivor's prefix" 10 r.Cluster.rec_copied_entries;
-          check_bool "window positive" true (r.Cluster.rec_installed_us > r.Cluster.rec_started_us)
+          check_int "copied the survivor's prefix" 10 copied_entries;
+          check_bool "window positive" true (rc_installed_us > rc_started_us)
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
 
 let test_recover_monitor_detects () =
@@ -1576,7 +1585,8 @@ let test_recover_monitor_detects () =
       Sim.Fault.crash f "storage-1";
       Sim.Engine.sleep 300_000.;
       (match Cluster.recoveries cluster with
-      | [ r ] -> check_string "detected the dead tail" "storage-1" r.Cluster.rec_dead
+      | [ { Cluster.rc_change = Cluster.Storage_replaced { dead; _ }; _ } ] ->
+          check_string "detected the dead tail" "storage-1" dead
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l));
       check_int "append resumes" 10 (Client.append w ~streams:[ 1 ] (payload "x"));
       let r = Cluster.new_client cluster ~name:"reader" in
@@ -1603,7 +1613,8 @@ let test_recover_ssd_failure () =
            ("fail storage-0.ssd", fun () -> Sim.Resource.fail (Storage_node.ssd victim)));
       Sim.Engine.sleep 400_000.;
       (match Cluster.recoveries cluster with
-      | [ r ] -> check_string "replaced the node with the dead device" "storage-0" r.Cluster.rec_dead
+      | [ { Cluster.rc_change = Cluster.Storage_replaced { dead; _ }; _ } ] ->
+          check_string "replaced the node with the dead device" "storage-0" dead
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l));
       check_int "append resumes" 10 (Client.append w ~streams:[ 1 ] (payload "x"));
       let r = Cluster.new_client cluster ~name:"reader" in
@@ -1612,6 +1623,142 @@ let test_recover_ssd_failure () =
         | Client.Data _ -> ()
         | _ -> Alcotest.failf "offset %d lost" i
       done)
+
+(* ------------------------------------------------------------------ *)
+(* The reconfiguration driver and its log                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Count this run's Reconfig_started / Reconfig_installed milestones. *)
+let count_reconfig_milestones () =
+  let started = ref 0 and installed = ref 0 in
+  Sim.Announce.subscribe (function
+    | Sim.Announce.Reconfig_started _ -> incr started
+    | Sim.Announce.Reconfig_installed _ -> incr installed
+    | _ -> ());
+  fun () -> (!started, !installed)
+
+let current_epoch cluster = (Auxiliary.latest (Cluster.auxiliary cluster)).Projection.epoch
+
+(* Each of the five operations appends exactly one entry, stamped with
+   the epoch it returned; the failover's scan length is what it added
+   to the cluster.rebuild_scanned counter. *)
+let test_each_reconfiguration_logs_once () =
+  with_faulty_cluster (fun cluster f ->
+      let rebuild_scanned = Sim.Metrics.counter "cluster.rebuild_scanned" in
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let append n =
+        for i = 1 to n do
+          ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+        done
+      in
+      let logged name op =
+        let before = Cluster.reconfigs cluster in
+        let scanned_before = Sim.Metrics.counter_value rebuild_scanned in
+        let epoch = op () in
+        let after = Cluster.reconfigs cluster in
+        if List.length after <> List.length before + 1 then
+          Alcotest.failf "%s: logged %d entries, expected one" name
+            (List.length after - List.length before);
+        let r = List.nth after (List.length before) in
+        check_int (name ^ ": entry carries the returned epoch") epoch r.Cluster.rc_epoch;
+        check_bool (name ^ ": started <= installed") true
+          (r.Cluster.rc_started_us <= r.Cluster.rc_installed_us);
+        (match r.Cluster.rc_change with
+        | Cluster.Sequencer_replaced { scanned } ->
+            check_int "scan length is the counter's delta"
+              (Sim.Metrics.counter_value rebuild_scanned - scanned_before)
+              scanned
+        | _ -> ());
+        r.Cluster.rc_change
+      in
+      append 10;
+      (match logged "sequencer" (fun () -> Cluster.replace_sequencer cluster) with
+      | Cluster.Sequencer_replaced { scanned } -> check_bool "scanned the log" true (scanned >= 10)
+      | _ -> Alcotest.fail "expected a sequencer entry");
+      let dead = (Cluster.storage_nodes cluster).(1) in
+      Sim.Fault.crash f (Storage_node.name dead);
+      (match logged "storage" (fun () -> Cluster.replace_storage_node cluster ~dead) with
+      | Cluster.Storage_replaced { dead; spare; copied_entries; _ } ->
+          check_string "dead" "storage-1" dead;
+          check_string "spare" "storage-spare-0" spare;
+          check_int "copied set 0's cells" 5 copied_entries
+      | _ -> Alcotest.fail "expected a storage entry");
+      (match logged "scale-out" (fun () -> Cluster.scale_out cluster ~add_servers:2) with
+      | Cluster.Scaled_out { boundary } -> check_int "scale-out boundary" 10 boundary
+      | _ -> Alcotest.fail "expected a scale-out entry");
+      append 6;
+      let boundary =
+        match logged "scale-in" (fun () -> Cluster.scale_in cluster ~remove_servers:2) with
+        | Cluster.Scaled_in { boundary } -> boundary
+        | _ -> Alcotest.fail "expected a scale-in entry"
+      in
+      check_int "scale-in boundary" 16 boundary;
+      Client.prefix_trim w boundary;
+      (match
+         logged "retire" (fun () ->
+             match Cluster.retire_trimmed_segments cluster with
+             | Some e -> e
+             | None -> Alcotest.fail "both bounded segments are trimmed")
+       with
+      | Cluster.Retired { released } ->
+          Alcotest.(check (list string)) "released the scaled-in nodes"
+            [ "storage-4"; "storage-5" ] (List.sort compare released)
+      | _ -> Alcotest.fail "expected a retirement entry");
+      check_int "one recovery among five entries" 1 (List.length (Cluster.recoveries cluster)))
+
+(* The failure monitor and a fault-plan action can race to replace the
+   same node. The second caller must find it gone and decline: same
+   epoch back, nothing logged, nothing announced. *)
+let test_duplicate_replacement_declines () =
+  with_faulty_cluster (fun cluster f ->
+      let milestones = count_reconfig_milestones () in
+      let w = Cluster.new_client cluster ~name:"writer" in
+      for i = 0 to 9 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      let dead = (Cluster.storage_nodes cluster).(0) in
+      Sim.Fault.crash f (Storage_node.name dead);
+      let replace () =
+        let result = Sim.Ivar.create () in
+        Sim.Engine.spawn (fun () -> Sim.Ivar.fill result (Cluster.replace_storage_node cluster ~dead));
+        result
+      in
+      let first = replace () in
+      let second = replace () in
+      let e1 = Sim.Ivar.read first in
+      let e2 = Sim.Ivar.read second in
+      check_int "first installs epoch 1" 1 e1;
+      check_int "second returns the first's epoch" e1 e2;
+      check_int "one log entry" 1 (List.length (Cluster.reconfigs cluster));
+      check_bool "one started/installed pair" true (milestones () = (1, 1)))
+
+let test_retire_untrimmed_declines () =
+  with_cluster (fun cluster ->
+      let milestones = count_reconfig_milestones () in
+      check_bool "single segment: nothing to retire" true
+        (Cluster.retire_trimmed_segments cluster = None);
+      let w = Cluster.new_client cluster ~name:"writer" in
+      ignore (Client.append w ~streams:[ 1 ] (payload "x"));
+      ignore (Cluster.scale_out cluster ~add_servers:2 : Types.epoch);
+      check_bool "bounded but untrimmed: nothing to retire" true
+        (Cluster.retire_trimmed_segments cluster = None);
+      check_int "epoch unchanged" 1 (current_epoch cluster);
+      check_int "only the scale-out logged" 1 (List.length (Cluster.reconfigs cluster));
+      check_bool "only the scale-out announced" true (milestones () = (1, 1)))
+
+(* A rejected scale-in validates under the lock before it counts,
+   seals or logs anything, and leaves the lock free. *)
+let test_rejected_scale_in_not_counted () =
+  with_cluster (fun cluster ->
+      let scale_ins = Sim.Metrics.counter "cluster.scale_ins" in
+      (match Cluster.scale_in cluster ~remove_servers:4 with
+      | _ -> Alcotest.fail "removing every server must be rejected"
+      | exception Invalid_argument _ -> ());
+      check_int "not counted" 0 (Sim.Metrics.counter_value scale_ins);
+      check_int "epoch unchanged" 0 (current_epoch cluster);
+      check_int "nothing logged" 0 (List.length (Cluster.reconfigs cluster));
+      check_int "a valid scale-in still runs" 1 (Cluster.scale_in cluster ~remove_servers:2);
+      check_int "counted once" 1 (Sim.Metrics.counter_value scale_ins))
 
 (* The hole-fill race, forced with injected message delay: the writer's
    link to the chain tail stalls past the fill timeout, so the filler
@@ -2185,6 +2332,15 @@ let () =
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;
+        ] );
+      ( "reconfig-log",
+        [
+          Alcotest.test_case "each operation logs once" `Quick test_each_reconfiguration_logs_once;
+          Alcotest.test_case "duplicate replacement declines" `Quick
+            test_duplicate_replacement_declines;
+          Alcotest.test_case "untrimmed retirement declines" `Quick test_retire_untrimmed_declines;
+          Alcotest.test_case "rejected scale-in is not counted" `Quick
+            test_rejected_scale_in_not_counted;
         ] );
       ( "epoch-watch",
         [
