@@ -1046,24 +1046,10 @@ let scale_out_bench () =
         in
         for i = 1 to hosts do
           let c = Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "load-%d" i) in
-          Sim.Engine.spawn (fun () ->
-              let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-              let outstanding = ref 0 in
-              let rec gen () =
-                Sim.Engine.sleep (Sim.Rng.exponential rng ~mean:(1e6 /. rate));
-                if !outstanding < 64 then begin
-                  incr outstanding;
-                  Sim.Engine.spawn (fun () ->
-                      ignore
-                        (Corfu.Client.append c
-                           ~streams:[ 1 + (i mod 4) ]
-                           (Bytes.make 64 'x'));
-                      decr outstanding;
-                      note_append ())
-                end;
-                gen ()
-              in
-              gen ())
+          Load.generator ~max_outstanding:64 (Load.window ()) ~rate (fun () ->
+              ignore (Corfu.Client.append c ~streams:[ 1 + (i mod 4) ] (Bytes.make 64 'x'));
+              note_append ();
+              true)
         done;
         Sim.Engine.sleep warmup_us;
         let c0 = !total in
@@ -1583,150 +1569,6 @@ let micro () =
   micro_events_wall ()
 
 (* ------------------------------------------------------------------ *)
-(* Scale-up: aggregate client population                              *)
-(* ------------------------------------------------------------------ *)
-
-module Population = Load.Population
-
-let run_population ~seed cfg =
-  let pop = Population.create cfg in
-  let (r, vend, events), perf =
-    Report.with_perf (fun () ->
-        Sim.Engine.run ~seed (fun () ->
-            Population.start pop;
-            let r = Population.await pop in
-            (r, Sim.Engine.now (), Sim.Engine.events_dispatched ())))
-  in
-  (r, vend, events, perf)
-
-(* Everything a same-seed rerun must reproduce exactly: the population
-   accounting, the latency distribution and the event count. Full
-   [%.17g] precision so a single ulp of divergence fails the
-   comparison. *)
-let pop_digest (r : Population.result) ~events =
-  let b = Buffer.create 256 in
-  let rep = r.Population.pop_report in
-  Printf.bprintf b "issued=%d completed=%d dropped=%d inflight=%d samples=%d" r.Population.pop_issued
-    r.Population.pop_completed r.Population.pop_dropped r.Population.pop_inflight
-    rep.Load.samples;
-  Printf.bprintf b " thr=%.17g mean=%.17g p50=%.17g p99=%.17g" rep.Load.throughput
-    rep.Load.latency_mean_us rep.Load.latency_p50_us
-    rep.Load.latency_p99_us;
-  Printf.bprintf b " events=%d" events;
-  Buffer.contents b
-
-(* The baseline the population model replaces: one fiber per client,
-   same open-loop arrival statistics, the same pure-delay op (link out,
-   exponential service, link back) — no station queueing, so give the
-   population variant saturated-free stations for parity. *)
-let run_fiber_clients ~seed cfg =
-  let clients = cfg.Population.clients in
-  let gen_end = cfg.Population.warmup_us +. cfg.Population.measure_us in
-  let deadline = gen_end +. cfg.Population.drain_us in
-  let m_start = cfg.Population.warmup_us in
-  Report.with_perf (fun () ->
-      Sim.Engine.run ~seed (fun () ->
-          let completed = ref 0 and windowed = ref 0 in
-          for c = 0 to clients - 1 do
-            Sim.Engine.spawn (fun () ->
-                let rng = Sim.Rng.create_stream cfg.Population.seed ~stream:(500_000 + c) in
-                let rec loop () =
-                  Sim.Engine.sleep
-                    (Sim.Rng.exponential rng ~mean:(1e6 /. cfg.Population.rate_per_client));
-                  if Sim.Engine.now () < gen_end then begin
-                    Sim.Engine.sleep
-                      ((2. *. cfg.Population.link_us)
-                      +. Sim.Rng.exponential rng ~mean:cfg.Population.service_us);
-                    incr completed;
-                    let now = Sim.Engine.now () in
-                    if now >= m_start && now < gen_end then incr windowed;
-                    loop ()
-                  end
-                in
-                loop ())
-          done;
-          Sim.Engine.sleep deadline;
-          (!completed, !windowed, Sim.Engine.events_dispatched ())))
-
-let scale_up () =
-  section "Scale-up: aggregate client population";
-  let seed = 17 in
-  let base =
-    {
-      Population.default_cfg with
-      rate_per_client = 5.;
-      link_us = 200.;
-      service_us = 50.;
-      stations = 64;
-      station_slots = 4;
-      max_outstanding = 8;
-      warmup_us = scale 50_000.;
-      measure_us = scale 250_000.;
-      drain_us = 10_000.;
-      seed;
-    }
-  in
-  (* Determinism gate, in-process: a same-seed rerun must match byte
-     for byte. *)
-  let det_cfg = { base with clients = 20_000; stations = 16 } in
-  let digest () =
-    let r, _, events, _ = run_population ~seed det_cfg in
-    pop_digest r ~events
-  in
-  let d1 = digest () in
-  let d2 = digest () in
-  row "%-24s two-run=%b" "determinism" (d1 = d2);
-  if d1 <> d2 then begin
-    Printf.eprintf "same-seed mismatch:\n  run1: %s\n  run2: %s\n" d1 d2;
-    exit 1
-  end;
-  (* Aggregate population vs fiber-per-client at 5·10^4 clients: same
-     arrival statistics, same op; the wall-clock ratio is the win of
-     array-state clients over one resumable continuation each. Station
-     capacity (64 × 16 slots vs ~25 mean in-flight) makes queueing
-     negligible, matching the fiber variant's pure-delay op. Each side
-     starts from a collected heap, so neither pays for the garbage of
-     the run before it. *)
-  let cmp_cfg = { base with clients = 50_000; station_slots = 16 } in
-  Gc.full_major ();
-  let (f_done, _, f_events), f_perf = run_fiber_clients ~seed cmp_cfg in
-  Gc.full_major ();
-  let p_r, _, p_events, p_perf = run_population ~seed cmp_cfg in
-  let speedup = f_perf.Report.wall_s /. p_perf.Report.wall_s in
-  row "%-24s %8.3f wall-s %9d events %8d ops  (fibers)" "population-vs-fibers" f_perf.Report.wall_s
-    f_events f_done;
-  row "%-24s %8.3f wall-s %9d events %8d ops  (population)  speedup %.2fx" ""
-    p_perf.Report.wall_s p_events p_r.Population.pop_completed speedup;
-  (* One run at 10^5 modeled clients. *)
-  let clients = 100_000 in
-  let r, vend, events, perf = run_population ~seed { base with clients } in
-  let rate = float_of_int events /. perf.Report.wall_s in
-  row "%-24s %8.3f wall-s %9d events %10.0f events/wall-s" "clients=100000" perf.Report.wall_s
-    events rate;
-  Report.add_scenario ~name:"scale-up/clients-100000" ~seed
-    ~params:[ ("clients", string_of_int clients) ]
-    ~summary:
-      [
-        ("clients", float_of_int clients);
-        ("events", float_of_int events);
-        ("events_per_wall_s", rate);
-        ("throughput", r.Population.pop_report.Load.throughput);
-        ("p99_us", r.Population.pop_report.Load.latency_p99_us);
-        ("completed", float_of_int r.Population.pop_completed);
-        ("dropped", float_of_int r.Population.pop_dropped);
-      ]
-    ~perf ~virtual_end_us:vend ~metrics_json:(Sim.Metrics.to_json ()) ();
-  Report.add_scenario ~name:"scale-up" ~seed
-    ~summary:
-      [
-        ("clients", float_of_int clients);
-        ("determinism_ok", 1.);
-        ("pop_speedup", speedup);
-      ]
-    ~virtual_end_us:(base.Population.warmup_us +. base.Population.measure_us +. base.Population.drain_us)
-    ~metrics_json:(Sim.Metrics.to_json ()) ()
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1754,7 +1596,6 @@ let experiments =
     ("fuzz-sweep", fuzz_sweep);
     ("scenario-sweep", scenario_sweep);
     ("scale-out", scale_out_bench);
-    ("scale-up", scale_up);
   ]
 
 let () =
@@ -1762,7 +1603,7 @@ let () =
     | [] -> (List.rev names, json)
     | [ "--json" ] ->
         prerr_endline "--json requires a file argument";
-        exit 1
+        exit 2
     | "--json" :: path :: rest -> split names (Some path) rest
     | x :: rest -> split (x :: names) json rest
   in
@@ -1772,7 +1613,6 @@ let () =
   | [] ->
       Printf.printf "Tango evaluation harness (quick=%b)\n%!" quick;
       List.iter (fun (_, f) -> f ()) experiments
-  | [ "micro" ] -> micro ()
   | names ->
       List.iter
         (fun name ->
@@ -1782,7 +1622,7 @@ let () =
           | None ->
               Printf.eprintf "unknown experiment %S; known: %s micro\n" name
                 (String.concat " " (List.map fst experiments));
-              exit 1)
+              exit 2)
         names);
   match json with
   | None -> ()

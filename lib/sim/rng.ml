@@ -18,12 +18,6 @@ let int64 t = mix (next_seed t)
 
 let split t = { state = int64 t }
 
-(* Stream [k] perturbs the seed by the mixed k-th multiple of the
-   golden gamma — the same decorrelation step splitmix64 uses between
-   outputs. [mix 0L = 0L], so stream 0 is exactly [create seed]. *)
-let create_stream seed ~stream =
-  { state = Int64.logxor (Int64.of_int seed) (mix (Int64.mul (Int64.of_int stream) golden_gamma)) }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value is a non-negative OCaml int. *)

@@ -14,13 +14,6 @@ val create : int -> t
     [t]. Useful to give each simulated client its own stream. *)
 val split : t -> t
 
-(** [create_stream seed ~stream] returns the [stream]-th decorrelated
-    generator for [seed] — deterministic in both arguments, with
-    [create_stream seed ~stream:0] equal to [create seed] bit-for-bit.
-    Models that need several independent streams from one seed (the
-    population's driver and stations) number them explicitly. *)
-val create_stream : int -> stream:int -> t
-
 (** [int64 t] returns the next raw 64-bit output. *)
 val int64 : t -> int64
 

@@ -10,8 +10,8 @@ let near ~tolerance expected actual =
   abs_float (actual -. expected) <= tolerance *. expected
 
 (* Run [setup w] on a fresh window, measure it and return its report. *)
-let measured ~warmup_us ~measure_us setup =
-  Sim.Engine.run (fun () ->
+let measured ?seed ~warmup_us ~measure_us setup =
+  Sim.Engine.run ?seed (fun () ->
       let w = Load.window () in
       setup w;
       Load.measure ~warmup_us ~measure_us [ w ];
@@ -147,74 +147,21 @@ let test_open_loop_window_boundary () =
   check_bool "ops completed outside the window too" true (!total > !in_window);
   Alcotest.(check int) "window boundary exact" !in_window r.Load.samples
 
-(* ------------------------------------------------------------------ *)
-(* Aggregate client population                                        *)
-(* ------------------------------------------------------------------ *)
-
-let pop_cfg =
-  {
-    Load.Population.default_cfg with
-    Load.Population.clients = 2_000;
-    rate_per_client = 2.;
-    link_us = 200.;
-    service_us = 50.;
-    stations = 4;
-    station_slots = 4;
-    warmup_us = 20_000.;
-    measure_us = 100_000.;
-    drain_us = 5_000.;
-    seed = 9;
-  }
-
-let run_population cfg =
-  let pop = Load.Population.create cfg in
-  Sim.Engine.run (fun () ->
-      Load.Population.start pop;
-      Load.Population.await pop)
-
-let test_population_conservation () =
-  let r = run_population pop_cfg in
-  let open Load.Population in
-  (* 2000 clients × 2/s over the 120 ms generation span ≈ 480 arrivals. *)
-  check_bool "issued some load" true (r.pop_issued > 300);
-  Alcotest.(check int) "issued = completed + inflight" r.pop_issued
-    (r.pop_completed + r.pop_inflight);
-  check_bool "inflight small after drain" true (r.pop_inflight >= 0 && r.pop_inflight < 100);
-  check_bool "throughput positive" true (r.pop_report.Load.throughput > 0.);
-  (* ~2000 clients × 2/s over the 100 ms window = ~400 windowed ops. *)
-  check_bool
-    (Printf.sprintf "windowed throughput ~4000/s, got %.0f" r.pop_report.Load.throughput)
-    true
-    (near ~tolerance:0.25 4_000. r.pop_report.Load.throughput)
-
-let test_population_drops_under_cap () =
-  (* One outstanding op per client against a 100× service blowup: the
-     population must shed load via drops, not queue unboundedly. *)
-  let cfg =
-    { pop_cfg with Load.Population.max_outstanding = 1; service_us = 20_000.; stations = 1;
-      station_slots = 1 }
+let test_generator_deterministic () =
+  (* Arrivals come from the generator's own split of the engine RNG and
+     service times from a second split, so the report is a function of
+     the seed alone. *)
+  let run seed =
+    measured ~seed ~warmup_us:5_000. ~measure_us:50_000. (fun w ->
+        let service = Sim.Rng.split (Sim.Engine.rng ()) in
+        Load.generator w ~rate:5_000. (fun () ->
+            Sim.Engine.sleep (Sim.Rng.exponential service ~mean:300.);
+            true))
   in
-  let r = run_population cfg in
-  let open Load.Population in
-  check_bool "drops happened" true (r.pop_dropped > 0);
-  Alcotest.(check int) "conservation under drops" r.pop_issued
-    (r.pop_completed + r.pop_inflight)
-
-let test_population_deterministic () =
-  let a = run_population pop_cfg and b = run_population pop_cfg in
-  check_bool "same-seed population runs identical" true (a = b)
-
-let test_population_invalid_cfg () =
-  let open Load.Population in
-  Alcotest.check_raises "bad rate"
-    (Invalid_argument "Population.create: rate must be positive") (fun () ->
-      ignore (create { pop_cfg with rate_per_client = 0. }));
-  Alcotest.check_raises "no clients"
-    (Invalid_argument "Population.create: need at least one client") (fun () ->
-      ignore (create { pop_cfg with clients = 0 }));
-  Alcotest.check_raises "no stations"
-    (Invalid_argument "Population.create: need at least one station and slot") (fun () ->
-      ignore (create { pop_cfg with stations = 0 }))
+  let a = run 3 and b = run 3 and c = run 4 in
+  check_bool "same seed, same report" true (a = b);
+  check_bool "other seed, other report" true
+    (a.Load.samples <> c.Load.samples || a.Load.latency_mean_us <> c.Load.latency_mean_us)
 
 let test_measure_counter () =
   (* Events counted inside the system rather than by a worker: a fiber
@@ -946,15 +893,9 @@ let () =
           Alcotest.test_case "open loop near-zero rate" `Quick test_open_loop_rate_near_zero;
           Alcotest.test_case "open loop saturated cap" `Quick test_open_loop_saturated_cap;
           Alcotest.test_case "open loop window boundary" `Quick test_open_loop_window_boundary;
+          Alcotest.test_case "generator deterministic per seed" `Quick test_generator_deterministic;
           Alcotest.test_case "measure counter" `Quick test_measure_counter;
           Alcotest.test_case "report samples" `Quick test_report_samples;
-        ] );
-      ( "population",
-        [
-          Alcotest.test_case "conservation" `Quick test_population_conservation;
-          Alcotest.test_case "drops under tight cap" `Quick test_population_drops_under_cap;
-          Alcotest.test_case "deterministic" `Quick test_population_deterministic;
-          Alcotest.test_case "rejects bad config" `Quick test_population_invalid_cfg;
         ] );
       ( "linearizability",
         [
