@@ -798,9 +798,10 @@ let chaos_crash () =
 
 (* The CI smoke scenario: a fixed fault plan (crash + a lossy, slow
    client uplink + a sequencer replacement at 120 ms) under a paced
-   append load, checked for recovery, durability of every acknowledged
-   append, byte-identical traces across two runs and a bound on the
-   client's retry count. Exits nonzero on any violation. *)
+   append load, checked for recovery, restored replication (every
+   chain back at length 2), durability of every acknowledged append,
+   byte-identical traces across two runs and a bound on the client's
+   retry count. Exits nonzero on any violation. *)
 let chaos_scenario () =
   Sim.Trace.capture (fun () ->
       Sim.Engine.run ~seed:42 (fun () ->
@@ -856,8 +857,16 @@ let chaos_scenario () =
               !offs
           in
           let incs = Chaos.incidents fault cluster in
+          (* restored: every chain of every segment is back at length 2 *)
+          let restored =
+            Array.for_all
+              (fun seg -> Array.for_all (fun chain -> Array.length chain = 2) seg.Corfu.Projection.seg_sets)
+              (Corfu.Auxiliary.latest (Corfu.Cluster.auxiliary cluster)).Corfu.Projection.segments
+          in
           ( readable,
             List.length incs,
+            List.fold_left (fun acc i -> acc +. i.Chaos.inc_unavailable_us) 0. incs,
+            restored,
             Corfu.Client.rpc_failures c,
             Corfu.Client.retries c,
             Sim.Engine.now () )))
@@ -875,15 +884,21 @@ let chaos_smoke () =
      retry-count check";
   let flight_was = Sim.Flight.enabled () in
   Sim.Flight.set_enabled true;
-  let (readable1, recoveries1, failures1, retries1, end1), trace1 = chaos_scenario () in
+  let (readable1, recoveries1, unavailable1, restored1, failures1, retries1, end1), trace1 =
+    chaos_scenario ()
+  in
   let flight1 = Sim.Flight.dump_json () in
   let r2, trace2 = chaos_scenario () in
   let flight2 = Sim.Flight.dump_json () in
   Sim.Flight.set_enabled flight_was;
   row "200 appends: all readable=%b recoveries=%d failed-rpc=%d end=%.0fus" readable1 recoveries1
     failures1 end1;
+  row "storage outage (crash to degraded install)=%.1fms, replication restored=%b"
+    (unavailable1 /. 1e3) restored1;
   row "client.retries=%d (bound %d)" retries1 chaos_smoke_max_retries;
-  let same_result = (readable1, recoveries1, failures1, retries1, end1) = r2 in
+  let same_result =
+    (readable1, recoveries1, unavailable1, restored1, failures1, retries1, end1) = r2
+  in
   let same_trace = String.equal trace1 trace2 in
   let same_flight = String.equal flight1 flight2 in
   row "replay: same result=%b, byte-identical trace=%b (%d trace bytes)" same_result same_trace
@@ -892,7 +907,7 @@ let chaos_smoke () =
     same_flight;
   if
     not
-      (readable1 && recoveries1 >= 1 && same_result && same_trace && same_flight
+      (readable1 && recoveries1 >= 1 && restored1 && same_result && same_trace && same_flight
      && retries1 <= chaos_smoke_max_retries)
   then begin
     (* Ship the black box with the failure: CI uploads this file. *)
@@ -1088,7 +1103,7 @@ let scale_out_bench () =
           List.fold_left
             (fun a (rc : Corfu.Cluster.reconfig) ->
               match rc.rc_change with
-              | Storage_replaced { copied_entries; _ } -> a + copied_entries
+              | Replication_restored { copied_entries; _ } -> a + copied_entries
               | _ -> a)
             0
             (Corfu.Cluster.reconfigs cluster)

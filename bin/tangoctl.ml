@@ -908,7 +908,7 @@ let failpoint_arg =
     & info [ "failpoint" ] ~docv:"NAME"
         ~doc:
           "Enable a cluster failpoint for every run (sensitivity testing): skip-rebuild-scan, \
-           forget-seal-tail, skip-storage-seal, blind-commit-apply or stall-reconfig.")
+           forget-seal-tail, skip-storage-seal, blind-commit-apply, stall-reconfig or skip-rereplication.")
 
 let specs_arg =
   Arg.(

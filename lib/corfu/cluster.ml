@@ -1,11 +1,7 @@
 type change =
   | Sequencer_replaced of { scanned : int }
-  | Storage_replaced of {
-      dead : string;
-      spare : string;
-      copied_entries : int;
-      copied_bytes : int;
-    }
+  | Storage_replaced of { dead : string; spare : string }
+  | Replication_restored of { spare : string; copied_entries : int; copied_bytes : int }
   | Scaled_out of { boundary : Types.offset }
   | Scaled_in of { boundary : Types.offset }
   | Retired of { released : string list }
@@ -15,6 +11,21 @@ type reconfig = {
   rc_started_us : float;
   rc_installed_us : float;
   rc_change : change;
+}
+
+(* A chain slot a storage replacement left short: chain [sl_set] of
+   the bounded segment starting at [sl_base] lost its member at
+   [sl_pos], and [sl_spare] is being filled to take it back. A
+   segment keeps its base across epoch changes (bounding it only sets
+   its limit), so the base names it for as long as it stays in the
+   map. [sl_missing] lists the local offsets the spare still lacks;
+   [None] until the first copy pass has read the whole range. *)
+type short_slot = {
+  sl_base : Types.offset;
+  sl_set : int;
+  sl_pos : int;
+  mutable sl_spare : Storage_node.t;
+  mutable sl_missing : Types.offset list option;
 }
 
 type t = {
@@ -28,6 +39,7 @@ type t = {
   mutable storage_count : int;  (* names the next provisioned storage-N *)
   mutable reconfigs : reconfig list;  (* newest first *)
   mutable reconfig_busy : bool;  (* cooperative reconfiguration mutex *)
+  mutable short : short_slot list;  (* oldest first *)
 }
 
 type failpoints = {
@@ -36,6 +48,7 @@ type failpoints = {
   mutable fp_skip_storage_seal : bool;
   mutable fp_blind_commit_apply : bool;
   mutable fp_stall_reconfig : bool;
+  mutable fp_skip_rereplication : bool;
 }
 
 let failpoints =
@@ -45,6 +58,7 @@ let failpoints =
     fp_skip_storage_seal = false;
     fp_blind_commit_apply = false;
     fp_stall_reconfig = false;
+    fp_skip_rereplication = false;
   }
 
 let reset_failpoints () =
@@ -52,7 +66,8 @@ let reset_failpoints () =
   failpoints.fp_forget_seal_tail <- false;
   failpoints.fp_skip_storage_seal <- false;
   failpoints.fp_blind_commit_apply <- false;
-  failpoints.fp_stall_reconfig <- false
+  failpoints.fp_stall_reconfig <- false;
+  failpoints.fp_skip_rereplication <- false
 
 let enable_failpoint = function
   | "skip-rebuild-scan" -> failpoints.fp_skip_rebuild_scan <- true
@@ -60,6 +75,7 @@ let enable_failpoint = function
   | "skip-storage-seal" -> failpoints.fp_skip_storage_seal <- true
   | "blind-commit-apply" -> failpoints.fp_blind_commit_apply <- true
   | "stall-reconfig" -> failpoints.fp_stall_reconfig <- true
+  | "skip-rereplication" -> failpoints.fp_skip_rereplication <- true
   | name -> invalid_arg (Printf.sprintf "Cluster.enable_failpoint: unknown failpoint %S" name)
 
 (* Reconfiguration milestones for the temporal spec plane
@@ -147,6 +163,7 @@ let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ~servers (
       storage_count = servers;
       reconfigs = [];
       reconfig_busy = false;
+      short = [];
     }
   in
   (* Global log-tail watermark; follows the live sequencer across
@@ -200,7 +217,9 @@ let raw_read t proj ~epoch off =
 
 (* Raw chain write used by the checkpoint scribe (the snapshot's offset
    comes pre-reserved from the sequencer dump, so the normal append
-   path does not apply). *)
+   path does not apply). A member that does not answer in time ends
+   the write: the snapshot's offset stays a hole that readers fill,
+   like any abandoned grant. *)
 let raw_write t proj ~epoch off entry =
   let set = Projection.replica_set proj off in
   let loff = Projection.local_offset proj off in
@@ -208,13 +227,15 @@ let raw_write t proj ~epoch off entry =
   Array.for_all
     (fun node ->
       match
-        Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.reconfig_host
-          (Storage_node.write_service node) req
+        Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+          ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.write_service node) req
       with
-      | Types.Write_ok | Types.Already_written _ -> true
-      | Types.Sealed_at _ | Types.Out_of_space -> false)
+      | Ok (Types.Write_ok | Types.Already_written _) -> true
+      | Ok (Types.Sealed_at _ | Types.Out_of_space) | Error _ -> false)
     set
 
+(* Every RPC of a tick has a deadline, so a crashed chain head or an
+   unreachable sequencer costs one skipped snapshot, not the scribe. *)
 let start_checkpoint_scribe t ~interval_us =
   Sim.Engine.spawn (fun () ->
       let rec tick () =
@@ -222,12 +243,12 @@ let start_checkpoint_scribe t ~interval_us =
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
         (match
-           Sim.Net.call ~from:t.reconfig_host
+           Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
              (Sequencer.dump_service proj.Projection.sequencer)
              epoch
          with
-        | None -> () (* sealed: a reconfiguration is in flight *)
-        | Some { Sequencer.dump_offset; dump_state_ptrs; dump_streams } ->
+        | Error _ | Ok None -> () (* unreachable, or sealed by a reconfiguration *)
+        | Ok (Some { Sequencer.dump_offset; dump_state_ptrs; dump_streams }) ->
             let snapshot =
               { Seq_checkpoint.snap_tail = dump_offset; snap_streams = dump_streams }
             in
@@ -249,7 +270,8 @@ let start_checkpoint_scribe t ~interval_us =
    sealed node, refreshes, and retries under the new map. [dead] gets
    a short-deadline attempt: if the monitor was wrong and it still
    answers, sealing it prevents stale-epoch clients from completing
-   chains through it.
+   chains through it; it is sealed even when the projection no longer
+   lists it (a spare still being filled).
 
    Every node that {e stays} in the projection must actually seal
    before the reconfiguration proceeds — an unreachable survivor is
@@ -288,7 +310,9 @@ let seal_storage ?dead t proj ~epoch =
                   (Storage_node.seal_service node) epoch)
         in
         Hashtbl.replace tails (Storage_node.name node) tail)
-    (Projection.servers proj);
+    (match dead with
+    | Some d when not (List.memq d (Projection.servers proj)) -> Projection.servers proj @ [ d ]
+    | Some _ | None -> Projection.servers proj);
   tails
 
 (* ------------------------------------------------------------------ *)
@@ -301,8 +325,9 @@ type seal =
   | Unsealed  (* segment retirement: no live offset changes its mapping *)
   | Unspanned  (* sequencer failover: its operation span covers both *)
   | Each_in of string * Storage_node.t
-      (* storage replacement: the sequencer and the storage nodes each
-         in their own seal span; the dead node gets one short try *)
+      (* storage replacement and restore: the sequencer and the storage
+         nodes each in their own seal span; the named node (the dead
+         one, or the spare) gets one short try *)
   | Both_in of string  (* scale-out/in: both seals in one span *)
 
 (* What closing the epoch reports to the operation's step: the old
@@ -369,7 +394,7 @@ let reconfigure t ~kind ~span ~args ~seal plan =
       (match change with
       | Storage_replaced _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries")
       | Retired _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements")
-      | Sequencer_replaced _ | Scaled_out _ | Scaled_in _ -> ());
+      | Sequencer_replaced _ | Replication_restored _ | Scaled_out _ | Scaled_in _ -> ());
       t.reconfigs <-
         {
           rc_epoch = epoch;
@@ -474,173 +499,6 @@ let replace_sequencer t =
        (fun old_proj ->
          Sim.Metrics.incr (Sim.Metrics.counter "cluster.seq_replacements");
          Some (step old_proj)))
-
-(* ------------------------------------------------------------------ *)
-(* Storage-node replacement (§2.2 reconfiguration)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Local offsets in flight while copying onto a spare, so the rebuild
-   is bounded by SSD bandwidth, not round trips. *)
-let copy_window = 16
-
-let replace_storage_node t ~dead =
-  (* The dead member may serve chains in several segments (scale-out
-     reuses the old tail's nodes); collect every (segment, set) slot. *)
-  let slots_of old_proj =
-    let found = ref [] in
-    Array.iteri
-      (fun si seg ->
-        Array.iteri
-          (fun s chain -> if Array.exists (fun node -> node == dead) chain then
-              found := (si, s) :: !found)
-          seg.Projection.seg_sets)
-      old_proj.Projection.segments;
-    List.rev !found
-  in
-  let step old_proj slots ~epoch { tails; _ } =
-    (* Bring up the spare, pre-sealed at the new epoch. *)
-    let spare_name = Printf.sprintf "storage-spare-%d" t.spare_count in
-    t.spare_count <- t.spare_count + 1;
-    let spare = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
-    ignore (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service spare) epoch : Types.offset);
-    (* Copy the surviving prefix onto the spare, per segment the dead
-       member served, [copy_window] local offsets in flight. The
-       head-most survivor of each chain is authoritative: anything
-       acknowledged to a client reached it before the seal. Data
-       present only on the dead node (a torn append's head when the
-       head died) is unrecoverable, exactly like a replica loss on the
-       real system — the slot reads as unwritten and gets
-       hole-filled. *)
-    let copied_entries = ref 0 in
-    let copied_bytes = ref 0 in
-    let copy_range ~src ~lo ~hi =
-      let copy_one loff =
-        match
-          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-            ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
-            { Storage_node.repoch = epoch; roffset = loff }
-        with
-        | Error _ | Ok (Types.Read_sealed _) ->
-            () (* survivor unreachable: the next monitor round handles it *)
-        | Ok Types.Read_unwritten -> ()
-        | Ok Types.Read_trimmed ->
-            ignore
-              (Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                 (Storage_node.trim_service spare)
-                 { Storage_node.repoch = epoch; roffset = loff }
-                : (unit, Sim.Net.rpc_error) result)
-        | Ok (Types.Read_data e) -> (
-            match
-              Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-                ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                (Storage_node.write_service spare)
-                { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Data e }
-            with
-            | Ok Types.Write_ok ->
-                incr copied_entries;
-                copied_bytes := !copied_bytes + t.p.entry_bytes
-            | Ok _ | Error _ -> ())
-        | Ok Types.Read_junk -> (
-            match
-              Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-                ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                (Storage_node.write_service spare)
-                { Storage_node.wepoch = epoch; woffset = loff; wcell = Types.Junk }
-            with
-            | Ok Types.Write_ok ->
-                incr copied_entries;
-                copied_bytes := !copied_bytes + t.p.rpc_bytes
-            | Ok _ | Error _ -> ())
-      in
-      if hi >= lo then begin
-        let workers = min copy_window (hi - lo + 1) in
-        let remaining = ref workers in
-        let all_done = Sim.Ivar.create () in
-        let span_parent = Sim.Span.current () in
-        for w = 0 to workers - 1 do
-          Sim.Engine.spawn (fun () ->
-              Sim.Span.with_parent span_parent @@ fun () ->
-              let loff = ref (lo + w) in
-              while !loff <= hi do
-                copy_one !loff;
-                loff := !loff + workers
-              done;
-              decr remaining;
-              if !remaining = 0 then Sim.Ivar.fill all_done ())
-        done;
-        Sim.Ivar.read all_done
-      end
-    in
-    Sim.Span.with_span "recovery.copy" (fun () ->
-        List.iter
-          (fun (si, s) ->
-            let seg = Projection.segment old_proj si in
-            let chain = seg.Projection.seg_sets.(s) in
-            let survivor =
-              let rec first i =
-                if i >= Array.length chain then None
-                else if chain.(i) != dead && Hashtbl.mem tails (Storage_node.name chain.(i)) then
-                  Some chain.(i)
-                else first (i + 1)
-              in
-              first 0
-            in
-            match survivor with
-            | None ->
-                if Sim.Announce.active () then
-                  Sim.Announce.emit (Sim.Announce.Prefix_lost { segment = si; set = s })
-            | Some src ->
-                let src_tail =
-                  match Hashtbl.find_opt tails (Storage_node.name src) with
-                  | Some tl -> tl
-                  | None -> -1
-                in
-                let lo = seg.Projection.seg_local_base in
-                let hi =
-                  match seg.Projection.seg_limit with
-                  | None -> src_tail
-                  | Some limit ->
-                      min src_tail
-                        (lo + Projection.seg_cells_below seg ~set:s ~rel:(limit - seg.Projection.seg_base) - 1)
-                in
-                copy_range ~src ~lo ~hi)
-          slots);
-    Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") !copied_entries;
-    (* Substitute the spare into every chain slot the dead member
-       held. The sequencer stays: storage replacement does not lose
-       allocation state. *)
-    let segments =
-      Array.map
-        (fun seg ->
-          {
-            seg with
-            Projection.seg_sets =
-              Array.map
-                (Array.map (fun node -> if node == dead then spare else node))
-                seg.Projection.seg_sets;
-          })
-        old_proj.Projection.segments
-    in
-    ( Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer,
-      Storage_replaced
-        {
-          dead = Storage_node.name dead;
-          spare = spare_name;
-          copied_entries = !copied_entries;
-          copied_bytes = !copied_bytes;
-        } )
-  in
-  match
-    reconfigure t ~kind:"storage" ~span:"recovery"
-      ~args:[ ("dead", Storage_node.name dead) ]
-      ~seal:(Each_in ("recovery", dead))
-      (fun old_proj ->
-        (* Decline if [dead] is already gone: the monitor and a
-           scheduled fault-plan action can race to the same corpse. *)
-        match slots_of old_proj with [] -> None | slots -> Some (step old_proj slots))
-  with
-  | Some epoch -> epoch
-  | None -> (Auxiliary.latest t.aux).Projection.epoch
 
 (* ------------------------------------------------------------------ *)
 (* Online scale-out / scale-in (segment-map reconfiguration)          *)
@@ -799,11 +657,324 @@ let retire_trimmed_segments t =
             (proj, Retired { released })))
 
 (* ------------------------------------------------------------------ *)
-(* Failure monitor                                                    *)
+(* Storage-node replacement (§2.2 reconfiguration)                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Replacing a dead member takes two epoch changes. The first, the one
+   clients wait for, moves no data: it bounds the map at the seal
+   frontier, opens a new tail segment with a fresh spare in the dead
+   member's chains, and drops the dead member from every older chain,
+   so old offsets resolve through the survivors. A background job then
+   copies each short chain's range from its survivor onto the spare,
+   and a second epoch change, the restore, copies under its seal
+   whatever the survivor gained since and puts the spare back into the
+   old chains. *)
 
 let probe_interval_us = 20_000.
 let probe_timeout_us = 10_000.
+
+(* Local offsets in flight while copying onto a spare, so the rebuild
+   is bounded by SSD bandwidth, not round trips. *)
+let copy_window = 16
+
+let segment_at proj base =
+  Array.find_opt (fun seg -> seg.Projection.seg_base = base) proj.Projection.segments
+
+(* Every local offset of chain [set] in a bounded segment. *)
+let slot_range seg set =
+  match seg.Projection.seg_limit with
+  | None -> [||] (* only bounded segments have short chains *)
+  | Some limit ->
+      let lo = seg.Projection.seg_local_base in
+      Array.init
+        (Projection.seg_cells_below seg ~set ~rel:(limit - seg.Projection.seg_base))
+        (fun i -> lo + i)
+
+let awaiting t spare = List.filter (fun sl -> sl.sl_spare == spare) t.short
+
+type copy = Copied of int  (** bytes; 0 when nothing had to move *) | Hole | Failed
+
+(* Copy local cell [loff] from [src] onto [spare]. The survivor is
+   authoritative: anything acknowledged to a client reached it. *)
+let copy_cell t ~epoch ~src ~spare loff =
+  let put cell bytes =
+    match
+      Sim.Net.call_r ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes ~timeout_us:t.p.rpc_timeout_us
+        ~from:t.reconfig_host (Storage_node.write_service spare)
+        { Storage_node.wepoch = epoch; woffset = loff; wcell = cell }
+    with
+    | Ok Types.Write_ok -> Copied bytes
+    | Ok (Types.Already_written _) -> Copied 0
+    | Ok (Types.Sealed_at _ | Types.Out_of_space) | Error _ -> Failed
+  in
+  match
+    Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+      ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
+      { Storage_node.repoch = epoch; roffset = loff }
+  with
+  | Ok Types.Read_unwritten -> Hole
+  | Ok (Types.Read_data e) -> put (Types.Data e) t.p.entry_bytes
+  | Ok Types.Read_junk -> put Types.Junk t.p.rpc_bytes
+  | Ok Types.Read_trimmed -> (
+      match
+        Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+          (Storage_node.trim_service spare)
+          { Storage_node.repoch = epoch; roffset = loff }
+      with
+      | Ok () -> Copied 0
+      | Error _ -> Failed)
+  | Ok (Types.Read_sealed _) | Error _ -> Failed
+
+(* Copy [offs] from [src] onto [spare], [copy_window] cells in flight,
+   while [wanted ()] holds, adding the cells and bytes moved to
+   [copied]. Returns the offsets the spare still lacks (ascending) and
+   how many of those failed rather than were holes. *)
+let copy_cells t ~epoch ~wanted ~copied ~src ~spare offs =
+  let n = Array.length offs in
+  let outcome = Array.make n Hole in
+  if n > 0 then begin
+    let workers = min copy_window n in
+    let remaining = ref workers in
+    let all_done = Sim.Ivar.create () in
+    let span_parent = Sim.Span.current () in
+    for w = 0 to workers - 1 do
+      Sim.Engine.spawn (fun () ->
+          Sim.Span.with_parent span_parent @@ fun () ->
+          let i = ref w in
+          while !i < n do
+            outcome.(!i) <-
+              (if wanted () then copy_cell t ~epoch:(epoch ()) ~src ~spare offs.(!i) else Failed);
+            i := !i + workers
+          done;
+          decr remaining;
+          if !remaining = 0 then Sim.Ivar.fill all_done ())
+    done;
+    Sim.Ivar.read all_done
+  end;
+  let missing = ref [] and failed = ref 0 and entries = ref 0 and bytes = ref 0 in
+  for i = n - 1 downto 0 do
+    match outcome.(i) with
+    | Copied 0 -> ()
+    | Copied b ->
+        incr entries;
+        bytes := !bytes + b
+    | Hole -> missing := offs.(i) :: !missing
+    | Failed ->
+        incr failed;
+        missing := offs.(i) :: !missing
+  done;
+  Sim.Metrics.add (Sim.Metrics.counter "cluster.copied_entries") !entries;
+  copied := (fst !copied + !entries, snd !copied + !bytes);
+  (!missing, !failed)
+
+(* Copy one short chain's missing cells from its head-most survivor in
+   [proj]: the whole range on the first pass, then only what is still
+   missing. Returns the count of failed cells, or [None] when the
+   segment has been retired from the map. *)
+let copy_slot t proj ~epoch ~wanted ~copied sl =
+  match segment_at proj sl.sl_base with
+  | None -> None
+  | Some seg ->
+      let offs =
+        match sl.sl_missing with Some l -> Array.of_list l | None -> slot_range seg sl.sl_set
+      in
+      let missing, failed =
+        copy_cells t ~epoch ~wanted ~copied ~src:seg.Projection.seg_sets.(sl.sl_set).(0)
+          ~spare:sl.sl_spare offs
+      in
+      sl.sl_missing <- Some missing;
+      Some failed
+
+let answers t node =
+  Result.is_ok
+    (Sim.Net.call_r ~timeout_us:probe_timeout_us ~from:t.reconfig_host
+       (Storage_node.tail_service node) ())
+
+(* The second epoch change. Under the seal no old-epoch write can land
+   on a survivor, so after the copy of every cell the spare still
+   lacks, each short chain whose copy fully succeeded takes the spare
+   back at its old position. A spare that does not answer restores
+   nothing; its chains stay short until it answers or is replaced. *)
+let restore t spare ~copied =
+  ignore
+    (reconfigure t ~kind:"restore" ~span:"recovery.restore"
+       ~args:[ ("spare", Storage_node.name spare) ]
+       ~seal:(Each_in ("recovery", spare))
+       (fun old_proj ->
+         if awaiting t spare = [] || not (answers t spare) then None
+         else
+           Some
+             (fun ~epoch { tails; _ } ->
+               let restored =
+                 if not (Hashtbl.mem tails (Storage_node.name spare)) then []
+                 else
+                   Sim.Span.with_span "recovery.copy" (fun () ->
+                       List.filter
+                         (fun sl ->
+                           copy_slot t old_proj ~epoch:(fun () -> epoch) ~wanted:(fun () -> true)
+                             ~copied sl
+                           = Some 0)
+                         (awaiting t spare))
+               in
+               t.short <-
+                 List.filter
+                   (fun sl ->
+                     (not (List.memq sl restored)) && segment_at old_proj sl.sl_base <> None)
+                   t.short;
+               let segments =
+                 Array.map
+                   (fun seg ->
+                     let seg_sets = Array.copy seg.Projection.seg_sets in
+                     List.iter
+                       (fun sl ->
+                         if sl.sl_base = seg.Projection.seg_base then begin
+                           let chain = seg_sets.(sl.sl_set) in
+                           let pos = min sl.sl_pos (Array.length chain) in
+                           seg_sets.(sl.sl_set) <-
+                             Array.concat
+                               [
+                                 Array.sub chain 0 pos;
+                                 [| spare |];
+                                 Array.sub chain pos (Array.length chain - pos);
+                               ]
+                         end)
+                       restored;
+                     { seg with Projection.seg_sets })
+                   old_proj.Projection.segments
+               in
+               let copied_entries, copied_bytes = !copied in
+               copied := (0, 0);
+               ( Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer,
+                 Replication_restored
+                   { spare = Storage_node.name spare; copied_entries; copied_bytes } )))
+      : Types.epoch option)
+
+(* The background half of a replacement: copy every chain waiting for
+   [spare] outside any seal, then restore; retry what is left (a copy
+   that failed, a spare that did not answer) every probe interval. The
+   job ends once no chain waits for [spare]: all restored, or handed on
+   to the spare that replaced it. *)
+let rereplicate t spare =
+  (* Failpoint (fuzzer sensitivity, DESIGN.md §9): never re-replicate,
+     leaving the old range on one replica for good. *)
+  if not failpoints.fp_skip_rereplication then
+    Sim.Engine.spawn (fun () ->
+        let copied = ref (0, 0) in
+        let wanted () = awaiting t spare <> [] in
+        let epoch () = (Auxiliary.latest t.aux).Projection.epoch in
+        let rec attempt () =
+          match awaiting t spare with
+          | [] -> ()
+          | slots ->
+              Sim.Span.with_span ~host:"reconfig-agent" "recovery.copy" (fun () ->
+                  List.iter
+                    (fun sl ->
+                      match copy_slot t (Auxiliary.latest t.aux) ~epoch ~wanted ~copied sl with
+                      | Some _ -> ()
+                      | None -> t.short <- List.filter (fun s -> s != sl) t.short)
+                    slots);
+              restore t spare ~copied;
+              if wanted () then begin
+                Sim.Engine.sleep probe_interval_us;
+                attempt ()
+              end
+        in
+        attempt ())
+
+let replace_storage_node t ~dead =
+  let spare = ref None in
+  let step old_proj ~epoch { frontier; _ } =
+    (* Bring up the spare, pre-sealed at the new epoch. *)
+    let spare_name = Printf.sprintf "storage-spare-%d" t.spare_count in
+    t.spare_count <- t.spare_count + 1;
+    let node = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
+    ignore
+      (until_answered t (fun () ->
+           Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+             (Storage_node.seal_service node) epoch)
+        : Types.offset);
+    spare := Some node;
+    (* The new tail takes the spare in the dead member's place... *)
+    let swap = Array.map (fun n -> if n == dead then node else n) in
+    let opened =
+      open_tail old_proj ~epoch ~boundary:frontier
+        (Array.map swap (Projection.tail_segment old_proj).Projection.seg_sets)
+    in
+    (* ...and every bounded chain drops it, leaving its survivors to
+       serve the old range until the restore. A chain with no survivor
+       takes the empty spare: data that reached only the dead node is
+       unrecoverable, exactly like a replica loss on the real system,
+       and its slots read as unwritten and get hole-filled. *)
+    let last = Projection.num_segments opened - 1 in
+    let short = ref [] in
+    let segments =
+      Array.mapi
+        (fun si seg ->
+          if si = last then seg
+          else
+            {
+              seg with
+              Projection.seg_sets =
+                Array.mapi
+                  (fun s chain ->
+                    match Array.find_index (fun n -> n == dead) chain with
+                    | None -> chain
+                    | Some _ when Array.length chain = 1 ->
+                        if Sim.Announce.active () then
+                          Sim.Announce.emit (Sim.Announce.Prefix_lost { segment = si; set = s });
+                        [| node |]
+                    | Some pos ->
+                        short :=
+                          {
+                            sl_base = seg.Projection.seg_base;
+                            sl_set = s;
+                            sl_pos = pos;
+                            sl_spare = node;
+                            sl_missing = None;
+                          }
+                          :: !short;
+                        Array.of_list (List.filter (fun n -> n != dead) (Array.to_list chain)))
+                  seg.Projection.seg_sets;
+            })
+        opened.Projection.segments
+    in
+    (* Chains that were waiting for [dead] (a spare that died while
+       being filled) now wait for its replacement, from scratch. *)
+    List.iter
+      (fun sl ->
+        if sl.sl_spare == dead then begin
+          sl.sl_spare <- node;
+          sl.sl_missing <- None
+        end)
+      t.short;
+    t.short <- t.short @ List.rev !short;
+    ( Projection.v ~epoch ~segments ~sequencer:old_proj.Projection.sequencer,
+      Storage_replaced { dead = Storage_node.name dead; spare = spare_name } )
+  in
+  match
+    reconfigure t ~kind:"storage" ~span:"recovery"
+      ~args:[ ("dead", Storage_node.name dead) ]
+      ~seal:(Each_in ("recovery", dead))
+      (fun old_proj ->
+        (* Decline if [dead] is already gone: the monitor and a
+           scheduled fault-plan action can race to the same corpse. *)
+        if List.memq dead (Projection.servers old_proj) || awaiting t dead <> [] then
+          Some (step old_proj)
+        else None)
+  with
+  | Some epoch ->
+      Option.iter (rereplicate t) !spare;
+      epoch
+  | None -> (Auxiliary.latest t.aux).Projection.epoch
+
+let await_replication t =
+  while t.short <> [] do
+    Sim.Engine.sleep probe_interval_us
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Failure monitor                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let start_failure_monitor t =
   Sim.Engine.spawn (fun () ->
@@ -823,11 +994,11 @@ let start_failure_monitor t =
         Sim.Engine.sleep probe_interval_us;
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
-        (* Scan the current membership across every segment; a second
-           probe confirms before declaring death, so one unlucky
-           timeout cannot trigger a reconfiguration. After a
-           replacement the projection is stale, so stop this round and
-           rescan. *)
+        (* Scan the current membership across every segment, and the
+           spares still being filled; a second probe confirms before
+           declaring death, so one unlucky timeout cannot trigger a
+           reconfiguration. After a replacement the projection is
+           stale, so stop this round and rescan. *)
         let rec scan = function
           | [] -> ()
           | node :: rest ->
@@ -838,7 +1009,10 @@ let start_failure_monitor t =
                 ignore (replace_storage_node t ~dead:node : Types.epoch)
               end
         in
-        scan (Projection.servers proj);
+        scan
+          (List.fold_left
+             (fun acc sl -> if List.memq sl.sl_spare acc then acc else acc @ [ sl.sl_spare ])
+             (Projection.servers proj) t.short);
         loop ()
       in
       loop ())

@@ -57,24 +57,41 @@ val start_checkpoint_scribe : t -> interval_us:float -> unit
 (** {2 Storage-node failure recovery (§2.2)} *)
 
 (** [replace_storage_node t ~dead] swaps a failed chain member for a
-    freshly provisioned spare: seal the sequencer and every storage
-    node at the next epoch (the sequencer survives — allocation state
-    is not lost), copy the head-most surviving replica's prefix onto
-    the spare (16 cells in flight) for {e every} segment the dead
-    member served, substitute the spare into each of the dead member's
-    chain slots, and install the new projection. Clients ride through
-    on sealed errors and retry their in-flight offsets under the new
-    view. Returns the new epoch.
+    freshly provisioned spare in two epoch changes, so that clients
+    wait only for the first:
 
-    Data that reached {e only} the dead node (the head of a torn
-    append) is unrecoverable and resolves as a hole, matching the
-    real system's failure model.
+    - {e degrade}: seal the sequencer and every storage node at the
+      next epoch (the sequencer survives — allocation state is not
+      lost), bound every segment at the sequencer's frontier, open a
+      new tail segment over the old tail's chains with the spare in
+      the dead member's slots, drop the dead member from every older
+      chain, and install. No data moves; old offsets resolve through
+      the survivors. This is the {!Storage_replaced} entry, and the
+      call returns its epoch.
+    - {e restore}, in the background: copy each short chain's range
+      from its head-most survivor onto the spare (16 cells in flight),
+      then run a second epoch change that, under its seal, copies
+      every cell the survivor gained since and puts the spare back in
+      its old chain slots — the {!Replication_restored} entry.
 
-    If [dead] is no longer in the projection when the operation runs —
-    a concurrent recovery (the failure monitor racing a scheduled
-    fault action) already replaced it — the call is a no-op: it seals,
-    logs and announces nothing and returns the current epoch. *)
+    Until the restore the old range has one replica. Data that reached
+    {e only} the dead node (the head of a torn append) is
+    unrecoverable and resolves as a hole, matching the real system's
+    failure model.
+
+    If [dead] is a spare still being filled, the chains waiting for it
+    wait for its replacement instead. If [dead] is no longer in the
+    projection and no chain waits for it — a concurrent recovery (the
+    failure monitor racing a scheduled fault action) already replaced
+    it — the call is a no-op: it seals, logs and announces nothing and
+    returns the current epoch. *)
 val replace_storage_node : t -> dead:Storage_node.t -> Types.epoch
+
+(** [await_replication t] returns once no chain is waiting for a
+    spare: every replacement so far has been restored. It waits
+    forever if a spare dies and nothing replaces it (see
+    {!start_failure_monitor}). *)
+val await_replication : t -> unit
 
 (** {2 Online scale-out / scale-in (§2.2 segment reconfiguration)}
 
@@ -120,12 +137,14 @@ val retire_trimmed_segments : t -> Types.epoch option
 (** What one reconfiguration changed. *)
 type change =
   | Sequencer_replaced of { scanned : int }  (** entries the rebuild scan read *)
-  | Storage_replaced of {
-      dead : string;
+  | Storage_replaced of { dead : string; spare : string }
+      (** the degraded epoch: the spare serves the new tail only *)
+  | Replication_restored of {
       spare : string;
       copied_entries : int;  (** cells copied onto the spare *)
       copied_bytes : int;  (** rebuild volume *)
     }
+      (** the spare is back in the old chains *)
   | Scaled_out of { boundary : Types.offset }
       (** seal point: first offset of the new tail segment *)
   | Scaled_in of { boundary : Types.offset }
@@ -147,8 +166,8 @@ val recoveries : t -> reconfig list
 (** {2 Reconfiguration serialization and failpoints}
 
     All reconfiguration operations ({!replace_sequencer},
-    {!replace_storage_node}, {!scale_out}, {!scale_in},
-    {!retire_trimmed_segments}) serialize on a per-cluster cooperative
+    {!replace_storage_node} and its restore, {!scale_out},
+    {!scale_in}, {!retire_trimmed_segments}) serialize on a per-cluster cooperative
     lock: concurrent callers — the failure monitor racing a scheduled
     fault-plan action, say — queue and re-read the projection once
     they hold it, so the auxiliary never sees two proposals derived
@@ -178,6 +197,10 @@ type failpoints = {
       (** {!replace_sequencer} wedges right after starting: the seal
           happens but no new epoch ever installs, so the
           ReconfigTermination spec machine's deadline fires *)
+  mutable fp_skip_rereplication : bool;
+      (** {!replace_storage_node} installs the degraded epoch and stops:
+          nothing is copied onto the spare and no restore runs, so the
+          old range stays on one replica *)
 }
 
 val failpoints : failpoints
@@ -186,14 +209,15 @@ val reset_failpoints : unit -> unit
 (** [enable_failpoint name] sets one flag by its kebab-case name
     (["skip-rebuild-scan"], ["forget-seal-tail"],
     ["skip-storage-seal"], ["blind-commit-apply"],
-    ["stall-reconfig"]) — the [tangoctl fuzz --failpoint] hook.
+    ["stall-reconfig"], ["skip-rereplication"]) — the
+    [tangoctl fuzz --failpoint] hook.
     @raise Invalid_argument on an unknown name. *)
 val enable_failpoint : string -> unit
 
 (** [start_failure_monitor t] spawns the detector fiber: every 20 ms
     it probes each storage node of the current projection (every
-    segment) with a read bounded at 10 ms; a member failing two
-    consecutive probes is declared dead and replaced via
-    {!replace_storage_node}. A sealed answer counts as alive, so the
+    segment, plus any spare still being filled) with a read bounded at
+    10 ms; a member failing two consecutive probes is declared dead
+    and replaced via {!replace_storage_node}. A sealed answer counts as alive, so the
     monitor never fires on reconfiguration itself. *)
 val start_failure_monitor : t -> unit

@@ -17,9 +17,12 @@ let install ?seed ?(plan = []) cluster =
   f
 
 (* A recovery's incident starts at the crash that caused it: the latest
-   crash of the dead host at or before the recovery's seal. A monitor
-   replacement of a host that never crashed (false positive, or an SSD
-   failure injected outside the controller) starts at detection. *)
+   crash of the dead host at or before the recovery's seal, and ends
+   when the degraded epoch installs, which is when clients resume. A
+   monitor replacement of a host that never crashed (false positive,
+   or an SSD failure injected outside the controller) starts at
+   detection. The rebuild volume is what the restores onto its spare
+   copied. *)
 let incidents fault cluster =
   let evs = Sim.Fault.events fault in
   let crash_before name t0 =
@@ -29,28 +32,38 @@ let incidents fault cluster =
         if e.Sim.Fault.ev_label = lbl && e.ev_time <= t0 then Some e.ev_time else acc)
       None evs
   in
-  Corfu.Cluster.reconfigs cluster
-  |> List.filter_map (fun (r : Corfu.Cluster.reconfig) ->
-         match r.rc_change with
-         | Storage_replaced { dead; spare; copied_entries; copied_bytes } ->
-             let crashed =
-               match crash_before dead r.rc_started_us with
-               | Some t -> t
-               | None -> r.rc_started_us
-             in
-             Some
-               {
-                 inc_epoch = r.rc_epoch;
-                 inc_dead = dead;
-                 inc_spare = spare;
-                 inc_crashed_us = crashed;
-                 inc_detected_us = r.rc_started_us;
-                 inc_recovered_us = r.rc_installed_us;
-                 inc_unavailable_us = r.rc_installed_us -. crashed;
-                 inc_rebuild_entries = copied_entries;
-                 inc_rebuild_bytes = copied_bytes;
-               }
-         | _ -> None)
+  let reconfigs = Corfu.Cluster.reconfigs cluster in
+  let rebuilt onto =
+    List.fold_left
+      (fun (entries, bytes) (r : Corfu.Cluster.reconfig) ->
+        match r.rc_change with
+        | Replication_restored { spare; copied_entries; copied_bytes } when spare = onto ->
+            (entries + copied_entries, bytes + copied_bytes)
+        | _ -> (entries, bytes))
+      (0, 0) reconfigs
+  in
+  List.filter_map
+    (fun (r : Corfu.Cluster.reconfig) ->
+      match r.rc_change with
+      | Storage_replaced { dead; spare } ->
+          let crashed =
+            match crash_before dead r.rc_started_us with Some t -> t | None -> r.rc_started_us
+          in
+          let entries, bytes = rebuilt spare in
+          Some
+            {
+              inc_epoch = r.rc_epoch;
+              inc_dead = dead;
+              inc_spare = spare;
+              inc_crashed_us = crashed;
+              inc_detected_us = r.rc_started_us;
+              inc_recovered_us = r.rc_installed_us;
+              inc_unavailable_us = r.rc_installed_us -. crashed;
+              inc_rebuild_entries = entries;
+              inc_rebuild_bytes = bytes;
+            }
+      | _ -> None)
+    reconfigs
 
 type recorder = {
   mutable last_us : float;

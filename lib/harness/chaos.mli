@@ -13,9 +13,9 @@ type incident = {
   inc_spare : string;
   inc_crashed_us : float;  (** injected crash (detection time if none) *)
   inc_detected_us : float;  (** recovery seal began *)
-  inc_recovered_us : float;  (** new projection accepted *)
+  inc_recovered_us : float;  (** degraded projection accepted: clients resume *)
   inc_unavailable_us : float;  (** recovered - crashed *)
-  inc_rebuild_entries : int;
+  inc_rebuild_entries : int;  (** cells the restores copied onto the spare *)
   inc_rebuild_bytes : int;
 }
 
@@ -27,7 +27,8 @@ val install :
 
 (** [incidents fault cluster] joins {!Sim.Fault.events} crash entries
     with the storage replacements in {!Corfu.Cluster.reconfigs} by
-    host name, oldest first. *)
+    host name, and each replacement with the restores onto its spare,
+    oldest first. *)
 val incidents : Sim.Fault.t -> Corfu.Cluster.t -> incident list
 
 (** {2 Completion recorder}

@@ -507,7 +507,8 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~see
       @ Verifier.hole_freedom ~tail ~resolve
       @ Verifier.stream_order ~acked:(List.rev !acked_streams) ~views
       @ Verifier.convergence ~states
-      @ Verifier.atomicity ~txs:tx_probes;
+      @ Verifier.atomicity ~txs:tx_probes
+      @ Verifier.replication ~chain_length:2 (Auxiliary.latest (Cluster.auxiliary cluster));
     fault_events := List.length (Sim.Fault.events fault);
     (* Freeze the flight rings while the virtual clock still runs, so
        the incident document carries the real violation time. *)

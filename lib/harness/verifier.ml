@@ -173,3 +173,24 @@ let atomicity ~txs =
           Some
             (violation "atomicity" "aborted tx %s leaked writes: map=%b set=%b" p.t_tag m s))
     txs
+
+(* After settling every storage replacement has been restored: each
+   chain of each live segment is back at the cluster's chain length, so
+   no acked entry rests on a single replica. *)
+let replication ~chain_length (proj : Corfu.Projection.t) =
+  let short = ref [] in
+  Array.iteri
+    (fun si seg ->
+      Array.iteri
+        (fun s chain ->
+          if Array.length chain <> chain_length then
+            short := Printf.sprintf "seg%d/set%d:%d" si s (Array.length chain) :: !short)
+        seg.Corfu.Projection.seg_sets)
+    proj.Corfu.Projection.segments;
+  match List.rev !short with
+  | [] -> []
+  | chains ->
+      [
+        violation "replication" "chains not at length %d after settling (epoch %d): %s"
+          chain_length proj.Corfu.Projection.epoch (sample Fun.id chains);
+      ]

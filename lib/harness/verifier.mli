@@ -49,3 +49,9 @@ type tx_probe = {
 (** [atomicity ~txs]: committed transactions are fully visible, aborted
     ones fully invisible — no torn or leaking transactions. *)
 val atomicity : txs:tx_probe list -> violation list
+
+(** [replication ~chain_length proj]: after settling, every chain of
+    every live segment of [proj] is back at [chain_length] — each
+    storage replacement's restore has run, so no acked entry rests on
+    a single replica. *)
+val replication : chain_length:int -> Corfu.Projection.t -> violation list

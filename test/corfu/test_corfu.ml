@@ -1353,10 +1353,12 @@ let test_scale_out_then_storage_failure () =
         | Client.Data e -> check_string "payload" (string_of_int i) (payload_str e)
         | _ -> Alcotest.failf "offset %d lost after cross-segment replacement" i
       done;
-      match Cluster.recoveries cluster with
-      | [ { Cluster.rc_change = Cluster.Storage_replaced { copied_entries; _ }; _ } ] ->
+      Cluster.await_replication cluster;
+      check_int "one recovery" 1 (List.length (Cluster.recoveries cluster));
+      match List.rev (Cluster.reconfigs cluster) with
+      | { Cluster.rc_change = Cluster.Replication_restored { copied_entries; _ }; _ } :: _ ->
           check_bool "copied both segments' slots" true (copied_entries > 0)
-      | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
+      | _ -> Alcotest.fail "expected the restore last")
 
 let test_scale_determinism () =
   (* The reconfiguration path uses only deterministic simulation
@@ -1522,6 +1524,48 @@ let test_seq_checkpoint_appends_resume () =
         (List.init 20 string_of_int @ [ "after" ])
         (List.map snd (drain s)))
 
+(* The scribe's RPCs carry deadlines: a snapshot whose chain head has
+   crashed costs one skipped tick, not the scribe. A failover after the
+   monitor replaced the head then scans about one interval's appends,
+   not everything since the crash. *)
+let test_seq_checkpoint_survives_crashed_head () =
+  Sim.Engine.run ~seed:91 (fun () ->
+      let cluster = Cluster.create ~servers:4 () in
+      let f = Sim.Fault.create () in
+      Sim.Net.install_fault (Cluster.net cluster) f;
+      let interval = 10_000. in
+      Cluster.start_checkpoint_scribe cluster ~interval_us:interval;
+      Cluster.start_failure_monitor cluster;
+      let c = Cluster.new_client cluster ~name:"writer" in
+      let append i =
+        ignore (Client.append c ~streams:[ 1 + (i mod 3) ] (payload (string_of_int i)));
+        Sim.Engine.sleep 500.
+      in
+      for i = 0 to 49 do
+        append i
+      done;
+      (* Quiet until just before the next tick, so its snapshot takes
+         exactly the current tail; crash that offset's chain head. *)
+      let now = Sim.Engine.now () in
+      let tick = interval *. Float.ceil ((now +. 2_000.) /. interval) in
+      Sim.Engine.sleep (tick -. 1_000. -. now);
+      let tail = Client.check c in
+      Sim.Fault.crash f (Storage_node.name (Cluster.storage_nodes cluster).(2 * (tail mod 2)));
+      Sim.Engine.sleep 100_000.;
+      check_int "the monitor replaced the head" 1 (List.length (Cluster.recoveries cluster));
+      (* 500 us per append: one interval holds about 20 *)
+      for i = 50 to 249 do
+        append i
+      done;
+      ignore (Cluster.replace_sequencer cluster : Types.epoch);
+      match List.rev (Cluster.reconfigs cluster) with
+      | { Cluster.rc_change = Cluster.Sequencer_replaced { scanned }; _ } :: _ ->
+          check_bool
+            (Printf.sprintf "scanned %d entries, about one interval's" scanned)
+            true
+            (scanned > 0 && scanned <= 60)
+      | _ -> Alcotest.fail "expected the failover last")
+
 (* ------------------------------------------------------------------ *)
 (* Storage-node failure recovery (§2.2)                                *)
 (* ------------------------------------------------------------------ *)
@@ -1557,20 +1601,23 @@ let test_recover_replace_storage_node () =
       done;
       (* the sequencer was retained: the tail resumes exactly *)
       check_int "tail resumes" 20 (Client.append w ~streams:[ 1 ] (payload "after"));
-      match Cluster.recoveries cluster with
+      Cluster.await_replication cluster;
+      match Cluster.reconfigs cluster with
       | [
        {
-         Cluster.rc_change = Cluster.Storage_replaced { dead; copied_entries; _ };
+         Cluster.rc_change = Cluster.Storage_replaced { dead; spare };
          rc_started_us;
          rc_installed_us;
          _;
        };
+       { Cluster.rc_change = Cluster.Replication_restored { spare = onto; copied_entries; _ }; _ };
       ] ->
           check_string "dead node" "storage-0" dead;
+          check_string "restored onto the spare" spare onto;
           (* set 0 held the even offsets 0..18: ten local cells *)
           check_int "copied the survivor's prefix" 10 copied_entries;
           check_bool "window positive" true (rc_installed_us > rc_started_us)
-      | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
+      | l -> Alcotest.failf "expected a replacement and its restore, got %d entries" (List.length l))
 
 let test_recover_monitor_detects () =
   with_faulty_cluster (fun cluster f ->
@@ -1639,9 +1686,10 @@ let count_reconfig_milestones () =
 
 let current_epoch cluster = (Auxiliary.latest (Cluster.auxiliary cluster)).Projection.epoch
 
-(* Each of the five operations appends exactly one entry, stamped with
-   the epoch it returned; the failover's scan length is what it added
-   to the cluster.rebuild_scanned counter. *)
+(* Each of the five operations, and the restore that finishes a
+   storage replacement, appends exactly one entry, stamped with the
+   epoch it returned; the failover's scan length is what it added to
+   the cluster.rebuild_scanned counter. *)
 let test_each_reconfiguration_logs_once () =
   with_faulty_cluster (fun cluster f ->
       let rebuild_scanned = Sim.Metrics.counter "cluster.rebuild_scanned" in
@@ -1678,11 +1726,20 @@ let test_each_reconfiguration_logs_once () =
       let dead = (Cluster.storage_nodes cluster).(1) in
       Sim.Fault.crash f (Storage_node.name dead);
       (match logged "storage" (fun () -> Cluster.replace_storage_node cluster ~dead) with
-      | Cluster.Storage_replaced { dead; spare; copied_entries; _ } ->
+      | Cluster.Storage_replaced { dead; spare } ->
           check_string "dead" "storage-1" dead;
-          check_string "spare" "storage-spare-0" spare;
-          check_int "copied set 0's cells" 5 copied_entries
+          check_string "spare" "storage-spare-0" spare
       | _ -> Alcotest.fail "expected a storage entry");
+      (* the restore is the replacement's second epoch change *)
+      (match
+         logged "restore" (fun () ->
+             Cluster.await_replication cluster;
+             current_epoch cluster)
+       with
+      | Cluster.Replication_restored { spare; copied_entries; _ } ->
+          check_string "restored spare" "storage-spare-0" spare;
+          check_int "copied set 0's cells" 5 copied_entries
+      | _ -> Alcotest.fail "expected a restore entry");
       (match logged "scale-out" (fun () -> Cluster.scale_out cluster ~add_servers:2) with
       | Cluster.Scaled_out { boundary } -> check_int "scale-out boundary" 10 boundary
       | _ -> Alcotest.fail "expected a scale-out entry");
@@ -1704,7 +1761,7 @@ let test_each_reconfiguration_logs_once () =
           Alcotest.(check (list string)) "released the scaled-in nodes"
             [ "storage-4"; "storage-5" ] (List.sort compare released)
       | _ -> Alcotest.fail "expected a retirement entry");
-      check_int "one recovery among five entries" 1 (List.length (Cluster.recoveries cluster)))
+      check_int "one recovery among six entries" 1 (List.length (Cluster.recoveries cluster)))
 
 (* The failure monitor and a fault-plan action can race to replace the
    same node. The second caller must find it gone and decline: same
@@ -1729,8 +1786,10 @@ let test_duplicate_replacement_declines () =
       let e2 = Sim.Ivar.read second in
       check_int "first installs epoch 1" 1 e1;
       check_int "second returns the first's epoch" e1 e2;
-      check_int "one log entry" 1 (List.length (Cluster.reconfigs cluster));
-      check_bool "one started/installed pair" true (milestones () = (1, 1)))
+      Cluster.await_replication cluster;
+      check_int "one replacement and its restore logged" 2 (List.length (Cluster.reconfigs cluster));
+      check_int "one recovery" 1 (List.length (Cluster.recoveries cluster));
+      check_bool "two started/installed pairs" true (milestones () = (2, 2)))
 
 let test_retire_untrimmed_declines () =
   with_cluster (fun cluster ->
@@ -1759,6 +1818,178 @@ let test_rejected_scale_in_not_counted () =
       check_int "nothing logged" 0 (List.length (Cluster.reconfigs cluster));
       check_int "a valid scale-in still runs" 1 (Cluster.scale_in cluster ~remove_servers:2);
       check_int "counted once" 1 (Sim.Metrics.counter_value scale_ins))
+
+(* ------------------------------------------------------------------ *)
+(* Two-epoch storage recovery: degrade, re-replicate, restore         *)
+(* ------------------------------------------------------------------ *)
+
+(* [writers] clients append [per_writer] entries each, concurrently;
+   returns the acked (offset, payload) pairs once all have finished. *)
+let append_concurrently cluster ~prefix ~writers ~per_writer =
+  let acked = ref [] in
+  let finished = ref 0 in
+  let all_done = Sim.Ivar.create () in
+  for w = 0 to writers - 1 do
+    let c = Cluster.new_client cluster ~name:(Printf.sprintf "%s%d" prefix w) in
+    Sim.Engine.spawn (fun () ->
+        for j = 0 to per_writer - 1 do
+          let p = payload (Printf.sprintf "%s%d:%d" prefix w j) in
+          acked := (Client.append c ~streams:[ 1 ] p, p) :: !acked
+        done;
+        incr finished;
+        if !finished = writers then Sim.Ivar.fill all_done ())
+  done;
+  Sim.Ivar.read all_done;
+  !acked
+
+let check_acked_readable cluster ~name acked =
+  let r = Cluster.new_client cluster ~name in
+  List.iter
+    (fun (off, p) ->
+      match Client.read_resolved r off with
+      | Client.Data e when Bytes.equal e.Types.payload p -> ()
+      | _ -> Alcotest.failf "%s: acked append at offset %d lost" name off)
+    acked
+
+let check_full_chains cluster =
+  Array.iteri
+    (fun si seg ->
+      Array.iteri
+        (fun s chain ->
+          check_int (Printf.sprintf "segment %d chain %d back at length 2" si s) 2
+            (Array.length chain))
+        seg.Projection.seg_sets)
+    (Auxiliary.latest (Cluster.auxiliary cluster)).Projection.segments
+
+(* Every replica of chain [set] in the bounded segment [si] holds the
+   same cells over the segment's whole local range. *)
+let check_replicas_agree cluster ~si ~set =
+  let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
+  let seg = Projection.segment proj si in
+  let limit = Option.get seg.Projection.seg_limit in
+  let cells = Projection.seg_cells_below seg ~set ~rel:(limit - seg.Projection.seg_base) in
+  let host = Sim.Net.add_host (Cluster.net cluster) "replica-audit" in
+  let cell node loff =
+    match
+      Sim.Net.call ~from:host (Storage_node.read_service node)
+        { Storage_node.repoch = proj.Projection.epoch; roffset = loff }
+    with
+    | Types.Read_data e -> "data:" ^ payload_str e
+    | Types.Read_junk -> "junk"
+    | Types.Read_unwritten -> "unwritten"
+    | Types.Read_trimmed -> "trimmed"
+    | Types.Read_sealed _ -> "sealed"
+  in
+  let chain = seg.Projection.seg_sets.(set) in
+  check_bool "the old range is not empty" true (cells > 0);
+  for loff = seg.Projection.seg_local_base to seg.Projection.seg_local_base + cells - 1 do
+    let head = cell chain.(0) loff in
+    Array.iter
+      (fun node ->
+        check_string
+          (Printf.sprintf "%s holds local cell %d" (Storage_node.name node) loff)
+          head (cell node loff))
+      chain
+  done
+
+(* Clients wait only for the degraded epoch, which moves no data, so
+   the outage does not grow with the log: crash a chain head after 500
+   and after 5,000 appends and compare the crash-to-install windows
+   (what Chaos.incidents reports as inc_unavailable_us). A copy under
+   the seal would add 80 us per extra cell, about 120 ms here. *)
+let test_recover_window_flat_in_log_size () =
+  let run appends =
+    with_faulty_cluster ~servers:6 (fun cluster f ->
+        Cluster.start_failure_monitor cluster;
+        let acked = append_concurrently cluster ~prefix:"w" ~writers:8 ~per_writer:(appends / 8) in
+        let crashed = Sim.Engine.now () in
+        Sim.Fault.crash f "storage-0";
+        Sim.Engine.sleep 100_000.;
+        Cluster.await_replication cluster;
+        let window =
+          match Cluster.recoveries cluster with
+          | [ r ] -> r.Cluster.rc_installed_us -. crashed
+          | l -> Alcotest.failf "expected one recovery, got %d" (List.length l)
+        in
+        check_full_chains cluster;
+        let old = Projection.segment (Auxiliary.latest (Cluster.auxiliary cluster)) 0 in
+        check_string "the spare is back in the dead head's slot" "storage-spare-0"
+          (Storage_node.name old.Projection.seg_sets.(0).(0));
+        check_replicas_agree cluster ~si:0 ~set:0;
+        check_acked_readable cluster ~name:"reader" acked;
+        (* the restored spare is a full replica: losing the survivor
+           now loses nothing acked *)
+        Sim.Fault.crash f "storage-1";
+        Sim.Engine.sleep 100_000.;
+        check_int "the survivor was replaced too" 2 (List.length (Cluster.recoveries cluster));
+        check_acked_readable cluster ~name:"reader-2" acked;
+        window)
+  in
+  let small = run 500 in
+  let large = run 5_000 in
+  check_bool
+    (Printf.sprintf "windows %.1f ms and %.1f ms stay under 60 ms" (small /. 1e3) (large /. 1e3))
+    true
+    (small < 60_000. && large < 60_000.);
+  check_bool
+    (Printf.sprintf "windows differ by %.1f ms, under 10 ms" (Float.abs (large -. small) /. 1e3))
+    true
+    (Float.abs (large -. small) < 10_000.)
+
+(* A spare that dies while it is being filled is replaced like any
+   member: the chains waiting for it wait for the next spare, which
+   ends up holding the whole old range, and appends acked during the
+   copy stay durable. Every started reconfiguration installs and the
+   lock is left free. *)
+let test_recover_spare_dies_mid_copy () =
+  with_faulty_cluster ~servers:6 (fun cluster f ->
+      let milestones = count_reconfig_milestones () in
+      Cluster.start_failure_monitor cluster;
+      (* about 1,000 cells on the victim's chain: an 80 ms copy *)
+      let before = append_concurrently cluster ~prefix:"w" ~writers:8 ~per_writer:375 in
+      Sim.Fault.crash f "storage-0";
+      while Cluster.recoveries cluster = [] do
+        Sim.Engine.sleep 1_000.
+      done;
+      let restored () =
+        List.exists
+          (fun r ->
+            match r.Cluster.rc_change with Cluster.Replication_restored _ -> true | _ -> false)
+          (Cluster.reconfigs cluster)
+      in
+      let during = ref [] in
+      let writing = Sim.Ivar.create () in
+      Sim.Engine.spawn (fun () ->
+          during := append_concurrently cluster ~prefix:"d" ~writers:4 ~per_writer:25;
+          Sim.Ivar.fill writing ());
+      Sim.Engine.sleep 10_000.;
+      check_bool "still copying" false (restored ());
+      Sim.Fault.crash f "storage-spare-0";
+      Sim.Ivar.read writing;
+      Sim.Engine.sleep 100_000.;
+      Cluster.await_replication cluster;
+      (match Cluster.recoveries cluster with
+      | [ _; { Cluster.rc_change = Cluster.Storage_replaced { dead; spare }; _ } ] ->
+          check_string "the dead spare was replaced" "storage-spare-0" dead;
+          check_string "by a second spare" "storage-spare-1" spare
+      | l -> Alcotest.failf "expected two recoveries, got %d" (List.length l));
+      check_full_chains cluster;
+      let old = Projection.segment (Auxiliary.latest (Cluster.auxiliary cluster)) 0 in
+      check_string "the second spare holds the old range" "storage-spare-1"
+        (Storage_node.name old.Projection.seg_sets.(0).(0));
+      check_replicas_agree cluster ~si:0 ~set:0;
+      check_acked_readable cluster ~name:"reader" (before @ !during);
+      let started, installed = milestones () in
+      check_int "every started reconfiguration installed" started installed;
+      let epoch = current_epoch cluster in
+      Array.iter
+        (fun node ->
+          check_bool
+            (Storage_node.name node ^ " sealed at no uninstalled epoch")
+            true
+            (Storage_node.sealed_epoch node <= epoch))
+        (Cluster.storage_nodes cluster);
+      check_int "the lock is free" (epoch + 1) (Cluster.replace_sequencer cluster))
 
 (* The hole-fill race, forced with injected message delay: the writer's
    link to the chain tail stalls past the fill timeout, so the filler
@@ -2304,6 +2535,8 @@ let () =
           Alcotest.test_case "codec roundtrip" `Quick test_seq_checkpoint_codec;
           Alcotest.test_case "bounds the rebuild scan" `Quick test_seq_checkpoint_bounds_rebuild;
           Alcotest.test_case "appends resume exactly" `Quick test_seq_checkpoint_appends_resume;
+          Alcotest.test_case "scribe survives a crashed head" `Quick
+            test_seq_checkpoint_survives_crashed_head;
         ] );
       ( "reconfiguration",
         [
@@ -2332,6 +2565,8 @@ let () =
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;
+          Alcotest.test_case "outage flat in log size" `Quick test_recover_window_flat_in_log_size;
+          Alcotest.test_case "spare dies mid-copy" `Quick test_recover_spare_dies_mid_copy;
         ] );
       ( "reconfig-log",
         [
