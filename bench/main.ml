@@ -1363,6 +1363,28 @@ let micro_hotpath () =
         Sim.Eventq.push q (float_of_int (!seq land 2047)) !seq noop)
   in
   hot_report ~name:"engine-sched" ns words;
+  (* simulation kernel: the three primitives every simulated event
+     pays — a fiber's sleep, an uncontended station service, and one
+     fault-free RPC (two hops, four NIC services, two propagation
+     sleeps) between two hosts. The continuation each suspension
+     captures is OCaml's own and the floor of all three. *)
+  let (sl_ns, sl_words), (ru_ns, ru_words), (nc_ns, nc_words) =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let sl = hot_measure ~ops:200_000 (fun () -> Sim.Engine.sleep 1.) in
+        let r = Sim.Resource.create ~name:"bench.station" ~capacity:1 () in
+        let ru = hot_measure ~ops:200_000 (fun () -> Sim.Resource.use r 1.) in
+        let net =
+          Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125. ()
+        in
+        let client = Sim.Net.add_host net "bench.client" in
+        let server = Sim.Net.add_host net "bench.server" in
+        let echo = Sim.Net.service server ~name:"bench.echo" (fun x -> x) in
+        let nc = hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~from:client echo 1)) in
+        (sl, ru, nc))
+  in
+  hot_report ~name:"engine-sleep" sl_ns sl_words;
+  hot_report ~name:"resource-use" ru_ns ru_words;
+  hot_report ~name:"net-call" nc_ns nc_words;
   (* stream playback: peek_next_offset + readnext per entry over a
      stream whose members all sit in the client cache, at a fixed
      prefetch window of 64 — the host cost playback pays per entry with

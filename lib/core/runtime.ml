@@ -156,9 +156,18 @@ let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
 
 let client t = t.cl
 
+let release_play_lock_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  Sim.Resource.release t.play_lock;
+  Printexc.raise_with_backtrace e bt
+
 let with_play_lock t f =
   Sim.Resource.acquire t.play_lock;
-  Fun.protect ~finally:(fun () -> Sim.Resource.release t.play_lock) f
+  match f () with
+  | r ->
+      Sim.Resource.release t.play_lock;
+      r
+  | exception e -> release_play_lock_reraise t e
 
 (* Under the play lock: a playback round already running iterates the
    hosted list it started with, so the join mark must not be taken
@@ -823,18 +832,25 @@ let rec sync_joined upto = function
       Corfu.Stream.sync_until ho.stream upto;
       sync_joined upto rest
 
+(* [play_to] holds the play lock without [with_play_lock]'s closure:
+   it runs once per playback round. *)
+let play_locked t upto =
+  sync_joined upto t.hosted;
+  (* Tracing-disabled playback must not build the span args. *)
+  if Sim.Span.enabled () then
+    Sim.Span.with_span
+      ~host:(Sim.Net.host_name (Corfu.Client.host t.cl))
+      ~args:[ ("upto", string_of_int upto) ]
+      "playback.apply"
+      (fun () -> Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto))
+  else Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto);
+  if upto > t.played_upto then t.played_upto <- upto
+
 let play_to t upto =
-  with_play_lock t (fun () ->
-      sync_joined upto t.hosted;
-      (* Tracing-disabled playback must not build the span args. *)
-      if Sim.Span.enabled () then
-        Sim.Span.with_span
-          ~host:(Sim.Net.host_name (Corfu.Client.host t.cl))
-          ~args:[ ("upto", string_of_int upto) ]
-          "playback.apply"
-          (fun () -> Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto))
-      else Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto);
-      if upto > t.played_upto then t.played_upto <- upto)
+  Sim.Resource.acquire t.play_lock;
+  match play_locked t upto with
+  | () -> Sim.Resource.release t.play_lock
+  | exception e -> release_play_lock_reraise t e
 
 (* One sequencer round trip, then playback to the tail (capped at
    [upto]). *)

@@ -8,12 +8,18 @@ type world = {
   world_rng : Rng.t;
   clock : float array;  (* 1 element: a float-array store stays unboxed *)
   peek : float array;  (* 1 element: Eventq.next_time_into scratch *)
+  delay : float array;  (* 1 element: the pending [Sleep]'s delay *)
+  due : float array;  (* 1 element: Eventq.push_at scratch *)
   mutable next_seq : int;
   mutable next_fiber : int;
   mutable current_fiber : int;
   mutable events : int;  (* dispatched so far this run *)
   mutable failure : exn option;
   mutable main_done : bool;
+  (* One handler for every fiber of the world, and its preallocated
+     answer to [Sleep]. *)
+  sleep_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  handler : (unit, unit) Effect.Deep.handler;
 }
 
 let current : world option ref = ref None
@@ -30,28 +36,53 @@ let get_world () =
   | None -> invalid_arg "Sim.Engine: no simulation is running"
 
 let now () = (get_world ()).clock.(0)
+let now_into dst i = Float.Array.set dst i (Array.unsafe_get (get_world ()).clock 0)
 let rng () = (get_world ()).world_rng
 let fiber_id () = (get_world ()).current_fiber
 let events_dispatched () = (get_world ()).events
 
 (* Events due now (after <= 0) take the immediate lane: O(1) ring
-   append, no heap traffic. Later events go through the heap. Both
-   paths allocate nothing beyond the caller's thunk. *)
-let push_event w ~after thunk =
+   append, no heap traffic. Later events go through the heap. Inlined,
+   so [after] stays unboxed, and both pushes take their time from a
+   float-array slot: nothing is allocated beyond the caller's thunk. *)
+let[@inline] push_event w ~after thunk =
   let seq = w.next_seq in
   w.next_seq <- seq + 1;
-  if after <= 0. then Eventq.push_now w.q (Array.unsafe_get w.clock 0) seq thunk
-  else Eventq.push w.q (Array.unsafe_get w.clock 0 +. after) seq thunk
+  if after <= 0. then Eventq.push_now_at w.q w.clock seq thunk
+  else begin
+    Array.unsafe_set w.due 0 (Array.unsafe_get w.clock 0 +. after);
+    Eventq.push_at w.q w.due seq thunk
+  end
 
 let schedule ~after thunk = push_event (get_world ()) ~after thunk
 
+(* [Sleep] carries no payload: [sleep] leaves its delay in [w.delay],
+   and the handler answers it with the world's preallocated
+   [sleep_answer]. *)
 type _ Effect.t +=
-  | Sleep : float -> unit Effect.t
+  | Sleep : unit Effect.t
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
 
-let sleep dt = Effect.perform (Sleep dt)
-let yield () = Effect.perform (Sleep 0.)
+let sleep dt =
+  Array.unsafe_set (get_world ()).delay 0 dt;
+  Effect.perform Sleep
+
+let sleep_in a i =
+  Array.unsafe_set (get_world ()).delay 0 (Float.Array.get a i);
+  Effect.perform Sleep
+
+let yield () = sleep 0.
 let suspend register = Effect.perform (Suspend register)
+
+(* The thunk that resumes the sleeper is built per sleep, not once per
+   fiber: a per-fiber slot would have to store each new continuation
+   into a long-lived record, and that write barrier costs more wall
+   time than the 6 words it saves. *)
+let on_sleep w k =
+  let fid = w.current_fiber in
+  push_event w ~after:(Array.unsafe_get w.delay 0) (fun () ->
+      w.current_fiber <- fid;
+      Effect.Deep.continue k ())
 
 let make_resumer w fid k =
   let used = ref false in
@@ -62,31 +93,15 @@ let make_resumer w fid k =
         w.current_fiber <- fid;
         Effect.Deep.continue k v)
 
+let effc (type a) w (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option =
+  match eff with
+  | Sleep -> w.sleep_answer
+  | Suspend register -> Some (fun k -> register (make_resumer w w.current_fiber k))
+  | _ -> None
+
 let start_fiber w fid f =
-  let open Effect.Deep in
-  let handler =
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          (* First failure wins; it aborts the whole run. *)
-          if w.failure = None then w.failure <- Some e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep dt ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  push_event w ~after:dt (fun () ->
-                      w.current_fiber <- fid;
-                      continue k ()))
-          | Suspend register ->
-              Some (fun (k : (a, unit) continuation) -> register (make_resumer w fid k))
-          | _ -> None);
-    }
-  in
   w.current_fiber <- fid;
-  match_with f () handler
+  Effect.Deep.match_with f () w.handler
 
 let spawn ?(at = Float.neg_infinity) f =
   let w = get_world () in
@@ -130,18 +145,30 @@ let drive w ?until () =
 
 let run ?(seed = 1) ?until main =
   if !current <> None then invalid_arg "Sim.Engine.run: already running";
-  let w =
+  let q = Eventq.create () in
+  let world_rng = Rng.create seed in
+  let rec w =
     {
-      q = Eventq.create ();
-      world_rng = Rng.create seed;
+      q;
+      world_rng;
       clock = [| 0. |];
       peek = [| 0. |];
+      delay = [| 0. |];
+      due = [| 0. |];
       next_seq = 0;
       next_fiber = 1;
       current_fiber = 0;
       events = 0;
       failure = None;
       main_done = false;
+      sleep_answer = Some (fun k -> on_sleep w k);
+      handler =
+        {
+          retc = ignore;
+          (* First failure wins; it aborts the whole run. *)
+          exnc = (fun e -> if w.failure = None then w.failure <- Some e);
+          effc = (fun eff -> effc w eff);
+        };
     }
   in
   current := Some w;

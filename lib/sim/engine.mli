@@ -34,12 +34,23 @@ val run : ?seed:int -> ?until:float -> (unit -> 'a) -> 'a
     @raise Invalid_argument outside of {!run}. *)
 val now : unit -> float
 
+(** [now_into dst i] stores {!now} into [dst.(i)] without boxing it:
+    a float returned across a module boundary is boxed, a
+    [Float.Array] store is not. For per-event accounting such as
+    {!Resource}'s busy integral.
+    @raise Invalid_argument outside of {!run}. *)
+val now_into : Float.Array.t -> int -> unit
+
 (** [rng ()] is the world's generator, [Rng.create seed]. *)
 val rng : unit -> Rng.t
 
 (** [sleep dt] suspends the calling fiber for [dt] microseconds
     (clamped to 0). *)
 val sleep : float -> unit
+
+(** [sleep_in a i] is [sleep (Float.Array.get a i)]: the form for a
+    delay the caller computes, which reaches the engine unboxed. *)
+val sleep_in : Float.Array.t -> int -> unit
 
 (** [yield ()] reschedules the calling fiber at the current time,
     letting other ready fibers run first. *)

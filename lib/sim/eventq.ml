@@ -70,7 +70,7 @@ let grow_heap q =
 
 (* Bubble the hole up instead of swapping: one write per level plus
    the final triple store. *)
-let push q time seq thunk =
+let[@inline always] push_unboxed q time seq thunk =
   if q.hlen = Array.length q.ht then grow_heap q;
   let ht = q.ht and hs = q.hs and hk = q.hk in
   let i = ref q.hlen in
@@ -90,6 +90,12 @@ let push q time seq thunk =
   Array.unsafe_set ht !i time;
   Array.unsafe_set hs !i seq;
   Array.unsafe_set hk !i thunk
+
+let push q time seq thunk = push_unboxed q time seq thunk
+
+(* The engine's push: the time arrives in a float-array slot, so it is
+   never boxed across the module boundary (see [next_time_into]). *)
+let push_at q src seq thunk = push_unboxed q (Array.unsafe_get src 0) seq thunk
 
 let pop_heap q =
   let ht = q.ht and hs = q.hs and hk = q.hk in
@@ -156,13 +162,16 @@ let grow_lane q =
    lane and [seq] greater than theirs at equal time — both hold by
    construction when the caller pushes at the current clock with a
    monotonic sequence counter. *)
-let push_now q time seq thunk =
+let[@inline always] push_now_unboxed q time seq thunk =
   if q.llen = Array.length q.lt then grow_lane q;
   let at = (q.lhead + q.llen) land (Array.length q.lt - 1) in
   Array.unsafe_set q.lt at time;
   Array.unsafe_set q.ls at seq;
   Array.unsafe_set q.lk at thunk;
   q.llen <- q.llen + 1
+
+let push_now q time seq thunk = push_now_unboxed q time seq thunk
+let push_now_at q src seq thunk = push_now_unboxed q (Array.unsafe_get src 0) seq thunk
 
 let pop_lane q =
   let i = q.lhead in

@@ -37,6 +37,14 @@ val push : t -> float -> int -> (unit -> unit) -> unit
     counter as every other push — the engine's scheduling discipline. *)
 val push_now : t -> float -> int -> (unit -> unit) -> unit
 
+(** [push_at q src seq thunk] is [push q src.(0) seq thunk] and
+    [push_now_at] likewise [push_now]: the time crosses the module
+    boundary in a float-array slot, so it is never boxed (see
+    {!next_time_into}). The engine's two pushes. *)
+val push_at : t -> float array -> int -> (unit -> unit) -> unit
+
+val push_now_at : t -> float array -> int -> (unit -> unit) -> unit
+
 (** Time of the next event in dispatch order.
     @raise Invalid_argument on an empty queue. *)
 val next_time : t -> float

@@ -19,6 +19,13 @@ let bucket_index v =
 
 type key = { k_name : string; k_host : string option }
 
+(* A histogram's running sum is recomputed on every observation, and a
+   [mutable float] field of a mixed record boxes each value written to
+   it; an all-float record is stored flat, so [observe] writes it
+   without allocating. (A gauge stores the float it is handed as is,
+   which costs nothing boxed and keeps [gauge_value] free.) *)
+type moments = { mutable sum : float; mutable vmin : float; mutable vmax : float }
+
 type counter = { c_key : key; c_born : int; mutable c_n : int }
 type gauge = { g_key : key; g_born : int; mutable g_v : float }
 
@@ -27,9 +34,7 @@ type histogram = {
   h_born : int;
   buckets : int array;
   mutable n : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
+  m : moments;
 }
 
 type series = {
@@ -154,9 +159,7 @@ let histogram ?host name =
           h_born = st.born;
           buckets = Array.make n_buckets 0;
           n = 0;
-          sum = 0.;
-          vmin = infinity;
-          vmax = neg_infinity;
+          m = { sum = 0.; vmin = infinity; vmax = neg_infinity };
         }
       in
       Hashtbl.replace st.hists key h;
@@ -167,15 +170,23 @@ let observe h v =
   let i = bucket_index v in
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.n <- h.n + 1;
-  h.sum <- h.sum +. v;
-  if v < h.vmin then h.vmin <- v;
-  if v > h.vmax then h.vmax <- v;
+  let m = h.m in
+  m.sum <- m.sum +. v;
+  if v < m.vmin then m.vmin <- v;
+  if v > m.vmax then m.vmax <- v;
   if Flight.enabled () then
     Flight.record ~host:(host_string h.h_key.k_host) Flight.Metric ~name:h.h_key.k_name ~value:v
 
 let time h f =
   let t0 = Engine.now () in
-  Fun.protect ~finally:(fun () -> observe h (Engine.now () -. t0)) f
+  match f () with
+  | r ->
+      observe h (Engine.now () -. t0);
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      observe h (Engine.now () -. t0);
+      Printexc.raise_with_backtrace e bt
 
 let hist_count h = h.n
 
@@ -224,7 +235,7 @@ let buckets_percentile counts ~total p =
    min/max; 0 on an empty histogram. *)
 let hist_percentile h p =
   let est = buckets_percentile h.buckets ~total:h.n p in
-  if h.n = 0 then 0. else Float.min h.vmax (Float.max h.vmin est)
+  if h.n = 0 then 0. else Float.min h.m.vmax (Float.max h.m.vmin est)
 
 let sorted_handles tbl key_of =
   Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
@@ -357,9 +368,9 @@ let snapshot () =
              h_name = h.h_key.k_name;
              h_host = h.h_key.k_host;
              h_count = h.n;
-             h_sum = h.sum;
-             h_min = (if h.n = 0 then 0. else h.vmin);
-             h_max = (if h.n = 0 then 0. else h.vmax);
+             h_sum = h.m.sum;
+             h_min = (if h.n = 0 then 0. else h.m.vmin);
+             h_max = (if h.n = 0 then 0. else h.m.vmax);
              h_p50 = hist_percentile h 50.;
              h_p90 = hist_percentile h 90.;
              h_p99 = hist_percentile h 99.;

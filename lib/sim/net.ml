@@ -52,16 +52,26 @@ let host_cpu h = h.cpu
 
 let service shost ~name serve = { shost; sname = name; sspan = "rpc." ^ name; serve }
 
-let propagation h =
-  let base = h.fabric_latency in
-  if h.fabric_jitter = 0. then base
-  else base *. (1. +. Rng.float (Engine.rng ()) h.fabric_jitter)
-
 let crashed fault name = match fault with Some f -> Fault.is_crashed f name | None -> false
 
 (* A lost request or response. A constant exception rather than an
    [option] result keeps the fault-free exchange allocation-free. *)
 exception Lost
+
+(* A hop's service and flight times reach [Resource.use_in] and
+   [Engine.sleep_in] through this slot, so no float is boxed. Both read
+   it on entry, before they can suspend, so one slot serves every
+   fiber. *)
+let delay = Float.Array.make 1 0.
+
+(* One message's flight time from [h] into [delay]. Two stores, not
+   one store of an [if]: a branch yielding the boxed field would box
+   the jittered product too. *)
+let[@inline] set_flight h =
+  if h.fabric_jitter = 0. then Float.Array.set delay 0 h.fabric_latency
+  else
+    Float.Array.set delay 0
+      (h.fabric_latency *. (1. +. Rng.float (Engine.rng ()) h.fabric_jitter))
 
 (* One message: the sender always pays serialization (the bytes leave
    its NIC whether or not they arrive); an installed controller judges
@@ -69,17 +79,20 @@ exception Lost
    takes it off the wire. *)
 let hop fault ~(src : host) ~(dst : host) ~bytes =
   let wire = float_of_int bytes *. src.byte_time in
-  Resource.use src.nic_out_r wire;
-  match fault with
-  | None ->
-      Engine.sleep (propagation src);
-      Resource.use dst.nic_in_r wire
-  | Some f ->
-      (match Fault.judge f ~src:src.hname ~dst:dst.hname with
+  Float.Array.set delay 0 wire;
+  Resource.use_in src.nic_out_r delay 0;
+  (match fault with
+  | None -> set_flight src
+  | Some f -> (
+      match Fault.judge f ~src:src.hname ~dst:dst.hname with
       | Fault.Drop -> raise Lost
-      | Fault.Deliver extra -> Engine.sleep (propagation src +. extra));
-      if Fault.is_crashed f dst.hname then raise Lost;
-      Resource.use dst.nic_in_r wire
+      | Fault.Deliver extra ->
+          set_flight src;
+          Float.Array.set delay 0 (Float.Array.get delay 0 +. extra)));
+  Engine.sleep_in delay 0;
+  (match fault with Some f when Fault.is_crashed f dst.hname -> raise Lost | Some _ | None -> ());
+  Float.Array.set delay 0 wire;
+  Resource.use_in dst.nic_in_r delay 0
 
 (* Request hop, service, response hop. A server that died while
    serving takes the response with it. Raises [Lost], or whatever the

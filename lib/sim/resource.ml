@@ -1,34 +1,37 @@
 exception Failed of string
 
+(* [acct] slots: the busy integral, the time it was last brought up to
+   date, a clock scratch for [Engine.now_into] and the service time
+   handed to [Engine.sleep_in]. A [Float.Array] keeps all four
+   unboxed, so accounting and service allocate nothing. *)
+let busy = 0
+let last_update = 1
+let clock = 2
+let service = 3
+
 type t = {
   name : string;
   capacity : int;
   mutable in_use : int;
   waiters : (bool -> unit) Queue.t;  (* resumed with [false] when the station fails *)
-  mutable busy_integral : float;
-  mutable last_update : float;
+  acct : Float.Array.t;
   mutable broken : bool;
 }
 
 let create ~name ~capacity () =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
-  {
-    name;
-    capacity;
-    in_use = 0;
-    waiters = Queue.create ();
-    busy_integral = 0.;
-    last_update = 0.;
-    broken = false;
-  }
+  { name; capacity; in_use = 0; waiters = Queue.create (); acct = Float.Array.make 4 0.; broken = false }
 
 let name t = t.name
 let capacity t = t.capacity
 
 let account t =
-  let now = Engine.now () in
-  t.busy_integral <- t.busy_integral +. (float_of_int t.in_use *. (now -. t.last_update));
-  t.last_update <- now
+  let a = t.acct in
+  Engine.now_into a clock;
+  let now = Float.Array.get a clock in
+  Float.Array.set a busy
+    (Float.Array.get a busy +. (float_of_int t.in_use *. (now -. Float.Array.get a last_update)));
+  Float.Array.set a last_update now
 
 let acquire t =
   if t.broken then raise (Failed t.name);
@@ -43,18 +46,30 @@ let acquire t =
 
 let release t =
   if t.in_use = 0 then invalid_arg "Resource.release: not held";
-  match Queue.take_opt t.waiters with
-  | Some waiter ->
-      (* Hand the server straight to the next fiber in line; [in_use]
-         stays constant so no accounting boundary is needed. *)
-      waiter true
-  | None ->
-      account t;
-      t.in_use <- t.in_use - 1
+  if Queue.is_empty t.waiters then begin
+    account t;
+    t.in_use <- t.in_use - 1
+  end
+  else
+    (* Hand the server straight to the next fiber in line; [in_use]
+       stays constant so no accounting boundary is needed. *)
+    (Queue.take t.waiters) true
+
+(* [dt] is read before [acquire], which may suspend: the caller's
+   slot is free again as soon as [use_in] is entered. *)
+let use_in t a i =
+  let dt = Float.Array.get a i in
+  acquire t;
+  Float.Array.set t.acct service dt;
+  match Engine.sleep_in t.acct service with
+  | () -> release t
+  | exception e ->
+      release t;
+      raise e
 
 let use t dt =
-  acquire t;
-  Fun.protect ~finally:(fun () -> release t) (fun () -> Engine.sleep dt)
+  Float.Array.set t.acct service dt;
+  use_in t t.acct service
 
 let fail t =
   if not t.broken then begin
@@ -77,4 +92,4 @@ let queue_length t = Queue.length t.waiters
 
 let busy_time t =
   account t;
-  t.busy_integral
+  Float.Array.get t.acct busy

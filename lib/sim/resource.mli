@@ -39,6 +39,11 @@ val release : t -> unit
     the normal way to charge a cost to the resource. *)
 val use : t -> float -> unit
 
+(** [use_in t a i] is [use t (Float.Array.get a i)], reading the
+    service time on entry: the form for a service time the caller
+    computes, which reaches the station unboxed. *)
+val use_in : t -> Float.Array.t -> int -> unit
+
 (** [fail t] breaks the station: subsequent {!acquire}/{!use} raise
     {!Failed}, and every fiber already queued is woken into that same
     failure. Holders of in-flight service times finish normally (the

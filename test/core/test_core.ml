@@ -668,6 +668,44 @@ let test_decision_watchdog_reconstructs () =
 (* still sees the history the runtime already played past.            *)
 (* ------------------------------------------------------------------ *)
 
+(* A callback that raises inside a playback round, or a registration
+   that raises, must not leave the play lock held: the next round
+   proceeds. A held lock would park the next query forever, which the
+   horizon turns into a failure. *)
+let test_play_lock_released_on_raise () =
+  Sim.Engine.run ~seed:5 ~until:10_000_000. (fun () ->
+      let cluster = Corfu.Cluster.create ~servers:4 () in
+      let rt = runtime cluster "app-0" in
+      let writer = Reg.attach (runtime cluster "app-1") ~oid:1 in
+      let armed = ref true and applied = ref 0 in
+      let cb =
+        {
+          Runtime.apply =
+            (fun ~pos:_ ~key:_ _ ->
+              if !armed then begin
+                armed := false;
+                failwith "apply"
+              end;
+              incr applied);
+          checkpoint = None;
+          load_checkpoint = None;
+        }
+      in
+      Runtime.register rt ~oid:1 cb;
+      Reg.write writer 5;
+      Alcotest.check_raises "callback raises" (Failure "apply") (fun () ->
+          Runtime.query_helper rt ~oid:1 ());
+      Reg.write writer 6;
+      Runtime.query_helper rt ~oid:1 ();
+      check_bool "next round applied" true (!applied >= 1);
+      Alcotest.check_raises "duplicate registration raises"
+        (Invalid_argument "Runtime.register: OID already hosted") (fun () ->
+          Runtime.register rt ~oid:1 cb);
+      let before = !applied in
+      Reg.write writer 7;
+      Runtime.query_helper rt ~oid:1 ();
+      check_int "round after the failed registration" (before + 1) !applied)
+
 let test_late_registration_cross_object_tx () =
   with_cluster (fun cluster ->
       let w = runtime cluster "writer" in
@@ -1246,6 +1284,8 @@ let () =
         ] );
       ( "late-registration",
         [
+          Alcotest.test_case "play lock released when a callback raises" `Quick
+            test_play_lock_released_on_raise;
           Alcotest.test_case "cross-object tx played before the join" `Quick
             test_late_registration_cross_object_tx;
           Alcotest.test_case "batched writes in one entry" `Quick

@@ -583,6 +583,20 @@ let test_series_percentile_edges () =
 (* Metrics registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [time] observes a body that raises, and re-raises its exception. *)
+let test_metrics_time_observes_raise () =
+  Engine.run (fun () ->
+      let h = Metrics.histogram "raise_us" in
+      Alcotest.check_raises "re-raised" (Failure "boom") (fun () ->
+          Metrics.time h (fun () ->
+              Engine.sleep 4.;
+              failwith "boom"));
+      check_int "observed" 1 (Metrics.hist_count h);
+      (* one observation: the estimate is clamped to it *)
+      check_float "elapsed" 4. (Metrics.hist_percentile h 50.);
+      check_int "result passes through" 3 (Metrics.time h (fun () -> 3));
+      check_int "observed again" 2 (Metrics.hist_count h))
+
 let test_metrics_get_or_create () =
   Engine.run (fun () ->
       let c1 = Metrics.counter ~host:"h" "ops" in
@@ -1398,6 +1412,80 @@ let test_eventq_far_band_growth () =
   done;
   check_int "far band complete" n !popped
 
+(* ------------------------------------------------------------------ *)
+(* Kernel allocation budgets                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per op of [f] over [budget_ops] calls, net of an empty
+   loop so the boxed results of the [Gc.minor_words] probes cancel
+   out. The counts are exact for a given compiler, so the budgets are
+   too. *)
+let budget_ops = 1_000
+
+let words_per_op f =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to budget_ops do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  (words f -. words ignore) /. float_of_int budget_ops
+
+let check_budget what ~budget words =
+  if words > budget then Alcotest.failf "%s: %.3f minor words/op, budget %.0f" what words budget
+
+(* One sleep: the 2-word continuation OCaml builds and the 6-word
+   thunk that resumes it. *)
+let sleep_budget = 8.
+
+let test_sleep_budget () =
+  Engine.run (fun () ->
+      check_budget "sleep" ~budget:sleep_budget (words_per_op (fun () -> Engine.sleep 1.)))
+
+let test_resource_use_budget () =
+  Engine.run (fun () ->
+      let r = Resource.create ~name:"r" ~capacity:1 () in
+      let sleep = words_per_op (fun () -> Engine.sleep 1.) in
+      check_budget "uncontended use" ~budget:sleep (words_per_op (fun () -> Resource.use r 1.)))
+
+(* Six sleeps (two NIC services and a flight per hop) and the boxed
+   [Rng.float] of each hop's jitter draw. *)
+let net_call_budget = (6. *. sleep_budget) +. (2. *. 2.)
+
+let test_net_call_budget () =
+  Engine.run (fun () ->
+      let net = make_net ~jitter:0.05 () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      let echo = Net.service b ~name:"echo" (fun x -> x) in
+      check_budget "fault-free call" ~budget:net_call_budget
+        (words_per_op (fun () -> ignore (Net.call ~from:a echo 1))))
+
+(* The spawn thunk, [match_with]'s handler closure and one sleep: 19
+   words, where a handler and three closures per fiber cost 49. *)
+let spawn_budget = 19.
+
+let test_spawn_budget () =
+  Engine.run (fun () ->
+      let body () = Engine.sleep 1. in
+      let measured f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let control = measured (fun () -> Engine.sleep 10.) in
+      let words =
+        measured (fun () ->
+            for _ = 1 to budget_ops do
+              Engine.spawn body
+            done;
+            (* every spawned fiber starts, sleeps once and ends in here *)
+            Engine.sleep 10.)
+      in
+      check_budget "spawn + first sleep" ~budget:spawn_budget
+        ((words -. control) /. float_of_int budget_ops))
+
 let () =
   Alcotest.run "sim"
     [
@@ -1418,6 +1506,13 @@ let () =
           Alcotest.test_case "schedule thunk" `Quick test_schedule_thunk;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
           Alcotest.test_case "spawn ~at past raises" `Quick test_spawn_past_raises;
+        ] );
+      ( "kernel-alloc",
+        [
+          Alcotest.test_case "sleep within budget" `Quick test_sleep_budget;
+          Alcotest.test_case "resource use costs only its sleep" `Quick test_resource_use_budget;
+          Alcotest.test_case "net call within budget" `Quick test_net_call_budget;
+          Alcotest.test_case "spawn + first sleep within budget" `Quick test_spawn_budget;
         ] );
       ( "eventq",
         [
@@ -1482,6 +1577,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "get-or-create handles" `Quick test_metrics_get_or_create;
+          Alcotest.test_case "time observes a raising body" `Quick test_metrics_time_observes_raise;
           Alcotest.test_case "reset across runs" `Quick test_metrics_reset_across_runs;
           Alcotest.test_case "sampler records series" `Quick test_metrics_sampler_series;
           Alcotest.test_case "strict mode: stale handle raises" `Quick test_metrics_stale_handle_raises;
