@@ -1385,6 +1385,49 @@ let micro_hotpath () =
   hot_report ~name:"engine-sleep" sl_ns sl_words;
   hot_report ~name:"resource-use" ru_ns ru_words;
   hot_report ~name:"net-call" nc_ns nc_words;
+  (* blocking kernels: a wait costs a park (the continuation and its
+     resume event, built once) and an allocation-free wake.
+     resource-contended: two fibers alternate on a capacity-1 station,
+     so every use but the first waits; reported per use.
+     ivar-wake: create an ivar, park one reader on it, fill it from a
+     prebuilt thunk. *)
+  let (rc_ns, rc_words), (iw_ns, iw_words) =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let r = Sim.Resource.create ~name:"bench.contended" ~capacity:1 () in
+        let alternate ops =
+          let partner = Sim.Ivar.create () in
+          Sim.Engine.spawn (fun () ->
+              for _ = 1 to ops do
+                Sim.Resource.use r 1.
+              done;
+              Sim.Ivar.fill partner ());
+          for _ = 1 to ops do
+            Sim.Resource.use r 1.
+          done;
+          Sim.Ivar.read partner
+        in
+        let ops = 100_000 in
+        alternate (ops / 10);
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        alternate ops;
+        let t1 = Unix.gettimeofday () in
+        let w1 = Gc.minor_words () in
+        let uses = float_of_int (2 * ops) in
+        let rc = ((t1 -. t0) *. 1e9 /. uses, (w1 -. w0) /. uses) in
+        let cur = ref (Sim.Ivar.create ()) in
+        let fill_cur () = Sim.Ivar.fill !cur () in
+        let iw =
+          hot_measure ~ops:200_000 (fun () ->
+              let iv = Sim.Ivar.create () in
+              cur := iv;
+              Sim.Engine.schedule ~after:0. fill_cur;
+              Sim.Ivar.read iv)
+        in
+        (rc, iw))
+  in
+  hot_report ~name:"resource-contended" rc_ns rc_words;
+  hot_report ~name:"ivar-wake" iw_ns iw_words;
   (* stream playback: peek_next_offset + readnext per entry over a
      stream whose members all sit in the client cache, at a fixed
      prefetch window of 64 — the host cost playback pays per entry with

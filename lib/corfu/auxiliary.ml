@@ -1,13 +1,9 @@
 type propose_result = Installed | Conflict of Projection.t
 type await_request = { at_least : Types.epoch; wait_us : float }
 
-(* A parked [await] caller. [w_done] guards the single resume: the
-   install and the deadline race for it, and the loser does nothing. *)
-type waiter = {
-  w_at_least : Types.epoch;
-  mutable w_done : bool;
-  w_resume : Projection.t Sim.Engine.resumer;
-}
+(* A parked [await] caller. The install and the deadline race to fill
+   [w_view]; the loser finds it filled and does nothing. *)
+type waiter = { w_at_least : Types.epoch; w_view : Projection.t Sim.Ivar.t }
 
 type t = {
   mutable views : Projection.t list;  (* newest first *)
@@ -20,11 +16,12 @@ type t = {
 
 let newest t = match t.views with v :: _ -> v | [] -> assert false
 
+let settled w = Sim.Ivar.is_filled w.w_view
+
 let settle t w p =
-  if not w.w_done then begin
-    w.w_done <- true;
+  if not (settled w) then begin
     t.live <- t.live - 1;
-    w.w_resume p
+    Sim.Ivar.fill w.w_view p
   end
 
 (* Wake, in arrival order, every parked caller the new view satisfies;
@@ -36,7 +33,7 @@ let wake t (p : Projection.t) =
   if t.waiters <> [] then begin
     let due, parked =
       List.partition
-        (fun w -> w.w_done || w.w_at_least <= p.Projection.epoch)
+        (fun w -> settled w || w.w_at_least <= p.Projection.epoch)
         (List.rev t.waiters)
     in
     t.waiters <- List.rev parked;
@@ -60,17 +57,18 @@ let handle_propose t (p : Projection.t) =
 let handle_await t { at_least; wait_us } =
   let current = newest t in
   if current.Projection.epoch >= at_least then current
-  else
-    Sim.Engine.suspend (fun resume ->
-        if t.listed > 2 * t.live then begin
-          t.waiters <- List.filter (fun w -> not w.w_done) t.waiters;
-          t.listed <- t.live
-        end;
-        let w = { w_at_least = at_least; w_done = false; w_resume = resume } in
-        t.waiters <- w :: t.waiters;
-        t.listed <- t.listed + 1;
-        t.live <- t.live + 1;
-        Sim.Engine.schedule ~after:wait_us (fun () -> settle t w (newest t)))
+  else begin
+    if t.listed > 2 * t.live then begin
+      t.waiters <- List.filter (fun w -> not (settled w)) t.waiters;
+      t.listed <- t.live
+    end;
+    let w = { w_at_least = at_least; w_view = Sim.Ivar.create () } in
+    t.waiters <- w :: t.waiters;
+    t.listed <- t.listed + 1;
+    t.live <- t.live + 1;
+    Sim.Engine.schedule ~after:wait_us (fun () -> settle t w (newest t));
+    Sim.Ivar.read w.w_view
+  end
 
 let create ~net ~initial =
   let aux_host = Sim.Net.add_host net "auxiliary" in

@@ -221,28 +221,46 @@ let probe_stale_grant t off entry =
 
 type seq_request = Grant of int | Peek
 
+(* One grant RPC, timed into [grant_h]: [Sim.Metrics.time] inlined as
+   a match, so the grant builds no closure. *)
+let timed_increment t ~streams count =
+  let t0 = Sim.Engine.now () in
+  match
+    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+      (Sequencer.increment_service t.proj.Projection.sequencer)
+      { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
+  with
+  | r ->
+      Sim.Metrics.observe t.grant_h (Sim.Engine.now () -. t0);
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Sim.Metrics.observe t.grant_h (Sim.Engine.now () -. t0);
+      Printexc.raise_with_backtrace e bt
+
 (* Every sequencer request: a sealed reply waits for the sealing epoch
    and retries against the new projection's sequencer. Each grant
    attempt is one [sequencer.grant] span and latency observation; a
-   peek is one [check_tail] span around its attempt, wait and retry. *)
+   peek is one [check_tail] span around its attempt, wait and retry.
+   With tracing off neither span is built: no body closure, no [~host]
+   option. *)
 let rec sequencer_request t req ~streams =
   match req with
   | Grant _ -> sequencer_attempt t req ~streams
   | Peek ->
-      Sim.Span.with_span ~host:(hname t) "check_tail" @@ fun () ->
-      sequencer_attempt t Peek ~streams
+      if Sim.Span.enabled () then
+        Sim.Span.with_span ~host:(hname t) "check_tail" @@ fun () ->
+        sequencer_attempt t Peek ~streams
+      else sequencer_attempt t Peek ~streams
 
 and sequencer_attempt t req ~streams =
   let resp =
     match req with
     | Grant count ->
-        let increment () =
-          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-            (Sequencer.increment_service t.proj.Projection.sequencer)
-            { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
-        in
-        Sim.Span.with_span ~host:(hname t) "sequencer.grant" (fun () ->
-            Sim.Metrics.time t.grant_h increment)
+        if Sim.Span.enabled () then
+          Sim.Span.with_span ~host:(hname t) "sequencer.grant" (fun () ->
+              timed_increment t ~streams count)
+        else timed_increment t ~streams count
     | Peek ->
         Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
           (Sequencer.peek_service t.proj.Projection.sequencer)

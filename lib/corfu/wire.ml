@@ -92,10 +92,15 @@ let to_bytes build =
   end
   else begin
     shared_busy := true;
-    Fun.protect ~finally:(fun () -> shared_busy := false) @@ fun () ->
     reset shared;
-    build shared;
-    contents shared
+    match build shared with
+    | () ->
+        shared_busy := false;
+        contents shared
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        shared_busy := false;
+        Printexc.raise_with_backtrace e bt
   end
 
 type cursor = { mutable buf : bytes; mutable at : int }

@@ -1,7 +1,14 @@
 exception Deadlock
 exception Horizon_reached of float
 
-type 'a resumer = 'a -> unit
+(* A FIFO of parked fibers, held as their resume events: a ring of
+   thunks, each built when its fiber parked. Empty until the first
+   park, then a power of two long. *)
+type waitq = {
+  mutable wbuf : (unit -> unit) array;
+  mutable whead : int;
+  mutable wlen : int;
+}
 
 type world = {
   q : Eventq.t;
@@ -16,9 +23,11 @@ type world = {
   mutable events : int;  (* dispatched so far this run *)
   mutable failure : exn option;
   mutable main_done : bool;
+  mutable parking : waitq;  (* the pending [Park]'s queue *)
   (* One handler for every fiber of the world, and its preallocated
-     answer to [Sleep]. *)
+     answers to [Sleep] and [Park]. *)
   sleep_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  park_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
   handler : (unit, unit) Effect.Deep.handler;
 }
 
@@ -56,12 +65,10 @@ let[@inline] push_event w ~after thunk =
 
 let schedule ~after thunk = push_event (get_world ()) ~after thunk
 
-(* [Sleep] carries no payload: [sleep] leaves its delay in [w.delay],
-   and the handler answers it with the world's preallocated
-   [sleep_answer]. *)
-type _ Effect.t +=
-  | Sleep : unit Effect.t
-  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+(* Neither effect carries a payload: [sleep] leaves its delay in
+   [w.delay] and [park] its queue in [w.parking], and the handler
+   answers each with the world's preallocated closure. *)
+type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t
 
 let sleep dt =
   Array.unsafe_set (get_world ()).delay 0 dt;
@@ -72,7 +79,6 @@ let sleep_in a i =
   Effect.perform Sleep
 
 let yield () = sleep 0.
-let suspend register = Effect.perform (Suspend register)
 
 (* The thunk that resumes the sleeper is built per sleep, not once per
    fiber: a per-fiber slot would have to store each new continuation
@@ -84,20 +90,58 @@ let on_sleep w k =
       w.current_fiber <- fid;
       Effect.Deep.continue k ())
 
-let make_resumer w fid k =
-  let used = ref false in
-  fun v ->
-    if !used then invalid_arg "Sim.Engine: resumer called twice";
-    used := true;
-    push_event w ~after:0. (fun () ->
-        w.current_fiber <- fid;
-        Effect.Deep.continue k v)
+(* -- wait queues -------------------------------------------------------- *)
+
+let noop () = ()
+let waitq () = { wbuf = [||]; whead = 0; wlen = 0 }
+let waiting q = q.wlen
+
+let grow_waitq q =
+  let old = Array.length q.wbuf in
+  let buf = Array.make (if old = 0 then 1 else 2 * old) noop in
+  for i = 0 to q.wlen - 1 do
+    Array.unsafe_set buf i (Array.unsafe_get q.wbuf ((q.whead + i) land (old - 1)))
+  done;
+  q.wbuf <- buf;
+  q.whead <- 0
+
+(* The parked fiber's resume event is built here, once: [wake] only
+   moves it onto the lane. *)
+let on_park w k =
+  let fid = w.current_fiber in
+  let q = w.parking in
+  if q.wlen = Array.length q.wbuf then grow_waitq q;
+  Array.unsafe_set q.wbuf
+    ((q.whead + q.wlen) land (Array.length q.wbuf - 1))
+    (fun () ->
+      w.current_fiber <- fid;
+      Effect.Deep.continue k ());
+  q.wlen <- q.wlen + 1
+
+let park q =
+  (get_world ()).parking <- q;
+  Effect.perform Park
+
+let wake_one w q =
+  let i = q.whead in
+  let resume = Array.unsafe_get q.wbuf i in
+  Array.unsafe_set q.wbuf i noop;
+  q.whead <- (i + 1) land (Array.length q.wbuf - 1);
+  q.wlen <- q.wlen - 1;
+  push_event w ~after:0. resume
+
+let wake q = if q.wlen > 0 then wake_one (get_world ()) q
+
+let wake_all q =
+  if q.wlen > 0 then begin
+    let w = get_world () in
+    while q.wlen > 0 do
+      wake_one w q
+    done
+  end
 
 let effc (type a) w (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option =
-  match eff with
-  | Sleep -> w.sleep_answer
-  | Suspend register -> Some (fun k -> register (make_resumer w w.current_fiber k))
-  | _ -> None
+  match eff with Sleep -> w.sleep_answer | Park -> w.park_answer | _ -> None
 
 let start_fiber w fid f =
   w.current_fiber <- fid;
@@ -147,6 +191,7 @@ let run ?(seed = 1) ?until main =
   if !current <> None then invalid_arg "Sim.Engine.run: already running";
   let q = Eventq.create () in
   let world_rng = Rng.create seed in
+  let parking = waitq () in
   let rec w =
     {
       q;
@@ -161,7 +206,9 @@ let run ?(seed = 1) ?until main =
       events = 0;
       failure = None;
       main_done = false;
+      parking;
       sleep_answer = Some (fun k -> on_sleep w k);
+      park_answer = Some (fun k -> on_park w k);
       handler =
         {
           retc = ignore;

@@ -3,7 +3,7 @@
     The engine drives a virtual clock (microseconds, [float]) and an
     event queue (an immediate lane plus one (time, seq) min-heap, see
     {!Eventq}). Simulated processes are {e fibers}: ordinary OCaml
-    functions that may call {!sleep} and {!suspend}, implemented with
+    functions that may call {!sleep} and {!park}, implemented with
     OCaml 5 effect handlers. Exactly one fiber runs at a time; there
     is no preemption, so plain mutable state needs no locking. Ties in
     the event queue are broken by insertion order, making every run
@@ -56,14 +56,45 @@ val sleep_in : Float.Array.t -> int -> unit
     letting other ready fibers run first. *)
 val yield : unit -> unit
 
-(** A resumer: call it exactly once to wake the suspended fiber with a
-    value. Calling it twice raises [Invalid_argument]. *)
-type 'a resumer = 'a -> unit
+(** {1 Blocking}
 
-(** [suspend register] parks the calling fiber and hands a {!resumer}
-    to [register]. The fiber resumes (at the virtual time of the
-    resumer call) with the value passed to the resumer. *)
-val suspend : ('a resumer -> unit) -> 'a
+    A fiber blocks in exactly one way: it parks on a wait queue, and
+    whoever owns the queue wakes it. [park] turns the fiber's
+    continuation into its resume event at park time and queues that
+    event; [wake] only moves a ready-made event onto the current
+    instant, so it allocates nothing. A parked fiber resumes with [()]:
+    whatever it waited for (a value, a granted server, a failure) it
+    reads from state the queue's owner keeps, never from the wake.
+
+    An owner must decide each waiter's outcome by the time it wakes
+    it, or record it in a form the waiter can check on resuming. Woken
+    fibers resume in wake order, but other events due at the same
+    instant may run first: state the waiter reads on resuming may have
+    moved on since its wake. *)
+
+(** A FIFO queue of parked fibers. Storage grows on demand; an empty
+    queue holds no buffer. *)
+type waitq
+
+(** [waitq ()] is a new, empty queue. *)
+val waitq : unit -> waitq
+
+(** [park q] blocks the calling fiber at the back of [q] until a
+    {!wake} or {!wake_all} on [q] reaches it. A fiber parked on a queue
+    nobody wakes stays blocked: {!run} discards it when the main fiber
+    returns, and raises {!Deadlock} if the main fiber is blocked with
+    no event left to wake it. *)
+val park : waitq -> unit
+
+(** [wake q] resumes the longest-parked fiber of [q], at the current
+    instant after events already due now. No-op on an empty queue. *)
+val wake : waitq -> unit
+
+(** [wake_all q] wakes every fiber parked on [q], in park order. *)
+val wake_all : waitq -> unit
+
+(** [waiting q] is the number of fibers parked on [q]. *)
+val waiting : waitq -> int
 
 (** [spawn ?at f] schedules [f] as a new fiber at time [at] (default
     now). Exceptions escaping a fiber abort the whole simulation: they
@@ -77,7 +108,7 @@ val spawn : ?at:float -> (unit -> unit) -> unit
 val fiber_id : unit -> int
 
 (** [schedule ~after f] runs the thunk [f] (not a fiber: it must not
-    sleep or suspend) after [after] microseconds. *)
+    sleep or park) after [after] microseconds. *)
 val schedule : after:float -> (unit -> unit) -> unit
 
 (** [events_dispatched ()] is the number of events the running world

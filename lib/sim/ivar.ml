@@ -1,24 +1,33 @@
-type 'a state = Empty of ('a -> unit) list | Full of 'a
+(* The wait queue is created by the first read that has to wait, so an
+   ivar filled before anyone reads it never builds one. *)
+type 'a state = Empty | Waiting of Engine.waitq | Full of 'a
 
 type 'a t = { mutable state : 'a state }
 
-let create () = { state = Empty [] }
+let create () = { state = Empty }
 
 let fill t v =
   match t.state with
   | Full _ -> invalid_arg "Ivar.fill: already filled"
-  | Empty waiters ->
+  | Empty -> t.state <- Full v
+  | Waiting q ->
       t.state <- Full v;
-      List.iter (fun waiter -> waiter v) (List.rev waiters)
+      Engine.wake_all q
+
+(* Only [fill] wakes the queue, so a resumed reader finds the value. *)
+let filled t = match t.state with Full v -> v | Empty | Waiting _ -> assert false
 
 let read t =
   match t.state with
   | Full v -> v
-  | Empty _ ->
-      Engine.suspend (fun resume ->
-          match t.state with
-          | Full v -> resume v
-          | Empty waiters -> t.state <- Empty (resume :: waiters))
+  | Waiting q ->
+      Engine.park q;
+      filled t
+  | Empty ->
+      let q = Engine.waitq () in
+      t.state <- Waiting q;
+      Engine.park q;
+      filled t
 
-let peek t = match t.state with Full v -> Some v | Empty _ -> None
-let is_filled t = match t.state with Full _ -> true | Empty _ -> false
+let peek t = match t.state with Full v -> Some v | Empty | Waiting _ -> None
+let is_filled t = match t.state with Full _ -> true | Empty | Waiting _ -> false

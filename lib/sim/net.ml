@@ -60,7 +60,7 @@ exception Lost
 
 (* A hop's service and flight times reach [Resource.use_in] and
    [Engine.sleep_in] through this slot, so no float is boxed. Both read
-   it on entry, before they can suspend, so one slot serves every
+   it on entry, before they can park, so one slot serves every
    fiber. *)
 let delay = Float.Array.make 1 0.
 
@@ -104,11 +104,13 @@ let exchange fault ~req_bytes ~resp_bytes ~from svc req =
   hop fault ~src:svc.shost ~dst:from ~bytes:resp_bytes;
   resp
 
-(* A message that will never be answered: park the fiber forever. The
-   run discards it when the main fiber finishes (or deadlocks if the
-   main fiber depended on it — which is exactly the hang a real client
-   without timeouts experiences). *)
-let park : unit -> 'a = fun () -> Engine.suspend (fun (_ : 'a Engine.resumer) -> ())
+(* A message that will never be answered: park the fiber forever, on a
+   queue nobody else holds. The run discards it when the main fiber
+   finishes (or deadlocks if the main fiber depended on it — which is
+   exactly the hang a real client without timeouts experiences). *)
+let park () =
+  Engine.park (Engine.waitq ());
+  assert false
 
 let call_inner ~req_bytes ~resp_bytes ~from svc req =
   let fault = !(from.hfault) in
@@ -127,7 +129,8 @@ let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
   else call_inner ~req_bytes ~resp_bytes ~from svc req
 
 (* Under a fault controller the exchange runs in a helper fiber and the
-   caller waits for first-of(response, timeout). A lost exchange or a
+   caller waits for first-of(response, timeout): whichever comes first
+   fills the result, the other finds it filled. A lost exchange or a
    failed device simply never settles. *)
 let call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault =
   if crashed fault from.hname then Error Rpc_dead
@@ -138,22 +141,17 @@ let call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault =
   end
   else
     let span_parent = Span.current () in
-    Engine.suspend (fun resume ->
-        let settled = ref false in
-        let settle r =
-          if not !settled then begin
-            settled := true;
-            resume r
-          end
-        in
-        (match timeout_us with
-        | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
-        | None -> ());
-        Engine.spawn (fun () ->
-            Span.with_parent span_parent @@ fun () ->
-            match exchange fault ~req_bytes ~resp_bytes ~from svc req with
-            | resp -> settle (Ok resp)
-            | exception (Lost | Resource.Failed _) -> ()))
+    let result = Ivar.create () in
+    let settle r = if not (Ivar.is_filled result) then Ivar.fill result r in
+    (match timeout_us with
+    | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
+    | None -> ());
+    Engine.spawn (fun () ->
+        Span.with_parent span_parent @@ fun () ->
+        match exchange fault ~req_bytes ~resp_bytes ~from svc req with
+        | resp -> settle (Ok resp)
+        | exception (Lost | Resource.Failed _) -> ());
+    Ivar.read result
 
 (* Without an installed fault controller this is exactly [call] (same
    fiber, same event sequence), so fault-free runs stay byte-identical. *)

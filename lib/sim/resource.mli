@@ -45,10 +45,11 @@ val use : t -> float -> unit
 val use_in : t -> Float.Array.t -> int -> unit
 
 (** [fail t] breaks the station: subsequent {!acquire}/{!use} raise
-    {!Failed}, and every fiber already queued is woken into that same
+    {!Failed}, and every fiber still queued is woken into that same
     failure. Holders of in-flight service times finish normally (the
-    request was already on the device). Used by the fault plane to
-    model an SSD dying. *)
+    request was already on the device), and so does a waiter that
+    {!release} already handed a server to, even if it has not run yet.
+    Used by the fault plane to model an SSD dying. *)
 val fail : t -> unit
 
 (** [repair t] puts a failed station back in service. *)

@@ -76,7 +76,20 @@ let test_deadlock_detected () =
   Alcotest.check_raises "deadlock" Engine.Deadlock (fun () ->
       Engine.run (fun () ->
           let iv : int Ivar.t = Ivar.create () in
-          ignore (Ivar.read iv)))
+          ignore (Ivar.read iv)));
+  (* every fiber waits, directly or through another, on an ivar nobody
+     fills *)
+  Alcotest.check_raises "deadlock through a relay" Engine.Deadlock (fun () ->
+      Engine.run (fun () ->
+          let never : unit Ivar.t = Ivar.create () in
+          let relay = Ivar.create () in
+          for _ = 1 to 3 do
+            Engine.spawn (fun () -> Ivar.read never)
+          done;
+          Engine.spawn (fun () ->
+              Ivar.read never;
+              Ivar.fill relay 1);
+          ignore (Ivar.read relay : int)))
 
 let test_horizon () =
   Alcotest.check_raises "horizon" (Engine.Horizon_reached 10.) (fun () ->
@@ -158,16 +171,21 @@ let test_ivar_blocks_until_filled () =
 let test_ivar_multiple_readers () =
   Engine.run (fun () ->
       let iv = Ivar.create () in
-      let seen = ref 0 in
-      for _ = 1 to 4 do
-        Engine.spawn (fun () ->
-            let (_ : int) = Ivar.read iv in
-            incr seen)
-      done;
+      let order = ref [] in
+      List.iter
+        (fun (id, at) ->
+          Engine.spawn (fun () ->
+              Engine.sleep at;
+              let v = Ivar.read iv in
+              order := (id, v, Engine.now ()) :: !order))
+        [ (3, 3.); (1, 1.); (4, 4.); (2, 2.) ];
+      Engine.sleep 10.;
+      Ivar.fill iv 7;
       Engine.sleep 1.;
-      Ivar.fill iv 1;
-      Engine.sleep 1.;
-      check_int "all woke" 4 !seen)
+      Alcotest.(check (list (triple int int (float 1e-9))))
+        "read order, fill time, filled value"
+        [ (1, 7, 10.); (2, 7, 10.); (3, 7, 10.); (4, 7, 10.) ]
+        (List.rev !order))
 
 let test_ivar_double_fill_rejected () =
   Engine.run (fun () ->
@@ -217,16 +235,27 @@ let test_resource_parallel_capacity () =
       Alcotest.(check (list (float 1e-9))) "parallel" [ 10.; 10. ] !finish)
 
 let test_resource_fifo_queue () =
+  (* Waiters join the station's queue in arrival order, whatever order
+     their fibers were spawned in, and are served in that order. *)
   Engine.run (fun () ->
       let r = Resource.create ~name:"x" ~capacity:1 () in
-      let order = ref [] in
-      for i = 1 to 4 do
-        Engine.spawn (fun () ->
-            Resource.use r 5.;
-            order := i :: !order)
-      done;
+      let served = ref [] in
+      Resource.acquire r;
+      List.iter
+        (fun (id, arrive) ->
+          Engine.spawn (fun () ->
+              Engine.sleep arrive;
+              Resource.use r 5.;
+              served := (id, Engine.now ()) :: !served))
+        [ ("c", 3.); ("a", 1.); ("d", 4.); ("b", 2.) ];
+      Engine.sleep 10.;
+      check_int "four waiting" 4 (Resource.queue_length r);
+      Resource.release r;
       Engine.sleep 100.;
-      Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (List.rev !order))
+      Alcotest.(check (list (pair string (float 1e-9))))
+        "fifo by arrival"
+        [ ("a", 15.); ("b", 20.); ("c", 25.); ("d", 30.) ]
+        (List.rev !served))
 
 let test_resource_throughput_cap () =
   (* A 10 µs service time caps a saturated resource at 100K ops/s. *)
@@ -259,6 +288,69 @@ let test_resource_busy_time () =
       Resource.use r 25.;
       Engine.sleep 75.;
       check_float "busy integral" 25. (Resource.busy_time r))
+
+(* ------------------------------------------------------------------ *)
+(* Wait queues                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_waitq_fifo_wake () =
+  Engine.run (fun () ->
+      let q = Engine.waitq () in
+      let order = ref [] in
+      (* spawned in reverse, parked in arrival order 1..4 *)
+      for i = 4 downto 1 do
+        Engine.spawn (fun () ->
+            Engine.sleep (float_of_int i);
+            Engine.park q;
+            order := (i, Engine.now ()) :: !order)
+      done;
+      Engine.sleep 10.;
+      check_int "all parked" 4 (Engine.waiting q);
+      Engine.wake q;
+      Engine.sleep 1.;
+      Engine.wake q;
+      Engine.wake_all q;
+      check_int "queue drained" 0 (Engine.waiting q);
+      Engine.wake q;
+      Engine.sleep 1.;
+      Alcotest.(check (list (pair int (float 1e-9))))
+        "woken once each, in park order"
+        [ (1, 10.); (2, 11.); (3, 11.); (4, 11.) ]
+        (List.rev !order))
+
+(* A grant handed over by [release] stands even if the station fails
+   at the same instant, before the grantee runs: the grantee must take
+   the server (a failure would leak the slot [release] kept for it),
+   while the fibers still queued fail. *)
+let test_resource_grant_survives_same_instant_fail () =
+  Engine.run (fun () ->
+      let r = Resource.create ~name:"ssd" ~capacity:1 () in
+      Resource.acquire r;
+      let outcome = Array.make 3 "pending" in
+      for i = 0 to 2 do
+        Engine.spawn (fun () ->
+            match Resource.acquire r with
+            | () ->
+                outcome.(i) <- "acquired";
+                Engine.sleep 5.;
+                Resource.release r
+            | exception Resource.Failed _ -> outcome.(i) <- "failed")
+      done;
+      Engine.sleep 1.;
+      Resource.release r;
+      Resource.fail r;
+      Engine.sleep 10.;
+      Alcotest.(check (array string))
+        "first waiter served, the rest failed"
+        [| "acquired"; "failed"; "failed" |]
+        outcome;
+      Resource.repair r;
+      (* no slot leaked: the station is free again at once *)
+      let t0 = Engine.now () in
+      Resource.acquire r;
+      check_float "acquired without waiting" t0 (Engine.now ());
+      Resource.release r;
+      check_float "busy for the two holds" 6. (Resource.busy_time r))
 
 (* ------------------------------------------------------------------ *)
 (* Net                                                                *)
@@ -415,6 +507,34 @@ let test_fault_call_r_paths () =
       (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
       | Error Net.Rpc_dead -> ()
       | _ -> Alcotest.fail "crashed caller fails fast"))
+
+(* A request or response that is lost with no timeout parks its caller
+   for good; the run still ends when the main fiber does. *)
+let test_unanswered_rpc_lets_main_finish () =
+  let started = ref 0 and returned = ref 0 in
+  let r =
+    Engine.run (fun () ->
+        let net = make_net () in
+        let a = Net.add_host net "a" in
+        let b = Net.add_host net "b" in
+        let f = Fault.create () in
+        Net.install_fault net f;
+        let echo = Net.service b ~name:"echo" (fun x -> x) in
+        Fault.crash f "b";
+        Engine.spawn (fun () ->
+            incr started;
+            ignore (Net.call ~from:a echo 1 : int);
+            incr returned);
+        Engine.spawn (fun () ->
+            incr started;
+            ignore (Net.call_r ~from:a echo 1 : (int, Net.rpc_error) result);
+            incr returned);
+        Engine.sleep 10_000.;
+        "main done")
+  in
+  Alcotest.(check string) "main result" "main done" r;
+  check_int "both callers ran" 2 !started;
+  check_int "neither returned" 0 !returned
 
 (* The response hop drops a message whose receiver died in flight,
    exactly like the request hop: a caller that crashes after the
@@ -1138,6 +1258,107 @@ let prop_resource_conserves =
           Engine.sleep 1_000.;
           !ok && !max_active <= capacity))
 
+(* Random acquire/release/fail/repair schedules on a capacity-k station
+   against a reference model that settles each waiter's outcome when it
+   leaves the queue. Steps run at one instant unless marked to advance
+   the clock, so a release and a fail can race for the same waiter.
+   Checks: at most k holders, every fiber's outcome recorded exactly
+   once and in the model's order (grants FIFO), the queue length after
+   every step, and — after the holders leave — k free servers again. *)
+type station_step = Arrive | Release | Fail | Repair
+
+let prop_station_matches_model =
+  let step_gen =
+    QCheck.Gen.(
+      pair (frequency [ (4, return Arrive); (3, return Release); (1, return Fail); (1, return Repair) ]) bool)
+  in
+  let print_step (st, adv) =
+    (match st with Arrive -> "arrive" | Release -> "release" | Fail -> "fail" | Repair -> "repair")
+    ^ if adv then "+1" else ""
+  in
+  QCheck.Test.make ~name:"station matches FIFO reference model" ~count:300
+    QCheck.(
+      pair (int_range 0 2)
+        (make
+           ~print:(fun l -> String.concat " " (List.map print_step l))
+           Gen.(list_size (int_range 0 40) step_gen)))
+    (fun (extra, steps) ->
+      (* [k - 1] is drawn: QCheck's integer shrinker heads for 0 *)
+      let k = extra + 1 in
+      let model_log = ref [] and seen_log = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      (match
+         Engine.run (fun () ->
+             let r = Resource.create ~name:"r" ~capacity:k () in
+             (* the model *)
+             let broken = ref false and in_use = ref 0 and queue = Queue.create () in
+             let decide id o = model_log := (id, o) :: !model_log in
+             (* the system *)
+             let grants = ref 0 and releases = ref 0 and fibers = ref 0 in
+             let arrive () =
+               let id = !fibers in
+               incr fibers;
+               if !broken then decide id false
+               else if !in_use < k && Queue.is_empty queue then begin
+                 incr in_use;
+                 decide id true
+               end
+               else Queue.add id queue;
+               Engine.spawn (fun () ->
+                   match Resource.acquire r with
+                   | () ->
+                       incr grants;
+                       expect (!grants - !releases <= k);
+                       seen_log := (id, true) :: !seen_log
+                   | exception Resource.Failed _ -> seen_log := (id, false) :: !seen_log);
+               Engine.yield ()
+             in
+             let release () =
+               if !in_use > 0 then begin
+                 (match Queue.take_opt queue with
+                 | Some id -> decide id true
+                 | None -> decr in_use);
+                 incr releases;
+                 Resource.release r
+               end
+             in
+             List.iter
+               (fun (st, advance) ->
+                 if advance then Engine.sleep 1.;
+                 (match st with
+                 | Arrive -> arrive ()
+                 | Release -> release ()
+                 | Fail ->
+                     if not !broken then begin
+                       broken := true;
+                       Queue.iter (fun id -> decide id false) queue;
+                       Queue.clear queue
+                     end;
+                     Resource.fail r
+                 | Repair ->
+                     broken := false;
+                     Resource.repair r);
+                 expect (Resource.queue_length r = Queue.length queue))
+               steps;
+             (* the holders, and the waiters they hand over to, leave;
+                then all k servers must be free *)
+             while !in_use > 0 do
+               release ()
+             done;
+             Engine.sleep 1.;
+             Resource.repair r;
+             let t0 = Engine.now () in
+             for _ = 1 to k do
+               Resource.acquire r
+             done;
+             expect (Engine.now () = t0);
+             expect (Queue.is_empty queue))
+       with
+      | () -> ()
+      | exception Engine.Deadlock -> ok := false);
+      !ok && List.rev !seen_log = List.rev !model_log)
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans as data                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1449,6 +1670,38 @@ let test_resource_use_budget () =
       let sleep = words_per_op (fun () -> Engine.sleep 1.) in
       check_budget "uncontended use" ~budget:sleep (words_per_op (fun () -> Resource.use r 1.)))
 
+(* A park: the continuation and the 6-word resume event built when the
+   fiber parks; the wake that moves it onto the lane allocates
+   nothing. *)
+let park_budget = 8.
+
+(* Two fibers alternate on a capacity-1 station, so each of main's
+   uses pairs with one of its partner's and every use waits: a park and
+   a sleep per use. *)
+let test_contended_use_budget () =
+  Engine.run (fun () ->
+      let r = Resource.create ~name:"r" ~capacity:1 () in
+      Engine.spawn (fun () ->
+          while true do
+            Resource.use r 1.
+          done);
+      Engine.sleep 0.5;
+      let per_use = words_per_op (fun () -> Resource.use r 1.) /. 2. in
+      check_budget "contended use" ~budget:(park_budget +. sleep_budget) per_use)
+
+(* The ivar (2 words), its queue (4) and one-slot buffer (2), the
+   [Waiting] and [Full] states (2 each) and one park. *)
+let test_ivar_wake_budget () =
+  Engine.run (fun () ->
+      let cur = ref (Ivar.create ()) in
+      let fill_cur () = Ivar.fill !cur () in
+      check_budget "ivar create, park, fill" ~budget:(12. +. park_budget)
+        (words_per_op (fun () ->
+             let iv = Ivar.create () in
+             cur := iv;
+             Engine.schedule ~after:0. fill_cur;
+             Ivar.read iv)))
+
 (* Six sleeps (two NIC services and a flight per hop) and the boxed
    [Rng.float] of each hop's jitter draw. *)
 let net_call_budget = (6. *. sleep_budget) +. (2. *. 2.)
@@ -1512,8 +1765,13 @@ let () =
           Alcotest.test_case "sleep within budget" `Quick test_sleep_budget;
           Alcotest.test_case "resource use costs only its sleep" `Quick test_resource_use_budget;
           Alcotest.test_case "net call within budget" `Quick test_net_call_budget;
+          Alcotest.test_case "contended use: a park and a sleep" `Quick
+            test_contended_use_budget;
+          Alcotest.test_case "ivar wake within budget" `Quick test_ivar_wake_budget;
           Alcotest.test_case "spawn + first sleep within budget" `Quick test_spawn_budget;
         ] );
+      ( "waitq",
+        [ Alcotest.test_case "fifo wake, once each" `Quick test_waitq_fifo_wake ] );
       ( "eventq",
         [
           Alcotest.test_case "heap pops in (time, seq) order" `Quick test_eventq_heap_order;
@@ -1541,6 +1799,8 @@ let () =
           Alcotest.test_case "throughput cap" `Quick test_resource_throughput_cap;
           Alcotest.test_case "release without acquire" `Quick test_resource_release_without_acquire;
           Alcotest.test_case "busy time accounting" `Quick test_resource_busy_time;
+          Alcotest.test_case "grant survives a same-instant fail" `Quick
+            test_resource_grant_survives_same_instant_fail;
         ] );
       ( "net",
         [
@@ -1556,6 +1816,8 @@ let () =
           Alcotest.test_case "edge delay observed" `Quick test_fault_edge_delay_observed;
           Alcotest.test_case "resource fail and repair" `Quick test_fault_resource_fail_repair;
           Alcotest.test_case "call_r timeout and dead paths" `Quick test_fault_call_r_paths;
+          Alcotest.test_case "unanswered rpc lets main finish" `Quick
+            test_unanswered_rpc_lets_main_finish;
           Alcotest.test_case "crashed caller loses the response" `Quick
             test_fault_crashed_caller_loses_response;
           Alcotest.test_case "quiet controller is free" `Quick test_fault_quiet_controller_is_free;
@@ -1627,6 +1889,7 @@ let () =
             prop_rng_deterministic;
             prop_rng_shuffle_permutation;
             prop_resource_conserves;
+            prop_station_matches_model;
             prop_fault_plan_round_trip;
           ] );
     ]
