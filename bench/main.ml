@@ -920,103 +920,6 @@ let chaos_smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Fuzz sweep: randomized fault plans against the invariant oracles   *)
-(* ------------------------------------------------------------------ *)
-
-(* A small always-on fuzz campaign (DESIGN.md §9): each seed draws a
-   fresh make-whole fault plan and a randomized workload, then judges
-   the settled system against every global oracle. A clean build
-   produces zero violations on every seed; any violation fails the
-   bench run, and the campaign's per-seed numbers land in the JSON
-   report for trending. *)
-let fuzz_sweep () =
-  let module Fuzz = Tango_harness.Fuzz in
-  let module Spec = Tango_harness.Spec in
-  section "Fuzz sweep: randomized fault plans vs. global invariant oracles + spec machines";
-  let seeds = if quick then 3 else 8 in
-  let config = Fuzz.default_config in
-  (* Half the seeds run with every online spec machine armed — the
-     monitors themselves must stay silent on a correct build, and
-     their probe traffic must not perturb the oracles. *)
-  row "%6s %6s %8s %8s %10s %10s %10s %9s %11s" "seed" "specs" "events" "acked" "committed"
-    "aborted" "end-ms" "firings" "violations";
-  let bad = ref 0 in
-  for seed = 1 to seeds do
-    let specs = if seed mod 2 = 0 then Spec.all else [] in
-    let plan = Fuzz.gen_plan ~seed config in
-    let oc = Fuzz.run ~specs ~seed config ~plan in
-    let nv = List.length oc.Fuzz.oc_violations in
-    let nf = List.length oc.Fuzz.oc_spec_firings in
-    bad := !bad + nv;
-    row "%6d %6s %8d %8d %10d %10d %10.1f %9d %11d" seed
-      (if specs = [] then "off" else "all")
-      oc.Fuzz.oc_fault_events oc.Fuzz.oc_acked oc.Fuzz.oc_committed oc.Fuzz.oc_aborted
-      (oc.Fuzz.oc_end_us /. 1e3) nf nv;
-    List.iter
-      (fun v -> row "    %s" (Format.asprintf "%a" Tango_harness.Verifier.pp_violation v))
-      oc.Fuzz.oc_violations;
-    Report.add_scenario ~name:(Printf.sprintf "fuzz-%d" seed) ~seed
-      ~params:
-        [
-          ("servers", string_of_int config.Fuzz.f_servers);
-          ("clients", string_of_int config.Fuzz.f_clients);
-          ("events", string_of_int config.Fuzz.f_events);
-          ("specs", if specs = [] then "off" else "all");
-        ]
-      ~summary:
-        [
-          ("violations", float_of_int nv);
-          ("spec_firings", float_of_int nf);
-          ("acked_appends", float_of_int oc.Fuzz.oc_acked);
-          ("committed_txs", float_of_int oc.Fuzz.oc_committed);
-          ("fault_events", float_of_int oc.Fuzz.oc_fault_events);
-        ]
-      ~virtual_end_us:oc.Fuzz.oc_end_us ~metrics_json:oc.Fuzz.oc_metrics_json ()
-  done;
-  if !bad > 0 then begin
-    Printf.eprintf "fuzz-sweep FAILED: %d violation(s)\n" !bad;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Scenario sweep: the config-driven driver's built-in matrix         *)
-(* ------------------------------------------------------------------ *)
-
-(* Every built-in scenario (DESIGN.md §12) runs with its spec machines
-   armed; a correct build sails through all of them. *)
-let scenario_sweep () =
-  let module Fuzz = Tango_harness.Fuzz in
-  let module Scenario = Tango_harness.Scenario in
-  section "Scenario sweep: built-in scenarios with spec machines armed";
-  row "%-38s %6s %8s %10s %9s %11s" "scenario" "seed" "acked" "committed" "firings" "violations";
-  let bad = ref 0 in
-  List.iter
-    (fun sc ->
-      let oc = Scenario.run sc in
-      let nv = List.length oc.Fuzz.oc_violations in
-      bad := !bad + nv;
-      row "%-38s %6d %8d %10d %9d %11d" sc.Scenario.sc_name sc.Scenario.sc_seed oc.Fuzz.oc_acked
-        oc.Fuzz.oc_committed
-        (List.length oc.Fuzz.oc_spec_firings)
-        nv;
-      Report.add_scenario
-        ~name:("scenario-" ^ sc.Scenario.sc_name)
-        ~seed:sc.Scenario.sc_seed
-        ~params:[ ("specs", string_of_int (List.length sc.Scenario.sc_specs)) ]
-        ~summary:
-          [
-            ("violations", float_of_int nv);
-            ("spec_firings", float_of_int (List.length oc.Fuzz.oc_spec_firings));
-            ("acked_appends", float_of_int oc.Fuzz.oc_acked);
-          ]
-        ~virtual_end_us:oc.Fuzz.oc_end_us ~metrics_json:oc.Fuzz.oc_metrics_json ())
-    Scenario.builtins;
-  if !bad > 0 then begin
-    Printf.eprintf "scenario-sweep FAILED: %d violation(s)\n" !bad;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Scale-out: live segment reconfiguration under constant load        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1429,15 +1332,14 @@ let micro_hotpath () =
   hot_report ~name:"resource-contended" rc_ns rc_words;
   hot_report ~name:"ivar-wake" iw_ns iw_words;
   (* stream playback: peek_next_offset + readnext per entry over a
-     stream whose members all sit in the client cache, at a fixed
-     prefetch window of 64 — the host cost playback pays per entry with
-     the I/O cut off. Each cycle attaches a fresh iterator and syncs it
-     from the cache (untimed), then times the playback. *)
+     stream whose members all sit in the client cache — the host cost
+     playback pays per entry with the I/O cut off. Each cycle attaches
+     a fresh iterator and syncs it from the cache (untimed), then times
+     the playback. *)
   let ns, words =
     Sim.Engine.run ~seed:0 (fun () ->
-        let params = { Sim.Params.default with prefetch_min = 64; prefetch_max = 64 } in
-        let k = params.Sim.Params.backpointer_k in
-        let cluster = Corfu.Cluster.create ~params ~servers:2 () in
+        let k = Sim.Params.default.Sim.Params.backpointer_k in
+        let cluster = Corfu.Cluster.create ~servers:2 () in
         let cl = Corfu.Cluster.new_client cluster ~name:"bench" in
         let sid = 7 and n = 4096 in
         (* members at every other offset, as when two streams interleave *)
@@ -1468,8 +1370,8 @@ let micro_hotpath () =
           play ();
           time := !time +. (Unix.gettimeofday () -. t0);
           words := !words +. (Gc.minor_words () -. w0);
-          if Corfu.Stream.cache_misses s > 0 || Corfu.Stream.prefetch_window s <> 64 then
-            failwith "stream-playback: the kernel left the cached, window-64 path"
+          if Corfu.Stream.cache_misses s > 0 then
+            failwith "stream-playback: the kernel left the cached path"
         done;
         let ops = float_of_int (cycles * n) in
         (!time *. 1e9 /. ops, !words /. ops))
@@ -1673,8 +1575,6 @@ let experiments =
     ("ablation-seqckpt", ablation_seqckpt);
     ("chaos-crash", chaos_crash);
     ("chaos-smoke", chaos_smoke);
-    ("fuzz-sweep", fuzz_sweep);
-    ("scenario-sweep", scenario_sweep);
     ("scale-out", scale_out_bench);
   ]
 

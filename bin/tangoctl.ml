@@ -517,7 +517,8 @@ module Scenario = Tango_harness.Scenario
 
 (* Exit contract shared by fuzz and scenario subcommands: 0 = clean,
    1 = an oracle (or spec machine) fired, 2 = the harness itself
-   failed — unreadable artifact, unknown spec name, I/O error. CI
+   failed — unreadable scenario, a config or plan no run can honour,
+   unknown spec or failpoint name, I/O error. CI
    gates on the distinction: a 1 is a finding, a 2 is a broken test. *)
 let harness_errors f =
   try f () with
@@ -535,14 +536,18 @@ let parse_specs = function
       |> List.map (fun x -> Spec.of_name (String.trim x))
 
 let fuzz_config servers clients events appends txs =
-  {
-    Fuzz.default_config with
-    f_servers = servers;
-    f_clients = clients;
-    f_events = events;
-    f_appends = appends;
-    f_txs = txs;
-  }
+  let config =
+    {
+      Fuzz.default_config with
+      f_servers = servers;
+      f_clients = clients;
+      f_events = events;
+      f_appends = appends;
+      f_txs = txs;
+    }
+  in
+  Fuzz.validate_config config;
+  config
 
 let print_violations violations =
   List.iter (fun v -> say "  %s" (Format.asprintf "%a" Verifier.pp_violation v)) violations
@@ -560,12 +565,6 @@ let dump_outcome ~metrics_out ~spans_out ~flight_out (oc : Fuzz.outcome) =
   | Some path, None -> say "warning: no span dump captured for %s" path
   | None, _ -> ()
 
-(* Explore [seeds] consecutive cases from [seed]. The first violating
-   case is shrunk to a minimal reproducer and written to [plan_out] as
-   a replayable artifact; the campaign report (schema_version 1) goes
-   to [report]. Metrics/span dumps of the first case support the CI
-   determinism gate: a replay of the same artifact must reproduce them
-   byte for byte. *)
 let say_outcome ~label (oc : Fuzz.outcome) =
   say "%s: %d fault events, %d acked appends, %d/%d txs committed, %d spec firings, %d violations"
     label oc.Fuzz.oc_fault_events oc.Fuzz.oc_acked oc.Fuzz.oc_committed
@@ -577,6 +576,18 @@ let say_outcome ~label (oc : Fuzz.outcome) =
     oc.Fuzz.oc_spec_firings;
   print_violations oc.Fuzz.oc_violations
 
+let say_shrunk ~from (sh : Fuzz.shrink_result) =
+  say "minimal plan after %d re-runs (%d -> %d events), oracle %s:" sh.Fuzz.sh_runs from
+    (List.length sh.Fuzz.sh_plan) sh.Fuzz.sh_oracle;
+  say "%s" (Format.asprintf "%a" Sim.Fault.pp_plan sh.Fuzz.sh_plan)
+
+(* Explore [seeds] consecutive cases from [seed]. The first violating
+   case is shrunk to a minimal reproducer and written to [plan_out] as
+   a scenario carrying the specs and failpoint it failed under, so
+   [scenario run --file] replays it alone; the campaign report
+   (schema_version 1) goes to [report]. Metrics/span dumps of the first
+   case support the CI determinism gate: a second run of the same seed
+   must reproduce them byte for byte. *)
 let fuzz_run seed seeds servers clients events appends txs plan_out metrics_out spans_out
     flight_out report failpoint specs_str =
   harness_errors @@ fun () ->
@@ -610,50 +621,47 @@ let fuzz_run seed seeds servers clients events appends txs plan_out metrics_out 
   | Some (seed, plan, oracle) ->
       say "shrinking the seed-%d reproducer (oracle: %s)..." seed oracle;
       let sh = Fuzz.shrink ?failpoint ~specs ~seed config plan ~oracle in
-      say "minimal plan after %d re-runs (%d -> %d events):" sh.Fuzz.sh_runs (List.length plan)
-        (List.length sh.Fuzz.sh_plan);
-      say "%s" (Format.asprintf "%a" Sim.Fault.pp_plan sh.Fuzz.sh_plan);
+      say_shrunk ~from:(List.length plan) sh;
       Option.iter
         (fun path ->
-          write_file path (Fuzz.encode_artifact ~seed config sh.Fuzz.sh_plan);
-          say "replayable artifact -> %s" path)
+          write_file path
+            (Scenario.encode
+               {
+                 Scenario.sc_name = Printf.sprintf "fuzz-seed-%d" seed;
+                 sc_seed = seed;
+                 sc_config = config;
+                 sc_plan = sh.Fuzz.sh_plan;
+                 sc_specs = specs;
+                 sc_spec_deadline_us = None;
+                 sc_failpoint = failpoint;
+               });
+          say "reproducer scenario -> %s" path)
         plan_out;
       exit 1
 
-let fuzz_replay plan_file metrics_out spans_out flight_out failpoint specs_str =
+let fuzz_shrink plan_file out oracle =
   harness_errors @@ fun () ->
-  let specs = parse_specs specs_str in
-  let seed, config, plan = Fuzz.decode_artifact (read_file plan_file) in
-  let oc =
-    Fuzz.run ?failpoint ~capture_spans:(Option.is_some spans_out) ~specs ~seed config ~plan
-  in
-  dump_outcome ~metrics_out ~spans_out ~flight_out oc;
-  say_outcome ~label:(Printf.sprintf "replayed seed %d" seed) oc;
-  if oc.Fuzz.oc_violations = [] then `Ok () else exit 1
-
-let fuzz_shrink plan_file out oracle failpoint specs_str =
-  harness_errors @@ fun () ->
-  let specs = parse_specs specs_str in
-  let seed, config, plan = Fuzz.decode_artifact (read_file plan_file) in
+  let sc = Scenario.decode (read_file plan_file) in
   let oracle =
     match oracle with
     | Some o -> o
     | None -> (
-        (* no oracle named: re-run the artifact and minimize against
+        (* no oracle named: re-run the scenario and minimize against
            whatever fires first *)
-        let oc = Fuzz.run ?failpoint ~specs ~seed config ~plan in
-        match oc.Fuzz.oc_violations with
+        match (Scenario.run sc).Fuzz.oc_violations with
         | [] ->
-            say "artifact no longer reproduces any violation; nothing to shrink";
+            say "scenario no longer reproduces any violation; nothing to shrink";
             exit 1
         | v :: _ -> v.Verifier.v_oracle)
   in
-  let sh = Fuzz.shrink ?failpoint ~specs ~seed config plan ~oracle in
-  say "minimal plan after %d re-runs (%d -> %d events), oracle %s:" sh.Fuzz.sh_runs
-    (List.length plan) (List.length sh.Fuzz.sh_plan) sh.Fuzz.sh_oracle;
-  say "%s" (Format.asprintf "%a" Sim.Fault.pp_plan sh.Fuzz.sh_plan);
-  write_file out (Fuzz.encode_artifact ~seed config sh.Fuzz.sh_plan);
-  say "shrunk artifact -> %s" out;
+  let sh =
+    Fuzz.shrink ?failpoint:sc.Scenario.sc_failpoint ~specs:sc.Scenario.sc_specs
+      ?spec_deadline_us:sc.Scenario.sc_spec_deadline_us ~seed:sc.Scenario.sc_seed
+      sc.Scenario.sc_config sc.Scenario.sc_plan ~oracle
+  in
+  say_shrunk ~from:(List.length sc.Scenario.sc_plan) sh;
+  write_file out (Scenario.encode { sc with Scenario.sc_plan = sh.Fuzz.sh_plan });
+  say "shrunk scenario -> %s" out;
   `Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -718,11 +726,11 @@ let scenario_show name file =
   say "%s" (Scenario.encode (load_scenario name file));
   `Ok ()
 
-let scenario_run name file report flight_out =
+let scenario_run name file report metrics_out spans_out flight_out =
   harness_errors @@ fun () ->
   let sc = load_scenario name file in
-  let oc = Scenario.run sc in
-  dump_outcome ~metrics_out:None ~spans_out:None ~flight_out oc;
+  let oc = Scenario.run ~capture_spans:(Option.is_some spans_out) sc in
+  dump_outcome ~metrics_out ~spans_out ~flight_out oc;
   say_outcome ~label:(Printf.sprintf "scenario %s (seed %d)" sc.Scenario.sc_name sc.Scenario.sc_seed)
     oc;
   Option.iter
@@ -872,21 +880,22 @@ let plan_out_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "plan-out" ] ~docv:"FILE" ~doc:"Write the shrunk reproducer artifact here.")
+    & info [ "plan-out" ] ~docv:"FILE"
+        ~doc:"Write the shrunk reproducer here, as a scenario $(b,scenario run --file) replays.")
 
 let metrics_out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the first case's canonical metrics JSON (determinism gate).")
+        ~doc:"Write the (first) case's canonical metrics JSON (determinism gate).")
 
 let spans_out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "spans-out" ] ~docv:"FILE"
-        ~doc:"Capture and write the first case's span timeline (determinism gate).")
+        ~doc:"Capture and write the (first) case's span timeline (determinism gate).")
 
 let flight_out_arg =
   Arg.(
@@ -923,13 +932,13 @@ let plan_arg =
   Arg.(
     required
     & opt (some string) None
-    & info [ "plan" ] ~docv:"FILE" ~doc:"Replayable fuzz artifact to load.")
+    & info [ "plan" ] ~docv:"FILE" ~doc:"Scenario file (e.g. a fuzz reproducer) to shrink.")
 
 let shrink_out_arg =
   Arg.(
     value
     & opt string "shrunk-plan.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the shrunk artifact.")
+    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the shrunk scenario.")
 
 let oracle_arg =
   Arg.(
@@ -947,19 +956,13 @@ let fuzz_run_cmd =
        $ fuzz_events_arg $ fuzz_appends_arg $ fuzz_txs_arg $ plan_out_arg $ metrics_out_arg
        $ spans_out_arg $ flight_out_arg $ report_arg $ failpoint_arg $ specs_arg))
 
-let fuzz_replay_cmd =
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Re-run a saved fuzz artifact; deterministic down to the span dump.")
-    Term.(
-      ret
-        (const fuzz_replay $ plan_arg $ metrics_out_arg $ spans_out_arg $ flight_out_arg
-       $ failpoint_arg $ specs_arg))
-
 let fuzz_shrink_cmd =
   Cmd.v
-    (Cmd.info "shrink" ~doc:"Minimize a saved fuzz artifact while its oracle keeps firing.")
-    Term.(
-      ret (const fuzz_shrink $ plan_arg $ shrink_out_arg $ oracle_arg $ failpoint_arg $ specs_arg))
+    (Cmd.info "shrink"
+       ~doc:
+         "Minimize a scenario's plan while its oracle keeps firing, under the scenario's own \
+          specs and failpoint.")
+    Term.(ret (const fuzz_shrink $ plan_arg $ shrink_out_arg $ oracle_arg))
 
 let fuzz_cmd =
   Cmd.group
@@ -967,7 +970,7 @@ let fuzz_cmd =
        ~doc:
          "Simulation fuzzer: randomized fault plans, global invariant oracles, automatic plan \
           shrinking (DESIGN.md §9).")
-    [ fuzz_run_cmd; fuzz_replay_cmd; fuzz_shrink_cmd ]
+    [ fuzz_run_cmd; fuzz_shrink_cmd ]
 
 let spec_cmd =
   Cmd.v
@@ -1002,10 +1005,13 @@ let scenario_run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Execute one scenario with its spec machines armed. Exits 0 when clean, 1 when an oracle \
-          or spec fired, 2 on a harness error.")
+         "Execute one scenario with its spec machines armed and its failpoint enabled; \
+          deterministic down to the span dump. Exits 0 when clean, 1 when an oracle or spec \
+          fired, 2 on a harness error.")
     Term.(
-      ret (const scenario_run $ scenario_name_arg $ scenario_file_arg $ report_arg $ flight_out_arg))
+      ret
+        (const scenario_run $ scenario_name_arg $ scenario_file_arg $ report_arg $ metrics_out_arg
+       $ spans_out_arg $ flight_out_arg))
 
 let scenario_cmd =
   Cmd.group

@@ -107,14 +107,14 @@ type t = {
   tx_h : Sim.Metrics.histogram;  (* begin_tx .. end_tx *)
 }
 
-let create ?batch_size ?linger_us ?(decision_timeout_us = 50_000.) cl =
+let create ?batch_size ?(decision_timeout_us = 50_000.) cl =
   let p = Corfu.Client.params cl in
   let batch_size = Option.value batch_size ~default:p.Sim.Params.commit_batch in
   let host_name = Sim.Net.host_name (Corfu.Client.host cl) in
   let t =
   {
     cl;
-    batcher = Batcher.create ~client:cl ~batch_size ?linger_us ();
+    batcher = Batcher.create ~client:cl ~batch_size ();
     dispatch = Sim.Resource.create ~name:(host_name ^ ".tango-dispatch") ~capacity:1 ();
     play_lock = Sim.Resource.create ~name:(host_name ^ ".tango-playback") ~capacity:1 ();
     objects = Hashtbl.create 16;

@@ -70,11 +70,10 @@ type tx_status = Committed | Aborted
 exception No_transaction
 exception Nested_transaction
 
-(** [create ?batch_size ?linger_us ?decision_timeout_us client] builds
-    a runtime over a CORFU client. [batch_size] defaults to the
-    params' [commit_batch]. *)
-val create :
-  ?batch_size:int -> ?linger_us:float -> ?decision_timeout_us:float -> Corfu.Client.t -> t
+(** [create ?batch_size ?decision_timeout_us client] builds a runtime
+    over a CORFU client. [batch_size] defaults to the params'
+    [commit_batch]. *)
+val create : ?batch_size:int -> ?decision_timeout_us:float -> Corfu.Client.t -> t
 
 val client : t -> Corfu.Client.t
 

@@ -7,9 +7,6 @@ type t = {
   mutable horizon : Types.offset;  (* membership complete below this *)
   mutable sync_read_count : int;
   mutable trim_gap : bool;  (* reclaimed history was skipped *)
-  mutable prefetch_window : int;  (* adapts between params bounds *)
-  mutable prefetched_to : int;  (* members below this index already had a prefetch issued *)
-  mutable hit_run : int;  (* consecutive cache hits since last miss *)
   mutable cache_hits : int;
   mutable cache_misses : int;
 }
@@ -24,9 +21,6 @@ let attach cl sid =
     horizon = 0;
     sync_read_count = 0;
     trim_gap = false;
-    prefetch_window = (Client.params cl).Sim.Params.prefetch_min;
-    prefetched_to = 0;
-    hit_run = 0;
     cache_hits = 0;
     cache_misses = 0;
   }
@@ -37,7 +31,6 @@ let append t payload = Client.append t.cl ~streams:[ t.sid ] payload
 let pending t = t.len - t.cursor
 let discovered t = t.len
 let sync_reads t = t.sync_read_count
-let prefetch_window t = t.prefetch_window
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let has_trim_gap t = t.trim_gap
@@ -82,50 +75,17 @@ let push_members t members =
     done
   end
 
-(* The prefetch window adapts to the observed cache miss rate: a miss
-   means the fixed lookahead was not deep enough to hide the log's
-   read latency, so the window doubles (up to [prefetch_max]); a long
-   run of hits — 4 windows' worth — means the cache is absorbing the
-   read stream comfortably, so it halves back toward
-   [prefetch_min]. *)
-let note_hit t =
-  t.cache_hits <- t.cache_hits + 1;
-  t.hit_run <- t.hit_run + 1;
-  let floor = (Client.params t.cl).Sim.Params.prefetch_min in
-  if t.hit_run >= 4 * t.prefetch_window && t.prefetch_window > floor then begin
-    t.prefetch_window <- max floor (t.prefetch_window / 2);
-    t.hit_run <- 0
-  end
-
-let note_miss t =
-  t.cache_misses <- t.cache_misses + 1;
-  t.hit_run <- 0;
-  let cap = (Client.params t.cl).Sim.Params.prefetch_max in
-  if t.prefetch_window < cap then t.prefetch_window <- min cap (2 * t.prefetch_window)
-
 (* Fetch the entry at [off] through the client-wide cache, resolving
    holes (blocking with backoff, then filling). *)
 let resolve t off =
   match Client.cached t.cl off with
   | Some e ->
-      note_hit t;
+      t.cache_hits <- t.cache_hits + 1;
       Client.Data e
   | None ->
-      note_miss t;
+      t.cache_misses <- t.cache_misses + 1;
       t.sync_read_count <- t.sync_read_count + 1;
       Client.read_shared t.cl off
-
-(* Playback pipelining: before blocking on the entry at index [idx],
-   launch fetches for the next window of member offsets so log reads
-   overlap instead of paying one round trip each. The window slides
-   one member per call, so only the members past the high-water index
-   [prefetched_to] are new; the rest were issued by an earlier call. *)
-let prefetch_from t idx =
-  let stop = min t.len (idx + t.prefetch_window) in
-  for i = max idx t.prefetched_to to stop - 1 do
-    Client.prefetch t.cl t.offsets.(i)
-  done;
-  if stop > t.prefetched_to then t.prefetched_to <- stop
 
 let header_for t off entry =
   let k = (Client.params t.cl).Sim.Params.backpointer_k in
@@ -231,7 +191,6 @@ let rec readnext t =
   if t.cursor >= t.len then None
   else begin
     let off = t.offsets.(t.cursor) in
-    prefetch_from t t.cursor;
     match resolve t off with
     | Client.Data e ->
         t.cursor <- t.cursor + 1;
@@ -250,7 +209,6 @@ let rec peek_next_offset t =
   if t.cursor >= t.len then None
   else begin
     let off = t.offsets.(t.cursor) in
-    prefetch_from t t.cursor;
     match resolve t off with
     | Client.Data _ -> Some off
     | Client.Junk ->

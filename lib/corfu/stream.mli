@@ -66,11 +66,6 @@ val discovered : t -> int
     ablation: ≈ N/K plus junk-scan penalties). *)
 val sync_reads : t -> int
 
-(** Current playback prefetch depth. Starts at
-    {!Sim.Params.t.prefetch_min}, doubles on a cache miss up to
-    [prefetch_max], and halves back after a long run of hits. *)
-val prefetch_window : t -> int
-
 (** Entry lookups served from the client cache. *)
 val cache_hits : t -> int
 

@@ -50,7 +50,7 @@ let set_oid = 2
 (* Plan generation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Placeholder for generated/decoded [Custom] actions; {!run} rebinds
+(* Placeholder for generated [Custom] actions; {!run} rebinds
    every custom thunk against the live cluster before scheduling. *)
 let unbound_thunk () = invalid_arg "Fuzz: custom action thunk was not rebound"
 
@@ -654,18 +654,45 @@ let shrink ?failpoint ?(specs = []) ?spec_deadline_us ~seed config plan ~oracle 
   { sh_plan = sort_plan p; sh_runs = !runs; sh_oracle = oracle }
 
 (* ------------------------------------------------------------------ *)
-(* Replayable artifacts and run reports                               *)
+(* Config codec and run reports                                       *)
 (* ------------------------------------------------------------------ *)
 
-let artifact_version = 2
-
-(* Exact numerals, same contract as the plan encoder: a decoded
-   artifact reruns the byte-identical scenario. *)
-let num v =
-  if Float.is_integer v && Float.abs v < 9.007199254740992e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+(* A case the harness cannot run is malformed input, not a finding:
+   without this, [servers = 3] surfaces as an ["exception"] violation
+   and a negative deadline as ["liveness"]. *)
+let validate_config c =
+  let check ok field v rule =
+    if not ok then invalid_arg (Printf.sprintf "Fuzz config: %s = %s, must be %s" field v rule)
+  in
+  check (c.f_servers >= 2 && c.f_servers mod 2 = 0) "servers" (string_of_int c.f_servers)
+    "even and >= 2";
+  check (c.f_clients >= 1) "clients" (string_of_int c.f_clients) ">= 1";
+  List.iter
+    (fun (k, n) -> check (n >= 0) k (string_of_int n) ">= 0")
+    [
+      ("appends", c.f_appends);
+      ("txs", c.f_txs);
+      ("events", c.f_events);
+      ("shrink_runs", c.f_shrink_runs);
+    ];
+  List.iter
+    (fun (k, v) -> check (Float.is_finite v && v >= 0.) k (Printf.sprintf "%g" v) "finite and >= 0")
+    [
+      ("fault_at_us", c.f_fault_at_us);
+      ("fault_window_us", c.f_fault_window_us);
+      ("deadline_us", c.f_deadline_us);
+      ("repair_margin_us", c.f_repair_margin_us);
+      ("settle_us", c.f_settle_us);
+      ("horizon_us", c.f_horizon_us);
+    ];
+  check
+    (c.f_deadline_us +. c.f_settle_us < c.f_horizon_us)
+    "deadline_us + settle_us"
+    (Printf.sprintf "%g" (c.f_deadline_us +. c.f_settle_us))
+    (Printf.sprintf "< horizon_us (%g)" c.f_horizon_us)
 
 let encode_config c =
+  let num = Sim.Jout.exact in
   Sim.Jout.obj
     [
       ("servers", string_of_int c.f_servers);
@@ -685,46 +712,24 @@ let encode_config c =
 let decode_config v =
   let int k = Sim.Jin.to_int (Sim.Jin.member k v) in
   let flt k = Sim.Jin.to_float (Sim.Jin.member k v) in
-  {
-    f_servers = int "servers";
-    f_clients = int "clients";
-    f_appends = int "appends";
-    f_txs = int "txs";
-    f_events = int "events";
-    f_fault_at_us = flt "fault_at_us";
-    f_fault_window_us = flt "fault_window_us";
-    f_deadline_us = flt "deadline_us";
-    f_repair_margin_us = flt "repair_margin_us";
-    f_settle_us = flt "settle_us";
-    f_horizon_us = flt "horizon_us";
-    f_shrink_runs = int "shrink_runs";
-  }
-
-let encode_artifact ~seed config plan =
-  Sim.Jout.obj
-    [
-      ("version", string_of_int artifact_version);
-      ("tool", Sim.Jout.str "tango-fuzz");
-      ("seed", string_of_int seed);
-      ("config", encode_config config);
-      ("plan", Sim.Fault.encode_plan plan);
-    ]
-
-let decode_artifact s =
-  let doc = Sim.Jin.parse s in
-  let version = Sim.Jin.to_int (Sim.Jin.member "version" doc) in
-  if version <> artifact_version then
-    invalid_arg
-      (Printf.sprintf "Fuzz.decode_artifact: artifact version %d, this build reads %d" version
-         artifact_version);
-  let seed = Sim.Jin.to_int (Sim.Jin.member "seed" doc) in
-  let config = decode_config (Sim.Jin.member "config" doc) in
-  let plan =
-    Sim.Fault.decode_plan_value
-      ~custom:(fun _name -> unbound_thunk)
-      (Sim.Jin.member "plan" doc)
+  let c =
+    {
+      f_servers = int "servers";
+      f_clients = int "clients";
+      f_appends = int "appends";
+      f_txs = int "txs";
+      f_events = int "events";
+      f_fault_at_us = flt "fault_at_us";
+      f_fault_window_us = flt "fault_window_us";
+      f_deadline_us = flt "deadline_us";
+      f_repair_margin_us = flt "repair_margin_us";
+      f_settle_us = flt "settle_us";
+      f_horizon_us = flt "horizon_us";
+      f_shrink_runs = int "shrink_runs";
+    }
   in
-  (seed, config, plan)
+  validate_config c;
+  c
 
 let report_json ~runs =
   let total = List.fold_left (fun acc (_, oc) -> acc + List.length oc.oc_violations) 0 runs in

@@ -5,9 +5,10 @@
     case does — engine scheduling, fault randomness, workload
     randomness — derives from the seed, so {!run} on the same triple
     reproduces the same virtual-time trace byte for byte: metrics and
-    span dumps from a replay compare equal with [cmp]. Failing triples
-    serialize to a versioned JSON artifact ({!encode_artifact}) that
-    [tangoctl fuzz replay] and [tangoctl fuzz shrink] consume.
+    span dumps from a replay compare equal with [cmp]. A failing
+    triple, shrunk, is saved as a {!Scenario} together with the specs
+    and failpoint it ran under, so [tangoctl scenario run] replays it
+    with no other input.
 
     Generated plans are {e make-whole}: every fault carries a recovery
     partner, and storage faults are serialized onto disjoint chains, so
@@ -124,21 +125,16 @@ val shrink :
   oracle:string ->
   shrink_result
 
-(** Bumped on any incompatible change to the artifact JSON layout. *)
-val artifact_version : int
+(** [validate_config c] rejects a config no run can honour: [servers]
+    odd or below 2, [clients] below 1, a negative count, a time that is
+    negative or not finite, or [deadline_us + settle_us >= horizon_us].
+    @raise Invalid_argument naming the offending field. *)
+val validate_config : config -> unit
 
 val encode_config : config -> string
+
+(** @raise Invalid_argument as {!validate_config}. *)
 val decode_config : Sim.Jin.t -> config
-
-(** [encode_artifact ~seed config plan] packages a fuzz case as a
-    self-contained versioned JSON document. *)
-val encode_artifact : seed:int -> config -> (float * Sim.Fault.action) list -> string
-
-(** [decode_artifact s] reads an artifact back. Custom actions decode
-    with placeholder thunks; {!run} rebinds them.
-    @raise Sim.Jin.Parse_error on malformed JSON.
-    @raise Invalid_argument on an unknown version. *)
-val decode_artifact : string -> int * config * (float * Sim.Fault.action) list
 
 (** [report_json ~runs] renders a machine-readable campaign report
     ([schema_version] 1): per-seed violation counts, oracle names,

@@ -1,9 +1,10 @@
 (* Config-driven scenario driver: a named, versioned, serializable
    bundle of everything one fuzz case needs — topology and workload
    mix (the Fuzz.config), an explicit fault plan, the spec machines to
-   arm, and optionally a failpoint. The JSON form is the test-matrix
-   currency: CI and operators exchange scenario files the way the P
-   exemplar exchanges logConfig test machines. *)
+   arm, and optionally a failpoint. The JSON form is the only fault-case
+   format: built-in matrices, hand-edited cases and the fuzzer's shrunk
+   reproducers are all scenario files, the way the P exemplar bundles a
+   logConfig with the monitors its test machine announces. *)
 
 type t = {
   sc_name : string;
@@ -16,11 +17,6 @@ type t = {
 }
 
 let version = 1
-
-(* Exact numerals, same contract as the plan encoder. *)
-let num v =
-  if Float.is_integer v && Float.abs v < 9.007199254740992e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
 
 let encode sc =
   Sim.Jout.obj
@@ -35,18 +31,13 @@ let encode sc =
            ("specs", Sim.Jout.arr (List.map (fun s -> Sim.Jout.str (Spec.name s)) sc.sc_specs));
          ];
          (match sc.sc_spec_deadline_us with
-         | Some d -> [ ("spec_deadline_us", num d) ]
+         | Some d -> [ ("spec_deadline_us", Sim.Jout.exact d) ]
          | None -> []);
          (match sc.sc_failpoint with
          | Some fp -> [ ("failpoint", Sim.Jout.str fp) ]
          | None -> []);
          [ ("plan", Sim.Fault.encode_plan sc.sc_plan) ];
        ])
-
-(* Decoded customs get placeholder thunks; {!Fuzz.run} rebinds every
-   custom action against the live cluster before scheduling. *)
-let unbound name () =
-  invalid_arg (Printf.sprintf "Scenario: custom action %S was not rebound" name)
 
 let decode s =
   let doc = Sim.Jin.parse s in
@@ -58,10 +49,8 @@ let decode s =
     sc_name = Sim.Jin.to_string (Sim.Jin.member "name" doc);
     sc_seed = Sim.Jin.to_int (Sim.Jin.member "seed" doc);
     sc_config = Fuzz.decode_config (Sim.Jin.member "config" doc);
-    sc_plan =
-      Sim.Fault.decode_plan_value
-        ~custom:(fun name -> unbound name)
-        (Sim.Jin.member "plan" doc);
+    (* customs decode with placeholder thunks; {!Fuzz.run} rebinds them *)
+    sc_plan = Sim.Fault.decode_plan_value (Sim.Jin.member "plan" doc);
     sc_specs =
       List.map
         (fun v -> Spec.of_name (Sim.Jin.to_string v))
@@ -76,15 +65,18 @@ let decode s =
       | None -> None);
   }
 
-let run sc =
-  Fuzz.run ?failpoint:sc.sc_failpoint ~specs:sc.sc_specs
+let run ?capture_spans sc =
+  Fuzz.run ?failpoint:sc.sc_failpoint ?capture_spans ~specs:sc.sc_specs
     ?spec_deadline_us:sc.sc_spec_deadline_us ~seed:sc.sc_seed sc.sc_config ~plan:sc.sc_plan
 
 (* ------------------------------------------------------------------ *)
 (* Built-in scenarios                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let custom name = Sim.Fault.Custom (name, unbound name)
+(* {!Fuzz.run} rebinds every custom action against the live cluster. *)
+let custom name =
+  Sim.Fault.Custom
+    (name, fun () -> invalid_arg (Printf.sprintf "Scenario: custom action %S was not rebound" name))
 
 (* The repo's analog of the verified-log exemplar's producer takeover:
    one storage node is partitioned away, the sequencer is replaced

@@ -5,7 +5,10 @@
     {!Spec} machines to arm, and optionally a failpoint. Scenarios
     serialize to a versioned JSON document, so the interesting test
     matrix lives in files and CI steps, not in code — the [logConfig]
-    pattern from the verified-distributed-log exemplar. *)
+    pattern from the verified-distributed-log exemplar. It is the one
+    fault-case format: [tangoctl fuzz run --plan-out] and
+    [fuzz shrink --out] write the shrunk reproducer as a scenario
+    carrying the specs and failpoint that made it fail. *)
 
 type t = {
   sc_name : string;
@@ -22,14 +25,17 @@ val version : int
 
 val encode : t -> string
 
-(** @raise Sim.Jin.Parse_error on malformed JSON.
-    @raise Invalid_argument on an unknown version or spec name. *)
+(** Custom actions decode with placeholder thunks; {!run} rebinds them.
+    @raise Sim.Jin.Parse_error on malformed JSON.
+    @raise Invalid_argument on an unknown version or spec name, a
+    config {!Fuzz.validate_config} rejects, or a negative event time. *)
 val decode : string -> t
 
-(** [run sc] executes the scenario as one fuzz case ({!Fuzz.run}) with
-    its specs armed. Determinism contract is {!Fuzz.run}'s: same
-    scenario, byte-identical trace. *)
-val run : t -> Fuzz.outcome
+(** [run ?capture_spans sc] executes the scenario as one fuzz case
+    ({!Fuzz.run}) with its specs armed and its failpoint enabled.
+    Determinism contract is {!Fuzz.run}'s: same scenario,
+    byte-identical trace. *)
+val run : ?capture_spans:bool -> t -> Fuzz.outcome
 
 (** Built-in scenarios, including
     ["sequencer-takeover-under-partition"] — a sequencer replacement

@@ -172,13 +172,6 @@ let pp_plan ppf p =
 
 let plan_version = 1
 
-(* Exact float round-trip: %.17g re-reads to the same double, so an
-   encoded plan decodes to an [equal_plan] plan bit-for-bit. Virtual
-   times are finite by construction. *)
-let num v =
-  if Float.is_integer v && Float.abs v < 9.007199254740992e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
 let encode_action = function
   | Crash h -> [ ("kind", Jout.str "crash"); ("host", Jout.str h) ]
   | Restart h -> [ ("kind", Jout.str "restart"); ("host", Jout.str h) ]
@@ -193,9 +186,9 @@ let encode_action = function
         ("kind", Jout.str "degrade");
         ("src", Jout.str d_src);
         ("dst", Jout.str d_dst);
-        ("drop", num d_drop);
-        ("delay_us", num d_delay_us);
-        ("jitter_us", num d_jitter_us);
+        ("drop", Jout.exact d_drop);
+        ("delay_us", Jout.exact d_delay_us);
+        ("jitter_us", Jout.exact d_jitter_us);
       ]
   | Clear_edge (s, d) ->
       [ ("kind", Jout.str "clear-edge"); ("src", Jout.str s); ("dst", Jout.str d) ]
@@ -206,7 +199,7 @@ let encode_plan p =
     [
       ("version", string_of_int plan_version);
       ( "events",
-        Jout.arr (List.map (fun (at, a) -> Jout.obj (("at", num at) :: encode_action a)) p) );
+        Jout.arr (List.map (fun (at, a) -> Jout.obj (("at", Jout.exact at) :: encode_action a)) p) );
     ]
 
 let unbound_custom name () =
@@ -246,7 +239,11 @@ let decode_plan_value ?(custom = unbound_custom) doc =
       (Printf.sprintf "Fault.decode_plan: plan version %d, this build reads %d" version
          plan_version);
   List.map
-    (fun ev -> (Jin.to_float (Jin.member "at" ev), decode_action ~custom ev))
+    (fun ev ->
+      let at = Jin.to_float (Jin.member "at" ev) in
+      if not (Float.is_finite at && at >= 0.) then
+        invalid_arg (Printf.sprintf "Fault.decode_plan: event at = %g, must be finite and >= 0" at);
+      (at, decode_action ~custom ev))
     (Jin.to_list (Jin.member "events" doc))
 
 let decode_plan ?custom s = decode_plan_value ?custom (Jin.parse s)

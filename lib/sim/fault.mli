@@ -117,10 +117,11 @@ val encode_plan : (float * action) list -> string
     raises [Invalid_argument] when executed — fine for plans that are
     only compared, printed, or re-encoded).
     @raise Jin.Parse_error on malformed JSON.
-    @raise Invalid_argument on an unknown version or action kind. *)
+    @raise Invalid_argument on an unknown version or action kind, or
+    an event time that is negative or not finite. *)
 val decode_plan : ?custom:(string -> unit -> unit) -> string -> (float * action) list
 
 (** [decode_plan_value ?custom v] reads a plan from an already-parsed
-    {!Jin} document — for plans embedded inside larger artifacts (the
-    fuzzer's replayable envelope). *)
+    {!Jin} document — for plans embedded inside larger documents (a
+    scenario). *)
 val decode_plan_value : ?custom:(string -> unit -> unit) -> Jin.t -> (float * action) list

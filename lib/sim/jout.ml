@@ -21,6 +21,10 @@ let flt v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
+let exact v =
+  if Float.is_integer v && Float.abs v < 9.007199254740992e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v
+
 let obj fields =
   let buf = Buffer.create 64 in
   Buffer.add_char buf '{';

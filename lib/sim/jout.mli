@@ -15,6 +15,12 @@ val str : string -> string
     no representation for them). *)
 val flt : float -> string
 
+(** [exact v] formats a finite [v] so that it parses back to the same
+    double: integers up to 2^53 without an exponent, anything else at
+    17 significant digits. Documents that must re-run bit for bit
+    (fault plans, scenarios) write their floats with it. *)
+val exact : float -> string
+
 (** [obj fields] is [{"k": v, ...}] with fields in the given order;
     values must already be serialized JSON. *)
 val obj : (string * string) list -> string

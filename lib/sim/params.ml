@@ -15,8 +15,6 @@ type t = {
   max_streams_per_entry : int;
   fill_timeout_us : float;
   append_window : int;
-  prefetch_min : int;
-  prefetch_max : int;
   retry_sleep_us : float;
   retry_backoff_max_us : float;
   rpc_timeout_us : float;
@@ -58,8 +56,6 @@ let default =
     max_streams_per_entry = 16;
     fill_timeout_us = 100_000.;
     append_window = 8;
-    prefetch_min = 16;
-    prefetch_max = 64;
     retry_sleep_us = 200.;
     retry_backoff_max_us = 1_600.;
     (* Worst-case queueing on a saturated chain head (64 writers, 80 µs

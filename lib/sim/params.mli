@@ -28,10 +28,6 @@ type t = {
   append_window : int;
       (** max log entries a client keeps in flight concurrently (the
           paper's §6.1 append window, 8–256 in Fig. 8) *)
-  prefetch_min : int;  (** playback prefetch window floor (entries) *)
-  prefetch_max : int;
-      (** playback prefetch window cap; the window adapts between the
-          floor and this cap on observed cache miss rate *)
   retry_sleep_us : float;
       (** initial sleep between undecided-commit / settle retries *)
   retry_backoff_max_us : float;

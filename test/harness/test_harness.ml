@@ -394,13 +394,15 @@ let test_verifier_pathological_histories () =
     (oracle_names (Verifier.atomicity ~txs:[]))
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzer: clean smoke, determinism, artifact codec, sensitivity       *)
+(* Fuzzer: clean smoke, determinism, reproducers, sensitivity         *)
 (* ------------------------------------------------------------------ *)
 
 module Fuzz = Tango_harness.Fuzz
+module Spec = Tango_harness.Spec
+module Scenario = Tango_harness.Scenario
 
 (* One trimmed-down case per test keeps the suite fast; the CI
-   fuzz-smoke job and bench sweep run the full-size campaigns. *)
+   fuzz-smoke job runs the full-size campaigns. *)
 let small_config =
   {
     Fuzz.default_config with
@@ -431,21 +433,36 @@ let test_fuzz_deterministic_replay () =
   Alcotest.(check (option string)) "span dumps byte-identical" a.Fuzz.oc_spans_json
     b.Fuzz.oc_spans_json
 
-let test_fuzz_artifact_roundtrip () =
-  let plan = Fuzz.gen_plan ~seed:44 small_config in
-  let doc = Fuzz.encode_artifact ~seed:44 small_config plan in
-  let seed', config', plan' = Fuzz.decode_artifact doc in
-  Alcotest.(check int) "seed" 44 seed';
-  check_bool "config" true (config' = small_config);
-  check_bool "plan" true (Sim.Fault.equal_plan plan plan');
-  match Fuzz.decode_artifact "{\"version\":9,\"tool\":\"tango-fuzz\"}" with
-  | _ -> Alcotest.fail "unknown artifact version accepted"
-  | exception Invalid_argument _ -> ()
+(* A generated case travels as a scenario: seed, config, a plan with
+   custom actions, specs and failpoint all survive the file. *)
+let test_fuzz_reproducer_roundtrip () =
+  let sc =
+    {
+      Scenario.sc_name = "fuzz-seed-44";
+      sc_seed = 44;
+      sc_config = small_config;
+      sc_plan = Fuzz.gen_plan ~seed:44 small_config;
+      sc_specs = Spec.all;
+      sc_spec_deadline_us = None;
+      sc_failpoint = Some "skip-rebuild-scan";
+    }
+  in
+  check_bool "plan has a custom action" true
+    (List.exists (function _, Sim.Fault.Custom _ -> true | _ -> false) sc.Scenario.sc_plan);
+  let doc = Scenario.encode sc in
+  let sc' = Scenario.decode doc in
+  Alcotest.(check int) "seed" 44 sc'.Scenario.sc_seed;
+  check_bool "config" true (sc'.Scenario.sc_config = small_config);
+  check_bool "plan" true (Sim.Fault.equal_plan sc.Scenario.sc_plan sc'.Scenario.sc_plan);
+  check_bool "specs" true (sc'.Scenario.sc_specs = Spec.all);
+  Alcotest.(check (option string)) "failpoint" sc.Scenario.sc_failpoint sc'.Scenario.sc_failpoint;
+  Alcotest.(check string) "re-encode is byte-identical" doc (Scenario.encode sc')
 
 (* Sensitivity: with the rebuild scan disabled (an injected recovery
    bug), the fuzzer must find a violation within a few seeds and shrink
-   it to a <=5 event reproducer that still trips the same oracle — and
-   no longer trips anything once the failpoint is off. *)
+   it to a <=5 event reproducer. Saved as a scenario, the reproducer
+   alone still trips the same oracle — and no longer trips anything
+   once its failpoint is dropped. *)
 let test_fuzz_finds_injected_bug () =
   let failpoint = "skip-rebuild-scan" in
   let rec hunt seed =
@@ -464,19 +481,29 @@ let test_fuzz_finds_injected_bug () =
     true
     (List.length sh.Fuzz.sh_plan <= 5);
   check_bool "budget respected" true (sh.Fuzz.sh_runs <= small_config.Fuzz.f_shrink_runs);
-  let again = Fuzz.run ~failpoint ~seed small_config ~plan:sh.Fuzz.sh_plan in
-  check_bool "shrunk plan still trips the oracle" true
+  let reproducer =
+    Scenario.decode
+      (Scenario.encode
+         {
+           Scenario.sc_name = "shrunk";
+           sc_seed = seed;
+           sc_config = small_config;
+           sc_plan = sh.Fuzz.sh_plan;
+           sc_specs = [];
+           sc_spec_deadline_us = None;
+           sc_failpoint = Some failpoint;
+         })
+  in
+  let again = Scenario.run reproducer in
+  check_bool "reproducer still trips the oracle" true
     (List.mem sh.Fuzz.sh_oracle (oracle_names again.Fuzz.oc_violations));
-  let clean = Fuzz.run ~seed small_config ~plan:sh.Fuzz.sh_plan in
+  let clean = Scenario.run { reproducer with Scenario.sc_failpoint = None } in
   Alcotest.(check (list string)) "clean build passes the reproducer" []
     (oracle_names clean.Fuzz.oc_violations)
 
 (* ------------------------------------------------------------------ *)
 (* Spec plane: online temporal monitors (DESIGN.md §12)               *)
 (* ------------------------------------------------------------------ *)
-
-module Spec = Tango_harness.Spec
-module Scenario = Tango_harness.Scenario
 
 let spec_oracles oc =
   List.filter (fun o -> String.length o > 5 && String.sub o 0 5 = "spec:")
@@ -597,9 +624,32 @@ let test_scenario_roundtrip () =
   in
   check_bool "no deadline" true (bare.Scenario.sc_spec_deadline_us = None);
   check_bool "no failpoint" true (bare.Scenario.sc_failpoint = None);
-  match Scenario.decode "{\"version\":99,\"tool\":\"tango-scenario\"}" with
+  (match Scenario.decode "{\"version\":99,\"tool\":\"tango-scenario\"}" with
   | _ -> Alcotest.fail "unknown scenario version accepted"
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument _ -> ());
+  (* A case no run can honour is malformed input (exit 2 in tangoctl),
+     not a finding: each is rejected at decode, naming its field. *)
+  let c = small_config in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (field, bad) ->
+      match Scenario.decode (Scenario.encode bad) with
+      | _ -> Alcotest.failf "malformed %s accepted" field
+      | exception Invalid_argument msg ->
+          check_bool (Printf.sprintf "%S names %s" msg field) true (contains msg field))
+    [
+      ("servers", { sc with sc_config = { c with f_servers = 0 } });
+      ("servers", { sc with sc_config = { c with f_servers = 3 } });
+      ("clients", { sc with sc_config = { c with f_clients = 0 } });
+      ("appends", { sc with sc_config = { c with f_appends = -1 } });
+      ("deadline_us", { sc with sc_config = { c with f_deadline_us = -1. } });
+      ("settle_us", { sc with sc_config = { c with f_settle_us = 1e300 } });
+      ("at =", { sc with sc_plan = [ (-5., Sim.Fault.Crash "storage-1") ] });
+    ]
 
 let test_scenario_builtins_run_clean () =
   check_bool "takeover scenario registered" true
@@ -921,7 +971,7 @@ let () =
         [
           Alcotest.test_case "clean smoke" `Quick test_fuzz_clean_smoke;
           Alcotest.test_case "deterministic replay" `Quick test_fuzz_deterministic_replay;
-          Alcotest.test_case "artifact round-trip" `Quick test_fuzz_artifact_roundtrip;
+          Alcotest.test_case "reproducer round-trip" `Quick test_fuzz_reproducer_roundtrip;
           Alcotest.test_case "finds and shrinks injected bug" `Slow test_fuzz_finds_injected_bug;
           Alcotest.test_case "report schema" `Quick test_fuzz_report_schema;
         ] );
