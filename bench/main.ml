@@ -1439,6 +1439,7 @@ let micro_hotpath () =
         (ts_ns, ts_words),
         (slo_ns, slo_words),
         (sp_ns, sp_words),
+        (st_ns, st_words),
         (an_ns, an_words) ) =
     Sim.Engine.run ~seed:0 (fun () ->
         let flight_was = Sim.Flight.enabled () in
@@ -1471,19 +1472,28 @@ let micro_hotpath () =
             ~threshold:10. ~objective:0.99 ()
         in
         let slo = hot_measure ~ops:200_000 (fun () -> Sim.Slo.feed m 1.) in
-        (* span-off: the guarded call-site pattern (net/client/stream)
-           with tracing disabled — the branch must be the whole cost,
-           0.000 minor-words/op. *)
+        (* span-off: a span-only section (check_tail, fill, rpc) with
+           tracing disabled — two branches, 0.000 minor-words/op.
+           section-timed: a section that feeds a histogram (append,
+           chain.write, playback.apply) with tracing disabled — a slot,
+           two clock reads and an unboxed observation, also 0.000. *)
         assert (not (Sim.Span.enabled ()));
         let work = Sim.Metrics.counter ~host:"bench" "kernel.work" in
+        let args k = [ ("k", string_of_int k) ] in
+        let span_only = Sim.Span.site ~host:"bench" ~args "bench.op" in
         let sp =
           hot_measure ~ops:200_000 (fun () ->
-              if Sim.Span.enabled () then
-                Sim.Span.with_span ~host:"bench"
-                  ~args:[ ("k", "v") ]
-                  "bench.op"
-                  (fun () -> Sim.Metrics.incr work)
-              else Sim.Metrics.incr work)
+              let tok = Sim.Span.enter span_only 1 in
+              Sim.Metrics.incr work;
+              Sim.Span.leave span_only tok)
+        in
+        let hist = Sim.Metrics.histogram ~host:"bench" "kernel.section_us" in
+        let timed = Sim.Span.site ~host:"bench" ~hist ~args "bench.op" in
+        let st =
+          hot_measure ~ops:200_000 (fun () ->
+              let tok = Sim.Span.enter timed 1 in
+              Sim.Metrics.incr work;
+              Sim.Span.leave timed tok)
         in
         (* announce-off: the guarded Append_acked call-site pattern
            (corfu client) with no trace, flight or subscriber armed —
@@ -1496,12 +1506,13 @@ let micro_hotpath () =
                 Sim.Announce.emit
                   (Sim.Announce.Append_acked { client = "bench"; offset = 1; streams }))
         in
-        (fl, ts, slo, sp, an))
+        (fl, ts, slo, sp, st, an))
   in
   hot_report ~name:"flight.record" fl_ns fl_words;
   hot_report ~name:"timeseries.tick" ts_ns ts_words;
   hot_report ~name:"slo.eval" slo_ns slo_words;
   hot_report ~name:"span-off" sp_ns sp_words;
+  hot_report ~name:"section-timed" st_ns st_words;
   hot_report ~name:"announce-off" an_ns an_words;
   if an_words >= 0.0005 then failwith "announce-off: the disarmed milestone path allocates"
 

@@ -916,7 +916,7 @@ let failpoint_arg =
     & opt (some string) None
     & info [ "failpoint" ] ~docv:"NAME"
         ~doc:
-          "Enable a cluster failpoint for every run (sensitivity testing): skip-rebuild-scan, \
+          "Enable a cluster or runtime failpoint for every run (sensitivity testing): skip-rebuild-scan, \
            forget-seal-tail, skip-storage-seal, blind-commit-apply, stall-reconfig or skip-rereplication.")
 
 let specs_arg =

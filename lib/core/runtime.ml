@@ -103,9 +103,20 @@ type t = {
   commits_c : Sim.Metrics.counter;
   aborts_c : Sim.Metrics.counter;
   conflicts_c : Sim.Metrics.counter;
-  apply_h : Sim.Metrics.histogram;  (* one playback sweep *)
+  apply_s : int Sim.Span.site;  (* one playback sweep, entered with its target *)
   tx_h : Sim.Metrics.histogram;  (* begin_tx .. end_tx *)
 }
+
+(* The runtime's failpoint (DESIGN.md §9), read by [handle_commit]. *)
+let blind_commit_apply = ref false
+
+let enable_failpoint = function
+  | "blind-commit-apply" -> blind_commit_apply := true
+  | name -> Corfu.Cluster.enable_failpoint name
+
+let reset_failpoints () =
+  blind_commit_apply := false;
+  Corfu.Cluster.reset_failpoints ()
 
 let create ?batch_size ?(decision_timeout_us = 50_000.) cl =
   let p = Corfu.Client.params cl in
@@ -144,7 +155,11 @@ let create ?batch_size ?(decision_timeout_us = 50_000.) cl =
     commits_c = Sim.Metrics.counter ~host:host_name "runtime.commits";
     aborts_c = Sim.Metrics.counter ~host:host_name "runtime.aborts";
     conflicts_c = Sim.Metrics.counter ~host:host_name "runtime.version_conflicts";
-    apply_h = Sim.Metrics.histogram ~host:host_name "playback.apply_us";
+    apply_s =
+      Sim.Span.site ~host:host_name
+        ~hist:(Sim.Metrics.histogram ~host:host_name "playback.apply_us")
+        ~args:(fun upto -> [ ("upto", string_of_int upto) ])
+        "playback.apply";
     tx_h = Sim.Metrics.histogram ~host:host_name "tx.duration_us";
   }
   in
@@ -692,7 +707,7 @@ let handle_commit t pos ~involved (c : Record.commit) =
          on purpose so the ReadCommitted spec machine has a live
          sensitivity gate. The normal decision machinery still runs
          below, so the run proceeds (and later re-applies). *)
-      if Corfu.Cluster.failpoints.Corfu.Cluster.fp_blind_commit_apply then apply_commit t pos c;
+      if !blind_commit_apply then apply_commit t pos c;
       match eager_outcome t pos c with
       | Some committed ->
           (* Merged-order playback guarantees every hosted view is at
@@ -836,14 +851,10 @@ let rec sync_joined upto = function
    it runs once per playback round. *)
 let play_locked t upto =
   sync_joined upto t.hosted;
-  (* Tracing-disabled playback must not build the span args. *)
-  if Sim.Span.enabled () then
-    Sim.Span.with_span
-      ~host:(Sim.Net.host_name (Corfu.Client.host t.cl))
-      ~args:[ ("upto", string_of_int upto) ]
-      "playback.apply"
-      (fun () -> Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto))
-  else Sim.Metrics.time t.apply_h (fun () -> play_merged t ~upto);
+  let tok = Sim.Span.enter t.apply_s upto in
+  (match play_merged t ~upto with
+  | () -> Sim.Span.leave t.apply_s tok
+  | exception e -> Sim.Span.leave_raise t.apply_s tok e);
   if upto > t.played_upto then t.played_upto <- upto
 
 let play_to t upto =

@@ -224,3 +224,16 @@ type append_stats = {
 }
 
 val append_stats : t -> append_stats
+
+(** {2 Failpoints}
+
+    [enable_failpoint name] sets the runtime's failpoint (DESIGN.md §9)
+    or else the cluster's of that name ({!Corfu.Cluster.enable_failpoint}).
+    The runtime's is ["blind-commit-apply"]: playback applies commit
+    writes before the commit/abort decision, the isolation leak the
+    ReadCommitted spec machine exists to catch. Process-global.
+    @raise Invalid_argument on an unknown name. *)
+val enable_failpoint : string -> unit
+
+(** Clears the runtime's and the cluster's failpoints. *)
+val reset_failpoints : unit -> unit

@@ -21,10 +21,16 @@ type t = {
   fills_c : Sim.Metrics.counter;
   cache_hits_c : Sim.Metrics.counter;
   cache_misses_c : Sim.Metrics.counter;
-  append_h : Sim.Metrics.histogram;
-  grant_h : Sim.Metrics.histogram;
-  chain_h : Sim.Metrics.histogram;
-  read_h : Sim.Metrics.histogram;
+  (* Timed sections; the value each is entered with builds its span
+     args. *)
+  append_s : Types.stream_id list Sim.Span.site;
+  granted_s : Types.offset Sim.Span.site;  (* an append into a range grant *)
+  grant_s : unit Sim.Span.site;
+  check_tail_s : unit Sim.Span.site;
+  chain_s : Types.offset Sim.Span.site;
+  commit_s : unit Sim.Span.site;
+  fill_s : Types.offset Sim.Span.site;
+  read_s : unit Sim.Span.site;
 }
 
 and read_ivar = read_outcome Sim.Ivar.t
@@ -47,8 +53,13 @@ let cache_insert t off entry =
     end
   end
 
+let offset_arg off = [ ("offset", string_of_int off) ]
+
 let create ~host ~aux ~params =
   let hname = Sim.Net.host_name host in
+  let histogram name = Sim.Metrics.histogram ~host:hname name in
+  let section ?hist ?args name = Sim.Span.site ~host:hname ?hist ?args name in
+  let append_h = histogram "append.e2e_us" in
   {
     client_host = host;
     aux;
@@ -65,10 +76,18 @@ let create ~host ~aux ~params =
     fills_c = Sim.Metrics.counter ~host:hname "client.fills";
     cache_hits_c = Sim.Metrics.counter ~host:hname "client.cache_hits";
     cache_misses_c = Sim.Metrics.counter ~host:hname "client.cache_misses";
-    append_h = Sim.Metrics.histogram ~host:hname "append.e2e_us";
-    grant_h = Sim.Metrics.histogram ~host:hname "sequencer.grant_us";
-    chain_h = Sim.Metrics.histogram ~host:hname "chain.write_us";
-    read_h = Sim.Metrics.histogram ~host:hname "read.fetch_us";
+    append_s =
+      section ~hist:append_h
+        ~args:(fun streams -> [ ("streams", String.concat "," (List.map string_of_int streams)) ])
+        "append";
+    granted_s =
+      section ~hist:append_h ~args:(fun off -> ("granted", "true") :: offset_arg off) "append";
+    grant_s = section ~hist:(histogram "sequencer.grant_us") "sequencer.grant";
+    check_tail_s = section "check_tail";
+    chain_s = section ~hist:(histogram "chain.write_us") ~args:offset_arg "chain.write";
+    commit_s = section "commit";
+    fill_s = section ~args:offset_arg "fill";
+    read_s = Sim.Span.timer (histogram "read.fetch_us");
   }
 
 let host t = t.client_host
@@ -124,49 +143,44 @@ type chain_write = Chain_ok | Chain_lost of Types.cell | Chain_sealed of Types.e
    very write got through (e.g. the response was lost, or a
    reconfiguration copied it) and we must keep completing the chain
    rather than declare the slot lost and append a duplicate. *)
-let write_chain_inner t off cell =
-  Sim.Metrics.time t.chain_h
-  @@ fun () ->
-  if Projection.locate t.proj off = Projection.Retired then
-    (* The offset's segment was retired from the map: its data was
-       prefix-trimmed away, so the slot is permanently lost to us. *)
-    Chain_lost Types.Trimmed
+let rec write_from t ~set req cell i =
+  if i >= Array.length set then Chain_ok
   else
-  let set = Projection.replica_set t.proj off in
-  let loff = Projection.local_offset t.proj off in
-  let req = { Storage_node.wepoch = t.proj.Projection.epoch; woffset = loff; wcell = cell } in
-  let rec go i =
-    if i >= Array.length set then Chain_ok
-    else
-      let resp =
-        Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-          ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
-          (Storage_node.write_service set.(i))
-          req
-      in
-      match resp with
-      | Error _ ->
-          note_failure t;
-          Chain_down
-      | Ok Types.Write_ok -> go (i + 1)
-      | Ok (Types.Already_written winner) -> (
-          match (winner, cell) with
-          | Types.Data stored, Types.Data mine when stored == mine -> go (i + 1)
-          | _ -> if i = 0 then Chain_lost winner else go (i + 1))
-      | Ok (Types.Sealed_at e) -> Chain_sealed e
-      | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
-  in
-  go 0
+    let resp =
+      Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+        ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+        (Storage_node.write_service set.(i))
+        req
+    in
+    match resp with
+    | Error _ ->
+        note_failure t;
+        Chain_down
+    | Ok Types.Write_ok -> write_from t ~set req cell (i + 1)
+    | Ok (Types.Already_written winner) ->
+        let ours = match (winner, cell) with Types.Data s, Types.Data m -> s == m | _ -> false in
+        if ours || i > 0 then write_from t ~set req cell (i + 1) else Chain_lost winner
+    | Ok (Types.Sealed_at e) -> Chain_sealed e
+    | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
 
-(* Tracing-disabled writes must not build the span args (offset
-   stringification) or a body closure. *)
 let write_chain t off cell =
-  if Sim.Span.enabled () then
-    Sim.Span.with_span ~host:(hname t)
-      ~args:[ ("offset", string_of_int off) ]
-      "chain.write"
-      (fun () -> write_chain_inner t off cell)
-  else write_chain_inner t off cell
+  let tok = Sim.Span.enter t.chain_s off in
+  match
+    if Projection.locate t.proj off = Projection.Retired then
+      (* The offset's segment was retired from the map: its data was
+         prefix-trimmed away, so the slot is permanently lost to us. *)
+      Chain_lost Types.Trimmed
+    else
+      let loff = Projection.local_offset t.proj off in
+      write_from t
+        ~set:(Projection.replica_set t.proj off)
+        { Storage_node.wepoch = t.proj.Projection.epoch; woffset = loff; wcell = cell }
+        cell 0
+  with
+  | r ->
+      Sim.Span.leave t.chain_s tok;
+      r
+  | exception e -> Sim.Span.leave_raise t.chain_s tok e
 
 (* Back off, learn the current projection, and grow the next backoff:
    the shared shape of every retry after a timeout or a dead replica
@@ -221,46 +235,35 @@ let probe_stale_grant t off entry =
 
 type seq_request = Grant of int | Peek
 
-(* One grant RPC, timed into [grant_h]: [Sim.Metrics.time] inlined as
-   a match, so the grant builds no closure. *)
-let timed_increment t ~streams count =
-  let t0 = Sim.Engine.now () in
-  match
-    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-      (Sequencer.increment_service t.proj.Projection.sequencer)
-      { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
-  with
-  | r ->
-      Sim.Metrics.observe t.grant_h (Sim.Engine.now () -. t0);
-      r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Sim.Metrics.observe t.grant_h (Sim.Engine.now () -. t0);
-      Printexc.raise_with_backtrace e bt
-
 (* Every sequencer request: a sealed reply waits for the sealing epoch
    and retries against the new projection's sequencer. Each grant
-   attempt is one [sequencer.grant] span and latency observation; a
-   peek is one [check_tail] span around its attempt, wait and retry.
-   With tracing off neither span is built: no body closure, no [~host]
-   option. *)
+   attempt is one [sequencer.grant] section; a peek is one [check_tail]
+   section around its attempt, wait and retry. *)
 let rec sequencer_request t req ~streams =
   match req with
   | Grant _ -> sequencer_attempt t req ~streams
-  | Peek ->
-      if Sim.Span.enabled () then
-        Sim.Span.with_span ~host:(hname t) "check_tail" @@ fun () ->
-        sequencer_attempt t Peek ~streams
-      else sequencer_attempt t Peek ~streams
+  | Peek -> (
+      let tok = Sim.Span.enter t.check_tail_s () in
+      match sequencer_attempt t Peek ~streams with
+      | a ->
+          Sim.Span.leave t.check_tail_s tok;
+          a
+      | exception e -> Sim.Span.leave_raise t.check_tail_s tok e)
 
 and sequencer_attempt t req ~streams =
   let resp =
     match req with
-    | Grant count ->
-        if Sim.Span.enabled () then
-          Sim.Span.with_span ~host:(hname t) "sequencer.grant" (fun () ->
-              timed_increment t ~streams count)
-        else timed_increment t ~streams count
+    | Grant count -> (
+        let tok = Sim.Span.enter t.grant_s () in
+        match
+          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+            (Sequencer.increment_service t.proj.Projection.sequencer)
+            { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
+        with
+        | r ->
+            Sim.Span.leave t.grant_s tok;
+            r
+        | exception e -> Sim.Span.leave_raise t.grant_s tok e)
     | Peek ->
         Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
           (Sequencer.peek_service t.proj.Projection.sequencer)
@@ -272,12 +275,6 @@ and sequencer_attempt t req ~streams =
       sequencer_request t req ~streams
   | Sequencer.Seq_ok a -> a
 
-let commit_marker t ~streams ~off f =
-  Sim.Span.with_span ~host:(hname t) "commit" @@ fun () ->
-  f ();
-  if Sim.Announce.active () then
-    Sim.Announce.emit (Sim.Announce.Append_acked { client = hname t; offset = off; streams })
-
 (* Remember our own appends per stream so probing appends (below) can
    chain onto them if the sequencer disappears. *)
 let note_own_append t ~streams off =
@@ -287,6 +284,20 @@ let note_own_append t ~streams off =
       let rec take n = function x :: r when n > 0 -> x :: take (n - 1) r | _ -> [] in
       Hashtbl.replace t.probe_tails sid (take t.p.backpointer_k (off :: prev)))
     streams
+
+(* The commit of a written entry: our own playback will want it next,
+   so cache it and save the round trip; record it for probing appends;
+   announce the ack. *)
+let commit_marker t ~streams ~off entry =
+  let tok = Sim.Span.enter t.commit_s () in
+  match
+    cache_insert t off entry;
+    note_own_append t ~streams off;
+    if Sim.Announce.active () then
+      Sim.Announce.emit (Sim.Announce.Append_acked { client = hname t; offset = off; streams })
+  with
+  | () -> Sim.Span.leave t.commit_s tok
+  | exception e -> Sim.Span.leave_raise t.commit_s tok e
 
 (* Backpointers for offset [off], the [index]th of a grant: the grant's
    earlier offsets (all on every granted stream, newest first) followed
@@ -308,7 +319,7 @@ let grant_headers t ~tails ~index off =
          tails)
 
 (* A one-entry grant, written by the shared driver. *)
-let rec append_inner t ~streams payload =
+let rec grant_and_write t ~streams payload =
   let a = sequencer_request t (Grant 1) ~streams in
   write_at t ~seq:t.proj.Projection.sequencer ~streams ~tails:a.Sequencer.stream_tails ~index:0
     a.Sequencer.base payload
@@ -331,15 +342,11 @@ and write_at t ~seq ~streams ~tails ~index off payload =
       | `Complete -> attempt ~seq:t.proj.Projection.sequencer backoff
       | `Abandon ->
           note_retry t;
-          append_inner t ~streams payload
+          grant_and_write t ~streams payload
     else
       match write_chain t off (Types.Data entry) with
       | Chain_ok ->
-          commit_marker t ~streams ~off (fun () ->
-              (* Our own playback will want this entry next; save the
-                 round trip. *)
-              cache_insert t off entry;
-              note_own_append t ~streams off);
+          commit_marker t ~streams ~off entry;
           off
       | Chain_lost _ ->
           (* Our offset was filled before we reached the head (we were
@@ -347,7 +354,7 @@ and write_at t ~seq ~streams ~tails ~index off payload =
              nothing: stream readers treat offsets the sequencer issued
              but that carry no header as junk and scan backward. Land
              the payload at a fresh offset. *)
-          append_inner t ~streams payload
+          grant_and_write t ~streams payload
       | Chain_sealed e ->
           await_epoch t e;
           attempt ~seq backoff
@@ -357,16 +364,16 @@ and write_at t ~seq ~streams ~tails ~index off payload =
   in
   attempt ~seq t.p.retry_sleep_us
 
-(* The public append: one root span covering the whole operation —
+(* The public append: one root section covering the whole operation —
    sequencer.grant, chain.write attempts, and the commit marker appear
-   as its children — plus the end-to-end latency observation. *)
+   as its children. *)
 let append t ~streams payload =
-  if Sim.Span.enabled () then
-    Sim.Span.with_span ~host:(hname t)
-      ~args:[ ("streams", String.concat "," (List.map string_of_int streams)) ]
-      "append"
-      (fun () -> Sim.Metrics.time t.append_h @@ fun () -> append_inner t ~streams payload)
-  else Sim.Metrics.time t.append_h @@ fun () -> append_inner t ~streams payload
+  let tok = Sim.Span.enter t.append_s streams in
+  match grant_and_write t ~streams payload with
+  | off ->
+      Sim.Span.leave t.append_s tok;
+      off
+  | exception e -> Sim.Span.leave_raise t.append_s tok e
 
 (* ------------------------------------------------------------------ *)
 (* Range grants: windowed appends                                     *)
@@ -409,18 +416,15 @@ let reserve t ~streams ~count =
   reserve_into t g ~streams ~count;
   g
 
-let write_granted_inner t g ~index payload =
-  Sim.Metrics.time t.append_h @@ fun () ->
-  write_at t ~seq:g.g_seq ~streams:g.g_streams ~tails:g.g_tails ~index (g.g_base + index) payload
-
 let write_granted t g ~index payload =
   if index < 0 || index >= g.g_count then invalid_arg "Client.write_granted: index out of range";
-  if Sim.Span.enabled () then
-    Sim.Span.with_span ~host:(hname t)
-      ~args:[ ("granted", "true"); ("offset", string_of_int (g.g_base + index)) ]
-      "append"
-      (fun () -> write_granted_inner t g ~index payload)
-  else write_granted_inner t g ~index payload
+  let off = g.g_base + index in
+  let tok = Sim.Span.enter t.granted_s off in
+  match write_at t ~seq:g.g_seq ~streams:g.g_streams ~tails:g.g_tails ~index off payload with
+  | off ->
+      Sim.Span.leave t.granted_s tok;
+      off
+  | exception e -> Sim.Span.leave_raise t.granted_s tok e
 
 let append_range t ~streams payloads =
   match payloads with
@@ -546,7 +550,6 @@ let append_probing t ~streams payload =
   let probe_history sid =
     match Hashtbl.find_opt t.probe_tails sid with Some l -> l | None -> []
   in
-  let record_probe off = note_own_append t ~streams off in
   let rec attempt guess =
     let headers =
       Stream_header.encode_block ~k:t.p.backpointer_k ~current:guess
@@ -558,9 +561,7 @@ let append_probing t ~streams payload =
     let entry = { Types.headers; payload } in
     match write_chain t guess (Types.Data entry) with
     | Chain_ok ->
-        commit_marker t ~streams ~off:guess (fun () ->
-            cache_insert t guess entry;
-            record_probe guess);
+        commit_marker t ~streams ~off:guess entry;
         guess
     | Chain_lost _ -> attempt (guess + 1)
     | Chain_sealed e ->
@@ -578,7 +579,9 @@ let append_probing t ~streams payload =
 (* Fill and trim                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fill_inner t off =
+let fill t off =
+  Sim.Metrics.incr t.fills_c;
+  let tok = Sim.Span.enter t.fill_s off in
   let rec attempt backoff =
     if Projection.locate t.proj off = Projection.Retired then
       (* Retired: the hole was prefix-trimmed out of existence along
@@ -641,16 +644,11 @@ let fill_inner t off =
             attempt backoff
         | Types.Out_of_space -> failwith "CORFU: log capacity exhausted")
   in
-  attempt t.p.retry_sleep_us
-
-let fill t off =
-  Sim.Metrics.incr t.fills_c;
-  if Sim.Span.enabled () then
-    Sim.Span.with_span ~host:(hname t)
-      ~args:[ ("offset", string_of_int off) ]
-      "fill"
-      (fun () -> fill_inner t off)
-  else fill_inner t off
+  match attempt t.p.retry_sleep_us with
+  | r ->
+      Sim.Span.leave t.fill_s tok;
+      r
+  | exception e -> Sim.Span.leave_raise t.fill_s tok e
 
 (* Resolve an offset that the sequencer has already allocated: poll
    with backoff while a writer may be in flight, then patch the hole. *)
@@ -690,7 +688,14 @@ let read_shared t off =
           Sim.Metrics.incr t.cache_misses_c;
           let iv = Sim.Ivar.create () in
           Hashtbl.replace t.inflight off iv;
-          let outcome = Sim.Metrics.time t.read_h (fun () -> read_resolved t off) in
+          let tok = Sim.Span.enter t.read_s () in
+          let outcome =
+            match read_resolved t off with
+            | r ->
+                Sim.Span.leave t.read_s tok;
+                r
+            | exception e -> Sim.Span.leave_raise t.read_s tok e
+          in
           (match outcome with
           | Data e -> cache_insert t off e
           | Junk | Trimmed | Unwritten -> ());

@@ -46,7 +46,6 @@ type failpoints = {
   mutable fp_skip_rebuild_scan : bool;
   mutable fp_forget_seal_tail : bool;
   mutable fp_skip_storage_seal : bool;
-  mutable fp_blind_commit_apply : bool;
   mutable fp_stall_reconfig : bool;
   mutable fp_skip_rereplication : bool;
 }
@@ -56,7 +55,6 @@ let failpoints =
     fp_skip_rebuild_scan = false;
     fp_forget_seal_tail = false;
     fp_skip_storage_seal = false;
-    fp_blind_commit_apply = false;
     fp_stall_reconfig = false;
     fp_skip_rereplication = false;
   }
@@ -65,7 +63,6 @@ let reset_failpoints () =
   failpoints.fp_skip_rebuild_scan <- false;
   failpoints.fp_forget_seal_tail <- false;
   failpoints.fp_skip_storage_seal <- false;
-  failpoints.fp_blind_commit_apply <- false;
   failpoints.fp_stall_reconfig <- false;
   failpoints.fp_skip_rereplication <- false
 
@@ -73,7 +70,6 @@ let enable_failpoint = function
   | "skip-rebuild-scan" -> failpoints.fp_skip_rebuild_scan <- true
   | "forget-seal-tail" -> failpoints.fp_forget_seal_tail <- true
   | "skip-storage-seal" -> failpoints.fp_skip_storage_seal <- true
-  | "blind-commit-apply" -> failpoints.fp_blind_commit_apply <- true
   | "stall-reconfig" -> failpoints.fp_stall_reconfig <- true
   | "skip-rereplication" -> failpoints.fp_skip_rereplication <- true
   | name -> invalid_arg (Printf.sprintf "Cluster.enable_failpoint: unknown failpoint %S" name)
@@ -319,16 +315,29 @@ let seal_storage ?dead t proj ~epoch =
 (* The reconfiguration driver (§2.2, §5)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* How an operation closes the old epoch, and the spans its seal and
-   install report under ([p ^ ".seal"], [p ^ ".install"]). *)
+(* Every reconfiguration section runs on the agent. None feeds a
+   histogram, so the sites of the phases and of the copy are
+   process-wide, and each operation's is declared with its call. *)
+let agent_site ?args name = Sim.Span.site ~host:"reconfig-agent" ?args name
+let node_arg key node = [ (key, Storage_node.name node) ]
+let copy_s = agent_site "recovery.copy"
+
+(* The sections an operation's seal and install report under. *)
+type phases = { seal_s : unit Sim.Span.site; install_s : unit Sim.Span.site }
+
+let phases p = { seal_s = agent_site (p ^ ".seal"); install_s = agent_site (p ^ ".install") }
+let recovery_phases = phases "recovery"
+let scale_phases = phases "scale"
+
+(* How an operation closes the old epoch. *)
 type seal =
   | Unsealed  (* segment retirement: no live offset changes its mapping *)
   | Unspanned  (* sequencer failover: its operation span covers both *)
-  | Each_in of string * Storage_node.t
+  | Each_in of phases * Storage_node.t
       (* storage replacement and restore: the sequencer and the storage
          nodes each in their own seal span; the named node (the dead
          one, or the spare) gets one short try *)
-  | Both_in of string  (* scale-out/in: both seals in one span *)
+  | Both_in of phases  (* scale-out/in: both seals in one span *)
 
 (* What closing the epoch reports to the operation's step: the old
    sequencer's grant frontier — every offset below it was handed out
@@ -336,10 +345,11 @@ type seal =
    in flight — and each answering storage node's local tail. *)
 type sealed = { frontier : Types.offset; tails : (string, Types.offset) Hashtbl.t }
 
-let in_phase seal suffix f =
+let in_phase seal phase f =
   match seal with
   | Unsealed | Unspanned -> f ()
-  | Each_in (prefix, _) | Both_in prefix -> Sim.Span.with_span (prefix ^ suffix) f
+  | Each_in (ph, _) | Both_in ph ->
+      Sim.Span.within (match phase with `Seal -> ph.seal_s | `Install -> ph.install_s) () f
 
 let close_epoch t seal proj ~epoch =
   let sequencer () =
@@ -351,10 +361,10 @@ let close_epoch t seal proj ~epoch =
       let frontier = sequencer () in
       { frontier; tails = seal_storage t proj ~epoch }
   | Each_in (_, dead) ->
-      let frontier = in_phase seal ".seal" sequencer in
-      { frontier; tails = in_phase seal ".seal" (fun () -> seal_storage ~dead t proj ~epoch) }
+      let frontier = in_phase seal `Seal sequencer in
+      { frontier; tails = in_phase seal `Seal (fun () -> seal_storage ~dead t proj ~epoch) }
   | Both_in _ ->
-      in_phase seal ".seal" (fun () ->
+      in_phase seal `Seal (fun () ->
           let frontier = sequencer () in
           { frontier; tails = seal_storage t proj ~epoch })
 
@@ -368,14 +378,14 @@ let close_epoch t seal proj ~epoch =
    logs and announces the install. The step may not install anything
    itself: one agent reconfigures at a time, so an install conflict
    is a bug in the step. *)
-let reconfigure t ~kind ~span ~args ~seal plan =
+let reconfigure t ~kind ~site ~arg ~seal plan =
   with_reconfig t
   @@ fun () ->
   let old_proj = Auxiliary.latest t.aux in
   match plan old_proj with
   | None -> None
   | Some step ->
-      Sim.Span.with_span ~host:"reconfig-agent" ~args span
+      Sim.Span.within site arg
       @@ fun () ->
       let epoch = old_proj.Projection.epoch + 1 in
       let started = Sim.Engine.now () in
@@ -387,7 +397,7 @@ let reconfigure t ~kind ~span ~args ~seal plan =
         Sim.Engine.sleep 60_000_000.;
       let proj, change = step ~epoch (close_epoch t seal old_proj ~epoch) in
       t.nodes <- Array.of_list (Projection.servers proj);
-      in_phase seal ".install" (fun () ->
+      in_phase seal `Install (fun () ->
           match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
           | Auxiliary.Installed -> ()
           | Auxiliary.Conflict _ -> failwith ("Cluster: concurrent reconfiguration during " ^ kind));
@@ -495,7 +505,7 @@ let replace_sequencer t =
       Sequencer_replaced { scanned = !scanned } )
   in
   Option.get
-    (reconfigure t ~kind:"sequencer" ~span:"recovery.sequencer" ~args:[] ~seal:Unspanned
+    (reconfigure t ~kind:"sequencer" ~site:(agent_site "recovery.sequencer") ~arg:() ~seal:Unspanned
        (fun old_proj ->
          Sim.Metrics.incr (Sim.Metrics.counter "cluster.seq_replacements");
          Some (step old_proj)))
@@ -556,9 +566,8 @@ let open_tail old_proj ~epoch ~boundary new_sets =
 let scale_out ?chains t ~add_servers =
   if add_servers < 1 then invalid_arg "Cluster.scale_out: add_servers must be at least 1";
   Option.get
-    (reconfigure t ~kind:"scale-out" ~span:"scale.out"
-       ~args:[ ("add", string_of_int add_servers) ]
-       ~seal:(Both_in "scale")
+    (reconfigure t ~kind:"scale-out" ~seal:(Both_in scale_phases) ~arg:add_servers
+       ~site:(agent_site ~args:(fun n -> [ ("add", string_of_int n) ]) "scale.out")
        (fun old_proj ->
          Sim.Metrics.incr (Sim.Metrics.counter "cluster.scale_outs");
          Some
@@ -586,9 +595,8 @@ let scale_out ?chains t ~add_servers =
 
 let scale_in t ~remove_servers =
   Option.get
-    (reconfigure t ~kind:"scale-in" ~span:"scale.in"
-       ~args:[ ("remove", string_of_int remove_servers) ]
-       ~seal:(Both_in "scale")
+    (reconfigure t ~kind:"scale-in" ~seal:(Both_in scale_phases) ~arg:remove_servers
+       ~site:(agent_site ~args:(fun n -> [ ("remove", string_of_int n) ]) "scale.in")
        (fun old_proj ->
          (* Validate before counting: a rejected scale-in seals
             nothing and is not a scale-in. *)
@@ -629,7 +637,8 @@ let segment_fully_trimmed seg =
       !ok
 
 let retire_trimmed_segments t =
-  reconfigure t ~kind:"retire" ~span:"scale.retire" ~args:[] ~seal:Unsealed (fun old_proj ->
+  reconfigure t ~kind:"retire" ~site:(agent_site "scale.retire") ~arg:() ~seal:Unsealed
+  @@ fun old_proj ->
       let segments = old_proj.Projection.segments in
       (* Only a prefix of the map can retire: segments tile the offset
          space, so dropping one from the middle would tear a hole. *)
@@ -654,7 +663,7 @@ let retire_trimmed_segments t =
                   if List.memq node survivors then None else Some (Storage_node.name node))
                 (Projection.servers old_proj)
             in
-            (proj, Retired { released })))
+            (proj, Retired { released }))
 
 (* ------------------------------------------------------------------ *)
 (* Storage-node replacement (§2.2 reconfiguration)                    *)
@@ -797,9 +806,8 @@ let answers t node =
    nothing; its chains stay short until it answers or is replaced. *)
 let restore t spare ~copied =
   ignore
-    (reconfigure t ~kind:"restore" ~span:"recovery.restore"
-       ~args:[ ("spare", Storage_node.name spare) ]
-       ~seal:(Each_in ("recovery", spare))
+    (reconfigure t ~kind:"restore" ~seal:(Each_in (recovery_phases, spare)) ~arg:spare
+       ~site:(agent_site ~args:(node_arg "spare") "recovery.restore")
        (fun old_proj ->
          if awaiting t spare = [] || not (answers t spare) then None
          else
@@ -808,7 +816,7 @@ let restore t spare ~copied =
                let restored =
                  if not (Hashtbl.mem tails (Storage_node.name spare)) then []
                  else
-                   Sim.Span.with_span "recovery.copy" (fun () ->
+                   Sim.Span.within copy_s () (fun () ->
                        List.filter
                          (fun sl ->
                            copy_slot t old_proj ~epoch:(fun () -> epoch) ~wanted:(fun () -> true)
@@ -866,7 +874,7 @@ let rereplicate t spare =
           match awaiting t spare with
           | [] -> ()
           | slots ->
-              Sim.Span.with_span ~host:"reconfig-agent" "recovery.copy" (fun () ->
+              Sim.Span.within copy_s () (fun () ->
                   List.iter
                     (fun sl ->
                       match copy_slot t (Auxiliary.latest t.aux) ~epoch ~wanted ~copied sl with
@@ -952,9 +960,8 @@ let replace_storage_node t ~dead =
       Storage_replaced { dead = Storage_node.name dead; spare = spare_name } )
   in
   match
-    reconfigure t ~kind:"storage" ~span:"recovery"
-      ~args:[ ("dead", Storage_node.name dead) ]
-      ~seal:(Each_in ("recovery", dead))
+    reconfigure t ~kind:"storage" ~seal:(Each_in (recovery_phases, dead)) ~arg:dead
+      ~site:(agent_site ~args:(node_arg "dead") "recovery")
       (fun old_proj ->
         (* Decline if [dead] is already gone: the monitor and a
            scheduled fault-plan action can race to the same corpse. *)

@@ -174,43 +174,29 @@ val recoveries : t -> reconfig list
     from the same predecessor. *)
 
 (** Deliberate protocol breakers for the simulation fuzzer's
-    sensitivity check (DESIGN.md §9): each flag disables one step the
+    sensitivity check (DESIGN.md §9): each disables one step the
     correctness argument depends on, and the fuzzer's oracles must
     catch the consequences — proving they are live, not vacuous.
-    Process-global; {!reset_failpoints} between runs. *)
-type failpoints = {
-  mutable fp_skip_rebuild_scan : bool;
-      (** {!replace_sequencer} skips the backward scan: the new
-          sequencer has the right tail but empty backpointer state *)
-  mutable fp_forget_seal_tail : bool;
-      (** {!replace_sequencer} derives the new tail from storage
-          tails only, re-granting in-flight range grants (the
-          pre-hardening bug, kept as a regression failpoint) *)
-  mutable fp_skip_storage_seal : bool;
-      (** reconfigurations collect tails without sealing, leaving
-          stale-epoch clients able to write through the old view *)
-  mutable fp_blind_commit_apply : bool;
-      (** runtime playback applies commit writes without waiting for
-          (or recording) the commit/abort decision — the isolation
-          leak the ReadCommitted spec machine exists to catch *)
-  mutable fp_stall_reconfig : bool;
-      (** {!replace_sequencer} wedges right after starting: the seal
-          happens but no new epoch ever installs, so the
-          ReconfigTermination spec machine's deadline fires *)
-  mutable fp_skip_rereplication : bool;
-      (** {!replace_storage_node} installs the degraded epoch and stops:
-          nothing is copied onto the spare and no restore runs, so the
-          old range stays on one replica *)
-}
-
-val failpoints : failpoints
+    Process-global; {!reset_failpoints} between runs. The runtime owns
+    its own ([Tango.Runtime.enable_failpoint]). *)
 val reset_failpoints : unit -> unit
 
-(** [enable_failpoint name] sets one flag by its kebab-case name
-    (["skip-rebuild-scan"], ["forget-seal-tail"],
-    ["skip-storage-seal"], ["blind-commit-apply"],
-    ["stall-reconfig"], ["skip-rereplication"]) — the
-    [tangoctl fuzz --failpoint] hook.
+(** [enable_failpoint name] sets one failpoint by its kebab-case name,
+    the [tangoctl fuzz --failpoint] hook:
+    - ["skip-rebuild-scan"]: {!replace_sequencer} skips the backward
+      scan, so the new sequencer has the right tail but empty
+      backpointer state;
+    - ["forget-seal-tail"]: {!replace_sequencer} derives the new tail
+      from storage tails only, re-granting in-flight range grants (the
+      pre-hardening bug, kept as a regression failpoint);
+    - ["skip-storage-seal"]: reconfigurations collect tails without
+      sealing, leaving stale-epoch clients able to write through the
+      old view;
+    - ["stall-reconfig"]: {!replace_sequencer} wedges right after
+      starting, so no new epoch ever installs and the
+      ReconfigTermination spec machine's deadline fires;
+    - ["skip-rereplication"]: {!replace_storage_node} installs the
+      degraded epoch and stops, so the old range stays on one replica.
     @raise Invalid_argument on an unknown name. *)
 val enable_failpoint : string -> unit
 

@@ -9,9 +9,11 @@ type t = {
   mutable trim_gap : bool;  (* reclaimed history was skipped *)
   mutable cache_hits : int;
   mutable cache_misses : int;
+  walk_s : Types.offset Sim.Span.site;  (* entered with the walk's target tail *)
 }
 
 let attach cl sid =
+  let stream = [ ("stream", string_of_int sid) ] in
   {
     cl;
     sid;
@@ -23,6 +25,11 @@ let attach cl sid =
     trim_gap = false;
     cache_hits = 0;
     cache_misses = 0;
+    walk_s =
+      Sim.Span.site
+        ~host:(Sim.Net.host_name (Client.host cl))
+        ~args:(fun tail -> stream @ [ ("tail", string_of_int tail) ])
+        "backpointer.walk";
   }
 
 let id t = t.sid
@@ -94,7 +101,9 @@ let header_for t off entry =
 (* Backward walk from the sequencer's last-K pointers down to what we
    already know. Strides K entries per read in the common case; junk
    degrades to a linear backward scan (§5, Failure Handling). *)
-let sync_with_inner t ~tail ~ptrs =
+let sync_with t ~tail ~ptrs =
+  if tail > t.horizon then begin
+    let tok = Sim.Span.enter t.walk_s tail in
     let floor = known_max t in
     (* Every offset the walk registers lies below all earlier ones
        (backpointers point down, the scan moves down), so [members]
@@ -149,31 +158,23 @@ let sync_with_inner t ~tail ~ptrs =
         | Client.Junk | Client.Unwritten -> scan_backward (off - 1)
         | Client.Trimmed -> t.trim_gap <- true
     in
-    walk ptrs;
-    (* Filled holes were registered optimistically; drop them. *)
-    let fresh =
-      match !junk with
-      | [] -> !members
-      | junk ->
-          let junk_set = Hashtbl.create 8 in
-          List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
-          List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members
-    in
-    push_members t fresh;
-    (* A walk for an older tail can finish after one for a newer tail. *)
-    if tail > t.horizon then t.horizon <- tail
-
-(* Tracing-disabled syncs must not build the span args (stream/tail
-   stringification) or a body closure. *)
-let sync_with t ~tail ~ptrs =
-  if tail > t.horizon then begin
-    if Sim.Span.enabled () then
-      Sim.Span.with_span
-        ~host:(Sim.Net.host_name (Client.host t.cl))
-        ~args:[ ("stream", string_of_int t.sid); ("tail", string_of_int tail) ]
-        "backpointer.walk"
-        (fun () -> sync_with_inner t ~tail ~ptrs)
-    else sync_with_inner t ~tail ~ptrs
+    match
+      walk ptrs;
+      (* Filled holes were registered optimistically; drop them. *)
+      let fresh =
+        match !junk with
+        | [] -> !members
+        | junk ->
+            let junk_set = Hashtbl.create 8 in
+            List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
+            List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members
+      in
+      push_members t fresh;
+      (* A walk for an older tail can finish after one for a newer tail. *)
+      if tail > t.horizon then t.horizon <- tail
+    with
+    | () -> Sim.Span.leave t.walk_s tok
+    | exception e -> Sim.Span.leave_raise t.walk_s tok e
   end
 
 let do_sync t =

@@ -261,14 +261,14 @@ type outcome = {
 }
 
 let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~seed config ~plan =
-  Cluster.reset_failpoints ();
-  (match failpoint with Some n -> Cluster.enable_failpoint n | None -> ());
+  Tango.Runtime.reset_failpoints ();
+  (match failpoint with Some n -> Tango.Runtime.enable_failpoint n | None -> ());
   (* Arm the flight recorder so any oracle violation ships with its
      last-N-events context; restored to the caller's setting on exit. *)
   let flight_was = Sim.Flight.enabled () in
   Sim.Flight.set_enabled true;
   Fun.protect ~finally:(fun () ->
-      Cluster.reset_failpoints ();
+      Tango.Runtime.reset_failpoints ();
       Sim.Flight.set_enabled flight_was)
   @@ fun () ->
   let violations = ref [] in

@@ -79,7 +79,7 @@ type outcome = {
     [plan] (rebinding [Custom] thunks against the live cluster), drive
     the randomized workload, make the system whole, settle, then judge
     every {!Verifier} oracle with fresh observer clients. [failpoint]
-    enables a {!Corfu.Cluster} failpoint for the duration (sensitivity
+    enables a failpoint ({!Tango.Runtime.enable_failpoint}) for the duration (sensitivity
     testing); failpoints are reset on exit even on exceptions. Engine
     deadlock or horizon overrun is reported as a ["liveness"]
     violation, an escaped exception as ["exception"].

@@ -11,7 +11,7 @@ let bucket_bound i =
      has no finite bound. *)
   if i = 0 then bucket_lo else bucket_lo *. (10. ** (float_of_int i /. 10.))
 
-let bucket_index v =
+let[@inline] bucket_index v =
   if v <= bucket_lo then 0
   else
     let i = 1 + int_of_float (Float.floor (10. *. Float.log10 (v /. bucket_lo))) in
@@ -165,7 +165,9 @@ let histogram ?host name =
       Hashtbl.replace st.hists key h;
       h
 
-let observe h v =
+(* Inlined into both entry points, so [observe_in]'s value is never
+   boxed on its way here. *)
+let[@inline] record h v =
   if !strict then check_born h.h_born h.h_key;
   let i = bucket_index v in
   h.buckets.(i) <- h.buckets.(i) + 1;
@@ -177,16 +179,8 @@ let observe h v =
   if Flight.enabled () then
     Flight.record ~host:(host_string h.h_key.k_host) Flight.Metric ~name:h.h_key.k_name ~value:v
 
-let time h f =
-  let t0 = Engine.now () in
-  match f () with
-  | r ->
-      observe h (Engine.now () -. t0);
-      r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      observe h (Engine.now () -. t0);
-      Printexc.raise_with_backtrace e bt
+let observe h v = record h v
+let observe_in h src i = record h (Float.Array.get src i)
 
 let hist_count h = h.n
 

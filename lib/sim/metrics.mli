@@ -63,9 +63,10 @@ val histogram : ?host:string -> string -> histogram
 
 val observe : histogram -> float -> unit
 
-(** [time h f] runs [f] and observes the elapsed virtual time in [h].
-    The observation happens even if [f] raises. *)
-val time : histogram -> (unit -> 'a) -> 'a
+(** [observe_in h src i] observes [src.(i)]: the value reaches the
+    histogram without being boxed, so a hot path can time itself with
+    no allocation ({!Span.leave} does). *)
+val observe_in : histogram -> Float.Array.t -> int -> unit
 
 val hist_count : histogram -> int
 

@@ -16,9 +16,14 @@ type t = {
   net_fault : Fault.t option ref;
 }
 
-(* [sspan] is the precomputed span name "rpc.<sname>": building it per
-   call would allocate even with tracing disabled. *)
-type ('req, 'resp) service = { shost : host; sname : string; sspan : string; serve : 'req -> 'resp }
+(* [ssite] is the "rpc.<sname>" section, built once with its args so a
+   call allocates neither. *)
+type ('req, 'resp) service = {
+  shost : host;
+  sname : string;
+  ssite : unit Span.site;
+  serve : 'req -> 'resp;
+}
 
 type rpc_error = Rpc_timeout | Rpc_dead
 
@@ -50,7 +55,9 @@ let add_host ?(cores = 8) t name =
 let host_name h = h.hname
 let host_cpu h = h.cpu
 
-let service shost ~name serve = { shost; sname = name; sspan = "rpc." ^ name; serve }
+let service shost ~name serve =
+  let args = [ ("dst", shost.hname) ] in
+  { shost; sname = name; ssite = Span.site ~args:(fun () -> args) ("rpc." ^ name); serve }
 
 let crashed fault name = match fault with Some f -> Fault.is_crashed f name | None -> false
 
@@ -112,58 +119,53 @@ let park () =
   Engine.park (Engine.waitq ());
   assert false
 
-let call_inner ~req_bytes ~resp_bytes ~from svc req =
-  let fault = !(from.hfault) in
-  if crashed fault from.hname then park ()
-  else if from == svc.shost then svc.serve req
-  else try exchange fault ~req_bytes ~resp_bytes ~from svc req with Lost -> park ()
-
-(* Tracing-disabled calls must not allocate span args (or a body
-   closure): branch before building either. *)
 let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
-  if Span.enabled () then
-    Span.with_span ~host:from.hname
-      ~args:[ ("dst", svc.shost.hname) ]
-      svc.sspan
-      (fun () -> call_inner ~req_bytes ~resp_bytes ~from svc req)
-  else call_inner ~req_bytes ~resp_bytes ~from svc req
-
-(* Under a fault controller the exchange runs in a helper fiber and the
-   caller waits for first-of(response, timeout): whichever comes first
-   fills the result, the other finds it filled. A lost exchange or a
-   failed device simply never settles. *)
-let call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault =
-  if crashed fault from.hname then Error Rpc_dead
-  else if from == svc.shost then begin
-    match svc.serve req with
-    | resp -> Ok resp
-    | exception Resource.Failed _ -> Error Rpc_dead
-  end
-  else
-    let span_parent = Span.current () in
-    let result = Ivar.create () in
-    let settle r = if not (Ivar.is_filled result) then Ivar.fill result r in
-    (match timeout_us with
-    | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
-    | None -> ());
-    Engine.spawn (fun () ->
-        Span.with_parent span_parent @@ fun () ->
-        match exchange fault ~req_bytes ~resp_bytes ~from svc req with
-        | resp -> settle (Ok resp)
-        | exception (Lost | Resource.Failed _) -> ());
-    Ivar.read result
+  let tok = Span.enter_at svc.ssite ~host:from.hname () in
+  match
+    let fault = !(from.hfault) in
+    if crashed fault from.hname then park ()
+    else if from == svc.shost then svc.serve req
+    else try exchange fault ~req_bytes ~resp_bytes ~from svc req with Lost -> park ()
+  with
+  | resp ->
+      Span.leave svc.ssite tok;
+      resp
+  | exception e -> Span.leave_raise svc.ssite tok e
 
 (* Without an installed fault controller this is exactly [call] (same
-   fiber, same event sequence), so fault-free runs stay byte-identical. *)
+   fiber, same event sequence), so fault-free runs stay byte-identical.
+   Under one, the exchange runs in a helper fiber and the caller waits
+   for first-of(response, timeout): whichever comes first fills the
+   result, the other finds it filled. A lost exchange or a failed
+   device simply never settles. *)
 let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ?timeout_us ~from svc req =
   match !(from.hfault) with
   | None -> Ok (call ~req_bytes ~resp_bytes ~from svc req)
-  | fault ->
-      if Span.enabled () then
-        Span.with_span ~host:from.hname
-          ~args:[ ("dst", svc.shost.hname) ]
-          svc.sspan
-          (fun () -> call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault)
-      else call_r_inner ~req_bytes ~resp_bytes ?timeout_us ~from svc req fault
+  | fault -> (
+      let tok = Span.enter_at svc.ssite ~host:from.hname () in
+      match
+        if crashed fault from.hname then Error Rpc_dead
+        else if from == svc.shost then (
+          match svc.serve req with
+          | resp -> Ok resp
+          | exception Resource.Failed _ -> Error Rpc_dead)
+        else
+          let span_parent = Span.current () in
+          let result = Ivar.create () in
+          let settle r = if not (Ivar.is_filled result) then Ivar.fill result r in
+          (match timeout_us with
+          | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
+          | None -> ());
+          Engine.spawn (fun () ->
+              Span.with_parent span_parent @@ fun () ->
+              match exchange fault ~req_bytes ~resp_bytes ~from svc req with
+              | resp -> settle (Ok resp)
+              | exception (Lost | Resource.Failed _) -> ());
+          Ivar.read result
+      with
+      | r ->
+          Span.leave svc.ssite tok;
+          r
+      | exception e -> Span.leave_raise svc.ssite tok e)
 
 let one_way_delay t ~bytes = (2. *. float_of_int bytes *. t.byte_time) +. t.latency

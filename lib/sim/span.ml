@@ -18,17 +18,34 @@ type state = {
   mutable arr : rec_ option array;
   mutable count : int;
   stacks : (int, int list) Hashtbl.t;  (* fiber id -> open span ids, innermost first *)
+  (* Open sections. A token is a slot: its start time in [starts] (flat
+     floats, so nothing is boxed) and, while tracing, its span in
+     [opened] with the fiber's stack below it. The first [nfree] of
+     [free] are the free slots. *)
+  mutable starts : Float.Array.t;
+  mutable opened : (rec_ * int list) option array;
+  mutable free : int array;
+  mutable nfree : int;
 }
 
-let fresh ~born = { born; arr = Array.make 256 None; count = 0; stacks = Hashtbl.create 32 }
+let fresh ~born =
+  {
+    born;
+    arr = Array.make 256 None;
+    count = 0;
+    stacks = Hashtbl.create 32;
+    starts = Float.Array.make 16 0.;
+    opened = Array.make 16 None;
+    free = Array.init 16 Fun.id;
+    nfree = 16;
+  }
+
 let current_state = ref (fresh ~born:0)
 
 let state () =
   let rc = Engine.run_count () in
   if !current_state.born <> rc then current_state := fresh ~born:rc;
   !current_state
-
-let reset () = current_state := fresh ~born:(Engine.run_count ())
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
@@ -47,51 +64,117 @@ let push st r =
 
 let stack_of st fid = match Hashtbl.find_opt st.stacks fid with Some s -> s | None -> []
 
+(* A fiber whose stack empties leaves the table: a traced run would
+   otherwise keep one entry for every fiber that ever opened a span. *)
+let set_stack st fid = function
+  | [] -> Hashtbl.remove st.stacks fid
+  | s -> Hashtbl.replace st.stacks fid s
+
+let open_fibers () = Hashtbl.length (state ()).stacks
+
 let current () =
   if not !enabled_flag then None
   else
     let st = state () in
     match stack_of st (Engine.fiber_id ()) with [] -> None | top :: _ -> Some top
 
+type 'a site = {
+  name : string;
+  host : string option;
+  hist : Metrics.histogram option;
+  args : 'a -> (string * string) list;
+  traced : bool;  (* false for a [timer] *)
+}
+
+let site ?host ?hist ?(args = fun _ -> []) name = { name; host; hist; args; traced = true }
+let timer h = { name = ""; host = None; hist = Some h; args = (fun _ -> []); traced = false }
+
+let take_slot st =
+  let n = Array.length st.free in
+  if st.nfree = 0 then begin
+    (* every slot is taken: double, freeing the new half *)
+    st.starts <- Float.Array.append st.starts (Float.Array.make n 0.);
+    st.opened <- Array.append st.opened (Array.make n None);
+    st.free <- Array.init (2 * n) (fun i -> n + i);
+    st.nfree <- n
+  end;
+  st.nfree <- st.nfree - 1;
+  let tok = st.free.(st.nfree) in
+  Engine.now_into st.starts tok;
+  tok
+
+let open_span site host v =
+  let st = state () in
+  let tok = take_slot st in
+  let fid = Engine.fiber_id () in
+  let below = stack_of st fid in
+  let sparent = match below with [] -> None | top :: _ -> Some top in
+  let shost = match (host, sparent) with None, Some p -> (get st p).shost | _ -> host in
+  let sname = site.name and st0 = Float.Array.get st.starts tok and sargs = site.args v in
+  let r = { sid = st.count; sparent; sname; shost; sfiber = fid; st0; st1 = nan; sargs } in
+  push st r;
+  Hashtbl.replace st.stacks fid (r.sid :: below);
+  st.opened.(tok) <- Some (r, below);
+  tok
+
+(* With tracing off a span-only section is these branches alone, and a
+   timed one adds only its slot; [@inline] folds them into the caller
+   where cross-module inlining is on (release builds). *)
+let[@inline] enter site v =
+  if !enabled_flag && site.traced then open_span site site.host v
+  else match site.hist with None -> -1 | Some _ -> take_slot (state ())
+
+let[@inline] enter_at site ~host v =
+  if !enabled_flag && site.traced then open_span site (Some host) v
+  else match site.hist with None -> -1 | Some _ -> take_slot (state ())
+
+(* The histogram sees [now - start] through the token's slot, unboxed;
+   the span closes after it, as it always enclosed the timed body. *)
+let finish site tok =
+  let st = state () in
+  let t0 = Float.Array.get st.starts tok in
+  Engine.now_into st.starts tok;
+  let now = Float.Array.get st.starts tok in
+  Float.Array.set st.starts tok (now -. t0);
+  (match site.hist with Some h -> Metrics.observe_in h st.starts tok | None -> ());
+  (match st.opened.(tok) with
+  | Some (r, below) ->
+      st.opened.(tok) <- None;
+      r.st1 <- now;
+      if Flight.enabled () then
+        Flight.record ~host:(Option.value r.shost ~default:"") Flight.Span_close ~name:r.sname
+          ~value:(now -. t0);
+      set_stack st r.sfiber below
+  | None -> ());
+  st.free.(st.nfree) <- tok;
+  st.nfree <- st.nfree + 1
+
+let[@inline] leave site tok = if tok >= 0 then finish site tok
+
+let leave_raise site tok e =
+  let bt = Printexc.get_raw_backtrace () in
+  leave site tok;
+  Printexc.raise_with_backtrace e bt
+
+let within site v f =
+  let tok = enter site v in
+  match f () with
+  | r ->
+      leave site tok;
+      r
+  | exception e -> leave_raise site tok e
+
 let with_span ?host ?(args = []) name f =
-  if not !enabled_flag then f ()
-  else begin
-    let st = state () in
-    let fid = Engine.fiber_id () in
-    let old_stack = stack_of st fid in
-    let sparent = match old_stack with [] -> None | top :: _ -> Some top in
-    let shost =
-      match host with
-      | Some _ -> host
-      | None -> ( match sparent with Some p -> (get st p).shost | None -> None)
-    in
-    let sid = st.count in
-    let r = { sid; sparent; sname = name; shost; sfiber = fid; st0 = Engine.now (); st1 = Float.nan; sargs = args } in
-    push st r;
-    Hashtbl.replace st.stacks fid (sid :: old_stack);
-    Fun.protect
-      ~finally:(fun () ->
-        r.st1 <- Engine.now ();
-        if Flight.enabled () then
-          Flight.record
-            ~host:(match r.shost with Some h -> h | None -> "")
-            Flight.Span_close ~name:r.sname ~value:(r.st1 -. r.st0);
-        (* The stack may belong to a newer generation if a reset
-           happened mid-span; only unwind our own generation. *)
-        if !current_state == st then Hashtbl.replace st.stacks fid old_stack)
-      f
-  end
+  if !enabled_flag then within (site ?host ~args:(fun () -> args) name) () f else f ()
 
 let with_parent parent f =
   if not !enabled_flag then f ()
   else begin
     let st = state () in
     let fid = Engine.fiber_id () in
-    let old_stack = stack_of st fid in
-    Hashtbl.replace st.stacks fid (match parent with None -> [] | Some p -> [ p ]);
-    Fun.protect
-      ~finally:(fun () -> if !current_state == st then Hashtbl.replace st.stacks fid old_stack)
-      f
+    let below = stack_of st fid in
+    set_stack st fid (Option.to_list parent);
+    Fun.protect ~finally:(fun () -> set_stack st fid below) f
   end
 
 type view = {

@@ -1,15 +1,14 @@
 (** Causal span tracing: hierarchical timing of simulated operations.
 
     A span is a named interval of virtual time with a host and fiber
-    context. Spans nest: within one fiber, {!with_span} pushes onto an
+    context. Spans nest: within one fiber, a section pushes onto an
     ambient per-fiber stack, so a client append decomposes into
     [append → sequencer.grant → chain.write → commit] without threading
     ids by hand. Across fibers (helper fibers spawned by [Net.call_r],
     the batcher drainer, parallel chain writers) {!current} +
     {!with_parent} carry the causal parent explicitly.
 
-    Tracing is {e off} by default and costs one branch per
-    instrumentation point when off. When on, recording reads only the
+    Tracing is {e off} by default. When on, recording reads only the
     virtual clock — no sleeps, no randomness — so enabling spans never
     changes simulation behavior, and two same-seed runs dump
     byte-identical timelines ({!capture} is the determinism probe, the
@@ -31,11 +30,54 @@ type id
 (** The dense integer behind an {!id} (matches {!view.v_id}). *)
 val id_int : id -> int
 
-(** [with_span ?host ?args name f] runs [f] inside a new span. The
-    parent is the innermost open span of the calling fiber, if any.
-    [host] defaults to the parent's host. The span closes when [f]
-    returns or raises. Must be called inside {!Engine.run} when
-    tracing is enabled. *)
+(** {2 Timed sections}
+
+    A {e site} is one timed section: a span name, the host when fixed,
+    an optional histogram and an args builder. A component declares
+    each site once, where it is created, and runs it as a bracket:
+    [let tok = enter site v in match body with r -> leave site tok; r
+    | exception e -> leave_raise site tok e]. The bracket always feeds
+    the histogram; only while tracing is on does it build the span,
+    its args (from [v]) and the {!Flight} span-close event. The start
+    time stays in a slot named by the token, so with tracing off a
+    section takes no closure, boxes no float and allocates nothing. A
+    span's duration and its histogram observation are one subtraction
+    of the same two clock reads. *)
+
+type 'a site
+
+(** [site ?host ?hist ?args name]: [host] fixes the span's host (else
+    the parent's, or {!enter_at}'s); [hist] receives each section's
+    virtual µs; [args] builds the span's args from the entered value. *)
+val site :
+  ?host:string -> ?hist:Metrics.histogram -> ?args:('a -> (string * string) list) -> string ->
+  'a site
+
+(** [timer h] feeds [h] and never records a span. *)
+val timer : Metrics.histogram -> 'a site
+
+(** [enter site v] opens a section in the calling fiber: its span's
+    parent is the fiber's innermost open span. *)
+val enter : 'a site -> 'a -> int
+
+(** [enter_at site ~host v] is {!enter} with the span's host given per
+    call (an RPC's caller). *)
+val enter_at : 'a site -> host:string -> 'a -> int
+
+(** [leave site tok] observes the section's time, then closes its span.
+    Leave each token exactly once. *)
+val leave : 'a site -> int -> unit
+
+(** [leave_raise site tok e] is {!leave}, then re-raises [e] with its
+    backtrace; call it first thing in the handler. *)
+val leave_raise : 'a site -> int -> exn -> 'b
+
+(** [within site v f] runs [f] as one section; it takes a closure, so
+    it is for cold paths. *)
+val within : 'a site -> 'a -> (unit -> 'b) -> 'b
+
+(** [with_span ?host ?args name f] runs [f] as a one-off section with
+    no histogram; with tracing off it is [f ()]. *)
 val with_span : ?host:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** [current ()] is the innermost open span of the calling fiber. *)
@@ -46,6 +88,9 @@ val current : unit -> id option
     become children of [p]. Use when handing work to another fiber:
     capture [current ()] before [Engine.spawn], apply inside. *)
 val with_parent : id option -> (unit -> 'a) -> 'a
+
+(** Fibers holding an open span right now (tests). *)
+val open_fibers : unit -> int
 
 type view = {
   v_id : int;
@@ -72,6 +117,3 @@ val dump_json : unit -> string
     [Engine.run]), and returns its result with {!dump_json} of the
     spans it recorded. The previous enabled state is restored. *)
 val capture : (unit -> 'a) -> 'a * string
-
-(** Clear the span store immediately (tests). *)
-val reset : unit -> unit

@@ -703,18 +703,40 @@ let test_series_percentile_edges () =
 (* Metrics registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [time] observes a body that raises, and re-raises its exception. *)
+(* A timed section observes a body that raises, closes its span, and
+   re-raises the very exception. *)
+exception Boom of int
+
 let test_metrics_time_observes_raise () =
+  Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Span.set_enabled false) @@ fun () ->
   Engine.run (fun () ->
       let h = Metrics.histogram "raise_us" in
-      Alcotest.check_raises "re-raised" (Failure "boom") (fun () ->
-          Metrics.time h (fun () ->
-              Engine.sleep 4.;
-              failwith "boom"));
-      check_int "observed" 1 (Metrics.hist_count h);
+      let site = Span.site ~host:"h" ~hist:h "raising" in
+      let timed body =
+        let tok = Span.enter site () in
+        match body () with
+        | r ->
+            Span.leave site tok;
+            r
+        | exception e -> Span.leave_raise site tok e
+      in
+      let raised = Boom 7 in
+      (match
+         timed (fun () ->
+             Engine.sleep 4.;
+             raise raised)
+       with
+      | () -> Alcotest.fail "the raise was swallowed"
+      | exception e -> check_bool "the same exception re-raised" true (e == raised));
+      check_int "observed once" 1 (Metrics.hist_count h);
       (* one observation: the estimate is clamped to it *)
       check_float "elapsed" 4. (Metrics.hist_percentile h 50.);
-      check_int "result passes through" 3 (Metrics.time h (fun () -> 3));
+      (match Span.spans () with
+      | [ v ] -> check_bool "span closed" true (v.Span.v_end = Some 4.)
+      | l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
+      check_int "no stack left open" 0 (Span.open_fibers ());
+      check_int "result passes through" 3 (timed (fun () -> 3));
       check_int "observed again" 2 (Metrics.hist_count h))
 
 let test_metrics_get_or_create () =
@@ -809,6 +831,44 @@ let test_span_cross_fiber_parent () =
   check_bool "distinct fibers" true (child.Span.v_fiber <> root.Span.v_fiber);
   check_bool "host carried across fibers" true (child.Span.v_host = Some "h")
 
+(* A site names its span and its histogram once: for the same call the
+   span's duration is exactly the histogram's observation. *)
+let test_span_named_once () =
+  with_spans_on (fun () ->
+      Engine.run (fun () ->
+          let h = Metrics.histogram ~host:"h" "walk_us" in
+          let args n = [ ("n", string_of_int n) ] in
+          let site = Span.site ~host:"h" ~hist:h ~args "walk" in
+          let tok = Span.enter site 3 in
+          Engine.sleep 2.5;
+          Span.leave site tok;
+          match Span.spans () with
+          | [ v ] ->
+              check_bool "args built from the entered value" true (v.Span.v_args = [ ("n", "3") ]);
+              check_bool "host from the site" true (v.Span.v_host = Some "h");
+              let dur = match v.Span.v_end with Some e -> e -. v.Span.v_start | None -> nan in
+              check_int "one observation" 1 (Metrics.hist_count h);
+              check_float "span duration = histogram observation" dur
+                (Metrics.hist_percentile h 50.)
+          | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)))
+
+(* A fiber's span stack leaves the table once its last span closes:
+   every fiber below opens and closes spans, including across fibers
+   under [with_parent], and none is remembered afterwards. *)
+let test_span_stacks_forgotten () =
+  with_spans_on (fun () ->
+      Engine.run (fun () ->
+          Span.with_span ~host:"h" "root" (fun () ->
+              let p = Span.current () in
+              for _ = 1 to 10 do
+                Engine.spawn (fun () ->
+                    Span.with_parent p (fun () ->
+                        Span.with_span "child" (fun () -> Engine.sleep 1.)))
+              done;
+              Engine.sleep 5.;
+              check_int "only the root's fiber holds a stack" 1 (Span.open_fibers ()));
+          check_int "no fiber holds a stack" 0 (Span.open_fibers ())))
+
 let test_span_disabled_records_nothing () =
   Engine.run (fun () -> Span.with_span ~host:"h" "ghost" (fun () -> Engine.sleep 1.));
   check_int "nothing recorded while off" 0 (List.length (Span.spans ()))
@@ -826,9 +886,11 @@ let test_observability_determinism () =
             let svc = Net.service b ~name:"echo" (fun x -> x * 2) in
             Metrics.start_sampler ~interval_us:500. ();
             let h = Metrics.histogram ~host:"a" "echo_us" in
+            let op = Span.site ~host:"a" ~hist:h "op" in
             for i = 1 to 25 do
-              Span.with_span ~host:"a" "op" (fun () ->
-                  ignore (Metrics.time h (fun () -> Net.call ~from:a svc i)));
+              let tok = Span.enter op () in
+              ignore (Net.call ~from:a svc i);
+              Span.leave op tok;
               Engine.sleep 50.
             done);
         Metrics.to_json ())
@@ -991,8 +1053,11 @@ let test_timeseries_deterministic_dump () =
         let h = Metrics.histogram ~host:"a" "echo_us" in
         Timeseries.configure ~window_us:500. ~subticks:5 ();
         Timeseries.start ();
+        let echo = Span.timer h in
         for i = 1 to 40 do
-          ignore (Metrics.time h (fun () -> Net.call ~from:a svc i));
+          let tok = Span.enter echo () in
+          ignore (Net.call ~from:a svc i);
+          Span.leave echo tok;
           Engine.sleep 50.
         done);
     Timeseries.to_json ()
@@ -1715,6 +1780,24 @@ let test_net_call_budget () =
       check_budget "fault-free call" ~budget:net_call_budget
         (words_per_op (fun () -> ignore (Net.call ~from:a echo 1))))
 
+(* A section with tracing off: a span-only site takes no slot, a timed
+   one stores its start and observes without boxing. Neither takes a
+   closure, so both cost nothing. *)
+let test_section_off_budget () =
+  Engine.run (fun () ->
+      let h = Metrics.histogram ~host:"h" "kernel_us" in
+      let span_only = Span.site ~host:"h" ~args:(fun n -> [ ("n", string_of_int n) ]) "op" in
+      let timed = Span.site ~host:"h" ~hist:h ~args:(fun n -> [ ("n", string_of_int n) ]) "op" in
+      let section site () =
+        let tok = Span.enter site 1 in
+        Span.leave site tok
+      in
+      (* the first timed section builds the run's slot pool *)
+      section timed ();
+      check_budget "span-only section, tracing off" ~budget:0. (words_per_op (section span_only));
+      check_budget "timed section, tracing off" ~budget:0. (words_per_op (section timed));
+      check_int "every timed section observed" (budget_ops + 1) (Metrics.hist_count h))
+
 (* The spawn thunk, [match_with]'s handler closure and one sleep: 19
    words, where a handler and three closures per fiber cost 49. *)
 let spawn_budget = 19.
@@ -1769,6 +1852,7 @@ let () =
             test_contended_use_budget;
           Alcotest.test_case "ivar wake within budget" `Quick test_ivar_wake_budget;
           Alcotest.test_case "spawn + first sleep within budget" `Quick test_spawn_budget;
+          Alcotest.test_case "sections off allocate nothing" `Quick test_section_off_budget;
         ] );
       ( "waitq",
         [ Alcotest.test_case "fifo wake, once each" `Quick test_waitq_fifo_wake ] );
@@ -1879,6 +1963,9 @@ let () =
           Alcotest.test_case "nesting and inheritance" `Quick test_span_nesting;
           Alcotest.test_case "cross-fiber parenting" `Quick test_span_cross_fiber_parent;
           Alcotest.test_case "disabled records nothing" `Quick test_span_disabled_records_nothing;
+          Alcotest.test_case "span duration is the histogram observation" `Quick
+            test_span_named_once;
+          Alcotest.test_case "closed stacks are forgotten" `Quick test_span_stacks_forgotten;
           Alcotest.test_case "deterministic dumps" `Quick test_observability_determinism;
         ] );
       ( "properties",
