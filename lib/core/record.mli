@@ -73,6 +73,19 @@ val encode_payload_array : t array -> len:int -> bytes
     @raise Invalid_argument on malformed input. *)
 val decode_payload : bytes -> t list
 
+(** [decode_entry ~offset payload] is [decode_payload payload] for the
+    entry at log offset [offset], decoded once per process: a small
+    table indexed by [offset] returns the earlier result when it holds
+    the physically same [payload] ([==]), and decodes afresh otherwise.
+    A hit is exactly what a fresh decode would return, because a
+    payload's bytes never change once encoded.
+
+    The records it returns, [u_data] and [k_data] included, are shared
+    by every runtime in the process that reads the same entry: callers
+    must not mutate them.
+    @raise Invalid_argument on malformed input (nothing is cached). *)
+val decode_entry : offset:Corfu.Types.offset -> bytes -> t list
+
 (** Streams a record must be appended to: the streams of every
     object it writes. *)
 val streams_of : t -> Corfu.Types.stream_id list

@@ -330,7 +330,7 @@ let scan_records s f =
     | Some (off, entry) ->
         List.iteri
           (fun slot r -> f (Record.pos ~offset:off ~slot) r)
-          (Record.decode_payload entry.Corfu.Types.payload);
+          (Record.decode_entry ~offset:off entry.Corfu.Types.payload);
         consume ()
   in
   consume ()
@@ -759,7 +759,7 @@ let catch_up t ho off (entry : Corfu.Types.entry) =
       | Record.Update _ | Record.Commit _ | Record.Checkpoint _ | Record.Decision _
       | Record.Partial _ ->
           ())
-    (Record.decode_payload entry.Corfu.Types.payload)
+    (Record.decode_entry ~offset:off entry.Corfu.Types.payload)
 
 let process_entry t ho off (entry : Corfu.Types.entry) =
   if off <= t.frontier then begin
@@ -767,7 +767,7 @@ let process_entry t ho off (entry : Corfu.Types.entry) =
   end
   else begin
     t.frontier <- off;
-    let records = Record.decode_payload entry.Corfu.Types.payload in
+    let records = Record.decode_entry ~offset:off entry.Corfu.Types.payload in
     List.iteri
       (fun slot r ->
         let pos = Record.pos ~offset:off ~slot in
@@ -982,7 +982,7 @@ let fetch t ?oid pos =
     | Corfu.Client.Data e -> e
     | Corfu.Client.Junk | Corfu.Client.Trimmed | Corfu.Client.Unwritten -> raise Not_found
   in
-  let records = Record.decode_payload entry.Corfu.Types.payload in
+  let records = Record.decode_entry ~offset:off entry.Corfu.Types.payload in
   match List.nth_opt records slot with
   | Some (Record.Update u) -> (
       match oid with Some o when o <> u.Record.u_oid -> raise Not_found | _ -> u.Record.u_data)

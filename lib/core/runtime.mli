@@ -55,7 +55,12 @@
 
 type t
 
-(** Callbacks a Tango object provides at registration. *)
+(** Callbacks a Tango object provides at registration.
+
+    The [bytes] handed to [apply] and [load_checkpoint] (and returned
+    by {!fetch}) come from records decoded once per process
+    ({!Record.decode_entry}) and shared by every runtime that plays
+    the same entry: read them, copy them, but never mutate them. *)
 type callbacks = {
   apply : pos:int -> key:string option -> bytes -> unit;
       (** the only place view state may change; [pos] is the record's

@@ -471,7 +471,7 @@ let replace_sequencer t =
         incr scanned;
         match raw_read t old_proj ~epoch off with
         | Types.Read_data e ->
-            if Seq_checkpoint.is_snapshot ~k ~current:off e then begin
+            if Seq_checkpoint.is_snapshot ~k e then begin
               let snapshot = Seq_checkpoint.decode e.Types.payload in
               List.iter
                 (fun (sid, offs) -> Hashtbl.replace streams sid offs)

@@ -40,9 +40,9 @@ let decode data =
   in
   { snap_tail; snap_streams }
 
-let is_snapshot ~k ~current (entry : Types.entry) =
-  match Stream_header.lookup ~k ~current entry.Types.headers stream_id with
-  | header -> header <> None
+let is_snapshot ~k (entry : Types.entry) =
+  match Stream_header.locate ~k entry.Types.headers stream_id with
+  | at -> at >= 0
   | exception Invalid_argument _ -> false
 
 let merge ~above t ~k =

@@ -23,9 +23,9 @@ val encode : t -> bytes
 (** @raise Invalid_argument on malformed input. *)
 val decode : bytes -> t
 
-(** [is_snapshot ~k ~current entry] tests an entry's headers for the
-    reserved stream. *)
-val is_snapshot : k:int -> current:Types.offset -> Types.entry -> bool
+(** [is_snapshot ~k entry] tests an entry's headers for the reserved
+    stream; a malformed header block is no snapshot. *)
+val is_snapshot : k:int -> Types.entry -> bool
 
 (** [merge ~above snapshot ~k] combines per-stream offsets collected
     from entries {e above} the snapshot (most recent first, possibly

@@ -94,16 +94,15 @@ let resolve t off =
       t.sync_read_count <- t.sync_read_count + 1;
       Client.read_shared t.cl off
 
-let header_for t off entry =
-  let k = (Client.params t.cl).Sim.Params.backpointer_k in
-  Stream_header.lookup ~k ~current:off entry.Types.headers t.sid
-
 (* Backward walk from the sequencer's last-K pointers down to what we
    already know. Strides K entries per read in the common case; junk
-   degrades to a linear backward scan (§5, Failure Handling). *)
+   degrades to a linear backward scan (§5, Failure Handling). Each
+   entry's header is read in place ({!Stream_header.locate} and
+   {!Stream_header.backptr}), so a step builds no header or list. *)
 let sync_with t ~tail ~ptrs =
   if tail > t.horizon then begin
     let tok = Sim.Span.enter t.walk_s tail in
+    let k = (Client.params t.cl).Sim.Params.backpointer_k in
     let floor = known_max t in
     (* Every offset the walk registers lies below all earlier ones
        (backpointers point down, the scan moves down), so [members]
@@ -120,23 +119,33 @@ let sync_with t ~tail ~ptrs =
       end
       else false
     in
+    (* Register member candidates, most recent first, then read only
+       the oldest new one to continue the chain. *)
     let rec walk ptrs =
-      (* [ptrs]: member candidates, most recent first. Register all of
-         them, then read only the oldest to continue the chain. *)
       let oldest = List.fold_left (fun oldest p -> if note p then p else oldest) (-1) ptrs in
       if oldest >= 0 then follow oldest
+    and walk_header block ~current at =
+      let oldest = ref (-1) in
+      let i = ref 0 in
+      let p = ref (Stream_header.backptr ~k ~current block at 0) in
+      while !p >= 0 do
+        if note !p then oldest := !p;
+        incr i;
+        p := Stream_header.backptr ~k ~current block at !i
+      done;
+      if !oldest >= 0 then follow !oldest
     and follow off =
       match resolve t off with
       | Client.Data e -> (
-          match header_for t off e with
-          | Some h -> walk h.Stream_header.backptrs
-          | None ->
+          match Stream_header.locate ~k e.Types.headers t.sid with
+          | -1 ->
               (* An offset the sequencer issued for this stream whose
                  winning entry carries no header for it: the slot was
                  lost to a competing append and re-used; treat like
                  junk and rescan. *)
               junk := off :: !junk;
-              scan_backward (off - 1))
+              scan_backward (off - 1)
+          | at -> walk_header e.Types.headers ~current:off at)
       | Client.Junk ->
           junk := off :: !junk;
           scan_backward (off - 1)
@@ -150,11 +159,11 @@ let sync_with t ~tail ~ptrs =
       if off > floor then
         match resolve t off with
         | Client.Data e -> (
-            match header_for t off e with
-            | Some h ->
-                if note off then walk h.Stream_header.backptrs
-                (* if already known, the chain has reconnected *)
-            | None -> scan_backward (off - 1))
+            match Stream_header.locate ~k e.Types.headers t.sid with
+            | -1 -> scan_backward (off - 1)
+            | at ->
+                if note off then walk_header e.Types.headers ~current:off at
+                (* if already known, the chain has reconnected *))
         | Client.Junk | Client.Unwritten -> scan_backward (off - 1)
         | Client.Trimmed -> t.trim_gap <- true
     in

@@ -108,15 +108,23 @@ let decode_block ~k ~current buf =
 
 let find headers sid = List.find_opt (fun h -> h.stream = sid) headers
 
-let lookup ~k ~current buf sid =
-  let n = block_count ~k buf in
-  let size = header_size ~k in
-  (* Only the stream word of each header is read until [sid] matches. *)
-  let rec scan i =
-    if i >= n then None
+(* Top-level rather than a local closure so a lookup allocates nothing. *)
+let rec scan_for buf ~size ~n sid i =
+  if i >= n then -1
+  else
+    let pos = 1 + (i * size) in
+    (* Only the stream word of each header is read until [sid] matches. *)
+    if get_u32 buf pos land max_stream_id = sid then pos else scan_for buf ~size ~n sid (i + 1)
+
+let locate ~k buf sid = scan_for buf ~size:(header_size ~k) ~n:(block_count ~k buf) sid 0
+
+let backptr ~k ~current buf at i =
+  if get_u32 buf at land 0x8000_0000 <> 0 then
+    if i >= k / 4 then -1
     else
-      let pos = 1 + (i * size) in
-      if get_u32 buf pos land max_stream_id = sid then Some (decode_header ~k ~current buf pos)
-      else scan (i + 1)
-  in
-  scan 0
+      let v = get_u64 buf (at + 4 + (8 * i)) in
+      if Int64.equal v absolute_empty then -1 else Int64.to_int v
+  else if i >= k then -1
+  else
+    let d = get_u16 buf (at + 4 + (2 * i)) in
+    if d = 0 then -1 else current - d

@@ -43,12 +43,27 @@ val decode_block : k:int -> current:Types.offset -> bytes -> t list
 (** [find headers sid] returns the header for stream [sid], if any. *)
 val find : t list -> Types.stream_id -> t option
 
-(** [lookup ~k ~current block sid] is
-    [find (decode_block ~k ~current block) sid] without decoding the
-    other streams' headers: the stream-layer fast path, one header
-    decoded per entry.
+(** {2 Reading one stream's header in place}
+
+    The stream layer's fast path: {!locate} then {!backptr} read one
+    stream's backpointers straight from the block's bytes, without
+    decoding the other headers or building a list, and allocate
+    nothing. Together they agree with
+    [find (decode_block ~k ~current block) sid]. *)
+
+(** [locate ~k block sid] is the byte position of stream [sid]'s
+    header in [block] (the first, if repeated), or [-1] if the block
+    carries none.
     @raise Invalid_argument on a malformed block. *)
-val lookup : k:int -> current:Types.offset -> bytes -> Types.stream_id -> t option
+val locate : k:int -> bytes -> Types.stream_id -> int
+
+(** [backptr ~k ~current block at i] is backpointer [i] (0 = most
+    recent) of the header at position [at] (from {!locate}) of the
+    entry written at [current], in either wire format, or [-1] once
+    [i] reaches an empty slot or the format's capacity. Like
+    {!decode_block}, a reader stops at the first [-1]: slots after it
+    are not backpointers. *)
+val backptr : k:int -> current:Types.offset -> bytes -> int -> int -> Types.offset
 
 (** [uses_absolute_format ~current header] reports which wire format
     {!encode_block} will pick, for tests and diagnostics. *)

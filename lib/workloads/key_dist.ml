@@ -11,7 +11,22 @@ let population = function Uniform n -> n | Zipfian z -> Zipf.n z
 let sample t rng =
   match t with Uniform n -> Sim.Rng.int rng n | Zipfian z -> Zipf.sample z rng
 
-let key_name i = Printf.sprintf "k%08d" i
+(* "k" and eight zero-padded digits written straight into the string
+   (3 words, where [Printf.sprintf] costs 46); indices that do not fit
+   eight digits keep the [Printf] rendering. *)
+let key_name i =
+  if i < 0 || i > 99_999_999 then Printf.sprintf "k%08d" i
+  else begin
+    let b = Bytes.create 9 in
+    Bytes.unsafe_set b 0 'k';
+    let v = ref i in
+    for pos = 8 downto 1 do
+      Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+
 let sample_key t rng = key_name (sample t rng)
 
 let rec mem_int (i : int) = function [] -> false | j :: rest -> j = i || mem_int i rest

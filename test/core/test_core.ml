@@ -152,45 +152,111 @@ let test_record_rejects_bad () =
   | _ -> Alcotest.fail "truncated payload must be rejected"
   | exception Invalid_argument _ -> ()
 
+let gen_update =
+  QCheck.Gen.(
+    map3
+      (fun oid key data -> { Record.u_oid = oid; u_key = key; u_data = Bytes.of_string data })
+      (int_range 0 1000)
+      (opt (string_size (1 -- 8)))
+      (string_size (0 -- 64)))
+
+let gen_record =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun u -> Record.Update u) gen_update);
+        ( 3,
+          map3
+            (fun reads writes nd ->
+              Record.Commit { Record.c_reads = reads; c_writes = writes; c_needs_decision = nd })
+            (small_list (triple (int_range 0 100) (opt (string_size (1 -- 5))) (int_range (-1) 1000)))
+            (small_list gen_update) bool );
+        ( 1,
+          map2
+            (fun t c -> Record.Decision { d_target = t; d_committed = c })
+            (int_range 0 100_000) bool );
+        ( 1,
+          map2
+            (fun o d -> Record.Checkpoint { k_oid = o; k_base = 7; k_data = Bytes.of_string d })
+            (int_range 0 100) (string_size (0 -- 32)) );
+        ( 1,
+          map2
+            (fun t vs -> Record.Partial { p_target = t; p_verdicts = vs })
+            (int_range 0 100_000)
+            (small_list (pair (int_range 0 100) bool)) );
+      ])
+
+let gen_batch = QCheck.Gen.(list_size (1 -- 20) gen_record)
+
 let prop_record_roundtrip =
-  let gen_update =
-    QCheck.Gen.(
-      map3
-        (fun oid key data ->
-          { Record.u_oid = oid; u_key = key; u_data = Bytes.of_string data })
-        (int_range 0 1000)
-        (opt (string_size (1 -- 8)))
-        (string_size (0 -- 64)))
-  in
-  let gen_record =
-    QCheck.Gen.(
-      frequency
-        [
-          (4, map (fun u -> Record.Update u) gen_update);
-          ( 3,
-            map3
-              (fun reads writes nd ->
-                Record.Commit { Record.c_reads = reads; c_writes = writes; c_needs_decision = nd })
-              (small_list (triple (int_range 0 100) (opt (string_size (1 -- 5))) (int_range (-1) 1000)))
-              (small_list gen_update) bool );
-          ( 1,
-            map2
-              (fun t c -> Record.Decision { d_target = t; d_committed = c })
-              (int_range 0 100_000) bool );
-          ( 1,
-            map2
-              (fun o d -> Record.Checkpoint { k_oid = o; k_base = 7; k_data = Bytes.of_string d })
-              (int_range 0 100) (string_size (0 -- 32)) );
-          ( 1,
-            map2
-              (fun t vs -> Record.Partial { p_target = t; p_verdicts = vs })
-              (int_range 0 100_000)
-              (small_list (pair (int_range 0 100) bool)) );
-        ])
-  in
-  QCheck.Test.make ~name:"record payload roundtrip" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (1 -- 20) gen_record))
+  QCheck.Test.make ~name:"record payload roundtrip" ~count:300 (QCheck.make gen_batch)
     (fun records -> Record.decode_payload (Record.encode_payload records) = records)
+
+let prop_decode_entry_matches_decode =
+  (* Random batches at random offsets, offsets colliding in the memo
+     table, each payload decoded again later in a random order: every
+     answer, hit or miss, equals a fresh decode. *)
+  QCheck.Test.make ~name:"decode_entry = decode_payload" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (1 -- 12) (pair (int_range 0 40) gen_batch)) (list_size (0 -- 30) nat)))
+    (fun (batches, revisits) ->
+      let entries =
+        Array.of_list (List.map (fun (off, rs) -> (off, Record.encode_payload rs)) batches)
+      in
+      let agrees (off, payload) =
+        Record.decode_entry ~offset:off payload = Record.decode_payload payload
+      in
+      Array.for_all (fun e -> agrees e && agrees e) entries
+      && List.for_all (fun r -> agrees entries.(r mod Array.length entries)) revisits)
+
+let test_decode_entry_identity () =
+  let update data = Record.Update { Record.u_oid = 1; u_key = None; u_data = Bytes.of_string data } in
+  let a = Record.encode_payload [ update "first" ] in
+  let first = Record.decode_entry ~offset:5 a in
+  check_bool "same payload again: the shared decode" true (Record.decode_entry ~offset:5 a == first);
+  (* Equal bytes in another object (a hole rewritten with the same
+     records) decode afresh: the table is keyed by identity. *)
+  let copy = Bytes.copy a in
+  let again = Record.decode_entry ~offset:5 copy in
+  check_bool "equal copy: equal records" true (again = first);
+  check_bool "equal copy: a fresh decode" false (again == first);
+  (* Another payload at the same offset is a miss, never a stale hit. *)
+  let b = Record.encode_payload [ update "second"; update "third" ] in
+  check_bool "other payload, same offset" true
+    (Record.decode_entry ~offset:5 b = [ update "second"; update "third" ]);
+  check_bool "slot now holds the other payload" true
+    (Record.decode_entry ~offset:5 a = [ update "first" ]);
+  (* A malformed payload raises and caches nothing. *)
+  let bad = Bytes.sub b 0 (Bytes.length b - 3) in
+  (match Record.decode_entry ~offset:5 bad with
+  | _ -> Alcotest.fail "truncated payload must be rejected"
+  | exception Invalid_argument _ -> ());
+  match Record.decode_entry ~offset:5 bad with
+  | _ -> Alcotest.fail "a rejected payload must not be cached"
+  | exception Invalid_argument _ -> ()
+
+let test_decode_entry_runs_do_not_alias () =
+  (* Two runs in one process write different values at the same
+     offsets; the second run's views and fetches see only its own. *)
+  let run base =
+    with_cluster (fun cluster ->
+        let w = Reg.attach (runtime cluster "w") ~oid:1 in
+        let r = Reg.attach (runtime cluster "r") ~oid:1 in
+        for i = 1 to 20 do
+          Reg.write w (base + i)
+        done;
+        let last = Reg.read r in
+        let fetched = Reg.decode (Runtime.fetch r.Reg.rt ~oid:1 r.Reg.last_pos) in
+        (last, fetched, r.Reg.last_pos))
+  in
+  let last_a, fetched_a, pos_a = run 0 in
+  let last_b, fetched_b, pos_b = run 100 in
+  check_int "same positions in both runs" pos_a pos_b;
+  check_int "first run" 20 last_a;
+  check_int "first run fetch" 20 fetched_a;
+  check_int "second run" 120 last_b;
+  check_int "second run fetch" 120 fetched_b
 
 (* ------------------------------------------------------------------ *)
 (* Batcher                                                            *)
@@ -1233,6 +1299,9 @@ let () =
           Alcotest.test_case "rejects bad payloads" `Quick test_record_rejects_bad;
           Alcotest.test_case "array encode matches list encode" `Quick
             test_record_encode_payload_array;
+          Alcotest.test_case "shared decode keyed by identity" `Quick test_decode_entry_identity;
+          Alcotest.test_case "runs do not alias decodes" `Quick
+            test_decode_entry_runs_do_not_alias;
         ] );
       ( "batch-core",
         [
@@ -1309,6 +1378,7 @@ let () =
         qcheck
           [
             prop_record_roundtrip;
+            prop_decode_entry_matches_decode;
             prop_concurrent_counter_serializable;
             prop_directory_unique_oids;
             prop_late_registration_converges;

@@ -88,33 +88,89 @@ let test_header_rejects_bad_k () =
   | _ -> Alcotest.fail "k=3 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* [find (decode_block ...)] rebuilt from the in-place accessors. *)
+let header_in_place ~k ~current block sid =
+  match Stream_header.locate ~k block sid with
+  | -1 -> None
+  | at ->
+      let rec collect i =
+        match Stream_header.backptr ~k ~current block at i with
+        | -1 -> []
+        | p -> p :: collect (i + 1)
+      in
+      Some { Stream_header.stream = sid; backptrs = collect 0 }
+
 let prop_header_lookup_matches_find =
-  (* The single-header scan must agree with decoding the whole block,
-     in both wire formats, for present, repeated and absent ids. *)
+  (* The in-place accessors must agree with decoding the whole block,
+     in both wire formats, for present, repeated and absent ids, and
+     for headers with no, some and all backpointer slots in use. *)
   QCheck.Test.make ~name:"header lookup = find (decode_block ...)" ~count:300
     QCheck.(
-      triple (int_range 70_000 1_000_000)
-        (small_list (triple (int_range 0 12) bool (int_range 1 60_000)))
-        (int_range 0 15))
-    (fun (current, raw, probe) ->
-      let k = 4 in
+      quad (int_range 70_000 1_000_000)
+        (small_list (quad (int_range 0 12) bool (int_range 0 70_000) (int_range 0 8)))
+        (int_range 0 15) bool)
+    (fun (current, raw, probe, wide) ->
+      let k = if wide then 8 else 4 in
       let headers =
         List.map
-          (fun (sid, far, spread) ->
-            (* [far] adds a pointer more than 64K entries back, which
-               forces the absolute format *)
-            let ptrs =
-              [ current - 1; current - spread - 1 ] @ if far then [ current - 70_000 ] else []
-            in
-            { Stream_header.stream = sid; backptrs = List.sort_uniq compare ptrs |> List.rev })
+          (fun (sid, far, spread, count) ->
+            (* [count] near pointers (0 to K, so some headers leave
+               slots empty and some fill them all), spaced so the
+               oldest delta stays within 16 bits; [far] adds one more
+               than 64K entries back (after at most K-1 near ones),
+               which forces the absolute format (K/4 slots, the most
+               recent kept) *)
+            let count = min count (if far then k - 1 else k) in
+            let step = 1 + (spread mod (65_534 / max 1 (count - 1))) in
+            let near = List.init count (fun i -> current - 1 - (i * step)) in
+            let ptrs = if far then near @ [ current - 70_000 ] else near in
+            { Stream_header.stream = sid; backptrs = ptrs })
           raw
       in
       let block = Stream_header.encode_block ~k ~current headers in
       let decoded = Stream_header.decode_block ~k ~current block in
       List.for_all
-        (fun sid ->
-          Stream_header.lookup ~k ~current block sid = Stream_header.find decoded sid)
+        (fun sid -> header_in_place ~k ~current block sid = Stream_header.find decoded sid)
         (probe :: List.map (fun (h : Stream_header.t) -> h.stream) headers))
+
+(* One step of a backpointer walk reads the stream's header in place:
+   locate it, then every backpointer up to the first empty slot. The
+   words are net of an empty loop, so the [Gc.minor_words] probes'
+   boxed floats cancel out. *)
+let walk_sink = ref 0
+
+let walk_step ~k ~current block sid =
+  let at = Stream_header.locate ~k block sid in
+  let i = ref 0 in
+  let p = ref (Stream_header.backptr ~k ~current block at 0) in
+  while !p >= 0 do
+    walk_sink := !walk_sink + !p;
+    incr i;
+    p := Stream_header.backptr ~k ~current block at !i
+  done
+
+let test_walk_step_allocates_nothing () =
+  let ops = 1_000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to ops do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let check what ~k ~current headers sid =
+    let block = Stream_header.encode_block ~k ~current headers in
+    let step () = walk_step ~k ~current block sid in
+    let per_op = (words step -. words ignore) /. float_of_int ops in
+    if per_op > 0. then Alcotest.failf "%s: %.3f minor words per walk step" what per_op
+  in
+  let others = [ { Stream_header.stream = 1; backptrs = [ 99; 98 ] } ] in
+  check "relative" ~k:4 ~current:100
+    (others @ [ { Stream_header.stream = 7; backptrs = [ 97; 90; 80 ] } ])
+    7;
+  check "absolute" ~k:8 ~current:300_000
+    (others @ [ { Stream_header.stream = 7; backptrs = [ 299_999; 100 ] } ])
+    7
 
 let prop_header_roundtrip =
   QCheck.Test.make ~name:"header block roundtrip (relative and absolute)" ~count:300
@@ -2586,6 +2642,11 @@ let () =
             test_await_wakes_in_arrival_order;
           Alcotest.test_case "storage seals resolve through the watch" `Quick
             test_storage_seals_resolve_through_await;
+        ] );
+      ( "kernel-alloc",
+        [
+          Alcotest.test_case "in-place walk step allocates nothing" `Quick
+            test_walk_step_allocates_nothing;
         ] );
       ( "properties",
         qcheck

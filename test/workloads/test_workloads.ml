@@ -88,6 +88,15 @@ let test_distinct_keys_pinned () =
     uniform_sets;
   check_int "uniform rng position after the draws" 9 uniform_next
 
+let prop_key_name_matches_printf =
+  (* The digit writer must render every index exactly as
+     [Printf.sprintf "k%08d"], at the edges of its eight-digit range,
+     outside it (the fallback) and anywhere in between. *)
+  let edges = [ 0; 1; 9; 10; 99_999_999; 100_000_000; -1; -42; max_int; min_int ] in
+  QCheck.Test.make ~name:"key_name = sprintf \"k%08d\"" ~count:1000
+    QCheck.(oneof [ oneofl edges; int_range 0 99_999_999; int; small_signed_int ])
+    (fun i -> String.equal (Key_dist.key_name i) (Printf.sprintf "k%08d" i))
+
 let prop_zipf_bounds =
   QCheck.Test.make ~name:"zipf samples stay in range" ~count:100
     QCheck.(pair (int_range 1 10_000) small_int)
@@ -115,5 +124,6 @@ let () =
           Alcotest.test_case "distinct keys" `Quick test_distinct_keys;
           Alcotest.test_case "distinct keys pinned draws" `Quick test_distinct_keys_pinned;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_zipf_bounds ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_zipf_bounds; prop_key_name_matches_printf ] );
     ]
