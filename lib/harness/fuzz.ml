@@ -42,6 +42,24 @@ let default_config =
     f_shrink_runs = 250;
   }
 
+type monitor = {
+  mo_name : string;
+  mo_series : string;  (* Timeseries series, e.g. "hist:fz-app-1.append.e2e_us" *)
+  mo_col : string;
+  mo_threshold : float;
+  mo_objective : float;
+}
+
+let validate_monitor m =
+  let bad what = invalid_arg (Printf.sprintf "Fuzz monitor %S: %s" m.mo_name what) in
+  if m.mo_name = "" then bad "name must be non-empty";
+  if m.mo_series = "" then bad "series must be non-empty";
+  if m.mo_col = "" then bad "col must be non-empty";
+  if not (Float.is_finite m.mo_threshold) then
+    bad (Printf.sprintf "threshold = %g, must be finite" m.mo_threshold);
+  if not (m.mo_objective >= 0. && m.mo_objective < 1.) then
+    bad (Printf.sprintf "objective = %g, must be in [0, 1)" m.mo_objective)
+
 let workload_streams = [| 10; 11; 12 |]
 let map_oid = 1
 let set_oid = 2
@@ -258,9 +276,14 @@ type outcome = {
   oc_metrics_json : string;  (* canonical dump; byte-identical on replay *)
   oc_spans_json : string option;  (* when capture_spans *)
   oc_flight_json : string option;  (* flight snapshots, when any fired *)
+  oc_alerts : Sim.Slo.alert list;  (* monitor transitions, oldest first *)
+  oc_alerts_json : string option;  (* when monitors were armed *)
+  oc_timeseries_json : string option;  (* when monitors were armed *)
 }
 
-let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~seed config ~plan =
+let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(monitors = []) ~seed
+    config ~plan =
+  List.iter validate_monitor monitors;
   Tango.Runtime.reset_failpoints ();
   (match failpoint with Some n -> Tango.Runtime.enable_failpoint n | None -> ());
   (* Arm the flight recorder so any oracle violation ships with its
@@ -288,6 +311,7 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~see
   let metrics_json = ref "" in
   let oracle_violations = ref [] in
   let spec_plane = ref None in
+  let armed = ref [] in
   let main () =
     let cluster = Cluster.create ~servers:config.f_servers () in
     Cluster.start_failure_monitor cluster;
@@ -391,6 +415,19 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~see
           done;
           incr done_count)
     done;
+    (* -------- SLO monitors. The ticker tracks only the metrics
+       registered before it starts, so it starts once every workload
+       client and runtime exists. *)
+    if monitors <> [] then begin
+      Sim.Timeseries.start ();
+      armed :=
+        List.map
+          (fun m ->
+            ( m,
+              Sim.Slo.monitor ~name:m.mo_name ~series:m.mo_series ~col:m.mo_col
+                ~threshold:m.mo_threshold ~objective:m.mo_objective () ))
+          monitors
+    end;
     (* -------- wait for the workload, bounded by the deadline.
        Liveness is judged against a {e whole} system: shortly after the
        last planned fault the harness repairs anything the plan left
@@ -541,6 +578,16 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~see
   let flight_json =
     if Sim.Flight.snapshot_count () > 0 then Some (Sim.Flight.dump_json ()) else None
   in
+  (* A monitor whose series never appeared judged nothing: its silence
+     is a typo in the case, not a pass. *)
+  List.iter
+    (fun (m, sm) ->
+      if not (Sim.Slo.resolved sm) then
+        invalid_arg
+          (Printf.sprintf "Fuzz monitor %S: series %S column %S never appeared" m.mo_name
+             m.mo_series m.mo_col))
+    !armed;
+  let telemetry f = if !armed = [] then None else Some (f ()) in
   {
     (* spec firings lead: they carry the mid-run timestamp and are the
        preferred shrink target when several oracles condemn one run *)
@@ -554,6 +601,9 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ~see
     oc_metrics_json = !metrics_json;
     oc_spans_json = !spans_json;
     oc_flight_json = flight_json;
+    oc_alerts = Sim.Slo.alerts ();
+    oc_alerts_json = telemetry Sim.Slo.alerts_json;
+    oc_timeseries_json = telemetry Sim.Timeseries.to_json;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -574,13 +624,13 @@ let sort_plan p = List.sort (fun (a, _) (b, _) -> Float.compare a b) p
    oracle still fires" — a candidate that merely trips a different
    invariant is rejected, so the reproducer explains the original
    failure, not a new one. Budgeted in re-runs ([f_shrink_runs]). *)
-let shrink ?failpoint ?(specs = []) ?spec_deadline_us ~seed config plan ~oracle =
+let shrink ?failpoint ?(specs = []) ?spec_deadline_us ?monitors ~seed config plan ~oracle =
   let runs = ref 0 in
   let fails p =
     !runs < config.f_shrink_runs
     && begin
          incr runs;
-         let oc = run ?failpoint ~specs ?spec_deadline_us ~seed config ~plan:p in
+         let oc = run ?failpoint ~specs ?spec_deadline_us ?monitors ~seed config ~plan:p in
          List.exists (fun v -> String.equal v.Verifier.v_oracle oracle) oc.oc_violations
        end
   in

@@ -48,6 +48,22 @@ type config = {
 
 val default_config : config
 
+(** An SLO burn-rate monitor ({!Sim.Slo.monitor}) on one
+    {!Sim.Timeseries} column of the run, e.g. series
+    ["hist:fz-app-1.append.e2e_us"], column ["p99"]. *)
+type monitor = {
+  mo_name : string;
+  mo_series : string;
+  mo_col : string;
+  mo_threshold : float;  (** a window above it is bad *)
+  mo_objective : float;  (** target good-window fraction, in [0, 1) *)
+}
+
+(** [validate_monitor m] rejects an empty name, series or column, a
+    threshold that is not finite, or an objective outside [0, 1).
+    @raise Invalid_argument naming the monitor and the field. *)
+val validate_monitor : monitor -> unit
+
 (** [gen_plan ~seed config] draws a random make-whole fault plan:
     storage crash/restart, single-node partition/heal, appender→storage
     degrade/clear, SSD fail/repair, sequencer replacement, and
@@ -72,6 +88,12 @@ type outcome = {
       (** {!Sim.Flight.dump_json} when any snapshot fired — the run
           arms the flight recorder, and an oracle violation (or an
           abort with violations pending) triggers a capture *)
+  oc_alerts : Sim.Slo.alert list;
+      (** the monitors' alert transitions, oldest first; [[]] when
+          none were armed *)
+  oc_alerts_json : string option;  (** {!Sim.Slo.alerts_json}, when monitors were armed *)
+  oc_timeseries_json : string option;
+      (** {!Sim.Timeseries.to_json}, when monitors were armed *)
 }
 
 (** [run ?failpoint ?capture_spans ~seed config ~plan] executes one
@@ -90,12 +112,23 @@ type outcome = {
     with oracle [spec:<name>] — first-class shrink targets.
     [spec_deadline_us] overrides both spec deadlines (default 400 ms
     virtual). Arming specs changes the event schedule, so traces are
-    only comparable between runs armed with the same [specs]. *)
+    only comparable between runs armed with the same [specs].
+
+    [monitors] starts the {!Sim.Timeseries} ticker and arms one
+    {!Sim.Slo} monitor each, once every workload client and runtime
+    exists (the ticker tracks only metrics registered before it
+    starts). An alert is an output, not a violation: it lands in
+    [oc_alerts], and a firing takes a flight snapshot. Monitors change
+    the event schedule the way [specs] do.
+    @raise Invalid_argument on a monitor {!validate_monitor} rejects,
+    or, after the run, on a monitor whose series or column never
+    appeared (it judged nothing). *)
 val run :
   ?failpoint:string ->
   ?capture_spans:bool ->
   ?specs:Spec.spec list ->
   ?spec_deadline_us:float ->
+  ?monitors:monitor list ->
   seed:int ->
   config ->
   plan:(float * Sim.Fault.action) list ->
@@ -114,11 +147,12 @@ type shrink_result = {
     {e different} oracle is rejected — the reproducer explains the
     original failure. Bounded by [config.f_shrink_runs] re-runs.
     [specs] re-arms the same spec machines on every candidate run, so
-    [spec:<name>] oracles shrink like any other. *)
+    [spec:<name>] oracles shrink like any other; [monitors] likewise. *)
 val shrink :
   ?failpoint:string ->
   ?specs:Spec.spec list ->
   ?spec_deadline_us:float ->
+  ?monitors:monitor list ->
   seed:int ->
   config ->
   (float * Sim.Fault.action) list ->

@@ -3,8 +3,8 @@
    milestone). Recording is one branch when disabled; when enabled it
    writes into preallocated parallel arrays (no per-event record — a
    mixed record with mutable float fields would box every store).
-   [snapshot] freezes the rings into JSON + Chrome-trace strings at
-   incident time, because the rings keep rolling afterwards. *)
+   [snapshot] freezes the rings into a JSON string at incident time,
+   because the rings keep rolling afterwards. *)
 
 type kind = Span_close | Metric | Fault | Alert | Milestone
 
@@ -26,12 +26,10 @@ type ring = {
   mutable total : int;  (* events ever recorded on this host *)
 }
 
-type snap = { sn_reason : string; sn_time : float; sn_json : string; sn_trace : string }
-
 type state = {
   born : int;
   rings : (string, ring) Hashtbl.t;
-  mutable snaps : snap list;  (* newest first *)
+  mutable snaps : string list;  (* incident documents, newest first *)
   mutable n_snaps : int;
 }
 
@@ -168,53 +166,6 @@ let render_json st ~reason ~time =
   Jout.obj
     [ ("reason", Jout.str reason); ("t_us", Jout.flt time); ("hosts", Jout.arr hosts) ]
 
-let render_trace st ~reason ~time =
-  let rings = sorted_rings st in
-  let meta =
-    List.mapi
-      (fun p r ->
-        Jout.obj
-          [
-            ("name", Jout.str "process_name");
-            ("ph", Jout.str "M");
-            ("pid", string_of_int p);
-            ("tid", "0");
-            ("args", Jout.obj [ ("name", Jout.str r.r_host) ]);
-          ])
-      rings
-  in
-  let events = ref [] in
-  List.iteri
-    (fun p r ->
-      ring_iter r (fun t k n v ->
-          events :=
-            Jout.obj
-              [
-                ("name", Jout.str n);
-                ("ph", Jout.str "i");
-                ("s", Jout.str "t");
-                ("pid", string_of_int p);
-                ("tid", "0");
-                ("ts", Jout.flt t);
-                ( "args",
-                  Jout.obj [ ("kind", Jout.str (kind_name k)); ("value", Jout.flt v) ] );
-              ]
-            :: !events))
-    rings;
-  let incident =
-    Jout.obj
-      [
-        ("name", Jout.str ("incident: " ^ reason));
-        ("ph", Jout.str "i");
-        ("s", Jout.str "g");
-        ("pid", "0");
-        ("tid", "0");
-        ("ts", Jout.flt time);
-        ("args", Jout.obj [ ("reason", Jout.str reason) ]);
-      ]
-  in
-  Jout.obj [ ("traceEvents", Jout.arr (meta @ List.rev !events @ [ incident ])) ]
-
 let snapshot ~reason =
   if sink.armed then begin
     let st = state () in
@@ -223,15 +174,7 @@ let snapshot ~reason =
          deadlock, a horizon overrun) is assigned after the run has
          unwound — stamp those snapshots at 0. *)
       let time = try Engine.now () with Invalid_argument _ -> 0. in
-      let sn =
-        {
-          sn_reason = reason;
-          sn_time = time;
-          sn_json = render_json st ~reason ~time;
-          sn_trace = render_trace st ~reason ~time;
-        }
-      in
-      st.snaps <- sn :: st.snaps;
+      st.snaps <- render_json st ~reason ~time :: st.snaps;
       st.n_snaps <- st.n_snaps + 1
     end
   end
@@ -243,5 +186,5 @@ let dump_json () =
   let st = state () in
   Jout.obj
     [
-      ("snapshots", Jout.arr (List.rev_map (fun sn -> sn.sn_json) st.snaps));
+      ("snapshots", Jout.arr (List.rev st.snaps));
     ]

@@ -13,8 +13,8 @@
     not "what happened over the whole run" (that is {!Metrics} /
     {!Span} / {!Timeseries}).
 
-    {!snapshot} freezes the rings into an incident-scoped JSON document
-    and a Chrome [trace_event] timeline. It is called automatically
+    {!snapshot} freezes the rings into an incident-scoped JSON
+    document. It is called automatically
     when an {!Slo} monitor fires, and by the harness when a spec fires,
     a chaos stall or a fuzz oracle violation is detected — so every
     failure artifact ships with its last-N-events context.
@@ -55,19 +55,15 @@ val record : host:string -> kind -> name:string -> value:float -> unit
     that have rolled out of their rings). *)
 val events_recorded : unit -> int
 
-type snap = {
-  sn_reason : string;
-  sn_time : float;  (** virtual µs; 0. if taken after the run ended *)
-  sn_json : string;  (** incident document: per-host event rings *)
-  sn_trace : string;  (** Chrome trace_event instant-event timeline *)
-}
-
-(** [snapshot ~reason] freezes the current rings into a {!snap}.
-    No-op when disabled or once the snapshot budget is exhausted. *)
+(** [snapshot ~reason] freezes the current rings into an incident
+    document: [{"reason", "t_us", "hosts": [{"host", "recorded",
+    "events"}]}], stamped at virtual time 0 when taken after the run
+    ended. No-op when disabled or once the snapshot budget is
+    exhausted. *)
 val snapshot : reason:string -> unit
 
-(** All snapshots taken this run, oldest first. *)
-val snapshots : unit -> snap list
+(** The incident documents taken this run, oldest first. *)
+val snapshots : unit -> string list
 
 val snapshot_count : unit -> int
 

@@ -166,6 +166,7 @@ let feed m v =
   push (state ()) m ~time v
 
 let firing m = m.m_firing
+let resolved m = Option.is_some m.m_sel
 
 let alerts () = List.rev (state ()).alerts
 

@@ -60,6 +60,11 @@ val feed : monitor -> float -> unit
 
 val firing : monitor -> bool
 
+(** [resolved m] is [true] once [m]'s series and column were found in
+    {!Timeseries}; until then {!eval} skips its windows, so a monitor
+    that never resolves judged nothing. *)
+val resolved : monitor -> bool
+
 type alert = {
   al_time : float;  (** virtual µs of the causing window's end *)
   al_monitor : string;

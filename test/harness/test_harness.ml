@@ -445,6 +445,7 @@ let test_fuzz_reproducer_roundtrip () =
       sc_specs = Spec.all;
       sc_spec_deadline_us = None;
       sc_failpoint = Some "skip-rebuild-scan";
+      sc_monitors = [];
     }
   in
   check_bool "plan has a custom action" true
@@ -492,6 +493,7 @@ let test_fuzz_finds_injected_bug () =
            sc_specs = [];
            sc_spec_deadline_us = None;
            sc_failpoint = Some failpoint;
+           sc_monitors = [];
          })
   in
   let again = Scenario.run reproducer in
@@ -591,6 +593,11 @@ let test_spec_names_roundtrip () =
 (* Scenario driver                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_scenario_roundtrip () =
   let sc =
     {
@@ -606,6 +613,7 @@ let test_scenario_roundtrip () =
       sc_specs = [ Spec.Commit_liveness; Spec.Reconfig_termination ];
       sc_spec_deadline_us = Some 250_000.;
       sc_failpoint = Some "skip-rebuild-scan";
+      sc_monitors = [];
     }
   in
   let sc' = Scenario.decode (Scenario.encode sc) in
@@ -624,17 +632,31 @@ let test_scenario_roundtrip () =
   in
   check_bool "no deadline" true (bare.Scenario.sc_spec_deadline_us = None);
   check_bool "no failpoint" true (bare.Scenario.sc_failpoint = None);
+  check_bool "no monitors key" true
+    (Sim.Jin.member_opt "monitors" (Sim.Jin.parse (Scenario.encode sc)) = None);
+  (* Monitors round-trip and re-encode byte for byte. *)
+  let monitor =
+    {
+      Fuzz.mo_name = "append-p99";
+      mo_series = "hist:fz-app-1.append.e2e_us";
+      mo_col = "p99";
+      mo_threshold = 1_500.5;
+      mo_objective = 0.9;
+    }
+  in
+  let with_monitors =
+    { sc with Scenario.sc_monitors = [ monitor; { monitor with mo_name = "lag"; mo_col = "max" } ] }
+  in
+  let doc = Scenario.encode with_monitors in
+  let back = Scenario.decode doc in
+  check_bool "monitors" true (back.Scenario.sc_monitors = with_monitors.Scenario.sc_monitors);
+  Alcotest.(check string) "monitors re-encode byte-identically" doc (Scenario.encode back);
   (match Scenario.decode "{\"version\":99,\"tool\":\"tango-scenario\"}" with
   | _ -> Alcotest.fail "unknown scenario version accepted"
   | exception Invalid_argument _ -> ());
   (* A case no run can honour is malformed input (exit 2 in tangoctl),
      not a finding: each is rejected at decode, naming its field. *)
   let c = small_config in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (field, bad) ->
       match Scenario.decode (Scenario.encode bad) with
@@ -649,6 +671,14 @@ let test_scenario_roundtrip () =
       ("deadline_us", { sc with sc_config = { c with f_deadline_us = -1. } });
       ("settle_us", { sc with sc_config = { c with f_settle_us = 1e300 } });
       ("at =", { sc with sc_plan = [ (-5., Sim.Fault.Crash "storage-1") ] });
+      ("spec_deadline_us", { sc with sc_spec_deadline_us = Some (-5.) });
+      ("spec_deadline_us", { sc with sc_spec_deadline_us = Some 0. });
+      ("spec_deadline_us", { sc with sc_spec_deadline_us = Some Float.nan });
+      ("spec_deadline_us", { sc with sc_spec_deadline_us = Some Float.infinity });
+      ("spec_deadline_us", { sc with sc_spec_deadline_us = Some c.f_horizon_us });
+      ("threshold", { sc with sc_monitors = [ { monitor with mo_threshold = Float.nan } ] });
+      ("objective", { sc with sc_monitors = [ { monitor with mo_objective = 1. } ] });
+      ("series", { sc with sc_monitors = [ { monitor with mo_series = "" } ] });
     ]
 
 let test_scenario_builtins_run_clean () =
@@ -660,8 +690,55 @@ let test_scenario_builtins_run_clean () =
       let oc = Scenario.run sc in
       Alcotest.(check (list string)) (sc.Scenario.sc_name ^ " clean") []
         (oracle_names oc.Fuzz.oc_violations);
-      check_bool (sc.Scenario.sc_name ^ " did work") true (oc.Fuzz.oc_acked > 0))
+      (* every workload the scenario asks for must have done work *)
+      let c = sc.Scenario.sc_config in
+      check_bool (sc.Scenario.sc_name ^ " did work") true
+        ((c.f_appends = 0 || oc.Fuzz.oc_acked > 0) && (c.f_txs = 0 || oc.Fuzz.oc_committed > 0)))
     Scenario.builtins
+
+(* The SLO pair is the CI sensitivity gate at unit scale: the clean
+   run raises no alert, and the degraded uplink fires append-p99 and
+   ships a flight snapshot of the firing. A monitor whose series never
+   appears is a harness error, not a silent pass. *)
+let test_scenario_slo_monitors () =
+  let run name =
+    match Scenario.find name with
+    | Some sc -> Scenario.run sc
+    | None -> Alcotest.failf "built-in %s missing" name
+  in
+  let clean = run "slo-clean" in
+  check_bool "clean run has no violations" true (clean.Fuzz.oc_violations = []);
+  Alcotest.(check int) "clean run raises no alert" 0 (List.length clean.Fuzz.oc_alerts);
+  check_bool "clean run dumps its alert stream" true (clean.Fuzz.oc_alerts_json = Some "[]");
+  check_bool "clean run dumps its timeseries" true (clean.Fuzz.oc_timeseries_json <> None);
+  let degraded = run "slo-degraded-uplink" in
+  check_bool "degraded run has no violations" true (degraded.Fuzz.oc_violations = []);
+  check_bool "append-p99 fires" true
+    (List.exists
+       (fun (a : Sim.Slo.alert) -> a.al_firing && a.al_monitor = "append-p99")
+       degraded.Fuzz.oc_alerts);
+  let reasons =
+    match degraded.Fuzz.oc_flight_json with
+    | None -> []
+    | Some doc ->
+        Sim.Jin.to_list (Sim.Jin.member "snapshots" (Sim.Jin.parse doc))
+        |> List.map (fun sn -> Sim.Jin.to_string (Sim.Jin.member "reason" sn))
+  in
+  check_bool "firing ships a flight snapshot" true (List.mem "slo:append-p99" reasons);
+  let typo =
+    {
+      Fuzz.mo_name = "typo";
+      mo_series = "hist:nobody.append.e2e_us";
+      mo_col = "p99";
+      mo_threshold = 1.;
+      mo_objective = 0.9;
+    }
+  in
+  match Fuzz.run ~monitors:[ typo ] ~seed:1 small_config ~plan:[] with
+  | _ -> Alcotest.fail "a monitor on a missing series passed"
+  | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "%S names the series" msg) true
+        (contains msg "hist:nobody.append.e2e_us")
 
 let test_fuzz_report_schema () =
   let plan = Fuzz.gen_plan ~seed:45 small_config in
@@ -844,8 +921,8 @@ let test_report_v3_telemetry_sections () =
 (* Two same-seed runs of a small clustered workload with the whole
    telemetry plane armed — timeseries ticker, burn-rate monitors, and
    the flight recorder — must produce byte-identical dumps of all
-   three. This is the unit-scale version of the CI gate on
-   [tangoctl slo] output. *)
+   three. This is the unit-scale version of the CI gate on the
+   [slo-degraded-uplink] scenario's output. *)
 let test_telemetry_determinism () =
   let scenario () =
     Sim.Flight.set_enabled true;
@@ -901,7 +978,7 @@ let test_flight_sees_every_milestone () =
       Sim.Flight.snapshot ~reason:"end");
   let str k v = Sim.Jin.to_string (Sim.Jin.member k v) in
   let snap =
-    match Sim.Flight.snapshots () with [ s ] -> s.sn_json | _ -> Alcotest.fail "one snapshot"
+    match Sim.Flight.snapshots () with [ s ] -> s | _ -> Alcotest.fail "one snapshot"
   in
   let recorded =
     Sim.Jin.to_list (Sim.Jin.member "hosts" (Sim.Jin.parse snap))
@@ -991,6 +1068,8 @@ let () =
         [
           Alcotest.test_case "JSON round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "built-ins run clean" `Slow test_scenario_builtins_run_clean;
+          Alcotest.test_case "SLO monitors fire only when degraded" `Slow
+            test_scenario_slo_monitors;
         ] );
       ( "report",
         [
