@@ -1331,7 +1331,7 @@ let micro_hotpath () =
   in
   hot_report ~name:"resource-contended" rc_ns rc_words;
   hot_report ~name:"ivar-wake" iw_ns iw_words;
-  (* stream playback: peek_next_offset + readnext per entry over a
+  (* stream playback: next_offset + readnext per entry over a
      stream whose members all sit in the client cache — the host cost
      playback pays per entry with the I/O cut off. Each cycle attaches
      a fresh iterator and syncs it from the cache (untimed), then times
@@ -1359,11 +1359,10 @@ let micro_hotpath () =
           let s = Corfu.Stream.attach cl sid in
           Corfu.Stream.sync_with s ~tail:(2 * n) ~ptrs;
           let rec play () =
-            match Corfu.Stream.peek_next_offset s with
-            | None -> ()
-            | Some _ ->
-                ignore (Corfu.Stream.readnext s);
-                play ()
+            if Corfu.Stream.next_offset s >= 0 then begin
+              ignore (Corfu.Stream.readnext s);
+              play ()
+            end
           in
           let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in

@@ -246,9 +246,15 @@ let bump_version ho key pos =
 (* CPU accounting happens per *record* (see [charge_apply]); a commit
    record applying three writes costs one apply slot, matching the
    paper's per-record playback cost model. *)
+let rec apply_extra pos (u : Record.update) = function
+  | [] -> ()
+  | (cb : callbacks) :: rest ->
+      cb.apply ~pos ~key:u.u_key u.u_data;
+      apply_extra pos u rest
+
 let apply_now t ho pos (u : Record.update) =
   ho.cb.apply ~pos ~key:u.u_key u.u_data;
-  List.iter (fun (cb : callbacks) -> cb.apply ~pos ~key:u.u_key u.u_data) ho.extra_views;
+  apply_extra pos u ho.extra_views;
   bump_version ho u.u_key pos;
   t.stats_applied <- t.stats_applied + 1;
   Sim.Metrics.incr t.applied_c
@@ -292,8 +298,9 @@ let load_checkpoint_now ho ~base data =
       end
   | None -> ()
 
-let hosts_all_reads t (c : Record.commit) =
-  List.for_all (fun (oid, _, _) -> Hashtbl.mem t.objects oid) c.c_reads
+let rec hosts_all t = function
+  | [] -> true
+  | (oid, _, _) :: rest -> Hashtbl.mem t.objects oid && hosts_all t rest
 
 (* Ascending, duplicate-free oid sets built by insertion: a commit
    names a handful of objects, usually one, so the set is a short list
@@ -338,14 +345,24 @@ let scan_records s f =
 (* Streams that carry a transaction's coordination records. *)
 let involved_streams (c : Record.commit) = write_oids (read_oids c) c.c_writes
 
-let involved_hosted t (c : Record.commit) =
-  let add acc oid =
-    match Hashtbl.find t.objects oid with
-    | ho -> insert_by_oid (fun ho -> ho.oid) ho acc
-    | exception Not_found -> acc
-  in
-  let acc = List.fold_left (fun acc (oid, _, _) -> add acc oid) [] c.c_reads in
-  List.fold_left (fun acc (u : Record.update) -> add acc u.u_oid) acc c.c_writes
+(* Top-level recursion, like the rest of the per-record playback
+   step: a commit's hosted set allocates only its own cells. *)
+let hosted_oid ho = ho.oid
+
+let add_hosted t oid acc =
+  match Hashtbl.find t.objects oid with
+  | ho -> insert_by_oid hosted_oid ho acc
+  | exception Not_found -> acc
+
+let rec hosted_reads t acc = function
+  | [] -> acc
+  | (oid, _, _) :: rest -> hosted_reads t (add_hosted t oid acc) rest
+
+let rec hosted_writes t acc = function
+  | [] -> acc
+  | (u : Record.update) :: rest -> hosted_writes t (add_hosted t u.u_oid acc) rest
+
+let involved_hosted t (c : Record.commit) = hosted_writes t (hosted_reads t [] c.c_reads) c.c_writes
 
 (* Runtime milestones (Sim.Announce): decision recorded, commit writes
    applied, commit parked, decision timeout, transaction boundaries.
@@ -373,9 +390,9 @@ let rec resolve t target committed =
   if not (Hashtbl.mem t.decided target) then begin
     Hashtbl.replace t.decided target committed;
     announce_decided t target committed;
-    match Hashtbl.find_opt t.undecided target with
-    | None -> ()
-    | Some c ->
+    match Hashtbl.find t.undecided target with
+    | exception Not_found -> ()
+    | c ->
         Hashtbl.remove t.undecided target;
         List.iter
           (fun ho ->
@@ -620,17 +637,25 @@ and reconstruct_outcome t cpos (c : Record.commit) =
 (* Playback                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let deliver_to t ho pos (u : Record.update) =
+  refresh_gap ho;
+  if ho.blocked_on <> None || ho.gap_pending then Queue.add (pos, Apply_update u) ho.waiting
+  else apply_now t ho pos u
+
 let deliver_update t pos (u : Record.update) =
-  match Hashtbl.find_opt t.objects u.u_oid with
-  | None -> ()
-  | Some ho ->
-      refresh_gap ho;
-      if ho.blocked_on <> None || ho.gap_pending then Queue.add (pos, Apply_update u) ho.waiting
-      else apply_now t ho pos u
+  match Hashtbl.find t.objects u.u_oid with
+  | ho -> deliver_to t ho pos u
+  | exception Not_found -> ()
+
+let rec deliver_all t pos = function
+  | [] -> ()
+  | u :: rest ->
+      deliver_update t pos u;
+      deliver_all t pos rest
 
 let apply_commit t pos (c : Record.commit) =
   announce_applied t pos;
-  List.iter (deliver_update t pos) c.c_writes
+  deliver_all t pos c.c_writes
 
 let deliver_checkpoint t ho pos ~base data =
   refresh_gap ho;
@@ -648,49 +673,49 @@ let deliver_checkpoint t ho pos ~base data =
    dirty) without waiting — only an {e undecided} queued write to a
    read key forces parking. This keeps one stalled remote-write
    transaction from convoying every local transaction behind it. *)
-let eager_outcome t pos (c : Record.commit) =
-  if not (hosts_all_reads t c) then None
-  else begin
-    let rec check = function
-      | [] -> Some true
-      | (oid, key, recorded) :: rest -> (
-          match Hashtbl.find_opt t.objects oid with
-          | None -> None
-          | Some ho ->
-              refresh_gap ho;
-              if ho.gap_pending then None
-              else if hosted_version ho key > recorded then begin
+(* What the records queued on a frozen [ho] say about the read of
+   [(oid, key)] at version [recorded], for the commit at [pos]: 0 clean,
+   1 unknown (an undecided commit writes the key), 2 conflict. *)
+let queued_verdict t pos oid key recorded ho =
+  Queue.fold
+    (fun v (qpos, action) ->
+      if v = 2 || qpos <= recorded || qpos >= pos then v
+      else
+        match action with
+        | Apply_update u -> if writes_key oid key u then 2 else v
+        | Commit_point { cpos; writes } ->
+            if List.exists (writes_key oid key) writes then
+              match Hashtbl.find t.decided cpos with
+              | true -> 2
+              | false -> v
+              | exception Not_found -> 1
+            else v
+        | Apply_checkpoint _ -> v)
+    0 ho.waiting
+
+let rec eager_check t pos = function
+  | [] -> Some true
+  | (oid, key, recorded) :: rest -> (
+      match Hashtbl.find t.objects oid with
+      | exception Not_found -> None
+      | ho ->
+          refresh_gap ho;
+          if ho.gap_pending then None
+          else if hosted_version ho key > recorded then begin
+            Sim.Metrics.incr t.conflicts_c;
+            Some false
+          end
+          else if ho.blocked_on = None then eager_check t pos rest
+          else
+            match queued_verdict t pos oid key recorded ho with
+            | 2 ->
                 Sim.Metrics.incr t.conflicts_c;
                 Some false
-              end
-              else if ho.blocked_on = None then check rest
-              else begin
-                let conflict = ref false in
-                let unknown = ref false in
-                Queue.iter
-                  (fun (qpos, action) ->
-                    if qpos > recorded && qpos < pos then
-                      match action with
-                      | Apply_update u -> if writes_key oid key u then conflict := true
-                      | Commit_point { cpos; writes } ->
-                          if List.exists (writes_key oid key) writes then begin
-                            match Hashtbl.find_opt t.decided cpos with
-                            | Some true -> conflict := true
-                            | Some false -> ()
-                            | None -> unknown := true
-                          end
-                      | Apply_checkpoint _ -> ())
-                  ho.waiting;
-                if !conflict then begin
-                  Sim.Metrics.incr t.conflicts_c;
-                  Some false
-                end
-                else if !unknown then None
-                else check rest
-              end)
-    in
-    check c.c_reads
-  end
+            | 1 -> None
+            | _ -> eager_check t pos rest)
+
+let eager_outcome t pos (c : Record.commit) =
+  if not (hosts_all t c.c_reads) then None else eager_check t pos c.c_reads
 
 let () = eager_outcome_ref := eager_outcome
 
@@ -698,9 +723,9 @@ let () = eager_outcome_ref := eager_outcome
    (the playback loop also needs it to decide whether to charge
    CPU). *)
 let handle_commit t pos ~involved (c : Record.commit) =
-  match Hashtbl.find_opt t.decided pos with
-  | Some committed -> if committed then apply_commit t pos c
-  | None -> (
+  match Hashtbl.find t.decided pos with
+  | committed -> if committed then apply_commit t pos c
+  | exception Not_found -> (
       List.iter refresh_gap involved;
       (* Failpoint: apply the writes while the verdict is still
          unknown — the §3c discipline (decide, then apply) is broken
@@ -761,79 +786,87 @@ let catch_up t ho off (entry : Corfu.Types.entry) =
           ())
     (Record.decode_entry ~offset:off entry.Corfu.Types.payload)
 
+(* The per-record playback step. The play lock is held, so the hosted
+   table cannot change while [charge_apply] sleeps. *)
+let rec process_records t off slot = function
+  | [] -> ()
+  | r :: rest ->
+      let pos = Record.pos ~offset:off ~slot in
+      (match r with
+      | Record.Update u -> (
+          match Hashtbl.find t.objects u.Record.u_oid with
+          | ho ->
+              charge_apply t;
+              deliver_to t ho pos u
+          | exception Not_found -> ())
+      | Record.Commit c ->
+          let involved = involved_hosted t c in
+          if involved <> [] then charge_apply t;
+          handle_commit t pos ~involved c
+      | Record.Decision { d_target; d_committed } ->
+          charge_apply t;
+          resolve t d_target d_committed
+      | Record.Partial { p_target; p_verdicts } ->
+          charge_apply t;
+          note_partials t p_target p_verdicts
+      | Record.Checkpoint { k_oid; k_base; k_data } -> (
+          match Hashtbl.find t.objects k_oid with
+          | ho ->
+              charge_apply t;
+              deliver_checkpoint t ho pos ~base:k_base k_data
+          | exception Not_found -> ()));
+      process_records t off (slot + 1) rest
+
 let process_entry t ho off (entry : Corfu.Types.entry) =
   if off <= t.frontier then begin
     if off <= ho.joined_at then catch_up t ho off entry
   end
   else begin
     t.frontier <- off;
-    let records = Record.decode_entry ~offset:off entry.Corfu.Types.payload in
-    List.iteri
-      (fun slot r ->
-        let pos = Record.pos ~offset:off ~slot in
-        match r with
-        | Record.Update u ->
-            if Hashtbl.mem t.objects u.Record.u_oid then charge_apply t;
-            deliver_update t pos u
-        | Record.Commit c ->
-            let involved = involved_hosted t c in
-            if involved <> [] then charge_apply t;
-            handle_commit t pos ~involved c
-        | Record.Decision { d_target; d_committed } ->
-            charge_apply t;
-            resolve t d_target d_committed
-        | Record.Partial { p_target; p_verdicts } ->
-            charge_apply t;
-            note_partials t p_target p_verdicts
-        | Record.Checkpoint { k_oid; k_base; k_data } -> (
-            match Hashtbl.find_opt t.objects k_oid with
-            | None -> ()
-            | Some ho ->
-                charge_apply t;
-                deliver_checkpoint t ho pos ~base:k_base k_data))
-      records
+    process_records t off 0 (Record.decode_entry ~offset:off entry.Corfu.Types.payload)
   end
+
+(* The cell of [hos] whose stream delivers the lowest next offset below
+   [upto] (the earliest cell on ties), or [[]]: the list's own cells
+   stand in for an [option], so picking builds nothing. *)
+let rec earliest upto best_off best = function
+  | [] -> best
+  | (ho :: rest) as cell ->
+      let off = Corfu.Stream.next_offset ho.stream in
+      if off >= 0 && off < upto && off < best_off then earliest upto off cell rest
+      else earliest upto best_off best rest
 
 (* Consume hosted streams merged by offset so records apply in global
    log order (see the .mli preamble). [upto] is exclusive. *)
-let play_merged t ~upto =
-  let hos = t.hosted in
-  let rec loop () =
-    let best =
-      List.fold_left
-        (fun acc ho ->
-          match Corfu.Stream.peek_next_offset ho.stream with
-          | Some off when off < upto -> (
-              match acc with Some (boff, _) when boff <= off -> acc | _ -> Some (off, ho))
-          | Some _ | None -> acc)
-        None hos
-    in
-    match best with
-    | None -> ()
-    | Some (_, ho) ->
-        (match Corfu.Stream.readnext ho.stream with
-        | Some (off, entry) -> process_entry t ho off entry
-        | None -> ());
-        loop ()
-  in
-  loop ()
+let rec play_merged t hos upto =
+  match earliest upto max_int [] hos with
+  | [] -> ()
+  | ho :: _ ->
+      (match Corfu.Stream.readnext ho.stream with
+      | Some (off, entry) -> process_entry t ho off entry
+      | None -> ());
+      play_merged t hos upto
 
 (* One sequencer round trip refreshes membership of every hosted
-   stream; returns the global tail. *)
+   stream; returns the global tail. The reply lists the requested
+   streams in request order, and [hosted_sids] are [hosted]'s oids, so
+   the two lists walk in step. *)
+let rec sync_each tail hos tails =
+  match (hos, tails) with
+  | ho :: hos, (_, ptrs) :: tails ->
+      Corfu.Stream.sync_with ho.stream ~tail ~ptrs;
+      sync_each tail hos tails
+  | _ -> ()
+
 let sync_all t =
   let hos = t.hosted in
   let tail =
     match hos with
     | [] -> Corfu.Client.check t.cl
     | _ ->
-        let tail, tails = Corfu.Client.peek_streams t.cl t.hosted_sids in
-        List.iter
-          (fun ho ->
-            match List.assoc_opt ho.oid tails with
-            | Some ptrs -> Corfu.Stream.sync_with ho.stream ~tail ~ptrs
-            | None -> ())
-          hos;
-        tail
+        let a = Corfu.Client.peek_streams t.cl t.hosted_sids in
+        sync_each a.Corfu.Sequencer.base hos a.Corfu.Sequencer.stream_tails;
+        a.Corfu.Sequencer.base
   in
   if tail > t.known_tail then t.known_tail <- tail;
   tail
@@ -852,7 +885,7 @@ let rec sync_joined upto = function
 let play_locked t upto =
   sync_joined upto t.hosted;
   let tok = Sim.Span.enter t.apply_s upto in
-  (match play_merged t ~upto with
+  (match play_merged t t.hosted upto with
   | () -> Sim.Span.leave t.apply_s tok
   | exception e -> Sim.Span.leave_raise t.apply_s tok e);
   if upto > t.played_upto then t.played_upto <- upto

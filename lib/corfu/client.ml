@@ -505,11 +505,8 @@ and read_outcome t off set i = function
 (* Checks                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let peek_streams t sids =
-  let a = sequencer_request t Peek ~streams:sids in
-  (a.Sequencer.base, a.Sequencer.stream_tails)
-
-let check t = fst (peek_streams t [])
+let peek_streams t sids = sequencer_request t Peek ~streams:sids
+let check t = (peek_streams t []).Sequencer.base
 
 let check_slow t =
   let proj = t.proj in
@@ -766,11 +763,9 @@ let prefix_trim t off =
 
 (* Playback consults the cache here before {!read_shared}, so this is
    where its hits are counted; its misses are counted by the fetch. *)
-let cached t off =
-  match Hashtbl.find_opt t.cache off with
-  | Some _ as hit ->
-      Sim.Metrics.incr t.cache_hits_c;
-      hit
-  | None -> None
+let find_cached t off =
+  let e = Hashtbl.find t.cache off in
+  Sim.Metrics.incr t.cache_hits_c;
+  e
 
 let cache_put t off e = cache_insert t off e

@@ -151,9 +151,11 @@ val trim : t -> Types.offset -> unit
 (** [prefix_trim t off] reclaims every global offset below [off]. *)
 val prefix_trim : t -> Types.offset -> unit
 
-(** [peek_streams t sids] returns the global tail and, per stream, the
-    last K offsets the sequencer issued for it (most recent first). *)
-val peek_streams : t -> Types.stream_id list -> Types.offset * (Types.stream_id * Types.offset list) list
+(** [peek_streams t sids] returns the global tail ([base]) and, per
+    stream in request order, the last K offsets the sequencer issued
+    for it (most recent first). The reply's lists may be shared with
+    other replies and must not be mutated (they are immutable). *)
+val peek_streams : t -> Types.stream_id list -> Sequencer.allocation
 
 (** {2 Entry cache}
 
@@ -170,7 +172,8 @@ val rpc_failures : t -> int
     sequencer replacement. Counted into [client.retries]. *)
 val retries : t -> int
 
-(** [cached t off] looks [off] up in the entry cache; a hit counts
-    toward the [client.cache_hits] counter. *)
-val cached : t -> Types.offset -> Types.entry option
+(** [find_cached t off] looks [off] up in the entry cache; a hit counts
+    toward the [client.cache_hits] counter and allocates nothing.
+    @raise Not_found on a miss. *)
+val find_cached : t -> Types.offset -> Types.entry
 val cache_put : t -> Types.offset -> Types.entry -> unit

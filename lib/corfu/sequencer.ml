@@ -9,9 +9,18 @@ type allocation = {
 (* The counter core: tail plus per-stream last-K offsets in fixed int
    rings. Issuing an offset is two array stores and an index bump — no
    list cells, no Hashtbl.replace churn. Offset lists materialise only
-   at the response boundary (the RPC reply owns its data). *)
+   at the response boundary, once per stream per issue: each ring
+   memoises its [(sid, newest-K)] pair until the next offset issued on
+   that stream, and every peek and grant reply in between shares it.
+   The pair and its list are immutable, so sharing them is safe. *)
 module Core = struct
-  type ring = { r_buf : int array; mutable r_len : int; mutable r_newest : int }
+  type ring = {
+    r_buf : int array;
+    mutable r_len : int;
+    mutable r_newest : int;
+    mutable r_tail : Types.stream_id * Types.offset list;  (* valid unless [r_stale] *)
+    mutable r_stale : bool;
+  }
 
   type t = {
     core_k : int;
@@ -19,8 +28,10 @@ module Core = struct
     core_streams : (Types.stream_id, ring) Hashtbl.t;
   }
 
-  let fill_ring k offs =
-    let r = { r_buf = Array.make k 0; r_len = 0; r_newest = 0 } in
+  let empty_ring k sid = { r_buf = Array.make k 0; r_len = 0; r_newest = 0; r_tail = (sid, []); r_stale = false }
+
+  let fill_ring k sid offs =
+    let r = empty_ring k sid in
     (* [offs] arrives newest-first, the order the ring stores. *)
     List.iteri
       (fun i off ->
@@ -29,20 +40,21 @@ module Core = struct
           r.r_len <- r.r_len + 1
         end)
       offs;
+    r.r_stale <- true;
     r
 
   let create ~k ?(initial_tail = 0) ?(initial_streams = []) () =
     let core_streams = Hashtbl.create 256 in
-    List.iter (fun (sid, offs) -> Hashtbl.replace core_streams sid (fill_ring k offs)) initial_streams;
+    List.iter (fun (sid, offs) -> Hashtbl.replace core_streams sid (fill_ring k sid offs)) initial_streams;
     { core_k = k; core_tail = initial_tail; core_streams }
 
   let tail t = t.core_tail
 
   let ring_of t sid =
-    match Hashtbl.find_opt t.core_streams sid with
-    | Some r -> r
-    | None ->
-        let r = { r_buf = Array.make t.core_k 0; r_len = 0; r_newest = 0 } in
+    match Hashtbl.find t.core_streams sid with
+    | r -> r
+    | exception Not_found ->
+        let r = empty_ring t.core_k sid in
         Hashtbl.add t.core_streams sid r;
         r
 
@@ -52,25 +64,34 @@ module Core = struct
     let k = t.core_k in
     r.r_newest <- (r.r_newest + k - 1) mod k;
     r.r_buf.(r.r_newest) <- off;
-    if r.r_len < k then r.r_len <- r.r_len + 1
+    if r.r_len < k then r.r_len <- r.r_len + 1;
+    r.r_stale <- true
 
   (* Materialise a ring newest-first; a plain counted loop (no
-     [List.init] closure) keeps the response build down to the list
-     cells themselves. *)
+     [List.init] closure) keeps the build down to the list cells. *)
   let ring_list r k =
     let rec build i acc = if i < 0 then acc else build (i - 1) (r.r_buf.((r.r_newest + i) mod k) :: acc) in
     build (r.r_len - 1) []
 
-  let last_k t sid =
-    match Hashtbl.find_opt t.core_streams sid with
-    | None -> []
-    | Some r -> ring_list r t.core_k
+  let ring_tail t sid r =
+    if r.r_stale then begin
+      r.r_tail <- (sid, ring_list r t.core_k);
+      r.r_stale <- false
+    end;
+    r.r_tail
 
-  (* Top-level recursions instead of closures: a grant's only
-     allocations are the response lists it hands to the caller. *)
+  let stream_tail t sid =
+    match Hashtbl.find t.core_streams sid with
+    | r -> ring_tail t sid r
+    | exception Not_found -> (sid, [])
+
+  let last_k t sid = snd (stream_tail t sid)
+
+  (* Top-level recursions instead of closures: a reply allocates only
+     its spine, plus each stale stream's memo. *)
   let rec tails_of t = function
     | [] -> []
-    | sid :: rest -> (sid, last_k t sid) :: tails_of t rest
+    | sid :: rest -> stream_tail t sid :: tails_of t rest
 
   let rec issue_all t base count = function
     | [] -> ()
@@ -94,7 +115,7 @@ module Core = struct
 
   let peek t ~streams = { base = t.core_tail; stream_tails = tails_of t streams }
 
-  let all_streams t = Hashtbl.fold (fun sid _ acc -> (sid, last_k t sid) :: acc) t.core_streams []
+  let all_streams t = Hashtbl.fold (fun sid r acc -> ring_tail t sid r :: acc) t.core_streams []
   let nstreams t = Hashtbl.length t.core_streams
 end
 

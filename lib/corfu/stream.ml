@@ -1,6 +1,7 @@
 type t = {
   cl : Client.t;
   sid : Types.stream_id;
+  sids : Types.stream_id list;  (* [[sid]], the peek request's stream list *)
   mutable offsets : int array;  (* member offsets, strictly ascending *)
   mutable len : int;
   mutable cursor : int;
@@ -17,6 +18,7 @@ let attach cl sid =
   {
     cl;
     sid;
+    sids = [ sid ];
     offsets = Array.make 64 0;
     len = 0;
     cursor = 0;
@@ -53,9 +55,26 @@ let known_max t = if t.len > 0 then t.offsets.(t.len - 1) else -1
    walk that finished first has therefore registered every member up
    to the current [known_max], and anything at or below it is a
    duplicate. Dropping those keeps [offsets] strictly ascending. *)
+let rec count_above floor n = function
+  | [] -> n
+  | off :: rest -> count_above floor (if off > floor then n + 1 else n) rest
+
+(* Store the members above [floor] from [t.len] on; true while they
+   arrive ascending. *)
+let rec store_above t floor start ascending = function
+  | [] -> ascending
+  | off :: rest ->
+      if off > floor then begin
+        let ascending = ascending && not (t.len > start && off < t.offsets.(t.len - 1)) in
+        t.offsets.(t.len) <- off;
+        t.len <- t.len + 1;
+        store_above t floor start ascending rest
+      end
+      else store_above t floor start ascending rest
+
 let push_members t members =
   let floor = known_max t in
-  let n = List.fold_left (fun n off -> if off > floor then n + 1 else n) 0 members in
+  let n = count_above floor 0 members in
   if n > 0 then begin
     if t.len + n > Array.length t.offsets then begin
       let bigger = Array.make (max (2 * Array.length t.offsets) (t.len + n)) 0 in
@@ -63,16 +82,7 @@ let push_members t members =
       t.offsets <- bigger
     end;
     let start = t.len in
-    let ascending = ref true in
-    List.iter
-      (fun off ->
-        if off > floor then begin
-          if t.len > start && off < t.offsets.(t.len - 1) then ascending := false;
-          t.offsets.(t.len) <- off;
-          t.len <- t.len + 1
-        end)
-      members;
-    if not !ascending then begin
+    if not (store_above t floor start true members) then begin
       let fresh = Array.sub t.offsets start n in
       Array.sort Int.compare fresh;
       Array.blit fresh 0 t.offsets start n
@@ -82,103 +92,136 @@ let push_members t members =
     done
   end
 
+(* What [resolve] returns for a junk or trimmed offset: private
+   sentinels, told apart from log entries by physical equality, so a
+   cache hit hands back the cached entry itself and allocates nothing. *)
+let junk = { Types.headers = Bytes.create 0; payload = Bytes.create 0 }
+let trimmed = { Types.headers = Bytes.create 0; payload = Bytes.create 0 }
+
 (* Fetch the entry at [off] through the client-wide cache, resolving
    holes (blocking with backoff, then filling). *)
 let resolve t off =
-  match Client.cached t.cl off with
-  | Some e ->
+  match Client.find_cached t.cl off with
+  | e ->
       t.cache_hits <- t.cache_hits + 1;
-      Client.Data e
-  | None ->
+      e
+  | exception Not_found -> (
       t.cache_misses <- t.cache_misses + 1;
       t.sync_read_count <- t.sync_read_count + 1;
-      Client.read_shared t.cl off
+      match Client.read_shared t.cl off with
+      | Client.Data e -> e
+      | Client.Junk -> junk
+      | Client.Trimmed -> trimmed
+      | Client.Unwritten -> assert false (* read_resolved never returns it *))
 
 (* Backward walk from the sequencer's last-K pointers down to what we
    already know. Strides K entries per read in the common case; junk
    degrades to a linear backward scan (§5, Failure Handling). Each
    entry's header is read in place ({!Stream_header.locate} and
-   {!Stream_header.backptr}), so a step builds no header or list. *)
+   {!Stream_header.backptr}), so a step builds no header or list. One
+   walk's state is this record; the steps are top-level recursion. *)
+type walk = {
+  w_stream : t;
+  w_k : int;
+  w_floor : Types.offset;  (* the stream's [known_max] when the walk began *)
+  mutable w_members : Types.offset list;  (* ascending *)
+  mutable w_lowest : Types.offset;
+  mutable w_junk : Types.offset list;
+}
+
+(* Every offset the walk registers lies below all earlier ones
+   (backpointers point down, the scan moves down), so [w_members]
+   comes out ascending and an offset below [w_lowest] is new without a
+   lookup; only pointers out of that order pay a list scan. *)
+let note w off =
+  if off > w.w_floor && not (off >= w.w_lowest && List.mem off w.w_members) then begin
+    w.w_members <- off :: w.w_members;
+    if off < w.w_lowest then w.w_lowest <- off;
+    true
+  end
+  else false
+
+(* Register member candidates, most recent first; the oldest new one
+   (or -1) is the only entry read to continue the chain. *)
+let rec note_ptrs w oldest = function
+  | [] -> oldest
+  | p :: rest -> note_ptrs w (if note w p then p else oldest) rest
+
+let rec note_backptrs w block ~current at i oldest =
+  let p = Stream_header.backptr ~k:w.w_k ~current block at i in
+  if p < 0 then oldest else note_backptrs w block ~current at (i + 1) (if note w p then p else oldest)
+
+let rec follow w off =
+  let t = w.w_stream in
+  let e = resolve t off in
+  if e == trimmed then begin
+    (* History below here is reclaimed; a checkpoint must cover it
+       before the view is complete. *)
+    t.trim_gap <- true;
+    w.w_junk <- off :: w.w_junk
+  end
+  else
+    match if e == junk then -1 else Stream_header.locate ~k:w.w_k e.Types.headers t.sid with
+    | -1 ->
+        (* Junk, or an offset the sequencer issued for this stream
+           whose winning entry carries no header for it: the slot was
+           lost to a competing append and re-used; treat like junk and
+           rescan. *)
+        w.w_junk <- off :: w.w_junk;
+        scan_backward w (off - 1)
+    | at -> walk_header w e.Types.headers ~current:off at
+
+and walk_header w block ~current at =
+  let oldest = note_backptrs w block ~current at 0 (-1) in
+  if oldest >= 0 then follow w oldest
+
+and scan_backward w off =
+  if off > w.w_floor then begin
+    let t = w.w_stream in
+    let e = resolve t off in
+    if e == trimmed then t.trim_gap <- true
+    else
+      match if e == junk then -1 else Stream_header.locate ~k:w.w_k e.Types.headers t.sid with
+      | -1 -> scan_backward w (off - 1)
+      | at ->
+          if note w off then walk_header w e.Types.headers ~current:off at
+          (* if already known, the chain has reconnected *)
+  end
+
+let rec above floor = function [] -> false | p :: rest -> p > floor || above floor rest
+
+(* The walk proper, entered only when some pointer lies above the
+   floor; with none, it would register nothing and push nothing. *)
+let walk_and_push t floor ptrs =
+  let w =
+    {
+      w_stream = t;
+      w_k = (Client.params t.cl).Sim.Params.backpointer_k;
+      w_floor = floor;
+      w_members = [];
+      w_lowest = max_int;
+      w_junk = [];
+    }
+  in
+  let oldest = note_ptrs w (-1) ptrs in
+  if oldest >= 0 then follow w oldest;
+  (* Filled holes were registered optimistically; drop them. *)
+  let fresh =
+    match w.w_junk with
+    | [] -> w.w_members
+    | junk ->
+        let junk_set = Hashtbl.create 8 in
+        List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
+        List.filter (fun o -> not (Hashtbl.mem junk_set o)) w.w_members
+  in
+  push_members t fresh
+
 let sync_with t ~tail ~ptrs =
   if tail > t.horizon then begin
     let tok = Sim.Span.enter t.walk_s tail in
-    let k = (Client.params t.cl).Sim.Params.backpointer_k in
-    let floor = known_max t in
-    (* Every offset the walk registers lies below all earlier ones
-       (backpointers point down, the scan moves down), so [members]
-       comes out ascending and an offset below [lowest] is new without
-       a lookup; only pointers out of that order pay a list scan. *)
-    let members = ref [] in
-    let lowest = ref max_int in
-    let junk = ref [] in
-    let note off =
-      if off > floor && not (off >= !lowest && List.mem off !members) then begin
-        members := off :: !members;
-        if off < !lowest then lowest := off;
-        true
-      end
-      else false
-    in
-    (* Register member candidates, most recent first, then read only
-       the oldest new one to continue the chain. *)
-    let rec walk ptrs =
-      let oldest = List.fold_left (fun oldest p -> if note p then p else oldest) (-1) ptrs in
-      if oldest >= 0 then follow oldest
-    and walk_header block ~current at =
-      let oldest = ref (-1) in
-      let i = ref 0 in
-      let p = ref (Stream_header.backptr ~k ~current block at 0) in
-      while !p >= 0 do
-        if note !p then oldest := !p;
-        incr i;
-        p := Stream_header.backptr ~k ~current block at !i
-      done;
-      if !oldest >= 0 then follow !oldest
-    and follow off =
-      match resolve t off with
-      | Client.Data e -> (
-          match Stream_header.locate ~k e.Types.headers t.sid with
-          | -1 ->
-              (* An offset the sequencer issued for this stream whose
-                 winning entry carries no header for it: the slot was
-                 lost to a competing append and re-used; treat like
-                 junk and rescan. *)
-              junk := off :: !junk;
-              scan_backward (off - 1)
-          | at -> walk_header e.Types.headers ~current:off at)
-      | Client.Junk ->
-          junk := off :: !junk;
-          scan_backward (off - 1)
-      | Client.Trimmed ->
-          (* History below here is reclaimed; a checkpoint must cover
-             it before the view is complete. *)
-          t.trim_gap <- true;
-          junk := off :: !junk
-      | Client.Unwritten -> assert false (* read_resolved never returns it *)
-    and scan_backward off =
-      if off > floor then
-        match resolve t off with
-        | Client.Data e -> (
-            match Stream_header.locate ~k e.Types.headers t.sid with
-            | -1 -> scan_backward (off - 1)
-            | at ->
-                if note off then walk_header e.Types.headers ~current:off at
-                (* if already known, the chain has reconnected *))
-        | Client.Junk | Client.Unwritten -> scan_backward (off - 1)
-        | Client.Trimmed -> t.trim_gap <- true
-    in
     match
-      walk ptrs;
-      (* Filled holes were registered optimistically; drop them. *)
-      let fresh =
-        match !junk with
-        | [] -> !members
-        | junk ->
-            let junk_set = Hashtbl.create 8 in
-            List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
-            List.filter (fun o -> not (Hashtbl.mem junk_set o)) !members
-      in
-      push_members t fresh;
+      let floor = known_max t in
+      if above floor ptrs then walk_and_push t floor ptrs;
       (* A walk for an older tail can finish after one for a newer tail. *)
       if tail > t.horizon then t.horizon <- tail
     with
@@ -187,11 +230,11 @@ let sync_with t ~tail ~ptrs =
   end
 
 let do_sync t =
-  let tail, stream_tails = Client.peek_streams t.cl [ t.sid ] in
-  (match stream_tails with
-  | [ (_, ptrs) ] -> sync_with t ~tail ~ptrs
+  let a = Client.peek_streams t.cl t.sids in
+  (match a.Sequencer.stream_tails with
+  | [ (_, ptrs) ] -> sync_with t ~tail:a.Sequencer.base ~ptrs
   | _ -> assert false);
-  tail
+  a.Sequencer.base
 
 let sync t = do_sync t
 
@@ -201,32 +244,29 @@ let rec readnext t =
   if t.cursor >= t.len then None
   else begin
     let off = t.offsets.(t.cursor) in
-    match resolve t off with
-    | Client.Data e ->
-        t.cursor <- t.cursor + 1;
-        Some (off, e)
-    | Client.Junk ->
-        t.cursor <- t.cursor + 1;
-        readnext t
-    | Client.Trimmed ->
-        t.trim_gap <- true;
-        t.cursor <- t.cursor + 1;
-        readnext t
-    | Client.Unwritten -> assert false
+    let e = resolve t off in
+    t.cursor <- t.cursor + 1;
+    if e == junk then readnext t
+    else if e == trimmed then begin
+      t.trim_gap <- true;
+      readnext t
+    end
+    else Some (off, e)
   end
 
-let rec peek_next_offset t =
-  if t.cursor >= t.len then None
+let rec next_offset t =
+  if t.cursor >= t.len then -1
   else begin
     let off = t.offsets.(t.cursor) in
-    match resolve t off with
-    | Client.Data _ -> Some off
-    | Client.Junk ->
-        t.cursor <- t.cursor + 1;
-        peek_next_offset t
-    | Client.Trimmed ->
-        t.trim_gap <- true;
-        t.cursor <- t.cursor + 1;
-        peek_next_offset t
-    | Client.Unwritten -> assert false
+    let e = resolve t off in
+    if e == junk then begin
+      t.cursor <- t.cursor + 1;
+      next_offset t
+    end
+    else if e == trimmed then begin
+      t.trim_gap <- true;
+      t.cursor <- t.cursor + 1;
+      next_offset t
+    end
+    else off
   end

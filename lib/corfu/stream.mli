@@ -53,8 +53,10 @@ val sync_with : t -> tail:Types.offset -> ptrs:Types.offset list -> unit
     everything discovered so far. Junk entries are skipped. *)
 val readnext : t -> (Types.offset * Types.entry) option
 
-(** [peek_next_offset t] is the offset [readnext] would deliver. *)
-val peek_next_offset : t -> Types.offset option
+(** [next_offset t] is the offset [readnext] would deliver, or [-1]
+    when there is none. Junk and trimmed members at the cursor are
+    skipped, as [readnext] would; a cached head allocates nothing. *)
+val next_offset : t -> Types.offset
 
 (** Number of known entries not yet delivered. *)
 val pending : t -> int
