@@ -1429,6 +1429,29 @@ let micro_hotpath () =
   if dups <> 0 then
     failwith
       (Printf.sprintf "stream-sync-concurrent: %d duplicate or out-of-order stream members" dups);
+  (* sync round: per iteration a writer appends one register update
+     and a reader on another runtime runs one linearizable
+     [Tango_register.read]: the sequencer check, the walk that finds
+     the update, and its playback, with the RPCs, the storage read and
+     the sleeps included. The cluster is otherwise quiet, so the words
+     are the round's own. A read that misses the write fails the
+     kernel. *)
+  let ns, words, wrong =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let cluster = Corfu.Cluster.create ~servers:2 () in
+        let writer = Tango_register.attach (new_runtime cluster "writer") ~oid:1 in
+        let reader = Tango_register.attach (new_runtime cluster "reader") ~oid:1 in
+        let i = ref 0 and wrong = ref 0 in
+        let ns, words =
+          hot_measure ~ops:20_000 (fun () ->
+              incr i;
+              Tango_register.write writer !i;
+              if Tango_register.read reader <> !i then incr wrong)
+        in
+        (ns, words, !wrong))
+  in
+  hot_report ~name:"sync-round" ns words;
+  if wrong <> 0 then failwith (Printf.sprintf "sync-round: %d reads missed the write before them" wrong);
   (* telemetry-plane kernels: every recording path must hold the
      steady-state allocation discipline. They need the virtual clock
      (flight events and window seals are virtually timestamped), so

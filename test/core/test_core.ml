@@ -411,6 +411,40 @@ let test_two_views_linearizable () =
       Reg.write r2 9;
       check_int "back again" 9 (Reg.read r1))
 
+(* One linearizable read round: a sequencer check, a walk that finds
+   the one update another runtime just wrote, and playback of that
+   entry. The cluster is otherwise quiet, so the words counted are the
+   round's alone (RPCs, storage read and sleeps included) and repeat
+   exactly from one round to the next. *)
+let read_round_words () =
+  with_cluster (fun cluster ->
+      let w = Reg.attach (runtime cluster "writer") ~oid:1 in
+      let r = Reg.attach (runtime cluster "reader") ~oid:1 in
+      let round i =
+        Reg.write w i;
+        let w0 = Gc.minor_words () in
+        let v = Reg.read r in
+        let w1 = Gc.minor_words () in
+        check_int "the read sees the write" i v;
+        w1 -. w0
+      in
+      for i = 1 to 8 do
+        ignore (round i)
+      done;
+      let rounds = 16 in
+      let total = ref 0. in
+      for i = 1 to rounds do
+        total := !total +. round (100 + i)
+      done;
+      !total /. float_of_int rounds)
+
+let read_round_budget = 253.
+
+let test_read_round_words () =
+  let words = read_round_words () in
+  if words > read_round_budget then
+    Alcotest.failf "one read round allocated %.1f words (budget %.1f)" words read_round_budget
+
 let test_view_reconstruction () =
   (* Persistence: a brand-new view replays history. *)
   with_cluster (fun cluster ->
@@ -1365,6 +1399,8 @@ let () =
           Alcotest.test_case "join during another fiber's round" `Quick
             test_late_registration_mid_round;
         ] );
+      ( "kernel-alloc",
+          [ Alcotest.test_case "one read round's words" `Quick test_read_round_words ] );
       ( "checkpoint-gc-directory",
         [
           Alcotest.test_case "checkpoint and replay" `Quick test_checkpoint_and_replay;

@@ -172,6 +172,64 @@ let test_walk_step_allocates_nothing () =
     (others @ [ { Stream_header.stream = 7; backptrs = [ 299_999; 100 ] } ])
     7
 
+(* A sync walk allocates its state record and one list cell per member
+   it discovers; a walk with no pointer above what the stream already
+   knows allocates nothing. The walker wrote the members itself, so
+   every entry it reads is cached: no read blocks, no prefetch spawns. *)
+let sync_with_words s ~tail ~ptrs =
+  let w0 = Gc.minor_words () in
+  Stream.sync_with s ~tail ~ptrs;
+  let w1 = Gc.minor_words () in
+  let e0 = Gc.minor_words () in
+  let e1 = Gc.minor_words () in
+  w1 -. w0 -. (e1 -. e0)
+
+let own_members cluster sid n =
+  let w = Cluster.new_client cluster ~name:"writer" in
+  let offs = List.init n (fun i -> Client.append w ~streams:[ sid ] (payload (string_of_int i))) in
+  let k = (Client.params w).Sim.Params.backpointer_k in
+  let ptrs = List.filteri (fun i _ -> i < k) (List.rev offs) in
+  (w, ptrs, List.hd ptrs + 1)
+
+let test_sync_walk_allocates_per_member () =
+  with_cluster (fun cluster ->
+      let n = 40 in
+      let w, ptrs, tail = own_members cluster 5 n in
+      let s = Stream.attach w 5 in
+      let words = sync_with_words s ~tail ~ptrs in
+      check_int "every member discovered" n (Stream.discovered s);
+      if words > float_of_int ((3 * n) + 8) then
+        Alcotest.failf "a walk discovering %d members allocated %.0f words (budget %d)" n words
+          ((3 * n) + 8);
+      let again = sync_with_words s ~tail:(tail + 1) ~ptrs in
+      if again > 0. then Alcotest.failf "a walk with no new pointer allocated %.0f words" again;
+      check_int "nothing rediscovered" n (Stream.discovered s))
+
+let test_sync_no_new_pointer_traced () =
+  Sim.Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sim.Span.set_enabled false) @@ fun () ->
+  with_cluster (fun cluster ->
+      let w, ptrs, tail = own_members cluster 6 10 in
+      let s = Stream.attach w 6 in
+      Stream.sync_with s ~tail ~ptrs;
+      let walks () =
+        List.filter (fun (v : Sim.Span.view) -> v.v_name = "backpointer.walk") (Sim.Span.spans ())
+      in
+      let before = List.length (walks ()) in
+      let later = tail + 5 in
+      Stream.sync_with s ~tail:later ~ptrs;
+      let spans = walks () in
+      check_int "the walk opened its span" (before + 1) (List.length spans);
+      let last = List.nth spans (List.length spans - 1) in
+      Alcotest.(check (option string)) "entered with the new tail" (Some (string_of_int later))
+        (List.assoc_opt "tail" last.v_args);
+      check_bool "and closed it" true (last.v_end <> None);
+      let peeks = Sim.Metrics.counter ~host:"sequencer-0" "seq.peeks" in
+      let before = Sim.Metrics.counter_value peeks in
+      Stream.sync_until s later;
+      check_int "the horizon moved: no peek below it" 0 (Sim.Metrics.counter_value peeks - before);
+      check_int "nothing rediscovered" 10 (Stream.discovered s))
+
 let prop_header_roundtrip =
   QCheck.Test.make ~name:"header block roundtrip (relative and absolute)" ~count:300
     QCheck.(
@@ -2647,6 +2705,10 @@ let () =
         [
           Alcotest.test_case "in-place walk step allocates nothing" `Quick
             test_walk_step_allocates_nothing;
+          Alcotest.test_case "sync walk allocates per member only" `Quick
+            test_sync_walk_allocates_per_member;
+          Alcotest.test_case "no-new-pointer walk keeps span and horizon" `Quick
+            test_sync_no_new_pointer_traced;
         ] );
       ( "properties",
         qcheck
