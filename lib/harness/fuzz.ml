@@ -234,30 +234,28 @@ let rebind cluster action =
    for crashes, heal for partitions, clears for degrades, repairs for
    SSD failures — so the oracle phase judges a whole system. Shrunk
    plans may have lost their recovery partners; this keeps "drop the
-   heal" candidates from turning every oracle into a liveness stall. *)
+   heal" candidates from turning every oracle into a liveness stall.
+   A recovery is applied only while its fault is still in force, so a
+   plan's own restart, heal, clear or repair (and a fault the plan
+   names twice) is not applied, counted or announced a second time. *)
 let make_whole fault cluster plan =
-  let seen = Hashtbl.create 8 in
-  let once key f =
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      f ()
-    end
-  in
   List.iter
     (fun (_, action) ->
       match action with
       | Sim.Fault.Crash h ->
-          once ("restart " ^ h) (fun () -> Sim.Fault.apply fault (Sim.Fault.Restart h))
-      | Sim.Fault.Partition _ -> once "heal" (fun () -> Sim.Fault.apply fault Sim.Fault.Heal)
+          if Sim.Fault.is_crashed fault h then Sim.Fault.apply fault (Sim.Fault.Restart h)
+      | Sim.Fault.Partition _ ->
+          if Sim.Fault.is_partitioned fault then Sim.Fault.apply fault Sim.Fault.Heal
       | Sim.Fault.Degrade { d_src; d_dst; _ } ->
-          once
-            (Printf.sprintf "clear %s>%s" d_src d_dst)
-            (fun () -> Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst)))
-      | Sim.Fault.Custom (name, _) when String.length name > 9 && String.sub name 0 9 = "ssd-fail " ->
+          if Sim.Fault.has_edge_rule fault ~src:d_src ~dst:d_dst then
+            Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst))
+      | Sim.Fault.Custom (name, _) when String.length name > 9 && String.sub name 0 9 = "ssd-fail " -> (
           let node = String.sub name 9 (String.length name - 9) in
-          let repair = "ssd-repair " ^ node in
-          once repair (fun () ->
-              Sim.Fault.apply fault (Sim.Fault.Custom (repair, custom_thunk cluster repair)))
+          match find_node cluster node with
+          | Some n when Sim.Resource.failed (Storage_node.ssd n) ->
+              let repair = "ssd-repair " ^ node in
+              Sim.Fault.apply fault (Sim.Fault.Custom (repair, custom_thunk cluster repair))
+          | Some _ | None -> ())
       | Sim.Fault.Restart _ | Sim.Fault.Heal | Sim.Fault.Clear_edge _ | Sim.Fault.Custom _ -> ())
     plan
 

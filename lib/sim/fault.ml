@@ -43,6 +43,9 @@ let component_of t h =
   in
   go 0 t.components
 
+let is_partitioned t = t.components <> []
+let has_edge_rule t ~src ~dst = Hashtbl.mem t.edges (src, dst)
+
 let partitioned t a b =
   match t.components with [] -> false | _ -> component_of t a <> component_of t b
 

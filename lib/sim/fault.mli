@@ -53,12 +53,19 @@ val crash : t -> string -> unit
 val restart : t -> string -> unit
 val is_crashed : t -> string -> bool
 val partition : t -> string list list -> unit
+
+(** A partition is in force (applied and not healed). *)
+val is_partitioned : t -> bool
 val heal : t -> unit
 
 val degrade :
   t -> src:string -> dst:string -> ?drop:float -> ?delay_us:float -> ?jitter_us:float -> unit -> unit
 
 val clear_edge : t -> src:string -> dst:string -> unit
+
+(** [has_edge_rule t ~src ~dst]: a {!Degrade} of exactly this edge is in
+    force (applied and not cleared). *)
+val has_edge_rule : t -> src:string -> dst:string -> bool
 
 (** [apply t action] executes one action now, logging it to the event
     list and the trace. *)

@@ -696,6 +696,19 @@ let test_scenario_builtins_run_clean () =
         ((c.f_appends = 0 || oc.Fuzz.oc_acked > 0) && (c.f_txs = 0 || oc.Fuzz.oc_committed > 0)))
     Scenario.builtins
 
+(* Making the system whole applies a recovery only while its fault is
+   in force: a plan that restarts its own crash, or clears its own
+   degrade, runs exactly its two events. *)
+let test_make_whole_skips_made_recoveries () =
+  List.iter
+    (fun name ->
+      match Scenario.find name with
+      | None -> Alcotest.failf "built-in %s missing" name
+      | Some sc ->
+          Alcotest.(check int) (name ^ " plan events") 2 (List.length sc.Scenario.sc_plan);
+          Alcotest.(check int) (name ^ " fault events") 2 (Scenario.run sc).Fuzz.oc_fault_events)
+    [ "crash-restart-baseline"; "slo-degraded-uplink" ]
+
 (* The SLO pair is the CI sensitivity gate at unit scale: the clean
    run raises no alert, and the degraded uplink fires append-p99 and
    ships a flight snapshot of the firing. A monitor whose series never
@@ -1068,6 +1081,8 @@ let () =
         [
           Alcotest.test_case "JSON round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "built-ins run clean" `Slow test_scenario_builtins_run_clean;
+          Alcotest.test_case "recoveries the plan made are not repeated" `Quick
+            test_make_whole_skips_made_recoveries;
           Alcotest.test_case "SLO monitors fire only when degraded" `Slow
             test_scenario_slo_monitors;
         ] );
