@@ -38,7 +38,7 @@ let harness_errors f =
   try f () with
   | (Stack_overflow | Out_of_memory) as e -> raise e
   | e ->
-      say "harness error: %s" (Printexc.to_string e);
+      Printf.eprintf "harness error: %s\n%!" (Printexc.to_string e);
       exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -142,9 +142,13 @@ let gc () =
 
 (* Show the segmented layout map evolving through a live scale-out:
    append, scale, append again, then print the epoch-versioned layout
-   and how offsets on either side of the seal boundary resolve. *)
+   and how offsets on either side of the seal boundary resolve. The
+   report is buffered until the run succeeds, so a geometry the
+   scale-out rejects prints nothing but the harness error. *)
 let projection servers add_servers seed =
   harness_errors @@ fun () ->
+  let out = Buffer.create 4096 in
+  let say fmt = Printf.bprintf out (fmt ^^ "\n") in
   Sim.Engine.run ~seed (fun () ->
       let cluster = Corfu.Cluster.create ~servers () in
       let c = Corfu.Cluster.new_client cluster ~name:"app" in
@@ -184,6 +188,7 @@ let projection servers add_servers seed =
               say "  global %4d -> seg %d, set %d, local %d  (%s)" off seg set local r
           | None -> say "  global %4d -> retired (prefix-trimmed)" off)
         [ 0; 7; 19; 20; 29 ]);
+  print_string (Buffer.contents out);
   `Ok ()
 
 (* ------------------------------------------------------------------ *)
