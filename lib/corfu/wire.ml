@@ -166,6 +166,11 @@ let get_string c =
   c.at <- c.at + n;
   v
 
+let skip_string c =
+  let n = get_u32 c in
+  need c n;
+  c.at <- c.at + n
+
 let get_opt_string c =
   match get_u8 c with
   | 0 -> None

@@ -86,6 +86,9 @@ val get_u64 : cursor -> int
 val get_bytes : cursor -> bytes
 val get_string : cursor -> string
 
+(** Step over a length-prefixed string without copying it out. *)
+val skip_string : cursor -> unit
+
 (** Raises [Invalid_argument] on a tag byte other than 0 or 1. *)
 val get_opt_string : cursor -> string option
 

@@ -19,4 +19,5 @@ let get_u8 = Wire.get_u8
 let get_bool = Wire.get_bool
 let get_int = Wire.get_u64
 let get_string = Wire.get_string
+let skip_string = Wire.skip_string
 let get_opt_string = Wire.get_opt_string

@@ -25,4 +25,5 @@ val get_u8 : cursor -> int
 val get_bool : cursor -> bool
 val get_int : cursor -> int
 val get_string : cursor -> string
+val skip_string : cursor -> unit
 val get_opt_string : cursor -> string option

@@ -56,17 +56,33 @@ let load_snapshot t data =
     | _ -> Hashtbl.replace t.tbl k (At_pos (Codec.get_int c))
   done
 
+let store t ~pos k v = Hashtbl.replace t.tbl k (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
+
+(* A keyed update carries its key beside the payload (every writer
+   below passes the key it encodes), so only the value is decoded, and
+   an indexed view decodes nothing past the tag. An unkeyed update
+   ([coarse_put]) decodes both. *)
+let apply t ~pos ~key data =
+  match key with
+  | None -> (
+      match decode data with Op_put (k, v) -> store t ~pos k v | Op_remove k -> Hashtbl.remove t.tbl k)
+  | Some k -> (
+      let c = Codec.reader data in
+      match Codec.get_u8 c with
+      | 1 -> (
+          match t.mode with
+          | `Inline ->
+              Codec.skip_string c;
+              Hashtbl.replace t.tbl k (Inline_value (Codec.get_string c))
+          | `Indexed -> Hashtbl.replace t.tbl k (At_pos pos))
+      | 2 -> Hashtbl.remove t.tbl k
+      | tag -> invalid_arg (Printf.sprintf "Tango_map: unknown op tag %d" tag))
+
 let attach ?(mode = `Inline) ?(needs_decision = false) rt ~oid =
   let t = { rt; moid = oid; mode; tbl = Hashtbl.create 64 } in
   Tango.Runtime.register rt ~oid ~needs_decision
     {
-      Tango.Runtime.apply =
-        (fun ~pos ~key:_ data ->
-          match decode data with
-          | Op_put (k, v) ->
-              Hashtbl.replace t.tbl k
-                (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
-          | Op_remove k -> Hashtbl.remove t.tbl k);
+      Tango.Runtime.apply = apply t;
       checkpoint = Some (fun () -> snapshot t);
       load_checkpoint = Some (fun data -> load_snapshot t data);
     };

@@ -104,6 +104,33 @@ let test_map_basics () =
       Tango_map.remove m "k";
       check_bool "removed" false (Tango_map.mem m "k"))
 
+let test_map_keyed_unkeyed_apply_agree () =
+  (* A keyed apply takes the key the runtime passes and decodes only
+     the value; an unkeyed one (coarse_put) decodes both. Both, and a
+     remove after either, must leave the same state, live and replayed
+     by a fresh runtime, in either view mode. *)
+  List.iter
+    (fun mode ->
+      with_cluster (fun cluster ->
+          let rt = runtime cluster "app" in
+          let keyed = Tango_map.attach ~mode rt ~oid:1 in
+          let unkeyed = Tango_map.attach ~mode rt ~oid:2 in
+          List.iter
+            (fun (k, v) ->
+              Tango_map.put keyed k v;
+              Tango_map.coarse_put unkeyed k v)
+            [ ("a", "1"); ("b", "2"); ("a", "3"); ("c", ""); ("b", "4") ];
+          Tango_map.remove keyed "b";
+          Tango_map.remove unkeyed "b";
+          let expected = [ ("a", "3"); ("c", "") ] in
+          let check what m = Alcotest.(check (list (pair string string))) what expected (Tango_map.bindings m) in
+          check "keyed" keyed;
+          check "unkeyed" unkeyed;
+          let rt2 = runtime cluster "replay" in
+          check "keyed, replayed" (Tango_map.attach ~mode rt2 ~oid:1);
+          check "unkeyed, replayed" (Tango_map.attach ~mode rt2 ~oid:2)))
+    [ `Inline; `Indexed ]
+
 let test_map_coarse_put_conflicts () =
   (* A whole-object write versions the map, not the key it names: a
      concurrent transaction that read any key must abort, while a keyed
@@ -782,6 +809,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_map_basics;
           Alcotest.test_case "indexed mode" `Quick test_map_indexed_mode;
           Alcotest.test_case "coarse put conflicts" `Quick test_map_coarse_put_conflicts;
+          Alcotest.test_case "keyed and unkeyed applies agree" `Quick
+            test_map_keyed_unkeyed_apply_agree;
           Alcotest.test_case "transfer" `Quick test_map_transfer;
           Alcotest.test_case "remote transfer" `Quick test_map_transfer_remote;
         ] );
