@@ -1451,7 +1451,8 @@ let micro_hotpath () =
         (ns, words, !wrong))
   in
   hot_report ~name:"sync-round" ns words;
-  if wrong <> 0 then failwith (Printf.sprintf "sync-round: %d reads missed the write before them" wrong);
+  if wrong <> 0 then
+    failwith (Printf.sprintf "sync-round: %d reads missed the write before them" wrong);
   (* telemetry-plane kernels: every recording path must hold the
      steady-state allocation discipline. They need the virtual clock
      (flight events and window seals are virtually timestamped), so

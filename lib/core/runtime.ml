@@ -674,24 +674,26 @@ let deliver_checkpoint t ho pos ~base data =
    read key forces parking. This keeps one stalled remote-write
    transaction from convoying every local transaction behind it. *)
 (* What the records queued on a frozen [ho] say about the read of
-   [(oid, key)] at version [recorded], for the commit at [pos]: 0 clean,
-   1 unknown (an undecided commit writes the key), 2 conflict. *)
+   [(oid, key)] at version [recorded], for the commit at [pos]. A
+   conflict outranks an undecided commit that writes the key. *)
+type queued = Clean | Unknown | Conflict
+
 let queued_verdict t pos oid key recorded ho =
   Queue.fold
     (fun v (qpos, action) ->
-      if v = 2 || qpos <= recorded || qpos >= pos then v
+      if v = Conflict || qpos <= recorded || qpos >= pos then v
       else
         match action with
-        | Apply_update u -> if writes_key oid key u then 2 else v
+        | Apply_update u -> if writes_key oid key u then Conflict else v
         | Commit_point { cpos; writes } ->
             if List.exists (writes_key oid key) writes then
               match Hashtbl.find t.decided cpos with
-              | true -> 2
+              | true -> Conflict
               | false -> v
-              | exception Not_found -> 1
+              | exception Not_found -> Unknown
             else v
         | Apply_checkpoint _ -> v)
-    0 ho.waiting
+    Clean ho.waiting
 
 let rec eager_check t pos = function
   | [] -> Some true
@@ -708,11 +710,11 @@ let rec eager_check t pos = function
           else if ho.blocked_on = None then eager_check t pos rest
           else
             match queued_verdict t pos oid key recorded ho with
-            | 2 ->
+            | Conflict ->
                 Sim.Metrics.incr t.conflicts_c;
                 Some false
-            | 1 -> None
-            | _ -> eager_check t pos rest)
+            | Unknown -> None
+            | Clean -> eager_check t pos rest)
 
 let eager_outcome t pos (c : Record.commit) =
   if not (hosts_all t c.c_reads) then None else eager_check t pos c.c_reads

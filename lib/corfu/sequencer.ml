@@ -28,7 +28,8 @@ module Core = struct
     core_streams : (Types.stream_id, ring) Hashtbl.t;
   }
 
-  let empty_ring k sid = { r_buf = Array.make k 0; r_len = 0; r_newest = 0; r_tail = (sid, []); r_stale = false }
+  let empty_ring k sid =
+    { r_buf = Array.make k 0; r_len = 0; r_newest = 0; r_tail = (sid, []); r_stale = false }
 
   let fill_ring k sid offs =
     let r = empty_ring k sid in
@@ -45,7 +46,9 @@ module Core = struct
 
   let create ~k ?(initial_tail = 0) ?(initial_streams = []) () =
     let core_streams = Hashtbl.create 256 in
-    List.iter (fun (sid, offs) -> Hashtbl.replace core_streams sid (fill_ring k sid offs)) initial_streams;
+    List.iter
+      (fun (sid, offs) -> Hashtbl.replace core_streams sid (fill_ring k sid offs))
+      initial_streams;
     { core_k = k; core_tail = initial_tail; core_streams }
 
   let tail t = t.core_tail

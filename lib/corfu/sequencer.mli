@@ -34,8 +34,11 @@ type response = Seq_ok of allocation | Seq_sealed of Types.epoch
 (** The counter core, split from the networked shell so the grant path
     can be exercised (and benchmarked) without a simulation running.
     Per-stream last-K state lives in fixed int rings: issuing an
-    offset is two array stores and an index bump, and offset lists
-    materialise only at the response boundary. *)
+    offset is two array stores and an index bump. A stream's
+    [(sid, last-K)] pair is built at the response boundary once per
+    issue and shared by every reply until the next one, so replies'
+    [stream_tails] entries may be physically shared; they are
+    immutable. *)
 module Core : sig
   type t
 

@@ -149,7 +149,8 @@ let rec note_ptrs w oldest = function
 
 let rec note_backptrs w block ~current at i oldest =
   let p = Stream_header.backptr ~k:w.w_k ~current block at i in
-  if p < 0 then oldest else note_backptrs w block ~current at (i + 1) (if note w p then p else oldest)
+  if p < 0 then oldest
+  else note_backptrs w block ~current at (i + 1) (if note w p then p else oldest)
 
 let rec follow w off =
   let t = w.w_stream in
@@ -209,9 +210,9 @@ let walk_and_push t floor ptrs =
   let fresh =
     match w.w_junk with
     | [] -> w.w_members
-    | junk ->
+    | dropped ->
         let junk_set = Hashtbl.create 8 in
-        List.iter (fun o -> Hashtbl.replace junk_set o ()) junk;
+        List.iter (fun o -> Hashtbl.replace junk_set o ()) dropped;
         List.filter (fun o -> not (Hashtbl.mem junk_set o)) w.w_members
   in
   push_members t fresh

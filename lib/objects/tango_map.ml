@@ -56,8 +56,6 @@ let load_snapshot t data =
     | _ -> Hashtbl.replace t.tbl k (At_pos (Codec.get_int c))
   done
 
-let store t ~pos k v = Hashtbl.replace t.tbl k (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
-
 (* A keyed update carries its key beside the payload (every writer
    below passes the key it encodes), so only the value is decoded, and
    an indexed view decodes nothing past the tag. An unkeyed update
@@ -65,7 +63,11 @@ let store t ~pos k v = Hashtbl.replace t.tbl k (match t.mode with `Inline -> Inl
 let apply t ~pos ~key data =
   match key with
   | None -> (
-      match decode data with Op_put (k, v) -> store t ~pos k v | Op_remove k -> Hashtbl.remove t.tbl k)
+      match decode data with
+      | Op_put (k, v) ->
+          Hashtbl.replace t.tbl k
+            (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
+      | Op_remove k -> Hashtbl.remove t.tbl k)
   | Some k -> (
       let c = Codec.reader data in
       match Codec.get_u8 c with

@@ -123,7 +123,9 @@ let test_map_keyed_unkeyed_apply_agree () =
           Tango_map.remove keyed "b";
           Tango_map.remove unkeyed "b";
           let expected = [ ("a", "3"); ("c", "") ] in
-          let check what m = Alcotest.(check (list (pair string string))) what expected (Tango_map.bindings m) in
+          let check what m =
+            Alcotest.(check (list (pair string string))) what expected (Tango_map.bindings m)
+          in
           check "keyed" keyed;
           check "unkeyed" unkeyed;
           let rt2 = runtime cluster "replay" in
