@@ -1009,7 +1009,7 @@ let query_remote t ~oid ?key () =
               ctx.tx_remote_reads <- true;
               value))
 
-let fetch t ?oid pos =
+let fetch t ?oid ?(select = fun ~key:_ _ -> true) pos =
   let off = Record.pos_offset pos in
   let slot = Record.pos_slot pos in
   let entry =
@@ -1018,17 +1018,19 @@ let fetch t ?oid pos =
     | Corfu.Client.Junk | Corfu.Client.Trimmed | Corfu.Client.Unwritten -> raise Not_found
   in
   let records = Record.decode_entry ~offset:off entry.Corfu.Types.payload in
+  let wanted (u : Record.update) =
+    (match oid with Some o -> o = u.Record.u_oid | None -> true)
+    && select ~key:u.Record.u_key u.Record.u_data
+  in
   match List.nth_opt records slot with
-  | Some (Record.Update u) -> (
-      match oid with Some o when o <> u.Record.u_oid -> raise Not_found | _ -> u.Record.u_data)
-  | Some (Record.Commit c) -> (
-      match oid with
-      | Some o -> (
-          match List.find_opt (fun (u : Record.update) -> u.Record.u_oid = o) c.Record.c_writes with
-          | Some u -> u.Record.u_data
-          | None -> raise Not_found)
+  | Some (Record.Update u) when wanted u -> u.Record.u_data
+  | Some (Record.Commit c) when oid <> None -> (
+      (* The commit's writes apply in order, so the last selected one
+         is the write a view holding [pos] reflects. *)
+      match List.fold_left (fun last u -> if wanted u then Some u else last) None c.Record.c_writes with
+      | Some u -> u.Record.u_data
       | None -> raise Not_found)
-  | Some (Record.Decision _ | Record.Partial _ | Record.Checkpoint _) | None -> raise Not_found
+  | Some _ | None -> raise Not_found
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                       *)

@@ -156,13 +156,15 @@ val connect_peer :
     peer, or if the peer does not serve the object. *)
 val query_remote : t -> oid:int -> ?key:string -> unit -> bytes option
 
-(** [fetch t ?oid pos] reads back the opaque buffer of the update
-    record at [pos] — views holding positions instead of values use
-    this as their random-access path into log-structured storage
-    (§3.1, Durability). When [pos] names a commit record, [oid]
-    selects which of its writes to return.
+(** [fetch t ?oid ?select pos] reads back the opaque buffer of the
+    update record at [pos] — views holding positions instead of values
+    use this as their random-access path into log-structured storage
+    (§3.1, Durability). When [pos] names a commit record, which may
+    write an object several times, the answer is the {e last} of its
+    writes to [oid] that [select ~key data] accepts ([key] is the
+    write's versioning key); [select] defaults to every write.
     @raise Not_found if [pos] holds no matching update. *)
-val fetch : t -> ?oid:int -> int -> bytes
+val fetch : t -> ?oid:int -> ?select:(key:string option -> bytes -> bool) -> int -> bytes
 
 (** {2 Transactions} *)
 

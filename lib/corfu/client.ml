@@ -9,9 +9,6 @@ type t = {
   rng : Sim.Rng.t;
   cache : (Types.offset, Types.entry) Hashtbl.t;
   inflight : (Types.offset, read_ivar) Hashtbl.t;
-  probe_tails : (Types.stream_id, Types.offset list) Hashtbl.t;
-      (* this client's own per-stream append history, used to build
-         backpointers when appending without the sequencer *)
   mutable cache_floor : Types.offset;
   mutable cache_high : Types.offset;  (* highest cached offset *)
   rpc_failures : Sim.Metrics.counter;
@@ -68,7 +65,6 @@ let create ~host ~aux ~params =
     rng = Sim.Rng.split (Sim.Engine.rng ());
     cache = Hashtbl.create 4096;
     inflight = Hashtbl.create 64;
-    probe_tails = Hashtbl.create 16;
     cache_floor = 0;
     cache_high = -1;
     rpc_failures = Sim.Metrics.counter ~host:hname "client.rpc_failures";
@@ -192,13 +188,30 @@ let down_retry t backoff =
   Float.min (backoff *. 2.) t.p.retry_backoff_max_us
 
 (* One replica read under the current projection; shared by the read
-   path below and the stale-grant probe. *)
+   path below and the chain-head reads. *)
 let read_replica t node off =
   let loff = Projection.local_offset t.proj off in
   Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
     ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
     (Storage_node.read_service node)
     { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff }
+
+(* The chain head's answer for [off], which never lags a chain write:
+   an unreachable head is retried after a backoff, a sealed one waits
+   for the sealing epoch, and a retired offset reads as trimmed. Shared
+   by the stale-grant probe and the probing append's scan. *)
+let rec read_head t off backoff =
+  if Projection.locate t.proj off = Projection.Retired then Types.Read_trimmed
+  else
+    let set = Projection.replica_set t.proj off in
+    match read_replica t set.(0) off with
+    | Error _ ->
+        note_failure t;
+        read_head t off (down_retry t backoff)
+    | Ok (Types.Read_sealed e) ->
+        await_epoch t e;
+        read_head t off backoff
+    | Ok r -> r
 
 (* A chain write whose projection gained a {e new sequencer} mid-flight
    needs a verdict on its granted offset. The replacement rebuilt the
@@ -216,22 +229,9 @@ let read_replica t node off =
      sync could ever discover; the payload must move to a fresh offset
      and the abandoned slot resolves as junk through readers' fills. *)
 let probe_stale_grant t off entry =
-  let rec go backoff =
-    if Projection.locate t.proj off = Projection.Retired then `Abandon
-    else
-      let set = Projection.replica_set t.proj off in
-      match read_replica t set.(0) off with
-      | Error _ ->
-          note_failure t;
-          go (down_retry t backoff)
-      | Ok (Types.Read_sealed e) ->
-          await_epoch t e;
-          go backoff
-      | Ok (Types.Read_data e) when e == entry -> `Complete
-      | Ok (Types.Read_data _ | Types.Read_junk | Types.Read_trimmed | Types.Read_unwritten) ->
-          `Abandon
-  in
-  go t.p.retry_sleep_us
+  match read_head t off t.p.retry_sleep_us with
+  | Types.Read_data e when e == entry -> `Complete
+  | _ -> `Abandon
 
 type seq_request = Grant of int | Peek
 
@@ -275,24 +275,12 @@ and sequencer_attempt t req ~streams =
       sequencer_request t req ~streams
   | Sequencer.Seq_ok a -> a
 
-(* Remember our own appends per stream so probing appends (below) can
-   chain onto them if the sequencer disappears. *)
-let note_own_append t ~streams off =
-  List.iter
-    (fun sid ->
-      let prev = match Hashtbl.find_opt t.probe_tails sid with Some l -> l | None -> [] in
-      let rec take n = function x :: r when n > 0 -> x :: take (n - 1) r | _ -> [] in
-      Hashtbl.replace t.probe_tails sid (take t.p.backpointer_k (off :: prev)))
-    streams
-
 (* The commit of a written entry: our own playback will want it next,
-   so cache it and save the round trip; record it for probing appends;
-   announce the ack. *)
+   so cache it and save the round trip; announce the ack. *)
 let commit_marker t ~streams ~off entry =
   let tok = Sim.Span.enter t.commit_s () in
   match
     cache_insert t off entry;
-    note_own_append t ~streams off;
     if Sim.Announce.active () then
       Sim.Announce.emit (Sim.Announce.Append_acked { client = hname t; offset = off; streams })
   with
@@ -540,19 +528,27 @@ let check_slow t =
 
 (* Sequencer-less append (§2.2): find the tail with the slow check and
    claim offsets by writing; the write-once property makes exactly one
-   winner per offset, so losers probe upward. Backpointers are built
-   from this client's own append history — poorer chains than the
-   sequencer's, which the stream layer's backward scan compensates. *)
+   winner per offset, so losers probe upward. Each attempt's
+   backpointers come from the replacement sequencer's scan of the chain
+   heads below [guess], stopped once every stream has K offsets: the
+   last-K a sequencer would have handed out, whoever wrote them. *)
 let append_probing t ~streams payload =
-  let probe_history sid =
-    match Hashtbl.find_opt t.probe_tails sid with Some l -> l | None -> []
-  in
+  let k = t.p.backpointer_k in
   let rec attempt guess =
+    let last, _ =
+      Seq_checkpoint.rebuild ~k
+        ~floor:(Projection.segment t.proj 0).Projection.seg_base
+        ~read:(fun off -> read_head t off t.p.retry_sleep_us)
+        ~streams (guess - 1)
+    in
     let headers =
-      Stream_header.encode_block ~k:t.p.backpointer_k ~current:guess
+      Stream_header.encode_block ~k ~current:guess
         (List.map
            (fun sid ->
-             { Stream_header.stream = sid; backptrs = List.filter (fun o -> o < guess) (probe_history sid) })
+             {
+               Stream_header.stream = sid;
+               backptrs = (match Hashtbl.find_opt last sid with Some l -> l | None -> []);
+             })
            streams)
     in
     let entry = { Types.headers; payload } in

@@ -102,12 +102,15 @@ val append_range : t -> streams:Types.stream_id list -> bytes list -> Types.offs
     sequencer} (§2.2: "the system can run without a sequencer, at much
     reduced throughput, by having clients probe for the location of
     the tail"): the slow check locates the tail, the write-once
-    property arbitrates races (losers probe upward). Backpointers come
-    from this client's own append history, so streams written by a
-    single client remain exactly walkable; entries whose headers have
-    shorter chains are found by the stream layer's backward scan.
-    Keeps the log correct while a failed sequencer is being
-    replaced. *)
+    property arbitrates races (losers probe upward). Each attempt at
+    offset [guess] scans the chain heads below it
+    ({!Seq_checkpoint.rebuild}, the replacement sequencer's scan) until
+    every stream in [streams] has K offsets, or a sequencer snapshot or
+    the first segment's base ends the scan; the headers carry what it
+    found, the last-K a sequencer would have handed out, whichever
+    clients wrote those entries. A stream walk therefore reaches every
+    entry the scan saw. Keeps the log correct while a failed sequencer
+    is being replaced. *)
 val append_probing : t -> streams:Types.stream_id list -> bytes -> Types.offset
 
 (** [read t off] reads from a uniformly random replica of the set and

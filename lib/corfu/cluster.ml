@@ -454,45 +454,22 @@ let replace_sequencer t =
        stopping at the most recent sequencer checkpoint if one exists
        (§5's proposed optimization, via the scribe) — or at the
        retired boundary, below which everything was prefix-trimmed
-       anyway. *)
-    let floor = (Projection.segment old_proj 0).Projection.seg_base in
-    let k = t.p.backpointer_k in
-    let streams : (Types.stream_id, Types.offset list) Hashtbl.t = Hashtbl.create 64 in
-    let scanned = ref 0 in
-    let note_headers off (e : Types.entry) =
-      List.iter
-        (fun (h : Stream_header.t) ->
-          let prev = match Hashtbl.find_opt streams h.stream with Some l -> l | None -> [] in
-          if List.length prev < k then Hashtbl.replace streams h.stream (prev @ [ off ]))
-        (Stream_header.decode_block ~k ~current:off e.Types.headers)
-    in
-    let rec scan off =
-      if off >= floor then begin
-        incr scanned;
-        match raw_read t old_proj ~epoch off with
-        | Types.Read_data e ->
-            if Seq_checkpoint.is_snapshot ~k e then begin
-              let snapshot = Seq_checkpoint.decode e.Types.payload in
-              List.iter
-                (fun (sid, offs) -> Hashtbl.replace streams sid offs)
-                (Seq_checkpoint.merge ~above:streams snapshot ~k)
-            end
-            else begin
-              note_headers off e;
-              scan (off - 1)
-            end
-        | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
-            scan (off - 1)
-      end
-    in
-    (* Failpoint (fuzzer sensitivity, DESIGN.md §9): lose the rebuild —
+       anyway.
+
+       Failpoint (fuzzer sensitivity, DESIGN.md §9): lose the rebuild —
        the new sequencer comes up with the right tail but no backpointer
        state, so entries appended after the handoff chain to nothing and
        earlier stream history becomes unreachable to fresh readers. *)
-    if not failpoints.fp_skip_rebuild_scan then scan (tail - 1);
-    Sim.Metrics.add (Sim.Metrics.counter "cluster.rebuild_scanned") !scanned;
+    let streams, scanned =
+      if failpoints.fp_skip_rebuild_scan then (Hashtbl.create 64, 0)
+      else
+        Seq_checkpoint.rebuild ~k:t.p.backpointer_k
+          ~floor:(Projection.segment old_proj 0).Projection.seg_base
+          ~read:(raw_read t old_proj ~epoch) (tail - 1)
+    in
+    Sim.Metrics.add (Sim.Metrics.counter "cluster.rebuild_scanned") scanned;
     if Sim.Announce.active () then
-      Sim.Announce.emit (Sim.Announce.Tail_rebuilt { epoch; tail; scanned = !scanned });
+      Sim.Announce.emit (Sim.Announce.Tail_rebuilt { epoch; tail; scanned });
     (* A fresh sequencer seeded with the reconstructed state, over the
        same segment map. *)
     let name = Printf.sprintf "sequencer-%d" t.sequencer_count in
@@ -502,7 +479,7 @@ let replace_sequencer t =
       Sequencer.create ~net:t.cluster_net ~name ~params:t.p ~initial_tail:tail ~initial_streams ()
     in
     ( Projection.v ~epoch ~segments:old_proj.Projection.segments ~sequencer,
-      Sequencer_replaced { scanned = !scanned } )
+      Sequencer_replaced { scanned } )
   in
   Option.get
     (reconfigure t ~kind:"sequencer" ~site:(agent_site "recovery.sequencer") ~arg:() ~seal:Unspanned

@@ -55,3 +55,42 @@ let merge ~above t ~k =
       Hashtbl.replace tbl sid (take k (recent @ older)))
     above;
   Hashtbl.fold (fun sid offs acc -> (sid, offs) :: acc) tbl []
+
+let rebuild ~k ~floor ~read ?streams top =
+  let tbl : (Types.stream_id, Types.offset list) Hashtbl.t = Hashtbl.create 64 in
+  let scanned = ref 0 in
+  let note_headers off (e : Types.entry) =
+    List.iter
+      (fun (h : Stream_header.t) ->
+        let prev = match Hashtbl.find_opt tbl h.stream with Some l -> l | None -> [] in
+        if List.length prev < k then Hashtbl.replace tbl h.stream (prev @ [ off ]))
+      (Stream_header.decode_block ~k ~current:off e.Types.headers)
+  in
+  let complete () =
+    match streams with
+    | None -> false
+    | Some sids ->
+        List.for_all
+          (fun sid ->
+            match Hashtbl.find_opt tbl sid with Some l -> List.length l >= k | None -> false)
+          sids
+  in
+  let rec scan off =
+    if off >= floor && not (complete ()) then begin
+      incr scanned;
+      match read off with
+      | Types.Read_data e ->
+          if is_snapshot ~k e then
+            List.iter
+              (fun (sid, offs) -> Hashtbl.replace tbl sid offs)
+              (merge ~above:tbl (decode e.Types.payload) ~k)
+          else begin
+            note_headers off e;
+            scan (off - 1)
+          end
+      | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
+          scan (off - 1)
+    end
+  in
+  scan top;
+  (tbl, !scanned)

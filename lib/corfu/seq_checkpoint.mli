@@ -8,7 +8,9 @@
     The snapshot's log offset is {e reserved in the same sequencer
     operation that dumps the state} ({!Sequencer.dump_service}), so
     the state is complete for every offset below it — scanning the
-    suffix above the snapshot entry and merging yields exact state. *)
+    suffix above the snapshot entry and merging yields exact state.
+    {!rebuild} is that scan, shared by the replacement sequencer and
+    the sequencer-less probing append. *)
 
 (** The reserved stream id (top of the 31-bit space). *)
 val stream_id : Types.stream_id
@@ -36,3 +38,24 @@ val merge :
   t ->
   k:int ->
   (Types.stream_id * Types.offset list) list
+
+(** [rebuild ~k ~floor ~read ?streams top] rebuilds per-stream
+    backpointer state from the log: the one scan behind both a
+    replacement sequencer (§5) and a sequencer-less probing append
+    (§2.2). It reads offsets [top], [top - 1], … with [read] (a chain
+    head read), keeps the first K offsets found per stream (newest
+    first), and skips every offset that holds no data. It stops at the
+    newest sequencer snapshot, merging it ({!merge}), at [floor] (the
+    first segment's base; everything below was trimmed), or — when
+    [streams] is given — as soon as each of [streams] has K offsets.
+    Without [streams] the scan completes every stream, as a
+    replacement sequencer needs.
+
+    Returns the table and the number of offsets read. *)
+val rebuild :
+  k:int ->
+  floor:Types.offset ->
+  read:(Types.offset -> Types.read_result) ->
+  ?streams:Types.stream_id list ->
+  Types.offset ->
+  (Types.stream_id, Types.offset list) Hashtbl.t * int

@@ -94,18 +94,27 @@ let oid t = t.moid
 let put t k v = Tango.Runtime.update_helper t.rt ~oid:t.moid ~key:k (encode_put k v)
 let remove t k = Tango.Runtime.update_helper t.rt ~oid:t.moid ~key:k (encode_remove k)
 
-let value_of t = function
+(* Does the write ([key], [data]) name key [k]? A keyed write carries
+   its key; only an unkeyed one ([coarse_put]) is decoded. *)
+let writes_key k ~key data =
+  match key with
+  | Some key -> String.equal key k
+  | None -> ( match decode data with Op_put (key, _) | Op_remove key -> String.equal key k)
+
+let value_of t k = function
   | Inline_value v -> v
   | At_pos pos -> (
-      (* The view is an index over the log: fetch the update record
-         and re-decode its payload (§3.1, Durability). *)
-      match decode (Tango.Runtime.fetch t.rt ~oid:t.moid pos) with
+      (* The view is an index over the log: fetch the record's last
+         write of [k] — the one the view applied — and re-decode its
+         payload (§3.1, Durability). A removal would have unbound [k],
+         so that write is a put. *)
+      match decode (Tango.Runtime.fetch t.rt ~oid:t.moid ~select:(writes_key k) pos) with
       | Op_put (_, v) -> v
       | Op_remove _ -> assert false)
 
 let get t k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~key:k ();
-  Option.map (value_of t) (Hashtbl.find_opt t.tbl k)
+  Option.map (value_of t k) (Hashtbl.find_opt t.tbl k)
 
 let mem t k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~key:k ();
@@ -117,21 +126,30 @@ let size t =
 
 let bindings t =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ();
-  Hashtbl.fold (fun k stored acc -> (k, value_of t stored) :: acc) t.tbl []
+  Hashtbl.fold (fun k stored acc -> (k, value_of t k stored) :: acc) t.tbl []
   |> List.sort compare
 
 let remote_put rt ~oid k v = Tango.Runtime.update_helper rt ~oid ~key:k (encode_put k v)
 
 let coarse_put t k v = Tango.Runtime.update_helper t.rt ~oid:t.moid (encode_put k v)
 
-let wire_decode data =
-  match decode data with Op_put (k, v) -> `Put (k, v) | Op_remove k -> `Remove k
+let wire_decode ?key data =
+  match key with
+  | None -> ( match decode data with Op_put (k, v) -> `Put (k, v) | Op_remove k -> `Remove k)
+  | Some k -> (
+      let c = Codec.reader data in
+      match Codec.get_u8 c with
+      | 1 ->
+          Codec.skip_string c;
+          `Put (k, Codec.get_string c)
+      | 2 -> `Remove k
+      | tag -> invalid_arg (Printf.sprintf "Tango_map: unknown op tag %d" tag))
 
 let serve_reads t =
   Tango.Runtime.expose_read t.rt ~oid:t.moid (fun key ->
       match key with
       | Some k ->
-          Option.map (fun stored -> Bytes.of_string (value_of t stored)) (Hashtbl.find_opt t.tbl k)
+          Option.map (fun stored -> Bytes.of_string (value_of t k stored)) (Hashtbl.find_opt t.tbl k)
       | None -> None)
 
 let get_remote rt ~oid k =
@@ -139,11 +157,11 @@ let get_remote rt ~oid k =
 
 let get_at t ~upto k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~upto ();
-  Option.map (value_of t) (Hashtbl.find_opt t.tbl k)
+  Option.map (value_of t k) (Hashtbl.find_opt t.tbl k)
 
 let bindings_at t ~upto =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~upto ();
-  Hashtbl.fold (fun k stored acc -> (k, value_of t stored) :: acc) t.tbl []
+  Hashtbl.fold (fun k stored acc -> (k, value_of t k stored) :: acc) t.tbl []
   |> List.sort compare
 
 let transfer ~from_map ~to_map_oid k =

@@ -46,8 +46,10 @@ val remote_put : Tango.Runtime.t -> oid:int -> string -> string -> unit
 val coarse_put : t -> string -> string -> unit
 
 (** The map's wire format, for alternate views sharing its stream
-    (§3.1): decode an update record's opaque buffer. *)
-val wire_decode : bytes -> [ `Put of string * string | `Remove of string ]
+    (§3.1): decode an update record's opaque buffer. Pass the [key]
+    the runtime handed the apply callback: when it is [Some k], only
+    the value is decoded and the key is [k]. *)
+val wire_decode : ?key:string -> bytes -> [ `Put of string * string | `Remove of string ]
 
 (** [serve_reads t] exposes this view to peers' remote reads
     ({!Tango.Runtime.expose_read}); pair with {!get_remote} on the

@@ -20,8 +20,8 @@ let unbind t k =
           else Hashtbl.replace t.inverted v keys
       | None -> ())
 
-let apply t data =
-  match Tango_map.wire_decode data with
+let apply t ~key data =
+  match Tango_map.wire_decode ?key data with
   | `Put (k, v) ->
       unbind t k;
       t.by_key <- Kmap.add k v t.by_key;
@@ -33,7 +33,7 @@ let attach rt ~oid =
   let t = { rt; ioid = oid; by_key = Kmap.empty; inverted = Hashtbl.create 64 } in
   let callbacks =
     {
-      Tango.Runtime.apply = (fun ~pos:_ ~key:_ data -> apply t data);
+      Tango.Runtime.apply = (fun ~pos:_ ~key data -> apply t ~key data);
       checkpoint = None;
       load_checkpoint = None;
     }

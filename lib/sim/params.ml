@@ -12,7 +12,6 @@ type t = {
   apply_record_us : float;
   commit_batch : int;
   backpointer_k : int;
-  max_streams_per_entry : int;
   fill_timeout_us : float;
   append_window : int;
   retry_sleep_us : float;
@@ -53,7 +52,6 @@ let default =
     apply_record_us = 22.;
     commit_batch = 4;
     backpointer_k = 4;
-    max_streams_per_entry = 16;
     fill_timeout_us = 100_000.;
     append_window = 8;
     retry_sleep_us = 200.;

@@ -23,7 +23,6 @@ type t = {
   apply_record_us : float;  (** cost to apply one update record to a view *)
   commit_batch : int;  (** update/commit records packed per log entry *)
   backpointer_k : int;  (** stream-header backpointers per stream *)
-  max_streams_per_entry : int;  (** multiappend fan-out limit *)
   fill_timeout_us : float;  (** hole-filling timeout (paper: 100 ms) *)
   append_window : int;
       (** max log entries a client keeps in flight concurrently (the

@@ -1210,6 +1210,74 @@ let test_probing_bridges_sequencer_outage () =
            ])
         got)
 
+(* Probing appends take their backpointers from a scan of the log, so
+   a stream stays walkable whoever wrote its entries. Each test below
+   ends with a sequencer rebuilt from the log handing a fresh reader
+   the stream's last K, and checks that the reader's walk returns every
+   offset appended to the stream. *)
+let walk_after_replacement cluster sid =
+  ignore (Cluster.replace_sequencer cluster);
+  let s = Stream.attach (Cluster.new_client cluster ~name:"reader") sid in
+  ignore (Stream.sync s);
+  List.map fst (drain s)
+
+let seal_sequencer cluster client =
+  ignore
+    (Sim.Net.call ~from:(Client.host client)
+       (Sequencer.seal_service (Cluster.sequencer cluster))
+       ((Client.projection client).Projection.epoch + 1)
+      : Types.offset)
+
+let check_walk what cluster sid appended =
+  Alcotest.(check (list int)) what (List.sort compare appended) (walk_after_replacement cluster sid)
+
+let test_probing_walk_two_clients () =
+  with_cluster ~seed:9 (fun cluster ->
+      let appended = ref [] in
+      let run name =
+        let c = Cluster.new_client cluster ~name in
+        Sim.Engine.spawn (fun () ->
+            for i = 0 to 9 do
+              let off = Client.append_probing c ~streams:[ 1 ] (payload (Printf.sprintf "%s%d" name i)) in
+              appended := off :: !appended
+            done)
+      in
+      run "prober-a";
+      run "prober-b";
+      Sim.Engine.sleep 5_000_000.;
+      check_int "all appends landed" 20 (List.length !appended);
+      check_walk "both clients' entries" cluster 1 !appended)
+
+let test_probing_walk_after_sequencer_appends () =
+  with_cluster ~seed:9 (fun cluster ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let p = Cluster.new_client cluster ~name:"prober" in
+      let before = List.init 5 (fun i -> Client.append w ~streams:[ 1 ] (payload (string_of_int i))) in
+      seal_sequencer cluster w;
+      let probed = List.init 5 (fun i -> Client.append_probing p ~streams:[ 1 ] (payload (string_of_int i))) in
+      check_walk "the writer's entries and the prober's" cluster 1 (before @ probed))
+
+let test_probing_walk_across_snapshot () =
+  (* The prober's scan meets a sequencer snapshot before it has K
+     offsets of stream 1: only stream 2 was appended above it. The
+     snapshot's state completes the scan. *)
+  with_cluster ~seed:9 (fun cluster ->
+      Cluster.start_checkpoint_scribe cluster ~interval_us:5_000.;
+      let snapshots = Seq_checkpoint.stream_id in
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let p = Cluster.new_client cluster ~name:"prober" in
+      let before = List.init 6 (fun i -> Client.append w ~streams:[ 1 ] (payload (string_of_int i))) in
+      Sim.Engine.sleep 10_000.;
+      let snap = Stream.attach w snapshots in
+      ignore (Stream.sync snap);
+      check_bool "the scribe wrote a snapshot" true (drain snap <> []);
+      for i = 0 to 1 do
+        ignore (Client.append w ~streams:[ 2 ] (payload (string_of_int i)))
+      done;
+      seal_sequencer cluster w;
+      let probed = List.init 5 (fun i -> Client.append_probing p ~streams:[ 1 ] (payload (string_of_int i))) in
+      check_walk "entries below and above the snapshot" cluster 1 (before @ probed))
+
 (* ------------------------------------------------------------------ *)
 (* Reconfiguration                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -2643,6 +2711,12 @@ let () =
           Alcotest.test_case "probing races resolve" `Quick test_probing_races_resolve;
           Alcotest.test_case "bridges sequencer outage" `Quick
             test_probing_bridges_sequencer_outage;
+          Alcotest.test_case "two probing clients stay walkable" `Quick
+            test_probing_walk_two_clients;
+          Alcotest.test_case "probing after sequencer appends stays walkable" `Quick
+            test_probing_walk_after_sequencer_appends;
+          Alcotest.test_case "probing scan merges a snapshot" `Quick
+            test_probing_walk_across_snapshot;
         ] );
       ( "seq-checkpoint",
         [

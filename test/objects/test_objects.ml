@@ -108,13 +108,16 @@ let test_map_keyed_unkeyed_apply_agree () =
   (* A keyed apply takes the key the runtime passes and decodes only
      the value; an unkeyed one (coarse_put) decodes both. Both, and a
      remove after either, must leave the same state, live and replayed
-     by a fresh runtime, in either view mode. *)
+     by a fresh runtime, in either view mode — and so must an index
+     attached beside each map, which decodes the same way. *)
   List.iter
     (fun mode ->
       with_cluster (fun cluster ->
           let rt = runtime cluster "app" in
           let keyed = Tango_map.attach ~mode rt ~oid:1 in
           let unkeyed = Tango_map.attach ~mode rt ~oid:2 in
+          let keyed_idx = Tango_map_index.attach rt ~oid:1 in
+          let unkeyed_idx = Tango_map_index.attach rt ~oid:2 in
           List.iter
             (fun (k, v) ->
               Tango_map.put keyed k v;
@@ -128,10 +131,55 @@ let test_map_keyed_unkeyed_apply_agree () =
           in
           check "keyed" keyed;
           check "unkeyed" unkeyed;
+          List.iter
+            (fun (what, idx) ->
+              List.iter
+                (fun (v, keys) ->
+                  check_str_list (Printf.sprintf "%s index: keys with %S" what v) keys
+                    (Tango_map_index.keys_with_value idx v))
+                [ ("1", []); ("2", []); ("3", [ "a" ]); ("", [ "c" ]); ("4", []) ];
+              check_str_list (what ^ " index: key range") [ "a"; "c" ]
+                (Tango_map_index.key_range idx ~lo:"a" ~hi:"z"))
+            [ ("keyed", keyed_idx); ("unkeyed", unkeyed_idx) ];
           let rt2 = runtime cluster "replay" in
           check "keyed, replayed" (Tango_map.attach ~mode rt2 ~oid:1);
           check "unkeyed, replayed" (Tango_map.attach ~mode rt2 ~oid:2)))
     [ `Inline; `Indexed ]
+
+(* An indexed view keeps one log position per key, and every write of a
+   commit record shares the record's position: the fetch must return
+   the last write of the key being read, never the record's first
+   write to the map. *)
+let test_map_indexed_multi_put_commit () =
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "writer" in
+      let m = Tango_map.attach rt ~oid:1 in
+      Tango.Runtime.begin_tx rt;
+      Tango_map.put m "a" "A";
+      Tango_map.put m "b" "B";
+      Tango_map.coarse_put m "d" "D";
+      Tango_map.coarse_put m "e" "E";
+      check_bool "committed" true (Tango.Runtime.end_tx rt = Tango.Runtime.Committed);
+      let reader = Tango_map.attach ~mode:`Indexed (runtime cluster "reader") ~oid:1 in
+      List.iter
+        (fun (k, v) -> check_str_opt k (Some v) (Tango_map.get reader k))
+        [ ("a", "A"); ("b", "B"); ("d", "D"); ("e", "E") ])
+
+let test_map_indexed_remove_then_put_commit () =
+  with_cluster (fun cluster ->
+      let rt = runtime cluster "writer" in
+      let m = Tango_map.attach rt ~oid:1 in
+      Tango_map.put m "a" "A";
+      Tango.Runtime.begin_tx rt;
+      Tango_map.remove m "a";
+      Tango_map.put m "c" "C";
+      Tango_map.put m "c" "C2";
+      check_bool "committed" true (Tango.Runtime.end_tx rt = Tango.Runtime.Committed);
+      let reader = Tango_map.attach ~mode:`Indexed (runtime cluster "reader") ~oid:1 in
+      check_str_opt "removed" None (Tango_map.get reader "a");
+      check_str_opt "the commit's last put" (Some "C2") (Tango_map.get reader "c");
+      Alcotest.(check (list (pair string string)))
+        "bindings" [ ("c", "C2") ] (Tango_map.bindings reader))
 
 let test_map_coarse_put_conflicts () =
   (* A whole-object write versions the map, not the key it names: a
@@ -810,6 +858,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_map_basics;
           Alcotest.test_case "indexed mode" `Quick test_map_indexed_mode;
+          Alcotest.test_case "indexed read of a multi-put commit" `Quick
+            test_map_indexed_multi_put_commit;
+          Alcotest.test_case "indexed read after a remove in the same commit" `Quick
+            test_map_indexed_remove_then_put_commit;
           Alcotest.test_case "coarse put conflicts" `Quick test_map_coarse_put_conflicts;
           Alcotest.test_case "keyed and unkeyed applies agree" `Quick
             test_map_keyed_unkeyed_apply_agree;
