@@ -49,9 +49,21 @@
     A consumer that encounters a commit record it cannot decide parks
     the affected objects: subsequent records for them are buffered and
     applied only once a decision record arrives. If none arrives
-    within the decision timeout (generator crash), the consumer
-    reconstructs the outcome deterministically from the log (§4.1,
-    Failure Handling). *)
+    within the decision timeout ({!Decision_core.timeout_us}, 50 ms;
+    generator crash), the consumer reconstructs the outcome
+    deterministically from the log (§4.1, Failure Handling).
+
+    {2 Shell and core}
+
+    The freeze-and-decide state machine (versions, frozen queues,
+    outcomes, partial verdicts) is {!Decision_core}, which does no
+    I/O. This module is its shell: it plays the log in merged order
+    and feeds each record to the core, and it builds once, in
+    {!create}, the effects the core calls back — applying writes
+    through the objects' callbacks, appending partial verdicts and
+    decision records, the watchdog fiber, the log replay that
+    reconstructs an outcome, milestones and counters. CPU charges stay
+    here too. *)
 
 type t
 
@@ -75,10 +87,9 @@ type tx_status = Committed | Aborted
 exception No_transaction
 exception Nested_transaction
 
-(** [create ?batch_size ?decision_timeout_us client] builds a runtime
-    over a CORFU client. [batch_size] defaults to the params'
-    [commit_batch]. *)
-val create : ?batch_size:int -> ?decision_timeout_us:float -> Corfu.Client.t -> t
+(** [create ?batch_size client] builds a runtime over a CORFU client.
+    [batch_size] defaults to the params' [commit_batch]. *)
+val create : ?batch_size:int -> Corfu.Client.t -> t
 
 val client : t -> Corfu.Client.t
 
@@ -209,8 +220,6 @@ val trim_below : t -> Corfu.Types.offset -> unit
 val version_of : t -> oid:int -> ?key:string -> unit -> int
 
 val applied_records : t -> int
-val commits : t -> int
-val aborts : t -> int
 
 (** Commit records this runtime generated whose transaction has not
     finished yet; [end_tx] drops its entry once the outcome is known. *)

@@ -25,27 +25,14 @@ val encode : t -> bytes
 (** @raise Invalid_argument on malformed input. *)
 val decode : bytes -> t
 
-(** [is_snapshot ~k entry] tests an entry's headers for the reserved
-    stream; a malformed header block is no snapshot. *)
-val is_snapshot : k:int -> Types.entry -> bool
-
-(** [merge ~above snapshot ~k] combines per-stream offsets collected
-    from entries {e above} the snapshot (most recent first, possibly
-    fewer than K) with the snapshot's state, keeping the most recent K
-    per stream. *)
-val merge :
-  above:(Types.stream_id, Types.offset list) Hashtbl.t ->
-  t ->
-  k:int ->
-  (Types.stream_id * Types.offset list) list
-
 (** [rebuild ~k ~floor ~read ?streams top] rebuilds per-stream
     backpointer state from the log: the one scan behind both a
     replacement sequencer (§5) and a sequencer-less probing append
     (§2.2). It reads offsets [top], [top - 1], … with [read] (a chain
     head read), keeps the first K offsets found per stream (newest
     first), and skips every offset that holds no data. It stops at the
-    newest sequencer snapshot, merging it ({!merge}), at [floor] (the
+    newest sequencer snapshot, merging it with the offsets found above
+    it (the most recent K per stream win), at [floor] (the
     first segment's base; everything below was trimmed), or — when
     [streams] is given — as soon as each of [streams] has K offsets.
     Without [streams] the scan completes every stream, as a

@@ -20,13 +20,6 @@ type t = {
   backptrs : Types.offset list;  (** most recent first; length ≤ K *)
 }
 
-(** [header_size ~k] is the wire size of one header in bytes. *)
-val header_size : k:int -> int
-
-(** [block_size ~k ~streams] is the wire size of a block with
-    [streams] headers. *)
-val block_size : k:int -> streams:int -> int
-
 (** [encode_block ~k ~current headers] encodes headers for the entry
     being written at offset [current]. Picks the relative format per
     header when all its deltas fit, else the absolute format keeping

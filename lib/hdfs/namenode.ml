@@ -245,5 +245,4 @@ let delete t path =
 let ls t path = Option.map Names.elements (Hashtbl.find_opt t.dirs path)
 let file_blocks t path = Option.map List.rev (Hashtbl.find_opt t.files path)
 let exists t path = Hashtbl.mem t.dirs path || Hashtbl.mem t.files path
-let is_dir t path = Hashtbl.mem t.dirs path
 let edits_applied t = t.edits

@@ -58,7 +58,6 @@ val refresh : t -> unit
 val ls : t -> string -> string list option
 val file_blocks : t -> string -> int list option
 val exists : t -> string -> bool
-val is_dir : t -> string -> bool
 
 (** Number of edits this instance has applied (for tests). *)
 val edits_applied : t -> int

@@ -159,11 +159,6 @@ let get_at t ~upto k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~upto ();
   Option.map (value_of t k) (Hashtbl.find_opt t.tbl k)
 
-let bindings_at t ~upto =
-  Tango.Runtime.query_helper t.rt ~oid:t.moid ~upto ();
-  Hashtbl.fold (fun k stored acc -> (k, value_of t k stored) :: acc) t.tbl []
-  |> List.sort compare
-
 let transfer ~from_map ~to_map_oid k =
   let rt = from_map.rt in
   Tango.Runtime.begin_tx rt;

@@ -60,12 +60,10 @@ val serve_reads : t -> unit
     connected peer, inside the current transaction (§4.1 D). *)
 val get_remote : Tango.Runtime.t -> oid:int -> string -> string option
 
-(** [get_at t ~upto k] / [bindings_at t ~upto]: historical reads of
-    the state as of global log offset [upto] (§3.1, History). Use on a
-    fresh view; they never advance it past [upto]. *)
+(** [get_at t ~upto k]: a historical read of the state as of global
+    log offset [upto] (§3.1, History). Use on a fresh view; it never
+    advances it past [upto]. *)
 val get_at : t -> upto:Corfu.Types.offset -> string -> string option
-
-val bindings_at : t -> upto:Corfu.Types.offset -> (string * string) list
 
 (** [transfer ~from_map ~to_map key] atomically moves a binding
     between two maps — the paper's cross-partition transaction

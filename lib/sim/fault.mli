@@ -105,14 +105,8 @@ val events : t -> event list
 (** [equal_action a b]: structural equality; [Custom] by name. *)
 val equal_action : action -> action -> bool
 
-(** Prints the same label {!apply} logs. *)
-val pp_action : Format.formatter -> action -> unit
-
 val equal_plan : (float * action) list -> (float * action) list -> bool
 val pp_plan : Format.formatter -> (float * action) list -> unit
-
-(** Bumped on any incompatible change to the plan JSON layout. *)
-val plan_version : int
 
 (** [encode_plan p] is [p] as a versioned JSON document. Floats are
     written exactly (17 significant digits), so

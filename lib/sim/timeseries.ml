@@ -331,11 +331,6 @@ let series_names () =
   let st = state () in
   List.sort compare (List.init st.n (fun i -> st.srcs.(i).se_name))
 
-let columns series =
-  match Hashtbl.find_opt (state ()).index series with
-  | None -> [||]
-  | Some s -> Array.copy s.se_cols
-
 (* -- dump -------------------------------------------------------------- *)
 
 let to_json () =

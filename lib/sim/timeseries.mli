@@ -87,7 +87,6 @@ val last : sel -> float
 val window_start : int -> float
 
 val series_names : unit -> string list
-val columns : string -> string array
 
 (** Canonical JSON of all retained windows: [{"window_us": ...,
     "subticks": ..., "windows": ..., "from": ..., "starts": [...],

@@ -17,8 +17,8 @@ let with_cluster ?(seed = 5) ?(servers = 4) body =
       let cluster = Corfu.Cluster.create ~servers () in
       body cluster)
 
-let runtime ?batch_size ?decision_timeout_us cluster name =
-  Runtime.create ?batch_size ?decision_timeout_us (Corfu.Cluster.new_client cluster ~name)
+let runtime ?batch_size cluster name =
+  Runtime.create ?batch_size (Corfu.Cluster.new_client cluster ~name)
 
 (* ------------------------------------------------------------------ *)
 (* A minimal integer register object, as in the paper's Figure 3.     *)
@@ -740,8 +740,8 @@ let test_decision_watchdog_reconstructs () =
      consumer must reconstruct the outcome from the log after the
      timeout (§4.1, Failure Handling). *)
   with_cluster (fun cluster ->
-      let gen = runtime ~decision_timeout_us:20_000. cluster "doomed" in
-      let consumer = runtime ~decision_timeout_us:20_000. cluster "consumer" in
+      let gen = runtime cluster "doomed" in
+      let consumer = runtime cluster "consumer" in
       let src = Map_obj.attach gen ~oid:1 in
       let sink = Map_obj.attach consumer ~oid:2 in
       Map_obj.put src "k" "v";
@@ -761,7 +761,7 @@ let test_decision_watchdog_reconstructs () =
       let started = Sim.Engine.now () in
       Alcotest.(check (option string)) "reconstructed and applied" (Some "ok")
         (Map_obj.get sink "out");
-      check_bool "waited for the timeout" true (Sim.Engine.now () -. started >= 20_000.))
+      check_bool "waited for the timeout" true (Sim.Engine.now () -. started >= Decision_core.timeout_us))
 
 (* ------------------------------------------------------------------ *)
 (* Late registration: an object registered after playback has started *)
@@ -864,8 +864,8 @@ let test_late_registration_parked_commit () =
      registered meanwhile waits behind the same commit until the
      watchdog reconstructs the outcome. *)
   with_cluster (fun cluster ->
-      let gen = runtime ~decision_timeout_us:20_000. cluster "doomed" in
-      let consumer = runtime ~decision_timeout_us:20_000. cluster "consumer" in
+      let gen = runtime cluster "doomed" in
+      let consumer = runtime cluster "consumer" in
       let src = Map_obj.attach gen ~oid:1 in
       let sink = Map_obj.attach consumer ~oid:2 in
       Map_obj.put src "k" "v";
@@ -893,6 +893,49 @@ let test_late_registration_parked_commit () =
         (Map_obj.get late "out");
       Sim.Engine.sleep 5_000.;
       check_bool "the parked object applies it too" true (!first = Some (Some "ok")))
+
+let test_late_read_object_keeps_parked_outcome () =
+  (* Two commits read object 1 and write object 2; the consumer hosts
+     only object 2, so both park. Object 1 then registers on the
+     consumer and catches up past both commits, onto a later write of
+     the key they read. Resolving the first commit must not decide the
+     second from object 1's versions, which now lie past it: the second
+     keeps the outcome its decision record carries. *)
+  with_cluster (fun cluster ->
+      let gen = runtime cluster "gen" in
+      let consumer = runtime cluster "consumer" in
+      let src = Map_obj.attach gen ~oid:1 in
+      let sink = Map_obj.attach consumer ~oid:2 in
+      Map_obj.put src "k" "v";
+      ignore (Map_obj.get src "k");
+      let read = (1, Some "k", Runtime.version_of gen ~oid:1 ~key:"k" ()) in
+      let append r =
+        Corfu.Client.append (Runtime.client gen) ~streams:[ 2 ] (Record.encode_payload [ r ])
+      in
+      let commit out =
+        append
+          (Record.Commit
+             {
+               Record.c_reads = [ read ];
+               c_writes = [ { Record.u_oid = 2; u_key = Some out; u_data = Map_obj.encode out "ok" } ];
+               c_needs_decision = true;
+             })
+      in
+      let first = commit "a" in
+      let second = commit "b" in
+      Map_obj.put src "k" "later";
+      let parked = ref None in
+      Sim.Engine.spawn (fun () -> parked := Some (Map_obj.get sink "b"));
+      Sim.Engine.sleep 5_000.;
+      check_bool "both commits parked" true (!parked = None);
+      let late = Map_obj.attach consumer ~oid:1 in
+      Alcotest.(check (option string)) "object 1 caught up" (Some "later") (Map_obj.get late "k");
+      List.iter
+        (fun off ->
+          ignore
+            (append (Record.Decision { d_target = Record.pos ~offset:off ~slot:0; d_committed = true })))
+        [ first; second ];
+      Alcotest.(check (option string)) "the second commit applies" (Some "ok") (Map_obj.get sink "b"))
 
 let test_late_registration_mid_round () =
   (* A second fiber's playback round is under way when object 2
@@ -1320,6 +1363,286 @@ let test_batch_core_pool_reuse () =
   check_int "nothing queued" 0 (Batch_core.queued bc);
   check_int "nothing forming" 0 (Batch_core.forming_len bc)
 
+(* ------------------------------------------------------------------ *)
+(* The decision core against a serial log-order replay                *)
+(* ------------------------------------------------------------------ *)
+
+(* A history is the log's records in order (a record's position is its
+   index among them) interleaved with two control steps: [Join]
+   registers the next late object, [Fire] lets time pass, so armed
+   watchdogs fire and the records the core published land. A peer's
+   decision or partial verdict names its commit by position; the
+   verdict itself is the model's. *)
+type m_record =
+  | M_update of Record.update
+  | M_commit of Record.commit * bool  (* collaborative: on the read streams too *)
+  | M_decision of int
+  | M_partial of int * int  (* commit position, read oid *)
+
+(* [Rec (r, batched)]: [batched] delivers [r] even when it is on no
+   hosted stream, as when it shares an entry with a hosted record. *)
+type m_step = Rec of m_record * bool | Join | Fire
+
+let m_objects = 4
+let m_keys = [| Some "a"; Some "b"; Some "c"; None |]
+
+(* Raw draws: per object 0 = not hosted, 1 = hosted from the start,
+   2 = joins late; per step a kind and the draws that shape it. *)
+let m_history (hosting, raws) =
+  let pos = ref 0 and commits = ref [] in
+  let step (kind, draws) =
+    let draws = ref draws in
+    let next bound = match !draws with [] -> 0 | x :: rest -> draws := rest; x mod bound in
+    let record r =
+      incr pos;
+      Some (Rec (r, next 4 = 3))
+    in
+    let pick l = List.nth l (next (List.length l)) in
+    match kind with
+    | 0 | 1 | 2 ->
+        let u_oid = 1 + next m_objects in
+        let u_key = m_keys.(next 4) in
+        record (M_update { Record.u_oid; u_key; u_data = Bytes.of_string (string_of_int !pos) })
+    | 3 | 4 | 5 ->
+        let p = !pos in
+        let read _ =
+          let oid = 1 + next m_objects in
+          let key = m_keys.(next 4) in
+          (oid, key, max (-1) (p - 1 - next 5))
+        in
+        let c_reads = List.init (next 3) read in
+        let write i =
+          let u_oid = 1 + next m_objects in
+          let u_key = m_keys.(next 4) in
+          { Record.u_oid; u_key; u_data = Bytes.of_string (Printf.sprintf "%d.%d" p i) }
+        in
+        let c_writes = List.init (1 + next 2) write in
+        let c = { Record.c_reads; c_writes; c_needs_decision = next 2 = 1 } in
+        let collaborative = c_reads <> [] && next 3 = 2 in
+        commits := (p, c, collaborative) :: !commits;
+        record (M_commit (c, collaborative))
+    | 6 -> (
+        match List.filter (fun (_, (c : Record.commit), _) -> c.c_needs_decision) !commits with
+        | [] -> None
+        | l ->
+            let p, _, _ = pick l in
+            record (M_decision p))
+    | 7 -> (
+        match List.filter (fun (_, _, collaborative) -> collaborative) !commits with
+        | [] -> None
+        | l ->
+            let p, (c : Record.commit), _ = pick l in
+            let oid, _, _ = pick c.c_reads in
+            record (M_partial (p, oid)))
+    | 8 -> Some Join
+    | _ -> Some Fire
+  in
+  (Array.of_list hosting, List.filter_map step raws)
+
+let m_print (hosting, steps) =
+  let key = function Some k -> k | None -> "*" in
+  let pos = ref (-1) in
+  let step = function
+    | Join -> "join"
+    | Fire -> "fire"
+    | Rec (r, batched) -> (
+        incr pos;
+        Printf.sprintf "%d%s:" !pos (if batched then "b" else "")
+        ^
+        match r with
+        | M_update u -> Printf.sprintf "upd %d.%s" u.u_oid (key u.u_key)
+        | M_commit (c, collaborative) ->
+            Printf.sprintf "commit%s%s r[%s] w[%s]"
+              (if c.c_needs_decision then "+d" else "")
+              (if collaborative then "+collab" else "")
+              (String.concat " "
+                 (List.map (fun (o, k, v) -> Printf.sprintf "%d.%s@%d" o (key k) v) c.c_reads))
+              (String.concat " "
+                 (List.map (fun (u : Record.update) -> Printf.sprintf "%d.%s" u.u_oid (key u.u_key))
+                    c.c_writes))
+        | M_decision p -> Printf.sprintf "decision %d" p
+        | M_partial (p, oid) -> Printf.sprintf "partial %d/%d" p oid)
+  in
+  Printf.sprintf "hosting [%s]\n%s"
+    (String.concat ";" (Array.to_list (Array.map string_of_int hosting)))
+    (String.concat "\n" (List.map step steps))
+
+(* The model: every update and commit replayed in log order over every
+   object. A read's version is the position of the last applied write
+   that touches its key (an unkeyed write or read touches every key);
+   a commit commits when no read's version moved past what it
+   recorded. Returns each object's applied writes in order, each
+   commit's outcome and each (commit, read oid) verdict. *)
+let m_replay steps =
+  let applied = Array.make (m_objects + 1) [] (* newest first *) in
+  let outcomes = Hashtbl.create 16 and verdicts = Hashtbl.create 16 in
+  let touches a b = a = None || b = None || a = b in
+  let version oid key =
+    List.fold_left (fun v (p, k, _) -> if touches key k then max v p else v) (-1) applied.(oid)
+  in
+  let apply p (u : Record.update) =
+    applied.(u.u_oid) <- (p, u.u_key, Bytes.to_string u.u_data) :: applied.(u.u_oid)
+  in
+  let records = List.filter_map (function Rec (r, _) -> Some r | Join | Fire -> None) steps in
+  List.iteri
+    (fun p -> function
+      | M_update u -> apply p u
+      | M_commit (c, _) ->
+          let clean (oid, key, recorded) = version oid key <= recorded in
+          List.iter
+            (fun ((oid, _, _) as read) ->
+              let sofar = Option.value (Hashtbl.find_opt verdicts (p, oid)) ~default:true in
+              Hashtbl.replace verdicts (p, oid) (sofar && clean read))
+            c.c_reads;
+          let committed = List.for_all clean c.c_reads in
+          Hashtbl.replace outcomes p committed;
+          if committed then List.iter (apply p) c.c_writes
+      | M_decision _ | M_partial _ -> ())
+    records;
+  (Array.map List.rev applied, outcomes, verdicts)
+
+(* Drive a [Decision_core] through the history the way [Runtime]'s
+   playback does, with the model standing in for the log's
+   reconstruction, and compare: every hosted object applied exactly
+   the model's writes, every announced outcome is the model's, and
+   nothing stays frozen once every decision is in. *)
+let m_check (hosting, steps) =
+  let expected, outcomes, verdicts = m_replay steps in
+  let seen = Array.make (m_objects + 1) [] and ok = ref true in
+  let armed = Queue.create () and landed = Queue.create () in
+  let fx =
+    {
+      Decision_core.gap = (fun _ -> false);
+      apply = (fun oid p u -> seen.(oid) <- (p, u.u_key, Bytes.to_string u.u_data) :: seen.(oid));
+      load = (fun _ _ -> false);
+      announce_decided = (fun p committed -> if Hashtbl.find outcomes p <> committed then ok := false);
+      announce_applied = ignore;
+      announce_parked = (fun _ _ -> ());
+      conflict = ignore;
+      publish = (fun _ r -> Queue.add r landed);
+      arm_watchdog = (fun _ p c -> Queue.add (p, c) armed);
+      reconstruct = (fun _ p _ -> Hashtbl.find outcomes p);
+    }
+  in
+  let dc = Decision_core.create fx in
+  let log = ref [] (* delivered positions and records, newest first *) in
+  let play p = function
+    | Record.Update u -> Decision_core.deliver_update dc p u
+    | Record.Commit c ->
+        Decision_core.handle_commit dc p ~involved:(Decision_core.involved_hosted dc c) c
+    | Record.Decision { d_target; d_committed } -> Decision_core.resolve dc d_target d_committed
+    | Record.Partial { p_target; p_verdicts } -> Decision_core.note_partials dc p_target p_verdicts
+    | Record.Checkpoint _ -> ()
+  in
+  let commit_at p =
+    match List.assoc p !log with Record.Commit c -> c | _ -> assert false
+  in
+  let to_record = function
+    | M_update u -> Record.Update u
+    | M_commit (c, _) -> Record.Commit c
+    | M_decision p -> Record.Decision { d_target = p; d_committed = Hashtbl.find outcomes p }
+    | M_partial (p, oid) ->
+        Record.Partial { p_target = p; p_verdicts = [ (oid, Hashtbl.find verdicts (p, oid)) ] }
+  in
+  let streams = function
+    | M_update u -> [ u.u_oid ]
+    | M_commit (c, collaborative) ->
+        Decision_core.write_oids (if collaborative then Decision_core.read_oids c else []) c.c_writes
+    | M_decision p -> Decision_core.write_oids [] (commit_at p).c_writes
+    | M_partial (p, _) ->
+        let c = commit_at p in
+        Decision_core.write_oids (Decision_core.read_oids c) c.c_writes
+  in
+  (* Late registration: the object catches up on its own records. *)
+  let join oid =
+    Decision_core.register dc ~oid oid;
+    let o = Decision_core.find dc oid in
+    List.iter
+      (fun (p, r) ->
+        match r with
+        | Record.Update u when u.u_oid = oid -> Decision_core.deliver_update dc p u
+        | Record.Commit c when List.exists (fun (u : Record.update) -> u.u_oid = oid) c.c_writes ->
+            Decision_core.catch_up_commit dc o p c
+        | _ -> ())
+      (List.rev !log)
+  in
+  let late = Queue.create () in
+  Array.iteri
+    (fun i h ->
+      let oid = i + 1 in
+      if h = 1 then Decision_core.register dc ~oid oid else if h = 2 then Queue.add oid late)
+    hosting;
+  let fire () =
+    let due = Queue.copy armed in
+    Queue.clear armed;
+    Queue.iter
+      (fun (p, _) ->
+        if Decision_core.is_undecided dc p then begin
+          let committed = Hashtbl.find outcomes p in
+          Decision_core.resolve dc p committed;
+          Queue.add (Record.Decision { d_target = p; d_committed = committed }) landed
+        end)
+      due;
+    (* published records land after everything played so far *)
+    while not (Queue.is_empty landed) do
+      play max_int (Queue.pop landed)
+    done
+  in
+  let pos = ref 0 in
+  List.iter
+    (function
+      | Join -> Option.iter join (Queue.take_opt late)
+      | Fire -> fire ()
+      | Rec (r, batched) ->
+          let p = !pos in
+          incr pos;
+          let record = to_record r in
+          log := (p, record) :: !log;
+          if batched || List.exists (Decision_core.mem dc) (streams r) then play p record)
+    steps;
+  Queue.iter join late;
+  while not (Queue.is_empty armed && Queue.is_empty landed) do
+    fire ()
+  done;
+  for oid = 1 to m_objects do
+    match Decision_core.find_opt dc oid with
+    | None -> ()
+    | Some o ->
+        if List.rev seen.(oid) <> expected.(oid) || not (Decision_core.settled o) then ok := false
+  done;
+  !ok
+
+let m_arbitrary =
+  QCheck.(
+    set_print
+      (fun raw -> m_print (m_history raw))
+      (pair
+         (list_of_size (Gen.return m_objects) (int_bound 2))
+         (list_of_size Gen.(int_range 1 40)
+            (pair (int_bound 9) (list_of_size Gen.(int_bound 12) (int_bound 99))))))
+
+let m_property () =
+  QCheck.Test.make ~name:"decision core applies what a serial replay applies" ~count:2000
+    m_arbitrary
+    (fun raw -> m_check (m_history raw))
+
+let prop_decision_core_model = m_property ()
+
+(* Sensitivity: with commit writes applied before the decision, the
+   property must find a counterexample. *)
+let test_decision_model_catches_blind_apply () =
+  Runtime.enable_failpoint "blind-commit-apply";
+  let found =
+    match QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |]) (m_property ()) with
+    | () -> false
+    | exception QCheck.Test.Test_fail _ -> true
+    | exception e ->
+        Runtime.reset_failpoints ();
+        raise e
+  in
+  Runtime.reset_failpoints ();
+  check_bool "counterexample found" true found
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1396,6 +1719,8 @@ let () =
           Alcotest.test_case "commit the runtime never saw" `Quick
             test_late_registration_unseen_commit;
           Alcotest.test_case "commit still parked" `Quick test_late_registration_parked_commit;
+          Alcotest.test_case "late read object keeps a parked outcome" `Quick
+            test_late_read_object_keeps_parked_outcome;
           Alcotest.test_case "join during another fiber's round" `Quick
             test_late_registration_mid_round;
         ] );
@@ -1418,5 +1743,10 @@ let () =
             prop_concurrent_counter_serializable;
             prop_directory_unique_oids;
             prop_late_registration_converges;
+            prop_decision_core_model;
+          ]
+        @ [
+            Alcotest.test_case "decision model catches blind commit apply" `Quick
+              test_decision_model_catches_blind_apply;
           ] );
     ]

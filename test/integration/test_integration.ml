@@ -256,8 +256,10 @@ let test_remote_read_conflict_aborts () =
 
 let test_remote_read_fully_remote_generator () =
   (* The generator hosts nothing involved: remote read from B, remote
-     write to D; the outcome is combined from partial verdicts over
-     the log and picked up by scanning a coordination stream. *)
+     write to D. B and D are idle, so no partial verdict reaches the
+     coordination stream the generator scans; past the decision
+     timeout it falls back to reconstructing the outcome from the log
+     and publishes the decision D applies. *)
   with_cluster (fun cluster ->
       let rt_b = runtime cluster "node-b" in
       let rt_d = runtime cluster "node-d" in
@@ -277,8 +279,11 @@ let test_remote_read_fully_remote_generator () =
       Alcotest.(check (option string)) "landed at D" (Some "blue") (Tango_map.get m3 "copied"))
 
 let test_remote_read_multi_host_verdicts () =
-  (* Read set spans two hosts; both publish partial verdicts and any
-     participant combines them. *)
+  (* Read set spans two hosts, and B (hosting the remote read) is idle:
+     its partial verdict never comes, so each commit is decided by the
+     generator's decision watchdog reconstructing the outcome from the
+     log, commit and abort alike (the combined path is the next
+     test's). *)
   with_cluster (fun cluster ->
       let rt_a = runtime cluster "node-a" in
       let rt_b = runtime cluster "node-b" in
@@ -310,6 +315,50 @@ let test_remote_read_multi_host_verdicts () =
       | Tango.Runtime.Aborted -> ()
       | Tango.Runtime.Committed -> Alcotest.fail "stale y must abort");
       Alcotest.(check (option string)) "aborted write absent" None (Tango_map.get sink "sum2"))
+
+let test_remote_read_combined_verdicts () =
+  (* As above, but every read-set host keeps playing the log: A awaits
+     its own commit and a polling reader keeps B's view fresh. Each
+     host publishes its partial verdict as it parks the commit, and A
+     combines the two, well inside the decision timeout: no watchdog
+     fires, even after the timeout has passed. *)
+  with_cluster (fun cluster ->
+      let timeouts = ref 0 in
+      Sim.Announce.subscribe (function Sim.Announce.Decision_timeout _ -> incr timeouts | _ -> ());
+      let rt_a = runtime cluster "node-a" in
+      let rt_b = runtime cluster "node-b" in
+      let rt_f = runtime cluster "node-f" in
+      let m1 = Tango_map.attach rt_a ~oid:1 in
+      let m2 = Tango_map.attach rt_b ~oid:2 in
+      let sink = Tango_map.attach rt_f ~oid:9 ~needs_decision:true in
+      Tango_map.serve_reads m2;
+      Tango.Runtime.connect_peer rt_a ~oid:2 (Tango.Runtime.remote_read_service rt_b);
+      Tango_map.put m1 "x" "1";
+      Tango_map.put m2 "y" "2";
+      ignore (Tango_map.get m2 "y");
+      let polling = ref true in
+      Sim.Engine.spawn (fun () ->
+          while !polling do
+            ignore (Tango_map.get m2 "y");
+            Sim.Engine.sleep 1_000.
+          done);
+      Tango.Runtime.begin_tx rt_a;
+      let x = Option.get (Tango_map.get m1 "x") in
+      let y = Option.get (Tango_map.get_remote rt_a ~oid:2 "y") in
+      Tango_map.remote_put rt_a ~oid:9 "sum" (x ^ "+" ^ y);
+      let t0 = Sim.Engine.now () in
+      (match Tango.Runtime.end_tx rt_a with
+      | Tango.Runtime.Committed -> ()
+      | Tango.Runtime.Aborted -> Alcotest.fail "must commit");
+      let took = Sim.Engine.now () -. t0 in
+      check_bool
+        (Printf.sprintf "decided in %.0f us, inside the decision timeout" took)
+        true
+        (took < Tango.Decision_core.timeout_us);
+      Alcotest.(check (option string)) "applied at the sink" (Some "1+2") (Tango_map.get sink "sum");
+      Sim.Engine.sleep (2. *. Tango.Decision_core.timeout_us);
+      polling := false;
+      check_int "no decision watchdog fired" 0 !timeouts)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence property                                               *)
@@ -482,6 +531,7 @@ let () =
           Alcotest.test_case "stale remote read aborts" `Quick test_remote_read_conflict_aborts;
           Alcotest.test_case "fully-remote generator" `Quick test_remote_read_fully_remote_generator;
           Alcotest.test_case "multi-host verdicts" `Quick test_remote_read_multi_host_verdicts;
+          Alcotest.test_case "combined verdicts" `Quick test_remote_read_combined_verdicts;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
