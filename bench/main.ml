@@ -1288,8 +1288,26 @@ let micro_hotpath () =
   hot_report ~name:"engine-sleep" sl_ns sl_words;
   hot_report ~name:"resource-use" ru_ns ru_words;
   hot_report ~name:"net-call" nc_ns nc_words;
-  (* blocking kernels: a wait costs a park (the continuation and its
-     resume event, built once) and an allocation-free wake.
+  (* engine-spawn: a fiber whose body returns at once. The spawner
+     queues a batch of them and yields, so each runs before the
+     spawner resumes; reported per spawn, the spawner's yield shared
+     by the batch. *)
+  let sp_ns, sp_words =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let body () = () in
+        let batch = 100 in
+        let ns, words =
+          hot_measure ~ops:2_000 (fun () ->
+              for _ = 1 to batch do
+                Sim.Engine.spawn body
+              done;
+              Sim.Engine.yield ())
+        in
+        (ns /. float_of_int batch, words /. float_of_int batch))
+  in
+  hot_report ~name:"engine-spawn" sp_ns sp_words;
+  (* blocking kernels: a wait costs a park (the continuation, stored
+     with the fiber's id) and an allocation-free wake.
      resource-contended: two fibers alternate on a capacity-1 station,
      so every use but the first waits; reported per use.
      ivar-wake: create an ivar, park one reader on it, fill it from a

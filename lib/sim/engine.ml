@@ -1,11 +1,25 @@
 exception Deadlock
 exception Horizon_reached of float
 
-(* A FIFO of parked fibers, held as their resume events: a ring of
-   thunks, each built when its fiber parked. Empty until the first
-   park, then a power of two long. *)
+(* A suspended fiber is resumed from its continuation and its id, with
+   no closure built to do it: the event queue and the wait queues store
+   the continuation where a thunk would go, and an int beside it says
+   what that payload is (Eventq's tag). The payload's static type is
+   [unit -> unit], so the arrays holding it stay plain pointer arrays.
+   Invariant: a payload is a continuation exactly when its tag is a
+   fiber id (>= 0), and such a payload is only ever read back through
+   [cont_of_payload], never called; a thunk's tag is [Eventq.thunk_tag]
+   and a spawn's [spawn_tag fid], and both carry a real [unit -> unit]. *)
+let payload_of_cont : (unit, unit) Effect.Deep.continuation -> unit -> unit = Obj.magic
+let cont_of_payload : (unit -> unit) -> (unit, unit) Effect.Deep.continuation = Obj.magic
+let spawn_tag fid = -2 - fid (* its own inverse *)
+
+(* A FIFO of parked fibers: a ring of continuations (as payloads, see
+   above) beside their fiber ids. Empty until the first park, then a
+   power of two long. *)
 type waitq = {
-  mutable wbuf : (unit -> unit) array;
+  mutable wk : (unit -> unit) array;
+  mutable wf : int array;
   mutable whead : int;
   mutable wlen : int;
 }
@@ -53,17 +67,18 @@ let events_dispatched () = (get_world ()).events
 (* Events due now (after <= 0) take the immediate lane: O(1) ring
    append, no heap traffic. Later events go through the heap. Inlined,
    so [after] stays unboxed, and both pushes take their time from a
-   float-array slot: nothing is allocated beyond the caller's thunk. *)
-let[@inline] push_event w ~after thunk =
+   float-array slot: nothing is allocated beyond what the caller
+   passes. *)
+let[@inline] push_event w ~after tag payload =
   let seq = w.next_seq in
   w.next_seq <- seq + 1;
-  if after <= 0. then Eventq.push_now_at w.q w.clock seq thunk
+  if after <= 0. then Eventq.push_now_at w.q w.clock seq tag payload
   else begin
     Array.unsafe_set w.due 0 (Array.unsafe_get w.clock 0 +. after);
-    Eventq.push_at w.q w.due seq thunk
+    Eventq.push_at w.q w.due seq tag payload
   end
 
-let schedule ~after thunk = push_event (get_world ()) ~after thunk
+let schedule ~after thunk = push_event (get_world ()) ~after Eventq.thunk_tag thunk
 
 (* Neither effect carries a payload: [sleep] leaves its delay in
    [w.delay] and [park] its queue in [w.parking], and the handler
@@ -80,42 +95,40 @@ let sleep_in a i =
 
 let yield () = sleep 0.
 
-(* The thunk that resumes the sleeper is built per sleep, not once per
-   fiber: a per-fiber slot would have to store each new continuation
-   into a long-lived record, and that write barrier costs more wall
-   time than the 6 words it saves. *)
+(* The sleeper's resume event is its continuation and id, stored where
+   the push stores any payload: a sleep allocates only the continuation
+   OCaml builds. (Keeping the continuation in a long-lived per-fiber
+   record instead would add a write barrier per sleep.) *)
 let on_sleep w k =
-  let fid = w.current_fiber in
-  push_event w ~after:(Array.unsafe_get w.delay 0) (fun () ->
-      w.current_fiber <- fid;
-      Effect.Deep.continue k ())
+  push_event w ~after:(Array.unsafe_get w.delay 0) w.current_fiber (payload_of_cont k)
 
 (* -- wait queues -------------------------------------------------------- *)
 
 let noop () = ()
-let waitq () = { wbuf = [||]; whead = 0; wlen = 0 }
+let waitq () = { wk = [||]; wf = [||]; whead = 0; wlen = 0 }
 let waiting q = q.wlen
 
 let grow_waitq q =
-  let old = Array.length q.wbuf in
-  let buf = Array.make (if old = 0 then 1 else 2 * old) noop in
+  let old = Array.length q.wk in
+  let cap = if old = 0 then 1 else 2 * old in
+  let wk = Array.make cap noop and wf = Array.make cap 0 in
   for i = 0 to q.wlen - 1 do
-    Array.unsafe_set buf i (Array.unsafe_get q.wbuf ((q.whead + i) land (old - 1)))
+    let j = (q.whead + i) land (old - 1) in
+    Array.unsafe_set wk i (Array.unsafe_get q.wk j);
+    Array.unsafe_set wf i (Array.unsafe_get q.wf j)
   done;
-  q.wbuf <- buf;
+  q.wk <- wk;
+  q.wf <- wf;
   q.whead <- 0
 
-(* The parked fiber's resume event is built here, once: [wake] only
-   moves it onto the lane. *)
+(* A park stores the continuation and the fiber's id, nothing built:
+   [wake] moves the pair onto the lane. *)
 let on_park w k =
-  let fid = w.current_fiber in
   let q = w.parking in
-  if q.wlen = Array.length q.wbuf then grow_waitq q;
-  Array.unsafe_set q.wbuf
-    ((q.whead + q.wlen) land (Array.length q.wbuf - 1))
-    (fun () ->
-      w.current_fiber <- fid;
-      Effect.Deep.continue k ());
+  if q.wlen = Array.length q.wk then grow_waitq q;
+  let at = (q.whead + q.wlen) land (Array.length q.wk - 1) in
+  Array.unsafe_set q.wk at (payload_of_cont k);
+  Array.unsafe_set q.wf at w.current_fiber;
   q.wlen <- q.wlen + 1
 
 let park q =
@@ -124,11 +137,11 @@ let park q =
 
 let wake_one w q =
   let i = q.whead in
-  let resume = Array.unsafe_get q.wbuf i in
-  Array.unsafe_set q.wbuf i noop;
-  q.whead <- (i + 1) land (Array.length q.wbuf - 1);
+  let k = Array.unsafe_get q.wk i in
+  Array.unsafe_set q.wk i noop;
+  q.whead <- (i + 1) land (Array.length q.wk - 1);
   q.wlen <- q.wlen - 1;
-  push_event w ~after:0. resume
+  push_event w ~after:0. (Array.unsafe_get q.wf i) k
 
 let wake q = if q.wlen > 0 then wake_one (get_world ()) q
 
@@ -159,12 +172,12 @@ let spawn ?(at = Float.neg_infinity) f =
       d
     end
   in
-  push_event w ~after (fun () -> start_fiber w fid f)
+  push_event w ~after (spawn_tag fid) f
 
 (* The dispatch inner loop: per already-scheduled event, a peek, one
-   comparison, one store, one pop — zero allocations.
-   [Eventq.next_time_into] moves the peeked time through unboxed
-   float-array slots so no float is ever boxed here. *)
+   comparison, one store, one pop and a dispatch on the event's tag —
+   zero allocations. [Eventq.next_time_into] moves the peeked time
+   through unboxed float-array slots so no float is ever boxed here. *)
 let drive w ?until () =
   let q = w.q in
   let clock = w.clock in
@@ -180,8 +193,14 @@ let drive w ?until () =
       | Some _ | None -> ());
       Array.unsafe_set clock 0 time;
       w.events <- w.events + 1;
-      let thunk = if Eventq.next_is_lane q then Eventq.pop_lane q else Eventq.pop_heap q in
-      thunk ();
+      let payload = if Eventq.next_is_lane q then Eventq.pop_lane q else Eventq.pop_heap q in
+      let tag = Eventq.popped_tag q in
+      if tag >= 0 then begin
+        w.current_fiber <- tag;
+        Effect.Deep.continue (cont_of_payload payload) ()
+      end
+      else if tag = Eventq.thunk_tag then payload ()
+      else start_fiber w (spawn_tag tag) payload;
       loop ()
     end
   in
@@ -222,10 +241,9 @@ let run ?(seed = 1) ?until main =
   incr runs;
   Fun.protect ~finally:(fun () -> current := None) @@ fun () ->
   let result = ref None in
-  push_event w ~after:0. (fun () ->
-      start_fiber w 0 (fun () ->
-          result := Some (main ());
-          w.main_done <- true));
+  push_event w ~after:0. (spawn_tag 0) (fun () ->
+      result := Some (main ());
+      w.main_done <- true);
   drive w ?until ();
   (match w.failure with Some e -> raise e | None -> ());
   match !result with Some r -> r | None -> assert false

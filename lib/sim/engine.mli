@@ -59,10 +59,10 @@ val yield : unit -> unit
 (** {1 Blocking}
 
     A fiber blocks in exactly one way: it parks on a wait queue, and
-    whoever owns the queue wakes it. [park] turns the fiber's
-    continuation into its resume event at park time and queues that
-    event; [wake] only moves a ready-made event onto the current
-    instant, so it allocates nothing. A parked fiber resumes with [()]:
+    whoever owns the queue wakes it. [park] stores the fiber's
+    continuation and id in the queue, with no resume event or closure
+    built; [wake] moves that pair onto the current instant as the
+    fiber's resume, so it allocates nothing. A parked fiber resumes with [()]:
     whatever it waited for (a value, a granted server, a failure) it
     reads from state the queue's owner keeps, never from the wake.
 

@@ -4,7 +4,9 @@
      lane      events at the current clock — a FIFO ring; it absorbs
                resume/yield storms, the bulk of timer-light workloads
      heap      every later event — a binary min-heap over parallel
-               unboxed arrays, ordered by (time, seq)
+               unboxed arrays, ordered by (time, seq); each entry
+               names a slot of a payload table, so sifts move no
+               pointers
 
    Order contract: events dispatch in strict (time, seq) order, exactly
    as a single heap would. Lane entries carry push-time clocks that
@@ -12,25 +14,46 @@
    monotonic counter, so the lane is itself sorted and the global
    minimum is always the lane front or the heap top.
 
-   No [option], no entry records: a push stores three scalars, a pop
-   reads them back. [noop] is the sentinel thunk for empty slots so
-   popped closures don't outlive their event. *)
+   No [option], no entry records: a push stores three scalars and a
+   payload, a pop reads them back. The payload is a [unit -> unit]
+   value and an int tag the queue carries but never reads (see the
+   .mli). A heap payload is written once into a free slot of the
+   table at push and cleared at pop, so a sift is all unboxed stores
+   and no write barrier. [noop] is the sentinel for empty slots so a
+   popped payload doesn't outlive its event. *)
 
 type t = {
   (* heap *)
   mutable ht : float array;  (* times *)
   mutable hs : int array;  (* seqs *)
-  mutable hk : (unit -> unit) array;  (* thunks *)
+  mutable hi : int array;  (* payload slots *)
   mutable hlen : int;
+  (* heap payloads, by slot: written once at push, cleared at pop *)
+  mutable pk : (unit -> unit) array;
+  mutable pg : int array;
+  mutable free : int array;  (* a stack of free slots *)
+  mutable nfree : int;
   (* immediate lane ring *)
   mutable lt : float array;
   mutable ls : int array;
   mutable lk : (unit -> unit) array;
+  mutable lg : int array;
   mutable lhead : int;
   mutable llen : int;
+  mutable popped : int;  (* the tag of the last popped event *)
 }
 
+let thunk_tag = -1
 let noop () = ()
+
+(* A free-slot stack of [cap] entries holding the top [n] slots,
+   [cap - n .. cap - 1]. *)
+let free_slots cap n =
+  let free = Array.make cap 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set free i (cap - 1 - i)
+  done;
+  free
 
 (* The lane's capacity stays a power of two so the index mask is a
    [land]; the heap shares it as its initial size. *)
@@ -43,36 +66,55 @@ let create ?(capacity = 256) () =
   {
     ht = Array.make cap 0.;
     hs = Array.make cap 0;
-    hk = Array.make cap noop;
+    hi = Array.make cap 0;
     hlen = 0;
+    pk = Array.make cap noop;
+    pg = Array.make cap 0;
+    free = free_slots cap cap;
+    nfree = cap;
     lt = Array.make cap 0.;
     ls = Array.make cap 0;
     lk = Array.make cap noop;
+    lg = Array.make cap 0;
     lhead = 0;
     llen = 0;
+    popped = thunk_tag;
   }
 
 let size q = q.hlen + q.llen
 let is_empty q = q.hlen = 0 && q.llen = 0
+let popped_tag q = q.popped
 
 (* -- heap -------------------------------------------------------------- *)
 
 let grow_heap q =
   let old = Array.length q.ht in
   let cap = 2 * old in
-  let ht = Array.make cap 0. and hs = Array.make cap 0 and hk = Array.make cap noop in
+  let ht = Array.make cap 0. and hs = Array.make cap 0 and hi = Array.make cap 0 in
   Array.blit q.ht 0 ht 0 q.hlen;
   Array.blit q.hs 0 hs 0 q.hlen;
-  Array.blit q.hk 0 hk 0 q.hlen;
+  Array.blit q.hi 0 hi 0 q.hlen;
   q.ht <- ht;
   q.hs <- hs;
-  q.hk <- hk
+  q.hi <- hi;
+  let pk = Array.make cap noop and pg = Array.make cap 0 in
+  Array.blit q.pk 0 pk 0 old;
+  Array.blit q.pg 0 pg 0 old;
+  q.pk <- pk;
+  q.pg <- pg;
+  (* the heap was full, so only the new slots are free *)
+  q.free <- free_slots cap old;
+  q.nfree <- old
 
-(* Bubble the hole up instead of swapping: one write per level plus
-   the final triple store. *)
-let[@inline always] push_unboxed q time seq thunk =
+(* Take a slot for the payload, then bubble the hole up instead of
+   swapping: one write per level plus the final store. *)
+let[@inline always] push_unboxed q time seq tag payload =
   if q.hlen = Array.length q.ht then grow_heap q;
-  let ht = q.ht and hs = q.hs and hk = q.hk in
+  let slot = Array.unsafe_get q.free (q.nfree - 1) in
+  q.nfree <- q.nfree - 1;
+  Array.unsafe_set q.pk slot payload;
+  Array.unsafe_set q.pg slot tag;
+  let ht = q.ht and hs = q.hs and hi = q.hi in
   let i = ref q.hlen in
   q.hlen <- q.hlen + 1;
   let stop = ref false in
@@ -83,29 +125,33 @@ let[@inline always] push_unboxed q time seq thunk =
     else begin
       Array.unsafe_set ht !i pt;
       Array.unsafe_set hs !i (Array.unsafe_get hs p);
-      Array.unsafe_set hk !i (Array.unsafe_get hk p);
+      Array.unsafe_set hi !i (Array.unsafe_get hi p);
       i := p
     end
   done;
   Array.unsafe_set ht !i time;
   Array.unsafe_set hs !i seq;
-  Array.unsafe_set hk !i thunk
+  Array.unsafe_set hi !i slot
 
-let push q time seq thunk = push_unboxed q time seq thunk
+let push q time seq thunk = push_unboxed q time seq thunk_tag thunk
 
 (* The engine's push: the time arrives in a float-array slot, so it is
    never boxed across the module boundary (see [next_time_into]). *)
-let push_at q src seq thunk = push_unboxed q (Array.unsafe_get src 0) seq thunk
+let push_at q src seq tag payload = push_unboxed q (Array.unsafe_get src 0) seq tag payload
 
 let pop_heap q =
-  let ht = q.ht and hs = q.hs and hk = q.hk in
-  let thunk = Array.unsafe_get hk 0 in
+  let ht = q.ht and hs = q.hs and hi = q.hi in
+  let slot = Array.unsafe_get hi 0 in
+  let payload = Array.unsafe_get q.pk slot in
+  q.popped <- Array.unsafe_get q.pg slot;
+  Array.unsafe_set q.pk slot noop;
+  Array.unsafe_set q.free q.nfree slot;
+  q.nfree <- q.nfree + 1;
   let len = q.hlen - 1 in
   q.hlen <- len;
   let time = Array.unsafe_get ht len in
   let seq = Array.unsafe_get hs len in
-  let last = Array.unsafe_get hk len in
-  Array.unsafe_set hk len noop;
+  let last = Array.unsafe_get hi len in
   if len > 0 then begin
     (* Sift the displaced last entry down from the root, again bubbling
        the hole. *)
@@ -128,7 +174,7 @@ let pop_heap q =
         if ct < time || (ct = time && Array.unsafe_get hs c < seq) then begin
           Array.unsafe_set ht !i ct;
           Array.unsafe_set hs !i (Array.unsafe_get hs c);
-          Array.unsafe_set hk !i (Array.unsafe_get hk c);
+          Array.unsafe_set hi !i (Array.unsafe_get hi c);
           i := c
         end
         else stop := true
@@ -136,50 +182,59 @@ let pop_heap q =
     done;
     Array.unsafe_set ht !i time;
     Array.unsafe_set hs !i seq;
-    Array.unsafe_set hk !i last
+    Array.unsafe_set hi !i last
   end;
-  thunk
+  payload
 
 (* -- lane -------------------------------------------------------------- *)
 
 let grow_lane q =
   let old = Array.length q.lt in
   let cap = 2 * old in
-  let lt = Array.make cap 0. and ls = Array.make cap 0 and lk = Array.make cap noop in
+  let lt = Array.make cap 0.
+  and ls = Array.make cap 0
+  and lk = Array.make cap noop
+  and lg = Array.make cap 0 in
   let mask = old - 1 in
   for i = 0 to q.llen - 1 do
     let j = (q.lhead + i) land mask in
     lt.(i) <- q.lt.(j);
     ls.(i) <- q.ls.(j);
-    lk.(i) <- q.lk.(j)
+    lk.(i) <- q.lk.(j);
+    lg.(i) <- q.lg.(j)
   done;
   q.lt <- lt;
   q.ls <- ls;
   q.lk <- lk;
+  q.lg <- lg;
   q.lhead <- 0
 
 (* Lane push: [time] must be >= the time of every entry already in the
    lane and [seq] greater than theirs at equal time — both hold by
    construction when the caller pushes at the current clock with a
    monotonic sequence counter. *)
-let[@inline always] push_now_unboxed q time seq thunk =
+let[@inline always] push_now_unboxed q time seq tag payload =
   if q.llen = Array.length q.lt then grow_lane q;
   let at = (q.lhead + q.llen) land (Array.length q.lt - 1) in
   Array.unsafe_set q.lt at time;
   Array.unsafe_set q.ls at seq;
-  Array.unsafe_set q.lk at thunk;
+  Array.unsafe_set q.lk at payload;
+  Array.unsafe_set q.lg at tag;
   q.llen <- q.llen + 1
 
-let push_now q time seq thunk = push_now_unboxed q time seq thunk
-let push_now_at q src seq thunk = push_now_unboxed q (Array.unsafe_get src 0) seq thunk
+let push_now q time seq thunk = push_now_unboxed q time seq thunk_tag thunk
+
+let push_now_at q src seq tag payload =
+  push_now_unboxed q (Array.unsafe_get src 0) seq tag payload
 
 let pop_lane q =
   let i = q.lhead in
-  let thunk = Array.unsafe_get q.lk i in
+  let payload = Array.unsafe_get q.lk i in
+  q.popped <- Array.unsafe_get q.lg i;
   Array.unsafe_set q.lk i noop;
   q.lhead <- (i + 1) land (Array.length q.lt - 1);
   q.llen <- q.llen - 1;
-  thunk
+  payload
 
 (* -- dispatch ---------------------------------------------------------- *)
 

@@ -5,16 +5,30 @@
       at the current virtual time, which dominate resume/yield-heavy
       workloads and bypass the heap;
     - a {e heap} — a binary min-heap over parallel unboxed arrays (no
-      [option] boxes, no entry records) holding every later event.
+      [option] boxes, no entry records) holding every later event; its
+      entries index a payload table written once per event, so a sift
+      moves no pointer.
 
     Events dispatch in strict (time, seq) order: the next event is
     always the lane front or the heap top, whichever sorts first.
 
     The representation is abstract — dispatch call sites go through
     {!next_time}/{!next_is_lane} so the band structure can evolve
-    without touching them. *)
+    without touching them.
+
+    An event's payload is a [unit -> unit] value and an int {e tag},
+    stored side by side. The queue stores both and interprets
+    neither: a pop returns the value and leaves the tag in
+    {!popped_tag}. The thunk forms ({!push}, {!push_now}, {!pop}) tag
+    their event {!thunk_tag}. {!Engine} tags a fiber's resume with the
+    fiber's id (>= 0) and a spawn with [-2 - id], and stores a
+    resume's continuation in the value's place, so a suspension
+    allocates nothing but the continuation itself. *)
 
 type t
+
+(** The tag of a plain thunk event: [-1]. *)
+val thunk_tag : int
 
 (** [create ?capacity ()] preallocates both bands for [capacity]
     events (default 256, rounded up to a power of two, at least 16);
@@ -26,8 +40,8 @@ val size : t -> int
 
 val is_empty : t -> bool
 
-(** [push q time seq thunk] schedules at absolute [time]: O(log n)
-    into the heap. Allocation-free (amortised; growth doubles the
+(** [push q time seq thunk] schedules the thunk at absolute [time],
+    tagged {!thunk_tag}: O(log n) into the heap. Allocation-free (amortised; growth doubles the
     arrays). *)
 val push : t -> float -> int -> (unit -> unit) -> unit
 
@@ -37,13 +51,14 @@ val push : t -> float -> int -> (unit -> unit) -> unit
     counter as every other push — the engine's scheduling discipline. *)
 val push_now : t -> float -> int -> (unit -> unit) -> unit
 
-(** [push_at q src seq thunk] is [push q src.(0) seq thunk] and
-    [push_now_at] likewise [push_now]: the time crosses the module
-    boundary in a float-array slot, so it is never boxed (see
-    {!next_time_into}). The engine's two pushes. *)
-val push_at : t -> float array -> int -> (unit -> unit) -> unit
+(** [push_at q src seq tag payload] is [push q src.(0) seq payload]
+    with the event tagged [tag], and [push_now_at] likewise
+    [push_now]: the time crosses the module boundary in a float-array
+    slot, so it is never boxed (see {!next_time_into}). The engine's
+    two pushes. *)
+val push_at : t -> float array -> int -> int -> (unit -> unit) -> unit
 
-val push_now_at : t -> float array -> int -> (unit -> unit) -> unit
+val push_now_at : t -> float array -> int -> int -> (unit -> unit) -> unit
 
 (** Time of the next event in dispatch order.
     @raise Invalid_argument on an empty queue. *)
@@ -61,13 +76,19 @@ val next_time_into : t -> float array -> unit
     Meaningful only when the queue is non-empty. *)
 val next_is_lane : t -> bool
 
-(** Pop the lane front / heap top. Undefined on the respective empty
-    structure; callers gate on {!next_is_lane}. *)
+(** Pop the lane front / heap top and return its payload; its tag is
+    then {!popped_tag}. Undefined on the respective empty structure;
+    callers gate on {!next_is_lane}. *)
 val pop_lane : t -> unit -> unit
 
 val pop_heap : t -> unit -> unit
 
 (** [pop q] combines the gate and the pop — the convenience form for
-    tests and benches (the engine inlines the choice).
+    tests and benches (the engine inlines the choice). It returns the
+    payload whatever its tag.
     @raise Invalid_argument on an empty queue. *)
 val pop : t -> unit -> unit
+
+(** The tag of the event the last pop returned ({!thunk_tag} before
+    any pop). *)
+val popped_tag : t -> int
