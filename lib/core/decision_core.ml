@@ -445,7 +445,14 @@ let handle_commit t pos ~involved (c : Record.commit) =
              from everyone. *)
           if c.c_needs_decision && not (Hashtbl.mem t.own_commits pos) then
             t.fx.publish c (Record.Decision { d_target = pos; d_committed = committed })
-      | None -> park_commit t pos c ~involved)
+      | None ->
+          (* A commit that touches nothing hosted here (it shares an
+             entry with a hosted record) and is not ours is left
+             undecided: nothing waits on it, and a later decision
+             record, or [catch_up_commit] on a late registration,
+             settles it. Parking would arm a watchdog that replays the
+             read streams and appends a decision nobody reads. *)
+          if involved <> [] || Hashtbl.mem t.own_commits pos then park_commit t pos c ~involved)
 
 (* A generator whose commit reaches none of its hosted objects decides
    from its read versions at [cpos], parking like a consumer if a read

@@ -126,7 +126,10 @@ val involved_hosted : 'v t -> Record.commit -> 'v obj list
 
 (** [handle_commit t pos ~involved c]: the commit record at [pos], with
     [involved = involved_hosted t c]. Applies it if the outcome is known
-    or decidable now, else parks it. *)
+    or decidable now, else parks it — unless [involved] is empty and
+    the commit is not this runtime's own: then nothing here waits on
+    it, and it stays undecided until a decision record arrives or a
+    late registration reconstructs it. *)
 val handle_commit : 'v t -> int -> involved:'v obj list -> Record.commit -> unit
 
 (** [resolve t pos committed] records an outcome (a repeat is ignored)
