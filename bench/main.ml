@@ -27,8 +27,7 @@ let row fmt = Printf.printf (fmt ^^ "\n%!")
 
 module Load = Tango_harness.Load
 
-let new_runtime ?batch_size cluster name =
-  Tango.Runtime.create ?batch_size (Corfu.Cluster.new_client cluster ~name)
+let new_runtime cluster name = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: sequencer throughput vs number of clients                *)
@@ -560,11 +559,12 @@ let tbl_bk () =
   section "Section 6.3: TangoBK ledger append throughput (4KB entries)";
   let rate =
     Sim.Engine.run ~seed:33 (fun () ->
-        let cluster = Corfu.Cluster.create ~servers:18 () in
+        let params = { Sim.Params.default with Sim.Params.commit_batch = 1 } in
+        let cluster = Corfu.Cluster.create ~params ~servers:18 () in
         let m = Load.window () in
         let payload = Bytes.make 3000 'x' in
         for i = 1 to 18 do
-          let rt = new_runtime ~batch_size:1 cluster (Printf.sprintf "bk-%d" i) in
+          let rt = new_runtime cluster (Printf.sprintf "bk-%d" i) in
           let bk = Tango_bk.attach rt ~oid:i in
           let ledger = Tango_bk.create_ledger bk in
           for _ = 1 to 12 do

@@ -7,9 +7,13 @@
      dune exec bin/tangoctl.exe -- gc
      dune exec bin/tangoctl.exe -- scenario list
      dune exec bin/tangoctl.exe -- scenario run --name sequencer-failover
-     dune exec bin/tangoctl.exe -- scenario run --name slo-degraded-uplink \
-       --alerts-out alerts.json --timeseries-out ts.json --flight-out flight.json
-     dune exec bin/tangoctl.exe -- fuzz run --seed 1 --seeds 5 --specs all *)
+     dune exec bin/tangoctl.exe -- scenario run --name slo-degraded-uplink --report r.json
+     dune exec bin/tangoctl.exe -- fuzz run --seed 1 --seeds 5 --specs all --report r.json
+
+   [--report FILE] writes one Tango_harness.Report document per run:
+   one scenario per fuzz case or scenario run, carrying its metrics,
+   timeseries, alerts, violations, spec firings, flight snapshots and,
+   with [--spans], its span timeline. *)
 
 open Cmdliner
 open Tango_objects
@@ -104,8 +108,9 @@ let cluster_info servers =
 
 let gc () =
   Sim.Engine.run (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:4 () in
-      let rt = Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"app") in
+      let params = { Sim.Params.default with Sim.Params.commit_batch = 1 } in
+      let cluster = Corfu.Cluster.create ~params ~servers:4 () in
+      let rt = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name:"app") in
       let dir = Tango.Directory.attach rt in
       let oid = Tango.Directory.declare dir "big-map" in
       let map = Tango_map.attach rt ~oid in
@@ -199,6 +204,7 @@ module Fuzz = Tango_harness.Fuzz
 module Verifier = Tango_harness.Verifier
 module Spec = Tango_harness.Spec
 module Scenario = Tango_harness.Scenario
+module Report = Tango_harness.Report
 
 let parse_specs = function
   | None -> []
@@ -225,24 +231,15 @@ let fuzz_config servers clients events appends txs =
 let print_violations violations =
   List.iter (fun v -> say "  %s" (Format.asprintf "%a" Verifier.pp_violation v)) violations
 
-let dump_outcome ?alerts_out ?timeseries_out ~metrics_out ~spans_out ~flight_out
-    (oc : Fuzz.outcome) =
-  Option.iter (fun path -> write_file path oc.Fuzz.oc_metrics_json) metrics_out;
-  (match (flight_out, oc.Fuzz.oc_flight_json) with
-  | Some path, Some flight ->
-      write_file path flight;
-      say "flight snapshots -> %s" path
-  | Some _, None -> () (* clean case: no snapshot fired, nothing to ship *)
-  | None, _ -> ());
-  let artifact what out doc =
-    match (out, doc) with
-    | Some path, Some d -> write_file path d
-    | Some path, None -> say "warning: no %s captured for %s" what path
-    | None, _ -> ()
-  in
-  artifact "span dump" spans_out oc.Fuzz.oc_spans_json;
-  artifact "alert stream (no monitors armed)" alerts_out oc.Fuzz.oc_alerts_json;
-  artifact "timeseries (no monitors armed)" timeseries_out oc.Fuzz.oc_timeseries_json
+(* The report collects only when a run will write it. *)
+let start_report report = if Option.is_some report then Report.enable ()
+
+let write_report report =
+  Option.iter
+    (fun path ->
+      Report.write ~tool:"tangoctl" path;
+      say "report -> %s" path)
+    report
 
 let say_outcome ~label (oc : Fuzz.outcome) =
   say "%s: %d fault events, %d acked appends, %d/%d txs committed, %d spec firings, %d violations"
@@ -268,40 +265,31 @@ let say_shrunk ~from (sh : Fuzz.shrink_result) =
     (List.length sh.Fuzz.sh_plan) sh.Fuzz.sh_oracle;
   say "%s" (Format.asprintf "%a" Sim.Fault.pp_plan sh.Fuzz.sh_plan)
 
-(* Explore [seeds] consecutive cases from [seed]. The first violating
-   case is shrunk to a minimal reproducer and written to [plan_out] as
-   a scenario carrying the specs and failpoint it failed under, so
-   [scenario run --file] replays it alone; the campaign report
-   (schema_version 1) goes to [report]. Metrics/span dumps of the first
-   case support the CI determinism gate: a second run of the same seed
-   must reproduce them byte for byte. *)
-let fuzz_run seed seeds servers clients events appends txs plan_out metrics_out spans_out
-    flight_out report failpoint specs_str =
+(* Explore [seeds] consecutive cases from [seed], each one scenario of
+   the report; [spans] captures the first case's span timeline. The
+   first violating case is shrunk to a minimal reproducer and written
+   to [plan_out] as a scenario carrying the specs and failpoint it
+   failed under, so [scenario run --file] replays it alone. *)
+let fuzz_run seed seeds servers clients events appends txs plan_out spans report failpoint
+    specs_str =
   harness_errors @@ fun () ->
   if seeds < 1 then invalid_arg (Printf.sprintf "--seeds = %d, must be >= 1" seeds);
   let specs = parse_specs specs_str in
   let config = fuzz_config servers clients events appends txs in
-  let capture = Option.is_some spans_out in
-  let runs = ref [] in
+  start_report report;
   let failed = ref None in
   let s = ref seed in
   while Option.is_none !failed && !s < seed + seeds do
     let plan = Fuzz.gen_plan ~seed:!s config in
-    let oc =
-      Fuzz.run ?failpoint ~capture_spans:(capture && !s = seed) ~specs ~seed:!s config ~plan
-    in
-    runs := (!s, oc) :: !runs;
-    if !s = seed then dump_outcome ~metrics_out ~spans_out ~flight_out:None oc;
-    (* the flight artifact belongs to the violating case, not the first *)
-    if !failed = None && oc.Fuzz.oc_violations <> [] then
-      dump_outcome ~metrics_out:None ~spans_out:None ~flight_out oc;
+    let oc = Fuzz.run ?failpoint ~capture_spans:(spans && !s = seed) ~specs ~seed:!s config ~plan in
+    Fuzz.add_report ~name:(Printf.sprintf "fuzz-seed-%d" !s) ~seed:!s config oc;
     say_outcome ~label:(Printf.sprintf "seed %d" !s) oc;
     (match oc.Fuzz.oc_violations with
     | [] -> ()
     | v :: _ -> failed := Some (!s, plan, v.Verifier.v_oracle));
     incr s
   done;
-  Option.iter (fun path -> write_file path (Fuzz.report_json ~runs:(List.rev !runs))) report;
+  write_report report;
   match !failed with
   | None ->
       say "%d seed(s) explored, no violations" seeds;
@@ -416,18 +404,15 @@ let scenario_show name file =
   say "%s" (Scenario.encode (load_scenario name file));
   `Ok ()
 
-let scenario_run name file report metrics_out spans_out flight_out alerts_out timeseries_out =
+let scenario_run name file report spans =
   harness_errors @@ fun () ->
   let sc = load_scenario name file in
-  let oc = Scenario.run ~capture_spans:(Option.is_some spans_out) sc in
-  dump_outcome ?alerts_out ?timeseries_out ~metrics_out ~spans_out ~flight_out oc;
+  start_report report;
+  let oc = Scenario.run ~capture_spans:spans sc in
+  Fuzz.add_report ~name:sc.Scenario.sc_name ~seed:sc.Scenario.sc_seed sc.Scenario.sc_config oc;
   say_outcome ~label:(Printf.sprintf "scenario %s (seed %d)" sc.Scenario.sc_name sc.Scenario.sc_seed)
     oc;
-  Option.iter
-    (fun path ->
-      write_file path (Fuzz.report_json ~runs:[ (sc.Scenario.sc_seed, oc) ]);
-      say "report -> %s" path)
-    report;
+  write_report report;
   if oc.Fuzz.oc_violations = [] then `Ok () else exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -488,46 +473,18 @@ let plan_out_arg =
     & info [ "plan-out" ] ~docv:"FILE"
         ~doc:"Write the shrunk reproducer here, as a scenario $(b,scenario run --file) replays.")
 
-let metrics_out_arg =
+let spans_arg =
   Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the (first) case's canonical metrics JSON (determinism gate).")
-
-let spans_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spans-out" ] ~docv:"FILE"
-        ~doc:"Capture and write the (first) case's span timeline (determinism gate).")
-
-let flight_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight-out" ] ~docv:"FILE"
-        ~doc:"Write the flight-recorder snapshots of the violating case (incident artifact).")
-
-let alerts_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "alerts-out" ] ~docv:"FILE"
-        ~doc:"Write the SLO monitors' alert transitions as JSON (scenarios with monitors).")
-
-let timeseries_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "timeseries-out" ] ~docv:"FILE"
-        ~doc:"Write the windowed timeseries the monitors read as JSON (scenarios with monitors).")
+    value & flag
+    & info [ "spans" ]
+        ~doc:"Capture the (first) case's span timeline into the report's $(b,spans) section.")
 
 let report_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "report" ] ~docv:"FILE" ~doc:"Write the machine-readable campaign report here.")
+    & info [ "report" ] ~docv:"FILE"
+        ~doc:"Write the run's report here: one scenario per case, with its metrics and findings.")
 
 let failpoint_arg =
   Arg.(
@@ -572,8 +529,8 @@ let fuzz_run_cmd =
     Term.(
       ret
         (const fuzz_run $ seed_arg $ fuzz_seeds_arg $ fuzz_servers_arg $ fuzz_clients_arg
-       $ fuzz_events_arg $ fuzz_appends_arg $ fuzz_txs_arg $ plan_out_arg $ metrics_out_arg
-       $ spans_out_arg $ flight_out_arg $ report_arg $ failpoint_arg $ specs_arg))
+       $ fuzz_events_arg $ fuzz_appends_arg $ fuzz_txs_arg $ plan_out_arg $ spans_arg $ report_arg
+       $ failpoint_arg $ specs_arg))
 
 let fuzz_shrink_cmd =
   Cmd.v
@@ -629,8 +586,7 @@ let scenario_run_cmd =
           fired, 2 on a harness error.")
     Term.(
       ret
-        (const scenario_run $ scenario_name_arg $ scenario_file_arg $ report_arg $ metrics_out_arg
-       $ spans_out_arg $ flight_out_arg $ alerts_out_arg $ timeseries_out_arg))
+        (const scenario_run $ scenario_name_arg $ scenario_file_arg $ report_arg $ spans_arg))
 
 let scenario_cmd =
   Cmd.group

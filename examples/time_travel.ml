@@ -15,10 +15,11 @@ let audit_oid = 2
 
 let () =
   Sim.Engine.run ~seed:17 (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
       (* batch size 1 keeps one record per log offset, so prefixes are
          easy to narrate *)
-      let rt = Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"bank") in
+      let params = { Sim.Params.default with Sim.Params.commit_batch = 1 } in
+      let cluster = Corfu.Cluster.create ~params ~servers:18 () in
+      let rt = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name:"bank") in
       let accounts = Tango_map.attach rt ~oid:accounts_oid in
       let audit = Tango_list.attach rt ~oid:audit_oid in
 
@@ -48,7 +49,7 @@ let () =
       step "Time travel: instantiate fresh views at historical prefixes";
       let snapshot_at upto =
         let rt' =
-          Tango.Runtime.create ~batch_size:1
+          Tango.Runtime.create
             (Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "historian-%d" upto))
         in
         let acc = Tango_map.attach rt' ~oid:accounts_oid in
@@ -79,9 +80,7 @@ let () =
       step "Remote mirroring (§3.2)";
       say "a mirror site just plays the log; log order makes the mirror";
       say "a consistent snapshot of the primary at some point in the past.";
-      let mirror_rt =
-        Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"mirror-site")
-      in
+      let mirror_rt = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name:"mirror-site") in
       let mirror = Tango_map.attach mirror_rt ~oid:accounts_oid in
       say "mirror sees: %s"
         (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) (Tango_map.bindings mirror)));

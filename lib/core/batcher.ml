@@ -5,7 +5,6 @@ type grant_slot = { gr_grant : Corfu.Client.grant; mutable gr_refs : int }
 type t = {
   client : Corfu.Client.t;
   batch_size : int;
-  linger_us : float;
   append_window : int;
   window : Sim.Resource.t;  (* bounds entries in flight *)
   core : int Sim.Ivar.t Batch_core.t;  (* cell data = the waiter's position ivar *)
@@ -53,14 +52,12 @@ let seal_pop t =
 let sealed_age_us t =
   if t.seal_len = 0 then 0. else Sim.Engine.now () -. t.seal_ts.(t.seal_head)
 
-let create ~client ~batch_size ?(linger_us = 30.) ?append_window () =
+let linger_us = 30.
+
+let create ~client ~batch_size =
   if batch_size < 1 || batch_size > Record.slots_per_entry then
     invalid_arg "Batcher.create: bad batch size";
-  let append_window =
-    match append_window with
-    | Some w -> w
-    | None -> (Corfu.Client.params client).Sim.Params.append_window
-  in
+  let append_window = (Corfu.Client.params client).Sim.Params.append_window in
   if append_window < 1 then invalid_arg "Batcher.create: bad append window";
   let hname = Sim.Net.host_name (Corfu.Client.host client) in
   let window =
@@ -71,7 +68,6 @@ let create ~client ~batch_size ?(linger_us = 30.) ?append_window () =
   {
     client;
     batch_size;
-    linger_us;
     append_window;
     window;
     core = Batch_core.create ~cap:batch_size ~dummy:(Sim.Ivar.create ());
@@ -176,7 +172,7 @@ let submit t ~streams record =
     (* First record of a fresh batch arms the linger timer. *)
     let generation = t.generation in
     Sim.Engine.spawn (fun () ->
-        Sim.Engine.sleep t.linger_us;
+        Sim.Engine.sleep linger_us;
         if t.generation = generation then flush t)
   end;
   Sim.Ivar.read pos_iv

@@ -17,13 +17,14 @@
 
 type t
 
-(** [create ~client ~batch_size ?linger_us ?append_window ()] builds a
-    batcher appending through [client]. [linger_us] (default 30) is
-    how long a partial batch may wait for company; [append_window]
-    (default: the client's {!Sim.Params.t.append_window}) caps entries
+(** How long, in µs, a partial batch waits for company before it is
+    sealed anyway. *)
+val linger_us : float
+
+(** [create ~client ~batch_size] builds a batcher appending through
+    [client]; the client's {!Sim.Params.t.append_window} caps entries
     in flight. *)
-val create :
-  client:Corfu.Client.t -> batch_size:int -> ?linger_us:float -> ?append_window:int -> unit -> t
+val create : client:Corfu.Client.t -> batch_size:int -> t
 
 (** [submit t ~streams record] enqueues [record], destined for
     [streams] (the multiappend target set), and blocks the calling

@@ -129,14 +129,21 @@ let publish batcher c r =
 (* Deterministic replay of the read set's streams: did any read key
    change between its recorded version and the commit position? Inner
    commit records met during the scan are resolved from decision
-   records in the log, previously known outcomes, or recursively. *)
+   records in the log, previously known outcomes, or recursively. Each
+   object's history is walked once per reconstruction. *)
 let reconstruct_outcome cl dc cpos (c : Record.commit) =
   let memo = Hashtbl.create 8 in
+  let histories = Hashtbl.create 4 in
   let history oid =
-    (* Fresh stream walk over [oid]'s history; positions ascending. *)
-    let acc = ref [] in
-    scan_records (Corfu.Stream.attach cl oid) (fun pos r -> acc := (pos, r) :: !acc);
-    List.rev !acc
+    (* [oid]'s history, positions ascending, from one fresh stream walk. *)
+    match Hashtbl.find_opt histories oid with
+    | Some records -> records
+    | None ->
+        let acc = ref [] in
+        scan_records (Corfu.Stream.attach cl oid) (fun pos r -> acc := (pos, r) :: !acc);
+        let records = List.rev !acc in
+        Hashtbl.replace histories oid records;
+        records
   in
   let rec outcome_of pos (c : Record.commit) =
     match Dc.outcome dc pos with
@@ -239,11 +246,10 @@ let effects cl batcher play_lock client conflicts_c =
     reconstruct = reconstruct_outcome cl;
   }
 
-let create ?batch_size cl =
+let create cl =
   let p = Corfu.Client.params cl in
-  let batch_size = Option.value batch_size ~default:p.Sim.Params.commit_batch in
   let host_name = Sim.Net.host_name (Corfu.Client.host cl) in
-  let batcher = Batcher.create ~client:cl ~batch_size () in
+  let batcher = Batcher.create ~client:cl ~batch_size:p.Sim.Params.commit_batch in
   let play_lock = Sim.Resource.create ~name:(host_name ^ ".tango-playback") ~capacity:1 () in
   let conflicts_c = Sim.Metrics.counter ~host:host_name "runtime.version_conflicts" in
   let t =

@@ -87,9 +87,9 @@ type tx_status = Committed | Aborted
 exception No_transaction
 exception Nested_transaction
 
-(** [create ?batch_size client] builds a runtime over a CORFU client.
-    [batch_size] defaults to the params' [commit_batch]. *)
-val create : ?batch_size:int -> Corfu.Client.t -> t
+(** [create client] builds a runtime over a CORFU client; it packs the
+    params' [commit_batch] records per log entry. *)
+val create : Corfu.Client.t -> t
 
 val client : t -> Corfu.Client.t
 

@@ -96,4 +96,3 @@ let note r =
   r.completions <- r.completions + 1
 
 let max_gap_us r = r.max_gap_us
-let completions r = r.completions

@@ -52,5 +52,3 @@ val recorder : ?stall_threshold_us:float -> unit -> recorder
 val note : recorder -> unit
 
 val max_gap_us : recorder -> float
-
-val completions : recorder -> int

@@ -739,23 +739,25 @@ let validate_config c =
     (Printf.sprintf "%g" (c.f_deadline_us +. c.f_settle_us))
     (Printf.sprintf "< horizon_us (%g)" c.f_horizon_us)
 
-let encode_config c =
+(* Each field as a JSON number literal. *)
+let config_fields c =
   let num = Sim.Jout.exact in
-  Sim.Jout.obj
-    [
-      ("servers", string_of_int c.f_servers);
-      ("clients", string_of_int c.f_clients);
-      ("appends", string_of_int c.f_appends);
-      ("txs", string_of_int c.f_txs);
-      ("events", string_of_int c.f_events);
-      ("fault_at_us", num c.f_fault_at_us);
-      ("fault_window_us", num c.f_fault_window_us);
-      ("deadline_us", num c.f_deadline_us);
-      ("repair_margin_us", num c.f_repair_margin_us);
-      ("settle_us", num c.f_settle_us);
-      ("horizon_us", num c.f_horizon_us);
-      ("shrink_runs", string_of_int c.f_shrink_runs);
-    ]
+  [
+    ("servers", string_of_int c.f_servers);
+    ("clients", string_of_int c.f_clients);
+    ("appends", string_of_int c.f_appends);
+    ("txs", string_of_int c.f_txs);
+    ("events", string_of_int c.f_events);
+    ("fault_at_us", num c.f_fault_at_us);
+    ("fault_window_us", num c.f_fault_window_us);
+    ("deadline_us", num c.f_deadline_us);
+    ("repair_margin_us", num c.f_repair_margin_us);
+    ("settle_us", num c.f_settle_us);
+    ("horizon_us", num c.f_horizon_us);
+    ("shrink_runs", string_of_int c.f_shrink_runs);
+  ]
+
+let encode_config c = Sim.Jout.obj (config_fields c)
 
 let decode_config v =
   let int k = Sim.Jin.to_int (Sim.Jin.member k v) in
@@ -779,30 +781,23 @@ let decode_config v =
   validate_config c;
   c
 
-let report_json ~runs =
-  let total = List.fold_left (fun acc (_, oc) -> acc + List.length oc.oc_violations) 0 runs in
-  Sim.Jout.obj
-    [
-      ("schema_version", "1");
-      ("tool", Sim.Jout.str "tango-fuzz");
-      ("violations", string_of_int total);
-      ( "runs",
-        Sim.Jout.arr
-          (List.map
-             (fun (seed, oc) ->
-               Sim.Jout.obj
-                 [
-                   ("seed", string_of_int seed);
-                   ("violations", string_of_int (List.length oc.oc_violations));
-                   ( "oracles",
-                     Sim.Jout.arr
-                       (List.map (fun v -> Sim.Jout.str v.Verifier.v_oracle) oc.oc_violations) );
-                   ("acked_appends", string_of_int oc.oc_acked);
-                   ("committed", string_of_int oc.oc_committed);
-                   ("aborted", string_of_int oc.oc_aborted);
-                   ("fault_events", string_of_int oc.oc_fault_events);
-                   ("spec_firings", Sim.Jout.arr (List.map Spec.firing_json oc.oc_spec_firings));
-                   ("end_us", Sim.Jout.flt oc.oc_end_us);
-                 ])
-             runs) );
-    ]
+let add_report ~name ~seed config oc =
+  let count n = float_of_int n in
+  Report.add_scenario ~name ~seed
+    ~params:(config_fields config)
+    ~summary:
+      [
+        ("acked_appends", count oc.oc_acked);
+        ("committed", count oc.oc_committed);
+        ("aborted", count oc.oc_aborted);
+        ("fault_events", count oc.oc_fault_events);
+        ("violations", count (List.length oc.oc_violations));
+      ]
+    ?timeseries_json:oc.oc_timeseries_json ?alerts_json:oc.oc_alerts_json
+    ~violations:(List.map (fun v -> (v.Verifier.v_oracle, v.Verifier.v_detail)) oc.oc_violations)
+    ?spec_firings_json:
+      (match oc.oc_spec_firings with
+      | [] -> None
+      | fs -> Some (Sim.Jout.arr (List.map Spec.firing_json fs)))
+    ?flight_json:oc.oc_flight_json ?spans_json:oc.oc_spans_json ~virtual_end_us:oc.oc_end_us
+    ~metrics_json:oc.oc_metrics_json ()

@@ -170,8 +170,10 @@ val encode_config : config -> string
 (** @raise Invalid_argument as {!validate_config}. *)
 val decode_config : Sim.Jin.t -> config
 
-(** [report_json ~runs] renders a machine-readable campaign report
-    ([schema_version] 1): per-seed violation counts, oracle names,
-    spec firings with virtual timestamps, and workload totals, plus
-    the campaign-wide violation total. *)
-val report_json : runs:(int * outcome) list -> string
+(** [add_report ~name ~seed config oc] adds one {!Report} scenario
+    for the case: the config as params; a summary of acked appends,
+    commits, aborts, applied fault events and violations; the run's
+    metrics; and its timeseries, alerts, violations, spec firings,
+    flight snapshots and spans when the run produced them. No-op while
+    the report collector is disabled. *)
+val add_report : name:string -> seed:int -> config -> outcome -> unit

@@ -1,7 +1,7 @@
 module Jout = Sim.Jout
 module Jin = Sim.Jin
 
-let schema_version = 3
+let schema_version = 4
 
 type perf = { wall_s : float; gc_minor_words : float; gc_major_words : float }
 
@@ -15,6 +15,10 @@ type scenario = {
   sc_perf : perf option;
   sc_timeseries_json : string option;  (* v3: Sim.Timeseries.to_json *)
   sc_alerts_json : string option;  (* v3: Sim.Slo.alerts_json *)
+  sc_violations : (string * string) list;  (* v4: (oracle, detail) *)
+  sc_spec_firings_json : string option;  (* v4: array of Spec.firing_json *)
+  sc_flight_json : string option;  (* v4: Sim.Flight.dump_json *)
+  sc_spans_json : string option;  (* v4: Sim.Span.capture's trace_event object *)
 }
 
 let on = ref false
@@ -25,7 +29,7 @@ let enabled () = !on
 let clear () = scenarios := []
 
 let add_scenario ~name ~seed ?(params = []) ?(summary = []) ?perf ?timeseries_json ?alerts_json
-    ~virtual_end_us ~metrics_json () =
+    ?(violations = []) ?spec_firings_json ?flight_json ?spans_json ~virtual_end_us ~metrics_json () =
   if !on then
     scenarios :=
       {
@@ -38,6 +42,10 @@ let add_scenario ~name ~seed ?(params = []) ?(summary = []) ?perf ?timeseries_js
         sc_perf = perf;
         sc_timeseries_json = timeseries_json;
         sc_alerts_json = alerts_json;
+        sc_violations = violations;
+        sc_spec_firings_json = spec_firings_json;
+        sc_flight_json = flight_json;
+        sc_spans_json = spans_json;
       }
       :: !scenarios
 
@@ -57,7 +65,11 @@ let perf_json p =
       ("gc_major_words", Jout.flt p.gc_major_words);
     ]
 
+let violation_json (oracle, detail) =
+  Jout.obj [ ("oracle", Jout.str oracle); ("detail", Jout.str detail) ]
+
 let scenario_json sc =
+  let section name = function None -> [] | Some j -> [ (name, j) ] in
   Jout.obj
     (List.concat
        [
@@ -68,10 +80,16 @@ let scenario_json sc =
            ("summary", Jout.obj (List.map (fun (k, v) -> (k, Jout.flt v)) sc.sc_summary));
            ("virtual_end_us", Jout.flt sc.sc_virtual_end_us);
          ];
-         (match sc.sc_perf with None -> [] | Some p -> [ ("perf", perf_json p) ]);
+         section "perf" (Option.map perf_json sc.sc_perf);
          [ ("metrics", sc.sc_metrics_json) ];
-         (match sc.sc_timeseries_json with None -> [] | Some j -> [ ("timeseries", j) ]);
-         (match sc.sc_alerts_json with None -> [] | Some j -> [ ("alerts", j) ]);
+         section "timeseries" sc.sc_timeseries_json;
+         section "alerts" sc.sc_alerts_json;
+         (match sc.sc_violations with
+         | [] -> []
+         | vs -> [ ("violations", Jout.arr (List.map violation_json vs)) ]);
+         section "spec_firings" sc.sc_spec_firings_json;
+         section "flight" sc.sc_flight_json;
+         section "spans" sc.sc_spans_json;
        ])
 
 let to_json ?(tool = "tango-bench") () =
@@ -101,6 +119,10 @@ type parsed_scenario = {
   ps_perf : perf option;
   ps_has_timeseries : bool;
   ps_alerts : int option;  (* number of alert transitions, when present *)
+  ps_violations : (string * string) list;
+  ps_spec_firings : int option;
+  ps_has_flight : bool;
+  ps_span_events : int option;
 }
 
 type parsed = { p_version : int; p_tool : string; p_scenarios : parsed_scenario list }
@@ -118,6 +140,10 @@ let parse s =
       gc_major_words = Jin.to_float (Jin.member "gc_major_words" v);
     }
   in
+  let count k v = Option.map (fun a -> List.length (Jin.to_list a)) (Jin.member_opt k v) in
+  let parse_violation v =
+    (Jin.to_string (Jin.member "oracle" v), Jin.to_string (Jin.member "detail" v))
+  in
   let parse_scenario v =
     {
       ps_name = Jin.to_string (Jin.member "name" v);
@@ -128,8 +154,14 @@ let parse s =
         | _ -> raise (Jin.Parse_error "Report.parse: summary must be an object"));
       ps_perf = Option.map parse_perf (Jin.member_opt "perf" v);
       ps_has_timeseries = Option.is_some (Jin.member_opt "timeseries" v);
-      ps_alerts =
-        Option.map (fun a -> List.length (Jin.to_list a)) (Jin.member_opt "alerts" v);
+      ps_alerts = count "alerts" v;
+      ps_violations =
+        (match Jin.member_opt "violations" v with
+        | None -> []
+        | Some vs -> List.map parse_violation (Jin.to_list vs));
+      ps_spec_firings = count "spec_firings" v;
+      ps_has_flight = Option.is_some (Jin.member_opt "flight" v);
+      ps_span_events = Option.bind (Jin.member_opt "spans" v) (count "traceEvents");
     }
   in
   {

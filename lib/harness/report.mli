@@ -1,10 +1,12 @@
-(** Versioned, machine-readable run reports.
+(** Versioned, machine-readable run reports: the one document a bench
+    experiment or a [tangoctl] fuzz campaign or scenario run writes.
 
     A report aggregates one or more {e scenarios} — each a single
-    [Engine.run] of a bench experiment — into one JSON document:
+    [Engine.run]: a bench experiment, a fuzz case or a scenario run —
+    into one JSON document:
 
     {v
-    { "schema_version": 3,
+    { "schema_version": 4,
       "tool": "tango-bench",
       "scenarios": [
         { "name": "fig5", "seed": 42,
@@ -15,7 +17,10 @@
                     "gc_major_words": 3.4e5 },
           "metrics": { "counters": [...], "gauges": [...],
                        "histograms": [...], "series": [...] },
-          "timeseries": {...}, "alerts": [...] } ] }
+          "timeseries": {...}, "alerts": [...],
+          "violations": [ { "oracle": "durability", "detail": "..." } ],
+          "spec_firings": [...], "flight": {...},
+          "spans": { "traceEvents": [...] } } ] }
     v}
 
     The embedded ["metrics"] object is {!Sim.Metrics.to_json} captured
@@ -24,7 +29,10 @@
     time series ride along verbatim. ["perf"] (new in schema 2,
     optional) records the real-machine cost of producing the scenario:
     wall-clock seconds and GC word deltas, captured by {!with_perf} —
-    the denominators of the hot-path regression gate.
+    the denominators of the hot-path regression gate. The four
+    sections new in schema 4 carry what a fuzz case or scenario run
+    found: its oracle violations, its spec-machine firings, its
+    flight-recorder snapshots and, when captured, its span timeline.
 
     The collector is global and disabled by default so experiments can
     call {!add_scenario} unconditionally: without {!enable} (set when
@@ -34,8 +42,9 @@
     Version history: 1 = original; 2 = optional per-scenario ["perf"]
     object; 3 = optional per-scenario ["timeseries"] (windowed
     telemetry, {!Sim.Timeseries.to_json}) and ["alerts"] (SLO alert
-    transitions, {!Sim.Slo.alerts_json}) sections. {!parse} reads the
-    current version only. *)
+    transitions, {!Sim.Slo.alerts_json}) sections; 4 = optional
+    ["violations"], ["spec_firings"], ["flight"] and ["spans"]
+    sections. {!parse} reads the current version only. *)
 val schema_version : int
 
 (** Real-machine cost of one scenario run. *)
@@ -53,9 +62,13 @@ val enabled : unit -> bool
 (** [add_scenario ~name ~seed ... ()] appends one scenario record.
     [metrics_json] must be a complete JSON object (normally
     [Sim.Metrics.to_json ()]); it is embedded unquoted, as are
-    [timeseries_json] (a {!Sim.Timeseries.to_json} object) and
-    [alerts_json] (a {!Sim.Slo.alerts_json} array) when given. No-op
-    while the collector is disabled. *)
+    [timeseries_json] (a {!Sim.Timeseries.to_json} object),
+    [alerts_json] (a {!Sim.Slo.alerts_json} array), [spec_firings_json]
+    (an array of {!Spec.firing_json}), [flight_json]
+    ({!Sim.Flight.dump_json}) and [spans_json] (the object
+    {!Sim.Span.capture} returns) when given. [violations] is a list of
+    [(oracle, detail)] pairs, encoded only when non-empty. No-op while
+    the collector is disabled. *)
 val add_scenario :
   name:string ->
   seed:int ->
@@ -64,6 +77,10 @@ val add_scenario :
   ?perf:perf ->
   ?timeseries_json:string ->
   ?alerts_json:string ->
+  ?violations:(string * string) list ->
+  ?spec_firings_json:string ->
+  ?flight_json:string ->
+  ?spans_json:string ->
   virtual_end_us:float ->
   metrics_json:string ->
   unit ->
@@ -81,8 +98,9 @@ val clear : unit -> unit
 (** {2 Decoding}
 
     The read side covers what the regression tooling needs: scenario
-    names, seeds, summaries, perf, and the presence/shape of the v3
-    telemetry sections. Params and embedded metrics are skipped.
+    names, seeds, summaries, perf, violations, and the presence and
+    size of the other optional sections. Params and embedded metrics
+    are skipped.
     Accepts the current {!schema_version} only. *)
 
 type parsed_scenario = {
@@ -94,6 +112,10 @@ type parsed_scenario = {
   ps_alerts : int option;
       (** number of alert transitions when an ["alerts"] section is
           present; [None] otherwise *)
+  ps_violations : (string * string) list;  (** [(oracle, detail)]; [[]] when absent *)
+  ps_spec_firings : int option;  (** number of firings, when present *)
+  ps_has_flight : bool;  (** a ["flight"] section is present *)
+  ps_span_events : int option;  (** length of [spans.traceEvents], when present *)
 }
 
 type parsed = { p_version : int; p_tool : string; p_scenarios : parsed_scenario list }

@@ -28,9 +28,6 @@ type t = {
           when this is non-empty *)
 }
 
-(** Bumped on any incompatible change to the scenario JSON layout. *)
-val version : int
-
 val encode : t -> string
 
 (** Custom actions decode with placeholder thunks; {!run} rebinds them.

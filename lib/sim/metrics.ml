@@ -76,8 +76,6 @@ let state () =
   if !current.born <> rc then current := fresh ~born:rc;
   !current
 
-let reset () = current := fresh ~born:(Engine.run_count ())
-
 (* Stale-handle detection: a handle created in run N that is written in
    run M > N lands in a dead generation and is invisible to snapshots.
    Strict mode (tests) turns that silent loss into an exception. The

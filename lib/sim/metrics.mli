@@ -163,7 +163,3 @@ val snapshot : unit -> snapshot
     [{"counters": [...], "gauges": [...], "histograms": [...],
       "series": [...]}]. *)
 val to_json : unit -> string
-
-(** [reset ()] clears the registry immediately (tests; normally the
-    engine-reset does this for you). *)
-val reset : unit -> unit

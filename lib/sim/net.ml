@@ -32,7 +32,6 @@ let create ~latency ~bandwidth ?(jitter = 0.05) () =
   { latency; jitter; byte_time = 1. /. bandwidth; net_fault = ref None }
 
 let install_fault t f = t.net_fault := Some f
-let fault t = !(t.net_fault)
 
 let add_host ?(cores = 8) t name =
   let h =
@@ -138,7 +137,7 @@ let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
    for first-of(response, timeout): whichever comes first fills the
    result, the other finds it filled. A lost exchange or a failed
    device simply never settles. *)
-let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ?timeout_us ~from svc req =
+let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
   match !(from.hfault) with
   | None -> Ok (call ~req_bytes ~resp_bytes ~from svc req)
   | fault -> (
@@ -153,9 +152,7 @@ let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ?timeout_us ~from svc req =
           let span_parent = Span.current () in
           let result = Ivar.create () in
           let settle r = if not (Ivar.is_filled result) then Ivar.fill result r in
-          (match timeout_us with
-          | Some dt -> Engine.schedule ~after:dt (fun () -> settle (Error Rpc_timeout))
-          | None -> ());
+          Engine.schedule ~after:timeout_us (fun () -> settle (Error Rpc_timeout));
           Engine.spawn (fun () ->
               Span.with_parent span_parent @@ fun () ->
               match exchange fault ~req_bytes ~resp_bytes ~from svc req with

@@ -54,11 +54,10 @@ val call :
     servicing device raised {!Resource.Failed} on a loopback call). *)
 type rpc_error = Rpc_timeout | Rpc_dead
 
-(** [call_r ?timeout_us ~from svc req] is {!call} with a failure path:
+(** [call_r ~timeout_us ~from svc req] is {!call} with a failure path:
     [Error Rpc_timeout] after [timeout_us] with no response (lost
     request, lost response, dead or partitioned peer, failed device),
-    [Error Rpc_dead] when failure is known immediately. Without
-    [timeout_us] a lost exchange still hangs, like {!call}.
+    [Error Rpc_dead] when failure is known immediately.
 
     When no fault controller is installed the exchange runs exactly
     like {!call} in the calling fiber (and always returns [Ok]), so
@@ -67,7 +66,7 @@ type rpc_error = Rpc_timeout | Rpc_dead
 val call_r :
   ?req_bytes:int ->
   ?resp_bytes:int ->
-  ?timeout_us:float ->
+  timeout_us:float ->
   from:host ->
   ('req, 'resp) service ->
   'req ->
@@ -76,8 +75,6 @@ val call_r :
 (** [install_fault t fault] attaches a fault controller to the fabric;
     all subsequent traffic between this fabric's hosts consults it. *)
 val install_fault : t -> Fault.t -> unit
-
-val fault : t -> Fault.t option
 
 (** [one_way_delay t ~bytes] is the modelled cost of moving [bytes]
     one hop, excluding queueing: serialization at both ends plus mean

@@ -48,11 +48,6 @@ val monitor :
   unit ->
   monitor
 
-(** [eval ()] classifies any newly sealed windows for every monitor.
-    Runs automatically on window close; idempotent when nothing new
-    has sealed (exposed for tests and post-run catch-up). *)
-val eval : unit -> unit
-
 (** [feed m v] pushes one synthetic window value through [m]'s
     burn-rate machinery, bypassing {!Timeseries} — the unit-test and
     [slo.eval] bench-kernel entry point. *)
@@ -61,7 +56,7 @@ val feed : monitor -> float -> unit
 val firing : monitor -> bool
 
 (** [resolved m] is [true] once [m]'s series and column were found in
-    {!Timeseries}; until then {!eval} skips its windows, so a monitor
+    {!Timeseries}; until then window evaluation skips it, so a monitor
     that never resolves judged nothing. *)
 val resolved : monitor -> bool
 

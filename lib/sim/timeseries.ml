@@ -79,8 +79,6 @@ let state () =
   if !current.born <> rc then current := fresh ~born:rc;
   !current
 
-let reset () = current := fresh ~born:(Engine.run_count ())
-
 let configure ?window_us ?subticks ?slots () =
   let st = state () in
   if st.w_count > 0 || not (Float.is_nan st.cur_start) || st.ticker_on then

@@ -93,6 +93,3 @@ val series_names : unit -> string list
     "series": [{"name", "kind", "from", "cols": {...}}]}], series
     sorted by name. Byte-identical across two same-seed runs. *)
 val to_json : unit -> string
-
-(** Clear the store immediately (tests). *)
-val reset : unit -> unit

@@ -7,8 +7,6 @@ type t
 val uniform : n:int -> t
 val zipf : ?theta:float -> n:int -> unit -> t
 
-val population : t -> int
-
 (** [sample t rng] draws a key index. *)
 val sample : t -> Sim.Rng.t -> int
 

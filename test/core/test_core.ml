@@ -12,13 +12,15 @@ let check_status =
       | Runtime.Aborted -> Fmt.string ppf "aborted")
     ( = )
 
-let with_cluster ?(seed = 5) ?(servers = 4) body =
+let with_cluster ?(seed = 5) ?(servers = 4) ?params body =
   Sim.Engine.run ~seed (fun () ->
-      let cluster = Corfu.Cluster.create ~servers () in
+      let cluster = Corfu.Cluster.create ?params ~servers () in
       body cluster)
 
-let runtime ?batch_size cluster name =
-  Runtime.create ?batch_size (Corfu.Cluster.new_client cluster ~name)
+(* Params whose runtimes pack [n] records per log entry. *)
+let batch n = { Sim.Params.default with Sim.Params.commit_batch = n }
+
+let runtime cluster name = Runtime.create (Corfu.Cluster.new_client cluster ~name)
 
 (* ------------------------------------------------------------------ *)
 (* A minimal integer register object, as in the paper's Figure 3.     *)
@@ -265,7 +267,7 @@ let test_decode_entry_runs_do_not_alias () =
 let test_batcher_fills_batches () =
   with_cluster (fun cluster ->
       let cl = Corfu.Cluster.new_client cluster ~name:"app" in
-      let b = Batcher.create ~client:cl ~batch_size:4 () in
+      let b = Batcher.create ~client:cl ~batch_size:4 in
       let positions = ref [] in
       for i = 0 to 7 do
         Sim.Engine.spawn (fun () ->
@@ -285,14 +287,14 @@ let test_batcher_fills_batches () =
 let test_batcher_linger_flushes_partial () =
   with_cluster (fun cluster ->
       let cl = Corfu.Cluster.new_client cluster ~name:"app" in
-      let b = Batcher.create ~client:cl ~batch_size:4 ~linger_us:50. () in
+      let b = Batcher.create ~client:cl ~batch_size:4 in
       let p =
         Batcher.submit b ~streams:[ 1 ]
           (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode 1 })
       in
       check_int "slot 0 of entry 0" (Record.pos ~offset:0 ~slot:0) p;
       check_int "one entry" 1 (Batcher.entries_appended b);
-      check_bool "waited for linger" true (Sim.Engine.now () >= 50.))
+      check_bool "waited for linger" true (Sim.Engine.now () >= Batcher.linger_us))
 
 let test_batcher_deep_window_ordering () =
   (* With a deep append window, many entries fly concurrently — yet
@@ -301,7 +303,7 @@ let test_batcher_deep_window_ordering () =
      allocation. *)
   with_cluster (fun cluster ->
       let cl = Corfu.Cluster.new_client cluster ~name:"app" in
-      let b = Batcher.create ~client:cl ~batch_size:1 ~append_window:8 () in
+      let b = Batcher.create ~client:cl ~batch_size:1 in
       let n = 32 in
       let positions = Array.make n (-1) in
       for i = 0 to n - 1 do
@@ -321,7 +323,8 @@ let test_batcher_deep_window_ordering () =
           (positions.(i) > positions.(i - 1))
       done;
       check_bool "chain writes overlapped" true (Batcher.inflight_peak b > 1);
-      check_int "window respected as peak" 8 (Batcher.inflight_peak b);
+      check_int "window respected as peak" Sim.Params.default.Sim.Params.append_window
+        (Batcher.inflight_peak b);
       check_int "pipeline drained" 0 (Batcher.inflight b);
       check_int "one entry per record" n (Batcher.entries_appended b);
       check_int "every entry through a grant" n (Batcher.granted_entries b);
@@ -334,8 +337,8 @@ let test_pipelined_writes_linearizable () =
   (* The paper's §3.1 claim must survive the pipelined append path:
      concurrent writers on one view, a reader on another, and the
      observed history checked against a sequential register. *)
-  with_cluster (fun cluster ->
-      let rt1 = runtime ~batch_size:1 cluster "writer" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt1 = runtime cluster "writer" in
       let rt2 = runtime cluster "reader" in
       let r1 = Reg.attach rt1 ~oid:1 in
       let r2 = Reg.attach rt2 ~oid:1 in
@@ -372,8 +375,8 @@ let test_pipelined_append_determinism () =
      primitives. *)
   let run () =
     Sim.Engine.run ~seed:42 (fun () ->
-        let cluster = Corfu.Cluster.create ~servers:4 () in
-        let rt = runtime ~batch_size:2 cluster "app" in
+        let cluster = Corfu.Cluster.create ~params:(batch 2) ~servers:4 () in
+        let rt = runtime cluster "app" in
         let r = Reg.attach rt ~oid:1 in
         for w = 0 to 7 do
           Sim.Engine.spawn (fun () ->
@@ -459,15 +462,15 @@ let test_view_reconstruction () =
       check_int "applied all" 20 (Runtime.applied_records rt2))
 
 let test_time_travel () =
-  with_cluster (fun cluster ->
-      let rt1 = runtime ~batch_size:1 cluster "app-1" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt1 = runtime cluster "app-1" in
       let r1 = Reg.attach rt1 ~oid:1 in
       for i = 1 to 10 do
         Reg.write r1 i
       done;
       (* A fresh view synced to a prefix sees the historical state.
          With batch size 1, offsets 0..9 hold writes 1..10. *)
-      let rt2 = runtime ~batch_size:1 cluster "historian" in
+      let rt2 = runtime cluster "historian" in
       let r2 = Reg.attach rt2 ~oid:1 in
       check_int "state as of offset 4" 4 (Reg.read_at r2 4);
       check_int "state as of offset 7" 7 (Reg.read_at r2 7);
@@ -500,7 +503,7 @@ let test_fetch_log_index () =
 
 let test_batching_ratio () =
   with_cluster (fun cluster ->
-      let rt = runtime ~batch_size:4 cluster "app" in
+      let rt = runtime cluster "app" in
       let r = Reg.attach rt ~oid:1 in
       for w = 0 to 3 do
         Sim.Engine.spawn (fun () ->
@@ -633,8 +636,8 @@ let test_tx_write_only_fast () =
       check_int "both applied in order" 2 (Reg.read r))
 
 let test_tx_cross_object_atomicity () =
-  with_cluster (fun cluster ->
-      let rt1 = runtime ~batch_size:1 cluster "app-1" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt1 = runtime cluster "app-1" in
       let src = Map_obj.attach rt1 ~oid:1 in
       let dst = Map_obj.attach rt1 ~oid:2 in
       Map_obj.put src "item" "payload";
@@ -901,6 +904,40 @@ let test_late_registration_unseen_commit () =
       let b' = Reg.attach late ~oid:2 in
       check_int "the commit keeps its original outcome" 9 (Reg.read b'))
 
+(* Sequencer peeks a late registration of object 2 costs when its
+   catch-up must reconstruct a commit that read [reads] keys of object
+   1 and wrote object 2. *)
+let catch_up_peeks ~reads =
+  with_cluster (fun cluster ->
+      let w = runtime cluster "writer" in
+      let src = Map_obj.attach w ~oid:1 in
+      let dst = Map_obj.attach w ~oid:2 in
+      let keys = List.init reads (Printf.sprintf "k%d") in
+      List.iter (fun k -> Map_obj.put src k "v") keys;
+      Runtime.begin_tx w;
+      List.iter (fun k -> ignore (Map_obj.get src k)) keys;
+      Map_obj.put dst "out" "ok";
+      Alcotest.check check_status "tx commits" Runtime.Committed (Runtime.end_tx w);
+      (* a later write to object 1 carries the late runtime's playback
+         past the commit, which only object 2's stream holds *)
+      Map_obj.put src "after" "v";
+      let late = runtime cluster "late" in
+      ignore (Map_obj.get (Map_obj.attach late ~oid:1) "after");
+      let peeks () =
+        List.fold_left
+          (fun acc (c : Sim.Metrics.counter_view) ->
+            if c.Sim.Metrics.c_name = "seq.peeks" then acc + c.Sim.Metrics.c_value else acc)
+          0 (Sim.Metrics.snapshot ()).Sim.Metrics.counters
+      in
+      let before = peeks () in
+      Alcotest.(check (option string)) "the commit keeps its outcome" (Some "ok")
+        (Map_obj.get (Map_obj.attach late ~oid:2) "out");
+      peeks () - before)
+
+let test_reconstruct_walks_each_object_once () =
+  check_int "three reads of one object cost the peeks of one" (catch_up_peeks ~reads:1)
+    (catch_up_peeks ~reads:3)
+
 let test_late_registration_parked_commit () =
   (* The consumer lacks the read set, so it parks the commit until a
      decision arrives; none does (the generator crashed), and an object
@@ -1108,8 +1145,8 @@ let test_checkpoint_load_advances_version () =
   (* A view that reaches the checkpoint through trimmed history loads
      the snapshot, and its object version jumps to the snapshot base:
      a transaction reading it must not see a stale version. *)
-  with_cluster (fun cluster ->
-      let rt1 = runtime ~batch_size:1 cluster "writer" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt1 = runtime cluster "writer" in
       let r1 = Reg.attach rt1 ~oid:1 in
       for i = 1 to 5 do
         Reg.write r1 i
@@ -1182,8 +1219,8 @@ let test_directory_declare_and_race () =
       check_int "bindings" 3 (List.length (Directory.names d1)))
 
 let test_directory_gc () =
-  with_cluster (fun cluster ->
-      let rt = runtime ~batch_size:1 cluster "app" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt = runtime cluster "app" in
       let dir = Directory.attach rt in
       let roid = Directory.declare dir "the-register" in
       let r = Reg.attach rt ~oid:roid in
@@ -1255,8 +1292,8 @@ let test_gc_trim_gap_repair () =
      the checkpoint's base version (because the base write itself
      survives the trim), which used to make it skip the checkpoint
      load and come up with a sliver of the state. *)
-  with_cluster (fun cluster ->
-      let rt = runtime ~batch_size:1 cluster "writer" in
+  with_cluster ~params:(batch 1) (fun cluster ->
+      let rt = runtime cluster "writer" in
       let m = Ckpt_map.attach rt ~oid:1 in
       for i = 1 to 40 do
         Ckpt_map.put m (Printf.sprintf "k%d" (i mod 10)) (string_of_int i)
@@ -1763,6 +1800,8 @@ let () =
           Alcotest.test_case "commit the runtime never saw" `Quick
             test_late_registration_unseen_commit;
           Alcotest.test_case "commit still parked" `Quick test_late_registration_parked_commit;
+          Alcotest.test_case "reconstruction walks each object once" `Quick
+            test_reconstruct_walks_each_object_once;
           Alcotest.test_case "late read object keeps a parked outcome" `Quick
             test_late_read_object_keeps_parked_outcome;
           Alcotest.test_case "join during another fiber's round" `Quick

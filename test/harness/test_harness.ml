@@ -753,19 +753,65 @@ let test_scenario_slo_monitors () =
       check_bool (Printf.sprintf "%S names the series" msg) true
         (contains msg "hist:nobody.append.e2e_us")
 
+(* One case's outcome through the report document and back. *)
+let report_roundtrip ~name ~seed config oc =
+  let module R = Tango_harness.Report in
+  R.clear ();
+  R.enable ();
+  Fun.protect ~finally:R.clear @@ fun () ->
+  Fuzz.add_report ~name ~seed config oc;
+  let p = R.parse (R.to_json ~tool:"tangoctl" ()) in
+  Alcotest.(check string) "tool" "tangoctl" p.R.p_tool;
+  match p.R.p_scenarios with
+  | [ s ] ->
+      Alcotest.(check string) "name" name s.R.ps_name;
+      Alcotest.(check int) "seed" seed s.R.ps_seed;
+      Alcotest.(check (float 0.)) "violations summarized"
+        (float_of_int (List.length oc.Fuzz.oc_violations))
+        (List.assoc "violations" s.R.ps_summary);
+      Alcotest.(check (float 0.)) "acked appends summarized" (float_of_int oc.Fuzz.oc_acked)
+        (List.assoc "acked_appends" s.R.ps_summary);
+      s
+  | ss -> Alcotest.failf "%d scenarios, expected one" (List.length ss)
+
+(* A violating case carries its findings: the violations, the spec
+   firings and the flight snapshot the violation froze. *)
 let test_fuzz_report_schema () =
+  let module R = Tango_harness.Report in
+  let plan = [ (15_000., Sim.Fault.Custom ("replace-sequencer", fun () -> ())) ] in
+  let oc = Fuzz.run ~failpoint:"skip-rebuild-scan" ~specs:Spec.all ~seed:1 small_config ~plan in
+  let s = report_roundtrip ~name:"fuzz-seed-1" ~seed:1 small_config oc in
+  Alcotest.(check (list string)) "violations" (oracle_names oc.Fuzz.oc_violations)
+    (List.map fst s.R.ps_violations);
+  check_bool "the case violates" true (s.R.ps_violations <> []);
+  Alcotest.(check (option int)) "spec firings"
+    (Some (List.length oc.Fuzz.oc_spec_firings))
+    s.R.ps_spec_firings;
+  check_bool "flight snapshot" true s.R.ps_has_flight;
+  Alcotest.(check (option int)) "no spans unless captured" None s.R.ps_span_events
+
+(* A clean monitored built-in carries its telemetry and no findings. *)
+let test_report_monitored_scenario () =
+  let module R = Tango_harness.Report in
+  let sc = Option.get (Scenario.find "slo-clean") in
+  let s =
+    report_roundtrip ~name:sc.Scenario.sc_name ~seed:sc.Scenario.sc_seed sc.Scenario.sc_config
+      (Scenario.run sc)
+  in
+  check_bool "timeseries" true s.R.ps_has_timeseries;
+  Alcotest.(check (option int)) "alert stream, empty" (Some 0) s.R.ps_alerts;
+  Alcotest.(check (list (pair string string))) "no violations" [] s.R.ps_violations;
+  Alcotest.(check (option int)) "no spec firings" None s.R.ps_spec_firings;
+  check_bool "no flight snapshot" false s.R.ps_has_flight
+
+let test_report_carries_spans () =
+  let module R = Tango_harness.Report in
   let plan = Fuzz.gen_plan ~seed:45 small_config in
-  let oc = Fuzz.run ~seed:45 small_config ~plan in
-  let doc = Sim.Jin.parse (Fuzz.report_json ~runs:[ (45, oc) ]) in
-  Alcotest.(check int) "schema_version" 1 (Sim.Jin.to_int (Sim.Jin.member "schema_version" doc));
-  Alcotest.(check string) "tool" "tango-fuzz" (Sim.Jin.to_string (Sim.Jin.member "tool" doc));
-  Alcotest.(check int) "violations" 0 (Sim.Jin.to_int (Sim.Jin.member "violations" doc));
-  let runs = Sim.Jin.to_list (Sim.Jin.member "runs" doc) in
-  Alcotest.(check int) "one run" 1 (List.length runs);
-  let r = List.hd runs in
-  Alcotest.(check int) "seed" 45 (Sim.Jin.to_int (Sim.Jin.member "seed" r));
-  Alcotest.(check int) "acked" oc.Fuzz.oc_acked
-    (Sim.Jin.to_int (Sim.Jin.member "acked_appends" r))
+  let oc = Fuzz.run ~capture_spans:true ~seed:45 small_config ~plan in
+  let s = report_roundtrip ~name:"fuzz-seed-45" ~seed:45 small_config oc in
+  match s.R.ps_span_events with
+  | Some n -> check_bool (Printf.sprintf "%d trace events" n) true (n > 0)
+  | None -> Alcotest.fail "no spans section"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: linearizability across reconfigurations                *)
@@ -858,7 +904,7 @@ let test_lin_across_storage_crash () =
   check_bool "linearizable through crash and recovery" true (Lin.check_register events)
 
 (* ------------------------------------------------------------------ *)
-(* Report: schema v2 round-trip and v1 back-compat                    *)
+(* Report: round-trips and the one schema version it reads            *)
 (* ------------------------------------------------------------------ *)
 
 let test_report_v2_roundtrip () =
@@ -905,7 +951,7 @@ let test_report_rejects_other_versions () =
       match R.parse doc with
       | _ -> Alcotest.failf "schema_version %d must be rejected" v
       | exception Sim.Jin.Parse_error _ -> ())
-    [ 1; 2; 99 ]
+    [ 1; 2; 3; 99 ]
 
 let test_report_v3_telemetry_sections () =
   let module R = Tango_harness.Report in
@@ -920,7 +966,7 @@ let test_report_v3_telemetry_sections () =
   let doc = R.to_json () in
   (* the sections embed unquoted — the document must stay parseable *)
   let p = R.parse doc in
-  Alcotest.(check int) "version" 3 p.R.p_version;
+  Alcotest.(check int) "version" R.schema_version p.R.p_version;
   let s1 = List.hd p.R.p_scenarios and s2 = List.nth p.R.p_scenarios 1 in
   check_bool "timeseries section present" true s1.R.ps_has_timeseries;
   Alcotest.(check (option int)) "one alert" (Some 1) s1.R.ps_alerts;
@@ -1064,6 +1110,9 @@ let () =
           Alcotest.test_case "reproducer round-trip" `Quick test_fuzz_reproducer_roundtrip;
           Alcotest.test_case "finds and shrinks injected bug" `Slow test_fuzz_finds_injected_bug;
           Alcotest.test_case "report schema" `Quick test_fuzz_report_schema;
+          Alcotest.test_case "report of a monitored scenario" `Quick
+            test_report_monitored_scenario;
+          Alcotest.test_case "report carries spans" `Quick test_report_carries_spans;
         ] );
       ( "spec",
         [

@@ -7,9 +7,9 @@ open Tango_objects
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let with_cluster ?(seed = 77) ?(servers = 6) body =
+let with_cluster ?(seed = 77) ?(servers = 6) ?params body =
   Sim.Engine.run ~seed (fun () ->
-      let cluster = Corfu.Cluster.create ~servers () in
+      let cluster = Corfu.Cluster.create ?params ~servers () in
       body cluster)
 
 let runtime cluster name = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name)
@@ -92,8 +92,8 @@ let test_holes_under_load () =
 (* ------------------------------------------------------------------ *)
 
 let test_gc_under_load () =
-  with_cluster (fun cluster ->
-      let rt = Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"app") in
+  with_cluster ~params:{ Sim.Params.default with Sim.Params.commit_batch = 1 } (fun cluster ->
+      let rt = runtime cluster "app" in
       let dir = Tango.Directory.attach rt in
       let oid = Tango.Directory.declare dir "set" in
       let s = Tango_set.attach rt ~oid in

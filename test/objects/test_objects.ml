@@ -7,9 +7,9 @@ let check_bool = Alcotest.(check bool)
 let check_str_opt = Alcotest.(check (option string))
 let check_str_list = Alcotest.(check (list string))
 
-let with_cluster ?(seed = 9) ?(servers = 4) body =
+let with_cluster ?(seed = 9) ?(servers = 4) ?params body =
   Sim.Engine.run ~seed (fun () ->
-      let cluster = Corfu.Cluster.create ~servers () in
+      let cluster = Corfu.Cluster.create ?params ~servers () in
       body cluster)
 
 let runtime cluster name = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name)
@@ -38,13 +38,13 @@ let test_register () =
       check_bool "position recorded" true (Tango_register.last_update_pos r2 >= 0))
 
 let test_register_history () =
-  with_cluster (fun cluster ->
-      let rt1 = Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"w") in
+  with_cluster ~params:{ Sim.Params.default with Sim.Params.commit_batch = 1 } (fun cluster ->
+      let rt1 = runtime cluster "w" in
       let r1 = Tango_register.attach rt1 ~oid:1 in
       for i = 1 to 8 do
         Tango_register.write r1 i
       done;
-      let rt2 = Tango.Runtime.create ~batch_size:1 (Corfu.Cluster.new_client cluster ~name:"h") in
+      let rt2 = runtime cluster "h" in
       let r2 = Tango_register.attach rt2 ~oid:1 in
       check_int "as of offset 3" 3 (Tango_register.read_at r2 ~upto:3);
       check_int "full" 8 (Tango_register.read r2))
