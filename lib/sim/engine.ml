@@ -24,6 +24,14 @@ type waitq = {
   mutable wlen : int;
 }
 
+(* A write-once cell (the state behind {!Ivar}). Its first reader
+   parks in the state itself: [One] holds its continuation (as a
+   payload) and fiber id, so a cell read once builds no wait queue. A
+   second reader moves both into [Many]'s queue, in park order. A cell
+   nobody reads is the record and, once filled, its [Full]. *)
+type 'a ivar_state = Empty | Full of 'a | One of (unit -> unit) * int | Many of waitq
+type 'a ivar = { mutable state : 'a ivar_state }
+
 type world = {
   q : Eventq.t;
   world_rng : Rng.t;
@@ -38,10 +46,12 @@ type world = {
   mutable failure : exn option;
   mutable main_done : bool;
   mutable parking : waitq;  (* the pending [Park]'s queue *)
+  mutable parking_ivar : unit ivar;  (* the pending [Park_ivar]'s cell, see [ivar_for_parking] *)
   (* One handler for every fiber of the world, and its preallocated
-     answers to [Sleep] and [Park]. *)
+     answers to [Sleep], [Park] and [Park_ivar]. *)
   sleep_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
   park_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  park_ivar_answer : ((unit, unit) Effect.Deep.continuation -> unit) option;
   handler : (unit, unit) Effect.Deep.handler;
 }
 
@@ -80,10 +90,11 @@ let[@inline] push_event w ~after tag payload =
 
 let schedule ~after thunk = push_event (get_world ()) ~after Eventq.thunk_tag thunk
 
-(* Neither effect carries a payload: [sleep] leaves its delay in
-   [w.delay] and [park] its queue in [w.parking], and the handler
-   answers each with the world's preallocated closure. *)
-type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t
+(* No effect carries a payload: [sleep] leaves its delay in
+   [w.delay], [park] its queue in [w.parking] and [ivar_read] its cell
+   in [w.parking_ivar], and the handler answers each with the world's
+   preallocated closure. *)
+type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t | Park_ivar : unit Effect.t
 
 let sleep dt =
   Array.unsafe_set (get_world ()).delay 0 dt;
@@ -121,15 +132,16 @@ let grow_waitq q =
   q.wf <- wf;
   q.whead <- 0
 
-(* A park stores the continuation and the fiber's id, nothing built:
-   [wake] moves the pair onto the lane. *)
-let on_park w k =
-  let q = w.parking in
+let enqueue q k fid =
   if q.wlen = Array.length q.wk then grow_waitq q;
   let at = (q.whead + q.wlen) land (Array.length q.wk - 1) in
-  Array.unsafe_set q.wk at (payload_of_cont k);
-  Array.unsafe_set q.wf at w.current_fiber;
+  Array.unsafe_set q.wk at k;
+  Array.unsafe_set q.wf at fid;
   q.wlen <- q.wlen + 1
+
+(* A park stores the continuation and the fiber's id, nothing built:
+   [wake] moves the pair onto the lane. *)
+let on_park w k = enqueue w.parking (payload_of_cont k) w.current_fiber
 
 let park q =
   (get_world ()).parking <- q;
@@ -153,8 +165,60 @@ let wake_all q =
     done
   end
 
+(* -- write-once cells --------------------------------------------------- *)
+
+(* [w.parking_ivar] is one field for cells of every value type.
+   Invariant: the cell stored there is only ever written [One], by
+   [on_park_ivar], over the [Empty] that [ivar_read] just saw; neither
+   constructor holds a value, so no ['a] is read or written at the
+   wrong type through the cast. *)
+let ivar_for_parking : 'a ivar -> unit ivar = Obj.magic
+
+let on_park_ivar w k = w.parking_ivar.state <- One (payload_of_cont k, w.current_fiber)
+
+let ivar_create () = { state = Empty }
+
+let ivar_fill iv v =
+  match iv.state with
+  | Full _ -> invalid_arg "Ivar.fill: already filled"
+  | Empty -> iv.state <- Full v
+  | One (k, fid) ->
+      iv.state <- Full v;
+      push_event (get_world ()) ~after:0. fid k
+  | Many q ->
+      iv.state <- Full v;
+      wake_all q
+
+(* Only [ivar_fill] wakes a reader, so a resumed one finds the value. *)
+let ivar_value iv = match iv.state with Full v -> v | Empty | One _ | Many _ -> assert false
+
+let ivar_read iv =
+  match iv.state with
+  | Full v -> v
+  | Empty ->
+      (get_world ()).parking_ivar <- ivar_for_parking iv;
+      Effect.perform Park_ivar;
+      ivar_value iv
+  | One (k, fid) ->
+      (* room for both waiters at once: no one-slot rings to outgrow *)
+      let q = { wk = Array.make 2 noop; wf = Array.make 2 0; whead = 0; wlen = 0 } in
+      enqueue q k fid;
+      iv.state <- Many q;
+      park q;
+      ivar_value iv
+  | Many q ->
+      park q;
+      ivar_value iv
+
+let ivar_peek iv = match iv.state with Full v -> Some v | Empty | One _ | Many _ -> None
+let ivar_is_filled iv = match iv.state with Full _ -> true | Empty | One _ | Many _ -> false
+
 let effc (type a) w (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option =
-  match eff with Sleep -> w.sleep_answer | Park -> w.park_answer | _ -> None
+  match eff with
+  | Sleep -> w.sleep_answer
+  | Park -> w.park_answer
+  | Park_ivar -> w.park_ivar_answer
+  | _ -> None
 
 let start_fiber w fid f =
   w.current_fiber <- fid;
@@ -226,8 +290,10 @@ let run ?(seed = 1) ?until main =
       failure = None;
       main_done = false;
       parking;
+      parking_ivar = ivar_create ();
       sleep_answer = Some (fun k -> on_sleep w k);
       park_answer = Some (fun k -> on_park w k);
+      park_ivar_answer = Some (fun k -> on_park_ivar w k);
       handler =
         {
           retc = ignore;

@@ -58,13 +58,17 @@ val yield : unit -> unit
 
 (** {1 Blocking}
 
-    A fiber blocks in exactly one way: it parks on a wait queue, and
-    whoever owns the queue wakes it. [park] stores the fiber's
-    continuation and id in the queue, with no resume event or closure
-    built; [wake] moves that pair onto the current instant as the
-    fiber's resume, so it allocates nothing. A parked fiber resumes with [()]:
-    whatever it waited for (a value, a granted server, a failure) it
-    reads from state the queue's owner keeps, never from the wake.
+    A fiber blocks in one of two ways: it parks on a wait queue, and
+    whoever owns the queue wakes it; or, as the only reader of an
+    empty write-once cell ({!Ivar}), it parks in the cell's state, and
+    the fill wakes it. Either park stores the fiber's continuation and
+    id, with no resume event or closure built (a cell's one waiter
+    takes a 3-word state; a second reader moves both waiters into a
+    wait queue, in park order); a wake moves that pair onto the
+    current instant as the fiber's resume, so it allocates nothing. A
+    parked fiber resumes with [()]: whatever it waited for (a value, a
+    granted server, a failure) it reads from state the queue's or
+    cell's owner keeps, never from the wake.
 
     An owner must decide each waiter's outcome by the time it wakes
     it, or record it in a form the waiter can check on resuming. Woken
@@ -95,6 +99,20 @@ val wake_all : waitq -> unit
 
 (** [waiting q] is the number of fibers parked on [q]. *)
 val waiting : waitq -> int
+
+(** {2 Write-once cells}
+
+    The cell behind {!Ivar}, which documents these operations; use
+    that module. They live here because a lone reader parks in the
+    cell's state through the engine's handler. *)
+
+type 'a ivar
+
+val ivar_create : unit -> 'a ivar
+val ivar_fill : 'a ivar -> 'a -> unit
+val ivar_read : 'a ivar -> 'a
+val ivar_peek : 'a ivar -> 'a option
+val ivar_is_filled : 'a ivar -> bool
 
 (** [spawn ?at f] schedules [f] as a new fiber at time [at] (default
     now). Exceptions escaping a fiber abort the whole simulation: they

@@ -1,33 +1,9 @@
-(* The wait queue is created by the first read that has to wait, so an
-   ivar filled before anyone reads it never builds one. *)
-type 'a state = Empty | Waiting of Engine.waitq | Full of 'a
+(* The cell and its blocking live in [Engine], whose handler parks a
+   lone reader in the cell's state. *)
+type 'a t = 'a Engine.ivar
 
-type 'a t = { mutable state : 'a state }
-
-let create () = { state = Empty }
-
-let fill t v =
-  match t.state with
-  | Full _ -> invalid_arg "Ivar.fill: already filled"
-  | Empty -> t.state <- Full v
-  | Waiting q ->
-      t.state <- Full v;
-      Engine.wake_all q
-
-(* Only [fill] wakes the queue, so a resumed reader finds the value. *)
-let filled t = match t.state with Full v -> v | Empty | Waiting _ -> assert false
-
-let read t =
-  match t.state with
-  | Full v -> v
-  | Waiting q ->
-      Engine.park q;
-      filled t
-  | Empty ->
-      let q = Engine.waitq () in
-      t.state <- Waiting q;
-      Engine.park q;
-      filled t
-
-let peek t = match t.state with Full v -> Some v | Empty | Waiting _ -> None
-let is_filled t = match t.state with Full _ -> true | Empty | Waiting _ -> false
+let create = Engine.ivar_create
+let fill = Engine.ivar_fill
+let read = Engine.ivar_read
+let peek = Engine.ivar_peek
+let is_filled = Engine.ivar_is_filled

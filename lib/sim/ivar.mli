@@ -1,7 +1,13 @@
 (** Write-once synchronization cells for fibers.
 
     An ivar starts empty; any number of fibers may block in {!read}
-    until a single {!fill} publishes the value. *)
+    until a single {!fill} publishes the value. Readers resume in the
+    order they blocked, at the fill's instant.
+
+    Cost: an ivar is a 2-word record, and filling it adds its 2-word
+    [Full] state. The first reader to block parks in the ivar's state
+    (3 words beside the continuation), so an ivar read once builds no
+    wait queue; a second blocked reader moves both into one. *)
 
 type 'a t
 

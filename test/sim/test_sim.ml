@@ -187,6 +187,31 @@ let test_ivar_multiple_readers () =
         [ (1, 7, 10.); (2, 7, 10.); (3, 7, 10.); (4, 7, 10.) ]
         (List.rev !order))
 
+(* For 1, 2 and 3 readers parked at different instants, each resumes
+   at the fill's instant and in park order: the first parks in the
+   ivar's state, and the second moves it into a queue ahead of itself. *)
+let test_ivar_readers_resume_in_park_order () =
+  List.iter
+    (fun n ->
+      Engine.run (fun () ->
+          let iv = Ivar.create () in
+          let order = ref [] in
+          (* reader [id] parks at time [id]: spawned last-first *)
+          for id = n downto 1 do
+            Engine.spawn (fun () ->
+                Engine.sleep (float_of_int id);
+                let v = Ivar.read iv in
+                order := (id, v, Engine.now ()) :: !order)
+          done;
+          Engine.sleep 10.;
+          Ivar.fill iv n;
+          Engine.sleep 1.;
+          Alcotest.(check (list (triple int int (float 1e-9))))
+            (Printf.sprintf "%d readers: park order, fill time, value" n)
+            (List.init n (fun i -> (i + 1, n, 10.)))
+            (List.rev !order)))
+    [ 1; 2; 3 ]
+
 let test_ivar_double_fill_rejected () =
   Engine.run (fun () ->
       let iv = Ivar.create () in
@@ -1856,13 +1881,19 @@ let test_contended_use_budget () =
       let per_use = words_per_op (fun () -> Resource.use r 1.) /. 2. in
       check_budget "contended use" ~budget:(park_budget +. sleep_budget) per_use)
 
-(* The ivar (2 words), its queue (5) and two one-slot rings (2 each),
-   the [Waiting] and [Full] states (2 each) and one park. *)
+(* An ivar nobody reads: the record (2 words) and its [Full] state (2). *)
+let test_ivar_unread_budget () =
+  Engine.run (fun () ->
+      check_budget "ivar create, fill" ~budget:4.
+        (words_per_op (fun () -> Ivar.fill (Ivar.create ()) ())))
+
+(* The ivar (2 words), the one-waiter state its reader parks in (3)
+   and the [Full] state (2), and one park. No wait queue is built. *)
 let test_ivar_wake_budget () =
   Engine.run (fun () ->
       let cur = ref (Ivar.create ()) in
       let fill_cur () = Ivar.fill !cur () in
-      check_budget "ivar create, park, fill" ~budget:(15. +. park_budget)
+      check_budget "ivar create, park, fill" ~budget:(7. +. park_budget)
         (words_per_op (fun () ->
              let iv = Ivar.create () in
              cur := iv;
@@ -1954,6 +1985,7 @@ let () =
           Alcotest.test_case "contended use: a park and a sleep" `Quick
             test_contended_use_budget;
           Alcotest.test_case "ivar wake within budget" `Quick test_ivar_wake_budget;
+          Alcotest.test_case "unread ivar within budget" `Quick test_ivar_unread_budget;
           Alcotest.test_case "spawn + first sleep within budget" `Quick test_spawn_budget;
           Alcotest.test_case "sections off allocate nothing" `Quick test_section_off_budget;
         ] );
@@ -1980,6 +2012,8 @@ let () =
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
           Alcotest.test_case "read blocks until fill" `Quick test_ivar_blocks_until_filled;
           Alcotest.test_case "multiple readers" `Quick test_ivar_multiple_readers;
+          Alcotest.test_case "1-3 readers resume in park order" `Quick
+            test_ivar_readers_resume_in_park_order;
           Alcotest.test_case "double fill rejected" `Quick test_ivar_double_fill_rejected;
           Alcotest.test_case "peek and is_filled" `Quick test_ivar_peek;
         ] );
