@@ -287,25 +287,6 @@ let commit_marker t ~streams ~off entry =
   | () -> Sim.Span.leave t.commit_s tok
   | exception e -> Sim.Span.leave_raise t.commit_s tok e
 
-(* Backpointers for offset [off], the [index]th of a grant: the grant's
-   earlier offsets (all on every granted stream, newest first) followed
-   by the per-stream tails from before the grant, truncated to K. Keeps
-   every stream's chain exactly walkable even though the grant's
-   entries are written concurrently. [tails] lists the requested
-   streams in request order, so the first entry of a grant carries the
-   sequencer's pointers as they are. *)
-let grant_headers t ~tails ~index off =
-  let k = t.p.backpointer_k in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  Stream_header.encode_block ~k ~current:off
-    (if index = 0 then
-       List.map (fun (sid, prior) -> { Stream_header.stream = sid; backptrs = prior }) tails
-     else
-       let earlier = List.init index (fun j -> off - 1 - j) in
-       List.map
-         (fun (sid, prior) -> { Stream_header.stream = sid; backptrs = take k (earlier @ prior) })
-         tails)
-
 (* A one-entry grant, written by the shared driver. *)
 let rec grant_and_write t ~streams payload =
   let a = sequencer_request t (Grant 1) ~streams in
@@ -321,9 +302,18 @@ let rec grant_and_write t ~streams payload =
    complete a torn write the rebuild scan saw, abandon an unwritten
    slot for a fresh offset. Only a genuine loss of the slot (someone
    filled it) moves the payload to a fresh offset; retrying with a
-   fresh offset on seal could commit the entry twice. *)
+   fresh offset on seal could commit the entry twice.
+
+   The headers of offset [off], the [index]th of a grant, carry the
+   grant's earlier offsets (all on every granted stream, newest first)
+   followed by the per-stream tails from before the grant, truncated
+   to K. That keeps every stream's chain exactly walkable even though
+   the grant's entries are written concurrently. [tails] lists the
+   requested streams in request order, so the first entry of a grant
+   carries the sequencer's pointers as they are. *)
 and write_at t ~seq ~streams ~tails ~index off payload =
-  let entry = { Types.headers = grant_headers t ~tails ~index off; payload } in
+  let headers = Stream_header.encode_tails ~k:t.p.backpointer_k ~current:off ~index tails in
+  let entry = { Types.headers; payload } in
   let rec attempt ~seq backoff =
     if t.proj.Projection.sequencer != seq then
       match probe_stale_grant t off entry with

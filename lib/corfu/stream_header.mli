@@ -28,6 +28,17 @@ type t = {
     backpointer not strictly below [current]. *)
 val encode_block : k:int -> current:Types.offset -> t list -> bytes
 
+(** [encode_tails ~k ~current ~index tails] is the block of the
+    [index]th entry of a sequencer grant, written at [current], from
+    the grant's per-stream [(stream, prior)] tails: each header's
+    backpointers are [prior] when [index] = 0, else the grant's
+    [index] earlier offsets [current - 1], ..., [current - index]
+    followed by [prior], truncated to K. Equal to {!encode_block} of
+    those records, raising the same errors, but builds no record or
+    list. *)
+val encode_tails :
+  k:int -> current:Types.offset -> index:int -> (Types.stream_id * Types.offset list) list -> bytes
+
 (** [decode_block ~k ~current block] inverts {!encode_block}.
     Relative-format headers need [current] to reconstruct offsets.
     @raise Invalid_argument on a malformed block. *)

@@ -133,6 +133,77 @@ let prop_header_lookup_matches_find =
         (fun sid -> header_in_place ~k ~current block sid = Stream_header.find decoded sid)
         (probe :: List.map (fun (h : Stream_header.t) -> h.stream) headers))
 
+(* A grant's entry [index] written at [current]: the tails encoder
+   must write the bytes [encode_block] writes for the equivalent
+   records (the grant's earlier offsets, then the sequencer's tail,
+   truncated to K past index 0), decode back to them, and reject the
+   same malformed input with the same message. Cases: K of 4, 8 and 16;
+   1 to 4 streams whose tails hold 0 to K+2 pointers spaced near
+   (relative format) or far (absolute); grant index 0 to 7; and now and
+   then an out-of-range stream id or backpointer. *)
+let prop_tails_encoder_matches_records =
+  let gen =
+    let open QCheck.Gen in
+    let ptrs current =
+      let* count = int_range 0 18 and* far = bool and* gap = int_range 1 9 in
+      let step = if far then 40_000 else gap in
+      return (List.filter (fun p -> p >= 0) (List.init count (fun i -> current - 8 - (i * step))))
+    in
+    let* k = oneofl [ 4; 8; 16 ]
+    and* index = int_range 0 7
+    and* current = int_range 0 300_000
+    and* n = int_range 1 4
+    and* fault = int_range 0 9 in
+    let* tails = list_repeat n (pair (int_range 0 1000) (ptrs current)) in
+    let tails =
+      match (fault, tails) with
+      | 0, (_, prior) :: rest -> (0x8000_0000, prior) :: rest
+      | 1, (sid, _) :: rest -> (sid, [ current ]) :: rest
+      | 2, (sid, prior) :: rest -> (sid, prior @ [ -1 ]) :: rest
+      | _ -> tails
+    in
+    return (k, index, current, tails)
+  in
+  let print (k, index, current, tails) =
+    Printf.sprintf "k=%d index=%d current=%d tails=[%s]" k index current
+      (String.concat "; "
+         (List.map
+            (fun (sid, prior) ->
+              Printf.sprintf "%d:[%s]" sid (String.concat "," (List.map string_of_int prior)))
+            tails))
+  in
+  let attempt f = match f () with b -> Ok b | exception Invalid_argument m -> Error m in
+  QCheck.Test.make ~name:"tails encoder = encode_block of the records" ~count:2_000
+    (QCheck.make ~print gen)
+    (fun (k, index, current, tails) ->
+      let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
+      let earlier = List.init index (fun j -> current - 1 - j) in
+      let records =
+        List.map
+          (fun (sid, prior) ->
+            {
+              Stream_header.stream = sid;
+              backptrs = (if index = 0 then prior else take k (earlier @ prior));
+            })
+          tails
+      in
+      let tails_block = attempt (fun () -> Stream_header.encode_tails ~k ~current ~index tails) in
+      let records_block = attempt (fun () -> Stream_header.encode_block ~k ~current records) in
+      tails_block = records_block
+      &&
+      match tails_block with
+      | Error _ -> true
+      | Ok block ->
+          List.for_all2
+            (fun (r : Stream_header.t) (d : Stream_header.t) ->
+              d.stream = r.stream
+              && d.backptrs
+                 = if Stream_header.uses_absolute_format ~current r then
+                     List.filteri (fun i _ -> i < k / 4) r.backptrs
+                   else r.backptrs)
+            records
+            (Stream_header.decode_block ~k ~current block))
+
 (* One step of a backpointer walk reads the stream's header in place:
    locate it, then every backpointer up to the first empty slot. The
    words are net of an empty loop, so the [Gc.minor_words] probes'
@@ -2789,6 +2860,7 @@ let () =
           [
             prop_header_roundtrip;
             prop_header_lookup_matches_find;
+            prop_tails_encoder_matches_records;
             prop_stream_isolation;
             prop_segment_mapping_roundtrip;
             prop_wire_roundtrip;
