@@ -183,11 +183,20 @@ let group t ~max_run =
   in
   go 1
 
-(* The front batch's stream set as a list — the RPC boundary owns it. *)
+(* [l] is exactly [a.(i)], ..., [a.(n - 1)]. *)
+let rec list_is l a i n =
+  match l with [] -> i = n | x :: rest -> i < n && x = a.(i) && list_is rest a (i + 1) n
+
+(* The front batch's stream set as a list — the RPC boundary owns it.
+   Its first record's own list already is that set whenever every
+   record names the same sorted streams (one object's updates), so it
+   is shared rather than rebuilt. *)
 let front_streams t =
   if t.rlen = 0 then invalid_arg "Batch_core.front_streams: empty queue";
   let b = t.ring.(t.rhead land (Array.length t.ring - 1)) in
-  List.init b.b_nstreams (fun i -> b.b_streams.(i))
+  let first = b.b_cells.(0).c_streams in
+  if list_is first b.b_streams 0 b.b_nstreams then first
+  else List.init b.b_nstreams (fun i -> b.b_streams.(i))
 
 let pop t =
   if t.rlen = 0 then invalid_arg "Batch_core.pop: empty queue";

@@ -46,8 +46,9 @@ val seal : 'a t -> unit
     covers. Raises [Invalid_argument] on an empty queue. *)
 val group : 'a t -> max_run:int -> int
 
-(** The front batch's stream set, sorted — materialised as a list for
-    the grant RPC (the boundary owns its data). *)
+(** The front batch's stream set, sorted — a list for the grant RPC
+    (the boundary owns its data): the front batch's first submitted
+    list when that already equals the set, else a fresh one. *)
 val front_streams : 'a t -> Corfu.Types.stream_id list
 
 (** Dequeue the front batch. Raises [Invalid_argument] when empty. *)

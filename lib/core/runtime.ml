@@ -58,6 +58,7 @@ type t = {
   remote_peers : (int, (remote_read_request, remote_read_response) Sim.Net.service) Hashtbl.t;
   mutable rr_service : (remote_read_request, remote_read_response) Sim.Net.service option;
   txs : (int, txctx) Hashtbl.t;
+  update_streams : (int, int list) Hashtbl.t;  (* oid -> [ oid ], built once *)
   p : Sim.Params.t;  (* the CPU and retry constants *)
   (* Lag watermarks: the highest global tail learned from the
      sequencer, the exclusive offset playback has consumed to, and the
@@ -265,6 +266,7 @@ let create cl =
     remote_peers = Hashtbl.create 8;
     rr_service = None;
     txs = Hashtbl.create 8;
+    update_streams = Hashtbl.create 8;
     p;
     known_tail = 0;
     played_upto = 0;
@@ -484,6 +486,15 @@ let charge_dispatch t = Sim.Resource.use t.dispatch t.p.client_dispatch_us
    hot loop; see Params). *)
 let charge_tx_op t = Sim.Resource.use t.dispatch 1.0
 
+(* The target list of [oid]'s updates, one per object. *)
+let update_streams t oid =
+  match Hashtbl.find t.update_streams oid with
+  | streams -> streams
+  | exception Not_found ->
+      let streams = [ oid ] in
+      Hashtbl.add t.update_streams oid streams;
+      streams
+
 let update_helper t ~oid ?key data =
   match current_tx t with
   | Some ctx ->
@@ -492,7 +503,7 @@ let update_helper t ~oid ?key data =
   | None ->
       charge_dispatch t;
       ignore
-        (Batcher.submit t.batcher ~streams:[ oid ]
+        (Batcher.submit t.batcher ~streams:(update_streams t oid)
            (Record.Update { Record.u_oid = oid; u_key = key; u_data = data }))
 
 let query_helper t ~oid ?key ?upto () =

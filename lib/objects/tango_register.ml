@@ -1,6 +1,14 @@
 type t = { rt : Tango.Runtime.t; roid : int; mutable value : int; mutable last_pos : int }
 
-let encode v = Codec.to_bytes (fun b -> Codec.put_int b v)
+(* [Codec.put_int]'s 8 big-endian bytes, written straight into the
+   record's buffer: no writer or closure. *)
+let encode v =
+  let b = Bytes.create 8 in
+  for i = 0 to 7 do
+    Bytes.unsafe_set b i (Char.unsafe_chr ((v lsr (56 - (8 * i))) land 0xFF))
+  done;
+  b
+
 let decode data = Codec.get_int (Codec.reader data)
 
 let attach rt ~oid =
