@@ -321,26 +321,30 @@ let fuzz_shrink plan_file out oracle =
   let sc = Scenario.decode (read_file plan_file) in
   let oracle =
     match oracle with
-    | Some o -> o
+    | Some _ -> oracle
     | None -> (
         (* no oracle named: re-run the scenario and minimize against
            whatever fires first *)
         match (Scenario.run sc).Fuzz.oc_violations with
-        | [] ->
-            say "scenario no longer reproduces any violation; nothing to shrink";
-            exit 1
-        | v :: _ -> v.Verifier.v_oracle)
+        | [] -> None
+        | v :: _ -> Some v.Verifier.v_oracle)
   in
-  let sh =
-    Fuzz.shrink ?failpoint:sc.Scenario.sc_failpoint ~specs:sc.Scenario.sc_specs
-      ?spec_deadline_us:sc.Scenario.sc_spec_deadline_us ~monitors:sc.Scenario.sc_monitors
-      ~seed:sc.Scenario.sc_seed
-      sc.Scenario.sc_config sc.Scenario.sc_plan ~oracle
-  in
-  say_shrunk ~from:(List.length sc.Scenario.sc_plan) sh;
-  write_file out (Scenario.encode { sc with Scenario.sc_plan = sh.Fuzz.sh_plan });
-  say "shrunk scenario -> %s" out;
-  `Ok ()
+  match oracle with
+  | None ->
+      (* a clean scenario is not a finding: exit 0 *)
+      say "scenario no longer reproduces any violation; nothing to shrink";
+      `Ok ()
+  | Some oracle ->
+      let sh =
+        Fuzz.shrink ?failpoint:sc.Scenario.sc_failpoint ~specs:sc.Scenario.sc_specs
+          ?spec_deadline_us:sc.Scenario.sc_spec_deadline_us ~monitors:sc.Scenario.sc_monitors
+          ~seed:sc.Scenario.sc_seed
+          sc.Scenario.sc_config sc.Scenario.sc_plan ~oracle
+      in
+      say_shrunk ~from:(List.length sc.Scenario.sc_plan) sh;
+      write_file out (Scenario.encode { sc with Scenario.sc_plan = sh.Fuzz.sh_plan });
+      say "shrunk scenario -> %s" out;
+      `Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* spec / scenario                                                    *)
