@@ -296,6 +296,35 @@ let test_batcher_linger_flushes_partial () =
       check_int "one entry" 1 (Batcher.entries_appended b);
       check_bool "waited for linger" true (Sim.Engine.now () >= Batcher.linger_us))
 
+(* A linger timer remembers the batch it was armed for. Here A's
+   timer is armed at 0 and B fills and seals that batch before the
+   timer's fiber starts; C opens the next batch at 10, arming its own
+   timer. A's timer, waking at 30, must leave C's batch alone: C's
+   batch is sealed by C's timer at 10 + linger. The sealed queue's
+   depth shows it, while the drainer still waits for A and B's grant. *)
+let test_batcher_linger_keeps_its_batch () =
+  with_cluster (fun cluster ->
+      let cl = Corfu.Cluster.new_client cluster ~name:"app" in
+      let b = Batcher.create ~client:cl ~batch_size:2 in
+      let depth = Sim.Metrics.gauge ~host:"app" "batcher.sealed_depth" in
+      let landed = ref 0 in
+      List.iteri
+        (fun i at ->
+          Sim.Engine.spawn (fun () ->
+              Sim.Engine.sleep at;
+              ignore
+                (Batcher.submit b ~streams:[ 1 ]
+                   (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode i }));
+              incr landed))
+        [ 0.; 0.; 10. ];
+      Sim.Engine.sleep (10. +. Batcher.linger_us -. 5.);
+      Alcotest.(check (float 0.)) "C's batch still forming" 1. (Sim.Metrics.gauge_value depth);
+      Sim.Engine.sleep 10.;
+      Alcotest.(check (float 0.)) "C's timer sealed it" 2. (Sim.Metrics.gauge_value depth);
+      Sim.Engine.sleep 100_000.;
+      check_int "all landed" 3 !landed;
+      check_int "two entries" 2 (Batcher.entries_appended b))
+
 let test_batcher_deep_window_ordering () =
   (* With a deep append window, many entries fly concurrently — yet
      the positions handed back must stay consistent with log order
@@ -1401,11 +1430,14 @@ let test_batch_core_grouping () =
     ignore (Batch_core.submit bc r streams ());
     Batch_core.seal bc
   in
-  seal_one [ 1; 2 ];
+  let sorted = [ 1; 2 ] in
+  seal_one sorted;
   seal_one [ 2; 1 ];  (* same set, different order *)
   seal_one [ 2 ];
   seal_one [ 1; 2 ];
   check_int "queued" 4 (Batch_core.queued bc);
+  (* a first list that already is the set is handed on, not rebuilt *)
+  check_bool "sorted list shared" true (Batch_core.front_streams bc == sorted);
   check_int "leading run" 2 (Batch_core.group bc ~max_run:8);
   check_int "max_run caps the run" 1 (Batch_core.group bc ~max_run:1);
   Batch_core.recycle bc (Batch_core.pop bc);
@@ -1750,6 +1782,8 @@ let () =
         [
           Alcotest.test_case "fills batches" `Quick test_batcher_fills_batches;
           Alcotest.test_case "linger flushes partial" `Quick test_batcher_linger_flushes_partial;
+          Alcotest.test_case "linger timer keeps its batch" `Quick
+            test_batcher_linger_keeps_its_batch;
           Alcotest.test_case "deep window keeps log order" `Quick
             test_batcher_deep_window_ordering;
           Alcotest.test_case "pipelined writes linearizable" `Quick
