@@ -1288,6 +1288,43 @@ let micro_hotpath () =
   hot_report ~name:"engine-sleep" sl_ns sl_words;
   hot_report ~name:"resource-use" ru_ns ru_words;
   hot_report ~name:"net-call" nc_ns nc_words;
+  (* fault-aware RPCs, each on its own fabric with a controller.
+     net-call-r: the timed RPC under a quiet controller, at the
+     protocol's deadline: the exchange runs in a pooled job's fiber
+     while the caller parks, and each job's timer outlives its call.
+     net-call-faulted: [call] between two healthy hosts while a third
+     host is crashed, an unrelated edge rule is set and a partition
+     names other hosts; the verdicts index arrays by host id, so it
+     costs what net-call does. *)
+  let (cr_ns, cr_words), (cf_ns, cf_words) =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let pair name =
+          let net =
+            Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125. ()
+          in
+          let fault = Sim.Fault.create () in
+          Sim.Net.install_fault net fault;
+          let client = Sim.Net.add_host net (name ^ ".client") in
+          let server = Sim.Net.add_host net (name ^ ".server") in
+          (fault, client, Sim.Net.service server ~name:(name ^ ".echo") (fun x -> x))
+        in
+        let _, client, echo = pair "bench.timed" in
+        let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us in
+        let cr =
+          hot_measure ~ops:100_000 (fun () ->
+              match Sim.Net.call_r ~timeout_us ~from:client echo 1 with
+              | Ok _ -> ()
+              | Error _ -> failwith "net-call-r: a quiet controller lost a call")
+        in
+        let fault, client, echo = pair "bench.faulted" in
+        Sim.Fault.crash fault "bench.faulted.down";
+        Sim.Fault.degrade fault ~src:"bench.faulted.x" ~dst:"bench.faulted.y" ~delay_us:100. ();
+        Sim.Fault.partition fault [ [ "bench.faulted.x" ]; [ "bench.faulted.y" ] ];
+        let cf = hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~from:client echo 1)) in
+        (cr, cf))
+  in
+  hot_report ~name:"net-call-r" cr_ns cr_words;
+  hot_report ~name:"net-call-faulted" cf_ns cf_words;
   (* engine-spawn: a fiber whose body returns at once. The spawner
      queues a batch of them and yields, so each runs before the
      spawner resumes; reported per spawn, the spawner's yield shared

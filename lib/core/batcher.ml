@@ -12,23 +12,6 @@ type job = {
   j_body : unit -> unit;
 }
 
-(* An array stack of reusable records. *)
-type 'a pool = { mutable items : 'a array; mutable len : int }
-
-let pool_put p x =
-  if p.len = Array.length p.items then begin
-    let bigger = Array.make (max 8 (2 * p.len)) x in
-    Array.blit p.items 0 bigger 0 p.len;
-    p.items <- bigger
-  end;
-  p.items.(p.len) <- x;
-  p.len <- p.len + 1
-
-(* Requires [p.len > 0]. *)
-let pool_pop p =
-  p.len <- p.len - 1;
-  p.items.(p.len)
-
 type t = {
   client : Corfu.Client.t;
   batch_size : int;
@@ -44,8 +27,8 @@ type t = {
   mutable armed_len : int;
   linger_body : unit -> unit;  (* every linger timer's fiber *)
   mutable drainer_busy : bool;
-  grant_pool : grant_slot pool;
-  jobs : job pool;
+  grant_pool : grant_slot Sim.Pool.t;
+  jobs : job Sim.Pool.t;
   mutable entries : int;
   mutable records : int;
   mutable inflight : int;
@@ -109,8 +92,9 @@ let armed_pop t =
   generation
 
 let grant_take t =
-  if t.grant_pool.len = 0 then { gr_grant = Corfu.Client.blank_grant t.client; gr_refs = 0 }
-  else pool_pop t.grant_pool
+  if Sim.Pool.is_empty t.grant_pool then
+    { gr_grant = Corfu.Client.blank_grant t.client; gr_refs = 0 }
+  else Sim.Pool.pop t.grant_pool
 
 (* One entry's chain write, then its waiters' positions. *)
 let write_entry t j =
@@ -124,8 +108,8 @@ let write_entry t j =
   done;
   Batch_core.recycle t.core batch;
   gs.gr_refs <- gs.gr_refs - 1;
-  if gs.gr_refs = 0 then pool_put t.grant_pool gs;
-  pool_put t.jobs j;
+  if gs.gr_refs = 0 then Sim.Pool.put t.grant_pool gs;
+  Sim.Pool.put t.jobs j;
   t.inflight <- t.inflight - 1;
   Sim.Resource.release t.window
 
@@ -136,7 +120,7 @@ let run_job t j =
   else write_entry t j
 
 let job_take t ~batch ~slot ~index ~parent =
-  if t.jobs.len = 0 then begin
+  if Sim.Pool.is_empty t.jobs then begin
     let rec j =
       {
         j_batch = batch;
@@ -149,7 +133,7 @@ let job_take t ~batch ~slot ~index ~parent =
     j
   end
   else begin
-    let j = pool_pop t.jobs in
+    let j = Sim.Pool.pop t.jobs in
     j.j_batch <- batch;
     j.j_slot <- slot;
     j.j_index <- index;
@@ -234,8 +218,8 @@ let create ~client ~batch_size =
       armed_len = 0;
       linger_body = (fun () -> linger t);
       drainer_busy = false;
-      grant_pool = { items = [||]; len = 0 };
-      jobs = { items = [||]; len = 0 };
+      grant_pool = Sim.Pool.create ();
+      jobs = Sim.Pool.create ();
       entries = 0;
       records = 0;
       inflight = 0;

@@ -962,8 +962,20 @@ let await_replication t =
 
 let start_failure_monitor t =
   Sim.Engine.spawn (fun () ->
+      (* Each counter is looked up once, on its first increment: a run
+         that never probes, or never fails a probe, lists no zero
+         counter for it. *)
+      let probes = ref None and failures = ref None in
+      let bump cell name =
+        match !cell with
+        | Some c -> Sim.Metrics.incr c
+        | None ->
+            let c = Sim.Metrics.counter name in
+            cell := Some c;
+            Sim.Metrics.incr c
+      in
       let probe epoch node =
-        Sim.Metrics.incr (Sim.Metrics.counter "cluster.probes");
+        bump probes "cluster.probes";
         match
           Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
             ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.read_service node)
@@ -971,7 +983,7 @@ let start_failure_monitor t =
         with
         | Ok _ -> true (* any answer, even a sealed error, proves liveness *)
         | Error _ ->
-            Sim.Metrics.incr (Sim.Metrics.counter "cluster.probe_failures");
+            bump failures "cluster.probe_failures";
             false
       in
       let rec loop () =

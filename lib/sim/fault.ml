@@ -13,68 +13,136 @@ type event = { ev_time : float; ev_label : string }
 
 type edge = { e_drop : float; e_delay_us : float; e_jitter_us : float }
 
+(* Host names are interned once, process-wide, so the per-message
+   checks below index arrays instead of hashing strings. Id 0 is the
+   edge wildcard ["*"]; hosts count up from 1. *)
+let ids : (string, int) Hashtbl.t =
+  let tbl = Hashtbl.create 64 in
+  Hashtbl.add tbl "*" 0;
+  tbl
+
+let host_id name =
+  match Hashtbl.find_opt ids name with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids name id;
+      id
+
+(* The empty cell of an edge row; compared by [==]. *)
+let no_edge = { e_drop = 0.; e_delay_us = 0.; e_jitter_us = 0. }
+
+(* All state is indexed by host id and grown on demand: an id past an
+   array's end reads as the default (alive, in the implicit component,
+   no rule). *)
 type t = {
   frng : Rng.t;
-  crashed : (string, unit) Hashtbl.t;
+  mutable crashed : bool array;
   mutable components : string list list;  (* [] = fully connected *)
-  edges : (string * string, edge) Hashtbl.t;
+  mutable component : int array;  (* the first listed component holding the host, or -1 *)
+  mutable edges : edge array array;  (* [src].(dst), [no_edge] where none *)
   mutable log : event list;  (* newest first *)
 }
 
 let create ?(seed = 0) () =
   {
     frng = Rng.create seed;
-    crashed = Hashtbl.create 8;
+    crashed = [||];
     components = [];
-    edges = Hashtbl.create 8;
+    component = [||];
+    edges = [||];
     log = [];
   }
 
-(* Both checks run on every message; a quiet controller (nothing
-   crashed, no edge rules) must not hash a host name or build a key. *)
-let is_crashed t h = Hashtbl.length t.crashed > 0 && Hashtbl.mem t.crashed h
+(* [a] grown to cover index [i], new cells [fill]. *)
+let cover a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
-(* Hosts absent from every component share one implicit component, so a
-   partition plan only has to name the minority side. *)
-let component_of t h =
-  let rec go i = function
-    | [] -> -1
-    | c :: rest -> if List.mem h c then i else go (i + 1) rest
-  in
-  go 0 t.components
+let is_crashed_id t id = id < Array.length t.crashed && Array.unsafe_get t.crashed id
 
-let is_partitioned t = t.components <> []
-let has_edge_rule t ~src ~dst = Hashtbl.mem t.edges (src, dst)
+let set_crashed t id down =
+  t.crashed <- cover t.crashed id false;
+  t.crashed.(id) <- down
 
-let partitioned t a b =
-  match t.components with [] -> false | _ -> component_of t a <> component_of t b
+let component_of t id =
+  if id < Array.length t.component then Array.unsafe_get t.component id else -1
 
-let edge_rule t src dst =
-  if Hashtbl.length t.edges = 0 then None
+(* Hosts absent from every component share one implicit component (-1),
+   so a partition plan only has to name the minority side. A host named
+   in two components belongs to the first. *)
+let set_partition t cs =
+  let named = List.map (List.map host_id) cs in
+  let comp = Array.make (Hashtbl.length ids) (-1) in
+  List.iteri (fun i c -> List.iter (fun id -> if comp.(id) < 0 then comp.(id) <- i) c) named;
+  t.components <- cs;
+  t.component <- comp
+
+let partitioned_id t a b = component_of t a <> component_of t b
+
+let edge_at t s d =
+  if s < Array.length t.edges then begin
+    let row = Array.unsafe_get t.edges s in
+    if d < Array.length row then Array.unsafe_get row d else no_edge
+  end
+  else no_edge
+
+let set_edge t s d e =
+  t.edges <- cover t.edges s [||];
+  let row = cover t.edges.(s) d no_edge in
+  t.edges.(s) <- row;
+  row.(d) <- e
+
+let clear_edge_at t s d = if edge_at t s d != no_edge then t.edges.(s).(d) <- no_edge
+
+(* The most specific rule for the edge: exact, then [src -> *], then
+   [* -> dst], then [* -> *]. *)
+let edge_rule t s d =
+  let e = edge_at t s d in
+  if e != no_edge then e
   else
-    match Hashtbl.find_opt t.edges (src, dst) with
-    | Some e -> Some e
-    | None -> (
-        match Hashtbl.find_opt t.edges (src, "*") with
-        | Some e -> Some e
-        | None -> (
-            match Hashtbl.find_opt t.edges ("*", dst) with
-            | Some e -> Some e
-            | None -> Hashtbl.find_opt t.edges ("*", "*")))
+    let e = edge_at t s 0 in
+    if e != no_edge then e
+    else
+      let e = edge_at t 0 d in
+      if e != no_edge then e else edge_at t 0 0
 
-(* One verdict per message direction. The controller's own rng is drawn
-   only when a matching edge rule needs randomness, so an installed but
+(* One verdict per message direction: [true] to deliver, with the extra
+   delay stored in [a.(i)] (a float-array slot, so none is boxed).
+   Nothing is hashed or built. The controller's own rng is drawn only
+   when a matching edge rule needs randomness, so an installed but
    quiescent controller perturbs nothing. *)
-let judge t ~src ~dst =
-  if is_crashed t src || is_crashed t dst then Drop
-  else if partitioned t src dst then Drop
+let judge_id t ~src ~dst a i =
+  if is_crashed_id t src || is_crashed_id t dst || partitioned_id t src dst then false
   else
-    match edge_rule t src dst with
-    | None -> Deliver 0.
-    | Some e ->
-        if e.e_drop > 0. && Rng.bool t.frng e.e_drop then Drop
-        else if e.e_jitter_us > 0. then Deliver (e.e_delay_us +. Rng.float t.frng e.e_jitter_us)
-        else Deliver e.e_delay_us
+    let e = edge_rule t src dst in
+    if e == no_edge then begin
+      Float.Array.set a i 0.;
+      true
+    end
+    else if e.e_drop > 0. && Rng.bool t.frng e.e_drop then false
+    else begin
+      if e.e_jitter_us > 0. then
+        Float.Array.set a i (e.e_delay_us +. Rng.float t.frng e.e_jitter_us)
+      else Float.Array.set a i e.e_delay_us;
+      true
+    end
+
+let is_crashed t h = is_crashed_id t (host_id h)
+let is_partitioned t = t.components <> []
+let has_edge_rule t ~src ~dst = edge_at t (host_id src) (host_id dst) != no_edge
+
+let verdict_slot = Float.Array.make 1 0.
+
+let judge t ~src ~dst =
+  if judge_id t ~src:(host_id src) ~dst:(host_id dst) verdict_slot 0 then
+    Deliver (Float.Array.get verdict_slot 0)
+  else Drop
 
 let label = function
   | Crash h -> "crash " ^ h
@@ -94,14 +162,14 @@ let host_of = function
 
 let apply t action =
   (match action with
-  | Crash h -> Hashtbl.replace t.crashed h ()
-  | Restart h -> Hashtbl.remove t.crashed h
-  | Partition cs -> t.components <- cs
-  | Heal -> t.components <- []
+  | Crash h -> set_crashed t (host_id h) true
+  | Restart h -> set_crashed t (host_id h) false
+  | Partition cs -> set_partition t cs
+  | Heal -> set_partition t []
   | Degrade { d_src; d_dst; d_drop; d_delay_us; d_jitter_us } ->
-      Hashtbl.replace t.edges (d_src, d_dst)
+      set_edge t (host_id d_src) (host_id d_dst)
         { e_drop = d_drop; e_delay_us = d_delay_us; e_jitter_us = d_jitter_us }
-  | Clear_edge (s, d) -> Hashtbl.remove t.edges (s, d)
+  | Clear_edge (s, d) -> clear_edge_at t (host_id s) (host_id d)
   | Custom (_, run) -> run ());
   let what = label action in
   if Announce.active () then begin

@@ -18,7 +18,16 @@
     fault plan reproduce the same trace on every run. Fault actions are
     scheduled as virtual-time events ({!schedule}, {!plan}), so a whole
     fault scenario is a pure function of (world seed, fault seed,
-    plan). *)
+    plan).
+
+    {b Cost.} Host names are interned to small integer ids
+    ({!host_id}); the controller keeps crashed hosts, partition
+    components and edge rules (wildcards included) in arrays indexed by
+    id, and {!Net} judges each message by its hosts' ids
+    ({!judge_id}). A per-message verdict hashes no string, builds no
+    key and boxes no float, whatever faults are in force; the name-keyed
+    {!judge} and {!is_crashed} intern their arguments and read the same
+    arrays. *)
 
 type t
 
@@ -83,8 +92,23 @@ val plan : t -> (float * action) list -> unit
 (** {2 Consultation and audit} *)
 
 (** [judge t ~src ~dst] decides the fate of one message between named
-    hosts. Called by {!Net} for each direction of an RPC. *)
+    hosts: {!judge_id} on their interned ids. *)
 val judge : t -> src:string -> dst:string -> verdict
+
+(** [host_id name] is [name]'s interned id: dense, stable for the life
+    of the process, and the same for every controller. ["*"], the edge
+    wildcard, is 0. Interning hashes the name once; keep the id. *)
+val host_id : string -> int
+
+(** [is_crashed_id t id] is [is_crashed t name] for [id = host_id name],
+    without hashing. *)
+val is_crashed_id : t -> int -> bool
+
+(** [judge_id t ~src ~dst a i] is the verdict {!judge} returns for the
+    hosts with these ids: [true] to deliver, with the extra delay (µs)
+    stored in [a.(i)]; [false] to drop, leaving [a] alone. Called by
+    {!Net} for each direction of an RPC; it allocates nothing. *)
+val judge_id : t -> src:int -> dst:int -> Float.Array.t -> int -> bool
 
 type event = { ev_time : float; ev_label : string }
 

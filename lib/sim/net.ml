@@ -1,5 +1,6 @@
 type host = {
   hname : string;
+  hid : int;  (* [Fault.host_id hname] *)
   nic_in_r : Resource.t;
   nic_out_r : Resource.t;
   cpu : Resource.t;
@@ -16,16 +17,42 @@ type t = {
   net_fault : Fault.t option ref;
 }
 
+type rpc_error = Rpc_timeout | Rpc_dead
+
 (* [ssite] is the "rpc.<sname>" section, built once with its args so a
-   call allocates neither. *)
+   call allocates neither. [jobs] holds the service's idle timed
+   exchanges. *)
 type ('req, 'resp) service = {
   shost : host;
   sname : string;
   ssite : unit Span.site;
   serve : 'req -> 'resp;
+  jobs : ('req, 'resp) job Pool.t;
 }
 
-type rpc_error = Rpc_timeout | Rpc_dead
+(* One [call_r] under a fault controller: the request, the result, the
+   caller's wait queue, and the exchange fiber's body and timer thunk,
+   both built once with the job. A job is shared by three parties, the
+   caller, the exchange fiber and the timer, and goes back to its
+   service's pool when the last of them lets go ([x_refs] reaches 0):
+   a timed-out exchange still in flight, or the timer of an answered
+   call, still holds it, so a late settle can never reach a later
+   call's job. *)
+and ('req, 'resp) job = {
+  x_svc : ('req, 'resp) service;
+  mutable x_from : host;
+  mutable x_fault : Fault.t option;
+  mutable x_req : 'req;
+  mutable x_req_bytes : int;
+  mutable x_resp_bytes : int;
+  mutable x_parent : Span.id option;
+  mutable x_result : ('resp, rpc_error) result;  (* valid once [x_settled] *)
+  mutable x_settled : bool;
+  mutable x_refs : int;
+  x_caller : Engine.waitq;
+  x_body : unit -> unit;
+  x_timer : unit -> unit;
+}
 
 let create ~latency ~bandwidth ?(jitter = 0.05) () =
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
@@ -37,6 +64,7 @@ let add_host ?(cores = 8) t name =
   let h =
     {
       hname = name;
+      hid = Fault.host_id name;
       nic_in_r = Resource.create ~name:(name ^ ".nic-in") ~capacity:1 ();
       nic_out_r = Resource.create ~name:(name ^ ".nic-out") ~capacity:1 ();
       cpu = Resource.create ~name:(name ^ ".cpu") ~capacity:cores ();
@@ -56,19 +84,25 @@ let host_cpu h = h.cpu
 
 let service shost ~name serve =
   let args = [ ("dst", shost.hname) ] in
-  { shost; sname = name; ssite = Span.site ~args:(fun () -> args) ("rpc." ^ name); serve }
+  {
+    shost;
+    sname = name;
+    ssite = Span.site ~args:(fun () -> args) ("rpc." ^ name);
+    serve;
+    jobs = Pool.create ();
+  }
 
-let crashed fault name = match fault with Some f -> Fault.is_crashed f name | None -> false
+let crashed fault h = match fault with Some f -> Fault.is_crashed_id f h.hid | None -> false
 
 (* A lost request or response. A constant exception rather than an
    [option] result keeps the fault-free exchange allocation-free. *)
 exception Lost
 
 (* A hop's service and flight times reach [Resource.use_in] and
-   [Engine.sleep_in] through this slot, so no float is boxed. Both read
-   it on entry, before they can park, so one slot serves every
-   fiber. *)
-let delay = Float.Array.make 1 0.
+   [Engine.sleep_in] through slot 0, so no float is boxed. Both read
+   it on entry, before they can park, so one slot serves every fiber.
+   Slot 1 takes the fault controller's extra delay. *)
+let delay = Float.Array.make 2 0.
 
 (* One message's flight time from [h] into [delay]. Two stores, not
    one store of an [if]: a branch yielding the boxed field would box
@@ -89,14 +123,12 @@ let hop fault ~(src : host) ~(dst : host) ~bytes =
   Resource.use_in src.nic_out_r delay 0;
   (match fault with
   | None -> set_flight src
-  | Some f -> (
-      match Fault.judge f ~src:src.hname ~dst:dst.hname with
-      | Fault.Drop -> raise Lost
-      | Fault.Deliver extra ->
-          set_flight src;
-          Float.Array.set delay 0 (Float.Array.get delay 0 +. extra)));
+  | Some f ->
+      if not (Fault.judge_id f ~src:src.hid ~dst:dst.hid delay 1) then raise Lost;
+      set_flight src;
+      Float.Array.set delay 0 (Float.Array.get delay 0 +. Float.Array.get delay 1));
   Engine.sleep_in delay 0;
-  (match fault with Some f when Fault.is_crashed f dst.hname -> raise Lost | Some _ | None -> ());
+  if crashed fault dst then raise Lost;
   Float.Array.set delay 0 wire;
   Resource.use_in dst.nic_in_r delay 0
 
@@ -106,7 +138,7 @@ let hop fault ~(src : host) ~(dst : host) ~bytes =
 let exchange fault ~req_bytes ~resp_bytes ~from svc req =
   hop fault ~src:from ~dst:svc.shost ~bytes:req_bytes;
   let resp = svc.serve req in
-  if crashed fault svc.shost.hname then raise Lost;
+  if crashed fault svc.shost then raise Lost;
   hop fault ~src:svc.shost ~dst:from ~bytes:resp_bytes;
   resp
 
@@ -122,7 +154,7 @@ let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
   let tok = Span.enter_at svc.ssite ~host:from.hname () in
   match
     let fault = !(from.hfault) in
-    if crashed fault from.hname then park ()
+    if crashed fault from then park ()
     else if from == svc.shost then svc.serve req
     else try exchange fault ~req_bytes ~resp_bytes ~from svc req with Lost -> park ()
   with
@@ -131,34 +163,106 @@ let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
       resp
   | exception e -> Span.leave_raise svc.ssite tok e
 
+(* -- timed exchanges ------------------------------------------------- *)
+
+(* A party is done with [j]; the last one pools it. *)
+let release j =
+  j.x_refs <- j.x_refs - 1;
+  if j.x_refs = 0 then begin
+    j.x_result <- Error Rpc_timeout;
+    Pool.put j.x_svc.jobs j
+  end
+
+(* The first of response and deadline fills the result and wakes the
+   caller; the other finds it settled. *)
+let settle j r =
+  if not j.x_settled then begin
+    j.x_settled <- true;
+    j.x_result <- r;
+    Engine.wake j.x_caller
+  end
+
+(* A lost exchange or a failed device simply never settles. *)
+let run_exchange j =
+  (match
+     exchange j.x_fault ~req_bytes:j.x_req_bytes ~resp_bytes:j.x_resp_bytes ~from:j.x_from
+       j.x_svc j.x_req
+   with
+  | resp -> settle j (Ok resp)
+  | exception (Lost | Resource.Failed _) -> ());
+  release j
+
+(* The exchange fiber's body: its spans hang under the caller's while
+   tracing is on. *)
+let exchange_body j =
+  if Span.enabled () then Span.with_parent j.x_parent (fun () -> run_exchange j)
+  else run_exchange j
+
+let time_out j =
+  settle j (Error Rpc_timeout);
+  release j
+
+let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
+  let j =
+    if Pool.is_empty svc.jobs then begin
+      let rec j =
+        {
+          x_svc = svc;
+          x_from = from;
+          x_fault = fault;
+          x_req = req;
+          x_req_bytes = req_bytes;
+          x_resp_bytes = resp_bytes;
+          x_parent = None;
+          x_result = Error Rpc_timeout;
+          x_settled = false;
+          x_refs = 0;
+          x_caller = Engine.waitq ();
+          x_body = (fun () -> exchange_body j);
+          x_timer = (fun () -> time_out j);
+        }
+      in
+      j
+    end
+    else begin
+      let j = Pool.pop svc.jobs in
+      j.x_from <- from;
+      j.x_fault <- fault;
+      j.x_req <- req;
+      j.x_req_bytes <- req_bytes;
+      j.x_resp_bytes <- resp_bytes;
+      j.x_settled <- false;
+      j
+    end
+  in
+  j.x_parent <- Span.current ();
+  j.x_refs <- 3;
+  j
+
 (* Without an installed fault controller this is exactly [call] (same
    fiber, same event sequence), so fault-free runs stay byte-identical.
-   Under one, the exchange runs in a helper fiber and the caller waits
-   for first-of(response, timeout): whichever comes first fills the
-   result, the other finds it filled. A lost exchange or a failed
-   device simply never settles. *)
+   Under one, the exchange runs in a helper fiber and the caller parks
+   until first-of(response, timeout) settles the job. *)
 let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
   match !(from.hfault) with
   | None -> Ok (call ~req_bytes ~resp_bytes ~from svc req)
   | fault -> (
       let tok = Span.enter_at svc.ssite ~host:from.hname () in
       match
-        if crashed fault from.hname then Error Rpc_dead
+        if crashed fault from then Error Rpc_dead
         else if from == svc.shost then (
           match svc.serve req with
           | resp -> Ok resp
           | exception Resource.Failed _ -> Error Rpc_dead)
-        else
-          let span_parent = Span.current () in
-          let result = Ivar.create () in
-          let settle r = if not (Ivar.is_filled result) then Ivar.fill result r in
-          Engine.schedule ~after:timeout_us (fun () -> settle (Error Rpc_timeout));
-          Engine.spawn (fun () ->
-              Span.with_parent span_parent @@ fun () ->
-              match exchange fault ~req_bytes ~resp_bytes ~from svc req with
-              | resp -> settle (Ok resp)
-              | exception (Lost | Resource.Failed _) -> ());
-          Ivar.read result
+        else begin
+          let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
+          Engine.schedule ~after:timeout_us j.x_timer;
+          Engine.spawn j.x_body;
+          Engine.park j.x_caller;
+          let r = j.x_result in
+          release j;
+          r
+        end
       with
       | r ->
           Span.leave svc.ssite tok;

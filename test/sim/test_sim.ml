@@ -625,6 +625,57 @@ let test_fault_crashed_caller_loses_response () =
       check_int "second request served" 2 !served;
       check_float "timed out at the deadline" 1_000. (Engine.now () -. t0))
 
+(* A timed exchange outlives its call in both directions: a call that
+   times out leaves its exchange in flight, and an answered call leaves
+   its timer armed. Neither may settle a later call on the same
+   service. With latency 5 µs and no jitter a round trip costs 12.048
+   µs plus the handler's [work]:
+   - call 1 (work 1200) times out at 1000 while its request is being
+     served; its response lands at 1212, inside call 2;
+   - call 2 (work 800) must get its own answer, at 812;
+   - call 3 (work 0) is answered at once, its timer still armed;
+   - call 4 (work 980), issued right after, is answered after call 2's
+     timer (at 2000) and call 3's (at 2812) would fire, and must get
+     its own answer. *)
+let test_fault_call_r_late_response () =
+  Engine.run (fun () ->
+      let net = Net.create ~latency:5. ~bandwidth:125. ~jitter:0. () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      Net.install_fault net (Fault.create ());
+      let served = ref [] in
+      let slow =
+        Net.service b ~name:"slow" (fun (id, work) ->
+            Engine.sleep work;
+            served := id :: !served;
+            id)
+      in
+      let timeout_us = 1_000. in
+      let call id work =
+        let t0 = Engine.now () in
+        let r = Net.call_r ~timeout_us ~from:a slow (id, work) in
+        (r, Engine.now () -. t0)
+      in
+      let answered id work =
+        match call id work with
+        | Ok got, dt ->
+            check_int (Printf.sprintf "call %d gets its own answer" id) id got;
+            check_bool (Printf.sprintf "call %d answered before its deadline" id) true
+              (dt < timeout_us)
+        | Error _, dt -> Alcotest.failf "call %d failed after %g us" id dt
+      in
+      (match call 1 1_200. with
+      | Error Net.Rpc_timeout, dt -> check_float "timed out at exactly its deadline" timeout_us dt
+      | Ok got, _ -> Alcotest.failf "call 1 answered (%d) past its deadline" got
+      | Error Net.Rpc_dead, _ -> Alcotest.fail "call 1: nothing was dead");
+      check_int "late request still in service" 0 (List.length !served);
+      answered 2 800.;
+      Alcotest.(check (list int)) "late request served, then call 2's" [ 2; 1 ] !served;
+      answered 3 0.;
+      answered 4 980.;
+      Engine.sleep 2_000.;
+      Alcotest.(check (list int)) "every request served once" [ 4; 3; 2; 1 ] !served)
+
 (* An installed controller with no active faults changes nothing: [call]
    spends the same virtual time and dispatches the same events as with
    no controller, and [call_r] (which still runs its helper fiber) the
@@ -1564,6 +1615,154 @@ let prop_fault_plan_round_trip =
   QCheck.Test.make ~name:"fault plan encode/decode round-trips" ~count:300 plan_gen (fun p ->
       Fault.equal_plan p (Fault.decode_plan (Fault.encode_plan p)))
 
+(* The reference model of fault verdicts, keyed by name: hash tables of
+   names, component lists searched with [List.mem], edge rules keyed by
+   name pairs, and its own generator seeded like the controller's. *)
+module Name_fault = struct
+  type edge = { drop : float; delay_us : float; jitter_us : float }
+
+  type t = {
+    rng : Rng.t;
+    crashed : (string, unit) Hashtbl.t;
+    mutable components : string list list;
+    edges : (string * string, edge) Hashtbl.t;
+  }
+
+  let create seed =
+    { rng = Rng.create seed; crashed = Hashtbl.create 8; components = []; edges = Hashtbl.create 8 }
+
+  let apply t = function
+    | Fault.Crash h -> Hashtbl.replace t.crashed h ()
+    | Fault.Restart h -> Hashtbl.remove t.crashed h
+    | Fault.Partition cs -> t.components <- cs
+    | Fault.Heal -> t.components <- []
+    | Fault.Degrade { d_src; d_dst; d_drop; d_delay_us; d_jitter_us } ->
+        Hashtbl.replace t.edges (d_src, d_dst)
+          { drop = d_drop; delay_us = d_delay_us; jitter_us = d_jitter_us }
+    | Fault.Clear_edge (s, d) -> Hashtbl.remove t.edges (s, d)
+    | Fault.Custom (_, run) -> run ()
+
+  let is_crashed t h = Hashtbl.mem t.crashed h
+
+  let component_of t h =
+    let rec go i = function
+      | [] -> -1
+      | c :: rest -> if List.mem h c then i else go (i + 1) rest
+    in
+    go 0 t.components
+
+  let edge_rule t src dst =
+    List.find_map
+      (fun key -> Hashtbl.find_opt t.edges key)
+      [ (src, dst); (src, "*"); ("*", dst); ("*", "*") ]
+
+  let judge t ~src ~dst =
+    if is_crashed t src || is_crashed t dst then Fault.Drop
+    else if t.components <> [] && component_of t src <> component_of t dst then Fault.Drop
+    else
+      match edge_rule t src dst with
+      | None -> Fault.Deliver 0.
+      | Some e ->
+          if e.drop > 0. && Rng.bool t.rng e.drop then Fault.Drop
+          else if e.jitter_us > 0. then Fault.Deliver (e.delay_us +. Rng.float t.rng e.jitter_us)
+          else Fault.Deliver e.delay_us
+end
+
+(* A step of a verdict plan: an action for both controllers, or one
+   message judged by both, through the name-keyed wrapper or (as
+   [Net] does) by interned id. *)
+type verdict_step = Act of Fault.action | Judge of string * string * bool
+
+let verdict_hosts = [ "vq-0"; "vq-1"; "vq-2"; "vq-3"; "vq-4" ]
+
+let verdict_step_gen =
+  let open QCheck.Gen in
+  let host = oneofl verdict_hosts in
+  let rule_end = oneofl ("*" :: verdict_hosts) in
+  let chance = oneofl [ 0.; 0.; 0.25; 0.5; 1. ] in
+  let micros = map float_of_int (int_range 0 500) in
+  frequency
+    [
+      (2, map (fun h -> Act (Fault.Crash h)) host);
+      (2, map (fun h -> Act (Fault.Restart h)) host);
+      ( 1,
+        map
+          (fun cs -> Act (Fault.Partition cs))
+          (list_size (int_range 0 3) (list_size (int_range 0 3) host)) );
+      (1, return (Act Fault.Heal));
+      ( 3,
+        map3
+          (fun (s, d) drop (delay, jitter) ->
+            Act
+              (Fault.Degrade
+                 { d_src = s; d_dst = d; d_drop = drop; d_delay_us = delay; d_jitter_us = jitter }))
+          (pair rule_end rule_end) chance (pair micros (oneof [ return 0.; micros ])) );
+      (2, map (fun (s, d) -> Act (Fault.Clear_edge (s, d))) (pair rule_end rule_end));
+      (8, map3 (fun s d by_id -> Judge (s, d, by_id)) host host bool);
+    ]
+
+let pp_verdict_step = function
+  | Act a -> Format.asprintf "%a" Fault.pp_plan [ (0., a) ]
+  | Judge (s, d, by_id) -> Printf.sprintf "judge %s->%s%s" s d (if by_id then " by id" else "")
+
+let verdict_plan_gen =
+  QCheck.make
+    ~print:(fun p -> String.concat "\n" (List.map pp_verdict_step p))
+    QCheck.Gen.(list_size (int_range 0 40) verdict_step_gen)
+
+(* Every verdict, extra delay and crash/rule query agrees with the
+   reference model. The models are seeded alike, so equal delays after
+   jittered rules show equal controller-rng draws; a closing run of
+   jittered, lossy messages on an edge only the [* -> *] rule covers
+   checks that the two generators end in the same state. *)
+let prop_fault_verdicts_match_names =
+  QCheck.Test.make ~name:"indexed fault verdicts match a name-keyed model" ~count:300
+    verdict_plan_gen (fun steps ->
+      Engine.run (fun () ->
+          let f = Fault.create ~seed:9 () in
+          let m = Name_fault.create 9 in
+          let slot = Float.Array.make 1 nan in
+          let verdict ~by_id src dst =
+            if not by_id then Fault.judge f ~src ~dst
+            else if Fault.judge_id f ~src:(Fault.host_id src) ~dst:(Fault.host_id dst) slot 0 then
+              Fault.Deliver (Float.Array.get slot 0)
+            else Fault.Drop
+          in
+          let same_verdict ~by_id src dst =
+            match (verdict ~by_id src dst, Name_fault.judge m ~src ~dst) with
+            | Fault.Drop, Fault.Drop -> true
+            | Fault.Deliver x, Fault.Deliver y -> Float.equal x y
+            | (Fault.Drop | Fault.Deliver _), _ -> false
+          in
+          let same_state h =
+            Bool.equal (Fault.is_crashed f h) (Name_fault.is_crashed m h)
+            && Bool.equal (Fault.is_crashed_id f (Fault.host_id h)) (Name_fault.is_crashed m h)
+            && Bool.equal (Fault.is_partitioned f) (m.Name_fault.components <> [])
+            && List.for_all
+                 (fun d ->
+                   Bool.equal
+                     (Fault.has_edge_rule f ~src:h ~dst:d)
+                     (Hashtbl.mem m.Name_fault.edges (h, d)))
+                 ("*" :: verdict_hosts)
+          in
+          let step = function
+            | Act a ->
+                Fault.apply f a;
+                Name_fault.apply m a;
+                true
+            | Judge (src, dst, by_id) -> same_verdict ~by_id src dst && same_state src
+          in
+          List.for_all step steps
+          &&
+          let probe = Fault.Degrade
+              { d_src = "*"; d_dst = "*"; d_drop = 0.3; d_delay_us = 10.; d_jitter_us = 40. }
+          in
+          Fault.apply f probe;
+          Name_fault.apply m probe;
+          List.for_all
+            (fun by_id -> same_verdict ~by_id "vq-probe-src" "vq-probe-dst")
+            [ false; true; false; true; true; false ]))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* ------------------------------------------------------------------ *)
@@ -2046,6 +2245,8 @@ let () =
             test_unanswered_rpc_lets_main_finish;
           Alcotest.test_case "crashed caller loses the response" `Quick
             test_fault_crashed_caller_loses_response;
+          Alcotest.test_case "call_r late response reaches no later call" `Quick
+            test_fault_call_r_late_response;
           Alcotest.test_case "quiet controller is free" `Quick test_fault_quiet_controller_is_free;
           Alcotest.test_case "plan runs in virtual time" `Quick
             test_fault_schedule_is_virtual_time;
@@ -2120,6 +2321,7 @@ let () =
             prop_resource_conserves;
             prop_station_matches_model;
             prop_fault_plan_round_trip;
+            prop_fault_verdicts_match_names;
             prop_eventq_tagged_order;
           ] );
     ]
