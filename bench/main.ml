@@ -1236,7 +1236,7 @@ let micro_hotpath () =
   let sink = Array.make 1 0. in
   for _ = 1 to cycles do
     for i = 1 to n do
-      Sim.Eventq.push q (float_of_int (i land 63)) i noop
+      ignore (Sim.Eventq.push q (float_of_int (i land 63)) i noop : Sim.Eventq.handle)
     done;
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
@@ -1256,16 +1256,28 @@ let micro_hotpath () =
   (* engine scheduling: push+pop steady state at 1024 pending. *)
   let q = Sim.Eventq.create () in
   for i = 1 to 1024 do
-    Sim.Eventq.push q (float_of_int i) i noop
+    ignore (Sim.Eventq.push q (float_of_int i) i noop : Sim.Eventq.handle)
   done;
   let seq = ref 1024 in
   let ns, words =
     hot_measure ~ops:200_000 (fun () ->
         (Sim.Eventq.pop q) ();
         incr seq;
-        Sim.Eventq.push q (float_of_int (!seq land 2047)) !seq noop)
+        ignore (Sim.Eventq.push q (float_of_int (!seq land 2047)) !seq noop : Sim.Eventq.handle))
   in
   hot_report ~name:"engine-sched" ns words;
+  (* deadline cancel: arm a timer among 512 pending ones and cancel it,
+     as an answered timed RPC does. Must report 0.000: the handle is an
+     immediate int and both heap operations move only scalars. *)
+  let ns, words =
+    Sim.Engine.run ~seed:0 (fun () ->
+        for i = 1 to 512 do
+          ignore (Sim.Engine.schedule ~after:(float_of_int i) noop : Sim.Engine.timer)
+        done;
+        hot_measure ~ops:200_000 (fun () ->
+            ignore (Sim.Engine.cancel (Sim.Engine.schedule ~after:256.5 noop) : bool)))
+  in
+  hot_report ~name:"deadline-cancel" ns words;
   (* simulation kernel: the three primitives every simulated event
      pays — a fiber's sleep, an uncontended station service, and one
      fault-free RPC (two hops, four NIC services, two propagation
@@ -1379,7 +1391,7 @@ let micro_hotpath () =
           hot_measure ~ops:200_000 (fun () ->
               let iv = Sim.Ivar.create () in
               cur := iv;
-              Sim.Engine.schedule ~after:0. fill_cur;
+              ignore (Sim.Engine.schedule ~after:0. fill_cur : Sim.Engine.timer);
               Sim.Ivar.read iv)
         in
         (rc, iw))

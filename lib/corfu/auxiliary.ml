@@ -2,8 +2,14 @@ type propose_result = Installed | Conflict of Projection.t
 type await_request = { at_least : Types.epoch; wait_us : float }
 
 (* A parked [await] caller. The install and the deadline race to fill
-   [w_view]; the loser finds it filled and does nothing. *)
-type waiter = { w_at_least : Types.epoch; w_view : Projection.t Sim.Ivar.t }
+   [w_view]. An install that wins cancels the deadline's timer; a
+   deadline that wins has fired, and the install finds [w_view] filled
+   and does nothing. *)
+type waiter = {
+  w_at_least : Types.epoch;
+  w_view : Projection.t Sim.Ivar.t;
+  mutable w_timer : Sim.Engine.timer;
+}
 
 type t = {
   mutable views : Projection.t list;  (* newest first *)
@@ -38,7 +44,13 @@ let wake t (p : Projection.t) =
     in
     t.waiters <- List.rev parked;
     t.listed <- List.length parked;
-    List.iter (fun w -> settle t w p) due
+    List.iter
+      (fun w ->
+        if not (settled w) then begin
+          ignore (Sim.Engine.cancel w.w_timer : bool);
+          settle t w p
+        end)
+      due
   end
 
 let handle_propose t (p : Projection.t) =
@@ -62,11 +74,13 @@ let handle_await t { at_least; wait_us } =
       t.waiters <- List.filter (fun w -> not (settled w)) t.waiters;
       t.listed <- t.live
     end;
-    let w = { w_at_least = at_least; w_view = Sim.Ivar.create () } in
+    let w =
+      { w_at_least = at_least; w_view = Sim.Ivar.create (); w_timer = Sim.Engine.no_timer }
+    in
     t.waiters <- w :: t.waiters;
     t.listed <- t.listed + 1;
     t.live <- t.live + 1;
-    Sim.Engine.schedule ~after:wait_us (fun () -> settle t w (newest t));
+    w.w_timer <- Sim.Engine.schedule ~after:wait_us (fun () -> settle t w (newest t));
     Sim.Ivar.read w.w_view
   end
 

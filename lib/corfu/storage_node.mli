@@ -5,7 +5,13 @@
     client library maps global offsets onto (replica set, local
     offset) pairs. The node enforces write-once semantics, epoch
     sealing, and explicit trims; every data operation occupies the
-    node's simulated SSD for the calibrated service time. *)
+    node's simulated SSD for the calibrated service time.
+
+    The cells live in pages of 1,024 consecutive local offsets behind
+    a spine indexed by [offset lsr 10]: a read or write is two array
+    loads, a gap in the local offsets (a new segment's
+    [seg_local_base]) costs one spine word per page it skips, and a
+    prefix trim frees whole pages. *)
 
 type t
 
@@ -57,3 +63,9 @@ val tail_service : t -> (unit, Types.offset) Sim.Net.service
 val sealed_epoch : t -> Types.epoch
 val written_count : t -> int
 val trimmed_below : t -> Types.offset
+
+(** Pages of cells the node holds. The address space is stored in
+    pages of 1,024 consecutive local offsets, each allocated by the
+    first write or trim into it; a prefix trim frees every page wholly
+    below its watermark. *)
+val pages_held : t -> int

@@ -74,21 +74,37 @@ let rng () = (get_world ()).world_rng
 let fiber_id () = (get_world ()).current_fiber
 let events_dispatched () = (get_world ()).events
 
-(* Events due now (after <= 0) take the immediate lane: O(1) ring
-   append, no heap traffic. Later events go through the heap. Inlined,
-   so [after] stays unboxed, and both pushes take their time from a
-   float-array slot: nothing is allocated beyond what the caller
-   passes. *)
+(* Resumes and spawns due now (after <= 0) take the immediate lane:
+   O(1) ring append, no heap traffic. Later events go through the
+   heap. Inlined, so [after] stays unboxed, and both pushes take their
+   time from a float-array slot: nothing is allocated beyond what the
+   caller passes. *)
 let[@inline] push_event w ~after tag payload =
   let seq = w.next_seq in
   w.next_seq <- seq + 1;
   if after <= 0. then Eventq.push_now_at w.q w.clock seq tag payload
   else begin
     Array.unsafe_set w.due 0 (Array.unsafe_get w.clock 0 +. after);
-    Eventq.push_at w.q w.due seq tag payload
+    ignore (Eventq.push_at w.q w.due seq tag payload : Eventq.handle)
   end
 
-let schedule ~after thunk = push_event (get_world ()) ~after Eventq.thunk_tag thunk
+type timer = Eventq.handle
+
+(* A thunk always takes the heap, even when due now, so every timer
+   has a handle to cancel. Order is unchanged: the heap and the lane
+   dispatch in one (time, seq) order. Two stores, not one of an [if],
+   so no float is boxed. *)
+let schedule ~after thunk =
+  let w = get_world () in
+  let seq = w.next_seq in
+  w.next_seq <- seq + 1;
+  let now = Array.unsafe_get w.clock 0 in
+  if after <= 0. then Array.unsafe_set w.due 0 now else Array.unsafe_set w.due 0 (now +. after);
+  Eventq.push_at w.q w.due seq Eventq.thunk_tag thunk
+
+let no_timer = Eventq.no_handle
+let cancel timer = Eventq.cancel (get_world ()).q timer
+let pending_events () = Eventq.size (get_world ()).q
 
 (* No effect carries a payload: [sleep] leaves its delay in
    [w.delay], [park] its queue in [w.parking] and [ivar_read] its cell

@@ -125,9 +125,37 @@ val spawn : ?at:float -> (unit -> unit) -> unit
     a run. The main fiber has id 0. *)
 val fiber_id : unit -> int
 
+(** A scheduled thunk's handle: an immediate int, so holding or
+    storing one allocates nothing and needs no write barrier. *)
+type timer [@@immediate]
+
 (** [schedule ~after f] runs the thunk [f] (not a fiber: it must not
-    sleep or park) after [after] microseconds. *)
-val schedule : after:float -> (unit -> unit) -> unit
+    sleep or park) after [after] microseconds (clamped to 0) and
+    returns its handle. This is the engine's one timer path: a thunk
+    takes the event heap even when due now, so every handle can be
+    cancelled. O(log n) in the pending events, allocation-free. *)
+val schedule : after:float -> (unit -> unit) -> timer
+
+(** [cancel t] removes [t]'s thunk if it has not run yet and returns
+    [true]; the thunk then never runs. A stale handle, whose thunk
+    already ran or was cancelled, removes nothing and returns [false],
+    even once a later {!schedule} reuses its slot in the heap: the
+    handle carries its event's sequence number. O(log n),
+    allocation-free. Cancelling changes no other event's time or
+    order, so a run that cancels a timer dispatches exactly the events
+    it would have without it, less that one. *)
+val cancel : timer -> bool
+
+(** [no_timer] names no event: {!cancel} on it returns [false]. The
+    placeholder for a field that holds a timer only part of the
+    time. *)
+val no_timer : timer
+
+(** [pending_events ()] is the number of events waiting in the queue:
+    scheduled thunks and timers, due resumes and spawns. Read-only;
+    tests use it to check that answered timers do not linger.
+    @raise Invalid_argument outside of {!run}. *)
+val pending_events : unit -> int
 
 (** [events_dispatched ()] is the number of events the running world
     has dispatched so far — the numerator of the events-per-wall-second

@@ -4,10 +4,11 @@
     - an {e immediate lane} — a FIFO ring absorbing events scheduled
       at the current virtual time, which dominate resume/yield-heavy
       workloads and bypass the heap;
-    - a {e heap} — a binary min-heap over parallel unboxed arrays (no
-      [option] boxes, no entry records) holding every later event; its
-      entries index a payload table written once per event, so a sift
-      moves no pointer.
+    - a {e heap} — an indexed binary min-heap over parallel unboxed
+      arrays (no [option] boxes, no entry records) holding every later
+      event; its entries index a payload table written once per event,
+      so a sift moves no pointer, and each payload slot records its
+      entry's heap position, so {!cancel} can remove a pending event.
 
     Events dispatch in strict (time, seq) order: the next event is
     always the lane front or the heap top, whichever sorts first.
@@ -27,6 +28,12 @@
 
 type t
 
+(** A heap event's handle, returned by its push: an immediate int
+    naming the event's payload slot and its seq (modulo 2^38), so
+    holding or storing one allocates nothing and needs no write
+    barrier. *)
+type handle [@@immediate]
+
 (** The tag of a plain thunk event: [-1]. *)
 val thunk_tag : int
 
@@ -41,9 +48,11 @@ val size : t -> int
 val is_empty : t -> bool
 
 (** [push q time seq thunk] schedules the thunk at absolute [time],
-    tagged {!thunk_tag}: O(log n) into the heap. Allocation-free (amortised; growth doubles the
-    arrays). *)
-val push : t -> float -> int -> (unit -> unit) -> unit
+    tagged {!thunk_tag}: O(log n) into the heap, and returns the
+    event's handle. Allocation-free (amortised; growth doubles the
+    arrays).
+    @raise Failure if the heap would hold more than 2^24 events. *)
+val push : t -> float -> int -> (unit -> unit) -> handle
 
 (** [push_now q time seq thunk] appends to the immediate lane: O(1),
     allocation-free. Sound only when [time] is the current clock (>=
@@ -56,9 +65,23 @@ val push_now : t -> float -> int -> (unit -> unit) -> unit
     [push_now]: the time crosses the module boundary in a float-array
     slot, so it is never boxed (see {!next_time_into}). The engine's
     two pushes. *)
-val push_at : t -> float array -> int -> int -> (unit -> unit) -> unit
+val push_at : t -> float array -> int -> int -> (unit -> unit) -> handle
 
 val push_now_at : t -> float array -> int -> int -> (unit -> unit) -> unit
+
+(** [cancel q h] removes [h]'s event if it is still pending in the
+    heap and says whether it did: O(log n), allocation-free (the last
+    entry moves into the hole and sifts up or down). A stale handle,
+    one whose event was already popped or cancelled, including one
+    whose slot a later push reused, removes nothing and returns
+    [false]. Lane events have no handle. Dispatch order among the
+    remaining events is unchanged, so cancelling an event is
+    indistinguishable from never having pushed it, except that its seq
+    stays used. *)
+val cancel : t -> handle -> bool
+
+(** A handle no push returns: {!cancel} on it returns [false]. *)
+val no_handle : handle
 
 (** Time of the next event in dispatch order.
     @raise Invalid_argument on an empty queue. *)

@@ -199,7 +199,9 @@ let degrade t ~src ~dst ?(drop = 0.) ?(delay_us = 0.) ?(jitter_us = 0.) () =
 let clear_edge t ~src ~dst = apply t (Clear_edge (src, dst))
 
 let schedule t ~at action =
-  Engine.schedule ~after:(Float.max 0. (at -. Engine.now ())) (fun () -> apply t action)
+  ignore
+    (Engine.schedule ~after:(Float.max 0. (at -. Engine.now ())) (fun () -> apply t action)
+      : Engine.timer)
 
 let plan t actions = List.iter (fun (at, action) -> schedule t ~at action) actions
 

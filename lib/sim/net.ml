@@ -31,13 +31,14 @@ type ('req, 'resp) service = {
 }
 
 (* One [call_r] under a fault controller: the request, the result, the
-   caller's wait queue, and the exchange fiber's body and timer thunk,
-   both built once with the job. A job is shared by three parties, the
-   caller, the exchange fiber and the timer, and goes back to its
-   service's pool when the last of them lets go ([x_refs] reaches 0):
-   a timed-out exchange still in flight, or the timer of an answered
-   call, still holds it, so a late settle can never reach a later
-   call's job. *)
+   caller's wait queue, the deadline's handle, and the exchange fiber's
+   body and timer thunk, both built once with the job. A job is shared
+   by three parties, the caller, the exchange fiber and the timer, and
+   goes back to its service's pool when the last of them lets go
+   ([x_refs] reaches 0): a timed-out exchange still in flight still
+   holds it, so a late settle can never reach a later call's job. The
+   timer lets go when it fires or, if the response settles the job
+   first, when that settle cancels it. *)
 and ('req, 'resp) job = {
   x_svc : ('req, 'resp) service;
   mutable x_from : host;
@@ -49,6 +50,7 @@ and ('req, 'resp) job = {
   mutable x_result : ('resp, rpc_error) result;  (* valid once [x_settled] *)
   mutable x_settled : bool;
   mutable x_refs : int;
+  mutable x_deadline : Engine.timer;  (* the pending timer, while unsettled *)
   x_caller : Engine.waitq;
   x_body : unit -> unit;
   x_timer : unit -> unit;
@@ -182,13 +184,19 @@ let settle j r =
     Engine.wake j.x_caller
   end
 
-(* A lost exchange or a failed device simply never settles. *)
+(* A lost exchange or a failed device simply never settles. A response
+   that settles the job cancels its deadline, and releases the timer's
+   share on the timer's behalf. *)
 let run_exchange j =
   (match
      exchange j.x_fault ~req_bytes:j.x_req_bytes ~resp_bytes:j.x_resp_bytes ~from:j.x_from
        j.x_svc j.x_req
    with
-  | resp -> settle j (Ok resp)
+  | resp ->
+      if not j.x_settled then begin
+        settle j (Ok resp);
+        if Engine.cancel j.x_deadline then release j
+      end
   | exception (Lost | Resource.Failed _) -> ());
   release j
 
@@ -217,6 +225,7 @@ let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
           x_result = Error Rpc_timeout;
           x_settled = false;
           x_refs = 0;
+          x_deadline = Engine.no_timer;
           x_caller = Engine.waitq ();
           x_body = (fun () -> exchange_body j);
           x_timer = (fun () -> time_out j);
@@ -256,7 +265,7 @@ let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
           | exception Resource.Failed _ -> Error Rpc_dead)
         else begin
           let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
-          Engine.schedule ~after:timeout_us j.x_timer;
+          j.x_deadline <- Engine.schedule ~after:timeout_us j.x_timer;
           Engine.spawn j.x_body;
           Engine.park j.x_caller;
           let r = j.x_result in

@@ -22,7 +22,8 @@
     whatever faults are in force elsewhere, since each host carries an
     interned id and a verdict indexes arrays ({!Fault.judge_id}). A
     {!call_r} under a controller is 25: the exchange, the helper
-    fiber's handler closure, the caller's park and the [Ok]. *)
+    fiber's handler closure, the caller's park and the [Ok]; arming
+    and cancelling its deadline costs nothing. *)
 
 type t
 type host
@@ -74,7 +75,10 @@ type rpc_error = Rpc_timeout | Rpc_dead
     while the caller waits for the first of response and deadline;
     the helper is a job pooled per service, reused only once its
     exchange and its timer have both finished, so a late response or
-    an expired call's timer never reaches a later call. *)
+    an expired call's timer never reaches a later call. A response
+    that arrives first cancels the deadline ({!Engine.cancel}), so an
+    answered call leaves no event pending once it returns, and its job
+    goes back to the pool as soon as its exchange ends. *)
 val call_r :
   ?req_bytes:int ->
   ?resp_bytes:int ->

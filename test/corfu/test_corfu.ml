@@ -442,6 +442,145 @@ let test_node_capacity () =
       check_bool "in space" true (w 1 = Types.Write_ok);
       check_bool "out of space" true (w 2 = Types.Out_of_space))
 
+(* The paged address space against the hash-table node it replaced,
+   kept here as the model: random writes, fills, trims, prefix trims
+   and reads over three pages near 0 and two past a 10^6 jump must
+   answer alike, write-once conflicts and [Trimmed] included. *)
+module Hashtbl_node = struct
+  type t = { cells : (int, Types.cell) Hashtbl.t; mutable watermark : int }
+
+  let create () = { cells = Hashtbl.create 64; watermark = 0 }
+
+  let lookup m off =
+    if off < m.watermark then Types.Trimmed
+    else Option.value (Hashtbl.find_opt m.cells off) ~default:Types.Unwritten
+
+  let write m off cell =
+    match (lookup m off, cell) with
+    | Types.Unwritten, (Types.Data _ | Types.Junk) ->
+        Hashtbl.replace m.cells off cell;
+        Types.Write_ok
+    | Types.Junk, Types.Junk -> Types.Write_ok
+    | (Types.Data _ | Types.Junk | Types.Trimmed), _ -> Types.Already_written (lookup m off)
+    | Types.Unwritten, (Types.Unwritten | Types.Trimmed) -> assert false
+
+  let read m off =
+    match lookup m off with
+    | Types.Data e -> Types.Read_data e
+    | Types.Unwritten -> Types.Read_unwritten
+    | Types.Junk -> Types.Read_junk
+    | Types.Trimmed -> Types.Read_trimmed
+
+  let trim m off = Hashtbl.replace m.cells off Types.Trimmed
+
+  let prefix_trim m off =
+    if off > m.watermark then begin
+      m.watermark <- off;
+      Hashtbl.filter_map_inplace (fun o c -> if o < off then None else Some c) m.cells
+    end
+end
+
+type node_op = N_write of int | N_fill of int | N_trim of int | N_prefix of int | N_read of int
+
+let prop_pages_match_hashtbl =
+  let off_gen =
+    QCheck.Gen.(
+      frequency [ (3, int_range 0 3_071); (1, map (fun o -> 1_000_000 + o) (int_range 0 2_047)) ])
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun o -> N_write o) off_gen);
+          (2, map (fun o -> N_fill o) off_gen);
+          (1, map (fun o -> N_trim o) off_gen);
+          (1, map (fun o -> N_prefix o) off_gen);
+          (5, map (fun o -> N_read o) off_gen);
+        ])
+  in
+  let print_op = function
+    | N_write o -> Printf.sprintf "write %d" o
+    | N_fill o -> Printf.sprintf "fill %d" o
+    | N_trim o -> Printf.sprintf "trim %d" o
+    | N_prefix o -> Printf.sprintf "prefix %d" o
+    | N_read o -> Printf.sprintf "read %d" o
+  in
+  QCheck.Test.make ~name:"paged storage matches a hash-table node" ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print_op l))
+       QCheck.Gen.(list_size (int_range 0 300) op_gen))
+    (fun ops ->
+      with_node (fun node write read me ->
+          let m = Hashtbl_node.create () in
+          let ok = ref true in
+          let req off = { Storage_node.repoch = 0; roffset = off } in
+          List.iteri
+            (fun i op ->
+              match op with
+              | N_write o ->
+                  let cell = entry (string_of_int i) in
+                  if write o cell <> Hashtbl_node.write m o cell then ok := false
+              | N_fill o -> if write o Types.Junk <> Hashtbl_node.write m o Types.Junk then ok := false
+              | N_trim o ->
+                  Sim.Net.call ~from:me (Storage_node.trim_service node) (req o);
+                  Hashtbl_node.trim m o
+              | N_prefix o ->
+                  Sim.Net.call ~from:me (Storage_node.prefix_trim_service node) (req o);
+                  Hashtbl_node.prefix_trim m o
+              | N_read o -> if read o <> Hashtbl_node.read m o then ok := false)
+            ops;
+          (* and every offset touched reads alike at the end *)
+          List.iter
+            (function
+              | N_write o | N_fill o | N_trim o | N_prefix o | N_read o ->
+                  if read o <> Hashtbl_node.read m o then ok := false)
+            ops;
+          !ok))
+
+let test_node_page_jump () =
+  (* A segment boundary moves the local offsets by 10^6: the write
+     there allocates one page, and reads across the gap none. *)
+  with_node (fun node write read _ ->
+      for i = 0 to 9 do
+        check_bool "w" true (write i (entry "low") = Types.Write_ok)
+      done;
+      check_int "one page for the first ten cells" 1 (Storage_node.pages_held node);
+      check_bool "jump write" true (write 1_000_003 (entry "high") = Types.Write_ok);
+      check_int "the jump allocates one page" 2 (Storage_node.pages_held node);
+      check_bool "gap unwritten" true (read 500_000 = Types.Read_unwritten);
+      check_bool "past the spine unwritten" true (read 50_000_000 = Types.Read_unwritten);
+      check_int "reads allocate nothing" 2 (Storage_node.pages_held node);
+      match read 1_000_003 with
+      | Types.Read_data e -> check_string "read back" "high" (payload_str e)
+      | _ -> Alcotest.fail "expected data past the jump")
+
+let test_node_prefix_trim_frees_pages () =
+  (* 5,000 cells fill pages 0-3 and part of 4 (1,024 cells a page). A
+     prefix trim at 3,000 frees the two pages wholly below it and keeps
+     the page it falls in; one at 4,096 frees that page and the next. *)
+  with_node (fun node write read me ->
+      for i = 0 to 4_999 do
+        ignore (write i (entry "x") : Types.write_result)
+      done;
+      check_int "five pages" 5 (Storage_node.pages_held node);
+      let prefix off =
+        Sim.Net.call ~from:me (Storage_node.prefix_trim_service node)
+          { Storage_node.repoch = 0; roffset = off }
+      in
+      prefix 3_000;
+      check_int "pages 0 and 1 freed" 3 (Storage_node.pages_held node);
+      check_bool "below the watermark trimmed" true (read 2_999 = Types.Read_trimmed);
+      check_bool "above it kept" true
+        (match read 3_000 with Types.Read_data _ -> true | _ -> false);
+      prefix 4_096;
+      check_int "pages 2 and 3 freed" 1 (Storage_node.pages_held node);
+      check_bool "trim below the watermark allocates nothing" true
+        (Sim.Net.call ~from:me (Storage_node.trim_service node)
+           { Storage_node.repoch = 0; roffset = 10 };
+         Storage_node.pages_held node = 1);
+      check_bool "page 4 intact" true
+        (match read 4_999 with Types.Read_data _ -> true | _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* Sequencer                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -2634,6 +2773,34 @@ let test_await_wakes_in_arrival_order () =
       | ("c", _, at) :: _ -> check_bool "deadline honoured" true (at >= 10. +. wait_us)
       | _ -> Alcotest.fail "the unsatisfied watch never returned")
 
+(* An install that wakes parked watches cancels their deadlines: three
+   watches parked for up to a second leave no timer behind once the
+   install answers them. *)
+let test_await_install_cancels_deadlines () =
+  let params = { Sim.Params.default with net_jitter = 0. } in
+  Sim.Engine.run ~seed:11 (fun () ->
+      let cluster = Cluster.create ~params ~servers:4 () in
+      let aux = Cluster.auxiliary cluster in
+      let _, epoch, install = epoch_bump cluster in
+      let answered = ref 0 in
+      List.iter
+        (fun name ->
+          let host = Sim.Net.add_host (Cluster.net cluster) name in
+          Sim.Engine.spawn (fun () ->
+              let proj =
+                Sim.Net.call ~from:host (Auxiliary.await_service aux)
+                  { Auxiliary.at_least = epoch; wait_us = 1_000_000. }
+              in
+              check_int "woken by the install" epoch proj.Projection.epoch;
+              incr answered))
+        [ "w1"; "w2"; "w3" ];
+      Sim.Engine.sleep 5_000.;
+      let parked = Sim.Engine.pending_events () in
+      install ();
+      Sim.Engine.sleep 5_000.;
+      check_int "all three answered" 3 !answered;
+      check_int "their deadlines cancelled" (parked - 3) (Sim.Engine.pending_events ()))
+
 let test_storage_seals_resolve_through_await () =
   (* Storage nodes sealed ahead of the sequencer: the chain write meets
      [Sealed_at], the read meets [Read_sealed]. Each must adopt the new
@@ -2703,6 +2870,10 @@ let () =
           Alcotest.test_case "prefix trim" `Quick test_node_prefix_trim;
           Alcotest.test_case "local tail" `Quick test_node_local_tail;
           Alcotest.test_case "capacity" `Quick test_node_capacity;
+          Alcotest.test_case "a 10^6 jump allocates one page" `Quick test_node_page_jump;
+          Alcotest.test_case "prefix trim frees whole pages" `Quick
+            test_node_prefix_trim_frees_pages;
+          QCheck_alcotest.to_alcotest prop_pages_match_hashtbl;
         ] );
       ( "wire",
         [
@@ -2843,6 +3014,8 @@ let () =
           Alcotest.test_case "a seal that never installs" `Quick test_sealed_wait_times_out;
           Alcotest.test_case "waiters wake in arrival order" `Quick
             test_await_wakes_in_arrival_order;
+          Alcotest.test_case "an install cancels the watches' deadlines" `Quick
+            test_await_install_cancels_deadlines;
           Alcotest.test_case "storage seals resolve through the watch" `Quick
             test_storage_seals_resolve_through_await;
         ] );

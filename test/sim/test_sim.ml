@@ -120,7 +120,7 @@ let test_fiber_ids_unique () =
 let test_schedule_thunk () =
   Engine.run (fun () ->
       let fired = ref false in
-      Engine.schedule ~after:5. (fun () -> fired := true);
+      ignore (Engine.schedule ~after:5. (fun () -> fired := true));
       Engine.sleep 4.;
       check_bool "not yet" false !fired;
       Engine.sleep 2.;
@@ -611,13 +611,13 @@ let test_fault_crashed_caller_loses_response () =
       in
       let got = ref None in
       Engine.spawn (fun () -> got := Some (Net.call ~from:a echo 1));
-      Engine.schedule ~after:75. (fun () -> Fault.crash f "a");
+      ignore (Engine.schedule ~after:75. (fun () -> Fault.crash f "a"));
       Engine.sleep 1_000.;
       check_int "request served" 1 !served;
       Alcotest.(check (option int)) "call parks" None !got;
       Fault.restart f "a";
       let t0 = Engine.now () in
-      Engine.schedule ~after:75. (fun () -> Fault.crash f "a");
+      ignore (Engine.schedule ~after:75. (fun () -> Fault.crash f "a"));
       (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
       | Error Net.Rpc_timeout -> ()
       | Ok _ -> Alcotest.fail "response delivered to a crashed caller"
@@ -625,18 +625,17 @@ let test_fault_crashed_caller_loses_response () =
       check_int "second request served" 2 !served;
       check_float "timed out at the deadline" 1_000. (Engine.now () -. t0))
 
-(* A timed exchange outlives its call in both directions: a call that
-   times out leaves its exchange in flight, and an answered call leaves
-   its timer armed. Neither may settle a later call on the same
-   service. With latency 5 µs and no jitter a round trip costs 12.048
-   µs plus the handler's [work]:
+(* A call that times out leaves its exchange in flight, and it must not
+   settle a later call on the same service; nor may an answered call's
+   deadline, which the answer cancels. With latency 5 µs and no jitter
+   a round trip costs 12.048 µs plus the handler's [work]:
    - call 1 (work 1200) times out at 1000 while its request is being
      served; its response lands at 1212, inside call 2;
    - call 2 (work 800) must get its own answer, at 812;
-   - call 3 (work 0) is answered at once, its timer still armed;
+   - call 3 (work 0) is answered at once;
    - call 4 (work 980), issued right after, is answered after call 2's
-     timer (at 2000) and call 3's (at 2812) would fire, and must get
-     its own answer. *)
+     deadline (at 2000) and call 3's (at 2812) would have fired, and
+     must get its own answer. *)
 let test_fault_call_r_late_response () =
   Engine.run (fun () ->
       let net = Net.create ~latency:5. ~bandwidth:125. ~jitter:0. () in
@@ -675,6 +674,24 @@ let test_fault_call_r_late_response () =
       answered 4 980.;
       Engine.sleep 2_000.;
       Alcotest.(check (list int)) "every request served once" [ 4; 3; 2; 1 ] !served)
+
+(* An answered call cancels its deadline: 1,000 calls answered long
+   before their 50 ms deadlines leave no event pending behind them. *)
+let test_fault_call_r_answered_cancels_deadline () =
+  Engine.run (fun () ->
+      let net = make_net () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      Net.install_fault net (Fault.create ());
+      let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
+      let before = Engine.pending_events () in
+      for i = 1 to 1_000 do
+        match Net.call_r ~timeout_us:50_000. ~from:a echo i with
+        | Ok r -> check_int "echo" (i + 1) r
+        | Error _ -> Alcotest.fail "quiet controller lost a call_r"
+      done;
+      check_bool "the calls outlasted a deadline" true (Engine.now () > 50_000.);
+      check_int "no deadline left pending" before (Engine.pending_events ()))
 
 (* An installed controller with no active faults changes nothing: [call]
    spends the same virtual time and dispatches the same events as with
@@ -1781,7 +1798,7 @@ let test_eventq_heap_order () =
     let q = Eventq.create ~capacity () in
     let popped = ref [] in
     Array.iter
-      (fun (t, s) -> Eventq.push q t s (fun () -> popped := (t, s) :: !popped))
+      (fun (t, s) -> ignore (Eventq.push q t s (fun () -> popped := (t, s) :: !popped)))
       entries;
     check_int (name ^ " size") (Array.length entries) (Eventq.size q);
     while not (Eventq.is_empty q) do
@@ -1821,7 +1838,7 @@ let test_eventq_lane_interleave () =
       Eventq.push_now q !clock s (fun () -> dispatched := (!clock, s) :: !dispatched)
     else
       let t = !clock +. (float_of_int (Random.State.int rng 8) /. 2.) in
-      Eventq.push q t s (fun () -> dispatched := (t, s) :: !dispatched)
+      ignore (Eventq.push q t s (fun () -> dispatched := (t, s) :: !dispatched))
   in
   for _ = 1 to 20 do
     push_one ()
@@ -1852,7 +1869,7 @@ let test_eventq_zero_alloc_drain () =
   in
   let q = Eventq.create ~capacity:4096 () in
   for s = 0 to 2047 do
-    Eventq.push q (float_of_int (s land 31)) s eventq_nothing
+    ignore (Eventq.push q (float_of_int (s land 31)) s eventq_nothing)
   done;
   for s = 2048 to 2099 do
     Eventq.push_now q 31. s eventq_nothing
@@ -1886,7 +1903,7 @@ let test_eventq_growth () =
         Eventq.push_now q 0. s (fun () -> incr hits)
       done;
       for s = 201 to 400 do
-        Eventq.push q 1. s (fun () -> incr hits)
+        ignore (Eventq.push q 1. s (fun () -> incr hits))
       done;
       let last_t = ref (-1.) in
       while not (Eventq.is_empty q) do
@@ -1908,7 +1925,7 @@ let test_eventq_lane_heap_ordering () =
   let entries =
     Array.init n (fun seq -> (float_of_int (Random.State.int rng 600) *. 100., seq))
   in
-  Array.iter (fun (t, s) -> Eventq.push q t s (fun () -> ())) entries;
+  Array.iter (fun (t, s) -> ignore (Eventq.push q t s (fun () -> ()))) entries;
   check_int "size" n (Eventq.size q);
   let got = ref [] in
   let clock = ref 0. in
@@ -1936,7 +1953,8 @@ let test_eventq_heap_growth () =
   let q = Eventq.create ~capacity:4 () in
   let n = 300 in
   for s = 0 to n - 1 do
-    Eventq.push q (20_000. +. float_of_int (Random.State.int rng 1_000_000)) s (fun () -> ())
+    let t = 20_000. +. float_of_int (Random.State.int rng 1_000_000) in
+    ignore (Eventq.push q t s (fun () -> ()))
   done;
   let last = ref neg_infinity in
   let popped = ref 0 in
@@ -1993,10 +2011,12 @@ let prop_eventq_tagged_order =
         let s = !seq in
         incr seq;
         let slot () = ran := s in
-        if tag = Eventq.thunk_tag then (if lane then Eventq.push_now else Eventq.push) q time s slot
+        if tag = Eventq.thunk_tag then
+          if lane then Eventq.push_now q time s slot else ignore (Eventq.push q time s slot)
         else begin
           src.(0) <- time;
-          (if lane then Eventq.push_now_at else Eventq.push_at) q src s tag slot
+          if lane then Eventq.push_now_at q src s tag slot
+          else ignore (Eventq.push_at q src s tag slot)
         end;
         pending := (time, s, tag) :: !pending
       in
@@ -2021,6 +2041,92 @@ let prop_eventq_tagged_order =
         pop ()
       done;
       !ok && Eventq.is_empty q && Eventq.size q = 0)
+
+(* Heap pushes, pops and cancels in a capacity-16 queue that must grow,
+   against a model holding the pending (time, seq, handle index) list.
+   A cancel names any handle issued so far: still pending, already
+   popped, already cancelled, or one whose slot a later push reused.
+   [cancel] must return true exactly when the model still holds the
+   event, and every pop must return the model's (time, seq) minimum. *)
+type cancel_op = Push_at of int | Pop_min | Cancel_nth of int
+
+let prop_eventq_cancel_matches_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun dt -> Push_at dt) (int_range 0 60));
+          (2, return Pop_min);
+          (3, map (fun k -> Cancel_nth k) (int_range 0 1_000));
+        ])
+  in
+  let print_op = function
+    | Push_at dt -> Printf.sprintf "push+%d" dt
+    | Pop_min -> "pop"
+    | Cancel_nth k -> Printf.sprintf "cancel#%d" k
+  in
+  QCheck.Test.make ~name:"cancel matches a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map print_op l))
+       QCheck.Gen.(list_size (int_range 0 500) op_gen))
+    (fun ops ->
+      let q = Eventq.create ~capacity:16 () in
+      let clock = ref 0. and seq = ref 0 and ran = ref (-1) in
+      (* every handle issued, by index; the model's pending events *)
+      let issued = Array.make (List.length ops) Eventq.no_handle and n_issued = ref 0 in
+      let pending = ref [] and ok = ref true in
+      let push dt =
+        let s = !seq in
+        incr seq;
+        let time = !clock +. float_of_int dt in
+        issued.(!n_issued) <- Eventq.push q time s (fun () -> ran := s);
+        pending := (time, s, !n_issued) :: !pending;
+        incr n_issued
+      in
+      let pop () =
+        let ((t, s, _) as least) =
+          List.fold_left (fun a b -> if compare b a < 0 then b else a) (List.hd !pending) !pending
+        in
+        pending := List.filter (fun e -> e != least) !pending;
+        if Eventq.next_time q <> t then ok := false;
+        (Eventq.pop q) ();
+        if !ran <> s then ok := false;
+        clock := t
+      in
+      let cancel k =
+        if !n_issued > 0 then begin
+          let i = k mod !n_issued in
+          let live = List.exists (fun (_, _, j) -> j = i) !pending in
+          if Eventq.cancel q issued.(i) <> live then ok := false;
+          pending := List.filter (fun (_, _, j) -> j <> i) !pending
+        end
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push_at dt -> push dt
+          | Pop_min -> if !pending <> [] then pop ()
+          | Cancel_nth k -> cancel k);
+          if Eventq.size q <> List.length !pending then ok := false)
+        ops;
+      while !pending <> [] do
+        pop ()
+      done;
+      !ok && Eventq.is_empty q && not (Eventq.cancel q Eventq.no_handle))
+
+let test_eventq_stale_handle () =
+  (* A popped event's slot is the next one a push takes: the old handle
+     must not cancel the new event, nor may a second cancel of a
+     cancelled one remove anything. *)
+  let q = Eventq.create ~capacity:16 () in
+  let a = Eventq.push q 1. 0 eventq_nothing in
+  (Eventq.pop q) ();
+  let b = Eventq.push q 2. 1 eventq_nothing in
+  check_bool "fired handle cancels nothing" false (Eventq.cancel q a);
+  check_int "reused slot's event still pending" 1 (Eventq.size q);
+  check_bool "pending handle cancels" true (Eventq.cancel q b);
+  check_bool "cancelled handle cancels nothing" false (Eventq.cancel q b);
+  check_bool "queue empty" true (Eventq.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel allocation budgets                                          *)
@@ -2096,7 +2202,7 @@ let test_ivar_wake_budget () =
         (words_per_op (fun () ->
              let iv = Ivar.create () in
              cur := iv;
-             Engine.schedule ~after:0. fill_cur;
+             ignore (Engine.schedule ~after:0. fill_cur);
              Ivar.read iv)))
 
 (* Six sleeps (two NIC services and a flight per hop) and the boxed
@@ -2155,6 +2261,18 @@ let test_spawn_budget () =
       check_budget "spawn + first sleep" ~budget:spawn_budget
         ((words -. control) /. float_of_int budget_ops))
 
+(* A deadline armed and cancelled among 500 pending ones: the handle is
+   an immediate int, the thunk is built once, and both heap operations
+   only move scalars. *)
+let test_schedule_cancel_budget () =
+  Engine.run (fun () ->
+      for i = 1 to 500 do
+        ignore (Engine.schedule ~after:(float_of_int i) eventq_nothing)
+      done;
+      check_budget "schedule + cancel" ~budget:0.
+        (words_per_op (fun () ->
+             ignore (Engine.cancel (Engine.schedule ~after:250.5 eventq_nothing) : bool))))
+
 let () =
   Alcotest.run "sim"
     [
@@ -2186,6 +2304,8 @@ let () =
           Alcotest.test_case "ivar wake within budget" `Quick test_ivar_wake_budget;
           Alcotest.test_case "unread ivar within budget" `Quick test_ivar_unread_budget;
           Alcotest.test_case "spawn + first sleep within budget" `Quick test_spawn_budget;
+          Alcotest.test_case "schedule + cancel allocates nothing" `Quick
+            test_schedule_cancel_budget;
           Alcotest.test_case "sections off allocate nothing" `Quick test_section_off_budget;
         ] );
       ( "waitq",
@@ -2205,6 +2325,7 @@ let () =
           Alcotest.test_case "lane/heap order, same-clock pushes" `Quick
             test_eventq_lane_heap_ordering;
           Alcotest.test_case "heap growth keeps far events sorted" `Quick test_eventq_heap_growth;
+          Alcotest.test_case "stale handles cancel nothing" `Quick test_eventq_stale_handle;
         ] );
       ( "ivar",
         [
@@ -2247,6 +2368,8 @@ let () =
             test_fault_crashed_caller_loses_response;
           Alcotest.test_case "call_r late response reaches no later call" `Quick
             test_fault_call_r_late_response;
+          Alcotest.test_case "answered call_r cancels its deadline" `Quick
+            test_fault_call_r_answered_cancels_deadline;
           Alcotest.test_case "quiet controller is free" `Quick test_fault_quiet_controller_is_free;
           Alcotest.test_case "plan runs in virtual time" `Quick
             test_fault_schedule_is_virtual_time;
@@ -2323,5 +2446,6 @@ let () =
             prop_fault_plan_round_trip;
             prop_fault_verdicts_match_names;
             prop_eventq_tagged_order;
+            prop_eventq_cancel_matches_model;
           ] );
     ]
