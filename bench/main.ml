@@ -45,7 +45,7 @@ let sequencer_rate ~clients ~batch =
         for _ = 1 to 2 do
           Load.worker m (fun () ->
               match
-                Sim.Net.call ~from:host
+                Sim.Net.call ~timeout_us:Sim.Params.default.Sim.Params.rpc_timeout_us ~from:host
                   (Corfu.Sequencer.increment_service seq)
                   { Corfu.Sequencer.iepoch = 0; istreams = []; icount = batch }
               with
@@ -1279,9 +1279,11 @@ let micro_hotpath () =
   hot_report ~name:"deadline-cancel" ns words;
   (* simulation kernel: the three primitives every simulated event
      pays — a fiber's sleep, an uncontended station service, and one
-     fault-free RPC (two hops, four NIC services, two propagation
-     sleeps) between two hosts. The continuation each suspension
-     captures is OCaml's own and the floor of all three. *)
+     RPC with no fault controller (two hops, four NIC services, two
+     propagation sleeps, no deadline armed) between two hosts. The
+     continuation each suspension captures is OCaml's own and the floor
+     of all three. *)
+  let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us in
   let (sl_ns, sl_words), (ru_ns, ru_words), (nc_ns, nc_words) =
     Sim.Engine.run ~seed:0 (fun () ->
         let sl = hot_measure ~ops:200_000 (fun () -> Sim.Engine.sleep 1.) in
@@ -1293,20 +1295,21 @@ let micro_hotpath () =
         let client = Sim.Net.add_host net "bench.client" in
         let server = Sim.Net.add_host net "bench.server" in
         let echo = Sim.Net.service server ~name:"bench.echo" (fun x -> x) in
-        let nc = hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~from:client echo 1)) in
+        let nc =
+          hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~timeout_us ~from:client echo 1))
+        in
         (sl, ru, nc))
   in
   hot_report ~name:"engine-sleep" sl_ns sl_words;
   hot_report ~name:"resource-use" ru_ns ru_words;
   hot_report ~name:"net-call" nc_ns nc_words;
-  (* fault-aware RPCs, each on its own fabric with a controller.
-     net-call-r: the timed RPC under a quiet controller, at the
-     protocol's deadline: the exchange runs in a pooled job's fiber
-     while the caller parks, and each job's timer outlives its call.
-     net-call-faulted: [call] between two healthy hosts while a third
-     host is crashed, an unrelated edge rule is set and a partition
-     names other hosts; the verdicts index arrays by host id, so it
-     costs what net-call does. *)
+  (* the same RPC under a fault controller, each on its own fabric, at
+     the protocol's deadline: the exchange runs in a pooled job's fiber
+     while the caller parks, and the response cancels the deadline.
+     net-call-r: under a quiet controller. net-call-faulted: between
+     two healthy hosts while a third host is crashed, an unrelated edge
+     rule is set and a partition names other hosts; the verdicts index
+     arrays by host id, so it costs what net-call-r does. *)
   let (cr_ns, cr_words), (cf_ns, cf_words) =
     Sim.Engine.run ~seed:0 (fun () ->
         let pair name =
@@ -1319,19 +1322,19 @@ let micro_hotpath () =
           let server = Sim.Net.add_host net (name ^ ".server") in
           (fault, client, Sim.Net.service server ~name:(name ^ ".echo") (fun x -> x))
         in
-        let _, client, echo = pair "bench.timed" in
-        let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us in
-        let cr =
+        let call client echo =
           hot_measure ~ops:100_000 (fun () ->
-              match Sim.Net.call_r ~timeout_us ~from:client echo 1 with
-              | Ok _ -> ()
-              | Error _ -> failwith "net-call-r: a quiet controller lost a call")
+              match Sim.Net.call ~timeout_us ~from:client echo 1 with
+              | _ -> ()
+              | exception Sim.Net.Unanswered -> failwith "micro: a healthy pair lost a call")
         in
+        let _, client, echo = pair "bench.timed" in
+        let cr = call client echo in
         let fault, client, echo = pair "bench.faulted" in
         Sim.Fault.crash fault "bench.faulted.down";
         Sim.Fault.degrade fault ~src:"bench.faulted.x" ~dst:"bench.faulted.y" ~delay_us:100. ();
         Sim.Fault.partition fault [ [ "bench.faulted.x" ]; [ "bench.faulted.y" ] ];
-        let cf = hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~from:client echo 1)) in
+        let cf = call client echo in
         (cr, cf))
   in
   hot_report ~name:"net-call-r" cr_ns cr_words;

@@ -565,7 +565,19 @@ let query_remote t ~oid ?key () =
       match Hashtbl.find_opt t.remote_peers oid with
       | None -> invalid_arg "Runtime.query_remote: no peer connected for this object"
       | Some svc -> (
-          match Sim.Net.call ~from:(Corfu.Client.host t.cl) svc { rr_oid = oid; rr_key = key } with
+          (* An unanswered read is retried until the peer answers: the
+             transaction cannot decide without the value. *)
+          let rec ask () =
+            match
+              Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:(Corfu.Client.host t.cl) svc
+                { rr_oid = oid; rr_key = key }
+            with
+            | r -> r
+            | exception Sim.Net.Unanswered ->
+                Sim.Engine.sleep t.p.retry_sleep_us;
+                ask ()
+          in
+          match ask () with
           | None -> invalid_arg "Runtime.query_remote: peer does not serve this object"
           | Some (value, version) ->
               ctx.tx_reads <- (oid, key, version) :: ctx.tx_reads;

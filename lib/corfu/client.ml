@@ -12,8 +12,8 @@ type t = {
   mutable cache_floor : Types.offset;
   mutable cache_high : Types.offset;  (* highest cached offset *)
   rpc_failures : Sim.Metrics.counter;
-      (* storage RPCs that timed out or hit a dead node; the
-         availability reports read this as "failed ops" *)
+      (* RPCs that went unanswered; the availability reports read this
+         as "failed ops" *)
   retries : Sim.Metrics.counter;
   fills_c : Sim.Metrics.counter;
   cache_hits_c : Sim.Metrics.counter;
@@ -102,11 +102,18 @@ let adopt t proj =
     Sim.Announce.emit
       (Sim.Announce.Epoch_adopted { client = hname t; epoch = t.proj.Projection.epoch })
 
+(* The watch may hold the call for [wait_us] before it answers, so the
+   deadline covers that wait plus one RPC timeout. An unanswered watch
+   keeps the cached view; the caller's retry asks again. *)
 let fetch_view t ~at_least ~wait_us =
-  adopt t
-    (Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-       (Auxiliary.await_service t.aux)
-       { Auxiliary.at_least; wait_us })
+  match
+    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+      ~timeout_us:(wait_us +. t.p.rpc_timeout_us) ~from:t.client_host
+      (Auxiliary.await_service t.aux)
+      { Auxiliary.at_least; wait_us }
+  with
+  | proj -> adopt t proj
+  | exception Sim.Net.Unanswered -> note_failure t
 
 let refresh t = fetch_view t ~at_least:0 ~wait_us:0.
 
@@ -142,22 +149,21 @@ type chain_write = Chain_ok | Chain_lost of Types.cell | Chain_sealed of Types.e
 let rec write_from t ~set req cell i =
   if i >= Array.length set then Chain_ok
   else
-    let resp =
-      Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+    match
+      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
         ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
         (Storage_node.write_service set.(i))
         req
-    in
-    match resp with
-    | Error _ ->
+    with
+    | exception Sim.Net.Unanswered ->
         note_failure t;
         Chain_down
-    | Ok Types.Write_ok -> write_from t ~set req cell (i + 1)
-    | Ok (Types.Already_written winner) ->
+    | Types.Write_ok -> write_from t ~set req cell (i + 1)
+    | Types.Already_written winner ->
         let ours = match (winner, cell) with Types.Data s, Types.Data m -> s == m | _ -> false in
         if ours || i > 0 then write_from t ~set req cell (i + 1) else Chain_lost winner
-    | Ok (Types.Sealed_at e) -> Chain_sealed e
-    | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
+    | Types.Sealed_at e -> Chain_sealed e
+    | Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
 
 let write_chain t off cell =
   let tok = Sim.Span.enter t.chain_s off in
@@ -191,7 +197,7 @@ let down_retry t backoff =
    path below and the chain-head reads. *)
 let read_replica t node off =
   let loff = Projection.local_offset t.proj off in
-  Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+  Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
     ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
     (Storage_node.read_service node)
     { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff }
@@ -205,13 +211,13 @@ let rec read_head t off backoff =
   else
     let set = Projection.replica_set t.proj off in
     match read_replica t set.(0) off with
-    | Error _ ->
+    | exception Sim.Net.Unanswered ->
         note_failure t;
         read_head t off (down_retry t backoff)
-    | Ok (Types.Read_sealed e) ->
+    | Types.Read_sealed e ->
         await_epoch t e;
         read_head t off backoff
-    | Ok r -> r
+    | r -> r
 
 (* A chain write whose projection gained a {e new sequencer} mid-flight
    needs a verdict on its granted offset. The replacement rebuilt the
@@ -236,27 +242,29 @@ let probe_stale_grant t off entry =
 type seq_request = Grant of int | Peek
 
 (* Every sequencer request: a sealed reply waits for the sealing epoch
-   and retries against the new projection's sequencer. Each grant
+   and retries against the new projection's sequencer; an unanswered
+   one backs off, refreshes the projection and retries. Each grant
    attempt is one [sequencer.grant] section; a peek is one [check_tail]
    section around its attempt, wait and retry. *)
 let rec sequencer_request t req ~streams =
   match req with
-  | Grant _ -> sequencer_attempt t req ~streams
+  | Grant _ -> sequencer_attempt t req ~streams t.p.retry_sleep_us
   | Peek -> (
       let tok = Sim.Span.enter t.check_tail_s () in
-      match sequencer_attempt t Peek ~streams with
+      match sequencer_attempt t Peek ~streams t.p.retry_sleep_us with
       | a ->
           Sim.Span.leave t.check_tail_s tok;
           a
       | exception e -> Sim.Span.leave_raise t.check_tail_s tok e)
 
-and sequencer_attempt t req ~streams =
-  let resp =
+and sequencer_attempt t req ~streams backoff =
+  match
     match req with
     | Grant count -> (
         let tok = Sim.Span.enter t.grant_s () in
         match
-          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+            ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
             (Sequencer.increment_service t.proj.Projection.sequencer)
             { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
         with
@@ -265,15 +273,18 @@ and sequencer_attempt t req ~streams =
             r
         | exception e -> Sim.Span.leave_raise t.grant_s tok e)
     | Peek ->
-        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
+        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+          ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
           (Sequencer.peek_service t.proj.Projection.sequencer)
           { Sequencer.pepoch = t.proj.Projection.epoch; pstreams = streams }
-  in
-  match resp with
+  with
+  | Sequencer.Seq_ok a -> a
   | Sequencer.Seq_sealed e ->
       await_epoch t e;
       sequencer_request t req ~streams
-  | Sequencer.Seq_ok a -> a
+  | exception Sim.Net.Unanswered ->
+      note_failure t;
+      sequencer_attempt t req ~streams (down_retry t backoff)
 
 (* The commit of a written entry: our own playback will want it next,
    so cache it and save the round trip; announce the ack. *)
@@ -451,10 +462,10 @@ and read_from t off set start step =
   else
     let i = (start + step) mod n in
     match read_replica t set.(i) off with
-    | Error _ ->
+    | exception Sim.Net.Unanswered ->
         note_failure t;
         read_from t off set start (step + 1)
-    | Ok r -> read_outcome t off set i r
+    | r -> read_outcome t off set i r
 
 (* One replica's answer for [off], the [i]th member of [set]. *)
 and read_outcome t off set i = function
@@ -471,13 +482,13 @@ and read_outcome t off set i = function
       if i = tail then Unwritten
       else
         match read_replica t set.(tail) off with
-        | Error _ ->
+        | exception Sim.Net.Unanswered ->
             (* Tail unreachable: report unwritten and let the caller's
                poll/fill policy sort it out after the chain is
                repaired. *)
             note_failure t;
             Unwritten
-        | Ok r -> read_outcome t off set tail r)
+        | r -> read_outcome t off set tail r)
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                             *)
@@ -503,12 +514,12 @@ let check_slow t =
           if i >= Array.length chain then -1
           else
             match
-              Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+              Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
                 ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
                 (Storage_node.tail_service chain.(i)) ()
             with
-            | Ok tail -> tail
-            | Error _ ->
+            | tail -> tail
+            | exception Sim.Net.Unanswered ->
                 note_failure t;
                 probe (i + 1)
         in
@@ -574,7 +585,7 @@ let fill t off =
     let set = Projection.replica_set t.proj off in
     let loff = Projection.local_offset t.proj off in
     let wr cell i =
-      Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
         ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
         (Storage_node.write_service set.(i))
         { Storage_node.wepoch = t.proj.Projection.epoch; woffset = loff; wcell = cell }
@@ -587,22 +598,22 @@ let fill t off =
         if i >= Array.length set then (sealed, repaired)
         else
           match wr cell i with
-          | Error _ ->
+          | exception Sim.Net.Unanswered ->
               note_failure t;
               go (i + 1) sealed repaired
-          | Ok Types.Write_ok -> go (i + 1) sealed (repaired + 1)
-          | Ok (Types.Already_written _) -> go (i + 1) sealed repaired
-          | Ok (Types.Sealed_at e) -> go (i + 1) (Some e) repaired
-          | Ok Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
+          | Types.Write_ok -> go (i + 1) sealed (repaired + 1)
+          | Types.Already_written _ -> go (i + 1) sealed repaired
+          | Types.Sealed_at e -> go (i + 1) (Some e) repaired
+          | Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
       in
       go i0 None 0
     in
     match wr Types.Junk 0 with
-    | Error _ ->
+    | exception Sim.Net.Unanswered ->
         note_failure t;
         let backoff = down_retry t backoff in
         attempt backoff
-    | Ok head_resp -> (
+    | head_resp -> (
         if Sim.Announce.active () then
           Sim.Announce.emit (Sim.Announce.Hole_filled { client = hname t; offset = off });
         match head_resp with
@@ -693,17 +704,32 @@ let prefetch t off =
         Sim.Span.with_parent span_parent (fun () -> ignore (read_shared t off)))
   end
 
+(* Run [send] (every trim RPC of one trim) until each is answered: an
+   unanswered one backs off, refreshes the projection and sends them
+   all again under it. Trims are idempotent. *)
+let until_trimmed t send =
+  let rec attempt backoff =
+    match send () with
+    | () -> ()
+    | exception Sim.Net.Unanswered ->
+        note_failure t;
+        attempt (down_retry t backoff)
+  in
+  attempt t.p.retry_sleep_us
+
 let trim t off =
-  if Projection.locate t.proj off = Projection.Retired then ()
-  else
-  let set = Projection.replica_set t.proj off in
-  let loff = Projection.local_offset t.proj off in
-  Array.iter
-    (fun node ->
-      Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
-        (Storage_node.trim_service node)
-        { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff })
-    set
+  until_trimmed t (fun () ->
+      if Projection.locate t.proj off <> Projection.Retired then begin
+        let set = Projection.replica_set t.proj off in
+        let loff = Projection.local_offset t.proj off in
+        Array.iter
+          (fun node ->
+            Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+              ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+              (Storage_node.trim_service node)
+              { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff })
+          set
+      end)
 
 let cache_drop_below t off =
   if off > t.cache_floor then begin
@@ -712,35 +738,36 @@ let cache_drop_below t off =
   end
 
 let prefix_trim t off =
-  let proj = t.proj in
-  (* Each segment overlapping [0, off) gets its own per-set watermark:
-     local offsets holding cells whose global offset is below [off].
-     Retired segments need nothing — their nodes already trimmed past
-     their whole range (that is what retired them). *)
-  for si = 0 to Projection.num_segments proj - 1 do
-    let seg = Projection.segment proj si in
-    let hi =
-      match seg.Projection.seg_limit with
-      | Some limit -> min off limit
-      | None -> off
-    in
-    let rel = hi - seg.Projection.seg_base in
-    if rel > 0 then
-      Array.iteri
-        (fun set chain ->
-          let cells = Projection.seg_cells_below seg ~set ~rel in
-          if cells > 0 then begin
-            let watermark = seg.Projection.seg_local_base + cells in
-            Array.iter
-              (fun node ->
-                Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-                  ~from:t.client_host
-                  (Storage_node.prefix_trim_service node)
-                  { Storage_node.repoch = proj.Projection.epoch; roffset = watermark })
-              chain
-          end)
-        seg.Projection.seg_sets
-  done;
+  until_trimmed t (fun () ->
+      let proj = t.proj in
+      (* Each segment overlapping [0, off) gets its own per-set watermark:
+         local offsets holding cells whose global offset is below [off].
+         Retired segments need nothing — their nodes already trimmed past
+         their whole range (that is what retired them). *)
+      for si = 0 to Projection.num_segments proj - 1 do
+        let seg = Projection.segment proj si in
+        let hi =
+          match seg.Projection.seg_limit with
+          | Some limit -> min off limit
+          | None -> off
+        in
+        let rel = hi - seg.Projection.seg_base in
+        if rel > 0 then
+          Array.iteri
+            (fun set chain ->
+              let cells = Projection.seg_cells_below seg ~set ~rel in
+              if cells > 0 then begin
+                let watermark = seg.Projection.seg_local_base + cells in
+                Array.iter
+                  (fun node ->
+                    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
+                      ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+                      (Storage_node.prefix_trim_service node)
+                      { Storage_node.repoch = proj.Projection.epoch; roffset = watermark })
+                  chain
+              end)
+            seg.Projection.seg_sets
+      done);
   cache_drop_below t off
 
 (* ------------------------------------------------------------------ *)

@@ -180,13 +180,14 @@ let new_client t ~name =
 
 (* Retry [rpc] every [retry_sleep_us] until it answers. Reconfiguration
    uses this wherever skipping an unreachable node is unsound: the
-   rebuild scan's chain-head reads and the seal of every surviving
-   storage node. A node that is gone for good needs a membership
-   change, which is the failure monitor's job, not the caller's. *)
+   rebuild scan's chain-head reads, the sequencer's seal, the seal of
+   every surviving storage node and the install proposal. A node that
+   is gone for good needs a membership change, which is the failure
+   monitor's job, not the caller's. *)
 let rec until_answered t rpc =
   match rpc () with
-  | Ok v -> v
-  | Error _ ->
+  | v -> v
+  | exception Sim.Net.Unanswered ->
       Sim.Engine.sleep t.p.retry_sleep_us;
       until_answered t rpc
 
@@ -200,13 +201,13 @@ let rec until_answered t rpc =
    by a partition — just stalls the scan until it comes back. Found by
    the simulation fuzzer: the old untimed RPC left a whole
    reconfiguration wedged (lock held, epoch never published) when the
-   scan hit a partitioned head, because a dropped request blocks its
+   scan hit a partitioned head, because a dropped request blocked its
    caller forever. *)
 let raw_read t proj ~epoch off =
   let set = Projection.replica_set proj off in
   let loff = Projection.local_offset proj off in
   until_answered t (fun () ->
-      Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+      Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
         ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
         (Storage_node.read_service set.(0))
         { Storage_node.repoch = epoch; roffset = loff })
@@ -223,11 +224,11 @@ let raw_write t proj ~epoch off entry =
   Array.for_all
     (fun node ->
       match
-        Sim.Net.call_r ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
+        Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
           ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.write_service node) req
       with
-      | Ok (Types.Write_ok | Types.Already_written _) -> true
-      | Ok (Types.Sealed_at _ | Types.Out_of_space) | Error _ -> false)
+      | Types.Write_ok | Types.Already_written _ -> true
+      | Types.Sealed_at _ | Types.Out_of_space | (exception Sim.Net.Unanswered) -> false)
     set
 
 (* Every RPC of a tick has a deadline, so a crashed chain head or an
@@ -239,12 +240,13 @@ let start_checkpoint_scribe t ~interval_us =
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
         (match
-           Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+           Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
              (Sequencer.dump_service proj.Projection.sequencer)
              epoch
          with
-        | Error _ | Ok None -> () (* unreachable, or sealed by a reconfiguration *)
-        | Ok (Some { Sequencer.dump_offset; dump_state_ptrs; dump_streams }) ->
+        | None | (exception Sim.Net.Unanswered) ->
+            () (* sealed by a reconfiguration, or unreachable *)
+        | Some { Sequencer.dump_offset; dump_state_ptrs; dump_streams } ->
             let snapshot =
               { Seq_checkpoint.snap_tail = dump_offset; snap_streams = dump_streams }
             in
@@ -286,11 +288,11 @@ let seal_storage ?dead t proj ~epoch =
       let is_dead = match dead with Some d -> node == d | None -> false in
       if is_dead then begin
         match
-          Sim.Net.call_r ~timeout_us:10_000. ~from:t.reconfig_host
+          Sim.Net.call ~timeout_us:10_000. ~from:t.reconfig_host
             (Storage_node.seal_service node) epoch
         with
-        | Ok tail -> Hashtbl.replace tails (Storage_node.name node) tail
-        | Error _ -> ()
+        | tail -> Hashtbl.replace tails (Storage_node.name node) tail
+        | exception Sim.Net.Unanswered -> ()
       end
       else
         (* Failpoint (fuzzer sensitivity, DESIGN.md §9): collect the
@@ -299,10 +301,10 @@ let seal_storage ?dead t proj ~epoch =
         let tail =
           until_answered t (fun () ->
               if failpoints.fp_skip_storage_seal then
-                Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
                   (Storage_node.tail_service node) ()
               else
-                Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
                   (Storage_node.seal_service node) epoch)
         in
         Hashtbl.replace tails (Storage_node.name node) tail)
@@ -353,7 +355,10 @@ let in_phase seal phase f =
 
 let close_epoch t seal proj ~epoch =
   let sequencer () =
-    Sim.Net.call ~from:t.reconfig_host (Sequencer.seal_service proj.Projection.sequencer) epoch
+    until_answered t (fun () ->
+        Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+          (Sequencer.seal_service proj.Projection.sequencer)
+          epoch)
   in
   match seal with
   | Unsealed -> { frontier = -1; tails = Hashtbl.create 1 }
@@ -398,7 +403,11 @@ let reconfigure t ~kind ~site ~arg ~seal plan =
       let proj, change = step ~epoch (close_epoch t seal old_proj ~epoch) in
       t.nodes <- Array.of_list (Projection.servers proj);
       in_phase seal `Install (fun () ->
-          match Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj with
+          match
+            until_answered t (fun () ->
+                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                  (Auxiliary.propose_service t.aux) proj)
+          with
           | Auxiliary.Installed -> ()
           | Auxiliary.Conflict _ -> failwith ("Cluster: concurrent reconfiguration during " ^ kind));
       (match change with
@@ -558,7 +567,9 @@ let scale_out ?chains t ~add_servers =
                    t.storage_count <- t.storage_count + 1;
                    let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
                    ignore
-                     (Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch
+                     (until_answered t (fun () ->
+                          Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+                            (Storage_node.seal_service node) epoch)
                        : Types.offset);
                    node)
              in
@@ -685,31 +696,31 @@ type copy = Copied of int  (** bytes; 0 when nothing had to move *) | Hole | Fai
 let copy_cell t ~epoch ~src ~spare loff =
   let put cell bytes =
     match
-      Sim.Net.call_r ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes ~timeout_us:t.p.rpc_timeout_us
+      Sim.Net.call ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes ~timeout_us:t.p.rpc_timeout_us
         ~from:t.reconfig_host (Storage_node.write_service spare)
         { Storage_node.wepoch = epoch; woffset = loff; wcell = cell }
     with
-    | Ok Types.Write_ok -> Copied bytes
-    | Ok (Types.Already_written _) -> Copied 0
-    | Ok (Types.Sealed_at _ | Types.Out_of_space) | Error _ -> Failed
+    | Types.Write_ok -> Copied bytes
+    | Types.Already_written _ -> Copied 0
+    | Types.Sealed_at _ | Types.Out_of_space | (exception Sim.Net.Unanswered) -> Failed
   in
   match
-    Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
       ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
       { Storage_node.repoch = epoch; roffset = loff }
   with
-  | Ok Types.Read_unwritten -> Hole
-  | Ok (Types.Read_data e) -> put (Types.Data e) t.p.entry_bytes
-  | Ok Types.Read_junk -> put Types.Junk t.p.rpc_bytes
-  | Ok Types.Read_trimmed -> (
+  | Types.Read_unwritten -> Hole
+  | Types.Read_data e -> put (Types.Data e) t.p.entry_bytes
+  | Types.Read_junk -> put Types.Junk t.p.rpc_bytes
+  | Types.Read_trimmed -> (
       match
-        Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+        Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
           (Storage_node.trim_service spare)
           { Storage_node.repoch = epoch; roffset = loff }
       with
-      | Ok () -> Copied 0
-      | Error _ -> Failed)
-  | Ok (Types.Read_sealed _) | Error _ -> Failed
+      | () -> Copied 0
+      | exception Sim.Net.Unanswered -> Failed)
+  | Types.Read_sealed _ | (exception Sim.Net.Unanswered) -> Failed
 
 (* Copy [offs] from [src] onto [spare], [copy_window] cells in flight,
    while [wanted ()] holds, adding the cells and bytes moved to
@@ -772,9 +783,12 @@ let copy_slot t proj ~epoch ~wanted ~copied sl =
       Some failed
 
 let answers t node =
-  Result.is_ok
-    (Sim.Net.call_r ~timeout_us:probe_timeout_us ~from:t.reconfig_host
-       (Storage_node.tail_service node) ())
+  match
+    Sim.Net.call ~timeout_us:probe_timeout_us ~from:t.reconfig_host
+      (Storage_node.tail_service node) ()
+  with
+  | _ -> true
+  | exception Sim.Net.Unanswered -> false
 
 (* The second epoch change. Under the seal no old-epoch write can land
    on a survivor, so after the copy of every cell the spare still
@@ -875,7 +889,7 @@ let replace_storage_node t ~dead =
     let node = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
     ignore
       (until_answered t (fun () ->
-           Sim.Net.call_r ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+           Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
              (Storage_node.seal_service node) epoch)
         : Types.offset);
     spare := Some node;
@@ -977,12 +991,12 @@ let start_failure_monitor t =
       let probe epoch node =
         bump probes "cluster.probes";
         match
-          Sim.Net.call_r ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
+          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
             ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.read_service node)
             { Storage_node.repoch = epoch; roffset = 0 }
         with
-        | Ok _ -> true (* any answer, even a sealed error, proves liveness *)
-        | Error _ ->
+        | _ -> true (* any answer, even a sealed error, proves liveness *)
+        | exception Sim.Net.Unanswered ->
             bump failures "cluster.probe_failures";
             false
       in

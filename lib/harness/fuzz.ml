@@ -78,10 +78,11 @@ let unbound_thunk () = invalid_arg "Fuzz: custom action thunk was not rebound"
    into disjoint windows on distinct chains, so at least one replica of
    every acked entry survives every instant of the plan. A clean build
    must therefore produce {e zero} violations on any seed; a violation
-   is a bug, not noise. Sequencer loss is exercised through
-   [replace-sequencer] customs (the §5 reconfiguration), never by
-   making the sequencer unreachable: sequencer RPCs are the one place
-   clients wait without timeouts. *)
+   is a bug, not noise. Sequencer RPCs carry deadlines like every
+   other RPC, but nothing yet notices a dead sequencer and replaces
+   it, so the generator still keeps the sequencer and the auxiliary
+   reachable: sequencer loss is exercised through [replace-sequencer]
+   customs (the §5 reconfiguration). *)
 let gen_plan ~seed config =
   let rng = Sim.Rng.create (0x5EED0 + seed) in
   let chains = max 1 (config.f_servers / 2) in

@@ -235,6 +235,35 @@ let slo_degraded_uplink =
       ];
   }
 
+(* Sequencer RPCs under loss: the first appender's link to the
+   sequencer drops 30% of its messages for 20 ms and then clears. A
+   lost grant is unanswered at its deadline and the client retries, so
+   every acked append still commits (commit-liveness armed) and the
+   report counts the failed RPCs. *)
+let sequencer_lossy_uplink =
+  {
+    sc_name = "sequencer-lossy-uplink";
+    sc_seed = 1;
+    sc_config = Fuzz.default_config;
+    sc_plan =
+      [
+        ( 5_000.,
+          Sim.Fault.Degrade
+            {
+              d_src = "fz-app-1";
+              d_dst = "sequencer-0";
+              d_drop = 0.3;
+              d_delay_us = 0.;
+              d_jitter_us = 0.;
+            } );
+        (25_000., Sim.Fault.Clear_edge ("fz-app-1", "sequencer-0"));
+      ];
+    sc_specs = [ Spec.Commit_liveness ];
+    sc_spec_deadline_us = None;
+    sc_failpoint = None;
+    sc_monitors = [];
+  }
+
 let builtins =
   [
     sequencer_takeover_under_partition;
@@ -243,6 +272,7 @@ let builtins =
     tx_soak;
     slo_clean;
     slo_degraded_uplink;
+    sequencer_lossy_uplink;
   ]
 
 let find name = List.find_opt (fun sc -> String.equal sc.sc_name name) builtins

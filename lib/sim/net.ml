@@ -17,8 +17,6 @@ type t = {
   net_fault : Fault.t option ref;
 }
 
-type rpc_error = Rpc_timeout | Rpc_dead
-
 (* [ssite] is the "rpc.<sname>" section, built once with its args so a
    call allocates neither. [jobs] holds the service's idle timed
    exchanges. *)
@@ -30,7 +28,7 @@ type ('req, 'resp) service = {
   jobs : ('req, 'resp) job Pool.t;
 }
 
-(* One [call_r] under a fault controller: the request, the result, the
+(* One [call] under a fault controller: the request, the response, the
    caller's wait queue, the deadline's handle, and the exchange fiber's
    body and timer thunk, both built once with the job. A job is shared
    by three parties, the caller, the exchange fiber and the timer, and
@@ -47,7 +45,7 @@ and ('req, 'resp) job = {
   mutable x_req_bytes : int;
   mutable x_resp_bytes : int;
   mutable x_parent : Span.id option;
-  mutable x_result : ('resp, rpc_error) result;  (* valid once [x_settled] *)
+  mutable x_resp : 'resp option;  (* [Some] once a response settled the job *)
   mutable x_settled : bool;
   mutable x_refs : int;
   mutable x_deadline : Engine.timer;  (* the pending timer, while unsettled *)
@@ -144,45 +142,21 @@ let exchange fault ~req_bytes ~resp_bytes ~from svc req =
   hop fault ~src:svc.shost ~dst:from ~bytes:resp_bytes;
   resp
 
-(* A message that will never be answered: park the fiber forever, on a
-   queue nobody else holds. The run discards it when the main fiber
-   finishes (or deadlocks if the main fiber depended on it — which is
-   exactly the hang a real client without timeouts experiences). *)
-let park () =
-  Engine.park (Engine.waitq ());
-  assert false
-
-let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
-  let tok = Span.enter_at svc.ssite ~host:from.hname () in
-  match
-    let fault = !(from.hfault) in
-    if crashed fault from then park ()
-    else if from == svc.shost then svc.serve req
-    else try exchange fault ~req_bytes ~resp_bytes ~from svc req with Lost -> park ()
-  with
-  | resp ->
-      Span.leave svc.ssite tok;
-      resp
-  | exception e -> Span.leave_raise svc.ssite tok e
-
 (* -- timed exchanges ------------------------------------------------- *)
 
 (* A party is done with [j]; the last one pools it. *)
 let release j =
   j.x_refs <- j.x_refs - 1;
   if j.x_refs = 0 then begin
-    j.x_result <- Error Rpc_timeout;
+    j.x_resp <- None;
     Pool.put j.x_svc.jobs j
   end
 
-(* The first of response and deadline fills the result and wakes the
+(* The first of response and deadline settles the job and wakes the
    caller; the other finds it settled. *)
-let settle j r =
-  if not j.x_settled then begin
-    j.x_settled <- true;
-    j.x_result <- r;
-    Engine.wake j.x_caller
-  end
+let settle j =
+  j.x_settled <- true;
+  Engine.wake j.x_caller
 
 (* A lost exchange or a failed device simply never settles. A response
    that settles the job cancels its deadline, and releases the timer's
@@ -194,7 +168,8 @@ let run_exchange j =
    with
   | resp ->
       if not j.x_settled then begin
-        settle j (Ok resp);
+        j.x_resp <- Some resp;
+        settle j;
         if Engine.cancel j.x_deadline then release j
       end
   | exception (Lost | Resource.Failed _) -> ());
@@ -207,7 +182,7 @@ let exchange_body j =
   else run_exchange j
 
 let time_out j =
-  settle j (Error Rpc_timeout);
+  if not j.x_settled then settle j;
   release j
 
 let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
@@ -222,7 +197,7 @@ let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
           x_req_bytes = req_bytes;
           x_resp_bytes = resp_bytes;
           x_parent = None;
-          x_result = Error Rpc_timeout;
+          x_resp = None;
           x_settled = false;
           x_refs = 0;
           x_deadline = Engine.no_timer;
@@ -248,34 +223,41 @@ let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
   j.x_refs <- 3;
   j
 
-(* Without an installed fault controller this is exactly [call] (same
-   fiber, same event sequence), so fault-free runs stay byte-identical.
-   Under one, the exchange runs in a helper fiber and the caller parks
-   until first-of(response, timeout) settles the job. *)
-let call_r ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
-  match !(from.hfault) with
-  | None -> Ok (call ~req_bytes ~resp_bytes ~from svc req)
-  | fault -> (
-      let tok = Span.enter_at svc.ssite ~host:from.hname () in
-      match
-        if crashed fault from then Error Rpc_dead
-        else if from == svc.shost then (
-          match svc.serve req with
-          | resp -> Ok resp
-          | exception Resource.Failed _ -> Error Rpc_dead)
-        else begin
-          let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
-          j.x_deadline <- Engine.schedule ~after:timeout_us j.x_timer;
-          Engine.spawn j.x_body;
-          Engine.park j.x_caller;
-          let r = j.x_result in
-          release j;
-          r
-        end
-      with
-      | r ->
-          Span.leave svc.ssite tok;
-          r
-      | exception e -> Span.leave_raise svc.ssite tok e)
+exception Unanswered
+
+(* Under an installed fault controller the exchange runs in a helper
+   fiber and the caller parks until the first of response and deadline
+   settles the job. *)
+let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
+  if crashed fault from then raise_notrace Unanswered
+  else if from == svc.shost then (
+    match svc.serve req with
+    | resp -> resp
+    | exception Resource.Failed _ -> raise_notrace Unanswered)
+  else begin
+    let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
+    j.x_deadline <- Engine.schedule ~after:timeout_us j.x_timer;
+    Engine.spawn j.x_body;
+    Engine.park j.x_caller;
+    let r = j.x_resp in
+    release j;
+    match r with Some resp -> resp | None -> raise_notrace Unanswered
+  end
+
+(* Without a controller nothing can be lost, so the exchange runs in
+   the calling fiber with no job, no deadline and no box. *)
+let call ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
+  let tok = Span.enter_at svc.ssite ~host:from.hname () in
+  match
+    match !(from.hfault) with
+    | None ->
+        if from == svc.shost then svc.serve req
+        else exchange None ~req_bytes ~resp_bytes ~from svc req
+    | fault -> timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req
+  with
+  | resp ->
+      Span.leave svc.ssite tok;
+      resp
+  | exception e -> Span.leave_raise svc.ssite tok e
 
 let one_way_delay t ~bytes = (2. *. float_of_int bytes *. t.byte_time) +. t.latency

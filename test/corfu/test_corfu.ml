@@ -15,6 +15,9 @@ let string_contains haystack needle =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   at 0
 
+(* The deadline of the tests' own RPCs: the protocol's. *)
+let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us
+
 (* Run a simulation body against a fresh cluster. *)
 let with_cluster ?(seed = 11) ?(servers = 4) ?(chain_length = 2) body =
   Sim.Engine.run ~seed (fun () ->
@@ -347,11 +350,11 @@ let with_node body =
       let node = Storage_node.create ~net ~name:"n0" ~params () in
       let me = Sim.Net.add_host net "tester" in
       let write ?(epoch = 0) off cell =
-        Sim.Net.call ~from:me (Storage_node.write_service node)
+        Sim.Net.call ~timeout_us ~from:me (Storage_node.write_service node)
           { Storage_node.wepoch = epoch; woffset = off; wcell = cell }
       in
       let read ?(epoch = 0) off =
-        Sim.Net.call ~from:me (Storage_node.read_service node)
+        Sim.Net.call ~timeout_us ~from:me (Storage_node.read_service node)
           { Storage_node.repoch = epoch; roffset = off }
       in
       body node write read me)
@@ -385,7 +388,7 @@ let test_node_fill_semantics () =
 let test_node_seal_rejects_stale_epochs () =
   with_node (fun node write read me ->
       check_bool "w" true (write 0 (entry "x") = Types.Write_ok);
-      let tail = Sim.Net.call ~from:me (Storage_node.seal_service node) 2 in
+      let tail = Sim.Net.call ~timeout_us ~from:me (Storage_node.seal_service node) 2 in
       check_int "local tail returned" 0 tail;
       check_int "sealed" 2 (Storage_node.sealed_epoch node);
       (match write ~epoch:1 1 (entry "y") with
@@ -400,7 +403,7 @@ let test_node_seal_rejects_stale_epochs () =
 let test_node_trim () =
   with_node (fun node write read me ->
       check_bool "w" true (write 4 (entry "x") = Types.Write_ok);
-      Sim.Net.call ~from:me (Storage_node.trim_service node)
+      Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node)
         { Storage_node.repoch = 0; roffset = 4 };
       check_bool "trimmed" true (read 4 = Types.Read_trimmed);
       match write 4 (entry "again") with
@@ -412,7 +415,7 @@ let test_node_prefix_trim () =
       for i = 0 to 9 do
         check_bool "w" true (write i (entry (string_of_int i)) = Types.Write_ok)
       done;
-      Sim.Net.call ~from:me (Storage_node.prefix_trim_service node)
+      Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node)
         { Storage_node.repoch = 0; roffset = 7 };
       check_int "watermark" 7 (Storage_node.trimmed_below node);
       check_bool "below gone" true (read 3 = Types.Read_trimmed);
@@ -423,10 +426,10 @@ let test_node_prefix_trim () =
 let test_node_local_tail () =
   with_node (fun node write _ me ->
       check_int "empty tail" (-1)
-        (Sim.Net.call ~from:me (Storage_node.tail_service node) ());
+        (Sim.Net.call ~timeout_us ~from:me (Storage_node.tail_service node) ());
       ignore (write 2 (entry "a"));
       ignore (write 7 (entry "b"));
-      check_int "tail" 7 (Sim.Net.call ~from:me (Storage_node.tail_service node) ()))
+      check_int "tail" 7 (Sim.Net.call ~timeout_us ~from:me (Storage_node.tail_service node) ()))
 
 let test_node_capacity () =
   Sim.Engine.run (fun () ->
@@ -436,7 +439,7 @@ let test_node_capacity () =
       in
       let me = Sim.Net.add_host net "tester" in
       let w off =
-        Sim.Net.call ~from:me (Storage_node.write_service node)
+        Sim.Net.call ~timeout_us ~from:me (Storage_node.write_service node)
           { Storage_node.wepoch = 0; woffset = off; wcell = entry "x" }
       in
       check_bool "in space" true (w 1 = Types.Write_ok);
@@ -522,10 +525,10 @@ let prop_pages_match_hashtbl =
                   if write o cell <> Hashtbl_node.write m o cell then ok := false
               | N_fill o -> if write o Types.Junk <> Hashtbl_node.write m o Types.Junk then ok := false
               | N_trim o ->
-                  Sim.Net.call ~from:me (Storage_node.trim_service node) (req o);
+                  Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node) (req o);
                   Hashtbl_node.trim m o
               | N_prefix o ->
-                  Sim.Net.call ~from:me (Storage_node.prefix_trim_service node) (req o);
+                  Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node) (req o);
                   Hashtbl_node.prefix_trim m o
               | N_read o -> if read o <> Hashtbl_node.read m o then ok := false)
             ops;
@@ -564,7 +567,7 @@ let test_node_prefix_trim_frees_pages () =
       done;
       check_int "five pages" 5 (Storage_node.pages_held node);
       let prefix off =
-        Sim.Net.call ~from:me (Storage_node.prefix_trim_service node)
+        Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node)
           { Storage_node.repoch = 0; roffset = off }
       in
       prefix 3_000;
@@ -575,7 +578,7 @@ let test_node_prefix_trim_frees_pages () =
       prefix 4_096;
       check_int "pages 2 and 3 freed" 1 (Storage_node.pages_held node);
       check_bool "trim below the watermark allocates nothing" true
-        (Sim.Net.call ~from:me (Storage_node.trim_service node)
+        (Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node)
            { Storage_node.repoch = 0; roffset = 10 };
          Storage_node.pages_held node = 1);
       check_bool "page 4 intact" true
@@ -592,11 +595,11 @@ let with_sequencer body =
       let seq = Sequencer.create ~net ~name:"seq" ~params () in
       let me = Sim.Net.add_host net "tester" in
       let incr ?(epoch = 0) ?(count = 1) streams =
-        Sim.Net.call ~from:me (Sequencer.increment_service seq)
+        Sim.Net.call ~timeout_us ~from:me (Sequencer.increment_service seq)
           { Sequencer.iepoch = epoch; istreams = streams; icount = count }
       in
       let peek ?(epoch = 0) streams =
-        Sim.Net.call ~from:me (Sequencer.peek_service seq)
+        Sim.Net.call ~timeout_us ~from:me (Sequencer.peek_service seq)
           { Sequencer.pepoch = epoch; pstreams = streams }
       in
       body seq incr peek me)
@@ -671,7 +674,7 @@ let test_sequencer_range_grant_records_streams () =
 let test_sequencer_seal () =
   with_sequencer (fun seq incr _ me ->
       ignore (incr []);
-      ignore (Sim.Net.call ~from:me (Sequencer.seal_service seq) 3 : Types.offset);
+      ignore (Sim.Net.call ~timeout_us ~from:me (Sequencer.seal_service seq) 3 : Types.offset);
       (match incr ~epoch:2 [] with
       | Sequencer.Seq_sealed 3 -> ()
       | _ -> Alcotest.fail "stale increment must be rejected");
@@ -689,7 +692,7 @@ let test_sequencer_seeded_state () =
       let me = Sim.Net.add_host net "tester" in
       let r =
         alloc
-          (Sim.Net.call ~from:me (Sequencer.increment_service seq)
+          (Sim.Net.call ~timeout_us ~from:me (Sequencer.increment_service seq)
              { Sequencer.iepoch = 0; istreams = [ 5 ]; icount = 1 })
       in
       check_int "resumes tail" 100 r.Sequencer.base;
@@ -701,7 +704,7 @@ let spawn_increment_loop host seq n =
   Sim.Engine.spawn (fun () ->
       let rec loop () =
         let (_ : Sequencer.response) =
-          Sim.Net.call ~from:host (Sequencer.increment_service seq)
+          Sim.Net.call ~timeout_us ~from:host (Sequencer.increment_service seq)
             { Sequencer.iepoch = 0; istreams = []; icount = 1 }
         in
         incr n;
@@ -864,7 +867,7 @@ let test_client_fill_hole () =
       let c = Cluster.new_client cluster ~name:"app" in
       (* Simulate a crashed writer: take an offset, never write it. *)
       let resp =
-        Sim.Net.call ~from:(Client.host c)
+        Sim.Net.call ~timeout_us ~from:(Client.host c)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -886,7 +889,7 @@ let test_client_fill_completes_torn_append () =
       let c = Cluster.new_client cluster ~name:"app" in
       let proj = Client.projection c in
       let resp =
-        Sim.Net.call ~from:(Client.host c)
+        Sim.Net.call ~timeout_us ~from:(Client.host c)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = []; icount = 1 }
       in
@@ -894,7 +897,7 @@ let test_client_fill_completes_torn_append () =
       let head = (Projection.replica_set proj off).(0) in
       let entry = { Types.headers = Bytes.empty; payload = payload "torn" } in
       (match
-         Sim.Net.call ~from:(Client.host c) (Storage_node.write_service head)
+         Sim.Net.call ~timeout_us ~from:(Client.host c) (Storage_node.write_service head)
            { Storage_node.wepoch = 0; woffset = Projection.local_offset proj off;
              wcell = Types.Data entry }
        with
@@ -1092,7 +1095,7 @@ let test_stream_hole_is_filled_and_skipped () =
       ignore (Stream.append s (payload "a"));
       (* Crash injection: allocate an offset on stream 1, never write it. *)
       let resp =
-        Sim.Net.call ~from:(Client.host w)
+        Sim.Net.call ~timeout_us ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1115,7 +1118,7 @@ let test_stream_junk_breaks_stride_then_scan () =
         ignore (Stream.append s (payload (string_of_int i)))
       done;
       let resp =
-        Sim.Net.call ~from:(Client.host w)
+        Sim.Net.call ~timeout_us ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1251,7 +1254,7 @@ let test_stream_slow_older_walk_keeps_horizon () =
       (* an offset granted on stream 1 and never written: reading it
          blocks until the fill timeout *)
       let resp =
-        Sim.Net.call ~from:(Client.host w)
+        Sim.Net.call ~timeout_us ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1288,7 +1291,7 @@ let test_stream_playback_skips_junk_member () =
         ignore (Stream.append s (payload (Printf.sprintf "a%d" i)))
       done;
       let resp =
-        Sim.Net.call ~from:(Client.host w)
+        Sim.Net.call ~timeout_us ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1394,7 +1397,7 @@ let test_probing_bridges_sequencer_outage () =
       done;
       (* sequencer dies *)
       ignore
-        (Sim.Net.call ~from:(Client.host w)
+        (Sim.Net.call ~timeout_us ~from:(Client.host w)
            (Sequencer.seal_service (Cluster.sequencer cluster))
            ((Client.projection w).Projection.epoch + 1)
           : Types.offset);
@@ -1433,7 +1436,7 @@ let walk_after_replacement cluster sid =
 
 let seal_sequencer cluster client =
   ignore
-    (Sim.Net.call ~from:(Client.host client)
+    (Sim.Net.call ~timeout_us ~from:(Client.host client)
        (Sequencer.seal_service (Cluster.sequencer cluster))
        ((Client.projection client).Projection.epoch + 1)
       : Types.offset)
@@ -1614,6 +1617,63 @@ let test_crash_mid_append_unblocks_readers () =
         | Client.Data _ -> Alcotest.failf "offset %d has data from a dead client" off
         | _ -> Alcotest.failf "offset %d still unresolved" off
       done)
+
+(* Drop every message on both directions of the edge between [a] and
+   [b] from [at] for [for_us]. *)
+let cut_link fault ~a ~b ~at ~for_us =
+  Sim.Fault.plan fault
+    [
+      (at, Sim.Fault.Degrade { d_src = a; d_dst = b; d_drop = 1.; d_delay_us = 0.; d_jitter_us = 0. });
+      (at, Sim.Fault.Degrade { d_src = b; d_dst = a; d_drop = 1.; d_delay_us = 0.; d_jitter_us = 0. });
+      (at +. for_us, Sim.Fault.Clear_edge (a, b));
+      (at +. for_us, Sim.Fault.Clear_edge (b, a));
+    ]
+
+(* A client's link to the sequencer drops everything for 20 ms, starting
+   after its grant request left and before the grant came back. The
+   grant goes unanswered at its deadline; the client backs off,
+   refreshes its projection and asks again once the link has cleared. *)
+let test_sequencer_link_outage_mid_append () =
+  with_cluster (fun cluster ->
+      let fault = Sim.Fault.create () in
+      Sim.Net.install_fault (Cluster.net cluster) fault;
+      let c = Cluster.new_client cluster ~name:"appender" in
+      ignore (Client.append c ~streams:[ 1 ] (payload "before"));
+      let t0 = Sim.Engine.now () in
+      let outage_us = 20_000. in
+      cut_link fault ~a:"appender" ~b:"sequencer-0" ~at:(t0 +. 10.) ~for_us:outage_us;
+      let off = Client.append c ~streams:[ 1 ] (payload "across") in
+      let took = Sim.Engine.now () -. t0 in
+      check_bool (Printf.sprintf "returned after the link cleared (%.0f us)" took) true
+        (took > outage_us);
+      check_bool "the lost grant counted as a failed RPC" true (Client.rpc_failures c >= 1);
+      match Client.read_resolved c off with
+      | Client.Data e -> check_string "the append landed" "across" (payload_str e)
+      | _ -> Alcotest.failf "offset %d unreadable" off)
+
+(* The reconfiguration agent's link to the old sequencer drops
+   everything for 20 ms while a replacement starts: its seal goes
+   unanswered, is retried, and the replacement installs once the link
+   clears. *)
+let test_replace_sequencer_survives_dropped_seal () =
+  with_cluster (fun cluster ->
+      let fault = Sim.Fault.create () in
+      Sim.Net.install_fault (Cluster.net cluster) fault;
+      let c = Cluster.new_client cluster ~name:"appender" in
+      ignore (Client.append c ~streams:[ 1 ] (payload "before"));
+      let t0 = Sim.Engine.now () in
+      let outage_us = 20_000. in
+      cut_link fault ~a:"reconfig-agent" ~b:"sequencer-0" ~at:t0 ~for_us:outage_us;
+      let epoch = Cluster.replace_sequencer cluster in
+      check_int "new epoch installed" 1 epoch;
+      (match Cluster.reconfigs cluster with
+      | [ { Cluster.rc_installed_us; _ } ] ->
+          check_bool "installed after the link cleared" true (rc_installed_us > t0 +. outage_us)
+      | l -> Alcotest.failf "expected one reconfiguration, got %d" (List.length l));
+      let off = Client.append c ~streams:[ 1 ] (payload "after") in
+      match Client.read_resolved c off with
+      | Client.Data e -> check_string "appends continue" "after" (payload_str e)
+      | _ -> Alcotest.failf "offset %d unreadable" off)
 
 (* ------------------------------------------------------------------ *)
 (* Online scale-out / scale-in (segmented projections)                 *)
@@ -2263,7 +2323,7 @@ let check_replicas_agree cluster ~si ~set =
   let host = Sim.Net.add_host (Cluster.net cluster) "replica-audit" in
   let cell node loff =
     match
-      Sim.Net.call ~from:host (Storage_node.read_service node)
+      Sim.Net.call ~timeout_us ~from:host (Storage_node.read_service node)
         { Storage_node.repoch = proj.Projection.epoch; roffset = loff }
     with
     | Types.Read_data e -> "data:" ^ payload_str e
@@ -2616,7 +2676,7 @@ let epoch_bump cluster =
   let epoch = old.Projection.epoch + 1 in
   let install () =
     match
-      Sim.Net.call ~from:agent (Auxiliary.propose_service aux)
+      Sim.Net.call ~timeout_us ~from:agent (Auxiliary.propose_service aux)
         (Projection.v ~epoch ~segments:old.Projection.segments ~sequencer:old.Projection.sequencer)
     with
     | Auxiliary.Installed -> ()
@@ -2649,7 +2709,7 @@ let test_sealed_appends_wait_for_install () =
       let agent, epoch, install = epoch_bump cluster in
       let adoptions = record_adoptions () in
       ignore
-        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+        (Sim.Net.call ~timeout_us ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
           : Types.offset);
       let k = 5 in
       let clients =
@@ -2710,7 +2770,7 @@ let test_sealed_wait_times_out () =
       let agent, epoch, _install = epoch_bump cluster in
       let adoptions = record_adoptions () in
       ignore
-        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+        (Sim.Net.call ~timeout_us ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
           : Types.offset);
       let c = Cluster.new_client cluster ~name:"waiter" in
       let name = Sim.Net.host_name (Client.host c) in
@@ -2748,7 +2808,7 @@ let test_await_wakes_in_arrival_order () =
         let host = Sim.Net.add_host (Cluster.net cluster) name in
         Sim.Engine.spawn ~at:arrive_us (fun () ->
             let proj =
-              Sim.Net.call ~from:host (Auxiliary.await_service aux)
+              Sim.Net.call ~timeout_us ~from:host (Auxiliary.await_service aux)
                 { Auxiliary.at_least; wait_us }
             in
             order := (name, proj.Projection.epoch, Sim.Engine.now ()) :: !order)
@@ -2788,7 +2848,7 @@ let test_await_install_cancels_deadlines () =
           let host = Sim.Net.add_host (Cluster.net cluster) name in
           Sim.Engine.spawn (fun () ->
               let proj =
-                Sim.Net.call ~from:host (Auxiliary.await_service aux)
+                Sim.Net.call ~timeout_us ~from:host (Auxiliary.await_service aux)
                   { Auxiliary.at_least = epoch; wait_us = 1_000_000. }
               in
               check_int "woken by the install" epoch proj.Projection.epoch;
@@ -2809,7 +2869,7 @@ let test_storage_seals_resolve_through_await () =
       let seal_storage agent epoch =
         Array.iter
           (fun node ->
-            ignore (Sim.Net.call ~from:agent (Storage_node.seal_service node) epoch : Types.offset))
+            ignore (Sim.Net.call ~timeout_us ~from:agent (Storage_node.seal_service node) epoch : Types.offset))
           (Cluster.storage_nodes cluster)
       in
       let adoptions = record_adoptions () in
@@ -2976,6 +3036,10 @@ let () =
             test_reconfig_voids_inflight_grant;
           Alcotest.test_case "crash mid-append unblocks readers" `Quick
             test_crash_mid_append_unblocks_readers;
+          Alcotest.test_case "sequencer link outage mid-append" `Quick
+            test_sequencer_link_outage_mid_append;
+          Alcotest.test_case "replacement survives a dropped seal" `Quick
+            test_replace_sequencer_survives_dropped_seal;
         ] );
       ( "scale",
         [

@@ -415,6 +415,9 @@ let test_resource_grant_survives_same_instant_fail () =
 (* Net                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The deadline of a test's RPCs, far past any round trip here. *)
+let timeout_us = 50_000.
+
 let make_net ?(jitter = 0.) () = Net.create ~latency:50. ~bandwidth:125. ~jitter ()
 
 let test_net_rpc_roundtrip () =
@@ -423,7 +426,7 @@ let test_net_rpc_roundtrip () =
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let echo = Net.service b ~name:"echo" (fun x -> x * 2) in
-      let r = Net.call ~from:a echo 21 in
+      let r = Net.call ~timeout_us ~from:a echo 21 in
       check_int "resp" 42 r;
       (* Two hops of 64B each way: 2*(2*64/125 + 50) ≈ 102 µs. *)
       let t = Engine.now () in
@@ -434,7 +437,7 @@ let test_net_loopback_is_free () =
       let net = make_net () in
       let a = Net.add_host net "a" in
       let echo = Net.service a ~name:"echo" (fun x -> x) in
-      let r = Net.call ~from:a echo 5 in
+      let r = Net.call ~timeout_us ~from:a echo 5 in
       check_int "resp" 5 r;
       check_float "no time passed" 0. (Engine.now ()))
 
@@ -444,7 +447,7 @@ let test_net_bandwidth_charged () =
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let sink = Net.service b ~name:"sink" (fun (_ : string) -> ()) in
-      Net.call ~req_bytes:4096 ~resp_bytes:64 ~from:a sink "payload";
+      Net.call ~req_bytes:4096 ~resp_bytes:64 ~timeout_us ~from:a sink "payload";
       (* Request: 2*32.77 + 50; response: 2*0.5 + 50 -> ~166-167 µs *)
       let t = Engine.now () in
       check_bool "4KB serialization charged" true (t > 160. && t < 175.))
@@ -464,7 +467,7 @@ let test_net_server_saturation () =
           let client = Net.add_host net (Printf.sprintf "c%d" i) in
           Engine.spawn (fun () ->
               for _ = 1 to 50 do
-                Net.call ~from:client svc ();
+                Net.call ~timeout_us ~from:client svc ();
                 incr n
               done)
         done;
@@ -505,17 +508,17 @@ let test_fault_edge_delay_observed () =
       Net.install_fault net f;
       let echo = Net.service b ~name:"echo" (fun x -> x) in
       (* quiescent controller: same cost as the fault-free path *)
-      ignore (Net.call ~from:a echo 0);
+      ignore (Net.call ~timeout_us ~from:a echo 0);
       let base = Engine.now () in
       check_bool "baseline sane" true (base > 100. && base < 110.);
       Fault.degrade f ~src:"a" ~dst:"b" ~delay_us:500. ();
-      ignore (Net.call ~from:a echo 0);
+      ignore (Net.call ~timeout_us ~from:a echo 0);
       let dt = Engine.now () -. base in
       (* request leg pays the extra 500 µs; response leg is untouched *)
       check_bool "delay added once" true (dt > base +. 490. && dt < base +. 520.);
       Fault.clear_edge f ~src:"a" ~dst:"b";
       let t2 = Engine.now () in
-      ignore (Net.call ~from:a echo 0);
+      ignore (Net.call ~timeout_us ~from:a echo 0);
       check_bool "clear restores" true (Engine.now () -. t2 < 110.))
 
 let test_fault_resource_fail_repair () =
@@ -541,6 +544,9 @@ let test_fault_resource_fail_repair () =
       Resource.use r 1.;
       check_bool "repaired" false (Resource.failed r))
 
+(* A call to a dead host waits out its deadline; a call from a dead
+   host fails at once. The elapsed virtual time tells them apart: the
+   deadline for a timeout, 0 for a dead caller. *)
 let test_fault_call_r_paths () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -549,53 +555,26 @@ let test_fault_call_r_paths () =
       let f = Fault.create () in
       Net.install_fault net f;
       let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
-      (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
-      | Ok 2 -> ()
-      | _ -> Alcotest.fail "healthy call_r");
+      let unanswered what x =
+        let t0 = Engine.now () in
+        match Net.call ~timeout_us:1_000. ~from:a echo x with
+        | r -> Alcotest.failf "%s: answered %d" what r
+        | exception Net.Unanswered -> Engine.now () -. t0
+      in
+      check_int "healthy call" 2 (Net.call ~timeout_us:1_000. ~from:a echo 1);
       Fault.crash f "b";
-      let t0 = Engine.now () in
-      (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
-      | Error Net.Rpc_timeout -> ()
-      | _ -> Alcotest.fail "dead server must time out");
-      check_float "timeout charged" 1_000. (Engine.now () -. t0);
+      check_float "dead server: unanswered at the deadline" 1_000.
+        (unanswered "dead server" 1);
       Fault.restart f "b";
-      (match Net.call_r ~timeout_us:1_000. ~from:a echo 5 with
-      | Ok 6 -> ()
-      | _ -> Alcotest.fail "restart restores call_r");
+      check_int "restart restores the call" 6 (Net.call ~timeout_us:1_000. ~from:a echo 5);
       Fault.crash f "a";
-      (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
-      | Error Net.Rpc_dead -> ()
-      | _ -> Alcotest.fail "crashed caller fails fast"))
-
-(* A request or response that is lost parks a [Net.call] caller for
-   good; the run still ends when the main fiber does. *)
-let test_unanswered_rpc_lets_main_finish () =
-  let started = ref 0 and returned = ref 0 in
-  let r =
-    Engine.run (fun () ->
-        let net = make_net () in
-        let a = Net.add_host net "a" in
-        let b = Net.add_host net "b" in
-        let f = Fault.create () in
-        Net.install_fault net f;
-        let echo = Net.service b ~name:"echo" (fun x -> x) in
-        Fault.crash f "b";
-        Engine.spawn (fun () ->
-            incr started;
-            ignore (Net.call ~from:a echo 1 : int);
-            incr returned);
-        Engine.sleep 10_000.;
-        "main done")
-  in
-  Alcotest.(check string) "main result" "main done" r;
-  check_int "caller ran" 1 !started;
-  check_int "caller never returned" 0 !returned
+      check_float "crashed caller: unanswered at once" 0. (unanswered "crashed caller" 1))
 
 (* The response hop drops a message whose receiver died in flight,
    exactly like the request hop: a caller that crashes after the
-   server answered never sees the answer. With latency 50 µs the
-   response leaves the server at ~51.5 µs and lands at ~101.5 µs; the
-   caller crashes at 75 µs. *)
+   server answered never sees the answer, even if it is back before
+   its deadline. With latency 50 µs the response leaves the server at
+   ~51.5 µs and lands at ~101.5 µs; the caller crashes at 75 µs. *)
 let test_fault_crashed_caller_loses_response () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -609,21 +588,20 @@ let test_fault_crashed_caller_loses_response () =
             incr served;
             x + 1)
       in
-      let got = ref None in
-      Engine.spawn (fun () -> got := Some (Net.call ~from:a echo 1));
+      let call () =
+        let t0 = Engine.now () in
+        match Net.call ~timeout_us:1_000. ~from:a echo 1 with
+        | _ -> Alcotest.fail "response delivered to a crashed caller"
+        | exception Net.Unanswered -> Engine.now () -. t0
+      in
+      (* The caller is back at 500 µs, well before its deadline. *)
       ignore (Engine.schedule ~after:75. (fun () -> Fault.crash f "a"));
-      Engine.sleep 1_000.;
+      ignore (Engine.schedule ~after:500. (fun () -> Fault.restart f "a"));
+      check_float "restarted caller still waits out the deadline" 1_000. (call ());
       check_int "request served" 1 !served;
-      Alcotest.(check (option int)) "call parks" None !got;
-      Fault.restart f "a";
-      let t0 = Engine.now () in
       ignore (Engine.schedule ~after:75. (fun () -> Fault.crash f "a"));
-      (match Net.call_r ~timeout_us:1_000. ~from:a echo 1 with
-      | Error Net.Rpc_timeout -> ()
-      | Ok _ -> Alcotest.fail "response delivered to a crashed caller"
-      | Error Net.Rpc_dead -> Alcotest.fail "caller was alive when it called");
-      check_int "second request served" 2 !served;
-      check_float "timed out at the deadline" 1_000. (Engine.now () -. t0))
+      check_float "crashed caller times out at the deadline" 1_000. (call ());
+      check_int "second request served" 2 !served)
 
 (* A call that times out leaves its exchange in flight, and it must not
    settle a later call on the same service; nor may an answered call's
@@ -652,21 +630,24 @@ let test_fault_call_r_late_response () =
       let timeout_us = 1_000. in
       let call id work =
         let t0 = Engine.now () in
-        let r = Net.call_r ~timeout_us ~from:a slow (id, work) in
+        let r =
+          match Net.call ~timeout_us ~from:a slow (id, work) with
+          | got -> Some got
+          | exception Net.Unanswered -> None
+        in
         (r, Engine.now () -. t0)
       in
       let answered id work =
         match call id work with
-        | Ok got, dt ->
+        | Some got, dt ->
             check_int (Printf.sprintf "call %d gets its own answer" id) id got;
             check_bool (Printf.sprintf "call %d answered before its deadline" id) true
               (dt < timeout_us)
-        | Error _, dt -> Alcotest.failf "call %d failed after %g us" id dt
+        | None, dt -> Alcotest.failf "call %d failed after %g us" id dt
       in
       (match call 1 1_200. with
-      | Error Net.Rpc_timeout, dt -> check_float "timed out at exactly its deadline" timeout_us dt
-      | Ok got, _ -> Alcotest.failf "call 1 answered (%d) past its deadline" got
-      | Error Net.Rpc_dead, _ -> Alcotest.fail "call 1: nothing was dead");
+      | None, dt -> check_float "timed out at exactly its deadline" timeout_us dt
+      | Some got, _ -> Alcotest.failf "call 1 answered (%d) past its deadline" got);
       check_int "late request still in service" 0 (List.length !served);
       answered 2 800.;
       Alcotest.(check (list int)) "late request served, then call 2's" [ 2; 1 ] !served;
@@ -686,19 +667,19 @@ let test_fault_call_r_answered_cancels_deadline () =
       let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
       let before = Engine.pending_events () in
       for i = 1 to 1_000 do
-        match Net.call_r ~timeout_us:50_000. ~from:a echo i with
-        | Ok r -> check_int "echo" (i + 1) r
-        | Error _ -> Alcotest.fail "quiet controller lost a call_r"
+        check_int "echo" (i + 1) (Net.call ~timeout_us:50_000. ~from:a echo i)
       done;
       check_bool "the calls outlasted a deadline" true (Engine.now () > 50_000.);
       check_int "no deadline left pending" before (Engine.pending_events ()))
 
-(* An installed controller with no active faults changes nothing: [call]
-   spends the same virtual time and dispatches the same events as with
-   no controller, and [call_r] (which still runs its helper fiber) the
-   same virtual time. *)
+(* An installed controller with no active faults changes no outcome and
+   no virtual time: a call spends exactly what it spends with no
+   controller. Its exchange runs in a helper fiber, which costs exactly
+   two dispatched events per call beyond the bare exchange's: the
+   helper's start and the caller's wake-up. The answered deadline is
+   cancelled, never dispatched. *)
 let test_fault_quiet_controller_is_free () =
-  let run ~install ~result =
+  let run ~install =
     Engine.run ~seed:3 (fun () ->
         let net = make_net ~jitter:0.05 () in
         let a = Net.add_host net "a" in
@@ -707,21 +688,15 @@ let test_fault_quiet_controller_is_free () =
         let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
         let e0 = Engine.events_dispatched () in
         for i = 1 to 20 do
-          if result then
-            match Net.call_r ~timeout_us:1e6 ~from:a echo i with
-            | Ok r -> check_int "echo" (i + 1) r
-            | Error _ -> Alcotest.fail "quiet controller lost a call_r"
-          else check_int "echo" (i + 1) (Net.call ~from:a echo i)
+          check_int "echo" (i + 1) (Net.call ~timeout_us:1e6 ~from:a echo i)
         done;
         (Engine.now (), Engine.events_dispatched () - e0))
   in
-  let t_bare, ev_bare = run ~install:false ~result:false in
-  let t_call, ev_call = run ~install:true ~result:false in
-  let t_call_r, _ = run ~install:true ~result:true in
+  let t_bare, ev_bare = run ~install:false in
+  let t_call, ev_call = run ~install:true in
   check_bool "calls took time" true (t_bare > 2_000.);
-  check_float "call: same virtual time" t_bare t_call;
-  check_int "call: same events" ev_bare ev_call;
-  check_float "call_r: same virtual time" t_bare t_call_r
+  check_float "same virtual time" t_bare t_call;
+  check_int "two events per call" (ev_bare + (2 * 20)) ev_call
 
 let test_fault_schedule_is_virtual_time () =
   Engine.run (fun () ->
@@ -754,9 +729,9 @@ let test_fault_trace_deterministic () =
             let echo = Net.service b ~name:"echo" (fun x -> x) in
             let got = ref 0 in
             for i = 1 to 40 do
-              (match Net.call_r ~timeout_us:400. ~from:a echo i with
-              | Ok _ -> incr got
-              | Error _ -> ());
+              (match Net.call ~timeout_us:400. ~from:a echo i with
+              | _ -> incr got
+              | exception Net.Unanswered -> ());
               Engine.sleep 100.
             done;
             (!got, Engine.now ())))
@@ -1012,7 +987,7 @@ let test_observability_determinism () =
             let op = Span.site ~host:"a" ~hist:h "op" in
             for i = 1 to 25 do
               let tok = Span.enter op () in
-              ignore (Net.call ~from:a svc i);
+              ignore (Net.call ~timeout_us ~from:a svc i);
               Span.leave op tok;
               Engine.sleep 50.
             done);
@@ -1179,7 +1154,7 @@ let test_timeseries_deterministic_dump () =
         let echo = Span.timer h in
         for i = 1 to 40 do
           let tok = Span.enter echo () in
-          ignore (Net.call ~from:a svc i);
+          ignore (Net.call ~timeout_us ~from:a svc i);
           Span.leave echo tok;
           Engine.sleep 50.
         done);
@@ -1376,7 +1351,7 @@ let test_flight_deterministic_dump () =
             let svc = Net.service b ~name:"echo" (fun x -> x) in
             let c = Metrics.counter ~host:"a" "ops" in
             for i = 1 to 30 do
-              ignore (Net.call ~from:a svc i);
+              ignore (Net.call ~timeout_us ~from:a svc i);
               Metrics.incr c
             done;
             Flight.snapshot ~reason:"end");
@@ -2216,7 +2191,7 @@ let test_net_call_budget () =
       let b = Net.add_host net "b" in
       let echo = Net.service b ~name:"echo" (fun x -> x) in
       check_budget "fault-free call" ~budget:net_call_budget
-        (words_per_op (fun () -> ignore (Net.call ~from:a echo 1))))
+        (words_per_op (fun () -> ignore (Net.call ~timeout_us ~from:a echo 1))))
 
 (* A section with tracing off: a span-only site takes no slot, a timed
    one stores its start and observes without boxing. Neither takes a
@@ -2362,8 +2337,6 @@ let () =
           Alcotest.test_case "edge delay observed" `Quick test_fault_edge_delay_observed;
           Alcotest.test_case "resource fail and repair" `Quick test_fault_resource_fail_repair;
           Alcotest.test_case "call_r timeout and dead paths" `Quick test_fault_call_r_paths;
-          Alcotest.test_case "unanswered rpc lets main finish" `Quick
-            test_unanswered_rpc_lets_main_finish;
           Alcotest.test_case "crashed caller loses the response" `Quick
             test_fault_crashed_caller_loses_response;
           Alcotest.test_case "call_r late response reaches no later call" `Quick
