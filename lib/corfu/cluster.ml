@@ -1005,14 +1005,15 @@ let start_failure_monitor t =
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
         (* Scan the current membership across every segment, and the
-           spares still being filled; a second probe confirms before
-           declaring death, so one unlucky timeout cannot trigger a
+           spares still being filled; a node is dead only after three
+           consecutive unanswered probes, so neither one unlucky
+           timeout nor a probe queued behind a burst can trigger a
            reconfiguration. After a replacement the projection is
            stale, so stop this round and rescan. *)
         let rec scan = function
           | [] -> ()
           | node :: rest ->
-              if probe epoch node || probe epoch node then scan rest
+              if probe epoch node || probe epoch node || probe epoch node then scan rest
               else begin
                 if Sim.Announce.active () then
                   Sim.Announce.emit (Sim.Announce.Node_dead { node = Storage_node.name node });

@@ -203,7 +203,9 @@ val enable_failpoint : string -> unit
 (** [start_failure_monitor t] spawns the detector fiber: every 20 ms
     it probes each storage node of the current projection (every
     segment, plus any spare still being filled) with a read bounded at
-    10 ms; a member failing two consecutive probes is declared dead
-    and replaced via {!replace_storage_node}. A sealed answer counts as alive, so the
-    monitor never fires on reconfiguration itself. *)
+    10 ms (sooner once the round trip is measured, see
+    {!Sim.Net.call}); a member failing three consecutive probes is
+    declared dead and replaced via {!replace_storage_node}. A sealed
+    answer counts as alive, so the monitor never fires on
+    reconfiguration itself. *)
 val start_failure_monitor : t -> unit

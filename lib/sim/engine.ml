@@ -94,13 +94,15 @@ type timer = Eventq.handle
    has a handle to cancel. Order is unchanged: the heap and the lane
    dispatch in one (time, seq) order. Two stores, not one of an [if],
    so no float is boxed. *)
-let schedule ~after thunk =
-  let w = get_world () in
+let[@inline] schedule_after w after thunk =
   let seq = w.next_seq in
   w.next_seq <- seq + 1;
   let now = Array.unsafe_get w.clock 0 in
   if after <= 0. then Array.unsafe_set w.due 0 now else Array.unsafe_set w.due 0 (now +. after);
   Eventq.push_at w.q w.due seq Eventq.thunk_tag thunk
+
+let schedule ~after thunk = schedule_after (get_world ()) after thunk
+let schedule_in a i thunk = schedule_after (get_world ()) (Float.Array.get a i) thunk
 
 let no_timer = Eventq.no_handle
 let cancel timer = Eventq.cancel (get_world ()).q timer

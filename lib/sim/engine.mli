@@ -136,6 +136,11 @@ type timer [@@immediate]
     cancelled. O(log n) in the pending events, allocation-free. *)
 val schedule : after:float -> (unit -> unit) -> timer
 
+(** [schedule_in a i f] is [schedule ~after:(Float.Array.get a i) f]:
+    the form for a delay the caller computes, which reaches the engine
+    unboxed. *)
+val schedule_in : Float.Array.t -> int -> (unit -> unit) -> timer
+
 (** [cancel t] removes [t]'s thunk if it has not run yet and returns
     [true]; the thunk then never runs. A stale handle, whose thunk
     already ran or was cancelled, removes nothing and returns [false],

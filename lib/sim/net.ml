@@ -19,24 +19,33 @@ type t = {
 
 (* [ssite] is the "rpc.<sname>" section, built once with its args so a
    call allocates neither. [jobs] holds the service's idle timed
-   exchanges. *)
+   exchanges. [est] and [inflight] are the round-trip estimator, per
+   calling host id: [est] holds three slots a host (smoothed RTT, its
+   variance, RTO; a negative RTO until the first answer) and
+   [inflight] the host's unsettled calls. A [held] service parks its
+   callers by design and keeps neither. *)
 type ('req, 'resp) service = {
   shost : host;
   sname : string;
   ssite : unit Span.site;
   serve : 'req -> 'resp;
+  held : bool;
   jobs : ('req, 'resp) job Pool.t;
+  mutable est : Float.Array.t;
+  mutable inflight : int array;
 }
 
 (* One [call] under a fault controller: the request, the response, the
-   caller's wait queue, the deadline's handle, and the exchange fiber's
-   body and timer thunk, both built once with the job. A job is shared
-   by three parties, the caller, the exchange fiber and the timer, and
-   goes back to its service's pool when the last of them lets go
-   ([x_refs] reaches 0): a timed-out exchange still in flight still
-   holds it, so a late settle can never reach a later call's job. The
-   timer lets go when it fires or, if the response settles the job
-   first, when that settle cancels it. *)
+   caller's wait queue, the deadline's handle, the call's start time,
+   and the job's worker fiber: its body and the queue it parks on
+   between exchanges, and the run ([Engine.run_count]) it was spawned
+   in. The body and the timer thunk are built once with the job. A job
+   is shared by three parties, the caller, the worker's exchange and
+   the timer, and goes back to its service's pool when the last of
+   them lets go ([x_refs] reaches 0): a timed-out exchange still in
+   flight still holds it, so a late settle can never reach a later
+   call's job. The timer lets go when it fires or, if the response
+   settles the job first, when that settle cancels it. *)
 and ('req, 'resp) job = {
   x_svc : ('req, 'resp) service;
   mutable x_from : host;
@@ -50,6 +59,9 @@ and ('req, 'resp) job = {
   mutable x_refs : int;
   mutable x_deadline : Engine.timer;  (* the pending timer, while unsettled *)
   x_caller : Engine.waitq;
+  x_t0 : Float.Array.t;  (* 1 slot: when the call was issued *)
+  mutable x_worker : Engine.waitq;  (* the worker, parked between exchanges *)
+  mutable x_run : int;  (* the run the worker lives in, -1 before the first *)
   x_body : unit -> unit;
   x_timer : unit -> unit;
 }
@@ -82,14 +94,17 @@ let add_host ?(cores = 8) t name =
 let host_name h = h.hname
 let host_cpu h = h.cpu
 
-let service shost ~name serve =
+let service ?(held = false) shost ~name serve =
   let args = [ ("dst", shost.hname) ] in
   {
     shost;
     sname = name;
     ssite = Span.site ~args:(fun () -> args) ("rpc." ^ name);
     serve;
+    held;
     jobs = Pool.create ();
+    est = Float.Array.make 0 0.;
+    inflight = [||];
   }
 
 let crashed fault h = match fault with Some f -> Fault.is_crashed_id f h.hid | None -> false
@@ -101,8 +116,10 @@ exception Lost
 (* A hop's service and flight times reach [Resource.use_in] and
    [Engine.sleep_in] through slot 0, so no float is boxed. Both read
    it on entry, before they can park, so one slot serves every fiber.
-   Slot 1 takes the fault controller's extra delay. *)
-let delay = Float.Array.make 2 0.
+   Slot 1 takes the fault controller's extra delay, slot 2 a call's
+   deadline on its way to [Engine.schedule_in] and slot 3 the clock
+   for a round-trip sample. *)
+let delay = Float.Array.make 4 0.
 
 (* One message's flight time from [h] into [delay]. Two stores, not
    one store of an [if]: a branch yielding the boxed field would box
@@ -142,6 +159,73 @@ let exchange fault ~req_bytes ~resp_bytes ~from svc req =
   hop fault ~src:svc.shost ~dst:from ~bytes:resp_bytes;
   resp
 
+(* -- round-trip estimator --------------------------------------------- *)
+
+(* RFC 6298's estimator, one per (service, calling host): [srtt] and
+   [rttvar] follow answered calls with gains 1/8 and 1/4, and the RTO
+   is SRTT + max(4 RTTVAR, 3 SRTT). An unanswered call doubles the RTO
+   (Karn's backoff), so a slow but live peer is reached in the end;
+   the next answer recomputes it from the smoothed values. A late
+   answer to an expired call is no sample: it settles nothing. The
+   estimator reads and writes float-array slots only, so it allocates
+   nothing past the arrays' growth. *)
+
+let alpha = 0.125
+let beta = 0.25
+
+(* The estimator's arrays cover host id [hid]. *)
+let cover_host svc hid =
+  let n = Array.length svc.inflight in
+  if hid >= n then begin
+    let m = max (hid + 1) (2 * n) in
+    let est = Float.Array.make (3 * m) (-1.) in
+    Float.Array.blit svc.est 0 est 0 (3 * n);
+    let inflight = Array.make m 0 in
+    Array.blit svc.inflight 0 inflight 0 n;
+    svc.est <- est;
+    svc.inflight <- inflight
+  end
+
+(* The call's deadline into [delay] slot 2: [timeout_us] before the
+   first answer, else min(timeout_us, RTO x (1 + calls already in
+   flight)), since a caller's pipelined calls queue behind each
+   other. *)
+let deadline_into svc hid ~timeout_us =
+  let rto = Float.Array.get svc.est ((3 * hid) + 2) in
+  if rto < 0. then Float.Array.set delay 2 timeout_us
+  else begin
+    let d = rto *. float_of_int (1 + Array.unsafe_get svc.inflight hid) in
+    if d < timeout_us then Float.Array.set delay 2 d else Float.Array.set delay 2 timeout_us
+  end
+
+(* An answered call's round trip, [now - x_t0], updates its caller's
+   estimate. *)
+let observe j =
+  let svc = j.x_svc and b = 3 * j.x_from.hid in
+  Engine.now_into delay 3;
+  let r = Float.Array.get delay 3 -. Float.Array.get j.x_t0 0 in
+  let srtt = Float.Array.get svc.est b in
+  if Float.Array.get svc.est (b + 2) < 0. then begin
+    Float.Array.set svc.est b r;
+    Float.Array.set svc.est (b + 1) (0.5 *. r)
+  end
+  else begin
+    Float.Array.set svc.est (b + 1)
+      (((1. -. beta) *. Float.Array.get svc.est (b + 1)) +. (beta *. Float.abs (srtt -. r)));
+    Float.Array.set svc.est b (((1. -. alpha) *. srtt) +. (alpha *. r))
+  end;
+  let srtt = Float.Array.get svc.est b and var4 = 4. *. Float.Array.get svc.est (b + 1) in
+  let srtt3 = 3. *. srtt in
+  if var4 > srtt3 then Float.Array.set svc.est (b + 2) (srtt +. var4)
+  else Float.Array.set svc.est (b + 2) (srtt +. srtt3)
+
+(* Karn's backoff: an expired call doubles its caller's RTO. *)
+let back_off j =
+  let i = (3 * j.x_from.hid) + 2 in
+  let est = j.x_svc.est in
+  let rto = Float.Array.get est i in
+  if rto > 0. then Float.Array.set est i (2. *. rto)
+
 (* -- timed exchanges ------------------------------------------------- *)
 
 (* A party is done with [j]; the last one pools it. *)
@@ -153,9 +237,17 @@ let release j =
   end
 
 (* The first of response and deadline settles the job and wakes the
-   caller; the other finds it settled. *)
+   caller; the other finds it settled. Unless the service is held, it
+   ends the call's time in flight and feeds the estimator: a response
+   (already in [x_resp]) is a round-trip sample, a deadline a backoff. *)
 let settle j =
   j.x_settled <- true;
+  let svc = j.x_svc in
+  if not svc.held then begin
+    let hid = j.x_from.hid in
+    Array.unsafe_set svc.inflight hid (Array.unsafe_get svc.inflight hid - 1);
+    match j.x_resp with Some _ -> observe j | None -> back_off j
+  end;
   Engine.wake j.x_caller
 
 (* A lost exchange or a failed device simply never settles. A response
@@ -175,11 +267,20 @@ let run_exchange j =
   | exception (Lost | Resource.Failed _) -> ());
   release j
 
-(* The exchange fiber's body: its spans hang under the caller's while
-   tracing is on. *)
+(* One exchange: its spans hang under the caller's while tracing is
+   on. *)
 let exchange_body j =
   if Span.enabled () then Span.with_parent j.x_parent (fun () -> run_exchange j)
   else run_exchange j
+
+(* The worker runs one exchange per wake. It lets go of the job before
+   it parks, but parks without yielding, so a job back in the pool
+   always has its worker parked. *)
+let worker j =
+  while true do
+    exchange_body j;
+    Engine.park j.x_worker
+  done
 
 let time_out j =
   if not j.x_settled then settle j;
@@ -202,7 +303,10 @@ let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
           x_refs = 0;
           x_deadline = Engine.no_timer;
           x_caller = Engine.waitq ();
-          x_body = (fun () -> exchange_body j);
+          x_t0 = Float.Array.make 1 0.;
+          x_worker = Engine.waitq ();
+          x_run = -1;
+          x_body = (fun () -> worker j);
           x_timer = (fun () -> time_out j);
         }
       in
@@ -223,11 +327,24 @@ let job_take svc ~fault ~req_bytes ~resp_bytes ~from req =
   j.x_refs <- 3;
   j
 
+(* Start the job's exchange: wake its worker, or spawn one on the job's
+   first use or when its worker belongs to an earlier run. A spawn and a
+   wake each push one event due now, so which one runs changes no event
+   order, only fiber ids. *)
+let start_worker j =
+  let run = Engine.run_count () in
+  if j.x_run = run then Engine.wake j.x_worker
+  else begin
+    if j.x_run >= 0 then j.x_worker <- Engine.waitq ();
+    j.x_run <- run;
+    Engine.spawn j.x_body
+  end
+
 exception Unanswered
 
-(* Under an installed fault controller the exchange runs in a helper
-   fiber and the caller parks until the first of response and deadline
-   settles the job. *)
+(* Under an installed fault controller the exchange runs in the job's
+   worker fiber and the caller parks until the first of response and
+   deadline settles the job. *)
 let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
   if crashed fault from then raise_notrace Unanswered
   else if from == svc.shost then (
@@ -236,8 +353,16 @@ let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
     | exception Resource.Failed _ -> raise_notrace Unanswered)
   else begin
     let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
-    j.x_deadline <- Engine.schedule ~after:timeout_us j.x_timer;
-    Engine.spawn j.x_body;
+    if svc.held then Float.Array.set delay 2 timeout_us
+    else begin
+      let hid = from.hid in
+      cover_host svc hid;
+      deadline_into svc hid ~timeout_us;
+      Array.unsafe_set svc.inflight hid (Array.unsafe_get svc.inflight hid + 1);
+      Engine.now_into j.x_t0 0
+    end;
+    j.x_deadline <- Engine.schedule_in delay 2 j.x_timer;
+    start_worker j;
     Engine.park j.x_caller;
     let r = j.x_resp in
     release j;

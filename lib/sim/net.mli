@@ -7,7 +7,7 @@
     request/response endpoints; {!call} performs a blocking RPC with
     both directions paying network costs and a deadline. Handler code
     runs in the caller's fiber (under a fault controller, the call's
-    helper fiber) but charges its costs to the {e server's} resources,
+    worker fiber) but charges its costs to the {e server's} resources,
     so server saturation behaves correctly.
 
     A {!Fault.t} controller can be installed on the fabric; every
@@ -21,11 +21,11 @@
     with no controller a {!call} between two hosts with jitter on is
     16 (six sleeps and two jitter draws), since nothing can be lost and
     the exchange runs in the caller's fiber with no deadline armed.
-    Under a controller it is 25 whatever faults are in force elsewhere
+    Under a controller it is 22 whatever faults are in force elsewhere
     (each host carries an interned id and a verdict indexes arrays,
-    {!Fault.judge_id}): the exchange, the helper fiber's handler
-    closure, the caller's park and the response's box; arming and
-    cancelling the deadline costs nothing. *)
+    {!Fault.judge_id}): the exchange, the caller's park, the worker
+    fiber's park and the response's box; arming and cancelling the
+    deadline and updating the round-trip estimate cost nothing. *)
 
 type t
 type host
@@ -45,10 +45,14 @@ val host_cpu : host -> Resource.t
 
 type ('req, 'resp) service
 
-(** [service host ~name serve] exposes [serve] as an RPC endpoint on
-    [host]. [serve] should model its own server-side costs (CPU, SSD)
-    via {!Resource.use}. *)
-val service : host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
+(** [service ?held host ~name serve] exposes [serve] as an RPC endpoint
+    on [host]. [serve] should model its own server-side costs (CPU, SSD)
+    via {!Resource.use}. [held] (default [false]) declares a service
+    that parks its callers by design, such as a watch answered only
+    when something changes: its calls always wait their full
+    [timeout_us], since their round trips say nothing about the
+    network (see {!call}). *)
+val service : ?held:bool -> host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
 
 (** A call got no response by its deadline (lost request or response,
     dead or partitioned peer, failed device), or its caller's host is
@@ -60,18 +64,34 @@ exception Unanswered
     two messages. Calls between a host and itself skip the network
     entirely.
 
-    @raise Unanswered under an installed fault controller, after
-    [timeout_us] of virtual time with no response, or at once when the
+    @raise Unanswered under an installed fault controller, when no
+    response arrived by the call's deadline, or at once when the
     caller's host is crashed or a loopback call's device failed.
 
     When no fault controller is installed nothing can be lost: the
     exchange runs in the calling fiber with no deadline armed and never
-    raises {!Unanswered}. Under a controller the exchange runs in a
-    helper fiber while the caller waits for the first of response and
-    deadline; the helper is a job pooled per service, reused only once
-    its exchange and its timer have both finished, so a late response
-    or an expired call's timer never reaches a later call. A response
-    that arrives first cancels the deadline ({!Engine.cancel}), so an
+    raises {!Unanswered}.
+
+    Under a controller [timeout_us] is a cap, not the deadline. For
+    each (service, calling host) pair the fabric keeps RFC 6298's
+    round-trip estimator (gains 1/8 and 1/4 over answered calls; RTO =
+    SRTT + max(4 RTTVAR, 3 SRTT)) and counts the caller's calls in
+    flight to the service. A call's deadline is [timeout_us] until the
+    pair's first answer, then min([timeout_us], RTO x (1 + calls
+    already in flight)): pipelined calls queue behind each other, so
+    each is allowed one RTO per call ahead of it. A call that expires
+    doubles the pair's RTO (Karn's backoff), so a slow but live peer is
+    reached within a few attempts; the next answer recomputes it. A
+    [held] service's calls always wait [timeout_us] and feed no
+    estimate.
+
+    The exchange runs in a worker fiber while the caller waits for the
+    first of response and deadline. The worker belongs to a job pooled
+    per service; between exchanges it parks on the job, and the next
+    call to take the job wakes it. A job is reused only once its
+    exchange and its timer have both finished, so a late response or an
+    expired call's timer never reaches a later call. A response that
+    arrives first cancels the deadline ({!Engine.cancel}), so an
     answered call leaves no event pending once it returns, and its job
     goes back to the pool as soon as its exchange ends. *)
 val call :

@@ -56,8 +56,11 @@ let default =
     append_window = 8;
     retry_sleep_us = 200.;
     retry_backoff_max_us = 1_600.;
-    (* Worst-case queueing on a saturated chain head (64 writers, 80 µs
-       writes) is a few ms; 50 ms leaves an order of magnitude of
+    (* The cap on every RPC's deadline and the deadline of a call made
+       before its (service, caller) pair has any answer; after that
+       the deadline follows the measured round trip (Net.call). Cap:
+       worst-case queueing on a saturated chain head (64 writers,
+       80 µs writes) is a few ms; 50 ms leaves an order of magnitude of
        headroom while still detecting a dead node well inside the
        100 ms fill timeout. *)
     rpc_timeout_us = 50_000.;

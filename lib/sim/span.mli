@@ -4,7 +4,7 @@
     context. Spans nest: within one fiber, a section pushes onto an
     ambient per-fiber stack, so a client append decomposes into
     [append → sequencer.grant → chain.write → commit] without threading
-    ids by hand. Across fibers (helper fibers spawned by a timed [Net.call],
+    ids by hand. Across fibers (the worker fibers of timed [Net.call]s,
     the batcher drainer, parallel chain writers) {!current} +
     {!with_parent} carry the causal parent explicitly.
 

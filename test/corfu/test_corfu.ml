@@ -2095,6 +2095,55 @@ let test_recover_monitor_detects () =
         | _ -> Alcotest.failf "offset %d lost" i
       done)
 
+(* The monitor declares a node dead only after three consecutive
+   unanswered probes. On a quiet cluster a probe's round trip R (a
+   64-byte request, a 4 KB answer: about 180 µs) sets the monitor's RTO
+   to about 4 R, so three probes in a row expire after about 4 R, 8 R
+   and 16 R. Slowing the monitor's edge to one node to about 10 R costs
+   two probes and no recovery, where two misses used to be enough;
+   crashing the node costs exactly three more, then its replacement. *)
+let test_recover_monitor_needs_three_misses () =
+  with_faulty_cluster (fun cluster f ->
+      Cluster.start_failure_monitor cluster;
+      let misses = Sim.Metrics.counter "cluster.probe_failures" in
+      Sim.Engine.sleep 200_000.;
+      check_int "quiet rounds miss nothing" 0 (Sim.Metrics.counter_value misses);
+      Sim.Fault.degrade f ~src:"reconfig-agent" ~dst:"storage-1" ~delay_us:1_500. ();
+      Sim.Engine.sleep 25_000.;
+      Sim.Fault.clear_edge f ~src:"reconfig-agent" ~dst:"storage-1";
+      Sim.Engine.sleep 200_000.;
+      check_int "the slowed node missed two probes" 2 (Sim.Metrics.counter_value misses);
+      check_int "two misses replace nothing" 0 (List.length (Cluster.recoveries cluster));
+      Sim.Fault.crash f "storage-1";
+      Sim.Engine.sleep 300_000.;
+      check_int "the dead node missed three more" 5 (Sim.Metrics.counter_value misses);
+      match Cluster.recoveries cluster with
+      | [ { Cluster.rc_change = Cluster.Storage_replaced { dead; _ }; _ } ] ->
+          check_string "the third miss replaced it" "storage-1" dead
+      | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
+
+(* The auxiliary's epoch watch parks its callers by design, so its calls
+   keep their whole deadline however fast the earlier answers came: a
+   watch for an epoch nobody installs is answered when its wait ends,
+   not cut short by an RTO learnt from immediate answers. *)
+let test_aux_watch_keeps_its_deadline () =
+  with_faulty_cluster (fun cluster _ ->
+      let c = Cluster.new_client cluster ~name:"watcher" in
+      let watch at_least wait_us =
+        Sim.Net.call ~timeout_us:(wait_us +. 50_000.) ~from:(Client.host c)
+          (Auxiliary.await_service (Cluster.auxiliary cluster))
+          { Auxiliary.at_least; wait_us }
+      in
+      for _ = 1 to 5 do
+        ignore (watch 0 0. : Projection.t)
+      done;
+      let t0 = Sim.Engine.now () in
+      match watch 1 5_000. with
+      | p ->
+          check_int "the newest view, once the wait ended" 0 p.Projection.epoch;
+          check_bool "answered after the whole wait" true (Sim.Engine.now () -. t0 > 5_000.)
+      | exception Sim.Net.Unanswered -> Alcotest.fail "the held watch was cut short")
+
 (* An SSD failure is not a crash — the host answers, its device
    doesn't. The failed resource raises into read/write RPCs, the
    monitor sees the errors as a dead member, and the same replacement
@@ -3056,6 +3105,10 @@ let () =
           Alcotest.test_case "replace storage node" `Quick test_recover_replace_storage_node;
           Alcotest.test_case "monitor detects and replaces" `Quick test_recover_monitor_detects;
           Alcotest.test_case "ssd failure triggers replacement" `Quick test_recover_ssd_failure;
+          Alcotest.test_case "monitor needs three misses" `Quick
+            test_recover_monitor_needs_three_misses;
+          Alcotest.test_case "auxiliary watch keeps its deadline" `Quick
+            test_aux_watch_keeps_its_deadline;
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;

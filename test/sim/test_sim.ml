@@ -507,12 +507,16 @@ let test_fault_edge_delay_observed () =
       let f = Fault.create () in
       Net.install_fault net f;
       let echo = Net.service b ~name:"echo" (fun x -> x) in
+      (* The delayed call goes to a second service, whose pair with [a]
+         has no answer yet: its deadline is the whole [timeout_us], not
+         an RTO learnt from the fast round trip. *)
+      let echo' = Net.service b ~name:"echo'" (fun x -> x) in
       (* quiescent controller: same cost as the fault-free path *)
       ignore (Net.call ~timeout_us ~from:a echo 0);
       let base = Engine.now () in
       check_bool "baseline sane" true (base > 100. && base < 110.);
       Fault.degrade f ~src:"a" ~dst:"b" ~delay_us:500. ();
-      ignore (Net.call ~timeout_us ~from:a echo 0);
+      ignore (Net.call ~timeout_us ~from:a echo' 0);
       let dt = Engine.now () -. base in
       (* request leg pays the extra 500 µs; response leg is untouched *)
       check_bool "delay added once" true (dt > base +. 490. && dt < base +. 520.);
@@ -546,7 +550,9 @@ let test_fault_resource_fail_repair () =
 
 (* A call to a dead host waits out its deadline; a call from a dead
    host fails at once. The elapsed virtual time tells them apart: the
-   deadline for a timeout, 0 for a dead caller. *)
+   deadline for a timeout, 0 for a dead caller. One answered call of
+   round trip R sets the pair's RTO to R + max(4 R/2, 3 R) = 4 R, well
+   inside the 1 ms cap, so the dead server's call waits 4 R. *)
 let test_fault_call_r_paths () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -562,8 +568,9 @@ let test_fault_call_r_paths () =
         | exception Net.Unanswered -> Engine.now () -. t0
       in
       check_int "healthy call" 2 (Net.call ~timeout_us:1_000. ~from:a echo 1);
+      let rtt = Engine.now () in
       Fault.crash f "b";
-      check_float "dead server: unanswered at the deadline" 1_000.
+      check_float "dead server: unanswered at the deadline" (4. *. rtt)
         (unanswered "dead server" 1);
       Fault.restart f "b";
       check_int "restart restores the call" 6 (Net.call ~timeout_us:1_000. ~from:a echo 5);
@@ -574,7 +581,9 @@ let test_fault_call_r_paths () =
    exactly like the request hop: a caller that crashes after the
    server answered never sees the answer, even if it is back before
    its deadline. With latency 50 µs the response leaves the server at
-   ~51.5 µs and lands at ~101.5 µs; the caller crashes at 75 µs. *)
+   ~51.5 µs and lands at ~101.5 µs; the caller crashes at 75 µs. No
+   call of the pair is ever answered, so each deadline is the whole
+   [timeout_us]. *)
 let test_fault_crashed_caller_loses_response () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -613,7 +622,10 @@ let test_fault_crashed_caller_loses_response () =
    - call 3 (work 0) is answered at once;
    - call 4 (work 980), issued right after, is answered after call 2's
      deadline (at 2000) and call 3's (at 2812) would have fired, and
-     must get its own answer. *)
+     must get its own answer.
+   Every deadline is the 1,000 µs cap: calls 1 and 2 come before any
+   answer, and the RTO learnt from call 2 (3,248 µs) and from call 3
+   (about 2,850 µs) both exceed it. *)
 let test_fault_call_r_late_response () =
   Engine.run (fun () ->
       let net = Net.create ~latency:5. ~bandwidth:125. ~jitter:0. () in
@@ -697,6 +709,138 @@ let test_fault_quiet_controller_is_free () =
   check_bool "calls took time" true (t_bare > 2_000.);
   check_float "same virtual time" t_bare t_call;
   check_int "two events per call" (ev_bare + (2 * 20)) ev_call
+
+(* -- deadlines that follow the round trip ------------------------------ *)
+
+(* Whether a call was answered, and how long it took. *)
+let timed_call ~timeout_us ~from svc x =
+  let t0 = Engine.now () in
+  match Net.call ~timeout_us ~from svc x with
+  | _ -> (true, Engine.now () -. t0)
+  | exception Net.Unanswered -> (false, Engine.now () -. t0)
+
+(* A fabric with a controller and no jitter, so every round trip
+   between [a] and [b] is the same [rtt]; [answer n] makes [n] answered
+   calls on [echo] and returns that round trip. With a constant round
+   trip R the RTO is R + max(4 RTTVAR, 3 R) = 4 R, since RTTVAR starts
+   at R/2 and only decays. *)
+let with_rtt_pair body =
+  Engine.run (fun () ->
+      let net = make_net () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      let f = Fault.create () in
+      Net.install_fault net f;
+      let echo = Net.service b ~name:"echo" (fun x -> x) in
+      let answer n =
+        let rtt = ref 0. in
+        for _ = 1 to n do
+          match timed_call ~timeout_us ~from:a echo 0 with
+          | true, dt -> rtt := dt
+          | false, _ -> Alcotest.fail "a healthy call went unanswered"
+        done;
+        !rtt
+      in
+      body f a echo answer)
+
+(* Before the pair's first answer a call waits the whole [timeout_us],
+   and an unanswered call leaves nothing to back off from: the next
+   fresh call waits the whole cap again. *)
+let test_deadline_first_call_waits_cap () =
+  with_rtt_pair (fun f a echo _ ->
+      Fault.crash f "b";
+      for i = 1 to 2 do
+        match timed_call ~timeout_us:5_000. ~from:a echo 0 with
+        | false, dt -> check_float (Printf.sprintf "call %d waits timeout_us" i) 5_000. dt
+        | true, _ -> Alcotest.fail "a dead server answered"
+      done)
+
+(* Once the pair has answers, a call's deadline is min(timeout_us, RTO x
+   (1 + calls already in flight)): three calls issued together to a
+   dead server expire after 4 R, 8 R and the 10 R cap (12 R uncapped). *)
+let test_deadline_rto_times_in_flight () =
+  with_rtt_pair (fun f a echo answer ->
+      let r = answer 5 in
+      Fault.crash f "b";
+      let waited = Array.make 3 0. in
+      let cap = 10. *. r in
+      let done_ = ref 0 in
+      for i = 0 to 2 do
+        Engine.spawn (fun () ->
+            (match timed_call ~timeout_us:cap ~from:a echo 0 with
+            | false, dt -> waited.(i) <- dt
+            | true, _ -> Alcotest.fail "a dead server answered");
+            incr done_)
+      done;
+      while !done_ < 3 do
+        Engine.sleep r
+      done;
+      check_float "no call ahead: one RTO" (4. *. r) waited.(0);
+      check_float "one call ahead: two RTOs" (8. *. r) waited.(1);
+      check_float "two calls ahead: the cap" cap waited.(2))
+
+(* An unanswered call doubles the pair's RTO (Karn's backoff); the next
+   answer recomputes it from the smoothed round trip. *)
+let test_deadline_unanswered_doubles_rto () =
+  with_rtt_pair (fun f a echo answer ->
+      let r = answer 5 in
+      Fault.crash f "b";
+      List.iter
+        (fun k ->
+          match timed_call ~timeout_us ~from:a echo 0 with
+          | false, dt -> check_float (Printf.sprintf "deadline %g R" k) (k *. r) dt
+          | true, _ -> Alcotest.fail "a dead server answered")
+        [ 4.; 8.; 16.; 32. ];
+      Fault.restart f "b";
+      ignore (answer 1 : float);
+      Fault.crash f "b";
+      match timed_call ~timeout_us ~from:a echo 0 with
+      | false, dt -> check_float "an answer resets the RTO" (4. *. r) dt
+      | true, _ -> Alcotest.fail "a dead server answered")
+
+(* A live peer whose round trip jumps 20x is reached within
+   ceil(log2 20) = 5 attempts: each expired attempt doubles the next
+   one's deadline, and no attempt's late answer settles another. *)
+let test_deadline_slow_peer_reached () =
+  with_rtt_pair (fun f a echo answer ->
+      let r = answer 5 in
+      Fault.degrade f ~src:"a" ~dst:"b" ~delay_us:(19. *. r) ();
+      let rec attempt n =
+        if n > 5 then Alcotest.fail "the slowed peer was not reached in 5 attempts"
+        else
+          match timed_call ~timeout_us ~from:a echo n with
+          | true, dt ->
+              check_bool "answered at the new round trip" true (Float.abs (dt -. (20. *. r)) < 1.);
+              n
+          | false, _ -> attempt (n + 1)
+      in
+      check_int "attempts: deadlines 4, 8, 16 R miss, 32 R answers" 4 (attempt 1))
+
+(* A held service parks its callers by design, so its calls keep the
+   whole [timeout_us] however fast its earlier answers came; a plain
+   service with the same history expires after its RTO. *)
+let test_deadline_held_service_not_cut_short () =
+  Engine.run (fun () ->
+      let net = make_net () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      Net.install_fault net (Fault.create ());
+      let hold wait =
+        Engine.sleep wait;
+        wait
+      in
+      let held = Net.service ~held:true b ~name:"watch" hold in
+      let plain = Net.service b ~name:"plain" hold in
+      for _ = 1 to 5 do
+        ignore (Net.call ~timeout_us ~from:a held 0.);
+        ignore (Net.call ~timeout_us ~from:a plain 0.)
+      done;
+      (match timed_call ~timeout_us ~from:a held 5_000. with
+      | true, dt -> check_bool "held call answered after its wait" true (dt > 5_000.)
+      | false, _ -> Alcotest.fail "the held call was cut short");
+      match timed_call ~timeout_us ~from:a plain 5_000. with
+      | false, dt -> check_bool "plain call expired after its RTO" true (dt < 1_000.)
+      | true, _ -> Alcotest.fail "the plain call waited past its RTO")
 
 let test_fault_schedule_is_virtual_time () =
   Engine.run (fun () ->
@@ -2193,6 +2337,23 @@ let test_net_call_budget () =
       check_budget "fault-free call" ~budget:net_call_budget
         (words_per_op (fun () -> ignore (Net.call ~timeout_us ~from:a echo 1))))
 
+(* Under a controller: the fault-free call's words, the caller's and
+   the job's worker's parks and the response's box. The deadline's
+   timer and the round-trip estimator add nothing. *)
+let net_timed_call_budget = net_call_budget +. (2. *. sleep_budget) +. 2.
+
+let test_net_timed_call_budget () =
+  Engine.run (fun () ->
+      let net = make_net ~jitter:0.05 () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      Net.install_fault net (Fault.create ());
+      let echo = Net.service b ~name:"echo" (fun x -> x) in
+      (* the first call builds the pooled job and the estimator's rows *)
+      ignore (Net.call ~timeout_us ~from:a echo 1);
+      check_budget "timed call" ~budget:net_timed_call_budget
+        (words_per_op (fun () -> ignore (Net.call ~timeout_us ~from:a echo 1))))
+
 (* A section with tracing off: a span-only site takes no slot, a timed
    one stores its start and observes without boxing. Neither takes a
    closure, so both cost nothing. *)
@@ -2274,6 +2435,7 @@ let () =
           Alcotest.test_case "sleep within budget" `Quick test_sleep_budget;
           Alcotest.test_case "resource use costs only its sleep" `Quick test_resource_use_budget;
           Alcotest.test_case "net call within budget" `Quick test_net_call_budget;
+          Alcotest.test_case "timed net call within budget" `Quick test_net_timed_call_budget;
           Alcotest.test_case "contended use: a park and a sleep" `Quick
             test_contended_use_budget;
           Alcotest.test_case "ivar wake within budget" `Quick test_ivar_wake_budget;
@@ -2344,6 +2506,16 @@ let () =
           Alcotest.test_case "answered call_r cancels its deadline" `Quick
             test_fault_call_r_answered_cancels_deadline;
           Alcotest.test_case "quiet controller is free" `Quick test_fault_quiet_controller_is_free;
+          Alcotest.test_case "first call waits timeout_us" `Quick
+            test_deadline_first_call_waits_cap;
+          Alcotest.test_case "deadline is RTO x (1 + in flight), capped" `Quick
+            test_deadline_rto_times_in_flight;
+          Alcotest.test_case "unanswered call doubles the RTO" `Quick
+            test_deadline_unanswered_doubles_rto;
+          Alcotest.test_case "20x slower peer reached within log2 attempts" `Quick
+            test_deadline_slow_peer_reached;
+          Alcotest.test_case "held service keeps timeout_us" `Quick
+            test_deadline_held_service_not_cut_short;
           Alcotest.test_case "plan runs in virtual time" `Quick
             test_fault_schedule_is_virtual_time;
           Alcotest.test_case "trace deterministic across runs" `Quick
