@@ -795,130 +795,6 @@ let chaos_crash () =
             "-" "-")
     [ 4; 8; 16; 32 ]
 
-(* The CI smoke scenario: a fixed fault plan (crash + a lossy, slow
-   client uplink + a sequencer replacement at 120 ms) under a paced
-   append load, checked for recovery, restored replication (every
-   chain back at length 2), durability of every acknowledged append,
-   byte-identical traces across two runs and a bound on the client's
-   retry count. Exits nonzero on any violation. *)
-let chaos_scenario () =
-  Sim.Trace.capture (fun () ->
-      Sim.Engine.run ~seed:42 (fun () ->
-          let cluster = Corfu.Cluster.create ~servers:4 () in
-          let victim = (Corfu.Cluster.storage_nodes cluster).(0) in
-          let fault =
-            Chaos.install ~seed:9
-              ~plan:
-                [
-                  (30_000., Sim.Fault.Crash (Corfu.Storage_node.name victim));
-                  ( 55_000.,
-                    Sim.Fault.Degrade
-                      {
-                        d_src = "smoke";
-                        d_dst = "*";
-                        d_drop = 0.05;
-                        d_delay_us = 150.;
-                        d_jitter_us = 100.;
-                      } );
-                  (80_000., Sim.Fault.Clear_edge ("smoke", "*"));
-                  (* a sequencer replacement seals the epoch while the
-                     client appends: the retry gate below counts how
-                     the client rides it out *)
-                  ( 120_000.,
-                    Sim.Fault.Custom
-                      ( "replace-sequencer",
-                        fun () ->
-                          Sim.Engine.spawn (fun () ->
-                              ignore (Corfu.Cluster.replace_sequencer cluster : Corfu.Types.epoch)) ) );
-                ]
-              cluster
-          in
-          Corfu.Cluster.start_failure_monitor cluster;
-          let c = Corfu.Cluster.new_client cluster ~name:"smoke" in
-          (* Any completion gap past 20ms (the crash recovery window)
-             freezes the flight rings — the incident artifact CI
-             uploads when the smoke fails. *)
-          let stalls = Chaos.recorder ~stall_threshold_us:20_000. () in
-          let offs = ref [] in
-          for i = 0 to 199 do
-            offs :=
-              Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string (string_of_int i)) :: !offs;
-            Chaos.note stalls;
-            Sim.Engine.sleep 500.
-          done;
-          Sim.Engine.sleep 200_000.;
-          let readable =
-            List.for_all
-              (fun off ->
-                match Corfu.Client.read_resolved c off with
-                | Corfu.Client.Data _ -> true
-                | _ -> false)
-              !offs
-          in
-          let incs = Chaos.incidents fault cluster in
-          (* restored: every chain of every segment is back at length 2 *)
-          let restored =
-            Array.for_all
-              (fun seg -> Array.for_all (fun chain -> Array.length chain = 2) seg.Corfu.Projection.seg_sets)
-              (Corfu.Auxiliary.latest (Corfu.Cluster.auxiliary cluster)).Corfu.Projection.segments
-          in
-          ( readable,
-            List.length incs,
-            List.fold_left (fun acc i -> acc +. i.Chaos.inc_unavailable_us) 0. incs,
-            restored,
-            Corfu.Client.rpc_failures c,
-            Corfu.Client.retries c,
-            Sim.Engine.now () )))
-
-(* The smoke client's [client.retries] is exact and host-independent,
-   so it is gated like an allocation count: 6 when the bound was set
-   (its RPCs time out in the 55-80 ms lossy window too), which allows
-   one extra timeout or seal. A client that polls a sealed epoch
-   instead of waiting at the auxiliary retries dozens of times through
-   the sequencer replacement and trips it. *)
-let chaos_smoke_max_retries = 8
-
-let chaos_smoke () =
-  section
-    "Chaos smoke: crash + degraded uplink + sequencer replacement, determinism, durability and \
-     retry-count check";
-  let flight_was = Sim.Flight.enabled () in
-  Sim.Flight.set_enabled true;
-  let (readable1, recoveries1, unavailable1, restored1, failures1, retries1, end1), trace1 =
-    chaos_scenario ()
-  in
-  let flight1 = Sim.Flight.dump_json () in
-  let r2, trace2 = chaos_scenario () in
-  let flight2 = Sim.Flight.dump_json () in
-  Sim.Flight.set_enabled flight_was;
-  row "200 appends: all readable=%b recoveries=%d failed-rpc=%d end=%.0fus" readable1 recoveries1
-    failures1 end1;
-  row "storage outage (crash to degraded install)=%.1fms, replication restored=%b"
-    (unavailable1 /. 1e3) restored1;
-  row "client.retries=%d (bound %d)" retries1 chaos_smoke_max_retries;
-  let same_result =
-    (readable1, recoveries1, unavailable1, restored1, failures1, retries1, end1) = r2
-  in
-  let same_trace = String.equal trace1 trace2 in
-  let same_flight = String.equal flight1 flight2 in
-  row "replay: same result=%b, byte-identical trace=%b (%d trace bytes)" same_result same_trace
-    (String.length trace1);
-  row "flight: %d snapshot(s), byte-identical across runs=%b" (Sim.Flight.snapshot_count ())
-    same_flight;
-  if
-    not
-      (readable1 && recoveries1 >= 1 && restored1 && same_result && same_trace && same_flight
-     && retries1 <= chaos_smoke_max_retries)
-  then begin
-    (* Ship the black box with the failure: CI uploads this file. *)
-    let oc = open_out "chaos-flight.json" in
-    output_string oc flight2;
-    output_char oc '\n';
-    close_out oc;
-    prerr_endline "chaos-smoke FAILED (flight snapshots in chaos-flight.json)";
-    exit 1
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Scale-out: live segment reconfiguration under constant load        *)
 (* ------------------------------------------------------------------ *)
@@ -1721,7 +1597,6 @@ let experiments =
     ("ablation-seqbatch", ablation_seqbatch);
     ("ablation-seqckpt", ablation_seqckpt);
     ("chaos-crash", chaos_crash);
-    ("chaos-smoke", chaos_smoke);
     ("scale-out", scale_out_bench);
   ]
 

@@ -65,34 +65,14 @@ let incidents fault cluster =
       | _ -> None)
     reconfigs
 
-type recorder = {
-  mutable last_us : float;
-  mutable max_gap_us : float;
-  mutable completions : int;
-  stall_threshold_us : float;  (* infinity = never a stall *)
-}
+type recorder = { mutable last_us : float; mutable max_gap_us : float }
 
-let recorder ?(stall_threshold_us = infinity) () =
-  {
-    last_us = Sim.Engine.now ();
-    max_gap_us = 0.;
-    completions = 0;
-    stall_threshold_us;
-  }
+let recorder () = { last_us = Sim.Engine.now (); max_gap_us = 0. }
 
 let note r =
   let now = Sim.Engine.now () in
   let gap = now -. r.last_us in
-  if gap > r.max_gap_us then begin
-    (* Snapshot only on a new worst gap past the threshold, so a long
-       outage produces one flight capture, not one per completion. *)
-    if gap > r.stall_threshold_us then begin
-      if Sim.Announce.active () then Sim.Announce.emit (Sim.Announce.Chaos_stall { gap_us = gap });
-      Sim.Flight.snapshot ~reason:"chaos-stall"
-    end;
-    r.max_gap_us <- gap
-  end;
-  r.last_us <- now;
-  r.completions <- r.completions + 1
+  if gap > r.max_gap_us then r.max_gap_us <- gap;
+  r.last_us <- now
 
 let max_gap_us r = r.max_gap_us

@@ -40,13 +40,8 @@ val incidents : Sim.Fault.t -> Corfu.Cluster.t -> incident list
 
 type recorder
 
-(** [recorder ?stall_threshold_us ()] starts tracking at the current
-    virtual time. When [stall_threshold_us] is given, a completion gap
-    exceeding both the threshold and the previous maximum is a stall:
-    it is announced as a {!Sim.Announce.Chaos_stall} milestone and
-    triggers a {!Sim.Flight.snapshot} with reason ["chaos-stall"] when
-    the flight recorder is armed — at most one per new worst gap. *)
-val recorder : ?stall_threshold_us:float -> unit -> recorder
+(** [recorder ()] starts tracking at the current virtual time. *)
+val recorder : unit -> recorder
 
 (** Call on every completed operation (any worker). *)
 val note : recorder -> unit

@@ -236,20 +236,18 @@ let rebind cluster action =
    SSD failures — so the oracle phase judges a whole system. Shrunk
    plans may have lost their recovery partners; this keeps "drop the
    heal" candidates from turning every oracle into a liveness stall.
-   A recovery is applied only while its fault is still in force, so a
-   plan's own restart, heal, clear or repair (and a fault the plan
-   names twice) is not applied, counted or announced a second time. *)
+   {!Sim.Fault.apply} ignores a restart, heal or clear whose fault is
+   no longer in force, so a recovery the plan already made (or makes
+   later) is not counted or announced twice. An SSD repair is a custom
+   the controller cannot see into, so it is guarded here. *)
 let make_whole fault cluster plan =
   List.iter
     (fun (_, action) ->
       match action with
-      | Sim.Fault.Crash h ->
-          if Sim.Fault.is_crashed fault h then Sim.Fault.apply fault (Sim.Fault.Restart h)
-      | Sim.Fault.Partition _ ->
-          if Sim.Fault.is_partitioned fault then Sim.Fault.apply fault Sim.Fault.Heal
+      | Sim.Fault.Crash h -> Sim.Fault.apply fault (Sim.Fault.Restart h)
+      | Sim.Fault.Partition _ -> Sim.Fault.apply fault Sim.Fault.Heal
       | Sim.Fault.Degrade { d_src; d_dst; _ } ->
-          if Sim.Fault.has_edge_rule fault ~src:d_src ~dst:d_dst then
-            Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst))
+          Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst))
       | Sim.Fault.Custom (name, _) when String.length name > 9 && String.sub name 0 9 = "ssd-fail " -> (
           let node = String.sub name 9 (String.length name - 9) in
           match find_node cluster node with
@@ -314,9 +312,9 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
   let main () =
     let cluster = Cluster.create ~servers:config.f_servers () in
     Cluster.start_failure_monitor cluster;
-    let fault = Sim.Fault.create ~seed () in
-    Sim.Net.install_fault (Cluster.net cluster) fault;
-    Sim.Fault.plan fault (List.map (fun (at, a) -> (at, rebind cluster a)) plan);
+    let fault =
+      Chaos.install ~seed ~plan:(List.map (fun (at, a) -> (at, rebind cluster a)) plan) cluster
+    in
     (* -------- online spec machines: a dedicated follower client
        discharges readability obligations by stream visibility (raw
        offset reads would miss broken backpointer chains) *)

@@ -68,8 +68,10 @@ val validate_monitor : monitor -> unit
     storage crash/restart, single-node partition/heal, appender→storage
     degrade/clear, SSD fail/repair, sequencer replacement, and
     scale-out/in customs. The sequencer, auxiliary, and client hosts
-    are never crashed or partitioned (their RPCs wait without
-    timeouts); at most one partition and one scale-in per plan. *)
+    are never crashed or partitioned: their RPCs carry deadlines, but
+    nothing replaces a dead sequencer or auxiliary, so sequencer loss
+    comes only through [replace-sequencer] customs. At most one
+    partition and one scale-in per plan. *)
 val gen_plan : seed:int -> config -> (float * Sim.Fault.action) list
 
 type outcome = {
@@ -77,7 +79,9 @@ type outcome = {
   oc_acked : int;  (** raw appends acked to workload clients *)
   oc_committed : int;
   oc_aborted : int;
-  oc_fault_events : int;  (** fault actions actually applied *)
+  oc_fault_events : int;
+      (** fault actions that took effect ({!Sim.Fault.events}): a
+          recovery with nothing to recover is not one *)
   oc_spec_firings : Spec.firing list;
       (** online spec-machine firings, oldest first; each carries the
           virtual timestamp at which the property broke mid-run *)

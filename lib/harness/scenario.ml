@@ -264,6 +264,39 @@ let sequencer_lossy_uplink =
     sc_monitors = [];
   }
 
+(* CORFU's whole failure path in one run (§2.2, §5): a chain member
+   crashes and the monitor seals, replaces and re-replicates it; the
+   only appender's uplink then turns lossy and slow, so its RPCs expire
+   and retry; and the sequencer is replaced while it appends, so it
+   must wait at the auxiliary for the new epoch. The durability and
+   replication oracles check every acked append and every chain. *)
+let chaos_smoke =
+  {
+    sc_name = "chaos-smoke";
+    sc_seed = 42;
+    sc_config =
+      { Fuzz.default_config with f_servers = 4; f_clients = 1; f_appends = 200; f_txs = 20 };
+    sc_plan =
+      [
+        (30_000., Sim.Fault.Crash "storage-0");
+        ( 55_000.,
+          Sim.Fault.Degrade
+            {
+              d_src = "fz-app-1";
+              d_dst = "*";
+              d_drop = 0.05;
+              d_delay_us = 150.;
+              d_jitter_us = 100.;
+            } );
+        (80_000., Sim.Fault.Clear_edge ("fz-app-1", "*"));
+        (120_000., custom "replace-sequencer");
+      ];
+    sc_specs = Spec.all;
+    sc_spec_deadline_us = None;
+    sc_failpoint = None;
+    sc_monitors = [];
+  }
+
 let builtins =
   [
     sequencer_takeover_under_partition;
@@ -273,6 +306,7 @@ let builtins =
     slo_clean;
     slo_degraded_uplink;
     sequencer_lossy_uplink;
+    chaos_smoke;
   ]
 
 let find name = List.find_opt (fun sc -> String.equal sc.sc_name name) builtins

@@ -52,7 +52,10 @@ val run : ?capture_spans:bool -> t -> Fuzz.outcome
     replacement under load), ["tx-soak"] (4 clients × 100
     transactions, no faults), and the SLO pair ["slo-clean"] /
     ["slo-degraded-uplink"], whose monitors must stay silent on the
-    first and fire [append-p99] on the second. *)
+    first and fire [append-p99] on the second, ["sequencer-lossy-uplink"]
+    (lost grants retried at their deadlines), and ["chaos-smoke"] (a
+    chain-member crash, a lossy client uplink and a sequencer
+    replacement in one run, every spec armed). *)
 val builtins : t list
 
 val find : string -> t option

@@ -31,7 +31,6 @@ type event =
   | Action_skipped of { action : string; reason : string }
   | Spec_fired of { spec : string; detail : string }
   | Slo_alert of { monitor : string; firing : bool; burn_fast : float }
-  | Chaos_stall of { gap_us : float }
 
 let no_host = "-"
 
@@ -74,7 +73,6 @@ let classify = function
   | Action_skipped _ -> ("fuzz", "action-skipped")
   | Spec_fired _ -> ("spec", "spec-fired")
   | Slo_alert _ -> ("slo", "slo-alert")
-  | Chaos_stall _ -> ("chaos", "chaos-stall")
 
 (* -- sticky sinks ------------------------------------------------------ *)
 

@@ -51,8 +51,8 @@ type event =
       (** A storage replacement found no surviving replica of [set] in
           [segment]: the spare starts without a prefix. *)
   | Node_dead of { node : string }
-      (** The failure monitor declared [node] dead after two missed
-          probes. *)
+      (** The failure monitor declared [node] dead after three
+          consecutive missed probes. *)
   | Fault_injected of { key : string; host : string; detail : string }
       (** A repairable fault keyed [key] (e.g. ["crash:h"],
           ["partition"], ["edge:s>d"]) took effect. [host] is the
@@ -70,9 +70,6 @@ type event =
       (** A spec machine found a violation. *)
   | Slo_alert of { monitor : string; firing : bool; burn_fast : float }
       (** An SLO monitor fired ([firing]) or resolved. *)
-  | Chaos_stall of { gap_us : float }
-      (** A completion gap exceeded a chaos recorder's stall threshold
-          and its previous maximum. *)
 
 (** {2 Attribution} shared by every consumer. *)
 
@@ -84,7 +81,7 @@ val host : event -> string
 val classify : event -> string * string
 (** [(component, name)], both constants: the producing layer
     (["corfu"], ["tango"], ["reconfig"], ["monitor"], ["fault"],
-    ["fuzz"], ["spec"], ["slo"] or ["chaos"]) and the variant's
+    ["fuzz"], ["spec"] or ["slo"]) and the variant's
     kebab-case tag, e.g. ["append-acked"]. *)
 
 (** {2 Producers} *)

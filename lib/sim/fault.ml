@@ -98,7 +98,11 @@ let set_edge t s d e =
   t.edges.(s) <- row;
   row.(d) <- e
 
-let clear_edge_at t s d = if edge_at t s d != no_edge then t.edges.(s).(d) <- no_edge
+(* [false] when the edge had no rule to clear. *)
+let clear_edge_at t s d =
+  let ruled = edge_at t s d != no_edge in
+  if ruled then t.edges.(s).(d) <- no_edge;
+  ruled
 
 (* The most specific rule for the edge: exact, then [src -> *], then
    [* -> dst], then [* -> *]. *)
@@ -160,33 +164,53 @@ let host_of = function
   | Degrade { d_src; _ } -> Some d_src
   | Partition _ | Heal | Clear_edge _ | Custom _ -> None
 
-let apply t action =
-  (match action with
-  | Crash h -> set_crashed t (host_id h) true
-  | Restart h -> set_crashed t (host_id h) false
-  | Partition cs -> set_partition t cs
-  | Heal -> set_partition t []
+(* Apply [action] to the fault state; [false] when it changed nothing:
+   a recovery whose fault is no longer in force (restarting a live host,
+   healing an unpartitioned network, clearing an edge with no rule). *)
+let took_effect t = function
+  | Crash h ->
+      set_crashed t (host_id h) true;
+      true
+  | Restart h ->
+      let id = host_id h in
+      let down = is_crashed_id t id in
+      if down then set_crashed t id false;
+      down
+  | Partition cs ->
+      set_partition t cs;
+      true
+  | Heal ->
+      let split = is_partitioned t in
+      if split then set_partition t [];
+      split
   | Degrade { d_src; d_dst; d_drop; d_delay_us; d_jitter_us } ->
       set_edge t (host_id d_src) (host_id d_dst)
-        { e_drop = d_drop; e_delay_us = d_delay_us; e_jitter_us = d_jitter_us }
+        { e_drop = d_drop; e_delay_us = d_delay_us; e_jitter_us = d_jitter_us };
+      true
   | Clear_edge (s, d) -> clear_edge_at t (host_id s) (host_id d)
-  | Custom (_, run) -> run ());
-  let what = label action in
-  if Announce.active () then begin
-    let host = match host_of action with Some h -> h | None -> Announce.no_host in
-    Announce.emit
-      (match action with
-      | Crash h -> Fault_injected { key = "crash:" ^ h; host; detail = what }
-      | Restart h -> Fault_repaired { key = "crash:" ^ h; host; detail = what }
-      | Partition _ -> Fault_injected { key = "partition"; host; detail = what }
-      | Heal -> Fault_repaired { key = "partition"; host; detail = what }
-      | Degrade { d_src; d_dst; _ } ->
-          Fault_injected { key = "edge:" ^ d_src ^ ">" ^ d_dst; host; detail = what }
-      | Clear_edge (s, d) -> Fault_repaired { key = "edge:" ^ s ^ ">" ^ d; host; detail = what }
-      | Custom (name, _) -> Custom_fault { name })
-  end;
-  Metrics.incr (Metrics.counter ?host:(host_of action) "fault.injected");
-  t.log <- { ev_time = Engine.now (); ev_label = what } :: t.log
+  | Custom (_, run) ->
+      run ();
+      true
+
+let apply t action =
+  if took_effect t action then begin
+    let what = label action in
+    if Announce.active () then begin
+      let host = match host_of action with Some h -> h | None -> Announce.no_host in
+      Announce.emit
+        (match action with
+        | Crash h -> Fault_injected { key = "crash:" ^ h; host; detail = what }
+        | Restart h -> Fault_repaired { key = "crash:" ^ h; host; detail = what }
+        | Partition _ -> Fault_injected { key = "partition"; host; detail = what }
+        | Heal -> Fault_repaired { key = "partition"; host; detail = what }
+        | Degrade { d_src; d_dst; _ } ->
+            Fault_injected { key = "edge:" ^ d_src ^ ">" ^ d_dst; host; detail = what }
+        | Clear_edge (s, d) -> Fault_repaired { key = "edge:" ^ s ^ ">" ^ d; host; detail = what }
+        | Custom (name, _) -> Custom_fault { name })
+    end;
+    Metrics.incr (Metrics.counter ?host:(host_of action) "fault.injected");
+    t.log <- { ev_time = Engine.now (); ev_label = what } :: t.log
+  end
 
 let crash t h = apply t (Crash h)
 let restart t h = apply t (Restart h)

@@ -77,7 +77,10 @@ val clear_edge : t -> src:string -> dst:string -> unit
 val has_edge_rule : t -> src:string -> dst:string -> bool
 
 (** [apply t action] executes one action now, logging it to the event
-    list and the trace. *)
+    list and the trace. A recovery with nothing to recover — {!Restart}
+    of a live host, {!Heal} with no partition in force, {!Clear_edge}
+    of an edge with no {!Degrade} rule — changes nothing, so it is not
+    logged, announced or counted in [fault.injected]. *)
 val apply : t -> action -> unit
 
 (** {2 Scheduled plans} *)

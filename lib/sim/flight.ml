@@ -91,7 +91,6 @@ let on_milestone (ev : Announce.event) =
   | Fault_injected { detail; _ } | Fault_repaired { detail; _ } ->
       push ~host Fault ~name:detail ~value:0.
   | Custom_fault { name } -> push ~host Fault ~name ~value:0.
-  | Chaos_stall { gap_us } -> push ~host Fault ~name:"stall" ~value:gap_us
   | Spec_fired { spec; _ } -> push ~host Alert ~name:spec ~value:0.
   | Slo_alert { monitor; burn_fast; _ } -> push ~host Alert ~name:monitor ~value:burn_fast
   | _ ->

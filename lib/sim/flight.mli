@@ -3,8 +3,8 @@
     Three inputs stream their most recent structured events into a
     bounded per-host ring: span closes ({!Span}), metric writes
     ({!Metrics}), and every milestone of the {!Announce} stream —
-    protocol milestones, fault-plane actions, spec firings, SLO alert
-    transitions and chaos stalls — which the recorder consumes as a
+    protocol milestones, fault-plane actions, spec firings and SLO
+    alert transitions — which the recorder consumes as a
     sticky sink, so a snapshot holds the same milestones the spec
     machines saw. A milestone goes to its {!Announce.host}'s ring, or
     to its component's ({!Announce.classify}) when it has none.
@@ -15,8 +15,8 @@
 
     {!snapshot} freezes the rings into an incident-scoped JSON
     document. It is called automatically
-    when an {!Slo} monitor fires, and by the harness when a spec fires,
-    a chaos stall or a fuzz oracle violation is detected — so every
+    when an {!Slo} monitor fires, and by the harness when a spec fires
+    or a fuzz oracle violation is detected — so every
     failure artifact ships with its last-N-events context.
 
     Recording costs one branch when disabled and writes into
@@ -30,7 +30,7 @@
 type kind =
   | Span_close  (** a {!Span} closed; value = duration µs *)
   | Metric  (** a counter/gauge/histogram write; value = new value *)
-  | Fault  (** a fault action or chaos stall; name = the action's label *)
+  | Fault  (** a fault action; name = the action's label *)
   | Alert  (** a spec firing, or an {!Slo} transition (value = fast burn rate) *)
   | Milestone  (** any other {!Announce} event; name = its tag *)
 

@@ -33,7 +33,6 @@ let pp_detail ppf (ev : Announce.event) =
       p " %s: %s" a b
   | Slo_alert { monitor; firing; burn_fast } ->
       p " %s %s (fast burn %.2f)" monitor (if firing then "firing" else "resolved") burn_fast
-  | Chaos_stall { gap_us } -> p " completion gap %.0fus" gap_us
 
 let render ev =
   let ppf = match !out with Some p -> p | None -> Format.err_formatter in

@@ -698,16 +698,89 @@ let test_scenario_builtins_run_clean () =
 
 (* Making the system whole applies a recovery only while its fault is
    in force: a plan that restarts its own crash, or clears its own
-   degrade, runs exactly its two events. *)
+   degrade, runs exactly its two events — whether its recovery comes
+   before the make-whole step or, when the workload ends early, after
+   it, with nothing left to recover. *)
 let test_make_whole_skips_made_recoveries () =
+  let builtin name =
+    match Scenario.find name with
+    | Some sc -> sc
+    | None -> Alcotest.failf "built-in %s missing" name
+  in
+  let clear_after_workload =
+    {
+      (builtin "crash-restart-baseline") with
+      sc_name = "clear-after-workload";
+      sc_seed = 3;
+      sc_config = { small_config with f_clients = 1; f_appends = 4; f_txs = 2 };
+      sc_plan =
+        [
+          ( 1_000.,
+            Sim.Fault.Degrade
+              {
+                d_src = "fz-app-1";
+                d_dst = "storage-0";
+                d_drop = 0.;
+                d_delay_us = 100.;
+                d_jitter_us = 0.;
+              } );
+          (60_000., Sim.Fault.Clear_edge ("fz-app-1", "storage-0"));
+        ];
+    }
+  in
   List.iter
-    (fun name ->
-      match Scenario.find name with
-      | None -> Alcotest.failf "built-in %s missing" name
-      | Some sc ->
-          Alcotest.(check int) (name ^ " plan events") 2 (List.length sc.Scenario.sc_plan);
-          Alcotest.(check int) (name ^ " fault events") 2 (Scenario.run sc).Fuzz.oc_fault_events)
-    [ "crash-restart-baseline"; "slo-degraded-uplink" ]
+    (fun sc ->
+      let name = sc.Scenario.sc_name in
+      Alcotest.(check int) (name ^ " plan events") 2 (List.length sc.Scenario.sc_plan);
+      Alcotest.(check int) (name ^ " fault events") 2 (Scenario.run sc).Fuzz.oc_fault_events)
+    [ builtin "crash-restart-baseline"; builtin "slo-degraded-uplink"; clear_after_workload ]
+
+(* The chaos-smoke built-in: beside its oracles (durability of every
+   acked append, every chain back at length 2), the run must recover
+   from its crash, carry the appender's RPCs through the lossy window,
+   keep the appender's retries bounded and replay byte for byte.
+   [client.retries] is exact and host-independent, so it is bounded
+   like an allocation count: fz-app-1 retried 7 times when the bound
+   was set (its RPCs expire in the 55-80 ms lossy window, and it rides
+   out the sequencer replacement by waiting at the auxiliary), plus 2
+   for one extra expiry or seal. A client that polls a sealed epoch
+   instead of waiting for it retries dozens of times and trips it. *)
+let chaos_smoke_max_retries = 9
+
+let test_chaos_smoke_builtin () =
+  let sc =
+    match Scenario.find "chaos-smoke" with
+    | Some sc -> sc
+    | None -> Alcotest.fail "built-in chaos-smoke missing"
+  in
+  let oc, trace = Sim.Trace.capture (fun () -> Scenario.run sc) in
+  let _, trace' = Sim.Trace.capture (fun () -> Scenario.run sc) in
+  Alcotest.(check (list string)) "clean" [] (oracle_names oc.Fuzz.oc_violations);
+  Alcotest.(check int) "every append acked" 200 oc.Fuzz.oc_acked;
+  let counter name host =
+    Sim.Jin.member "counters" (Sim.Jin.parse oc.Fuzz.oc_metrics_json)
+    |> Sim.Jin.to_list
+    |> List.fold_left
+         (fun acc c ->
+           let host_is =
+             match Sim.Jin.member "host" c with
+             | Sim.Jin.Null -> host = None
+             | h -> host = Some (Sim.Jin.to_string h)
+           in
+           if Sim.Jin.to_string (Sim.Jin.member "name" c) = name && host_is then
+             acc + Sim.Jin.to_int (Sim.Jin.member "value" c)
+           else acc)
+         0
+  in
+  check_bool "recovered from the crash" true (counter "cluster.recoveries" None >= 1);
+  check_bool "appender's RPCs expired in the lossy window" true
+    (counter "client.rpc_failures" (Some "fz-app-1") > 0);
+  let retries = counter "client.retries" (Some "fz-app-1") in
+  check_bool
+    (Printf.sprintf "fz-app-1 client.retries %d <= %d" retries chaos_smoke_max_retries)
+    true
+    (retries <= chaos_smoke_max_retries);
+  check_bool "byte-identical trace" true (String.equal trace trace')
 
 (* The SLO pair is the CI sensitivity gate at unit scale: the clean
    run raises no alert, and the degraded uplink fires append-p99 and
@@ -1132,6 +1205,8 @@ let () =
           Alcotest.test_case "built-ins run clean" `Slow test_scenario_builtins_run_clean;
           Alcotest.test_case "recoveries the plan made are not repeated" `Quick
             test_make_whole_skips_made_recoveries;
+          Alcotest.test_case "chaos-smoke recovers, retries boundedly, replays" `Quick
+            test_chaos_smoke_builtin;
           Alcotest.test_case "SLO monitors fire only when degraded" `Slow
             test_scenario_slo_monitors;
         ] );

@@ -499,6 +499,42 @@ let test_fault_judge_crash_and_partition () =
       Fault.heal f;
       check_bool "heal restores" true (deliver "a" "b"))
 
+(* A recovery whose fault is not in force changes nothing, so it leaves
+   no event, no milestone and no [fault.injected] count; the same
+   recovery with its fault in force leaves one of each. *)
+let test_fault_nothing_to_recover () =
+  Engine.run (fun () ->
+      let f = Fault.create () in
+      let milestones = ref 0 in
+      Announce.subscribe (fun _ -> incr milestones);
+      let injected () =
+        List.fold_left
+          (fun acc host -> acc + Metrics.counter_value (Metrics.counter ?host "fault.injected"))
+          0 [ None; Some "a" ]
+      in
+      let recoveries =
+        [ Fault.Restart "a"; Fault.Heal; Fault.Clear_edge ("a", "b"); Fault.Clear_edge ("a", "*") ]
+      in
+      List.iter (Fault.apply f) recoveries;
+      check_int "no event" 0 (List.length (Fault.events f));
+      check_int "no milestone" 0 !milestones;
+      check_int "no fault.injected" 0 (injected ());
+      (* a degrade of another edge leaves nothing for a clear of this one *)
+      Fault.degrade f ~src:"a" ~dst:"*" ~drop:0.5 ();
+      Fault.clear_edge f ~src:"a" ~dst:"b";
+      check_int "clear of an unmatched edge logs nothing" 1 (List.length (Fault.events f));
+      Fault.crash f "a";
+      Fault.partition f [ [ "a" ] ];
+      List.iter (Fault.apply f) recoveries;
+      List.iter (Fault.apply f) recoveries;
+      Alcotest.(check (list string))
+        "each recovery counted once, while its fault was in force"
+        [ "degrade a->* drop=0.500 delay=0+0us"; "crash a"; "partition a"; "restart a"; "heal";
+          "clear-edge a->*" ]
+        (List.map (fun e -> e.Fault.ev_label) (Fault.events f));
+      check_int "one milestone per event" 6 !milestones;
+      check_int "one fault.injected per event" 6 (injected ()))
+
 let test_fault_edge_delay_observed () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -2496,6 +2532,8 @@ let () =
         [
           Alcotest.test_case "judge crash and partition" `Quick
             test_fault_judge_crash_and_partition;
+          Alcotest.test_case "recovery with nothing to recover is a no-op" `Quick
+            test_fault_nothing_to_recover;
           Alcotest.test_case "edge delay observed" `Quick test_fault_edge_delay_observed;
           Alcotest.test_case "resource fail and repair" `Quick test_fault_resource_fail_repair;
           Alcotest.test_case "call_r timeout and dead paths" `Quick test_fault_call_r_paths;
