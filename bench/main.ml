@@ -718,10 +718,13 @@ let ablation_seqbatch () =
 
 let ablation_seqckpt () =
   section "Ablation: sequencer checkpoints — failover rebuild scan length";
-  row "%10s %14s %18s" "log size" "full scan" "with checkpoints";
+  row "%10s %14s %12s %18s %12s" "log size" "full scan" "failover-ms" "with checkpoints"
+    "failover-ms";
   List.iter
     (fun n ->
-      let scan scribe =
+      (* The scan length, and the virtual time from the seal to the
+         install. *)
+      let failover scribe =
         Sim.Engine.run ~seed:(70 + n + if scribe then 1 else 0) (fun () ->
             let cluster = Corfu.Cluster.create ~servers:4 () in
             if scribe then Corfu.Cluster.start_checkpoint_scribe cluster ~interval_us:30_000.;
@@ -732,10 +735,14 @@ let ablation_seqckpt () =
             done;
             ignore (Corfu.Cluster.replace_sequencer cluster);
             match Corfu.Cluster.reconfigs cluster with
-            | [ { rc_change = Sequencer_replaced { scanned }; _ } ] -> scanned
-            | _ -> -1)
+            | [ { rc_change = Sequencer_replaced { scanned }; rc_started_us; rc_installed_us; _ } ]
+              ->
+                (scanned, (rc_installed_us -. rc_started_us) /. 1e3)
+            | _ -> (-1, Float.nan))
       in
-      row "%10d %14d %18d" n (scan false) (scan true))
+      let full, full_ms = failover false in
+      let bounded, bounded_ms = failover true in
+      row "%10d %14d %12.1f %18d %12.1f" n full full_ms bounded bounded_ms)
     [ 200; 500; 1000 ]
 
 (* ------------------------------------------------------------------ *)

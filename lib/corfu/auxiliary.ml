@@ -53,6 +53,13 @@ let wake t (p : Projection.t) =
       due
   end
 
+(* A proposal whose answer was lost is resent, and finds its own
+   projection installed. The register is write-once per epoch, so
+   answering [Installed] to a copy of the view already installed at
+   its epoch changes nothing; the same projection is the same
+   {!Projection.layout}: epoch, sequencer and every segment's range
+   and chains, by member name. Any other proposal at an installed
+   epoch lost the race. *)
 let handle_propose t (p : Projection.t) =
   let current = newest t in
   if p.Projection.epoch = current.Projection.epoch + 1 then begin
@@ -60,7 +67,10 @@ let handle_propose t (p : Projection.t) =
     wake t p;
     Installed
   end
-  else Conflict current
+  else
+    match List.find_opt (fun v -> v.Projection.epoch = p.Projection.epoch) t.views with
+    | Some v when Projection.layout v = Projection.layout p -> Installed
+    | Some _ | None -> Conflict current
 
 (* A seal that never installs never calls [wake], so waiters settled by
    their deadline are also swept here, once they outnumber the live

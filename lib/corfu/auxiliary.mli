@@ -5,7 +5,10 @@
     single always-up host exposing a write-once-per-epoch register:
     [propose] installs a projection if and only if its epoch is
     exactly one past the latest, otherwise the caller learns the
-    winning view and retries. This serializes concurrent
+    winning view and retries. Proposing again the projection already
+    installed at its epoch (the same {!Projection.layout}) answers
+    [Installed] and changes nothing, so a proposer whose answer was
+    lost can resend. This serializes concurrent
     reconfigurations without modelling a full Paxos group, which the
     paper also treats as a given.
 

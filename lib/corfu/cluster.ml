@@ -380,9 +380,10 @@ let close_epoch t seal proj ~epoch =
    Otherwise the driver opens the operation's span, announces the
    start, closes the old epoch as [seal] says, lets the step build the
    projection for [epoch + 1], adopts its members, proposes it, and
-   logs and announces the install. The step may not install anything
-   itself: one agent reconfigures at a time, so an install conflict
-   is a bug in the step. *)
+   logs and announces the install; the time from the seal to the
+   install goes to the agent's [reconfig.<kind>_us] histogram. The
+   step may not install anything itself: one agent reconfigures at a
+   time, so an install conflict is a bug in the step. *)
 let reconfigure t ~kind ~site ~arg ~seal plan =
   with_reconfig t
   @@ fun () ->
@@ -414,11 +415,15 @@ let reconfigure t ~kind ~site ~arg ~seal plan =
       | Storage_replaced _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.recoveries")
       | Retired _ -> Sim.Metrics.incr (Sim.Metrics.counter "cluster.segment_retirements")
       | Sequencer_replaced _ | Replication_restored _ | Scaled_out _ | Scaled_in _ -> ());
+      let installed = Sim.Engine.now () in
+      Sim.Metrics.observe
+        (Sim.Metrics.histogram ~host:"reconfig-agent" ("reconfig." ^ kind ^ "_us"))
+        (installed -. started);
       t.reconfigs <-
         {
           rc_epoch = epoch;
           rc_started_us = started;
-          rc_installed_us = Sim.Engine.now ();
+          rc_installed_us = installed;
           rc_change = change;
         }
         :: t.reconfigs;
@@ -670,10 +675,6 @@ let retire_trimmed_segments t =
 let probe_interval_us = 20_000.
 let probe_timeout_us = 10_000.
 
-(* Local offsets in flight while copying onto a spare, so the rebuild
-   is bounded by SSD bandwidth, not round trips. *)
-let copy_window = 16
-
 let segment_at proj base =
   Array.find_opt (fun seg -> seg.Projection.seg_base = base) proj.Projection.segments
 
@@ -722,32 +723,19 @@ let copy_cell t ~epoch ~src ~spare loff =
       | exception Sim.Net.Unanswered -> Failed)
   | Types.Read_sealed _ | (exception Sim.Net.Unanswered) -> Failed
 
-(* Copy [offs] from [src] onto [spare], [copy_window] cells in flight,
-   while [wanted ()] holds, adding the cells and bytes moved to
-   [copied]. Returns the offsets the spare still lacks (ascending) and
+(* Copy [offs] from [src] onto [spare] while [wanted ()] holds, adding
+   the cells and bytes moved to [copied]. {!Fan_out.window} cells are
+   in flight, so the copy is bounded by SSD bandwidth, not round
+   trips. Returns the offsets the spare still lacks (ascending) and
    how many of those failed rather than were holes. *)
 let copy_cells t ~epoch ~wanted ~copied ~src ~spare offs =
   let n = Array.length offs in
   let outcome = Array.make n Hole in
-  if n > 0 then begin
-    let workers = min copy_window n in
-    let remaining = ref workers in
-    let all_done = Sim.Ivar.create () in
-    let span_parent = Sim.Span.current () in
-    for w = 0 to workers - 1 do
-      Sim.Engine.spawn (fun () ->
-          Sim.Span.with_parent span_parent @@ fun () ->
-          let i = ref w in
-          while !i < n do
-            outcome.(!i) <-
-              (if wanted () then copy_cell t ~epoch:(epoch ()) ~src ~spare offs.(!i) else Failed);
-            i := !i + workers
-          done;
-          decr remaining;
-          if !remaining = 0 then Sim.Ivar.fill all_done ())
-    done;
-    Sim.Ivar.read all_done
-  end;
+  Sim.Ivar.read
+    (Fan_out.start ~n (fun i ->
+         outcome.(i) <-
+           (if wanted () then copy_cell t ~epoch:(epoch ()) ~src ~spare offs.(i) else Failed);
+         true));
   let missing = ref [] and failed = ref 0 and entries = ref 0 and bytes = ref 0 in
   for i = n - 1 downto 0 do
     match outcome.(i) with

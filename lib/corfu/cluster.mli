@@ -132,11 +132,17 @@ val retire_trimmed_segments : t -> Types.epoch option
 
     Every installed epoch change appends one entry; a declined call
     (see {!replace_storage_node}, {!retire_trimmed_segments}) appends
-    nothing. *)
+    nothing. Its [rc_installed_us - rc_started_us] is also observed
+    into the histogram [reconfig.<kind>_us] on host [reconfig-agent],
+    one per kind ([sequencer], [storage], [restore], [scale-out],
+    [scale-in], [retire]), so scenario reports carry it. *)
 
 (** What one reconfiguration changed. *)
 type change =
-  | Sequencer_replaced of { scanned : int }  (** entries the rebuild scan read *)
+  | Sequencer_replaced of { scanned : int }
+      (** offsets the rebuild scan examined, as one read at a time would
+          ({!Seq_checkpoint.rebuild}); up to [Fan_out.window - 1] more
+          were read and dropped *)
   | Storage_replaced of { dead : string; spare : string }
       (** the degraded epoch: the spare serves the new tail only *)
   | Replication_restored of {

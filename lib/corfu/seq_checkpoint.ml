@@ -75,22 +75,56 @@ let rebuild ~k ~floor ~read ?streams top =
             match Hashtbl.find_opt tbl sid with Some l -> List.length l >= k | None -> false)
           sids
   in
-  let rec scan off =
-    if off >= floor && not (complete ()) then begin
-      incr scanned;
-      match read off with
-      | Types.Read_data e ->
-          if is_snapshot ~k e then
-            List.iter
-              (fun (sid, offs) -> Hashtbl.replace tbl sid offs)
-              (merge ~above:tbl (decode e.Types.payload) ~k)
-          else begin
-            note_headers off e;
-            scan (off - 1)
-          end
-      | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
-          scan (off - 1)
-    end
-  in
-  scan top;
+  (* The [i]th offset examined is [top - i]. Its read is issued once
+     the [i - window]th has been examined, so at most [window] reads
+     are in flight and at most [window - 1] lie past the stop point;
+     answers land in a ring of [window] slots and are examined in
+     order, by whichever fiber completes the next one. *)
+  let n = top - floor + 1 in
+  if n > 0 && not (complete ()) then begin
+    let window = Fan_out.window in
+    let ring = Array.make window None in
+    let stopped = ref false in
+    let finished = Sim.Ivar.create () in
+    let moved = Sim.Engine.waitq () in
+    let stop () =
+      stopped := true;
+      Sim.Ivar.fill finished ()
+    in
+    let examine off = function
+      | Types.Read_data e when is_snapshot ~k e ->
+          List.iter
+            (fun (sid, offs) -> Hashtbl.replace tbl sid offs)
+            (merge ~above:tbl (decode e.Types.payload) ~k);
+          stop ()
+      | Types.Read_data e -> note_headers off e
+      | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ -> ()
+    in
+    let rec advance () =
+      match ring.(!scanned mod window) with
+      | Some r when not !stopped ->
+          ring.(!scanned mod window) <- None;
+          let off = top - !scanned in
+          incr scanned;
+          examine off r;
+          if (not !stopped) && (!scanned = n || complete ()) then stop ();
+          advance ()
+      | Some _ | None -> ()
+    in
+    let fetch i =
+      while (not !stopped) && i >= !scanned + window do
+        Sim.Engine.park moved
+      done;
+      if not !stopped then begin
+        ring.(i mod window) <- Some (read (top - i));
+        advance ();
+        (* a worker held back by the window, or all of them once the
+           scan has stopped *)
+        Sim.Engine.wake_all moved
+      end;
+      not !stopped
+    in
+    ignore (Fan_out.start ~n fetch : unit Sim.Ivar.t);
+    Sim.Ivar.read finished
+  end;
   (tbl, !scanned)

@@ -38,7 +38,18 @@ val decode : bytes -> t
     Without [streams] the scan completes every stream, as a
     replacement sequencer needs.
 
-    Returns the table and the number of offsets read. *)
+    The reads go out {!Fan_out.window} at a time, under the caller's
+    span, so a long scan costs the reader's bandwidth, not one round
+    trip per offset; call it from a simulation fiber. Answers are
+    examined strictly top down, whatever order they come back in, so
+    the table is exactly the one-read-at-a-time scan's.
+    The read of offset [top - i] is issued only once offset
+    [top - i + window] has been examined, so at most [window - 1]
+    reads go past the stop point; their answers are dropped, and the
+    scan returns without waiting for them.
+
+    Returns the table and [scanned], the number of offsets examined:
+    the reads a one-at-a-time scan would issue. *)
 val rebuild :
   k:int ->
   floor:Types.offset ->

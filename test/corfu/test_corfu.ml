@@ -2954,6 +2954,251 @@ let test_storage_seals_resolve_through_await () =
       | _ -> Alcotest.fail "sealed read did not resolve to the data");
       check_int "one sealed read" 1 (Client.retries r))
 
+(* ------------------------------------------------------------------ *)
+(* A resent install proposal                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The auxiliary installs the proposal but its answer is lost, so the
+   agent resends it at the deadline and finds its own projection
+   installed: that is an install, not a concurrent reconfiguration.
+   Only the auxiliary -> agent edge drops, and only until the first
+   copy has installed. *)
+let test_resent_proposal_installs_once () =
+  with_faulty_cluster (fun cluster f ->
+      let milestones = count_reconfig_milestones () in
+      let w = Cluster.new_client cluster ~name:"writer" in
+      for i = 1 to 10 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      Sim.Fault.degrade f ~src:"auxiliary" ~dst:"reconfig-agent" ~drop:1.0 ();
+      Sim.Engine.spawn (fun () ->
+          while current_epoch cluster = 0 do
+            Sim.Engine.sleep 100.
+          done;
+          Sim.Engine.sleep 1_000.;
+          Sim.Fault.clear_edge f ~src:"auxiliary" ~dst:"reconfig-agent");
+      let epoch = Cluster.replace_sequencer cluster in
+      check_int "one install" 1 epoch;
+      check_int "the auxiliary is at that epoch" 1 (current_epoch cluster);
+      (match Cluster.reconfigs cluster with
+      | [ r ] ->
+          check_bool "the first answer was lost: installed after the proposal's deadline" true
+            (r.Cluster.rc_installed_us -. r.Cluster.rc_started_us >= timeout_us)
+      | l -> Alcotest.failf "expected one reconfigs entry, got %d" (List.length l));
+      let s, i = milestones () in
+      check_int "one started milestone" 1 s;
+      check_int "one installed milestone" 1 i;
+      check_int "appends resume exactly" 10 (Client.append w ~streams:[ 1 ] (payload "after")))
+
+(* ------------------------------------------------------------------ *)
+(* The rebuild scan in windows                                        *)
+(* ------------------------------------------------------------------ *)
+
+let is_snapshot ~k (e : Types.entry) =
+  match Stream_header.locate ~k e.Types.headers Seq_checkpoint.stream_id with
+  | at -> at >= 0
+  | exception Invalid_argument _ -> false
+
+(* The scan one read at a time, top down: the reference the windowed
+   {!Seq_checkpoint.rebuild} must match exactly. A snapshot ends it,
+   its state completed by the newest K offsets found above it. *)
+let serial_rebuild ~k ~floor ~read ?streams top =
+  let tbl = Hashtbl.create 64 in
+  let scanned = ref 0 in
+  let complete () =
+    match streams with
+    | None -> false
+    | Some sids ->
+        List.for_all
+          (fun sid ->
+            match Hashtbl.find_opt tbl sid with Some l -> List.length l >= k | None -> false)
+          sids
+  in
+  let rec scan off =
+    if off >= floor && not (complete ()) then begin
+      incr scanned;
+      match read off with
+      | Types.Read_data e when is_snapshot ~k e ->
+          let snap = (Seq_checkpoint.decode e.Types.payload).Seq_checkpoint.snap_streams in
+          let above = Hashtbl.copy tbl in
+          List.iter (fun (sid, offs) -> Hashtbl.replace tbl sid offs) snap;
+          Hashtbl.iter
+            (fun sid recent ->
+              let older = Option.value ~default:[] (List.assoc_opt sid snap) in
+              Hashtbl.replace tbl sid (List.filteri (fun i _ -> i < k) (recent @ older)))
+            above
+      | Types.Read_data e ->
+          List.iter
+            (fun (h : Stream_header.t) ->
+              let prev = Option.value ~default:[] (Hashtbl.find_opt tbl h.stream) in
+              if List.length prev < k then Hashtbl.replace tbl h.stream (prev @ [ off ]))
+            (Stream_header.decode_block ~k ~current:off e.Types.headers);
+          scan (off - 1)
+      | Types.Read_unwritten | Types.Read_junk | Types.Read_trimmed | Types.Read_sealed _ ->
+          scan (off - 1)
+    end
+  in
+  scan top;
+  (tbl, !scanned)
+
+let sorted_table tbl =
+  List.sort compare (Hashtbl.fold (fun sid offs acc -> (sid, offs) :: acc) tbl [])
+
+(* A frozen log: [cells.(i)] is offset [floor + i]'s chain head, which
+   answers [delays.(i)] µs after the read is issued. *)
+type frozen = {
+  fz_k : int;
+  fz_floor : int;
+  fz_cells : Types.read_result array;
+  fz_delays : float array;
+  fz_streams : Types.stream_id list;
+}
+
+let frozen_gen =
+  let open QCheck.Gen in
+  let* fz_k = oneofl [ 4; 8 ] in
+  let* fz_floor = int_range 0 40 in
+  let* len = int_range 0 150 in
+  let* kinds =
+    array_repeat len
+      (frequency
+         [
+           (6, map (fun l -> `Data l) (list_size (int_range 1 3) (int_range 1 4)));
+           (1, return `Junk);
+           (1, return `Unwritten);
+           (1, return `Trimmed);
+         ])
+  in
+  let* depths = list_size (int_range 0 2) (int_range 0 (max 0 (len - 1))) in
+  let* snap_streams =
+    flatten_l
+      (List.map
+         (fun sid ->
+           map (fun offs -> (sid, offs)) (list_size (int_range 0 fz_k) (int_range 0 fz_floor)))
+         [ 1; 2; 3; 4; 5 ])
+  in
+  let* fz_delays = array_repeat len (map float_of_int (int_range 0 500)) in
+  let* fz_streams = list_size (int_range 0 3) (int_range 1 5) in
+  let cell i kind =
+    let off = fz_floor + i in
+    let headers streams =
+      Stream_header.encode_block ~k:fz_k ~current:off
+        (List.map (fun stream -> { Stream_header.stream; backptrs = [] }) streams)
+    in
+    match kind with
+    | `Data l ->
+        let headers = headers (List.sort_uniq compare l) in
+        Types.Read_data { Types.headers; payload = Bytes.empty }
+    | `Junk -> Types.Read_junk
+    | `Unwritten -> Types.Read_unwritten
+    | `Trimmed -> Types.Read_trimmed
+    | `Snapshot ->
+        let snap =
+          {
+            Seq_checkpoint.snap_tail = off;
+            snap_streams =
+              List.map
+                (fun (sid, offs) -> (sid, List.sort_uniq (Fun.flip compare) offs))
+                snap_streams;
+          }
+        in
+        Types.Read_data
+          {
+            Types.headers = headers [ Seq_checkpoint.stream_id ];
+            payload = Seq_checkpoint.encode snap;
+          }
+  in
+  let top = len - 1 in
+  let fz_cells =
+    Array.mapi (fun i kind -> cell i (if List.mem (top - i) depths then `Snapshot else kind)) kinds
+  in
+  return { fz_k; fz_floor; fz_cells; fz_delays; fz_streams }
+
+let frozen_print fz =
+  let cell = function
+    | Types.Read_data e when is_snapshot ~k:fz.fz_k e -> "S"
+    | Types.Read_data _ -> "d"
+    | Types.Read_junk -> "j"
+    | Types.Read_unwritten -> "u"
+    | Types.Read_trimmed -> "t"
+    | Types.Read_sealed _ -> "s"
+  in
+  Printf.sprintf "k=%d floor=%d streams=[%s] cells(floor up)=%s" fz.fz_k fz.fz_floor
+    (String.concat ";" (List.map string_of_int fz.fz_streams))
+    (String.concat "" (Array.to_list (Array.map cell fz.fz_cells)))
+
+(* Over any frozen log, with and without [?streams], the windowed scan
+   returns the serial scan's table and [scanned], reads each offset at
+   most once, and reads at most [window - 1] offsets past its stop. The
+   heads answer after random delays, so reads complete out of order. *)
+let prop_windowed_rebuild_is_serial =
+  QCheck.Test.make ~name:"windowed rebuild = serial rebuild" ~count:500
+    (QCheck.make ~print:frozen_print frozen_gen)
+    (fun fz ->
+      let k = fz.fz_k and floor = fz.fz_floor in
+      let top = floor + Array.length fz.fz_cells - 1 in
+      let cell off = fz.fz_cells.(off - floor) in
+      List.for_all
+        (fun streams ->
+          let serial, serial_scanned = serial_rebuild ~k ~floor ~read:cell ?streams top in
+          let read = Hashtbl.create 64 in
+          let tbl, scanned =
+            Sim.Engine.run ~seed:1 (fun () ->
+                Seq_checkpoint.rebuild ~k ~floor ?streams top ~read:(fun off ->
+                    if off < floor || off > top || Hashtbl.mem read off then
+                      QCheck.Test.fail_reportf "offset %d read twice or out of range" off;
+                    Hashtbl.replace read off ();
+                    Sim.Engine.sleep fz.fz_delays.(off - floor);
+                    cell off))
+          in
+          if sorted_table tbl <> sorted_table serial then QCheck.Test.fail_report "tables differ";
+          if scanned <> serial_scanned then
+            QCheck.Test.fail_reportf "scanned %d, serial %d" scanned serial_scanned;
+          if Hashtbl.length read > scanned + Fan_out.window - 1 then
+            QCheck.Test.fail_reportf "%d reads for %d offsets examined" (Hashtbl.length read)
+              scanned;
+          true)
+        [ None; Some fz.fz_streams ])
+
+(* The fixed part of a failover: the sequencer's and the four storage
+   nodes' seals, the first read's round trip and the install. Measured
+   at 0.78 ms for the run below; 1 ms bounds it. *)
+let failover_slack_us = 1_000.
+
+(* A replacement sequencer with no checkpoint reads the whole log off
+   the chain heads. With a window of reads in flight that costs the
+   agent's inbound NIC moving every entry, plus the fixed slack; one
+   read per round trip cost about 190 µs an entry. *)
+let test_failover_at_nic_bandwidth () =
+  with_cluster ~seed:5 (fun cluster ->
+      let p = Cluster.params cluster in
+      let c = Cluster.new_client cluster ~name:"writer" in
+      for i = 0 to 299 do
+        ignore (Client.append c ~streams:[ 1 + (i mod 4) ] (payload "x"));
+        Sim.Engine.sleep 400.
+      done;
+      ignore (Cluster.replace_sequencer cluster : Types.epoch);
+      match Cluster.reconfigs cluster with
+      | [
+          {
+            Cluster.rc_change = Cluster.Sequencer_replaced { scanned };
+            rc_started_us;
+            rc_installed_us;
+            _;
+          };
+        ] ->
+          check_int "scanned the whole log" 300 scanned;
+          let bandwidth_us =
+            float_of_int (scanned * p.Sim.Params.entry_bytes) /. p.Sim.Params.nic_bandwidth
+          in
+          let took = rc_installed_us -. rc_started_us in
+          check_bool
+            (Printf.sprintf "failover %.2f ms within %.2f ms of NIC time + %.2f ms slack"
+               (took /. 1e3) (bandwidth_us /. 1e3) (failover_slack_us /. 1e3))
+            true
+            (took <= bandwidth_us +. failover_slack_us)
+      | l -> Alcotest.failf "expected one failover, got %d reconfigurations" (List.length l))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -3123,6 +3368,13 @@ let () =
           Alcotest.test_case "untrimmed retirement declines" `Quick test_retire_untrimmed_declines;
           Alcotest.test_case "rejected scale-in is not counted" `Quick
             test_rejected_scale_in_not_counted;
+          Alcotest.test_case "a resent proposal installs once" `Quick
+            test_resent_proposal_installs_once;
+        ] );
+      ( "rebuild-window",
+        [
+          Alcotest.test_case "failover at NIC bandwidth" `Quick test_failover_at_nic_bandwidth;
+          QCheck_alcotest.to_alcotest prop_windowed_rebuild_is_serial;
         ] );
       ( "epoch-watch",
         [
