@@ -28,6 +28,11 @@ module Load = Tango_harness.Load
 
 let new_runtime cluster name = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name)
 
+(* A bare fabric (no cluster) at the default latency and RPC cap. *)
+let bare_net () =
+  Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125.
+    ~timeout_us:Sim.Params.default.Sim.Params.rpc_timeout_us ()
+
 (* ------------------------------------------------------------------ *)
 (* Figure 2: sequencer throughput vs number of clients                *)
 (* ------------------------------------------------------------------ *)
@@ -45,8 +50,7 @@ let sequencer_rate ~clients ~batch =
         for _ = 1 to 2 do
           Load.worker m (fun () ->
               match
-                Sim.Net.call ~timeout_us:Sim.Params.default.Sim.Params.rpc_timeout_us ~from:host
-                  (Corfu.Sequencer.increment_service seq)
+                Sim.Net.call ~from:host (Corfu.Sequencer.increment_service seq)
                   { Corfu.Sequencer.iepoch = 0; istreams = []; icount = batch }
               with
               | Corfu.Sequencer.Seq_ok _ -> true
@@ -396,9 +400,7 @@ let fig10_mid_tango ~clients ~cross_pct =
 
 let fig10_mid_2pl ~clients ~cross_pct =
   Sim.Engine.run ~seed:(1000 + clients + cross_pct) (fun () ->
-      let net =
-        Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125. ()
-      in
+      let net = bare_net () in
       let t = Tpl.create ~net in
       let nodes = Array.init clients (fun i -> Tpl.add_node t ~name:(Printf.sprintf "n%d" i)) in
       let dist = Key_dist.uniform ~n:100_000 in
@@ -1167,20 +1169,17 @@ let micro_hotpath () =
      propagation sleeps, no deadline armed) between two hosts. The
      continuation each suspension captures is OCaml's own and the floor
      of all three. *)
-  let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us in
   let (sl_ns, sl_words), (ru_ns, ru_words), (nc_ns, nc_words) =
     Sim.Engine.run ~seed:0 (fun () ->
         let sl = hot_measure ~ops:200_000 (fun () -> Sim.Engine.sleep 1.) in
         let r = Sim.Resource.create ~name:"bench.station" ~capacity:1 () in
         let ru = hot_measure ~ops:200_000 (fun () -> Sim.Resource.use r 1.) in
-        let net =
-          Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125. ()
-        in
+        let net = bare_net () in
         let client = Sim.Net.add_host net "bench.client" in
         let server = Sim.Net.add_host net "bench.server" in
         let echo = Sim.Net.service server ~name:"bench.echo" (fun x -> x) in
         let nc =
-          hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~timeout_us ~from:client echo 1))
+          hot_measure ~ops:100_000 (fun () -> ignore (Sim.Net.call ~from:client echo 1))
         in
         (sl, ru, nc))
   in
@@ -1199,9 +1198,7 @@ let micro_hotpath () =
   let (cr_ns, cr_words), (cf_ns, cf_words) =
     Sim.Engine.run ~seed:0 (fun () ->
         let pair name =
-          let net =
-            Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125. ()
-          in
+          let net = bare_net () in
           let fault = Sim.Fault.create () in
           Sim.Net.install_fault net fault;
           let client = Sim.Net.add_host net (name ^ ".client") in
@@ -1210,7 +1207,7 @@ let micro_hotpath () =
         in
         let call client echo =
           hot_measure ~ops:100_000 (fun () ->
-              match Sim.Net.call ~timeout_us ~from:client echo 1 with
+              match Sim.Net.call ~from:client echo 1 with
               | _ -> ()
               | exception Sim.Net.Unanswered -> failwith "micro: a healthy pair lost a call")
         in

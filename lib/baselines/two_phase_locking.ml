@@ -15,10 +15,6 @@ type t = { fabric : Sim.Net.t; ts_host : Sim.Net.host; ts_svc : (unit, int) Sim.
 
 let service_us = 2.
 
-(* The baseline never runs under a fault controller, so no call is
-   ever unanswered; each still carries the protocol's deadline. *)
-let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us
-
 let create ~net =
   let ts_host = Sim.Net.add_host ~cores:32 net "2pl-timestamp-server" in
   let counter = ref 0 in
@@ -119,7 +115,7 @@ let add_node t ~name =
   Lazy.force node
 
 let node_name n = n.name
-let read ~from target key = Sim.Net.call ~timeout_us ~from:from.host target.read_svc key
+let read ~from target key = Sim.Net.call ~from:from.host target.read_svc key
 let peek node key = Option.map (fun it -> it.value) (Hashtbl.find_opt node.items key)
 
 (* Group a keyed list by target node, preserving order within groups. *)
@@ -141,7 +137,7 @@ let group_by_node pairs =
     !order
 
 let execute t ~from ~reads ~writes =
-  let ts = Sim.Net.call ~timeout_us ~from:from.host t.ts_svc () in
+  let ts = Sim.Net.call ~from:from.host t.ts_svc () in
   let ts_of_read (node, key, version) = (node, (key, version)) in
   let read_groups = group_by_node (List.map ts_of_read reads) in
   let write_groups = group_by_node (List.map (fun (n, k, v) -> (n, (k, v))) writes) in
@@ -149,21 +145,21 @@ let execute t ~from ~reads ~writes =
     List.iteri
       (fun i (node, kvs) ->
         if i < upto then
-          Sim.Net.call ~timeout_us ~from:from.host node.unlock_svc (ts, List.map fst kvs))
+          Sim.Net.call ~from:from.host node.unlock_svc (ts, List.map fst kvs))
       read_groups
   in
   let unlock_writes ts upto =
     List.iteri
       (fun i (node, kvs) ->
         if i < upto then
-          Sim.Net.call ~timeout_us ~from:from.host node.unlock_svc (ts, List.map fst kvs))
+          Sim.Net.call ~from:from.host node.unlock_svc (ts, List.map fst kvs))
       write_groups
   in
   (* Phase 1: lock + validate the read set. *)
   let rec lock_reads i = function
       | [] -> true
       | (node, kvs) :: rest ->
-          if Sim.Net.call ~timeout_us ~from:from.host node.lock_read_svc (ts, kvs) then
+          if Sim.Net.call ~from:from.host node.lock_read_svc (ts, kvs) then
             lock_reads (i + 1) rest
           else begin
             unlock_reads ts i;
@@ -174,7 +170,7 @@ let execute t ~from ~reads ~writes =
     let rec lock_writes i = function
       | [] -> Some []
       | (node, kvs) :: rest -> (
-          match Sim.Net.call ~timeout_us ~from:from.host node.lock_write_svc (ts, List.map fst kvs) with
+          match Sim.Net.call ~from:from.host node.lock_write_svc (ts, List.map fst kvs) with
           | Some versions -> (
               match lock_writes (i + 1) rest with
               | Some more -> Some (versions @ more)
@@ -198,7 +194,7 @@ let execute t ~from ~reads ~writes =
           end
           else begin
             List.iter
-              (fun (node, kvs) -> Sim.Net.call ~timeout_us ~from:from.host node.commit_svc (ts, kvs))
+              (fun (node, kvs) -> Sim.Net.call ~from:from.host node.commit_svc (ts, kvs))
               write_groups;
             unlock_reads ts (List.length read_groups);
             true

@@ -569,7 +569,7 @@ let query_remote t ~oid ?key () =
              transaction cannot decide without the value. *)
           let rec ask () =
             match
-              Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:(Corfu.Client.host t.cl) svc
+              Sim.Net.call ~from:(Corfu.Client.host t.cl) svc
                 { rr_oid = oid; rr_key = key }
             with
             | r -> r

@@ -106,7 +106,7 @@ let create ~net ~initial =
         propose_svc =
           Sim.Net.service aux_host ~name:"propose" (fun p -> handle_propose (Lazy.force t) p);
         await_svc =
-          Sim.Net.service ~held:true aux_host ~name:"await" (fun r ->
+          Sim.Net.service ~hold:(fun r -> r.wait_us) aux_host ~name:"await" (fun r ->
               handle_await (Lazy.force t) r);
       }
   in

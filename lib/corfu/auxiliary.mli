@@ -33,7 +33,9 @@ val propose_service : t -> (Projection.t, propose_result) Sim.Net.service
     newest view); otherwise parks the caller until a
     [propose] installs such a view (parked callers wake in arrival
     order). After [wait_us] the newest projection is returned anyway,
-    so a reconfiguration that never installs cannot wedge a client. *)
+    so a reconfiguration that never installs cannot wedge a client.
+    The service declares that hold ([Sim.Net.service ~hold]), so a
+    watch's deadline is [wait_us] plus the fabric's cap. *)
 val await_service : t -> (await_request, Projection.t) Sim.Net.service
 
 (** Direct (non-RPC) accessor for tests and bootstrap. *)

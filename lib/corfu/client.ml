@@ -102,13 +102,12 @@ let adopt t proj =
     Sim.Announce.emit
       (Sim.Announce.Epoch_adopted { client = hname t; epoch = t.proj.Projection.epoch })
 
-(* The watch may hold the call for [wait_us] before it answers, so the
-   deadline covers that wait plus one RPC timeout. An unanswered watch
-   keeps the cached view; the caller's retry asks again. *)
+(* The watch may hold the call for [wait_us] before it answers; its
+   service declares that hold, so the deadline covers it. An unanswered
+   watch keeps the cached view; the caller's retry asks again. *)
 let fetch_view t ~at_least ~wait_us =
   match
-    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-      ~timeout_us:(wait_us +. t.p.rpc_timeout_us) ~from:t.client_host
+    Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
       (Auxiliary.await_service t.aux)
       { Auxiliary.at_least; wait_us }
   with
@@ -150,8 +149,7 @@ let rec write_from t ~set req cell i =
   if i >= Array.length set then Chain_ok
   else
     match
-      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-        ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
         (Storage_node.write_service set.(i))
         req
     with
@@ -197,8 +195,7 @@ let down_retry t backoff =
    path below and the chain-head reads. *)
 let read_replica t node off =
   let loff = Projection.local_offset t.proj off in
-  Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-    ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+  Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes ~from:t.client_host
     (Storage_node.read_service node)
     { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff }
 
@@ -263,8 +260,7 @@ and sequencer_attempt t req ~streams backoff =
     | Grant count -> (
         let tok = Sim.Span.enter t.grant_s () in
         match
-          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-            ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+          Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
             (Sequencer.increment_service t.proj.Projection.sequencer)
             { Sequencer.iepoch = t.proj.Projection.epoch; istreams = streams; icount = count }
         with
@@ -273,8 +269,7 @@ and sequencer_attempt t req ~streams backoff =
             r
         | exception e -> Sim.Span.leave_raise t.grant_s tok e)
     | Peek ->
-        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-          ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+        Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
           (Sequencer.peek_service t.proj.Projection.sequencer)
           { Sequencer.pepoch = t.proj.Projection.epoch; pstreams = streams }
   with
@@ -514,8 +509,7 @@ let check_slow t =
           if i >= Array.length chain then -1
           else
             match
-              Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-                ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+              Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
                 (Storage_node.tail_service chain.(i)) ()
             with
             | tail -> tail
@@ -585,8 +579,7 @@ let fill t off =
     let set = Projection.replica_set t.proj off in
     let loff = Projection.local_offset t.proj off in
     let wr cell i =
-      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-        ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+      Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
         (Storage_node.write_service set.(i))
         { Storage_node.wepoch = t.proj.Projection.epoch; woffset = loff; wcell = cell }
     in
@@ -724,8 +717,7 @@ let trim t off =
         let loff = Projection.local_offset t.proj off in
         Array.iter
           (fun node ->
-            Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-              ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
+            Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes ~from:t.client_host
               (Storage_node.trim_service node)
               { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff })
           set
@@ -761,8 +753,7 @@ let prefix_trim t off =
                 Array.iter
                   (fun node ->
                     Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.rpc_bytes
-                      ~timeout_us:t.p.rpc_timeout_us ~from:t.client_host
-                      (Storage_node.prefix_trim_service node)
+                      ~from:t.client_host (Storage_node.prefix_trim_service node)
                       { Storage_node.repoch = proj.Projection.epoch; roffset = watermark })
                   chain
               end)

@@ -136,7 +136,7 @@ let chains_of ~context ?(chain_length = 2) ?chains nodes =
 let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ~servers () =
   let cluster_net =
     Sim.Net.create ~latency:params.net_latency_us ~bandwidth:params.nic_bandwidth
-      ~jitter:params.net_jitter ()
+      ~jitter:params.net_jitter ~timeout_us:params.rpc_timeout_us ()
   in
   let nodes =
     Array.init servers (fun i ->
@@ -207,8 +207,7 @@ let raw_read t proj ~epoch off =
   let set = Projection.replica_set proj off in
   let loff = Projection.local_offset proj off in
   until_answered t (fun () ->
-      Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-        ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
+      Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes ~from:t.reconfig_host
         (Storage_node.read_service set.(0))
         { Storage_node.repoch = epoch; roffset = loff })
 
@@ -225,7 +224,7 @@ let raw_write t proj ~epoch off entry =
     (fun node ->
       match
         Sim.Net.call ~req_bytes:t.p.entry_bytes ~resp_bytes:t.p.rpc_bytes
-          ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.write_service node) req
+          ~from:t.reconfig_host (Storage_node.write_service node) req
       with
       | Types.Write_ok | Types.Already_written _ -> true
       | Types.Sealed_at _ | Types.Out_of_space | (exception Sim.Net.Unanswered) -> false)
@@ -240,8 +239,7 @@ let start_checkpoint_scribe t ~interval_us =
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
         (match
-           Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-             (Sequencer.dump_service proj.Projection.sequencer)
+           Sim.Net.call ~from:t.reconfig_host (Sequencer.dump_service proj.Projection.sequencer)
              epoch
          with
         | None | (exception Sim.Net.Unanswered) ->
@@ -266,10 +264,11 @@ let start_checkpoint_scribe t ~interval_us =
    safe across a segment-map change: a client still on the old epoch
    that maps a new-segment offset through the old geometry hits a
    sealed node, refreshes, and retries under the new map. [dead] gets
-   a short-deadline attempt: if the monitor was wrong and it still
-   answers, sealing it prevents stale-epoch clients from completing
-   chains through it; it is sealed even when the projection no longer
-   lists it (a spare still being filled).
+   one attempt at the fabric's deadline, which the monitor's probes
+   have already learnt and its misses backed off: if the monitor was
+   wrong and it still answers, sealing it prevents stale-epoch clients
+   from completing chains through it; it is sealed even when the
+   projection no longer lists it (a spare still being filled).
 
    Every node that {e stays} in the projection must actually seal
    before the reconfiguration proceeds — an unreachable survivor is
@@ -287,10 +286,7 @@ let seal_storage ?dead t proj ~epoch =
       Sim.Metrics.incr (Sim.Metrics.counter "cluster.seals");
       let is_dead = match dead with Some d -> node == d | None -> false in
       if is_dead then begin
-        match
-          Sim.Net.call ~timeout_us:10_000. ~from:t.reconfig_host
-            (Storage_node.seal_service node) epoch
-        with
+        match Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch with
         | tail -> Hashtbl.replace tails (Storage_node.name node) tail
         | exception Sim.Net.Unanswered -> ()
       end
@@ -301,11 +297,9 @@ let seal_storage ?dead t proj ~epoch =
         let tail =
           until_answered t (fun () ->
               if failpoints.fp_skip_storage_seal then
-                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                  (Storage_node.tail_service node) ()
+                Sim.Net.call ~from:t.reconfig_host (Storage_node.tail_service node) ()
               else
-                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                  (Storage_node.seal_service node) epoch)
+                Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch)
         in
         Hashtbl.replace tails (Storage_node.name node) tail)
     (match dead with
@@ -356,8 +350,7 @@ let in_phase seal phase f =
 let close_epoch t seal proj ~epoch =
   let sequencer () =
     until_answered t (fun () ->
-        Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-          (Sequencer.seal_service proj.Projection.sequencer)
+        Sim.Net.call ~from:t.reconfig_host (Sequencer.seal_service proj.Projection.sequencer)
           epoch)
   in
   match seal with
@@ -406,8 +399,7 @@ let reconfigure t ~kind ~site ~arg ~seal plan =
       in_phase seal `Install (fun () ->
           match
             until_answered t (fun () ->
-                Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                  (Auxiliary.propose_service t.aux) proj)
+                Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj)
           with
           | Auxiliary.Installed -> ()
           | Auxiliary.Conflict _ -> failwith ("Cluster: concurrent reconfiguration during " ^ kind));
@@ -573,8 +565,7 @@ let scale_out ?chains t ~add_servers =
                    let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
                    ignore
                      (until_answered t (fun () ->
-                          Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-                            (Storage_node.seal_service node) epoch)
+                          Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch)
                        : Types.offset);
                    node)
              in
@@ -673,7 +664,6 @@ let retire_trimmed_segments t =
    old chains. *)
 
 let probe_interval_us = 20_000.
-let probe_timeout_us = 10_000.
 
 let segment_at proj base =
   Array.find_opt (fun seg -> seg.Projection.seg_base = base) proj.Projection.segments
@@ -697,7 +687,7 @@ type copy = Copied of int  (** bytes; 0 when nothing had to move *) | Hole | Fai
 let copy_cell t ~epoch ~src ~spare loff =
   let put cell bytes =
     match
-      Sim.Net.call ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes ~timeout_us:t.p.rpc_timeout_us
+      Sim.Net.call ~req_bytes:bytes ~resp_bytes:t.p.rpc_bytes
         ~from:t.reconfig_host (Storage_node.write_service spare)
         { Storage_node.wepoch = epoch; woffset = loff; wcell = cell }
     with
@@ -707,7 +697,7 @@ let copy_cell t ~epoch ~src ~spare loff =
   in
   match
     Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-      ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host (Storage_node.read_service src)
+      ~from:t.reconfig_host (Storage_node.read_service src)
       { Storage_node.repoch = epoch; roffset = loff }
   with
   | Types.Read_unwritten -> Hole
@@ -715,8 +705,7 @@ let copy_cell t ~epoch ~src ~spare loff =
   | Types.Read_junk -> put Types.Junk t.p.rpc_bytes
   | Types.Read_trimmed -> (
       match
-        Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-          (Storage_node.trim_service spare)
+        Sim.Net.call ~from:t.reconfig_host (Storage_node.trim_service spare)
           { Storage_node.repoch = epoch; roffset = loff }
       with
       | () -> Copied 0
@@ -772,8 +761,7 @@ let copy_slot t proj ~epoch ~wanted ~copied sl =
 
 let answers t node =
   match
-    Sim.Net.call ~timeout_us:probe_timeout_us ~from:t.reconfig_host
-      (Storage_node.tail_service node) ()
+    Sim.Net.call ~from:t.reconfig_host (Storage_node.tail_service node) ()
   with
   | _ -> true
   | exception Sim.Net.Unanswered -> false
@@ -877,8 +865,7 @@ let replace_storage_node t ~dead =
     let node = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
     ignore
       (until_answered t (fun () ->
-           Sim.Net.call ~timeout_us:t.p.rpc_timeout_us ~from:t.reconfig_host
-             (Storage_node.seal_service node) epoch)
+           Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch)
         : Types.offset);
     spare := Some node;
     (* The new tail takes the spare in the dead member's place... *)
@@ -980,7 +967,7 @@ let start_failure_monitor t =
         bump probes "cluster.probes";
         match
           Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes
-            ~timeout_us:probe_timeout_us ~from:t.reconfig_host (Storage_node.read_service node)
+            ~from:t.reconfig_host (Storage_node.read_service node)
             { Storage_node.repoch = epoch; roffset = 0 }
         with
         | _ -> true (* any answer, even a sealed error, proves liveness *)
@@ -989,15 +976,18 @@ let start_failure_monitor t =
             false
       in
       let rec loop () =
-        Sim.Engine.sleep probe_interval_us;
         let proj = Auxiliary.latest t.aux in
         let epoch = proj.Projection.epoch in
         (* Scan the current membership across every segment, and the
            spares still being filled; a node is dead only after three
            consecutive unanswered probes, so neither one unlucky
            timeout nor a probe queued behind a burst can trigger a
-           reconfiguration. After a replacement the projection is
-           stale, so stop this round and rescan. *)
+           reconfiguration. A probe waits the fabric's deadline for the
+           (agent, node) pair, so with Karn's doubling three misses
+           take about 7 RTOs. The first round runs before the first
+           sleep: every member then has an answered round trip, and a
+           learnt deadline, before any fault. After a replacement the
+           projection is stale, so stop this round and rescan. *)
         let rec scan = function
           | [] -> ()
           | node :: rest ->
@@ -1012,6 +1002,7 @@ let start_failure_monitor t =
           (List.fold_left
              (fun acc sl -> if List.memq sl.sl_spare acc then acc else acc @ [ sl.sl_spare ])
              (Projection.servers proj) t.short);
+        Sim.Engine.sleep probe_interval_us;
         loop ()
       in
       loop ())

@@ -206,12 +206,15 @@ val reset_failpoints : unit -> unit
     @raise Invalid_argument on an unknown name. *)
 val enable_failpoint : string -> unit
 
-(** [start_failure_monitor t] spawns the detector fiber: every 20 ms
-    it probes each storage node of the current projection (every
-    segment, plus any spare still being filled) with a read bounded at
-    10 ms (sooner once the round trip is measured, see
-    {!Sim.Net.call}); a member failing three consecutive probes is
-    declared dead and replaced via {!replace_storage_node}. A sealed
-    answer counts as alive, so the monitor never fires on
-    reconfiguration itself. *)
+(** [start_failure_monitor t] spawns the detector fiber: at once and
+    then every 20 ms it probes each storage node of the current
+    projection (every segment, plus any spare still being filled) with
+    a 4 KB read. A probe has no timeout of its own: it waits the
+    fabric's deadline for the (agent, node) pair ({!Sim.Net.call}),
+    which the first round's answers set from the measured round trip.
+    A member failing three consecutive probes (about 7 RTOs, with
+    Karn's doubling) is declared dead and replaced via
+    {!replace_storage_node}, whose seal of the dead node waits the
+    same backed-off deadline. A sealed answer counts as alive, so the
+    monitor never fires on reconfiguration itself. *)
 val start_failure_monitor : t -> unit

@@ -1,3 +1,8 @@
+(* [est] and [inflight] are the round-trip estimator of every pair
+   (calling host, this host), indexed by the caller's id: [est] holds
+   three slots a caller (smoothed RTT, its variance, RTO; a negative
+   RTO until the first answer) and [inflight] the caller's unsettled
+   calls to any of this host's services. *)
 type host = {
   hname : string;
   hid : int;  (* [Fault.host_id hname] *)
@@ -8,31 +13,30 @@ type host = {
   fabric_jitter : float;
   byte_time : float;
   hfault : Fault.t option ref;  (* shared with the owning fabric *)
+  cap : float;  (* the fabric's cap on every call's deadline *)
+  mutable est : Float.Array.t;
+  mutable inflight : int array;
 }
 
 type t = {
   latency : float;
   jitter : float;
   byte_time : float;
+  timeout_us : float;
   net_fault : Fault.t option ref;
 }
 
 (* [ssite] is the "rpc.<sname>" section, built once with its args so a
    call allocates neither. [jobs] holds the service's idle timed
-   exchanges. [est] and [inflight] are the round-trip estimator, per
-   calling host id: [est] holds three slots a host (smoothed RTT, its
-   variance, RTO; a negative RTO until the first answer) and
-   [inflight] the host's unsettled calls. A [held] service parks its
-   callers by design and keeps neither. *)
+   exchanges. A service with a [hold] parks its callers by design:
+   [hold req] is how long it may keep [req]. *)
 type ('req, 'resp) service = {
   shost : host;
   sname : string;
   ssite : unit Span.site;
   serve : 'req -> 'resp;
-  held : bool;
+  hold : ('req -> float) option;
   jobs : ('req, 'resp) job Pool.t;
-  mutable est : Float.Array.t;
-  mutable inflight : int array;
 }
 
 (* One [call] under a fault controller: the request, the response, the
@@ -66,9 +70,9 @@ and ('req, 'resp) job = {
   x_timer : unit -> unit;
 }
 
-let create ~latency ~bandwidth ?(jitter = 0.05) () =
+let create ~latency ~bandwidth ?(jitter = 0.05) ~timeout_us () =
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
-  { latency; jitter; byte_time = 1. /. bandwidth; net_fault = ref None }
+  { latency; jitter; byte_time = 1. /. bandwidth; timeout_us; net_fault = ref None }
 
 let install_fault t f = t.net_fault := Some f
 
@@ -84,6 +88,9 @@ let add_host ?(cores = 8) t name =
       fabric_jitter = t.jitter;
       byte_time = t.byte_time;
       hfault = t.net_fault;
+      cap = t.timeout_us;
+      est = Float.Array.make 0 0.;
+      inflight = [||];
     }
   in
   Metrics.track_resource h.nic_in_r;
@@ -94,17 +101,15 @@ let add_host ?(cores = 8) t name =
 let host_name h = h.hname
 let host_cpu h = h.cpu
 
-let service ?(held = false) shost ~name serve =
+let service ?hold shost ~name serve =
   let args = [ ("dst", shost.hname) ] in
   {
     shost;
     sname = name;
     ssite = Span.site ~args:(fun () -> args) ("rpc." ^ name);
     serve;
-    held;
+    hold;
     jobs = Pool.create ();
-    est = Float.Array.make 0 0.;
-    inflight = [||];
   }
 
 let crashed fault h = match fault with Some f -> Fault.is_crashed_id f h.hid | None -> false
@@ -161,68 +166,70 @@ let exchange fault ~req_bytes ~resp_bytes ~from svc req =
 
 (* -- round-trip estimator --------------------------------------------- *)
 
-(* RFC 6298's estimator, one per (service, calling host): [srtt] and
-   [rttvar] follow answered calls with gains 1/8 and 1/4, and the RTO
-   is SRTT + max(4 RTTVAR, 3 SRTT). An unanswered call doubles the RTO
-   (Karn's backoff), so a slow but live peer is reached in the end;
-   the next answer recomputes it from the smoothed values. A late
-   answer to an expired call is no sample: it settles nothing. The
-   estimator reads and writes float-array slots only, so it allocates
-   nothing past the arrays' growth. *)
+(* RFC 6298's estimator, one per (calling host, serving host), kept on
+   the serving host, so every service of a host shares one round trip
+   and one backoff per caller: [srtt] and [rttvar] follow answered
+   calls with gains 1/8 and 1/4, and the RTO is SRTT + max(4 RTTVAR,
+   3 SRTT). An unanswered call doubles the RTO (Karn's backoff), so a
+   slow but live peer is reached in the end; the next answer
+   recomputes it from the smoothed values. A late answer to an expired
+   call is no sample: it settles nothing. The estimator reads and
+   writes float-array slots only, so it allocates nothing past the
+   arrays' growth. *)
 
 let alpha = 0.125
 let beta = 0.25
 
-(* The estimator's arrays cover host id [hid]. *)
-let cover_host svc hid =
-  let n = Array.length svc.inflight in
+(* [h]'s estimator arrays cover caller id [hid]. *)
+let cover_host h hid =
+  let n = Array.length h.inflight in
   if hid >= n then begin
     let m = max (hid + 1) (2 * n) in
     let est = Float.Array.make (3 * m) (-1.) in
-    Float.Array.blit svc.est 0 est 0 (3 * n);
+    Float.Array.blit h.est 0 est 0 (3 * n);
     let inflight = Array.make m 0 in
-    Array.blit svc.inflight 0 inflight 0 n;
-    svc.est <- est;
-    svc.inflight <- inflight
+    Array.blit h.inflight 0 inflight 0 n;
+    h.est <- est;
+    h.inflight <- inflight
   end
 
-(* The call's deadline into [delay] slot 2: [timeout_us] before the
-   first answer, else min(timeout_us, RTO x (1 + calls already in
-   flight)), since a caller's pipelined calls queue behind each
-   other. *)
-let deadline_into svc hid ~timeout_us =
-  let rto = Float.Array.get svc.est ((3 * hid) + 2) in
-  if rto < 0. then Float.Array.set delay 2 timeout_us
+(* The deadline of a call from [hid] to [h] into [delay] slot 2: the
+   fabric's cap before the pair's first answer, else min(cap, RTO x
+   (1 + calls already in flight)), since a caller's pipelined calls
+   queue behind each other. *)
+let deadline_into h hid =
+  let rto = Float.Array.get h.est ((3 * hid) + 2) in
+  if rto < 0. then Float.Array.set delay 2 h.cap
   else begin
-    let d = rto *. float_of_int (1 + Array.unsafe_get svc.inflight hid) in
-    if d < timeout_us then Float.Array.set delay 2 d else Float.Array.set delay 2 timeout_us
+    let d = rto *. float_of_int (1 + Array.unsafe_get h.inflight hid) in
+    if d < h.cap then Float.Array.set delay 2 d else Float.Array.set delay 2 h.cap
   end
 
-(* An answered call's round trip, [now - x_t0], updates its caller's
+(* An answered call's round trip, [now - x_t0], updates its pair's
    estimate. *)
 let observe j =
-  let svc = j.x_svc and b = 3 * j.x_from.hid in
+  let est = j.x_svc.shost.est and b = 3 * j.x_from.hid in
   Engine.now_into delay 3;
   let r = Float.Array.get delay 3 -. Float.Array.get j.x_t0 0 in
-  let srtt = Float.Array.get svc.est b in
-  if Float.Array.get svc.est (b + 2) < 0. then begin
-    Float.Array.set svc.est b r;
-    Float.Array.set svc.est (b + 1) (0.5 *. r)
+  let srtt = Float.Array.get est b in
+  if Float.Array.get est (b + 2) < 0. then begin
+    Float.Array.set est b r;
+    Float.Array.set est (b + 1) (0.5 *. r)
   end
   else begin
-    Float.Array.set svc.est (b + 1)
-      (((1. -. beta) *. Float.Array.get svc.est (b + 1)) +. (beta *. Float.abs (srtt -. r)));
-    Float.Array.set svc.est b (((1. -. alpha) *. srtt) +. (alpha *. r))
+    Float.Array.set est (b + 1)
+      (((1. -. beta) *. Float.Array.get est (b + 1)) +. (beta *. Float.abs (srtt -. r)));
+    Float.Array.set est b (((1. -. alpha) *. srtt) +. (alpha *. r))
   end;
-  let srtt = Float.Array.get svc.est b and var4 = 4. *. Float.Array.get svc.est (b + 1) in
+  let srtt = Float.Array.get est b and var4 = 4. *. Float.Array.get est (b + 1) in
   let srtt3 = 3. *. srtt in
-  if var4 > srtt3 then Float.Array.set svc.est (b + 2) (srtt +. var4)
-  else Float.Array.set svc.est (b + 2) (srtt +. srtt3)
+  if var4 > srtt3 then Float.Array.set est (b + 2) (srtt +. var4)
+  else Float.Array.set est (b + 2) (srtt +. srtt3)
 
-(* Karn's backoff: an expired call doubles its caller's RTO. *)
+(* Karn's backoff: an expired call doubles its pair's RTO. *)
 let back_off j =
   let i = (3 * j.x_from.hid) + 2 in
-  let est = j.x_svc.est in
+  let est = j.x_svc.shost.est in
   let rto = Float.Array.get est i in
   if rto > 0. then Float.Array.set est i (2. *. rto)
 
@@ -237,17 +244,18 @@ let release j =
   end
 
 (* The first of response and deadline settles the job and wakes the
-   caller; the other finds it settled. Unless the service is held, it
-   ends the call's time in flight and feeds the estimator: a response
-   (already in [x_resp]) is a round-trip sample, a deadline a backoff. *)
+   caller; the other finds it settled. Unless the service holds its
+   calls, it ends the call's time in flight and feeds the pair's
+   estimator: a response (already in [x_resp]) is a round-trip sample,
+   a deadline a backoff. *)
 let settle j =
   j.x_settled <- true;
-  let svc = j.x_svc in
-  if not svc.held then begin
-    let hid = j.x_from.hid in
-    Array.unsafe_set svc.inflight hid (Array.unsafe_get svc.inflight hid - 1);
-    match j.x_resp with Some _ -> observe j | None -> back_off j
-  end;
+  (match j.x_svc.hold with
+  | Some _ -> ()
+  | None -> (
+      let h = j.x_svc.shost and hid = j.x_from.hid in
+      Array.unsafe_set h.inflight hid (Array.unsafe_get h.inflight hid - 1);
+      match j.x_resp with Some _ -> observe j | None -> back_off j));
   Engine.wake j.x_caller
 
 (* A lost exchange or a failed device simply never settles. A response
@@ -344,8 +352,8 @@ exception Unanswered
 
 (* Under an installed fault controller the exchange runs in the job's
    worker fiber and the caller parks until the first of response and
-   deadline settles the job. *)
-let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
+   deadline settles the job. A held call waits its hold plus the cap. *)
+let timed fault ~req_bytes ~resp_bytes ~from svc req =
   if crashed fault from then raise_notrace Unanswered
   else if from == svc.shost then (
     match svc.serve req with
@@ -353,14 +361,15 @@ let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
     | exception Resource.Failed _ -> raise_notrace Unanswered)
   else begin
     let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
-    if svc.held then Float.Array.set delay 2 timeout_us
-    else begin
-      let hid = from.hid in
-      cover_host svc hid;
-      deadline_into svc hid ~timeout_us;
-      Array.unsafe_set svc.inflight hid (Array.unsafe_get svc.inflight hid + 1);
-      Engine.now_into j.x_t0 0
-    end;
+    let h = svc.shost in
+    (match svc.hold with
+    | Some hold -> Float.Array.set delay 2 (hold req +. h.cap)
+    | None ->
+        let hid = from.hid in
+        cover_host h hid;
+        deadline_into h hid;
+        Array.unsafe_set h.inflight hid (Array.unsafe_get h.inflight hid + 1);
+        Engine.now_into j.x_t0 0);
     j.x_deadline <- Engine.schedule_in delay 2 j.x_timer;
     start_worker j;
     Engine.park j.x_caller;
@@ -371,14 +380,14 @@ let timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req =
 
 (* Without a controller nothing can be lost, so the exchange runs in
    the calling fiber with no job, no deadline and no box. *)
-let call ?(req_bytes = 64) ?(resp_bytes = 64) ~timeout_us ~from svc req =
+let call ?(req_bytes = 64) ?(resp_bytes = 64) ~from svc req =
   let tok = Span.enter_at svc.ssite ~host:from.hname () in
   match
     match !(from.hfault) with
     | None ->
         if from == svc.shost then svc.serve req
         else exchange None ~req_bytes ~resp_bytes ~from svc req
-    | fault -> timed fault ~req_bytes ~resp_bytes ~timeout_us ~from svc req
+    | fault -> timed fault ~req_bytes ~resp_bytes ~from svc req
   with
   | resp ->
       Span.leave svc.ssite tok;

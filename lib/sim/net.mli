@@ -30,11 +30,14 @@
 type t
 type host
 
-(** [create ~latency ~bandwidth ?jitter ()] builds a network fabric.
-    [latency] is the one-way propagation delay in µs; [bandwidth] is
-    per-NIC-direction in bytes/µs; [jitter] (default 0.05) scales a
-    uniform multiplicative perturbation of the latency. *)
-val create : latency:float -> bandwidth:float -> ?jitter:float -> unit -> t
+(** [create ~latency ~bandwidth ?jitter ~timeout_us ()] builds a
+    network fabric. [latency] is the one-way propagation delay in µs;
+    [bandwidth] is per-NIC-direction in bytes/µs; [jitter] (default
+    0.05) scales a uniform multiplicative perturbation of the latency.
+    [timeout_us] caps the deadline of every {!call} on the fabric (see
+    there); it is the only RPC timeout, so no call site passes one. *)
+val create :
+  latency:float -> bandwidth:float -> ?jitter:float -> timeout_us:float -> unit -> t
 
 (** [add_host t name] registers a machine with its own NIC pair and a
     CPU station ([cores], default 8). *)
@@ -45,23 +48,24 @@ val host_cpu : host -> Resource.t
 
 type ('req, 'resp) service
 
-(** [service ?held host ~name serve] exposes [serve] as an RPC endpoint
+(** [service ?hold host ~name serve] exposes [serve] as an RPC endpoint
     on [host]. [serve] should model its own server-side costs (CPU, SSD)
-    via {!Resource.use}. [held] (default [false]) declares a service
-    that parks its callers by design, such as a watch answered only
-    when something changes: its calls always wait their full
-    [timeout_us], since their round trips say nothing about the
-    network (see {!call}). *)
-val service : ?held:bool -> host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
+    via {!Resource.use}. [hold] declares a service that parks its
+    callers by design, such as a watch answered only when something
+    changes: [hold req] is how long it may keep [req]. Such a call
+    waits [hold req] plus the fabric's cap and feeds no round-trip
+    estimate, since its round trips say nothing about the network (see
+    {!call}). *)
+val service : ?hold:('req -> float) -> host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
 
 (** A call got no response by its deadline (lost request or response,
     dead or partitioned peer, failed device), or its caller's host is
     crashed, or a loopback call's device failed. *)
 exception Unanswered
 
-(** [call ~timeout_us ~from svc req] performs a blocking RPC and returns
-    the response. [req_bytes] and [resp_bytes] (default 64) size the
-    two messages. Calls between a host and itself skip the network
+(** [call ~from svc req] performs a blocking RPC and returns the
+    response. [req_bytes] and [resp_bytes] (default 64) size the two
+    messages. Calls between a host and itself skip the network
     entirely.
 
     @raise Unanswered under an installed fault controller, when no
@@ -72,18 +76,18 @@ exception Unanswered
     exchange runs in the calling fiber with no deadline armed and never
     raises {!Unanswered}.
 
-    Under a controller [timeout_us] is a cap, not the deadline. For
-    each (service, calling host) pair the fabric keeps RFC 6298's
-    round-trip estimator (gains 1/8 and 1/4 over answered calls; RTO =
-    SRTT + max(4 RTTVAR, 3 SRTT)) and counts the caller's calls in
-    flight to the service. A call's deadline is [timeout_us] until the
-    pair's first answer, then min([timeout_us], RTO x (1 + calls
-    already in flight)): pipelined calls queue behind each other, so
-    each is allowed one RTO per call ahead of it. A call that expires
-    doubles the pair's RTO (Karn's backoff), so a slow but live peer is
-    reached within a few attempts; the next answer recomputes it. A
-    [held] service's calls always wait [timeout_us] and feed no
-    estimate.
+    Under a controller the fabric alone decides the deadline. For each
+    (calling host, serving host) pair it keeps RFC 6298's round-trip
+    estimator (gains 1/8 and 1/4 over answered calls; RTO = SRTT +
+    max(4 RTTVAR, 3 SRTT)) and counts the caller's calls in flight to
+    the host; every service of a host shares them. A call's deadline is
+    the fabric's cap ([create]'s [timeout_us]) until the pair's first
+    answer, then min(cap, RTO x (1 + calls already in flight)):
+    pipelined calls queue behind each other, so each is allowed one RTO
+    per call ahead of it. A call that expires doubles the pair's RTO
+    (Karn's backoff), so a slow but live peer is reached within a few
+    attempts; the next answer recomputes it. A call to a service with a
+    [hold] waits [hold req] plus the cap and feeds no estimate.
 
     The exchange runs in a worker fiber while the caller waits for the
     first of response and deadline. The worker belongs to a job pooled
@@ -94,14 +98,7 @@ exception Unanswered
     arrives first cancels the deadline ({!Engine.cancel}), so an
     answered call leaves no event pending once it returns, and its job
     goes back to the pool as soon as its exchange ends. *)
-val call :
-  ?req_bytes:int ->
-  ?resp_bytes:int ->
-  timeout_us:float ->
-  from:host ->
-  ('req, 'resp) service ->
-  'req ->
-  'resp
+val call : ?req_bytes:int -> ?resp_bytes:int -> from:host -> ('req, 'resp) service -> 'req -> 'resp
 
 (** [install_fault t fault] attaches a fault controller to the fabric;
     all subsequent traffic between this fabric's hosts consults it. *)

@@ -56,9 +56,11 @@ let default =
     append_window = 8;
     retry_sleep_us = 200.;
     retry_backoff_max_us = 1_600.;
-    (* The cap on every RPC's deadline and the deadline of a call made
-       before its (service, caller) pair has any answer; after that
-       the deadline follows the measured round trip (Net.call). Cap:
+    (* The cluster fabric's RPC cap (Net.create): the cap on every
+       call's deadline, and the deadline of a call made before its
+       (calling host, serving host) pair has any answer; after that
+       the deadline follows the measured round trip (Net.call). No
+       call site passes a timeout of its own. Cap:
        worst-case queueing on a saturated chain head (64 writers,
        80 µs writes) is a few ms; 50 ms leaves an order of magnitude of
        headroom while still detecting a dead node well inside the

@@ -32,9 +32,10 @@ type t = {
   retry_backoff_max_us : float;
       (** bound for the exponential backoff on those retries *)
   rpc_timeout_us : float;
-      (** cap on an RPC's deadline before the peer is presumed dead,
-          and the whole deadline of a call made before its (service,
-          caller) pair has an answer; later deadlines follow the
+      (** the cluster fabric's RPC cap ({!Net.create}): the cap on
+          every call's deadline before the peer is presumed dead, and
+          the whole deadline of a call made before its (calling host,
+          serving host) pair has an answer; later deadlines follow the
           measured round trip ({!Net.call}). Must exceed the worst
           queueing delay of a saturated node, or healthy-but-busy
           servers get declared failed *)

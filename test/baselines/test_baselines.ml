@@ -7,7 +7,7 @@ let check_int = Alcotest.(check int)
 
 let with_fabric body =
   Sim.Engine.run ~seed:3 (fun () ->
-      let net = Sim.Net.create ~latency:50. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:50. ~bandwidth:125. ~jitter:0. ~timeout_us:50_000. () in
       let t = Tpl.create ~net in
       body t)
 

@@ -15,7 +15,7 @@ let string_contains haystack needle =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   at 0
 
-(* The deadline of the tests' own RPCs: the protocol's. *)
+(* The RPC cap of the tests' own fabrics: the protocol's. *)
 let timeout_us = Sim.Params.default.Sim.Params.rpc_timeout_us
 
 (* Run a simulation body against a fresh cluster. *)
@@ -346,15 +346,15 @@ let prop_header_roundtrip =
 let with_node body =
   Sim.Engine.run (fun () ->
       let params = Sim.Params.default in
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let node = Storage_node.create ~net ~name:"n0" ~params () in
       let me = Sim.Net.add_host net "tester" in
       let write ?(epoch = 0) off cell =
-        Sim.Net.call ~timeout_us ~from:me (Storage_node.write_service node)
+        Sim.Net.call ~from:me (Storage_node.write_service node)
           { Storage_node.wepoch = epoch; woffset = off; wcell = cell }
       in
       let read ?(epoch = 0) off =
-        Sim.Net.call ~timeout_us ~from:me (Storage_node.read_service node)
+        Sim.Net.call ~from:me (Storage_node.read_service node)
           { Storage_node.repoch = epoch; roffset = off }
       in
       body node write read me)
@@ -388,7 +388,7 @@ let test_node_fill_semantics () =
 let test_node_seal_rejects_stale_epochs () =
   with_node (fun node write read me ->
       check_bool "w" true (write 0 (entry "x") = Types.Write_ok);
-      let tail = Sim.Net.call ~timeout_us ~from:me (Storage_node.seal_service node) 2 in
+      let tail = Sim.Net.call ~from:me (Storage_node.seal_service node) 2 in
       check_int "local tail returned" 0 tail;
       check_int "sealed" 2 (Storage_node.sealed_epoch node);
       (match write ~epoch:1 1 (entry "y") with
@@ -403,7 +403,7 @@ let test_node_seal_rejects_stale_epochs () =
 let test_node_trim () =
   with_node (fun node write read me ->
       check_bool "w" true (write 4 (entry "x") = Types.Write_ok);
-      Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node)
+      Sim.Net.call ~from:me (Storage_node.trim_service node)
         { Storage_node.repoch = 0; roffset = 4 };
       check_bool "trimmed" true (read 4 = Types.Read_trimmed);
       match write 4 (entry "again") with
@@ -415,7 +415,7 @@ let test_node_prefix_trim () =
       for i = 0 to 9 do
         check_bool "w" true (write i (entry (string_of_int i)) = Types.Write_ok)
       done;
-      Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node)
+      Sim.Net.call ~from:me (Storage_node.prefix_trim_service node)
         { Storage_node.repoch = 0; roffset = 7 };
       check_int "watermark" 7 (Storage_node.trimmed_below node);
       check_bool "below gone" true (read 3 = Types.Read_trimmed);
@@ -426,20 +426,20 @@ let test_node_prefix_trim () =
 let test_node_local_tail () =
   with_node (fun node write _ me ->
       check_int "empty tail" (-1)
-        (Sim.Net.call ~timeout_us ~from:me (Storage_node.tail_service node) ());
+        (Sim.Net.call ~from:me (Storage_node.tail_service node) ());
       ignore (write 2 (entry "a"));
       ignore (write 7 (entry "b"));
-      check_int "tail" 7 (Sim.Net.call ~timeout_us ~from:me (Storage_node.tail_service node) ()))
+      check_int "tail" 7 (Sim.Net.call ~from:me (Storage_node.tail_service node) ()))
 
 let test_node_capacity () =
   Sim.Engine.run (fun () ->
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let node =
         Storage_node.create ~net ~name:"n" ~params:Sim.Params.default ~capacity_entries:2 ()
       in
       let me = Sim.Net.add_host net "tester" in
       let w off =
-        Sim.Net.call ~timeout_us ~from:me (Storage_node.write_service node)
+        Sim.Net.call ~from:me (Storage_node.write_service node)
           { Storage_node.wepoch = 0; woffset = off; wcell = entry "x" }
       in
       check_bool "in space" true (w 1 = Types.Write_ok);
@@ -525,10 +525,10 @@ let prop_pages_match_hashtbl =
                   if write o cell <> Hashtbl_node.write m o cell then ok := false
               | N_fill o -> if write o Types.Junk <> Hashtbl_node.write m o Types.Junk then ok := false
               | N_trim o ->
-                  Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node) (req o);
+                  Sim.Net.call ~from:me (Storage_node.trim_service node) (req o);
                   Hashtbl_node.trim m o
               | N_prefix o ->
-                  Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node) (req o);
+                  Sim.Net.call ~from:me (Storage_node.prefix_trim_service node) (req o);
                   Hashtbl_node.prefix_trim m o
               | N_read o -> if read o <> Hashtbl_node.read m o then ok := false)
             ops;
@@ -567,7 +567,7 @@ let test_node_prefix_trim_frees_pages () =
       done;
       check_int "five pages" 5 (Storage_node.pages_held node);
       let prefix off =
-        Sim.Net.call ~timeout_us ~from:me (Storage_node.prefix_trim_service node)
+        Sim.Net.call ~from:me (Storage_node.prefix_trim_service node)
           { Storage_node.repoch = 0; roffset = off }
       in
       prefix 3_000;
@@ -578,7 +578,7 @@ let test_node_prefix_trim_frees_pages () =
       prefix 4_096;
       check_int "pages 2 and 3 freed" 1 (Storage_node.pages_held node);
       check_bool "trim below the watermark allocates nothing" true
-        (Sim.Net.call ~timeout_us ~from:me (Storage_node.trim_service node)
+        (Sim.Net.call ~from:me (Storage_node.trim_service node)
            { Storage_node.repoch = 0; roffset = 10 };
          Storage_node.pages_held node = 1);
       check_bool "page 4 intact" true
@@ -591,15 +591,15 @@ let test_node_prefix_trim_frees_pages () =
 let with_sequencer body =
   Sim.Engine.run (fun () ->
       let params = Sim.Params.default in
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let seq = Sequencer.create ~net ~name:"seq" ~params () in
       let me = Sim.Net.add_host net "tester" in
       let incr ?(epoch = 0) ?(count = 1) streams =
-        Sim.Net.call ~timeout_us ~from:me (Sequencer.increment_service seq)
+        Sim.Net.call ~from:me (Sequencer.increment_service seq)
           { Sequencer.iepoch = epoch; istreams = streams; icount = count }
       in
       let peek ?(epoch = 0) streams =
-        Sim.Net.call ~timeout_us ~from:me (Sequencer.peek_service seq)
+        Sim.Net.call ~from:me (Sequencer.peek_service seq)
           { Sequencer.pepoch = epoch; pstreams = streams }
       in
       body seq incr peek me)
@@ -674,7 +674,7 @@ let test_sequencer_range_grant_records_streams () =
 let test_sequencer_seal () =
   with_sequencer (fun seq incr _ me ->
       ignore (incr []);
-      ignore (Sim.Net.call ~timeout_us ~from:me (Sequencer.seal_service seq) 3 : Types.offset);
+      ignore (Sim.Net.call ~from:me (Sequencer.seal_service seq) 3 : Types.offset);
       (match incr ~epoch:2 [] with
       | Sequencer.Seq_sealed 3 -> ()
       | _ -> Alcotest.fail "stale increment must be rejected");
@@ -684,7 +684,7 @@ let test_sequencer_seal () =
 
 let test_sequencer_seeded_state () =
   Sim.Engine.run (fun () ->
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let seq =
         Sequencer.create ~net ~name:"seq" ~params:Sim.Params.default ~initial_tail:100
           ~initial_streams:[ (5, [ 90; 80 ]) ] ()
@@ -692,7 +692,7 @@ let test_sequencer_seeded_state () =
       let me = Sim.Net.add_host net "tester" in
       let r =
         alloc
-          (Sim.Net.call ~timeout_us ~from:me (Sequencer.increment_service seq)
+          (Sim.Net.call ~from:me (Sequencer.increment_service seq)
              { Sequencer.iepoch = 0; istreams = [ 5 ]; icount = 1 })
       in
       check_int "resumes tail" 100 r.Sequencer.base;
@@ -704,7 +704,7 @@ let spawn_increment_loop host seq n =
   Sim.Engine.spawn (fun () ->
       let rec loop () =
         let (_ : Sequencer.response) =
-          Sim.Net.call ~timeout_us ~from:host (Sequencer.increment_service seq)
+          Sim.Net.call ~from:host (Sequencer.increment_service seq)
             { Sequencer.iepoch = 0; istreams = []; icount = 1 }
         in
         incr n;
@@ -717,7 +717,7 @@ let test_sequencer_throughput_cap () =
   let rate =
     Sim.Engine.run (fun () ->
         let params = Sim.Params.default in
-        let net = Sim.Net.create ~latency:50. ~bandwidth:125. ~jitter:0. () in
+        let net = Sim.Net.create ~latency:50. ~bandwidth:125. ~jitter:0. ~timeout_us () in
         let seq = Sequencer.create ~net ~name:"seq" ~params () in
         let n = ref 0 in
         for i = 1 to 80 do
@@ -753,7 +753,7 @@ let test_projection_global_tail () =
 let test_projection_validation () =
   Sim.Engine.run (fun () ->
       let params = Sim.Params.default in
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let n1 = Storage_node.create ~net ~name:"n1" ~params () in
       let n2 = Storage_node.create ~net ~name:"n2" ~params () in
       let n3 = Storage_node.create ~net ~name:"n3" ~params () in
@@ -867,7 +867,7 @@ let test_client_fill_hole () =
       let c = Cluster.new_client cluster ~name:"app" in
       (* Simulate a crashed writer: take an offset, never write it. *)
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host c)
+        Sim.Net.call ~from:(Client.host c)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -889,7 +889,7 @@ let test_client_fill_completes_torn_append () =
       let c = Cluster.new_client cluster ~name:"app" in
       let proj = Client.projection c in
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host c)
+        Sim.Net.call ~from:(Client.host c)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = []; icount = 1 }
       in
@@ -897,7 +897,7 @@ let test_client_fill_completes_torn_append () =
       let head = (Projection.replica_set proj off).(0) in
       let entry = { Types.headers = Bytes.empty; payload = payload "torn" } in
       (match
-         Sim.Net.call ~timeout_us ~from:(Client.host c) (Storage_node.write_service head)
+         Sim.Net.call ~from:(Client.host c) (Storage_node.write_service head)
            { Storage_node.wepoch = 0; woffset = Projection.local_offset proj off;
              wcell = Types.Data entry }
        with
@@ -1095,7 +1095,7 @@ let test_stream_hole_is_filled_and_skipped () =
       ignore (Stream.append s (payload "a"));
       (* Crash injection: allocate an offset on stream 1, never write it. *)
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host w)
+        Sim.Net.call ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1118,7 +1118,7 @@ let test_stream_junk_breaks_stride_then_scan () =
         ignore (Stream.append s (payload (string_of_int i)))
       done;
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host w)
+        Sim.Net.call ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1254,7 +1254,7 @@ let test_stream_slow_older_walk_keeps_horizon () =
       (* an offset granted on stream 1 and never written: reading it
          blocks until the fill timeout *)
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host w)
+        Sim.Net.call ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1291,7 +1291,7 @@ let test_stream_playback_skips_junk_member () =
         ignore (Stream.append s (payload (Printf.sprintf "a%d" i)))
       done;
       let resp =
-        Sim.Net.call ~timeout_us ~from:(Client.host w)
+        Sim.Net.call ~from:(Client.host w)
           (Sequencer.increment_service (Cluster.sequencer cluster))
           { Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
       in
@@ -1397,7 +1397,7 @@ let test_probing_bridges_sequencer_outage () =
       done;
       (* sequencer dies *)
       ignore
-        (Sim.Net.call ~timeout_us ~from:(Client.host w)
+        (Sim.Net.call ~from:(Client.host w)
            (Sequencer.seal_service (Cluster.sequencer cluster))
            ((Client.projection w).Projection.epoch + 1)
           : Types.offset);
@@ -1436,7 +1436,7 @@ let walk_after_replacement cluster sid =
 
 let seal_sequencer cluster client =
   ignore
-    (Sim.Net.call ~timeout_us ~from:(Client.host client)
+    (Sim.Net.call ~from:(Client.host client)
        (Sequencer.seal_service (Cluster.sequencer cluster))
        ((Client.projection client).Projection.epoch + 1)
       : Types.offset)
@@ -1864,7 +1864,7 @@ let prop_segment_mapping_roundtrip =
     (fun (first_base, segs) ->
       Sim.Engine.run ~seed:5 (fun () ->
           let params = Sim.Params.default in
-          let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. () in
+          let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
           let fresh =
             let n = ref 0 in
             fun () ->
@@ -2122,6 +2122,28 @@ let test_recover_monitor_needs_three_misses () =
           check_string "the third miss replaced it" "storage-1" dead
       | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
 
+(* A monitor-driven replacement seals the dead node once, at the
+   deadline the monitor's probes of it learnt and their three misses
+   backed off (about 8 probe RTOs of about 0.7 ms), not at a timeout of
+   its own. Seal to install took 6,566 us here; the bound is that
+   plus 1 ms. *)
+let test_recover_monitor_seal_at_learnt_deadline () =
+  with_faulty_cluster (fun cluster f ->
+      Cluster.start_failure_monitor cluster;
+      let w = Cluster.new_client cluster ~name:"writer" in
+      for i = 0 to 9 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      Sim.Engine.sleep 50_000.;
+      Sim.Fault.crash f "storage-1";
+      Sim.Engine.sleep 200_000.;
+      match Cluster.recoveries cluster with
+      | [ r ] ->
+          let took = r.Cluster.rc_installed_us -. r.Cluster.rc_started_us in
+          check_bool "seal to install within the measured time plus 1 ms" true
+            (took <= 6_566. +. 1_000.)
+      | l -> Alcotest.failf "expected one recovery, got %d" (List.length l))
+
 (* The auxiliary's epoch watch parks its callers by design, so its calls
    keep their whole deadline however fast the earlier answers came: a
    watch for an epoch nobody installs is answered when its wait ends,
@@ -2130,7 +2152,7 @@ let test_aux_watch_keeps_its_deadline () =
   with_faulty_cluster (fun cluster _ ->
       let c = Cluster.new_client cluster ~name:"watcher" in
       let watch at_least wait_us =
-        Sim.Net.call ~timeout_us:(wait_us +. 50_000.) ~from:(Client.host c)
+        Sim.Net.call ~from:(Client.host c)
           (Auxiliary.await_service (Cluster.auxiliary cluster))
           { Auxiliary.at_least; wait_us }
       in
@@ -2372,7 +2394,7 @@ let check_replicas_agree cluster ~si ~set =
   let host = Sim.Net.add_host (Cluster.net cluster) "replica-audit" in
   let cell node loff =
     match
-      Sim.Net.call ~timeout_us ~from:host (Storage_node.read_service node)
+      Sim.Net.call ~from:host (Storage_node.read_service node)
         { Storage_node.repoch = proj.Projection.epoch; roffset = loff }
     with
     | Types.Read_data e -> "data:" ^ payload_str e
@@ -2725,7 +2747,7 @@ let epoch_bump cluster =
   let epoch = old.Projection.epoch + 1 in
   let install () =
     match
-      Sim.Net.call ~timeout_us ~from:agent (Auxiliary.propose_service aux)
+      Sim.Net.call ~from:agent (Auxiliary.propose_service aux)
         (Projection.v ~epoch ~segments:old.Projection.segments ~sequencer:old.Projection.sequencer)
     with
     | Auxiliary.Installed -> ()
@@ -2758,7 +2780,7 @@ let test_sealed_appends_wait_for_install () =
       let agent, epoch, install = epoch_bump cluster in
       let adoptions = record_adoptions () in
       ignore
-        (Sim.Net.call ~timeout_us ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
           : Types.offset);
       let k = 5 in
       let clients =
@@ -2819,7 +2841,7 @@ let test_sealed_wait_times_out () =
       let agent, epoch, _install = epoch_bump cluster in
       let adoptions = record_adoptions () in
       ignore
-        (Sim.Net.call ~timeout_us ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
+        (Sim.Net.call ~from:agent (Sequencer.seal_service (Cluster.sequencer cluster)) epoch
           : Types.offset);
       let c = Cluster.new_client cluster ~name:"waiter" in
       let name = Sim.Net.host_name (Client.host c) in
@@ -2857,7 +2879,7 @@ let test_await_wakes_in_arrival_order () =
         let host = Sim.Net.add_host (Cluster.net cluster) name in
         Sim.Engine.spawn ~at:arrive_us (fun () ->
             let proj =
-              Sim.Net.call ~timeout_us ~from:host (Auxiliary.await_service aux)
+              Sim.Net.call ~from:host (Auxiliary.await_service aux)
                 { Auxiliary.at_least; wait_us }
             in
             order := (name, proj.Projection.epoch, Sim.Engine.now ()) :: !order)
@@ -2897,7 +2919,7 @@ let test_await_install_cancels_deadlines () =
           let host = Sim.Net.add_host (Cluster.net cluster) name in
           Sim.Engine.spawn (fun () ->
               let proj =
-                Sim.Net.call ~timeout_us ~from:host (Auxiliary.await_service aux)
+                Sim.Net.call ~from:host (Auxiliary.await_service aux)
                   { Auxiliary.at_least = epoch; wait_us = 1_000_000. }
               in
               check_int "woken by the install" epoch proj.Projection.epoch;
@@ -2918,7 +2940,7 @@ let test_storage_seals_resolve_through_await () =
       let seal_storage agent epoch =
         Array.iter
           (fun node ->
-            ignore (Sim.Net.call ~timeout_us ~from:agent (Storage_node.seal_service node) epoch : Types.offset))
+            ignore (Sim.Net.call ~from:agent (Storage_node.seal_service node) epoch : Types.offset))
           (Cluster.storage_nodes cluster)
       in
       let adoptions = record_adoptions () in
@@ -2989,6 +3011,64 @@ let test_resent_proposal_installs_once () =
       check_int "one started milestone" 1 s;
       check_int "one installed milestone" 1 i;
       check_int "appends resume exactly" 10 (Client.append w ~streams:[ 1 ] (payload "after")))
+
+(* A seal delivered but whose answer is lost is resent at the
+   deadline, and the resend must answer as the first send did: a node
+   or sequencer already sealed at the epoch refuses nothing new and
+   returns the same tail. Only [src] -> agent drops, from the start
+   until 1 ms after [sealed ()] holds; [src] counts the seals it
+   serves in [seals]. [op] runs one reconfiguration and returns its
+   epoch and frontier; the dropped run must report the undropped
+   run's. *)
+let lost_seal_answer ~src ~seals ~sealed ~op =
+  let run ~drop =
+    with_faulty_cluster (fun cluster f ->
+        let w = Cluster.new_client cluster ~name:"writer" in
+        for i = 1 to 10 do
+          ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+        done;
+        if drop then begin
+          Sim.Fault.degrade f ~src ~dst:"reconfig-agent" ~drop:1.0 ();
+          Sim.Engine.spawn (fun () ->
+              while not (sealed cluster) do
+                Sim.Engine.sleep 100.
+              done;
+              Sim.Engine.sleep 1_000.;
+              Sim.Fault.clear_edge f ~src ~dst:"reconfig-agent")
+        end;
+        let epoch, frontier = op cluster f in
+        let served = Sim.Metrics.counter_value (Sim.Metrics.counter ~host:src seals) in
+        check_int "one reconfiguration logged" 1 (List.length (Cluster.reconfigs cluster));
+        check_int "appends resume exactly" 10 (Client.append w ~streams:[ 1 ] (payload "after"));
+        (epoch, frontier, served))
+  in
+  let epoch, frontier, seals = run ~drop:false in
+  let epoch', frontier', seals' = run ~drop:true in
+  check_int "one install" 1 epoch;
+  check_int "the same install" epoch epoch';
+  check_int "the undropped run's frontier" frontier frontier';
+  check_int "the seal was served once more" (seals + 1) seals'
+
+(* The old sequencer's seal during [replace_sequencer]: the frontier is
+   the new sequencer's first grant. The old sequencer stays the
+   cluster's until the install, which waits for the seal's answer. *)
+let test_lost_sequencer_seal_answer () =
+  lost_seal_answer ~src:"sequencer-0" ~seals:"seq.seals"
+    ~sealed:(fun cluster -> Sequencer.sealed_epoch (Cluster.sequencer cluster) >= 1)
+    ~op:(fun cluster _ ->
+      let epoch = Cluster.replace_sequencer cluster in
+      (epoch, Sequencer.current_tail (Cluster.sequencer cluster)))
+
+(* A surviving chain member's seal during a storage replacement: the
+   frontier is the base of the tail segment it opens. *)
+let test_lost_storage_seal_answer () =
+  lost_seal_answer ~src:"storage-1" ~seals:"node.seals"
+    ~sealed:(fun cluster -> Storage_node.sealed_epoch (Cluster.storage_nodes cluster).(1) >= 1)
+    ~op:(fun cluster f ->
+      Sim.Fault.crash f "storage-0";
+      let epoch = Cluster.replace_storage_node cluster ~dead:(Cluster.storage_nodes cluster).(0) in
+      let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
+      (epoch, (Projection.tail_segment proj).Projection.seg_base))
 
 (* ------------------------------------------------------------------ *)
 (* The rebuild scan in windows                                        *)
@@ -3352,6 +3432,8 @@ let () =
           Alcotest.test_case "ssd failure triggers replacement" `Quick test_recover_ssd_failure;
           Alcotest.test_case "monitor needs three misses" `Quick
             test_recover_monitor_needs_three_misses;
+          Alcotest.test_case "a monitor-driven seal waits the learnt deadline" `Quick
+            test_recover_monitor_seal_at_learnt_deadline;
           Alcotest.test_case "auxiliary watch keeps its deadline" `Quick
             test_aux_watch_keeps_its_deadline;
           Alcotest.test_case "fill completes torn append under delay" `Quick
@@ -3370,6 +3452,10 @@ let () =
             test_rejected_scale_in_not_counted;
           Alcotest.test_case "a resent proposal installs once" `Quick
             test_resent_proposal_installs_once;
+          Alcotest.test_case "a resent sequencer seal answers as the first" `Quick
+            test_lost_sequencer_seal_answer;
+          Alcotest.test_case "a resent storage seal answers as the first" `Quick
+            test_lost_storage_seal_answer;
         ] );
       ( "rebuild-window",
         [

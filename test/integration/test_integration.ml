@@ -70,9 +70,7 @@ let test_holes_under_load () =
           for _ = 1 to 10 do
             Sim.Engine.sleep 2_000.;
             let (_ : Corfu.Sequencer.response) =
-              Sim.Net.call
-                ~timeout_us:Sim.Params.default.Sim.Params.rpc_timeout_us
-                ~from:(Corfu.Client.host saboteur)
+              Sim.Net.call ~from:(Corfu.Client.host saboteur)
                 (Corfu.Sequencer.increment_service (Corfu.Cluster.sequencer cluster))
                 { Corfu.Sequencer.iepoch = 0; istreams = [ 1 ]; icount = 1 }
             in

@@ -415,10 +415,12 @@ let test_resource_grant_survives_same_instant_fail () =
 (* Net                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The deadline of a test's RPCs, far past any round trip here. *)
+(* The cap on a test fabric's RPC deadlines, far past any round trip
+   here unless a test sets its own. *)
 let timeout_us = 50_000.
 
-let make_net ?(jitter = 0.) () = Net.create ~latency:50. ~bandwidth:125. ~jitter ()
+let make_net ?(jitter = 0.) ?(timeout_us = timeout_us) () =
+  Net.create ~latency:50. ~bandwidth:125. ~jitter ~timeout_us ()
 
 let test_net_rpc_roundtrip () =
   Engine.run (fun () ->
@@ -426,7 +428,7 @@ let test_net_rpc_roundtrip () =
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let echo = Net.service b ~name:"echo" (fun x -> x * 2) in
-      let r = Net.call ~timeout_us ~from:a echo 21 in
+      let r = Net.call ~from:a echo 21 in
       check_int "resp" 42 r;
       (* Two hops of 64B each way: 2*(2*64/125 + 50) ≈ 102 µs. *)
       let t = Engine.now () in
@@ -437,7 +439,7 @@ let test_net_loopback_is_free () =
       let net = make_net () in
       let a = Net.add_host net "a" in
       let echo = Net.service a ~name:"echo" (fun x -> x) in
-      let r = Net.call ~timeout_us ~from:a echo 5 in
+      let r = Net.call ~from:a echo 5 in
       check_int "resp" 5 r;
       check_float "no time passed" 0. (Engine.now ()))
 
@@ -447,7 +449,7 @@ let test_net_bandwidth_charged () =
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let sink = Net.service b ~name:"sink" (fun (_ : string) -> ()) in
-      Net.call ~req_bytes:4096 ~resp_bytes:64 ~timeout_us ~from:a sink "payload";
+      Net.call ~req_bytes:4096 ~resp_bytes:64 ~from:a sink "payload";
       (* Request: 2*32.77 + 50; response: 2*0.5 + 50 -> ~166-167 µs *)
       let t = Engine.now () in
       check_bool "4KB serialization charged" true (t > 160. && t < 175.))
@@ -467,7 +469,7 @@ let test_net_server_saturation () =
           let client = Net.add_host net (Printf.sprintf "c%d" i) in
           Engine.spawn (fun () ->
               for _ = 1 to 50 do
-                Net.call ~timeout_us ~from:client svc ();
+                Net.call ~from:client svc ();
                 incr n
               done)
         done;
@@ -540,25 +542,26 @@ let test_fault_edge_delay_observed () =
       let net = make_net () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
+      let c = Net.add_host net "c" in
       let f = Fault.create () in
       Net.install_fault net f;
       let echo = Net.service b ~name:"echo" (fun x -> x) in
-      (* The delayed call goes to a second service, whose pair with [a]
-         has no answer yet: its deadline is the whole [timeout_us], not
-         an RTO learnt from the fast round trip. *)
-      let echo' = Net.service b ~name:"echo'" (fun x -> x) in
+      (* The delayed call goes to a service on a third host, whose pair
+         with [a] has no answer yet: its deadline is the whole cap, not
+         an RTO learnt from the fast round trip to [b]. *)
+      let echo' = Net.service c ~name:"echo'" (fun x -> x) in
       (* quiescent controller: same cost as the fault-free path *)
-      ignore (Net.call ~timeout_us ~from:a echo 0);
+      ignore (Net.call ~from:a echo 0);
       let base = Engine.now () in
       check_bool "baseline sane" true (base > 100. && base < 110.);
-      Fault.degrade f ~src:"a" ~dst:"b" ~delay_us:500. ();
-      ignore (Net.call ~timeout_us ~from:a echo' 0);
+      Fault.degrade f ~src:"a" ~dst:"c" ~delay_us:500. ();
+      ignore (Net.call ~from:a echo' 0);
       let dt = Engine.now () -. base in
       (* request leg pays the extra 500 µs; response leg is untouched *)
       check_bool "delay added once" true (dt > base +. 490. && dt < base +. 520.);
-      Fault.clear_edge f ~src:"a" ~dst:"b";
+      Fault.clear_edge f ~src:"a" ~dst:"c";
       let t2 = Engine.now () in
-      ignore (Net.call ~timeout_us ~from:a echo 0);
+      ignore (Net.call ~from:a echo 0);
       check_bool "clear restores" true (Engine.now () -. t2 < 110.))
 
 let test_fault_resource_fail_repair () =
@@ -588,10 +591,10 @@ let test_fault_resource_fail_repair () =
    host fails at once. The elapsed virtual time tells them apart: the
    deadline for a timeout, 0 for a dead caller. One answered call of
    round trip R sets the pair's RTO to R + max(4 R/2, 3 R) = 4 R, well
-   inside the 1 ms cap, so the dead server's call waits 4 R. *)
+   inside the fabric's 1 ms cap, so the dead server's call waits 4 R. *)
 let test_fault_call_r_paths () =
   Engine.run (fun () ->
-      let net = make_net () in
+      let net = make_net ~timeout_us:1_000. () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let f = Fault.create () in
@@ -599,17 +602,17 @@ let test_fault_call_r_paths () =
       let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
       let unanswered what x =
         let t0 = Engine.now () in
-        match Net.call ~timeout_us:1_000. ~from:a echo x with
+        match Net.call ~from:a echo x with
         | r -> Alcotest.failf "%s: answered %d" what r
         | exception Net.Unanswered -> Engine.now () -. t0
       in
-      check_int "healthy call" 2 (Net.call ~timeout_us:1_000. ~from:a echo 1);
+      check_int "healthy call" 2 (Net.call ~from:a echo 1);
       let rtt = Engine.now () in
       Fault.crash f "b";
       check_float "dead server: unanswered at the deadline" (4. *. rtt)
         (unanswered "dead server" 1);
       Fault.restart f "b";
-      check_int "restart restores the call" 6 (Net.call ~timeout_us:1_000. ~from:a echo 5);
+      check_int "restart restores the call" 6 (Net.call ~from:a echo 5);
       Fault.crash f "a";
       check_float "crashed caller: unanswered at once" 0. (unanswered "crashed caller" 1))
 
@@ -618,11 +621,11 @@ let test_fault_call_r_paths () =
    server answered never sees the answer, even if it is back before
    its deadline. With latency 50 µs the response leaves the server at
    ~51.5 µs and lands at ~101.5 µs; the caller crashes at 75 µs. No
-   call of the pair is ever answered, so each deadline is the whole
-   [timeout_us]. *)
+   call of the pair is ever answered, so each deadline is the fabric's
+   whole 1 ms cap. *)
 let test_fault_crashed_caller_loses_response () =
   Engine.run (fun () ->
-      let net = make_net () in
+      let net = make_net ~timeout_us:1_000. () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let f = Fault.create () in
@@ -635,7 +638,7 @@ let test_fault_crashed_caller_loses_response () =
       in
       let call () =
         let t0 = Engine.now () in
-        match Net.call ~timeout_us:1_000. ~from:a echo 1 with
+        match Net.call ~from:a echo 1 with
         | _ -> Alcotest.fail "response delivered to a crashed caller"
         | exception Net.Unanswered -> Engine.now () -. t0
       in
@@ -659,12 +662,13 @@ let test_fault_crashed_caller_loses_response () =
    - call 4 (work 980), issued right after, is answered after call 2's
      deadline (at 2000) and call 3's (at 2812) would have fired, and
      must get its own answer.
-   Every deadline is the 1,000 µs cap: calls 1 and 2 come before any
+   Every deadline is the fabric's 1,000 µs cap: calls 1 and 2 come before any
    answer, and the RTO learnt from call 2 (3,248 µs) and from call 3
    (about 2,850 µs) both exceed it. *)
 let test_fault_call_r_late_response () =
   Engine.run (fun () ->
-      let net = Net.create ~latency:5. ~bandwidth:125. ~jitter:0. () in
+      let timeout_us = 1_000. in
+      let net = Net.create ~latency:5. ~bandwidth:125. ~jitter:0. ~timeout_us () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       Net.install_fault net (Fault.create ());
@@ -675,11 +679,10 @@ let test_fault_call_r_late_response () =
             served := id :: !served;
             id)
       in
-      let timeout_us = 1_000. in
       let call id work =
         let t0 = Engine.now () in
         let r =
-          match Net.call ~timeout_us ~from:a slow (id, work) with
+          match Net.call ~from:a slow (id, work) with
           | got -> Some got
           | exception Net.Unanswered -> None
         in
@@ -715,7 +718,7 @@ let test_fault_call_r_answered_cancels_deadline () =
       let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
       let before = Engine.pending_events () in
       for i = 1 to 1_000 do
-        check_int "echo" (i + 1) (Net.call ~timeout_us:50_000. ~from:a echo i)
+        check_int "echo" (i + 1) (Net.call ~from:a echo i)
       done;
       check_bool "the calls outlasted a deadline" true (Engine.now () > 50_000.);
       check_int "no deadline left pending" before (Engine.pending_events ()))
@@ -729,14 +732,14 @@ let test_fault_call_r_answered_cancels_deadline () =
 let test_fault_quiet_controller_is_free () =
   let run ~install =
     Engine.run ~seed:3 (fun () ->
-        let net = make_net ~jitter:0.05 () in
+        let net = make_net ~jitter:0.05 ~timeout_us:1e6 () in
         let a = Net.add_host net "a" in
         let b = Net.add_host net "b" in
         if install then Net.install_fault net (Fault.create ());
         let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
         let e0 = Engine.events_dispatched () in
         for i = 1 to 20 do
-          check_int "echo" (i + 1) (Net.call ~timeout_us:1e6 ~from:a echo i)
+          check_int "echo" (i + 1) (Net.call ~from:a echo i)
         done;
         (Engine.now (), Engine.events_dispatched () - e0))
   in
@@ -749,9 +752,9 @@ let test_fault_quiet_controller_is_free () =
 (* -- deadlines that follow the round trip ------------------------------ *)
 
 (* Whether a call was answered, and how long it took. *)
-let timed_call ~timeout_us ~from svc x =
+let timed_call ~from svc x =
   let t0 = Engine.now () in
-  match Net.call ~timeout_us ~from svc x with
+  match Net.call ~from svc x with
   | _ -> (true, Engine.now () -. t0)
   | exception Net.Unanswered -> (false, Engine.now () -. t0)
 
@@ -759,10 +762,10 @@ let timed_call ~timeout_us ~from svc x =
    between [a] and [b] is the same [rtt]; [answer n] makes [n] answered
    calls on [echo] and returns that round trip. With a constant round
    trip R the RTO is R + max(4 RTTVAR, 3 R) = 4 R, since RTTVAR starts
-   at R/2 and only decays. *)
-let with_rtt_pair body =
+   at R/2 and only decays. [timeout_us] is the fabric's cap. *)
+let with_rtt_pair ?timeout_us body =
   Engine.run (fun () ->
-      let net = make_net () in
+      let net = make_net ?timeout_us () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
       let f = Fault.create () in
@@ -771,7 +774,7 @@ let with_rtt_pair body =
       let answer n =
         let rtt = ref 0. in
         for _ = 1 to n do
-          match timed_call ~timeout_us ~from:a echo 0 with
+          match timed_call ~from:a echo 0 with
           | true, dt -> rtt := dt
           | false, _ -> Alcotest.fail "a healthy call went unanswered"
         done;
@@ -779,31 +782,34 @@ let with_rtt_pair body =
       in
       body f a echo answer)
 
-(* Before the pair's first answer a call waits the whole [timeout_us],
+(* Before the pair's first answer a call waits the fabric's whole cap,
    and an unanswered call leaves nothing to back off from: the next
    fresh call waits the whole cap again. *)
 let test_deadline_first_call_waits_cap () =
-  with_rtt_pair (fun f a echo _ ->
+  with_rtt_pair ~timeout_us:5_000. (fun f a echo _ ->
       Fault.crash f "b";
       for i = 1 to 2 do
-        match timed_call ~timeout_us:5_000. ~from:a echo 0 with
+        match timed_call ~from:a echo 0 with
         | false, dt -> check_float (Printf.sprintf "call %d waits timeout_us" i) 5_000. dt
         | true, _ -> Alcotest.fail "a dead server answered"
       done)
 
-(* Once the pair has answers, a call's deadline is min(timeout_us, RTO x
+(* Once the pair has answers, a call's deadline is min(cap, RTO x
    (1 + calls already in flight)): three calls issued together to a
-   dead server expire after 4 R, 8 R and the 10 R cap (12 R uncapped). *)
+   dead server expire after 4 R, 8 R and the fabric's 10 R cap (12 R
+   uncapped). With no jitter R is two hops of 64 bytes each way. *)
 let test_deadline_rto_times_in_flight () =
-  with_rtt_pair (fun f a echo answer ->
+  let rtt = 2. *. ((2. *. 64. /. 125.) +. 50.) in
+  let cap = 10. *. rtt in
+  with_rtt_pair ~timeout_us:cap (fun f a echo answer ->
       let r = answer 5 in
+      check_float "the round trip" rtt r;
       Fault.crash f "b";
       let waited = Array.make 3 0. in
-      let cap = 10. *. r in
       let done_ = ref 0 in
       for i = 0 to 2 do
         Engine.spawn (fun () ->
-            (match timed_call ~timeout_us:cap ~from:a echo 0 with
+            (match timed_call ~from:a echo 0 with
             | false, dt -> waited.(i) <- dt
             | true, _ -> Alcotest.fail "a dead server answered");
             incr done_)
@@ -823,14 +829,14 @@ let test_deadline_unanswered_doubles_rto () =
       Fault.crash f "b";
       List.iter
         (fun k ->
-          match timed_call ~timeout_us ~from:a echo 0 with
+          match timed_call ~from:a echo 0 with
           | false, dt -> check_float (Printf.sprintf "deadline %g R" k) (k *. r) dt
           | true, _ -> Alcotest.fail "a dead server answered")
         [ 4.; 8.; 16.; 32. ];
       Fault.restart f "b";
       ignore (answer 1 : float);
       Fault.crash f "b";
-      match timed_call ~timeout_us ~from:a echo 0 with
+      match timed_call ~from:a echo 0 with
       | false, dt -> check_float "an answer resets the RTO" (4. *. r) dt
       | true, _ -> Alcotest.fail "a dead server answered")
 
@@ -844,7 +850,7 @@ let test_deadline_slow_peer_reached () =
       let rec attempt n =
         if n > 5 then Alcotest.fail "the slowed peer was not reached in 5 attempts"
         else
-          match timed_call ~timeout_us ~from:a echo n with
+          match timed_call ~from:a echo n with
           | true, dt ->
               check_bool "answered at the new round trip" true (Float.abs (dt -. (20. *. r)) < 1.);
               n
@@ -852,9 +858,33 @@ let test_deadline_slow_peer_reached () =
       in
       check_int "attempts: deadlines 4, 8, 16 R miss, 32 R answers" 4 (attempt 1))
 
-(* A held service parks its callers by design, so its calls keep the
-   whole [timeout_us] however fast its earlier answers came; a plain
-   service with the same history expires after its RTO. *)
+(* The estimate belongs to the host pair, not to a service: after
+   answered calls to one service of [b], the first call to another
+   service of [b], over a link that drops everything, expires at the
+   learnt RTO (4 R), not at the fabric's cap. *)
+let test_deadline_shared_by_host_services () =
+  Engine.run (fun () ->
+      let net = make_net () in
+      let a = Net.add_host net "a" in
+      let b = Net.add_host net "b" in
+      let f = Fault.create () in
+      Net.install_fault net f;
+      let echo = Net.service b ~name:"echo" (fun x -> x) in
+      let other = Net.service b ~name:"other" (fun x -> x) in
+      let r = ref 0. in
+      for _ = 1 to 5 do
+        match timed_call ~from:a echo 0 with
+        | true, dt -> r := dt
+        | false, _ -> Alcotest.fail "a healthy call went unanswered"
+      done;
+      Fault.degrade f ~src:"a" ~dst:"b" ~drop:1.0 ();
+      match timed_call ~from:a other 0 with
+      | false, dt -> check_float "the other service's first call waits 4 R" (4. *. !r) dt
+      | true, _ -> Alcotest.fail "a dropped call was answered")
+
+(* A service with a hold parks its callers by design, so its calls wait
+   their hold plus the cap however fast its earlier answers came; a
+   plain service with the same history expires after its RTO. *)
 let test_deadline_held_service_not_cut_short () =
   Engine.run (fun () ->
       let net = make_net () in
@@ -865,16 +895,16 @@ let test_deadline_held_service_not_cut_short () =
         Engine.sleep wait;
         wait
       in
-      let held = Net.service ~held:true b ~name:"watch" hold in
+      let held = Net.service ~hold:Fun.id b ~name:"watch" hold in
       let plain = Net.service b ~name:"plain" hold in
       for _ = 1 to 5 do
-        ignore (Net.call ~timeout_us ~from:a held 0.);
-        ignore (Net.call ~timeout_us ~from:a plain 0.)
+        ignore (Net.call ~from:a held 0.);
+        ignore (Net.call ~from:a plain 0.)
       done;
-      (match timed_call ~timeout_us ~from:a held 5_000. with
+      (match timed_call ~from:a held 5_000. with
       | true, dt -> check_bool "held call answered after its wait" true (dt > 5_000.)
       | false, _ -> Alcotest.fail "the held call was cut short");
-      match timed_call ~timeout_us ~from:a plain 5_000. with
+      match timed_call ~from:a plain 5_000. with
       | false, dt -> check_bool "plain call expired after its RTO" true (dt < 1_000.)
       | true, _ -> Alcotest.fail "the plain call waited past its RTO")
 
@@ -899,7 +929,7 @@ let test_fault_trace_deterministic () =
   let scenario () =
     Trace.capture (fun () ->
         Engine.run ~seed:5 (fun () ->
-            let net = make_net ~jitter:0.05 () in
+            let net = make_net ~jitter:0.05 ~timeout_us:400. () in
             let a = Net.add_host net "a" in
             let b = Net.add_host net "b" in
             let f = Fault.create ~seed:3 () in
@@ -909,7 +939,7 @@ let test_fault_trace_deterministic () =
             let echo = Net.service b ~name:"echo" (fun x -> x) in
             let got = ref 0 in
             for i = 1 to 40 do
-              (match Net.call ~timeout_us:400. ~from:a echo i with
+              (match Net.call ~from:a echo i with
               | _ -> incr got
               | exception Net.Unanswered -> ());
               Engine.sleep 100.
@@ -1167,7 +1197,7 @@ let test_observability_determinism () =
             let op = Span.site ~host:"a" ~hist:h "op" in
             for i = 1 to 25 do
               let tok = Span.enter op () in
-              ignore (Net.call ~timeout_us ~from:a svc i);
+              ignore (Net.call ~from:a svc i);
               Span.leave op tok;
               Engine.sleep 50.
             done);
@@ -1334,7 +1364,7 @@ let test_timeseries_deterministic_dump () =
         let echo = Span.timer h in
         for i = 1 to 40 do
           let tok = Span.enter echo () in
-          ignore (Net.call ~timeout_us ~from:a svc i);
+          ignore (Net.call ~from:a svc i);
           Span.leave echo tok;
           Engine.sleep 50.
         done);
@@ -1531,7 +1561,7 @@ let test_flight_deterministic_dump () =
             let svc = Net.service b ~name:"echo" (fun x -> x) in
             let c = Metrics.counter ~host:"a" "ops" in
             for i = 1 to 30 do
-              ignore (Net.call ~timeout_us ~from:a svc i);
+              ignore (Net.call ~from:a svc i);
               Metrics.incr c
             done;
             Flight.snapshot ~reason:"end");
@@ -2371,7 +2401,7 @@ let test_net_call_budget () =
       let b = Net.add_host net "b" in
       let echo = Net.service b ~name:"echo" (fun x -> x) in
       check_budget "fault-free call" ~budget:net_call_budget
-        (words_per_op (fun () -> ignore (Net.call ~timeout_us ~from:a echo 1))))
+        (words_per_op (fun () -> ignore (Net.call ~from:a echo 1))))
 
 (* Under a controller: the fault-free call's words, the caller's and
    the job's worker's parks and the response's box. The deadline's
@@ -2386,9 +2416,9 @@ let test_net_timed_call_budget () =
       Net.install_fault net (Fault.create ());
       let echo = Net.service b ~name:"echo" (fun x -> x) in
       (* the first call builds the pooled job and the estimator's rows *)
-      ignore (Net.call ~timeout_us ~from:a echo 1);
+      ignore (Net.call ~from:a echo 1);
       check_budget "timed call" ~budget:net_timed_call_budget
-        (words_per_op (fun () -> ignore (Net.call ~timeout_us ~from:a echo 1))))
+        (words_per_op (fun () -> ignore (Net.call ~from:a echo 1))))
 
 (* A section with tracing off: a span-only site takes no slot, a timed
    one stores its start and observes without boxing. Neither takes a
@@ -2552,6 +2582,8 @@ let () =
             test_deadline_unanswered_doubles_rto;
           Alcotest.test_case "20x slower peer reached within log2 attempts" `Quick
             test_deadline_slow_peer_reached;
+          Alcotest.test_case "a host's services share one estimate per caller" `Quick
+            test_deadline_shared_by_host_services;
           Alcotest.test_case "held service keeps timeout_us" `Quick
             test_deadline_held_service_not_cut_short;
           Alcotest.test_case "plan runs in virtual time" `Quick
