@@ -460,6 +460,12 @@ let play_round ?upto t =
   let tail = sync_all t in
   play_to t (match upto with Some u -> min u tail | None -> tail)
 
+(* The decision polls' schedule: the first wait, doubled up to the
+   bound. A poll waits for other clients' records to reach the log, not
+   for an RPC (an unanswered one has already waited its deadline). *)
+let poll_first_us = 200.
+let poll_max_us = 1_600.
+
 (* The one wait loop: back off, play a round, repeat until [settled ()]
    — typically a decision record beyond the last round's tail. Callers
    test [settled] first, so the common no-wait case builds no
@@ -468,9 +474,9 @@ let play_until ?upto t settled =
   let rec wait backoff =
     Sim.Engine.sleep backoff;
     play_round ?upto t;
-    if not (settled ()) then wait (Float.min (2. *. backoff) t.p.retry_backoff_max_us)
+    if not (settled ()) then wait (Float.min (2. *. backoff) poll_max_us)
   in
-  wait t.p.retry_sleep_us
+  wait poll_first_us
 
 (* ------------------------------------------------------------------ *)
 (* Public object-facing API                                           *)
@@ -565,17 +571,16 @@ let query_remote t ~oid ?key () =
       match Hashtbl.find_opt t.remote_peers oid with
       | None -> invalid_arg "Runtime.query_remote: no peer connected for this object"
       | Some svc -> (
-          (* An unanswered read is retried until the peer answers: the
-             transaction cannot decide without the value. *)
+          (* An unanswered read is resent, as soon as its deadline
+             passed, until the peer answers: the transaction cannot
+             decide without the value. *)
           let rec ask () =
             match
               Sim.Net.call ~from:(Corfu.Client.host t.cl) svc
                 { rr_oid = oid; rr_key = key }
             with
             | r -> r
-            | exception Sim.Net.Unanswered ->
-                Sim.Engine.sleep t.p.retry_sleep_us;
-                ask ()
+            | exception Sim.Net.Unanswered -> ask ()
           in
           match ask () with
           | None -> invalid_arg "Runtime.query_remote: peer does not serve this object"
@@ -675,10 +680,10 @@ let await_decided_scanning t cpos (c : Record.commit) =
         end
         else begin
           Sim.Engine.sleep backoff;
-          loop (Float.min (2. *. backoff) t.p.retry_backoff_max_us)
+          loop (Float.min (2. *. backoff) poll_max_us)
         end
   in
-  loop t.p.retry_sleep_us
+  loop poll_first_us
 
 let end_tx ?(stale = false) t =
   charge_dispatch t;

@@ -182,14 +182,14 @@ let write_chain t off cell =
       r
   | exception e -> Sim.Span.leave_raise t.chain_s tok e
 
-(* Back off, learn the current projection, and grow the next backoff:
-   the shared shape of every retry after a timeout or a dead replica
-   (sealed replies wait in {!await_epoch} instead). *)
-let down_retry t backoff =
+(* Count the retry and learn the current projection: the shared shape
+   of every retry after a timeout or a dead replica (sealed replies wait
+   in {!await_epoch} instead). It adds no wait: the unanswered call
+   already waited its deadline, which [Sim.Net] backs off per host
+   pair, so the retry goes out as soon as the projection is fresh. *)
+let down_retry t =
   note_retry t;
-  Sim.Engine.sleep backoff;
-  refresh t;
-  Float.min (backoff *. 2.) t.p.retry_backoff_max_us
+  refresh t
 
 (* One replica read under the current projection; shared by the read
    path below and the chain-head reads. *)
@@ -200,20 +200,22 @@ let read_replica t node off =
     { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff }
 
 (* The chain head's answer for [off], which never lags a chain write:
-   an unreachable head is retried after a backoff, a sealed one waits
-   for the sealing epoch, and a retired offset reads as trimmed. Shared
-   by the stale-grant probe and the probing append's scan. *)
-let rec read_head t off backoff =
+   an unreachable head is retried under a refreshed projection, a
+   sealed one waits for the sealing epoch, and a retired offset reads
+   as trimmed. Shared by the stale-grant probe and the probing append's
+   scan. *)
+let rec read_head t off =
   if Projection.locate t.proj off = Projection.Retired then Types.Read_trimmed
   else
     let set = Projection.replica_set t.proj off in
     match read_replica t set.(0) off with
     | exception Sim.Net.Unanswered ->
         note_failure t;
-        read_head t off (down_retry t backoff)
+        down_retry t;
+        read_head t off
     | Types.Read_sealed e ->
         await_epoch t e;
-        read_head t off backoff
+        read_head t off
     | r -> r
 
 (* A chain write whose projection gained a {e new sequencer} mid-flight
@@ -232,7 +234,7 @@ let rec read_head t off backoff =
      sync could ever discover; the payload must move to a fresh offset
      and the abandoned slot resolves as junk through readers' fills. *)
 let probe_stale_grant t off entry =
-  match read_head t off t.p.retry_sleep_us with
+  match read_head t off with
   | Types.Read_data e when e == entry -> `Complete
   | _ -> `Abandon
 
@@ -240,21 +242,21 @@ type seq_request = Grant of int | Peek
 
 (* Every sequencer request: a sealed reply waits for the sealing epoch
    and retries against the new projection's sequencer; an unanswered
-   one backs off, refreshes the projection and retries. Each grant
+   one refreshes the projection and retries. Each grant
    attempt is one [sequencer.grant] section; a peek is one [check_tail]
    section around its attempt, wait and retry. *)
 let rec sequencer_request t req ~streams =
   match req with
-  | Grant _ -> sequencer_attempt t req ~streams t.p.retry_sleep_us
+  | Grant _ -> sequencer_attempt t req ~streams
   | Peek -> (
       let tok = Sim.Span.enter t.check_tail_s () in
-      match sequencer_attempt t Peek ~streams t.p.retry_sleep_us with
+      match sequencer_attempt t Peek ~streams with
       | a ->
           Sim.Span.leave t.check_tail_s tok;
           a
       | exception e -> Sim.Span.leave_raise t.check_tail_s tok e)
 
-and sequencer_attempt t req ~streams backoff =
+and sequencer_attempt t req ~streams =
   match
     match req with
     | Grant count -> (
@@ -279,7 +281,8 @@ and sequencer_attempt t req ~streams backoff =
       sequencer_request t req ~streams
   | exception Sim.Net.Unanswered ->
       note_failure t;
-      sequencer_attempt t req ~streams (down_retry t backoff)
+      down_retry t;
+      sequencer_attempt t req ~streams
 
 (* The commit of a written entry: our own playback will want it next,
    so cache it and save the round trip; announce the ack. *)
@@ -320,10 +323,10 @@ let rec grant_and_write t ~streams payload =
 and write_at t ~seq ~streams ~tails ~index off payload =
   let headers = Stream_header.encode_tails ~k:t.p.backpointer_k ~current:off ~index tails in
   let entry = { Types.headers; payload } in
-  let rec attempt ~seq backoff =
+  let rec attempt ~seq =
     if t.proj.Projection.sequencer != seq then
       match probe_stale_grant t off entry with
-      | `Complete -> attempt ~seq:t.proj.Projection.sequencer backoff
+      | `Complete -> attempt ~seq:t.proj.Projection.sequencer
       | `Abandon ->
           note_retry t;
           grant_and_write t ~streams payload
@@ -341,12 +344,12 @@ and write_at t ~seq ~streams ~tails ~index off payload =
           grant_and_write t ~streams payload
       | Chain_sealed e ->
           await_epoch t e;
-          attempt ~seq backoff
+          attempt ~seq
       | Chain_down ->
-          let backoff = down_retry t backoff in
-          attempt ~seq backoff
+          down_retry t;
+          attempt ~seq
   in
-  attempt ~seq t.p.retry_sleep_us
+  attempt ~seq
 
 (* The public append: one root section covering the whole operation —
    sequencer.grant, chain.write attempts, and the commit marker appear
@@ -438,9 +441,10 @@ let append_range t ~streams payloads =
 (* ------------------------------------------------------------------ *)
 
 (* Walk the replicas starting from a random one; a dead replica is
-   skipped, and only when every member is unreachable do we wait for
-   reconfiguration to produce a live chain. Top-level recursion, not a
-   local closure: a read allocates only its result. *)
+   skipped, and only when every member is unreachable do we refresh the
+   projection and start over, each member having waited out its
+   deadline. Top-level recursion, not a local closure: a read allocates
+   only its result. *)
 let rec read t off =
   if Projection.locate t.proj off = Projection.Retired then Trimmed
   else
@@ -450,7 +454,6 @@ let rec read t off =
 and read_from t off set start step =
   let n = Array.length set in
   if step >= n then begin
-    Sim.Engine.sleep t.p.retry_sleep_us;
     refresh t;
     read t off
   end
@@ -533,7 +536,7 @@ let append_probing t ~streams payload =
     let last, _ =
       Seq_checkpoint.rebuild ~k
         ~floor:(Projection.segment t.proj 0).Projection.seg_base
-        ~read:(fun off -> read_head t off t.p.retry_sleep_us)
+        ~read:(read_head t)
         ~streams (guess - 1)
     in
     let headers =
@@ -556,9 +559,7 @@ let append_probing t ~streams payload =
         await_epoch t e;
         attempt guess
     | Chain_down ->
-        note_retry t;
-        Sim.Engine.sleep t.p.retry_sleep_us;
-        refresh t;
+        down_retry t;
         attempt guess
   in
   attempt (check_slow t)
@@ -570,7 +571,7 @@ let append_probing t ~streams payload =
 let fill t off =
   Sim.Metrics.incr t.fills_c;
   let tok = Sim.Span.enter t.fill_s off in
-  let rec attempt backoff =
+  let rec attempt () =
     if Projection.locate t.proj off = Projection.Retired then
       (* Retired: the hole was prefix-trimmed out of existence along
          with its whole segment — nothing left to patch. *)
@@ -604,8 +605,8 @@ let fill t off =
     match wr Types.Junk 0 with
     | exception Sim.Net.Unanswered ->
         note_failure t;
-        let backoff = down_retry t backoff in
-        attempt backoff
+        down_retry t;
+        attempt ()
     | head_resp -> (
         if Sim.Announce.active () then
           Sim.Announce.emit (Sim.Announce.Hole_filled { client = hname t; offset = off });
@@ -614,7 +615,7 @@ let fill t off =
             match write_rest Types.Junk 1 with
             | Some e, _ ->
                 await_epoch t e;
-                attempt backoff
+                attempt ()
             | None, _ -> Filled)
         | Types.Already_written (Types.Data e) -> (
             (* Data at the head: either a torn append to complete down
@@ -623,15 +624,15 @@ let fill t off =
             match write_rest (Types.Data e) 1 with
             | Some sealed, _ ->
                 await_epoch t sealed;
-                attempt backoff
+                attempt ()
             | None, repaired -> if repaired > 0 then Fill_completed e else Fill_lost e)
         | Types.Already_written (Types.Trimmed | Types.Unwritten) -> Filled
         | Types.Sealed_at e ->
             await_epoch t e;
-            attempt backoff
+            attempt ()
         | Types.Out_of_space -> failwith "CORFU: log capacity exhausted")
   in
-  match attempt t.p.retry_sleep_us with
+  match attempt () with
   | r ->
       Sim.Span.leave t.fill_s tok;
       r
@@ -698,17 +699,15 @@ let prefetch t off =
   end
 
 (* Run [send] (every trim RPC of one trim) until each is answered: an
-   unanswered one backs off, refreshes the projection and sends them
-   all again under it. Trims are idempotent. *)
-let until_trimmed t send =
-  let rec attempt backoff =
-    match send () with
-    | () -> ()
-    | exception Sim.Net.Unanswered ->
-        note_failure t;
-        attempt (down_retry t backoff)
-  in
-  attempt t.p.retry_sleep_us
+   unanswered one refreshes the projection and sends them all again
+   under it, its deadline the only wait. Trims are idempotent. *)
+let rec until_trimmed t send =
+  match send () with
+  | () -> ()
+  | exception Sim.Net.Unanswered ->
+      note_failure t;
+      down_retry t;
+      until_trimmed t send
 
 let trim t off =
   until_trimmed t (fun () ->

@@ -5,7 +5,9 @@
     Each client caches a projection. Any RPC answered with a sealed
     error names the sealing epoch; the client waits at the auxiliary
     ({!Auxiliary.await_service}) for that epoch's view and retries.
-    Timeouts and dead replicas back off and refresh instead. Appends
+    Timeouts and dead replicas refresh the projection and retry at
+    once: the unanswered call's deadline, which {!Sim.Net} backs off
+    per host pair, is the only wait. Appends
     obtain an offset from the sequencer, then write the replica chain
     head-to-tail, so a torn append leaves a prefix of the chain
     written and is repaired by the first {!fill} (which completes data

@@ -38,7 +38,7 @@ type t = {
   mutable spare_count : int;
   mutable storage_count : int;  (* names the next provisioned storage-N *)
   mutable reconfigs : reconfig list;  (* newest first *)
-  mutable reconfig_busy : bool;  (* cooperative reconfiguration mutex *)
+  reconfig_lock : Sim.Resource.t;  (* one reconfiguration at a time, FIFO *)
   mutable short : short_slot list;  (* oldest first *)
 }
 
@@ -89,14 +89,13 @@ let announce_installed kind epoch =
    may all reach for the auxiliary concurrently, and two interleaved
    epoch bumps would each propose projections derived from the same
    predecessor — the Conflict the auxiliary exists to reject. Waiters
-   queue cooperatively and re-read the projection once they hold the
-   lock, so a queued replacement observes its predecessor's result. *)
+   queue in FIFO order on a one-server station, the next woken the
+   instant the holder installs, and re-read the projection once they
+   hold it, so a queued replacement observes its predecessor's
+   result. *)
 let with_reconfig t f =
-  while t.reconfig_busy do
-    Sim.Engine.sleep t.p.retry_sleep_us
-  done;
-  t.reconfig_busy <- true;
-  Fun.protect ~finally:(fun () -> t.reconfig_busy <- false) f
+  Sim.Resource.acquire t.reconfig_lock;
+  Fun.protect ~finally:(fun () -> Sim.Resource.release t.reconfig_lock) f
 
 (* Group [nodes] into replica chains: uniform [chain_length] by
    default, or explicit per-chain lengths via [chains] — which is how
@@ -158,7 +157,7 @@ let create ?(params = Sim.Params.default) ?(chain_length = 2) ?chains ~servers (
       spare_count = 0;
       storage_count = servers;
       reconfigs = [];
-      reconfig_busy = false;
+      reconfig_lock = Sim.Resource.create ~name:"reconfig-lock" ~capacity:1 ();
       short = [];
     }
   in
@@ -178,18 +177,18 @@ let new_client t ~name =
   let host = Sim.Net.add_host t.cluster_net name in
   Client.create ~host ~aux:t.aux ~params:t.p
 
-(* Retry [rpc] every [retry_sleep_us] until it answers. Reconfiguration
+(* Resend [rpc] until it answers, each resend leaving the moment the
+   last one's deadline passed: [Sim.Net] backs that deadline off per
+   host pair, so this loop adds no wait of its own. Reconfiguration
    uses this wherever skipping an unreachable node is unsound: the
    rebuild scan's chain-head reads, the sequencer's seal, the seal of
    every surviving storage node and the install proposal. A node that
    is gone for good needs a membership change, which is the failure
    monitor's job, not the caller's. *)
-let rec until_answered t rpc =
+let rec until_answered rpc =
   match rpc () with
   | v -> v
-  | exception Sim.Net.Unanswered ->
-      Sim.Engine.sleep t.p.retry_sleep_us;
-      until_answered t rpc
+  | exception Sim.Net.Unanswered -> until_answered rpc
 
 (* Raw read used during reconfiguration, bypassing the client library
    (which would chase the not-yet-installed projection). Always reads
@@ -206,7 +205,7 @@ let rec until_answered t rpc =
 let raw_read t proj ~epoch off =
   let set = Projection.replica_set proj off in
   let loff = Projection.local_offset proj off in
-  until_answered t (fun () ->
+  until_answered (fun () ->
       Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes ~from:t.reconfig_host
         (Storage_node.read_service set.(0))
         { Storage_node.repoch = epoch; roffset = loff })
@@ -295,7 +294,7 @@ let seal_storage ?dead t proj ~epoch =
            tail without sealing, leaving stale-epoch clients able to
            keep writing through the old view. *)
         let tail =
-          until_answered t (fun () ->
+          until_answered (fun () ->
               if failpoints.fp_skip_storage_seal then
                 Sim.Net.call ~from:t.reconfig_host (Storage_node.tail_service node) ()
               else
@@ -349,7 +348,7 @@ let in_phase seal phase f =
 
 let close_epoch t seal proj ~epoch =
   let sequencer () =
-    until_answered t (fun () ->
+    until_answered (fun () ->
         Sim.Net.call ~from:t.reconfig_host (Sequencer.seal_service proj.Projection.sequencer)
           epoch)
   in
@@ -398,7 +397,7 @@ let reconfigure t ~kind ~site ~arg ~seal plan =
       t.nodes <- Array.of_list (Projection.servers proj);
       in_phase seal `Install (fun () ->
           match
-            until_answered t (fun () ->
+            until_answered (fun () ->
                 Sim.Net.call ~from:t.reconfig_host (Auxiliary.propose_service t.aux) proj)
           with
           | Auxiliary.Installed -> ()
@@ -564,7 +563,7 @@ let scale_out ?chains t ~add_servers =
                    t.storage_count <- t.storage_count + 1;
                    let node = Storage_node.create ~net:t.cluster_net ~name ~params:t.p () in
                    ignore
-                     (until_answered t (fun () ->
+                     (until_answered (fun () ->
                           Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch)
                        : Types.offset);
                    node)
@@ -864,7 +863,7 @@ let replace_storage_node t ~dead =
     t.spare_count <- t.spare_count + 1;
     let node = Storage_node.create ~net:t.cluster_net ~name:spare_name ~params:t.p () in
     ignore
-      (until_answered t (fun () ->
+      (until_answered (fun () ->
            Sim.Net.call ~from:t.reconfig_host (Storage_node.seal_service node) epoch)
         : Types.offset);
     spare := Some node;

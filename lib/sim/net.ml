@@ -350,15 +350,25 @@ let start_worker j =
 
 exception Unanswered
 
+(* A call that can never be answered, from a crashed host or a loopback
+   call whose device failed, still waits its pair's current deadline
+   before it is unanswered, so no retry loop spins at one instant. It
+   feeds no estimate: nothing crossed the network. *)
+let unanswered_at_deadline h hid =
+  cover_host h hid;
+  deadline_into h hid;
+  Engine.sleep_in delay 2;
+  raise_notrace Unanswered
+
 (* Under an installed fault controller the exchange runs in the job's
    worker fiber and the caller parks until the first of response and
    deadline settles the job. A held call waits its hold plus the cap. *)
 let timed fault ~req_bytes ~resp_bytes ~from svc req =
-  if crashed fault from then raise_notrace Unanswered
+  if crashed fault from then unanswered_at_deadline svc.shost from.hid
   else if from == svc.shost then (
     match svc.serve req with
     | resp -> resp
-    | exception Resource.Failed _ -> raise_notrace Unanswered)
+    | exception Resource.Failed _ -> unanswered_at_deadline svc.shost from.hid)
   else begin
     let j = job_take svc ~fault ~req_bytes ~resp_bytes ~from req in
     let h = svc.shost in

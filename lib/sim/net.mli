@@ -13,9 +13,10 @@
     A {!Fault.t} controller can be installed on the fabric; every
     message direction is then judged by it (crashes, partitions,
     per-edge drop/delay), and a message to or from a crashed host is
-    dropped. A call whose response does not arrive by its deadline, or
-    whose caller is dead, raises {!Unanswered}; there is no RPC that
-    waits forever.
+    dropped. A call whose response does not arrive by its deadline
+    raises {!Unanswered} when the deadline passes, and so does a call
+    whose caller is dead; there is no RPC that waits forever, and none
+    that fails at once.
 
     Cost, in minor words on OCaml 5.1 (gated in [BENCH_hotpath.json]):
     with no controller a {!call} between two hosts with jitter on is
@@ -58,9 +59,11 @@ type ('req, 'resp) service
     {!call}). *)
 val service : ?hold:('req -> float) -> host -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
 
-(** A call got no response by its deadline (lost request or response,
-    dead or partitioned peer, failed device), or its caller's host is
-    crashed, or a loopback call's device failed. *)
+(** A call's deadline passed with no response: a lost request or
+    response, a dead or partitioned peer, a failed device, a crashed
+    caller, or a loopback call whose device failed. It is raised only
+    when the deadline passes, so a caller retries at once, with no
+    backoff of its own: the deadline is the backoff. *)
 exception Unanswered
 
 (** [call ~from svc req] performs a blocking RPC and returns the
@@ -69,8 +72,9 @@ exception Unanswered
     entirely.
 
     @raise Unanswered under an installed fault controller, when no
-    response arrived by the call's deadline, or at once when the
-    caller's host is crashed or a loopback call's device failed.
+    response arrived by the call's deadline. A call from a crashed host,
+    or a loopback call whose device failed, can never be answered: it
+    waits its pair's current deadline (below) and feeds no estimate.
 
     When no fault controller is installed nothing can be lost: the
     exchange runs in the calling fiber with no deadline armed and never
@@ -86,7 +90,8 @@ exception Unanswered
     pipelined calls queue behind each other, so each is allowed one RTO
     per call ahead of it. A call that expires doubles the pair's RTO
     (Karn's backoff), so a slow but live peer is reached within a few
-    attempts; the next answer recomputes it. A call to a service with a
+    attempts, and a caller that retries at once after an expiry backs
+    off with it; the next answer recomputes it. A call to a service with a
     [hold] waits [hold req] plus the cap and feeds no estimate.
 
     The exchange runs in a worker fiber while the caller waits for the

@@ -14,8 +14,6 @@ type t = {
   backpointer_k : int;
   fill_timeout_us : float;
   append_window : int;
-  retry_sleep_us : float;
-  retry_backoff_max_us : float;
   rpc_timeout_us : float;
 }
 
@@ -54,8 +52,6 @@ let default =
     backpointer_k = 4;
     fill_timeout_us = 100_000.;
     append_window = 8;
-    retry_sleep_us = 200.;
-    retry_backoff_max_us = 1_600.;
     (* The cluster fabric's RPC cap (Net.create): the cap on every
        call's deadline, and the deadline of a call made before its
        (calling host, serving host) pair has any answer; after that

@@ -27,10 +27,6 @@ type t = {
   append_window : int;
       (** max log entries a client keeps in flight concurrently (the
           paper's §6.1 append window, 8–256 in Fig. 8) *)
-  retry_sleep_us : float;
-      (** initial sleep between undecided-commit / settle retries *)
-  retry_backoff_max_us : float;
-      (** bound for the exponential backoff on those retries *)
   rpc_timeout_us : float;
       (** the cluster fabric's RPC cap ({!Net.create}): the cap on
           every call's deadline before the peer is presumed dead, and

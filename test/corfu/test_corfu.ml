@@ -2555,6 +2555,42 @@ let test_fill_loses_to_slow_append () =
       check_int "writer unaffected" 0 !landed;
       check_int "single allocation" 1 (Client.check r))
 
+(* An append whose first chain-head write is lost resends it once the
+   write's deadline has passed and one projection refresh has answered,
+   with no wait of its own between them: the deadline, which the fabric
+   backs off per host pair, is the only backoff. Only the writer ->
+   head edge drops, and only until just after the first send. *)
+let test_lost_head_write_resends_at_deadline () =
+  Sim.Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sim.Span.set_enabled false) @@ fun () ->
+  with_faulty_cluster ~servers:2 (fun cluster f ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      let head = Storage_node.name (Projection.replica_set (Client.projection w) 0).(0) in
+      Sim.Fault.degrade f ~src:"writer" ~dst:head ~drop:1.0 ();
+      Sim.Engine.spawn (fun () ->
+          Sim.Engine.sleep 1_000.;
+          Sim.Fault.clear_edge f ~src:"writer" ~dst:head);
+      check_int "the append keeps its offset" 0 (Client.append w ~streams:[ 1 ] (payload "x"));
+      let rpcs name =
+        List.filter
+          (fun (v : Sim.Span.view) -> v.v_name = name && v.v_host = Some "writer")
+          (Sim.Span.spans ())
+      in
+      let end_of (v : Sim.Span.view) = Option.get v.v_end in
+      match (rpcs "rpc.write", rpcs "rpc.await") with
+      | lost :: resent :: _, [ refresh ] ->
+          Alcotest.(check (float 1e-6))
+            "the lost write waited the cap (no answer yet)" timeout_us
+            (end_of lost -. lost.v_start);
+          Alcotest.(check (float 1e-6))
+            "the refresh leaves at the expiry" (end_of lost) refresh.v_start;
+          Alcotest.(check (float 1e-6))
+            "the resend leaves at the refresh's answer" (end_of refresh) resent.v_start;
+          check_int "one retry" 1 (Client.retries w)
+      | writes, awaits ->
+          Alcotest.failf "expected two head writes and one refresh, got %d and %d"
+            (List.length writes) (List.length awaits))
+
 (* ------------------------------------------------------------------ *)
 (* Wire: arena writers and borrowed cursors                           *)
 (* ------------------------------------------------------------------ *)
@@ -3012,6 +3048,27 @@ let test_resent_proposal_installs_once () =
       check_int "one installed milestone" 1 i;
       check_int "appends resume exactly" 10 (Client.append w ~streams:[ 1 ] (payload "after")))
 
+(* Two reconfigurations asked for at the same instant run one after
+   the other, and the second starts the instant the first installs: it
+   waits in line for the lock, not on a poll. *)
+let test_queued_reconfiguration_starts_at_install () =
+  with_faulty_cluster (fun cluster _ ->
+      let w = Cluster.new_client cluster ~name:"writer" in
+      for i = 1 to 10 do
+        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
+      done;
+      let second = Sim.Ivar.create () in
+      Sim.Engine.spawn (fun () -> Sim.Ivar.fill second (Cluster.replace_sequencer cluster));
+      let first = Cluster.replace_sequencer cluster in
+      check_int "the caller's runs first" 1 first;
+      check_int "the queued one runs next" 2 (Sim.Ivar.read second);
+      match Cluster.reconfigs cluster with
+      | [ r1; r2 ] ->
+          Alcotest.(check (float 1e-9))
+            "the second starts at the first's install" r1.Cluster.rc_installed_us
+            r2.Cluster.rc_started_us
+      | l -> Alcotest.failf "expected two reconfigs entries, got %d" (List.length l))
+
 (* A seal delivered but whose answer is lost is resent at the
    deadline, and the resend must answer as the first send did: a node
    or sequencer already sealed at the epoch refuses nothing new and
@@ -3439,6 +3496,8 @@ let () =
           Alcotest.test_case "fill completes torn append under delay" `Quick
             test_fill_completes_torn_append_under_delay;
           Alcotest.test_case "fill loses to slow append" `Quick test_fill_loses_to_slow_append;
+          Alcotest.test_case "a lost head write resends at its deadline" `Quick
+            test_lost_head_write_resends_at_deadline;
           Alcotest.test_case "outage flat in log size" `Quick test_recover_window_flat_in_log_size;
           Alcotest.test_case "spare dies mid-copy" `Quick test_recover_spare_dies_mid_copy;
         ] );
@@ -3452,6 +3511,8 @@ let () =
             test_rejected_scale_in_not_counted;
           Alcotest.test_case "a resent proposal installs once" `Quick
             test_resent_proposal_installs_once;
+          Alcotest.test_case "a queued reconfiguration starts at the install" `Quick
+            test_queued_reconfiguration_starts_at_install;
           Alcotest.test_case "a resent sequencer seal answers as the first" `Quick
             test_lost_sequencer_seal_answer;
           Alcotest.test_case "a resent storage seal answers as the first" `Quick

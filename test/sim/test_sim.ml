@@ -587,22 +587,35 @@ let test_fault_resource_fail_repair () =
       Resource.use r 1.;
       check_bool "repaired" false (Resource.failed r))
 
-(* A call to a dead host waits out its deadline; a call from a dead
-   host fails at once. The elapsed virtual time tells them apart: the
-   deadline for a timeout, 0 for a dead caller. One answered call of
-   round trip R sets the pair's RTO to R + max(4 R/2, 3 R) = 4 R, well
-   inside the fabric's 1 ms cap, so the dead server's call waits 4 R. *)
+(* A call to a dead host waits out its deadline, and so does a call
+   from a dead host or a loopback call on a failed device: [Unanswered]
+   comes only when a deadline passes, so a retry loop never spins at
+   one instant. One answered call of round trip R sets the pair's RTO
+   to R + max(4 R/2, 3 R) = 4 R, well inside the fabric's 1 ms cap, so
+   the dead server's call waits 4 R. The answered call after the
+   restart, of round trip R', recomputes the RTO from the smoothed
+   values (RFC 6298: SRTT = 7/8 R + 1/8 R', RTTVAR = 3/4 R/2 + 1/4
+   |R - R'|), and the crashed caller waits that RTO and feeds no
+   estimate. A host's calls to itself feed none either, so the failed
+   device's loopback call waits the whole cap. *)
 let test_fault_call_r_paths () =
   Engine.run (fun () ->
       let net = make_net ~timeout_us:1_000. () in
       let a = Net.add_host net "a" in
       let b = Net.add_host net "b" in
+      let c = Net.add_host net "c" in
       let f = Fault.create () in
       Net.install_fault net f;
       let echo = Net.service b ~name:"echo" (fun x -> x + 1) in
-      let unanswered what x =
+      let ssd = Resource.create ~name:"c.ssd" ~capacity:1 () in
+      let local =
+        Net.service c ~name:"local" (fun x ->
+            Resource.use ssd 10.;
+            x + 1)
+      in
+      let unanswered what ~from svc x =
         let t0 = Engine.now () in
-        match Net.call ~from:a echo x with
+        match Net.call ~from svc x with
         | r -> Alcotest.failf "%s: answered %d" what r
         | exception Net.Unanswered -> Engine.now () -. t0
       in
@@ -610,11 +623,23 @@ let test_fault_call_r_paths () =
       let rtt = Engine.now () in
       Fault.crash f "b";
       check_float "dead server: unanswered at the deadline" (4. *. rtt)
-        (unanswered "dead server" 1);
+        (unanswered "dead server" ~from:a echo 1);
       Fault.restart f "b";
+      let t1 = Engine.now () in
       check_int "restart restores the call" 6 (Net.call ~from:a echo 5);
+      let rtt' = Engine.now () -. t1 in
+      let srtt = (0.875 *. rtt) +. (0.125 *. rtt') in
+      let rttvar = (0.75 *. (rtt /. 2.)) +. (0.25 *. Float.abs (rtt -. rtt')) in
+      let rto = srtt +. Float.max (4. *. rttvar) (3. *. srtt) in
       Fault.crash f "a";
-      check_float "crashed caller: unanswered at once" 0. (unanswered "crashed caller" 1))
+      check_float "crashed caller: unanswered at its deadline" rto
+        (unanswered "crashed caller" ~from:a echo 1);
+      check_float "crashed caller: the estimate is unchanged" rto
+        (unanswered "crashed caller again" ~from:a echo 1);
+      check_int "loopback call on a healthy device" 3 (Net.call ~from:c local 2);
+      Resource.fail ssd;
+      check_float "loopback on a failed device: unanswered at the cap" 1_000.
+        (unanswered "failed device" ~from:c local 2))
 
 (* The response hop drops a message whose receiver died in flight,
    exactly like the request hop: a caller that crashes after the
