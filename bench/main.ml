@@ -1086,7 +1086,7 @@ let micro_hotpath () =
         for i = 0 to 3 do
           ignore (Tango.Batch_core.submit core recs.(i) [ 7 ] (Sim.Ivar.create ()))
         done;
-        Tango.Batch_core.seal core;
+        Tango.Batch_core.seal core ~now:0.;
         let count = Tango.Batch_core.group core ~max_run:8 in
         ignore (Tango.Batch_core.front_streams core);
         for _ = 1 to count do
@@ -1408,9 +1408,10 @@ let micro_hotpath () =
   (* append-record: 16 fibers on one runtime each issue [writes]
      register writes back to back over a fault-free 2-server cluster:
      the batched append path from submit to landed position (dispatch
-     charge, batch seal, linger timer, range grant, header and payload
-     encode, chain write, position wake). Timed from the spawns until
-     every fiber's last write has landed, reported per write. The
+     charge, batch seal, the linger timer armed and cancelled, range
+     grant, header and payload encode, chain write, position wake).
+     Timed from the spawns until every fiber's last write has landed,
+     reported per write. The
      log's last record is some fiber's last write, so a lost or
      reordered write shows in the value read back. *)
   let fibers = 16 and writes = 500 in

@@ -9,10 +9,13 @@
 #                        <= 1.15 x baseline — >15% wall-clock regression
 #                        fails. Pass two fresh runs to absorb machine
 #                        noise; the minimum is the machine's real speed.
-#   - minor_words_per_op: worst (maximum) across the NEW reports must be
-#                        <= baseline + 0.5 words. Allocation counts are
-#                        deterministic, so ANY regression fails; the 0.5
-#                        slack only covers amortised-growth rounding.
+#   - minor_words_per_op: every NEW report must be within 0.5 words of
+#                        the baseline, in either direction. Allocation
+#                        counts are deterministic, so ANY regression
+#                        fails, and so does any saving: a pin left above
+#                        the code's real count would let that kernel
+#                        regress back up to it unnoticed. The 0.5 slack
+#                        only covers amortised-growth rounding.
 # And for the whole-run scenario:
 #   - events-wall      : best events_per_wall_s must be >= baseline / 1.15.
 # A micro/* scenario in a NEW report with no baseline entry fails too:
@@ -25,7 +28,8 @@
 # best-of-N runs are compared against), eyeball them against the
 # previous baseline, and commit the new file together with the change
 # that shifted it — the diff of minor_words_per_op is the review
-# artifact. The minor-word counts are deterministic and must be
+# artifact. A change that only moves allocation re-pins only the
+# minor_words_per_op fields it moved and leaves the ns/op fields alone. The minor-word counts are deterministic and must be
 # identical across the three runs; if they differ, the kernel under
 # measurement is not allocation-stable and needs fixing first.
 set -euo pipefail
@@ -55,6 +59,7 @@ for k in $kernels; do
   b_w=$(jq -r --arg n "$k" '.scenarios[] | select(.name == $n) | .summary.minor_words_per_op' "$baseline")
   n_ns=$(jq -rs --arg n "$k" '[.[].scenarios[] | select(.name == $n) | .summary.ns_per_op] | min' "$@")
   n_w=$(jq -rs --arg n "$k" '[.[].scenarios[] | select(.name == $n) | .summary.minor_words_per_op] | max' "$@")
+  n_wmin=$(jq -rs --arg n "$k" '[.[].scenarios[] | select(.name == $n) | .summary.minor_words_per_op] | min' "$@")
   if [ "$n_ns" = "null" ] || [ "$n_w" = "null" ]; then
     echo "FAIL $k: kernel missing from new report" >&2
     fail=1
@@ -68,6 +73,11 @@ for k in $kernels; do
   fi
   if ! jq -ne --argjson new "$n_w" --argjson base "$b_w" '$new <= $base + 0.5' >/dev/null; then
     echo "FAIL $k: minor-words/op $n_w regressed past baseline $b_w" >&2
+    fail=1
+    ok=0
+  fi
+  if ! jq -ne --argjson new "$n_wmin" --argjson base "$b_w" '$new >= $base - 0.5' >/dev/null; then
+    echo "FAIL $k: minor-words/op $n_wmin fell below baseline $b_w: re-pin its minor_words_per_op in $baseline" >&2
     fail=1
     ok=0
   fi

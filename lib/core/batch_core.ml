@@ -4,9 +4,9 @@
 
    Everything is pooled: a submission writes three fields of a
    preallocated cell, sealing swaps the forming cell array into a
-   recycled batch record, the sealed queue is a ring, and the
-   sorted-deduped stream set lives in a per-batch int array computed
-   through a shared scratch buffer. Steady state allocates nothing per
+   batch record recycled through a {!Sim.Pool}, the sealed queue is a
+   ring, and the sorted-deduped stream set lives in a per-batch int
+   array computed through a shared scratch buffer. Steady state allocates nothing per
    record except what the caller hands in ([data]) and the payload
    copy at the encode boundary. *)
 
@@ -21,6 +21,7 @@ type 'a batch = {
   mutable b_len : int;
   mutable b_streams : int array;  (* sorted, deduped prefix *)
   mutable b_nstreams : int;
+  mutable b_sealed_us : float;  (* virtual time of its seal *)
 }
 
 type 'a t = {
@@ -31,11 +32,10 @@ type 'a t = {
   mutable ring : 'a batch array;  (* sealed queue; power-of-two capacity *)
   mutable rhead : int;
   mutable rlen : int;
-  mutable pool : 'a batch array;  (* recycled batches, stack *)
-  mutable plen : int;
+  pool : 'a batch Sim.Pool.t;  (* recycled batches *)
   mutable scratch : int array;  (* stream-set staging *)
   rec_scratch : Record.t array;  (* encode staging, [cap] slots *)
-  empty : 'a batch;  (* sentinel for vacant ring/pool slots *)
+  empty : 'a batch;  (* sentinel for vacant ring slots *)
 }
 
 (* Inert placeholder for vacated record slots: decisions carry no
@@ -44,7 +44,7 @@ let dummy_record = Record.Decision { d_target = 0; d_committed = false }
 
 let create ~cap ~dummy =
   if cap < 1 || cap > Record.slots_per_entry then invalid_arg "Batch_core.create: bad capacity";
-  let empty = { b_cells = [||]; b_len = 0; b_streams = [||]; b_nstreams = 0 } in
+  let empty = { b_cells = [||]; b_len = 0; b_streams = [||]; b_nstreams = 0; b_sealed_us = 0. } in
   {
     cap;
     dummy;
@@ -53,8 +53,7 @@ let create ~cap ~dummy =
     ring = Array.make 8 empty;
     rhead = 0;
     rlen = 0;
-    pool = Array.make 8 empty;
-    plen = 0;
+    pool = Sim.Pool.create ();
     scratch = Array.make 16 0;
     rec_scratch = Array.make cap dummy_record;
     empty;
@@ -138,26 +137,20 @@ let fresh_batch t =
     b_len = 0;
     b_streams = Array.make 8 0;
     b_nstreams = 0;
+    b_sealed_us = 0.;
   }
 
 (* Seal by swapping the forming cell array into a recycled batch — the
    cells (and the records/data they reference) move without copying,
    and the batch's cleared cells become the next forming array. *)
-let seal t =
+let seal t ~now =
   if t.forming_len > 0 then begin
-    let b =
-      if t.plen > 0 then begin
-        t.plen <- t.plen - 1;
-        let b = t.pool.(t.plen) in
-        t.pool.(t.plen) <- t.empty;
-        b
-      end
-      else fresh_batch t
-    in
+    let b = if Sim.Pool.is_empty t.pool then fresh_batch t else Sim.Pool.pop t.pool in
     let cells = b.b_cells in
     b.b_cells <- t.forming;
     t.forming <- cells;
     b.b_len <- t.forming_len;
+    b.b_sealed_us <- now;
     t.forming_len <- 0;
     compute_streams t b;
     ring_push t b
@@ -198,6 +191,10 @@ let front_streams t =
   if list_is first b.b_streams 0 b.b_nstreams then first
   else List.init b.b_nstreams (fun i -> b.b_streams.(i))
 
+let front_sealed_us t =
+  if t.rlen = 0 then invalid_arg "Batch_core.front_sealed_us: empty queue";
+  t.ring.(t.rhead land (Array.length t.ring - 1)).b_sealed_us
+
 let pop t =
   if t.rlen = 0 then invalid_arg "Batch_core.pop: empty queue";
   let mask = Array.length t.ring - 1 in
@@ -229,10 +226,4 @@ let recycle t b =
   done;
   b.b_len <- 0;
   b.b_nstreams <- 0;
-  if t.plen = Array.length t.pool then begin
-    let bigger = Array.make (2 * t.plen) t.empty in
-    Array.blit t.pool 0 bigger 0 t.plen;
-    t.pool <- bigger
-  end;
-  t.pool.(t.plen) <- b;
-  t.plen <- t.plen + 1
+  Sim.Pool.put t.pool b

@@ -3,17 +3,17 @@
     ({!Batcher}) so the drain-loop data path runs (and benchmarks)
     without a simulation.
 
-    Everything is pooled: cells, batch records, the sealed ring, the
-    per-batch stream-set arrays. Steady state allocates nothing per
-    record beyond the caller's ['a] completion data and the one
-    payload copy at the {!encode} boundary. A batch handed out by
+    Everything is pooled: cells, batch records (a {!Sim.Pool}), the
+    sealed ring, the per-batch stream-set arrays. Steady state
+    allocates nothing per record beyond the caller's ['a] completion
+    data and the one payload copy at the {!encode} boundary. A batch handed out by
     {!pop} stays owned by the caller until {!recycle} returns its
     cells to the pool; the ['a t] it came from must outlive it. *)
 
 type 'a cell
 
 (** A sealed batch: up to [cap] records plus their sorted, deduped
-    stream set. *)
+    stream set and its seal time. *)
 type 'a batch
 
 type 'a t
@@ -37,9 +37,10 @@ val capacity : 'a t -> int
     {!seal}. Raises [Invalid_argument] if already full. *)
 val submit : 'a t -> Record.t -> Corfu.Types.stream_id list -> 'a -> bool
 
-(** Seal the forming batch (no-op when empty): computes its stream
-    set and queues it, recycling pooled batch records. *)
-val seal : 'a t -> unit
+(** [seal t ~now] seals the forming batch (no-op when empty): computes
+    its stream set, stamps it with [now] (µs) and queues it, recycling
+    pooled batch records. *)
+val seal : 'a t -> now:float -> unit
 
 (** Length of the leading run of sealed batches sharing the front
     batch's stream set, capped at [max_run] — what one range grant
@@ -50,6 +51,10 @@ val group : 'a t -> max_run:int -> int
     (the boundary owns its data): the front batch's first submitted
     list when that already equals the set, else a fresh one. *)
 val front_streams : 'a t -> Corfu.Types.stream_id list
+
+(** The [now] the front batch was sealed at — the oldest queued seal.
+    Raises [Invalid_argument] on an empty queue. *)
+val front_sealed_us : 'a t -> float
 
 (** Dequeue the front batch. Raises [Invalid_argument] when empty. *)
 val pop : 'a t -> 'a batch

@@ -18,78 +18,27 @@ type t = {
   append_window : int;
   window : Sim.Resource.t;  (* bounds entries in flight *)
   core : int Sim.Ivar.t Batch_core.t;  (* cell data = the waiter's position ivar *)
-  mutable generation : int;  (* bumped on every seal; guards linger timers *)
-  (* Generations of armed linger timers whose fiber has not started
-     yet, a FIFO ring (power-of-two capacity): timers start in arm
-     order, each popping its own. *)
-  mutable armed : int array;
-  mutable armed_head : int;
-  mutable armed_len : int;
-  linger_body : unit -> unit;  (* every linger timer's fiber *)
+  mutable linger : Sim.Engine.timer;  (* the forming batch's, cancelled at its seal *)
+  linger_fire : unit -> unit;  (* every linger timer's thunk *)
   mutable drainer_busy : bool;
   grant_pool : grant_slot Sim.Pool.t;
   jobs : job Sim.Pool.t;
-  mutable entries : int;
-  mutable records : int;
   mutable inflight : int;
   mutable inflight_peak : int;
-  mutable grants : int;
   mutable granted_entries : int;
   grants_c : Sim.Metrics.counter;
   records_c : Sim.Metrics.counter;
   entries_c : Sim.Metrics.counter;
   depth_g : Sim.Metrics.gauge;  (* sealed-batch queue depth *)
-  (* Seal-time ring, FIFO-parallel to the sealed-batch queue: one
-     timestamp per seal, popped per drained batch. The head is the
-     oldest sealed batch still queued; its age is the sealed-queue-age
-     watermark. *)
-  mutable seal_ts : float array;
-  mutable seal_head : int;
-  mutable seal_len : int;
 }
 
-let seal_push t now =
-  let cap = Array.length t.seal_ts in
-  if t.seal_len = cap then begin
-    let bigger = Array.make (2 * cap) 0. in
-    for i = 0 to t.seal_len - 1 do
-      bigger.(i) <- t.seal_ts.((t.seal_head + i) mod cap)
-    done;
-    t.seal_ts <- bigger;
-    t.seal_head <- 0
-  end;
-  t.seal_ts.((t.seal_head + t.seal_len) mod Array.length t.seal_ts) <- now;
-  t.seal_len <- t.seal_len + 1
-
-let seal_pop t =
-  if t.seal_len > 0 then begin
-    t.seal_head <- (t.seal_head + 1) mod Array.length t.seal_ts;
-    t.seal_len <- t.seal_len - 1
-  end
-
+(* The sealed-queue-age watermark: how long the oldest sealed batch
+   still queued has waited. *)
 let sealed_age_us t =
-  if t.seal_len = 0 then 0. else Sim.Engine.now () -. t.seal_ts.(t.seal_head)
+  if Batch_core.queued t.core = 0 then 0.
+  else Sim.Engine.now () -. Batch_core.front_sealed_us t.core
 
 let linger_us = 30.
-
-let arm t generation =
-  let cap = Array.length t.armed in
-  if t.armed_len = cap then begin
-    let bigger = Array.make (2 * cap) 0 in
-    for i = 0 to t.armed_len - 1 do
-      bigger.(i) <- t.armed.((t.armed_head + i) land (cap - 1))
-    done;
-    t.armed <- bigger;
-    t.armed_head <- 0
-  end;
-  t.armed.((t.armed_head + t.armed_len) land (Array.length t.armed - 1)) <- generation;
-  t.armed_len <- t.armed_len + 1
-
-let armed_pop t =
-  let generation = t.armed.(t.armed_head) in
-  t.armed_head <- (t.armed_head + 1) land (Array.length t.armed - 1);
-  t.armed_len <- t.armed_len - 1;
-  generation
 
 let grant_take t =
   if Sim.Pool.is_empty t.grant_pool then
@@ -101,7 +50,6 @@ let write_entry t j =
   let batch = j.j_batch and gs = j.j_slot in
   let payload = Batch_core.encode t.core batch in
   let off = Corfu.Client.write_granted t.client gs.gr_grant ~index:j.j_index payload in
-  t.entries <- t.entries + 1;
   Sim.Metrics.incr t.entries_c;
   for slot = 0 to Batch_core.length batch - 1 do
     Sim.Ivar.fill (Batch_core.data batch slot) (Record.pos ~offset:off ~slot)
@@ -156,13 +104,11 @@ let rec drain t =
     let gs = grant_take t in
     Corfu.Client.reserve_into t.client gs.gr_grant ~streams ~count;
     gs.gr_refs <- count;
-    t.grants <- t.grants + 1;
     t.granted_entries <- t.granted_entries + count;
     Sim.Metrics.incr t.grants_c;
     let parent = Sim.Span.current () in
     for index = 0 to count - 1 do
       let batch = Batch_core.pop t.core in
-      seal_pop t;
       Sim.Resource.acquire t.window;
       t.inflight <- t.inflight + 1;
       if t.inflight > t.inflight_peak then t.inflight_peak <- t.inflight;
@@ -180,20 +126,11 @@ let kick t =
 
 let flush t =
   if Batch_core.forming_len t.core > 0 then begin
-    t.generation <- t.generation + 1;
-    Batch_core.seal t.core;
-    seal_push t (Sim.Engine.now ());
+    ignore (Sim.Engine.cancel t.linger : bool);
+    Batch_core.seal t.core ~now:(Sim.Engine.now ());
     Sim.Metrics.set_gauge t.depth_g (float_of_int (Batch_core.queued t.core));
     kick t
   end
-
-(* A linger timer: seals the batch it was armed for, unless that one
-   was sealed meanwhile. Fibers start in spawn order, so the ring's
-   head is this timer's generation. *)
-let linger t =
-  let generation = armed_pop t in
-  Sim.Engine.sleep linger_us;
-  if t.generation = generation then flush t
 
 let create ~client ~batch_size =
   if batch_size < 1 || batch_size > Record.slots_per_entry then
@@ -212,27 +149,18 @@ let create ~client ~batch_size =
       append_window;
       window;
       core = Batch_core.create ~cap:batch_size ~dummy:(Sim.Ivar.create ());
-      generation = 0;
-      armed = Array.make 8 0;
-      armed_head = 0;
-      armed_len = 0;
-      linger_body = (fun () -> linger t);
+      linger = Sim.Engine.no_timer;
+      linger_fire = (fun () -> flush t);
       drainer_busy = false;
       grant_pool = Sim.Pool.create ();
       jobs = Sim.Pool.create ();
-      entries = 0;
-      records = 0;
       inflight = 0;
       inflight_peak = 0;
-      grants = 0;
       granted_entries = 0;
       grants_c = Sim.Metrics.counter ~host:hname "batcher.grants";
       records_c = Sim.Metrics.counter ~host:hname "batcher.records";
       entries_c = Sim.Metrics.counter ~host:hname "batcher.entries";
       depth_g = Sim.Metrics.gauge ~host:hname "batcher.sealed_depth";
-      seal_ts = Array.make 64 0.;
-      seal_head = 0;
-      seal_len = 0;
     }
   in
   Sim.Timeseries.probe ~host:hname "batcher.sealed_age_us" (fun () -> sealed_age_us t);
@@ -243,19 +171,16 @@ let submit t ~streams record =
   let pos_iv = Sim.Ivar.create () in
   let was_empty = Batch_core.forming_len t.core = 0 in
   let full = Batch_core.submit t.core record streams pos_iv in
-  t.records <- t.records + 1;
   Sim.Metrics.incr t.records_c;
   if full then flush t
-  else if was_empty then begin
+  else if was_empty then
     (* First record of a fresh batch arms the linger timer. *)
-    arm t t.generation;
-    Sim.Engine.spawn t.linger_body
-  end;
+    t.linger <- Sim.Engine.schedule ~after:linger_us t.linger_fire;
   Sim.Ivar.read pos_iv
 
-let entries_appended t = t.entries
-let records_submitted t = t.records
+let entries_appended t = Sim.Metrics.counter_value t.entries_c
+let records_submitted t = Sim.Metrics.counter_value t.records_c
 let inflight t = t.inflight
 let inflight_peak t = t.inflight_peak
-let grants t = t.grants
+let grants t = Sim.Metrics.counter_value t.grants_c
 let granted_entries t = t.granted_entries

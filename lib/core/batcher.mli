@@ -5,7 +5,9 @@
     entry (§6). The batcher fills a forming batch as fibers submit
     records; the submission that completes a batch seals it, and a
     linger timer bounds the latency of partial batches under light
-    load.
+    load. The timer is one engine event ({!Sim.Engine.schedule}),
+    armed by a batch's first record and cancelled when the batch
+    seals full, so a full batch leaves nothing pending behind it.
 
     Sealed batches drain through a single fiber that reserves offsets
     from the sequencer in {e range grants} (one RPC for a run of
@@ -23,7 +25,9 @@ val linger_us : float
 
 (** [create ~client ~batch_size] builds a batcher appending through
     [client]; the client's {!Sim.Params.t.append_window} caps entries
-    in flight. *)
+    in flight. It registers the host's [batcher.sealed_age_us]
+    {!Sim.Timeseries} probe: now minus the seal time of the oldest
+    batch still queued for a grant, 0 when none is. *)
 val create : client:Corfu.Client.t -> batch_size:int -> t
 
 (** [submit t ~streams record] enqueues [record], destined for
@@ -32,10 +36,11 @@ val create : client:Corfu.Client.t -> batch_size:int -> t
     global position. *)
 val submit : t -> streams:Corfu.Types.stream_id list -> Record.t -> int
 
-(** Entries appended so far (for tests: measures batching ratio). *)
+(** Entries appended so far (for tests: measures batching ratio): the
+    host's [batcher.entries] counter in {!Sim.Metrics}. *)
 val entries_appended : t -> int
 
-(** Records submitted so far. *)
+(** Records submitted so far: the host's [batcher.records] counter. *)
 val records_submitted : t -> int
 
 (** Entries currently in flight (sealed, offset granted, chain write
@@ -46,7 +51,8 @@ val inflight : t -> int
     actually overlapped chain writes. *)
 val inflight_peak : t -> int
 
-(** Sequencer range grants taken so far. *)
+(** Sequencer range grants taken so far: the host's [batcher.grants]
+    counter. *)
 val grants : t -> int
 
 (** Entries allocated through those grants; [granted_entries / grants]

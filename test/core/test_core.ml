@@ -296,10 +296,10 @@ let test_batcher_linger_flushes_partial () =
       check_int "one entry" 1 (Batcher.entries_appended b);
       check_bool "waited for linger" true (Sim.Engine.now () >= Batcher.linger_us))
 
-(* A linger timer remembers the batch it was armed for. Here A's
-   timer is armed at 0 and B fills and seals that batch before the
-   timer's fiber starts; C opens the next batch at 10, arming its own
-   timer. A's timer, waking at 30, must leave C's batch alone: C's
+(* A linger timer belongs to the batch it was armed for. Here A's
+   timer is armed at 0 and B fills and seals that batch at the same
+   instant; C opens the next batch at 10, arming its own timer.
+   Nothing may seal C's batch at 30, where A's timer was due: C's
    batch is sealed by C's timer at 10 + linger. The sealed queue's
    depth shows it, while the drainer still waits for A and B's grant. *)
 let test_batcher_linger_keeps_its_batch () =
@@ -324,6 +324,71 @@ let test_batcher_linger_keeps_its_batch () =
       Sim.Engine.sleep 100_000.;
       check_int "all landed" 3 !landed;
       check_int "two entries" 2 (Batcher.entries_appended b))
+
+(* A batch that seals full takes its linger timer with it: no event
+   for it stays pending. Checked at one instant, before anything else
+   runs: the first record leaves exactly its timer pending, and the
+   record that fills the batch leaves exactly the drainer's start. *)
+let test_batcher_full_seal_cancels_linger () =
+  with_cluster (fun cluster ->
+      let cl = Corfu.Cluster.new_client cluster ~name:"app" in
+      let b = Batcher.create ~client:cl ~batch_size:2 in
+      let landed = ref 0 in
+      let submit i =
+        Sim.Engine.spawn (fun () ->
+            ignore
+              (Batcher.submit b ~streams:[ 1 ]
+                 (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode i }));
+            incr landed)
+      in
+      Sim.Engine.sleep 1_000.;
+      let before = Sim.Engine.pending_events () in
+      submit 0;
+      Sim.Engine.yield ();
+      check_int "a forming batch: its linger timer pending" (before + 1)
+        (Sim.Engine.pending_events ());
+      submit 1;
+      Sim.Engine.yield ();
+      check_int "sealed full: only the drainer's start pending" (before + 1)
+        (Sim.Engine.pending_events ());
+      Sim.Engine.sleep 100_000.;
+      check_int "both landed" 2 !landed;
+      check_int "one entry" 1 (Batcher.entries_appended b))
+
+(* The sealed-queue-age probe reads now minus the seal time of the
+   oldest batch still queued. A's batch is sealed by its timer at 30
+   and B and C fill the next at 32; the drainer waits for A's grant
+   past 45 (see above), so both stay queued. Once the queue drains the
+   probe reads 0. *)
+let test_batcher_sealed_age_probe () =
+  with_cluster (fun cluster ->
+      Sim.Timeseries.configure ~window_us:1_000. ~subticks:1 ();
+      let cl = Corfu.Cluster.new_client cluster ~name:"app" in
+      let b = Batcher.create ~client:cl ~batch_size:2 in
+      let depth = Sim.Metrics.gauge ~host:"app" "batcher.sealed_depth" in
+      List.iteri
+        (fun i at ->
+          Sim.Engine.spawn (fun () ->
+              Sim.Engine.sleep at;
+              ignore
+                (Batcher.submit b ~streams:[ 1 ]
+                   (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode i }))))
+        [ 0.; Batcher.linger_us +. 2.; Batcher.linger_us +. 2. ];
+      let age () =
+        Sim.Timeseries.tick ();
+        match Sim.Timeseries.find ~series:"probe:app.batcher.sealed_age_us" ~col:"last" with
+        | Some sel -> Sim.Timeseries.last sel
+        | None -> Alcotest.fail "sealed-age probe missing"
+      in
+      Alcotest.(check (float 0.)) "nothing sealed yet" 0. (age ());
+      Sim.Engine.sleep (Batcher.linger_us +. 5.);
+      Alcotest.(check (float 0.)) "two batches queued" 2. (Sim.Metrics.gauge_value depth);
+      Alcotest.(check (float 0.)) "age of the oldest seal" 5. (age ());
+      Sim.Engine.sleep 10.;
+      Alcotest.(check (float 0.)) "it keeps ageing" 15. (age ());
+      Sim.Engine.sleep 100_000.;
+      check_int "both entries landed" 2 (Batcher.entries_appended b);
+      Alcotest.(check (float 0.)) "queue drained" 0. (age ()))
 
 let test_batcher_deep_window_ordering () =
   (* With a deep append window, many entries fly concurrently — yet
@@ -1405,8 +1470,9 @@ let test_batch_core_lifecycle () =
   check_bool "first submit leaves room" false (Batch_core.submit bc r1 [ 9; 3; 3 ] 100);
   check_int "forming grows" 1 (Batch_core.forming_len bc);
   check_bool "cap-th submit reports full" true (Batch_core.submit bc r2 [ 3 ] 101);
-  Batch_core.seal bc;
+  Batch_core.seal bc ~now:5.;
   check_int "sealed" 1 (Batch_core.queued bc);
+  Alcotest.(check (float 0.)) "seal time" 5. (Batch_core.front_sealed_us bc);
   check_int "forming emptied" 0 (Batch_core.forming_len bc);
   (* Stream set: sorted, deduped union of the cells' streams. *)
   Alcotest.(check (list int)) "stream set" [ 3; 9 ] (Batch_core.front_streams bc);
@@ -1428,7 +1494,7 @@ let test_batch_core_grouping () =
   let r = List.hd sample_records in
   let seal_one streams =
     ignore (Batch_core.submit bc r streams ());
-    Batch_core.seal bc
+    Batch_core.seal bc ~now:(float_of_int (Batch_core.queued bc))
   in
   let sorted = [ 1; 2 ] in
   seal_one sorted;
@@ -1443,6 +1509,7 @@ let test_batch_core_grouping () =
   Batch_core.recycle bc (Batch_core.pop bc);
   Batch_core.recycle bc (Batch_core.pop bc);
   Alcotest.(check (list int)) "run breaker at front" [ 2 ] (Batch_core.front_streams bc);
+  Alcotest.(check (float 0.)) "front's own seal time" 2. (Batch_core.front_sealed_us bc);
   check_int "singleton run" 1 (Batch_core.group bc ~max_run:8);
   Batch_core.recycle bc (Batch_core.pop bc);
   Batch_core.recycle bc (Batch_core.pop bc);
@@ -1460,7 +1527,9 @@ let test_batch_core_pool_reuse () =
     for i = 0 to 2 do
       ignore (Batch_core.submit bc arr.(i mod Array.length arr) [ i ] ((round * 3) + i))
     done;
-    Batch_core.seal bc;
+    Batch_core.seal bc ~now:(float_of_int round);
+    Alcotest.(check (float 0.)) "recycled batch takes its new seal time" (float_of_int round)
+      (Batch_core.front_sealed_us bc);
     let b = Batch_core.pop bc in
     check_int "length" 3 (Batch_core.length b);
     for i = 0 to 2 do
@@ -1784,6 +1853,9 @@ let () =
           Alcotest.test_case "linger flushes partial" `Quick test_batcher_linger_flushes_partial;
           Alcotest.test_case "linger timer keeps its batch" `Quick
             test_batcher_linger_keeps_its_batch;
+          Alcotest.test_case "full seal cancels its linger" `Quick
+            test_batcher_full_seal_cancels_linger;
+          Alcotest.test_case "sealed-age probe" `Quick test_batcher_sealed_age_probe;
           Alcotest.test_case "deep window keeps log order" `Quick
             test_batcher_deep_window_ordering;
           Alcotest.test_case "pipelined writes linearizable" `Quick
