@@ -280,13 +280,24 @@ let fuzz_run seed seeds servers clients events appends txs plan_out spans report
   let failed = ref None in
   let s = ref seed in
   while Option.is_none !failed && !s < seed + seeds do
-    let plan = Fuzz.gen_plan ~seed:!s config in
-    let oc = Fuzz.run ?failpoint ~capture_spans:(spans && !s = seed) ~specs ~seed:!s config ~plan in
-    Fuzz.add_report ~name:(Printf.sprintf "fuzz-seed-%d" !s) ~seed:!s config oc;
+    let case =
+      {
+        Fuzz.sc_name = Printf.sprintf "fuzz-seed-%d" !s;
+        sc_seed = !s;
+        sc_config = config;
+        sc_plan = Fuzz.gen_plan ~seed:!s config;
+        sc_specs = specs;
+        sc_spec_deadline_us = None;
+        sc_failpoint = failpoint;
+        sc_monitors = [];
+      }
+    in
+    let oc = Fuzz.run ~capture_spans:(spans && !s = seed) case in
+    Fuzz.add_report case oc;
     say_outcome ~label:(Printf.sprintf "seed %d" !s) oc;
     (match oc.Fuzz.oc_violations with
     | [] -> ()
-    | v :: _ -> failed := Some (!s, plan, v.Verifier.v_oracle));
+    | v :: _ -> failed := Some (case, v.Verifier.v_oracle));
     incr s
   done;
   write_report report;
@@ -294,24 +305,13 @@ let fuzz_run seed seeds servers clients events appends txs plan_out spans report
   | None ->
       say "%d seed(s) explored, no violations" seeds;
       `Ok ()
-  | Some (seed, plan, oracle) ->
-      say "shrinking the seed-%d reproducer (oracle: %s)..." seed oracle;
-      let sh = Fuzz.shrink ?failpoint ~specs ~seed config plan ~oracle in
-      say_shrunk ~from:(List.length plan) sh;
+  | Some (case, oracle) ->
+      say "shrinking the seed-%d reproducer (oracle: %s)..." case.Fuzz.sc_seed oracle;
+      let sh = Fuzz.shrink case ~oracle in
+      say_shrunk ~from:(List.length case.Fuzz.sc_plan) sh;
       Option.iter
         (fun path ->
-          write_file path
-            (Scenario.encode
-               {
-                 Scenario.sc_name = Printf.sprintf "fuzz-seed-%d" seed;
-                 sc_seed = seed;
-                 sc_config = config;
-                 sc_plan = sh.Fuzz.sh_plan;
-                 sc_specs = specs;
-                 sc_spec_deadline_us = None;
-                 sc_failpoint = failpoint;
-                 sc_monitors = [];
-               });
+          write_file path (Scenario.encode { case with sc_plan = sh.Fuzz.sh_plan });
           say "reproducer scenario -> %s" path)
         plan_out;
       exit 1
@@ -325,7 +325,7 @@ let fuzz_shrink plan_file out oracle =
     | None -> (
         (* no oracle named: re-run the scenario and minimize against
            whatever fires first *)
-        match (Scenario.run sc).Fuzz.oc_violations with
+        match (Fuzz.run sc).Fuzz.oc_violations with
         | [] -> None
         | v :: _ -> Some v.Verifier.v_oracle)
   in
@@ -335,14 +335,9 @@ let fuzz_shrink plan_file out oracle =
       say "scenario no longer reproduces any violation; nothing to shrink";
       `Ok ()
   | Some oracle ->
-      let sh =
-        Fuzz.shrink ?failpoint:sc.Scenario.sc_failpoint ~specs:sc.Scenario.sc_specs
-          ?spec_deadline_us:sc.Scenario.sc_spec_deadline_us ~monitors:sc.Scenario.sc_monitors
-          ~seed:sc.Scenario.sc_seed
-          sc.Scenario.sc_config sc.Scenario.sc_plan ~oracle
-      in
-      say_shrunk ~from:(List.length sc.Scenario.sc_plan) sh;
-      write_file out (Scenario.encode { sc with Scenario.sc_plan = sh.Fuzz.sh_plan });
+      let sh = Fuzz.shrink sc ~oracle in
+      say_shrunk ~from:(List.length sc.Fuzz.sc_plan) sh;
+      write_file out (Scenario.encode { sc with Fuzz.sc_plan = sh.Fuzz.sh_plan });
       say "shrunk scenario -> %s" out;
       `Ok ()
 
@@ -380,7 +375,7 @@ let load_scenario name file =
       | Some sc -> sc
       | None ->
           say "unknown built-in scenario %S; available:" n;
-          List.iter (fun sc -> say "  %s" sc.Scenario.sc_name) Scenario.builtins;
+          List.iter (fun sc -> say "  %s" sc.Fuzz.sc_name) Scenario.builtins;
           exit 2)
   | None, Some f -> Scenario.decode (read_file f)
   | _ ->
@@ -391,14 +386,14 @@ let scenario_list json =
   if json then
     say "%s"
       (Sim.Jout.arr
-         (List.map (fun sc -> Sim.Jout.str sc.Scenario.sc_name) Scenario.builtins))
+         (List.map (fun sc -> Sim.Jout.str sc.Fuzz.sc_name) Scenario.builtins))
   else begin
     say "built-in scenarios:";
     List.iter
       (fun sc ->
-        say "  %-36s seed %d, %d fault events, %d specs" sc.Scenario.sc_name sc.Scenario.sc_seed
-          (List.length sc.Scenario.sc_plan)
-          (List.length sc.Scenario.sc_specs))
+        say "  %-36s seed %d, %d fault events, %d specs" sc.Fuzz.sc_name sc.Fuzz.sc_seed
+          (List.length sc.Fuzz.sc_plan)
+          (List.length sc.Fuzz.sc_specs))
       Scenario.builtins
   end;
   `Ok ()
@@ -412,9 +407,9 @@ let scenario_run name file report spans =
   harness_errors @@ fun () ->
   let sc = load_scenario name file in
   start_report report;
-  let oc = Scenario.run ~capture_spans:spans sc in
-  Fuzz.add_report ~name:sc.Scenario.sc_name ~seed:sc.Scenario.sc_seed sc.Scenario.sc_config oc;
-  say_outcome ~label:(Printf.sprintf "scenario %s (seed %d)" sc.Scenario.sc_name sc.Scenario.sc_seed)
+  let oc = Fuzz.run ~capture_spans:spans sc in
+  Fuzz.add_report sc oc;
+  say_outcome ~label:(Printf.sprintf "scenario %s (seed %d)" sc.Fuzz.sc_name sc.Fuzz.sc_seed)
     oc;
   write_report report;
   if oc.Fuzz.oc_violations = [] then `Ok () else exit 1

@@ -17,7 +17,11 @@
 #                        regress back up to it unnoticed. The 0.5 slack
 #                        only covers amortised-growth rounding.
 # And for the whole-run scenario:
-#   - events-wall      : best events_per_wall_s must be >= baseline / 1.15.
+#   - events-wall      : best events_per_wall_s must be >= baseline / 1.15,
+#                        and every NEW report's events and appends must
+#                        equal the baseline's. Both counts are
+#                        deterministic, so any change in either
+#                        direction fails and asks for a re-pin.
 # A micro/* scenario in a NEW report with no baseline entry fails too:
 # a kernel added without a baseline would otherwise go ungated.
 #
@@ -99,6 +103,16 @@ if [ -n "$b_ev" ] && [ "$b_ev" != "null" ]; then
   else
     printf 'ok   %-24s %10s events/wall-s (baseline %s)\n' "micro/events-wall" "$n_ev" "$b_ev"
   fi
+  for field in events appends; do
+    b_n=$(jq -r --arg f "$field" '.scenarios[] | select(.name == "micro/events-wall") | .summary[$f]' "$baseline")
+    for new in "$@"; do
+      n_n=$(jq -r --arg f "$field" '.scenarios[] | select(.name == "micro/events-wall") | .summary[$f]' "$new")
+      if [ "$b_n" = "null" ] || [ "$n_n" != "$b_n" ]; then
+        echo "FAIL events-wall: $field $n_n in $new differs from baseline $b_n: re-pin its $field in $baseline" >&2
+        fail=1
+      fi
+    done
+  done
 fi
 
 exit $fail

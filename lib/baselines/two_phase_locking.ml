@@ -16,7 +16,7 @@ type t = { fabric : Sim.Net.t; ts_host : Sim.Net.host; ts_svc : (unit, int) Sim.
 let service_us = 2.
 
 let create ~net =
-  let ts_host = Sim.Net.add_host ~cores:32 net "2pl-timestamp-server" in
+  let ts_host = Sim.Net.add_host net "2pl-timestamp-server" in
   let counter = ref 0 in
   let counter_cpu = Sim.Resource.create ~name:"2pl-ts.counter" ~capacity:1 () in
   let ts_svc =
@@ -49,7 +49,9 @@ let unlock_one node ts key =
 
 let add_node t ~name =
   let host = Sim.Net.add_host t.fabric name in
-  let charge () = Sim.Resource.use (Sim.Net.host_cpu host) service_us in
+  let cpu = Sim.Resource.create ~name:(name ^ ".cpu") ~capacity:8 () in
+  Sim.Metrics.track_resource cpu;
+  let charge () = Sim.Resource.use cpu service_us in
   let rec node =
     lazy
       {

@@ -244,19 +244,8 @@ type seq_request = Grant of int | Peek
    and retries against the new projection's sequencer; an unanswered
    one refreshes the projection and retries. Each grant
    attempt is one [sequencer.grant] section; a peek is one [check_tail]
-   section around its attempt, wait and retry. *)
-let rec sequencer_request t req ~streams =
-  match req with
-  | Grant _ -> sequencer_attempt t req ~streams
-  | Peek -> (
-      let tok = Sim.Span.enter t.check_tail_s () in
-      match sequencer_attempt t Peek ~streams with
-      | a ->
-          Sim.Span.leave t.check_tail_s tok;
-          a
-      | exception e -> Sim.Span.leave_raise t.check_tail_s tok e)
-
-and sequencer_attempt t req ~streams =
+   section around its attempts, waits and retries. *)
+let rec sequencer_attempt t req ~streams =
   match
     match req with
     | Grant count -> (
@@ -278,11 +267,22 @@ and sequencer_attempt t req ~streams =
   | Sequencer.Seq_ok a -> a
   | Sequencer.Seq_sealed e ->
       await_epoch t e;
-      sequencer_request t req ~streams
+      sequencer_attempt t req ~streams
   | exception Sim.Net.Unanswered ->
       note_failure t;
       down_retry t;
       sequencer_attempt t req ~streams
+
+let sequencer_request t req ~streams =
+  match req with
+  | Grant _ -> sequencer_attempt t req ~streams
+  | Peek -> (
+      let tok = Sim.Span.enter t.check_tail_s () in
+      match sequencer_attempt t Peek ~streams with
+      | a ->
+          Sim.Span.leave t.check_tail_s tok;
+          a
+      | exception e -> Sim.Span.leave_raise t.check_tail_s tok e)
 
 (* The commit of a written entry: our own playback will want it next,
    so cache it and save the round trip; announce the ack. *)

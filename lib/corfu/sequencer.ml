@@ -178,7 +178,7 @@ let handle_peek t { pepoch; pstreams } =
   end
 
 let create ~net ~name ~(params : Sim.Params.t) ?(initial_tail = 0) ?(initial_streams = []) () =
-  let seq_host = Sim.Net.add_host ~cores:32 net name in
+  let seq_host = Sim.Net.add_host net name in
   let counter_cpu = Sim.Resource.create ~name:(name ^ ".counter") ~capacity:1 () in
   Sim.Metrics.track_resource counter_cpu;
   (* Grant-backlog watermark: fibers queued on the counter CPU are

@@ -30,9 +30,9 @@ val name : t -> string
 val host : t -> Sim.Net.host
 
 (** The node's simulated flash device. Exposed so fault plans can fail
-    it ({!Sim.Resource.fail} via a {!Sim.Fault.Custom} action): reads
-    and writes then raise into their RPCs, which the failure monitor
-    sees as a dead member. *)
+    it (a plan's [ssd-fail HOST] custom action, which the harness runs
+    as {!Sim.Resource.fail}): reads and writes then raise into their
+    RPCs, which the failure monitor sees as a dead member. *)
 val ssd : t -> Sim.Resource.t
 
 (** {2 RPC endpoints} — fields, so clients embed them in projections. *)

@@ -60,6 +60,17 @@ let validate_monitor m =
   if not (m.mo_objective >= 0. && m.mo_objective < 1.) then
     bad (Printf.sprintf "objective = %g, must be in [0, 1)" m.mo_objective)
 
+type case = {
+  sc_name : string;
+  sc_seed : int;
+  sc_config : config;
+  sc_plan : (float * Sim.Fault.action) list;
+  sc_specs : Spec.spec list;
+  sc_spec_deadline_us : float option;
+  sc_failpoint : string option;
+  sc_monitors : monitor list;
+}
+
 let workload_streams = [| 10; 11; 12 |]
 let map_oid = 1
 let set_oid = 2
@@ -67,10 +78,6 @@ let set_oid = 2
 (* ------------------------------------------------------------------ *)
 (* Plan generation                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Placeholder for generated [Custom] actions; {!run} rebinds
-   every custom thunk against the live cluster before scheduling. *)
-let unbound_thunk () = invalid_arg "Fuzz: custom action thunk was not rebound"
 
 (* The generator is make-whole by construction — every crash gets a
    restart, every partition a heal, every degraded edge a clear, every
@@ -114,7 +121,7 @@ let gen_plan ~seed config =
   let pair_dt () = 12_000. +. Sim.Rng.float rng 28_000. in
   let events = ref [] in
   let push e = events := e :: !events in
-  let push_replace_sequencer () = push (t_any (), Sim.Fault.Custom ("replace-sequencer", unbound_thunk)) in
+  let push_replace_sequencer () = push (t_any (), Chaos.custom Replace_sequencer) in
   for _ = 1 to config.f_events do
     match Sim.Rng.int rng 8 with
     | 0 | 1 -> (
@@ -144,8 +151,8 @@ let gen_plan ~seed config =
         | Some c ->
             let h = member_of c in
             let t = t_storage () in
-            push (t, Sim.Fault.Custom ("ssd-fail " ^ h, unbound_thunk));
-            push (t +. pair_dt (), Sim.Fault.Custom ("ssd-repair " ^ h, unbound_thunk))
+            push (t, Chaos.custom (Ssd_fail h));
+            push (t +. pair_dt (), Chaos.custom (Ssd_repair h))
         | None -> push_replace_sequencer ())
     | 4 ->
         (* lossy, slow edge between one appender and one storage node;
@@ -171,92 +178,11 @@ let gen_plan ~seed config =
            chain even when scale events race. *)
         if (not !scale_in_used) && Sim.Rng.bool rng 0.5 then begin
           scale_in_used := true;
-          push (t_any (), Sim.Fault.Custom ("scale-in 2", unbound_thunk))
+          push (t_any (), Chaos.custom (Scale_in 2))
         end
-        else push (t_any (), Sim.Fault.Custom ("scale-out 2", unbound_thunk))
+        else push (t_any (), Chaos.custom (Scale_out 2))
   done;
   List.sort (fun (a, _) (b, _) -> Float.compare a b) !events
-
-(* ------------------------------------------------------------------ *)
-(* Rebinding custom actions against a live cluster                    *)
-(* ------------------------------------------------------------------ *)
-
-let find_node cluster name =
-  Array.find_opt
-    (fun n -> String.equal (Storage_node.name n) name)
-    (Cluster.storage_nodes cluster)
-
-let tail_members cluster =
-  let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
-  Array.fold_left
-    (fun acc chain -> acc + Array.length chain)
-    0 (Projection.tail_segment proj).Projection.seg_sets
-
-(* Thunks must not suspend ({!Sim.Fault.Custom}), so cluster
-   reconfigurations run in spawned fibers — serialized against the
-   failure monitor by the cluster's reconfiguration lock. *)
-let custom_thunk cluster name () =
-  let skipped reason =
-    if Sim.Announce.active () then
-      Sim.Announce.emit (Sim.Announce.Action_skipped { action = name; reason })
-  in
-  match String.split_on_char ' ' name with
-  | [ "replace-sequencer" ] ->
-      Sim.Engine.spawn (fun () -> ignore (Cluster.replace_sequencer cluster))
-  | [ "scale-out"; k ] ->
-      let k = int_of_string k in
-      Sim.Engine.spawn (fun () ->
-          if (tail_members cluster + k) mod 2 = 0 then
-            ignore (Cluster.scale_out cluster ~add_servers:k)
-          else skipped "odd tail geometry")
-  | [ "scale-in"; k ] ->
-      let k = int_of_string k in
-      Sim.Engine.spawn (fun () ->
-          let members = tail_members cluster in
-          if members - k >= 2 && (members - k) mod 2 = 0 then
-            ignore (Cluster.scale_in cluster ~remove_servers:k)
-          else skipped (Printf.sprintf "tail has %d members" members))
-  | [ "ssd-fail"; node ] -> (
-      match find_node cluster node with
-      | Some n -> Sim.Resource.fail (Storage_node.ssd n)
-      | None -> skipped "node not in cluster")
-  | [ "ssd-repair"; node ] -> (
-      match find_node cluster node with
-      | Some n -> if Sim.Resource.failed (Storage_node.ssd n) then Sim.Resource.repair (Storage_node.ssd n)
-      | None -> skipped "node not in cluster")
-  | _ -> invalid_arg (Printf.sprintf "Fuzz: unknown custom fault action %S" name)
-
-let rebind cluster action =
-  match action with
-  | Sim.Fault.Custom (name, _) -> Sim.Fault.Custom (name, custom_thunk cluster name)
-  | other -> other
-
-(* After the workload (or its deadline) the plan is inverted — restarts
-   for crashes, heal for partitions, clears for degrades, repairs for
-   SSD failures — so the oracle phase judges a whole system. Shrunk
-   plans may have lost their recovery partners; this keeps "drop the
-   heal" candidates from turning every oracle into a liveness stall.
-   {!Sim.Fault.apply} ignores a restart, heal or clear whose fault is
-   no longer in force, so a recovery the plan already made (or makes
-   later) is not counted or announced twice. An SSD repair is a custom
-   the controller cannot see into, so it is guarded here. *)
-let make_whole fault cluster plan =
-  List.iter
-    (fun (_, action) ->
-      match action with
-      | Sim.Fault.Crash h -> Sim.Fault.apply fault (Sim.Fault.Restart h)
-      | Sim.Fault.Partition _ -> Sim.Fault.apply fault Sim.Fault.Heal
-      | Sim.Fault.Degrade { d_src; d_dst; _ } ->
-          Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst))
-      | Sim.Fault.Custom (name, _) when String.length name > 9 && String.sub name 0 9 = "ssd-fail " -> (
-          let node = String.sub name 9 (String.length name - 9) in
-          match find_node cluster node with
-          | Some n when Sim.Resource.failed (Storage_node.ssd n) ->
-              let repair = "ssd-repair " ^ node in
-              Sim.Fault.apply fault (Sim.Fault.Custom (repair, custom_thunk cluster repair))
-          | Some _ | None -> ())
-      | Sim.Fault.Restart _ | Sim.Fault.Heal | Sim.Fault.Clear_edge _ | Sim.Fault.Custom _ -> ())
-    plan
 
 (* ------------------------------------------------------------------ *)
 (* One fuzz run                                                       *)
@@ -278,11 +204,12 @@ type outcome = {
   oc_timeseries_json : string option;  (* when monitors were armed *)
 }
 
-let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(monitors = []) ~seed
-    config ~plan =
-  List.iter validate_monitor monitors;
+let run ?(capture_spans = false) case =
+  let { sc_seed = seed; sc_config = config; sc_plan = plan; sc_specs = specs; _ } = case in
+  List.iter validate_monitor case.sc_monitors;
+  Chaos.validate_plan plan;
   Tango.Runtime.reset_failpoints ();
-  (match failpoint with Some n -> Tango.Runtime.enable_failpoint n | None -> ());
+  Option.iter Tango.Runtime.enable_failpoint case.sc_failpoint;
   (* Arm the flight recorder so any oracle violation ships with its
      last-N-events context; restored to the caller's setting on exit. *)
   let flight_was = Sim.Flight.enabled () in
@@ -312,9 +239,7 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
   let main () =
     let cluster = Cluster.create ~servers:config.f_servers () in
     Cluster.start_failure_monitor cluster;
-    let fault =
-      Chaos.install ~seed ~plan:(List.map (fun (at, a) -> (at, rebind cluster a)) plan) cluster
-    in
+    let fault = Chaos.install ~seed ~plan cluster in
     (* -------- online spec machines: a dedicated follower client
        discharges readability obligations by stream visibility (raw
        offset reads would miss broken backpointer chains) *)
@@ -353,8 +278,8 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
       in
       spec_plane :=
         Some
-          (Spec.arm ~specs ?commit_deadline_us:spec_deadline_us
-             ?reconfig_deadline_us:spec_deadline_us
+          (Spec.arm ~specs ?commit_deadline_us:case.sc_spec_deadline_us
+             ?reconfig_deadline_us:case.sc_spec_deadline_us
              ~streams:(Array.to_list workload_streams) ~follow ~confirm ())
     end;
     (* -------- workload: per client, one appender + one transactor *)
@@ -415,7 +340,7 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
     (* -------- SLO monitors. The ticker tracks only the metrics
        registered before it starts, so it starts once every workload
        client and runtime exists. *)
-    if monitors <> [] then begin
+    if case.sc_monitors <> [] then begin
       Sim.Timeseries.start ();
       armed :=
         List.map
@@ -423,7 +348,7 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
             ( m,
               Sim.Slo.monitor ~name:m.mo_name ~series:m.mo_series ~col:m.mo_col
                 ~threshold:m.mo_threshold ~objective:m.mo_objective () ))
-          monitors
+          case.sc_monitors
     end;
     (* -------- wait for the workload, bounded by the deadline.
        Liveness is judged against a {e whole} system: shortly after the
@@ -445,7 +370,7 @@ let run ?failpoint ?(capture_spans = false) ?(specs = []) ?spec_deadline_us ?(mo
       Float.min (last +. config.f_repair_margin_us) config.f_deadline_us
     in
     await whole_at;
-    make_whole fault cluster plan;
+    Chaos.make_whole fault cluster plan;
     await config.f_deadline_us;
     if !done_count < total_fibers then
       blame "liveness" "%d/%d workload fibers finished by the %.0fus deadline" !done_count
@@ -621,13 +546,14 @@ let sort_plan p = List.sort (fun (a, _) (b, _) -> Float.compare a b) p
    oracle still fires" — a candidate that merely trips a different
    invariant is rejected, so the reproducer explains the original
    failure, not a new one. Budgeted in re-runs ([f_shrink_runs]). *)
-let shrink ?failpoint ?(specs = []) ?spec_deadline_us ?monitors ~seed config plan ~oracle =
+let shrink case ~oracle =
+  let config = case.sc_config in
   let runs = ref 0 in
   let fails p =
     !runs < config.f_shrink_runs
     && begin
          incr runs;
-         let oc = run ?failpoint ~specs ?spec_deadline_us ?monitors ~seed config ~plan:p in
+         let oc = run { case with sc_plan = p } in
          List.exists (fun v -> String.equal v.Verifier.v_oracle oracle) oc.oc_violations
        end
   in
@@ -643,7 +569,7 @@ let shrink ?failpoint ?(specs = []) ?spec_deadline_us ?monitors ~seed config pla
     let p' = try_idx 0 p in
     if List.length p' < n then drop_pass p' else p'
   in
-  let p = drop_pass plan in
+  let p = drop_pass case.sc_plan in
   (* 2. bisect each event's time toward the window start *)
   let floor_t = config.f_fault_at_us in
   let bisect p =
@@ -780,10 +706,10 @@ let decode_config v =
   validate_config c;
   c
 
-let add_report ~name ~seed config oc =
+let add_report case oc =
   let count n = float_of_int n in
-  Report.add_scenario ~name ~seed
-    ~params:(config_fields config)
+  Report.add_scenario ~name:case.sc_name ~seed:case.sc_seed
+    ~params:(config_fields case.sc_config)
     ~summary:
       [
         ("acked_appends", count oc.oc_acked);

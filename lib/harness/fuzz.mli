@@ -1,14 +1,14 @@
 (** Simulation fuzzer: randomized fault-plan exploration with global
     invariant oracles and automatic plan shrinking (DESIGN.md §9).
 
-    A fuzz case is the triple (seed, {!config}, plan). Everything the
-    case does — engine scheduling, fault randomness, workload
-    randomness — derives from the seed, so {!run} on the same triple
-    reproduces the same virtual-time trace byte for byte: metrics and
-    span dumps from a replay compare equal with [cmp]. A failing
-    triple, shrunk, is saved as a {!Scenario} together with the specs
-    and failpoint it ran under, so [tangoctl scenario run] replays it
-    with no other input.
+    A fuzz case ({!case}) is plain data: a seed, a {!config}, a fault
+    plan, and the specs, monitors and failpoint to run under.
+    Everything the case does — engine scheduling, fault randomness,
+    workload randomness — derives from the seed, so {!run} on the same
+    case reproduces the same virtual-time trace byte for byte: metrics
+    and span dumps from a replay compare equal with [cmp]. A failing
+    case, shrunk, is saved as a {!Scenario} document, so
+    [tangoctl scenario run] replays it with no other input.
 
     Generated plans are {e make-whole}: every fault carries a recovery
     partner, and storage faults are serialized onto disjoint chains, so
@@ -64,10 +64,25 @@ type monitor = {
     @raise Invalid_argument naming the monitor and the field. *)
 val validate_monitor : monitor -> unit
 
+(** One fuzz case, the record a {!Scenario} document encodes. *)
+type case = {
+  sc_name : string;
+  sc_seed : int;
+  sc_config : config;
+  sc_plan : (float * Sim.Fault.action) list;
+      (** every custom action names a {!Chaos.op} *)
+  sc_specs : Spec.spec list;
+  sc_spec_deadline_us : float option;
+      (** overrides both spec deadlines; finite, > 0 and below the
+          config's [horizon_us] *)
+  sc_failpoint : string option;  (** {!Tango.Runtime.enable_failpoint} name, if any *)
+  sc_monitors : monitor list;
+}
+
 (** [gen_plan ~seed config] draws a random make-whole fault plan:
     storage crash/restart, single-node partition/heal, appender→storage
-    degrade/clear, SSD fail/repair, sequencer replacement, and
-    scale-out/in customs. The sequencer, auxiliary, and client hosts
+    degrade/clear, and {!Chaos.op} customs: SSD fail/repair, sequencer
+    replacement and scale-out/in. The sequencer, auxiliary, and client hosts
     are never crashed or partitioned: their RPCs carry deadlines, but
     nothing replaces a dead sequencer or auxiliary, so sequencer loss
     comes only through [replace-sequencer] customs. At most one
@@ -100,43 +115,37 @@ type outcome = {
       (** {!Sim.Timeseries.to_json}, when monitors were armed *)
 }
 
-(** [run ?failpoint ?capture_spans ~seed config ~plan] executes one
-    fuzz case: boot a cluster, start the failure monitor, schedule
-    [plan] (rebinding [Custom] thunks against the live cluster), drive
-    the randomized workload, make the system whole, settle, then judge
-    every {!Verifier} oracle with fresh observer clients. [failpoint]
-    enables a failpoint ({!Tango.Runtime.enable_failpoint}) for the duration (sensitivity
-    testing); failpoints are reset on exit even on exceptions. Engine
+(** [run ?capture_spans case] executes one fuzz case: boot a cluster,
+    start the failure monitor, schedule the plan through
+    {!Chaos.install}, drive the randomized workload, make the system
+    whole, settle, then judge every {!Verifier} oracle with fresh
+    observer clients. [capture_spans] (default [false]) records the
+    run's span timeline into [oc_spans_json]. The case's failpoint
+    ({!Tango.Runtime.enable_failpoint}) is enabled for the duration
+    (sensitivity testing) and reset on exit even on exceptions. Engine
     deadlock or horizon overrun is reported as a ["liveness"]
     violation, an escaped exception as ["exception"].
 
-    [specs] arms the named {!Spec} machines for the run: a dedicated
-    follower client discharges readability obligations, the machines
-    fire mid-run, and their firings are folded into [oc_violations]
-    with oracle [spec:<name>] — first-class shrink targets.
-    [spec_deadline_us] overrides both spec deadlines (default 400 ms
-    virtual). Arming specs changes the event schedule, so traces are
-    only comparable between runs armed with the same [specs].
+    The case's specs arm the named {!Spec} machines for the run: a
+    dedicated follower client discharges readability obligations, the
+    machines fire mid-run, and their firings are folded into
+    [oc_violations] with oracle [spec:<name>] — first-class shrink
+    targets. [sc_spec_deadline_us] overrides both spec deadlines
+    (default 400 ms virtual). Arming specs changes the event schedule,
+    so traces are only comparable between runs armed with the same
+    specs.
 
-    [monitors] starts the {!Sim.Timeseries} ticker and arms one
+    Its monitors start the {!Sim.Timeseries} ticker and arm one
     {!Sim.Slo} monitor each, once every workload client and runtime
     exists (the ticker tracks only metrics registered before it
     starts). An alert is an output, not a violation: it lands in
     [oc_alerts], and a firing takes a flight snapshot. Monitors change
-    the event schedule the way [specs] do.
-    @raise Invalid_argument on a monitor {!validate_monitor} rejects,
-    or, after the run, on a monitor whose series or column never
-    appeared (it judged nothing). *)
-val run :
-  ?failpoint:string ->
-  ?capture_spans:bool ->
-  ?specs:Spec.spec list ->
-  ?spec_deadline_us:float ->
-  ?monitors:monitor list ->
-  seed:int ->
-  config ->
-  plan:(float * Sim.Fault.action) list ->
-  outcome
+    the event schedule the way specs do.
+    @raise Invalid_argument before the run on a monitor
+    {!validate_monitor} rejects or a custom action that names no
+    {!Chaos.op}, or, after the run, on a monitor whose series or
+    column never appeared (it judged nothing). *)
+val run : ?capture_spans:bool -> case -> outcome
 
 type shrink_result = {
   sh_plan : (float * Sim.Fault.action) list;  (** the minimal reproducer *)
@@ -144,24 +153,15 @@ type shrink_result = {
   sh_oracle : string;  (** the oracle the minimal plan still trips *)
 }
 
-(** [shrink ?failpoint ~seed config plan ~oracle] minimizes [plan]
-    while the named oracle keeps firing: greedy event removal to a
-    fixpoint, per-event time bisection toward the window start, then
-    partition-component narrowing. A candidate that trips only a
-    {e different} oracle is rejected — the reproducer explains the
-    original failure. Bounded by [config.f_shrink_runs] re-runs.
-    [specs] re-arms the same spec machines on every candidate run, so
-    [spec:<name>] oracles shrink like any other; [monitors] likewise. *)
-val shrink :
-  ?failpoint:string ->
-  ?specs:Spec.spec list ->
-  ?spec_deadline_us:float ->
-  ?monitors:monitor list ->
-  seed:int ->
-  config ->
-  (float * Sim.Fault.action) list ->
-  oracle:string ->
-  shrink_result
+(** [shrink case ~oracle] minimizes the case's plan while the named
+    oracle keeps firing: greedy event removal to a fixpoint, per-event
+    time bisection toward the window start, then partition-component
+    narrowing. A candidate that trips only a {e different} oracle is
+    rejected — the reproducer explains the original failure. Bounded
+    by the config's [f_shrink_runs] re-runs. Every candidate runs
+    under the case's specs, monitors and failpoint, so [spec:<name>]
+    oracles shrink like any other. *)
+val shrink : case -> oracle:string -> shrink_result
 
 (** [validate_config c] rejects a config no run can honour: [servers]
     odd or below 2, [clients] below 1, a negative count, a time that is
@@ -174,10 +174,10 @@ val encode_config : config -> string
 (** @raise Invalid_argument as {!validate_config}. *)
 val decode_config : Sim.Jin.t -> config
 
-(** [add_report ~name ~seed config oc] adds one {!Report} scenario
-    for the case: the config as params; a summary of acked appends,
+(** [add_report case oc] adds one {!Report} scenario for the case,
+    under its name and seed: the config as params; a summary of acked appends,
     commits, aborts, applied fault events and violations; the run's
     metrics; and its timeseries, alerts, violations, spec firings,
     flight snapshots and spans when the run produced them. No-op while
     the report collector is disabled. *)
-val add_report : name:string -> seed:int -> config -> outcome -> unit
+val add_report : case -> outcome -> unit

@@ -7,16 +7,7 @@
    the way the P exemplar bundles a logConfig with the monitors its
    test machine announces. *)
 
-type t = {
-  sc_name : string;
-  sc_seed : int;
-  sc_config : Fuzz.config;
-  sc_plan : (float * Sim.Fault.action) list;
-  sc_specs : Spec.spec list;
-  sc_spec_deadline_us : float option;
-  sc_failpoint : string option;
-  sc_monitors : Fuzz.monitor list;
-}
+type t = Fuzz.case
 
 let version = 1
 
@@ -57,7 +48,7 @@ let validate_spec_deadline config d =
       (Printf.sprintf "Scenario: spec_deadline_us = %g, must be finite, > 0 and < horizon_us (%g)"
          d config.Fuzz.f_horizon_us)
 
-let encode sc =
+let encode (sc : t) =
   Sim.Jout.obj
     (List.concat
        [
@@ -89,12 +80,13 @@ let decode s =
       (Printf.sprintf "Scenario.decode: scenario version %d, this build reads %d" v version);
   let config = Fuzz.decode_config (Sim.Jin.member "config" doc) in
   let opt k f = Option.map f (Sim.Jin.member_opt k doc) in
+  let plan = Sim.Fault.decode_plan_value (Sim.Jin.member "plan" doc) in
+  Chaos.validate_plan plan;
   {
-    sc_name = Sim.Jin.to_string (Sim.Jin.member "name" doc);
+    Fuzz.sc_name = Sim.Jin.to_string (Sim.Jin.member "name" doc);
     sc_seed = Sim.Jin.to_int (Sim.Jin.member "seed" doc);
     sc_config = config;
-    (* customs decode with placeholder thunks; {!Fuzz.run} rebinds them *)
-    sc_plan = Sim.Fault.decode_plan_value (Sim.Jin.member "plan" doc);
+    sc_plan = plan;
     sc_specs =
       List.map
         (fun v -> Spec.of_name (Sim.Jin.to_string v))
@@ -110,19 +102,9 @@ let decode s =
         (opt "monitors" (fun v -> List.map decode_monitor (Sim.Jin.to_list v)));
   }
 
-let run ?capture_spans sc =
-  Fuzz.run ?failpoint:sc.sc_failpoint ?capture_spans ~specs:sc.sc_specs
-    ?spec_deadline_us:sc.sc_spec_deadline_us ~monitors:sc.sc_monitors ~seed:sc.sc_seed
-    sc.sc_config ~plan:sc.sc_plan
-
 (* ------------------------------------------------------------------ *)
 (* Built-in scenarios                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* {!Fuzz.run} rebinds every custom action against the live cluster. *)
-let custom name =
-  Sim.Fault.Custom
-    (name, fun () -> invalid_arg (Printf.sprintf "Scenario: custom action %S was not rebound" name))
 
 (* The repo's analog of the verified-log exemplar's producer takeover:
    one storage node is partitioned away, the sequencer is replaced
@@ -133,13 +115,13 @@ let custom name =
    commit-liveness mid-run. *)
 let sequencer_takeover_under_partition =
   {
-    sc_name = "sequencer-takeover-under-partition";
+    Fuzz.sc_name = "sequencer-takeover-under-partition";
     sc_seed = 7;
     sc_config = { Fuzz.default_config with f_appends = 14; f_txs = 6 };
     sc_plan =
       [
         (25_000., Sim.Fault.Partition [ [ "storage-4" ] ]);
-        (40_000., custom "replace-sequencer");
+        (40_000., Chaos.custom Replace_sequencer);
         (90_000., Sim.Fault.Heal);
       ];
     sc_specs = Spec.all;
@@ -152,7 +134,7 @@ let sequencer_takeover_under_partition =
    armed. *)
 let crash_restart_baseline =
   {
-    sc_name = "crash-restart-baseline";
+    Fuzz.sc_name = "crash-restart-baseline";
     sc_seed = 1;
     sc_config = { Fuzz.default_config with f_appends = 10; f_txs = 4 };
     sc_plan = [ (20_000., Sim.Fault.Crash "storage-2"); (55_000., Sim.Fault.Restart "storage-2") ];
@@ -166,10 +148,10 @@ let crash_restart_baseline =
    the appenders and transactors are mid-run. *)
 let sequencer_failover =
   {
-    sc_name = "sequencer-failover";
+    Fuzz.sc_name = "sequencer-failover";
     sc_seed = 1;
     sc_config = { Fuzz.default_config with f_appends = 60; f_txs = 20 };
-    sc_plan = [ (40_000., custom "replace-sequencer") ];
+    sc_plan = [ (40_000., Chaos.custom Replace_sequencer) ];
     sc_specs = Spec.all;
     sc_spec_deadline_us = None;
     sc_failpoint = None;
@@ -181,7 +163,7 @@ let sequencer_failover =
    faults. *)
 let tx_soak =
   {
-    sc_name = "tx-soak";
+    Fuzz.sc_name = "tx-soak";
     sc_seed = 1;
     sc_config = { Fuzz.default_config with f_clients = 4; f_appends = 0; f_txs = 100 };
     sc_plan = [];
@@ -204,7 +186,7 @@ let slo_clean =
     }
   in
   {
-    sc_name = "slo-clean";
+    Fuzz.sc_name = "slo-clean";
     sc_seed = 1;
     sc_config = { Fuzz.default_config with f_appends = 300; f_txs = 60 };
     sc_plan = [];
@@ -242,7 +224,7 @@ let slo_degraded_uplink =
    report counts the failed RPCs. *)
 let sequencer_lossy_uplink =
   {
-    sc_name = "sequencer-lossy-uplink";
+    Fuzz.sc_name = "sequencer-lossy-uplink";
     sc_seed = 1;
     sc_config = Fuzz.default_config;
     sc_plan =
@@ -272,7 +254,7 @@ let sequencer_lossy_uplink =
    replication oracles check every acked append and every chain. *)
 let chaos_smoke =
   {
-    sc_name = "chaos-smoke";
+    Fuzz.sc_name = "chaos-smoke";
     sc_seed = 42;
     sc_config =
       { Fuzz.default_config with f_servers = 4; f_clients = 1; f_appends = 200; f_txs = 20 };
@@ -289,7 +271,7 @@ let chaos_smoke =
               d_jitter_us = 100.;
             } );
         (80_000., Sim.Fault.Clear_edge ("fz-app-1", "*"));
-        (120_000., custom "replace-sequencer");
+        (120_000., Chaos.custom Replace_sequencer);
       ];
     sc_specs = Spec.all;
     sc_spec_deadline_us = None;
@@ -309,4 +291,4 @@ let builtins =
     chaos_smoke;
   ]
 
-let find name = List.find_opt (fun sc -> String.equal sc.sc_name name) builtins
+let find name = List.find_opt (fun (sc : t) -> String.equal sc.sc_name name) builtins

@@ -13,37 +13,20 @@
     failover, transactional soak, SLO monitors) are built-in
     scenarios. *)
 
-type t = {
-  sc_name : string;
-  sc_seed : int;
-  sc_config : Fuzz.config;
-  sc_plan : (float * Sim.Fault.action) list;
-  sc_specs : Spec.spec list;
-  sc_spec_deadline_us : float option;
-      (** overrides both spec deadlines; finite, > 0 and below the
-          config's [horizon_us] *)
-  sc_failpoint : string option;  (** {!Tango.Runtime.enable_failpoint} name, if any *)
-  sc_monitors : Fuzz.monitor list;
-      (** SLO monitors; the document carries a ["monitors"] key only
-          when this is non-empty *)
-}
+(** The fuzz case that {!Fuzz.run} runs and {!Fuzz.shrink} shrinks.
+    The document carries a ["monitors"] key only when [sc_monitors] is
+    non-empty. *)
+type t = Fuzz.case
 
 val encode : t -> string
 
-(** Custom actions decode with placeholder thunks; {!run} rebinds them.
-    @raise Sim.Jin.Parse_error on malformed JSON.
+(** @raise Sim.Jin.Parse_error on malformed JSON.
     @raise Invalid_argument on an unknown version or spec name, a
     config {!Fuzz.validate_config} rejects, a negative event time, a
-    [spec_deadline_us] that is not finite, not positive or not below
-    [horizon_us], or a monitor {!Fuzz.validate_monitor} rejects. *)
+    custom action that names no {!Chaos.op}, a [spec_deadline_us] that
+    is not finite, not positive or not below [horizon_us], or a
+    monitor {!Fuzz.validate_monitor} rejects. *)
 val decode : string -> t
-
-(** [run ?capture_spans sc] executes the scenario as one fuzz case
-    ({!Fuzz.run}) with its specs and monitors armed and its failpoint
-    enabled.
-    Determinism contract is {!Fuzz.run}'s: same scenario,
-    byte-identical trace. *)
-val run : ?capture_spans:bool -> t -> Fuzz.outcome
 
 (** Built-in scenarios: ["sequencer-takeover-under-partition"] — a
     sequencer replacement racing a storage-node partition, the repo's

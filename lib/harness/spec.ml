@@ -100,17 +100,6 @@ let note_repaired t key =
   | None -> ());
   t.last_repair_us <- Sim.Engine.now ()
 
-(* Custom fault-plan actions carry their classification in the name:
-   ["ssd-fail h"] injects, ["ssd-repair h"] repairs; takeovers and
-   scaling actions are not faults at all. *)
-let classify_custom name =
-  let prefixed p = String.length name > String.length p && String.sub name 0 (String.length p) = p in
-  if prefixed "ssd-fail " then
-    Some (`Injected ("ssd:" ^ String.sub name 9 (String.length name - 9)))
-  else if prefixed "ssd-repair " then
-    Some (`Repaired ("ssd:" ^ String.sub name 11 (String.length name - 11)))
-  else None
-
 let on_event t (ev : Sim.Announce.event) =
   match ev with
   | Sim.Announce.Append_acked { client = _; offset; streams } ->
@@ -162,10 +151,12 @@ let on_event t (ev : Sim.Announce.event) =
   | Sim.Announce.Fault_injected { key; _ } -> note_injected t key
   | Sim.Announce.Fault_repaired { key; _ } -> note_repaired t key
   | Sim.Announce.Custom_fault { name } -> (
-      match classify_custom name with
-      | Some (`Injected key) -> note_injected t key
-      | Some (`Repaired key) -> note_repaired t key
-      | None -> ())
+      (* An SSD failure is a repairable fault; takeovers and scaling
+         are not faults at all. *)
+      match Chaos.op_of_name name with
+      | Some (Ssd_fail h) -> note_injected t ("ssd:" ^ h)
+      | Some (Ssd_repair h) -> note_repaired t ("ssd:" ^ h)
+      | Some (Replace_sequencer | Scale_out _ | Scale_in _) | None -> ())
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -7,7 +7,7 @@ type action =
   | Heal
   | Degrade of { d_src : string; d_dst : string; d_drop : float; d_delay_us : float; d_jitter_us : float }
   | Clear_edge of string * string
-  | Custom of string * (unit -> unit)
+  | Custom of string
 
 type event = { ev_time : float; ev_label : string }
 
@@ -37,6 +37,7 @@ let no_edge = { e_drop = 0.; e_delay_us = 0.; e_jitter_us = 0. }
    no rule). *)
 type t = {
   frng : Rng.t;
+  custom : string -> unit;  (* runs a [Custom] action by name *)
   mutable crashed : bool array;
   mutable components : string list list;  (* [] = fully connected *)
   mutable component : int array;  (* the first listed component holding the host, or -1 *)
@@ -44,9 +45,13 @@ type t = {
   mutable log : event list;  (* newest first *)
 }
 
-let create ?(seed = 0) () =
+let no_interpreter name =
+  invalid_arg (Printf.sprintf "Fault: custom action %S, but the controller has no interpreter" name)
+
+let create ?(seed = 0) ?(custom = no_interpreter) () =
   {
     frng = Rng.create seed;
+    custom;
     crashed = [||];
     components = [];
     component = [||];
@@ -157,7 +162,7 @@ let label = function
       Printf.sprintf "degrade %s->%s drop=%.3f delay=%.0f+%.0fus" d_src d_dst d_drop d_delay_us
         d_jitter_us
   | Clear_edge (s, d) -> Printf.sprintf "clear-edge %s->%s" s d
-  | Custom (name, _) -> name
+  | Custom name -> name
 
 let host_of = function
   | Crash h | Restart h -> Some h
@@ -188,8 +193,8 @@ let took_effect t = function
         { e_drop = d_drop; e_delay_us = d_delay_us; e_jitter_us = d_jitter_us };
       true
   | Clear_edge (s, d) -> clear_edge_at t (host_id s) (host_id d)
-  | Custom (_, run) ->
-      run ();
+  | Custom name ->
+      t.custom name;
       true
 
 let apply t action =
@@ -206,7 +211,7 @@ let apply t action =
         | Degrade { d_src; d_dst; _ } ->
             Fault_injected { key = "edge:" ^ d_src ^ ">" ^ d_dst; host; detail = what }
         | Clear_edge (s, d) -> Fault_repaired { key = "edge:" ^ s ^ ">" ^ d; host; detail = what }
-        | Custom (name, _) -> Custom_fault { name })
+        | Custom name -> Custom_fault { name })
     end;
     Metrics.incr (Metrics.counter ?host:(host_of action) "fault.injected");
     t.log <- { ev_time = Engine.now (); ev_label = what } :: t.log
@@ -232,31 +237,10 @@ let plan t actions = List.iter (fun (at, action) -> schedule t ~at action) actio
 let events t = List.rev t.log
 
 (* ------------------------------------------------------------------ *)
-(* Plans as data: equality, printing, serialization                   *)
+(* Plans as data: printing, serialization                             *)
 (* ------------------------------------------------------------------ *)
 
-let equal_action a b =
-  match (a, b) with
-  | Crash x, Crash y | Restart x, Restart y -> String.equal x y
-  | Partition xs, Partition ys -> List.equal (List.equal String.equal) xs ys
-  | Heal, Heal -> true
-  | Degrade d1, Degrade d2 ->
-      String.equal d1.d_src d2.d_src
-      && String.equal d1.d_dst d2.d_dst
-      && Float.equal d1.d_drop d2.d_drop
-      && Float.equal d1.d_delay_us d2.d_delay_us
-      && Float.equal d1.d_jitter_us d2.d_jitter_us
-  | Clear_edge (s1, e1), Clear_edge (s2, e2) -> String.equal s1 s2 && String.equal e1 e2
-  (* Custom thunks compare by name: the closure is rebound from the
-     name when a serialized plan is rehydrated, so the name is the
-     action's whole identity. *)
-  | Custom (n1, _), Custom (n2, _) -> String.equal n1 n2
-  | (Crash _ | Restart _ | Partition _ | Heal | Degrade _ | Clear_edge _ | Custom _), _ -> false
-
 let pp_action ppf a = Format.pp_print_string ppf (label a)
-
-let equal_plan p1 p2 =
-  List.equal (fun (t1, a1) (t2, a2) -> Float.equal t1 t2 && equal_action a1 a2) p1 p2
 
 let pp_plan ppf p =
   Format.fprintf ppf "@[<v>";
@@ -289,7 +273,7 @@ let encode_action = function
       ]
   | Clear_edge (s, d) ->
       [ ("kind", Jout.str "clear-edge"); ("src", Jout.str s); ("dst", Jout.str d) ]
-  | Custom (name, _) -> [ ("kind", Jout.str "custom"); ("name", Jout.str name) ]
+  | Custom name -> [ ("kind", Jout.str "custom"); ("name", Jout.str name) ]
 
 let encode_plan p =
   Jout.obj
@@ -299,10 +283,7 @@ let encode_plan p =
         Jout.arr (List.map (fun (at, a) -> Jout.obj (("at", Jout.exact at) :: encode_action a)) p) );
     ]
 
-let unbound_custom name () =
-  invalid_arg (Printf.sprintf "Fault: custom action %S has no bound thunk" name)
-
-let decode_action ~custom v =
+let decode_action v =
   let str k = Jin.to_string (Jin.member k v) in
   let flt k = Jin.to_float (Jin.member k v) in
   match str "kind" with
@@ -324,12 +305,10 @@ let decode_action ~custom v =
           d_jitter_us = flt "jitter_us";
         }
   | "clear-edge" -> Clear_edge (str "src", str "dst")
-  | "custom" ->
-      let name = str "name" in
-      Custom (name, custom name)
+  | "custom" -> Custom (str "name")
   | k -> invalid_arg (Printf.sprintf "Fault.decode_plan: unknown action kind %S" k)
 
-let decode_plan_value ?(custom = unbound_custom) doc =
+let decode_plan_value doc =
   let version = Jin.to_int (Jin.member "version" doc) in
   if version <> plan_version then
     invalid_arg
@@ -340,7 +319,7 @@ let decode_plan_value ?(custom = unbound_custom) doc =
       let at = Jin.to_float (Jin.member "at" ev) in
       if not (Float.is_finite at && at >= 0.) then
         invalid_arg (Printf.sprintf "Fault.decode_plan: event at = %g, must be finite and >= 0" at);
-      (at, decode_action ~custom ev))
+      (at, decode_action ev))
     (Jin.to_list (Jin.member "events" doc))
 
-let decode_plan ?custom s = decode_plan_value ?custom (Jin.parse s)
+let decode_plan s = decode_plan_value (Jin.parse s)

@@ -6,8 +6,9 @@
     components and heal it, and degrade selected edges with
     probabilistic drops and extra delay — which also reorders
     fire-and-forget casts, since each delivery sleeps independently.
-    SSD-style resource failures compose through {!Custom} actions
-    wrapping {!Resource.fail}.
+    Faults outside the network (failing an SSD {!Resource.t}, replacing
+    the sequencer) are {!Custom} actions: a name that the interpreter
+    given to {!create} runs.
 
     {b Determinism contract.} The controller owns a private
     {!Rng.t} seeded at {!create} — independent of the simulation
@@ -46,15 +47,18 @@ type action =
       (** per-edge drop probability and extra delay; ["*"] matches any
           host *)
   | Clear_edge of string * string
-  | Custom of string * (unit -> unit)
-      (** escape hatch for faults outside the network (e.g. failing an
-          SSD {!Resource.t}); the thunk runs at the scheduled time and
-          must not suspend *)
+  | Custom of string
+      (** a named action outside the network (e.g. failing an SSD
+          {!Resource.t}), run by the controller's [custom] interpreter
+          at the scheduled time *)
 
-(** [create ?seed ()] makes an idle controller (nothing crashed, no
-    partition, no degraded edges). [seed] (default 0) seeds the
-    controller's private generator. *)
-val create : ?seed:int -> unit -> t
+(** [create ?seed ?custom ()] makes an idle controller (nothing
+    crashed, no partition, no degraded edges). [seed] (default 0) seeds
+    the controller's private generator. [custom name] runs a
+    {!Custom} action; it must not suspend. The default raises
+    [Invalid_argument]: a controller given no interpreter runs no
+    custom action. *)
+val create : ?seed:int -> ?custom:(string -> unit) -> unit -> t
 
 (** {2 Immediate faults} *)
 
@@ -124,32 +128,26 @@ val events : t -> event list
     A fault plan — the [(time, action) list] fed to {!plan} — is also
     a {e replayable artifact}: the fuzzer serializes every failing plan
     to versioned JSON so any violation can be re-run, shrunk, and
-    attached to a bug report. [Custom] actions serialize by {e name}
-    only; {!decode_plan} rebinds the thunk through the [custom]
-    resolver (and {!equal_action} compares customs by name), so a
-    plan's identity never depends on closure values. *)
+    attached to a bug report. An action is plain data — a [Custom] is
+    its name — so plans compare with [=] and print, encode and decode
+    without a cluster. Which custom names mean something is the
+    interpreter's business (the harness's [Chaos] vocabulary), not the
+    codec's. *)
 
-(** [equal_action a b]: structural equality; [Custom] by name. *)
-val equal_action : action -> action -> bool
-
-val equal_plan : (float * action) list -> (float * action) list -> bool
 val pp_plan : Format.formatter -> (float * action) list -> unit
 
 (** [encode_plan p] is [p] as a versioned JSON document. Floats are
     written exactly (17 significant digits), so
-    [decode_plan (encode_plan p)] satisfies [equal_plan] with [p]. *)
+    [decode_plan (encode_plan p) = p]. *)
 val encode_plan : (float * action) list -> string
 
-(** [decode_plan ?custom s] parses a plan document. [custom name]
-    supplies the thunk for each [Custom] action (default: a thunk that
-    raises [Invalid_argument] when executed — fine for plans that are
-    only compared, printed, or re-encoded).
+(** [decode_plan s] parses a plan document.
     @raise Jin.Parse_error on malformed JSON.
     @raise Invalid_argument on an unknown version or action kind, or
     an event time that is negative or not finite. *)
-val decode_plan : ?custom:(string -> unit -> unit) -> string -> (float * action) list
+val decode_plan : string -> (float * action) list
 
-(** [decode_plan_value ?custom v] reads a plan from an already-parsed
-    {!Jin} document — for plans embedded inside larger documents (a
+(** [decode_plan_value v] reads a plan from an already-parsed {!Jin}
+    document — for plans embedded inside larger documents (a
     scenario). *)
-val decode_plan_value : ?custom:(string -> unit -> unit) -> Jin.t -> (float * action) list
+val decode_plan_value : Jin.t -> (float * action) list

@@ -8,7 +8,6 @@ type host = {
   hid : int;  (* [Fault.host_id hname] *)
   nic_in_r : Resource.t;
   nic_out_r : Resource.t;
-  cpu : Resource.t;
   fabric_latency : float;
   fabric_jitter : float;
   byte_time : float;
@@ -76,14 +75,13 @@ let create ~latency ~bandwidth ?(jitter = 0.05) ~timeout_us () =
 
 let install_fault t f = t.net_fault := Some f
 
-let add_host ?(cores = 8) t name =
+let add_host t name =
   let h =
     {
       hname = name;
       hid = Fault.host_id name;
       nic_in_r = Resource.create ~name:(name ^ ".nic-in") ~capacity:1 ();
       nic_out_r = Resource.create ~name:(name ^ ".nic-out") ~capacity:1 ();
-      cpu = Resource.create ~name:(name ^ ".cpu") ~capacity:cores ();
       fabric_latency = t.latency;
       fabric_jitter = t.jitter;
       byte_time = t.byte_time;
@@ -95,11 +93,9 @@ let add_host ?(cores = 8) t name =
   in
   Metrics.track_resource h.nic_in_r;
   Metrics.track_resource h.nic_out_r;
-  Metrics.track_resource h.cpu;
   h
 
 let host_name h = h.hname
-let host_cpu h = h.cpu
 
 let service ?hold shost ~name serve =
   let args = [ ("dst", shost.hname) ] in

@@ -40,12 +40,12 @@ type host
 val create :
   latency:float -> bandwidth:float -> ?jitter:float -> timeout_us:float -> unit -> t
 
-(** [add_host t name] registers a machine with its own NIC pair and a
-    CPU station ([cores], default 8). *)
-val add_host : ?cores:int -> t -> string -> host
+(** [add_host t name] registers a machine with its own NIC pair. A
+    service models its server-side costs on stations of its own (see
+    {!service}). *)
+val add_host : t -> string -> host
 
 val host_name : host -> string
-val host_cpu : host -> Resource.t
 
 type ('req, 'resp) service
 

@@ -1495,6 +1495,21 @@ let test_probing_walk_across_snapshot () =
 (* Reconfiguration                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A peek that meets a sealed sequencer waits for the new epoch and
+   retries inside its one [check_tail] section: two peek RPCs, one
+   section. *)
+let test_sealed_peek_one_check_tail () =
+  Sim.Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sim.Span.set_enabled false) @@ fun () ->
+  with_cluster (fun cluster ->
+      let c = Cluster.new_client cluster ~name:"peeker" in
+      ignore (Client.append c ~streams:[ 1 ] (payload "x"));
+      ignore (Cluster.replace_sequencer cluster : int);
+      check_int "the tail, read across the seal" 1 (Client.check c));
+  let named n = List.length (List.filter (fun v -> v.Sim.Span.v_name = n) (Sim.Span.spans ())) in
+  check_int "the sealed peek and its retry" 2 (named "rpc.peek");
+  check_int "one check_tail section" 1 (named "check_tail")
+
 let test_reconfig_replaces_sequencer () =
   with_cluster (fun cluster ->
       let c = Cluster.new_client cluster ~name:"app" in
@@ -2171,16 +2186,16 @@ let test_aux_watch_keeps_its_deadline () =
    monitor sees the errors as a dead member, and the same replacement
    path runs. *)
 let test_recover_ssd_failure () =
-  with_faulty_cluster (fun cluster f ->
+  with_cluster (fun cluster ->
       Cluster.start_failure_monitor cluster;
       let w = Cluster.new_client cluster ~name:"writer" in
       for i = 0 to 9 do
         ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
       done;
-      let victim = (Cluster.storage_nodes cluster).(0) in
-      Sim.Fault.schedule f ~at:20_000.
-        (Sim.Fault.Custom
-           ("fail storage-0.ssd", fun () -> Sim.Resource.fail (Storage_node.ssd victim)));
+      let module Chaos = Tango_harness.Chaos in
+      ignore
+        (Chaos.install ~plan:[ (20_000., Chaos.custom (Ssd_fail "storage-0")) ] cluster
+          : Sim.Fault.t);
       Sim.Engine.sleep 400_000.;
       (match Cluster.recoveries cluster with
       | [ { Cluster.rc_change = Cluster.Storage_replaced { dead; _ }; _ } ] ->
@@ -3462,6 +3477,8 @@ let () =
       ( "reconfiguration",
         [
           Alcotest.test_case "replace sequencer" `Quick test_reconfig_replaces_sequencer;
+          Alcotest.test_case "a sealed peek is one check_tail section" `Quick
+            test_sealed_peek_one_check_tail;
           Alcotest.test_case "reconfig under load" `Quick test_reconfig_under_load;
           Alcotest.test_case "reconfig voids in-flight grant" `Quick
             test_reconfig_voids_inflight_grant;

@@ -400,6 +400,7 @@ let test_verifier_pathological_histories () =
 module Fuzz = Tango_harness.Fuzz
 module Spec = Tango_harness.Spec
 module Scenario = Tango_harness.Scenario
+module Chaos = Tango_harness.Chaos
 
 (* One trimmed-down case per test keeps the suite fast; the CI
    fuzz-smoke job runs the full-size campaigns. *)
@@ -414,10 +415,26 @@ let small_config =
     f_deadline_us = 2_000_000.;
   }
 
+(* The fuzz case of [seed] over [small_config], named as tangoctl
+   names a campaign's cases. *)
+let case ?(specs = []) ?failpoint ?(plan = []) seed =
+  {
+    Fuzz.sc_name = Printf.sprintf "fuzz-seed-%d" seed;
+    sc_seed = seed;
+    sc_config = small_config;
+    sc_plan = plan;
+    sc_specs = specs;
+    sc_spec_deadline_us = None;
+    sc_failpoint = failpoint;
+    sc_monitors = [];
+  }
+
+let replace_sequencer_at at = [ (at, Chaos.custom Replace_sequencer) ]
+
 let test_fuzz_clean_smoke () =
   let plan = Fuzz.gen_plan ~seed:42 small_config in
   check_bool "plan not empty" true (plan <> []);
-  let oc = Fuzz.run ~seed:42 small_config ~plan in
+  let oc = Fuzz.run (case ~plan 42) in
   Alcotest.(check (list string)) "no violations on a clean build" []
     (oracle_names oc.Fuzz.oc_violations);
   Alcotest.(check int) "every append acked" 16 oc.Fuzz.oc_acked;
@@ -426,8 +443,8 @@ let test_fuzz_clean_smoke () =
 
 let test_fuzz_deterministic_replay () =
   let plan = Fuzz.gen_plan ~seed:43 small_config in
-  let a = Fuzz.run ~capture_spans:true ~seed:43 small_config ~plan in
-  let b = Fuzz.run ~capture_spans:true ~seed:43 small_config ~plan in
+  let a = Fuzz.run ~capture_spans:true (case ~plan 43) in
+  let b = Fuzz.run ~capture_spans:true (case ~plan 43) in
   Alcotest.(check string) "metrics byte-identical" a.Fuzz.oc_metrics_json b.Fuzz.oc_metrics_json;
   check_bool "span dumps present" true (a.Fuzz.oc_spans_json <> None);
   Alcotest.(check (option string)) "span dumps byte-identical" a.Fuzz.oc_spans_json
@@ -438,7 +455,7 @@ let test_fuzz_deterministic_replay () =
 let test_fuzz_reproducer_roundtrip () =
   let sc =
     {
-      Scenario.sc_name = "fuzz-seed-44";
+      Fuzz.sc_name = "fuzz-seed-44";
       sc_seed = 44;
       sc_config = small_config;
       sc_plan = Fuzz.gen_plan ~seed:44 small_config;
@@ -449,14 +466,14 @@ let test_fuzz_reproducer_roundtrip () =
     }
   in
   check_bool "plan has a custom action" true
-    (List.exists (function _, Sim.Fault.Custom _ -> true | _ -> false) sc.Scenario.sc_plan);
+    (List.exists (function _, Sim.Fault.Custom _ -> true | _ -> false) sc.Fuzz.sc_plan);
   let doc = Scenario.encode sc in
   let sc' = Scenario.decode doc in
-  Alcotest.(check int) "seed" 44 sc'.Scenario.sc_seed;
-  check_bool "config" true (sc'.Scenario.sc_config = small_config);
-  check_bool "plan" true (Sim.Fault.equal_plan sc.Scenario.sc_plan sc'.Scenario.sc_plan);
-  check_bool "specs" true (sc'.Scenario.sc_specs = Spec.all);
-  Alcotest.(check (option string)) "failpoint" sc.Scenario.sc_failpoint sc'.Scenario.sc_failpoint;
+  Alcotest.(check int) "seed" 44 sc'.Fuzz.sc_seed;
+  check_bool "config" true (sc'.Fuzz.sc_config = small_config);
+  check_bool "plan" true (sc'.Fuzz.sc_plan = sc.Fuzz.sc_plan);
+  check_bool "specs" true (sc'.Fuzz.sc_specs = Spec.all);
+  Alcotest.(check (option string)) "failpoint" sc.Fuzz.sc_failpoint sc'.Fuzz.sc_failpoint;
   Alcotest.(check string) "re-encode is byte-identical" doc (Scenario.encode sc')
 
 (* Sensitivity: with the rebuild scan disabled (an injected recovery
@@ -470,13 +487,13 @@ let test_fuzz_finds_injected_bug () =
     if seed > 8 then Alcotest.fail "no violation found in 8 seeds"
     else
       let plan = Fuzz.gen_plan ~seed small_config in
-      let oc = Fuzz.run ~failpoint ~seed small_config ~plan in
+      let oc = Fuzz.run (case ~failpoint ~plan seed) in
       match oc.Fuzz.oc_violations with
       | [] -> hunt (seed + 1)
       | v :: _ -> (seed, plan, v.Tango_harness.Verifier.v_oracle)
   in
   let seed, plan, oracle = hunt 1 in
-  let sh = Fuzz.shrink ~failpoint ~seed small_config plan ~oracle in
+  let sh = Fuzz.shrink (case ~failpoint ~plan seed) ~oracle in
   check_bool
     (Printf.sprintf "shrunk to %d events (<=5)" (List.length sh.Fuzz.sh_plan))
     true
@@ -486,7 +503,7 @@ let test_fuzz_finds_injected_bug () =
     Scenario.decode
       (Scenario.encode
          {
-           Scenario.sc_name = "shrunk";
+           Fuzz.sc_name = "shrunk";
            sc_seed = seed;
            sc_config = small_config;
            sc_plan = sh.Fuzz.sh_plan;
@@ -496,10 +513,10 @@ let test_fuzz_finds_injected_bug () =
            sc_monitors = [];
          })
   in
-  let again = Scenario.run reproducer in
+  let again = Fuzz.run reproducer in
   check_bool "reproducer still trips the oracle" true
     (List.mem sh.Fuzz.sh_oracle (oracle_names again.Fuzz.oc_violations));
-  let clean = Scenario.run { reproducer with Scenario.sc_failpoint = None } in
+  let clean = Fuzz.run { reproducer with Fuzz.sc_failpoint = None } in
   Alcotest.(check (list string)) "clean build passes the reproducer" []
     (oracle_names clean.Fuzz.oc_violations)
 
@@ -517,8 +534,8 @@ let spec_oracles oc =
    same-seed runs still produce byte-identical dumps. *)
 let test_spec_clean_and_deterministic () =
   let plan = Fuzz.gen_plan ~seed:46 small_config in
-  let a = Fuzz.run ~specs:Spec.all ~seed:46 small_config ~plan in
-  let b = Fuzz.run ~specs:Spec.all ~seed:46 small_config ~plan in
+  let a = Fuzz.run (case ~specs:Spec.all ~plan 46) in
+  let b = Fuzz.run (case ~specs:Spec.all ~plan 46) in
   Alcotest.(check (list string)) "no firings on a clean build" [] (spec_oracles a);
   Alcotest.(check (list string)) "no violations at all" [] (oracle_names a.Fuzz.oc_violations);
   check_bool "no spec firings recorded" true (a.Fuzz.oc_spec_firings = []);
@@ -531,7 +548,7 @@ let test_spec_clean_and_deterministic () =
    oracle, to a <=5 event reproducer. *)
 let check_spec_fires ~failpoint ~specs ~spec_name ~seed ~plan ?(shrink = true) () =
   let oracle = "spec:" ^ spec_name in
-  let oc = Fuzz.run ~failpoint ~specs ~seed small_config ~plan in
+  let oc = Fuzz.run (case ~failpoint ~specs ~plan seed) in
   check_bool (oracle ^ " among violations") true
     (List.mem oracle (oracle_names oc.Fuzz.oc_violations));
   let f =
@@ -545,7 +562,7 @@ let check_spec_fires ~failpoint ~specs ~spec_name ~seed ~plan ?(shrink = true) (
     (f.Spec.sp_time_us < oc.Fuzz.oc_end_us);
   check_bool "flight recorder captured the firing" true (oc.Fuzz.oc_flight_json <> None);
   if shrink then begin
-    let sh = Fuzz.shrink ~failpoint ~specs ~seed small_config plan ~oracle in
+    let sh = Fuzz.shrink (case ~failpoint ~specs ~plan seed) ~oracle in
     check_bool
       (Printf.sprintf "shrunk to %d events (<=5)" (List.length sh.Fuzz.sh_plan))
       true
@@ -560,12 +577,12 @@ let test_spec_commit_liveness_fires () =
      The takeover time is swept across the append burst because the
      exact ack/sync interleaving is seed-dependent. *)
   let failpoint = "skip-rebuild-scan" and specs = [ Spec.Commit_liveness ] in
-  let takeover at = [ (at, Sim.Fault.Custom ("replace-sequencer", fun () -> ())) ] in
   let rec hunt = function
     | [] -> Alcotest.fail "commit-liveness never fired across the takeover sweep"
     | at :: rest ->
-        let oc = Fuzz.run ~failpoint ~specs ~seed:1 small_config ~plan:(takeover at) in
-        if List.mem "spec:commit-liveness" (oracle_names oc.Fuzz.oc_violations) then takeover at
+        let plan = replace_sequencer_at at in
+        let oc = Fuzz.run (case ~failpoint ~specs ~plan 1) in
+        if List.mem "spec:commit-liveness" (oracle_names oc.Fuzz.oc_violations) then plan
         else hunt rest
   in
   let plan = hunt [ 15_000.; 12_000.; 18_000.; 9_000.; 21_000.; 6_000. ] in
@@ -580,7 +597,7 @@ let test_spec_read_committed_fires () =
 let test_spec_reconfig_termination_fires () =
   check_spec_fires ~failpoint:"stall-reconfig" ~specs:[ Spec.Reconfig_termination ]
     ~spec_name:"reconfig-termination" ~seed:1
-    ~plan:[ (30_000., Sim.Fault.Custom ("replace-sequencer", fun () -> ())) ]
+    ~plan:(replace_sequencer_at 30_000.)
     ()
 
 let test_spec_names_roundtrip () =
@@ -601,13 +618,13 @@ let contains s sub =
 let test_scenario_roundtrip () =
   let sc =
     {
-      Scenario.sc_name = "rt";
+      Fuzz.sc_name = "rt";
       sc_seed = 5;
       sc_config = small_config;
       sc_plan =
         [
           (10_000., Sim.Fault.Crash "storage-1");
-          (20_000., Sim.Fault.Custom ("replace-sequencer", fun () -> ()));
+          (20_000., Chaos.custom Replace_sequencer);
           (30_000., Sim.Fault.Restart "storage-1");
         ];
       sc_specs = [ Spec.Commit_liveness; Spec.Reconfig_termination ];
@@ -617,21 +634,21 @@ let test_scenario_roundtrip () =
     }
   in
   let sc' = Scenario.decode (Scenario.encode sc) in
-  Alcotest.(check string) "name" sc.Scenario.sc_name sc'.Scenario.sc_name;
-  Alcotest.(check int) "seed" sc.Scenario.sc_seed sc'.Scenario.sc_seed;
-  check_bool "config" true (sc'.Scenario.sc_config = small_config);
-  check_bool "plan" true (Sim.Fault.equal_plan sc.Scenario.sc_plan sc'.Scenario.sc_plan);
-  check_bool "specs" true (sc'.Scenario.sc_specs = sc.Scenario.sc_specs);
-  Alcotest.(check (option (float 1e-9))) "deadline" sc.Scenario.sc_spec_deadline_us
-    sc'.Scenario.sc_spec_deadline_us;
-  Alcotest.(check (option string)) "failpoint" sc.Scenario.sc_failpoint sc'.Scenario.sc_failpoint;
+  Alcotest.(check string) "name" sc.Fuzz.sc_name sc'.Fuzz.sc_name;
+  Alcotest.(check int) "seed" sc.Fuzz.sc_seed sc'.Fuzz.sc_seed;
+  check_bool "config" true (sc'.Fuzz.sc_config = small_config);
+  check_bool "plan" true (sc'.Fuzz.sc_plan = sc.Fuzz.sc_plan);
+  check_bool "specs" true (sc'.Fuzz.sc_specs = sc.Fuzz.sc_specs);
+  Alcotest.(check (option (float 1e-9))) "deadline" sc.Fuzz.sc_spec_deadline_us
+    sc'.Fuzz.sc_spec_deadline_us;
+  Alcotest.(check (option string)) "failpoint" sc.Fuzz.sc_failpoint sc'.Fuzz.sc_failpoint;
   (* Optional fields omitted from the document decode as None. *)
   let bare =
     Scenario.decode
-      (Scenario.encode { sc with Scenario.sc_spec_deadline_us = None; sc_failpoint = None })
+      (Scenario.encode { sc with Fuzz.sc_spec_deadline_us = None; sc_failpoint = None })
   in
-  check_bool "no deadline" true (bare.Scenario.sc_spec_deadline_us = None);
-  check_bool "no failpoint" true (bare.Scenario.sc_failpoint = None);
+  check_bool "no deadline" true (bare.Fuzz.sc_spec_deadline_us = None);
+  check_bool "no failpoint" true (bare.Fuzz.sc_failpoint = None);
   check_bool "no monitors key" true
     (Sim.Jin.member_opt "monitors" (Sim.Jin.parse (Scenario.encode sc)) = None);
   (* Monitors round-trip and re-encode byte for byte. *)
@@ -645,11 +662,11 @@ let test_scenario_roundtrip () =
     }
   in
   let with_monitors =
-    { sc with Scenario.sc_monitors = [ monitor; { monitor with mo_name = "lag"; mo_col = "max" } ] }
+    { sc with Fuzz.sc_monitors = [ monitor; { monitor with mo_name = "lag"; mo_col = "max" } ] }
   in
   let doc = Scenario.encode with_monitors in
   let back = Scenario.decode doc in
-  check_bool "monitors" true (back.Scenario.sc_monitors = with_monitors.Scenario.sc_monitors);
+  check_bool "monitors" true (back.Fuzz.sc_monitors = with_monitors.Fuzz.sc_monitors);
   Alcotest.(check string) "monitors re-encode byte-identically" doc (Scenario.encode back);
   (match Scenario.decode "{\"version\":99,\"tool\":\"tango-scenario\"}" with
   | _ -> Alcotest.fail "unknown scenario version accepted"
@@ -679,6 +696,9 @@ let test_scenario_roundtrip () =
       ("threshold", { sc with sc_monitors = [ { monitor with mo_threshold = Float.nan } ] });
       ("objective", { sc with sc_monitors = [ { monitor with mo_objective = 1. } ] });
       ("series", { sc with sc_monitors = [ { monitor with mo_series = "" } ] });
+      ("replace-sequencr", { sc with sc_plan = [ (10_000., Sim.Fault.Custom "replace-sequencr") ] });
+      ("scale-out two", { sc with sc_plan = [ (10_000., Sim.Fault.Custom "scale-out two") ] });
+      ("scale-in 0", { sc with sc_plan = [ (10_000., Sim.Fault.Custom "scale-in 0") ] });
     ]
 
 let test_scenario_builtins_run_clean () =
@@ -687,12 +707,12 @@ let test_scenario_builtins_run_clean () =
   check_bool "unknown name" true (Scenario.find "no-such-scenario" = None);
   List.iter
     (fun sc ->
-      let oc = Scenario.run sc in
-      Alcotest.(check (list string)) (sc.Scenario.sc_name ^ " clean") []
+      let oc = Fuzz.run sc in
+      Alcotest.(check (list string)) (sc.Fuzz.sc_name ^ " clean") []
         (oracle_names oc.Fuzz.oc_violations);
       (* every workload the scenario asks for must have done work *)
-      let c = sc.Scenario.sc_config in
-      check_bool (sc.Scenario.sc_name ^ " did work") true
+      let c = sc.Fuzz.sc_config in
+      check_bool (sc.Fuzz.sc_name ^ " did work") true
         ((c.f_appends = 0 || oc.Fuzz.oc_acked > 0) && (c.f_txs = 0 || oc.Fuzz.oc_committed > 0)))
     Scenario.builtins
 
@@ -730,9 +750,9 @@ let test_make_whole_skips_made_recoveries () =
   in
   List.iter
     (fun sc ->
-      let name = sc.Scenario.sc_name in
-      Alcotest.(check int) (name ^ " plan events") 2 (List.length sc.Scenario.sc_plan);
-      Alcotest.(check int) (name ^ " fault events") 2 (Scenario.run sc).Fuzz.oc_fault_events)
+      let name = sc.Fuzz.sc_name in
+      Alcotest.(check int) (name ^ " plan events") 2 (List.length sc.Fuzz.sc_plan);
+      Alcotest.(check int) (name ^ " fault events") 2 (Fuzz.run sc).Fuzz.oc_fault_events)
     [ builtin "crash-restart-baseline"; builtin "slo-degraded-uplink"; clear_after_workload ]
 
 (* The chaos-smoke built-in: beside its oracles (durability of every
@@ -747,31 +767,33 @@ let test_make_whole_skips_made_recoveries () =
    instead of waiting for it retries dozens of times and trips it. *)
 let chaos_smoke_max_retries = 9
 
+(* The run's counter [name] on [host] ([None]: the cluster-wide one). *)
+let counter (oc : Fuzz.outcome) name host =
+  Sim.Jin.member "counters" (Sim.Jin.parse oc.oc_metrics_json)
+  |> Sim.Jin.to_list
+  |> List.fold_left
+       (fun acc c ->
+         let host_is =
+           match Sim.Jin.member "host" c with
+           | Sim.Jin.Null -> host = None
+           | h -> host = Some (Sim.Jin.to_string h)
+         in
+         if Sim.Jin.to_string (Sim.Jin.member "name" c) = name && host_is then
+           acc + Sim.Jin.to_int (Sim.Jin.member "value" c)
+         else acc)
+       0
+
 let test_chaos_smoke_builtin () =
   let sc =
     match Scenario.find "chaos-smoke" with
     | Some sc -> sc
     | None -> Alcotest.fail "built-in chaos-smoke missing"
   in
-  let oc, trace = Sim.Trace.capture (fun () -> Scenario.run sc) in
-  let _, trace' = Sim.Trace.capture (fun () -> Scenario.run sc) in
+  let oc, trace = Sim.Trace.capture (fun () -> Fuzz.run sc) in
+  let _, trace' = Sim.Trace.capture (fun () -> Fuzz.run sc) in
   Alcotest.(check (list string)) "clean" [] (oracle_names oc.Fuzz.oc_violations);
   Alcotest.(check int) "every append acked" 200 oc.Fuzz.oc_acked;
-  let counter name host =
-    Sim.Jin.member "counters" (Sim.Jin.parse oc.Fuzz.oc_metrics_json)
-    |> Sim.Jin.to_list
-    |> List.fold_left
-         (fun acc c ->
-           let host_is =
-             match Sim.Jin.member "host" c with
-             | Sim.Jin.Null -> host = None
-             | h -> host = Some (Sim.Jin.to_string h)
-           in
-           if Sim.Jin.to_string (Sim.Jin.member "name" c) = name && host_is then
-             acc + Sim.Jin.to_int (Sim.Jin.member "value" c)
-           else acc)
-         0
-  in
+  let counter = counter oc in
   check_bool "recovered from the crash" true (counter "cluster.recoveries" None >= 1);
   check_bool "appender's RPCs expired in the lossy window" true
     (counter "client.rpc_failures" (Some "fz-app-1") > 0);
@@ -782,6 +804,54 @@ let test_chaos_smoke_builtin () =
     (retries <= chaos_smoke_max_retries);
   check_bool "byte-identical trace" true (String.equal trace trace')
 
+let all_ops =
+  Chaos.
+    [
+      Replace_sequencer;
+      Scale_out 1;
+      Scale_out 2;
+      Scale_in 2;
+      Ssd_fail "storage-0";
+      Ssd_repair "storage-0";
+    ]
+
+(* Every op has one name, and the one parser reads it back; a name
+   that is not an op's is refused. *)
+let test_chaos_op_names () =
+  List.iter
+    (fun op ->
+      let name = Chaos.name_of_op op in
+      check_bool name true (Chaos.op_of_name name = Some op))
+    all_ops;
+  List.iter
+    (fun name -> check_bool (name ^ " refused") true (Chaos.op_of_name name = None))
+    [ "replace-sequencr"; "scale-out two"; "scale-in 0"; "scale-out -2"; "scale-out 02"; "ssd-fail" ]
+
+(* One case drives every op through the fuzzer's interpreter with every
+   spec armed: an SSD fails and is repaired while the monitor replaces
+   its node, the tail scales out and back in, and the SSD of a node
+   the cluster never had fails, which is skipped. *)
+let test_every_op_runs () =
+  let plan =
+    [
+      (20_000., Chaos.custom (Ssd_fail "storage-0"));
+      (25_000., Chaos.custom (Ssd_repair "storage-0"));
+      (90_000., Chaos.custom (Scale_out 2));
+      (120_000., Chaos.custom (Scale_in 2));
+      (150_000., Chaos.custom (Ssd_fail "storage-9"));
+    ]
+  in
+  let oc, trace = Sim.Trace.capture (fun () -> Fuzz.run (case ~specs:Spec.all ~plan 1)) in
+  Alcotest.(check (list string)) "clean" [] (oracle_names oc.Fuzz.oc_violations);
+  Alcotest.(check int) "one storage recovery" 1 (counter oc "cluster.recoveries" None);
+  let lines needle =
+    List.length (List.filter (fun l -> contains l needle) (String.split_on_char '\n' trace))
+  in
+  Alcotest.(check int) "scale-out epoch" 1 (lines "reconfig-installed scale-out");
+  Alcotest.(check int) "scale-in epoch" 1 (lines "reconfig-installed scale-in");
+  Alcotest.(check int) "one skipped action" 1 (lines "action-skipped");
+  Alcotest.(check int) "the skipped one" 1 (lines "action-skipped ssd-fail storage-9")
+
 (* The SLO pair is the CI sensitivity gate at unit scale: the clean
    run raises no alert, and the degraded uplink fires append-p99 and
    ships a flight snapshot of the firing. A monitor whose series never
@@ -789,7 +859,7 @@ let test_chaos_smoke_builtin () =
 let test_scenario_slo_monitors () =
   let run name =
     match Scenario.find name with
-    | Some sc -> Scenario.run sc
+    | Some sc -> Fuzz.run sc
     | None -> Alcotest.failf "built-in %s missing" name
   in
   let clean = run "slo-clean" in
@@ -820,19 +890,20 @@ let test_scenario_slo_monitors () =
       mo_objective = 0.9;
     }
   in
-  match Fuzz.run ~monitors:[ typo ] ~seed:1 small_config ~plan:[] with
+  match Fuzz.run { (case 1) with sc_monitors = [ typo ] } with
   | _ -> Alcotest.fail "a monitor on a missing series passed"
   | exception Invalid_argument msg ->
       check_bool (Printf.sprintf "%S names the series" msg) true
         (contains msg "hist:nobody.append.e2e_us")
 
 (* One case's outcome through the report document and back. *)
-let report_roundtrip ~name ~seed config oc =
+let report_roundtrip (case : Fuzz.case) oc =
   let module R = Tango_harness.Report in
   R.clear ();
   R.enable ();
   Fun.protect ~finally:R.clear @@ fun () ->
-  Fuzz.add_report ~name ~seed config oc;
+  Fuzz.add_report case oc;
+  let name = case.sc_name and seed = case.sc_seed in
   let p = R.parse (R.to_json ~tool:"tangoctl" ()) in
   Alcotest.(check string) "tool" "tangoctl" p.R.p_tool;
   match p.R.p_scenarios with
@@ -851,9 +922,9 @@ let report_roundtrip ~name ~seed config oc =
    firings and the flight snapshot the violation froze. *)
 let test_fuzz_report_schema () =
   let module R = Tango_harness.Report in
-  let plan = [ (15_000., Sim.Fault.Custom ("replace-sequencer", fun () -> ())) ] in
-  let oc = Fuzz.run ~failpoint:"skip-rebuild-scan" ~specs:Spec.all ~seed:1 small_config ~plan in
-  let s = report_roundtrip ~name:"fuzz-seed-1" ~seed:1 small_config oc in
+  let c = case ~failpoint:"skip-rebuild-scan" ~specs:Spec.all ~plan:(replace_sequencer_at 15_000.) 1 in
+  let oc = Fuzz.run c in
+  let s = report_roundtrip c oc in
   Alcotest.(check (list string)) "violations" (oracle_names oc.Fuzz.oc_violations)
     (List.map fst s.R.ps_violations);
   check_bool "the case violates" true (s.R.ps_violations <> []);
@@ -867,10 +938,7 @@ let test_fuzz_report_schema () =
 let test_report_monitored_scenario () =
   let module R = Tango_harness.Report in
   let sc = Option.get (Scenario.find "slo-clean") in
-  let s =
-    report_roundtrip ~name:sc.Scenario.sc_name ~seed:sc.Scenario.sc_seed sc.Scenario.sc_config
-      (Scenario.run sc)
-  in
+  let s = report_roundtrip sc (Fuzz.run sc) in
   check_bool "timeseries" true s.R.ps_has_timeseries;
   Alcotest.(check (option int)) "alert stream, empty" (Some 0) s.R.ps_alerts;
   Alcotest.(check (list (pair string string))) "no violations" [] s.R.ps_violations;
@@ -880,8 +948,8 @@ let test_report_monitored_scenario () =
 let test_report_carries_spans () =
   let module R = Tango_harness.Report in
   let plan = Fuzz.gen_plan ~seed:45 small_config in
-  let oc = Fuzz.run ~capture_spans:true ~seed:45 small_config ~plan in
-  let s = report_roundtrip ~name:"fuzz-seed-45" ~seed:45 small_config oc in
+  let c = case ~plan 45 in
+  let s = report_roundtrip c (Fuzz.run ~capture_spans:true c) in
   match s.R.ps_span_events with
   | Some n -> check_bool (Printf.sprintf "%d trace events" n) true (n > 0)
   | None -> Alcotest.fail "no spans section"
@@ -890,7 +958,6 @@ let test_report_carries_spans () =
 (* End-to-end: linearizability across reconfigurations                *)
 (* ------------------------------------------------------------------ *)
 
-module Chaos = Tango_harness.Chaos
 module Register = Tango_objects.Tango_register
 
 (* A small paced register workload: its observed history must stay
@@ -1207,6 +1274,9 @@ let () =
             test_make_whole_skips_made_recoveries;
           Alcotest.test_case "chaos-smoke recovers, retries boundedly, replays" `Quick
             test_chaos_smoke_builtin;
+          Alcotest.test_case "op names round-trip through the one parser" `Quick
+            test_chaos_op_names;
+          Alcotest.test_case "every op runs with every spec armed" `Quick test_every_op_runs;
           Alcotest.test_case "SLO monitors fire only when degraded" `Slow
             test_scenario_slo_monitors;
         ] );

@@ -460,10 +460,9 @@ let test_net_server_saturation () =
   let count =
     Engine.run (fun () ->
         let net = make_net () in
-        let server = Net.add_host ~cores:1 net "srv" in
-        let svc =
-          Net.service server ~name:"work" (fun () -> Resource.use (Net.host_cpu server) 100.)
-        in
+        let server = Net.add_host net "srv" in
+        let cpu = Resource.create ~name:"srv.cpu" ~capacity:1 () in
+        let svc = Net.service server ~name:"work" (fun () -> Resource.use cpu 100.) in
         let n = ref 0 in
         for i = 1 to 10 do
           let client = Net.add_host net (Printf.sprintf "c%d" i) in
@@ -947,6 +946,23 @@ let test_fault_schedule_is_virtual_time () =
           check_float "first at 100" 100. e1.Fault.ev_time;
           check_float "second at 200" 200. e2.Fault.ev_time
       | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
+
+(* A custom action is a name: the controller runs it through the one
+   interpreter it was created with, at the scheduled virtual time, and
+   logs it under that name. A controller with no interpreter refuses. *)
+let test_fault_custom_interpreter () =
+  Engine.run (fun () ->
+      let ran = ref [] in
+      let f = Fault.create ~custom:(fun name -> ran := (name, Engine.now ()) :: !ran) () in
+      Fault.plan f [ (100., Fault.Custom "ssd-fail x"); (250., Fault.Custom "ssd-repair x") ];
+      Engine.sleep 300.;
+      check_bool "interpreted by name at the planned times" true
+        (List.rev !ran = [ ("ssd-fail x", 100.); ("ssd-repair x", 250.) ]);
+      check_bool "logged by name" true
+        (List.map (fun e -> e.Fault.ev_label) (Fault.events f) = [ "ssd-fail x"; "ssd-repair x" ]);
+      match Fault.apply (Fault.create ()) (Fault.Custom "ssd-fail x") with
+      | () -> Alcotest.fail "a custom ran with no interpreter"
+      | exception Invalid_argument _ -> ())
 
 (* The determinism contract: same seeds, same plan => byte-identical
    trace, including drop decisions from the controller's private rng. *)
@@ -1765,20 +1781,12 @@ let sample_plan : (float * Fault.action) list =
     (200., Fault.Partition [ [ "storage-1"; "storage-2" ]; [ "app" ] ]);
     (300., Fault.Heal);
     (301., Fault.Clear_edge ("app", "*"));
-    (400.75, Fault.Custom ("replace-sequencer", fun () -> ()));
+    (400.75, Fault.Custom "replace-sequencer");
     (500., Fault.Restart "storage-0");
   ]
 
 let test_fault_plan_equal_pp () =
-  check_bool "plan equals itself" true (Fault.equal_plan sample_plan sample_plan);
-  check_bool "custom compares by name" true
-    (Fault.equal_action
-       (Fault.Custom ("x", fun () -> ()))
-       (Fault.Custom ("x", fun () -> failwith "different closure")));
-  check_bool "different custom names differ" false
-    (Fault.equal_action (Fault.Custom ("x", fun () -> ())) (Fault.Custom ("y", fun () -> ())));
-  check_bool "prefix is not the plan" false
-    (Fault.equal_plan sample_plan (List.tl sample_plan));
+  check_bool "prefix is not the plan" false (sample_plan = List.tl sample_plan);
   let rendered = Format.asprintf "%a" Fault.pp_plan sample_plan in
   let contains needle =
     let nl = String.length needle and hl = String.length rendered in
@@ -1792,22 +1800,8 @@ let test_fault_plan_equal_pp () =
 let test_fault_plan_round_trip () =
   let doc = Fault.encode_plan sample_plan in
   let back = Fault.decode_plan doc in
-  check_bool "encode/decode round-trips" true (Fault.equal_plan sample_plan back);
+  check_bool "encode/decode round-trips" true (back = sample_plan);
   check_bool "re-encode is byte-identical" true (String.equal doc (Fault.encode_plan back));
-  (* decoded customs get placeholder thunks that refuse to run *)
-  (match List.nth back 5 with
-  | _, Fault.Custom (_, thunk) -> (
-      match thunk () with
-      | () -> Alcotest.fail "placeholder thunk ran"
-      | exception Invalid_argument _ -> ())
-  | _ -> Alcotest.fail "expected a custom action");
-  (* a custom resolver rebinds thunks by name *)
-  let hit = ref "" in
-  let back = Fault.decode_plan ~custom:(fun name () -> hit := name) doc in
-  (match List.nth back 5 with
-  | _, Fault.Custom (_, thunk) -> thunk ()
-  | _ -> Alcotest.fail "expected a custom action");
-  Alcotest.(check string) "thunk rebound by name" "replace-sequencer" !hit;
   match Fault.decode_plan "{\"version\":99,\"events\":[]}" with
   | _ -> Alcotest.fail "unknown version accepted"
   | exception Invalid_argument _ -> ()
@@ -1831,7 +1825,7 @@ let action_gen =
           Fault.Degrade { d_src = s; d_dst = d; d_drop = drop; d_delay_us = delay; d_jitter_us = jitter })
         (pair host host) (float_bound_inclusive 1.) (pair finite_float finite_float);
       map (fun (s, d) -> Fault.Clear_edge (s, d)) (pair host host);
-      map (fun n -> Fault.Custom ("op-" ^ string_of_int n, fun () -> ())) small_nat;
+      map (fun n -> Fault.Custom ("op-" ^ string_of_int n)) small_nat;
     ]
 
 let plan_gen =
@@ -1840,7 +1834,7 @@ let plan_gen =
 
 let prop_fault_plan_round_trip =
   QCheck.Test.make ~name:"fault plan encode/decode round-trips" ~count:300 plan_gen (fun p ->
-      Fault.equal_plan p (Fault.decode_plan (Fault.encode_plan p)))
+      Fault.decode_plan (Fault.encode_plan p) = p)
 
 (* The reference model of fault verdicts, keyed by name: hash tables of
    names, component lists searched with [List.mem], edge rules keyed by
@@ -1867,7 +1861,7 @@ module Name_fault = struct
         Hashtbl.replace t.edges (d_src, d_dst)
           { drop = d_drop; delay_us = d_delay_us; jitter_us = d_jitter_us }
     | Fault.Clear_edge (s, d) -> Hashtbl.remove t.edges (s, d)
-    | Fault.Custom (_, run) -> run ()
+    | Fault.Custom _ -> ()
 
   let is_crashed t h = Hashtbl.mem t.crashed h
 
@@ -2613,6 +2607,8 @@ let () =
             test_deadline_held_service_not_cut_short;
           Alcotest.test_case "plan runs in virtual time" `Quick
             test_fault_schedule_is_virtual_time;
+          Alcotest.test_case "custom actions run through the interpreter" `Quick
+            test_fault_custom_interpreter;
           Alcotest.test_case "trace deterministic across runs" `Quick
             test_fault_trace_deterministic;
           Alcotest.test_case "plan equality and printing" `Quick test_fault_plan_equal_pp;
