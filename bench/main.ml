@@ -13,6 +13,8 @@
 open Tango_objects
 module Tpl = Tango_baselines.Two_phase_locking
 module Key_dist = Tango_workloads.Key_dist
+module Load = Tango_harness.Load
+module Report = Tango_harness.Report
 
 let warmup_us = 100_000.
 let measure_us = 300_000.
@@ -23,132 +25,199 @@ let measure_us = 300_000.
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 let row fmt = Printf.printf (fmt ^^ "\n%!")
-
-module Load = Tango_harness.Load
-
 let new_runtime cluster name = Tango.Runtime.create (Corfu.Cluster.new_client cluster ~name)
+let commit rt = Tango.Runtime.end_tx rt = Tango.Runtime.Committed
 
 (* A bare fabric (no cluster) at the default latency and RPC cap. *)
 let bare_net () =
   Sim.Net.create ~latency:Sim.Params.default.Sim.Params.net_latency_us ~bandwidth:125.
     ~timeout_us:Sim.Params.default.Sim.Params.rpc_timeout_us ()
 
+(* The measure window of every section: in a fresh engine run at
+   [seed], [load m] starts the workload on window [m] and returns what
+   to read from [m]'s report once the warmup and the measurement have
+   passed, still inside the run. Windows in [also] are measured with
+   [m]. *)
+let measured ~seed ?(also = []) load =
+  Sim.Engine.run ~seed (fun () ->
+      let m = Load.window () in
+      let read = load m in
+      Load.measure ~warmup_us ~measure_us (m :: also);
+      read (Load.report m))
+
 (* ------------------------------------------------------------------ *)
-(* Figure 2: sequencer throughput vs number of clients                *)
+(* Sweeps                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let sequencer_rate ~clients ~batch =
-  Sim.Engine.run ~seed:(100 + clients + batch) (fun () ->
+(* A column prints the point's param [name], padded to [width] (on the
+   right when the width is negative), or else the row's value [name]
+   to [decimals] places ("-" for nan). [head] heads it. *)
+type column = { name : string; head : string; width : int; decimals : int }
+
+let col ?head name width decimals =
+  { name; head = Option.value head ~default:name; width; decimals }
+
+(* One run of a point: its figures, named by their columns. *)
+type row = (string * float) list
+
+(* An evaluation section is a parameter sweep: one line per point, the
+   point's params and its row's values in the columns' order, under a
+   line of the column heads unless [header] is off. [seed p] is point
+   [p]'s seed; a row that takes several runs derives theirs from it. *)
+type 'p sweep = {
+  name : string;
+  title : string;
+  header : bool;
+  columns : column list;
+  points : 'p list;
+  params : 'p -> (string * string) list;
+  seed : 'p -> int;
+  run : seed:int -> 'p -> row;
+}
+
+(* A section is a sweep, or a single run that prints tables of its own
+   and reports itself. *)
+type experiment = Sweep : 'p sweep -> experiment | Single of string * (unit -> unit)
+
+let sweep ?(header = true) ~name ~title ~columns ~params ~seed points run =
+  Sweep { name; title; header; columns; points; params; seed; run }
+
+let int_param name n = [ (name, string_of_int n) ]
+
+let workers m n op =
+  for _ = 1 to n do
+    Load.worker m op
+  done
+
+let grid xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+(* A section of "label value unit" lines has no header: a point is one
+   line, and its label and unit are its params. *)
+let label_columns ~label value = [ col "label" label 0; value; col "unit" 0 0 ]
+let label_params label unit = [ ("label", label); ("unit", unit) ]
+
+(* Prints the sweep's table and reports each row as one scenario named
+   after the section, with the point's params and the row's values. *)
+let run_sweep sw =
+  section sw.title;
+  let line cells = print_endline (String.concat " " cells) in
+  let pad (c : column) s = Printf.sprintf "%*s" c.width s in
+  if sw.header then line (List.map (fun c -> pad c c.head) sw.columns);
+  List.iter
+    (fun p ->
+      let seed = sw.seed p and params = sw.params p in
+      let row = sw.run ~seed p in
+      let cell (c : column) =
+        match List.assoc_opt c.name params with
+        | Some s -> pad c s
+        | None ->
+            let v = List.assoc c.name row in
+            if Float.is_nan v then pad c "-" else Printf.sprintf "%*.*f" c.width c.decimals v
+      in
+      line (List.map cell sw.columns);
+      Report.add_scenario ~name:sw.name ~seed ~params ~summary:row ~virtual_end_us:0.
+        ~metrics_json:"{}" ())
+    sw.points
+
+(* ------------------------------------------------------------------ *)
+(* Figures 2 and 8: the sequencer and one register view               *)
+(* ------------------------------------------------------------------ *)
+
+let sequencer_rate ~seed ~clients ~batch =
+  measured ~seed (fun m ->
       let cluster = Corfu.Cluster.create ~servers:2 () in
       let seq = Corfu.Cluster.sequencer cluster in
-      let m = Load.window () in
       for i = 1 to clients do
         let client = Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "c%d" i) in
         let host = Corfu.Client.host client in
         (* a window of 2 outstanding requests per client, as a
            pipelined sequencer client would run *)
-        for _ = 1 to 2 do
-          Load.worker m (fun () ->
-              match
-                Sim.Net.call ~from:host (Corfu.Sequencer.increment_service seq)
-                  { Corfu.Sequencer.iepoch = 0; istreams = []; icount = batch }
-              with
-              | Corfu.Sequencer.Seq_ok _ -> true
-              | Corfu.Sequencer.Seq_sealed _ -> false)
-        done
+        workers m 2 (fun () ->
+            match
+              Sim.Net.call ~from:host (Corfu.Sequencer.increment_service seq)
+                { Corfu.Sequencer.iepoch = 0; istreams = []; icount = batch }
+            with
+            | Corfu.Sequencer.Seq_ok _ -> true
+            | Corfu.Sequencer.Seq_sealed _ -> false)
       done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).throughput *. float_of_int batch)
+      fun r -> r.throughput *. float_of_int batch /. 1e3)
 
-let fig2 () =
-  section "Figure 2: sequencer throughput (Ks of requests/sec vs clients)";
-  row "%8s %14s" "clients" "Kreq/s";
-  List.iter
-    (fun clients -> row "%8d %14.0f" clients (sequencer_rate ~clients ~batch:1 /. 1e3))
+let fig2 =
+  sweep ~name:"fig2" ~title:"Figure 2: sequencer throughput (Ks of requests/sec vs clients)"
+    ~columns:[ col "clients" 8 0; col "Kreq/s" 14 0 ]
+    ~params:(int_param "clients") ~seed:(fun clients -> 101 + clients)
     [ 1; 2; 5; 10; 15; 20; 25; 30; 35; 40 ]
+    (fun ~seed clients -> [ ("Kreq/s", sequencer_rate ~seed ~clients ~batch:1) ])
 
-(* ------------------------------------------------------------------ *)
-(* Figure 8 Left: single view latency/throughput                      *)
-(* ------------------------------------------------------------------ *)
+let fig8_left =
+  sweep ~name:"fig8-left"
+    ~title:"Figure 8 (Left): single view — latency vs throughput per write ratio"
+    ~columns:
+      [
+        col "write-ratio" 12 0; col "window" 8 0; col "Kops/s" 10 1; col "mean-ms" 10 2;
+        col "p99-ms" 10 2;
+      ]
+    ~params:(fun (ratio, window) ->
+      [ ("write-ratio", Printf.sprintf "%.1f" ratio); ("window", string_of_int window) ])
+    ~seed:(fun (ratio, window) -> int_of_float (ratio *. 100.) + window)
+    (grid [ 1.0; 0.9; 0.5; 0.1; 0.0 ] [ 8; 16; 32; 64; 128; 256 ])
+    (fun ~seed (ratio, window) ->
+      measured ~seed (fun m ->
+          let cluster = Corfu.Cluster.create ~servers:18 () in
+          let rt = new_runtime cluster "app" in
+          let reg = Tango_register.attach rt ~oid:1 in
+          let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+          workers m window (fun () ->
+              if Sim.Rng.bool rng ratio then Tango_register.write reg 1
+              else ignore (Tango_register.read reg);
+              true);
+          fun r ->
+            [
+              ("Kops/s", r.throughput /. 1e3);
+              ("mean-ms", r.latency_mean_us /. 1e3);
+              ("p99-ms", r.latency_p99_us /. 1e3);
+            ]))
 
-let fig8_left_point ~ratio ~window_size =
-  Sim.Engine.run ~seed:(int_of_float (ratio *. 100.) + window_size) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let rt = new_runtime cluster "app" in
-      let reg = Tango_register.attach rt ~oid:1 in
-      let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-      let m = Load.window () in
-      for _ = 1 to window_size do
-        Load.worker m (fun () ->
-            if Sim.Rng.bool rng ratio then Tango_register.write reg 1
-            else ignore (Tango_register.read reg);
-            true)
-      done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      let r = Load.report m in
-      (r.throughput, r.latency_mean_us /. 1e3, r.latency_p99_us /. 1e3))
-
-let fig8_left () =
-  section "Figure 8 (Left): single view — latency vs throughput per write ratio";
-  row "%12s %8s %10s %10s %10s" "write-ratio" "window" "Kops/s" "mean-ms" "p99-ms";
-  List.iter
-    (fun ratio ->
-      List.iter
-        (fun window_size ->
-          let tput, mean, p99 = fig8_left_point ~ratio ~window_size in
-          row "%12.1f %8d %10.1f %10.2f %10.2f" ratio window_size (tput /. 1e3) mean p99)
-        [ 8; 16; 32; 64; 128; 256 ])
-    [ 1.0; 0.9; 0.5; 0.1; 0.0 ]
-
-(* ------------------------------------------------------------------ *)
-(* Figure 8 Middle: primary/backup                                    *)
-(* ------------------------------------------------------------------ *)
-
-let fig8_mid_point ~write_rate =
-  Sim.Engine.run ~seed:(int_of_float write_rate + 7) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let rt_w = new_runtime cluster "primary" in
-      let rt_r = new_runtime cluster "backup" in
-      let reg_w = Tango_register.attach rt_w ~oid:1 in
-      let reg_r = Tango_register.attach rt_r ~oid:1 in
-      let writes = Load.window () in
-      let reads = Load.window () in
-      if write_rate > 0. then
-        Load.generator writes ~rate:write_rate (fun () ->
-            Tango_register.write reg_w 1;
-            true);
-      for _ = 1 to 64 do
-        Load.worker reads (fun () ->
-            ignore (Tango_register.read reg_r);
-            true)
-      done;
-      Load.measure ~warmup_us ~measure_us [ reads; writes ];
-      let r = Load.report reads in
-      (r.throughput, (Load.report writes).throughput, r.latency_mean_us /. 1e3))
-
-let fig8_mid () =
-  section "Figure 8 (Middle): primary/backup — reads on one view, writes on the other";
-  row "%16s %12s %12s %14s" "target-writes/s" "Kreads/s" "Kwrites/s" "read-mean-ms";
-  List.iter
-    (fun rate ->
-      let reads, writes, lat = fig8_mid_point ~write_rate:rate in
-      row "%16.0f %12.1f %12.1f %14.2f" rate (reads /. 1e3) (writes /. 1e3) lat)
+let fig8_mid =
+  sweep ~name:"fig8-mid"
+    ~title:"Figure 8 (Middle): primary/backup — reads on one view, writes on the other"
+    ~columns:
+      [
+        col "target-writes/s" 16 0; col "Kreads/s" 12 1; col "Kwrites/s" 12 1;
+        col "read-mean-ms" 14 2;
+      ]
+    ~params:(fun rate -> [ ("target-writes/s", Printf.sprintf "%.0f" rate) ])
+    ~seed:(fun rate -> int_of_float rate + 7)
     [ 0.; 5_000.; 10_000.; 20_000.; 30_000.; 40_000. ]
-
-(* ------------------------------------------------------------------ *)
-(* Figure 8 Right: elastic reads                                      *)
-(* ------------------------------------------------------------------ *)
-
-let fig8_right_point ~servers ~readers =
-  Sim.Engine.run ~seed:(servers + readers) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers () in
-      let rt_w = new_runtime cluster "writer" in
-      let reg_w = Tango_register.attach rt_w ~oid:1 in
+    (fun ~seed rate ->
       let writes = Load.window () in
-      Load.generator writes ~rate:10_000. (fun () ->
+      measured ~seed ~also:[ writes ] (fun reads ->
+          let cluster = Corfu.Cluster.create ~servers:18 () in
+          let rt_w = new_runtime cluster "primary" in
+          let rt_r = new_runtime cluster "backup" in
+          let reg_w = Tango_register.attach rt_w ~oid:1 in
+          let reg_r = Tango_register.attach rt_r ~oid:1 in
+          if rate > 0. then
+            Load.generator writes ~rate (fun () ->
+                Tango_register.write reg_w 1;
+                true);
+          workers reads 64 (fun () ->
+              ignore (Tango_register.read reg_r);
+              true);
+          fun r ->
+            [
+              ("Kreads/s", r.throughput /. 1e3);
+              ("Kwrites/s", (Load.report writes).throughput /. 1e3);
+              ("read-mean-ms", r.latency_mean_us /. 1e3);
+            ]))
+
+let fig8_right_point ~seed ~servers ~readers =
+  measured ~seed (fun reads ->
+      let cluster = Corfu.Cluster.create ~servers () in
+      let reg_w = Tango_register.attach (new_runtime cluster "writer") ~oid:1 in
+      Load.generator (Load.window ()) ~rate:10_000. (fun () ->
           Tango_register.write reg_w 1;
           true);
-      let reads = Load.window () in
       for i = 1 to readers do
         let rt = new_runtime cluster (Printf.sprintf "reader-%d" i) in
         let reg = Tango_register.attach rt ~oid:1 in
@@ -156,59 +225,51 @@ let fig8_right_point ~servers ~readers =
             ignore (Tango_register.read reg);
             true)
       done;
-      Load.measure ~warmup_us ~measure_us [ reads ];
-      (Load.report reads).throughput)
+      fun r -> r.throughput /. 1e3)
 
-let fig8_right () =
-  section "Figure 8 (Right): read elasticity — N readers at 10K reads/s, 10K writes/s";
-  row "%8s %16s %16s" "readers" "18-srv Kreads/s" "2-srv Kreads/s";
-  List.iter
-    (fun readers ->
-      let big = fig8_right_point ~servers:18 ~readers in
-      let small = fig8_right_point ~servers:2 ~readers in
-      row "%8d %16.1f %16.1f" readers (big /. 1e3) (small /. 1e3))
+let fig8_right =
+  sweep ~name:"fig8-right"
+    ~title:"Figure 8 (Right): read elasticity — N readers at 10K reads/s, 10K writes/s"
+    ~columns:[ col "readers" 8 0; col "18-srv Kreads/s" 16 1; col "2-srv Kreads/s" 16 1 ]
+    ~params:(int_param "readers") ~seed:(fun readers -> 18 + readers)
     [ 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
+    (fun ~seed readers ->
+      [
+        ("18-srv Kreads/s", fig8_right_point ~seed ~servers:18 ~readers);
+        ("2-srv Kreads/s", fig8_right_point ~seed:(seed - 16) ~servers:2 ~readers);
+      ])
 
-(* ------------------------------------------------------------------ *)
-(* Figure 8 window sweep: write throughput vs append window           *)
-(* ------------------------------------------------------------------ *)
-
-let fig8_window_point ~append_window =
-  Sim.Engine.run ~seed:(900 + append_window) (fun () ->
-      let params = { Sim.Params.default with Sim.Params.append_window } in
-      let cluster = Corfu.Cluster.create ~params ~servers:18 () in
-      let rt = new_runtime cluster "writer" in
-      let reg = Tango_register.attach rt ~oid:1 in
-      let m = Load.window () in
-      for _ = 1 to 64 do
-        Load.worker m (fun () ->
-            Tango_register.write reg 1;
-            true)
-      done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      ((Load.report m).throughput, Tango.Runtime.append_stats rt))
-
-let fig8_window () =
-  section "Figure 8 (window sweep): 64 closed-loop writers vs append window";
-  row "%8s %10s %9s %8s %11s %11s %10s %11s" "window" "Kwrites/s" "entries" "grants" "grant-occ"
-    "peak-depth" "cache-hit" "cache-miss";
-  List.iter
-    (fun append_window ->
-      let tput, s = fig8_window_point ~append_window in
-      let occ =
-        if s.Tango.Runtime.as_grants = 0 then 0.
-        else float_of_int s.Tango.Runtime.as_granted_entries /. float_of_int s.Tango.Runtime.as_grants
-      in
-      row "%8d %10.1f %9d %8d %11.2f %11d %10d %11d" append_window (tput /. 1e3)
-        s.Tango.Runtime.as_entries s.Tango.Runtime.as_grants occ s.Tango.Runtime.as_inflight_peak
-        s.Tango.Runtime.as_cache_hits s.Tango.Runtime.as_cache_misses)
+let fig8_window =
+  sweep ~name:"fig8-window"
+    ~title:"Figure 8 (window sweep): 64 closed-loop writers vs append window"
+    ~columns:
+      [
+        col "window" 8 0; col "Kwrites/s" 10 1; col "entries" 9 0; col "grants" 8 0;
+        col "grant-occ" 11 2; col "peak-depth" 11 0; col "cache-hit" 10 0; col "cache-miss" 11 0;
+      ]
+    ~params:(int_param "window") ~seed:(fun window -> 900 + window)
     [ 1; 2; 4; 8; 16; 32 ]
+    (fun ~seed append_window ->
+      measured ~seed (fun m ->
+          let params = { Sim.Params.default with Sim.Params.append_window } in
+          let cluster = Corfu.Cluster.create ~params ~servers:18 () in
+          let rt = new_runtime cluster "writer" in
+          let reg = Tango_register.attach rt ~oid:1 in
+          workers m 64 (fun () ->
+              Tango_register.write reg 1;
+              true);
+          fun r ->
+            let s = Tango.Runtime.append_stats rt and n = float_of_int in
+            let occ = if s.as_grants = 0 then 0. else n s.as_granted_entries /. n s.as_grants in
+            [
+              ("Kwrites/s", r.throughput /. 1e3); ("entries", n s.as_entries);
+              ("grants", n s.as_grants); ("grant-occ", occ); ("peak-depth", n s.as_inflight_peak);
+              ("cache-hit", n s.as_cache_hits); ("cache-miss", n s.as_cache_misses);
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: latency decomposition of appends and reads               *)
 (* ------------------------------------------------------------------ *)
-
-module Report = Tango_harness.Report
 
 (* The observability showcase: one view under mixed load, with the
    metrics sampler on. The registry is read post-mortem — the text
@@ -231,28 +292,22 @@ let fig5 () =
   section "Figure 5: latency decomposition — appends and reads on one view";
   let seed = 42 in
   let servers = 6 and writers = 16 and readers = 16 in
+  let r = Load.window () in
   let appends_s, reads_s, end_us =
-    Sim.Engine.run ~seed (fun () ->
+    measured ~seed ~also:[ r ] (fun w ->
         let cluster = Corfu.Cluster.create ~servers () in
         let rt = new_runtime cluster "app" in
         let reg = Tango_register.attach rt ~oid:1 in
         Sim.Metrics.start_sampler ();
         Sim.Timeseries.start ();
         fig5_monitors ();
-        let w = Load.window () in
-        let r = Load.window () in
-        for _ = 1 to writers do
-          Load.worker w (fun () ->
-              Tango_register.write reg 1;
-              true)
-        done;
-        for _ = 1 to readers do
-          Load.worker r (fun () ->
-              ignore (Tango_register.read reg);
-              true)
-        done;
-        Load.measure ~warmup_us ~measure_us [ w; r ];
-        ((Load.report w).throughput, (Load.report r).throughput, Sim.Engine.now ()))
+        workers w writers (fun () ->
+            Tango_register.write reg 1;
+            true);
+        workers r readers (fun () ->
+            ignore (Tango_register.read reg);
+            true);
+        fun wr -> (wr.throughput, (Load.report r).throughput, Sim.Engine.now ()))
   in
   let snap = Sim.Metrics.snapshot () in
   row "%10.1f Kappends/s  %10.1f Kreads/s" (appends_s /. 1e3) (reads_s /. 1e3);
@@ -288,90 +343,64 @@ let fig5 () =
     ~virtual_end_us:end_us ~metrics_json:(Sim.Metrics.to_json ()) ()
 
 (* ------------------------------------------------------------------ *)
-(* Figure 9: transactions on a fully replicated TangoMap              *)
+(* Figures 9 and 10: transactions on TangoMaps                        *)
 (* ------------------------------------------------------------------ *)
 
 let map_tx rt map dist rng =
   Tango.Runtime.begin_tx rt;
   List.iter (fun k -> ignore (Tango_map.get map k)) (Key_dist.distinct_keys dist rng 3);
   List.iter (fun k -> Tango_map.put map k "v") (Key_dist.distinct_keys dist rng 3);
-  match Tango.Runtime.end_tx rt with
-  | Tango.Runtime.Committed -> true
-  | Tango.Runtime.Aborted -> false
+  commit rt
 
-let fig9_point ~nodes ~keys ~zipfian =
-  Sim.Engine.run ~seed:(nodes + keys + if zipfian then 1 else 0) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let dist = if zipfian then Key_dist.zipf ~n:keys () else Key_dist.uniform ~n:keys in
-      let m = Load.window () in
-      for i = 1 to nodes do
-        let rt = new_runtime cluster (Printf.sprintf "node-%d" i) in
-        let map = Tango_map.attach rt ~oid:1 in
-        let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-        for _ = 1 to 32 do
-          Load.worker m (fun () -> map_tx rt map dist rng)
-        done
-      done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      let r = Load.report m in
-      (r.throughput, r.goodput))
+let fig9 =
+  sweep ~name:"fig9" ~title:"Figure 9: fully replicated TangoMap — 3R+3W transactions"
+    ~columns:
+      [ col "dist" 8 0; col "keys" 10 0; col "nodes" 10 0; col "Ktx/s" 12 1; col "Kgoodput/s" 12 1 ]
+    ~params:(fun (zipfian, (keys, nodes)) ->
+      ("dist", if zipfian then "zipf" else "uniform")
+      :: (int_param "keys" keys @ int_param "nodes" nodes))
+    ~seed:(fun (zipfian, (keys, nodes)) -> nodes + keys + if zipfian then 1 else 0)
+    (grid [ true; false ] (grid [ 100; 10_000; 1_000_000 ] [ 2; 3; 4; 6; 8 ]))
+    (fun ~seed (zipfian, (keys, nodes)) ->
+      measured ~seed (fun m ->
+          let cluster = Corfu.Cluster.create ~servers:18 () in
+          let dist = if zipfian then Key_dist.zipf ~n:keys () else Key_dist.uniform ~n:keys in
+          for i = 1 to nodes do
+            let rt = new_runtime cluster (Printf.sprintf "node-%d" i) in
+            let map = Tango_map.attach rt ~oid:1 in
+            let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+            workers m 32 (fun () -> map_tx rt map dist rng)
+          done;
+          fun r -> [ ("Ktx/s", r.throughput /. 1e3); ("Kgoodput/s", r.goodput /. 1e3) ]))
 
-let fig9 () =
-  section "Figure 9: fully replicated TangoMap — 3R+3W transactions";
-  row "%8s %10s %10s %12s %12s" "dist" "keys" "nodes" "Ktx/s" "Kgoodput/s";
-  List.iter
-    (fun zipfian ->
-      List.iter
-        (fun keys ->
-          List.iter
-            (fun nodes ->
-              let tput, goodput = fig9_point ~nodes ~keys ~zipfian in
-              row "%8s %10d %10d %12.1f %12.1f"
-                (if zipfian then "zipf" else "uniform")
-                keys nodes (tput /. 1e3) (goodput /. 1e3))
-            [ 2; 3; 4; 6; 8 ])
-        [ 100; 10_000; 1_000_000 ])
-    [ true; false ]
-
-(* ------------------------------------------------------------------ *)
-(* Figure 10 Left: layered partitions scale                           *)
-(* ------------------------------------------------------------------ *)
-
-let fig10_left_point ~servers ~clients =
-  Sim.Engine.run ~seed:(servers + clients) (fun () ->
+let fig10_left_point ~seed ~servers ~clients =
+  measured ~seed (fun m ->
       let cluster = Corfu.Cluster.create ~servers () in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = Load.window () in
       for i = 1 to clients do
         let rt = new_runtime cluster (Printf.sprintf "node-%d" i) in
         let map = Tango_map.attach rt ~oid:i in
         let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-        for _ = 1 to 24 do
-          Load.worker m (fun () -> map_tx rt map dist rng)
-        done
+        workers m 24 (fun () -> map_tx rt map dist rng)
       done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).throughput)
+      fun r -> r.throughput /. 1e3)
 
-let fig10_left () =
-  section "Figure 10 (Left): one TangoMap per client — single-partition transactions";
-  row "%8s %16s %16s" "clients" "18-srv Ktx/s" "6-srv Ktx/s";
-  List.iter
-    (fun clients ->
-      let big = fig10_left_point ~servers:18 ~clients in
-      let small = fig10_left_point ~servers:6 ~clients in
-      row "%8d %16.1f %16.1f" clients (big /. 1e3) (small /. 1e3))
+let fig10_left =
+  sweep ~name:"fig10-left"
+    ~title:"Figure 10 (Left): one TangoMap per client — single-partition transactions"
+    ~columns:[ col "clients" 8 0; col "18-srv Ktx/s" 16 1; col "6-srv Ktx/s" 16 1 ]
+    ~params:(int_param "clients") ~seed:(fun clients -> 18 + clients)
     [ 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
+    (fun ~seed clients ->
+      [
+        ("18-srv Ktx/s", fig10_left_point ~seed ~servers:18 ~clients);
+        ("6-srv Ktx/s", fig10_left_point ~seed:(seed - 12) ~servers:6 ~clients);
+      ])
 
-(* ------------------------------------------------------------------ *)
-(* Figure 10 Middle: cross-partition transactions, Tango vs 2PL       *)
-(* ------------------------------------------------------------------ *)
-
-let fig10_mid_tango ~clients ~cross_pct =
-  Sim.Engine.run ~seed:(clients + cross_pct) (fun () ->
+let fig10_mid_tango ~seed ~clients ~cross_pct =
+  measured ~seed (fun m ->
       let cluster = Corfu.Cluster.create ~servers:18 () in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = Load.window () in
       let runtimes = Array.init clients (fun i -> new_runtime cluster (Printf.sprintf "n%d" i)) in
       let maps = Array.mapi (fun i rt -> Tango_map.attach rt ~oid:(i + 1)) runtimes in
       Array.iteri
@@ -391,20 +420,16 @@ let fig10_mid_tango ~clients ~cross_pct =
                 let other = if other = i then (i + 1) mod clients else other in
                 Tango_map.remote_put rt ~oid:(other + 1) (Key_dist.sample_key dist rng) "v"
               end;
-              match Tango.Runtime.end_tx rt with
-              | Tango.Runtime.Committed -> true
-              | Tango.Runtime.Aborted -> false))
+              commit rt))
         runtimes;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).goodput)
+      fun r -> r.goodput /. 1e3)
 
-let fig10_mid_2pl ~clients ~cross_pct =
-  Sim.Engine.run ~seed:(1000 + clients + cross_pct) (fun () ->
+let fig10_mid_2pl ~seed ~clients ~cross_pct =
+  measured ~seed (fun m ->
       let net = bare_net () in
       let t = Tpl.create ~net in
       let nodes = Array.init clients (fun i -> Tpl.add_node t ~name:(Printf.sprintf "n%d" i)) in
       let dist = Key_dist.uniform ~n:100_000 in
-      let m = Load.window () in
       Array.iteri
         (fun i me ->
           let rng = Sim.Rng.split (Sim.Engine.rng ()) in
@@ -432,164 +457,149 @@ let fig10_mid_2pl ~clients ~cross_pct =
               in
               Tpl.execute t ~from:me ~reads ~writes))
         nodes;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).goodput)
+      fun r -> r.goodput /. 1e3)
 
-let fig10_mid () =
-  section "Figure 10 (Middle): % cross-partition transactions — Tango vs 2PL";
-  row "%8s %14s %14s" "cross-%" "Tango Ktx/s" "2PL Ktx/s";
-  List.iter
-    (fun pct ->
-      let tango = fig10_mid_tango ~clients:18 ~cross_pct:pct in
-      let tpl = fig10_mid_2pl ~clients:18 ~cross_pct:pct in
-      row "%8d %14.1f %14.1f" pct (tango /. 1e3) (tpl /. 1e3))
+let fig10_mid =
+  sweep ~name:"fig10-mid" ~title:"Figure 10 (Middle): % cross-partition transactions — Tango vs 2PL"
+    ~columns:[ col "cross-%" 8 0; col "Tango Ktx/s" 14 1; col "2PL Ktx/s" 14 1 ]
+    ~params:(int_param "cross-%") ~seed:(fun pct -> 18 + pct)
     [ 0; 1; 2; 4; 8; 16; 32; 64; 100 ]
+    (fun ~seed cross_pct ->
+      [
+        ("Tango Ktx/s", fig10_mid_tango ~seed ~clients:18 ~cross_pct);
+        ("2PL Ktx/s", fig10_mid_2pl ~seed:(seed + 1000) ~clients:18 ~cross_pct);
+      ])
 
-(* ------------------------------------------------------------------ *)
-(* Figure 10 Right: transactions on a shared object                   *)
-(* ------------------------------------------------------------------ *)
-
-let fig10_right_point ~common_pct =
-  Sim.Engine.run ~seed:(2000 + common_pct) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let clients = 4 in
-      let dist = Key_dist.uniform ~n:100_000 in
-      let common_oid = 100 in
-      let m = Load.window () in
-      for i = 1 to clients do
-        let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
-        let priv = Tango_map.attach rt ~oid:i in
-        (* the shared object is marked: its commit records need
-           decision records for clients lacking the private read sets *)
-        let common = Tango_map.attach rt ~oid:common_oid ~needs_decision:true in
-        let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-        for _ = 1 to 12 do
-          Load.worker m (fun () ->
-              let shared = Sim.Rng.int rng 100 < common_pct in
-              Tango.Runtime.begin_tx rt;
-              List.iter (fun k -> ignore (Tango_map.get priv k)) (Key_dist.distinct_keys dist rng 2);
-              List.iter (fun k -> Tango_map.put priv k "v") (Key_dist.distinct_keys dist rng 2);
-              if shared then begin
-                ignore (Tango_map.get common (Key_dist.sample_key dist rng));
-                Tango_map.put common (Key_dist.sample_key dist rng) "v"
-              end;
-              match Tango.Runtime.end_tx rt with
-              | Tango.Runtime.Committed -> true
-              | Tango.Runtime.Aborted -> false)
-        done
-      done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      let r = Load.report m in
-      (r.throughput, r.goodput))
-
-let fig10_right () =
-  section "Figure 10 (Right): 4 clients, private + shared TangoMap";
-  row "%9s %12s %14s" "common-%" "Ktx/s" "Kgoodput/s";
-  List.iter
-    (fun pct ->
-      let tput, goodput = fig10_right_point ~common_pct:pct in
-      row "%9d %12.1f %14.1f" pct (tput /. 1e3) (goodput /. 1e3))
+let fig10_right =
+  sweep ~name:"fig10-right" ~title:"Figure 10 (Right): 4 clients, private + shared TangoMap"
+    ~columns:[ col "common-%" 9 0; col "Ktx/s" 12 1; col "Kgoodput/s" 14 1 ]
+    ~params:(int_param "common-%") ~seed:(fun pct -> 2000 + pct)
     [ 0; 1; 2; 4; 8; 16; 32; 64; 100 ]
+    (fun ~seed common_pct ->
+      measured ~seed (fun m ->
+          let cluster = Corfu.Cluster.create ~servers:18 () in
+          let dist = Key_dist.uniform ~n:100_000 in
+          let common_oid = 100 in
+          for i = 1 to 4 do
+            let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
+            let priv = Tango_map.attach rt ~oid:i in
+            (* the shared object is marked: its commit records need
+               decision records for clients lacking the private read sets *)
+            let common = Tango_map.attach rt ~oid:common_oid ~needs_decision:true in
+            let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+            workers m 12 (fun () ->
+                let shared = Sim.Rng.int rng 100 < common_pct in
+                Tango.Runtime.begin_tx rt;
+                List.iter
+                  (fun k -> ignore (Tango_map.get priv k))
+                  (Key_dist.distinct_keys dist rng 2);
+                List.iter (fun k -> Tango_map.put priv k "v") (Key_dist.distinct_keys dist rng 2);
+                if shared then begin
+                  ignore (Tango_map.get common (Key_dist.sample_key dist rng));
+                  Tango_map.put common (Key_dist.sample_key dist rng) "v"
+                end;
+                commit rt)
+          done;
+          fun r -> [ ("Ktx/s", r.throughput /. 1e3); ("Kgoodput/s", r.goodput /. 1e3) ]))
 
 (* ------------------------------------------------------------------ *)
 (* §6.3 tables: TangoZK and TangoBK                                   *)
 (* ------------------------------------------------------------------ *)
 
-let tbl_zk_independent ~clients =
-  Sim.Engine.run ~seed:31 (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let m = Load.window () in
-      for i = 1 to clients do
+let tbl_zk_independent m ~clients cluster =
+  for i = 1 to clients do
+    let rt = new_runtime cluster (Printf.sprintf "zk-%d" i) in
+    let zk = Tango_zk.attach rt ~oid:i in
+    (match Tango_zk.create zk "/data" "" with Ok _ | Error _ -> ());
+    for f = 0 to 9 do
+      match Tango_zk.create zk (Printf.sprintf "/data/f%d" f) "x" with Ok _ | Error _ -> ()
+    done;
+    for w = 0 to 11 do
+      (* each worker owns one file: independent-namespace traffic
+         should be conflict-free, as in the paper *)
+      let f = Printf.sprintf "/data/w%d" w in
+      (match Tango_zk.create zk f "x" with Ok _ | Error _ -> ());
+      Load.worker m (fun () ->
+          match Tango_zk.set_data zk f "y" with Ok () -> true | Error _ -> false)
+    done
+  done
+
+let tbl_zk_moves m ~clients cluster =
+  let zks =
+    Array.init clients (fun i ->
         let rt = new_runtime cluster (Printf.sprintf "zk-%d" i) in
-        let zk = Tango_zk.attach rt ~oid:i in
-        (match Tango_zk.create zk "/data" "" with Ok _ | Error _ -> ());
-        for f = 0 to 9 do
-          match Tango_zk.create zk (Printf.sprintf "/data/f%d" f) "x" with
-          | Ok _ | Error _ -> ()
-        done;
-        for w = 0 to 11 do
-          (* each worker owns one file: independent-namespace traffic
-             should be conflict-free, as in the paper *)
-          let f = Printf.sprintf "/data/f%d" (w mod 10) in
-          ignore f;
-          let f = Printf.sprintf "/data/w%d" w in
-          (match Tango_zk.create zk f "x" with Ok _ | Error _ -> ());
-          Load.worker m (fun () ->
-              match Tango_zk.set_data zk f "y" with Ok () -> true | Error _ -> false)
-        done
-      done;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).goodput)
-
-let tbl_zk_moves ~clients =
-  Sim.Engine.run ~seed:32 (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:18 () in
-      let m = Load.window () in
-      let zks =
-        Array.init clients (fun i ->
-            let rt = new_runtime cluster (Printf.sprintf "zk-%d" i) in
-            Tango_zk.attach rt ~oid:(i + 1))
-      in
-      Array.iteri
-        (fun i zk ->
-          let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-          let dst_oid = ((i + 1) mod clients) + 1 in
-          let counter = ref 0 in
-          for _ = 1 to 4 do
-            Load.worker m (fun () ->
-                (* create a fresh file locally, then move it atomically
-                   to the neighbouring namespace *)
-                incr counter;
-                let path = Printf.sprintf "/m%d-%d-%d" i !counter (Sim.Rng.int rng 1_000_000) in
-                match Tango_zk.create zk path "payload" with
-                | Error _ -> false
-                | Ok p -> Tango_zk.move zk ~dst_oid p)
-          done)
-        zks;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (Load.report m).goodput)
-
-let tbl_zk () =
-  section "Section 6.3: TangoZK (ops within namespaces; moves across namespaces)";
-  let independent = tbl_zk_independent ~clients:18 in
-  row "%-44s %10.1f Ktx/s" "18 clients, independent namespaces:" (independent /. 1e3);
-  let moves = tbl_zk_moves ~clients:18 in
-  row "%-44s %10.1f Ktx/s" "18 clients, cross-namespace atomic moves:" (moves /. 1e3)
-
-let tbl_bk () =
-  section "Section 6.3: TangoBK ledger append throughput (4KB entries)";
-  let rate =
-    Sim.Engine.run ~seed:33 (fun () ->
-        let params = { Sim.Params.default with Sim.Params.commit_batch = 1 } in
-        let cluster = Corfu.Cluster.create ~params ~servers:18 () in
-        let m = Load.window () in
-        let payload = Bytes.make 3000 'x' in
-        for i = 1 to 18 do
-          let rt = new_runtime cluster (Printf.sprintf "bk-%d" i) in
-          let bk = Tango_bk.attach rt ~oid:i in
-          let ledger = Tango_bk.create_ledger bk in
-          for _ = 1 to 12 do
-            Load.worker m (fun () ->
-                match Tango_bk.add_entry bk ~ledger payload with Ok _ -> true | Error _ -> false)
-          done
-        done;
-        Load.measure ~warmup_us ~measure_us [ m ];
-        (Load.report m).goodput)
+        Tango_zk.attach rt ~oid:(i + 1))
   in
-  row "18 clients, one ledger each: %.1f Kwrites/s" (rate /. 1e3)
+  Array.iteri
+    (fun i zk ->
+      let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+      let dst_oid = ((i + 1) mod clients) + 1 in
+      let counter = ref 0 in
+      workers m 4 (fun () ->
+          (* create a fresh file locally, then move it atomically to
+             the neighbouring namespace *)
+          incr counter;
+          let path = Printf.sprintf "/m%d-%d-%d" i !counter (Sim.Rng.int rng 1_000_000) in
+          match Tango_zk.create zk path "payload" with
+          | Error _ -> false
+          | Ok p -> Tango_zk.move zk ~dst_oid p))
+    zks
+
+let tbl_zk =
+  sweep ~header:false ~name:"tbl-zk"
+    ~title:"Section 6.3: TangoZK (ops within namespaces; moves across namespaces)"
+    ~columns:(label_columns ~label:(-44) (col "Ktx/s" 10 1))
+    ~params:(fun independent ->
+      label_params
+        (if independent then "18 clients, independent namespaces:"
+         else "18 clients, cross-namespace atomic moves:")
+        "Ktx/s")
+    ~seed:(fun independent -> if independent then 31 else 32)
+    [ true; false ]
+    (fun ~seed independent ->
+      let load = if independent then tbl_zk_independent else tbl_zk_moves in
+      measured ~seed (fun m ->
+          load m ~clients:18 (Corfu.Cluster.create ~servers:18 ());
+          fun r -> [ ("Ktx/s", r.goodput /. 1e3) ]))
+
+let tbl_bk =
+  sweep ~header:false ~name:"tbl-bk"
+    ~title:"Section 6.3: TangoBK ledger append throughput (4KB entries)"
+    ~columns:(label_columns ~label:0 (col "Kwrites/s" 0 1))
+    ~params:(fun clients ->
+      label_params (Printf.sprintf "%d clients, one ledger each:" clients) "Kwrites/s")
+    ~seed:(fun _ -> 33) [ 18 ]
+    (fun ~seed clients ->
+      measured ~seed (fun m ->
+          let params = { Sim.Params.default with Sim.Params.commit_batch = 1 } in
+          let cluster = Corfu.Cluster.create ~params ~servers:18 () in
+          let payload = Bytes.make 3000 'x' in
+          for i = 1 to clients do
+            let rt = new_runtime cluster (Printf.sprintf "bk-%d" i) in
+            let bk = Tango_bk.attach rt ~oid:i in
+            let ledger = Tango_bk.create_ledger bk in
+            workers m 12 (fun () ->
+                match Tango_bk.add_entry bk ~ledger payload with Ok _ -> true | Error _ -> false)
+          done;
+          fun r -> [ ("Kwrites/s", r.goodput /. 1e3) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_k () =
-  section "Ablation: backpointer redundancy K vs stream rebuild cost";
-  row "%4s %10s %14s %16s" "K" "entries" "sync reads" "reads/entry";
-  List.iter
-    (fun k ->
+let ablation_k =
+  sweep ~name:"ablation-k" ~title:"Ablation: backpointer redundancy K vs stream rebuild cost"
+    ~columns:
+      [
+        col "K" 4 0; col "entries" 10 0; col ~head:"sync reads" "sync-reads" 14 0;
+        col "reads/entry" 16 3;
+      ]
+    ~params:(int_param "K") ~seed:(fun k -> 40 + k)
+    [ 4; 8; 16 ]
+    (fun ~seed k ->
       let n = 512 in
       let reads =
-        Sim.Engine.run ~seed:(40 + k) (fun () ->
+        Sim.Engine.run ~seed (fun () ->
             let params = { Sim.Params.default with Sim.Params.backpointer_k = k } in
             let cluster = Corfu.Cluster.create ~params ~servers:4 () in
             let w = Corfu.Cluster.new_client cluster ~name:"writer" in
@@ -599,153 +609,153 @@ let ablation_k () =
             let r = Corfu.Cluster.new_client cluster ~name:"reader" in
             let s = Corfu.Stream.attach r 1 in
             ignore (Corfu.Stream.sync s);
-            Corfu.Stream.sync_reads s)
+            float_of_int (Corfu.Stream.sync_reads s))
       in
-      row "%4d %10d %14d %16.3f" k n reads (float_of_int reads /. float_of_int n))
-    [ 4; 8; 16 ]
+      let n = float_of_int n in
+      [ ("entries", n); ("sync-reads", reads); ("reads/entry", reads /. n) ])
 
-let ablation_decision () =
-  section "Ablation: decision records — remote-write vs local-write transaction latency";
-  let latency remote =
-    Sim.Engine.run ~seed:51 (fun () ->
-        let cluster = Corfu.Cluster.create ~servers:18 () in
-        let rt = new_runtime cluster "producer" in
-        let src = Tango_map.attach rt ~oid:1 in
-        let _local_dst = Tango_map.attach rt ~oid:2 in
-        let rt2 = new_runtime cluster "consumer" in
-        let _remote_dst = Tango_map.attach rt2 ~oid:3 in
-        Tango_map.put src "k" "v";
-        let m = Load.window () in
-        for _ = 1 to 4 do
-          Load.worker m (fun () ->
-              Tango.Runtime.begin_tx rt;
-              ignore (Tango_map.get src "k");
-              let dst_oid = if remote then 3 else 2 in
-              Tango_map.remote_put rt ~oid:dst_oid "k" "v";
-              match Tango.Runtime.end_tx rt with
-              | Tango.Runtime.Committed -> true
-              | Tango.Runtime.Aborted -> false)
-        done;
-        Load.measure ~warmup_us ~measure_us [ m ];
-        (Load.report m).latency_mean_us /. 1e3)
-  in
-  row "local-write transaction:  %.2f ms" (latency false);
-  row "remote-write transaction: %.2f ms (adds the decision-record phase)" (latency true);
-  (* collaborative remote-read transactions (§4.1 D, future work) *)
-  let collab_latency =
-    Sim.Engine.run ~seed:52 (fun () ->
-        let cluster = Corfu.Cluster.create ~servers:18 () in
-        let rt_a = new_runtime cluster "reader-host" in
-        let rt_b = new_runtime cluster "value-host" in
-        let src = Tango_map.attach rt_a ~oid:1 in
-        let m2 = Tango_map.attach rt_b ~oid:2 in
-        Tango_map.serve_reads m2;
-        Tango.Runtime.connect_peer rt_a ~oid:2 (Tango.Runtime.remote_read_service rt_b);
-        Tango_map.put m2 "k" "v";
-        Tango_map.put src "local" "x";
-        (* keep the value host playing, as a live replica would *)
-        Sim.Engine.spawn (fun () ->
-            let rec live () =
-              ignore (Tango_map.get m2 "k");
-              Sim.Engine.sleep 200.;
-              live ()
-            in
-            live ());
-        let m = Load.window () in
-        for _ = 1 to 4 do
-          Load.worker m (fun () ->
-              Tango.Runtime.begin_tx rt_a;
-              ignore (Tango_map.get src "local");
-              ignore (Tango_map.get_remote rt_a ~oid:2 "k");
-              Tango_map.put src "out" "y";
-              match Tango.Runtime.end_tx rt_a with
-              | Tango.Runtime.Committed -> true
-              | Tango.Runtime.Aborted -> false)
-        done;
-        Load.measure ~warmup_us ~measure_us [ m ];
-        (Load.report m).latency_mean_us /. 1e3)
-  in
-  row "collaborative remote-read transaction: %.2f ms (partial + final decision records)"
-    collab_latency
+(* A local write, a remote write (which adds the decision-record
+   phase), and a collaborative remote read (§4.1 D, future work). *)
+let decision_latency m = function
+  | (`Local | `Remote) as dst ->
+      let cluster = Corfu.Cluster.create ~servers:18 () in
+      let rt = new_runtime cluster "producer" in
+      let src = Tango_map.attach rt ~oid:1 in
+      let _local_dst = Tango_map.attach rt ~oid:2 in
+      let rt2 = new_runtime cluster "consumer" in
+      let _remote_dst = Tango_map.attach rt2 ~oid:3 in
+      Tango_map.put src "k" "v";
+      workers m 4 (fun () ->
+          Tango.Runtime.begin_tx rt;
+          ignore (Tango_map.get src "k");
+          Tango_map.remote_put rt ~oid:(if dst = `Remote then 3 else 2) "k" "v";
+          commit rt)
+  | `Collab ->
+      let cluster = Corfu.Cluster.create ~servers:18 () in
+      let rt_a = new_runtime cluster "reader-host" in
+      let rt_b = new_runtime cluster "value-host" in
+      let src = Tango_map.attach rt_a ~oid:1 in
+      let m2 = Tango_map.attach rt_b ~oid:2 in
+      Tango_map.serve_reads m2;
+      Tango.Runtime.connect_peer rt_a ~oid:2 (Tango.Runtime.remote_read_service rt_b);
+      Tango_map.put m2 "k" "v";
+      Tango_map.put src "local" "x";
+      (* keep the value host playing, as a live replica would *)
+      Sim.Engine.spawn (fun () ->
+          let rec live () =
+            ignore (Tango_map.get m2 "k");
+            Sim.Engine.sleep 200.;
+            live ()
+          in
+          live ());
+      workers m 4 (fun () ->
+          Tango.Runtime.begin_tx rt_a;
+          ignore (Tango_map.get src "local");
+          ignore (Tango_map.get_remote rt_a ~oid:2 "k");
+          Tango_map.put src "out" "y";
+          commit rt_a)
 
-let ablation_versioning () =
-  section "Ablation: fine-grained (per-key) vs coarse (per-object) versioning — abort rate";
-  let abort_rate fine =
-    Sim.Engine.run ~seed:61 (fun () ->
-        let cluster = Corfu.Cluster.create ~servers:18 () in
-        let dist = Key_dist.uniform ~n:10_000 in
-        let m = Load.window () in
-        for i = 1 to 4 do
-          let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
-          let map = Tango_map.attach rt ~oid:1 in
-          let rng = Sim.Rng.split (Sim.Engine.rng ()) in
-          for _ = 1 to 8 do
-            Load.worker m (fun () ->
+let ablation_decision =
+  sweep ~header:false ~name:"ablation-decision"
+    ~title:"Ablation: decision records — remote-write vs local-write transaction latency"
+    ~columns:(label_columns ~label:(-25) (col "mean-ms" 0 2))
+    ~params:(function
+      | `Local -> label_params "local-write transaction:" "ms"
+      | `Remote -> label_params "remote-write transaction:" "ms (adds the decision-record phase)"
+      | `Collab ->
+          label_params "collaborative remote-read transaction:"
+            "ms (partial + final decision records)")
+    ~seed:(function `Local | `Remote -> 51 | `Collab -> 52)
+    [ `Local; `Remote; `Collab ]
+    (fun ~seed p ->
+      measured ~seed (fun m ->
+          decision_latency m p;
+          fun r -> [ ("mean-ms", r.latency_mean_us /. 1e3) ]))
+
+let ablation_versioning =
+  sweep ~header:false ~name:"ablation-versioning"
+    ~title:"Ablation: fine-grained (per-key) vs coarse (per-object) versioning — abort rate"
+    ~columns:(label_columns ~label:(-33) (col "abort-%" 5 1))
+    ~params:(fun fine ->
+      label_params
+        (if fine then "per-key versioning abort rate:" else "per-object versioning abort rate:")
+        "%")
+    ~seed:(fun _ -> 61) [ true; false ]
+    (fun ~seed fine ->
+      measured ~seed (fun m ->
+          let cluster = Corfu.Cluster.create ~servers:18 () in
+          let dist = Key_dist.uniform ~n:10_000 in
+          for i = 1 to 4 do
+            let rt = new_runtime cluster (Printf.sprintf "n%d" i) in
+            let map = Tango_map.attach rt ~oid:1 in
+            let rng = Sim.Rng.split (Sim.Engine.rng ()) in
+            workers m 8 (fun () ->
                 Tango.Runtime.begin_tx rt;
+                let keys () = Key_dist.distinct_keys dist rng 3 in
                 if fine then begin
-                  List.iter
-                    (fun k -> ignore (Tango_map.get map k))
-                    (Key_dist.distinct_keys dist rng 3);
-                  List.iter (fun k -> Tango_map.put map k "v") (Key_dist.distinct_keys dist rng 3)
+                  List.iter (fun k -> ignore (Tango_map.get map k)) (keys ());
+                  List.iter (fun k -> Tango_map.put map k "v") (keys ())
                 end
                 else begin
                   (* coarse: read/write the whole object's version *)
                   Tango.Runtime.query_helper rt ~oid:1 ();
-                  List.iter
-                    (fun k -> Tango_map.coarse_put map k "v")
-                    (Key_dist.distinct_keys dist rng 3)
+                  List.iter (fun k -> Tango_map.coarse_put map k "v") (keys ())
                 end;
-                match Tango.Runtime.end_tx rt with
-                | Tango.Runtime.Committed -> true
-                | Tango.Runtime.Aborted -> false)
-          done
-        done;
-        Load.measure ~warmup_us ~measure_us [ m ];
-        let r = Load.report m in
-        if r.samples = 0 then 0.
-        else 100. *. float_of_int (r.samples - r.succeeded) /. float_of_int r.samples)
-  in
-  row "per-key versioning abort rate:    %5.1f %%" (abort_rate true);
-  row "per-object versioning abort rate: %5.1f %%" (abort_rate false)
+                commit rt)
+          done;
+          fun r ->
+            let aborted = float_of_int (r.samples - r.succeeded) in
+            let samples = float_of_int r.samples in
+            [ ("abort-%", if r.samples = 0 then 0. else 100. *. aborted /. samples) ]))
 
-let ablation_seqbatch () =
-  section "Ablation: sequencer batching (Fig. 2 with batch 1 vs 4)";
-  row "%8s %14s %14s" "clients" "batch-1 Kreq/s" "batch-4 Kreq/s";
-  List.iter
-    (fun clients ->
-      let b1 = sequencer_rate ~clients ~batch:1 in
-      let b4 = sequencer_rate ~clients ~batch:4 in
-      row "%8d %14.0f %14.0f" clients (b1 /. 1e3) (b4 /. 1e3))
+let ablation_seqbatch =
+  sweep ~name:"ablation-seqbatch" ~title:"Ablation: sequencer batching (Fig. 2 with batch 1 vs 4)"
+    ~columns:[ col "clients" 8 0; col "batch-1 Kreq/s" 14 0; col "batch-4 Kreq/s" 14 0 ]
+    ~params:(int_param "clients") ~seed:(fun clients -> 101 + clients)
     [ 10; 20; 40 ]
+    (fun ~seed clients ->
+      [
+        ("batch-1 Kreq/s", sequencer_rate ~seed ~clients ~batch:1);
+        ("batch-4 Kreq/s", sequencer_rate ~seed:(seed + 3) ~clients ~batch:4);
+      ])
 
-let ablation_seqckpt () =
-  section "Ablation: sequencer checkpoints — failover rebuild scan length";
-  row "%10s %14s %12s %18s %12s" "log size" "full scan" "failover-ms" "with checkpoints"
-    "failover-ms";
-  List.iter
-    (fun n ->
-      (* The scan length, and the virtual time from the seal to the
-         install. *)
-      let failover scribe =
-        Sim.Engine.run ~seed:(70 + n + if scribe then 1 else 0) (fun () ->
-            let cluster = Corfu.Cluster.create ~servers:4 () in
-            if scribe then Corfu.Cluster.start_checkpoint_scribe cluster ~interval_us:30_000.;
-            let c = Corfu.Cluster.new_client cluster ~name:"writer" in
-            for i = 0 to n - 1 do
-              ignore (Corfu.Client.append c ~streams:[ 1 + (i mod 4) ] (Bytes.of_string "x"));
-              Sim.Engine.sleep 400.
-            done;
-            ignore (Corfu.Cluster.replace_sequencer cluster);
-            match Corfu.Cluster.reconfigs cluster with
-            | [ { rc_change = Sequencer_replaced { scanned }; rc_started_us; rc_installed_us; _ } ]
-              ->
-                (scanned, (rc_installed_us -. rc_started_us) /. 1e3)
-            | _ -> (-1, Float.nan))
-      in
-      let full, full_ms = failover false in
-      let bounded, bounded_ms = failover true in
-      row "%10d %14d %12.1f %18d %12.1f" n full full_ms bounded bounded_ms)
+(* The rebuild scan's length, and the virtual time from the seal to the
+   install. *)
+let failover ~seed ~scribe n =
+  Sim.Engine.run ~seed (fun () ->
+      let cluster = Corfu.Cluster.create ~servers:4 () in
+      if scribe then Corfu.Cluster.start_checkpoint_scribe cluster ~interval_us:30_000.;
+      let c = Corfu.Cluster.new_client cluster ~name:"writer" in
+      for i = 0 to n - 1 do
+        ignore (Corfu.Client.append c ~streams:[ 1 + (i mod 4) ] (Bytes.of_string "x"));
+        Sim.Engine.sleep 400.
+      done;
+      ignore (Corfu.Cluster.replace_sequencer cluster);
+      match Corfu.Cluster.reconfigs cluster with
+      | [ { rc_change = Sequencer_replaced { scanned }; rc_started_us; rc_installed_us; _ } ] ->
+          (float_of_int scanned, (rc_installed_us -. rc_started_us) /. 1e3)
+      | _ -> (Float.nan, Float.nan))
+
+let ablation_seqckpt =
+  sweep ~name:"ablation-seqckpt"
+    ~title:"Ablation: sequencer checkpoints — failover rebuild scan length"
+    ~columns:
+      [
+        col ~head:"log size" "log-size" 10 0;
+        col ~head:"full scan" "full-scan" 14 0;
+        col ~head:"failover-ms" "full-failover-ms" 12 1;
+        col ~head:"with checkpoints" "ckpt-scan" 18 0;
+        col ~head:"failover-ms" "ckpt-failover-ms" 12 1;
+      ]
+    ~params:(int_param "log-size") ~seed:(fun n -> 70 + n)
     [ 200; 500; 1000 ]
+    (fun ~seed n ->
+      let full, full_ms = failover ~seed ~scribe:false n in
+      let ckpt, ckpt_ms = failover ~seed:(seed + 1) ~scribe:true n in
+      [
+        ("full-scan", full); ("full-failover-ms", full_ms);
+        ("ckpt-scan", ckpt); ("ckpt-failover-ms", ckpt_ms);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: storage-node crash under append load                        *)
@@ -753,56 +763,58 @@ let ablation_seqckpt () =
 
 module Chaos = Tango_harness.Chaos
 
-let chaos_crash_point ~workers =
-  Sim.Engine.run ~seed:(3000 + workers) (fun () ->
-      let cluster = Corfu.Cluster.create ~servers:6 () in
-      let victim = (Corfu.Cluster.storage_nodes cluster).(0) in
-      let crash_at = warmup_us +. (measure_us /. 4.) in
-      let fault =
-        Chaos.install ~seed:7
-          ~plan:[ (crash_at, Sim.Fault.Crash (Corfu.Storage_node.name victim)) ]
-          cluster
-      in
-      Corfu.Cluster.start_failure_monitor cluster;
-      let rec_ = Chaos.recorder () in
-      let m = Load.window () in
-      let clients =
-        Array.init workers (fun i -> Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "w%d" i))
-      in
-      Array.iter
-        (fun c ->
-          Load.worker m (fun () ->
-              ignore (Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string "x"));
-              Chaos.note rec_;
-              true))
-        clients;
-      Load.measure ~warmup_us ~measure_us [ m ];
-      (* let the recovery finish before collecting incidents; the
-         measurement window is already closed, so this only affects the
-         audit, not the numbers *)
-      Sim.Engine.sleep 300_000.;
-      let failures = Array.fold_left (fun a c -> a + Corfu.Client.rpc_failures c) 0 clients in
-      ((Load.report m).throughput, failures, Chaos.max_gap_us rec_, Chaos.incidents fault cluster))
-
-let chaos_crash () =
-  section "Chaos: crash a chain head mid-window, monitor-driven recovery (6 servers)";
-  row "%8s %10s %10s %11s %12s %11s %13s" "workers" "Kapp/s" "failed-rpc" "stall-ms" "window-ms"
-    "rebuilt" "rebuilt-bytes";
-  List.iter
-    (fun workers ->
-      let tput, failures, stall, incs = chaos_crash_point ~workers in
-      match incs with
-      | [ i ] ->
-          row "%8d %10.1f %10d %11.1f %12.1f %11d %13d" workers (tput /. 1e3) failures
-            (stall /. 1e3)
-            (i.Chaos.inc_unavailable_us /. 1e3)
-            i.Chaos.inc_rebuild_entries i.Chaos.inc_rebuild_bytes
-      | incs ->
-          row "%8d %10.1f %10d %11.1f %12s %11s %13s" workers (tput /. 1e3) failures
-            (stall /. 1e3)
-            (Printf.sprintf "(%d recoveries)" (List.length incs))
-            "-" "-")
+(* The incident columns read "-" unless the crash led to exactly one
+   recovery; the row's [recoveries] counts them. *)
+let chaos_crash =
+  sweep ~name:"chaos-crash"
+    ~title:"Chaos: crash a chain head mid-window, monitor-driven recovery (6 servers)"
+    ~columns:
+      [
+        col "workers" 8 0; col "Kapp/s" 10 1; col "failed-rpc" 10 0; col "stall-ms" 11 1;
+        col "window-ms" 12 1; col "rebuilt" 11 0; col "rebuilt-bytes" 13 0;
+      ]
+    ~params:(int_param "workers") ~seed:(fun workers -> 3000 + workers)
     [ 4; 8; 16; 32 ]
+    (fun ~seed workers ->
+      measured ~seed (fun m ->
+          let cluster = Corfu.Cluster.create ~servers:6 () in
+          let victim = (Corfu.Cluster.storage_nodes cluster).(0) in
+          let crash_at = warmup_us +. (measure_us /. 4.) in
+          let fault =
+            Chaos.install ~seed:7
+              ~plan:[ (crash_at, Sim.Fault.Crash (Corfu.Storage_node.name victim)) ]
+              cluster
+          in
+          Corfu.Cluster.start_failure_monitor cluster;
+          let rec_ = Chaos.recorder () in
+          let clients =
+            Array.init workers (fun i ->
+                Corfu.Cluster.new_client cluster ~name:(Printf.sprintf "w%d" i))
+          in
+          Array.iter
+            (fun c ->
+              Load.worker m (fun () ->
+                  ignore (Corfu.Client.append c ~streams:[ 1 ] (Bytes.of_string "x"));
+                  Chaos.note rec_;
+                  true))
+            clients;
+          fun r ->
+            (* let the recovery finish before collecting incidents; the
+               measurement window is already closed, so this only affects
+               the audit, not the numbers *)
+            Sim.Engine.sleep 300_000.;
+            let failures = Array.fold_left (fun a c -> a + Corfu.Client.rpc_failures c) 0 clients in
+            let incs = Chaos.incidents fault cluster in
+            let incident f = match incs with [ i ] -> f i | _ -> Float.nan in
+            [
+              ("Kapp/s", r.throughput /. 1e3);
+              ("failed-rpc", float_of_int failures);
+              ("stall-ms", Chaos.max_gap_us rec_ /. 1e3);
+              ("window-ms", incident (fun i -> i.Chaos.inc_unavailable_us /. 1e3));
+              ("rebuilt", incident (fun i -> float_of_int i.Chaos.inc_rebuild_entries));
+              ("rebuilt-bytes", incident (fun i -> float_of_int i.Chaos.inc_rebuild_bytes));
+              ("recoveries", float_of_int (List.length incs));
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out: live segment reconfiguration under constant load        *)
@@ -1579,30 +1591,17 @@ let micro () =
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let experiment_name = function Sweep sw -> sw.name | Single (name, _) -> name
+let run_experiment = function Sweep sw -> run_sweep sw | Single (_, f) -> f ()
+
 (* Experiments share no state: the stdout of one whole-suite process
    is the banner plus each experiment's lone-run stdout, concatenated
    in this order, which is what lets ci/evaluation.out pin them all. *)
 let experiments =
   [
-    ("fig2", fig2);
-    ("fig5", fig5);
-    ("fig8-left", fig8_left);
-    ("fig8-mid", fig8_mid);
-    ("fig8-right", fig8_right);
-    ("fig8-window", fig8_window);
-    ("fig9", fig9);
-    ("fig10-left", fig10_left);
-    ("fig10-mid", fig10_mid);
-    ("fig10-right", fig10_right);
-    ("tbl-zk", tbl_zk);
-    ("tbl-bk", tbl_bk);
-    ("ablation-k", ablation_k);
-    ("ablation-decision", ablation_decision);
-    ("ablation-versioning", ablation_versioning);
-    ("ablation-seqbatch", ablation_seqbatch);
-    ("ablation-seqckpt", ablation_seqckpt);
-    ("chaos-crash", chaos_crash);
-    ("scale-out", scale_out_bench);
+    fig2; Single ("fig5", fig5); fig8_left; fig8_mid; fig8_right; fig8_window; fig9; fig10_left;
+    fig10_mid; fig10_right; tbl_zk; tbl_bk; ablation_k; ablation_decision; ablation_versioning;
+    ablation_seqbatch; ablation_seqckpt; chaos_crash; Single ("scale-out", scale_out_bench);
   ]
 
 let () =
@@ -1619,16 +1618,16 @@ let () =
   (match names with
   | [] ->
       print_endline "Tango evaluation harness";
-      List.iter (fun (_, f) -> f ()) experiments
+      List.iter run_experiment experiments
   | names ->
       List.iter
         (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> f ()
+          match List.find_opt (fun e -> experiment_name e = name) experiments with
+          | Some e -> run_experiment e
           | None when name = "micro" -> micro ()
           | None ->
               Printf.eprintf "unknown experiment %S; known: %s micro\n" name
-                (String.concat " " (List.map fst experiments));
+                (String.concat " " (List.map experiment_name experiments));
               exit 2)
         names);
   match json with

@@ -60,50 +60,65 @@ let tail_members cluster =
     (fun acc chain -> acc + Array.length chain)
     0 (Corfu.Projection.tail_segment proj).Corfu.Projection.seg_sets
 
-(* The controller's interpreter. It must not suspend, so cluster
-   reconfigurations run in spawned fibers, serialized against the
-   failure monitor by the cluster's reconfiguration lock. An op the
-   cluster cannot honour is announced as skipped. *)
-let run_op cluster op =
+(* The controller's interpreter: it says whether the op acted, so the
+   controller logs, counts and announces only an op that did. It must
+   not suspend, so cluster reconfigurations run in spawned fibers,
+   serialized against the failure monitor by the cluster's
+   reconfiguration lock; they count as acted once spawned. An op the
+   cluster cannot honour is announced as skipped. [failed] keeps each
+   SSD the controller failed, by node: a repair acts on that SSD while
+   it is failed, also once its node has left the cluster (the monitor
+   replaced it). Repairing a healthy SSD, like restarting a live host,
+   is a recovery with nothing to recover. *)
+let run_op cluster failed op =
   let skipped reason =
     if Sim.Announce.active () then
       Sim.Announce.emit (Sim.Announce.Action_skipped { action = name_of_op op; reason })
   in
+  let spawned f =
+    Sim.Engine.spawn f;
+    true
+  in
   match op with
-  | Replace_sequencer ->
-      Sim.Engine.spawn (fun () -> ignore (Corfu.Cluster.replace_sequencer cluster))
+  | Replace_sequencer -> spawned (fun () -> ignore (Corfu.Cluster.replace_sequencer cluster))
   | Scale_out k ->
-      Sim.Engine.spawn (fun () ->
+      spawned (fun () ->
           if (tail_members cluster + k) mod 2 = 0 then
             ignore (Corfu.Cluster.scale_out cluster ~add_servers:k)
           else skipped "odd tail geometry")
   | Scale_in k ->
-      Sim.Engine.spawn (fun () ->
+      spawned (fun () ->
           let members = tail_members cluster in
           if members - k >= 2 && (members - k) mod 2 = 0 then
             ignore (Corfu.Cluster.scale_in cluster ~remove_servers:k)
           else skipped (Printf.sprintf "tail has %d members" members))
   | Ssd_fail node -> (
       match find_node cluster node with
-      | Some n -> Sim.Resource.fail (Corfu.Storage_node.ssd n)
-      | None -> skipped "node not in cluster")
-  | Ssd_repair node -> (
-      match find_node cluster node with
       | Some n ->
           let ssd = Corfu.Storage_node.ssd n in
-          if Sim.Resource.failed ssd then Sim.Resource.repair ssd
-      | None -> skipped "node not in cluster")
+          Sim.Resource.fail ssd;
+          Hashtbl.replace failed node ssd;
+          true
+      | None ->
+          skipped "node not in cluster";
+          false)
+  | Ssd_repair node -> (
+      match Hashtbl.find_opt failed node with
+      | Some ssd when Sim.Resource.failed ssd ->
+          Sim.Resource.repair ssd;
+          true
+      | _ -> false)
 
 let install ?seed ?(plan = []) cluster =
-  let f = Sim.Fault.create ?seed ~custom:(fun name -> run_op cluster (op_exn name)) () in
+  let failed = Hashtbl.create 4 in
+  let f = Sim.Fault.create ?seed ~custom:(fun name -> run_op cluster failed (op_exn name)) () in
   Sim.Net.install_fault (Corfu.Cluster.net cluster) f;
   if plan <> [] then Sim.Fault.plan f plan;
   f
 
-(* {!Sim.Fault.apply} ignores a restart, heal or clear whose fault is
-   no longer in force; an SSD repair is a custom the controller cannot
-   see into, so it is guarded here. *)
-let make_whole fault cluster plan =
+(* {!Sim.Fault.apply} ignores a restart, heal, clear or SSD repair
+   whose fault is no longer in force. *)
+let make_whole fault plan =
   List.iter
     (fun (_, action) ->
       match action with
@@ -113,11 +128,7 @@ let make_whole fault cluster plan =
           Sim.Fault.apply fault (Sim.Fault.Clear_edge (d_src, d_dst))
       | Sim.Fault.Custom name -> (
           match op_of_name name with
-          | Some (Ssd_fail h) -> (
-              match find_node cluster h with
-              | Some n when Sim.Resource.failed (Corfu.Storage_node.ssd n) ->
-                  Sim.Fault.apply fault (custom (Ssd_repair h))
-              | _ -> ())
+          | Some (Ssd_fail h) -> Sim.Fault.apply fault (custom (Ssd_repair h))
           | _ -> ())
       | Sim.Fault.Restart _ | Sim.Fault.Heal | Sim.Fault.Clear_edge _ -> ())
     plan

@@ -40,15 +40,21 @@ val validate_plan : (float * Sim.Fault.action) list -> unit
     spawning workload fibers. An op the cluster cannot honour (a scale
     to an odd tail, the SSD of a node not in the cluster) changes
     nothing and is announced as {!Sim.Announce.Action_skipped}; one
-    that names no op raises [Invalid_argument] when it runs. *)
+    that names no op raises [Invalid_argument] when it runs. Only an op
+    that acts is a fault event, which the controller logs, counts and
+    announces. A repair acts on an SSD the controller failed while it is
+    failed, also once its node has left the cluster; repairing a
+    healthy SSD is a silent no-op, as restarting a live host is. A
+    scale or replacement counts as acted once its fiber is spawned,
+    whatever that fiber later decides. *)
 val install :
   ?seed:int -> ?plan:(float * Sim.Fault.action) list -> Corfu.Cluster.t -> Sim.Fault.t
 
-(** [make_whole fault cluster plan] applies the recovery partner of
-    every fault in [plan] that is still in force: a restart per crash,
-    a heal per partition, a clear per degraded edge and a repair per
-    failed SSD. A recovery with nothing to recover is not applied. *)
-val make_whole : Sim.Fault.t -> Corfu.Cluster.t -> (float * Sim.Fault.action) list -> unit
+(** [make_whole fault plan] applies the recovery partner of every
+    fault in [plan] that is still in force: a restart per crash, a heal
+    per partition, a clear per degraded edge and a repair per failed
+    SSD. A recovery with nothing to recover is not applied. *)
+val make_whole : Sim.Fault.t -> (float * Sim.Fault.action) list -> unit
 
 (** {2 Incidents} *)
 

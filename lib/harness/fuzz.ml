@@ -370,7 +370,7 @@ let run ?(capture_spans = false) case =
       Float.min (last +. config.f_repair_margin_us) config.f_deadline_us
     in
     await whole_at;
-    Chaos.make_whole fault cluster plan;
+    Chaos.make_whole fault plan;
     await config.f_deadline_us;
     if !done_count < total_fibers then
       blame "liveness" "%d/%d workload fibers finished by the %.0fus deadline" !done_count

@@ -37,7 +37,7 @@ let no_edge = { e_drop = 0.; e_delay_us = 0.; e_jitter_us = 0. }
    no rule). *)
 type t = {
   frng : Rng.t;
-  custom : string -> unit;  (* runs a [Custom] action by name *)
+  custom : string -> bool;  (* runs a [Custom] action by name; [false]: it did nothing *)
   mutable crashed : bool array;
   mutable components : string list list;  (* [] = fully connected *)
   mutable component : int array;  (* the first listed component holding the host, or -1 *)
@@ -171,7 +171,8 @@ let host_of = function
 
 (* Apply [action] to the fault state; [false] when it changed nothing:
    a recovery whose fault is no longer in force (restarting a live host,
-   healing an unpartitioned network, clearing an edge with no rule). *)
+   healing an unpartitioned network, clearing an edge with no rule), or
+   a custom action its interpreter skipped. *)
 let took_effect t = function
   | Crash h ->
       set_crashed t (host_id h) true;
@@ -193,9 +194,7 @@ let took_effect t = function
         { e_drop = d_drop; e_delay_us = d_delay_us; e_jitter_us = d_jitter_us };
       true
   | Clear_edge (s, d) -> clear_edge_at t (host_id s) (host_id d)
-  | Custom name ->
-      t.custom name;
-      true
+  | Custom name -> t.custom name
 
 let apply t action =
   if took_effect t action then begin

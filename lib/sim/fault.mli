@@ -55,10 +55,10 @@ type action =
 (** [create ?seed ?custom ()] makes an idle controller (nothing
     crashed, no partition, no degraded edges). [seed] (default 0) seeds
     the controller's private generator. [custom name] runs a
-    {!Custom} action; it must not suspend. The default raises
-    [Invalid_argument]: a controller given no interpreter runs no
-    custom action. *)
-val create : ?seed:int -> ?custom:(string -> unit) -> unit -> t
+    {!Custom} action and says whether it acted; it must not suspend.
+    The default raises [Invalid_argument]: a controller given no
+    interpreter runs no custom action. *)
+val create : ?seed:int -> ?custom:(string -> bool) -> unit -> t
 
 (** {2 Immediate faults} *)
 
@@ -84,7 +84,8 @@ val has_edge_rule : t -> src:string -> dst:string -> bool
     list and the trace. A recovery with nothing to recover — {!Restart}
     of a live host, {!Heal} with no partition in force, {!Clear_edge}
     of an edge with no {!Degrade} rule — changes nothing, so it is not
-    logged, announced or counted in [fault.injected]. *)
+    logged, announced or counted in [fault.injected]; nor is a
+    {!Custom} action its interpreter skipped. *)
 val apply : t -> action -> unit
 
 (** {2 Scheduled plans} *)

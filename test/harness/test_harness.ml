@@ -830,7 +830,8 @@ let test_chaos_op_names () =
 (* One case drives every op through the fuzzer's interpreter with every
    spec armed: an SSD fails and is repaired while the monitor replaces
    its node, the tail scales out and back in, and the SSD of a node
-   the cluster never had fails, which is skipped. *)
+   the cluster never had fails, which is skipped: it is no fault event
+   and opens no fault. *)
 let test_every_op_runs () =
   let plan =
     [
@@ -850,7 +851,20 @@ let test_every_op_runs () =
   Alcotest.(check int) "scale-out epoch" 1 (lines "reconfig-installed scale-out");
   Alcotest.(check int) "scale-in epoch" 1 (lines "reconfig-installed scale-in");
   Alcotest.(check int) "one skipped action" 1 (lines "action-skipped");
-  Alcotest.(check int) "the skipped one" 1 (lines "action-skipped ssd-fail storage-9")
+  Alcotest.(check int) "the skipped one" 1 (lines "action-skipped ssd-fail storage-9");
+  Alcotest.(check int) "four fault events, the skipped one not among them" 4
+    oc.Fuzz.oc_fault_events;
+  Alcotest.(check int) "every SSD failure announced is repaired" (lines "custom-fault ssd-repair")
+    (lines "custom-fault ssd-fail")
+
+(* A skipped action opens no fault, so it does not suspend the spec
+   deadlines: a reconfiguration wedged after a skipped SSD failure
+   still fires reconfig-termination. *)
+let test_skipped_action_opens_no_fault () =
+  check_spec_fires ~failpoint:"stall-reconfig" ~specs:[ Spec.Reconfig_termination ]
+    ~spec_name:"reconfig-termination" ~seed:1
+    ~plan:((10_000., Chaos.custom (Ssd_fail "storage-9")) :: replace_sequencer_at 30_000.)
+    ~shrink:false ()
 
 (* The SLO pair is the CI sensitivity gate at unit scale: the clean
    run raises no alert, and the degraded uplink fires append-p99 and
@@ -1277,6 +1291,8 @@ let () =
           Alcotest.test_case "op names round-trip through the one parser" `Quick
             test_chaos_op_names;
           Alcotest.test_case "every op runs with every spec armed" `Quick test_every_op_runs;
+          Alcotest.test_case "a skipped action opens no fault" `Quick
+            test_skipped_action_opens_no_fault;
           Alcotest.test_case "SLO monitors fire only when degraded" `Slow
             test_scenario_slo_monitors;
         ] );

@@ -949,16 +949,28 @@ let test_fault_schedule_is_virtual_time () =
 
 (* A custom action is a name: the controller runs it through the one
    interpreter it was created with, at the scheduled virtual time, and
-   logs it under that name. A controller with no interpreter refuses. *)
+   logs it under that name, unless the interpreter says it did not act.
+   A controller with no interpreter refuses. *)
 let test_fault_custom_interpreter () =
   Engine.run (fun () ->
       let ran = ref [] in
-      let f = Fault.create ~custom:(fun name -> ran := (name, Engine.now ()) :: !ran) () in
-      Fault.plan f [ (100., Fault.Custom "ssd-fail x"); (250., Fault.Custom "ssd-repair x") ];
+      let f =
+        Fault.create
+          ~custom:(fun name ->
+            ran := (name, Engine.now ()) :: !ran;
+            name <> "ssd-fail y")
+          ()
+      in
+      Fault.plan f
+        [
+          (100., Fault.Custom "ssd-fail x");
+          (150., Fault.Custom "ssd-fail y");
+          (250., Fault.Custom "ssd-repair x");
+        ];
       Engine.sleep 300.;
       check_bool "interpreted by name at the planned times" true
-        (List.rev !ran = [ ("ssd-fail x", 100.); ("ssd-repair x", 250.) ]);
-      check_bool "logged by name" true
+        (List.rev !ran = [ ("ssd-fail x", 100.); ("ssd-fail y", 150.); ("ssd-repair x", 250.) ]);
+      check_bool "logged by name, the one that did not act left out" true
         (List.map (fun e -> e.Fault.ev_label) (Fault.events f) = [ "ssd-fail x"; "ssd-repair x" ]);
       match Fault.apply (Fault.create ()) (Fault.Custom "ssd-fail x") with
       | () -> Alcotest.fail "a custom ran with no interpreter"
