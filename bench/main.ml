@@ -1178,9 +1178,10 @@ let micro_hotpath () =
   (* simulation kernel: the three primitives every simulated event
      pays — a fiber's sleep, an uncontended station service, and one
      RPC with no fault controller (two hops, four NIC services, two
-     propagation sleeps, no deadline armed) between two hosts. The
-     continuation each suspension captures is OCaml's own and the floor
-     of all three. *)
+     propagation sleeps, no deadline armed) between two hosts. Each
+     runs in a lone fiber, so every sleep's wake-up is the next event
+     and resumes in place: these measure that path, and
+     engine-sleep-suspend below the suspension it skips. *)
   let (sl_ns, sl_words), (ru_ns, ru_words), (nc_ns, nc_words) =
     Sim.Engine.run ~seed:0 (fun () ->
         let sl = hot_measure ~ops:200_000 (fun () -> Sim.Engine.sleep 1.) in
@@ -1198,6 +1199,26 @@ let micro_hotpath () =
   hot_report ~name:"engine-sleep" sl_ns sl_words;
   hot_report ~name:"resource-use" ru_ns ru_words;
   hot_report ~name:"net-call" nc_ns nc_words;
+  (* engine-sleep-suspend: a partner fiber sleeps the same period half
+     a period out of phase, so each sleep of either fiber finds the
+     other's wake-up pending first and suspends: a continuation, a heap
+     push and pop and a [continue]. Reported per sleep, two per op. *)
+  let ss_ns, ss_words =
+    Sim.Engine.run ~seed:0 (fun () ->
+        Sim.Engine.spawn (fun () ->
+            Sim.Engine.sleep 0.5;
+            while true do
+              Sim.Engine.sleep 1.
+            done);
+        (* the partner starts, and its first sleep resumes in place *)
+        Sim.Engine.sleep 1.;
+        let in_place = Sim.Engine.resumed_in_place () in
+        let ns, words = hot_measure ~ops:100_000 (fun () -> Sim.Engine.sleep 1.) in
+        if Sim.Engine.resumed_in_place () <> in_place then
+          failwith "engine-sleep-suspend: a sleep resumed in place";
+        (ns /. 2., words /. 2.))
+  in
+  hot_report ~name:"engine-sleep-suspend" ss_ns ss_words;
   (* the same RPC under a fault controller, each on its own fabric, at
      the protocol's deadline: the exchange runs in a pooled job's
      worker fiber, woken rather than spawned, while the caller parks;
@@ -1549,7 +1570,7 @@ let micro_events_wall () =
   section "Whole-run wall clock (events/s of real time)";
   let seed = 11 in
   let virtual_us = 4_000_000. in
-  let (appends, events), perf =
+  let (appends, (events, in_place)), perf =
     Report.with_perf (fun () ->
         Sim.Engine.run ~seed (fun () ->
             let cluster = Corfu.Cluster.create ~servers:4 () in
@@ -1566,12 +1587,13 @@ let micro_events_wall () =
                   loop ())
             done;
             Sim.Engine.sleep virtual_us;
-            (!ops, Sim.Engine.events_dispatched ())))
+            (!ops, (Sim.Engine.events_dispatched (), Sim.Engine.resumed_in_place ()))))
   in
   let events_rate = float_of_int events /. perf.Report.wall_s in
   let appends_rate = float_of_int appends /. perf.Report.wall_s in
-  row "%-24s %12.3f wall-s %10d events %12.0f events/wall-s %10.0f appends/wall-s" "events-wall"
-    perf.Report.wall_s events events_rate appends_rate;
+  let in_place_share = float_of_int in_place /. float_of_int events in
+  row "%-24s %12.3f wall-s %10d events %12.0f events/wall-s %10.0f appends/wall-s %5.1f%% in place"
+    "events-wall" perf.Report.wall_s events events_rate appends_rate (100. *. in_place_share);
   Report.add_scenario ~name:"micro/events-wall" ~seed
     ~params:[ ("servers", "4"); ("writers", "8"); ("virtual_us", string_of_float virtual_us) ]
     ~summary:
@@ -1580,6 +1602,7 @@ let micro_events_wall () =
         ("appends", float_of_int appends);
         ("events_per_wall_s", events_rate);
         ("appends_per_wall_s", appends_rate);
+        ("in_place_share", in_place_share);
       ]
     ~perf ~virtual_end_us:virtual_us ~metrics_json:(Sim.Metrics.to_json ()) ()
 

@@ -37,12 +37,13 @@ type world = {
   world_rng : Rng.t;
   clock : float array;  (* 1 element: a float-array store stays unboxed *)
   peek : float array;  (* 1 element: Eventq.next_time_into scratch *)
-  delay : float array;  (* 1 element: the pending [Sleep]'s delay *)
-  due : float array;  (* 1 element: Eventq.push_at scratch *)
+  due : float array;  (* 1 element: Eventq.push_at scratch, and the pending [Sleep]'s due time *)
+  horizon : float;  (* [run]'s [until], or infinity: the [until] box itself, no new one *)
   mutable next_seq : int;
   mutable next_fiber : int;
   mutable current_fiber : int;
   mutable events : int;  (* dispatched so far this run *)
+  mutable in_place : int;  (* of [events], sleeps resumed in place *)
   mutable failure : exn option;
   mutable main_done : bool;
   mutable parking : waitq;  (* the pending [Park]'s queue *)
@@ -73,6 +74,7 @@ let now_into dst i = Float.Array.set dst i (Array.unsafe_get (get_world ()).cloc
 let rng () = (get_world ()).world_rng
 let fiber_id () = (get_world ()).current_fiber
 let events_dispatched () = (get_world ()).events
+let resumed_in_place () = (get_world ()).in_place
 
 (* Resumes and spawns due now (after <= 0) take the immediate lane:
    O(1) ring append, no heap traffic. Later events go through the
@@ -108,28 +110,51 @@ let no_timer = Eventq.no_handle
 let cancel timer = Eventq.cancel (get_world ()).q timer
 let pending_events () = Eventq.size (get_world ()).q
 
-(* No effect carries a payload: [sleep] leaves its delay in
-   [w.delay], [park] its queue in [w.parking] and [ivar_read] its cell
+(* No effect carries a payload: [sleep] leaves its due time in
+   [w.due], [park] its queue in [w.parking] and [ivar_read] its cell
    in [w.parking_ivar], and the handler answers each with the world's
    preallocated closure. *)
 type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t | Park_ivar : unit Effect.t
 
-let sleep dt =
-  Array.unsafe_set (get_world ()).delay 0 dt;
-  Effect.perform Sleep
+(* A sleep whose resume would be the next event dispatched anyway
+   resumes in place: no effect, no continuation, no push or pop. It
+   does to the world what that push, pop and [continue] would have
+   done: it takes a seq, counts a dispatch and sets the clock to the
+   due time its resume would have carried (the same float sum). So
+   order, seqs, fiber ids and [events] stay exactly as if it had
+   suspended. Only a due time within the horizon qualifies: past it,
+   [drive] must raise [Horizon_reached] with the clock unmoved. *)
+let[@inline] sleep_world w dt =
+  let now = Array.unsafe_get w.clock 0 in
+  let due = w.due in
+  if dt <= 0. then Array.unsafe_set due 0 now else Array.unsafe_set due 0 (now +. dt);
+  if Array.unsafe_get due 0 <= w.horizon && Eventq.would_run_next w.q due then begin
+    w.next_seq <- w.next_seq + 1;
+    w.events <- w.events + 1;
+    w.in_place <- w.in_place + 1;
+    Array.unsafe_set w.clock 0 (Array.unsafe_get due 0)
+  end
+  else Effect.perform Sleep
 
-let sleep_in a i =
-  Array.unsafe_set (get_world ()).delay 0 (Float.Array.get a i);
-  Effect.perform Sleep
+let sleep dt = sleep_world (get_world ()) dt
+let sleep_in a i = sleep_world (get_world ()) (Float.Array.get a i)
 
 let yield () = sleep 0.
 
 (* The sleeper's resume event is its continuation and id, stored where
    the push stores any payload: a sleep allocates only the continuation
    OCaml builds. (Keeping the continuation in a long-lived per-fiber
-   record instead would add a write barrier per sleep.) *)
+   record instead would add a write barrier per sleep.) It is due at
+   [w.due], which [sleep_world] set; one due now takes the lane. The
+   lane and the heap dispatch in one (time, seq) order, so which band
+   holds it changes nothing else. *)
 let on_sleep w k =
-  push_event w ~after:(Array.unsafe_get w.delay 0) w.current_fiber (payload_of_cont k)
+  let seq = w.next_seq in
+  w.next_seq <- seq + 1;
+  let payload = payload_of_cont k in
+  if Array.unsafe_get w.due 0 = Array.unsafe_get w.clock 0 then
+    Eventq.push_now_at w.q w.clock seq w.current_fiber payload
+  else ignore (Eventq.push_at w.q w.due seq w.current_fiber payload : Eventq.handle)
 
 (* -- wait queues -------------------------------------------------------- *)
 
@@ -260,7 +285,7 @@ let spawn ?(at = Float.neg_infinity) f =
    comparison, one store, one pop and a dispatch on the event's tag —
    zero allocations. [Eventq.next_time_into] moves the peeked time
    through unboxed float-array slots so no float is ever boxed here. *)
-let drive w ?until () =
+let drive w =
   let q = w.q in
   let clock = w.clock in
   let peek = w.peek in
@@ -270,9 +295,7 @@ let drive w ?until () =
     else begin
       Eventq.next_time_into q peek;
       let time = Array.unsafe_get peek 0 in
-      (match until with
-      | Some horizon when time > horizon -> raise (Horizon_reached horizon)
-      | Some _ | None -> ());
+      if time > w.horizon then raise (Horizon_reached w.horizon);
       Array.unsafe_set clock 0 time;
       w.events <- w.events + 1;
       let payload = if Eventq.next_is_lane q then Eventq.pop_lane q else Eventq.pop_heap q in
@@ -299,12 +322,13 @@ let run ?(seed = 1) ?until main =
       world_rng;
       clock = [| 0. |];
       peek = [| 0. |];
-      delay = [| 0. |];
       due = [| 0. |];
+      horizon = (match until with Some h -> h | None -> Float.infinity);
       next_seq = 0;
       next_fiber = 1;
       current_fiber = 0;
       events = 0;
+      in_place = 0;
       failure = None;
       main_done = false;
       parking;
@@ -328,6 +352,6 @@ let run ?(seed = 1) ?until main =
   push_event w ~after:0. (spawn_tag 0) (fun () ->
       result := Some (main ());
       w.main_done <- true);
-  drive w ?until ();
+  drive w;
   (match w.failure with Some e -> raise e | None -> ());
   match !result with Some r -> r | None -> assert false

@@ -45,11 +45,21 @@ val now_into : Float.Array.t -> int -> unit
 val rng : unit -> Rng.t
 
 (** [sleep dt] suspends the calling fiber for [dt] microseconds
-    (clamped to 0). *)
+    (clamped to 0).
+
+    When the sleep's wake-up would be the next event dispatched anyway
+    it resumes in place, allocating nothing: that is when no event is
+    due now, the earliest pending event is strictly later than
+    [now () +. dt] (a tie goes to the pending event), and [now () +. dt]
+    is within {!run}'s [until]. It then advances the clock to
+    [now () +. dt] and counts one dispatch, exactly as the suspended
+    sleep's resume would, so dispatch order, fiber ids and
+    {!events_dispatched} are identical to a run where it suspended. *)
 val sleep : float -> unit
 
-(** [sleep_in a i] is [sleep (Float.Array.get a i)]: the form for a
-    delay the caller computes, which reaches the engine unboxed. *)
+(** [sleep_in a i] is [sleep (Float.Array.get a i)], in-place resume
+    included: the form for a delay the caller computes, which reaches
+    the engine unboxed. *)
 val sleep_in : Float.Array.t -> int -> unit
 
 (** [yield ()] reschedules the calling fiber at the current time,
@@ -167,6 +177,11 @@ val pending_events : unit -> int
     throughput metric the bench suite gates on.
     @raise Invalid_argument outside of {!run}. *)
 val events_dispatched : unit -> int
+
+(** [resumed_in_place ()] is how many of {!events_dispatched} were
+    sleeps that resumed in place (see {!sleep}) rather than suspending.
+    @raise Invalid_argument outside of {!run}. *)
+val resumed_in_place : unit -> int
 
 (** [run_count ()] is the number of simulation worlds ever started in
     this process (incremented at the top of each {!run}). Unlike the

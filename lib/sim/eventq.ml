@@ -342,6 +342,14 @@ let next_time q = next_time_unboxed q
    store stays unboxed. *)
 let next_time_into q dst = Array.unsafe_set dst 0 (next_time_unboxed q)
 
+(* Whether an event pushed now, due at [src.(0)] with a fresh seq,
+   would be the next one dispatched: no lane event (each is due now
+   with a smaller seq) and no heap event at or before it (a tie goes to
+   the pending event's smaller seq). The due time arrives in a
+   float-array slot, like [push_at]'s, so it is never boxed. *)
+let would_run_next q src =
+  q.llen = 0 && (q.hlen = 0 || Array.unsafe_get q.ht 0 > Array.unsafe_get src 0)
+
 (* Convenience form for tests and benches; the engine's dispatch loop
    peeks with [next_time_into] and then calls the band-specific pop. *)
 let pop q =

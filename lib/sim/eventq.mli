@@ -99,6 +99,15 @@ val next_time_into : t -> float array -> unit
     Meaningful only when the queue is non-empty. *)
 val next_is_lane : t -> bool
 
+(** [would_run_next q src] says whether an event pushed now at time
+    [src.(0)], with a seq above every pending one, would be the next
+    dispatched: the lane is empty and the heap is empty or its top is
+    strictly later than [src.(0)]. (A tie with a pending event goes to
+    the pending one's smaller seq.) The time arrives in a float-array
+    slot, as with {!push_at}, so the check allocates nothing. The
+    engine's test for a sleep that can resume in place. *)
+val would_run_next : t -> float array -> bool
+
 (** Pop the lane front / heap top and return its payload; its tag is
     then {!popped_tag}. Undefined on the respective empty structure;
     callers gate on {!next_is_lane}. *)

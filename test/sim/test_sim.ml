@@ -2482,7 +2482,14 @@ let test_spawn_budget () =
         f ();
         Gc.minor_words () -. w0
       in
-      let control = measured (fun () -> Engine.sleep 10.) in
+      (* The measured sleep waits behind the spawns, so it suspends: the
+         control's does too, behind an earlier timer (a lone sleep
+         would resume in place and cost nothing). *)
+      let control =
+        measured (fun () ->
+            ignore (Engine.schedule ~after:5. eventq_nothing : Engine.timer);
+            Engine.sleep 10.)
+      in
       let words =
         measured (fun () ->
             for _ = 1 to budget_ops do
@@ -2506,6 +2513,289 @@ let test_schedule_cancel_budget () =
         (words_per_op (fun () ->
              ignore (Engine.cancel (Engine.schedule ~after:250.5 eventq_nothing) : bool))))
 
+(* ------------------------------------------------------------------ *)
+(* In-place sleeps                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A sleep whose resume would be the next event dispatched runs on
+   without suspending; these pin when it may and what it must leave
+   exactly as a suspended sleep would. *)
+
+let check_exact what want got =
+  if not (Float.equal want got) then Alcotest.failf "%s: %h, want %h" what got want
+
+let test_in_place_sleep () =
+  Engine.run (fun () ->
+      Engine.sleep 0.1;
+      let now = Engine.now () in
+      let events = Engine.events_dispatched () and in_place = Engine.resumed_in_place () in
+      Engine.sleep 0.2;
+      (* 0.1 +. 0.2 is not 0.3: the clock is the float sum a resume
+         event would have carried *)
+      check_exact "clock" (now +. 0.2) (Engine.now ());
+      check_int "one dispatch counted" (events + 1) (Engine.events_dispatched ());
+      check_int "resumed in place" (in_place + 1) (Engine.resumed_in_place ());
+      check_budget "in-place sleep" ~budget:0. (words_per_op (fun () -> Engine.sleep 1.));
+      check_int "every sleep in place" (in_place + 1 + budget_ops)
+        (Engine.resumed_in_place ()))
+
+let test_tied_sleep_suspends () =
+  let order = ref [] in
+  Engine.run (fun () ->
+      let note what () = order := (what, Engine.now ()) :: !order in
+      ignore (Engine.schedule ~after:1. (note "timer") : Engine.timer);
+      let in_place = Engine.resumed_in_place () in
+      Engine.sleep 1.;
+      note "sleeper" ();
+      (* a zero delay ties with a thunk due now the same way *)
+      ignore (Engine.schedule ~after:0. (note "timer-now") : Engine.timer);
+      Engine.yield ();
+      note "yielder" ();
+      check_int "no tied sleep in place" in_place (Engine.resumed_in_place ()));
+  Alcotest.(check (list (pair string (float 0.))))
+    "pending event first"
+    [ ("timer", 1.); ("sleeper", 1.); ("timer-now", 1.); ("yielder", 1.) ]
+    (List.rev !order)
+
+let test_sleep_behind_lane_suspends () =
+  let order = ref [] in
+  Engine.run (fun () ->
+      let q = Engine.waitq () in
+      Engine.spawn (fun () ->
+          Engine.park q;
+          order := ("woken", Engine.now ()) :: !order);
+      Engine.yield ();
+      let in_place = Engine.resumed_in_place () in
+      (* the heap is empty, but the wake's resume is due now *)
+      Engine.wake q;
+      Engine.sleep 5.;
+      order := ("sleeper", Engine.now ()) :: !order;
+      check_int "sleep behind a wake suspends" in_place (Engine.resumed_in_place ()));
+  Alcotest.(check (list (pair string (float 0.))))
+    "wake first" [ ("woken", 0.); ("sleeper", 5.) ] (List.rev !order)
+
+let test_in_place_stops_at_horizon () =
+  let seen = ref [] in
+  Alcotest.check_raises "horizon" (Engine.Horizon_reached 10.) (fun () ->
+      Engine.run ~until:10. (fun () ->
+          Engine.sleep 4.;
+          (* due exactly at the horizon: [run] still dispatches it *)
+          Engine.sleep 6.;
+          seen := [ (Engine.now (), Engine.resumed_in_place ()) ];
+          Engine.sleep 0.5;
+          seen := (Engine.now (), Engine.resumed_in_place ()) :: !seen));
+  Alcotest.(check (list (pair (float 0.) int))) "stops at 10" [ (10., 2) ] !seen
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch order against a reference model                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A fiber program: the steps the fiber takes, in order. Delays come
+   from {0, 0.5, 1, 2} so that wake-ups tie. Main never parks (nothing
+   is bound to wake it); a [Timer] thunk logs itself and may wake a
+   queue; [Cancel_timer k] cancels the (k mod n)-th timer of the run. *)
+type prog_step =
+  | Sleep_us of float
+  | Spawn of prog_step list
+  | Park_on of int
+  | Wake_on of int
+  | Timer of float * int option
+  | Cancel_timer of int
+
+type prog_outcome = Finished of int | Horizon of float
+
+let rec print_prog steps = "[" ^ String.concat "; " (List.map print_step steps) ^ "]"
+
+and print_step = function
+  | Sleep_us d -> Printf.sprintf "Sleep_us %g" d
+  | Spawn p -> "Spawn " ^ print_prog p
+  | Park_on q -> Printf.sprintf "Park_on %d" q
+  | Wake_on q -> Printf.sprintf "Wake_on %d" q
+  | Timer (d, None) -> Printf.sprintf "Timer (%g, None)" d
+  | Timer (d, Some q) -> Printf.sprintf "Timer (%g, Some %d)" d q
+  | Cancel_timer k -> Printf.sprintf "Cancel_timer %d" k
+
+(* The observation log: (clock, fiber, step index) each time a fiber
+   takes a step, (clock, -1, timer) each time a thunk runs, and main's
+   (clock, 0, length) when it returns. *)
+type prog_log = (float * int * int) list
+
+let run_prog_engine (until, main) : prog_log * prog_outcome =
+  let log = ref [] in
+  let note fid i = log := (Engine.now (), fid, i) :: !log in
+  let outcome =
+    match
+      Engine.run ?until (fun () ->
+          let queues = [| Engine.waitq (); Engine.waitq () |] in
+          let timers = ref [||] in
+          let rec exec steps =
+            List.iteri
+              (fun i step ->
+                note (Engine.fiber_id ()) i;
+                match step with
+                | Sleep_us d -> Engine.sleep d
+                | Spawn p -> Engine.spawn (fun () -> exec p)
+                | Park_on q -> Engine.park queues.(q)
+                | Wake_on q -> Engine.wake queues.(q)
+                | Timer (d, wake) ->
+                    let id = Array.length !timers in
+                    let thunk () =
+                      note (-1) id;
+                      Option.iter (fun q -> Engine.wake queues.(q)) wake
+                    in
+                    timers := Array.append !timers [| Engine.schedule ~after:d thunk |]
+                | Cancel_timer k ->
+                    let n = Array.length !timers in
+                    if n > 0 then ignore (Engine.cancel !timers.(k mod n) : bool))
+              steps
+          in
+          exec main;
+          note 0 (List.length main);
+          Engine.events_dispatched ())
+    with
+    | events -> Finished events
+    | exception Engine.Horizon_reached h -> Horizon h
+  in
+  (List.rev !log, outcome)
+
+(* The reference: every pending event in one list, the least (time,
+   seq) dispatched next, a fiber's continuation its remaining steps. It
+   shares no code with Engine or Eventq. *)
+type model_event = Resume of int | Start of int * prog_step list | Fire of int * int option
+
+let run_prog_model (until, main) : prog_log * prog_outcome =
+  let horizon = Option.value until ~default:Float.infinity in
+  let clock = ref 0. and seq = ref 0 and events = ref 0 in
+  let pending = ref [] and log = ref [] in
+  let parked = Hashtbl.create 8 and queues = [| Queue.create (); Queue.create () |] in
+  let next_fiber = ref 1 and timers = ref [] and finished = ref None in
+  let note fid i = log := (!clock, fid, i) :: !log in
+  let push time ev =
+    pending := (time, !seq, ev) :: !pending;
+    incr seq
+  in
+  let due d = if d <= 0. then !clock else !clock +. d in
+  let wake q = if not (Queue.is_empty queues.(q)) then push !clock (Resume (Queue.pop queues.(q))) in
+  let rec step fid steps i =
+    match steps with
+    | [] -> if fid = 0 then begin note 0 i; finished := Some !events end
+    | s :: rest -> (
+        note fid i;
+        let block () = Hashtbl.replace parked fid (rest, i + 1) in
+        match s with
+        | Sleep_us d ->
+            push (due d) (Resume fid);
+            block ()
+        | Park_on q ->
+            Queue.push fid queues.(q);
+            block ()
+        | Spawn p ->
+            push !clock (Start (!next_fiber, p));
+            incr next_fiber;
+            step fid rest (i + 1)
+        | Wake_on q ->
+            wake q;
+            step fid rest (i + 1)
+        | Timer (d, w) ->
+            let id = List.length !timers in
+            timers := !timers @ [ !seq ];
+            push (due d) (Fire (id, w));
+            step fid rest (i + 1)
+        | Cancel_timer k ->
+            let n = List.length !timers in
+            if n > 0 then begin
+              let s = List.nth !timers (k mod n) in
+              pending := List.filter (fun (_, s', _) -> s' <> s) !pending
+            end;
+            step fid rest (i + 1))
+  in
+  push 0. (Start (0, main));
+  let rec loop () =
+    match !finished with
+    | Some events -> Finished events
+    | None ->
+        let ((time, _, ev) as next) =
+          List.fold_left
+            (fun ((t, s, _) as least) ((t', s', _) as e) ->
+              if t' < t || (t' = t && s' < s) then e else least)
+            (List.hd !pending) !pending
+        in
+        if time > horizon then Horizon horizon
+        else begin
+          pending := List.filter (fun e -> e != next) !pending;
+          clock := time;
+          incr events;
+          (match ev with
+          | Start (fid, p) -> step fid p 0
+          | Resume fid ->
+              let rest, i = Hashtbl.find parked fid in
+              Hashtbl.remove parked fid;
+              step fid rest i
+          | Fire (id, w) ->
+              note (-1) id;
+              Option.iter wake w);
+          loop ()
+        end
+  in
+  let outcome = loop () in
+  (List.rev !log, outcome)
+
+let print_prog_case (until, main) =
+  Printf.sprintf "(%s, %s)"
+    (match until with None -> "None" | Some h -> Printf.sprintf "Some %g" h)
+    (print_prog main)
+
+let prog_gen =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.; 0.5; 1.; 2. ] in
+  let queue = int_bound 1 in
+  let rec steps ~main depth = list_size (int_bound 6) (step ~main depth)
+  and step ~main depth =
+    frequency
+      ([
+         (4, map (fun d -> Sleep_us d) delay);
+         (2, map2 (fun d w -> Timer (d, w)) delay (opt queue));
+         (1, map (fun k -> Cancel_timer k) (int_bound 7));
+         (2, map (fun q -> Wake_on q) queue);
+       ]
+      @ (if main then [] else [ (2, map (fun q -> Park_on q) queue) ])
+      @ if depth > 0 then [ (2, map (fun p -> Spawn p) (steps ~main:false (depth - 1))) ] else [])
+  in
+  pair (opt (oneofl [ 1.; 2.5; 4. ])) (steps ~main:true 2)
+
+let rec shrink_prog steps = QCheck.Shrink.list ~shrink:shrink_step steps
+
+and shrink_step = function
+  | Spawn p -> QCheck.Iter.map (fun p -> Spawn p) (shrink_prog p)
+  | Timer (d, Some _) -> QCheck.Iter.return (Timer (d, None))
+  | Sleep_us d when d > 0. -> QCheck.Iter.return (Sleep_us 0.)
+  | Timer (d, None) when d > 0. -> QCheck.Iter.return (Timer (0., None))
+  | Sleep_us _ | Park_on _ | Wake_on _ | Timer _ | Cancel_timer _ -> QCheck.Iter.empty
+
+let prop_dispatch_matches_model =
+  QCheck.Test.make ~name:"engine dispatch matches a list-based (time, seq) model" ~count:500
+    (QCheck.make ~print:print_prog_case
+       ~shrink:(QCheck.Shrink.pair (QCheck.Shrink.option QCheck.Shrink.nil) shrink_prog)
+       prog_gen)
+    (fun case -> run_prog_engine case = run_prog_model case)
+
+(* Cases the property shrank to when the in-place check let a sleep
+   that ties with a pending event run first: with a thunk due now, with
+   a later thunk, and with another fiber's sleep. *)
+let dispatch_regressions =
+  [
+    (None, [ Timer (0., None); Sleep_us 0. ]);
+    (None, [ Timer (1., None); Sleep_us 1. ]);
+    (None, [ Spawn [ Sleep_us 2. ]; Sleep_us 1.; Sleep_us 1. ]);
+  ]
+
+let test_dispatch_regressions () =
+  List.iter
+    (fun case ->
+      if run_prog_engine case <> run_prog_model case then
+        Alcotest.failf "engine diverges from the model on %s" (print_prog_case case))
+    dispatch_regressions
+
 let () =
   Alcotest.run "sim"
     [
@@ -2526,7 +2816,17 @@ let () =
           Alcotest.test_case "schedule thunk" `Quick test_schedule_thunk;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
           Alcotest.test_case "spawn ~at past raises" `Quick test_spawn_past_raises;
+          Alcotest.test_case "a sleep due next resumes in place" `Quick test_in_place_sleep;
+          Alcotest.test_case "a sleep tied with a pending event suspends" `Quick
+            test_tied_sleep_suspends;
+          Alcotest.test_case "a sleep behind a wake due now suspends" `Quick
+            test_sleep_behind_lane_suspends;
+          Alcotest.test_case "no in-place sleep past the horizon" `Quick
+            test_in_place_stops_at_horizon;
         ] );
+      ( "engine-model",
+        Alcotest.test_case "shrunk tie cases" `Quick test_dispatch_regressions
+        :: qcheck [ prop_dispatch_matches_model ] );
       ( "kernel-alloc",
         [
           Alcotest.test_case "sleep within budget" `Quick test_sleep_budget;
