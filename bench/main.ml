@@ -1361,6 +1361,24 @@ let micro_hotpath () =
         (!time *. 1e9 /. ops, !words /. ops))
   in
   hot_report ~name:"stream-playback" ns words;
+  (* client entry cache: cache the entry at the next offset (a client
+     that writes one offset in three, as the commit marker caches its
+     own appends) and hit the one 100 adds back. 200,000 adds pass the
+     16,384-entry cap a dozen times; the pages the adds fill are the
+     kernel's only allocation. *)
+  let ns, words =
+    Sim.Engine.run ~seed:0 (fun () ->
+        let cluster = Corfu.Cluster.create ~servers:2 () in
+        let cl = Corfu.Cluster.new_client cluster ~name:"bench" in
+        let e = { Corfu.Types.headers = Bytes.empty; payload = Bytes.empty } in
+        let next = ref 0 in
+        hot_measure ~ops:200_000 (fun () ->
+            let off = !next in
+            next := off + 3;
+            Corfu.Client.cache_put cl off e;
+            if off >= 300 then ignore (Corfu.Client.find_cached cl (off - 300) : Corfu.Types.entry)))
+  in
+  hot_report ~name:"entry-cache" ns words;
   (* concurrent stream sync: 16 fibers sync one stream at the same
      instant against members another client wrote, so every walk
      blocks on an uncached read while the others run — the overlap

@@ -32,13 +32,20 @@ type 'v effects = {
   reconstruct : 'v t -> int -> Record.commit -> bool;
 }
 
+(* Every per-record lookup is by an int: an oid finds its object by
+   binary search in [oids], and a log position its decision in an
+   {!Sim.Int_tbl}. Only [hosted]'s order comes from a generic table,
+   filled at registration, because playback sweeps the objects in
+   that order. *)
 and 'v t = {
   fx : 'v effects;
-  objects : (int, 'v obj) Hashtbl.t;
-  decided : (int, bool) Hashtbl.t;
-  undecided : (int, Record.commit) Hashtbl.t;
-  own_commits : (int, Record.commit) Hashtbl.t;
-  partials : (int, (int, bool) Hashtbl.t) Hashtbl.t;  (* cpos -> oid -> verdict *)
+  by_oid : (int, 'v obj) Hashtbl.t;  (* registration only: [hosted]'s order *)
+  mutable oids : int array;  (* hosted oids, ascending *)
+  mutable objs : 'v obj array;  (* [objs.(i)] is the object of [oids.(i)] *)
+  decided : bool Sim.Int_tbl.t;
+  undecided : Record.commit Sim.Int_tbl.t;
+  own_commits : Record.commit Sim.Int_tbl.t;
+  partials : (int, bool) Hashtbl.t Sim.Int_tbl.t;  (* cpos -> oid -> verdict *)
   partials_emitted : (int * int, unit) Hashtbl.t;  (* (cpos, oid) *)
   mutable applied : int;
 }
@@ -48,17 +55,19 @@ let timeout_us = 50_000.
 let create fx =
   {
     fx;
-    objects = Hashtbl.create 16;
-    decided = Hashtbl.create 256;
-    undecided = Hashtbl.create 16;
-    own_commits = Hashtbl.create 16;
-    partials = Hashtbl.create 16;
+    by_oid = Hashtbl.create 16;
+    oids = [||];
+    objs = [||];
+    decided = Sim.Int_tbl.create 256;
+    undecided = Sim.Int_tbl.create 16;
+    own_commits = Sim.Int_tbl.create 16;
+    partials = Sim.Int_tbl.create 16;
     partials_emitted = Hashtbl.create 16;
     applied = 0;
   }
 
 let register t ~oid view =
-  Hashtbl.replace t.objects oid
+  let o =
     {
       oid;
       view;
@@ -69,25 +78,52 @@ let register t ~oid view =
       gap_pending = false;
       waiting = Queue.create ();
     }
+  in
+  Hashtbl.replace t.by_oid oid o;
+  let pairs = Hashtbl.fold (fun oid o acc -> (oid, o) :: acc) t.by_oid [] in
+  let pairs = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs) in
+  t.oids <- Array.map fst pairs;
+  t.objs <- Array.map snd pairs
 
-let find t oid = Hashtbl.find t.objects oid
-let find_opt t oid = Hashtbl.find_opt t.objects oid
-let mem t oid = Hashtbl.mem t.objects oid
-let hosted t = Hashtbl.fold (fun _ o acc -> o :: acc) t.objects []
+(* The index of [oid] in the ascending [oids], or -1. *)
+let rec search oids oid lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let m = Array.unsafe_get oids mid in
+    if m = oid then mid else if m < oid then search oids oid (mid + 1) hi else search oids oid lo mid
+  end
+
+let slot t oid = search t.oids oid 0 (Array.length t.oids)
+
+let find t oid =
+  let i = slot t oid in
+  if i < 0 then raise_notrace Not_found else Array.unsafe_get t.objs i
+
+let find_opt t oid =
+  let i = slot t oid in
+  if i < 0 then None else Some (Array.unsafe_get t.objs i)
+
+let mem t oid = slot t oid >= 0
+let hosted t = Hashtbl.fold (fun _ o acc -> o :: acc) t.by_oid []
 let settled o = o.blocked_on = None && Queue.is_empty o.waiting
-let is_decided t pos = Hashtbl.mem t.decided pos
-let outcome t pos = Hashtbl.find t.decided pos
-let is_undecided t pos = Hashtbl.mem t.undecided pos
-let hold_own t cpos c = Hashtbl.replace t.own_commits cpos c
-let release_own t cpos = Hashtbl.remove t.own_commits cpos
-let own_held t = Hashtbl.length t.own_commits
+
+(* Frozen at exactly [pos]; a match, where [=] on the option would call
+   the polymorphic comparison. *)
+let blocked_at o pos = match o.blocked_on with Some p -> p = pos | None -> false
+let is_decided t pos = Sim.Int_tbl.mem t.decided pos
+let outcome t pos = Sim.Int_tbl.find t.decided pos
+let is_undecided t pos = Sim.Int_tbl.mem t.undecided pos
+let hold_own t cpos c = Sim.Int_tbl.replace t.own_commits cpos c
+let release_own t cpos = Sim.Int_tbl.remove t.own_commits cpos
+let own_held t = Sim.Int_tbl.length t.own_commits
 let applied t = t.applied
 
 let prune t below_pos =
-  let prune tbl pred = Hashtbl.filter_map_inplace (fun k v -> if pred k then None else Some v) tbl in
-  prune t.decided (fun p -> p < below_pos);
-  prune t.partials (fun p -> p < below_pos);
-  prune t.partials_emitted (fun (p, _) -> p < below_pos)
+  let below p v = if p < below_pos then None else Some v in
+  Sim.Int_tbl.filter_map_inplace below t.decided;
+  Sim.Int_tbl.filter_map_inplace below t.partials;
+  Hashtbl.filter_map_inplace (fun (p, _) v -> below p v) t.partials_emitted
 
 let version o key =
   match key with
@@ -142,7 +178,7 @@ let load_checkpoint_now t o ~base data =
 
 let rec hosts_all t = function
   | [] -> true
-  | (oid, _, _) :: rest -> Hashtbl.mem t.objects oid && hosts_all t rest
+  | (oid, _, _) :: rest -> mem t oid && hosts_all t rest
 
 (* Ascending, duplicate-free oid sets built by insertion: a commit
    names a handful of objects, usually one, so the set is a short list
@@ -172,9 +208,8 @@ let writes_key oid key (u : Record.update) =
 let obj_oid o = o.oid
 
 let add_hosted t oid acc =
-  match Hashtbl.find t.objects oid with
-  | o -> insert_by_oid obj_oid o acc
-  | exception Not_found -> acc
+  let i = slot t oid in
+  if i < 0 then acc else insert_by_oid obj_oid (Array.unsafe_get t.objs i) acc
 
 let rec hosted_reads t acc = function
   | [] -> acc
@@ -206,7 +241,7 @@ let queued_verdict t pos oid key recorded o =
         | Apply_update u -> if writes_key oid key u then Conflict else v
         | Commit_point { cpos; writes } ->
             if List.exists (writes_key oid key) writes then
-              match Hashtbl.find t.decided cpos with
+              match Sim.Int_tbl.find t.decided cpos with
               | true -> Conflict
               | false -> v
               | exception Not_found -> Unknown
@@ -216,26 +251,28 @@ let queued_verdict t pos oid key recorded o =
 
 let rec eager_check t pos = function
   | [] -> Some true
-  | (oid, key, recorded) :: rest -> (
-      match Hashtbl.find t.objects oid with
-      | exception Not_found -> None
-      | o ->
-          refresh_gap t o;
-          (* past [pos] only if it joined after the commit parked: its
-             versions no longer show the read window *)
-          if o.gap_pending || o.v_any > pos then None
-          else if version o key > recorded then begin
-            t.fx.conflict ();
-            Some false
-          end
-          else if o.blocked_on = None then eager_check t pos rest
-          else
-            match queued_verdict t pos oid key recorded o with
-            | Conflict ->
-                t.fx.conflict ();
-                Some false
-            | Unknown -> None
-            | Clean -> eager_check t pos rest)
+  | (oid, key, recorded) :: rest ->
+      let i = slot t oid in
+      if i < 0 then None
+      else begin
+        let o = Array.unsafe_get t.objs i in
+        refresh_gap t o;
+        (* past [pos] only if it joined after the commit parked: its
+           versions no longer show the read window *)
+        if o.gap_pending || o.v_any > pos then None
+        else if version o key > recorded then begin
+          t.fx.conflict ();
+          Some false
+        end
+        else if o.blocked_on = None then eager_check t pos rest
+        else
+          match queued_verdict t pos oid key recorded o with
+          | Conflict ->
+              t.fx.conflict ();
+              Some false
+          | Unknown -> None
+          | Clean -> eager_check t pos rest
+      end
 
 (* [None] only while a read object is unhosted, gapped, past [pos], or
    masked by an undecided commit that writes a read key. *)
@@ -246,16 +283,16 @@ let eager_outcome t pos (c : Record.commit) =
    drains frozen queues, which can surface the next commit point,
    which may now be decidable. *)
 let rec resolve t target committed =
-  if not (Hashtbl.mem t.decided target) then begin
-    Hashtbl.replace t.decided target committed;
+  if not (Sim.Int_tbl.mem t.decided target) then begin
+    Sim.Int_tbl.replace t.decided target committed;
     t.fx.announce_decided target committed;
-    match Hashtbl.find t.undecided target with
+    match Sim.Int_tbl.find t.undecided target with
     | exception Not_found -> ()
     | c ->
-        Hashtbl.remove t.undecided target;
+        Sim.Int_tbl.remove t.undecided target;
         List.iter
           (fun o ->
-            if o.blocked_on = Some target then begin
+            if blocked_at o target then begin
               o.blocked_on <- None;
               drain t o
             end)
@@ -277,7 +314,7 @@ and drain t o =
         load_checkpoint_now t o ~base data;
         drain t o
     | Commit_point { cpos; writes } -> (
-        match Hashtbl.find_opt t.decided cpos with
+        match Sim.Int_tbl.find_opt t.decided cpos with
         | Some committed ->
             ignore (Queue.pop o.waiting);
             if committed then begin
@@ -297,7 +334,7 @@ and drain t o =
    plus the (known) queued records below the commit position, so it is
    identical to the one the generator ran. *)
 and try_decide t cpos =
-  match Hashtbl.find_opt t.undecided cpos with
+  match Sim.Int_tbl.find_opt t.undecided cpos with
   | None -> ()
   | Some c -> ( match eager_outcome t cpos c with Some committed -> resolve t cpos committed | None -> ())
 
@@ -305,7 +342,7 @@ and try_decide t cpos =
    point; every object is exactly at [cpos] when this is called. *)
 and park_commit t cpos (c : Record.commit) ~involved =
   t.fx.announce_parked cpos c;
-  Hashtbl.replace t.undecided cpos c;
+  Sim.Int_tbl.replace t.undecided cpos c;
   List.iter
     (fun o ->
       Queue.add (cpos, Commit_point { cpos; writes = c.c_writes }) o.waiting;
@@ -326,14 +363,14 @@ and park_commit t cpos (c : Record.commit) ~involved =
    that are frozen exactly at [cpos] (their versions are then as of
    the commit position, so each verdict is deterministic). *)
 and emit_partials t cpos =
-  match Hashtbl.find_opt t.undecided cpos with
+  match Sim.Int_tbl.find_opt t.undecided cpos with
   | None -> ()
   | Some c ->
       let verdicts =
         List.filter_map
           (fun oid ->
-            match Hashtbl.find t.objects oid with
-            | o when o.blocked_on = Some cpos && not (Hashtbl.mem t.partials_emitted (cpos, oid)) ->
+            match find t oid with
+            | o when blocked_at o cpos && not (Hashtbl.mem t.partials_emitted (cpos, oid)) ->
                 Hashtbl.replace t.partials_emitted (cpos, oid) ();
                 let ok =
                   List.for_all (fun (roid, key, recorded) -> roid <> oid || version o key <= recorded) c.c_reads
@@ -350,11 +387,11 @@ and emit_partials t cpos =
 
 and note_partials t cpos verdicts =
   let tbl =
-    match Hashtbl.find_opt t.partials cpos with
+    match Sim.Int_tbl.find_opt t.partials cpos with
     | Some tbl -> tbl
     | None ->
         let tbl = Hashtbl.create 4 in
-        Hashtbl.replace t.partials cpos tbl;
+        Sim.Int_tbl.replace t.partials cpos tbl;
         tbl
   in
   List.iter (fun (oid, ok) -> Hashtbl.replace tbl oid ok) verdicts;
@@ -363,19 +400,19 @@ and note_partials t cpos verdicts =
 (* When published verdicts cover the whole read set, combine: the
    final outcome is their conjunction — identical from any combiner. *)
 and maybe_combine t cpos =
-  if not (Hashtbl.mem t.decided cpos) then begin
+  if not (Sim.Int_tbl.mem t.decided cpos) then begin
     let c_opt =
-      match Hashtbl.find_opt t.undecided cpos with
+      match Sim.Int_tbl.find_opt t.undecided cpos with
       | Some c -> Some c
-      | None -> Hashtbl.find_opt t.own_commits cpos
+      | None -> Sim.Int_tbl.find_opt t.own_commits cpos
     in
-    match (c_opt, Hashtbl.find_opt t.partials cpos) with
+    match (c_opt, Sim.Int_tbl.find_opt t.partials cpos) with
     | Some c, Some verdicts ->
         if List.for_all (fun (oid, _, _) -> Hashtbl.mem verdicts oid) c.c_reads then begin
           let final = List.for_all (fun (oid, _, _) -> Hashtbl.find verdicts oid) c.c_reads in
           let publisher =
-            Hashtbl.mem t.own_commits cpos
-            || List.exists (fun (u : Record.update) -> Hashtbl.mem t.objects u.u_oid) c.c_writes
+            Sim.Int_tbl.mem t.own_commits cpos
+            || List.exists (fun (u : Record.update) -> mem t u.u_oid) c.c_writes
           in
           resolve t cpos final;
           if publisher then t.fx.publish c (Record.Decision { d_target = cpos; d_committed = final })
@@ -391,9 +428,8 @@ let deliver_to t o pos (u : Record.update) =
   else apply_now t o pos u
 
 let deliver_update t pos (u : Record.update) =
-  match Hashtbl.find t.objects u.u_oid with
-  | o -> deliver_to t o pos u
-  | exception Not_found -> ()
+  let i = slot t u.u_oid in
+  if i >= 0 then deliver_to t (Array.unsafe_get t.objs i) pos u
 
 let rec deliver_all t pos = function
   | [] -> ()
@@ -422,7 +458,7 @@ let blind_commit_apply = ref false
    (the playback loop also needs it to decide whether to charge
    CPU). *)
 let handle_commit t pos ~involved (c : Record.commit) =
-  match Hashtbl.find t.decided pos with
+  match Sim.Int_tbl.find t.decided pos with
   | committed -> if committed then apply_commit t pos c
   | exception Not_found -> (
       refresh_gaps t involved;
@@ -443,7 +479,7 @@ let handle_commit t pos ~involved (c : Record.commit) =
              generator cannot produce it (collaborative commits), any
              full-read-set host publishes — the verdict is the same
              from everyone. *)
-          if c.c_needs_decision && not (Hashtbl.mem t.own_commits pos) then
+          if c.c_needs_decision && not (Sim.Int_tbl.mem t.own_commits pos) then
             t.fx.publish c (Record.Decision { d_target = pos; d_committed = committed })
       | None ->
           (* A commit that touches nothing hosted here (it shares an
@@ -452,13 +488,13 @@ let handle_commit t pos ~involved (c : Record.commit) =
              record, or [catch_up_commit] on a late registration,
              settles it. Parking would arm a watchdog that replays the
              read streams and appends a decision nobody reads. *)
-          if involved <> [] || Hashtbl.mem t.own_commits pos then park_commit t pos c ~involved)
+          if involved <> [] || Sim.Int_tbl.mem t.own_commits pos then park_commit t pos c ~involved)
 
 (* A generator whose commit reaches none of its hosted objects decides
    from its read versions at [cpos], parking like a consumer if a read
    object is frozen. *)
 let decide_own t cpos (c : Record.commit) =
-  if not (Hashtbl.mem t.decided cpos) then
+  if not (Sim.Int_tbl.mem t.decided cpos) then
     match eager_outcome t cpos c with
     | Some outcome -> resolve t cpos outcome
     | None -> park_commit t cpos c ~involved:(involved_hosted t c)
@@ -468,9 +504,9 @@ let catch_up_commit t o pos (c : Record.commit) =
     t.fx.announce_applied pos;
     List.iter (fun (u : Record.update) -> if u.u_oid = o.oid then deliver_update t pos u) c.c_writes
   in
-  match Hashtbl.find_opt t.decided pos with
+  match Sim.Int_tbl.find_opt t.decided pos with
   | Some committed -> if committed then apply ()
-  | None when Hashtbl.mem t.undecided pos ->
+  | None when Sim.Int_tbl.mem t.undecided pos ->
       (* still parked: [o] waits for the outcome like the objects that
          saw the commit live *)
       Queue.add (pos, Commit_point { cpos = pos; writes = c.c_writes }) o.waiting;

@@ -57,8 +57,8 @@ type t = {
   mutable frontier : int;
   remote_peers : (int, (remote_read_request, remote_read_response) Sim.Net.service) Hashtbl.t;
   mutable rr_service : (remote_read_request, remote_read_response) Sim.Net.service option;
-  txs : (int, txctx) Hashtbl.t;
-  update_streams : (int, int list) Hashtbl.t;  (* oid -> [ oid ], built once *)
+  txs : txctx Sim.Int_tbl.t;  (* by fiber id *)
+  update_streams : int list Sim.Int_tbl.t;  (* oid -> [ oid ], built once *)
   p : Sim.Params.t;  (* the CPU and retry constants *)
   (* Lag watermarks: the highest global tail learned from the
      sequencer, the exclusive offset playback has consumed to, and the
@@ -265,8 +265,8 @@ let create cl =
     frontier = -1;
     remote_peers = Hashtbl.create 8;
     rr_service = None;
-    txs = Hashtbl.create 8;
-    update_streams = Hashtbl.create 8;
+    txs = Sim.Int_tbl.create 8;
+    update_streams = Sim.Int_tbl.create 8;
     p;
     known_tail = 0;
     played_upto = 0;
@@ -482,7 +482,7 @@ let play_until ?upto t settled =
 (* Public object-facing API                                           *)
 (* ------------------------------------------------------------------ *)
 
-let current_tx t = Hashtbl.find_opt t.txs (Sim.Engine.fiber_id ())
+let current_tx t = Sim.Int_tbl.find_opt t.txs (Sim.Engine.fiber_id ())
 
 let charge_dispatch t = Sim.Resource.use t.dispatch t.p.client_dispatch_us
 
@@ -494,11 +494,11 @@ let charge_tx_op t = Sim.Resource.use t.dispatch 1.0
 
 (* The target list of [oid]'s updates, one per object. *)
 let update_streams t oid =
-  match Hashtbl.find t.update_streams oid with
+  match Sim.Int_tbl.find t.update_streams oid with
   | streams -> streams
   | exception Not_found ->
       let streams = [ oid ] in
-      Hashtbl.add t.update_streams oid streams;
+      Sim.Int_tbl.add t.update_streams oid streams;
       streams
 
 let update_helper t ~oid ?key data =
@@ -619,19 +619,19 @@ let fetch t ?oid ?(select = fun ~key:_ _ -> true) pos =
 let begin_tx t =
   charge_dispatch t;
   let fid = Sim.Engine.fiber_id () in
-  if Hashtbl.mem t.txs fid then raise Nested_transaction;
+  if Sim.Int_tbl.mem t.txs fid then raise Nested_transaction;
   (* Refresh the local snapshot so reads record current versions;
      accessors inside the transaction then stay purely local (§3.2). *)
   play_round t;
-  Hashtbl.replace t.txs fid
+  Sim.Int_tbl.replace t.txs fid
     { tx_reads = []; tx_writes = []; tx_remote_reads = false; tx_t0 = Sim.Engine.now () };
   if Sim.Announce.active () then
     Sim.Announce.emit (Sim.Announce.Tx_begin { client = Sim.Net.host_name (Corfu.Client.host t.cl) })
 
 let abort_tx t =
   let fid = Sim.Engine.fiber_id () in
-  if not (Hashtbl.mem t.txs fid) then raise No_transaction;
-  Hashtbl.remove t.txs fid
+  if not (Sim.Int_tbl.mem t.txs fid) then raise No_transaction;
+  Sim.Int_tbl.remove t.txs fid
 
 let check_reads t reads =
   List.for_all (fun (oid, key, recorded) -> version_of t ~oid ?key () <= recorded) reads
@@ -688,8 +688,8 @@ let await_decided_scanning t cpos (c : Record.commit) =
 let end_tx ?(stale = false) t =
   charge_dispatch t;
   let fid = Sim.Engine.fiber_id () in
-  let ctx = match Hashtbl.find_opt t.txs fid with Some c -> c | None -> raise No_transaction in
-  Hashtbl.remove t.txs fid;
+  let ctx = match Sim.Int_tbl.find_opt t.txs fid with Some c -> c | None -> raise No_transaction in
+  Sim.Int_tbl.remove t.txs fid;
   let finish status =
     Sim.Metrics.incr (match status with Committed -> t.commits_c | Aborted -> t.aborts_c);
     Sim.Metrics.observe t.tx_h (Sim.Engine.now () -. ctx.tx_t0);

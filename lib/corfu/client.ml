@@ -7,10 +7,8 @@ type t = {
   p : Sim.Params.t;
   mutable proj : Projection.t;
   rng : Sim.Rng.t;
-  cache : (Types.offset, Types.entry) Hashtbl.t;
-  inflight : (Types.offset, read_ivar) Hashtbl.t;
-  mutable cache_floor : Types.offset;
-  mutable cache_high : Types.offset;  (* highest cached offset *)
+  cache : Entry_cache.t;
+  inflight : read_ivar Sim.Int_tbl.t;
   rpc_failures : Sim.Metrics.counter;
       (* RPCs that went unanswered; the availability reports read this
          as "failed ops" *)
@@ -38,18 +36,6 @@ and read_ivar = read_outcome Sim.Ivar.t
    half when the cap is hit. *)
 let max_cached_entries = 16_384
 
-let cache_insert t off entry =
-  if off >= t.cache_floor then begin
-    Hashtbl.replace t.cache off entry;
-    if off > t.cache_high then t.cache_high <- off;
-    if Hashtbl.length t.cache > max_cached_entries then begin
-      let keep_from = t.cache_high - (max_cached_entries / 2) in
-      Hashtbl.filter_map_inplace
-        (fun o e -> if o < keep_from then None else Some e)
-        t.cache
-    end
-  end
-
 let offset_arg off = [ ("offset", string_of_int off) ]
 
 let create ~host ~aux ~params =
@@ -63,10 +49,8 @@ let create ~host ~aux ~params =
     p = params;
     proj = Auxiliary.latest aux;
     rng = Sim.Rng.split (Sim.Engine.rng ());
-    cache = Hashtbl.create 4096;
-    inflight = Hashtbl.create 64;
-    cache_floor = 0;
-    cache_high = -1;
+    cache = Entry_cache.create ~cap:max_cached_entries;
+    inflight = Sim.Int_tbl.create 64;
     rpc_failures = Sim.Metrics.counter ~host:hname "client.rpc_failures";
     retries = Sim.Metrics.counter ~host:hname "client.retries";
     fills_c = Sim.Metrics.counter ~host:hname "client.fills";
@@ -289,7 +273,7 @@ let sequencer_request t req ~streams =
 let commit_marker t ~streams ~off entry =
   let tok = Sim.Span.enter t.commit_s () in
   match
-    cache_insert t off entry;
+    Entry_cache.add t.cache off entry;
     if Sim.Announce.active () then
       Sim.Announce.emit (Sim.Announce.Append_acked { client = hname t; offset = off; streams })
   with
@@ -665,17 +649,17 @@ let read_resolved t off =
 (* Coalesced fetch: one outstanding read per offset, shared by all
    waiters; Data results are cached for the streaming layer. *)
 let read_shared t off =
-  match Hashtbl.find_opt t.cache off with
-  | Some e ->
+  match Entry_cache.find t.cache off with
+  | e ->
       Sim.Metrics.incr t.cache_hits_c;
       Data e
-  | None -> (
-      match Hashtbl.find_opt t.inflight off with
+  | exception Not_found -> (
+      match Sim.Int_tbl.find_opt t.inflight off with
       | Some iv -> Sim.Ivar.read iv
       | None ->
           Sim.Metrics.incr t.cache_misses_c;
           let iv = Sim.Ivar.create () in
-          Hashtbl.replace t.inflight off iv;
+          Sim.Int_tbl.replace t.inflight off iv;
           let tok = Sim.Span.enter t.read_s () in
           let outcome =
             match read_resolved t off with
@@ -685,14 +669,14 @@ let read_shared t off =
             | exception e -> Sim.Span.leave_raise t.read_s tok e
           in
           (match outcome with
-          | Data e -> cache_insert t off e
+          | Data e -> Entry_cache.add t.cache off e
           | Junk | Trimmed | Unwritten -> ());
-          Hashtbl.remove t.inflight off;
+          Sim.Int_tbl.remove t.inflight off;
           Sim.Ivar.fill iv outcome;
           outcome)
 
 let prefetch t off =
-  if not (Hashtbl.mem t.cache off) && not (Hashtbl.mem t.inflight off) then begin
+  if not (Entry_cache.mem t.cache off) && not (Sim.Int_tbl.mem t.inflight off) then begin
     let span_parent = Sim.Span.current () in
     Sim.Engine.spawn (fun () ->
         Sim.Span.with_parent span_parent (fun () -> ignore (read_shared t off)))
@@ -721,12 +705,6 @@ let trim t off =
               { Storage_node.repoch = t.proj.Projection.epoch; roffset = loff })
           set
       end)
-
-let cache_drop_below t off =
-  if off > t.cache_floor then begin
-    t.cache_floor <- off;
-    Hashtbl.filter_map_inplace (fun o e -> if o < off then None else Some e) t.cache
-  end
 
 let prefix_trim t off =
   until_trimmed t (fun () ->
@@ -758,7 +736,7 @@ let prefix_trim t off =
               end)
             seg.Projection.seg_sets
       done);
-  cache_drop_below t off
+  Entry_cache.drop_below t.cache off
 
 (* ------------------------------------------------------------------ *)
 (* Entry cache                                                        *)
@@ -767,8 +745,8 @@ let prefix_trim t off =
 (* Playback consults the cache here before {!read_shared}, so this is
    where its hits are counted; its misses are counted by the fetch. *)
 let find_cached t off =
-  let e = Hashtbl.find t.cache off in
+  let e = Entry_cache.find t.cache off in
   Sim.Metrics.incr t.cache_hits_c;
   e
 
-let cache_put t off e = cache_insert t off e
+let cache_put t off e = Entry_cache.add t.cache off e

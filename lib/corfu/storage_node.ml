@@ -1,23 +1,16 @@
 type write_request = { wepoch : Types.epoch; woffset : Types.offset; wcell : Types.cell }
 type read_request = { repoch : Types.epoch; roffset : Types.offset }
 
-(* The write-once address space is a spine of fixed-size pages: page
-   [p] holds local offsets [p * page_size, (p + 1) * page_size). A
-   page is allocated by the first write or trim into it; a page never
-   written reads [Unwritten], and one wholly below the trim watermark
-   is dropped. Local offsets jump where a new segment starts
-   ([seg_local_base]), and the pages between stay unallocated: the
-   spine costs one word per [page_size] offsets. *)
-let page_bits = 10
-let page_size = 1 lsl page_bits
-let absent : Types.cell array = [||]
-
+(* The write-once address space is offset-paged ({!Pages}): a page is
+   allocated by the first write or trim into it, a page never written
+   reads [Unwritten], and one wholly below the trim watermark is
+   dropped. Local offsets jump where a new segment starts
+   ([seg_local_base]); the pages between stay unallocated. *)
 type t = {
   node_name : string;
   node_host : Sim.Net.host;
   ssd : Sim.Resource.t;
-  mutable pages : Types.cell array array;  (* [absent] where nothing is held *)
-  mutable pages_held : int;
+  cells : Types.cell Pages.t;
   capacity_entries : int;
   write_us : float;
   read_us : float;
@@ -37,38 +30,8 @@ type t = {
 }
 
 (* Everything below the watermark reads [Trimmed], whatever its page
-   still holds. A negative offset lands past the spine's end. *)
-let lookup t off =
-  if off < t.trim_watermark then Types.Trimmed
-  else begin
-    let p = off lsr page_bits in
-    if p >= Array.length t.pages then Types.Unwritten
-    else begin
-      let page = Array.unsafe_get t.pages p in
-      if page == absent then Types.Unwritten else Array.unsafe_get page (off land (page_size - 1))
-    end
-  end
-
-let set t off cell =
-  if off < 0 then invalid_arg "Storage_node: negative offset";
-  let p = off lsr page_bits in
-  let n = Array.length t.pages in
-  if p >= n then begin
-    let spine = Array.make (max (p + 1) (2 * n)) absent in
-    Array.blit t.pages 0 spine 0 n;
-    t.pages <- spine
-  end;
-  let page =
-    let page = Array.unsafe_get t.pages p in
-    if page != absent then page
-    else begin
-      let page = Array.make page_size Types.Unwritten in
-      t.pages.(p) <- page;
-      t.pages_held <- t.pages_held + 1;
-      page
-    end
-  in
-  page.(off land (page_size - 1)) <- cell
+   still holds. *)
+let lookup t off = if off < t.trim_watermark then Types.Trimmed else Pages.get t.cells off
 
 let handle_write t { wepoch; woffset; wcell } =
   if wepoch < t.epoch then Types.Sealed_at t.epoch
@@ -78,7 +41,7 @@ let handle_write t { wepoch; woffset; wcell } =
     Sim.Resource.use t.ssd t.write_us;
     match (lookup t woffset, wcell) with
     | Types.Unwritten, (Types.Data _ | Types.Junk) ->
-        set t woffset wcell;
+        Pages.set t.cells woffset wcell;
         if woffset > t.local_tail then t.local_tail <- woffset;
         t.writes_seen <- t.writes_seen + 1;
         Types.Write_ok
@@ -104,26 +67,16 @@ let handle_read t { repoch; roffset } =
 (* Below the watermark a cell already reads [Trimmed]. *)
 let handle_trim t { roffset; _ } =
   Sim.Resource.use t.ssd 2.;
-  if roffset >= t.trim_watermark then set t roffset Types.Trimmed
+  if roffset >= t.trim_watermark then Pages.set t.cells roffset Types.Trimmed
 
 (* Drop every page wholly below the new watermark, and clear the cells
    below it in the page it falls in, so no trimmed entry stays
-   reachable. Pages below the old watermark are already gone: nothing
-   is written or trimmed there once it passes. *)
+   reachable. *)
 let handle_prefix_trim t { roffset; _ } =
   Sim.Resource.use t.ssd 2.;
   if roffset > t.trim_watermark then begin
-    let n = Array.length t.pages in
-    let first = min (t.trim_watermark lsr page_bits) n and last = min (roffset lsr page_bits) n in
     t.trim_watermark <- roffset;
-    for p = first to last - 1 do
-      if t.pages.(p) != absent then begin
-        t.pages.(p) <- absent;
-        t.pages_held <- t.pages_held - 1
-      end
-    done;
-    if last < n && t.pages.(last) != absent then
-      Array.fill t.pages.(last) 0 (roffset land (page_size - 1)) Types.Unwritten
+    Pages.drop_below t.cells roffset
   end
 
 let handle_seal t epoch =
@@ -141,8 +94,7 @@ let create ~net ~name ~(params : Sim.Params.t) ?(capacity_entries = max_int) () 
         node_name = name;
         node_host;
         ssd;
-        pages = [||];
-        pages_held = 0;
+        cells = Pages.create ~empty:Types.Unwritten;
         capacity_entries;
         write_us = params.storage_write_us;
         read_us = params.storage_read_us;
@@ -176,4 +128,4 @@ let tail_service t = t.tail_svc
 let sealed_epoch t = t.epoch
 let written_count t = t.writes_seen
 let trimmed_below t = t.trim_watermark
-let pages_held t = t.pages_held
+let pages_held t = Pages.pages_held t.cells

@@ -7,11 +7,11 @@
     sealing, and explicit trims; every data operation occupies the
     node's simulated SSD for the calibrated service time.
 
-    The cells live in pages of 1,024 consecutive local offsets behind
-    a spine indexed by [offset lsr 10]: a read or write is two array
-    loads, a gap in the local offsets (a new segment's
-    [seg_local_base]) costs one spine word per page it skips, and a
-    prefix trim frees whole pages. *)
+    The cells live in offset pages ({!Pages}, shared with the
+    client's entry cache): a read or write is two array loads, a gap in
+    the local offsets (a new segment's [seg_local_base]) costs one
+    spine word per page it skips, and a prefix trim frees whole
+    pages. *)
 
 type t
 

@@ -44,6 +44,7 @@ type world = {
   mutable current_fiber : int;
   mutable events : int;  (* dispatched so far this run *)
   mutable in_place : int;  (* of [events], sleeps resumed in place *)
+  mutable in_thunk : bool;  (* [drive] is running a scheduled thunk, not a fiber *)
   mutable failure : exn option;
   mutable main_done : bool;
   mutable parking : waitq;  (* the pending [Park]'s queue *)
@@ -116,6 +117,13 @@ let pending_events () = Eventq.size (get_world ()).q
    preallocated closure. *)
 type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t | Park_ivar : unit Effect.t
 
+(* A thunk runs outside every fiber's handler: a suspension there
+   would escape as [Effect.Unhandled], and an in-place sleep would not
+   suspend at all and so move the clock under the thunk. Both are
+   refused alike, whatever the queue holds. *)
+let[@inline] not_in_thunk w what =
+  if w.in_thunk then invalid_arg (what ^ ": called from a scheduled thunk")
+
 (* A sleep whose resume would be the next event dispatched anyway
    resumes in place: no effect, no continuation, no push or pop. It
    does to the world what that push, pop and [continue] would have
@@ -125,6 +133,7 @@ type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t | Park_ivar : un
    suspended. Only a due time within the horizon qualifies: past it,
    [drive] must raise [Horizon_reached] with the clock unmoved. *)
 let[@inline] sleep_world w dt =
+  not_in_thunk w "Sim.Engine.sleep";
   let now = Array.unsafe_get w.clock 0 in
   let due = w.due in
   if dt <= 0. then Array.unsafe_set due 0 now else Array.unsafe_set due 0 (now +. dt);
@@ -187,7 +196,9 @@ let enqueue q k fid =
 let on_park w k = enqueue w.parking (payload_of_cont k) w.current_fiber
 
 let park q =
-  (get_world ()).parking <- q;
+  let w = get_world () in
+  not_in_thunk w "Sim.Engine.park";
+  w.parking <- q;
   Effect.perform Park
 
 let wake_one w q =
@@ -239,7 +250,9 @@ let ivar_read iv =
   match iv.state with
   | Full v -> v
   | Empty ->
-      (get_world ()).parking_ivar <- ivar_for_parking iv;
+      let w = get_world () in
+      not_in_thunk w "Sim.Engine.ivar_read";
+      w.parking_ivar <- ivar_for_parking iv;
       Effect.perform Park_ivar;
       ivar_value iv
   | One (k, fid) ->
@@ -304,7 +317,11 @@ let drive w =
         w.current_fiber <- tag;
         Effect.Deep.continue (cont_of_payload payload) ()
       end
-      else if tag = Eventq.thunk_tag then payload ()
+      else if tag = Eventq.thunk_tag then begin
+        w.in_thunk <- true;
+        payload ();
+        w.in_thunk <- false
+      end
       else start_fiber w (spawn_tag tag) payload;
       loop ()
     end
@@ -329,6 +346,7 @@ let run ?(seed = 1) ?until main =
       current_fiber = 0;
       events = 0;
       in_place = 0;
+      in_thunk = false;
       failure = None;
       main_done = false;
       parking;

@@ -139,9 +139,10 @@ val fiber_id : unit -> int
     storing one allocates nothing and needs no write barrier. *)
 type timer [@@immediate]
 
-(** [schedule ~after f] runs the thunk [f] (not a fiber: it must not
-    sleep or park) after [after] microseconds (clamped to 0) and
-    returns its handle. This is the engine's one timer path: a thunk
+(** [schedule ~after f] runs the thunk [f] (not a fiber: a {!sleep},
+    {!sleep_in}, {!park} or blocking read of an empty cell from [f]
+    raises [Invalid_argument], whatever else is pending) after [after]
+    microseconds (clamped to 0) and returns its handle. This is the engine's one timer path: a thunk
     takes the event heap even when due now, so every handle can be
     cancelled. O(log n) in the pending events, allocation-free. *)
 val schedule : after:float -> (unit -> unit) -> timer

@@ -1824,6 +1824,71 @@ let test_decision_model_catches_blind_apply () =
   Runtime.reset_failpoints ();
   check_bool "counterexample found" true found
 
+(* The core finds a hosted object by binary search over its sorted
+   oids and an outcome in an int-keyed table. [hosted] must keep the
+   order of the generic [(int, _) Hashtbl.t] those replaced, because
+   playback sweeps the objects in it. 40 objects (past the 32 at which
+   a 16-bucket table resizes), registered in a scrambled order, and a
+   thousand outcomes, pruned halfway, answer as generic tables do. *)
+let test_decision_core_tables_match_hashtbl () =
+  let fx =
+    {
+      Decision_core.gap = (fun _ -> false);
+      apply = (fun _ _ _ -> ());
+      load = (fun _ _ -> false);
+      announce_decided = (fun _ _ -> ());
+      announce_applied = ignore;
+      announce_parked = (fun _ _ -> ());
+      conflict = ignore;
+      publish = (fun _ _ -> ());
+      arm_watchdog = (fun _ _ _ -> ());
+      reconstruct = (fun _ _ _ -> true);
+    }
+  in
+  let dc = Decision_core.create fx in
+  let old_objects = Hashtbl.create 16 in
+  let oids = List.init 40 (fun i -> (((i * 37) + 11) mod 97 * 1_000) + i) in
+  List.iter
+    (fun oid ->
+      Decision_core.register dc ~oid oid;
+      Hashtbl.replace old_objects oid oid;
+      Alcotest.(check (list int))
+        "hosted order" (Hashtbl.fold (fun _ v acc -> v :: acc) old_objects [])
+        (List.map (fun (o : int Decision_core.obj) -> o.view) (Decision_core.hosted dc)))
+    oids;
+  List.iter
+    (fun oid ->
+      check_int "found" oid (Decision_core.find dc oid).view;
+      check_bool "hosted" true (Decision_core.mem dc oid))
+    oids;
+  List.iter
+    (fun oid ->
+      check_bool "unhosted" false (Decision_core.mem dc oid);
+      check_bool "no object" true (Decision_core.find_opt dc oid = None))
+    [ -1; 0; 5; 10_999; max_int ];
+  let old_decided = Hashtbl.create 256 in
+  let position i = Record.pos ~offset:(i * 3) ~slot:(i mod 4) in
+  for i = 0 to 999 do
+    if i mod 5 <> 0 then begin
+      Decision_core.resolve dc (position i) (i mod 3 = 0);
+      Hashtbl.replace old_decided (position i) (i mod 3 = 0)
+    end
+  done;
+  let agree what =
+    for i = 0 to 1_100 do
+      let p = position i in
+      check_bool what (Hashtbl.mem old_decided p) (Decision_core.is_decided dc p);
+      match Hashtbl.find old_decided p with
+      | v -> check_bool what v (Decision_core.outcome dc p)
+      | exception Not_found -> ()
+    done
+  in
+  agree "decided";
+  let below = position 500 in
+  Decision_core.prune dc below;
+  Hashtbl.filter_map_inplace (fun p v -> if p < below then None else Some v) old_decided;
+  agree "decided after prune"
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1937,5 +2002,7 @@ let () =
         @ [
             Alcotest.test_case "decision model catches blind commit apply" `Quick
               test_decision_model_catches_blind_apply;
+            Alcotest.test_case "decision tables answer as generic tables do" `Quick
+              test_decision_core_tables_match_hashtbl;
           ] );
     ]

@@ -540,6 +540,128 @@ let prop_pages_match_hashtbl =
             ops;
           !ok))
 
+(* The entry cache's rules, on a hash table: the cap, the shed to
+   [high - cap / 2], the floor and [drop_below]. *)
+module Hashtbl_cache = struct
+  type t = {
+    cap : int;
+    cells : (int, Types.entry) Hashtbl.t;
+    mutable floor : int;
+    mutable high : int;
+  }
+
+  let create ~cap = { cap; cells = Hashtbl.create 64; floor = 0; high = -1 }
+
+  let add m off e =
+    if off >= m.floor then begin
+      Hashtbl.replace m.cells off e;
+      if off > m.high then m.high <- off;
+      if Hashtbl.length m.cells > m.cap then begin
+        let keep_from = m.high - (m.cap / 2) in
+        Hashtbl.filter_map_inplace (fun o e -> if o < keep_from then None else Some e) m.cells
+      end
+    end
+
+  let drop_below m off =
+    if off > m.floor then begin
+      m.floor <- off;
+      Hashtbl.filter_map_inplace (fun o e -> if o < off then None else Some e) m.cells
+    end
+end
+
+type cache_op = C_add of int | C_find of int | C_drop of int
+
+let cache_entry s = { Types.headers = Bytes.empty; payload = payload s }
+
+(* A log-like walk: a cursor that mostly moves up, adds at or a little
+   below it (re-adds included), drops and lookups further back, every
+   offset a multiple of [k] (a client that writes 1 offset in [k]). *)
+let cache_case_gen =
+  let open QCheck.Gen in
+  let* cap = oneofl [ 8; 64; 512 ] in
+  let* k = oneofl [ 1; 3; 8; 100; 2_000 ] in
+  let* steps =
+    list_size (int_range 0 1_200)
+      (pair (int_range 0 3) (frequency [ (6, return `Add); (3, return `Find); (1, return `Drop) ]))
+  in
+  let* backs = list_repeat (List.length steps) (int_range 0 (3 * cap)) in
+  let _, ops =
+    List.fold_left2
+      (fun (cursor, ops) (delta, kind) back ->
+        let cursor = cursor + delta in
+        let at b = k * max 0 (cursor - b) in
+        let op =
+          match kind with
+          | `Add -> C_add (at (back mod 20))
+          | `Find -> C_find (at back)
+          | `Drop -> C_drop (at (back / 2))
+        in
+        (cursor, op :: ops))
+      (0, []) steps backs
+  in
+  return (cap, List.rev ops)
+
+let print_cache_case (cap, ops) =
+  Printf.sprintf "cap %d: %s" cap
+    (String.concat "; "
+       (List.map
+          (function
+            | C_add o -> Printf.sprintf "add %d" o
+            | C_find o -> Printf.sprintf "find %d" o
+            | C_drop o -> Printf.sprintf "drop %d" o)
+          ops))
+
+let prop_entry_cache_matches_hashtbl =
+  QCheck.Test.make ~name:"paged entry cache matches a hash-table cache" ~count:100
+    (QCheck.make ~print:print_cache_case cache_case_gen)
+    (fun (cap, ops) ->
+      let c = Entry_cache.create ~cap and m = Hashtbl_cache.create ~cap in
+      let seen = Hashtbl.create 64 in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | C_add o ->
+              let e = cache_entry (string_of_int i) in
+              Hashtbl.replace seen o ();
+              Entry_cache.add c o e;
+              Hashtbl_cache.add m o e
+          | C_find o ->
+              let got = match Entry_cache.find c o with e -> Some e | exception Not_found -> None in
+              (match (got, Hashtbl.find_opt m.cells o) with
+              | None, None -> ()
+              | Some a, Some b when a == b -> ()
+              | _ -> QCheck.Test.fail_reportf "step %d: find %d differs" i o)
+          | C_drop o ->
+              Entry_cache.drop_below c o;
+              Hashtbl_cache.drop_below m o);
+          if Entry_cache.length c <> Hashtbl.length m.cells then
+            QCheck.Test.fail_reportf "step %d: %d cached, model %d" i (Entry_cache.length c)
+              (Hashtbl.length m.cells);
+          Hashtbl.iter
+            (fun o () ->
+              if Entry_cache.mem c o <> Hashtbl.mem m.cells o then
+                QCheck.Test.fail_reportf "step %d: membership of %d differs" i o)
+            seen)
+        ops;
+      true)
+
+(* The client's own cap: the 16,385th entry sheds everything below
+   [high - 8,192]. *)
+let test_client_cache_cap () =
+  let c = Entry_cache.create ~cap:16_384 in
+  for o = 0 to 16_383 do
+    Entry_cache.add c o (cache_entry "e")
+  done;
+  check_int "at the cap" 16_384 (Entry_cache.length c);
+  Entry_cache.add c 16_384 (cache_entry "e");
+  check_int "shed to half" 8_193 (Entry_cache.length c);
+  check_bool "below high - 8192 dropped" false (Entry_cache.mem c 8_191);
+  check_bool "high - 8192 kept" true (Entry_cache.mem c 8_192);
+  Entry_cache.drop_below c 10_000;
+  check_int "floor drops" 6_385 (Entry_cache.length c);
+  Entry_cache.add c 9_999 (cache_entry "e");
+  check_bool "below the floor refused" false (Entry_cache.mem c 9_999)
+
 let test_node_page_jump () =
   (* A segment boundary moves the local offsets by 10^6: the write
      there allocates one page, and reads across the gap none. *)
@@ -3380,6 +3502,11 @@ let () =
           Alcotest.test_case "prefix trim frees whole pages" `Quick
             test_node_prefix_trim_frees_pages;
           QCheck_alcotest.to_alcotest prop_pages_match_hashtbl;
+        ] );
+      ( "entry-cache",
+        [
+          Alcotest.test_case "the client's cap sheds to half" `Quick test_client_cache_cap;
+          QCheck_alcotest.to_alcotest prop_entry_cache_matches_hashtbl;
         ] );
       ( "wire",
         [

@@ -2586,6 +2586,42 @@ let test_in_place_stops_at_horizon () =
           seen := (Engine.now (), Engine.resumed_in_place ()) :: !seen));
   Alcotest.(check (list (pair (float 0.) int))) "stops at 10" [ (10., 2) ] !seen
 
+(* A thunk is not a fiber: a sleep or park from one is refused with
+   [Invalid_argument] in every queue state. With nothing else pending,
+   the thunk's sleep would be the next event and would otherwise resume
+   in place, moving the clock under the thunk; with one more event
+   pending it would otherwise escape as [Effect.Unhandled]. *)
+let thunk_refuses ~extra_pending what block =
+  let refused = ref false in
+  (match
+     Engine.run (fun () ->
+         ignore
+           (Engine.schedule ~after:1. (fun () ->
+                match block () with
+                | () -> ()
+                | exception Invalid_argument _ -> refused := true)
+             : Engine.timer);
+         if extra_pending then ignore (Engine.schedule ~after:8. ignore : Engine.timer);
+         Engine.sleep 10.;
+         Engine.now ())
+   with
+  | t -> check_float (what ^ ": main's clock") 10. t
+  | exception e -> Alcotest.failf "%s: run raised %s" what (Printexc.to_string e));
+  check_bool (what ^ " refused") true !refused
+
+let test_thunk_cannot_block () =
+  let q = Engine.waitq () in
+  let dt = Float.Array.make 1 5. in
+  List.iter
+    (fun extra_pending ->
+      let state = if extra_pending then " (one more pending)" else " (nothing else pending)" in
+      thunk_refuses ~extra_pending ("sleep" ^ state) (fun () -> Engine.sleep 5.);
+      thunk_refuses ~extra_pending ("sleep_in" ^ state) (fun () -> Engine.sleep_in dt 0);
+      thunk_refuses ~extra_pending ("park" ^ state) (fun () -> Engine.park q);
+      thunk_refuses ~extra_pending ("ivar read" ^ state) (fun () ->
+          ignore (Engine.ivar_read (Engine.ivar_create ()) : int)))
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch order against a reference model                           *)
 (* ------------------------------------------------------------------ *)
@@ -2823,6 +2859,8 @@ let () =
             test_sleep_behind_lane_suspends;
           Alcotest.test_case "no in-place sleep past the horizon" `Quick
             test_in_place_stops_at_horizon;
+          Alcotest.test_case "a thunk that sleeps or parks is refused" `Quick
+            test_thunk_cannot_block;
         ] );
       ( "engine-model",
         Alcotest.test_case "shrunk tie cases" `Quick test_dispatch_regressions
