@@ -283,10 +283,10 @@ let fig8_window =
 let fig5_monitors () =
   ignore
     (Sim.Slo.monitor ~name:"append-p99" ~series:"hist:app.append.e2e_us" ~col:"p99"
-       ~threshold:1_500. ~objective:0.9 ());
+       ~threshold:1_500. ~objective:0.9);
   ignore
     (Sim.Slo.monitor ~name:"playback-lag" ~series:"probe:app.lag.playback" ~col:"max"
-       ~threshold:2_000. ~objective:0.9 ())
+       ~threshold:2_000. ~objective:0.9)
 
 let fig5 () =
   section "Figure 5: latency decomposition — appends and reads on one view";
@@ -1518,7 +1518,7 @@ let micro_hotpath () =
         Sim.Flight.set_enabled flight_was;
         (* timeseries.tick: one sub-sample of a representative source
            mix (counter, gauge, histogram, probe), sealing a window
-           every [subticks] calls into preallocated rings. *)
+           every [Timeseries.subticks] calls into preallocated rings. *)
         let c = Sim.Metrics.counter ~host:"bench" "kernel.ctr" in
         let g = Sim.Metrics.gauge ~host:"bench" "kernel.gauge" in
         let h = Sim.Metrics.histogram ~host:"bench" "kernel.hist" in
@@ -1534,7 +1534,7 @@ let micro_hotpath () =
            bit ring — the steady no-transition path. *)
         let m =
           Sim.Slo.monitor ~name:"kernel" ~series:"probe:bench.kernel.probe" ~col:"last"
-            ~threshold:10. ~objective:0.99 ()
+            ~threshold:10. ~objective:0.99
         in
         let slo = hot_measure ~ops:200_000 (fun () -> Sim.Slo.feed m 1.) in
         (* span-off: a span-only section (check_tail, fill, rpc) with

@@ -191,12 +191,6 @@ let decode_entry ~offset payload =
     records
   end
 
-let streams_of = function
-  | Update u -> [ u.u_oid ]
-  | Commit { c_writes; _ } -> List.sort_uniq Int.compare (List.map (fun u -> u.u_oid) c_writes)
-  | Decision _ | Partial _ -> []
-  | Checkpoint { k_oid; _ } -> [ k_oid ]
-
 let pp ppf = function
   | Update u -> Fmt.pf ppf "update(oid=%d key=%a)" u.u_oid Fmt.(option string) u.u_key
   | Commit c ->

@@ -86,8 +86,4 @@ val decode_payload : bytes -> t list
     @raise Invalid_argument on malformed input (nothing is cached). *)
 val decode_entry : offset:Corfu.Types.offset -> bytes -> t list
 
-(** Streams a record must be appended to: the streams of every
-    object it writes. *)
-val streams_of : t -> Corfu.Types.stream_id list
-
 val pp : Format.formatter -> t -> unit

@@ -145,7 +145,6 @@ let rec write_from t ~set req cell i =
         let ours = match (winner, cell) with Types.Data s, Types.Data m -> s == m | _ -> false in
         if ours || i > 0 then write_from t ~set req cell (i + 1) else Chain_lost winner
     | Types.Sealed_at e -> Chain_sealed e
-    | Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
 
 let write_chain t off cell =
   let tok = Sim.Span.enter t.chain_s off in
@@ -582,7 +581,6 @@ let fill t off =
           | Types.Write_ok -> go (i + 1) sealed (repaired + 1)
           | Types.Already_written _ -> go (i + 1) sealed repaired
           | Types.Sealed_at e -> go (i + 1) (Some e) repaired
-          | Types.Out_of_space -> failwith "CORFU: log capacity exhausted"
       in
       go i0 None 0
     in
@@ -613,8 +611,7 @@ let fill t off =
         | Types.Already_written (Types.Trimmed | Types.Unwritten) -> Filled
         | Types.Sealed_at e ->
             await_epoch t e;
-            attempt ()
-        | Types.Out_of_space -> failwith "CORFU: log capacity exhausted")
+            attempt ())
   in
   match attempt () with
   | r ->

@@ -226,7 +226,7 @@ let raw_write t proj ~epoch off entry =
           ~from:t.reconfig_host (Storage_node.write_service node) req
       with
       | Types.Write_ok | Types.Already_written _ -> true
-      | Types.Sealed_at _ | Types.Out_of_space | (exception Sim.Net.Unanswered) -> false)
+      | Types.Sealed_at _ | (exception Sim.Net.Unanswered) -> false)
     set
 
 (* Every RPC of a tick has a deadline, so a crashed chain head or an
@@ -692,7 +692,7 @@ let copy_cell t ~epoch ~src ~spare loff =
     with
     | Types.Write_ok -> Copied bytes
     | Types.Already_written _ -> Copied 0
-    | Types.Sealed_at _ | Types.Out_of_space | (exception Sim.Net.Unanswered) -> Failed
+    | Types.Sealed_at _ | (exception Sim.Net.Unanswered) -> Failed
   in
   match
     Sim.Net.call ~req_bytes:t.p.rpc_bytes ~resp_bytes:t.p.entry_bytes

@@ -177,55 +177,6 @@ let layout t =
            t.segments);
   }
 
-let layout_version = 1
-
-let encode_layout t =
-  let l = layout t in
-  Wire.to_bytes (fun b ->
-      Wire.put_u8 b layout_version;
-      Wire.put_u64 b l.l_epoch;
-      Wire.put_string b l.l_sequencer;
-      Wire.put_u32 b (List.length l.l_segments);
-      List.iter
-        (fun seg ->
-          Wire.put_u64 b seg.l_base;
-          (match seg.l_limit with
-          | None -> Wire.put_u8 b 0
-          | Some limit ->
-              Wire.put_u8 b 1;
-              Wire.put_u64 b limit);
-          Wire.put_u64 b seg.l_local_base;
-          Wire.put_u32 b (Array.length seg.l_sets);
-          Array.iter
-            (fun set ->
-              Wire.put_u32 b (Array.length set);
-              Array.iter (Wire.put_string b) set)
-            seg.l_sets)
-        l.l_segments)
-
-let decode_layout buf =
-  let c = Wire.reader buf in
-  (match Wire.get_u8 c with
-  | 1 -> ()
-  | v -> invalid_arg (Printf.sprintf "Projection.decode_layout: unknown version %d" v));
-  let l_epoch = Wire.get_u64 c in
-  let l_sequencer = Wire.get_string c in
-  let nsegs = Wire.get_u32 c in
-  let l_segments =
-    List.init nsegs (fun _ ->
-        let l_base = Wire.get_u64 c in
-        let l_limit = match Wire.get_u8 c with 0 -> None | _ -> Some (Wire.get_u64 c) in
-        let l_local_base = Wire.get_u64 c in
-        let nsets = Wire.get_u32 c in
-        let l_sets =
-          Array.init nsets (fun _ ->
-              let width = Wire.get_u32 c in
-              Array.init width (fun _ -> Wire.get_string c))
-        in
-        { l_base; l_limit; l_local_base; l_sets })
-  in
-  { l_epoch; l_sequencer; l_segments }
-
 let pp_layout ppf l =
   Fmt.pf ppf "epoch %d, %d segment%s, sequencer %s@." l.l_epoch (List.length l.l_segments)
     (if List.length l.l_segments = 1 then "" else "s")

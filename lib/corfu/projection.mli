@@ -108,7 +108,7 @@ val seg_local_span : segment -> span:int -> int
     mean "nothing written in this segment". *)
 val global_tail_from_locals : t -> Types.offset array -> Types.offset
 
-(** {2 Wire layout}
+(** {2 Layout}
 
     The projection by name — what the auxiliary would gossip on a real
     deployment, and what [tangoctl projection] prints. *)
@@ -127,11 +127,5 @@ type layout = {
 }
 
 val layout : t -> layout
-
-(** Versioned binary encoding of {!layout} (built on {!Wire}). *)
-val encode_layout : t -> bytes
-
-(** @raise Invalid_argument on a truncated or unknown-version payload. *)
-val decode_layout : bytes -> layout
 
 val pp_layout : Format.formatter -> layout -> unit

@@ -11,7 +11,6 @@ type t = {
   node_host : Sim.Net.host;
   ssd : Sim.Resource.t;
   cells : Types.cell Pages.t;
-  capacity_entries : int;
   write_us : float;
   read_us : float;
   mutable epoch : Types.epoch;
@@ -35,7 +34,6 @@ let lookup t off = if off < t.trim_watermark then Types.Trimmed else Pages.get t
 
 let handle_write t { wepoch; woffset; wcell } =
   if wepoch < t.epoch then Types.Sealed_at t.epoch
-  else if woffset >= t.capacity_entries then Types.Out_of_space
   else begin
     Sim.Metrics.incr t.writes_c;
     Sim.Resource.use t.ssd t.write_us;
@@ -84,7 +82,7 @@ let handle_seal t epoch =
   if epoch > t.epoch then t.epoch <- epoch;
   t.local_tail
 
-let create ~net ~name ~(params : Sim.Params.t) ?(capacity_entries = max_int) () =
+let create ~net ~name ~(params : Sim.Params.t) () =
   let node_host = Sim.Net.add_host net name in
   let ssd = Sim.Resource.create ~name:(name ^ ".ssd") ~capacity:params.storage_capacity () in
   Sim.Metrics.track_resource ssd;
@@ -95,7 +93,6 @@ let create ~net ~name ~(params : Sim.Params.t) ?(capacity_entries = max_int) () 
         node_host;
         ssd;
         cells = Pages.create ~empty:Types.Unwritten;
-        capacity_entries;
         write_us = params.storage_write_us;
         read_us = params.storage_read_us;
         epoch = 0;

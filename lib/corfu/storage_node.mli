@@ -22,9 +22,8 @@ type write_request = { wepoch : Types.epoch; woffset : Types.offset; wcell : Typ
 type read_request = { repoch : Types.epoch; roffset : Types.offset }
 
 (** [create ~net ~name ~params ()] builds the node and registers its
-    RPC services on a fresh host. [capacity_entries] bounds the local
-    address space (default: effectively unbounded). *)
-val create : net:Sim.Net.t -> name:string -> params:Sim.Params.t -> ?capacity_entries:int -> unit -> t
+    RPC services on a fresh host. Its address space is unbounded. *)
+val create : net:Sim.Net.t -> name:string -> params:Sim.Params.t -> unit -> t
 
 val name : t -> string
 val host : t -> Sim.Net.host

@@ -26,7 +26,6 @@ type write_result =
   | Write_ok
   | Already_written of cell  (** write-once conflict; holds the winner *)
   | Sealed_at of epoch  (** node sealed at a higher epoch *)
-  | Out_of_space
 
 (** Result of a read at one replica. *)
 type read_result =
@@ -40,7 +39,6 @@ let pp_write_result ppf = function
   | Write_ok -> Fmt.string ppf "ok"
   | Already_written _ -> Fmt.string ppf "already-written"
   | Sealed_at e -> Fmt.pf ppf "sealed@%d" e
-  | Out_of_space -> Fmt.string ppf "out-of-space"
 
 let pp_read_result ppf = function
   | Read_data _ -> Fmt.string ppf "data"

@@ -3,9 +3,8 @@
     option, over a reusable arena {!writer} and a bounds-checked,
     reusable cursor (reading).
 
-    {!Projection.encode_layout}, {!Tango.Record} and
-    {!Tango_objects.Codec} all build their formats from these
-    primitives; the primitives themselves are not a stable on-disk
+    {!Tango.Record} and {!Tango_objects.Codec} build their formats
+    from these primitives; the primitives themselves are not a stable on-disk
     contract — the formats defined on top of them are.
 
     {2 Ownership discipline}

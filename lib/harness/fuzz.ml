@@ -278,8 +278,7 @@ let run ?(capture_spans = false) case =
       in
       spec_plane :=
         Some
-          (Spec.arm ~specs ?commit_deadline_us:case.sc_spec_deadline_us
-             ?reconfig_deadline_us:case.sc_spec_deadline_us
+          (Spec.arm ~specs ?deadline_us:case.sc_spec_deadline_us
              ~streams:(Array.to_list workload_streams) ~follow ~confirm ())
     end;
     (* -------- workload: per client, one appender + one transactor *)
@@ -347,7 +346,7 @@ let run ?(capture_spans = false) case =
           (fun m ->
             ( m,
               Sim.Slo.monitor ~name:m.mo_name ~series:m.mo_series ~col:m.mo_col
-                ~threshold:m.mo_threshold ~objective:m.mo_objective () ))
+                ~threshold:m.mo_threshold ~objective:m.mo_objective ))
           case.sc_monitors
     end;
     (* -------- wait for the workload, bounded by the deadline.

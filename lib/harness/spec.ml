@@ -50,9 +50,7 @@ type t = {
   on_liveness : bool;
   on_read_committed : bool;
   on_termination : bool;
-  commit_deadline_us : float;
-  reconfig_deadline_us : float;
-  check_every_us : float;
+  deadline_us : float;
   follow : unit -> (int * int) list;
   confirm : stream:int -> offset:int -> bool;
   tracked : (int, unit) Hashtbl.t;  (* streams the follower can discharge *)
@@ -178,7 +176,7 @@ let check_deadlines t =
       List.iter
         (fun ob ->
           if (not ob.ob_done) && not ob.ob_fired then begin
-            let due = Float.max ob.ob_acked_us t.last_repair_us +. t.commit_deadline_us in
+            let due = Float.max ob.ob_acked_us t.last_repair_us +. t.deadline_us in
             if now > due then
               (* The incremental follower can hold a stale verdict: a
                  hole it junk-classified during a fault can later lose
@@ -193,7 +191,7 @@ let check_deadlines t =
                    "acked append @%d on stream %d still unreadable %.0fus past its deadline \
                     (acked %.0fus, last repair %.0fus, deadline %.0fus)"
                    ob.ob_offset ob.ob_stream (now -. due) ob.ob_acked_us t.last_repair_us
-                   t.commit_deadline_us)
+                   t.deadline_us)
             end
           end)
         (List.rev t.ob_order);
@@ -201,13 +199,13 @@ let check_deadlines t =
       List.iter
         (fun rc ->
           if (not rc.rc_done) && not rc.rc_fired then begin
-            let due = Float.max rc.rc_started_us t.last_repair_us +. t.reconfig_deadline_us in
+            let due = Float.max rc.rc_started_us t.last_repair_us +. t.deadline_us in
             if now > due then begin
               rc.rc_fired <- true;
               fire t Reconfig_termination ~time:now
                 (Printf.sprintf
                    "%s reconfiguration started at %.0fus installed no epoch within %.0fus"
-                   rc.rc_kind rc.rc_started_us t.reconfig_deadline_us)
+                   rc.rc_kind rc.rc_started_us t.deadline_us)
             end
           end)
         (List.rev t.reconfigs)
@@ -217,29 +215,27 @@ let next_due t =
   if suspended t then None
   else begin
     let due = ref infinity in
-    let consider start deadline = due := Float.min !due (Float.max start t.last_repair_us +. deadline) in
+    let consider start = due := Float.min !due (Float.max start t.last_repair_us +. t.deadline_us) in
     if t.on_liveness then
       List.iter
-        (fun ob -> if (not ob.ob_done) && not ob.ob_fired then consider ob.ob_acked_us t.commit_deadline_us)
+        (fun ob -> if (not ob.ob_done) && not ob.ob_fired then consider ob.ob_acked_us)
         t.ob_order;
     if t.on_termination then
       List.iter
-        (fun rc -> if (not rc.rc_done) && not rc.rc_fired then consider rc.rc_started_us t.reconfig_deadline_us)
+        (fun rc -> if (not rc.rc_done) && not rc.rc_fired then consider rc.rc_started_us)
         t.reconfigs;
     if Float.is_finite !due then Some !due else None
   end
 
-let arm ?(specs = all) ?(commit_deadline_us = 400_000.) ?(reconfig_deadline_us = 400_000.)
-    ?(check_every_us = 10_000.) ?(streams = []) ?(follow = fun () -> [])
-    ?(confirm = fun ~stream:_ ~offset:_ -> false) () =
+let check_every_us = 10_000.
+
+let arm ~specs ?(deadline_us = 400_000.) ~streams ~follow ~confirm () =
   let t =
     {
       on_liveness = List.mem Commit_liveness specs;
       on_read_committed = List.mem Read_committed specs;
       on_termination = List.mem Reconfig_termination specs;
-      commit_deadline_us;
-      reconfig_deadline_us;
-      check_every_us;
+      deadline_us;
       follow;
       confirm;
       tracked = Hashtbl.create 8;
@@ -260,7 +256,7 @@ let arm ?(specs = all) ?(commit_deadline_us = 400_000.) ?(reconfig_deadline_us =
      event per check interval and nothing after the run. *)
   Sim.Engine.spawn (fun () ->
       let rec loop () =
-        Sim.Engine.sleep t.check_every_us;
+        Sim.Engine.sleep check_every_us;
         discharge t;
         check_deadlines t;
         loop ()

@@ -20,6 +20,10 @@
       seal/scale/replace that starts installs a new projection epoch
       within a deadline (same fault-suspension rule as liveness).
 
+    Both deadlines are one value, 400 ms of virtual time unless the
+    fuzz case sets its own, and a checker fiber looks for overdue
+    obligations every 10 ms of virtual time.
+
     Determinism: machines run inside the simulation — the checker is
     an ordinary fiber, so arming a machine changes the event schedule,
     but identically for identical (seed, config, specs). Firings
@@ -44,30 +48,29 @@ type firing = { sp_spec : string; sp_time_us : float; sp_detail : string }
 type t
 
 val arm :
-  ?specs:spec list ->
-  ?commit_deadline_us:float ->
-  ?reconfig_deadline_us:float ->
-  ?check_every_us:float ->
-  ?streams:int list ->
-  ?follow:(unit -> (int * int) list) ->
-  ?confirm:(stream:int -> offset:int -> bool) ->
+  specs:spec list ->
+  ?deadline_us:float ->
+  streams:int list ->
+  follow:(unit -> (int * int) list) ->
+  confirm:(stream:int -> offset:int -> bool) ->
   unit ->
   t
-(** Arm the machines for the current engine run. [specs] defaults to
-    {!all}; deadlines default to 400 ms virtual, checked every
-    [check_every_us] (default 10 ms). [streams] names the stream ids
-    whose acked appends carry a readability obligation, and [follow]
-    is the harness-provided probe: called from the checker fiber, it
-    returns the [(stream, offset)] members that became visible to a
-    dedicated follower client since the last call — stream visibility,
-    not raw offset reads, is what the log promises (a broken
-    backpointer chain leaves an offset readable but unreachable).
-    [confirm] is the second-chance probe consulted just before a
-    commit-liveness firing: an incremental follower can hold a stale
-    junk verdict for a slot that a concurrent fill briefly timed out
-    on and a rebuild later repaired, so the obligation is condemned
-    only if a from-scratch look (typically a fresh stream attach)
-    also misses it. Default: no second chance.
+(** Arm the [specs] machines for the current engine run. An acked
+    append must become readable, and a started reconfiguration must
+    install, within [deadline_us] (default 400 ms virtual); a checker
+    fiber looks every 10 ms of virtual time. [streams] names the
+    stream ids whose acked appends carry a readability obligation,
+    and [follow] is the harness-provided probe: called from the
+    checker fiber, it returns the [(stream, offset)] members that
+    became visible to a dedicated follower client since the last call
+    — stream visibility, not raw offset reads, is what the log
+    promises (a broken backpointer chain leaves an offset readable but
+    unreachable). [confirm] is the second-chance probe consulted just
+    before a commit-liveness firing: an incremental follower can hold
+    a stale junk verdict for a slot that a concurrent fill briefly
+    timed out on and a rebuild later repaired, so the obligation is
+    condemned only if a from-scratch look (typically a fresh stream
+    attach) also misses it.
     Must be called from inside {!Sim.Engine.run}. *)
 
 val drain : t -> unit

@@ -1,10 +1,15 @@
 type stored = Inline_value of string | At_pos of int
 
+(* Keyed by string equality, not the polymorphic compare. [String.hash]
+   is [Hashtbl.hash] on strings, so bucket order (and with it the
+   checkpoint bytes [snapshot] writes) is that of a generic table. *)
+module Tbl = Hashtbl.Make (String)
+
 type t = {
   rt : Tango.Runtime.t;
   moid : int;
   mode : [ `Inline | `Indexed ];
-  tbl : (string, stored) Hashtbl.t;
+  tbl : stored Tbl.t;
 }
 
 let encode_put k v =
@@ -32,8 +37,8 @@ let decode data =
 
 let snapshot t =
   Codec.to_bytes (fun b ->
-      Codec.put_int b (Hashtbl.length t.tbl);
-      Hashtbl.iter
+      Codec.put_int b (Tbl.length t.tbl);
+      Tbl.iter
         (fun k stored ->
           Codec.put_string b k;
           match stored with
@@ -46,14 +51,14 @@ let snapshot t =
         t.tbl)
 
 let load_snapshot t data =
-  Hashtbl.reset t.tbl;
+  Tbl.reset t.tbl;
   let c = Codec.reader data in
   let n = Codec.get_int c in
   for _ = 1 to n do
     let k = Codec.get_string c in
     match Codec.get_u8 c with
-    | 1 -> Hashtbl.replace t.tbl k (Inline_value (Codec.get_string c))
-    | _ -> Hashtbl.replace t.tbl k (At_pos (Codec.get_int c))
+    | 1 -> Tbl.replace t.tbl k (Inline_value (Codec.get_string c))
+    | _ -> Tbl.replace t.tbl k (At_pos (Codec.get_int c))
   done
 
 (* A keyed update carries its key beside the payload (every writer
@@ -65,9 +70,9 @@ let apply t ~pos ~key data =
   | None -> (
       match decode data with
       | Op_put (k, v) ->
-          Hashtbl.replace t.tbl k
+          Tbl.replace t.tbl k
             (match t.mode with `Inline -> Inline_value v | `Indexed -> At_pos pos)
-      | Op_remove k -> Hashtbl.remove t.tbl k)
+      | Op_remove k -> Tbl.remove t.tbl k)
   | Some k -> (
       let c = Codec.reader data in
       match Codec.get_u8 c with
@@ -75,13 +80,13 @@ let apply t ~pos ~key data =
           match t.mode with
           | `Inline ->
               Codec.skip_string c;
-              Hashtbl.replace t.tbl k (Inline_value (Codec.get_string c))
-          | `Indexed -> Hashtbl.replace t.tbl k (At_pos pos))
-      | 2 -> Hashtbl.remove t.tbl k
+              Tbl.replace t.tbl k (Inline_value (Codec.get_string c))
+          | `Indexed -> Tbl.replace t.tbl k (At_pos pos))
+      | 2 -> Tbl.remove t.tbl k
       | tag -> invalid_arg (Printf.sprintf "Tango_map: unknown op tag %d" tag))
 
 let attach ?(mode = `Inline) ?(needs_decision = false) rt ~oid =
-  let t = { rt; moid = oid; mode; tbl = Hashtbl.create 64 } in
+  let t = { rt; moid = oid; mode; tbl = Tbl.create 64 } in
   Tango.Runtime.register rt ~oid ~needs_decision
     {
       Tango.Runtime.apply = apply t;
@@ -114,19 +119,19 @@ let value_of t k = function
 
 let get t k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~key:k ();
-  Option.map (value_of t k) (Hashtbl.find_opt t.tbl k)
+  Option.map (value_of t k) (Tbl.find_opt t.tbl k)
 
 let mem t k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~key:k ();
-  Hashtbl.mem t.tbl k
+  Tbl.mem t.tbl k
 
 let size t =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ();
-  Hashtbl.length t.tbl
+  Tbl.length t.tbl
 
 let bindings t =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ();
-  Hashtbl.fold (fun k stored acc -> (k, value_of t k stored) :: acc) t.tbl []
+  Tbl.fold (fun k stored acc -> (k, value_of t k stored) :: acc) t.tbl []
   |> List.sort compare
 
 let remote_put rt ~oid k v = Tango.Runtime.update_helper rt ~oid ~key:k (encode_put k v)
@@ -149,7 +154,7 @@ let serve_reads t =
   Tango.Runtime.expose_read t.rt ~oid:t.moid (fun key ->
       match key with
       | Some k ->
-          Option.map (fun stored -> Bytes.of_string (value_of t k stored)) (Hashtbl.find_opt t.tbl k)
+          Option.map (fun stored -> Bytes.of_string (value_of t k stored)) (Tbl.find_opt t.tbl k)
       | None -> None)
 
 let get_remote rt ~oid k =
@@ -157,7 +162,7 @@ let get_remote rt ~oid k =
 
 let get_at t ~upto k =
   Tango.Runtime.query_helper t.rt ~oid:t.moid ~upto ();
-  Option.map (value_of t k) (Hashtbl.find_opt t.tbl k)
+  Option.map (value_of t k) (Tbl.find_opt t.tbl k)
 
 let transfer ~from_map ~to_map_oid k =
   let rt = from_map.rt in

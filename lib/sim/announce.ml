@@ -94,22 +94,15 @@ let arm s b =
 
 (* -- per-run subscribers ----------------------------------------------- *)
 
-type state = { born : int; mutable subs : (event -> unit) array }
-
-let current = ref { born = 0; subs = [||] }
-
 (* Subscribers of an earlier run are stale: neither counted nor called. *)
-let live_subs () =
-  let st = !current in
-  if st.born = Engine.run_count () then st.subs else [||]
+let subs : (event -> unit) array ref Engine.per_run = Engine.per_run (fun () -> ref [||])
 
 let subscribe f =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := { born = rc; subs = [||] };
-  !current.subs <- Array.append !current.subs [| f |]
+  let s = Engine.this_run subs in
+  s := Array.append !s [| f |]
 
-let active () = !n_armed > 0 || Array.length (live_subs ()) > 0
+let active () = !n_armed > 0 || Array.length !(Engine.this_run subs) > 0
 
 let emit ev =
   Array.iter (fun s -> if s.armed then s.deliver ev) !sinks;
-  Array.iter (fun f -> f ev) (live_subs ())
+  Array.iter (fun f -> f ev) !(Engine.this_run subs)

@@ -12,8 +12,8 @@
     per milestone. Consumers run synchronously inside the emitting
     fiber and must not block or sleep. {e Sticky sinks} ({!Trace},
     {!Flight}) are armed explicitly and survive engine resets;
-    {e per-run subscribers} are dropped when a new {!Engine.run}
-    begins. Each event reaches the armed sinks first, in registration
+    {e per-run subscribers} live in an {!Engine.per_run} store, so
+    they are dropped when a new {!Engine.run} begins. Each event reaches the armed sinks first, in registration
     order, then the subscribers, in subscription order. *)
 
 type event =

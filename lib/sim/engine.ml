@@ -59,11 +59,24 @@ type world = {
 
 let current : world option ref = ref None
 
-(* Monotonic count of worlds ever started, readable outside a run.
-   Registries that outlive [run] (Metrics, Span) compare it to decide
-   when to lazily reset. *)
+(* Monotonic count of worlds ever started, readable outside a run. *)
 let runs = ref 0
 let run_count () = !runs
+
+(* A per-run store remembers the run its value was built in; the first
+   access in a later run builds afresh. *)
+type 'a per_run = { build : unit -> 'a; mutable born : int; mutable value : 'a option }
+
+let per_run build = { build; born = -1; value = None }
+
+let this_run s =
+  match s.value with
+  | Some v when s.born = !runs -> v
+  | _ ->
+      let v = s.build () in
+      s.value <- Some v;
+      s.born <- !runs;
+      v
 
 let get_world () =
   match !current with

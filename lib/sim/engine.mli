@@ -186,7 +186,26 @@ val resumed_in_place : unit -> int
 
 (** [run_count ()] is the number of simulation worlds ever started in
     this process (incremented at the top of each {!run}). Unlike the
-    other accessors it is usable outside a run. Global registries such
-    as {!Metrics} and {!Span} use it to reset themselves lazily at the
-    start of a new run while staying readable after a run ends. *)
+    other accessors it is usable outside a run. *)
 val run_count : unit -> int
+
+(** {1 Per-run state}
+
+    The process-global registries ({!Metrics}, {!Span}, {!Timeseries},
+    {!Slo}, {!Flight}, {!Announce}'s subscribers) keep their state in
+    one of these: it starts empty in every run, and a bench or test
+    can still read it once the run has returned. *)
+
+(** A value that belongs to one {!run}. *)
+type 'a per_run
+
+(** [per_run build] is a store whose value [build ()] makes on the
+    first {!this_run} in each {!run}. Nothing is built until then. *)
+val per_run : (unit -> 'a) -> 'a per_run
+
+(** [this_run s] is [s]'s value for the running world, built on this
+    run's first access; later accesses in the same run return that
+    same value. After the run returns it still returns that value (a
+    fresh one if the run never accessed [s]), until the next run's
+    first access builds a new one. *)
+val this_run : 'a per_run -> 'a

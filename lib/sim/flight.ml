@@ -27,41 +27,26 @@ type ring = {
 }
 
 type state = {
-  born : int;
   rings : (string, ring) Hashtbl.t;
   mutable snaps : string list;  (* incident documents, newest first *)
   mutable n_snaps : int;
 }
 
-let fresh ~born = { born; rings = Hashtbl.create 16; snaps = []; n_snaps = 0 }
-let current = ref (fresh ~born:0)
+let fresh () = { rings = Hashtbl.create 16; snaps = []; n_snaps = 0 }
+let store = Engine.per_run fresh
+let state () = Engine.this_run store
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-let ring_cap = ref 256
-let max_snaps = ref 16
-
-let configure ?cap ?snapshots () =
-  (match cap with
-  | Some c -> if c <= 0 then invalid_arg "Flight.configure: cap must be positive" else ring_cap := c
-  | None -> ());
-  match snapshots with
-  | Some s ->
-      if s <= 0 then invalid_arg "Flight.configure: snapshots must be positive" else max_snaps := s
-  | None -> ()
+let ring_cap = 256
+let max_snaps = 16
 
 let new_ring st host =
-  let cap = !ring_cap in
   let r =
     {
       r_host = host;
-      times = Array.make cap 0.;
-      values = Array.make cap 0.;
-      kinds = Array.make cap 0;
-      names = Array.make cap "";
+      times = Array.make ring_cap 0.;
+      values = Array.make ring_cap 0.;
+      kinds = Array.make ring_cap 0;
+      names = Array.make ring_cap "";
       head = 0;
       total = 0;
     }
@@ -168,7 +153,7 @@ let render_json st ~reason ~time =
 let snapshot ~reason =
   if sink.armed then begin
     let st = state () in
-    if st.n_snaps < !max_snaps then begin
+    if st.n_snaps < max_snaps then begin
       (* Oracle checks run inside the engine, but terminal blame (a
          deadlock, a horizon overrun) is assigned after the run has
          unwound — stamp those snapshots at 0. *)

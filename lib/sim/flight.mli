@@ -23,8 +23,9 @@
     preallocated parallel arrays when enabled (the PR 6 allocation
     discipline); it reads only the virtual clock, so arming the
     recorder never changes simulation behavior and two same-seed runs
-    produce byte-identical snapshots. Like {!Metrics}, the store is
-    engine-reset but the enabled flag and ring configuration are
+    produce byte-identical snapshots. Each host's ring holds its last
+    256 events, and a run keeps at most 16 snapshots. Like {!Metrics},
+    the store is an {!Engine.per_run} one, but the enabled flag is
     sticky across runs. *)
 
 type kind =
@@ -39,11 +40,6 @@ type kind =
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool
-
-(** [configure ?cap ?snapshots ()] sets the per-host ring capacity
-    (default 256 events) and the per-run snapshot budget (default 16).
-    Sticky; affects rings created after the call. *)
-val configure : ?cap:int -> ?snapshots:int -> unit -> unit
 
 (** [record ~host k ~name ~value] appends one event to [host]'s ring,
     overwriting the oldest once full. No-op when disabled; must be

@@ -49,7 +49,6 @@ let series_cap = 200_000
 type tracked = { tr : Resource.t; mutable last_busy : float }
 
 type state = {
-  born : int;
   counters : (key, counter) Hashtbl.t;
   gauges : (key, gauge) Hashtbl.t;
   hists : (key, histogram) Hashtbl.t;
@@ -58,9 +57,8 @@ type state = {
   mutable sampler_on : bool;
 }
 
-let fresh ~born =
+let fresh () =
   {
-    born;
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     hists = Hashtbl.create 32;
@@ -69,15 +67,12 @@ let fresh ~born =
     sampler_on = false;
   }
 
-let current = ref (fresh ~born:0)
+let store = Engine.per_run fresh
+let state () = Engine.this_run store
 
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-(* Stale-handle detection: a handle created in run N that is written in
-   run M > N lands in a dead generation and is invisible to snapshots.
+(* Stale-handle detection: a handle records the run it was created in
+   ([Engine.run_count]); one created in run N that is written in run
+   M > N lands in a dead generation and is invisible to snapshots.
    Strict mode (tests) turns that silent loss into an exception. The
    check is a single flag branch when off — cheap enough for the
    zero-alloc hot paths that call [incr] per record. *)
@@ -91,7 +86,7 @@ let handle_label key =
   match key.k_host with None -> key.k_name | Some h -> h ^ "." ^ key.k_name
 
 let check_born born key =
-  if born <> (state ()).born then raise (Stale_handle (handle_label key))
+  if born <> Engine.run_count () then raise (Stale_handle (handle_label key))
 
 let host_string = function Some h -> h | None -> ""
 
@@ -103,7 +98,7 @@ let counter ?host name =
   match Hashtbl.find_opt st.counters key with
   | Some c -> c
   | None ->
-      let c = { c_key = key; c_born = st.born; c_n = 0 } in
+      let c = { c_key = key; c_born = Engine.run_count (); c_n = 0 } in
       Hashtbl.replace st.counters key c;
       c
 
@@ -131,7 +126,7 @@ let gauge ?host name =
   match Hashtbl.find_opt st.gauges key with
   | Some g -> g
   | None ->
-      let g = { g_key = key; g_born = st.born; g_v = 0. } in
+      let g = { g_key = key; g_born = Engine.run_count (); g_v = 0. } in
       Hashtbl.replace st.gauges key g;
       g
 
@@ -154,7 +149,7 @@ let histogram ?host name =
       let h =
         {
           h_key = key;
-          h_born = st.born;
+          h_born = Engine.run_count ();
           buckets = Array.make n_buckets 0;
           n = 0;
           m = { sum = 0.; vmin = infinity; vmax = neg_infinity };
@@ -267,12 +262,16 @@ let track_resource r =
   if not (List.exists (fun t -> Resource.name t.tr = rname) st.tracked) then
     st.tracked <- { tr = r; last_busy = 0. } :: st.tracked
 
-let sample st ~interval_us =
+let sample_interval_us = 1000.
+
+let sample st =
   let now = Engine.now () in
   List.iter
     (fun t ->
       let busy = Resource.busy_time t.tr in
-      let util = (busy -. t.last_busy) /. (interval_us *. float_of_int (Resource.capacity t.tr)) in
+      let util =
+        (busy -. t.last_busy) /. (sample_interval_us *. float_of_int (Resource.capacity t.tr))
+      in
       t.last_busy <- busy;
       let rname = Resource.name t.tr in
       series_add (series_get st ("util:" ^ rname)) now util;
@@ -290,20 +289,15 @@ let sample st ~interval_us =
       series_add (series_get st ("gauge:" ^ label)) now g.g_v)
     gauges
 
-let start_sampler ?(interval_us = 1000.) () =
-  if interval_us <= 0. then invalid_arg "Metrics.start_sampler: interval must be positive";
+let start_sampler () =
   let st = state () in
   if not st.sampler_on then begin
     st.sampler_on <- true;
     Engine.spawn (fun () ->
         let rec loop () =
-          Engine.sleep interval_us;
-          (* A reset mid-run (tests) orphans this fiber; stop sampling
-             into the dead generation. *)
-          if !current == st then begin
-            sample st ~interval_us;
-            loop ()
-          end
+          Engine.sleep sample_interval_us;
+          sample st;
+          loop ()
         in
         loop ())
   end

@@ -2,10 +2,9 @@
 
     Components register named {e counters}, {e gauges}, and log-scale
     {e histograms}, optionally qualified by a host/component label.
-    The registry is process-global but {e engine-reset}: it clears
-    itself lazily when a new {!Engine.run} starts (detected through
-    {!Engine.run_count}), and stays readable after a run ends so
-    benches and tests can snapshot it post-mortem.
+    The registry is an {!Engine.per_run} store: it starts empty in
+    each {!Engine.run}, and stays readable after a run ends so benches
+    and tests can snapshot it post-mortem.
 
     A periodic {e sampler} fiber ({!start_sampler}) records time
     series of {!Resource} utilization and queue depth — sequencer CPU,
@@ -120,12 +119,12 @@ val iter_handles :
     Duplicate registrations (same resource name) are ignored. *)
 val track_resource : Resource.t -> unit
 
-(** [start_sampler ?interval_us ()] spawns the sampler fiber (default
-    tick 1000 µs). It samples every tracked resource and every
+(** [start_sampler ()] spawns the sampler fiber, which ticks every
+    1000 µs of virtual time. It samples every tracked resource and every
     registered gauge (series [gauge:<name>]) until the run ends. At
     most one sampler per run; later calls are no-ops. Must be called
     inside {!Engine.run}. *)
-val start_sampler : ?interval_us:float -> unit -> unit
+val start_sampler : unit -> unit
 
 (** Immutable, sorted view of the registry. *)
 type counter_view = { c_name : string; c_host : string option; c_value : int }

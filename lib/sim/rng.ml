@@ -43,11 +43,3 @@ let bool t p = float t 1.0 < p
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -14,9 +14,6 @@ val create : int -> t
     [t]. Useful to give each simulated client its own stream. *)
 val split : t -> t
 
-(** [int64 t] returns the next raw 64-bit output. *)
-val int64 : t -> int64
-
 (** [int t bound] returns a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
@@ -29,6 +26,3 @@ val bool : t -> float -> bool
 
 (** [exponential t ~mean] samples an exponential variate. *)
 val exponential : t -> mean:float -> float
-
-(** [shuffle t arr] shuffles [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

@@ -17,17 +17,17 @@ type alert = {
   al_value : float;
 }
 
+let fast = 3
+let slow = 12
+let burn = 2.
+
 type monitor = {
   m_name : string;
   m_series : string;
   m_col : string;
-  m_above : bool;
   m_threshold : float;
   m_objective : float;
-  m_fast : int;
-  m_slow : int;
-  m_burn : float;
-  m_bad : Bytes.t;  (* classification ring, length m_slow *)
+  m_bad : Bytes.t;  (* classification ring, length [slow] *)
   mutable m_head : int;
   mutable m_n : int;  (* windows evaluated *)
   mutable m_bad_fast : int;
@@ -40,7 +40,6 @@ type monitor = {
 let alerts_cap = 10_000
 
 type state = {
-  born : int;
   mutable mons : monitor array;
   mutable n : int;
   mutable alerts : alert list;  (* newest first *)
@@ -48,14 +47,9 @@ type state = {
   mutable hooked : bool;
 }
 
-let fresh ~born = { born; mons = [||]; n = 0; alerts = []; n_alerts = 0; hooked = false }
-
-let current = ref (fresh ~born:0)
-
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
+let fresh () = { mons = [||]; n = 0; alerts = []; n_alerts = 0; hooked = false }
+let store = Engine.per_run fresh
+let state () = Engine.this_run store
 
 let transition st m ~time ~firing ~bf ~bs ~v =
   m.m_firing <- firing;
@@ -78,28 +72,24 @@ let transition st m ~time ~firing ~bf ~bs ~v =
   if firing && Flight.enabled () then Flight.snapshot ~reason:("slo:" ^ m.m_name)
 
 let push st m ~time v =
-  let bad =
-    if Float.is_nan v then false
-    else if m.m_above then v > m.m_threshold
-    else v < m.m_threshold
-  in
-  if m.m_n >= m.m_slow then
+  let bad = (not (Float.is_nan v)) && v > m.m_threshold in
+  if m.m_n >= slow then
     m.m_bad_slow <- m.m_bad_slow - Char.code (Bytes.get m.m_bad m.m_head);
-  if m.m_n >= m.m_fast then begin
-    let idx = (m.m_head + m.m_slow - m.m_fast) mod m.m_slow in
+  if m.m_n >= fast then begin
+    let idx = (m.m_head + slow - fast) mod slow in
     m.m_bad_fast <- m.m_bad_fast - Char.code (Bytes.get m.m_bad idx)
   end;
   Bytes.set m.m_bad m.m_head (if bad then '\001' else '\000');
-  m.m_head <- (if m.m_head + 1 = m.m_slow then 0 else m.m_head + 1);
+  m.m_head <- (if m.m_head + 1 = slow then 0 else m.m_head + 1);
   if bad then begin
     m.m_bad_fast <- m.m_bad_fast + 1;
     m.m_bad_slow <- m.m_bad_slow + 1
   end;
   m.m_n <- m.m_n + 1;
   let budget = 1. -. m.m_objective in
-  let bf = float_of_int m.m_bad_fast /. float_of_int (Stdlib.min m.m_n m.m_fast) /. budget in
-  let bs = float_of_int m.m_bad_slow /. float_of_int (Stdlib.min m.m_n m.m_slow) /. budget in
-  let firing = bf >= m.m_burn && bs >= m.m_burn in
+  let bf = float_of_int m.m_bad_fast /. float_of_int (Stdlib.min m.m_n fast) /. budget in
+  let bs = float_of_int m.m_bad_slow /. float_of_int (Stdlib.min m.m_n slow) /. budget in
+  let firing = bf >= burn && bs >= burn in
   if firing <> m.m_firing then transition st m ~time ~firing ~bf ~bs ~v
 
 let eval () =
@@ -118,32 +108,24 @@ let eval () =
           (* Alerts are stamped at the window's end, so evaluation
              timing (in-run closer vs. post-run catch-up) never shifts
              the alert stream. *)
-          let time = Timeseries.window_start m.m_next_w +. Timeseries.window_us () in
+          let time = Timeseries.window_start m.m_next_w +. Timeseries.window_us in
           push st m ~time v;
           m.m_next_w <- m.m_next_w + 1
         done
   done
 
-let monitor ~name ~series ~col ?(kind = `Above) ~threshold ~objective ?(fast_windows = 3)
-    ?(slow_windows = 12) ?(burn = 2.) () =
+let monitor ~name ~series ~col ~threshold ~objective =
   if objective < 0. || objective >= 1. then
     invalid_arg "Slo.monitor: objective must be in [0, 1)";
-  if fast_windows <= 0 || slow_windows < fast_windows then
-    invalid_arg "Slo.monitor: need 0 < fast_windows <= slow_windows";
-  if burn <= 0. then invalid_arg "Slo.monitor: burn must be positive";
   let st = state () in
   let m =
     {
       m_name = name;
       m_series = series;
       m_col = col;
-      m_above = (kind = `Above);
       m_threshold = threshold;
       m_objective = objective;
-      m_fast = fast_windows;
-      m_slow = slow_windows;
-      m_burn = burn;
-      m_bad = Bytes.make slow_windows '\000';
+      m_bad = Bytes.make slow '\000';
       m_head = 0;
       m_n = 0;
       m_bad_fast = 0;

@@ -4,10 +4,12 @@
     a playback-lag watermark, an error rate). Every sealed window is
     classified good or bad against a threshold; the monitor computes
     how fast the bad-window fraction is burning the error budget
-    [1 - objective] over a {e fast} and a {e slow} trailing window,
-    and fires only when {e both} exceed the [burn] multiplier — the
-    classic pairing: the fast window gives low detection latency, the
-    slow window keeps a single bad blip from paging.
+    [1 - objective] over a {e fast} trailing horizon of 3 windows and
+    a {e slow} one of 12, and fires only when {e both} burn rates
+    reach 2.0 — the classic pairing: the fast window gives low
+    detection latency, the slow window keeps a single bad blip from
+    paging. A window is bad when its value is above the monitor's
+    threshold.
 
     Alert transitions (fire and resolve) are appended to a
     deterministic, virtually-timestamped stream: alerts are stamped at
@@ -19,34 +21,22 @@
 
     Evaluation is O(1) per window per monitor (a classification bit
     ring with incremental fast/slow counts) and runs on the
-    {!Timeseries.on_window_close} hook. State is engine-reset, like
-    {!Metrics}. *)
+    {!Timeseries.on_window_close} hook. State is an {!Engine.per_run}
+    store, like {!Metrics}'. *)
 
 type monitor
 
-(** [monitor ~name ~series ~col ?kind ~threshold ~objective ()]
-    registers a monitor on {!Timeseries} series/column (resolved
-    lazily, so monitors may be declared before the source exists).
-    A window is {e bad} when its value is above ([?kind = `Above],
-    default) or below ([`Below]) [threshold]; windows with [nan]
+(** [monitor ~name ~series ~col ~threshold ~objective] registers
+    a monitor on {!Timeseries} series/column (resolved lazily, so
+    monitors may be declared before the source exists). A window is
+    {e bad} when its value is above [threshold]; windows with [nan]
     values count as good. [objective] is the target good-window
-    fraction in [0, 1) — the error budget is [1 - objective].
-    [fast_windows] (default 3) and [slow_windows] (default 12) are the
-    two trailing evaluation horizons; the monitor fires when both burn
-    rates reach [burn] (default 2.0) and resolves when either drops
-    back under. *)
+    fraction in [0, 1) — the error budget is [1 - objective]. The
+    monitor fires when the bad fraction of the last 3 windows and of
+    the last 12 both burn the budget at 2.0 times its rate or faster,
+    and resolves when either drops back under. *)
 val monitor :
-  name:string ->
-  series:string ->
-  col:string ->
-  ?kind:[ `Above | `Below ] ->
-  threshold:float ->
-  objective:float ->
-  ?fast_windows:int ->
-  ?slow_windows:int ->
-  ?burn:float ->
-  unit ->
-  monitor
+  name:string -> series:string -> col:string -> threshold:float -> objective:float -> monitor
 
 (** [feed m v] pushes one synthetic window value through [m]'s
     burn-rate machinery, bypassing {!Timeseries} — the unit-test and

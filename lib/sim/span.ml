@@ -14,7 +14,6 @@ type rec_ = {
 }
 
 type state = {
-  born : int;
   mutable arr : rec_ option array;
   mutable count : int;
   stacks : (int, int list) Hashtbl.t;  (* fiber id -> open span ids, innermost first *)
@@ -28,9 +27,8 @@ type state = {
   mutable nfree : int;
 }
 
-let fresh ~born =
+let fresh () =
   {
-    born;
     arr = Array.make 256 None;
     count = 0;
     stacks = Hashtbl.create 32;
@@ -40,12 +38,8 @@ let fresh ~born =
     nfree = 16;
   }
 
-let current_state = ref (fresh ~born:0)
-
-let state () =
-  let rc = Engine.run_count () in
-  if !current_state.born <> rc then current_state := fresh ~born:rc;
-  !current_state
+let store = Engine.per_run fresh
+let state () = Engine.this_run store
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b

@@ -14,9 +14,9 @@
     byte-identical timelines ({!capture} is the determinism probe, the
     span analogue of [Trace.capture]).
 
-    Like {!Metrics}, the span store is global but engine-reset: it
-    clears when a new {!Engine.run} starts and remains readable after
-    the run ends. Span ids are dense and allocated in open order. *)
+    Like {!Metrics}, the span store is an {!Engine.per_run} one: it
+    starts empty in each {!Engine.run} and remains readable after the
+    run ends. Span ids are dense and allocated in open order. *)
 
 (** [set_enabled b] switches recording on or off (sticky across engine
     resets; default off). *)

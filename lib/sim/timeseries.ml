@@ -34,14 +34,14 @@ type src = {
   mutable se_rings : float array array;  (* one ring per column; [||] until first seal *)
 }
 
+let window_us = 10_000.
+let subticks = 5
+let slots = 256
+
 type state = {
-  born : int;
   mutable srcs : src array;
   mutable n : int;
   index : (string, src) Hashtbl.t;
-  mutable slots : int;
-  mutable window_us : float;
-  mutable subticks : int;
   mutable starts : float array;  (* window-start ring; [||] until first window *)
   mutable w_count : int;  (* sealed windows *)
   mutable cur_start : float;  (* nan = no window open *)
@@ -52,18 +52,14 @@ type state = {
 
 let no_probe () = 0.
 
-let fresh ~born =
+let fresh () =
   {
-    born;
     srcs = Array.make 0 { se_name = ""; se_kind = K_probe; se_counter = None; se_gauge = None;
                           se_hist = None; se_probe = no_probe; se_prev_buckets = [||];
                           se_delta = [||]; se_acc = [||]; se_prev = 0; se_first_w = 0;
                           se_cols = [||]; se_rings = [||] };
     n = 0;
     index = Hashtbl.create 64;
-    slots = 256;
-    window_us = 10_000.;
-    subticks = 5;
     starts = [||];
     w_count = 0;
     cur_start = Float.nan;
@@ -72,32 +68,8 @@ let fresh ~born =
     closers = [||];
   }
 
-let current = ref (fresh ~born:0)
-
-let state () =
-  let rc = Engine.run_count () in
-  if !current.born <> rc then current := fresh ~born:rc;
-  !current
-
-let configure ?window_us ?subticks ?slots () =
-  let st = state () in
-  if st.w_count > 0 || not (Float.is_nan st.cur_start) || st.ticker_on then
-    invalid_arg "Timeseries.configure: already ticking";
-  (match window_us with
-  | Some w ->
-      if w <= 0. then invalid_arg "Timeseries.configure: window must be positive"
-      else st.window_us <- w
-  | None -> ());
-  (match subticks with
-  | Some s ->
-      if s <= 0 then invalid_arg "Timeseries.configure: subticks must be positive"
-      else st.subticks <- s
-  | None -> ());
-  match slots with
-  | Some s ->
-      if s <= 0 then invalid_arg "Timeseries.configure: slots must be positive"
-      else st.slots <- s
-  | None -> ()
+let store = Engine.per_run fresh
+let state () = Engine.this_run store
 
 (* -- source registration ----------------------------------------------- *)
 
@@ -194,7 +166,7 @@ let on_window_close f =
 (* -- ticking ----------------------------------------------------------- *)
 
 let open_window st now =
-  if Array.length st.starts = 0 then st.starts <- Array.make st.slots Float.nan;
+  if Array.length st.starts = 0 then st.starts <- Array.make slots Float.nan;
   st.cur_start <- now;
   st.sub_n <- 0
 
@@ -212,12 +184,12 @@ let sample_sub s =
       if v > a.(1) then a.(1) <- v;
       a.(2) <- v
 
-let ensure_rings st s =
+let ensure_rings s =
   if Array.length s.se_rings = 0 then
-    s.se_rings <- Array.init (Array.length s.se_cols) (fun _ -> Array.make st.slots Float.nan)
+    s.se_rings <- Array.init (Array.length s.se_cols) (fun _ -> Array.make slots Float.nan)
 
-let seal_src st s ~slot ~dt_s =
-  ensure_rings st s;
+let seal_src s ~slot ~dt_s =
+  ensure_rings s;
   match s.se_kind with
   | K_counter ->
       let v = match s.se_counter with Some c -> Metrics.counter_value c | None -> 0 in
@@ -248,11 +220,11 @@ let seal_src st s ~slot ~dt_s =
           s.se_rings.(2).(slot) <- Metrics.buckets_percentile s.se_delta ~total:!total 99.)
 
 let seal_window st now =
-  let slot = st.w_count mod st.slots in
+  let slot = st.w_count mod slots in
   st.starts.(slot) <- st.cur_start;
   let dt_s = (now -. st.cur_start) /. 1e6 in
   for i = 0 to st.n - 1 do
-    seal_src st st.srcs.(i) ~slot ~dt_s
+    seal_src st.srcs.(i) ~slot ~dt_s
   done;
   st.w_count <- st.w_count + 1;
   st.cur_start <- now;
@@ -267,23 +239,18 @@ let tick () =
     sample_sub st.srcs.(i)
   done;
   st.sub_n <- st.sub_n + 1;
-  if st.sub_n >= st.subticks then seal_window st now
+  if st.sub_n >= subticks then seal_window st now
 
-let start ?window_us ?subticks ?(track_metrics = true) () =
+let start ?(track_metrics = true) () =
   let st = state () in
-  if window_us <> None || subticks <> None then configure ?window_us ?subticks ();
   if track_metrics then track_all_metrics ();
   if not st.ticker_on then begin
     st.ticker_on <- true;
     Engine.spawn (fun () ->
         let rec loop () =
-          Engine.sleep (st.window_us /. float_of_int st.subticks);
-          (* A reset mid-run (tests) orphans this fiber; stop ticking
-             into the dead generation. *)
-          if !current == st then begin
-            tick ();
-            loop ()
-          end
+          Engine.sleep (window_us /. float_of_int subticks);
+          tick ();
+          loop ()
         in
         loop ())
   end
@@ -291,7 +258,6 @@ let start ?window_us ?subticks ?(track_metrics = true) () =
 (* -- queries ----------------------------------------------------------- *)
 
 let windows () = (state ()).w_count
-let window_us () = (state ()).window_us
 
 type sel = { q_src : src; q_col : int }
 
@@ -310,10 +276,10 @@ let find ~series ~col =
 let window_value sel j =
   let st = state () in
   let s = sel.q_src in
-  if j < 0 || j >= st.w_count || j < s.se_first_w || j < st.w_count - st.slots
+  if j < 0 || j >= st.w_count || j < s.se_first_w || j < st.w_count - slots
      || Array.length s.se_rings = 0
   then Float.nan
-  else s.se_rings.(sel.q_col).(j mod st.slots)
+  else s.se_rings.(sel.q_col).(j mod slots)
 
 let last sel =
   let st = state () in
@@ -321,9 +287,9 @@ let last sel =
 
 let window_start j =
   let st = state () in
-  if j < 0 || j >= st.w_count || j < st.w_count - st.slots || Array.length st.starts = 0 then
+  if j < 0 || j >= st.w_count || j < st.w_count - slots || Array.length st.starts = 0 then
     Float.nan
-  else st.starts.(j mod st.slots)
+  else st.starts.(j mod slots)
 
 let series_names () =
   let st = state () in
@@ -333,7 +299,7 @@ let series_names () =
 
 let to_json () =
   let st = state () in
-  let from_global = Stdlib.max 0 (st.w_count - st.slots) in
+  let from_global = Stdlib.max 0 (st.w_count - slots) in
   let starts =
     List.init (st.w_count - from_global) (fun k -> Jout.flt (window_start (from_global + k)))
   in
@@ -365,8 +331,8 @@ let to_json () =
   in
   Jout.obj
     [
-      ("window_us", Jout.flt st.window_us);
-      ("subticks", string_of_int st.subticks);
+      ("window_us", Jout.flt window_us);
+      ("subticks", string_of_int subticks);
       ("windows", string_of_int st.w_count);
       ("from", string_of_int from_global);
       ("starts", Jout.arr starts);

@@ -7,7 +7,11 @@
     sketches (from bucket-count deltas), and derived {e lag watermark}
     probes — log tail vs. per-runtime applied position, trim-horizon
     lag, batcher sealed-queue age, sequencer grant backlog — each in a
-    preallocated ring of the most recent [slots] windows.
+    preallocated ring of the most recent {!slots} windows.
+
+    Windows are {!window_us} = 10 000 µs of virtual time long; each is
+    sampled {!subticks} = 5 times (gauge and probe min/max are read at
+    a 2 000 µs cadence), and the rings keep {!slots} = 256 windows.
 
     Determinism contract (same as {!Metrics}): sampling reads only the
     virtual clock and component state — no sleeps beyond the ticker's
@@ -16,28 +20,30 @@
     slots, which is why it must be started explicitly ({!start}), like
     the {!Metrics} sampler.
 
-    The store is global and engine-reset ({!Engine.run_count}), and
-    stays readable after the run ends. {!Slo} monitors evaluate on the
+    The store is an {!Engine.per_run} one: it starts empty in each
+    run and stays readable after the run ends. {!Slo} monitors evaluate on the
     {!on_window_close} hook; the future auto-scaling controller reads
     the same rings. *)
 
-(** [configure ?window_us ?subticks ?slots ()] sets the window length
-    (default 10 000 µs), sub-samples per window (default 5 — gauge and
-    probe min/max are sampled at [window_us / subticks] cadence), and
-    ring capacity in windows (default 256). Must be called before the
-    first tick of the run; raises [Invalid_argument] afterwards. *)
-val configure : ?window_us:float -> ?subticks:int -> ?slots:int -> unit -> unit
+(** Window length in virtual µs: 10 000. *)
+val window_us : float
 
-(** [start ?window_us ?subticks ?track_metrics ()] spawns the ticker
+(** Sub-samples per window: 5. *)
+val subticks : int
+
+(** Ring capacity in windows: 256. *)
+val slots : int
+
+(** [start ?track_metrics ()] spawns the ticker
     fiber (at most one per run; later calls are no-ops). When
     [track_metrics] (default true), every counter, gauge, and
     histogram currently registered in {!Metrics} is tracked — handles
     created later are not picked up automatically. Must be called
     inside {!Engine.run}. *)
-val start : ?window_us:float -> ?subticks:int -> ?track_metrics:bool -> unit -> unit
+val start : ?track_metrics:bool -> unit -> unit
 
 (** [tick ()] advances the aggregation by one sub-tick, sealing a
-    window every [subticks] calls. The ticker fiber calls this; it is
+    window every {!subticks} calls. The ticker fiber calls this; it is
     exposed for tests and the [timeseries.tick] bench kernel. *)
 val tick : unit -> unit
 
@@ -67,8 +73,6 @@ val on_window_close : (unit -> unit) -> unit
 
 (** Number of sealed windows so far. *)
 val windows : unit -> int
-
-val window_us : unit -> float
 
 (** A resolved (series, column) handle. Belongs to the current run. *)
 type sel

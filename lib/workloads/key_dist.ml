@@ -4,7 +4,7 @@ let uniform ~n =
   if n < 1 then invalid_arg "Key_dist.uniform: n must be positive";
   Uniform n
 
-let zipf ?theta ~n () = Zipfian (Zipf.create ?theta ~n ())
+let zipf ~n () = Zipfian (Zipf.create ~n ())
 
 let population = function Uniform n -> n | Zipfian z -> Zipf.n z
 

@@ -5,7 +5,10 @@
 type t
 
 val uniform : n:int -> t
-val zipf : ?theta:float -> n:int -> unit -> t
+
+(** [zipf ~n ()] is {!Zipf.create}'s distribution (theta 0.99) over
+    [n] keys. *)
+val zipf : n:int -> unit -> t
 
 (** [sample t rng] draws a key index. *)
 val sample : t -> Sim.Rng.t -> int

@@ -1,27 +1,28 @@
+(* YCSB's skew. *)
+let theta = 0.99
+
 type t = {
   size : int;
-  theta : float;
   alpha : float;
   zetan : float;
   eta : float;
   half_pow_theta : float;
 }
 
-let zeta n theta =
+let zeta n =
   let sum = ref 0. in
   for i = 1 to n do
     sum := !sum +. (1. /. Float.pow (float_of_int i) theta)
   done;
   !sum
 
-let create ?(theta = 0.99) ~n () =
+let create ~n () =
   if n < 1 then invalid_arg "Zipf.create: n must be positive";
-  if theta <= 0. || theta >= 1. then invalid_arg "Zipf.create: theta must be in (0,1)";
-  let zetan = zeta n theta in
-  let zeta2 = zeta 2 theta in
+  let zetan = zeta n in
+  let zeta2 = zeta 2 in
   let alpha = 1. /. (1. -. theta) in
   let eta = (1. -. Float.pow (2. /. float_of_int n) (1. -. theta)) /. (1. -. (zeta2 /. zetan)) in
-  { size = n; theta; alpha; zetan; eta; half_pow_theta = Float.pow 0.5 theta }
+  { size = n; alpha; zetan; eta; half_pow_theta = Float.pow 0.5 theta }
 
 let n t = t.size
 

@@ -7,10 +7,10 @@
 
 type t
 
-(** [create ~n ()] prepares a sampler over ranks [\[0, n)].
-    [theta] defaults to YCSB's 0.99.
-    @raise Invalid_argument if [n < 1] or [theta] outside (0, 1). *)
-val create : ?theta:float -> n:int -> unit -> t
+(** [create ~n ()] prepares a sampler over ranks [\[0, n)] with
+    YCSB's skew, theta = 0.99.
+    @raise Invalid_argument if [n < 1]. *)
+val create : n:int -> unit -> t
 
 val n : t -> int
 

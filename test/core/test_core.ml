@@ -134,16 +134,6 @@ let test_record_pos_math () =
   check_bool "ordering" true
     (Record.pos ~offset:1 ~slot:63 < Record.pos ~offset:2 ~slot:0)
 
-let test_record_streams_of () =
-  match sample_records with
-  | [ u1; _; commit; decision; partial; ckpt ] ->
-      Alcotest.(check (list int)) "update" [ 3 ] (Record.streams_of u1);
-      Alcotest.(check (list int)) "commit = write set" [ 1; 7 ] (Record.streams_of commit);
-      Alcotest.(check (list int)) "decision" [] (Record.streams_of decision);
-      Alcotest.(check (list int)) "partial" [] (Record.streams_of partial);
-      Alcotest.(check (list int)) "checkpoint" [ 5 ] (Record.streams_of ckpt)
-  | _ -> assert false
-
 let test_record_rejects_bad () =
   (match Record.encode_payload [] with
   | _ -> Alcotest.fail "empty payload must be rejected"
@@ -362,7 +352,6 @@ let test_batcher_full_seal_cancels_linger () =
    probe reads 0. *)
 let test_batcher_sealed_age_probe () =
   with_cluster (fun cluster ->
-      Sim.Timeseries.configure ~window_us:1_000. ~subticks:1 ();
       let cl = Corfu.Cluster.new_client cluster ~name:"app" in
       let b = Batcher.create ~client:cl ~batch_size:2 in
       let depth = Sim.Metrics.gauge ~host:"app" "batcher.sealed_depth" in
@@ -374,8 +363,12 @@ let test_batcher_sealed_age_probe () =
                 (Batcher.submit b ~streams:[ 1 ]
                    (Record.Update { Record.u_oid = 1; u_key = None; u_data = Reg.encode i }))))
         [ 0.; Batcher.linger_us +. 2.; Batcher.linger_us +. 2. ];
+      (* a whole window's sub-samples at one instant seal it with the
+         probe's current reading as its last *)
       let age () =
-        Sim.Timeseries.tick ();
+        for _ = 1 to Sim.Timeseries.subticks do
+          Sim.Timeseries.tick ()
+        done;
         match Sim.Timeseries.find ~series:"probe:app.batcher.sealed_age_us" ~col:"last" with
         | Some sel -> Sim.Timeseries.last sel
         | None -> Alcotest.fail "sealed-age probe missing"
@@ -1898,7 +1891,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "position math" `Quick test_record_pos_math;
-          Alcotest.test_case "streams_of" `Quick test_record_streams_of;
           Alcotest.test_case "rejects bad payloads" `Quick test_record_rejects_bad;
           Alcotest.test_case "array encode matches list encode" `Quick
             test_record_encode_payload_array;

@@ -431,20 +431,6 @@ let test_node_local_tail () =
       ignore (write 7 (entry "b"));
       check_int "tail" 7 (Sim.Net.call ~from:me (Storage_node.tail_service node) ()))
 
-let test_node_capacity () =
-  Sim.Engine.run (fun () ->
-      let net = Sim.Net.create ~latency:10. ~bandwidth:125. ~jitter:0. ~timeout_us () in
-      let node =
-        Storage_node.create ~net ~name:"n" ~params:Sim.Params.default ~capacity_entries:2 ()
-      in
-      let me = Sim.Net.add_host net "tester" in
-      let w off =
-        Sim.Net.call ~from:me (Storage_node.write_service node)
-          { Storage_node.wepoch = 0; woffset = off; wcell = entry "x" }
-      in
-      check_bool "in space" true (w 1 = Types.Write_ok);
-      check_bool "out of space" true (w 2 = Types.Out_of_space))
-
 (* The paged address space against the hash-table node it replaced,
    kept here as the model: random writes, fills, trims, prefix trims
    and reads over three pages near 0 and two past a 10^6 jump must
@@ -1974,23 +1960,6 @@ let test_scale_determinism () =
   check_int "same count" n1 n2;
   check_bool "byte-identical traces" true (String.equal trace1 trace2)
 
-let test_projection_layout_roundtrip () =
-  with_cluster ~servers:4 (fun cluster ->
-      let w = Cluster.new_client cluster ~name:"writer" in
-      for i = 0 to 5 do
-        ignore (Client.append w ~streams:[ 1 ] (payload (string_of_int i)))
-      done;
-      ignore (Cluster.scale_out cluster ~add_servers:2 ~chains:[ 3; 3 ] : Types.epoch);
-      let proj = Auxiliary.latest (Cluster.auxiliary cluster) in
-      let l = Projection.layout proj in
-      check_bool "layout roundtrips through the wire" true
-        (Projection.decode_layout (Projection.encode_layout proj) = l);
-      (* truncated payloads are rejected, not misread *)
-      let b = Projection.encode_layout proj in
-      match Projection.decode_layout (Bytes.sub b 0 (Bytes.length b - 3)) with
-      | _ -> Alcotest.fail "truncated layout must be rejected"
-      | exception Invalid_argument _ -> ())
-
 let prop_segment_mapping_roundtrip =
   (* resolve and global_offset are inverse over arbitrary multi-segment
      maps with mixed stripe widths and a retired prefix. *)
@@ -3497,7 +3466,6 @@ let () =
           Alcotest.test_case "trim" `Quick test_node_trim;
           Alcotest.test_case "prefix trim" `Quick test_node_prefix_trim;
           Alcotest.test_case "local tail" `Quick test_node_local_tail;
-          Alcotest.test_case "capacity" `Quick test_node_capacity;
           Alcotest.test_case "a 10^6 jump allocates one page" `Quick test_node_page_jump;
           Alcotest.test_case "prefix trim frees whole pages" `Quick
             test_node_prefix_trim_frees_pages;
@@ -3624,7 +3592,6 @@ let () =
           Alcotest.test_case "storage failure across segments" `Quick
             test_scale_out_then_storage_failure;
           Alcotest.test_case "scale-out determinism" `Quick test_scale_determinism;
-          Alcotest.test_case "layout wire roundtrip" `Quick test_projection_layout_roundtrip;
         ] );
       ( "fault-recovery",
         [
